@@ -342,7 +342,10 @@ func BenchmarkAblationNoSubplanSharing(b *testing.B) {
 
 // BenchmarkIntegratedOptimization costs every Q7 alternative with the
 // shared sub-plan memo (Section 6's integration of physical optimization
-// with enumeration).
+// with enumeration). Enumeration, estimator and optimizer are built fresh
+// per iteration (only the costing is timed): their caches are keyed by node
+// identity, so state carried across iterations would leave nothing to
+// measure.
 func BenchmarkIntegratedOptimization(b *testing.B) {
 	q, err := tpch.BuildQ7(tpch.ModeSCA, tpch.DefaultGen())
 	if err != nil {
@@ -352,13 +355,37 @@ func BenchmarkIntegratedOptimization(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	alts := optimizer.NewEnumerator().Enumerate(tree)
-	est := optimizer.NewEstimator(q.Flow)
-	b.ResetTimer()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		po := optimizer.NewPhysicalOptimizer(est, 4)
+		b.StopTimer()
+		alts := optimizer.NewEnumerator().Enumerate(tree)
+		po := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(q.Flow), 4)
+		b.StartTimer()
 		for _, a := range alts {
 			po.Optimize(a)
+		}
+	}
+}
+
+// BenchmarkRankAllQ7 is the optimizer work of one plan-cache miss, exactly
+// as scheduler.execute performs it: FromFlow → NewEstimator → RankAllNet at
+// the server's DOP. BENCH_opt.json records it; benchguard gates its
+// allocs/op.
+func BenchmarkRankAllQ7(b *testing.B) {
+	q, err := tpch.BuildQ7(tpch.ModeSCA, tpch.DefaultGen())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree, err := optimizer.FromFlow(q.Flow)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ranked := optimizer.RankAllNet(tree, optimizer.NewEstimator(q.Flow), 2, 0, optimizer.NetProfile{})
+		if len(ranked) != 442 {
+			b.Fatalf("ranked %d plans, want 442", len(ranked))
 		}
 	}
 }

@@ -1,17 +1,18 @@
 // Command benchguard closes the loop between the committed BENCH_*.json
 // baselines and CI: it runs the engine micro-benchmarks (shuffle, net,
-// combiner, spill, joinspill), the job-scheduler benchmark (jobs), and the service
-// plan-cache benchmark (svc), recomputes the headline ratios, and fails
-// when a freshly measured ratio regresses by more than the threshold
-// (default 25%) against the committed baseline.
+// combiner, spill, joinspill), the job-scheduler benchmark (jobs), the
+// service plan-cache benchmark (svc), and the cold-plan optimizer benchmark
+// (opt), recomputes the headline ratios, and fails when a freshly measured
+// ratio regresses by more than the threshold (default 25%) against the
+// committed baseline.
 //
 // Ratios — batched-vs-per-record throughput, combined-vs-plain shipped
 // bytes, spill-vs-in-memory runtime (grouping and join) — are compared
 // rather than absolute ns/op because CI machines differ from the machines
 // the baselines were measured on; a ratio between two modes of the same
 // benchmark on the same host cancels the hardware out. Deterministic byte
-// metrics (shipped and spilled bytes per op) are compared directly with a
-// tight tolerance.
+// metrics (shipped and spilled bytes per op, the optimizer's allocations
+// per ranking) are compared directly with a tight tolerance.
 //
 // Usage:
 //
@@ -90,7 +91,7 @@ func main() {
 	flag.Parse()
 
 	cmd := exec.Command("go", "test", ".", "-run", "NONE",
-		"-bench", "BenchmarkShuffle/|BenchmarkNetShuffle/|BenchmarkCombiner/|BenchmarkSpill/|BenchmarkJoinSpill/|BenchmarkConcurrentJobs/|BenchmarkRepeatedScripts/",
+		"-bench", "BenchmarkShuffle/|BenchmarkNetShuffle/|BenchmarkCombiner/|BenchmarkSpill/|BenchmarkJoinSpill/|BenchmarkConcurrentJobs/|BenchmarkRepeatedScripts/|BenchmarkRankAllQ7$",
 		"-benchtime", *benchtime)
 	raw, err := cmd.CombinedOutput()
 	if err != nil {
@@ -124,6 +125,7 @@ func main() {
 	svcCold := need("BenchmarkRepeatedScripts/cold")
 	svcCached := need("BenchmarkRepeatedScripts/cached")
 	svcMulti := need("BenchmarkRepeatedScripts/multitenant")
+	optRank := need("BenchmarkRankAllQ7")
 
 	fresh := map[string]float64{
 		"shuffle_throughput":             shufLegacy["ns/op"] / shufBatched["ns/op"],
@@ -149,6 +151,8 @@ func main() {
 		"svc_global_budget_B":            svcMulti["global-budget-B"],
 		"svc_tenant_peak_running":        svcMulti["tenant-peak-running"],
 		"svc_tenant_cap":                 svcMulti["tenant-cap"],
+		"opt_rankall_q7_allocs_op":       optRank["allocs/op"],
+		"opt_rankall_q7_ns_op":           optRank["ns/op"],
 	}
 
 	failed := false
@@ -219,9 +223,20 @@ func main() {
 	// document on the same host (recompile vs cache hit), so hardware
 	// cancels; double slack because the cached side's absolute window is
 	// tens of microseconds and scheduler jitter moves it proportionally
-	// more than the CPU-bound ratios.
+	// more than the CPU-bound ratios. The floor guards the *cache* — a hit
+	// path that got slower — not the optimizer: a faster miss path lowers
+	// this ratio, so a change that speeds up compile or enumeration
+	// re-measures BENCH_svc.json rather than reading the drop as a
+	// regression. The miss path has its own gate below.
 	check("service plan-cache speedup", "BENCH_svc.json", "cache_speedup",
 		fresh["svc_cache_speedup"], false, 2)
+	// One cold Q7 ranking exactly as scheduler.execute performs it. Gated on
+	// allocations per ranking, not time: the count is deterministic for a
+	// Go release and identical on every machine, and it is what the interned
+	// plan DAG bought (287,231 before it). 10% headroom for toolchain drift;
+	// ns/op lands in BENCH_fresh.json for the record only.
+	check("optimizer rank-all allocs/op", "BENCH_opt.json", "rankall_q7_allocs_per_op",
+		fresh["opt_rankall_q7_allocs_op"], true, 0.4)
 
 	// Always-on tracing budget: the traced and untraced modes run the
 	// identical batched shuffle on the same host, so the ratio isolates the

@@ -161,16 +161,18 @@ type Operator struct {
 // KeySet returns the key fields of input i as a FieldSet.
 func (o *Operator) KeySet(i int) props.FieldSet {
 	if i >= len(o.Keys) {
-		return props.FieldSet{}
+		return nil
 	}
 	return props.NewFieldSet(o.Keys[i]...)
 }
 
 // AllKeys returns the union of all inputs' key fields.
 func (o *Operator) AllKeys() props.FieldSet {
-	s := props.FieldSet{}
-	for i := range o.Keys {
-		s.UnionWith(o.KeySet(i))
+	var s props.FieldSet
+	for _, k := range o.Keys {
+		for _, f := range k {
+			s.Add(f)
+		}
 	}
 	return s
 }
@@ -264,7 +266,6 @@ func (f *Flow) newOp(name string, kind OpKind, inputs ...*Operator) *Operator {
 // AvgWidthBytes.
 func (f *Flow) Source(name string, attrNames []string, hints Hints) *Operator {
 	op := f.newOp(name, KindSource)
-	op.SourceAttrs = props.FieldSet{}
 	for _, an := range attrNames {
 		op.SourceAttrs.Add(f.DeclareAttr(an))
 	}

@@ -812,10 +812,11 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (record.DataSet, *engin
 	var plan *optimizer.PhysPlan
 	var key planKey
 	cached := false
+	var detail string // what the optimize span says happened
 	if s.planCache != nil && j.spec.PlanKey != "" {
 		key = planKey{hash: j.spec.PlanKey, tier: budgetTier(j.grant), dop: dop}
 		if e, ok := s.planCache.plan(key); ok {
-			plan, cached = e.plan, true
+			plan, cached, detail = e.plan, true, "plan-cache hit"
 		}
 	}
 	if !cached {
@@ -834,15 +835,13 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (record.DataSet, *engin
 			return nil, nil, err
 		}
 		plan = ranked[0].Phys
+		enum := ranked[0].Enum
+		detail = fmt.Sprintf("plans=%d subflows=%d exchanges=%d", len(ranked), enum.Subflows, enum.Exchanges)
 		if s.planCache != nil && j.spec.PlanKey != "" {
 			s.planCache.storePlan(key, planEntry{plan: plan, cost: ranked[0].Cost})
 		}
 	}
-	tr.EndWith(optSpan, func(sp *obs.Span) {
-		if cached {
-			sp.Detail = "plan-cache hit"
-		}
-	})
+	tr.EndWith(optSpan, func(sp *obs.Span) { sp.Detail = detail })
 	j.s.mu.Lock()
 	j.planned = time.Now()
 	j.s.mu.Unlock()

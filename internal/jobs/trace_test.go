@@ -29,8 +29,9 @@ func phaseSpan(t *testing.T, tr *obs.Trace, name string) obs.Span {
 
 // TestJobTraceLifecycle runs the same script document twice and checks the
 // span trees: the first run records compile, queue, optimize, and run
-// phases with operator spans below the run; the second surfaces the flow-
-// and plan-cache hits in the corresponding spans' details.
+// phases with operator spans below the run, the optimize span carrying the
+// enumeration's effort; the second surfaces the flow- and plan-cache hits
+// in the corresponding spans' details.
 func TestJobTraceLifecycle(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1, DOP: 2})
 	run := func(label string) *Job {
@@ -73,8 +74,11 @@ func TestJobTraceLifecycle(t *testing.T) {
 	if queue.End.IsZero() {
 		t.Fatal("queue span left open after admission")
 	}
-	if opt := phaseSpan(t, tr, "optimize"); opt.Detail != "" {
-		t.Fatalf("first optimize span claims %q", opt.Detail)
+	// A plan-cache miss reports the enumeration it paid for: wordcount is
+	// source → reduce → sink, one plan over three sub-flows, nothing to
+	// exchange.
+	if opt := phaseSpan(t, tr, "optimize"); opt.Detail != "plans=1 subflows=3 exchanges=0" {
+		t.Fatalf("first optimize span detail %q, want the enumeration stats", opt.Detail)
 	}
 	runSpan := phaseSpan(t, tr, "run")
 	opSeen := false

@@ -80,8 +80,11 @@ func (c Cost) Total(w Weights) float64 {
 // Number of Records Emitted per UDF Call", "CPU Cost per UDF Call", and
 // "Number of Distinct Values per Key-Set").
 type Estimator struct {
-	attrWidth map[int]float64
+	attrWidth []float64 // by attribute index; 0 = no source hint
 
+	// Estimates are cached by node identity: within one enumeration every
+	// distinct sub-flow is one node (see subflows), so each is estimated
+	// once however many alternatives contain it.
 	recs  map[*Tree]float64
 	width map[*Tree]float64
 }
@@ -94,7 +97,7 @@ const defaultAttrWidth = 9
 // widths are apportioned from the source width hints.
 func NewEstimator(f *dataflow.Flow) *Estimator {
 	e := &Estimator{
-		attrWidth: map[int]float64{},
+		attrWidth: make([]float64, f.NumAttrs()),
 		recs:      map[*Tree]float64{},
 		width:     map[*Tree]float64{},
 	}
@@ -106,7 +109,7 @@ func NewEstimator(f *dataflow.Flow) *Estimator {
 		if per <= 0 {
 			per = defaultAttrWidth
 		}
-		for _, a := range op.SourceAttrs.Sorted() {
+		for a := range op.SourceAttrs.All() {
 			e.attrWidth[a] = per
 		}
 	}
@@ -203,15 +206,17 @@ func defaultUDFSelectivity(op *dataflow.Operator) float64 {
 }
 
 // Width estimates the average record width (bytes) on a tree's output edge
-// by summing the widths of the attributes present.
+// by summing the widths of the attributes present, in ascending attribute
+// order (floating-point sums depend on order; a fixed one keeps costs
+// bit-identical from run to run).
 func (e *Estimator) Width(t *Tree) float64 {
 	if v, ok := e.width[t]; ok {
 		return v
 	}
 	var w float64 = 4 // record header
-	for a := range t.Attrs() {
-		if aw, ok := e.attrWidth[a]; ok {
-			w += aw
+	for a := range t.Attrs().All() {
+		if a < len(e.attrWidth) && e.attrWidth[a] > 0 {
+			w += e.attrWidth[a]
 		} else {
 			w += defaultAttrWidth
 		}

@@ -155,12 +155,12 @@ func (p *PhysPlan) Indent() string {
 // tree, exploiting interesting properties (partitioning reuse) as sketched
 // at the end of Section 6 and demonstrated with TPC-H Q15 in Section 7.3.
 //
-// The optimizer memoizes candidate plans per canonical sub-flow, so when it
-// is reused across the alternatives of an enumeration, structurally shared
-// sub-flows are optimized once — the integration of physical optimization
-// with enumeration that Section 6 describes ("the principle of optimality
-// can be exploited which effectively reduces the number of enumerated
-// alternatives").
+// The optimizer memoizes candidate plans per sub-flow node, so when it is
+// reused across the alternatives of an enumeration — whose trees share one
+// node per distinct sub-flow — every sub-flow is optimized once: the
+// integration of physical optimization with enumeration that Section 6
+// describes ("the principle of optimality can be exploited which
+// effectively reduces the number of enumerated alternatives").
 type PhysicalOptimizer struct {
 	Est *Estimator
 	// DOP is the degree of parallelism (the paper's evaluation uses 32).
@@ -192,7 +192,7 @@ type PhysicalOptimizer struct {
 	// single-process runs use.
 	Net NetProfile
 
-	memo map[string][]*PhysPlan
+	memo map[*Tree][]*PhysPlan
 }
 
 // NewPhysicalOptimizer returns a physical optimizer with default settings.
@@ -200,7 +200,7 @@ func NewPhysicalOptimizer(est *Estimator, dop int) *PhysicalOptimizer {
 	return &PhysicalOptimizer{
 		Est: est, DOP: dop, Weights: DefaultWeights,
 		UseInterestingProps: true, ShareSubplans: true,
-		memo: map[string][]*PhysPlan{},
+		memo: map[*Tree][]*PhysPlan{},
 	}
 }
 
@@ -241,7 +241,7 @@ func spillCost(vol, budget float64) float64 {
 func (po *PhysicalOptimizer) Optimize(t *Tree) *PhysPlan {
 	memo := po.memo
 	if memo == nil || !po.ShareSubplans {
-		memo = map[string][]*PhysPlan{}
+		memo = map[*Tree][]*PhysPlan{}
 	}
 	cands := po.plans(t, memo)
 	var best *PhysPlan
@@ -253,47 +253,85 @@ func (po *PhysicalOptimizer) Optimize(t *Tree) *PhysPlan {
 	return best
 }
 
+// candidates collects the plans of one sub-flow, pruned as they are offered:
+// per distinct output-partitioning property only the cheapest plan is kept
+// (the principle of optimality with interesting properties), in first-seen
+// order of the properties; with interesting properties disabled a single
+// global cheapest plan is kept. Ties keep the earlier candidate.
+type candidates struct {
+	po   *PhysicalOptimizer
+	kept []*PhysPlan
+}
+
+// slot returns where to build a candidate with the given property and cost,
+// or nil when a kept plan dominates it — so dominated candidates, the vast
+// majority, are never materialized. The slot is new or is the kept plan the
+// candidate beats; kept lists are a handful long, so a scan comparing
+// partitioning sets word by word beats any keyed table.
+func (c *candidates) slot(part props.FieldSet, cost Cost) *PhysPlan {
+	w := c.po.Weights
+	for _, cur := range c.kept {
+		if !c.po.UseInterestingProps || cur.Partitioned.Equal(part) {
+			if cost.Total(w) < cur.Cost.Total(w) {
+				return cur
+			}
+			return nil
+		}
+	}
+	p := new(PhysPlan)
+	c.kept = append(c.kept, p)
+	return p
+}
+
 // plans returns the candidate plans for a subtree: the cheapest per
-// interesting partitioning property, memoized by the sub-flow's canonical
-// key so that alternatives sharing sub-flows share their plans.
-func (po *PhysicalOptimizer) plans(t *Tree, memo map[string][]*PhysPlan) []*PhysPlan {
-	if ps, ok := memo[t.Key()]; ok {
+// interesting partitioning property, memoized by node identity so that
+// alternatives sharing sub-flows share their plans.
+func (po *PhysicalOptimizer) plans(t *Tree, memo map[*Tree][]*PhysPlan) []*PhysPlan {
+	if ps, ok := memo[t]; ok {
 		return ps
 	}
-	var out []*PhysPlan
+	out := candidates{po: po}
 	op := t.Op
+	// The node's own estimates, shared by all its candidates.
+	recs, bytes, udfCPU := po.Est.Records(t), po.Est.Bytes(t), po.Est.CPUCost(t)
 	switch op.Kind {
 	case dataflow.KindSource:
-		out = []*PhysPlan{{
+		*out.slot(nil, Cost{Disk: bytes}) = PhysPlan{
 			Op: op, Tree: t, Local: LocalScan,
-			OutRecords: po.Est.Records(t), OutBytes: po.Est.Bytes(t),
-			Cost: Cost{Disk: po.Est.Bytes(t)},
-		}}
+			OutRecords: recs, OutBytes: bytes,
+			Cost: Cost{Disk: bytes},
+		}
 
 	case dataflow.KindSink:
 		for _, in := range po.plans(t.Kids[0], memo) {
-			out = append(out, &PhysPlan{
-				Op: op, Tree: t, Inputs: []*PhysPlan{in},
-				Ship: []Shipping{ShipForward}, Local: LocalPipe,
-				Partitioned: in.Partitioned,
-				OutRecords:  in.OutRecords, OutBytes: in.OutBytes,
-				Cost: in.Cost,
-			})
+			if p := out.slot(in.Partitioned, in.Cost); p != nil {
+				*p = PhysPlan{
+					Op: op, Tree: t, Inputs: []*PhysPlan{in},
+					Ship: []Shipping{ShipForward}, Local: LocalPipe,
+					Partitioned: in.Partitioned,
+					OutRecords:  in.OutRecords, OutBytes: in.OutBytes,
+					Cost: in.Cost,
+				}
+			}
 		}
 
 	case dataflow.KindMap:
 		for _, in := range po.plans(t.Kids[0], memo) {
-			p := &PhysPlan{
-				Op: op, Tree: t, Inputs: []*PhysPlan{in},
-				Ship: []Shipping{ShipForward}, Local: LocalPipe, Chained: true,
-				OutRecords: po.Est.Records(t), OutBytes: po.Est.Bytes(t),
-				Cost: in.Cost.Plus(Cost{CPU: po.Est.CPUCost(t) + cpuPipeFactor*in.OutRecords}),
-			}
 			// Partitioning survives a Map that does not write the keys.
-			if in.Partitioned.Len() > 0 && props.Disjoint(t.Writes(), in.Partitioned) {
-				p.Partitioned = in.Partitioned
+			var part props.FieldSet
+			if !in.Partitioned.Empty() && props.Disjoint(t.Writes(), in.Partitioned) {
+				part = in.Partitioned
 			}
-			out = append(out, p)
+			cost := in.Cost.Plus(Cost{CPU: udfCPU + cpuPipeFactor*in.OutRecords})
+			if p := out.slot(part, cost); p != nil {
+				*p = PhysPlan{
+					Op: op, Tree: t, Inputs: []*PhysPlan{in},
+					Ship: []Shipping{ShipForward}, Local: LocalPipe, Chained: true,
+					Partitioned: part,
+					OutRecords:  recs, OutBytes: bytes,
+					Cost: cost,
+				}
+			}
 		}
 
 	case dataflow.KindReduce:
@@ -311,7 +349,7 @@ func (po *PhysicalOptimizer) plans(t *Tree, memo map[string][]*PhysPlan) []*Phys
 			// Interesting property: a compatible existing partitioning
 			// makes the shuffle unnecessary (records with equal reduce keys
 			// are already co-located).
-			if in.Partitioned.Len() > 0 && in.Partitioned.SubsetOf(key) {
+			if !in.Partitioned.Empty() && in.Partitioned.SubsetOf(key) {
 				ship, net = ShipForward, 0
 			} else if combSafe {
 				// Pre-shuffle partial aggregation: each of DOP senders
@@ -332,7 +370,7 @@ func (po *PhysicalOptimizer) plans(t *Tree, memo map[string][]*PhysPlan) []*Phys
 				spillDisk = spillCost(net, po.MemoryBudget)
 				shuffles = 1
 			}
-			for _, local := range []Local{LocalSortGroup, LocalHashGroup} {
+			for _, local := range [...]Local{LocalSortGroup, LocalHashGroup} {
 				n := in.OutRecords
 				var localCPU float64
 				if local == LocalSortGroup {
@@ -345,85 +383,96 @@ func (po *PhysicalOptimizer) plans(t *Tree, memo map[string][]*PhysPlan) []*Phys
 					// work over the full input.
 					localCPU += cpuHashFactor * n
 				}
-				out = append(out, &PhysPlan{
-					Op: op, Tree: t, Inputs: []*PhysPlan{in},
-					Ship: []Shipping{ship}, Local: local, Combinable: combinable,
-					Partitioned: key.Clone(),
-					OutRecords:  po.Est.Records(t), OutBytes: po.Est.Bytes(t),
-					Cost: in.Cost.Plus(Cost{Net: po.Net.cost(net, shuffles), Disk: spillDisk, CPU: po.Est.CPUCost(t) + localCPU}),
-				})
+				cost := in.Cost.Plus(Cost{Net: po.Net.cost(net, shuffles), Disk: spillDisk, CPU: udfCPU + localCPU})
+				if p := out.slot(key, cost); p != nil {
+					*p = PhysPlan{
+						Op: op, Tree: t, Inputs: []*PhysPlan{in},
+						Ship: []Shipping{ship}, Local: local, Combinable: combinable,
+						Partitioned: key,
+						OutRecords:  recs, OutBytes: bytes,
+						Cost: cost,
+					}
+				}
 			}
 		}
 
 	case dataflow.KindMatch:
-		out = po.joinPlans(t, memo)
+		po.joinPlans(t, memo, &out, recs, bytes, udfCPU)
 
 	case dataflow.KindCross:
 		for _, l := range po.plans(t.Kids[0], memo) {
 			for _, r := range po.plans(t.Kids[1], memo) {
 				// Broadcast the smaller side, forward the larger.
-				small, big := 0, 1
+				small, big := l, r
+				ship := [2]Shipping{ShipBroadcast, ShipForward}
 				if l.OutBytes > r.OutBytes {
-					small, big = 1, 0
+					small, big = r, l
+					ship = [2]Shipping{ShipForward, ShipBroadcast}
 				}
-				ins := []*PhysPlan{l, r}
-				ship := make([]Shipping, 2)
-				ship[small] = ShipBroadcast
-				ship[big] = ShipForward
-				net := ins[small].OutBytes * float64(po.DOP)
+				net := small.OutBytes * float64(po.DOP)
 				// The broadcast side is fully resident on every node; under a
 				// budget, its replicated volume is charged the spill term
 				// (see broadcastSpillCost).
-				out = append(out, &PhysPlan{
-					Op: op, Tree: t, Inputs: ins,
-					Ship: ship, Local: LocalNestedLoop,
-					Partitioned: ins[big].Partitioned,
-					OutRecords:  po.Est.Records(t), OutBytes: po.Est.Bytes(t),
-					Cost: l.Cost.Plus(r.Cost).Plus(Cost{Net: po.Net.cost(net, 1),
-						Disk: po.broadcastSpillCost(ins[small].OutBytes),
-						CPU:  po.Est.CPUCost(t)}),
-				})
+				cost := l.Cost.Plus(r.Cost).Plus(Cost{Net: po.Net.cost(net, 1),
+					Disk: po.broadcastSpillCost(small.OutBytes),
+					CPU:  udfCPU})
+				if p := out.slot(big.Partitioned, cost); p != nil {
+					*p = PhysPlan{
+						Op: op, Tree: t, Inputs: []*PhysPlan{l, r},
+						Ship: []Shipping{ship[0], ship[1]}, Local: LocalNestedLoop,
+						Partitioned: big.Partitioned,
+						OutRecords:  recs, OutBytes: bytes,
+						Cost: cost,
+					}
+				}
 			}
 		}
 
 	case dataflow.KindCoGroup:
-		lKey, rKey := op.KeySet(0), op.KeySet(1)
+		keys := [2]props.FieldSet{op.KeySet(0), op.KeySet(1)}
 		for _, l := range po.plans(t.Kids[0], memo) {
 			for _, r := range po.plans(t.Kids[1], memo) {
-				var net float64
-				ship := []Shipping{ShipPartition, ShipPartition}
-				shuffledVols := make([]float64, 0, 2)
-				if l.Partitioned.Len() > 0 && l.Partitioned.Equal(lKey) {
-					ship[0] = ShipForward
-				} else {
-					net += l.OutBytes
-					shuffledVols = append(shuffledVols, l.OutBytes)
-				}
-				if r.Partitioned.Len() > 0 && r.Partitioned.Equal(rKey) {
-					ship[1] = ShipForward
-				} else {
-					net += r.OutBytes
-					shuffledVols = append(shuffledVols, r.OutBytes)
-				}
-				// The memory budget is split across the shuffled sides,
-				// mirroring the engine's per-input share.
-				spillDisk := po.shuffledSpillCost(shuffledVols)
+				ship, shuffle := po.coPartition(l, r, keys)
 				sortCPU := cpuSortFactor * (l.OutRecords*math.Log2(math.Max(l.OutRecords, 2)) +
 					r.OutRecords*math.Log2(math.Max(r.OutRecords, 2)))
-				out = append(out, &PhysPlan{
-					Op: op, Tree: t, Inputs: []*PhysPlan{l, r},
-					Ship: ship, Local: LocalSortCoGrp,
-					Partitioned: lKey.Clone(),
-					OutRecords:  po.Est.Records(t), OutBytes: po.Est.Bytes(t),
-					Cost: l.Cost.Plus(r.Cost).Plus(Cost{Net: po.Net.cost(net, len(shuffledVols)), Disk: spillDisk, CPU: po.Est.CPUCost(t) + sortCPU}),
-				})
+				cost := l.Cost.Plus(r.Cost).Plus(Cost{Net: shuffle.Net, Disk: shuffle.Disk, CPU: udfCPU + sortCPU})
+				if p := out.slot(keys[0], cost); p != nil {
+					*p = PhysPlan{
+						Op: op, Tree: t, Inputs: []*PhysPlan{l, r},
+						Ship: []Shipping{ship[0], ship[1]}, Local: LocalSortCoGrp,
+						Partitioned: keys[0],
+						OutRecords:  recs, OutBytes: bytes,
+						Cost: cost,
+					}
+				}
 			}
 		}
 	}
 
-	out = po.prune(out)
-	memo[t.Key()] = out
-	return out
+	memo[t] = out.kept
+	return out.kept
+}
+
+// coPartition plans the shipping that co-partitions both inputs of a keyed
+// binary operator: an input already partitioned on exactly its key is
+// forwarded, any other is shuffled. It returns the strategies and the Net
+// and Disk cost of the shuffles; under a memory budget the budget is split
+// across the shuffled sides, mirroring the engine's per-input share.
+func (po *PhysicalOptimizer) coPartition(l, r *PhysPlan, keys [2]props.FieldSet) ([2]Shipping, Cost) {
+	ship := [2]Shipping{ShipPartition, ShipPartition}
+	var vols [2]float64
+	n := 0
+	var net float64
+	for i, in := range [2]*PhysPlan{l, r} {
+		if !in.Partitioned.Empty() && in.Partitioned.Equal(keys[i]) {
+			ship[i] = ShipForward
+		} else {
+			net += in.OutBytes
+			vols[n] = in.OutBytes
+			n++
+		}
+	}
+	return ship, Cost{Net: po.Net.cost(net, n), Disk: po.shuffledSpillCost(vols[:n])}
 }
 
 // combinedShuffleBytes estimates the shuffle volume of a combinable Reduce:
@@ -469,7 +518,7 @@ func (po *PhysicalOptimizer) shuffledSpillCost(vols []float64) float64 {
 	return disk
 }
 
-// joinPlans enumerates the Match strategies of the paper's Section 7.3
+// joinPlans offers the Match strategies of the paper's Section 7.3
 // discussion: repartition both sides and hash-join (reusing existing
 // partitionings), or broadcast the smaller side and keep the larger local,
 // or repartition and sort-merge. Under a memory budget every strategy is
@@ -477,124 +526,68 @@ func (po *PhysicalOptimizer) shuffledSpillCost(vols []float64) float64 {
 // receivers — the shuffled sides for A/C (split like CoGroup), the
 // replicated build side for B — so tight budgets steer enumeration between
 // repartition and broadcast joins instead of pricing both as spill-free.
-func (po *PhysicalOptimizer) joinPlans(t *Tree, memo map[string][]*PhysPlan) []*PhysPlan {
+func (po *PhysicalOptimizer) joinPlans(t *Tree, memo map[*Tree][]*PhysPlan, out *candidates, recs, bytes, udfCPU float64) {
 	op := t.Op
-	lKey, rKey := op.KeySet(0), op.KeySet(1)
-	var out []*PhysPlan
+	keys := [2]props.FieldSet{op.KeySet(0), op.KeySet(1)}
+	bothKeys := props.Union(keys[0], keys[1])
 	for _, l := range po.plans(t.Kids[0], memo) {
 		for _, r := range po.plans(t.Kids[1], memo) {
-			ins := []*PhysPlan{l, r}
-			keys := []props.FieldSet{lKey, rKey}
+			ins := [2]*PhysPlan{l, r}
+			base := l.Cost.Plus(r.Cost)
+			coShip, shuffle := po.coPartition(l, r, keys)
 
 			// Strategy A: co-partition + hash join (build the smaller side).
-			{
-				ship := []Shipping{ShipPartition, ShipPartition}
-				var net float64
-				var shuffledVols []float64
-				for i, in := range ins {
-					if in.Partitioned.Len() > 0 && in.Partitioned.Equal(keys[i]) {
-						ship[i] = ShipForward
-					} else {
-						net += in.OutBytes
-						shuffledVols = append(shuffledVols, in.OutBytes)
-					}
+			build := 0
+			if r.OutBytes < l.OutBytes {
+				build = 1
+			}
+			cpu := cpuHashFactor*ins[build].OutRecords + cpuProbeFactor*ins[1-build].OutRecords
+			cost := base.Plus(Cost{Net: shuffle.Net, Disk: shuffle.Disk, CPU: udfCPU + cpu})
+			if p := out.slot(bothKeys, cost); p != nil {
+				*p = PhysPlan{
+					Op: op, Tree: t, Inputs: []*PhysPlan{l, r},
+					Ship: []Shipping{coShip[0], coShip[1]}, Local: LocalHashJoin, BuildSide: build,
+					Partitioned: bothKeys,
+					OutRecords:  recs, OutBytes: bytes,
+					Cost: cost,
 				}
-				build := 0
-				if r.OutBytes < l.OutBytes {
-					build = 1
-				}
-				cpu := cpuHashFactor*ins[build].OutRecords + cpuProbeFactor*ins[1-build].OutRecords
-				out = append(out, &PhysPlan{
-					Op: op, Tree: t, Inputs: ins,
-					Ship: ship, Local: LocalHashJoin, BuildSide: build,
-					Partitioned: keys[0].Clone().UnionWith(keys[1]),
-					OutRecords:  po.Est.Records(t), OutBytes: po.Est.Bytes(t),
-					Cost: l.Cost.Plus(r.Cost).Plus(Cost{Net: po.Net.cost(net, len(shuffledVols)),
-						Disk: po.shuffledSpillCost(shuffledVols),
-						CPU:  po.Est.CPUCost(t) + cpu}),
-				})
 			}
 
 			// Strategy B: broadcast one side (build it), forward the other.
 			for bc := 0; bc < 2; bc++ {
-				ship := []Shipping{ShipForward, ShipForward}
+				ship := [2]Shipping{ShipForward, ShipForward}
 				ship[bc] = ShipBroadcast
 				net := ins[bc].OutBytes * float64(po.DOP)
 				cpu := cpuHashFactor*ins[bc].OutRecords*float64(po.DOP) + cpuProbeFactor*ins[1-bc].OutRecords
-				out = append(out, &PhysPlan{
-					Op: op, Tree: t, Inputs: ins,
-					Ship: ship, Local: LocalHashJoin, BuildSide: bc,
-					Partitioned: ins[1-bc].Partitioned,
-					OutRecords:  po.Est.Records(t), OutBytes: po.Est.Bytes(t),
-					Cost: l.Cost.Plus(r.Cost).Plus(Cost{Net: po.Net.cost(net, 1),
-						Disk: po.broadcastSpillCost(ins[bc].OutBytes),
-						CPU:  po.Est.CPUCost(t) + cpu}),
-				})
+				cost := base.Plus(Cost{Net: po.Net.cost(net, 1),
+					Disk: po.broadcastSpillCost(ins[bc].OutBytes),
+					CPU:  udfCPU + cpu})
+				if p := out.slot(ins[1-bc].Partitioned, cost); p != nil {
+					*p = PhysPlan{
+						Op: op, Tree: t, Inputs: []*PhysPlan{l, r},
+						Ship: []Shipping{ship[0], ship[1]}, Local: LocalHashJoin, BuildSide: bc,
+						Partitioned: ins[1-bc].Partitioned,
+						OutRecords:  recs, OutBytes: bytes,
+						Cost: cost,
+					}
+				}
 			}
 
 			// Strategy C: co-partition + sort-merge join.
-			{
-				ship := []Shipping{ShipPartition, ShipPartition}
-				var net float64
-				var shuffledVols []float64
-				for i, in := range ins {
-					if in.Partitioned.Len() > 0 && in.Partitioned.Equal(keys[i]) {
-						ship[i] = ShipForward
-					} else {
-						net += in.OutBytes
-						shuffledVols = append(shuffledVols, in.OutBytes)
-					}
+			cpu = cpuSortFactor * (l.OutRecords*math.Log2(math.Max(l.OutRecords, 2)) +
+				r.OutRecords*math.Log2(math.Max(r.OutRecords, 2)))
+			cost = base.Plus(Cost{Net: shuffle.Net, Disk: shuffle.Disk, CPU: udfCPU + cpu})
+			if p := out.slot(bothKeys, cost); p != nil {
+				*p = PhysPlan{
+					Op: op, Tree: t, Inputs: []*PhysPlan{l, r},
+					Ship: []Shipping{coShip[0], coShip[1]}, Local: LocalMergeJoin,
+					Partitioned: bothKeys,
+					OutRecords:  recs, OutBytes: bytes,
+					Cost: cost,
 				}
-				cpu := cpuSortFactor * (l.OutRecords*math.Log2(math.Max(l.OutRecords, 2)) +
-					r.OutRecords*math.Log2(math.Max(r.OutRecords, 2)))
-				out = append(out, &PhysPlan{
-					Op: op, Tree: t, Inputs: ins,
-					Ship: ship, Local: LocalMergeJoin,
-					Partitioned: keys[0].Clone().UnionWith(keys[1]),
-					OutRecords:  po.Est.Records(t), OutBytes: po.Est.Bytes(t),
-					Cost: l.Cost.Plus(r.Cost).Plus(Cost{Net: po.Net.cost(net, len(shuffledVols)),
-						Disk: po.shuffledSpillCost(shuffledVols),
-						CPU:  po.Est.CPUCost(t) + cpu}),
-				})
 			}
 		}
 	}
-	return out
-}
-
-// prune keeps, per distinct output-partitioning property, only the cheapest
-// plan (the principle of optimality with interesting properties). With
-// interesting properties disabled it keeps a single global cheapest plan.
-func (po *PhysicalOptimizer) prune(cands []*PhysPlan) []*PhysPlan {
-	if len(cands) <= 1 {
-		return cands
-	}
-	if !po.UseInterestingProps {
-		best := cands[0]
-		for _, c := range cands[1:] {
-			if c.Cost.Total(po.Weights) < best.Cost.Total(po.Weights) {
-				best = c
-			}
-		}
-		return []*PhysPlan{best}
-	}
-	byProp := map[string]*PhysPlan{}
-	for _, c := range cands {
-		k := c.Partitioned.String()
-		if cur, ok := byProp[k]; !ok || c.Cost.Total(po.Weights) < cur.Cost.Total(po.Weights) {
-			byProp[k] = c
-		}
-	}
-	keys := make([]string, 0, len(byProp))
-	for k := range byProp {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*PhysPlan, 0, len(byProp))
-	for _, k := range keys {
-		out = append(out, byProp[k])
-	}
-	return out
 }
 
 // RankedPlan pairs an alternative with its best physical plan.
@@ -603,6 +596,9 @@ type RankedPlan struct {
 	Phys *PhysPlan
 	Cost float64
 	Rank int // 1-based after sorting
+	// Enum is the effort of the enumeration behind the ranking, shared by
+	// all its plans.
+	Enum *EnumStats
 }
 
 // RankAll enumerates all reorderings of the flow tree, physically optimizes
@@ -634,7 +630,7 @@ func RankAllNet(t *Tree, est *Estimator, dop int, memoryBudget float64, net NetP
 	ranked := make([]RankedPlan, 0, len(alts))
 	for _, a := range alts {
 		phys := po.Optimize(a)
-		ranked = append(ranked, RankedPlan{Tree: a, Phys: phys, Cost: phys.Cost.Total(po.Weights)})
+		ranked = append(ranked, RankedPlan{Tree: a, Phys: phys, Cost: phys.Cost.Total(po.Weights), Enum: &enum.Stats})
 	}
 	sort.SliceStable(ranked, func(i, j int) bool {
 		if ranked[i].Cost != ranked[j].Cost {

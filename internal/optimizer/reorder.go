@@ -28,57 +28,30 @@ func touches(n *Tree, attrs props.FieldSet) bool {
 	return !props.Disjoint(n.Reads(), attrs) || !props.Disjoint(n.Writes(), attrs)
 }
 
-// exchange describes one way to push parent r below the root s of its
-// child; build constructs the transformed tree from the current parent
-// tree. id distinguishes variants (e.g. which side of a binary operator the
-// parent descends into) for the enumeration's candidate set.
-type exchange struct {
-	id    string
-	build func(parent *Tree, childIdx int) *Tree
-}
-
-// exchanges returns the valid exchanges between parent tree p (root r) and
-// the root s of p.Kids[childIdx], under the conditions of Section 4.
-func exchanges(p *Tree, childIdx int) []exchange {
-	r := p.Op
-	child := p.Kids[childIdx]
-	s := child.Op
-	if !r.IsUDFOp() || !s.IsUDFOp() {
-		return nil
+// exchange appends to out every tree obtained by exchanging p's root r with
+// the root s of p.Kids[j] that Section 4 permits and the rule set enables.
+func (sf *subflows) exchange(p *Tree, j int, out []*Tree) []*Tree {
+	c := p.Kids[j]
+	r, s := p.Op, c.Op
+	add := func(t *Tree) {
+		sf.stats.Exchanges++
+		out = append(out, t)
 	}
-	var out []exchange
 	switch {
 	case !r.Kind.IsBinary() && !s.Kind.IsBinary():
-		if unaryUnaryReorderable(p, child) {
-			out = append(out, exchange{
-				id: "uu",
-				build: func(parent *Tree, ci int) *Tree {
-					c := parent.Kids[ci]
-					return NewTree(c.Op, NewTree(parent.Op, c.Kids...))
-				},
-			})
+		// r(s(X)) -> s(r(X))
+		if sf.rules.UnaryUnary && unaryUnaryReorderable(p, c) {
+			add(sf.node(s, sf.node(r, c.Kids[0], nil), nil))
 		}
 
 	case !r.Kind.IsBinary() && s.Kind.IsBinary():
 		// Push unary r below binary s, into side 0 or 1.
+		if !sf.rules.UnaryBinary {
+			break
+		}
 		for side := 0; side < 2; side++ {
-			side := side
-			if unaryBinaryReorderable(p, child, side) {
-				out = append(out, exchange{
-					id: fmt2("ub", side),
-					build: func(parent *Tree, ci int) *Tree {
-						c := parent.Kids[ci]
-						kids := make([]*Tree, 2)
-						for i := range kids {
-							if i == side {
-								kids[i] = NewTree(parent.Op, c.Kids[i])
-							} else {
-								kids[i] = c.Kids[i]
-							}
-						}
-						return NewTree(c.Op, kids...)
-					},
-				})
+			if unaryBinaryReorderable(p, c, side) {
+				add(sf.withKid(c, side, sf.node(r, c.Kids[side], nil)))
 			}
 		}
 
@@ -87,42 +60,39 @@ func exchanges(p *Tree, childIdx int) []exchange {
 		// the condition is evaluated on the *resulting* configuration,
 		// which is exactly the unary-above-binary shape we already have a
 		// predicate for — by symmetry we check it on the constructed tree).
-		cand := buildUnaryAbove(p, childIdx)
-		if cand != nil && unaryBinaryReorderable(cand, cand.Kids[0], childIdx) {
-			out = append(out, exchange{
-				id: fmt2("bu", childIdx),
-				build: func(parent *Tree, ci int) *Tree {
-					return buildUnaryAbove(parent, ci)
-				},
-			})
+		if !sf.rules.UnaryBinary {
+			break
+		}
+		cand := sf.node(s, sf.withKid(p, j, c.Kids[0]), nil)
+		if unaryBinaryReorderable(cand, cand.Kids[0], j) {
+			add(cand)
 		}
 
 	case r.Kind.IsBinary() && s.Kind.IsBinary():
 		// Join-join rotations (Lemma 1 and its Cross analogues). Two forms
 		// exist per side, depending on which of the inner operator's
 		// subtrees the outer operator's attributes live in.
-		if rotationReorderable(p, childIdx) {
-			out = append(out, exchange{
-				id: fmt2("bb", childIdx),
-				build: func(parent *Tree, ci int) *Tree {
-					return buildRotation(parent, ci)
-				},
-			})
+		if !sf.rules.Rotations {
+			break
 		}
-		if crossRotationReorderable(p, childIdx) {
-			out = append(out, exchange{
-				id: fmt2("bx", childIdx),
-				build: func(parent *Tree, ci int) *Tree {
-					return buildCrossRotation(parent, ci)
-				},
-			})
+		x, y := c.Kids[0], c.Kids[1]
+		z := p.Kids[1-j]
+		if rotationReorderable(p, j) {
+			if j == 0 {
+				add(sf.node(s, x, sf.node(r, y, z))) // r(s(X,Y), Z) -> s(X, r(Y,Z))
+			} else {
+				add(sf.node(s, sf.node(r, z, x), y)) // r(Z, s(X,Y)) -> s(r(Z,X), Y)
+			}
+		}
+		if crossRotationReorderable(p, j) {
+			if j == 0 {
+				add(sf.node(s, sf.node(r, x, z), y)) // r(s(X,Y), Z) -> s(r(X,Z), Y)
+			} else {
+				add(sf.node(s, x, sf.node(r, z, y))) // r(Z, s(X,Y)) -> s(X, r(Z,Y))
+			}
 		}
 	}
 	return out
-}
-
-func fmt2(prefix string, side int) string {
-	return prefix + string(rune('0'+side))
 }
 
 // unaryUnaryReorderable implements Theorems 1 and 2 and the Reduce-Reduce
@@ -247,25 +217,6 @@ func preservesUniqueness(t *Tree) bool {
 	}
 }
 
-// buildUnaryAbove constructs the tree where the unary root of
-// p.Kids[childIdx] moves above the binary root of p. Returns nil when the
-// shapes do not match.
-func buildUnaryAbove(p *Tree, childIdx int) *Tree {
-	c := p.Kids[childIdx]
-	if len(c.Kids) != 1 || len(p.Kids) != 2 {
-		return nil
-	}
-	kids := make([]*Tree, 2)
-	for i := range kids {
-		if i == childIdx {
-			kids[i] = c.Kids[0]
-		} else {
-			kids[i] = p.Kids[i]
-		}
-	}
-	return NewTree(c.Op, NewTree(p.Op, kids...))
-}
-
 // rotationReorderable implements Lemma 1 (and its Cross analogues): the
 // binary root r of p and the binary root s of p.Kids[childIdx] may rotate.
 // For childIdx == 0: r(s(X,Y), Z) ⇄ s(X, r(Y,Z)) requires that s does not
@@ -301,21 +252,6 @@ func rotationReorderable(p *Tree, childIdx int) bool {
 	return !touches(c, outerAttrs)
 }
 
-// buildRotation constructs the rotated tree for rotationReorderable.
-func buildRotation(p *Tree, childIdx int) *Tree {
-	c := p.Kids[childIdx]
-	if childIdx == 0 {
-		// r(s(X,Y), Z) -> s(X, r(Y,Z))
-		x, y := c.Kids[0], c.Kids[1]
-		z := p.Kids[1]
-		return NewTree(c.Op, x, NewTree(p.Op, y, z))
-	}
-	// r(X, s(Y,Z)) -> s(r(X,Y), Z)
-	x := p.Kids[0]
-	y, z := c.Kids[0], c.Kids[1]
-	return NewTree(c.Op, NewTree(p.Op, x, y), z)
-}
-
 // crossRotationReorderable is the second rotation form: the outer
 // operator's attributes live in the inner operator's *near* subtree.
 // For childIdx == 0: r(s(X,Y), Z) ⇄ s(r(X,Z), Y) requires that r does not
@@ -346,20 +282,4 @@ func crossRotationReorderable(p *Tree, childIdx int) bool {
 		return false
 	}
 	return !touches(c, outerOther)
-}
-
-// buildCrossRotation constructs the rotated tree for
-// crossRotationReorderable.
-func buildCrossRotation(p *Tree, childIdx int) *Tree {
-	c := p.Kids[childIdx]
-	if childIdx == 0 {
-		// r(s(X,Y), Z) -> s(r(X,Z), Y)
-		x, y := c.Kids[0], c.Kids[1]
-		z := p.Kids[1]
-		return NewTree(c.Op, NewTree(p.Op, x, z), y)
-	}
-	// r(X, s(Y,Z)) -> s(Y, r(X,Z))
-	x := p.Kids[0]
-	y, z := c.Kids[0], c.Kids[1]
-	return NewTree(c.Op, y, NewTree(p.Op, x, z))
 }

@@ -17,6 +17,7 @@ package optimizer
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"blackboxflow/internal/dataflow"
@@ -24,17 +25,23 @@ import (
 )
 
 // Tree is an operator tree: one alternative ordering of a data flow.
-// Trees are immutable and share subtrees across alternatives; the
-// enumeration's memo table and the attribute/cost caches key off tree
-// pointers and canonical keys.
+// Trees are immutable. The alternatives an enumeration returns are
+// hash-consed (see subflows in enum.go): every distinct sub-flow is one
+// node shared by all alternatives containing it, so its resolved sets,
+// its estimates and its candidate physical plans are each computed once
+// and found again by node identity.
 type Tree struct {
 	Op   *dataflow.Operator
 	Kids []*Tree
 
-	key   string // canonical key, computed lazily
-	attrs props.FieldSet
-	reads props.FieldSet
-	write props.FieldSet
+	kidBuf [2]*Tree // backs Kids of interned nodes (operators have ≤ 2 inputs)
+	key    string   // canonical key, computed lazily
+
+	// Attribute, read and write sets at this position, resolved lazily.
+	// They are shared, never mutated: callers must not modify what Attrs,
+	// Reads and Writes return.
+	resolved            bool
+	attrs, reads, write props.FieldSet
 }
 
 // NewTree builds a tree node over the given children.
@@ -59,77 +66,79 @@ func FromFlow(f *dataflow.Flow) (*Tree, error) {
 	return build(f.Sink), nil
 }
 
-// Key returns a canonical string identifying the tree's operator order
-// (the memo-table key of Algorithm 1).
+// Key returns a canonical string identifying the tree's operator order:
+// the operator ID, followed by the parenthesized, comma-separated keys of
+// the children (Algorithm 1's getMTabKey).
 func (t *Tree) Key() string {
-	if t.key != "" {
-		return t.key
+	if t.key == "" {
+		t.key = string(t.appendKey(make([]byte, 0, 64)))
 	}
-	if len(t.Kids) == 0 {
-		t.key = fmt.Sprint(t.Op.ID)
-		return t.key
-	}
-	parts := make([]string, len(t.Kids))
-	for i, k := range t.Kids {
-		parts[i] = k.Key()
-	}
-	t.key = fmt.Sprintf("%d(%s)", t.Op.ID, strings.Join(parts, ","))
 	return t.key
+}
+
+func (t *Tree) appendKey(b []byte) []byte {
+	if t.key != "" {
+		return append(b, t.key...)
+	}
+	b = strconv.AppendInt(b, int64(t.Op.ID), 10)
+	if len(t.Kids) == 0 {
+		return b
+	}
+	b = append(b, '(')
+	for i, k := range t.Kids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = k.appendKey(b)
+	}
+	return append(b, ')')
+}
+
+// resolve computes the node's attribute, read and write sets from its
+// operator's symbolic effect and the attribute sets on its input edges.
+func (t *Tree) resolve() {
+	if t.resolved {
+		return
+	}
+	t.resolved = true
+	op := t.Op
+	switch op.Kind {
+	case dataflow.KindSource:
+		t.attrs = op.SourceAttrs
+	case dataflow.KindSink:
+		t.attrs = t.Kids[0].Attrs()
+	default:
+		var buf [2]props.FieldSet
+		in := buf[:0]
+		for _, k := range t.Kids {
+			in = append(in, k.Attrs())
+		}
+		t.attrs = op.Effect.ResolveOutput(in)
+		t.reads = op.Effect.ResolveRead(in)
+		t.reads.UnionWith(op.AllKeys())
+		t.write = op.Effect.ResolveWrite(in)
+	}
 }
 
 // Attrs returns the attribute set on the tree's output edge, resolving
 // operator effects bottom-up (cached).
 func (t *Tree) Attrs() props.FieldSet {
-	if t.attrs != nil {
-		return t.attrs
-	}
-	switch t.Op.Kind {
-	case dataflow.KindSource:
-		t.attrs = t.Op.SourceAttrs.Clone()
-	case dataflow.KindSink:
-		t.attrs = t.Kids[0].Attrs().Clone()
-	default:
-		t.attrs = t.Op.Effect.ResolveOutput(t.kidAttrs())
-	}
+	t.resolve()
 	return t.attrs
-}
-
-func (t *Tree) kidAttrs() []props.FieldSet {
-	in := make([]props.FieldSet, len(t.Kids))
-	for i, k := range t.Kids {
-		in[i] = k.Attrs()
-	}
-	return in
 }
 
 // Reads returns the operator's resolved read set R_f at this position in
 // the plan, including its key attributes (the paper's f' transformation for
 // Match adds the join keys to the read set; key attributes of KAT operators
-// are always read).
+// are always read). Sources and sinks read nothing.
 func (t *Tree) Reads() props.FieldSet {
-	if t.reads != nil {
-		return t.reads
-	}
-	if !t.Op.IsUDFOp() {
-		t.reads = props.FieldSet{}
-		return t.reads
-	}
-	r := t.Op.Effect.ResolveRead(t.kidAttrs())
-	r.UnionWith(t.Op.AllKeys())
-	t.reads = r
-	return r
+	t.resolve()
+	return t.reads
 }
 
 // Writes returns the operator's resolved write set W_f at this position.
 func (t *Tree) Writes() props.FieldSet {
-	if t.write != nil {
-		return t.write
-	}
-	if !t.Op.IsUDFOp() {
-		t.write = props.FieldSet{}
-		return t.write
-	}
-	t.write = t.Op.Effect.ResolveWrite(t.kidAttrs())
+	t.resolve()
 	return t.write
 }
 

@@ -14,91 +14,138 @@ package props
 
 import (
 	"fmt"
-	"sort"
+	"iter"
+	"math/bits"
+	"strconv"
 	"strings"
 )
 
+// MaxField is the largest field index a FieldSet accepts. Attribute indices
+// are small dense ints handed out by Flow.DeclareAttr; the bound keeps a
+// stray index in UDF code from sizing a bitset (static code analysis rejects
+// UDFs that address fields beyond it).
+const MaxField = 1<<16 - 1
+
 // FieldSet is a set of global field indices (attributes of the global
-// record, Definition 1).
-type FieldSet map[int]struct{}
+// record, Definition 1), stored as a dense bitset: bit f%64 of word f/64.
+// The zero value (nil) is the empty set, and trailing zero words carry no
+// meaning.
+//
+// A FieldSet is a value. Only Add and UnionWith modify their receiver (they
+// take a pointer because they may grow it); every other operation leaves its
+// operands untouched and returns fresh storage. Assigning a FieldSet copies
+// the slice header, not the words, so a holder that keeps mutating a set it
+// has handed out must hand out a Clone.
+type FieldSet []uint64
 
 // NewFieldSet builds a set from the given indices.
 func NewFieldSet(fields ...int) FieldSet {
-	s := make(FieldSet, len(fields))
+	var s FieldSet
 	for _, f := range fields {
-		s[f] = struct{}{}
+		s.Add(f)
 	}
 	return s
 }
 
-// Add inserts f.
-func (s FieldSet) Add(f int) { s[f] = struct{}{} }
+// Add inserts f. It panics when f is outside [0, MaxField]: indices come
+// from Flow.DeclareAttr or from UDF code that SCA has range-checked.
+func (s *FieldSet) Add(f int) {
+	if f < 0 || f > MaxField {
+		panic("props: field index " + strconv.Itoa(f) + " out of range")
+	}
+	w := f >> 6
+	s.grow(w + 1)
+	(*s)[w] |= 1 << (f & 63)
+}
+
+// grow extends s with zero words to at least n words.
+func (s *FieldSet) grow(n int) {
+	if n > len(*s) {
+		*s = append(*s, make(FieldSet, n-len(*s))...)
+	}
+}
 
 // Has reports membership.
 func (s FieldSet) Has(f int) bool {
-	_, ok := s[f]
-	return ok
+	w := f >> 6
+	return f >= 0 && w < len(s) && s[w]&(1<<(f&63)) != 0
 }
 
 // Len returns the cardinality.
-func (s FieldSet) Len() int { return len(s) }
+func (s FieldSet) Len() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Empty reports whether the set has no member.
+func (s FieldSet) Empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // Clone returns an independent copy.
 func (s FieldSet) Clone() FieldSet {
-	c := make(FieldSet, len(s))
-	for f := range s {
-		c[f] = struct{}{}
-	}
-	return c
+	return append(FieldSet(nil), s...)
 }
 
-// UnionWith adds all members of o to s and returns s.
-func (s FieldSet) UnionWith(o FieldSet) FieldSet {
-	for f := range o {
-		s[f] = struct{}{}
+// UnionWith adds all members of o to s.
+func (s *FieldSet) UnionWith(o FieldSet) {
+	s.grow(len(o))
+	for i, w := range o {
+		(*s)[i] |= w
 	}
-	return s
+}
+
+// unionMasked adds a∩m (keep) or a\m (!keep) to s without a temporary.
+func (s *FieldSet) unionMasked(a, m FieldSet, keep bool) {
+	s.grow(len(a))
+	for i, w := range a {
+		var mw uint64
+		if i < len(m) {
+			mw = m[i]
+		}
+		if !keep {
+			mw = ^mw
+		}
+		(*s)[i] |= w & mw
+	}
 }
 
 // Union returns a new set with the members of both.
 func Union(a, b FieldSet) FieldSet {
-	return a.Clone().UnionWith(b)
+	out := a.Clone()
+	out.UnionWith(b)
+	return out
 }
 
 // Intersect returns the common members.
 func Intersect(a, b FieldSet) FieldSet {
-	out := FieldSet{}
-	small, big := a, b
-	if len(b) < len(a) {
-		small, big = b, a
-	}
-	for f := range small {
-		if big.Has(f) {
-			out.Add(f)
-		}
-	}
+	var out FieldSet
+	out.unionMasked(a, b, true)
 	return out
 }
 
 // Minus returns a \ b.
 func Minus(a, b FieldSet) FieldSet {
-	out := FieldSet{}
-	for f := range a {
-		if !b.Has(f) {
-			out.Add(f)
-		}
-	}
+	var out FieldSet
+	out.unionMasked(a, b, false)
 	return out
 }
 
 // Disjoint reports whether the sets share no member.
 func Disjoint(a, b FieldSet) bool {
-	small, big := a, b
 	if len(b) < len(a) {
-		small, big = b, a
+		a, b = b, a
 	}
-	for f := range small {
-		if big.Has(f) {
+	for i, w := range a {
+		if w&b[i] != 0 {
 			return false
 		}
 	}
@@ -107,8 +154,11 @@ func Disjoint(a, b FieldSet) bool {
 
 // SubsetOf reports whether every member of s is in o.
 func (s FieldSet) SubsetOf(o FieldSet) bool {
-	for f := range s {
-		if !o.Has(f) {
+	for i, w := range s {
+		if i < len(o) {
+			w &^= o[i]
+		}
+		if w != 0 {
 			return false
 		}
 	}
@@ -117,26 +167,41 @@ func (s FieldSet) SubsetOf(o FieldSet) bool {
 
 // Equal reports set equality.
 func (s FieldSet) Equal(o FieldSet) bool {
-	return len(s) == len(o) && s.SubsetOf(o)
+	return s.SubsetOf(o) && o.SubsetOf(s)
+}
+
+// All iterates the members in increasing order.
+func (s FieldSet) All() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for i, w := range s {
+			for ; w != 0; w &= w - 1 {
+				if !yield(i<<6 | bits.TrailingZeros64(w)) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Sorted returns the members in increasing order.
 func (s FieldSet) Sorted() []int {
-	out := make([]int, 0, len(s))
-	for f := range s {
+	out := make([]int, 0, s.Len())
+	for f := range s.All() {
 		out = append(out, f)
 	}
-	sort.Ints(out)
 	return out
 }
 
 // String renders the set as {i,j,...}.
 func (s FieldSet) String() string {
-	parts := make([]string, 0, len(s))
-	for _, f := range s.Sorted() {
-		parts = append(parts, fmt.Sprint(f))
+	b := []byte{'{'}
+	for f := range s.All() {
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(f), 10)
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	return string(append(b, '}'))
 }
 
 // Unbounded marks an emit cardinality with no static upper bound.
@@ -198,14 +263,7 @@ type Effect struct {
 
 // NewEffect returns an empty effect for a UDF with n input parameters.
 func NewEffect(n int) *Effect {
-	return &Effect{
-		Reads:       FieldSet{},
-		CondReads:   FieldSet{},
-		CopiesParam: make([]bool, n),
-		Sets:        FieldSet{},
-		Projects:    FieldSet{},
-		Copies:      FieldSet{},
-	}
+	return &Effect{CopiesParam: make([]bool, n)}
 }
 
 // Clone deep-copies the effect.
@@ -239,13 +297,10 @@ func (e *Effect) ResolveRead(inputs []FieldSet) FieldSet {
 func (e *Effect) ResolveWrite(inputs []FieldSet) FieldSet {
 	w := Union(e.Sets, e.Projects)
 	for p, in := range inputs {
-		copied := p < len(e.CopiesParam) && e.CopiesParam[p]
-		if !copied {
-			w.UnionWith(Minus(in, e.Copies))
-		} else {
-			// An implicitly copied input can still lose explicitly
-			// projected fields; those are already in w via Projects.
-			_ = in
+		// An implicitly copied input can still lose explicitly projected
+		// fields; those are already in w via Projects.
+		if copied := p < len(e.CopiesParam) && e.CopiesParam[p]; !copied {
+			w.unionMasked(in, e.Copies, false)
 		}
 	}
 	return w
@@ -255,13 +310,13 @@ func (e *Effect) ResolveWrite(inputs []FieldSet) FieldSet {
 // copied inputs' attributes, explicitly copied fields, and explicitly set
 // fields, minus explicit projections.
 func (e *Effect) ResolveOutput(inputs []FieldSet) FieldSet {
-	out := FieldSet{}
+	var out FieldSet
 	for p, in := range inputs {
 		if p < len(e.CopiesParam) && e.CopiesParam[p] {
 			out.UnionWith(in)
 		} else {
 			// Only explicitly copied fields survive from a projected input.
-			out.UnionWith(Intersect(in, e.Copies))
+			out.unionMasked(in, e.Copies, true)
 		}
 	}
 	out.UnionWith(e.Sets)

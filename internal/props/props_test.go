@@ -1,6 +1,9 @@
 package props
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -276,5 +279,172 @@ func TestCombinerSafe(t *testing.T) {
 
 	if CombinerSafe(nil, key, input) {
 		t.Error("nil effect accepted")
+	}
+}
+
+// modelSet is the map-backed set FieldSet used to be; the bitset must be
+// indistinguishable from it through the public API.
+type modelSet map[int]struct{}
+
+func (m modelSet) sorted() []int {
+	out := make([]int, 0, len(m))
+	for f := range m {
+		out = append(out, f)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestFieldSetMatchesMapModel drives bitset sets and map models through the
+// same random operation sequences — indices on both sides of the word
+// boundary, nil and emptied receivers included — and compares every
+// observation after every step.
+func TestFieldSetMatchesMapModel(t *testing.T) {
+	const slots = 4
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		field := func() int {
+			switch rng.Intn(4) {
+			case 0:
+				return 60 + rng.Intn(10) // straddles the first word boundary
+			case 1:
+				return rng.Intn(300)
+			default:
+				return rng.Intn(12)
+			}
+		}
+		var sets [slots]FieldSet // zero value: nil receivers until first Add
+		var models [slots]modelSet
+		for i := range models {
+			models[i] = modelSet{}
+		}
+		for step := 0; step < 120; step++ {
+			a, b := rng.Intn(slots), rng.Intn(slots)
+			switch op := rng.Intn(9); op {
+			case 0, 1:
+				f := field()
+				sets[a].Add(f)
+				models[a][f] = struct{}{}
+			case 2:
+				sets[a].UnionWith(sets[b])
+				for f := range models[b] {
+					models[a][f] = struct{}{}
+				}
+			case 3:
+				sets[a] = Union(sets[a], sets[b])
+				for f := range models[b] {
+					models[a][f] = struct{}{}
+				}
+			case 4:
+				sets[a] = Intersect(sets[a], sets[b])
+				for f := range models[a] {
+					if _, ok := models[b][f]; !ok {
+						delete(models[a], f)
+					}
+				}
+			case 5:
+				// Minus can empty a set without shrinking it: trailing zero
+				// words must not show.
+				sets[a] = Minus(sets[a], sets[b])
+				for f := range models[b] {
+					delete(models[a], f)
+				}
+			case 6:
+				// Clone independence: mutating the clone leaves the
+				// original alone (the map type shared storage on
+				// assignment; the bitset must not be relied on to).
+				c := sets[b].Clone()
+				c.Add(field())
+				c.UnionWith(sets[a])
+				if got, want := sets[b].Sorted(), models[b].sorted(); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: mutating a clone changed the original: %v, want %v", seed, step, got, want)
+				}
+			case 7:
+				members := models[b].sorted()
+				sets[a] = NewFieldSet(members...)
+				models[a] = modelSet{}
+				for _, f := range members {
+					models[a][f] = struct{}{}
+				}
+			case 8:
+				sets[a] = nil
+				models[a] = modelSet{}
+			}
+			for i := range sets {
+				s, m := sets[i], models[i]
+				want := m.sorted()
+				if got := s.Sorted(); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: set %d = %v, model %v", seed, step, i, got, want)
+				}
+				var iterated []int
+				for f := range s.All() {
+					iterated = append(iterated, f)
+				}
+				if !slices.Equal(iterated, want) {
+					t.Fatalf("seed %d step %d: All() = %v, want ascending %v", seed, step, iterated, want)
+				}
+				if s.Len() != len(m) || s.Empty() != (len(m) == 0) {
+					t.Fatalf("seed %d step %d: Len/Empty = %d/%v, model has %d", seed, step, s.Len(), s.Empty(), len(m))
+				}
+				if got := s.String(); got != "{"+joinInts(want)+"}" {
+					t.Fatalf("seed %d step %d: String = %q for %v", seed, step, got, want)
+				}
+				f := field()
+				if _, in := m[f]; s.Has(f) != in {
+					t.Fatalf("seed %d step %d: Has(%d) = %v, model %v", seed, step, f, s.Has(f), in)
+				}
+				if s.Has(-1) {
+					t.Fatal("Has(-1) on a set")
+				}
+				for j := range sets {
+					o, om := sets[j], models[j]
+					subset, disjoint := true, true
+					for f := range m {
+						if _, ok := om[f]; ok {
+							disjoint = false
+						} else {
+							subset = false
+						}
+					}
+					if s.SubsetOf(o) != subset || Disjoint(s, o) != disjoint || s.Equal(o) != (subset && len(m) == len(om)) {
+						t.Fatalf("seed %d step %d: %v vs %v: SubsetOf/Disjoint/Equal = %v/%v/%v, model %v/%v/%v", seed, step, s, o,
+							s.SubsetOf(o), Disjoint(s, o), s.Equal(o), subset, disjoint, subset && len(m) == len(om))
+					}
+				}
+			}
+		}
+	}
+}
+
+// joinInts renders ints comma-separated, as FieldSet.String does inside its
+// braces.
+func joinInts(fs []int) string {
+	out := ""
+	for i, f := range fs {
+		if i > 0 {
+			out += ","
+		}
+		out += fmt.Sprint(f)
+	}
+	return out
+}
+
+// TestFieldSetAddRange: indices outside [0, MaxField] are a programming
+// error (SCA rejects UDF code that would produce them).
+func TestFieldSetAddRange(t *testing.T) {
+	var s FieldSet
+	s.Add(MaxField)
+	if !s.Has(MaxField) || s.Len() != 1 {
+		t.Fatalf("MaxField not stored: %d members", s.Len())
+	}
+	for _, f := range []int{-1, MaxField + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%d) did not panic", f)
+				}
+			}()
+			s.Add(f)
+		}()
 	}
 }

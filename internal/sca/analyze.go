@@ -22,6 +22,16 @@ import (
 //   - the condition-read set (fields that may influence control flow) is a
 //     flow-insensitive taint closure, used by the KGP test.
 func Analyze(f *tac.Func) (*props.Effect, error) {
+	// Field sets are dense bitsets: a static index outside their range is
+	// rejected here, before it can size one.
+	for i, in := range f.Body {
+		switch in.Op {
+		case tac.OpGetField, tac.OpSetField, tac.OpAgg:
+			if !in.FieldVar && (in.Field < 0 || in.Field > props.MaxField) {
+				return nil, fmt.Errorf("instr %d: field index %d out of range [0, %d]", i, in.Field, props.MaxField)
+			}
+		}
+	}
 	g := tac.BuildCFG(f)
 	rd := ComputeReachingDefs(f, g)
 	reach := g.Reachable()
@@ -87,9 +97,7 @@ func (a *analysis) analyzeReads() {
 				// the taint closure in analyzeConditionTaint covers
 				// condition reads, here we conservatively mark the fields
 				// feeding the index.
-				for f := range a.taintFieldsOfOperand(in.A, i) {
-					a.e.Reads.Add(f)
-				}
+				a.e.Reads.UnionWith(a.taintFieldsOfOperand(in.A))
 				continue
 			}
 			if a.hasNonCopyUse(i, in.Dst, in.Field) {
@@ -150,6 +158,12 @@ func (a *analysis) analyzeConditionTaint() {
 	// fieldsOf[v] = fields that may flow into v, over all defs.
 	fieldsOf := map[string]props.FieldSet{}
 	depends := map[string][]string{} // v -> vars used by v's defs
+	// FieldSet is a value: read it out of the map, grow it, store it back.
+	addField := func(v string, f int) {
+		fs := fieldsOf[v]
+		fs.Add(f)
+		fieldsOf[v] = fs
+	}
 	for i, in := range a.f.Body {
 		if !a.reach[i] {
 			continue
@@ -157,9 +171,6 @@ func (a *analysis) analyzeConditionTaint() {
 		d := in.Defs()
 		if d == "" {
 			continue
-		}
-		if fieldsOf[d] == nil {
-			fieldsOf[d] = props.FieldSet{}
 		}
 		switch in.Op {
 		case tac.OpGetField:
@@ -169,10 +180,10 @@ func (a *analysis) analyzeConditionTaint() {
 					depends[d] = append(depends[d], in.A.Var)
 				}
 			} else {
-				fieldsOf[d].Add(in.Field)
+				addField(d, in.Field)
 			}
 		case tac.OpAgg:
-			fieldsOf[d].Add(in.Field)
+			addField(d, in.Field)
 		default:
 			for _, u := range in.Uses() {
 				depends[d] = append(depends[d], u)
@@ -184,18 +195,13 @@ func (a *analysis) analyzeConditionTaint() {
 		changed = false
 		for v, deps := range depends {
 			fs := fieldsOf[v]
-			if fs == nil {
-				fs = props.FieldSet{}
-				fieldsOf[v] = fs
-			}
 			before := fs.Len()
 			for _, u := range deps {
-				if src, ok := fieldsOf[u]; ok {
-					fs.UnionWith(src)
-				}
+				fs.UnionWith(fieldsOf[u])
 			}
 			if fs.Len() != before {
 				changed = true
+				fieldsOf[v] = fs
 			}
 		}
 	}
@@ -205,9 +211,7 @@ func (a *analysis) analyzeConditionTaint() {
 		}
 		for _, o := range []tac.Operand{in.A, in.B} {
 			if o.IsVar() {
-				if fs, ok := fieldsOf[o.Var]; ok {
-					a.e.CondReads.UnionWith(fs)
-				}
+				a.e.CondReads.UnionWith(fieldsOf[o.Var])
 			}
 		}
 	}
@@ -216,14 +220,11 @@ func (a *analysis) analyzeConditionTaint() {
 
 // taintFieldsOfOperand resolves the fields feeding an operand using the
 // taint closure computed by analyzeConditionTaint.
-func (a *analysis) taintFieldsOfOperand(o tac.Operand, pos int) props.FieldSet {
-	if !o.IsVar() || a.taintCache == nil {
-		return props.FieldSet{}
+func (a *analysis) taintFieldsOfOperand(o tac.Operand) props.FieldSet {
+	if !o.IsVar() {
+		return nil
 	}
-	if fs, ok := a.taintCache[o.Var]; ok {
-		return fs
-	}
-	return props.FieldSet{}
+	return a.taintCache[o.Var]
 }
 
 // analyzeEmitsAndWrites implements the write-set estimation: for every emit,

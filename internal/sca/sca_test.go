@@ -563,3 +563,30 @@ func TestEffectStringSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestStaticFieldIndexRange: field sets are dense bitsets, so a static
+// index that no global record could have is an analysis error, not a set
+// member — a UDF must not be able to size (or underflow) one.
+func TestStaticFieldIndexRange(t *testing.T) {
+	for _, body := range []string{
+		"$a := getfield $ir -1\n\temit $ir",
+		"$a := getfield $ir 70000\n\temit $ir",
+		"$or := copyrec $ir\n\tsetfield $or 1000000000 1\n\temit $or",
+	} {
+		p, err := tac.Parse("func map f($ir) {\n\t" + body + "\n\treturn\n}\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Analyze(p.Funcs["f"]); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%q: Analyze error = %v, want a field-index range error", body, err)
+		}
+	}
+	p, err := tac.Parse("func map f($ir) {\n\t$a := getfield $ir 65535\n\t$or := copyrec $ir\n\tsetfield $or 0 $a\n\temit $or\n\treturn\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Analyze(p.Funcs["f"])
+	if err != nil || !e.Reads.Has(props.MaxField) {
+		t.Errorf("MaxField itself must analyze: %v, reads %v", err, e)
+	}
+}
