@@ -171,7 +171,7 @@ func RankPlans(f *Flow, dop int) ([]RankedPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return optimizer.RankAll(tree, optimizer.NewEstimator(f), dop), nil
+	return optimizer.RankAllNet(tree, optimizer.NewEstimator(f), dop, 0, optimizer.NetProfile{}), nil
 }
 
 // Optimize returns the cheapest physical plan over all valid reorderings of
@@ -196,7 +196,7 @@ func OptimizeBudget(f *Flow, dop int, memoryBudget int) (*PhysPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	ranked := optimizer.RankAllBudget(tree, optimizer.NewEstimator(f), dop, float64(memoryBudget))
+	ranked := optimizer.RankAllNet(tree, optimizer.NewEstimator(f), dop, float64(memoryBudget), optimizer.NetProfile{})
 	return ranked[0].Phys, nil
 }
 

@@ -19,7 +19,6 @@ import (
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/engine"
 	"blackboxflow/internal/experiments"
-	"blackboxflow/internal/obs"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/sca"
@@ -58,7 +57,7 @@ func q7Plans(b *testing.B, g *tpch.GenParams) (*tpch.Query, []optimizer.RankedPl
 	if err != nil {
 		b.Fatal(err)
 	}
-	return q, optimizer.RankAll(tree, optimizer.NewEstimator(q.Flow), 4)
+	return q, optimizer.RankAllNet(tree, optimizer.NewEstimator(q.Flow), 4, 0, optimizer.NetProfile{})
 }
 
 // BenchmarkFig5Q7BestPlan executes only the cost-optimal Q7 plan.
@@ -123,7 +122,7 @@ func textminePlans(b *testing.B) (map[string]record.DataSet, []optimizer.RankedP
 	if err != nil {
 		b.Fatal(err)
 	}
-	return g.Generate(task.Flow), optimizer.RankAll(tree, optimizer.NewEstimator(task.Flow), 4)
+	return g.Generate(task.Flow), optimizer.RankAllNet(tree, optimizer.NewEstimator(task.Flow), 4, 0, optimizer.NetProfile{})
 }
 
 // BenchmarkFig6TextMiningBestPlan executes the cost-optimal stage order.
@@ -189,7 +188,7 @@ func BenchmarkFig7ClickstreamBestPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ranked := optimizer.RankAll(tree, optimizer.NewEstimator(task.Flow), 4)
+	ranked := optimizer.RankAllNet(tree, optimizer.NewEstimator(task.Flow), 4, 0, optimizer.NetProfile{})
 	e := engine.New(4)
 	for name, ds := range g.Generate(task.Flow) {
 		e.AddSource(name, ds)
@@ -453,71 +452,6 @@ func map f3($ir) {
 		if _, err := sca.Analyze(f); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkShuffle compares the batched shuffle executor against the
-// retained per-record baseline on an identical 200k-record repartition at
-// DOP 8. The measured ratios (≥2x throughput, ≥5x fewer allocations for
-// batched) are recorded in BENCH_shuffle.json. The "traced" mode runs the
-// batched executor with a span recorder attached — tracing is always on in
-// the service tier, so its cost is gated like a regression: cmd/benchguard
-// fails if traced/batched exceeds 1.05x.
-func BenchmarkShuffle(b *testing.B) {
-	const n = 200000
-	rng := rand.New(rand.NewSource(42))
-	words := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-	in := make(engine.Partitioned, 8)
-	total := 0
-	for i := 0; i < n; i++ {
-		r := record.Record{
-			record.Int(int64(rng.Intn(53) - 26)),
-			record.String(words[rng.Intn(len(words))]),
-			record.Int(int64(i)),
-		}
-		total += r.EncodedSize()
-		in[i%8] = append(in[i%8], r)
-	}
-	keys := []int{0, 1}
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-		traced bool
-	}{
-		{"batched", false, false},
-		{"per-record", true, false},
-		{"traced", false, true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := engine.New(8)
-			e.LegacyShuffle = mode.legacy
-			var tr *obs.Trace
-			if mode.traced {
-				tr = obs.NewTrace("bench")
-				e.Trace = tr
-			}
-			b.SetBytes(int64(total))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if tr != nil {
-					tr.Reset("bench")
-				}
-				out, bytes, err := e.Shuffle(in, keys)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if bytes != total || out.Records() != n {
-					b.Fatalf("shuffle moved %d records / %d bytes, want %d / %d",
-						out.Records(), bytes, n, total)
-				}
-			}
-			// Uniform engine metrics (see cmd/benchguard): every engine
-			// benchmark reports shipped and spilled bytes per op, so the CI
-			// regression comparison has one source of truth.
-			b.ReportMetric(float64(total), "shipped-B/op")
-			b.ReportMetric(0, "spilled-B/op")
-		})
 	}
 }
 

@@ -90,7 +90,10 @@ func main() {
 	outPath := flag.String("out", "BENCH_fresh.json", "where to write the freshly measured summary (empty to skip)")
 	flag.Parse()
 
-	cmd := exec.Command("go", "test", ".", "-run", "NONE",
+	// BenchmarkShuffle lives in internal/engine, beside the reference
+	// executor's per-record shuffle it measures against; the rest are the
+	// root package's.
+	cmd := exec.Command("go", "test", ".", "./internal/engine", "-run", "NONE",
 		"-bench", "BenchmarkShuffle/|BenchmarkNetShuffle/|BenchmarkCombiner/|BenchmarkSpill/|BenchmarkJoinSpill/|BenchmarkConcurrentJobs/|BenchmarkRepeatedScripts/|BenchmarkRankAllQ7$",
 		"-benchtime", *benchtime)
 	raw, err := cmd.CombinedOutput()

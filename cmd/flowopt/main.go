@@ -73,7 +73,7 @@ func main() {
 		}
 		est := optimizer.NewEstimator(flow)
 		start := time.Now()
-		ranked := optimizer.RankAllBudget(tree, est, *dop, float64(*budget))
+		ranked := optimizer.RankAllNet(tree, est, *dop, float64(*budget), optimizer.NetProfile{})
 		fmt.Printf("%d plans enumerated and costed in %v\n", len(ranked), time.Since(start).Round(time.Millisecond))
 		show := ranked
 		if len(show) > 20 {
@@ -96,7 +96,7 @@ func main() {
 			fatal(err)
 		}
 		est := optimizer.NewEstimator(flow)
-		ranked := optimizer.RankAllBudget(tree, est, *dop, float64(*budget))
+		ranked := optimizer.RankAllNet(tree, est, *dop, float64(*budget), optimizer.NetProfile{})
 		fmt.Printf("best of %d plans (cost %.0f):\n\n%s", len(ranked), ranked[0].Cost, ranked[0].Phys.Indent())
 
 	case "run":
@@ -105,7 +105,7 @@ func main() {
 			fatal(err)
 		}
 		est := optimizer.NewEstimator(flow)
-		ranked := optimizer.RankAllBudget(tree, est, *dop, float64(*budget))
+		ranked := optimizer.RankAllNet(tree, est, *dop, float64(*budget), optimizer.NetProfile{})
 		e := engine.New(*dop).WithMemoryBudget(*budget)
 		for name, ds := range data {
 			e.AddSource(name, ds)

@@ -39,7 +39,7 @@ func reduce tally($g) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := optimizer.RankAll(tree, optimizer.NewEstimator(f), 4)[0].Phys
+	plan := optimizer.RankAllNet(tree, optimizer.NewEstimator(f), 4, 0, optimizer.NetProfile{})[0].Phys
 
 	data := make(record.DataSet, n)
 	for i := range data {
@@ -198,7 +198,7 @@ func reduce bad($g) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := optimizer.RankAll(tree, optimizer.NewEstimator(f), 4)[0].Phys
+	plan := optimizer.RankAllNet(tree, optimizer.NewEstimator(f), 4, 0, optimizer.NetProfile{})[0].Phys
 
 	data := make(record.DataSet, n)
 	for i := range data {

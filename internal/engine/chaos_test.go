@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -45,6 +46,7 @@ func chaosSeed(t *testing.T) int64 {
 // chaosShape is one spill pipeline the fault sweep exercises.
 type chaosShape struct {
 	name    string
+	op      string // the spilling operator every injected fault must be attributed to
 	plan    *optimizer.PhysPlan
 	sources map[string]record.DataSet
 	budget  int
@@ -62,6 +64,7 @@ func chaosShapes(t *testing.T) []chaosShape {
 		po := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(f), 3)
 		shapes = append(shapes, chaosShape{
 			name:    "reduce",
+			op:      "sumPerWord",
 			plan:    po.Optimize(tree),
 			sources: map[string]record.DataSet{"words": wordcountData(6000, 300)},
 			budget:  96 * 3,
@@ -113,6 +116,7 @@ SET:
 		po := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(f), 3)
 		shapes = append(shapes, chaosShape{
 			name:    "cogroup",
+			op:      "CG",
 			plan:    po.Optimize(tree),
 			sources: map[string]record.DataSet{"L": lData, "R": rData},
 			budget:  96 * 3,
@@ -153,6 +157,7 @@ func binary jn($l, $r) {
 		po := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(f), 3)
 		shapes = append(shapes, chaosShape{
 			name:    "match",
+			op:      "J",
 			plan:    po.Optimize(tree),
 			sources: map[string]record.DataSet{"L": lData, "R": rData},
 			budget:  96 * 3,
@@ -256,6 +261,13 @@ func TestChaosSpillPipelinesSingleFault(t *testing.T) {
 						}
 						if !faultfs.IsInjected(err) {
 							t.Fatalf("%s: error %v does not wrap the injected fault", label, err)
+						}
+						// Whichever phase the fault hit — a collector's run
+						// write or the local strategy's merge read — the
+						// error names the operator it broke.
+						var attributed *opError
+						if !errors.As(err, &attributed) || attributed.op != shape.op {
+							t.Fatalf("%s: error %v is not attributed to operator %s", label, err, shape.op)
 						}
 						faulted++
 					default:

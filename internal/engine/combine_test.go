@@ -152,20 +152,16 @@ func TestCombinedReduceEquivalence(t *testing.T) {
 				}
 			}
 
-			// The legacy record-at-a-time shuffle has no batch to combine;
-			// the engine must fall back to the plain path and still agree.
-			e.LegacyShuffle = true
-			legacyOut, legacyStats, err := e.Run(phys)
-			e.LegacyShuffle = false
-			if err != nil {
-				t.Fatal(err)
-			}
+			// The reference executor's record-at-a-time shuffle has no batch
+			// to combine; it must still agree.
+			legacyOut, legacyStats := mustRefRun(t, e, phys, "combined reduce")
 			if !legacyOut.Equal(combOut) {
-				t.Fatal("legacy-shuffle output differs from combined output")
+				t.Fatal("reference output differs from combined output")
 			}
 			if legacyStats.TotalCombinerCalls() != 0 {
-				t.Errorf("legacy shuffle reported %d combiner calls, want 0", legacyStats.TotalCombinerCalls())
+				t.Errorf("reference executor reported %d combiner calls, want 0", legacyStats.TotalCombinerCalls())
 			}
+			requireSameCounters(t, combStats, legacyStats, "combined reduce vs reference")
 
 			// Exact per-operator statistics across the fused run.
 			comb, plain := statsByName(combStats), statsByName(plainStats)

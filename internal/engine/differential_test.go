@@ -11,13 +11,16 @@ import (
 	"blackboxflow/internal/tac"
 )
 
-// This file is the differential harness: every execution-path family —
+// This file is the differential harness: every stage-variant family —
 // fused Map chains, combining shuffles, budget-forced spill grouping, and
-// joins — runs twice on fresh engines, once on the default path (batched,
-// combining, spill-capable, columnar) and once on the retained LegacyShuffle
-// baseline (record-at-a-time shipping, no combining, no spilling), at DOP
-// 1, 2, 8, and 17, and the outputs must be byte-identical — the canonical
-// group/join order makes every path agree record for record. DOP 1
+// joins — runs twice, once through the operator pipeline (batched,
+// combining, spill-capable, columnar) and once on the reference executor of
+// reference_test.go (record-at-a-time shipping, stage-at-a-time Maps, no
+// combining, no spilling), at DOP 1, 2, 8, and 17, and the outputs must be
+// byte-identical — the canonical group/join order makes both agree record
+// for record. The stage matrix (matrix_test.go) enumerates the stage
+// combinations exhaustively on handcrafted plans; the tests here keep
+// optimizer-produced plans and random UDFs in the comparison. DOP 1
 // exercises the degenerate single-partition topology, 2 the minimal
 // shuffle, 8 more partitions than test cores, and 17 a prime that leaves
 // no hash distribution aligned with batch boundaries.
@@ -25,36 +28,55 @@ import (
 // differentialDOPs are the degrees of parallelism the suite pins.
 var differentialDOPs = []int{1, 2, 8, 17}
 
-// runBothModes executes the plan on two fresh engines — the default path
-// and the LegacyShuffle baseline — and requires byte-identical outputs. It
-// returns the default path's output and run stats so callers can assert
-// the intended execution path (spilling, combining) was actually taken;
-// the legacy engine ignores the budget (it predates spilling), which is
+// runBothModes executes the plan through the pipeline and on the reference
+// executor and requires byte-identical outputs and equal exact counters. It
+// returns the pipeline's output and run stats so callers can assert the
+// intended stage variants (spilling, combining) were actually taken; the
+// reference executor ignores the budget (it is fully resident), which is
 // exactly what makes it a baseline for the budgeted runs too.
 func runBothModes(t *testing.T, label string, phys *optimizer.PhysPlan, sources map[string]record.DataSet, dop, budget int, spillDir string) (record.DataSet, *RunStats) {
 	t.Helper()
-	run := func(legacy bool) (record.DataSet, *RunStats) {
-		e := New(dop)
-		e.LegacyShuffle = legacy
-		e.MemoryBudget = budget
-		e.SpillDir = spillDir
-		for name, ds := range sources {
-			e.AddSource(name, ds)
-		}
-		out, stats, err := e.Run(phys)
-		if err != nil {
-			t.Fatalf("%s (LegacyShuffle=%v): %v", label, legacy, err)
-		}
-		return out, stats
+	e := New(dop)
+	e.MemoryBudget = budget
+	e.SpillDir = spillDir
+	for name, ds := range sources {
+		e.AddSource(name, ds)
 	}
-	def, stats := run(false)
-	legacy, _ := run(true)
-	requireByteIdentical(t, def, legacy, label+": default vs legacy")
-	return def, stats
+	out, stats, err := e.Run(phys)
+	if err != nil {
+		t.Fatalf("%s (pipeline): %v", label, err)
+	}
+	ref, refStats := mustRefRun(t, e, phys, label)
+	requireByteIdentical(t, out, ref, label+": pipeline vs reference")
+	requireSameCounters(t, stats, refStats, label)
+	return out, stats
+}
+
+// requireSameCounters requires the pipeline's per-operator statistics to
+// match the reference executor's entry for entry: same operators in the
+// same (plan post-order) positions, same records in and out, same UDF
+// calls. Shipped bytes must match wherever the pipeline did not combine —
+// a combiner exists to ship fewer. The reference neither combines nor
+// spills, so those counters have no counterpart to compare.
+func requireSameCounters(t *testing.T, got, ref *RunStats, label string) {
+	t.Helper()
+	if len(got.PerOp) != len(ref.PerOp) {
+		t.Fatalf("%s: pipeline reports %d operators, reference %d", label, len(got.PerOp), len(ref.PerOp))
+	}
+	for i, r := range ref.PerOp {
+		g := got.PerOp[i]
+		if g.Name != r.Name || g.InRecords != r.InRecords || g.OutRecords != r.OutRecords || g.UDFCalls != r.UDFCalls {
+			t.Fatalf("%s: PerOp[%d] is %s in=%d out=%d calls=%d, reference %s in=%d out=%d calls=%d",
+				label, i, g.Name, g.InRecords, g.OutRecords, g.UDFCalls, r.Name, r.InRecords, r.OutRecords, r.UDFCalls)
+		}
+		if g.CombinerCalls == 0 && g.ShippedBytes != r.ShippedBytes {
+			t.Fatalf("%s: %s shipped %d bytes, reference %d", label, g.Name, g.ShippedBytes, r.ShippedBytes)
+		}
+	}
 }
 
 // TestDifferentialMapChains pins the fused Map chain (the prebuilt
-// MapRunner stack) across the default and legacy engines over randomly
+// MapRunner stack) against the reference executor's InvokeMap stages over randomly
 // generated multi-emitting, filtering, rewriting UDF chains — a
 // determinism check that the fused loop's output is a pure function of
 // the plan and data, not of engine configuration.
@@ -114,7 +136,7 @@ func TestDifferentialMapChains(t *testing.T) {
 
 // TestDifferentialCombinedReduce pins the combining shuffle (columnar
 // ColBatch.CombineInto senders) and, under a tiny budget, the spill path's
-// external merge against the uncombined, unspilled legacy baseline: partial
+// external merge against the uncombined, unspilled reference executor: partial
 // aggregation and out-of-core grouping must be invisible in the output.
 func TestDifferentialCombinedReduce(t *testing.T) {
 	const trials = 3

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -294,6 +295,12 @@ func TestChaosTCPConnFaults(t *testing.T) {
 				}
 				if kind == transport.ConnStall {
 					t.Fatalf("%s: stall fault surfaced an error: %v", label, err)
+				}
+				// A dropped connection breaks the one shuffle of this plan:
+				// the error names the Reduce it fed and the phase.
+				var attributed *opError
+				if !errors.As(err, &attributed) || attributed.op != "wcount" || !strings.Contains(err.Error(), "engine: wcount: shuffle: ") {
+					t.Fatalf("%s: error %v is not attributed to operator wcount's shuffle", label, err)
 				}
 				faulted++
 			default:

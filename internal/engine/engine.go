@@ -1,45 +1,43 @@
 // Package engine executes physical plans produced by the optimizer on a
 // shared-nothing, multi-goroutine runtime — the repository's substitute for
-// the paper's Nephele execution engine (see DESIGN.md).
+// the paper's Nephele execution engine (see DESIGN.md, "Operator pipeline").
 //
-// Each operator runs with a configurable degree of parallelism: the data of
-// every edge is split into DOP partitions, shipping strategies move records
-// between partitions (hash partitioning, broadcast, or local forwarding),
-// and local strategies (hash join, sort-merge join, sort/hash grouping,
-// nested loops) process each partition in its own goroutine. The engine
-// records per-operator statistics — records, shipped bytes, UDF calls — so
+// A plan hands the engine, per operator, one shipping strategy per input
+// and one local strategy, and the engine executes every operator through
+// the same pipeline: run the producers; push each input edge's records
+// through the Map chain fused onto that edge; ship them (a sender per
+// source partition, a receiver per target partition, over a
+// transport.Transport — in-process channels or TCP to flowworker
+// processes); run the local strategy on every partition in its own
+// goroutine. Pre-shuffle combining, out-of-core receivers and Map fusion
+// are stage variants picked in one place (exec/run in pipeline.go) from
+// what the plan and the engine already say — PhysPlan.Combinable,
+// PhysPlan.Ship, PhysPlan.Chained, Engine.MemoryBudget — not separate
+// executors. The engine records per-operator statistics (records, shipped
+// bytes, UDF calls, spilled bytes) and spans in the same place, so
 // experiments can relate estimated costs to observed work.
-//
-// All non-forward shipping flows through a transport.Transport (see
-// internal/transport): the engine decides what moves where (hash routing,
-// batching, byte accounting), the transport decides how the bytes get
-// there. The default transport.Channel keeps everything in-process over
-// unbuffered channels; transport.TCP places shuffle partitions on
-// flowworker processes and frames batches over sockets. The engine's
-// sender/collector topology, batch flushing, cancellation, and statistics
-// are identical across transports.
 //
 // The engine is memory-budgeted: when Engine.MemoryBudget is set, shuffle
 // receivers feeding a grouping or join operator (Reduce, CoGroup, Match)
 // track resident bytes per partition and, on overflow, sort the buffered
 // records by the operator's key and spill them to disk as a sorted run
-// (internal/spill); the local strategy then switches to external
-// sort-merge execution over the merged runs — grouping for Reduce/CoGroup,
-// a merge join for Match — so working sets larger than memory complete
-// with bounded resident bytes and byte-identical output. Combiners keep
-// running on the senders pre-spill, so spilled runs are already partially
-// aggregated. See DESIGN.md ("Memory model & spilling").
+// (internal/spill); the local strategy reads each side as a stream of key
+// groups — from the sorted resident records alone, or merged with the
+// side's runs — so working sets larger than memory complete with bounded
+// resident bytes and byte-identical output. Combiners keep running on the
+// senders pre-spill, so spilled runs are already partially aggregated. See
+// DESIGN.md ("Memory model & spilling").
+//
+// A second, fully resident, stage-at-a-time executor lives in
+// reference_test.go; it is frozen test code that every differential test
+// compares this pipeline against, and production never selects it.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/faultfs"
 	"blackboxflow/internal/obs"
 	"blackboxflow/internal/optimizer"
@@ -187,14 +185,6 @@ type Engine struct {
 	// Sources maps source operator names to their data.
 	Sources map[string]record.DataSet
 
-	// LegacyShuffle routes ShipPartition through the pre-batching
-	// record-at-a-time sender instead of the batched one. Retained only so
-	// regression tests and benchmarks can compare the two paths. The legacy
-	// path predates batching, combining, and spilling, so setting it also
-	// disables pre-shuffle aggregation and out-of-core grouping — exactly
-	// what a baseline should do.
-	LegacyShuffle bool
-
 	// Transport moves the bytes of non-forward shipping steps (partition
 	// shuffles and broadcasts). Nil means transport.Channel{} — the
 	// in-process transport, which reproduces the engine's original
@@ -250,12 +240,6 @@ type Engine struct {
 	// histograms are shared and scheduler-owned (they survive engine
 	// resets); nil disables observation.
 	Hists *obs.EngineHists
-
-	// curShip is the op-level ship span open while exec ships an
-	// operator's inputs, so shuffle sessions nest their spans under it.
-	// Only the exec goroutine touches it (plan execution is sequential;
-	// parallelism lives inside the ship/local phases).
-	curShip obs.SpanID
 
 	// NetBandwidth simulates a cluster interconnect: when positive, every
 	// non-forward shipping step takes at least shippedBytes/NetBandwidth
@@ -361,785 +345,4 @@ func (e *Engine) RunContext(ctx context.Context, plan *optimizer.PhysPlan) (reco
 		return nil, nil, err
 	}
 	return out.Flatten(), stats, nil
-}
-
-func (e *Engine) exec(ctx context.Context, p *optimizer.PhysPlan, stats *RunStats) (Partitioned, error) {
-	if err := context.Cause(ctx); err != nil {
-		return nil, err
-	}
-	// Chained Maps are fused into their producer's partition loop instead
-	// of materializing each intermediate stage.
-	if isChainable(p) {
-		return e.execChain(ctx, p, stats)
-	}
-
-	// A combinable Reduce — together with any maximal chain of fused Maps
-	// feeding it — executes through the combining sender loop: Map →
-	// combine → ship in one pass, no intermediate partitions.
-	if e.isCombinableReduce(p) {
-		return e.execCombinedReduce(ctx, p, stats)
-	}
-
-	// A memory-budgeted shuffled grouping or join (Reduce, CoGroup, Match)
-	// runs through the spill-capable receivers: resident bytes are tracked
-	// per partition and overflow is sorted and spilled to disk (see
-	// spill_exec.go, join_spill.go).
-	if e.spillEligible(p) {
-		return e.execSpillGrouped(ctx, p, stats)
-	}
-
-	// Execute inputs first (post-order).
-	inputs := make([]Partitioned, len(p.Inputs))
-	for i, in := range p.Inputs {
-		d, err := e.exec(ctx, in, stats)
-		if err != nil {
-			return nil, err
-		}
-		inputs[i] = d
-	}
-
-	op := p.Op
-	st := OpStats{Name: op.Name}
-	for _, in := range inputs {
-		st.InRecords += in.Records()
-	}
-
-	tr := e.Trace
-	opSpan := tr.Begin(e.TraceParent, op.Name, obs.KindOp)
-
-	// Ship each input according to the plan's strategy. The op-level ship
-	// span only opens when some input actually moves (non-forward), so
-	// source/forward operators don't accrete empty phase spans.
-	shipNeeded := false
-	for i := range inputs {
-		if i < len(p.Ship) && p.Ship[i] != optimizer.ShipForward {
-			shipNeeded = true
-			break
-		}
-	}
-	var shipSpan obs.SpanID
-	if shipNeeded {
-		shipSpan = tr.Begin(opSpan, "ship", obs.KindShip)
-		e.curShip = shipSpan
-	}
-	shipStart := time.Now()
-	for i := range inputs {
-		if i >= len(p.Ship) {
-			break
-		}
-		var keys []int
-		if i < len(op.Keys) {
-			keys = op.Keys[i]
-		}
-		shipped, bytes, err := e.ship(ctx, inputs[i], p.Ship[i], keys)
-		st.ShippedBytes += bytes
-		if err != nil {
-			e.curShip = 0
-			if shipNeeded {
-				tr.Fail(shipSpan, err)
-			}
-			tr.Fail(opSpan, err)
-			return nil, err
-		}
-		inputs[i] = shipped
-	}
-	e.curShip = 0
-	// A cancelled shuffle returns partial partitions; discard them rather
-	// than let a truncated input masquerade as the operator's real input.
-	if err := context.Cause(ctx); err != nil {
-		if shipNeeded {
-			tr.Fail(shipSpan, err)
-		}
-		tr.Fail(opSpan, err)
-		return nil, err
-	}
-	if e.NetBandwidth > 0 && st.ShippedBytes > 0 {
-		want := time.Duration(float64(st.ShippedBytes) / e.NetBandwidth * float64(time.Second))
-		netDelay(ctx, want-time.Since(shipStart))
-	}
-	st.ShipTime = time.Since(shipStart)
-	if shipNeeded {
-		tr.EndWith(shipSpan, func(s *obs.Span) { s.Bytes = int64(st.ShippedBytes) })
-	}
-	e.observeShip(&st)
-
-	localSpan := tr.Begin(opSpan, "local", obs.KindLocal)
-	localStart := time.Now()
-	out, calls, err := e.local(ctx, p, inputs)
-	if err != nil {
-		tr.Fail(localSpan, err)
-		tr.Fail(opSpan, err)
-		return nil, err
-	}
-	st.LocalTime = time.Since(localStart)
-	st.UDFCalls = calls
-	st.OutRecords = out.Records()
-	tr.EndWith(localSpan, func(s *obs.Span) { s.Calls = int64(calls) })
-	tr.EndWith(opSpan, func(s *obs.Span) {
-		s.Records = int64(st.OutRecords)
-		s.Bytes = int64(st.ShippedBytes)
-	})
-	stats.PerOp = append(stats.PerOp, st)
-	return out, nil
-}
-
-// ship moves a partitioned data set according to the shipping strategy,
-// returning the reshaped data and the number of bytes that crossed the
-// network seam. Partitioning and broadcasting move records through the
-// engine's transport; forwarding is the identity. The byte count is
-// meaningful even alongside an error (partial transfers count what they
-// accounted before failing).
-func (e *Engine) ship(ctx context.Context, in Partitioned, s optimizer.Shipping, keys []int) (Partitioned, int, error) {
-	switch s {
-	case optimizer.ShipForward:
-		return in, 0, nil
-	case optimizer.ShipPartition:
-		return e.shuffleDispatch(ctx, in, keys)
-	case optimizer.ShipBroadcast:
-		// Every partition gets its own copy of the record headers (the
-		// records themselves are immutable by engine convention). Handing the
-		// same slice to all DOP partitions would let any local strategy that
-		// sorts its input in place race against its sibling goroutines. The
-		// transport owns the copying: remote placements genuinely cross the
-		// wire, the channel transport clones headers in-process, and both
-		// account the full wire size once per copy.
-		copies, bytes, err := e.transport().Broadcast(ctx, in.Flatten(), e.DOP)
-		if err != nil {
-			return nil, bytes, fmt.Errorf("engine: broadcast: %w", err)
-		}
-		return Partitioned(copies), bytes, nil
-	default:
-		return in, 0, nil
-	}
-}
-
-// Shuffle hash-partitions a partitioned data set by the key fields into
-// e.DOP partitions and returns the reshaped data plus the number of bytes
-// that crossed the network seam. It is the primitive behind ShipPartition,
-// exposed so tests and benchmarks can drive it directly.
-func (e *Engine) Shuffle(in Partitioned, keys []int) (Partitioned, int, error) {
-	return e.shuffleDispatch(context.Background(), in, keys)
-}
-
-// shuffleDispatch routes a partition shuffle to the transport-backed or the
-// retained legacy executor — the single place that branch lives.
-func (e *Engine) shuffleDispatch(ctx context.Context, in Partitioned, keys []int) (Partitioned, int, error) {
-	if e.LegacyShuffle {
-		out, bytes := e.shuffleRecordAtATime(in, keys)
-		return out, bytes, nil
-	}
-	return e.shuffle(ctx, in, keys)
-}
-
-// shuffle hash-partitions records by the key fields over the engine's
-// transport (one sender goroutine per source partition, one collector per
-// target).
-//
-// Records move in record.Batch units rather than one at a time: each sender
-// accumulates a per-target batch and hands it to the transport session when
-// full (record.DefaultBatchCap records), which amortizes per-transfer
-// synchronization across ~1k records. Batches are sync.Pool-recycled, and
-// each batch carries its running encoded size, so byte accounting needs no
-// second pass over the records — and happens engine-side before Send, so
-// ShippedBytes is identical whichever transport carries the batch. See
-// DESIGN.md. The senders and collectors are top-level functions taking
-// explicit arguments (not closures), keeping the fixed allocation cost of
-// a shuffle to the session and the output partitions themselves.
-//
-// Cancellation: the senders poll the context and stop routing, and a
-// context.AfterFunc closes the session so a sender or collector blocked
-// inside the transport (a full socket, a dead peer) is unblocked with an
-// error instead of hanging. The caller discards partial output either way.
-func (e *Engine) shuffle(ctx context.Context, in Partitioned, keys []int) (Partitioned, int, error) {
-	dop := e.DOP
-	sh, err := e.transport().OpenShuffle(ctx, transport.Spec{Senders: len(in), Targets: dop})
-	if err != nil {
-		return nil, 0, fmt.Errorf("engine: shuffle: %w", err)
-	}
-	stop := context.AfterFunc(ctx, func() { sh.Close() })
-	defer stop()
-	defer sh.Close()
-	var span obs.SpanID
-	var spanStart time.Time
-	if e.Trace != nil {
-		spanStart = time.Now()
-		span = e.Trace.Begin(e.shipParent(), "shuffle", obs.KindShip)
-	}
-	st := &shuffleState{sh: sh, sendErrs: make([]error, len(in)), recvErrs: make([]error, dop)}
-	st.senders.Add(len(in))
-	st.collectors.Add(dop)
-	// One flat accumulator array for all senders; sender si owns the
-	// per-target window acc[si*dop : (si+1)*dop].
-	acc := make([]*record.Batch, len(in)*dop)
-	for si, part := range in {
-		go shuffleSend(ctx, st, si, acc[si*dop:(si+1)*dop], part, keys)
-	}
-	// Pre-size each output partition for a near-uniform key distribution;
-	// skewed keys just fall back to append growth.
-	sizeHint := in.Records()/dop + in.Records()/(8*dop) + 16
-	out := make(Partitioned, dop)
-	for i := 0; i < dop; i++ {
-		go shuffleCollect(st, out, i, sizeHint)
-	}
-	st.senders.Wait()
-	st.collectors.Wait()
-	bytes := int(st.bytes.Load())
-	if e.Trace != nil {
-		e.foldWireSpans(span, sh, spanStart)
-	}
-	if err := st.firstErr(); err != nil {
-		if e.Trace != nil {
-			e.Trace.Fail(span, err)
-		}
-		return nil, bytes, fmt.Errorf("engine: shuffle: %w", err)
-	}
-	if e.Trace != nil {
-		e.Trace.EndWith(span, func(s *obs.Span) {
-			s.Bytes = int64(bytes)
-			s.Records = int64(in.Records())
-		})
-	}
-	return out, bytes, nil
-}
-
-// shuffleState is the shared coordination state of one shuffle execution,
-// allocated once so sender and collector goroutines share a single object.
-type shuffleState struct {
-	sh         transport.Shuffle
-	senders    sync.WaitGroup
-	collectors sync.WaitGroup
-	bytes      atomic.Int64
-	sendErrs   []error // one slot per sender, written before senders.Done
-	recvErrs   []error // one slot per target, written before collectors.Done
-}
-
-// firstErr returns the first sender or collector error after both wait
-// groups have drained.
-func (st *shuffleState) firstErr() error {
-	for _, err := range st.sendErrs {
-		if err != nil {
-			return err
-		}
-	}
-	for _, err := range st.recvErrs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// shuffleSend hash-routes one source partition's records into per-target
-// batches, handing each batch to the transport session when full. On
-// cancellation the sender stops routing and recycles its accumulated
-// batches; in-flight batches are drained by the collectors (a target's
-// stream only ends at EOS or a transport error), so cancellation can never
-// deadlock the session — the caller detects the cancelled context and
-// discards the partial output. A Send error is terminal for the sender: it
-// records the error and lets SenderDone (deferred) terminate its streams.
-func shuffleSend(ctx context.Context, st *shuffleState, si int, acc []*record.Batch, part []record.Record, keys []int) {
-	defer st.senders.Done()
-	defer st.sh.SenderDone()
-	local := 0
-	defer func() { st.bytes.Add(int64(local)) }()
-	dop := uint64(len(st.recvErrs))
-	var tick ticker
-	for _, r := range part {
-		if tick.due() && ctx.Err() != nil {
-			dropBatches(acc)
-			return
-		}
-		t := int(r.Hash(keys) % dop)
-		b := acc[t]
-		if b == nil {
-			b = record.GetBatch()
-			acc[t] = b
-		}
-		if b.Append(r) {
-			local += b.EncodedSize()
-			acc[t] = nil
-			if err := st.sh.Send(t, b); err != nil {
-				st.sendErrs[si] = err
-				dropBatches(acc)
-				return
-			}
-		}
-	}
-	// Flush the partial tail batches (always non-empty: a batch is only
-	// allocated on first append).
-	for t, b := range acc {
-		if b != nil {
-			local += b.EncodedSize()
-			acc[t] = nil
-			if err := st.sh.Send(t, b); err != nil {
-				st.sendErrs[si] = err
-				dropBatches(acc)
-				return
-			}
-		}
-	}
-}
-
-// dropBatches recycles a sender's unsent accumulator batches.
-func dropBatches(acc []*record.Batch) {
-	for t, b := range acc {
-		if b != nil {
-			record.PutBatch(b)
-			acc[t] = nil
-		}
-	}
-}
-
-// netDelay sleeps for d to simulate interconnect transfer time, returning
-// early when the context is cancelled so a throttled run still cancels
-// promptly.
-func netDelay(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
-// shuffleCollect drains one target partition's stream from the transport
-// session, appending batch contents into the output and recycling the
-// batches. A Recv error is terminal for the stream (the transport
-// guarantees no more data follows), so the collector records it and exits.
-func shuffleCollect(st *shuffleState, out Partitioned, i, sizeHint int) {
-	defer st.collectors.Done()
-	buf := make([]record.Record, 0, sizeHint)
-	for {
-		b, err := st.sh.Recv(i)
-		if err != nil {
-			st.recvErrs[i] = err
-			break
-		}
-		if b == nil {
-			break
-		}
-		buf = append(buf, b.Records()...)
-		record.PutBatch(b)
-	}
-	out[i] = buf
-}
-
-// isChainable reports whether the engine may fuse this plan node into its
-// producer's partition loop: a Map annotated Chained by the physical
-// optimizer, fed by a local forward (no repartitioning in between).
-// Handcrafted plans without the annotation keep the stage-at-a-time path.
-func isChainable(p *optimizer.PhysPlan) bool {
-	return p.Chained && p.Op.Kind == dataflow.KindMap && p.Op.UDF != nil &&
-		len(p.Inputs) == 1 && len(p.Ship) == 1 && p.Ship[0] == optimizer.ShipForward
-}
-
-// chainBelow collects the maximal run of chained Map plan nodes starting at
-// p (walking producer-wards while isChainable holds) and returns the run in
-// execution (producer-first) order together with the pipeline breaker below
-// it. Both fused execution paths — execChain and execCombinedReduce — share
-// it so the notion of "maximal chain" cannot diverge.
-func chainBelow(p *optimizer.PhysPlan) ([]*optimizer.PhysPlan, *optimizer.PhysPlan) {
-	var chain []*optimizer.PhysPlan
-	node := p
-	for isChainable(node) {
-		chain = append(chain, node)
-		node = node.Inputs[0]
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return chain, node
-}
-
-// chainFeed builds one goroutine's entry point into the fused Map chain:
-// one reusable MapRunner and one emit closure per chain level, so the
-// steady-state loop allocates nothing per record beyond the records the
-// UDFs emit. The feed tallies exact per-level counts and cascades every
-// record leaving the chain into sink (the chained-Map executor's sink
-// appends to the output partition; the combining shuffle senders' sink
-// routes into per-target accumulators). UDF errors carry operator-name
-// wrapping; sink errors pass through unwrapped.
-func (e *Engine) chainFeed(chain []*optimizer.PhysPlan, c []opCount, sink func(record.Record) error) (func(record.Record) error, error) {
-	feed := sink
-	for level := len(chain) - 1; level >= 0; level-- {
-		op := chain[level].Op
-		runner, err := e.interp.NewMapRunner(op.UDF)
-		if err != nil {
-			return nil, fmt.Errorf("engine: %s: %w", op.Name, err)
-		}
-		next := feed
-		cl := &c[level]
-		name := op.Name
-		onEmit := func(r record.Record) error {
-			cl.out++
-			return next(r)
-		}
-		feed = func(r record.Record) error {
-			cl.in++
-			cl.calls++
-			if err := runner.Invoke(r, onEmit); err != nil {
-				if inner, ok := tac.AsEmitError(err); ok {
-					return inner
-				}
-				return fmt.Errorf("engine: %s: %w", name, err)
-			}
-			return nil
-		}
-	}
-	return feed, nil
-}
-
-// execChain executes a maximal run of chained Map operators (p is the
-// topmost) fused into a single per-partition loop. Records flow through the
-// whole chain one at a time; only the final output is materialized, so a
-// chain of k Maps allocates no intermediate partitions. Per-operator
-// statistics are still collected: records in/out and UDF calls exactly, and
-// the fused loop's wall time attributed evenly across the chain's operators.
-func (e *Engine) execChain(ctx context.Context, p *optimizer.PhysPlan, stats *RunStats) (Partitioned, error) {
-	chain, node := chainBelow(p)
-	base, err := e.exec(ctx, node, stats)
-	if err != nil {
-		return nil, err
-	}
-
-	nOps := len(chain)
-	out := make(Partitioned, len(base))
-	counts := make([][]opCount, len(base))
-	errs := make([]error, len(base))
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := range base {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := make([]opCount, nOps)
-			counts[i] = c
-			sink := func(r record.Record) error {
-				out[i] = append(out[i], r)
-				return nil
-			}
-			feed, err := e.chainFeed(chain, c, sink)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var tick ticker
-			for _, r := range base[i] {
-				if tick.due() && context.Cause(ctx) != nil {
-					errs[i] = context.Cause(ctx)
-					return
-				}
-				if errs[i] = feed(r); errs[i] != nil {
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	share := elapsed / time.Duration(nOps)
-	spanAt := start
-	for level, cp := range chain {
-		st := OpStats{Name: cp.Op.Name, LocalTime: share}
-		for i := range counts {
-			st.InRecords += counts[i][level].in
-			st.OutRecords += counts[i][level].out
-			st.UDFCalls += counts[i][level].calls
-		}
-		stats.PerOp = append(stats.PerOp, st)
-		// One span per fused operator: the chain's wall time is attributed
-		// evenly (the same rule as LocalTime), so the spans tile the fused
-		// loop's interval in chain order.
-		if e.Trace != nil {
-			e.Trace.Import(e.TraceParent, obs.Span{
-				Name:    cp.Op.Name,
-				Kind:    obs.KindOp,
-				Start:   spanAt,
-				End:     spanAt.Add(share),
-				Records: int64(st.OutRecords),
-				Calls:   int64(st.UDFCalls),
-				Detail:  "fused chain",
-			})
-			spanAt = spanAt.Add(share)
-		}
-	}
-	return out, nil
-}
-
-// local runs the operator's local strategy on every partition in parallel.
-func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, inputs []Partitioned) (Partitioned, int, error) {
-	op := p.Op
-	switch op.Kind {
-	case dataflow.KindSource:
-		data, ok := e.Sources[op.Name]
-		if !ok {
-			return nil, 0, fmt.Errorf("engine: no data registered for source %q", op.Name)
-		}
-		return e.scatter(data), 0, nil
-
-	case dataflow.KindSink:
-		return inputs[0], 0, nil
-
-	case dataflow.KindMap:
-		return e.perPartition(inputs[0], func(part []record.Record) ([]record.Record, int, error) {
-			var out []record.Record
-			calls := 0
-			var tick ticker
-			for _, r := range part {
-				if tick.due() && context.Cause(ctx) != nil {
-					return nil, 0, context.Cause(ctx)
-				}
-				res, err := e.interp.InvokeMap(op.UDF, r)
-				if err != nil {
-					return nil, 0, fmt.Errorf("engine: %s: %w", op.Name, err)
-				}
-				calls++
-				out = append(out, res...)
-			}
-			return out, calls, nil
-		})
-
-	case dataflow.KindReduce:
-		keys := op.Keys[0]
-		return e.perPartition(inputs[0], func(part []record.Record) ([]record.Record, int, error) {
-			return e.reducePartition(ctx, op, part, keys, p.Local == optimizer.LocalSortGroup)
-		})
-
-	case dataflow.KindMatch:
-		return e.perPartition2(inputs[0], inputs[1], func(l, r []record.Record) ([]record.Record, int, error) {
-			return e.joinPartition(ctx, p, l, r)
-		})
-
-	case dataflow.KindCross:
-		return e.perPartition2(inputs[0], inputs[1], func(l, r []record.Record) ([]record.Record, int, error) {
-			var out []record.Record
-			calls := 0
-			var tick ticker
-			for _, lr := range l {
-				for _, rr := range r {
-					if tick.due() && context.Cause(ctx) != nil {
-						return nil, 0, context.Cause(ctx)
-					}
-					res, err := e.interp.InvokeBinary(op.UDF, lr, rr)
-					if err != nil {
-						return nil, 0, fmt.Errorf("engine: %s: %w", op.Name, err)
-					}
-					calls++
-					out = append(out, res...)
-				}
-			}
-			return out, calls, nil
-		})
-
-	case dataflow.KindCoGroup:
-		lKeys, rKeys := op.Keys[0], op.Keys[1]
-		return e.perPartition2(inputs[0], inputs[1], func(l, r []record.Record) ([]record.Record, int, error) {
-			return e.coGroupPartition(ctx, op, l, r, lKeys, rKeys)
-		})
-
-	default:
-		return nil, 0, fmt.Errorf("engine: cannot execute %s", op.Kind)
-	}
-}
-
-// reducePartition groups one fully resident partition (canonical ascending
-// key order; see groupRecords) and applies the Reduce UDF once per group —
-// the in-memory grouping core shared by the plain local strategy and the
-// spill path's non-overflowing partitions.
-func (e *Engine) reducePartition(ctx context.Context, op *dataflow.Operator, part []record.Record, keys []int, sortBased bool) ([]record.Record, int, error) {
-	groups := groupRecords(part, keys, sortBased)
-	var out []record.Record
-	calls := 0
-	var tick ticker
-	for _, g := range groups {
-		if tick.due() && context.Cause(ctx) != nil {
-			return nil, 0, context.Cause(ctx)
-		}
-		res, err := e.interp.InvokeReduce(op.UDF, g)
-		if err != nil {
-			return nil, 0, fmt.Errorf("engine: %s: %w", op.Name, err)
-		}
-		calls++
-		out = append(out, res...)
-	}
-	return out, calls, nil
-}
-
-// scatter round-robins source data across partitions.
-func (e *Engine) scatter(data record.DataSet) Partitioned {
-	out := make(Partitioned, e.DOP)
-	for i, r := range data {
-		t := i % e.DOP
-		out[t] = append(out[t], r)
-	}
-	return out
-}
-
-// perPartition applies fn to every partition concurrently.
-func (e *Engine) perPartition(in Partitioned, fn func([]record.Record) ([]record.Record, int, error)) (Partitioned, int, error) {
-	return e.perPartitionIdx(in, func(_ int, part []record.Record) ([]record.Record, int, error) {
-		return fn(part)
-	})
-}
-
-// perPartition2 applies fn pairwise to the partitions of two inputs.
-func (e *Engine) perPartition2(l, r Partitioned, fn func(l, r []record.Record) ([]record.Record, int, error)) (Partitioned, int, error) {
-	n := len(l)
-	if len(r) > n {
-		n = len(r)
-	}
-	out := make(Partitioned, n)
-	calls := make([]int, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var lp, rp []record.Record
-			if i < len(l) {
-				lp = l[i]
-			}
-			if i < len(r) {
-				rp = r[i]
-			}
-			out[i], calls[i], errs[i] = fn(lp, rp)
-		}()
-	}
-	wg.Wait()
-	total := 0
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return nil, 0, errs[i]
-		}
-		total += calls[i]
-	}
-	return out, total, nil
-}
-
-// joinPartition executes a Match on one partition pair with the plan's
-// local strategy. Both strategies emit the engine's canonical join order —
-// equal-key cross products in ascending key order, left records major and
-// in arrival order, right records minor and in arrival order — mirroring
-// how groupRecords canonicalizes sort- and hash-based grouping: the merge
-// join reaches it by stably sorting both sides in place, the hash join by
-// hash-grouping both sides and ordering the group heads. Key equality is
-// record.Value.Compare-based for both, the same semantics grouping and the
-// merge join always had (the seed's hash join probed with exact equality,
-// the one place the engine diverged). A plan therefore produces
-// byte-identical output whichever local strategy runs it, and — because
-// the external merge join of the spill path (join_spill.go) yields the
-// same order by construction — whether or not any partition overflowed the
-// memory budget.
-//
-// The in-place sort relies on the engine's partition-ownership rule: every
-// plan-node execution materializes fresh output partitions for its single
-// consumer (exec re-executes shared subplans, scatter copies source
-// headers, and broadcast hands every partition its own slice), so no
-// defensive copy is needed. If subplan results are ever cached and shared
-// across consumers, forwarded inputs must be copied here again.
-func (e *Engine) joinPartition(ctx context.Context, p *optimizer.PhysPlan, l, r []record.Record) ([]record.Record, int, error) {
-	op := p.Op
-	lKeys, rKeys := op.Keys[0], op.Keys[1]
-	var lc, rc groupCursor
-	if p.Local == optimizer.LocalMergeJoin {
-		e.sortRecs(l, lKeys)
-		e.sortRecs(r, rKeys)
-		lc = &sortedGroupCursor{recs: l, keys: lKeys}
-		rc = &sortedGroupCursor{recs: r, keys: rKeys}
-	} else { // LocalHashJoin (BuildSide only steers the cost model now)
-		lc = &memGroupCursor{groups: groupRecords(l, lKeys, false)}
-		rc = &memGroupCursor{groups: groupRecords(r, rKeys, false)}
-	}
-	return e.matchAligned(ctx, op, lc, rc, lKeys, rKeys)
-}
-
-// coGroupPartition executes a CoGroup on one partition pair: both sides are
-// grouped by their keys and the UDF is called once per key in the combined
-// key domain, in ascending key order. It is the in-memory instance of the
-// stream alignment that coGroupAligned implements; the spill path feeds the
-// same alignment from externally merged runs.
-func (e *Engine) coGroupPartition(ctx context.Context, op *dataflow.Operator, l, r []record.Record, lKeys, rKeys []int) ([]record.Record, int, error) {
-	lc := &memGroupCursor{groups: groupRecords(l, lKeys, true)}
-	rc := &memGroupCursor{groups: groupRecords(r, rKeys, true)}
-	return e.coGroupAligned(ctx, op, lc, rc, lKeys, rKeys)
-}
-
-// groupRecords groups a partition by key fields, either by sorting (one
-// stable sort of the whole partition) or via a hash map (one hash pass plus
-// a sort of the group heads). Both emit groups in ascending key order with
-// records in arrival order within a group — the engine's canonical group
-// order, which the external sort-merge grouping of the spill path produces
-// by construction; a plan therefore yields the same output whether or not
-// any partition overflowed the memory budget (see DESIGN.md). Key
-// projections are computed once per record (decorate-sort-undecorate), not
-// per comparison.
-func groupRecords(part []record.Record, keys []int, sortBased bool) [][]record.Record {
-	if len(part) == 0 {
-		return nil
-	}
-	type keyed struct {
-		key record.Record
-		rec record.Record
-	}
-	ks := make([]keyed, len(part))
-	for i, r := range part {
-		ks[i] = keyed{key: r.Project(keys), rec: r}
-	}
-	if sortBased {
-		sort.SliceStable(ks, func(i, j int) bool { return ks[i].key.Compare(ks[j].key) < 0 })
-		var groups [][]record.Record
-		start := 0
-		for i := 1; i <= len(ks); i++ {
-			if i == len(ks) || ks[i].key.Compare(ks[start].key) != 0 {
-				g := make([]record.Record, 0, i-start)
-				for _, k := range ks[start:i] {
-					g = append(g, k.rec)
-				}
-				groups = append(groups, g)
-				start = i
-			}
-		}
-		return groups
-	}
-	// Hash-based: bucket by key hash with collision safety (a bucket may
-	// hold several true key groups, told apart by key comparison), then
-	// order the groups — not the records — by key.
-	type group struct {
-		key  record.Record
-		recs []record.Record
-	}
-	var groups []group
-	buckets := map[uint64][]int{}
-	for _, k := range ks {
-		h := k.key.Hash(nil)
-		gi := -1
-		for _, idx := range buckets[h] {
-			if groups[idx].key.Compare(k.key) == 0 {
-				gi = idx
-				break
-			}
-		}
-		if gi < 0 {
-			gi = len(groups)
-			groups = append(groups, group{key: k.key})
-			buckets[h] = append(buckets[h], gi)
-		}
-		groups[gi].recs = append(groups[gi].recs, k.rec)
-	}
-	sort.SliceStable(groups, func(i, j int) bool { return groups[i].key.Compare(groups[j].key) < 0 })
-	out := make([][]record.Record, len(groups))
-	for i, g := range groups {
-		out[i] = g.recs
-	}
-	return out
 }

@@ -286,21 +286,17 @@ func TestRandomPipelinesTinyBudgetEquivalent(t *testing.T) {
 				}
 			}
 
-			// The same plan on the legacy record-at-a-time shuffle (which
-			// disables combining and spilling) must be byte-identical to the
-			// batched runs above, extending the sweep into a differential
-			// against the retained baseline.
-			e.LegacyShuffle = true
-			e.MemoryBudget = 0
-			legacyOut, _, err := e.Run(phys)
-			if err != nil {
-				t.Fatalf("trial %d plan %s (legacy shuffle): %v", trial, a, err)
-			}
-			e.LegacyShuffle = false
+			// The same plan on the reference executor (record-at-a-time
+			// shuffle, no fusion, combining or spilling) must be
+			// byte-identical to the pipeline runs above, with the same exact
+			// counters, extending the sweep into a differential.
+			legacyOut, legacyStats := mustRefRun(t, e, phys, fmt.Sprintf("trial %d plan %s", trial, a))
 			requireByteIdentical(t, legacyOut, unlimited,
-				fmt.Sprintf("trial %d plan %s legacy vs default", trial, a))
+				fmt.Sprintf("trial %d plan %s reference vs pipeline", trial, a))
 			requireByteIdentical(t, legacyOut, budgeted,
-				fmt.Sprintf("trial %d plan %s legacy vs default (budgeted)", trial, a))
+				fmt.Sprintf("trial %d plan %s reference vs pipeline (budgeted)", trial, a))
+			requireSameCounters(t, stats, legacyStats,
+				fmt.Sprintf("trial %d plan %s (budgeted)", trial, a))
 
 			if i == 0 {
 				ref = budgeted
@@ -531,17 +527,14 @@ func reduce agg($g) {
 				}
 			}
 
-			// Legacy differential: the budgeted join (external merges and
-			// in-memory joins alike) must be byte-identical to the retained
-			// record-at-a-time baseline, which never spills.
-			e.LegacyShuffle = true
-			legacyOut, _, err := e.Run(phys)
-			if err != nil {
-				t.Fatalf("trial %d plan %s (legacy shuffle, budgeted): %v", trial, a, err)
-			}
-			e.LegacyShuffle = false
+			// Reference differential: the budgeted join (external merges and
+			// in-memory joins alike) must be byte-identical to the reference
+			// executor, which never spills, with the same exact counters.
+			legacyOut, legacyStats := mustRefRun(t, e, phys, fmt.Sprintf("trial %d plan %s", trial, a))
 			requireByteIdentical(t, legacyOut, budgeted,
-				fmt.Sprintf("trial %d plan %s legacy vs default (budgeted)", trial, a))
+				fmt.Sprintf("trial %d plan %s reference vs pipeline (budgeted)", trial, a))
+			requireSameCounters(t, stats, legacyStats,
+				fmt.Sprintf("trial %d plan %s (budgeted)", trial, a))
 
 			if i == 0 {
 				ref = budgeted

@@ -185,10 +185,11 @@ func TestBroadcastShipNoAliasing(t *testing.T) {
 	var in Partitioned = Partitioned{{
 		{record.Int(3)}, {record.Int(1)}, {record.Int(2)},
 	}}
-	out, bytes, err := e.ship(context.Background(), in, optimizer.ShipBroadcast, nil)
+	copies, bytes, err := e.transport().Broadcast(context.Background(), in.Flatten(), e.DOP)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := Partitioned(copies)
 	if len(out) != 3 {
 		t.Fatalf("broadcast produced %d partitions, want 3", len(out))
 	}

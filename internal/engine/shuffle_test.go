@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -78,12 +77,7 @@ func TestShuffleCorrectnessAndDeterminism(t *testing.T) {
 
 			// Equivalence with the per-record baseline, partition by
 			// partition (both paths use the same hash placement).
-			e.LegacyShuffle = true
-			legacy, legacyBytes, err := e.Shuffle(in, keys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.LegacyShuffle = false
+			legacy, legacyBytes := e.shuffleRecordAtATime(in, keys)
 			if legacyBytes != bytes {
 				t.Errorf("legacy path accounted %d bytes, batched %d", legacyBytes, bytes)
 			}
@@ -148,7 +142,7 @@ func TestShuffleAllocRegression(t *testing.T) {
 	}
 
 	batched := testing.AllocsPerRun(5, func() {
-		e.shuffle(context.Background(), in, keys)
+		e.Shuffle(in, keys)
 	})
 	legacy := testing.AllocsPerRun(5, func() {
 		e.shuffleRecordAtATime(in, keys)
@@ -165,8 +159,10 @@ func TestShuffleAllocRegression(t *testing.T) {
 }
 
 // TestChainedExecutionMatchesUnchained strips the Chained annotation off an
-// optimizer-produced plan and checks that the fused and stage-at-a-time
-// executions agree on both the output bag and the per-operator statistics.
+// optimizer-produced plan — every Map then runs as an operator of its own,
+// a chain of length one — and checks that the fused execution agrees with
+// it, and with the reference executor's stage-at-a-time InvokeMap loop, on
+// both the output bag and the per-operator statistics.
 func TestChainedExecutionMatchesUnchained(t *testing.T) {
 	f, tree := buildPaperFlow(t)
 	rng := rand.New(rand.NewSource(11))
@@ -183,6 +179,9 @@ func TestChainedExecutionMatchesUnchained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	refOut, refStats := mustRefRun(t, e, phys, "paper flow")
+	requireByteIdentical(t, chainedOut, refOut, "fused chain vs reference")
+	requireSameCounters(t, chainedStats, refStats, "fused chain vs reference")
 	hasChained := false
 	var strip func(p *optimizer.PhysPlan)
 	strip = func(p *optimizer.PhysPlan) {

@@ -290,8 +290,9 @@ func TestSpillEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSpillLegacyShuffleBypass: the legacy record-at-a-time baseline
-// predates spilling; a budget must not reroute it, and outputs still agree.
+// TestSpillLegacyShuffleBypass: the reference executor's record-at-a-time
+// shuffle is fully resident; a budget does not reach it, and outputs still
+// agree with the budgeted pipeline.
 func TestSpillLegacyShuffleBypass(t *testing.T) {
 	f, tree := buildWordcountFlow(t, 2000, 40)
 	po := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(f), 4)
@@ -302,18 +303,15 @@ func TestSpillLegacyShuffleBypass(t *testing.T) {
 	e.AddSource("words", data)
 	e.SpillDir = t.TempDir()
 	e.MemoryBudget = 64
-	budgeted, _, err := e.Run(phys)
+	budgeted, budgetedStats, err := e.Run(phys)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	e.LegacyShuffle = true
-	legacy, stats, err := e.Run(phys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy, stats := mustRefRun(t, e, phys, "budgeted wordcount")
 	if stats.TotalSpillRuns() != 0 {
-		t.Errorf("legacy shuffle spilled %d runs, want 0", stats.TotalSpillRuns())
+		t.Errorf("reference executor spilled %d runs, want 0", stats.TotalSpillRuns())
 	}
-	requireByteIdentical(t, legacy, budgeted, "legacy vs budgeted output")
+	requireByteIdentical(t, legacy, budgeted, "reference vs budgeted output")
+	requireSameCounters(t, budgetedStats, stats, "budgeted wordcount vs reference")
 }

@@ -8,25 +8,15 @@ import (
 	"blackboxflow/internal/transport"
 )
 
-// This file is the engine's seam into internal/obs: span recording for the
-// execution paths (plain, chained, combined, spilled) and histogram
-// observations for ship time and spill run sizes. Tracing is always-on-
+// This file is the engine's seam into internal/obs: the pre-timed spans
+// the pipeline folds in after the fact (per-worker transport, per-partition
+// spill-write, external merge) and histogram observations for ship time and
+// spill run sizes; operator and phase spans are opened in pipeline.go. Tracing is always-on-
 // capable at near-zero cost: spans are recorded at operator/phase
 // granularity (a handful of mutex acquisitions per operator, never per
 // record), hot loops accumulate into per-partition locals that are folded
 // into pre-timed spans at operator end (Trace.Import), and a nil
 // Engine.Trace reduces every hook to a nil check.
-
-// shipParent returns the span that shuffle/combine sessions nest their
-// spans under: the operator's ship span while exec is mid-ship, else the
-// engine's TraceParent — the case for direct Engine.Shuffle calls
-// (benchmarks, tests).
-func (e *Engine) shipParent() obs.SpanID {
-	if e.curShip != 0 {
-		return e.curShip
-	}
-	return e.TraceParent
-}
 
 // foldWireSpans imports one transport span per worker connection of a
 // finished shuffle session: the bytes and frames that crossed the wire to

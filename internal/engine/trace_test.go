@@ -1,10 +1,17 @@
 package engine
 
 import (
+	"context"
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
+	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/obs"
+	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
+	"blackboxflow/internal/tac"
 	"blackboxflow/internal/transport"
 )
 
@@ -219,5 +226,132 @@ func TestTracedShuffleAllocOverhead(t *testing.T) {
 
 	if delta := traced - plain; delta > 16 {
 		t.Fatalf("tracing adds %.0f allocs per shuffle (plain %.0f, traced %.0f); span recording must stay O(1)", delta, plain, traced)
+	}
+}
+
+// failingChainPlan builds in → ok → bad → consumer with both Maps Chained:
+// under a Sink the chain runs in the plan root's materialising loop, under
+// a shuffled Reduce it is fused into the shuffle senders. bad divides by
+// zero on records whose field 1 is zero.
+func failingChainPlan(t *testing.T, intoSender bool) *optimizer.PhysPlan {
+	t.Helper()
+	prog := tac.MustParse(`
+func map ok($ir) {
+	emit $ir
+}
+func map bad($ir) {
+	$v := getfield $ir 1
+	$x := 1 / $v
+	emit $ir
+}
+func reduce tally($g) {
+	$r := groupget $g 0
+	emit $r
+}`)
+	node := &optimizer.PhysPlan{Op: &dataflow.Operator{Name: "in", Kind: dataflow.KindSource}}
+	for _, name := range []string{"ok", "bad"} {
+		node = &optimizer.PhysPlan{
+			Op:      &dataflow.Operator{Name: name, Kind: dataflow.KindMap, UDF: getUDF(t, prog, name)},
+			Inputs:  []*optimizer.PhysPlan{node},
+			Ship:    []optimizer.Shipping{optimizer.ShipForward},
+			Chained: true,
+		}
+	}
+	if intoSender {
+		node = &optimizer.PhysPlan{
+			Op:     &dataflow.Operator{Name: "tally", Kind: dataflow.KindReduce, UDF: getUDF(t, prog, "tally"), Keys: [][]int{{0}}},
+			Inputs: []*optimizer.PhysPlan{node},
+			Ship:   []optimizer.Shipping{optimizer.ShipPartition},
+			Local:  optimizer.LocalSortGroup,
+		}
+	}
+	return &optimizer.PhysPlan{
+		Op:     &dataflow.Operator{Name: "out", Kind: dataflow.KindSink},
+		Inputs: []*optimizer.PhysPlan{node},
+		Ship:   []optimizer.Shipping{optimizer.ShipForward},
+	}
+}
+
+// TestTraceFailedFusedChain pins what a trace shows when a fused Map chain
+// fails — by a UDF error or by cancellation, at the plan root or fused into
+// shuffle senders. Every operator that started has a span, the operators of
+// the stage that failed carry the error, finished operators stay clean, and
+// nothing is left open. (The chained executor used to record its spans only
+// after success: a failed chain left a trace that stopped, clean, at the
+// source.)
+func TestTraceFailedFusedChain(t *testing.T) {
+	const n = 200000
+	for _, tc := range []struct {
+		name       string
+		intoSender bool
+		cancel     bool
+	}{
+		{"udf error at root", false, false},
+		{"udf error in sender", true, false},
+		{"cancel at root", false, true},
+		{"cancel in sender", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := make(record.DataSet, n)
+			for i := range data {
+				v := int64(1)
+				if !tc.cancel && i == n/2 {
+					v = 0 // bad fails here
+				}
+				data[i] = record.Record{record.Int(int64(i % 100)), record.Int(v)}
+			}
+			e := New(2)
+			e.AddSource("in", data)
+			tr := obs.NewTrace(tc.name)
+			e.Trace = tr
+			consumer := "out"
+			if tc.intoSender {
+				consumer = "tally"
+			}
+
+			cause := errors.New("cancelled inside the chain")
+			ctx, cancel := context.WithCancelCause(context.Background())
+			defer cancel(nil)
+			if tc.cancel {
+				// Cancel as soon as the consumer's span opens: the chain's
+				// fused loop over 200k records starts right after it.
+				go func() {
+					for ctx.Err() == nil {
+						if _, ok := findSpan(tr, obs.KindOp, consumer); ok {
+							cancel(cause)
+						}
+						runtime.Gosched()
+					}
+				}()
+			}
+			_, _, err := e.RunContext(ctx, failingChainPlan(t, tc.intoSender))
+			if err == nil {
+				t.Fatal("run succeeded")
+			}
+			if tc.cancel && !errors.Is(err, cause) {
+				t.Fatalf("err = %v, want the cancellation cause", err)
+			}
+			if !tc.cancel && !strings.Contains(err.Error(), "engine: bad:") {
+				t.Fatalf("err = %v, want it attributed to operator bad", err)
+			}
+
+			if src, ok := findSpan(tr, obs.KindOp, "in"); !ok || src.Err != "" {
+				t.Fatalf("source span missing or failed (ok=%v err=%q); trace:\n%s", ok, src.Err, tr.Table())
+			}
+			for _, name := range []string{"ok", "bad", consumer} {
+				s, ok := findSpan(tr, obs.KindOp, name)
+				if !ok {
+					t.Fatalf("no span for operator %s; trace:\n%s", name, tr.Table())
+				}
+				if s.Err != err.Error() {
+					t.Fatalf("operator %s span error %q, want %q", name, s.Err, err.Error())
+				}
+			}
+			for _, s := range tr.Spans()[1:] {
+				if s.End.IsZero() {
+					t.Fatalf("span %q (%s) left open", s.Name, s.Kind)
+				}
+			}
+		})
 	}
 }

@@ -82,7 +82,7 @@ func Sweep(name string, flow *dataflow.Flow, data map[string]record.DataSet, dop
 	est := optimizer.NewEstimator(flow)
 
 	start := time.Now()
-	ranked := optimizer.RankAll(tree, est, dop)
+	ranked := optimizer.RankAllNet(tree, est, dop, 0, optimizer.NetProfile{})
 	enumTime := time.Since(start)
 
 	res := &SweepResult{Name: name, TotalPlans: len(ranked), EnumTime: enumTime}

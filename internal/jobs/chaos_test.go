@@ -10,9 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/faultfs"
 	"blackboxflow/internal/obs"
 	"blackboxflow/internal/record"
+	"blackboxflow/internal/tac"
 )
 
 // This file is the scheduler half of the chaos equivalence suite: seeded
@@ -147,76 +149,121 @@ func TestFaultSchedulerReleasesOnDiskError(t *testing.T) {
 	}
 }
 
+// failingChainSpec is groupSpec with two Maps in the flow, the second of
+// which divides by zero on its first record and cannot move past the
+// Reduce: the optimizer fuses it into the Reduce's shuffle senders, so the
+// failure happens inside a fused chain.
+func failingChainSpec(t *testing.T, seed int64) Spec {
+	t.Helper()
+	prog := tac.MustParse(`
+func map pass($ir) {
+	emit $ir
+}
+func map boom($ir) {
+	$v := getfield $ir 1
+	$x := $v / 0
+	emit $ir
+}`)
+	spec := groupSpec(t, seed, 2000, 50)
+	f := dataflow.NewFlow()
+	src := f.Source("in", []string{"k", "v"}, dataflow.Hints{Records: 2000, AvgWidthBytes: 20})
+	m1 := f.Map("pass", prog.Funcs["pass"], src, dataflow.Hints{})
+	m2 := f.Map("boom", prog.Funcs["boom"], m1, dataflow.Hints{})
+	red := f.Reduce("tally", testProg.Funcs["tally"], []string{"k"}, m2, dataflow.Hints{KeyCardinality: 50})
+	f.SetSink("out", red)
+	if err := f.DeriveEffects(false); err != nil {
+		t.Fatal(err)
+	}
+	spec.Flow = f
+	return spec
+}
+
 // TestFaultTraceAttribution pins the observability half of the failure
-// model: a job killed by an injected disk fault must leave a finalized
-// trace — root span closed and carrying the job's error — with the
-// failure attributed to a span below the root (the phase that absorbed
-// it), and the pooled engine's reset must not leak spans from the faulted
-// job into the next job's trace.
+// model: a job killed by an injected disk fault — or by a UDF error inside
+// a fused Map chain, which used to leave no operator span at all — must
+// leave a finalized trace: root span closed and carrying the job's error,
+// the failure attributed to a span below the root (the operator and phase
+// that absorbed it), every span closed, and the pooled engine's reset must
+// not leak spans from the failed job into the next job's trace.
 func TestFaultTraceAttribution(t *testing.T) {
 	dir := t.TempDir()
-	// at=3 fails the first spill-file create or write inside the engine.
-	inj := faultfs.NewInjector(faultfs.OS{}, 3, faultfs.ENOSPC)
-	s := New(Config{MaxConcurrent: 1, DOP: 4, SpillDir: dir, FS: inj})
+	for _, tc := range []struct {
+		name string
+		// at=3 fails the first spill-file create or write inside the engine.
+		fs     faultfs.FS
+		failed func(*testing.T, int64) Spec
+		// failedOps are operators whose spans must carry the failure.
+		failedOps []string
+	}{
+		{"disk fault", faultfs.NewInjector(faultfs.OS{}, 3, faultfs.ENOSPC), spillingGroupSpec, []string{"tally"}},
+		{"fused chain UDF error", nil, failingChainSpec, []string{"boom", "tally"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{MaxConcurrent: 1, DOP: 4, SpillDir: dir, FS: tc.fs})
 
-	j, err := s.Submit(spillingGroupSpec(t, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, jerr := waitTerminal(t, j, "faulted job")
-	if jerr == nil {
-		t.Fatal("job succeeded; the fault never reached it")
-	}
+			j, err := s.Submit(tc.failed(t, 42))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, jerr := waitTerminal(t, j, "failed job")
+			if jerr == nil {
+				t.Fatal("job succeeded; the fault never reached it")
+			}
 
-	tr := j.Trace()
-	root := tr.Spans()[0]
-	if root.End.IsZero() {
-		t.Fatal("faulted job's root span left open")
-	}
-	if root.Err != jerr.Error() {
-		t.Fatalf("root span error %q, want the job error %q", root.Err, jerr.Error())
-	}
-	attributed := false
-	for _, sp := range tr.Spans()[1:] {
-		if sp.Err != "" {
-			attributed = true
-		}
-		if sp.End.IsZero() {
-			t.Fatalf("span %q (%s) left open on the faulted job", sp.Name, sp.Kind)
-		}
-	}
-	if !attributed {
-		t.Fatalf("no span below the root carries the failure; trace:\n%s", tr.Table())
-	}
-	frozen := tr.Len()
+			tr := j.Trace()
+			root := tr.Spans()[0]
+			if root.End.IsZero() {
+				t.Fatal("failed job's root span left open")
+			}
+			if root.Err != jerr.Error() {
+				t.Fatalf("root span error %q, want the job error %q", root.Err, jerr.Error())
+			}
+			failedOps := map[string]bool{}
+			for _, sp := range tr.Spans()[1:] {
+				if sp.Err != "" && sp.Kind == obs.KindOp {
+					failedOps[sp.Name] = true
+				}
+				if sp.End.IsZero() {
+					t.Fatalf("span %q (%s) left open on the failed job", sp.Name, sp.Kind)
+				}
+			}
+			for _, name := range tc.failedOps {
+				if !failedOps[name] {
+					t.Fatalf("operator %s has no failed span; trace:\n%s", name, tr.Table())
+				}
+			}
+			frozen := tr.Len()
 
-	// The engine went back to the pool; the next job gets its own trace and
-	// the faulted job's stays frozen — no spans leak across the reset.
-	j2, err := s.Submit(spillingGroupSpec(t, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := waitTerminal(t, j2, "rerun"); err != nil {
-		t.Fatalf("rerun on the faulted job's engine failed: %v", err)
-	}
-	if tr.Len() != frozen {
-		t.Fatalf("faulted job's trace grew from %d to %d spans after its engine ran another job", frozen, tr.Len())
-	}
-	tr2 := j2.Trace()
-	if tr2 == tr {
-		t.Fatal("rerun shares the faulted job's trace")
-	}
-	if tr2.Spans()[0].Err != "" {
-		t.Fatalf("clean rerun's root span carries an error: %q", tr2.Spans()[0].Err)
-	}
-	ops := 0
-	for _, sp := range tr2.Spans() {
-		if sp.Kind == obs.KindOp {
-			ops++
-		}
-	}
-	if ops == 0 {
-		t.Fatalf("rerun's trace has no operator spans; trace:\n%s", tr2.Table())
+			// The engine went back to the pool; the next job gets its own
+			// trace and the failed job's stays frozen — no spans leak across
+			// the reset.
+			j2, err := s.Submit(spillingGroupSpec(t, 42))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := waitTerminal(t, j2, "rerun"); err != nil {
+				t.Fatalf("rerun on the failed job's engine failed: %v", err)
+			}
+			if tr.Len() != frozen {
+				t.Fatalf("failed job's trace grew from %d to %d spans after its engine ran another job", frozen, tr.Len())
+			}
+			tr2 := j2.Trace()
+			if tr2 == tr {
+				t.Fatal("rerun shares the failed job's trace")
+			}
+			if tr2.Spans()[0].Err != "" {
+				t.Fatalf("clean rerun's root span carries an error: %q", tr2.Spans()[0].Err)
+			}
+			ops := 0
+			for _, sp := range tr2.Spans() {
+				if sp.Kind == obs.KindOp {
+					ops++
+				}
+			}
+			if ops == 0 {
+				t.Fatalf("rerun's trace has no operator spans; trace:\n%s", tr2.Table())
+			}
+		})
 	}
 }
 

@@ -4,7 +4,7 @@ package jobs
 // at sustained multi-tenant traffic the service re-sees the same job
 // documents over and over, and without a cache every submission pays
 // PactScript compilation, static analysis, and — far worse — the full
-// reordering enumeration of optimizer.RankAllBudget. The cache has two
+// reordering enumeration of optimizer.RankAllNet. The cache has two
 // levels, both bounded LRUs:
 //
 //   - the *flow* level maps a document digest (script text, flow wiring,
@@ -13,7 +13,7 @@ package jobs
 //     frontend.Compile and sca analysis on a hit
 //     (Scheduler.ParseScriptJob);
 //   - the *plan* level maps (digest, budget tier, DOP) to the optimized
-//     physical plan and its cost estimate, skipping RankAllBudget in
+//     physical plan and its cost estimate, skipping RankAllNet in
 //     Scheduler.execute and giving Submit's cost-based backpressure a
 //     free estimate.
 //
@@ -57,7 +57,7 @@ type planKey struct {
 	dop  int
 }
 
-// planEntry is a cached optimized plan and the cost RankAllBudget
+// planEntry is a cached optimized plan and the cost RankAllNet
 // estimated for it (reused by cost-based backpressure).
 type planEntry struct {
 	plan *optimizer.PhysPlan

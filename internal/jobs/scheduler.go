@@ -10,7 +10,7 @@
 // queue head is admitted only when the outstanding grants plus its own fit
 // under the global budget and an engine slot is free. The grant is not just
 // a gate — it flows into the optimizer's spill-cost model
-// (optimizer.RankAllBudget picks plans knowing how much memory the job will
+// (optimizer.RankAllNet picks plans knowing how much memory the job will
 // actually have) and into the engine's spill receivers
 // (Engine.MemoryBudget), so an admitted job both plans for and is held to
 // its share. Queueing is strictly FIFO: a large job at the head blocks
@@ -112,7 +112,7 @@ type Config struct {
 	// MaxQueuedCost is the ceiling on the summed optimizer cost
 	// estimates of queued jobs: a Submit that would have to wait behind
 	// queued work already at the ceiling returns ErrBackpressure. Cost
-	// is the optimizer's abstract total (the unit RankAllBudget sorts
+	// is the optimizer's abstract total (the unit RankAllNet sorts
 	// by). Zero disables cost-based backpressure.
 	MaxQueuedCost float64
 	// FS is the filesystem seam under the per-job spill directories and
@@ -700,7 +700,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 // estimateCost returns the optimizer's cost estimate for the spec under
 // its grant: the cached plan's exact ranked cost when the plan cache has
 // one, else a single physical optimization of the submitted operator
-// order — much cheaper than RankAllBudget's full enumeration, and close
+// order — much cheaper than RankAllNet's full enumeration, and close
 // enough for admission arithmetic (execute still optimizes properly).
 func (s *Scheduler) estimateCost(spec Spec, grant, dop int) float64 {
 	if s.planCache != nil && spec.PlanKey != "" {

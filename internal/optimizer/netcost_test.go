@@ -29,20 +29,28 @@ func TestNetProfileCost(t *testing.T) {
 }
 
 // TestRankAllNetZeroProfileMatchesBudget: an unmeasured profile must leave
-// the ranking exactly as RankAllBudget produces it — same alternatives,
-// same costs, same order — so single-process runs are unaffected by the
-// transport-aware path existing.
+// the ranking exactly as a budget-only physical optimizer (no Net set)
+// costs it — same alternatives, same costs, ascending order — so
+// single-process runs are unaffected by the transport-aware path existing.
 func TestRankAllNetZeroProfileMatchesBudget(t *testing.T) {
 	f, tree := buildJoinCostFlow(t, 15000, 2500)
-	base := RankAllBudget(tree, NewEstimator(f), 8, 64<<10)
+	po := NewPhysicalOptimizer(NewEstimator(f), 8)
+	po.MemoryBudget = 64 << 10
+	base := map[string]float64{}
+	for _, a := range NewEnumerator().Enumerate(tree) {
+		base[a.Key()] = po.Optimize(a).Cost.Total(po.Weights)
+	}
 	net := RankAllNet(tree, NewEstimator(f), 8, 64<<10, NetProfile{})
 	if len(base) != len(net) {
 		t.Fatalf("rankings differ in length: %d vs %d", len(base), len(net))
 	}
-	for i := range base {
-		if base[i].Cost != net[i].Cost || base[i].Tree.Key() != net[i].Tree.Key() {
-			t.Fatalf("rank %d differs: %q cost %g vs %q cost %g",
-				i+1, base[i].Tree.Key(), base[i].Cost, net[i].Tree.Key(), net[i].Cost)
+	for i, rp := range net {
+		if want, ok := base[rp.Tree.Key()]; !ok || want != rp.Cost {
+			t.Fatalf("rank %d: %q cost %g, budget-only optimizer costs it %g (known=%v)",
+				i+1, rp.Tree.Key(), rp.Cost, want, ok)
+		}
+		if i > 0 && net[i-1].Cost > rp.Cost {
+			t.Fatalf("rank %d (cost %g) sorts after rank %d (cost %g)", i+1, rp.Cost, i, net[i-1].Cost)
 		}
 	}
 }

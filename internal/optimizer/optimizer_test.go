@@ -751,12 +751,12 @@ func TestPhysicalPartitioningReuse(t *testing.T) {
 	}
 }
 
-// TestRankAllOrdering: RankAll returns plans sorted by cost with 1-based
+// TestRankAllOrdering: RankAllNet returns plans sorted by cost with 1-based
 // ranks.
 func TestRankAllOrdering(t *testing.T) {
 	f, tree := buildJoinFlow(t, "ra")
 	est := NewEstimator(f)
-	ranked := RankAll(tree, est, 4)
+	ranked := RankAllNet(tree, est, 4, 0, NetProfile{})
 	if len(ranked) != 2 {
 		t.Fatalf("ranked %d plans", len(ranked))
 	}

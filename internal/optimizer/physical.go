@@ -601,26 +601,15 @@ type RankedPlan struct {
 	Enum *EnumStats
 }
 
-// RankAll enumerates all reorderings of the flow tree, physically optimizes
-// each, and returns them sorted by ascending estimated cost — the procedure
-// behind the paper's Figures 5–7.
-func RankAll(t *Tree, est *Estimator, dop int) []RankedPlan {
-	return RankAllBudget(t, est, dop, 0)
-}
-
-// RankAllBudget is RankAll with a memory budget (bytes; zero = unlimited)
-// threaded into the physical optimizer, so the ranking includes the
-// spill-aware disk term for shuffled grouping operators.
-func RankAllBudget(t *Tree, est *Estimator, dop int, memoryBudget float64) []RankedPlan {
-	return RankAllNet(t, est, dop, memoryBudget, NetProfile{})
-}
-
-// RankAllNet is RankAllBudget with a measured transport profile threaded
-// into the physical optimizer: shuffle byte volumes are scaled against the
-// reference network and every shuffle barrier is charged the measured
-// round-trip latency, so rankings computed for a distributed deployment
-// reflect the wire the job will actually cross. The zero profile makes it
-// exactly RankAllBudget.
+// RankAllNet enumerates all reorderings of the flow tree, physically
+// optimizes each, and returns them sorted by ascending estimated cost — the
+// procedure behind the paper's Figures 5–7, and the optimizer's one ranked
+// entry point. memoryBudget (bytes; zero = unlimited) adds the spill-aware
+// disk term for shuffled grouping and join operators; net is a measured
+// transport profile: shuffle byte volumes are scaled against the reference
+// network and every shuffle barrier is charged the measured round-trip
+// latency, so rankings computed for a distributed deployment reflect the
+// wire the job will actually cross. The zero profile prices no network.
 func RankAllNet(t *Tree, est *Estimator, dop int, memoryBudget float64, net NetProfile) []RankedPlan {
 	enum := NewEnumerator()
 	alts := enum.Enumerate(t)

@@ -8,7 +8,7 @@
 // The cost model prices the engine's optimized execution paths so that
 // enumeration can trade them off: combinable Reduces are charged the
 // combined (key-bounded) shuffle volume, and — when a memory budget is set
-// (PhysicalOptimizer.MemoryBudget, RankAllBudget) — shuffled groupings
+// (PhysicalOptimizer.MemoryBudget, RankAllNet) — shuffled groupings
 // whose receiver volume overflows the budget are charged the disk traffic
 // of sorting, spilling, and externally merging the overflow (spillCost),
 // which steers plan choice toward combinable and forward-shipping

@@ -130,7 +130,7 @@ func TestCostOrderingPrefersFilterFirst(t *testing.T) {
 	task, _ := Build(ModeSCA, g)
 	tree, _ := optimizer.FromFlow(task.Flow)
 	est := optimizer.NewEstimator(task.Flow)
-	ranked := optimizer.RankAll(tree, est, 4)
+	ranked := optimizer.RankAllNet(tree, est, 4, 0, optimizer.NetProfile{})
 	best, worst := ranked[0], ranked[len(ranked)-1]
 	if worst.Cost < 3*best.Cost {
 		t.Errorf("cost spread too small: %.0f vs %.0f", best.Cost, worst.Cost)

@@ -224,7 +224,7 @@ func TestQ7BestPlanPushesFilterDown(t *testing.T) {
 	q, _ := BuildQ7(ModeSCA, g)
 	tree, _ := optimizer.FromFlow(q.Flow)
 	est := optimizer.NewEstimator(q.Flow)
-	ranked := optimizer.RankAll(tree, est, 8)
+	ranked := optimizer.RankAllNet(tree, est, 8, 0, optimizer.NetProfile{})
 	best := ranked[0].Tree
 
 	// Find the filter_shipdate node: its child must be the lineitem source.
