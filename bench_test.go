@@ -8,10 +8,13 @@
 package blackboxflow_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
 	"testing"
 	"time"
 
@@ -19,6 +22,7 @@ import (
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/engine"
 	"blackboxflow/internal/experiments"
+	"blackboxflow/internal/jobs"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/sca"
@@ -1059,6 +1063,116 @@ const repeatedScriptsDoc = `{
   }
 }`
 
+// q7IngestDoc is the end-to-end benchmark's q7.warm document (TPC-H Q7 at
+// SF 4 with inline rows, ≈0.58 MB; bench/workloads.go is a nested module,
+// so the wiring is repeated here) for the ingest sub-benchmarks. The
+// shipdate bound appears once, as q7IngestHiToken, so a caller can vary the script
+// without touching the data; pads are the offsets of padLen bytes of
+// whitespace at the head of each source's rows, which a caller rewrites to
+// get the same rows in bytes never seen before.
+func q7IngestDoc(b *testing.B) (doc []byte, pads []int) {
+	g := &tpch.GenParams{SF: 4, Seed: 1}
+	q, err := tpch.BuildQ7(tpch.ModeManual, g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := q.Flow
+	data := g.Generate(f)
+	rows := map[string][]jobs.Row{}
+	var sources []jobs.SourceDef
+	var extra []string
+	inSource := map[int]bool{}
+	for _, op := range f.Operators() {
+		if op.Kind != dataflow.KindSource {
+			continue
+		}
+		src := jobs.SourceDef{Name: op.Name}
+		idx := op.SourceAttrs.Sorted()
+		for _, i := range idx {
+			src.Attrs = append(src.Attrs, f.AttrName(i))
+			inSource[i] = true
+		}
+		sources = append(sources, src)
+		for _, rec := range data[op.Name] {
+			rows[op.Name] = append(rows[op.Name], jobs.EncodeRow(rec.Project(idx)))
+		}
+	}
+	for i := 0; i < f.NumAttrs(); i++ {
+		if !inSource[i] {
+			extra = append(extra, f.AttrName(i))
+		}
+	}
+	script := fmt.Sprintf(`
+map filterShipdate(ir) { d := ir[%[1]d] if d >= %[2]d && d <= %[3]d { emit ir } }
+match concatJoin(l, r) { o := concat(l, r) emit o }
+map filterNationPair(ir) {
+	n1 := ir[%[4]d]
+	n2 := ir[%[5]d]
+	if (n1 == %[6]q && n2 == %[7]q) || (n1 == %[7]q && n2 == %[6]q) { emit ir }
+}
+reduce partialVolume(g) { first := g.at(0) out := copy(first) out[%[8]d] = sum(g, %[8]d) emit out }
+reduce sumVolume(g) {
+	first := g.at(0)
+	out := new()
+	out[%[4]d] = first[%[4]d]
+	out[%[5]d] = first[%[5]d]
+	out[%[9]d] = first[%[9]d]
+	out[%[10]d] = sum(g, %[8]d)
+	emit out
+}`, f.Attr("l_shipdate"), tpch.Q7DateLo, q7IngestHiToken,
+		f.Attr("n1_name"), f.Attr("n2_name"), tpch.NationX, tpch.NationY,
+		f.Attr("l_revenue"), f.Attr("o_year"), f.Attr("volume"))
+	join := func(name, in, right, lk, rk string, card int) jobs.OpDef {
+		return jobs.OpDef{Kind: "match", Name: name, UDF: "concatJoin", Inputs: []string{in, right},
+			Keys: [][]string{{lk}, {rk}}, KeyCardinality: float64(card)}
+	}
+	doc, err = json.Marshal(&jobs.ScriptJob{
+		Name: "q7", Script: script, Data: rows,
+		Flow: jobs.FlowDef{
+			Attrs: extra, Sources: sources, Sink: "agg_volume",
+			Ops: []jobs.OpDef{
+				{Kind: "map", Name: "filter_shipdate", UDF: "filterShipdate", Inputs: []string{"lineitem"}, Selectivity: g.DateSelectivity()},
+				join("join_l_s", "filter_shipdate", "supplier", "l_suppkey", "s_key", g.Suppliers()),
+				join("join_l_o", "join_l_s", "orders", "l_orderkey", "o_key", g.Orders()),
+				join("join_o_c", "join_l_o", "customer", "o_custkey", "c_key", g.Customers()),
+				join("join_c_n1", "join_o_c", "nation1", "c_nationkey", "n1_key", tpch.NumNations),
+				join("join_s_n2", "join_c_n1", "nation2", "s_nationkey", "n2_key", tpch.NumNations),
+				{Kind: "map", Name: "filter_nation_pair", UDF: "filterNationPair", Inputs: []string{"join_s_n2"},
+					Selectivity: 2.0 / (tpch.NumNations * tpch.NumNations)},
+				{Kind: "reduce", Name: "agg_volume", UDF: "sumVolume", Combiner: "partialVolume", Inputs: []string{"filter_nation_pair"},
+					Keys: [][]string{{"n1_name", "n2_name", "o_year"}}, KeyCardinality: 14, Selectivity: 1},
+			},
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if bytes.Count(doc, []byte(q7IngestHiPrefix+strconv.Itoa(q7IngestHiToken))) != 1 {
+		b.Fatal("the shipdate bound does not appear exactly once in the document")
+	}
+	for _, src := range sources {
+		head := []byte(`"` + src.Name + `":[`)
+		at := bytes.Index(doc, head)
+		if at < 0 || bytes.Count(doc, head) != 1 {
+			b.Fatalf("source %q not found exactly once", src.Name)
+		}
+		at += len(head)
+		doc = append(doc[:at], append(bytes.Repeat([]byte(" "), q7IngestPadLen), doc[at:]...)...)
+	}
+	for _, src := range sources {
+		pads = append(pads, bytes.Index(doc, []byte(`"`+src.Name+`":[`))+len(src.Name)+4)
+	}
+	return doc, pads
+}
+
+const (
+	// The shipdate bound as json.Marshal writes it, and a value with room
+	// for 1000 variants of the same width.
+	q7IngestHiPrefix = `d \u003c= `
+	q7IngestHiToken  = 100000000 + tpch.Q7DateHi
+	q7IngestPadLen   = 16
+)
+
 // BenchmarkRepeatedScripts measures what the plan cache is for: the
 // per-job submit-to-start latency of re-submitting the same script
 // document, cold (caching disabled, every submission recompiles) versus
@@ -1066,7 +1180,9 @@ const repeatedScriptsDoc = `{
 // BENCH_svc.json baseline that cmd/benchguard enforces. A third
 // sub-benchmark drives the same document from several tenants at once under
 // quotas and a shared budget, and fails if the scheduler ever exceeds the
-// global budget or lets a tenant past its caps.
+// global budget or lets a tenant past its caps. The ingest sub-benchmarks
+// time Scheduler.ParseScriptJob alone on a Q7 SF 4 document, at the three
+// levels the ingest caches can answer from.
 func BenchmarkRepeatedScripts(b *testing.B) {
 	raw := []byte(repeatedScriptsDoc)
 
@@ -1206,5 +1322,60 @@ func BenchmarkRepeatedScripts(b *testing.B) {
 		b.ReportMetric(float64(global), "global-budget-B")
 		b.ReportMetric(float64(tenantPeakRun), "tenant-peak-running")
 		b.ReportMetric(float64(maxRun), "tenant-cap")
+	})
+
+	// Ingest: raw bytes to Spec, nothing submitted. Each mode parses the
+	// document once outside the timer, so the flow cache is warm wherever
+	// the script repeats.
+	ingest := func(name string, next func(doc []byte, pads []int, i int), check func(b *testing.B, m blackboxflow.JobMetrics)) {
+		b.Run("ingest/"+name, func(b *testing.B) {
+			doc, pads := q7IngestDoc(b)
+			s := blackboxflow.NewScheduler(blackboxflow.SchedulerConfig{MaxConcurrent: 1, DOP: 2})
+			if _, err := s.ParseScriptJob(doc); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next(doc, pads, i+1)
+				if _, err := s.ParseScriptJob(doc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			check(b, s.Metrics())
+		})
+	}
+	// miss: the same rows in bytes never seen before (the whitespace pad at
+	// the head of every source counts up in base 4), so the document memo
+	// and the source cache miss, every source is digested, decoded and
+	// inserted — past the byte ceiling, evicting — while the script's flow
+	// is cached.
+	ingest("miss", func(doc []byte, pads []int, i int) {
+		for _, at := range pads {
+			for k, n := 0, i; k < q7IngestPadLen; k, n = k+1, n/4 {
+				doc[at+k] = " \t\n\r"[n%4]
+			}
+		}
+	}, func(b *testing.B, m blackboxflow.JobMetrics) {
+		if m.FlowCacheMisses != 1 || m.SourceCacheHits != 0 {
+			b.Fatalf("flow misses %d, source hits %d: not the miss path", m.FlowCacheMisses, m.SourceCacheHits)
+		}
+	})
+	// source-hit: a new script over the same rows (the q7.coldplan shape):
+	// the document and the flow miss, every source is served decoded.
+	ingest("source-hit", func(doc []byte, _ []int, i int) {
+		at := bytes.Index(doc, []byte(q7IngestHiPrefix)) + len(q7IngestHiPrefix)
+		copy(doc[at:], strconv.Itoa(q7IngestHiToken+i%1000))
+	}, func(b *testing.B, m blackboxflow.JobMetrics) {
+		if m.SourceCacheMisses != 6 || m.SourceCacheHits != 6*int64(b.N) {
+			b.Fatalf("source hits/misses %d/%d: not the source-hit path", m.SourceCacheHits, m.SourceCacheMisses)
+		}
+	})
+	// doc-hit: the same bytes again; one SHA-256 of the body and look-ups.
+	ingest("doc-hit", func([]byte, []int, int) {}, func(b *testing.B, m blackboxflow.JobMetrics) {
+		if m.FlowCacheHits != int64(b.N) || m.SourceCacheMisses != 6 {
+			b.Fatalf("flow hits %d, source misses %d: not the replay path", m.FlowCacheHits, m.SourceCacheMisses)
+		}
 	})
 }

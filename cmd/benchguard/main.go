@@ -1,10 +1,10 @@
 // Command benchguard closes the loop between the committed BENCH_*.json
 // baselines and CI: it runs the engine micro-benchmarks (shuffle, net,
 // combiner, spill, joinspill), the job-scheduler benchmark (jobs), the
-// service plan-cache benchmark (svc), and the cold-plan optimizer benchmark
-// (opt), recomputes the headline ratios, and fails when a freshly measured
-// ratio regresses by more than the threshold (default 25%) against the
-// committed baseline.
+// service plan-cache and ingest benchmark (svc), and the cold-plan optimizer
+// benchmark (opt), recomputes the headline ratios, and fails when a freshly
+// measured ratio regresses by more than the threshold (default 25%) against
+// the committed baseline.
 //
 // Ratios — batched-vs-per-record throughput, combined-vs-plain shipped
 // bytes, spill-vs-in-memory runtime (grouping and join) — are compared
@@ -128,6 +128,8 @@ func main() {
 	svcCold := need("BenchmarkRepeatedScripts/cold")
 	svcCached := need("BenchmarkRepeatedScripts/cached")
 	svcMulti := need("BenchmarkRepeatedScripts/multitenant")
+	svcIngestMiss := need("BenchmarkRepeatedScripts/ingest/miss")
+	svcIngestDocHit := need("BenchmarkRepeatedScripts/ingest/doc-hit")
 	optRank := need("BenchmarkRankAllQ7")
 
 	fresh := map[string]float64{
@@ -150,6 +152,8 @@ func main() {
 		"jobs_peak_granted_B":            jobsConc["peak-granted-B"],
 		"jobs_global_budget_B":           jobsConc["global-budget-B"],
 		"svc_cache_speedup":              svcCold["submit-to-start-ns/job"] / svcCached["submit-to-start-ns/job"],
+		"svc_ingest_miss_allocs_op":      svcIngestMiss["allocs/op"],
+		"svc_ingest_doc_hit_speedup":     svcIngestMiss["ns/op"] / svcIngestDocHit["ns/op"],
 		"svc_peak_granted_B":             svcMulti["peak-granted-B"],
 		"svc_global_budget_B":            svcMulti["global-budget-B"],
 		"svc_tenant_peak_running":        svcMulti["tenant-peak-running"],
@@ -233,6 +237,18 @@ func main() {
 	// regression. The miss path has its own gate below.
 	check("service plan-cache speedup", "BENCH_svc.json", "cache_speedup",
 		fresh["svc_cache_speedup"], false, 2)
+	// Ingest of a Q7 SF 4 document whose bytes were never seen (every
+	// source digested, decoded and inserted) is gated on allocations per
+	// parse — a count, one slab chunk per ~1.5 MB of rows and not one
+	// object per row or value (385,326 before the single-pass decoder) —
+	// with the optimizer gate's 10% headroom. The replay of a known
+	// document against that miss is a ratio of two parses of the same bytes
+	// on the same host; the floor catches a replay that started parsing
+	// again, double slack because the replay is a third of a millisecond.
+	check("ingest miss allocs/op", "BENCH_svc.json", "ingest_miss_allocs_per_op",
+		fresh["svc_ingest_miss_allocs_op"], true, 0.4)
+	check("ingest doc-hit vs miss speedup", "BENCH_svc.json", "ingest_doc_hit_speedup",
+		fresh["svc_ingest_doc_hit_speedup"], false, 2)
 	// One cold Q7 ranking exactly as scheduler.execute performs it. Gated on
 	// allocations per ranking, not time: the count is deterministic for a
 	// Go release and identical on every machine, and it is what the interned

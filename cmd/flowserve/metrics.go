@@ -26,6 +26,9 @@ func writeProm(w io.Writer, m jobs.Metrics) error {
 	p.Counter("flowserve_plan_cache_misses_total", "Optimized-plan cache misses.", float64(m.PlanCacheMisses))
 	p.Counter("flowserve_flow_cache_hits_total", "Compiled-flow cache hits.", float64(m.FlowCacheHits))
 	p.Counter("flowserve_flow_cache_misses_total", "Compiled-flow cache misses.", float64(m.FlowCacheMisses))
+	p.Counter("flowserve_source_cache_hits_total", "Inline sources served decoded by the source cache.", float64(m.SourceCacheHits))
+	p.Counter("flowserve_source_cache_misses_total", "Inline sources that had to be decoded.", float64(m.SourceCacheMisses))
+	p.Counter("flowserve_source_cache_evictions_total", "Decoded sources evicted from the source cache.", float64(m.SourceCacheEvictions))
 	p.Counter("flowserve_worker_fallbacks_total", "Jobs run in-process because no worker was healthy.", float64(m.WorkerFallbacks))
 
 	p.Gauge("flowserve_uptime_seconds", "Scheduler age.", m.UptimeSec)
@@ -33,6 +36,8 @@ func writeProm(w io.Writer, m jobs.Metrics) error {
 	p.Gauge("flowserve_jobs_running", "Jobs currently on an engine.", float64(m.Running))
 	p.Gauge("flowserve_granted_budget_bytes", "Memory budget held by running jobs.", float64(m.GrantedBudget))
 	p.Gauge("flowserve_global_budget_bytes", "Shared memory budget.", float64(m.GlobalBudget))
+	p.Gauge("flowserve_source_cache_bytes", "Resident bytes of cached decoded sources.", float64(m.SourceCacheBytes))
+	p.Gauge("flowserve_source_cache_entries", "Decoded sources in the source cache.", float64(m.SourceCacheEntries))
 	p.Gauge("flowserve_queued_cost", "Summed optimizer cost estimates of queued jobs.", m.QueuedCost)
 	if m.Workers > 0 {
 		p.Gauge("flowserve_workers", "Configured flowworker fleet size.", float64(m.Workers))

@@ -127,6 +127,7 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$`
 func TestMetricsProm(t *testing.T) {
 	_, ts := testServer(t, jobs.Config{MaxConcurrent: 1, DOP: 2})
 	submitWait(t, ts.URL, wordcountDoc)
+	submitWait(t, ts.URL, wordcountDoc) // a replay: one source-cache hit
 
 	resp, err := http.Get(ts.URL + "/metrics?format=prom")
 	if err != nil {
@@ -165,11 +166,17 @@ func TestMetricsProm(t *testing.T) {
 		t.Fatalf("prom exposition has %d histogram families, want >= 3", histograms)
 	}
 	for _, want := range []string{
-		"flowserve_jobs_submitted_total 1",
-		"flowserve_job_latency_seconds_count 1",
-		"flowserve_job_latency_seconds_bucket{le=\"+Inf\"} 1",
-		"flowserve_queue_wait_seconds_count 1",
+		"flowserve_jobs_submitted_total 2",
+		"flowserve_job_latency_seconds_count 2",
+		"flowserve_job_latency_seconds_bucket{le=\"+Inf\"} 2",
+		"flowserve_queue_wait_seconds_count 2",
 		"flowserve_uptime_seconds ",
+		"flowserve_flow_cache_hits_total 1",
+		"flowserve_source_cache_hits_total 1",
+		"flowserve_source_cache_misses_total 1",
+		"flowserve_source_cache_evictions_total 0",
+		"flowserve_source_cache_entries 1",
+		"flowserve_source_cache_bytes ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prom exposition misses %q", want)
@@ -181,8 +188,23 @@ func TestMetricsProm(t *testing.T) {
 	if m.UptimeSec <= 0 {
 		t.Errorf("JSON metrics uptime %v", m.UptimeSec)
 	}
-	if m.Histograms["job_latency_seconds"].Count != 1 {
-		t.Errorf("JSON metrics job latency count = %d, want 1", m.Histograms["job_latency_seconds"].Count)
+	if m.Histograms["job_latency_seconds"].Count != 2 {
+		t.Errorf("JSON metrics job latency count = %d, want 2", m.Histograms["job_latency_seconds"].Count)
+	}
+	// The source cache shows under its own names; the flow- and plan-cache
+	// counters keep theirs.
+	var fields map[string]any
+	getJSON(t, ts.URL+"/metrics", &fields)
+	for name, want := range map[string]float64{
+		"flow_cache_hits": 1, "flow_cache_misses": 1, "plan_cache_hits": 1, "plan_cache_misses": 1,
+		"source_cache_hits": 1, "source_cache_misses": 1, "source_cache_evictions": 0, "source_cache_entries": 1,
+	} {
+		if got, ok := fields[name].(float64); !ok || got != want {
+			t.Errorf("JSON metrics %s = %v, want %v", name, fields[name], want)
+		}
+	}
+	if got, _ := fields["source_cache_bytes"].(float64); got <= 0 || int64(got) != m.SourceCacheBytes {
+		t.Errorf("JSON metrics source_cache_bytes = %v", fields["source_cache_bytes"])
 	}
 
 	if status, _ := rawGet(t, ts.URL+"/metrics?format=xml"); status != http.StatusBadRequest {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"blackboxflow/internal/jobs"
+	"blackboxflow/internal/obs"
 )
 
 const wordcountDoc = `{
@@ -104,6 +105,23 @@ func TestSubmitPollResult(t *testing.T) {
 		t.Errorf("counts = %v", counts)
 	}
 
+	// A finished job has let go of its inputs (Job.finish); everything a
+	// client may still ask it for answers as before.
+	var tree obs.Node
+	if resp := getJSON(t, fmt.Sprintf("%s/jobs/%d/trace", ts.URL, id), &tree); resp.StatusCode != http.StatusOK || tree.Kind != obs.KindJob {
+		t.Errorf("trace of a finished job: status %d, root kind %q", resp.StatusCode, tree.Kind)
+	}
+	var withStats struct {
+		Rows  [][]any          `json:"rows"`
+		Stats []map[string]any `json:"stats"`
+	}
+	if resp := getJSON(t, fmt.Sprintf("%s/jobs/%d/result?stats=1", ts.URL, id), &withStats); resp.StatusCode != http.StatusOK || len(withStats.Rows) != 3 || len(withStats.Stats) == 0 {
+		t.Errorf("result?stats=1 of a finished job: status %d, %d rows, %d stats", resp.StatusCode, len(withStats.Rows), len(withStats.Stats))
+	}
+	if status, body := rawGet(t, fmt.Sprintf("%s/jobs/%d/result?stream=1", ts.URL, id)); status != http.StatusOK || !strings.Contains(string(body), `"rows"`) {
+		t.Errorf("streamed result of a finished job: status %d", status)
+	}
+
 	var m jobs.Metrics
 	getJSON(t, ts.URL+"/metrics", &m)
 	if m.Submitted != 1 || m.Succeeded != 1 {
@@ -127,6 +145,17 @@ func TestSubmitErrors(t *testing.T) {
 	}
 	if msg, _ := body["error"].(string); !strings.Contains(msg, "compile") {
 		t.Errorf("bad script error = %q", msg)
+	}
+
+	// Only one document per request: bytes after it used to be ignored.
+	for _, tail := range []string{`{"script": "evil"}`, " trailing"} {
+		resp, body := postJSON(t, ts.URL+"/jobs", wordcountDoc+tail)
+		if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(msg, "jobs: bad job document: ") {
+			t.Errorf("document followed by %q: status %d, error %q", tail, resp.StatusCode, msg)
+		}
+	}
+	if resp, body := postJSON(t, ts.URL+"/jobs?wait=1", wordcountDoc+"\n"); resp.StatusCode != http.StatusOK {
+		t.Errorf("document followed by a newline: status %d, body %v", resp.StatusCode, body)
 	}
 
 	if resp := getJSON(t, ts.URL+"/jobs/999", nil); resp.StatusCode != http.StatusNotFound {

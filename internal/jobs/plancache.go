@@ -3,37 +3,37 @@ package jobs
 // The plan cache makes repeated submissions of the same ScriptJob cheap:
 // at sustained multi-tenant traffic the service re-sees the same job
 // documents over and over, and without a cache every submission pays
-// PactScript compilation, static analysis, and — far worse — the full
-// reordering enumeration of optimizer.RankAllNet. The cache has two
-// levels, both bounded LRUs:
+// PactScript compilation, static analysis, row decoding, and — far worse —
+// the full reordering enumeration of optimizer.RankAllNet. Four bounded
+// LRUs, three filled by ingest (ingest.go; DESIGN.md "Ingest" says what
+// each elides) and one by execute:
 //
-//   - the *flow* level maps a document digest (script text, flow wiring,
-//     and the resolved per-source cardinality hints) to a compiled
-//     dataflow.Flow with effects already derived, skipping
-//     frontend.Compile and sca analysis on a hit
-//     (Scheduler.ParseScriptJob);
-//   - the *plan* level maps (digest, budget tier, DOP) to the optimized
+//   - *docs* maps the digest of a whole raw document to everything ingest
+//     derived from it (the flow digest, the envelope's scalars, the digest
+//     of each source), so a byte-identical replay costs one SHA-256 of the
+//     body plus look-ups;
+//   - *flows* maps a flow digest (script text, flow wiring, and the
+//     resolved per-source cardinality hints) to a compiled dataflow.Flow
+//     with effects already derived, skipping frontend.Compile and sca
+//     analysis on a hit;
+//   - *sources* maps the digest of one source's raw row bytes (under its
+//     attribute layout) to the decoded rows, skipping the decode on a hit;
+//     besides the entry capacity it is bounded by maxSourceCacheBytes of
+//     resident data;
+//   - *plans* maps (flow digest, budget tier, DOP) to the optimized
 //     physical plan and its cost estimate, skipping RankAllNet in
 //     Scheduler.execute and giving Submit's cost-based backpressure a
 //     free estimate.
 //
-// A third, purely latency-motivated memo maps the digest of the raw
-// document bytes to the flow-level digest: re-submitting a byte-identical
-// document (the dominant pattern — dashboards and cron jobs replay the
-// exact same JSON) skips hint resolution and the deterministic re-marshal
-// inside scriptJobHash, leaving JSON decoding of the payload as the only
-// per-submission parse cost. Documents that differ anywhere (even in
-// payload values) miss the memo and fall through to the full digest,
-// which still collapses payload-only variants onto one cache entry.
-//
-// Cached flows and plans are shared read-only across concurrent jobs:
-// neither the engine nor the optimizer mutates operators or plan nodes
-// after construction (TestPlanCacheConcurrentReuse pins this under
-// -race). Sharing is safe for *correctness* regardless of the budget the
-// plan was optimized for — a plan picked for one budget tier still
-// computes the same output under another, the engine enforces the actual
-// grant — which is why grants may be quantized to power-of-two tiers
-// without affecting results, only plan quality within a tier.
+// Cached flows, plans and sources are shared read-only across concurrent
+// jobs: neither the engine nor the optimizer mutates operators, plan nodes
+// or source records after construction (TestPlanCacheConcurrentReuse and
+// TestSourceCacheCanary pin this under -race). Sharing is safe for
+// *correctness* regardless of the budget the plan was optimized for — a
+// plan picked for one budget tier still computes the same output under
+// another, the engine enforces the actual grant — which is why grants may
+// be quantized to power-of-two tiers without affecting results, only plan
+// quality within a tier.
 
 import (
 	"container/list"
@@ -47,6 +47,7 @@ import (
 
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/optimizer"
+	"blackboxflow/internal/record"
 )
 
 // planKey identifies one optimized plan: the document digest plus the
@@ -81,6 +82,8 @@ type lruMap struct {
 	cap int
 	ll  *list.List
 	m   map[any]*list.Element
+	// evicted, when set, is told every value that falls out.
+	evicted func(val any)
 }
 
 type lruItem struct {
@@ -110,33 +113,153 @@ func (l *lruMap) add(k, v any) any {
 	}
 	l.m[k] = l.ll.PushFront(&lruItem{key: k, val: v})
 	for l.ll.Len() > l.cap {
-		oldest := l.ll.Back()
-		l.ll.Remove(oldest)
-		delete(l.m, oldest.Value.(*lruItem).key)
+		l.evictOldest()
 	}
 	return v
 }
 
+func (l *lruMap) evictOldest() {
+	oldest := l.ll.Remove(l.ll.Back()).(*lruItem)
+	delete(l.m, oldest.key)
+	if l.evicted != nil {
+		l.evicted(oldest.val)
+	}
+}
+
 func (l *lruMap) len() int { return l.ll.Len() }
 
-// PlanCache is the scheduler's two-level cache of compiled flows and
-// optimized plans. All methods are safe for concurrent use.
-type PlanCache struct {
-	mu    sync.Mutex
-	flows *lruMap // hash → *dataflow.Flow
-	plans *lruMap // planKey → planEntry
-	docs  *lruMap // raw-document digest → flow-level hash
+// maxSourceCacheBytes caps the decoded rows the source cache keeps
+// resident. A constant, not a knob: it is four times the largest document
+// flowserve accepts (64 MiB), room for the few distinct data sets replayed
+// traffic cycles through, and a source that alone exceeds it is decoded,
+// used and never cached.
+const maxSourceCacheBytes = 256 << 20
 
-	flowHits, flowMisses int64
-	planHits, planMisses int64
+// docKey is the SHA-256 of a whole raw document, sourceKey of one source's
+// attribute layout and raw row bytes (sourceLayout.digest).
+type (
+	docKey    [sha256.Size]byte
+	sourceKey [sha256.Size]byte
+)
+
+// docEntry is what ingest derived from one raw document; with the flow and
+// every source still cached, it rebuilds the document's Spec.
+type docEntry struct {
+	spec    Spec // Flow and Sources are left out: the memo must not pin them
+	sources []namedSource
+}
+
+type namedSource struct {
+	name string
+	key  sourceKey
+}
+
+// PlanCache is the scheduler's cache of ingested documents, compiled
+// flows, decoded sources and optimized plans. All methods are safe for
+// concurrent use.
+type PlanCache struct {
+	mu      sync.Mutex
+	docs    *lruMap // docKey → docEntry
+	flows   *lruMap // hash → *dataflow.Flow
+	sources *lruMap // sourceKey → *source
+	plans   *lruMap // planKey → planEntry
+
+	// sourceBytes sums the resident bytes of the cached sources.
+	sourceBytes int64
+	stats       cacheStats
+}
+
+// cacheStats are the cache's counters as Metrics reports them.
+type cacheStats struct {
+	flowHits, flowMisses     int64
+	planHits, planMisses     int64
+	sourceHits, sourceMisses int64
+	sourceEvictions          int64
 }
 
 func newPlanCache(capacity int) *PlanCache {
-	return &PlanCache{
-		flows: newLRUMap(capacity),
-		plans: newLRUMap(capacity),
-		docs:  newLRUMap(capacity),
+	c := &PlanCache{
+		docs:    newLRUMap(capacity),
+		flows:   newLRUMap(capacity),
+		sources: newLRUMap(capacity),
+		plans:   newLRUMap(capacity),
 	}
+	c.sources.evicted = func(val any) {
+		c.sourceBytes -= val.(*source).resident
+		c.stats.sourceEvictions++
+	}
+	return c
+}
+
+// replay rebuilds the Spec of a document ingested before, provided its
+// flow and every one of its sources are still cached; it counts as one
+// flow-cache hit and one source-cache hit per source. Anything missing
+// leaves the counters alone and the document to parseDocument.
+func (c *PlanCache) replay(key docKey) (Spec, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.docs.get(key)
+	if !ok {
+		return Spec{}, false
+	}
+	e := v.(docEntry)
+	spec := e.spec
+	flow, ok := c.flows.get(spec.PlanKey)
+	if !ok {
+		return Spec{}, false
+	}
+	spec.Flow, spec.CompileCached = flow.(*dataflow.Flow), true
+	spec.Sources = make(map[string]record.DataSet, len(e.sources))
+	for _, ns := range e.sources {
+		src, ok := c.sources.get(ns.key)
+		if !ok {
+			return Spec{}, false
+		}
+		spec.Sources[ns.name] = src.(*source).rows
+	}
+	c.stats.flowHits++
+	c.stats.sourceHits += int64(len(e.sources))
+	spec.CompileDetail = compileDetail("hit", len(e.sources), len(e.sources), 0)
+	return spec, true
+}
+
+func (c *PlanCache) storeDoc(key docKey, e docEntry) {
+	e.spec.Flow, e.spec.Sources = nil, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.docs.add(key, e)
+}
+
+func (c *PlanCache) source(key sourceKey) *source {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.sources.get(key)
+	if !ok {
+		c.stats.sourceMisses++
+		return nil
+	}
+	c.stats.sourceHits++
+	return v.(*source)
+}
+
+// storeSource caches a decoded source and returns the instance now cached
+// under key (racing first submissions of the same bytes converge on one),
+// evicting the coldest sources while the resident bytes exceed the ceiling.
+func (c *PlanCache) storeSource(key sourceKey, src *source) *source {
+	if src.resident > maxSourceCacheBytes {
+		return src
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.sources.get(key); ok {
+		return v.(*source)
+	}
+	c.sources.add(key, src)
+	c.sourceBytes += src.resident
+	for c.sourceBytes > maxSourceCacheBytes {
+		c.sources.evictOldest()
+	}
+	return src
 }
 
 func (c *PlanCache) flow(hash string) (*dataflow.Flow, bool) {
@@ -144,10 +267,10 @@ func (c *PlanCache) flow(hash string) (*dataflow.Flow, bool) {
 	defer c.mu.Unlock()
 	v, ok := c.flows.get(hash)
 	if !ok {
-		c.flowMisses++
+		c.stats.flowMisses++
 		return nil, false
 	}
-	c.flowHits++
+	c.stats.flowHits++
 	return v.(*dataflow.Flow), true
 }
 
@@ -162,10 +285,10 @@ func (c *PlanCache) plan(k planKey) (planEntry, bool) {
 	defer c.mu.Unlock()
 	v, ok := c.plans.get(k)
 	if !ok {
-		c.planMisses++
+		c.stats.planMisses++
 		return planEntry{}, false
 	}
-	c.planHits++
+	c.stats.planHits++
 	return v.(planEntry), true
 }
 
@@ -187,28 +310,12 @@ func (c *PlanCache) storePlan(k planKey, e planEntry) {
 	c.plans.add(k, e)
 }
 
-// docKey returns the memoized flow-level hash for a raw document digest.
-// Uncounted: a memo hit still registers as a flow-cache hit right after.
-func (c *PlanCache) docKey(rawDigest string) (string, bool) {
+// counters snapshots the hit/miss/eviction counters and the source
+// cache's gauges.
+func (c *PlanCache) counters() (st cacheStats, sourceBytes int64, sourceEntries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.docs.get(rawDigest)
-	if !ok {
-		return "", false
-	}
-	return v.(string), true
-}
-
-func (c *PlanCache) storeDocKey(rawDigest, hash string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.docs.add(rawDigest, hash)
-}
-
-func (c *PlanCache) counters() (flowHits, flowMisses, planHits, planMisses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.flowHits, c.flowMisses, c.planHits, c.planMisses
+	return c.stats, c.sourceBytes, c.sources.len()
 }
 
 // scriptJobHash digests everything that determines the compiled flow and

@@ -158,8 +158,8 @@ func TestPlanCacheDisabled(t *testing.T) {
 
 // TestPlanCacheConcurrentReuse pins the sharing-safety claim in
 // plancache.go's package comment: many goroutines parsing, submitting, and
-// running the same document — all sharing one compiled flow and one
-// optimized plan — produce identical results under -race.
+// running the same document — all sharing one compiled flow, one optimized
+// plan and one decoded source — produce identical results under -race.
 func TestPlanCacheConcurrentReuse(t *testing.T) {
 	s := New(Config{MaxConcurrent: 4, DOP: 2})
 	want := map[string]int64{"a": 3, "b": 2, "c": 1}
@@ -205,22 +205,30 @@ func TestPlanCacheConcurrentReuse(t *testing.T) {
 	if m.FlowCacheMisses+m.PlanCacheMisses < 1 {
 		t.Error("no cache misses recorded; the test did not exercise population")
 	}
-	if m.FlowCacheHits == 0 || m.PlanCacheHits == 0 {
+	if m.FlowCacheHits == 0 || m.PlanCacheHits == 0 || m.SourceCacheHits == 0 {
 		t.Errorf("no cache hits across %d identical submissions: %+v", goroutines*perG, m)
+	}
+	// Racing first submissions may each decode the source, but converge on
+	// one cached instance; every parse either hit or missed exactly once.
+	if m.SourceCacheEntries != 1 || m.SourceCacheHits+m.SourceCacheMisses != goroutines*perG {
+		t.Errorf("source cache: %d entries, %d hits + %d misses over %d parses",
+			m.SourceCacheEntries, m.SourceCacheHits, m.SourceCacheMisses, goroutines*perG)
 	}
 }
 
 // TestPlanCacheConcurrentEvictionFault hammers a capacity-2 PlanCache from
 // 8 goroutines with 8 overlapping keys, so every operation races against
-// eviction on all three LRU levels. The assertions are deliberately thin —
+// eviction on all four LRU tables. The assertions are deliberately thin —
 // whatever a get returns must be a value some store put there — because the
 // race detector is the real check here: this pins the locking discipline
 // around lruMap, which is not concurrency-safe on its own.
 func TestPlanCacheConcurrentEvictionFault(t *testing.T) {
 	c := newPlanCache(2)
 	flows := make([]*dataflow.Flow, 8)
+	srcs := make([]*source, 8)
 	for i := range flows {
 		flows[i] = dataflow.NewFlow()
+		srcs[i] = &source{wireSize: i, resident: int64(i + 1)}
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -231,7 +239,8 @@ func TestPlanCacheConcurrentEvictionFault(t *testing.T) {
 				k := (g + i) % 8
 				hash := fmt.Sprintf("h%d", k)
 				pk := planKey{hash: hash, tier: k % 3, dop: 2}
-				switch i % 5 {
+				dk, sk := docKey{byte(k)}, sourceKey{byte(k)}
+				switch i % 6 {
 				case 0:
 					if got := c.storeFlow(hash, flows[k]); got != flows[k] {
 						t.Errorf("storeFlow(%s) returned a flow stored under another key", hash)
@@ -248,9 +257,18 @@ func TestPlanCacheConcurrentEvictionFault(t *testing.T) {
 					}
 					c.peekCost(pk)
 				case 4:
-					c.storeDocKey(hash, hash)
-					if h, ok := c.docKey(hash); ok && h != hash {
-						t.Errorf("docKey(%s) = %s", hash, h)
+					c.storeDoc(dk, docEntry{spec: Spec{PlanKey: hash}, sources: []namedSource{{"s", sk}}})
+					// A replay is all or nothing: the flow and the source
+					// it hands out are the ones stored under its keys.
+					if spec, ok := c.replay(dk); ok && (spec.Flow != flows[k] || spec.PlanKey != hash || len(spec.Sources) != 1) {
+						t.Errorf("replay(%d) = flow %p key %s sources %d", k, spec.Flow, spec.PlanKey, len(spec.Sources))
+					}
+				case 5:
+					if got := c.storeSource(sk, srcs[k]); got != srcs[k] {
+						t.Errorf("storeSource(%d) returned a source stored under another key", k)
+					}
+					if got := c.source(sk); got != nil && got != srcs[k] {
+						t.Errorf("source(%d) returned a source stored under another key", k)
 					}
 				}
 			}
@@ -262,6 +280,18 @@ func TestPlanCacheConcurrentEvictionFault(t *testing.T) {
 	}
 	if n := c.plans.len(); n > 2 {
 		t.Errorf("plan cache holds %d entries, capacity 2", n)
+	}
+	// The byte gauge must equal what is resident after any interleaving of
+	// inserts and evictions.
+	_, resident, entries := c.counters()
+	var want int64
+	for k := range srcs {
+		if _, ok := c.sources.m[sourceKey{byte(k)}]; ok {
+			want += srcs[k].resident
+		}
+	}
+	if entries > 2 || resident != want {
+		t.Errorf("source cache holds %d entries (capacity 2) accounting %d bytes, resident %d", entries, resident, want)
 	}
 }
 
@@ -326,5 +356,10 @@ func TestPlanCacheEvictionUnderConcurrentSubmit(t *testing.T) {
 	}
 	if m.FlowCacheHits == 0 {
 		t.Error("no flow cache hits at all across overlapping submissions")
+	}
+	// All five documents carry the same rows, so the source outlives the
+	// flows that churn around it: one entry, never evicted.
+	if m.SourceCacheEntries != 1 || m.SourceCacheEvictions != 0 || m.SourceCacheHits == 0 {
+		t.Errorf("source cache: %d entries, %d evictions, %d hits", m.SourceCacheEntries, m.SourceCacheEvictions, m.SourceCacheHits)
 	}
 }

@@ -19,7 +19,7 @@
 // Every job runs under its own context (Engine.RunContext) with an optional
 // deadline; cancelling a queued job evicts it from the queue, cancelling a
 // running job stops the engine cooperatively, and either way the job's
-// spill directory — each job gets a private one — is removed. Engines are
+// spill directory — each job that spills gets a private one — is removed. Engines are
 // pooled and handed to one job at a time; between jobs an engine is reset
 // (sources dropped, budget and spill directory cleared), so no mutable
 // state is shared across jobs and per-job OpStats are collected into
@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -193,8 +194,14 @@ type Spec struct {
 	CompileStart time.Time
 	CompileEnd   time.Time
 	// CompileCached marks the compile window as a flow-cache hit (the
-	// compiled flow was reused; only data decoding ran).
+	// compiled flow was reused; at most data decoding ran).
 	CompileCached bool
+	// CompileDetail says what ingest found cached: whether the whole
+	// document was replayed, how many inline sources the source cache
+	// served, and how many raw row bytes were parsed (doc=hit|miss
+	// sources=<hits>/<n> decoded_bytes=<n>). It lands in the compile
+	// span's detail.
+	CompileDetail string
 }
 
 // State is a job's lifecycle phase.
@@ -370,9 +377,12 @@ func (j *Job) Cancel() {
 // finish moves the job to its terminal state and finalizes its trace: the
 // admission-wait span is closed if still open (queue evictions), and the
 // root span ends carrying the job's identity, output size, and — for failed
-// jobs — the attributed error. Caller holds s.mu.
+// jobs — the attributed error. The job's inputs are let go: a terminal job
+// never reads them again, and the registry must not pin decoded rows that
+// only the bounded source cache should own. Caller holds s.mu.
 func (j *Job) finish(err error) {
 	j.err = err
+	j.spec.Sources = nil
 	j.finished = time.Now()
 	switch {
 	case err == nil:
@@ -421,6 +431,13 @@ type Metrics struct {
 	FlowCacheMisses int64 `json:"flow_cache_misses"`
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
 	PlanCacheMisses int64 `json:"plan_cache_misses"`
+	// Source-cache counters (decoded inline sources, counted by
+	// ParseScriptJob per source) and gauges: resident bytes and entries.
+	SourceCacheHits      int64 `json:"source_cache_hits"`
+	SourceCacheMisses    int64 `json:"source_cache_misses"`
+	SourceCacheEvictions int64 `json:"source_cache_evictions"`
+	SourceCacheBytes     int64 `json:"source_cache_bytes"`
+	SourceCacheEntries   int   `json:"source_cache_entries"`
 
 	// WorkerFallbacks counts jobs that ran in-process because no
 	// configured worker answered its health check.
@@ -673,9 +690,9 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	}
 	j.trace = obs.NewTrace(name)
 	if !spec.CompileStart.IsZero() {
-		detail := ""
+		detail := spec.CompileDetail
 		if spec.CompileCached {
-			detail = "flow-cache hit"
+			detail = strings.TrimSpace("flow-cache hit " + detail)
 		}
 		j.trace.Import(0, obs.Span{
 			Name:   "compile",
@@ -849,12 +866,11 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (record.DataSet, *engin
 	// A private spill directory per job: even a crash-interrupted engine
 	// cannot interleave its temp files with another job's, and removal on
 	// the way out guarantees a cancelled or failed job leaves nothing
-	// behind.
-	spillDir, err := s.fs().MkdirTemp(s.cfg.SpillDir, "flowjob-*")
-	if err != nil {
-		return nil, nil, fmt.Errorf("jobs: spill dir: %w", err)
-	}
-	defer s.fs().RemoveAll(spillDir)
+	// behind. It is made when the engine first spills (jobSpillFS): most
+	// jobs never do, and the two directory round trips were a tenth of a
+	// small job once decoding left the warm path.
+	spill := &jobSpillFS{FS: s.fs(), parent: s.cfg.SpillDir}
+	defer spill.remove()
 
 	// Check out an engine; configure it for this job alone, and return it
 	// reset so no sources, budget, spill, or transport state leaks to the
@@ -863,7 +879,7 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (record.DataSet, *engin
 	defer func() {
 		eng.Sources = map[string]record.DataSet{}
 		eng.MemoryBudget = 0
-		eng.SpillDir = ""
+		eng.FS = s.cfg.FS
 		eng.DOP = s.cfg.DOP
 		eng.Transport = nil
 		// The trace is per-job; the next job must not record into it. The
@@ -874,7 +890,7 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (record.DataSet, *engin
 	}()
 	eng.DOP = dop
 	eng.MemoryBudget = j.grant
-	eng.SpillDir = spillDir
+	eng.FS = spill
 	eng.Sources = make(map[string]record.DataSet, len(j.spec.Sources))
 	for name, ds := range j.spec.Sources {
 		eng.Sources[name] = ds
@@ -914,6 +930,33 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (record.DataSet, *engin
 		tr.EndWith(runSpan, func(sp *obs.Span) { sp.Records = records })
 	}
 	return out, stats, err
+}
+
+// jobSpillFS is the filesystem a job's engine spills through: every spill
+// file lands in one directory private to the job, created under parent by
+// the first CreateTemp (partitions spill concurrently, hence the Once).
+type jobSpillFS struct {
+	faultfs.FS
+	parent string
+	once   sync.Once
+	dir    string
+	err    error
+}
+
+func (f *jobSpillFS) CreateTemp(_, pattern string) (faultfs.File, error) {
+	f.once.Do(func() { f.dir, f.err = f.FS.MkdirTemp(f.parent, "flowjob-*") })
+	if f.err != nil {
+		return nil, fmt.Errorf("jobs: spill dir: %w", f.err)
+	}
+	return f.FS.CreateTemp(f.dir, pattern)
+}
+
+// remove deletes the job's spill directory, if one was made. The engine has
+// returned by then, so no CreateTemp is in flight.
+func (f *jobSpillFS) remove() {
+	if f.dir != "" {
+		f.FS.RemoveAll(f.dir)
+	}
 }
 
 // finishJob releases the job's grant, records its terminal state, and
@@ -962,7 +1005,11 @@ func (s *Scheduler) Metrics() Metrics {
 		m.WorkerNet = s.workers.workerNet()
 	}
 	if s.planCache != nil {
-		m.FlowCacheHits, m.FlowCacheMisses, m.PlanCacheHits, m.PlanCacheMisses = s.planCache.counters()
+		var st cacheStats
+		st, m.SourceCacheBytes, m.SourceCacheEntries = s.planCache.counters()
+		m.FlowCacheHits, m.FlowCacheMisses = st.flowHits, st.flowMisses
+		m.PlanCacheHits, m.PlanCacheMisses = st.planHits, st.planMisses
+		m.SourceCacheHits, m.SourceCacheMisses, m.SourceCacheEvictions = st.sourceHits, st.sourceMisses, st.sourceEvictions
 	}
 	if len(s.tenants) > 0 {
 		m.Tenants = make(map[string]TenantMetrics, len(s.tenants))

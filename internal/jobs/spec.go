@@ -1,15 +1,11 @@
 package jobs
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
 	"blackboxflow/internal/dataflow"
-	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/tac"
 )
@@ -100,175 +96,55 @@ type OpDef struct {
 // Row is one record as JSON scalars.
 type Row []any
 
-// ParseScriptJob decodes a JSON job document, compiles its PactScript,
-// builds and analyzes the flow, converts the inline data, and returns a
-// Spec ready for Submit. Unknown JSON fields are rejected so typos fail
-// loudly rather than silently dropping a hint.
-func ParseScriptJob(raw []byte) (Spec, error) {
-	start := time.Now()
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	dec.DisallowUnknownFields()
-	var doc ScriptJob
-	if err := dec.Decode(&doc); err != nil {
-		return Spec{}, fmt.Errorf("jobs: bad job document: %w", err)
-	}
-	spec, err := CompileScriptJob(&doc)
-	if err != nil {
-		return Spec{}, err
-	}
-	spec.CompileStart, spec.CompileEnd = start, time.Now()
-	return spec, nil
-}
-
-// CompileScriptJob turns a decoded job document into a Spec: UDFs are
-// compiled, the flow is built and its effects derived by static analysis,
-// and inline data becomes record data sets.
+// CompileScriptJob turns a job document decoded by encoding/json (with
+// UseNumber) into a Spec: UDFs are compiled, the flow is built and its
+// effects derived by static analysis, and inline data becomes record data
+// sets. It is the entry point for Go callers that build a ScriptJob value;
+// raw bytes go through ParseScriptJob, which never materializes Data and
+// shares everything past row decoding with this function (assemble).
 func CompileScriptJob(doc *ScriptJob) (Spec, error) {
-	if strings.TrimSpace(doc.Script) == "" {
-		return Spec{}, fmt.Errorf("jobs: job document has no script")
-	}
-	prog, err := frontend.Compile(doc.Script)
-	if err != nil {
-		return Spec{}, fmt.Errorf("jobs: compile script: %w", err)
-	}
-
-	sources := make(map[string]record.DataSet, len(doc.Data))
+	given := make(map[string]func(sourceLayout) (*source, error), len(doc.Data))
 	for name, rows := range doc.Data {
-		ds, err := DecodeRows(rows)
-		if err != nil {
-			return Spec{}, fmt.Errorf("jobs: source %q: %w", name, err)
-		}
-		sources[name] = ds
+		given[name] = func(lay sourceLayout) (*source, error) { return placeRows(lay, rows) }
 	}
-
-	flow, err := BuildFlow(&doc.Flow, prog, sources)
-	if err != nil {
-		return Spec{}, err
-	}
-
-	// Records live in the flow's global attribute space: a source's fields
-	// sit at the global indices its attrs were declared at, null-padded
-	// elsewhere. Submitters provide rows in the source's own attr order;
-	// remap them here.
-	for _, src := range doc.Flow.Sources {
-		ds, ok := sources[src.Name]
-		if !ok {
-			continue
-		}
-		remapped, err := remapToGlobal(flow, src, ds)
-		if err != nil {
-			return Spec{}, err
-		}
-		sources[src.Name] = remapped
-	}
-	return Spec{
-		Name:         doc.Name,
-		Tenant:       doc.Tenant,
-		Flow:         flow,
-		Sources:      sources,
-		DOP:          doc.DOP,
-		MemoryBudget: doc.MemoryBudgetBytes,
-		Deadline:     time.Duration(doc.DeadlineMillis) * time.Millisecond,
-	}, nil
+	return assemble(nil, doc, given)
 }
 
-// ParseScriptJob is the package-level ParseScriptJob, backed by the
-// scheduler's plan cache: a document whose digest (script, flow wiring,
-// resolved source hints) was seen before reuses the cached compiled flow,
-// skipping PactScript compilation, flow construction, and static
-// analysis; only the inline data is decoded and remapped per submission.
-// The returned Spec carries the digest in PlanKey, so Submit and execute
-// can reuse the cached optimized plan and its cost estimate too. With the
-// cache disabled (Config.PlanCacheSize < 0) this is plain ParseScriptJob.
-func (s *Scheduler) ParseScriptJob(raw []byte) (Spec, error) {
-	start := time.Now()
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	dec.DisallowUnknownFields()
-	var doc ScriptJob
-	if err := dec.Decode(&doc); err != nil {
-		return Spec{}, fmt.Errorf("jobs: bad job document: %w", err)
+// placeRows decodes a source's rows (see DecodeRows) into lay's global
+// layout.
+func placeRows(lay sourceLayout, rows []Row) (*source, error) {
+	ds, err := DecodeRows(rows)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: source %q: %w", lay.def.Name, err)
 	}
-	if s.planCache == nil {
-		spec, err := CompileScriptJob(&doc)
-		if err != nil {
-			return Spec{}, err
+	src := &source{rows: make(record.DataSet, len(ds)), wireSize: ds.TotalSize()}
+	for i, rec := range ds {
+		if len(rec) != len(lay.idx) {
+			return nil, lay.widthError(i, len(rec))
 		}
-		spec.CompileStart, spec.CompileEnd = start, time.Now()
-		return spec, nil
+		src.rows[i] = make(record.Record, lay.width)
+		for f, v := range rec {
+			src.rows[i][lay.idx[f]] = v
+		}
 	}
-	if strings.TrimSpace(doc.Script) == "" {
-		return Spec{}, fmt.Errorf("jobs: job document has no script")
-	}
-
-	sources := make(map[string]record.DataSet, len(doc.Data))
-	for name, rows := range doc.Data {
-		ds, err := DecodeRows(rows)
-		if err != nil {
-			return Spec{}, fmt.Errorf("jobs: source %q: %w", name, err)
-		}
-		sources[name] = ds
-	}
-	// Byte-identical resubmission skips hint resolution and the digest's
-	// deterministic re-marshal; the hints are a pure function of the
-	// document, so the memoized flow-level hash is exact.
-	rawDigest := sha256.Sum256(raw)
-	hash, memoized := s.planCache.docKey(string(rawDigest[:]))
-	if !memoized {
-		hints := make(map[string]dataflow.Hints, len(doc.Flow.Sources))
-		for _, src := range doc.Flow.Sources {
-			hints[src.Name] = resolveSourceHints(src, sources[src.Name])
-		}
-		hash = scriptJobHash(&doc, hints)
-		s.planCache.storeDocKey(string(rawDigest[:]), hash)
-	}
-
-	flow, cached := s.planCache.flow(hash)
-	if !cached {
-		prog, err := frontend.Compile(doc.Script)
-		if err != nil {
-			return Spec{}, fmt.Errorf("jobs: compile script: %w", err)
-		}
-		flow, err = BuildFlow(&doc.Flow, prog, sources)
-		if err != nil {
-			return Spec{}, err
-		}
-		// Racing compilations of the same document converge on one
-		// shared instance.
-		flow = s.planCache.storeFlow(hash, flow)
-	}
-	for _, src := range doc.Flow.Sources {
-		ds, ok := sources[src.Name]
-		if !ok {
-			continue
-		}
-		remapped, err := remapToGlobal(flow, src, ds)
-		if err != nil {
-			return Spec{}, err
-		}
-		sources[src.Name] = remapped
-	}
-	return Spec{
-		Name:          doc.Name,
-		Tenant:        doc.Tenant,
-		PlanKey:       hash,
-		Flow:          flow,
-		Sources:       sources,
-		DOP:           doc.DOP,
-		MemoryBudget:  doc.MemoryBudgetBytes,
-		Deadline:      time.Duration(doc.DeadlineMillis) * time.Millisecond,
-		CompileStart:  start,
-		CompileEnd:    time.Now(),
-		CompileCached: cached,
-	}, nil
+	return src, nil
 }
 
 // BuildFlow assembles a dataflow from its declarative description and a
 // compiled UDF program, then derives the operators' effects by static
-// analysis. The data map (may be nil) only backfills missing source
-// cardinality hints.
+// analysis. The data map (may be nil; rows in each source's own attribute
+// order) only backfills missing source cardinality hints.
 func BuildFlow(def *FlowDef, prog *tac.Program, data map[string]record.DataSet) (*dataflow.Flow, error) {
+	hints := make(map[string]dataflow.Hints, len(def.Sources))
+	for _, src := range def.Sources {
+		ds := data[src.Name]
+		hints[src.Name] = resolveSourceHints(src, len(ds), ds.TotalSize())
+	}
+	return buildFlow(def, prog, hints)
+}
+
+// buildFlow is BuildFlow with the source hints already resolved.
+func buildFlow(def *FlowDef, prog *tac.Program, hints map[string]dataflow.Hints) (*dataflow.Flow, error) {
 	if len(def.Sources) == 0 {
 		return nil, fmt.Errorf("jobs: flow has no sources")
 	}
@@ -282,7 +158,7 @@ func BuildFlow(def *FlowDef, prog *tac.Program, data map[string]record.DataSet) 
 		if _, dup := byName[src.Name]; dup {
 			return nil, fmt.Errorf("jobs: duplicate operator name %q", src.Name)
 		}
-		byName[src.Name] = flow.Source(src.Name, src.Attrs, resolveSourceHints(src, data[src.Name]))
+		byName[src.Name] = flow.Source(src.Name, src.Attrs, hints[src.Name])
 	}
 	for _, a := range def.Attrs {
 		flow.DeclareAttr(a)
@@ -399,51 +275,22 @@ func BuildFlow(def *FlowDef, prog *tac.Program, data map[string]record.DataSet) 
 	return flow, nil
 }
 
-// resolveSourceHints returns the cardinality hints BuildFlow uses for a
-// source: explicit SourceDef hints win, missing ones are measured from
-// the inline data. The plan-cache digest hashes these resolved values, so
-// a data set big enough to move the hints gets its own cache entry.
-func resolveSourceHints(src SourceDef, ds record.DataSet) dataflow.Hints {
+// resolveSourceHints returns the cardinality hints a source is built with:
+// explicit SourceDef hints win, missing ones are measured from the inline
+// data — rows records of wireSize bytes in total, in the submitted
+// (unpadded) layout. The plan-cache digest hashes these resolved values,
+// so a data set big enough to move the hints gets its own cache entry.
+func resolveSourceHints(src SourceDef, rows, wireSize int) dataflow.Hints {
 	hints := dataflow.Hints{Records: src.Records, AvgWidthBytes: src.AvgWidthByte}
-	if len(ds) > 0 {
+	if rows > 0 {
 		if hints.Records == 0 {
-			hints.Records = float64(len(ds))
+			hints.Records = float64(rows)
 		}
 		if hints.AvgWidthBytes == 0 {
-			hints.AvgWidthBytes = float64(ds.TotalSize()) / float64(len(ds))
+			hints.AvgWidthBytes = float64(wireSize) / float64(rows)
 		}
 	}
 	return hints
-}
-
-// remapToGlobal places a source's natural-order rows at their global
-// attribute indices (see ScriptJob.Data).
-func remapToGlobal(flow *dataflow.Flow, src SourceDef, ds record.DataSet) (record.DataSet, error) {
-	idx := make([]int, len(src.Attrs))
-	width := 0
-	for i, a := range src.Attrs {
-		gi, ok := flow.AttrIndex(a)
-		if !ok {
-			return nil, fmt.Errorf("jobs: source %q attr %q not declared", src.Name, a)
-		}
-		idx[i] = gi
-		if gi+1 > width {
-			width = gi + 1
-		}
-	}
-	out := make(record.DataSet, len(ds))
-	for r, rec := range ds {
-		if len(rec) != len(src.Attrs) {
-			return nil, fmt.Errorf("jobs: source %q row %d has %d fields, want %d (%v)",
-				src.Name, r, len(rec), len(src.Attrs), src.Attrs)
-		}
-		g := make(record.Record, width)
-		for i, v := range rec {
-			g[idx[i]] = v
-		}
-		out[r] = g
-	}
-	return out, nil
 }
 
 // DecodeRows converts JSON rows (decoded with json.Number) into records.

@@ -111,28 +111,10 @@ func TestParseScriptJobJoinRemap(t *testing.T) {
 	}
 }
 
-// TestParseScriptJobErrors: malformed documents fail with diagnostics, not
-// panics.
+// TestParseScriptJobErrors: malformed documents (badDocs, ingest_test.go)
+// fail with diagnostics, not panics.
 func TestParseScriptJobErrors(t *testing.T) {
-	cases := []struct {
-		name, doc, want string
-	}{
-		{"bad json", `{`, "bad job document"},
-		{"unknown field", `{"script": "map f(ir) { emit ir }", "flowz": {}}`, "unknown field"},
-		{"no script", `{"script": "  ", "flow": {"sources": [], "ops": [], "sink": "x"}}`, "no script"},
-		{"script error", `{"script": "map f(ir) { emit }", "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [], "sink": "s"}}`, "compile script"},
-		{"no sources", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [], "ops": [], "sink": "f"}}`, "no sources"},
-		{"unknown udf", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [{"kind":"map","udf":"g","inputs":["s"]}], "sink": "g"}}`, `no UDF "g"`},
-		{"unknown kind", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [{"kind":"filter","udf":"f","inputs":["s"]}], "sink": "f"}}`, "unknown kind"},
-		{"bad input", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [{"kind":"map","udf":"f","inputs":["nope"]}], "sink": "f"}}`, "undefined input"},
-		{"arity", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [{"kind":"map","udf":"f","inputs":["s","s"]}], "sink": "f"}}`, "needs 1 input"},
-		{"missing keys", `{"script": "reduce f(g) { out := g.at(0) emit out }", "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [{"kind":"reduce","udf":"f","inputs":["s"]}], "sink": "f"}}`, "needs key attrs"},
-		{"undeclared key", `{"script": "reduce f(g) { out := g.at(0) emit out }", "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [{"kind":"reduce","udf":"f","inputs":["s"],"keys":[["zz"]]}], "sink": "f"}}`, "undeclared attribute"},
-		{"bad sink", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [{"kind":"map","udf":"f","inputs":["s"]}], "sink": "nope"}}`, "sink"},
-		{"dup name", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a"]},{"name":"s","attrs":["b"]}], "ops": [], "sink": "s"}}`, "duplicate"},
-		{"row width", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a","b"]}], "ops": [{"kind":"map","udf":"f","inputs":["s"]}], "sink": "f"}, "data": {"s": [[1]]}}`, "has 1 fields"},
-	}
-	for _, tc := range cases {
+	for _, tc := range badDocs {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseScriptJob([]byte(tc.doc))
 			if err == nil {
@@ -142,6 +124,36 @@ func TestParseScriptJobErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestParseScriptJobRejectsWhatUsedToSlipThrough pins three bugfixes of the
+// ingest path: bytes after the document (a second document, stray text)
+// used to be ignored because only the first JSON value was ever read, and
+// data for an undeclared source or the same source twice was silently
+// dropped or last-wins.
+func TestParseScriptJobRejectsWhatUsedToSlipThrough(t *testing.T) {
+	for _, tc := range []struct{ name, doc, want string }{
+		{"second document", wordcountDoc + `{"script": "evil"}`, "jobs: bad job document: invalid character '{'"},
+		{"trailing text", wordcountDoc + " trailing", "jobs: bad job document: invalid character 't'"},
+		{"undeclared source", strings.Replace(joinDoc, `"R": [[2, 200], [3, 300]]`, `"Q": [[2, 200]]`, 1), `jobs: data names no declared source "Q"`},
+		{"source twice", strings.Replace(joinDoc, `"R": [[2, 200], [3, 300]]`, `"R": [[2, 200]], "R": [[3, 300]]`, 1), `jobs: source "R" is given twice`},
+		{"data twice", strings.Replace(joinDoc, `"data"`, `"data": null, "data"`, 1), `jobs: bad job document: duplicate key "data"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for label, parse := range map[string]func([]byte) (Spec, error){
+				"no cache": ParseScriptJob,
+				"cached":   New(Config{MaxConcurrent: 1}).ParseScriptJob,
+			} {
+				if _, err := parse([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: error %v, want %q", label, err, tc.want)
+				}
+			}
+		})
+	}
+	// Whitespace after the document is still fine.
+	if _, err := ParseScriptJob([]byte(wordcountDoc + "\n \t\r\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }
 

@@ -30,8 +30,9 @@ func phaseSpan(t *testing.T, tr *obs.Trace, name string) obs.Span {
 // TestJobTraceLifecycle runs the same script document twice and checks the
 // span trees: the first run records compile, queue, optimize, and run
 // phases with operator spans below the run, the optimize span carrying the
-// enumeration's effort; the second surfaces the flow- and plan-cache hits
-// in the corresponding spans' details.
+// enumeration's effort and the compile span what ingest had to decode; the
+// second surfaces the document replay and the flow-, source- and plan-cache
+// hits in the corresponding spans' details.
 func TestJobTraceLifecycle(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1, DOP: 2})
 	run := func(label string) *Job {
@@ -63,9 +64,11 @@ func TestJobTraceLifecycle(t *testing.T) {
 	if !strings.Contains(root.Detail, `tenant="acme"`) || !strings.Contains(root.Detail, "succeeded") {
 		t.Fatalf("root detail %q misses identity", root.Detail)
 	}
+	// The compile span says what ingest found cached: nothing on the first
+	// run, so the one inline source's row bytes were parsed.
 	compile := phaseSpan(t, tr, "compile")
-	if compile.Detail != "" {
-		t.Fatalf("first compile span claims %q", compile.Detail)
+	if compile.Detail != "doc=miss sources=0/1 decoded_bytes=78" {
+		t.Fatalf("first compile span detail %q, want a full miss", compile.Detail)
 	}
 	if compile.End.Before(compile.Start) {
 		t.Fatal("compile span ends before it starts")
@@ -93,8 +96,8 @@ func TestJobTraceLifecycle(t *testing.T) {
 
 	second := run("second")
 	tr2 := second.Trace()
-	if c := phaseSpan(t, tr2, "compile"); c.Detail != "flow-cache hit" {
-		t.Fatalf("second compile span detail %q, want flow-cache hit", c.Detail)
+	if c := phaseSpan(t, tr2, "compile"); c.Detail != "flow-cache hit doc=hit sources=1/1 decoded_bytes=0" {
+		t.Fatalf("second compile span detail %q, want a replayed document", c.Detail)
 	}
 	if o := phaseSpan(t, tr2, "optimize"); o.Detail != "plan-cache hit" {
 		t.Fatalf("second optimize span detail %q, want plan-cache hit", o.Detail)
