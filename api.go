@@ -16,10 +16,15 @@
 //     each alternative with a hint-driven model, picks shipping (forward /
 //     partition / broadcast) and local (hash/sort) strategies, and returns
 //     the cheapest physical plan;
-//   - a multi-goroutine shared-nothing engine executes physical plans with
-//     a batched shuffle, fused Map chains, and — for Reduce operators whose
-//     Combiner declaration passes the read/write-set safety check —
-//     pre-shuffle partial aggregation on the senders (see DESIGN.md).
+//   - a multi-goroutine shared-nothing engine executes physical plans
+//     through one operator pipeline — fused Map chains, one batched
+//     sender → receiver stage for partitioned and broadcast edges alike,
+//     one local strategy — calling every UDF the same way (a tac.Runner
+//     emitting into a sink), with — for Reduce operators whose Combiner
+//     declaration passes the read/write-set safety check — pre-shuffle
+//     partial aggregation on the senders (see DESIGN.md);
+//   - the same engine, at DOP 1 over sampled sources, is the profiler
+//     behind DeriveHintsBySampling.
 //
 // A Reduce over a decomposable aggregate can declare a combiner with
 // Operator.SetCombiner (fully algebraic aggregates pass their own UDF);
@@ -299,10 +304,12 @@ func ParseJobDocument(raw []byte) (JobSpec, error) { return jobs.ParseScriptJob(
 // SamplingOptions configure DeriveHintsBySampling.
 type SamplingOptions = sampling.Options
 
-// DeriveHintsBySampling profiles every UDF over a sample of the data and
-// fills in the flow's cost hints (selectivity, CPU cost per call, key
-// cardinality) — the empirical alternative to hand-written hints that the
-// paper lists as future work (Section 9).
+// DeriveHintsBySampling profiles every UDF over a sample of the data — one
+// single-partition engine run per operator, measured by the engine's own
+// per-operator statistics — and fills in the flow's cost hints
+// (selectivity, CPU cost per call, key cardinality): the empirical
+// alternative to hand-written hints that the paper lists as future work
+// (Section 9).
 func DeriveHintsBySampling(f *Flow, data map[string]DataSet, opts SamplingOptions) error {
 	_, err := sampling.DeriveHints(f, data, opts)
 	return err

@@ -412,8 +412,10 @@ func BenchmarkAblationSCAOverhead(b *testing.B) {
 
 // ---------------------------------------------------------------- Micro
 
-// BenchmarkInterpreterMapCall measures one interpreted Map UDF invocation
-// (the Section 3 f1).
+// BenchmarkInterpreterMapCall measures one interpreted UDF call the way the
+// engine's loops make it — a reused tac.Runner emitting into a sink — for
+// the Section 3 f1 Map, a concatenating Match/Cross UDF and a summing Reduce
+// over a three-record group.
 func BenchmarkInterpreterMapCall(b *testing.B) {
 	prog := tac.MustParse(`
 func map f1($ir) {
@@ -424,16 +426,45 @@ func map f1($ir) {
 	setfield $or 1 $b
 L: emit $or
 }
+func binary jn($l, $r) {
+	$o := concat $l $r
+	emit $o
+}
+func reduce sum($g) {
+	$first := groupget $g 0
+	$or := copyrec $first
+	$s := agg sum $g 1
+	setfield $or 1 $s
+	emit $or
+}
 `)
-	f, _ := prog.Lookup("f1")
-	ip := tac.NewInterp()
 	in := record.Record{record.Int(2), record.Int(-3)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ip.InvokeMap(f, in); err != nil {
-			b.Fatal(err)
-		}
+	right := record.Record{record.Null, record.Null, record.Int(7)}
+	group := tac.GroupSource(tac.Records{in, in, in})
+	sink := func(record.Record) error { return nil }
+	for _, c := range []struct {
+		name, udf string
+		kind      tac.Kind
+		call      func(r *tac.Runner) error
+	}{
+		{"map", "f1", tac.KindMap, func(r *tac.Runner) error { return r.Map(in, sink) }},
+		{"binary", "jn", tac.KindBinary, func(r *tac.Runner) error { return r.Binary(in, right, sink) }},
+		{"reduce", "sum", tac.KindReduce, func(r *tac.Runner) error { return r.Reduce(group, sink) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			f, _ := prog.Lookup(c.udf)
+			r, err := tac.NewInterp().NewRunner(f, c.kind)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.call(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -173,12 +173,28 @@ func failureStatus(j *jobs.Job) int {
 	return http.StatusConflict
 }
 
+// readJobDoc reads a submitted document, or its first maxJobDocBytes+1 bytes
+// — enough for the caller to see it is over the limit. A Content-Length
+// within the limit sizes the buffer once, where growing by doubling copied a
+// multi-megabyte document several times over; the header is only a hint —
+// a body longer than it declared still grows the buffer, a shorter one
+// leaves part of it unused — and without one (chunked) the buffer grows as
+// it always did.
+func readJobDoc(r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxJobDocBytes {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare bytes to see EOF
+	}
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, maxJobDocBytes+1))
+	return buf.Bytes(), err
+}
+
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeErr(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxJobDocBytes+1))
+	raw, err := readJobDoc(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
 		return

@@ -528,3 +528,69 @@ func TestBackpressure429(t *testing.T) {
 		t.Errorf("backpressure error = %q, want a cost message", msg)
 	}
 }
+
+// zeros is an endless body of '0' bytes (a JSON number that never ends).
+type zeros struct{}
+
+var zeroBlock = bytes.Repeat([]byte{'0'}, 64<<10)
+
+func (zeros) Read(p []byte) (int, error) { return copy(p, zeroBlock), nil }
+
+// TestSubmitBodyReadOnce pins how handleSubmit reads its body: sized from
+// Content-Length when there is one, never past the document limit, and
+// never trusting the header — a Content-Length that lies in either direction
+// costs nothing but memory it was entitled to anyway.
+func TestSubmitBodyReadOnce(t *testing.T) {
+	srv := newServer(jobs.New(jobs.Config{MaxConcurrent: 1, DOP: 2}))
+	submit := func(body io.Reader, contentLength int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/jobs?wait=1", body)
+		req.ContentLength = contentLength
+		rec := httptest.NewRecorder()
+		srv.handler().ServeHTTP(rec, req)
+		return rec
+	}
+	for _, c := range []struct {
+		name          string
+		contentLength int64
+	}{
+		{"exact", int64(len(wordcountDoc))},
+		{"chunked", -1},
+		{"understated", 10},
+		{"overstated", int64(len(wordcountDoc)) + 1<<20},
+	} {
+		if rec := submit(strings.NewReader(wordcountDoc), c.contentLength); rec.Code != http.StatusOK {
+			t.Errorf("%s Content-Length: status %d, body %s", c.name, rec.Code, rec.Body)
+		}
+	}
+	// One byte over the limit is refused whatever the header says, and the
+	// handler stops reading there: the endless body would never end.
+	for _, contentLength := range []int64{maxJobDocBytes + 1, -1} {
+		if rec := submit(zeros{}, contentLength); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("endless body, Content-Length %d: status %d, want 413", contentLength, rec.Code)
+		}
+	}
+
+	// The buffer is sized once: with a Content-Length the very first Read
+	// is offered room for the whole document, not the 512 bytes a buffer
+	// grown by doubling starts from.
+	doc := strings.Repeat(" ", 4<<20)
+	body := &firstRead{r: strings.NewReader(doc)}
+	req := httptest.NewRequest(http.MethodPost, "/jobs", body)
+	req.ContentLength = int64(len(doc))
+	if raw, err := readJobDoc(req); err != nil || len(raw) != len(doc) || body.room < len(doc) {
+		t.Fatalf("read %d of %d bytes (%v), the first Read offered %d bytes of room", len(raw), len(doc), err, body.room)
+	}
+}
+
+// firstRead records how much room the first Read call was offered.
+type firstRead struct {
+	r    io.Reader
+	room int
+}
+
+func (f *firstRead) Read(p []byte) (int, error) {
+	if f.room == 0 {
+		f.room = len(p)
+	}
+	return f.r.Read(p)
+}

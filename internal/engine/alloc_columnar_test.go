@@ -10,7 +10,7 @@ import (
 // Allocation regressions for the columnar path: the column builders must
 // not box values per record at steady state, the vectorized combine must
 // allocate proportionally to group count (not record count), and the
-// reusable MapRunner must stay within the clone-per-emit floor.
+// reusable tac.Runner must stay within the clone-per-emit floor.
 
 // TestColBatchAppendAllocRegression pins the column builders: once the
 // per-column arrays have grown to capacity, re-filling a reset ColBatch —
@@ -64,12 +64,12 @@ func TestColBatchCombineIntoAllocRegression(t *testing.T) {
 		r := record.Record{record.Int(int64(i % groups)), record.Int(int64(i))}
 		cb.AppendWithHash(r, keys, r.Hash(keys))
 	}
-	combined := []record.Record{{record.Int(0), record.Int(0)}}
+	combined := record.Record{record.Int(0), record.Int(0)}
 	out := record.NewBatch(n)
 	allocs := testing.AllocsPerRun(10, func() {
 		out.Reset()
-		if _, err := cb.CombineInto(keys, out, func(g record.ColGroup) ([]record.Record, error) {
-			return combined, nil
+		if _, err := cb.CombineInto(keys, out, func(g record.ColGroup, emit func(record.Record) error) error {
+			return emit(combined)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -80,10 +80,10 @@ func TestColBatchCombineIntoAllocRegression(t *testing.T) {
 	}
 }
 
-// TestMapRunnerAllocRegression pins the vectorized Map entry point: the
-// reusable frame keeps Invoke at the clone-per-emit floor, strictly below
-// the per-invocation InvokeMap path it replaces in the fused chain.
-func TestMapRunnerAllocRegression(t *testing.T) {
+// TestRunnerAllocRegression pins the one UDF entry point for every call
+// shape the engine's hot loops use: the reusable frame and the emit sink keep
+// a call at the cost of the UDF's own output — no frame, no result slice.
+func TestRunnerAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race; allocation counts are not meaningful")
 	}
@@ -94,33 +94,46 @@ func map double($ir) {
 	$or := copyrec $ir
 	setfield $or 0 $d
 	emit $or
+}
+func binary jn($l, $r) {
+	$o := concat $l $r
+	emit $o
+}
+func reduce sum($g) {
+	$first := groupget $g 0
+	$or := copyrec $first
+	$s := agg sum $g 0
+	setfield $or 0 $s
+	emit $or
 }`)
-	fn, _ := prog.Lookup("double")
-	ip := tac.NewInterp()
-	runner, err := ip.NewMapRunner(fn)
-	if err != nil {
-		t.Fatal(err)
-	}
 	in := record.Record{record.Int(21), record.String("x")}
+	group := tac.GroupSource(tac.Records{in, in, in})
 	sink := func(r record.Record) error { return nil }
-
-	invoke := testing.AllocsPerRun(200, func() {
-		if err := runner.Invoke(in, sink); err != nil {
+	// The UDF's own output: copyrec/concat, the setfield copy-on-write and
+	// the emitted clone. The runner must add nothing to it.
+	for _, c := range []struct {
+		name  string
+		kind  tac.Kind
+		floor float64
+		call  func(r *tac.Runner) error
+	}{
+		{"double", tac.KindMap, 3, func(r *tac.Runner) error { return r.Map(in, sink) }},
+		{"jn", tac.KindBinary, 2, func(r *tac.Runner) error { return r.Binary(in, in, sink) }},
+		{"sum", tac.KindReduce, 3, func(r *tac.Runner) error { return r.Reduce(group, sink) }},
+	} {
+		fn, _ := prog.Lookup(c.name)
+		runner, err := tac.NewInterp().NewRunner(fn, c.kind)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	legacy := testing.AllocsPerRun(200, func() {
-		if _, err := ip.InvokeMap(fn, in); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := c.call(runner); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("allocs per %s call: %.1f", c.kind, allocs)
+		if allocs > c.floor {
+			t.Errorf("a %s call allocates %.1f times; the reusable frame should keep it at the UDF's own output cost (≤%.0f)", c.kind, allocs, c.floor)
 		}
-	})
-	t.Logf("allocs per record: MapRunner.Invoke=%.1f, InvokeMap=%.1f", invoke, legacy)
-	if invoke >= legacy {
-		t.Errorf("MapRunner.Invoke allocates %.1f per record, not below InvokeMap's %.1f", invoke, legacy)
-	}
-	// copyrec + the emitted clone: the UDF's own output costs ~3
-	// allocations; the runner must add none.
-	if invoke > 3 {
-		t.Errorf("MapRunner.Invoke allocates %.1f per record; the reusable frame should keep it at the UDF's own output cost (≤3)", invoke)
 	}
 }

@@ -76,7 +76,7 @@ func requireSameCounters(t *testing.T, got, ref *RunStats, label string) {
 }
 
 // TestDifferentialMapChains pins the fused Map chain (the prebuilt
-// MapRunner stack) against the reference executor's InvokeMap stages over randomly
+// tac.Runner stack) against the reference executor's stage-at-a-time Maps over randomly
 // generated multi-emitting, filtering, rewriting UDF chains — a
 // determinism check that the fused loop's output is a pure function of
 // the plan and data, not of engine configuration.

@@ -2,13 +2,17 @@ package engine
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -97,10 +101,12 @@ type distPipeline struct {
 	check   func(t *testing.T, label string, stats *RunStats)
 }
 
-// distPipelines builds the two acceptance pipelines: a combined Reduce
-// (wordcount with a combiner, so the combining senders run) and a budgeted
+// distPipelines builds the three acceptance pipelines: a combined Reduce
+// (wordcount with a combiner, so the combining senders run), a budgeted
 // repartition join (working set over budget, so both shuffled sides spill
-// and the Match executes as an external merge join).
+// and the Match executes as an external merge join) and a broadcast join
+// (the left side replicated to every partition through the same sender →
+// receiver stage, the right side forwarded).
 func distPipelines(t *testing.T) []distPipeline {
 	t.Helper()
 	var pipelines []distPipeline
@@ -173,6 +179,34 @@ func reduce wcount($g) {
 			},
 		})
 	}
+	{
+		const lN, rN, keys = 3000, 6000, 300
+		lData, rData := joinTestData(lN, keys, rN, keys, 0)
+		f, tree := buildJoinFlow(t, lN, rN, keys)
+		pipelines = append(pipelines, distPipeline{
+			name: "broadcast-join",
+			build: func(t *testing.T, dop int) *optimizer.PhysPlan {
+				plan := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(f), dop).Optimize(tree)
+				match := findMatchNode(plan)
+				if match == nil {
+					t.Fatal("no Match in plan")
+				}
+				match.Ship = []optimizer.Shipping{optimizer.ShipBroadcast, optimizer.ShipForward}
+				match.Local = optimizer.LocalHashJoin
+				return plan
+			},
+			sources: map[string]record.DataSet{"L": lData, "R": rData},
+			check: func(t *testing.T, label string, stats *RunStats) {
+				// The un-replicated count in, the left side's wire size once
+				// per target partition out.
+				for _, st := range stats.PerOp {
+					if size := lData.TotalSize(); st.Name == "J" && (st.InRecords != lN+rN || st.ShippedBytes < size || st.ShippedBytes%size != 0) {
+						t.Fatalf("%s: J took in %d records and shipped %d bytes, want %d records and a multiple of %d bytes", label, st.InRecords, st.ShippedBytes, lN+rN, size)
+					}
+				}
+			},
+		})
+	}
 	return pipelines
 }
 
@@ -238,16 +272,48 @@ func TestDistributedEquivalence(t *testing.T) {
 }
 
 // TestChaosTCPConnFaults sweeps seeded single-fault connection schedules
-// across a distributed combined-reduce run: a connection dropped mid-batch
+// across a distributed combined-reduce run and a distributed broadcast join: a connection dropped mid-batch
 // must surface as a job error (never a hang), a stalled connection must be
 // absorbed, nothing may leak, and the engine must run fault-free and
 // byte-identical immediately afterwards — the transport's entry in the
 // chaos equivalence suite, mirroring the faultfs disk sweep.
 func TestChaosTCPConnFaults(t *testing.T) {
 	addrs := startWorkerAddrs(t, 2)
-	pl := distPipelines(t)[0] // combined-reduce
-	const dop = 8
-	plan := pl.build(t, dop)
+	pipelines := distPipelines(t)
+	// One plan per shipping strategy: the combined Reduce's partitioned
+	// edge and the broadcast join's broadcast edge. A dropped connection
+	// breaks the one shipped edge of the plan: the error names the operator
+	// it fed and the phase.
+	for _, c := range []struct {
+		pl        distPipeline
+		ship      optimizer.Shipping
+		op, phase string
+	}{
+		{pipelines[0], optimizer.ShipPartition, "wcount", "shuffle"},
+		{pipelines[2], optimizer.ShipBroadcast, "J", "broadcast"},
+	} {
+		t.Run(c.pl.name, func(t *testing.T) {
+			const dop = 8
+			plan := c.pl.build(t, dop)
+			if !planShips(plan, c.ship) {
+				t.Fatalf("plan has no %v edge:\n%s", c.ship, plan)
+			}
+			chaosTCPConnFaults(t, addrs, c.pl, plan, dop, fmt.Sprintf("engine: %s: %s: ", c.op, c.phase))
+		})
+	}
+}
+
+// planShips reports whether any edge of the plan ships by s.
+func planShips(p *optimizer.PhysPlan, s optimizer.Shipping) bool {
+	for i, in := range p.Inputs {
+		if (i < len(p.Ship) && p.Ship[i] == s) || planShips(in, s) {
+			return true
+		}
+	}
+	return false
+}
+
+func chaosTCPConnFaults(t *testing.T, addrs []string, pl distPipeline, plan *optimizer.PhysPlan, dop int, wantPrefix string) {
 	spillDir := t.TempDir()
 	baseline, _ := runPipeline(t, pl, plan, dop, nil, spillDir)
 	before := runtime.NumGoroutine()
@@ -273,7 +339,7 @@ func TestChaosTCPConnFaults(t *testing.T) {
 	}
 	faulted := 0
 	for _, kind := range []transport.ConnFault{transport.ConnDrop, transport.ConnStall} {
-		for at := int64(1); at <= nOps; at += stride {
+		for at := 1 + chaosSeed(t)%stride; at <= nOps; at += stride {
 			label := fmt.Sprintf("kind=%v/at=%d", kind, at)
 			dialer := &transport.FaultDialer{At: at, Kind: kind, Delay: time.Millisecond}
 			ftp, err := transport.NewTCP(transport.TCPConfig{Workers: addrs, LocalSlots: 2, Dialer: dialer})
@@ -296,11 +362,9 @@ func TestChaosTCPConnFaults(t *testing.T) {
 				if kind == transport.ConnStall {
 					t.Fatalf("%s: stall fault surfaced an error: %v", label, err)
 				}
-				// A dropped connection breaks the one shuffle of this plan:
-				// the error names the Reduce it fed and the phase.
 				var attributed *opError
-				if !errors.As(err, &attributed) || attributed.op != "wcount" || !strings.Contains(err.Error(), "engine: wcount: shuffle: ") {
-					t.Fatalf("%s: error %v is not attributed to operator wcount's shuffle", label, err)
+				if !errors.As(err, &attributed) || !strings.HasPrefix(err.Error(), wantPrefix) {
+					t.Fatalf("%s: error %v is not attributed as %q", label, err, wantPrefix)
 				}
 				faulted++
 			default:
@@ -324,4 +388,120 @@ func TestChaosTCPConnFaults(t *testing.T) {
 	ctp.Close()
 	requireByteIdentical(t, out, baseline, "clean rerun after fault sweep")
 	waitGoroutines(t, before)
+}
+
+// trackingDialer dials real TCP with a small send buffer and counts the
+// connections that are still open.
+type trackingDialer struct{ open atomic.Int64 }
+
+type trackedConn struct {
+	net.Conn
+	closed sync.Once
+	d      *trackingDialer
+}
+
+func (d *trackingDialer) DialContext(ctx context.Context, addr string) (net.Conn, error) {
+	var nd net.Dialer
+	c, err := nd.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	c.(*net.TCPConn).SetWriteBuffer(4 << 10)
+	d.open.Add(1)
+	return &trackedConn{Conn: c, d: d}, nil
+}
+
+func (c *trackedConn) Close() error {
+	c.closed.Do(func() { c.d.open.Add(-1) })
+	return c.Conn.Close()
+}
+
+// TestDistributedBroadcastCancelStalledWorker is the regression test for a
+// cancelled run wedged in a TCP broadcast. The worker here accepts the
+// shuffle connection, reads the handshake and the first byte of the first
+// frame, and then never reads or relays again — not a ConnStall fault, whose
+// time.Sleep ends by itself and which no Close can interrupt — so with the
+// socket buffers pinned small the broadcast's senders block in Write and
+// its collectors in Recv. Only closing the session on cancellation gets
+// them out; a broadcast used to pass the context to the dial alone and the
+// run never returned. It must return the cancellation's cause promptly and
+// leave no goroutine or connection behind.
+func TestDistributedBroadcastCancelStalledWorker(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstFrame := make(chan struct{}, 1)
+	accepted := make(chan net.Conn, 1) // one worker, one shuffle session: one connection
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		accepted <- c
+		c.(*net.TCPConn).SetReadBuffer(4 << 10)
+		var handshakeAndFirstByte [7]byte
+		if _, err := io.ReadFull(c, handshakeAndFirstByte[:]); err == nil {
+			firstFrame <- struct{}{}
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		select {
+		case c := <-accepted:
+			c.Close()
+		default:
+		}
+	})
+
+	// ~1.3 MB of left-side records to every target: far more than the few
+	// KB the pinned socket buffers hold.
+	const lN, rN, keys, dop = 60000, 100, 100, 2
+	lData, rData := joinTestData(lN, keys, rN, keys, 0)
+	f, tree := buildJoinFlow(t, lN, rN, keys)
+	plan := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(f), dop).Optimize(tree)
+	match := findMatchNode(plan)
+	match.Ship = []optimizer.Shipping{optimizer.ShipBroadcast, optimizer.ShipForward}
+	match.Local = optimizer.LocalHashJoin
+
+	dialer := &trackingDialer{}
+	tp, err := transport.NewTCP(transport.TCPConfig{Workers: []string{ln.Addr().String()}, Dialer: dialer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	e := New(dop).WithTransport(tp)
+	e.AddSource("L", lData)
+	e.AddSource("R", rData)
+
+	before := runtime.NumGoroutine()
+	cause := errors.New("cancelled mid-broadcast by the test")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	cancelled := make(chan time.Time, 1)
+	go func() {
+		<-firstFrame
+		cancelled <- time.Now()
+		cancel(cause)
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := e.RunContext(ctx, plan)
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("RunContext still blocked 20s into a broadcast to a stalled worker: cancellation does not reach the session")
+	}
+	if !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want the cancellation cause", err)
+	}
+	if took := time.Since(<-cancelled); took > 2*time.Second {
+		t.Fatalf("run returned %v after cancellation, want under 2s", took)
+	}
+	waitGoroutines(t, before)
+	if n := dialer.open.Load(); n != 0 {
+		t.Fatalf("%d worker connections still open after the cancelled run", n)
+	}
 }

@@ -393,7 +393,10 @@ func TestRandomPipelinesTinyBudgetFaultEquivalent(t *testing.T) {
 // generated sources use per-side-unique join keys with every non-key field
 // a function of the key: within-key arrival order — the one thing the
 // shuffle's sender interleaving can change between runs — then permutes
-// identical records only, on the spilled and unspilled paths alike.
+// identical records only, on the spilled and unspilled paths alike. A Cross
+// imposes no order of its own, so behind a shipped (broadcast) edge its
+// output is whatever order the senders' batches arrived in: the Cross
+// trials compare bags.
 func TestRandomJoinPipelinesTinyBudgetEquivalent(t *testing.T) {
 	const (
 		trials    = 18
@@ -521,18 +524,27 @@ func reduce agg($g) {
 					trial, a, len(budgeted), len(unlimited))
 			}
 			for j := range unlimited {
-				if !budgeted[j].Equal(unlimited[j]) {
+				if !useCross && !budgeted[j].Equal(unlimited[j]) {
 					t.Fatalf("trial %d plan %s: record %d is %v budgeted, %v unlimited\nUDFs:\n%s",
 						trial, a, j, budgeted[j], unlimited[j], src)
 				}
+			}
+			if !budgeted.Equal(unlimited) {
+				t.Fatalf("trial %d plan %s: budgeted and unlimited output bags differ\nUDFs:\n%s", trial, a, src)
 			}
 
 			// Reference differential: the budgeted join (external merges and
 			// in-memory joins alike) must be byte-identical to the reference
 			// executor, which never spills, with the same exact counters.
 			legacyOut, legacyStats := mustRefRun(t, e, phys, fmt.Sprintf("trial %d plan %s", trial, a))
-			requireByteIdentical(t, legacyOut, budgeted,
-				fmt.Sprintf("trial %d plan %s reference vs pipeline (budgeted)", trial, a))
+			if useCross {
+				if !legacyOut.Equal(budgeted) {
+					t.Fatalf("trial %d plan %s: reference and pipeline (budgeted) output bags differ", trial, a)
+				}
+			} else {
+				requireByteIdentical(t, legacyOut, budgeted,
+					fmt.Sprintf("trial %d plan %s reference vs pipeline (budgeted)", trial, a))
+			}
 			requireSameCounters(t, stats, legacyStats,
 				fmt.Sprintf("trial %d plan %s (budgeted)", trial, a))
 

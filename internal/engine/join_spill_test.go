@@ -185,11 +185,12 @@ func TestBroadcastShipNoAliasing(t *testing.T) {
 	var in Partitioned = Partitioned{{
 		{record.Int(3)}, {record.Int(1)}, {record.Int(2)},
 	}}
-	copies, bytes, err := e.transport().Broadcast(context.Background(), in.Flatten(), e.DOP)
+	ed := edge{ship: optimizer.ShipBroadcast, data: in}
+	bytes, err := e.shuffle(context.Background(), e.TraceParent, &ed, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Partitioned(copies)
+	out := ed.data
 	if len(out) != 3 {
 		t.Fatalf("broadcast produced %d partitions, want 3", len(out))
 	}

@@ -10,6 +10,7 @@ import (
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/spill"
+	"blackboxflow/internal/tac"
 )
 
 // This file is the local stage of the pipeline. Grouping and join
@@ -44,12 +45,12 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge) (P
 		return out, counts[0].calls, err
 
 	case dataflow.KindReduce:
-		return fanOut(len(in[0].data), func(i int) ([]record.Record, int, error) {
+		return fanOut(len(in[0].data), func(i int, emit func(record.Record) error) (int, error) {
 			groups, err := e.sideGroups(&in[0], i, p.Local == optimizer.LocalHashGroup)
 			if err != nil {
-				return nil, 0, err
+				return 0, err
 			}
-			return e.reduceGroups(ctx, op, groups)
+			return e.reduceGroups(ctx, op, groups, emit)
 		})
 
 	case dataflow.KindMatch, dataflow.KindCoGroup:
@@ -60,37 +61,38 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge) (P
 		if op.Kind == dataflow.KindMatch {
 			align, hashed = e.matchAligned, p.Local == optimizer.LocalHashJoin
 		}
-		return fanOut(len(in[0].data), func(i int) ([]record.Record, int, error) {
+		return fanOut(len(in[0].data), func(i int, emit func(record.Record) error) (int, error) {
 			l, err := e.sideGroups(&in[0], i, hashed)
 			if err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 			r, err := e.sideGroups(&in[1], i, hashed)
 			if err != nil {
-				return nil, 0, err
+				return 0, err
 			}
-			return align(ctx, op, l, r)
+			return align(ctx, op, l, r, emit)
 		})
 
 	case dataflow.KindCross:
-		return fanOut(len(in[0].data), func(i int) ([]record.Record, int, error) {
-			var out []record.Record
+		return fanOut(len(in[0].data), func(i int, emit func(record.Record) error) (int, error) {
+			udf, err := e.runner(op, tac.KindBinary)
+			if err != nil {
+				return 0, err
+			}
 			calls := 0
 			var tick ticker
 			for _, lr := range in[0].data[i] {
 				for _, rr := range in[1].data[i] {
 					if tick.due() && context.Cause(ctx) != nil {
-						return nil, 0, context.Cause(ctx)
+						return 0, context.Cause(ctx)
 					}
-					res, err := e.interp.InvokeBinary(op.UDF, lr, rr)
-					if err != nil {
-						return nil, 0, &opError{op.Name, err}
+					if err := udfError(op, udf.Binary(lr, rr, emit)); err != nil {
+						return 0, err
 					}
 					calls++
-					out = append(out, res...)
 				}
 			}
-			return out, calls, nil
+			return calls, nil
 		})
 
 	default:
@@ -270,27 +272,28 @@ func hashGroups(part []record.Record, keys []int) [][]record.Record {
 }
 
 // reduceGroups applies the Reduce UDF once per key group of the stream.
-func (e *Engine) reduceGroups(ctx context.Context, op *dataflow.Operator, groups groupCursor) ([]record.Record, int, error) {
-	var out []record.Record
+func (e *Engine) reduceGroups(ctx context.Context, op *dataflow.Operator, groups groupCursor, emit func(record.Record) error) (int, error) {
+	udf, err := e.runner(op, tac.KindReduce)
+	if err != nil {
+		return 0, err
+	}
 	calls := 0
 	var tick ticker
 	for {
 		if tick.due() && context.Cause(ctx) != nil {
-			return nil, 0, context.Cause(ctx)
+			return 0, context.Cause(ctx)
 		}
 		g, err := groups.next()
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		if g == nil {
-			return out, calls, nil
+			return calls, nil
 		}
-		res, err := e.interp.InvokeReduce(op.UDF, g)
-		if err != nil {
-			return nil, 0, &opError{op.Name, err}
+		if err := udfError(op, udf.Reduce(tac.Records(g), emit)); err != nil {
+			return 0, err
 		}
 		calls++
-		out = append(out, res...)
 	}
 }
 
@@ -307,32 +310,28 @@ func compareKeyPair(l record.Record, lKeys []int, r record.Record, rKeys []int) 
 
 // coGroupAligned merges two sorted group streams and calls the CoGroup UDF
 // once per key in the combined key domain, ascending.
-func (e *Engine) coGroupAligned(ctx context.Context, op *dataflow.Operator, l, r groupCursor) ([]record.Record, int, error) {
-	var out []record.Record
-	calls := 0
-	emit := func(lg, rg []record.Record) error {
-		res, err := e.interp.InvokeCoGroup(op.UDF, lg, rg)
-		if err != nil {
-			return &opError{op.Name, err}
-		}
-		calls++
-		out = append(out, res...)
-		return nil
+func (e *Engine) coGroupAligned(ctx context.Context, op *dataflow.Operator, l, r groupCursor, emit func(record.Record) error) (int, error) {
+	udf, err := e.runner(op, tac.KindCoGroup)
+	if err != nil {
+		return 0, err
 	}
+	calls := 0
 	lg, err := l.next()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	rg, err := r.next()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	var tick ticker
 	for lg != nil || rg != nil {
 		if tick.due() && context.Cause(ctx) != nil {
-			return nil, 0, context.Cause(ctx)
+			return 0, context.Cause(ctx)
 		}
-		var c int
+		// The side whose next key is the smaller goes alone; equal keys go
+		// together.
+		c := 0
 		switch {
 		case rg == nil:
 			c = -1
@@ -341,34 +340,29 @@ func (e *Engine) coGroupAligned(ctx context.Context, op *dataflow.Operator, l, r
 		default:
 			c = compareKeyPair(lg[0], op.Keys[0], rg[0], op.Keys[1])
 		}
-		switch {
-		case c < 0:
-			if err := emit(lg, nil); err != nil {
-				return nil, 0, err
-			}
+		var lside, rside []record.Record
+		if c <= 0 {
+			lside = lg
+		}
+		if c >= 0 {
+			rside = rg
+		}
+		if err := udfError(op, udf.CoGroup(tac.Records(lside), tac.Records(rside), emit)); err != nil {
+			return 0, err
+		}
+		calls++
+		if c <= 0 {
 			if lg, err = l.next(); err != nil {
-				return nil, 0, err
+				return 0, err
 			}
-		case c > 0:
-			if err := emit(nil, rg); err != nil {
-				return nil, 0, err
-			}
+		}
+		if c >= 0 {
 			if rg, err = r.next(); err != nil {
-				return nil, 0, err
-			}
-		default:
-			if err := emit(lg, rg); err != nil {
-				return nil, 0, err
-			}
-			if lg, err = l.next(); err != nil {
-				return nil, 0, err
-			}
-			if rg, err = r.next(); err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 		}
 	}
-	return out, calls, nil
+	return calls, nil
 }
 
 // matchAligned merges two sorted group streams and emits the cross product
@@ -377,52 +371,53 @@ func (e *Engine) coGroupAligned(ctx context.Context, op *dataflow.Operator, l, r
 // arrival order. Keys present on only one side are skipped without a UDF
 // call, which is what separates a Match from the CoGroup alignment. Key
 // equality is record.Value.Compare-based, the same semantics grouping has.
-func (e *Engine) matchAligned(ctx context.Context, op *dataflow.Operator, l, r groupCursor) ([]record.Record, int, error) {
-	var out []record.Record
+func (e *Engine) matchAligned(ctx context.Context, op *dataflow.Operator, l, r groupCursor, emit func(record.Record) error) (int, error) {
+	udf, err := e.runner(op, tac.KindBinary)
+	if err != nil {
+		return 0, err
+	}
 	calls := 0
 	lg, err := l.next()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	rg, err := r.next()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	var tick ticker
 	for lg != nil && rg != nil {
 		if tick.due() && context.Cause(ctx) != nil {
-			return nil, 0, context.Cause(ctx)
+			return 0, context.Cause(ctx)
 		}
 		switch c := compareKeyPair(lg[0], op.Keys[0], rg[0], op.Keys[1]); {
 		case c < 0:
 			if lg, err = l.next(); err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 		case c > 0:
 			if rg, err = r.next(); err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 		default:
 			for _, lr := range lg {
 				for _, rr := range rg {
 					if tick.due() && context.Cause(ctx) != nil {
-						return nil, 0, context.Cause(ctx)
+						return 0, context.Cause(ctx)
 					}
-					res, err := e.interp.InvokeBinary(op.UDF, lr, rr)
-					if err != nil {
-						return nil, 0, &opError{op.Name, err}
+					if err := udfError(op, udf.Binary(lr, rr, emit)); err != nil {
+						return 0, err
 					}
 					calls++
-					out = append(out, res...)
 				}
 			}
 			if lg, err = l.next(); err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 			if rg, err = r.next(); err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 		}
 	}
-	return out, calls, nil
+	return calls, nil
 }

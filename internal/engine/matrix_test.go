@@ -26,8 +26,9 @@ import (
 // join operators emit canonical order, and every record here is a function
 // of its key (the chain Maps preserve that), so the within-group arrival
 // order a shuffle scrambles permutes identical records only. Sink and
-// Cross impose no order of their own: behind a partitioned edge their
-// output is compared as a bag.
+// Cross impose no order of their own: behind a shipped edge — partitioned
+// or broadcast, both arrive in whatever order the senders' batches
+// interleave — their output is compared as a bag.
 
 // matrixMaps generates the chain Maps for one input side: key in field k,
 // value in field k+1. Each keeps "record = f(key)": a filter on the key, a
@@ -211,10 +212,10 @@ func TestDifferentialStageMatrix(t *testing.T) {
 			}
 		}
 		for _, ships := range shipSets {
-			// Sink and Cross keep arrival order, which a shuffle scrambles.
+			// Sink and Cross keep arrival order, which shipping scrambles.
 			ordered := true
 			for _, s := range ships {
-				if !sh.canonical && s == optimizer.ShipPartition {
+				if !sh.canonical && s != optimizer.ShipForward {
 					ordered = false
 				}
 			}

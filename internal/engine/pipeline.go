@@ -90,6 +90,14 @@ type edge struct {
 	done  bool
 }
 
+// phase names the edge's sender → receiver stage in spans and errors.
+func (ed *edge) phase() string {
+	if ed.ship == optimizer.ShipBroadcast {
+		return "broadcast"
+	}
+	return "shuffle"
+}
+
 // isChainable reports whether the engine may fuse this plan node onto the
 // edge it feeds: a Map annotated Chained by the physical optimizer, fed by
 // a local forward (no repartitioning in between). Any other Map runs as an
@@ -206,14 +214,13 @@ func (e *Engine) exec(ctx context.Context, p *optimizer.PhysPlan, stats *RunStat
 // run takes one operator through the pipeline's stages, choosing each
 // stage's variant in this one place:
 //
-//   - fused Maps: a chain on a forward or broadcast edge runs in a
-//     materialising loop (runChain); a chain on a partitioned edge runs
-//     inside that edge's shuffle senders, so no intermediate partitions
-//     exist.
-//   - sender → receiver: a partitioned edge shuffles (combining senders
-//     for a Combinable Reduce, spilling receivers under recvBudget); a
-//     broadcast edge replicates through the transport; a forward edge
-//     stays where it is.
+//   - fused Maps: a chain on a forward edge (incl. the Sink's) runs in a
+//     materialising loop (runChain); a chain on a shipped edge runs inside
+//     that edge's senders, so no intermediate partitions exist.
+//   - sender → receiver: a partitioned or broadcast edge goes through
+//     shuffle — the senders hash-route each record to one target or hand
+//     it to every target, combining first for a Combinable Reduce, the
+//     receivers spilling under recvBudget; a forward edge stays where it is.
 //   - local: one entry (local) over every side's resident records plus
 //     spilled runs.
 //
@@ -231,8 +238,6 @@ func (e *Engine) run(ctx context.Context, p *optimizer.PhysPlan, edges []edge, s
 		ed := &edges[i]
 		if ed.ship != optimizer.ShipForward {
 			moves = true
-		}
-		if ed.ship == optimizer.ShipPartition {
 			fused += len(ed.chain)
 			continue
 		}
@@ -260,32 +265,20 @@ func (e *Engine) run(ctx context.Context, p *optimizer.PhysPlan, edges []edge, s
 	var err error
 	for i := range edges {
 		ed := &edges[i]
-		bytes := 0
-		switch ed.ship {
-		case optimizer.ShipPartition:
-			ed.start = time.Now()
-			var combiner *dataflow.Operator
-			if combining {
-				combiner = op
-			}
-			bytes, err = e.shuffle(ctx, parent, ed, combiner, budget)
-			ed.done = err == nil
-			st.InRecords += ed.routed
-			st.CombinerCalls += ed.combinerCalls
-			err = attribute(ctx, op.Name, "shuffle", err)
-		case optimizer.ShipBroadcast:
-			// Every partition gets its own copy of the record headers (the
-			// records themselves are immutable by engine convention):
-			// handing one slice to all DOP partitions would let a local
-			// strategy that sorts in place race its siblings. The transport
-			// owns the copying and accounts the wire size once per copy.
-			var copies [][]record.Record
-			copies, bytes, err = e.transport().Broadcast(ctx, ed.data.Flatten(), e.DOP)
-			err = attribute(ctx, op.Name, "broadcast", err)
-			ed.data = copies
+		if ed.ship == optimizer.ShipForward {
+			continue
 		}
+		ed.start = time.Now()
+		var combiner *dataflow.Operator
+		if combining {
+			combiner = op
+		}
+		bytes, serr := e.shuffle(ctx, parent, ed, combiner, budget)
+		ed.done = serr == nil
+		st.InRecords += ed.routed
+		st.CombinerCalls += ed.combinerCalls
 		st.ShippedBytes += bytes
-		if err != nil {
+		if err = attribute(ctx, op.Name, ed.phase(), serr); err != nil {
 			break
 		}
 	}
@@ -302,7 +295,7 @@ func (e *Engine) run(ctx context.Context, p *optimizer.PhysPlan, edges []edge, s
 	share := window / time.Duration(fused+1)
 	st.ShipTime = window - share*time.Duration(fused)
 	for i := range edges {
-		if edges[i].ship == optimizer.ShipPartition {
+		if edges[i].ship != optimizer.ShipForward {
 			edges[i].share = share
 		}
 	}
@@ -344,12 +337,12 @@ func (e *Engine) run(ctx context.Context, p *optimizer.PhysPlan, edges []edge, s
 // receivers, or zero when they stay fully resident: no MemoryBudget, an
 // operator that is not a grouping or join, or no partitioned input.
 // Forward-shipped inputs are already resident in the producer's partitions,
-// so there is no receiver to bound; broadcast-joined sides (Match strategy
-// B, Cross) are replicated rather than shuffled and stay resident — the
-// optimizer's spill term prices that residency, the engine does not yet
-// spill it. The budget is split evenly across the operator's DOP partitions
-// and its shuffled inputs; a share that truncates to zero stays a budget
-// (collect floors it at one batch's worth).
+// so there is no receiver to bound; the receivers of an operator with a
+// broadcast input (Match strategy B, Cross) stay resident — the optimizer's
+// spill term prices that residency, the engine does not yet spill it. The
+// budget is split evenly across the operator's DOP partitions and its
+// shuffled inputs; a share that truncates to zero stays a budget (collect
+// floors it at one batch's worth).
 func (e *Engine) recvBudget(p *optimizer.PhysPlan) int {
 	switch p.Op.Kind {
 	case dataflow.KindReduce, dataflow.KindCoGroup, dataflow.KindMatch:
@@ -386,25 +379,46 @@ func netDelay(ctx context.Context, d time.Duration) {
 	}
 }
 
+// runner binds the calling goroutine to op's UDF, which must be of the given
+// kind.
+func (e *Engine) runner(op *dataflow.Operator, kind tac.Kind) (*tac.Runner, error) {
+	r, err := e.interp.NewRunner(op.UDF, kind)
+	if err != nil {
+		return nil, &opError{op.Name, err}
+	}
+	return r, nil
+}
+
+// udfError attributes a failed Runner call: what the emit sink returned
+// passes through as it is (whoever produced it named it), anything else is
+// the operator's UDF failing.
+func udfError(op *dataflow.Operator, err error) error {
+	if err == nil {
+		return nil
+	}
+	if inner, ok := tac.AsEmitError(err); ok {
+		return inner
+	}
+	return &opError{op.Name, err}
+}
+
 // chainFeed builds one goroutine's entry point into a fused Map chain: one
-// reusable MapRunner and one emit closure per chain level, so the
-// steady-state loop allocates nothing per record beyond the records the
-// UDFs emit. The feed tallies exact per-level counts and cascades every
-// record leaving the chain into sink (runChain's sink appends to the output
-// partition; a shuffle sender's sink routes into per-target accumulators).
+// reusable Runner and one emit closure per chain level, so the steady-state
+// loop allocates nothing per record beyond the records the UDFs emit. The
+// feed tallies exact per-level counts and cascades every record leaving the
+// chain into sink (a partition's output sink, or a shuffle sender's route).
 // An empty chain is the sink itself. UDF errors are attributed to their
 // operator; sink errors pass through unwrapped.
 func (e *Engine) chainFeed(chain []*optimizer.PhysPlan, c []opCount, sink func(record.Record) error) (func(record.Record) error, error) {
 	feed := sink
 	for level := len(chain) - 1; level >= 0; level-- {
 		op := chain[level].Op
-		runner, err := e.interp.NewMapRunner(op.UDF)
+		udf, err := e.runner(op, tac.KindMap)
 		if err != nil {
-			return nil, &opError{op.Name, err}
+			return nil, err
 		}
 		next := feed
 		cl := &c[level]
-		name := op.Name
 		onEmit := func(r record.Record) error {
 			cl.out++
 			return next(r)
@@ -412,13 +426,7 @@ func (e *Engine) chainFeed(chain []*optimizer.PhysPlan, c []opCount, sink func(r
 		feed = func(r record.Record) error {
 			cl.in++
 			cl.calls++
-			if err := runner.Invoke(r, onEmit); err != nil {
-				if inner, ok := tac.AsEmitError(err); ok {
-					return inner
-				}
-				return &opError{name, err}
-			}
-			return nil
+			return udfError(op, udf.Map(r, onEmit))
 		}
 	}
 	return feed, nil
@@ -445,17 +453,13 @@ func drive(ctx context.Context, part []record.Record, feed func(record.Record) e
 // per-level counts are added into total even when the loop fails.
 func (e *Engine) runChain(ctx context.Context, in Partitioned, chain []*optimizer.PhysPlan, total []opCount) (Partitioned, error) {
 	counts := make([][]opCount, len(in))
-	out, _, err := fanOut(len(in), func(i int) ([]record.Record, int, error) {
+	out, _, err := fanOut(len(in), func(i int, emit func(record.Record) error) (int, error) {
 		counts[i] = make([]opCount, len(chain))
-		var part []record.Record
-		feed, err := e.chainFeed(chain, counts[i], func(r record.Record) error {
-			part = append(part, r)
-			return nil
-		})
+		feed, err := e.chainFeed(chain, counts[i], emit)
 		if err == nil {
 			err = drive(ctx, in[i], feed)
 		}
-		return part, 0, err
+		return 0, err
 	})
 	for _, c := range counts {
 		for level := range c {
@@ -465,9 +469,11 @@ func (e *Engine) runChain(ctx context.Context, in Partitioned, chain []*optimize
 	return out, err
 }
 
-// fanOut runs fn for every partition index concurrently and gathers the
-// output partitions and the UDF calls made — the engine's one parallel-for.
-func fanOut(n int, fn func(i int) ([]record.Record, int, error)) (Partitioned, int, error) {
+// fanOut runs fn for every partition index concurrently — the engine's one
+// parallel-for — handing each the sink of its output partition, and gathers
+// the partitions and the UDF calls made. The sink is the one shape every UDF
+// call emits into (tac.Runner); it never fails.
+func fanOut(n int, fn func(i int, emit func(record.Record) error) (int, error)) (Partitioned, int, error) {
 	out := make(Partitioned, n)
 	calls := make([]int, n)
 	errs := make([]error, n)
@@ -476,7 +482,12 @@ func fanOut(n int, fn func(i int) ([]record.Record, int, error)) (Partitioned, i
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i], calls[i], errs[i] = fn(i)
+			var part []record.Record
+			calls[i], errs[i] = fn(i, func(r record.Record) error {
+				part = append(part, r)
+				return nil
+			})
+			out[i] = part
 		}(i)
 	}
 	wg.Wait()

@@ -9,6 +9,7 @@ import (
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
+	"blackboxflow/internal/tac"
 )
 
 // This file is the reference executor: a frozen copy of the engine as it
@@ -21,7 +22,9 @@ import (
 // against it. It shares no execution code with production: its grouping,
 // sorting (the sortByKey oracle of colsort_test.go), alignment and fan-out
 // are its own copies, so a bug in the pipeline cannot hide in both sides of
-// a comparison. Do not "simplify" it onto production helpers.
+// a comparison. Do not "simplify" it onto production helpers. The one thing
+// it has in common with the pipeline is the UDF entry point: it calls user
+// code through tac.Runner (refUDF), materialising what each call emits.
 
 // mustRefRun executes plan on the reference executor with e's DOP, sources
 // and UDF interpreter, ignoring every other engine setting.
@@ -133,6 +136,35 @@ func (e *Engine) shuffleRecordAtATime(in Partitioned, keys []int) (Partitioned, 
 	return out, int(bytes)
 }
 
+// refUDF is one goroutine's handle on op's UDF: a Runner and the slice its
+// calls' output is appended to.
+type refUDF struct {
+	*tac.Runner
+	op  *dataflow.Operator
+	out []record.Record
+}
+
+func (e *Engine) refUDF(op *dataflow.Operator, kind tac.Kind) (*refUDF, error) {
+	r, err := e.interp.NewRunner(op.UDF, kind)
+	if err != nil {
+		return nil, fmt.Errorf("reference: %s: %w", op.Name, err)
+	}
+	return &refUDF{Runner: r, op: op}, nil
+}
+
+func (u *refUDF) emit(r record.Record) error {
+	u.out = append(u.out, r)
+	return nil
+}
+
+// done wraps a call's error with the operator's name.
+func (u *refUDF) done(err error) error {
+	if err != nil {
+		return fmt.Errorf("reference: %s: %w", u.op.Name, err)
+	}
+	return nil
+}
+
 // refLocal runs the operator's in-memory local strategy on every partition
 // in parallel.
 func (e *Engine) refLocal(p *optimizer.PhysPlan, inputs []Partitioned) (Partitioned, int, error) {
@@ -154,33 +186,35 @@ func (e *Engine) refLocal(p *optimizer.PhysPlan, inputs []Partitioned) (Partitio
 
 	case dataflow.KindMap:
 		return refPerPartition2(inputs[0], nil, func(part, _ []record.Record) ([]record.Record, int, error) {
-			var out []record.Record
+			udf, err := e.refUDF(op, tac.KindMap)
+			if err != nil {
+				return nil, 0, err
+			}
 			calls := 0
 			for _, r := range part {
-				res, err := e.interp.InvokeMap(op.UDF, r)
-				if err != nil {
-					return nil, 0, fmt.Errorf("reference: %s: %w", op.Name, err)
+				if err := udf.done(udf.Map(r, udf.emit)); err != nil {
+					return nil, 0, err
 				}
 				calls++
-				out = append(out, res...)
 			}
-			return out, calls, nil
+			return udf.out, calls, nil
 		})
 
 	case dataflow.KindReduce:
 		keys := op.Keys[0]
 		return refPerPartition2(inputs[0], nil, func(part, _ []record.Record) ([]record.Record, int, error) {
-			var out []record.Record
+			udf, err := e.refUDF(op, tac.KindReduce)
+			if err != nil {
+				return nil, 0, err
+			}
 			calls := 0
 			for _, g := range refGroupRecords(part, keys, p.Local == optimizer.LocalSortGroup) {
-				res, err := e.interp.InvokeReduce(op.UDF, g)
-				if err != nil {
-					return nil, 0, fmt.Errorf("reference: %s: %w", op.Name, err)
+				if err := udf.done(udf.Reduce(tac.Records(g), udf.emit)); err != nil {
+					return nil, 0, err
 				}
 				calls++
-				out = append(out, res...)
 			}
-			return out, calls, nil
+			return udf.out, calls, nil
 		})
 
 	case dataflow.KindMatch:
@@ -199,19 +233,20 @@ func (e *Engine) refLocal(p *optimizer.PhysPlan, inputs []Partitioned) (Partitio
 
 	case dataflow.KindCross:
 		return refPerPartition2(inputs[0], inputs[1], func(l, r []record.Record) ([]record.Record, int, error) {
-			var out []record.Record
+			udf, err := e.refUDF(op, tac.KindBinary)
+			if err != nil {
+				return nil, 0, err
+			}
 			calls := 0
 			for _, lr := range l {
 				for _, rr := range r {
-					res, err := e.interp.InvokeBinary(op.UDF, lr, rr)
-					if err != nil {
-						return nil, 0, fmt.Errorf("reference: %s: %w", op.Name, err)
+					if err := udf.done(udf.Binary(lr, rr, udf.emit)); err != nil {
+						return nil, 0, err
 					}
 					calls++
-					out = append(out, res...)
 				}
 			}
-			return out, calls, nil
+			return udf.out, calls, nil
 		})
 
 	case dataflow.KindCoGroup:
@@ -352,7 +387,10 @@ func refCompareKeyPair(l record.Record, lKeys []int, r record.Record, rKeys []in
 // refMatchAligned emits the cross product of every equal-key group pair of
 // two ascending group lists: ascending key, left records major.
 func (e *Engine) refMatchAligned(op *dataflow.Operator, l, r [][]record.Record) ([]record.Record, int, error) {
-	var out []record.Record
+	udf, err := e.refUDF(op, tac.KindBinary)
+	if err != nil {
+		return nil, 0, err
+	}
 	calls := 0
 	for len(l) > 0 && len(r) > 0 {
 		switch c := refCompareKeyPair(l[0][0], op.Keys[0], r[0][0], op.Keys[1]); {
@@ -363,24 +401,25 @@ func (e *Engine) refMatchAligned(op *dataflow.Operator, l, r [][]record.Record) 
 		default:
 			for _, lr := range l[0] {
 				for _, rr := range r[0] {
-					res, err := e.interp.InvokeBinary(op.UDF, lr, rr)
-					if err != nil {
-						return nil, 0, fmt.Errorf("reference: %s: %w", op.Name, err)
+					if err := udf.done(udf.Binary(lr, rr, udf.emit)); err != nil {
+						return nil, 0, err
 					}
 					calls++
-					out = append(out, res...)
 				}
 			}
 			l, r = l[1:], r[1:]
 		}
 	}
-	return out, calls, nil
+	return udf.out, calls, nil
 }
 
 // refCoGroupAligned calls the CoGroup UDF once per key in the combined key
 // domain of two ascending group lists, ascending.
 func (e *Engine) refCoGroupAligned(op *dataflow.Operator, l, r [][]record.Record) ([]record.Record, int, error) {
-	var out []record.Record
+	udf, err := e.refUDF(op, tac.KindCoGroup)
+	if err != nil {
+		return nil, 0, err
+	}
 	calls := 0
 	for len(l) > 0 || len(r) > 0 {
 		var lg, rg []record.Record
@@ -399,12 +438,10 @@ func (e *Engine) refCoGroupAligned(op *dataflow.Operator, l, r [][]record.Record
 		if c >= 0 {
 			rg, r = r[0], r[1:]
 		}
-		res, err := e.interp.InvokeCoGroup(op.UDF, lg, rg)
-		if err != nil {
-			return nil, 0, fmt.Errorf("reference: %s: %w", op.Name, err)
+		if err := udf.done(udf.CoGroup(tac.Records(lg), tac.Records(rg), udf.emit)); err != nil {
+			return nil, 0, err
 		}
 		calls++
-		out = append(out, res...)
 	}
-	return out, calls, nil
+	return udf.out, calls, nil
 }

@@ -8,17 +8,20 @@ import (
 
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/obs"
+	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/spill"
+	"blackboxflow/internal/tac"
 	"blackboxflow/internal/transport"
 )
 
-// This file is the sender → receiver stage of the pipeline: the one shuffle
-// topology (one sender goroutine per source partition, one collector per
-// target, over a transport session), its sender — plain or combining, with
-// the edge's fused Map chain in front — and its collector, which bounds
-// resident bytes at a budget and spills sorted runs on overflow (budget
-// zero: everything stays resident).
+// This file is the sender → receiver stage of the pipeline, the one every
+// non-forward edge ships through: the one topology (one sender goroutine per
+// source partition, one collector per target, over a transport session), its
+// sender — hash-routing or broadcasting, plain or combining, with the edge's
+// fused Map chain in front — and its collector, which bounds resident bytes
+// at a budget and spills sorted runs on overflow (budget zero: everything
+// stays resident).
 
 // Shuffle hash-partitions a partitioned data set by the key fields into
 // e.DOP partitions and returns the reshaped data plus the number of bytes
@@ -30,12 +33,13 @@ func (e *Engine) Shuffle(in Partitioned, keys []int) (Partitioned, int, error) {
 	return ed.data, bytes, err
 }
 
-// shuffle hash-partitions an edge's records by its key fields over the
-// engine's transport, replacing ed.data with what the targets received and
-// filling ed.spills, ed.counts, ed.routed and ed.combinerCalls. The byte
-// count is meaningful even alongside an error (partial transfers count what
-// they accounted before failing); on error the caller still owns — and
-// closes — the spill files.
+// shuffle ships an edge's records over the engine's transport — each to the
+// target its key fields hash to, or, on a broadcast edge, to every target —
+// replacing ed.data with what the targets received and filling ed.spills,
+// ed.counts, ed.routed and ed.combinerCalls. The byte count is meaningful
+// even alongside an error (partial transfers count what they accounted
+// before failing); on error the caller still owns — and closes — the spill
+// files.
 //
 // Records move in record.Batch units rather than one at a time: each sender
 // accumulates a per-target batch and hands it to the transport session when
@@ -43,14 +47,19 @@ func (e *Engine) Shuffle(in Partitioned, keys []int) (Partitioned, int, error) {
 // synchronization across ~1k records. Batches are sync.Pool-recycled, and
 // each batch carries its running encoded size, so byte accounting needs no
 // second pass over the records — and happens engine-side before Send, so
-// ShippedBytes is identical whichever transport carries the batch. A
-// non-nil combiner (the Combinable Reduce being fed) switches the senders
-// to partial aggregation; a positive budget bounds the collectors. The two
-// compose: senders shrink the stream first, receivers spill only what still
-// overflows, and every spilled run holds already combined records.
+// ShippedBytes is identical whichever transport carries the batch (and, on a
+// broadcast edge, the input's wire size once per target). Every target's
+// collector builds its own slice of record headers — the records themselves
+// are immutable by engine convention — so a local strategy that sorts in
+// place cannot race its siblings. A non-nil combiner (the Combinable Reduce
+// being fed) switches the senders to partial aggregation; a positive budget
+// bounds the collectors. The two compose: senders shrink the stream first,
+// receivers spill only what still overflows, and every spilled run holds
+// already combined records.
 //
-// The session's span nests under parent — "shuffle", or "combine-ship" for
-// combining senders — with the per-worker transport spans beneath it.
+// The session's span nests under parent — "shuffle" or "broadcast", or
+// "combine-ship" for combining senders — with the per-worker transport spans
+// beneath it.
 //
 // Cancellation: the senders poll the context and stop routing, the
 // collectors stop buffering, and a context.AfterFunc closes the session so
@@ -58,7 +67,7 @@ func (e *Engine) Shuffle(in Partitioned, keys []int) (Partitioned, int, error) {
 // peer) is unblocked with an error instead of hanging.
 func (e *Engine) shuffle(ctx context.Context, parent obs.SpanID, ed *edge, combiner *dataflow.Operator, budget int) (int, error) {
 	in, dop := ed.data, e.DOP
-	name, kind := "shuffle", obs.KindShip
+	name, kind := ed.phase(), obs.KindShip
 	if combiner != nil {
 		name, kind = "combine-ship", obs.KindCombine
 	}
@@ -79,22 +88,21 @@ func (e *Engine) shuffle(ctx context.Context, parent obs.SpanID, ed *edge, combi
 	senders := make([]sender, len(in))
 	for si, part := range in {
 		s := &senders[si]
-		*s = sender{e: e, st: st, keys: ed.keys, targets: uint64(dop), combiner: combiner,
-			chain: make([]opCount, len(ed.chain))}
-		if combiner != nil {
-			s.cols = make([]*record.ColBatch, dop)
-		} else {
-			s.rows = make([]*record.Batch, dop)
-		}
+		*s = sender{e: e, st: st, keys: ed.keys, broadcast: ed.ship == optimizer.ShipBroadcast, combiner: combiner,
+			rows: make([]*record.Batch, dop), cols: make([]*record.ColBatch, dop), chain: make([]opCount, len(ed.chain))}
 		go s.run(ctx, part, ed)
 	}
 	// A plain resident shuffle of materialised records knows its volume:
-	// pre-size each output partition for a near-uniform key distribution
-	// (skewed keys fall back to append growth). What a chain, a combiner or
-	// a spilling collector leaves resident is unknowable here.
+	// pre-size each output partition — exactly on a broadcast edge, for a
+	// near-uniform key distribution on a partitioned one (skewed keys fall
+	// back to append growth). What a chain, a combiner or a spilling
+	// collector leaves resident is unknowable here.
 	hint := 0
 	if combiner == nil && budget == 0 && len(ed.chain) == 0 {
-		hint = in.Records()/dop + in.Records()/(8*dop) + 16
+		hint = in.Records()
+		if ed.ship != optimizer.ShipBroadcast {
+			hint = hint/dop + hint/(8*dop) + 16
+		}
 	}
 	out := make(Partitioned, dop)
 	ed.spills = make([]*partitionSpill, dop)
@@ -153,27 +161,31 @@ type shuffleState struct {
 }
 
 // sender is one source partition's side of a shuffle: it pushes the
-// partition through the edge's fused Map chain, hash-routes what leaves the
-// chain into per-target accumulators, and hands each full accumulator to
-// the transport session. The plain sender accumulates record.Batch units
-// and ships them as they are. The combining sender accumulates ColBatches —
+// partition through the edge's fused Map chain, routes what leaves the chain
+// into per-target accumulators — the target the key fields hash to, or every
+// target on a broadcast edge — and hands each full accumulator to the
+// transport session. The plain sender accumulates record.Batch units and
+// ships them as they are. The combining sender accumulates ColBatches —
 // typed column arrays with dictionary-coded strings, the routing hash
 // cached per row so the grouping pass never re-hashes — and applies the
 // combiner to each before flushing it into a fresh pooled record.Batch, so
 // it ships at most one record per (group key, target) per flush window and
 // the collectors cannot tell the two apart.
 type sender struct {
-	e        *Engine
-	st       *shuffleState
-	keys     []int
-	targets  uint64
-	combiner *dataflow.Operator // nil: plain
+	e         *Engine
+	st        *shuffleState
+	keys      []int
+	broadcast bool               // every record goes to every target
+	combiner  *dataflow.Operator // nil: plain
+	combine   *tac.Runner        // the combiner's Runner, one per sender
 
-	rows []*record.Batch    // plain accumulators, one per target
-	cols []*record.ColBatch // combining accumulators, one per target
+	// One accumulator slot per target: rows fill on a plain sender, cols
+	// on a combining one.
+	rows []*record.Batch
+	cols []*record.ColBatch
 
 	chain         []opCount // the fused chain's per-level counts
-	routed        int       // records flushed so far: what left the chain, the operator's logical input
+	routed        int       // records routed so far: what left the chain, the operator's logical input
 	combinerCalls int
 	bytes         int   // wire bytes handed to the session
 	err           error // what stopped the sender early; read after senders.Done
@@ -189,18 +201,18 @@ func (s *sender) run(ctx context.Context, part []record.Record, ed *edge) {
 	defer s.st.senders.Done()
 	defer s.st.sh.SenderDone()
 	feed, err := s.e.chainFeed(ed.chain, s.chain, s.route)
+	if err == nil && s.combiner != nil {
+		if s.combine, err = s.e.interp.NewRunner(s.combiner.Combiner, tac.KindReduce); err != nil {
+			err = s.combinerError(err)
+		}
+	}
 	if err == nil {
 		err = drive(ctx, part, feed)
 	}
 	// Flush the partial tail accumulators (always non-empty: one is only
 	// allocated on first append).
 	for t := 0; err == nil && t < len(s.rows); t++ {
-		if s.rows[t] != nil {
-			err = s.flush(t)
-		}
-	}
-	for t := 0; err == nil && t < len(s.cols); t++ {
-		if s.cols[t] != nil {
+		if s.rows[t] != nil || s.cols[t] != nil {
 			err = s.flush(t)
 		}
 	}
@@ -208,25 +220,31 @@ func (s *sender) run(ctx context.Context, part []record.Record, ed *edge) {
 		return
 	}
 	s.err = err
-	for t, b := range s.rows {
-		if b != nil {
-			record.PutBatch(b)
-			s.rows[t] = nil
-		}
-	}
-	for t, cb := range s.cols {
-		if cb != nil {
-			record.PutColBatch(cb)
-			s.cols[t] = nil
-		}
+	for t := range s.rows {
+		record.PutBatch(s.rows[t])
+		record.PutColBatch(s.cols[t])
 	}
 }
 
-// route appends one record to its target's accumulator and flushes the
-// accumulator when full.
+// route is the sink the fused chain emits into: one record to the target
+// its key hashes to, or to every target on a broadcast edge.
 func (s *sender) route(r record.Record) error {
+	s.routed++
+	if s.broadcast {
+		for t := range s.rows {
+			if err := s.add(t, r, 0); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	h := r.Hash(s.keys)
-	t := int(h % s.targets)
+	return s.add(int(h%uint64(len(s.rows))), r, h)
+}
+
+// add appends one record to target t's accumulator and flushes the
+// accumulator when full; h is the record's key hash, for the combiner.
+func (s *sender) add(t int, r record.Record, h uint64) error {
 	if s.combiner == nil {
 		b := s.rows[t]
 		if b == nil {
@@ -255,24 +273,26 @@ func (s *sender) flush(t int) error {
 	var b *record.Batch
 	if s.combiner == nil {
 		b, s.rows[t] = s.rows[t], nil
-		s.routed += b.Len()
 	} else {
 		cb := s.cols[t]
 		s.cols[t] = nil
-		s.routed += cb.Len()
 		b = record.GetBatch()
-		calls, err := cb.CombineInto(s.keys, b, func(g record.ColGroup) ([]record.Record, error) {
-			return s.e.interp.InvokeReduceSource(s.combiner.Combiner, g)
+		calls, err := cb.CombineInto(s.keys, b, func(g record.ColGroup, emit func(record.Record) error) error {
+			return s.combine.Reduce(g, emit)
 		})
 		record.PutColBatch(cb)
 		if err != nil {
 			record.PutBatch(b)
-			return &opError{s.combiner.Name, fmt.Errorf("combiner: %w", err)}
+			return s.combinerError(err)
 		}
 		s.combinerCalls += calls
 	}
 	s.bytes += b.EncodedSize()
 	return s.st.sh.Send(t, b)
+}
+
+func (s *sender) combinerError(err error) error {
+	return &opError{s.combiner.Name, fmt.Errorf("combiner: %w", err)}
 }
 
 // partitionSpill is one target partition's overflow state: the spill file

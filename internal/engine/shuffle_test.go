@@ -161,7 +161,7 @@ func TestShuffleAllocRegression(t *testing.T) {
 // TestChainedExecutionMatchesUnchained strips the Chained annotation off an
 // optimizer-produced plan — every Map then runs as an operator of its own,
 // a chain of length one — and checks that the fused execution agrees with
-// it, and with the reference executor's stage-at-a-time InvokeMap loop, on
+// it, and with the reference executor's stage-at-a-time Map loop, on
 // both the output bag and the per-operator statistics.
 func TestChainedExecutionMatchesUnchained(t *testing.T) {
 	f, tree := buildPaperFlow(t)

@@ -199,6 +199,57 @@ func TestDistributedTraceSpans(t *testing.T) {
 	}
 }
 
+// TestDistributedTraceBroadcast pins the span shape of a broadcast edge,
+// which is the shape of a partitioned one: under the operator's ship span a
+// "broadcast" span carrying the bytes shipped and the un-replicated record
+// count, and under that one transport span per worker connection — a
+// broadcast's wire time used to be invisible.
+func TestDistributedTraceBroadcast(t *testing.T) {
+	addrs := startWorkerAddrs(t, 2)
+	tp, err := transport.NewTCP(transport.TCPConfig{Workers: addrs, LocalSlots: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	pl := distPipelines(t)[2] // broadcast-join
+	tr, stats := tracedRun(t, pl, 4, tp, "")
+
+	op, ok := findSpan(tr, obs.KindOp, "J")
+	if !ok {
+		t.Fatalf("no operator span for J; spans:\n%s", tr.Table())
+	}
+	var st OpStats
+	for _, s := range stats.PerOp {
+		if s.Name == "J" {
+			st = s
+		}
+	}
+	ship, ok := findSpan(tr, obs.KindShip, "ship")
+	if !ok || ship.Parent != op.ID || ship.Bytes != int64(st.ShippedBytes) {
+		t.Fatalf("ship span %+v, want one under J (%d) with %d bytes; spans:\n%s", ship, op.ID, st.ShippedBytes, tr.Table())
+	}
+	bc, ok := findSpan(tr, obs.KindShip, "broadcast")
+	if !ok || bc.Parent != ship.ID {
+		t.Fatalf("broadcast span missing or not under J's ship span; spans:\n%s", tr.Table())
+	}
+	if left := len(pl.sources["L"]); bc.Bytes != int64(st.ShippedBytes) || bc.Bytes == 0 || bc.Records != int64(left) {
+		t.Fatalf("broadcast span carries %d bytes / %d records, want %d / %d", bc.Bytes, bc.Records, st.ShippedBytes, left)
+	}
+	seen := map[string]bool{}
+	for _, s := range spansOfKind(tr, obs.KindTransport) {
+		if s.Parent != bc.ID {
+			t.Fatalf("transport span %q parented under span %d, want the broadcast span %d", s.Name, s.Parent, bc.ID)
+		}
+		if s.Frames == 0 || s.Bytes == 0 {
+			t.Fatalf("transport span for %s has no traffic: %+v", s.Worker, s)
+		}
+		seen[s.Worker] = true
+	}
+	if len(seen) != len(addrs) {
+		t.Fatalf("transport spans cover %d workers, want %d; spans:\n%s", len(seen), len(addrs), tr.Table())
+	}
+}
+
 // TestTracedShuffleAllocOverhead pins the always-on claim at the
 // allocation level: attaching a trace to a shuffle must cost at most a
 // small constant number of allocations (span table reuse via Reset, no

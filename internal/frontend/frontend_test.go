@@ -52,9 +52,25 @@ func compileFuncByName(t *testing.T, src, name string) *tac.Func {
 	return f
 }
 
+// collect makes one UDF call on a fresh tac.Runner and gathers what the UDF
+// emits.
+func collect(f *tac.Func, call func(r *tac.Runner, emit func(record.Record) error) error) ([]record.Record, error) {
+	r, err := tac.NewInterp().NewRunner(f, f.Kind)
+	if err != nil {
+		return nil, err
+	}
+	var out []record.Record
+	err = call(r, func(rec record.Record) error { out = append(out, rec); return nil })
+	return out, err
+}
+
+func collectMap(f *tac.Func, in record.Record) ([]record.Record, error) {
+	return collect(f, func(r *tac.Runner, emit func(record.Record) error) error { return r.Map(in, emit) })
+}
+
 func runMap(t *testing.T, f *tac.Func, in record.Record) []record.Record {
 	t.Helper()
-	out, err := tac.NewInterp().InvokeMap(f, in)
+	out, err := collectMap(f, in)
 	if err != nil {
 		t.Fatalf("%s(%v): %v", f.Name, in, err)
 	}
@@ -142,7 +158,9 @@ reduce emitAll(g) {
 	}
 	f, _ := prog.Lookup("emitAll")
 	group := []record.Record{{record.Int(1)}, {record.Int(2)}, {record.Int(3)}}
-	out, err := tac.NewInterp().InvokeReduce(f, group)
+	out, err := collect(f, func(r *tac.Runner, emit func(record.Record) error) error {
+		return r.Reduce(tac.Records(group), emit)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +198,9 @@ reduce stats(g) {
 		{record.Int(7), record.Int(10)},
 		{record.Int(7), record.Int(20)},
 	}
-	out, err := tac.NewInterp().InvokeReduce(f, group)
+	out, err := collect(f, func(r *tac.Runner, emit func(record.Record) error) error {
+		return r.Reduce(tac.Records(group), emit)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,18 +227,18 @@ binary tag(l, r) {
 		t.Fatal(err)
 	}
 	f, _ := prog.Lookup("tag")
-	out, err := tac.NewInterp().InvokeBinary(f,
-		record.Record{record.String("ax")},
-		record.Record{record.Null, record.String("b")})
+	out, err := collect(f, func(r *tac.Runner, emit func(record.Record) error) error {
+		return r.Binary(record.Record{record.String("ax")}, record.Record{record.Null, record.String("b")}, emit)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0].Field(2).AsString() != "ax-b" {
 		t.Fatalf("out = %v", out)
 	}
-	out, err = tac.NewInterp().InvokeBinary(f,
-		record.Record{record.String("a")},
-		record.Record{record.Null, record.String("b")})
+	out, err = collect(f, func(r *tac.Runner, emit func(record.Record) error) error {
+		return r.Binary(record.Record{record.String("a")}, record.Record{record.Null, record.String("b")}, emit)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +262,6 @@ map f(ir) {
 		t.Fatal(err)
 	}
 	f, _ := prog.Lookup("f")
-	ip := tac.NewInterp()
 	cases := []struct {
 		a, b int64
 		want int
@@ -250,7 +269,7 @@ map f(ir) {
 		{1, 1, 1}, {1, -1, 0}, {-1, 1, 0}, {99, -5, 1}, {0, 0, 0},
 	}
 	for _, c := range cases {
-		out, err := ip.InvokeMap(f, record.Record{record.Int(c.a), record.Int(c.b)})
+		out, err := collectMap(f, record.Record{record.Int(c.a), record.Int(c.b)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,9 +299,8 @@ map classify(ir) {
 		t.Fatal(err)
 	}
 	f, _ := prog.Lookup("classify")
-	ip := tac.NewInterp()
 	for _, c := range []struct{ v, want int64 }{{5, 1}, {50, 2}, {500, 3}} {
-		out, err := ip.InvokeMap(f, record.Record{record.Int(c.v), record.Null})
+		out, err := collectMap(f, record.Record{record.Int(c.v), record.Null})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +332,7 @@ map f(ir) {
 	if !e.DynamicRead {
 		t.Error("dynamic access must surface as DynamicRead in SCA")
 	}
-	out, err := tac.NewInterp().InvokeMap(f, record.Record{record.Int(2), record.Null, record.Int(9)})
+	out, err := collectMap(f, record.Record{record.Int(2), record.Null, record.Int(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +418,6 @@ func TestQuickPipelineEquivalence(t *testing.T) {
 	f1 := compileFuncByName(t, section3, "f1")
 	f2 := compileFuncByName(t, section3, "f2")
 	f3 := compileFuncByName(t, section3, "f3")
-	ip := tac.NewInterp()
 
 	prop := func(a, b int32) bool {
 		in := record.Record{record.Int(int64(a)), record.Int(int64(b))}
@@ -418,7 +435,7 @@ func TestQuickPipelineEquivalence(t *testing.T) {
 		for _, f := range []*tac.Func{f1, f2, f3} {
 			var next []record.Record
 			for _, r := range cur {
-				out, err := ip.InvokeMap(f, r)
+				out, err := collectMap(f, r)
 				if err != nil {
 					return false
 				}

@@ -210,3 +210,49 @@ func TestSchedulerWorkerNetMetrics(t *testing.T) {
 		t.Fatalf("no transport spans in a distributed job's trace:\n%s", j.Trace().Table())
 	}
 }
+
+// TestSchedulerWorkerBroadcastTraceSpans pins a distributed broadcast edge
+// in a job's trace: run → operator → ship → broadcast (bytes and the
+// un-replicated record count) → one transport span per worker. (Named
+// 'SchedulerWorker' so the CI distributed job runs it.)
+func TestSchedulerWorkerBroadcastTraceSpans(t *testing.T) {
+	addrs, _ := startTestWorkers(t, 2)
+	s := New(Config{MaxConcurrent: 1, DOP: 4, Workers: addrs})
+	const lN = 500
+	j, err := s.Submit(broadcastJoinSpec(t, lN, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := waitTerminal(t, j, "broadcast job"); err != nil {
+		t.Fatal(err)
+	}
+	tr := j.Trace()
+	spans := tr.Spans()
+	var bc obs.Span
+	for _, sp := range spans {
+		if sp.Kind == obs.KindShip && sp.Name == "broadcast" {
+			bc = sp
+		}
+	}
+	if bc.ID == 0 {
+		t.Fatalf("no broadcast span — the plan did not broadcast:\n%s", tr.Table())
+	}
+	ship := spans[bc.Parent]
+	op := spans[ship.Parent]
+	if ship.Kind != obs.KindShip || ship.Name != "ship" || op.Kind != obs.KindOp || op.Name != "pair" || op.Parent != phaseSpan(t, tr, "run").ID {
+		t.Fatalf("broadcast span hangs under %s %q under %s %q, want ship under operator pair under the run phase:\n%s",
+			ship.Kind, ship.Name, op.Kind, op.Name, tr.Table())
+	}
+	if bc.Records != lN || bc.Bytes == 0 || bc.Bytes != ship.Bytes {
+		t.Fatalf("broadcast span carries %d records / %d bytes under a ship span of %d bytes, want %d records and all of the bytes", bc.Records, bc.Bytes, ship.Bytes, lN)
+	}
+	workers := map[string]bool{}
+	for _, sp := range spans {
+		if sp.Kind == obs.KindTransport && sp.Parent == bc.ID && sp.Bytes > 0 {
+			workers[sp.Worker] = true
+		}
+	}
+	if len(workers) != len(addrs) {
+		t.Fatalf("transport spans under the broadcast cover %d workers, want %d:\n%s", len(workers), len(addrs), tr.Table())
+	}
+}

@@ -81,57 +81,3 @@ func (b *Batch) Reset() {
 	b.recs = b.recs[:0]
 	b.bytes = 0
 }
-
-// Combine groups the batch's records by the key fields and replaces the
-// batch's contents with fn's output for every group — the in-place
-// primitive behind the engine's pre-shuffle partial aggregation. Groups are
-// emitted in first-occurrence order, and records within a group keep their
-// arrival order, so a deterministic producer yields a deterministic
-// combined batch. The running byte total is rebuilt from the replacement
-// records. Combine returns the number of groups (= fn invocations).
-//
-// fn's output for all groups must fit within the batch's capacity; this
-// holds for any fn that emits at most one record per group, which is what
-// the optimizer's combiner safety check guarantees.
-func (b *Batch) Combine(keys []int, fn func(group []Record) ([]Record, error)) (int, error) {
-	if len(b.recs) == 0 {
-		return 0, nil
-	}
-	// Group by key hash with collision safety: a bucket may hold several
-	// true key groups, told apart by field-wise key equality against the
-	// group's first record — no per-record key projection is materialized,
-	// keeping the sender's hot path free of per-record allocations.
-	type group struct {
-		head Record // first record, the group's key representative
-		recs []Record
-	}
-	groups := make([]group, 0, 16)
-	buckets := map[uint64][]int{}
-	for _, r := range b.recs {
-		h := r.Hash(keys)
-		gi := -1
-		for _, idx := range buckets[h] {
-			if r.EqualOn(groups[idx].head, keys) {
-				gi = idx
-				break
-			}
-		}
-		if gi < 0 {
-			gi = len(groups)
-			groups = append(groups, group{head: r})
-			buckets[h] = append(buckets[h], gi)
-		}
-		groups[gi].recs = append(groups[gi].recs, r)
-	}
-	b.Reset()
-	for _, g := range groups {
-		out, err := fn(g.recs)
-		if err != nil {
-			return 0, err
-		}
-		for _, r := range out {
-			b.Append(r)
-		}
-	}
-	return len(groups), nil
-}

@@ -1,7 +1,6 @@
 package record
 
 import (
-	"errors"
 	"testing"
 )
 
@@ -80,61 +79,4 @@ func TestBatchPoolRoundTrip(t *testing.T) {
 	// Non-default capacities and nil must be rejected without panicking.
 	PutBatch(NewBatch(7))
 	PutBatch(nil)
-}
-
-// TestBatchCombine: grouping is by true key equality (hash collisions
-// split), groups arrive in first-occurrence order with arrival order kept
-// inside each group, and the byte total is rebuilt from the replacements.
-func TestBatchCombine(t *testing.T) {
-	b := NewBatch(8)
-	rows := []Record{
-		{String("a"), Int(1)},
-		{String("b"), Int(2)},
-		{String("a"), Int(3)},
-		{String("b"), Int(4)},
-		{String("a"), Int(5)},
-	}
-	for _, r := range rows {
-		b.Append(r)
-	}
-	var seen [][]Record
-	calls, err := b.Combine([]int{0}, func(g []Record) ([]Record, error) {
-		seen = append(seen, g)
-		var sum int64
-		for _, r := range g {
-			sum += r.Field(1).AsInt()
-		}
-		return []Record{{g[0].Field(0), Int(sum)}}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("combine invoked fn %d times, want 2", calls)
-	}
-	if len(seen) != 2 || len(seen[0]) != 3 || len(seen[1]) != 2 {
-		t.Fatalf("unexpected grouping: %v", seen)
-	}
-	want := []Record{{String("a"), Int(9)}, {String("b"), Int(6)}}
-	if b.Len() != 2 || !b.Records()[0].Equal(want[0]) || !b.Records()[1].Equal(want[1]) {
-		t.Fatalf("combined batch %v, want %v", b.Records(), want)
-	}
-	if got := want[0].EncodedSize() + want[1].EncodedSize(); b.EncodedSize() != got {
-		t.Errorf("combined batch reports %d bytes, want %d", b.EncodedSize(), got)
-	}
-
-	// Empty batch: no calls, no error.
-	empty := NewBatch(4)
-	if calls, err := empty.Combine([]int{0}, nil); err != nil || calls != 0 {
-		t.Errorf("empty combine: calls=%d err=%v", calls, err)
-	}
-
-	// Error propagation.
-	b2 := NewBatch(4)
-	b2.Append(Record{Int(1)})
-	if _, err := b2.Combine([]int{0}, func([]Record) ([]Record, error) {
-		return nil, errors.New("boom")
-	}); err == nil {
-		t.Error("combine swallowed the callback's error")
-	}
 }

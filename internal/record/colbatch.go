@@ -19,7 +19,7 @@ import (
 //     with their true field count (cells past a row's arity are absent, not
 //     Null — the wire codec distinguishes the two);
 //   - an optional per-row key-hash cache, filled by the combining shuffle
-//     senders at routing time and reused by Combine, so the grouping pass
+//     senders at routing time and reused by CombineInto, so the grouping pass
 //     never hashes a record twice.
 //
 // Row-view accessors (Row, Field, AppendEncodedRow) preserve the record
@@ -149,7 +149,7 @@ func (cb *ColBatch) Append(r Record) bool {
 }
 
 // AppendWithHash is Append for the combining senders: h must be r.Hash(keys),
-// already computed for routing; the batch caches it so Combine never hashes
+// already computed for routing; the batch caches it so CombineInto never hashes
 // the row again. All rows of a batch must be appended with the same keys.
 func (cb *ColBatch) AppendWithHash(r Record, keys []int, h uint64) bool {
 	if cb.n == 0 {
@@ -283,7 +283,7 @@ func (cb *ColBatch) AppendEncoded(buf []byte) []byte {
 }
 
 // rowHash recomputes row i's key hash from the columns — the fallback when
-// Combine runs over keys the append path did not cache.
+// CombineInto runs over keys the append path did not cache.
 func (cb *ColBatch) rowHash(i int, keys []int) uint64 {
 	h := hashOffset
 	for _, f := range keys {
@@ -362,14 +362,16 @@ func (g ColGroup) At(i int) Record { return g.cb.Row(int(g.rows[i])) }
 // Field returns field f of the group's i-th record without materializing it.
 func (g ColGroup) Field(i, f int) Value { return g.cb.Field(int(g.rows[i]), f) }
 
-// CombineInto is the vectorized Batch.Combine: it groups the batch's rows by
-// the key fields — reusing the key hashes cached at routing time, comparing
-// candidate rows column-wise — and appends fn's output for every group to
-// out. Groups form in first-occurrence order with rows in arrival order,
-// and fn's combined output must fit out's capacity, exactly like
-// Batch.Combine (one output record per group under the optimizer's combiner
-// safety check). Returns the number of groups (= fn invocations).
-func (cb *ColBatch) CombineInto(keys []int, out *Batch, fn func(g ColGroup) ([]Record, error)) (int, error) {
+// CombineInto is the primitive behind the engine's pre-shuffle partial
+// aggregation: it groups the batch's rows by the key fields — reusing the
+// key hashes cached at routing time, comparing candidate rows column-wise —
+// and calls fn once per group with a sink that appends to out. Groups form
+// in first-occurrence order with rows in arrival order, so a deterministic
+// producer yields a deterministic combined batch. What fn emits for all
+// groups must fit out's capacity; this holds for any fn that emits at most
+// one record per group, which is what the optimizer's combiner safety check
+// guarantees. Returns the number of groups (= fn invocations).
+func (cb *ColBatch) CombineInto(keys []int, out *Batch, fn func(g ColGroup, emit func(Record) error) error) (int, error) {
 	if cb.n == 0 {
 		return 0, nil
 	}
@@ -401,13 +403,13 @@ func (cb *ColBatch) CombineInto(keys []int, out *Batch, fn func(g ColGroup) ([]R
 		}
 		groups[gi].rows = append(groups[gi].rows, int32(i))
 	}
+	emit := func(r Record) error {
+		out.Append(r)
+		return nil
+	}
 	for gi := range groups {
-		res, err := fn(ColGroup{cb: cb, rows: groups[gi].rows})
-		if err != nil {
+		if err := fn(ColGroup{cb: cb, rows: groups[gi].rows}, emit); err != nil {
 			return 0, err
-		}
-		for _, r := range res {
-			out.Append(r)
 		}
 	}
 	return len(groups), nil

@@ -2,6 +2,7 @@ package record
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,11 +133,124 @@ func TestColBatchResetReuse(t *testing.T) {
 	}
 }
 
+// combineRows is the row-at-a-time combiner the engine's senders ran before
+// the columnar flip (the former Batch.Combine), kept verbatim as
+// CombineInto's oracle: it groups the batch's records by the key fields and
+// replaces the batch's contents with fn's output for every group. Groups are
+// emitted in first-occurrence order, records within a group keep their
+// arrival order, and the running byte total is rebuilt from the replacement
+// records. It returns the number of groups (= fn invocations).
+func combineRows(b *Batch, keys []int, fn func(group []Record) ([]Record, error)) (int, error) {
+	if len(b.recs) == 0 {
+		return 0, nil
+	}
+	// Group by key hash with collision safety: a bucket may hold several
+	// true key groups, told apart by field-wise key equality against the
+	// group's first record.
+	type group struct {
+		head Record // first record, the group's key representative
+		recs []Record
+	}
+	groups := make([]group, 0, 16)
+	buckets := map[uint64][]int{}
+	for _, r := range b.recs {
+		h := r.Hash(keys)
+		gi := -1
+		for _, idx := range buckets[h] {
+			if r.EqualOn(groups[idx].head, keys) {
+				gi = idx
+				break
+			}
+		}
+		if gi < 0 {
+			gi = len(groups)
+			groups = append(groups, group{head: r})
+			buckets[h] = append(buckets[h], gi)
+		}
+		groups[gi].recs = append(groups[gi].recs, r)
+	}
+	b.Reset()
+	for _, g := range groups {
+		out, err := fn(g.recs)
+		if err != nil {
+			return 0, err
+		}
+		for _, r := range out {
+			b.Append(r)
+		}
+	}
+	return len(groups), nil
+}
+
+// groupRows materializes a columnar group for the row-shaped test combiners.
+func groupRows(g ColGroup) []Record {
+	rows := make([]Record, g.Len())
+	for i := range rows {
+		rows[i] = g.At(i)
+	}
+	return rows
+}
+
+// TestColBatchCombineInto: grouping is by true key equality (hash collisions
+// split), groups arrive in first-occurrence order with arrival order kept
+// inside each group, what the callback emits lands in out with its byte
+// total, and the callback's error propagates.
+func TestColBatchCombineInto(t *testing.T) {
+	cb := NewColBatch(8)
+	for _, r := range []Record{
+		{String("a"), Int(1)},
+		{String("b"), Int(2)},
+		{String("a"), Int(3)},
+		{String("b"), Int(4)},
+		{String("a"), Int(5)},
+	} {
+		cb.Append(r)
+	}
+	var seen [][]Record
+	out := NewBatch(8)
+	calls, err := cb.CombineInto([]int{0}, out, func(g ColGroup, emit func(Record) error) error {
+		rows := groupRows(g)
+		seen = append(seen, rows)
+		var sum int64
+		for _, r := range rows {
+			sum += r.Field(1).AsInt()
+		}
+		return emit(Record{rows[0].Field(0), Int(sum)})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 2 {
+		t.Fatalf("combine invoked fn %d times, want 2", calls)
+	}
+	if len(seen) != 2 || len(seen[0]) != 3 || len(seen[1]) != 2 || seen[0][1].Field(1).AsInt() != 3 {
+		t.Fatalf("unexpected grouping: %v", seen)
+	}
+	want := []Record{{String("a"), Int(9)}, {String("b"), Int(6)}}
+	if out.Len() != 2 || !out.Records()[0].Equal(want[0]) || !out.Records()[1].Equal(want[1]) {
+		t.Fatalf("combined batch %v, want %v", out.Records(), want)
+	}
+	if got := want[0].EncodedSize() + want[1].EncodedSize(); out.EncodedSize() != got {
+		t.Errorf("combined batch reports %d bytes, want %d", out.EncodedSize(), got)
+	}
+
+	// Empty batch: no calls, no error.
+	if calls, err := NewColBatch(4).CombineInto([]int{0}, out, nil); err != nil || calls != 0 {
+		t.Errorf("empty combine: calls=%d err=%v", calls, err)
+	}
+
+	// Error propagation.
+	boom := errors.New("boom")
+	if _, err := cb.CombineInto([]int{0}, NewBatch(8), func(ColGroup, func(Record) error) error { return boom }); err != boom {
+		t.Errorf("combine returned %v, want the callback's error", err)
+	}
+}
+
 // TestColBatchCombineMatchesBatch is the differential core of the vectorized
 // combiner: CombineInto over cached routing hashes must produce exactly the
 // groups — same order, same members — and the same combined output as the
-// row-path Batch.Combine, for keys with dictionary collisions, nulls, and
-// cross-kind numeric equality.
+// row-path oracle combineRows, for keys with dictionary collisions, nulls,
+// and cross-kind numeric equality.
 func TestColBatchCombineMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	keys := []int{0, 1}
@@ -169,7 +283,7 @@ func TestColBatchCombineMatchesBatch(t *testing.T) {
 		for _, r := range recs {
 			rb.Append(r)
 		}
-		wantGroups, err := rb.Combine(keys, sum)
+		wantGroups, err := combineRows(rb, keys, sum)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,12 +293,12 @@ func TestColBatchCombineMatchesBatch(t *testing.T) {
 			cb.AppendWithHash(r, keys, r.Hash(keys))
 		}
 		out := NewBatch(DefaultBatchCap)
-		gotGroups, err := cb.CombineInto(keys, out, func(g ColGroup) ([]Record, error) {
-			rows := make([]Record, g.Len())
-			for i := range rows {
-				rows[i] = g.At(i)
+		gotGroups, err := cb.CombineInto(keys, out, func(g ColGroup, emit func(Record) error) error {
+			res, err := sum(groupRows(g))
+			for _, r := range res {
+				emit(r)
 			}
-			return sum(rows)
+			return err
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -559,40 +559,3 @@ func (d DataSet) TotalSize() int {
 	}
 	return n
 }
-
-// SortBy sorts the data set in place by the given key fields.
-func (d DataSet) SortBy(fields []int) {
-	sort.SliceStable(d, func(i, j int) bool {
-		return d[i].Project(fields).Compare(d[j].Project(fields)) < 0
-	})
-}
-
-// GroupBy partitions the data set into key groups D_k by the given key
-// fields. Group order is deterministic (sorted by key).
-func (d DataSet) GroupBy(fields []int) []Group {
-	m := make(map[string]*Group)
-	var order []string
-	for _, r := range d {
-		k := r.Project(fields)
-		ck := canonicalRecord(k)
-		g, ok := m[ck]
-		if !ok {
-			g = &Group{Key: k}
-			m[ck] = g
-			order = append(order, ck)
-		}
-		g.Records = append(g.Records, r)
-	}
-	sort.Strings(order)
-	out := make([]Group, len(order))
-	for i, ck := range order {
-		out[i] = *m[ck]
-	}
-	return out
-}
-
-// Group is a key group: all records of a data set sharing a key value.
-type Group struct {
-	Key     Record
-	Records []Record
-}

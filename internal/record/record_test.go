@@ -163,34 +163,6 @@ func TestDataSetBagEquality(t *testing.T) {
 	}
 }
 
-func TestGroupBy(t *testing.T) {
-	d := DataSet{
-		{Int(1), String("a")},
-		{Int(2), String("b")},
-		{Int(1), String("c")},
-	}
-	groups := d.GroupBy([]int{0})
-	if len(groups) != 2 {
-		t.Fatalf("groups = %d, want 2", len(groups))
-	}
-	if !groups[0].Key.Equal(Record{Int(1)}) || len(groups[0].Records) != 2 {
-		t.Errorf("group 0 = %+v", groups[0])
-	}
-	if !groups[1].Key.Equal(Record{Int(2)}) || len(groups[1].Records) != 1 {
-		t.Errorf("group 1 = %+v", groups[1])
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	d := DataSet{{Int(3)}, {Int(1)}, {Int(2)}}
-	d.SortBy([]int{0})
-	for i, want := range []int64{1, 2, 3} {
-		if d[i].Field(0).AsInt() != want {
-			t.Fatalf("sorted[%d] = %v", i, d[i])
-		}
-	}
-}
-
 func TestEncodedSize(t *testing.T) {
 	r := Record{Int(1), String("abc"), Null, Bool(true)}
 	want := 4 + 9 + (1 + 4 + 3) + 1 + 2

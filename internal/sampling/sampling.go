@@ -5,8 +5,10 @@
 // of its input — runtime profiling in the spirit the paper attributes to
 // Starfish (Section 8), applied per-operator.
 //
-// The profiler executes the flow's implemented order once, single-threaded,
-// over strided samples of the sources, and measures per operator:
+// The profiler executes the flow's implemented order once over seeded
+// samples of the sources — every operator on the execution engine itself
+// (engine.New(1): one partition, every edge forwarded), reading what the
+// engine's own OpStats counted — and measures per operator:
 //
 //   - Selectivity — records emitted per UDF call;
 //   - CPUCostPerCall — wall time per call, in microseconds;
@@ -23,8 +25,9 @@ import (
 	"time"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/engine"
+	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
 )
 
 // Options configure the profiling run.
@@ -62,26 +65,18 @@ type Measurement struct {
 // DeriveHints profiles the flow over sampled source data and fills in the
 // operators' cost hints. It returns the raw measurements for inspection.
 func DeriveHints(flow *dataflow.Flow, data map[string]record.DataSet, opts Options) ([]Measurement, error) {
-	opts = opts.withDefaults()
 	if err := flow.Validate(); err != nil {
 		return nil, err
 	}
-	p := &profiler{
-		data:   data,
-		opts:   opts,
-		interp: tac.NewInterp(),
-	}
-	if _, err := p.eval(flow.Sink); err != nil {
+	p := &profiler{data: data, opts: opts.withDefaults()}
+	if _, _, err := p.eval(flow.Sink); err != nil {
 		return nil, err
-	}
-	for i := range p.measurements {
-		m := &p.measurements[i]
-		applyHints(m, p.scale[m.Op.ID], opts.KeepExisting)
 	}
 	return p.measurements, nil
 }
 
-// applyHints converts a measurement into operator hints.
+// applyHints converts a measurement into operator hints; scale (≥ 1)
+// extrapolates the distinct keys seen in the sample to the full input.
 func applyHints(m *Measurement, scale float64, keep bool) {
 	h := &m.Op.Hints
 	if m.Calls > 0 {
@@ -101,9 +96,6 @@ func applyHints(m *Measurement, scale float64, keep bool) {
 		// Scale the observed distinct count linearly to the full input — a
 		// deliberately simple estimator; a production system would use an
 		// unbiased distinct-count estimator here.
-		if scale < 1 {
-			scale = 1
-		}
 		est := float64(m.DistinctKey) * scale
 		if !keep || h.KeyCardinality == 0 {
 			h.KeyCardinality = est
@@ -114,189 +106,81 @@ func applyHints(m *Measurement, scale float64, keep bool) {
 type profiler struct {
 	data         map[string]record.DataSet
 	opts         Options
-	interp       *tac.Interp
 	measurements []Measurement
-	// scale[opID] is fullInput/sampledInput for the operator's key-bearing
-	// input, used to extrapolate distinct counts.
-	scale map[int]float64
 }
 
 // eval executes the subtree rooted at op over the sampled data, recording
-// measurements as a side effect.
-func (p *profiler) eval(op *dataflow.Operator) (record.DataSet, error) {
-	if p.scale == nil {
-		p.scale = map[int]float64{}
-	}
-	switch op.Kind {
-	case dataflow.KindSource:
+// measurements and applying hints as a side effect; it returns the
+// subtree's sampled output and the size of the full source data beneath it.
+// Each UDF operator is one engine run of its own — the inputs' sampled
+// outputs registered as sources, forwarded into the operator — because the
+// profiler needs what lies between operators: the inputs to bound a Cross
+// and to count a Match's keys, the output to feed the consumers.
+func (p *profiler) eval(op *dataflow.Operator) (record.DataSet, int, error) {
+	if op.Kind == dataflow.KindSource {
 		full, ok := p.data[op.Name]
 		if !ok {
-			return nil, fmt.Errorf("sampling: no data for source %q", op.Name)
+			return nil, 0, fmt.Errorf("sampling: no data for source %q", op.Name)
 		}
-		return sample(full, p.opts.SampleSize), nil
-
-	case dataflow.KindSink:
+		return sample(full, p.opts.SampleSize), len(full), nil
+	}
+	if op.Kind == dataflow.KindSink {
 		return p.eval(op.Inputs[0])
 	}
 
 	inputs := make([]record.DataSet, len(op.Inputs))
+	full := 0
 	for i, in := range op.Inputs {
-		d, err := p.eval(in)
+		d, n, err := p.eval(in)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		inputs[i] = d
+		full += n
+	}
+	if op.Kind == dataflow.KindCross {
+		// Truncate the sides so at most MaxCrossPairs pairs exist.
+		limit := p.opts.MaxCrossPairs
+		inputs[1] = inputs[1][:min(len(inputs[1]), limit)]
+		if n := len(inputs[1]); n > 0 {
+			inputs[0] = inputs[0][:min(len(inputs[0]), limit/n)]
+		}
 	}
 
-	m := Measurement{Op: op}
-	for _, in := range inputs {
-		m.InRecords += len(in)
+	e := engine.New(1)
+	plan := &optimizer.PhysPlan{Op: op}
+	for i, d := range inputs {
+		src := &dataflow.Operator{Name: fmt.Sprintf("input %d", i), Kind: dataflow.KindSource}
+		e.AddSource(src.Name, d)
+		plan.Inputs = append(plan.Inputs, &optimizer.PhysPlan{Op: src})
+		plan.Ship = append(plan.Ship, optimizer.ShipForward)
 	}
-	start := time.Now()
-	var out record.DataSet
-	var err error
-	switch op.Kind {
-	case dataflow.KindMap:
-		for _, r := range inputs[0] {
-			res, ierr := p.interp.InvokeMap(op.UDF, r)
-			if ierr != nil {
-				return nil, fmt.Errorf("sampling: %s: %w", op.Name, ierr)
-			}
-			m.Calls++
-			out = append(out, res...)
-		}
-
-	case dataflow.KindReduce:
-		groups := inputs[0].GroupBy(op.Keys[0])
-		m.DistinctKey = len(groups)
-		for _, g := range groups {
-			res, ierr := p.interp.InvokeReduce(op.UDF, g.Records)
-			if ierr != nil {
-				return nil, fmt.Errorf("sampling: %s: %w", op.Name, ierr)
-			}
-			m.Calls++
-			out = append(out, res...)
-		}
-
-	case dataflow.KindMatch:
-		out, err = p.evalMatch(op, inputs, &m)
-		if err != nil {
-			return nil, err
-		}
-
-	case dataflow.KindCross:
-		pairs := 0
-	crossLoop:
+	out, stats, err := e.Run(plan)
+	if err != nil {
+		return nil, 0, fmt.Errorf("sampling: %w", err)
+	}
+	st := stats.PerOp[len(stats.PerOp)-1]
+	m := Measurement{Op: op, Calls: st.UDFCalls, InRecords: st.InRecords, OutRecords: st.OutRecords, Duration: st.LocalTime}
+	if op.Kind == dataflow.KindMatch {
+		// A Match calls per pair, not per key: count the left side's keys.
+		distinct := map[uint64]bool{}
 		for _, l := range inputs[0] {
-			for _, r := range inputs[1] {
-				if pairs >= p.opts.MaxCrossPairs {
-					break crossLoop
-				}
-				pairs++
-				res, ierr := p.interp.InvokeBinary(op.UDF, l, r)
-				if ierr != nil {
-					return nil, fmt.Errorf("sampling: %s: %w", op.Name, ierr)
-				}
-				m.Calls++
-				out = append(out, res...)
-			}
+			distinct[l.Hash(op.Keys[0])] = true
 		}
-
-	case dataflow.KindCoGroup:
-		lG := inputs[0].GroupBy(op.Keys[0])
-		rG := inputs[1].GroupBy(op.Keys[1])
-		rByKey := map[string][]record.Record{}
-		for _, g := range rG {
-			rByKey[g.Key.String()] = g.Records
-		}
-		seen := map[string]bool{}
-		for _, g := range lG {
-			k := g.Key.String()
-			seen[k] = true
-			res, ierr := p.interp.InvokeCoGroup(op.UDF, g.Records, rByKey[k])
-			if ierr != nil {
-				return nil, fmt.Errorf("sampling: %s: %w", op.Name, ierr)
-			}
-			m.Calls++
-			out = append(out, res...)
-		}
-		for _, g := range rG {
-			if !seen[g.Key.String()] {
-				res, ierr := p.interp.InvokeCoGroup(op.UDF, nil, g.Records)
-				if ierr != nil {
-					return nil, fmt.Errorf("sampling: %s: %w", op.Name, ierr)
-				}
-				m.Calls++
-				out = append(out, res...)
-			}
-		}
-		m.DistinctKey = m.Calls
-
-	default:
-		return nil, fmt.Errorf("sampling: cannot profile %s", op.Kind)
+		m.DistinctKey = len(distinct)
+	} else if op.Kind.IsKeyed() {
+		m.DistinctKey = m.Calls // key-at-a-time: one call per distinct key
 	}
-	m.Duration = time.Since(start)
-	m.OutRecords = len(out)
-	p.scale[op.ID] = p.scaleFor(op, m.InRecords)
+	// Distinct counts are extrapolated by fullInput/sampledInput (never
+	// down): the product of the sampling ratios along the operator's input
+	// subtrees, approximated by the dominant source ratio.
+	scale := 1.0
+	if m.InRecords > 0 && full > m.InRecords {
+		scale = float64(full) / float64(m.InRecords)
+	}
+	applyHints(&m, scale, p.opts.KeepExisting)
 	p.measurements = append(p.measurements, m)
-	return out, nil
-}
-
-// evalMatch hash-joins the sampled inputs.
-func (p *profiler) evalMatch(op *dataflow.Operator, inputs []record.DataSet, m *Measurement) (record.DataSet, error) {
-	lKeys, rKeys := op.Keys[0], op.Keys[1]
-	table := map[uint64][]record.Record{}
-	for _, r := range inputs[1] {
-		table[r.Hash(rKeys)] = append(table[r.Hash(rKeys)], r)
-	}
-	distinct := map[uint64]bool{}
-	var out record.DataSet
-	for _, l := range inputs[0] {
-		h := l.Hash(lKeys)
-		distinct[h] = true
-		for _, r := range table[h] {
-			if !l.Project(lKeys).Equal(r.Project(rKeys)) {
-				continue
-			}
-			res, err := p.interp.InvokeBinary(op.UDF, l, r)
-			if err != nil {
-				return nil, fmt.Errorf("sampling: %s: %w", op.Name, err)
-			}
-			m.Calls++
-			out = append(out, res...)
-		}
-	}
-	m.DistinctKey = len(distinct)
-	return out, nil
-}
-
-// scaleFor estimates fullInput/sampledInput for distinct-count
-// extrapolation: the product of each source's sampling ratio along the
-// operator's input subtrees is approximated by the dominant source ratio.
-func (p *profiler) scaleFor(op *dataflow.Operator, sampledIn int) float64 {
-	full := p.fullInputSize(op)
-	if sampledIn == 0 || full == 0 {
-		return 1
-	}
-	return float64(full) / float64(sampledIn)
-}
-
-func (p *profiler) fullInputSize(op *dataflow.Operator) int {
-	n := 0
-	var rec func(o *dataflow.Operator)
-	rec = func(o *dataflow.Operator) {
-		if o.Kind == dataflow.KindSource {
-			n += len(p.data[o.Name])
-			return
-		}
-		for _, in := range o.Inputs {
-			rec(in)
-		}
-	}
-	for _, in := range op.Inputs {
-		rec(in)
-	}
-	return n
+	return out, full, nil
 }
 
 // sample draws up to n records uniformly with a fixed seed: deterministic

@@ -106,6 +106,18 @@ S: return
 
 // observedSets measures the behavioural read and write sets of f over a
 // set of probe records.
+// collectMap makes one Map call on a fresh tac.Runner and gathers what the
+// UDF emits.
+func collectMap(ip *tac.Interp, f *tac.Func, in record.Record) ([]record.Record, error) {
+	r, err := ip.NewRunner(f, tac.KindMap)
+	if err != nil {
+		return nil, err
+	}
+	var out []record.Record
+	err = r.Map(in, func(rec record.Record) error { out = append(out, rec); return nil })
+	return out, err
+}
+
 func observedSets(t *testing.T, f *tac.Func, width int, rng *rand.Rand) (readSet, writeSet props.FieldSet) {
 	t.Helper()
 	ip := tac.NewInterp()
@@ -121,7 +133,7 @@ func observedSets(t *testing.T, f *tac.Func, width int, rng *rand.Rand) (readSet
 
 	for trial := 0; trial < 200; trial++ {
 		in := probe()
-		out, err := ip.InvokeMap(f, in)
+		out, err := collectMap(ip, f, in)
 		if err != nil {
 			t.Fatalf("%v on %v", err, in)
 		}
@@ -145,7 +157,7 @@ func observedSets(t *testing.T, f *tac.Func, width int, rng *rand.Rand) (readSet
 		for n := 0; n < width; n++ {
 			mut := in.Clone()
 			mut.SetField(n, record.Int(in.Field(n).AsInt()+7))
-			mout, err := ip.InvokeMap(f, mut)
+			mout, err := collectMap(ip, f, mut)
 			if err != nil {
 				t.Fatalf("%v on %v", err, mut)
 			}
@@ -210,7 +222,7 @@ func TestSCAConservatismRandomUDFs(t *testing.T) {
 			for i := range in {
 				in[i] = record.Int(int64(rng.Intn(9) - 4))
 			}
-			out, err := ip.InvokeMap(f, in)
+			out, err := collectMap(ip, f, in)
 			if err != nil {
 				t.Fatal(err)
 			}

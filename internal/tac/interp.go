@@ -26,7 +26,7 @@ const (
 // execution layer can hand the interpreter a view over its column arrays
 // (record.ColGroup) and OpAgg walks the columns directly: no Record is
 // boxed per group member, only the rows the UDF explicitly asks for.
-// Materialized []record.Record groups adapt via recordsSource.
+// Materialized []record.Record groups adapt via Records.
 type GroupSource interface {
 	// Len returns the number of records in the group.
 	Len() int
@@ -36,13 +36,6 @@ type GroupSource interface {
 	Field(i, f int) record.Value
 }
 
-// recordsSource adapts a materialized row group to GroupSource.
-type recordsSource []record.Record
-
-func (g recordsSource) Len() int                    { return len(g) }
-func (g recordsSource) At(i int) record.Record      { return g[i] }
-func (g recordsSource) Field(i, f int) record.Value { return g[i].Field(f) }
-
 // rtVal is a runtime value: a scalar, a (mutable) record, or a key group.
 type rtVal struct {
 	kind rtKind
@@ -51,9 +44,10 @@ type rtVal struct {
 	grp  GroupSource
 }
 
-// Interp executes TAC functions. The zero value is not usable; construct
-// with NewInterp. An Interp is stateless across invocations and safe for
-// concurrent use by multiple goroutines.
+// Interp executes TAC functions through Runners. The zero value is not
+// usable; construct with NewInterp. An Interp holds only the step limit and
+// is safe for concurrent use by multiple goroutines; each goroutine calls
+// UDFs through its own Runner.
 type Interp struct {
 	stepLimit int
 }
@@ -72,126 +66,96 @@ type frame struct {
 	set  []bool
 }
 
-func newFrame(f *Func) *frame {
-	n := f.NumSlots()
-	return &frame{vals: make([]rtVal, n), set: make([]bool, n)}
-}
-
 func (fr *frame) def(slot int, v rtVal) {
 	fr.vals[slot] = v
 	fr.set[slot] = true
 }
 
-// InvokeMap runs a map-kind UDF on one input record.
-func (ip *Interp) InvokeMap(f *Func, in record.Record) ([]record.Record, error) {
-	if f.Kind != KindMap {
-		return nil, fmt.Errorf("tac: %s is not a map function", f.Name)
-	}
-	fr := newFrame(f)
-	fr.def(0, rtVal{kind: rtRecord, rec: in})
-	return ip.run(f, fr)
-}
+// Records adapts a materialized row group to GroupSource.
+type Records []record.Record
 
-// MapRunner is the allocation-free invocation path for map UDFs in hot
-// fused loops: it owns one frame, reused across invocations, and emits
-// output records through a caller-supplied callback instead of collecting
-// them into a fresh slice — so a steady-state invocation allocates nothing
-// beyond the records the UDF itself emits. A MapRunner is not safe for
-// concurrent use; the engine builds one per goroutine per chain level.
-type MapRunner struct {
+func (g Records) Len() int                    { return len(g) }
+func (g Records) At(i int) record.Record      { return g[i] }
+func (g Records) Field(i, f int) record.Value { return g[i].Field(f) }
+
+// Runner is the one way to call a UDF: it binds an interpreter to one
+// function of one kind, owns the call frame — reused across calls, so a
+// steady-state call allocates nothing beyond the records the UDF itself
+// emits — and hands every output record (already cloned; the sink may
+// retain it) to the emit sink of the call. Map, Binary, Reduce and CoGroup
+// are the four argument shapes of that one call; the kind checked at
+// NewRunner says which of them the runner's owner uses. An error returned by
+// emit aborts the call and is reported verbatim — distinguish it from a UDF
+// error with AsEmitError. A Runner is not safe for concurrent use: one per
+// goroutine.
+type Runner struct {
 	ip *Interp
 	f  *Func
-	fr *frame
+	fr frame
 }
 
-// NewMapRunner returns a reusable runner for a map-kind UDF.
-func (ip *Interp) NewMapRunner(f *Func) (*MapRunner, error) {
-	if f.Kind != KindMap {
-		return nil, fmt.Errorf("tac: %s is not a map function", f.Name)
+// NewRunner returns a reusable runner for f, which must be of the given
+// kind and declare that kind's number of parameters.
+func (ip *Interp) NewRunner(f *Func, kind Kind) (*Runner, error) {
+	if f.Kind != kind {
+		return nil, fmt.Errorf("tac: %s is not a %s function", f.Name, kind)
 	}
-	return &MapRunner{ip: ip, f: f, fr: newFrame(f)}, nil
+	if n := f.NumInputs(); len(f.Params) != n || f.NumSlots() < n {
+		return nil, fmt.Errorf("tac: %s function %s needs %d distinct parameters, has %v", kind, f.Name, n, f.Params)
+	}
+	n := f.NumSlots()
+	return &Runner{ip: ip, f: f, fr: frame{vals: make([]rtVal, n), set: make([]bool, n)}}, nil
 }
 
-// Invoke runs the UDF on one record, calling emit for every output record
-// (already cloned; the callback may retain it). An error returned by emit
-// aborts the invocation and is reported verbatim — distinguish it from a
-// UDF error with AsEmitError.
-func (mr *MapRunner) Invoke(in record.Record, emit func(record.Record) error) error {
-	fr := mr.fr
-	clear(fr.vals) // drop record/group references from the previous call
-	clear(fr.set)
-	fr.def(0, rtVal{kind: rtRecord, rec: in})
-	return mr.ip.runEmit(mr.f, fr, emit)
+// call runs the function on up to two arguments, clearing what the previous
+// call left in the frame first (record and group references included).
+func (r *Runner) call(emit func(record.Record) error, args ...rtVal) error {
+	clear(r.fr.vals)
+	clear(r.fr.set)
+	for slot, a := range args {
+		r.fr.def(slot, a)
+	}
+	return r.ip.runEmit(r.f, &r.fr, emit)
 }
 
-// emitError wraps an error returned by an emit callback so callers can tell
-// sink failures (already wrapped by whoever produced them) from UDF
-// failures (which the engine wraps with the operator name).
+// Map calls a map-kind UDF on one input record.
+func (r *Runner) Map(in record.Record, emit func(record.Record) error) error {
+	return r.call(emit, rtVal{kind: rtRecord, rec: in})
+}
+
+// Binary calls a binary (Cross/Match) UDF on a pair of records.
+func (r *Runner) Binary(left, right record.Record, emit func(record.Record) error) error {
+	return r.call(emit, rtVal{kind: rtRecord, rec: left}, rtVal{kind: rtRecord, rec: right})
+}
+
+// Reduce calls a reduce-kind UDF on one key group. Aggregation opcodes read
+// cells through the source, so a columnar group (record.ColGroup)
+// aggregates without materializing its rows.
+func (r *Runner) Reduce(group GroupSource, emit func(record.Record) error) error {
+	return r.call(emit, rtVal{kind: rtGroup, grp: group})
+}
+
+// CoGroup calls a cogroup-kind UDF on a pair of key groups (either may be
+// empty).
+func (r *Runner) CoGroup(left, right GroupSource, emit func(record.Record) error) error {
+	return r.call(emit, rtVal{kind: rtGroup, grp: left}, rtVal{kind: rtGroup, grp: right})
+}
+
+// emitError wraps an error returned by an emit sink so callers can tell sink
+// failures (already wrapped by whoever produced them) from UDF failures
+// (which the engine wraps with the operator name).
 type emitError struct{ err error }
 
 func (e emitError) Error() string { return e.err.Error() }
 func (e emitError) Unwrap() error { return e.err }
 
-// AsEmitError unwraps an error produced by an emit callback, reporting
-// whether err was one.
+// AsEmitError unwraps an error produced by an emit sink, reporting whether
+// err was one.
 func AsEmitError(err error) (error, bool) {
 	if ee, ok := err.(emitError); ok {
 		return ee.err, true
 	}
 	return nil, false
-}
-
-// InvokeBinary runs a binary (Cross/Match) UDF on a pair of records.
-func (ip *Interp) InvokeBinary(f *Func, left, right record.Record) ([]record.Record, error) {
-	if f.Kind != KindBinary {
-		return nil, fmt.Errorf("tac: %s is not a binary function", f.Name)
-	}
-	fr := newFrame(f)
-	fr.def(0, rtVal{kind: rtRecord, rec: left})
-	fr.def(1, rtVal{kind: rtRecord, rec: right})
-	return ip.run(f, fr)
-}
-
-// InvokeReduce runs a reduce-kind UDF on one key group.
-func (ip *Interp) InvokeReduce(f *Func, group []record.Record) ([]record.Record, error) {
-	return ip.InvokeReduceSource(f, recordsSource(group))
-}
-
-// InvokeReduceSource runs a reduce-kind UDF on a group view — the columnar
-// entry point: aggregation opcodes read cells through the source, so a
-// ColGroup-backed group aggregates without materializing its rows.
-func (ip *Interp) InvokeReduceSource(f *Func, group GroupSource) ([]record.Record, error) {
-	if f.Kind != KindReduce {
-		return nil, fmt.Errorf("tac: %s is not a reduce function", f.Name)
-	}
-	fr := newFrame(f)
-	fr.def(0, rtVal{kind: rtGroup, grp: group})
-	return ip.run(f, fr)
-}
-
-// InvokeCoGroup runs a cogroup-kind UDF on a pair of key groups (either may
-// be empty).
-func (ip *Interp) InvokeCoGroup(f *Func, left, right []record.Record) ([]record.Record, error) {
-	if f.Kind != KindCoGroup {
-		return nil, fmt.Errorf("tac: %s is not a cogroup function", f.Name)
-	}
-	fr := newFrame(f)
-	fr.def(0, rtVal{kind: rtGroup, grp: recordsSource(left)})
-	fr.def(1, rtVal{kind: rtGroup, grp: recordsSource(right)})
-	return ip.run(f, fr)
-}
-
-// run executes f collecting emitted records into a slice — the materializing
-// wrapper over runEmit the one-shot Invoke entry points use.
-func (ip *Interp) run(f *Func, fr *frame) ([]record.Record, error) {
-	var out []record.Record
-	if err := ip.runEmit(f, fr, func(r record.Record) error {
-		out = append(out, r)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // runEmit executes f, passing every emitted record (already cloned) to emit.

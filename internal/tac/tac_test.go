@@ -1,6 +1,7 @@
 package tac
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -44,6 +45,29 @@ func map f3($ir) {
 }
 `
 
+// sinkFn is the emit sink of one UDF call.
+type sinkFn = func(record.Record) error
+
+// collect makes one call on a fresh Runner of the given kind and gathers
+// what the UDF emits.
+func collect(ip *Interp, f *Func, kind Kind, call func(*Runner, sinkFn) error) ([]record.Record, error) {
+	r, err := ip.NewRunner(f, kind)
+	if err != nil {
+		return nil, err
+	}
+	var out []record.Record
+	err = call(r, func(rec record.Record) error { out = append(out, rec); return nil })
+	return out, err
+}
+
+func collectMap(ip *Interp, f *Func, in record.Record) ([]record.Record, error) {
+	return collect(ip, f, KindMap, func(r *Runner, emit sinkFn) error { return r.Map(in, emit) })
+}
+
+func collectReduce(ip *Interp, f *Func, g []record.Record) ([]record.Record, error) {
+	return collect(ip, f, KindReduce, func(r *Runner, emit sinkFn) error { return r.Reduce(Records(g), emit) })
+}
+
 func mustFunc(t *testing.T, p *Program, name string) *Func {
 	t.Helper()
 	f, ok := p.Lookup(name)
@@ -78,7 +102,7 @@ func TestPaperTraces(t *testing.T) {
 	f1, f2, f3 := mustFunc(t, p, "f1"), mustFunc(t, p, "f2"), mustFunc(t, p, "f3")
 
 	run := func(f *Func, in record.Record) []record.Record {
-		out, err := ip.InvokeMap(f, in)
+		out, err := collectMap(ip, f, in)
 		if err != nil {
 			t.Fatalf("%s(%v): %v", f.Name, in, err)
 		}
@@ -196,7 +220,7 @@ func reduce sumB($g) {
 		{record.Int(1), record.Int(10)},
 		{record.Int(1), record.Int(32)},
 	}
-	out, err := NewInterp().InvokeReduce(f, g)
+	out, err := collectReduce(NewInterp(), f, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +249,7 @@ DONE: return
 	p := MustParse(src)
 	f := mustFunc(t, p, "emitAll")
 	g := []record.Record{{record.Int(1)}, {record.Int(2)}, {record.Int(3)}}
-	out, err := NewInterp().InvokeReduce(f, g)
+	out, err := collectReduce(NewInterp(), f, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +269,7 @@ func binary join($l, $r) {
 	f := mustFunc(t, p, "join")
 	l := record.Record{record.Int(1), record.Null}
 	r := record.Record{record.Null, record.String("x")}
-	out, err := NewInterp().InvokeBinary(f, l, r)
+	out, err := collect(NewInterp(), f, KindBinary, func(run *Runner, emit sinkFn) error { return run.Binary(l, r, emit) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +297,12 @@ SKIP: return
 	f := mustFunc(t, p, "cg")
 	g1 := []record.Record{{record.Int(1), record.Int(2)}}
 	g2 := []record.Record{{record.Int(9)}, {record.Int(8)}}
-	out, err := NewInterp().InvokeCoGroup(f, g1, g2)
+	cg := func(l, r []record.Record) ([]record.Record, error) {
+		return collect(NewInterp(), f, KindCoGroup, func(run *Runner, emit sinkFn) error {
+			return run.CoGroup(Records(l), Records(r), emit)
+		})
+	}
+	out, err := cg(g1, g2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +310,7 @@ SKIP: return
 		t.Fatalf("cogroup out = %v", out)
 	}
 	// Empty side is skipped.
-	out, err = NewInterp().InvokeCoGroup(f, g1, nil)
+	out, err = cg(g1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +327,7 @@ L: goto L
 `
 	p := MustParse(src)
 	f := mustFunc(t, p, "spin")
-	_, err := NewInterp().WithStepLimit(1000).InvokeMap(f, record.Record{})
+	_, err := collectMap(NewInterp().WithStepLimit(1000), f, record.Record{})
 	if err == nil || !strings.Contains(err.Error(), "step limit") {
 		t.Fatalf("err = %v, want step limit", err)
 	}
@@ -316,7 +345,7 @@ func TestRuntimeErrors(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p := MustParse(c.src)
 			f := mustFunc(t, p, "f")
-			_, err := NewInterp().InvokeMap(f, record.Record{record.Int(1)})
+			_, err := collectMap(NewInterp(), f, record.Record{record.Int(1)})
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("err = %v, want containing %q", err, c.wantErr)
 			}
@@ -327,7 +356,7 @@ func TestRuntimeErrors(t *testing.T) {
 func TestGroupGetOutOfRange(t *testing.T) {
 	p := MustParse("func reduce f($g) {\n $r := groupget $g 5\n emit $r\n}")
 	f := mustFunc(t, p, "f")
-	_, err := NewInterp().InvokeReduce(f, []record.Record{{record.Int(1)}})
+	_, err := collectReduce(NewInterp(), f, []record.Record{{record.Int(1)}})
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v, want out of range", err)
 	}
@@ -346,7 +375,7 @@ func map f($ir) {
 `
 	p := MustParse(src)
 	f := mustFunc(t, p, "f")
-	out, err := NewInterp().InvokeMap(f, record.Record{record.Int(1)})
+	out, err := collectMap(NewInterp(), f, record.Record{record.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +395,7 @@ func map f($ir) {
 	p := MustParse(src)
 	f := mustFunc(t, p, "f")
 	in := record.Record{record.Int(1)}
-	if _, err := NewInterp().InvokeMap(f, in); err != nil {
+	if _, err := collectMap(NewInterp(), f, in); err != nil {
 		t.Fatal(err)
 	}
 	if in.Field(0).AsInt() != 1 {
@@ -386,7 +415,7 @@ func map f($ir) {
 `
 	p := MustParse(src)
 	f := mustFunc(t, p, "f")
-	out, err := NewInterp().InvokeMap(f, record.Record{record.Int(2), record.Int(7), record.Int(9)})
+	out, err := collectMap(NewInterp(), f, record.Record{record.Int(2), record.Int(7), record.Int(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +561,7 @@ func TestEvalAggOps(t *testing.T) {
 	}
 	check := func(op AggOp, want record.Value) {
 		t.Helper()
-		got, err := evalAgg(op, recordsSource(g), 1)
+		got, err := evalAgg(op, Records(g), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,10 +574,10 @@ func TestEvalAggOps(t *testing.T) {
 	check(AggMin, record.Int(3))
 	check(AggMax, record.Int(8))
 	check(AggAvg, record.Float(16.0/3.0))
-	if v, _ := evalAgg(AggSum, recordsSource(nil), 0); !v.IsNull() {
+	if v, _ := evalAgg(AggSum, Records(nil), 0); !v.IsNull() {
 		t.Error("sum of empty group should be Null")
 	}
-	if v, _ := evalAgg(AggCount, recordsSource(nil), 0); v.AsInt() != 0 {
+	if v, _ := evalAgg(AggCount, Records(nil), 0); v.AsInt() != 0 {
 		t.Error("count of empty group should be 0")
 	}
 }
@@ -567,7 +596,7 @@ func map f($ir) {
 	f := mustFunc(t, p, "f")
 	ip := NewInterp()
 	prop := func(x int32) bool {
-		out, err := ip.InvokeMap(f, record.Record{record.Int(int64(x))})
+		out, err := collectMap(ip, f, record.Record{record.Int(int64(x))})
 		if err != nil || len(out) != 1 {
 			return false
 		}
@@ -575,7 +604,7 @@ func map f($ir) {
 		if v < 0 {
 			return false
 		}
-		out2, err := ip.InvokeMap(f, out[0])
+		out2, err := collectMap(ip, f, out[0])
 		return err == nil && out2[0].Field(0).AsInt() == v
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -596,5 +625,152 @@ func TestQuickArithmeticMatchesGo(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRunnerFrameReuse pins that a reused frame is indistinguishable from a
+// fresh one: a variable a previous call defined on a branch this call does
+// not take is undefined again, with the fresh frame's exact message, and a
+// call after a failed call starts clean.
+func TestRunnerFrameReuse(t *testing.T) {
+	f := mustFunc(t, MustParse(`
+func map f($ir) {
+	$a := getfield $ir 0
+	if $a == 0 goto USE
+	$local := const 7
+USE:
+	$s := $local + 1
+	$or := copyrec $ir
+	setfield $or 0 $s
+	emit $or
+}`), "f")
+	defines, skips := record.Record{record.Int(1)}, record.Record{record.Int(0)}
+	_, fresh := collectMap(NewInterp(), f, skips)
+	const want = "tac: instr 3: use of undefined variable $local"
+	if fresh == nil || fresh.Error() != want {
+		t.Fatalf("fresh frame: err = %v, want %q", fresh, want)
+	}
+	r, err := NewInterp().NewRunner(f, KindMap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []record.Record
+	emit := func(rec record.Record) error { out = append(out, rec); return nil }
+	for round := 0; round < 3; round++ {
+		out = out[:0]
+		if err := r.Map(defines, emit); err != nil || len(out) != 1 || out[0].Field(0).AsInt() != 8 {
+			t.Fatalf("round %d: defining call = %v, %v", round, out, err)
+		}
+		if err := r.Map(skips, emit); err == nil || err.Error() != fresh.Error() {
+			t.Fatalf("round %d: reused frame: err = %v, want %q", round, err, fresh)
+		}
+	}
+}
+
+// TestNewRunnerRejectsKindAndArity pins that a Runner cannot be built for
+// the wrong call shape, so the four call methods never see a frame too
+// small for their arguments.
+func TestNewRunnerRejectsKindAndArity(t *testing.T) {
+	p := MustParse(`
+func map m($ir) {
+	emit $ir
+}
+func binary b($l, $r) {
+	emit $l
+}
+func reduce r($g) {
+	return
+}
+func cogroup c($g1, $g2) {
+	return
+}
+func binary same($x, $x) {
+	emit $x
+}`)
+	ip := NewInterp()
+	kinds := map[string]Kind{"m": KindMap, "b": KindBinary, "r": KindReduce, "c": KindCoGroup}
+	for name, own := range kinds {
+		for _, kind := range []Kind{KindMap, KindBinary, KindReduce, KindCoGroup} {
+			_, err := ip.NewRunner(mustFunc(t, p, name), kind)
+			if kind == own {
+				if err != nil {
+					t.Errorf("NewRunner(%s, %s): %v", name, kind, err)
+				}
+				continue
+			}
+			if want := "tac: " + name + " is not a " + kind.String() + " function"; err == nil || err.Error() != want {
+				t.Errorf("NewRunner(%s, %s): err = %v, want %q", name, kind, err, want)
+			}
+		}
+	}
+	// Two parameters sharing one name share one frame slot: the second
+	// argument would have nowhere to go.
+	if _, err := ip.NewRunner(mustFunc(t, p, "same"), KindBinary); err == nil || !strings.Contains(err.Error(), "2 distinct parameters") {
+		t.Errorf("NewRunner(same): err = %v, want an arity error", err)
+	}
+}
+
+// TestRunnerEmitErrorAllKinds pins the sink contract for every call shape:
+// an error returned by emit aborts the call and comes back recognisable
+// through AsEmitError, which a UDF's own failure never is.
+func TestRunnerEmitErrorAllKinds(t *testing.T) {
+	p := MustParse(`
+func map m($ir) {
+	emit $ir
+	emit $ir
+}
+func binary b($l, $r) {
+	emit $l
+	emit $r
+}
+func reduce r($g) {
+	$x := groupget $g 0
+	emit $x
+	emit $x
+}
+func cogroup c($g1, $g2) {
+	$x := groupget $g1 0
+	emit $x
+	emit $x
+}
+func map bad($ir) {
+	$x := 1 / 0
+}`)
+	rec := record.Record{record.Int(1)}
+	grp := Records{rec}
+	calls := map[string]func(*Runner, sinkFn) error{
+		"m": func(r *Runner, emit sinkFn) error { return r.Map(rec, emit) },
+		"b": func(r *Runner, emit sinkFn) error { return r.Binary(rec, rec, emit) },
+		"r": func(r *Runner, emit sinkFn) error { return r.Reduce(grp, emit) },
+		"c": func(r *Runner, emit sinkFn) error { return r.CoGroup(grp, grp, emit) },
+	}
+	sinkFull := errors.New("sink full")
+	for name, call := range calls {
+		f := mustFunc(t, p, name)
+		r, err := NewInterp().NewRunner(f, f.Kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		emitted := 0
+		err = call(r, func(record.Record) error { emitted++; return sinkFull })
+		if inner, ok := AsEmitError(err); !ok || inner != sinkFull || !errors.Is(err, sinkFull) {
+			t.Errorf("%s: err = %v, want the sink's error via AsEmitError", name, err)
+		}
+		if emitted != 1 {
+			t.Errorf("%s: emit called %d times, want the call aborted after 1", name, emitted)
+		}
+	}
+	_, err := collectMap(NewInterp(), mustFunc(t, p, "bad"), rec)
+	if _, ok := AsEmitError(err); err == nil || ok {
+		t.Errorf("UDF failure %v must not look like a sink failure", err)
+	}
+}
+
+// TestStepLimitMessage pins the step-limit error byte for byte.
+func TestStepLimitMessage(t *testing.T) {
+	f := mustFunc(t, MustParse("func map spin($ir) {\nL: goto L\n}"), "spin")
+	_, err := collectMap(NewInterp().WithStepLimit(1000), f, record.Record{})
+	if want := "tac: spin exceeded step limit 1000"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }

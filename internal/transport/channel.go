@@ -39,21 +39,6 @@ func (Channel) OpenShuffle(_ context.Context, spec Spec) (Shuffle, error) {
 	return s, nil
 }
 
-// Broadcast replicates the input to every target partition as fresh header
-// copies (the records themselves are immutable by engine convention).
-// Handing the same slice to all partitions would let a local strategy that
-// sorts in place race against its sibling goroutines.
-func (Channel) Broadcast(_ context.Context, full []record.Record, copies int) ([][]record.Record, int, error) {
-	size := record.DataSet(full).TotalSize()
-	out := make([][]record.Record, copies)
-	bytes := 0
-	for i := range out {
-		out[i] = append([]record.Record(nil), full...)
-		bytes += size
-	}
-	return out, bytes, nil
-}
-
 // channelShuffle is one in-process session. The unbuffered channels are
 // the synchronization: a Send blocks until the target's collector takes
 // the batch, so cancellation relies on the engine's invariant that

@@ -166,73 +166,6 @@ func (t *TCP) OpenShuffle(ctx context.Context, spec Spec) (Shuffle, error) {
 	return s, nil
 }
 
-// Broadcast replicates the input to every target partition through the
-// session machinery, so replicas for remotely placed partitions genuinely
-// cross the wire (out to the hosting worker and back) while local slots
-// keep the in-process header copy. The byte accounting — the input's wire
-// size once per copy — matches the channel transport exactly.
-func (t *TCP) Broadcast(ctx context.Context, full []record.Record, copies int) ([][]record.Record, int, error) {
-	size := record.DataSet(full).TotalSize()
-	sh, err := t.OpenShuffle(ctx, Spec{Senders: 1, Targets: copies})
-	if err != nil {
-		return nil, 0, err
-	}
-	defer sh.Close()
-	out := make([][]record.Record, copies)
-	errs := make([]error, copies+1)
-	var wg sync.WaitGroup
-	for i := 0; i < copies; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			buf := make([]record.Record, 0, len(full))
-			for {
-				b, err := sh.Recv(i)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if b == nil {
-					break
-				}
-				buf = append(buf, b.Records()...)
-				record.PutBatch(b)
-			}
-			out[i] = buf
-		}(i)
-	}
-	func() {
-		defer sh.SenderDone()
-		for i := 0; i < copies; i++ {
-			b := record.GetBatch()
-			for _, r := range full {
-				if b.Append(r) {
-					if err := sh.Send(i, b); err != nil {
-						errs[copies] = err
-						return
-					}
-					b = record.GetBatch()
-				}
-			}
-			if b.Len() > 0 {
-				if err := sh.Send(i, b); err != nil {
-					errs[copies] = err
-					return
-				}
-			} else {
-				record.PutBatch(b)
-			}
-		}
-	}()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return out, size * copies, nil
-}
-
 // Calibrate measures each worker's control-connection round-trip time
 // (min of a few pings) and effective echo bandwidth (payload out and back,
 // the same double hop a remotely placed shuffle batch pays) and averages

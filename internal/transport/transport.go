@@ -9,7 +9,9 @@
 // A shuffle session is push-based and partition-addressed: the engine runs
 // one sender goroutine per source partition calling Send(target, batch) and
 // one collector goroutine per target partition calling Recv(target) until
-// end of stream. Ownership of a batch passes to the transport on Send: the
+// end of stream. Partitioned and broadcast edges use the same session: a
+// sender hands a record to one target's batch or to every target's, and the
+// transport cannot tell which. Ownership of a batch passes to the transport on Send: the
 // channel transport hands the pointer through unchanged (zero copies), the
 // TCP transport encodes it, recycles it, and the receiving side decodes
 // fresh pooled batches — so byte accounting done by the engine before Send
@@ -78,12 +80,6 @@ type Transport interface {
 	// setup (dialing workers); cancellation afterwards is the caller's
 	// job via Shuffle.Close.
 	OpenShuffle(ctx context.Context, spec Spec) (Shuffle, error)
-
-	// Broadcast replicates the full input to each of copies target
-	// partitions and returns the replicas plus the bytes shipped —
-	// the input's wire size once per copy, the same accounting on every
-	// transport.
-	Broadcast(ctx context.Context, full []record.Record, copies int) ([][]record.Record, int, error)
 
 	// Calibrate measures the transport's effective shuffle bandwidth and
 	// per-round-trip latency (see Calibration). In-process transports

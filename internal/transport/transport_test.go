@@ -189,34 +189,6 @@ func TestTCPPerSenderOrderPreserved(t *testing.T) {
 	}
 }
 
-// TestTCPBroadcast pins broadcast through the session machinery: every
-// copy equals the input, remote and local placements alike, and the byte
-// accounting matches the channel transport's.
-func TestTCPBroadcast(t *testing.T) {
-	full := genParts(1, 3000)[0]
-	wantBytes := record.DataSet(full).TotalSize() * 4
-
-	chCopies, chBytes, err := (Channel{}).Broadcast(context.Background(), full, 4)
-	if err != nil {
-		t.Fatalf("channel broadcast: %v", err)
-	}
-	tp := newTCP(t, 2, 1)
-	tcpCopies, tcpBytes, err := tp.Broadcast(context.Background(), full, 4)
-	if err != nil {
-		t.Fatalf("tcp broadcast: %v", err)
-	}
-	if chBytes != wantBytes || tcpBytes != wantBytes {
-		t.Fatalf("broadcast bytes: channel %d, tcp %d, want %d", chBytes, tcpBytes, wantBytes)
-	}
-	for i := 0; i < 4; i++ {
-		for j, r := range full {
-			if !chCopies[i][j].Equal(r) || !tcpCopies[i][j].Equal(r) {
-				t.Fatalf("copy %d record %d differs from input", i, j)
-			}
-		}
-	}
-}
-
 // TestWorkerPingAndCalibrate covers the control plane: health checks
 // answer, and calibration reports a plausible profile.
 func TestWorkerPingAndCalibrate(t *testing.T) {
