@@ -227,21 +227,21 @@ type (
 // NewEngine returns an execution engine with the given degree of
 // parallelism. Chain WithMemoryBudget to bound the resident bytes of
 // grouping and join shuffle receivers (spilling the overflow to sorted
-// disk runs) and WithNetBandwidth to simulate a cluster interconnect.
+// disk runs) and WithTransport to ship across flowworker processes.
 func NewEngine(dop int) *Engine { return engine.New(dop) }
 
 // Job-scheduling re-exports: the concurrency layer above single-plan
 // execution (see internal/jobs and DESIGN.md "Job scheduling & admission
 // control").
 type (
-	// Scheduler runs many flows concurrently on pooled engines under
-	// admission control over a shared global memory budget: jobs queue
+	// Scheduler runs many flows concurrently, each on an engine of its own,
+	// under admission control over a shared global memory budget: jobs queue
 	// FIFO, each admitted job receives a budget grant that both the
 	// optimizer's spill-cost model and the engine's spill receivers
 	// honor, and every job runs under its own cancellable context.
 	Scheduler = jobs.Scheduler
-	// SchedulerConfig parameterizes a Scheduler (global budget, engine
-	// pool size, queue depth, default deadline, spill directory).
+	// SchedulerConfig parameterizes a Scheduler (global budget, jobs
+	// running at once, queue depth, default deadline, spill directory).
 	SchedulerConfig = jobs.Config
 	// JobSpec describes one submitted job: flow, sources, and per-job
 	// resource asks (budget, DOP, deadline).

@@ -886,7 +886,7 @@ func reduce first($g) {
 // batch of mixed grouping/join jobs under one shared memory budget, serial
 // (one engine slot) versus concurrent (four slots; the global budget admits
 // all four). Per-job grants are tight enough that every job spills, so the
-// benchmark exercises admission control, pooled engines, per-job spill
+// benchmark exercises admission control, per-job engines, per-job spill
 // directories, and the budget-aware optimizer together. The serial/
 // concurrent ns ratio is the committed BENCH_jobs.json baseline that
 // cmd/benchguard enforces.
@@ -971,8 +971,8 @@ func binary jpair($l, $r) {
 
 	// Direct baseline: the same specs, optimized and run back-to-back on
 	// one engine with the same per-job budget but no scheduler in the way.
-	// The serial/direct ns ratio is the scheduler's admission + pooling
-	// overhead — a hardware-portable ratio (both sides do identical
+	// The serial/direct ns ratio is the scheduler's admission and per-job
+	// set-up overhead — a hardware-portable ratio (both sides do identical
 	// engine work on the same machine), unlike the concurrent speedup,
 	// which scales with available cores.
 	b.Run("direct", func(b *testing.B) {

@@ -65,7 +65,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	globalBudget := flag.Int("global-budget", 64<<20, "shared memory budget in bytes for all running jobs (0 = ungoverned)")
-	maxConcurrent := flag.Int("max-concurrent", 4, "engine pool size (jobs running at once)")
+	maxConcurrent := flag.Int("max-concurrent", 4, "jobs running at once")
 	maxQueue := flag.Int("max-queue", 128, "pending-queue depth before submissions are rejected (negative = unbounded)")
 	dop := flag.Int("dop", 4, "default degree of parallelism per job")
 	spillDir := flag.String("spill-dir", "", "parent directory for per-job spill directories (default: OS temp)")

@@ -50,25 +50,36 @@ type server struct {
 	mu    sync.Mutex
 	byID  map[int64]*jobs.Job
 	maxID int64 // highest job ID ever registered; IDs ≤ maxID were real jobs
+	// oldestDone is no later than the finish time of any retained job, as of
+	// the last registry walk; until it is jobTTL old, nothing has expired.
+	oldestDone time.Time
+	walks      int // registry walks so far (read by tests)
 }
 
 func newServer(sched *jobs.Scheduler) *server {
 	return &server{
-		sched:   sched,
-		byID:    map[int64]*jobs.Job{},
-		jobTTL:  defaultJobTTL,
-		maxJobs: defaultMaxJobs,
+		sched:      sched,
+		byID:       map[int64]*jobs.Job{},
+		jobTTL:     defaultJobTTL,
+		maxJobs:    defaultMaxJobs,
+		oldestDone: time.Now(),
 	}
 }
 
-// register adds a job to the registry and evicts stale terminal jobs.
+// register adds a job to the registry and evicts stale terminal jobs. The
+// registry is walked — one scheduler-lock round trip per retained job —
+// only when something can be evicted: it is over maxJobs, or the oldest
+// finish time the last walk noted has outlived jobTTL.
 func (s *server) register(j *jobs.Job) {
 	s.mu.Lock()
 	s.byID[j.ID] = j
 	if j.ID > s.maxID {
 		s.maxID = j.ID
 	}
-	s.evictLocked(time.Now())
+	now := time.Now()
+	if (s.maxJobs > 0 && len(s.byID) > s.maxJobs) || (s.jobTTL > 0 && now.Sub(s.oldestDone) > s.jobTTL) {
+		s.evictLocked(now)
+	}
 	s.mu.Unlock()
 }
 
@@ -76,19 +87,25 @@ func (s *server) register(j *jobs.Job) {
 // registry exceeds maxJobs, the oldest-finished terminal jobs. Queued and
 // running jobs are never evicted. Caller holds s.mu.
 func (s *server) evictLocked(now time.Time) {
+	s.walks++
 	type doneJob struct {
 		id int64
 		at time.Time
 	}
 	var terminal []doneJob
+	// A job still queued or running finishes after now.
+	s.oldestDone = now
 	for id, j := range s.byID {
-		if !j.State().Terminal() {
+		at := j.Finished()
+		if at.IsZero() {
 			continue
 		}
-		at := j.Finished()
 		if s.jobTTL > 0 && now.Sub(at) > s.jobTTL {
 			delete(s.byID, id)
 			continue
+		}
+		if at.Before(s.oldestDone) {
+			s.oldestDone = at
 		}
 		terminal = append(terminal, doneJob{id, at})
 	}

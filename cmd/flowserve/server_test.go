@@ -439,6 +439,40 @@ func TestRegistryEviction(t *testing.T) {
 	}
 }
 
+// TestRegistryWalkOnlyWhenEvictable: registering a job walks the registry
+// (a scheduler-lock round trip per retained job) only when the walk could
+// evict something — not on every submission of a burst that stays under
+// the cap with nothing near its TTL.
+func TestRegistryWalkOnlyWhenEvictable(t *testing.T) {
+	srv, ts := testServer(t, jobs.Config{MaxConcurrent: 1, DOP: 2})
+	walks := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.walks
+	}
+	for i := 0; i < 8; i++ {
+		if resp, body := postJSON(t, ts.URL+"/jobs?wait=1", wordcountDoc); resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %d status = %d: %v", i, resp.StatusCode, body)
+		}
+	}
+	if n := walks(); n != 0 {
+		t.Fatalf("%d registry walks for 8 submissions under the cap with nothing expired, want 0", n)
+	}
+	// Over the cap, the next registration walks and evicts down to it.
+	srv.mu.Lock()
+	srv.maxJobs = 4
+	srv.mu.Unlock()
+	if resp, _ := postJSON(t, ts.URL+"/jobs?wait=1", wordcountDoc); resp.StatusCode != http.StatusOK {
+		t.Fatalf("over-cap submit status = %d", resp.StatusCode)
+	}
+	srv.mu.Lock()
+	n, retained := srv.walks, len(srv.byID)
+	srv.mu.Unlock()
+	if n != 1 || retained != 4 {
+		t.Fatalf("over the cap: %d walks, %d jobs retained, want 1 and 4", n, retained)
+	}
+}
+
 // spinDoc is a small document whose reduce burns CPU per group, so the
 // job reliably occupies its engine slot for the duration of a few quick
 // HTTP round trips (unlike slowDoc, whose wide input parses slowly but

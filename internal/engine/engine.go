@@ -227,7 +227,7 @@ type Engine struct {
 	// operator granularity, never per record, so tracing costs a handful
 	// of mutex acquisitions per operator. Nil (the default) disables
 	// tracing; every hook reduces to a nil check. The scheduler installs
-	// a per-job trace here and clears it on engine reset.
+	// each job's trace on the job's engine.
 	Trace *obs.Trace
 
 	// TraceParent is the span operator spans attach under — the job's
@@ -237,49 +237,24 @@ type Engine struct {
 
 	// Hists, when set, receives histogram observations from the execution
 	// paths: per-operator ship wall time and per-run spill sizes. The
-	// histograms are shared and scheduler-owned (they survive engine
-	// resets); nil disables observation.
+	// histograms are shared and scheduler-owned (every job's engine records
+	// into the same set); nil disables observation.
 	Hists *obs.EngineHists
-
-	// NetBandwidth simulates a cluster interconnect: when positive, every
-	// non-forward shipping step takes at least shippedBytes/NetBandwidth
-	// seconds of wall time. The paper's evaluation ran on 1 GbE, where
-	// shuffles dominate plan runtimes; on a single machine, channel-based
-	// shuffles are far faster relative to UDF work, so throttling restores
-	// the testbed's cost balance (see DESIGN.md). Zero disables throttling.
-	//
-	// Deprecated: the simulation only makes sense for the in-process
-	// channel transport, where no real interconnect exists. Runs on any
-	// other transport measure their bandwidth at calibration time instead
-	// (transport.Transport.Calibrate feeds the optimizer's NetProfile), and
-	// RunContext rejects a positive NetBandwidth there — simulating a
-	// network on top of a real one would double-count the cost. It stays
-	// honored for channel-transport runs so the examples and EXPERIMENTS
-	// baselines remain reproducible.
-	NetBandwidth float64
-
-	interp *tac.Interp
 }
 
-// New returns an engine with the given parallelism and no network
-// throttling.
+// interp runs every engine's UDFs. It holds one word, the step limit, that
+// each interpreted instruction reads; an interpreter allocated per engine —
+// per job, under the scheduler — lands on a cache line beside that job's
+// Runner frames, which every instruction writes (textmine.udf
+// cpu_ms_per_job +8%, PR 22).
+var interp = tac.NewInterp()
+
+// New returns an engine with the given parallelism.
 func New(dop int) *Engine {
 	if dop < 1 {
 		dop = 1
 	}
-	return &Engine{DOP: dop, Sources: map[string]record.DataSet{}, interp: tac.NewInterp()}
-}
-
-// WithNetBandwidth sets the simulated interconnect bandwidth in bytes per
-// second and returns the engine.
-//
-// Deprecated: see Engine.NetBandwidth — the simulation is only valid on
-// the default channel transport, and RunContext returns an error when a
-// positive NetBandwidth meets any other transport. New code should let the
-// transport's measured calibration drive network costs instead.
-func (e *Engine) WithNetBandwidth(bytesPerSec float64) *Engine {
-	e.NetBandwidth = bytesPerSec
-	return e
+	return &Engine{DOP: dop, Sources: map[string]record.DataSet{}}
 }
 
 // WithTransport installs the transport that non-forward shipping runs over
@@ -334,11 +309,6 @@ func (e *Engine) Run(plan *optimizer.PhysPlan) (record.DataSet, *RunStats, error
 // returns its result normally. The engine may be reused after a cancelled
 // run; partial outputs are discarded.
 func (e *Engine) RunContext(ctx context.Context, plan *optimizer.PhysPlan) (record.DataSet, *RunStats, error) {
-	if e.NetBandwidth > 0 {
-		if kind := e.transport().Kind(); kind != transport.KindChannel {
-			return nil, nil, fmt.Errorf("engine: NetBandwidth simulation is only valid on the %q transport (the %q transport measures its real bandwidth at calibration; simulating one on top would double-count)", transport.KindChannel, kind)
-		}
-	}
 	stats := &RunStats{}
 	out, err := e.exec(ctx, plan, stats)
 	if err != nil {

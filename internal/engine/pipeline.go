@@ -287,10 +287,6 @@ func (e *Engine) run(ctx context.Context, p *optimizer.PhysPlan, edges []edge, s
 	if err == nil {
 		err = context.Cause(ctx)
 	}
-	if err == nil && e.NetBandwidth > 0 && st.ShippedBytes > 0 {
-		want := time.Duration(float64(st.ShippedBytes) / e.NetBandwidth * float64(time.Second))
-		netDelay(ctx, want-time.Since(shipStart))
-	}
 	window := time.Since(shipStart)
 	share := window / time.Duration(fused+1)
 	st.ShipTime = window - share*time.Duration(fused)
@@ -364,25 +360,10 @@ func (e *Engine) recvBudget(p *optimizer.PhysPlan) int {
 	return max(1, e.MemoryBudget/(e.DOP*shuffled))
 }
 
-// netDelay sleeps for d to simulate interconnect transfer time, returning
-// early when the context is cancelled so a throttled run still cancels
-// promptly.
-func netDelay(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
 // runner binds the calling goroutine to op's UDF, which must be of the given
 // kind.
 func (e *Engine) runner(op *dataflow.Operator, kind tac.Kind) (*tac.Runner, error) {
-	r, err := e.interp.NewRunner(op.UDF, kind)
+	r, err := interp.NewRunner(op.UDF, kind)
 	if err != nil {
 		return nil, &opError{op.Name, err}
 	}

@@ -145,7 +145,7 @@ type refUDF struct {
 }
 
 func (e *Engine) refUDF(op *dataflow.Operator, kind tac.Kind) (*refUDF, error) {
-	r, err := e.interp.NewRunner(op.UDF, kind)
+	r, err := interp.NewRunner(op.UDF, kind)
 	if err != nil {
 		return nil, fmt.Errorf("reference: %s: %w", op.Name, err)
 	}

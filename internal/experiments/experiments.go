@@ -20,7 +20,8 @@ import (
 	"blackboxflow/internal/workloads/tpch"
 )
 
-// SweepRow is one executed plan of a rank sweep.
+// SweepRow is one executed plan of a rank sweep. Runtime is the plan's
+// modelled runtime on the paper's interconnect (see modelled).
 type SweepRow struct {
 	Rank        int
 	Cost        float64
@@ -63,11 +64,24 @@ func (r *SweepResult) String() string {
 	return b.String()
 }
 
-// DefaultNetBandwidth is the simulated interconnect bandwidth used by the
-// sweep experiments (bytes/second). It rebalances shuffle cost against
-// (interpreted) UDF cost to match the paper's 1 GbE testbed, where network
-// transfer dominates plan runtimes. See DESIGN.md.
+// DefaultNetBandwidth is the interconnect bandwidth the sweep experiments
+// model (bytes/second). It rebalances shuffle cost against (interpreted)
+// UDF cost to match the paper's 1 GbE testbed, where network transfer
+// dominates plan runtimes. See DESIGN.md ("Network cost").
 const DefaultNetBandwidth = 4 << 20
+
+// modelled returns what a run that took wall would have taken on the
+// paper's interconnect: every operator whose shipping finished sooner than
+// its shipped bytes cross a DefaultNetBandwidth wire is charged the
+// difference, once. The term is arithmetic on the run's own statistics,
+// not a delay inside the engine, so it is the same for the same OpStats.
+func modelled(wall time.Duration, stats *engine.RunStats) time.Duration {
+	for _, op := range stats.PerOp {
+		wire := time.Duration(float64(op.ShippedBytes) / DefaultNetBandwidth * float64(time.Second))
+		wall += max(0, wire-op.ShipTime)
+	}
+	return wall
+}
 
 // Sweep enumerates and ranks all plans of the flow, executes nPick plans at
 // regular rank intervals (always including the best and worst), and
@@ -99,7 +113,7 @@ func Sweep(name string, flow *dataflow.Flow, data map[string]record.DataSet, dop
 		picks = addPick(picks, res.ImplementedRank-1)
 	}
 
-	e := engine.New(dop).WithNetBandwidth(DefaultNetBandwidth)
+	e := engine.New(dop)
 	for n, ds := range data {
 		e.AddSource(n, ds)
 	}
@@ -108,11 +122,11 @@ func Sweep(name string, flow *dataflow.Flow, data map[string]record.DataSet, dop
 	for _, idx := range picks {
 		rp := ranked[idx]
 		t0 := time.Now()
-		out, _, err := e.Run(rp.Phys)
+		out, stats, err := e.Run(rp.Phys)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: plan rank %d: %w", rp.Rank, err)
 		}
-		el := time.Since(t0)
+		el := modelled(time.Since(t0), stats)
 		res.Rows = append(res.Rows, SweepRow{
 			Rank:       rp.Rank,
 			Cost:       rp.Cost,

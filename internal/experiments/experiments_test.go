@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"blackboxflow/internal/engine"
+	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/workloads/clickstream"
 	"blackboxflow/internal/workloads/textmine"
 	"blackboxflow/internal/workloads/tpch"
@@ -135,6 +137,61 @@ func TestFig5SweepSmall(t *testing.T) {
 	}
 	if s := res.String(); !strings.Contains(s, "rank") {
 		t.Errorf("rendering broken: %s", s)
+	}
+}
+
+// TestModelledNetworkTerm pins the interconnect model the sweeps apply to
+// a run's statistics: an operator that shipped B bytes in less than
+// B/DefaultNetBandwidth is charged the difference, once; an operator whose
+// shipping already took that long, or that shipped nothing, is charged
+// nothing.
+func TestModelledNetworkTerm(t *testing.T) {
+	const wall = 50 * time.Millisecond
+	wire := func(bytes int) time.Duration {
+		return time.Duration(float64(bytes) / DefaultNetBandwidth * float64(time.Second))
+	}
+	stats := &engine.RunStats{PerOp: []engine.OpStats{
+		{Name: "source"},
+		{Name: "fast", ShippedBytes: 1 << 20, ShipTime: 3 * time.Millisecond},
+		{Name: "fast too", ShippedBytes: 1 << 19, ShipTime: time.Millisecond},
+		{Name: "slower than the wire", ShippedBytes: 1 << 10, ShipTime: time.Second},
+		{Name: "forward, fused chain", ShipTime: 5 * time.Millisecond},
+	}}
+	want := wall + (wire(1<<20) - 3*time.Millisecond) + (wire(1<<19) - time.Millisecond)
+	if got := modelled(wall, stats); got != want {
+		t.Errorf("modelled = %v, want %v", got, want)
+	}
+}
+
+// TestModelledForwardOnlyPlan: a plan with no shipping edge — the
+// text-mining Map pipeline — has nothing to charge, so its modelled runtime
+// is its wall time.
+func TestModelledForwardOnlyPlan(t *testing.T) {
+	g := &textmine.GenParams{Docs: 40, WordsLo: 20, WordsHi: 40,
+		GeneRate: 0.3, DrugRate: 0.4, HumanRate: 0.55, RelRate: 0.5, Seed: 2}
+	task, err := textmine.Build(textmine.ModeSCA, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := optimizer.FromFlow(task.Flow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(4)
+	for name, ds := range g.Generate(task.Flow) {
+		e.AddSource(name, ds)
+	}
+	best := optimizer.RankAllNet(tree, optimizer.NewEstimator(task.Flow), 4, 0, optimizer.NetProfile{})[0]
+	_, stats, err := e.Run(best.Phys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := stats.TotalShippedBytes(); n != 0 {
+		t.Fatalf("text-mining plan shipped %d bytes, want a forward-only plan", n)
+	}
+	const wall = 123 * time.Millisecond
+	if got := modelled(wall, stats); got != wall {
+		t.Errorf("modelled = %v, want the wall time %v", got, wall)
 	}
 }
 

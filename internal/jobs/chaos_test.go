@@ -19,12 +19,12 @@ import (
 
 // This file is the scheduler half of the chaos equivalence suite: seeded
 // single-fault schedules fired into the per-job spill directories and the
-// pooled engines' spill files of running jobs. The invariants mirror the
-// engine suite's — a faulted job reaches a terminal failed state (never
-// hangs), its error wraps the injected fault, the scheduler's granted
-// budget returns to zero, its engine returns to the pool and immediately
-// runs the next job fault-free and byte-identical to baseline, and no
-// per-job spill directory outlives its job. See DESIGN.md ("Failure
+// engines' spill files of running jobs. The invariants mirror the engine
+// suite's — a faulted job reaches a terminal failed state (never hangs),
+// its error wraps the injected fault, the scheduler's granted budget
+// returns to zero, the scheduler immediately runs the next job fault-free
+// and byte-identical to baseline, and no per-job spill directory outlives
+// its job. See DESIGN.md ("Failure
 // model").
 
 // chaosSeed returns the suite's seed: FAULTFS_SEED when set, else 1.
@@ -91,7 +91,7 @@ func assertDrainedScheduler(t *testing.T, s *Scheduler, spillParent, label strin
 // TestFaultSchedulerReleasesOnDiskError is the regression test for the
 // scheduler's error path: a job killed by an injected disk fault — whether
 // the per-job spill directory creation or a spill write fails — must
-// release its budget grant, return its engine to the pool, and leave the
+// release its budget grant and its running slot, and leave the
 // scheduler able to run the next job normally. (The cancel path had this
 // guarantee from PR 5; this pins the disk-error path.)
 func TestFaultSchedulerReleasesOnDiskError(t *testing.T) {
@@ -131,15 +131,15 @@ func TestFaultSchedulerReleasesOnDiskError(t *testing.T) {
 		}
 		assertDrainedScheduler(t, s, dir, label)
 
-		// The engine went back to the pool and the injector is spent: the
-		// same spec must now run to completion with baseline output.
+		// The faulted job is gone and the injector is spent: the same spec
+		// must now run to completion with baseline output.
 		j2, err := s.Submit(spillingGroupSpec(t, 42))
 		if err != nil {
 			t.Fatalf("%s: submit after faulted job: %v", label, err)
 		}
 		out, err := waitTerminal(t, j2, label+"/rerun")
 		if err != nil {
-			t.Fatalf("%s: rerun on the faulted job's engine failed: %v", label, err)
+			t.Fatalf("%s: rerun after the faulted job failed: %v", label, err)
 		}
 		mustEqual(t, out, baseline, label+"/rerun")
 		assertDrainedScheduler(t, s, dir, label+"/rerun")
@@ -183,8 +183,8 @@ func map boom($ir) {
 // a fused Map chain, which used to leave no operator span at all — must
 // leave a finalized trace: root span closed and carrying the job's error,
 // the failure attributed to a span below the root (the operator and phase
-// that absorbed it), every span closed, and the pooled engine's reset must
-// not leak spans from the failed job into the next job's trace.
+// that absorbed it), every span closed, and no span of the failed job may
+// show up in the next job's trace, nor the next job's in its.
 func TestFaultTraceAttribution(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -234,18 +234,17 @@ func TestFaultTraceAttribution(t *testing.T) {
 			}
 			frozen := tr.Len()
 
-			// The engine went back to the pool; the next job gets its own
-			// trace and the failed job's stays frozen — no spans leak across
-			// the reset.
+			// The next job gets its own trace and the failed job's stays
+			// frozen — no spans leak from one job to the other.
 			j2, err := s.Submit(spillingGroupSpec(t, 42))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := waitTerminal(t, j2, "rerun"); err != nil {
-				t.Fatalf("rerun on the failed job's engine failed: %v", err)
+				t.Fatalf("rerun after the failed job failed: %v", err)
 			}
 			if tr.Len() != frozen {
-				t.Fatalf("failed job's trace grew from %d to %d spans after its engine ran another job", frozen, tr.Len())
+				t.Fatalf("failed job's trace grew from %d to %d spans while another job ran", frozen, tr.Len())
 			}
 			tr2 := j2.Trace()
 			if tr2 == tr {
@@ -270,8 +269,8 @@ func TestFaultTraceAttribution(t *testing.T) {
 // TestChaosSchedulerSingleFaultSweep sweeps seeded single-fault schedules
 // across a scheduler-driven spilling job: every fault point must leave the
 // job terminal (failed with the injected error, or succeeded with baseline
-// output), the budget fully returned, the spill parent empty, and the pool
-// able to run the next job fault-free and byte-identical.
+// output), the budget fully returned, the spill parent empty, and the
+// scheduler able to run the next job fault-free and byte-identical.
 func TestChaosSchedulerSingleFaultSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep is not a -short test")
@@ -349,8 +348,8 @@ func TestChaosSchedulerSingleFaultSweep(t *testing.T) {
 			}
 			assertDrainedScheduler(t, s, dir, label)
 
-			// Pool reuse: the engine that absorbed the fault must run the
-			// next job cleanly. Op counts vary run to run, so the single
+			// The scheduler that absorbed the fault must run the next job
+			// cleanly. Op counts vary run to run, so the single
 			// fault may only arm during the first job and land on this
 			// rerun instead — in that case it must obey the same
 			// invariants and the run after it must be clean.

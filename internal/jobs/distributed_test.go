@@ -129,7 +129,8 @@ func TestSchedulerWorkerHealthPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(Config{MaxConcurrent: 1, DOP: 4, Workers: addrs, WorkerHealthTTL: ttl})
+	s := New(Config{MaxConcurrent: 1, DOP: 4, Workers: addrs})
+	s.workers.ttl = ttl
 	run := func(label string) {
 		t.Helper()
 		j, err := s.Submit(spec)

@@ -15,6 +15,7 @@ import (
 
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/frontend"
+	"blackboxflow/internal/obs"
 	"blackboxflow/internal/record"
 )
 
@@ -42,10 +43,14 @@ func ParseScriptJob(raw []byte) (Spec, error) { return ingest(nil, raw) }
 // can reuse the cached optimized plan and its cost estimate too.
 func (s *Scheduler) ParseScriptJob(raw []byte) (Spec, error) { return ingest(s.planCache, raw) }
 
-// compileDetail is what ingest reports in the compile span's detail:
-// whether the document was replayed (doc is hit or miss), how many of its
-// inline sources the source cache served, and how many raw row bytes had to
-// be parsed.
+// flowCacheHit opens the compile span's detail when the compiled flow was
+// reused (at most data decoding ran).
+const flowCacheHit = "flow-cache hit "
+
+// compileDetail is the rest of what ingest reports in the compile span's
+// detail: whether the document was replayed (doc is hit or miss), how many
+// of its inline sources the source cache served, and how many raw row bytes
+// had to be parsed.
 func compileDetail(doc string, sourceHits, sources, decodedBytes int) string {
 	return fmt.Sprintf("doc=%s sources=%d/%d decoded_bytes=%d", doc, sourceHits, sources, decodedBytes)
 }
@@ -56,7 +61,8 @@ func ingest(c *PlanCache, raw []byte) (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	spec.CompileStart, spec.CompileEnd = start, time.Now()
+	spec.Compile.Name, spec.Compile.Kind = "compile", obs.KindPhase
+	spec.Compile.Start, spec.Compile.End = start, time.Now()
 	return spec, nil
 }
 
@@ -105,7 +111,7 @@ func parseDocument(c *PlanCache, raw []byte) (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	spec.CompileDetail = compileDetail("miss", hits, sources, decoded)
+	spec.Compile.Detail += compileDetail("miss", hits, sources, decoded)
 	if c != nil {
 		c.storeDoc(key, docEntry{spec: spec, sources: keys})
 	}
@@ -170,14 +176,16 @@ func assemble(c *PlanCache, doc *ScriptJob, given map[string]func(sourceLayout) 
 		return spec, err
 	}
 	spec.PlanKey = scriptJobHash(doc, hints)
-	if spec.Flow, spec.CompileCached = c.flow(spec.PlanKey); !spec.CompileCached {
-		if spec.Flow, err = compile(); err != nil {
-			return Spec{}, err
-		}
-		// Racing compilations of the same document converge on one shared
-		// instance.
-		spec.Flow = c.storeFlow(spec.PlanKey, spec.Flow)
+	if flow, ok := c.flow(spec.PlanKey); ok {
+		spec.Flow, spec.Compile.Detail = flow, flowCacheHit
+		return spec, nil
 	}
+	if spec.Flow, err = compile(); err != nil {
+		return Spec{}, err
+	}
+	// Racing compilations of the same document converge on one shared
+	// instance.
+	spec.Flow = c.storeFlow(spec.PlanKey, spec.Flow)
 	return spec, nil
 }
 

@@ -246,8 +246,8 @@ func FuzzIngest(f *testing.F) {
 		checkAgainstReference(t, "cold cache", got, err, want, wantErr, true)
 		again, againErr := ingest(c, raw)
 		checkAgainstReference(t, "warm cache", again, againErr, want, wantErr, true)
-		if err == nil && (again.Flow != got.Flow || !strings.Contains(again.CompileDetail, "doc=hit")) {
-			t.Fatalf("second ingest of the same bytes was not a replay: %s", again.CompileDetail)
+		if err == nil && (again.Flow != got.Flow || !strings.Contains(again.Compile.Detail, "doc=hit")) {
+			t.Fatalf("second ingest of the same bytes was not a replay: %s", again.Compile.Detail)
 		}
 		got, err = ParseScriptJob(raw)
 		checkAgainstReference(t, "no cache", got, err, want, wantErr, false)

@@ -7,10 +7,11 @@ import (
 )
 
 // schedObs is the scheduler-owned observability state: the service-tier
-// histograms that pooled engines and worker health sweeps record into, and
-// the construction time for uptime reporting. The histograms live for the
-// scheduler's lifetime — engine resets between jobs deliberately do not
-// touch them — and exposition reads lock-free snapshots.
+// histograms that every job's engine and the worker health sweeps record
+// into, and the construction time for uptime reporting. The histograms
+// live for the scheduler's lifetime — they are the one thing a job's
+// engine shares with the next job's — and exposition reads lock-free
+// snapshots.
 type schedObs struct {
 	start time.Time
 	// jobLatency observes submission→terminal wall time of every job that
@@ -21,7 +22,7 @@ type schedObs struct {
 	queueWait *obs.Histogram
 	// pingRTT observes worker health-check round trips.
 	pingRTT *obs.Histogram
-	// engine is the histogram set shared by every pooled engine (ship
+	// engine is the histogram set shared by every job's engine (ship
 	// times, spill run sizes).
 	engine *obs.EngineHists
 }

@@ -208,7 +208,7 @@ func (c *PlanCache) replay(key docKey) (Spec, bool) {
 	if !ok {
 		return Spec{}, false
 	}
-	spec.Flow, spec.CompileCached = flow.(*dataflow.Flow), true
+	spec.Flow = flow.(*dataflow.Flow)
 	spec.Sources = make(map[string]record.DataSet, len(e.sources))
 	for _, ns := range e.sources {
 		src, ok := c.sources.get(ns.key)
@@ -219,7 +219,7 @@ func (c *PlanCache) replay(key docKey) (Spec, bool) {
 	}
 	c.stats.flowHits++
 	c.stats.sourceHits += int64(len(e.sources))
-	spec.CompileDetail = compileDetail("hit", len(e.sources), len(e.sources), 0)
+	spec.Compile.Detail = flowCacheHit + compileDetail("hit", len(e.sources), len(e.sources), 0)
 	return spec, true
 }
 

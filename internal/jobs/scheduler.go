@@ -1,17 +1,17 @@
 // Package jobs is the concurrency layer above the single-plan engine: a
 // Scheduler accepts submitted flows, optimizes each against the memory
-// budget it was granted, and runs them on a pool of engines under admission
-// control — so many optimized dataflows share one machine without
+// budget it was granted, and runs each on an engine of its own under
+// admission control — so many optimized dataflows share one machine without
 // oversubscribing its memory.
 //
 // Admission control is a FIFO queue over a global memory budget
 // (Config.GlobalBudget): every job asks for a budget grant (its requested
 // MemoryBudget, or an equal share of the global budget by default), and the
 // queue head is admitted only when the outstanding grants plus its own fit
-// under the global budget and an engine slot is free. The grant is not just
-// a gate — it flows into the optimizer's spill-cost model
-// (optimizer.RankAllNet picks plans knowing how much memory the job will
-// actually have) and into the engine's spill receivers
+// under the global budget and fewer than Config.MaxConcurrent jobs are
+// running. The grant is not just a gate — it flows into the optimizer's
+// spill-cost model (optimizer.RankAllNet picks plans knowing how much
+// memory the job will actually have) and into the engine's spill receivers
 // (Engine.MemoryBudget), so an admitted job both plans for and is held to
 // its share. Queueing is strictly FIFO: a large job at the head blocks
 // smaller jobs behind it rather than being starved by them.
@@ -19,19 +19,17 @@
 // Every job runs under its own context (Engine.RunContext) with an optional
 // deadline; cancelling a queued job evicts it from the queue, cancelling a
 // running job stops the engine cooperatively, and either way the job's
-// spill directory — each job that spills gets a private one — is removed. Engines are
-// pooled and handed to one job at a time; between jobs an engine is reset
-// (sources dropped, budget and spill directory cleared), so no mutable
-// state is shared across jobs and per-job OpStats are collected into
-// per-run sinks. See DESIGN.md ("Job scheduling & admission control").
+// spill directory — each job that spills gets a private one — is removed.
+// A job's engine is built from the job's own settings when it is admitted
+// and dropped when it ends, so jobs share no mutable execution state: only
+// the scheduler's histograms and caches outlive one. See DESIGN.md ("Job
+// scheduling & admission control").
 package jobs
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -77,22 +75,19 @@ type Config struct {
 	// wire-encoding unit as Engine.MemoryBudget) that all concurrently
 	// running jobs' grants must fit under.
 	GlobalBudget int
-	// MaxConcurrent is the engine-pool size: how many jobs may run at
-	// once. Defaults to 2.
+	// MaxConcurrent is how many jobs may run at once; a job that asks for
+	// no budget is granted GlobalBudget/MaxConcurrent, an equal share.
+	// Defaults to 2.
 	MaxConcurrent int
 	// MaxQueue caps the pending queue; Submit returns ErrQueueFull beyond
 	// it. Defaults to 128. Negative means unbounded.
 	MaxQueue int
-	// DOP is the engines' default degree of parallelism (a Spec may
-	// override per job). Defaults to 4.
+	// DOP is a job's default degree of parallelism (a Spec may override
+	// it). Defaults to 4.
 	DOP int
 	// SpillDir is the parent directory for per-job spill directories;
 	// empty means the OS temp directory.
 	SpillDir string
-	// DefaultGrant is the budget granted to jobs that do not request one.
-	// Defaults to GlobalBudget/MaxConcurrent when a global budget is set
-	// (an equal share), else zero (unbudgeted).
-	DefaultGrant int
 	// JobTimeout bounds every job's run wall time unless its Spec sets a
 	// tighter Deadline. Zero means no default deadline.
 	JobTimeout time.Duration
@@ -117,7 +112,7 @@ type Config struct {
 	// by). Zero disables cost-based backpressure.
 	MaxQueuedCost float64
 	// FS is the filesystem seam under the per-job spill directories and
-	// the pooled engines' spill files; nil means the real OS filesystem.
+	// the engines' spill files; nil means the real OS filesystem.
 	// Fault-injection harnesses install a faultfs.Injector here (see
 	// internal/faultfs and the chaos suite).
 	FS faultfs.FS
@@ -135,9 +130,6 @@ type Config struct {
 	// (transport.TCPConfig.LocalSlots). Zero places every partition
 	// remotely.
 	LocalSlots int
-	// WorkerHealthTTL is how long one worker health sweep's verdict is
-	// reused before re-pinging. Zero means 5s.
-	WorkerHealthTTL time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -149,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DOP <= 0 {
 		c.DOP = 4
-	}
-	if c.DefaultGrant <= 0 && c.GlobalBudget > 0 {
-		c.DefaultGrant = c.GlobalBudget / c.MaxConcurrent
 	}
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 256
@@ -180,28 +169,23 @@ type Spec struct {
 	// DOP overrides the scheduler's degree of parallelism for this job.
 	DOP int
 	// MemoryBudget is the requested budget grant in bytes; zero asks for
-	// the scheduler's default share. Requests above the global budget are
-	// clamped to it (the job then runs alone).
+	// the scheduler's default share. Requests above the global budget, or
+	// above the tenant's share of it (Config.TenantBudgetFrac), are clamped
+	// to that ceiling (the job then runs alone under it).
 	MemoryBudget int
 	// Deadline bounds the job's run wall time (measured from admission,
 	// not submission). Zero falls back to Config.JobTimeout.
 	Deadline time.Duration
-	// CompileStart and CompileEnd bracket the document's compilation
-	// (PactScript compile, flow build, static analysis). ParseScriptJob
-	// sets them; Submit folds the window into the job's trace as a
-	// pre-timed "compile" span. A zero CompileStart means no compile phase
+	// Compile is the document's compilation (PactScript compile, flow
+	// build, static analysis, row decoding) as a pre-timed "compile" span,
+	// which Submit folds into the job's trace. ParseScriptJob fills it: the
+	// detail says what ingest found cached — "flow-cache hit " when the
+	// compiled flow was reused, then whether the whole document was
+	// replayed, how many inline sources the source cache served and how
+	// many raw row bytes were parsed (doc=hit|miss sources=<hits>/<n>
+	// decoded_bytes=<n>). A zero Start means no compile phase
 	// (programmatically built Specs).
-	CompileStart time.Time
-	CompileEnd   time.Time
-	// CompileCached marks the compile window as a flow-cache hit (the
-	// compiled flow was reused; at most data decoding ran).
-	CompileCached bool
-	// CompileDetail says what ingest found cached: whether the whole
-	// document was replayed, how many inline sources the source cache
-	// served, and how many raw row bytes were parsed (doc=hit|miss
-	// sources=<hits>/<n> decoded_bytes=<n>). It lands in the compile
-	// span's detail.
-	CompileDetail string
+	Compile obs.Span
 }
 
 // State is a job's lifecycle phase.
@@ -210,7 +194,7 @@ type State uint8
 const (
 	// StateQueued: accepted, waiting for admission.
 	StateQueued State = iota
-	// StateRunning: admitted; optimizing or executing on an engine.
+	// StateRunning: admitted; optimizing or executing.
 	StateRunning
 	// StateSucceeded: finished with a result.
 	StateSucceeded
@@ -247,8 +231,13 @@ type Job struct {
 
 	s    *Scheduler
 	spec Spec
-	// grant is the admission-controlled budget share, fixed at submission.
-	grant int
+	// What Submit resolved from the spec and the scheduler's defaults: the
+	// degree of parallelism, the admission-controlled budget share, the run
+	// deadline (zero = none) and the tenant's ledger.
+	dop      int
+	grant    int
+	deadline time.Duration
+	tenant   *usage
 	// cost is the optimizer cost estimate used for queued-cost
 	// backpressure (zero when backpressure is off).
 	cost float64
@@ -362,7 +351,8 @@ func (j *Job) Cancel() {
 				break
 			}
 		}
-		s.tenant(j.spec.Tenant).queued--
+		s.total.Queued--
+		j.tenant.Queued--
 		s.dropQueuedCostLocked(j.cost)
 		j.finish(ErrCancelled)
 		s.m.Cancelled++
@@ -498,39 +488,55 @@ type TenantMetrics struct {
 	PeakGrantedBudget int `json:"peak_granted_budget"`
 }
 
-// tenantState is the scheduler's live accounting for one tenant. One
-// entry per distinct tenant name is retained for the scheduler's
-// lifetime (a few dozen bytes each — the same order as any per-customer
-// metric a service keeps).
-type tenantState struct {
-	running, queued int
-	granted         int
-	peakRunning     int
-	peakGranted     int
+// usage is one admission ledger: the jobs waiting, the jobs running and the
+// budget they hold, with the high-water marks. The scheduler keeps one for
+// the machine and one per distinct tenant name, the latter for its lifetime
+// (a few dozen bytes each — the same order as any per-customer metric a
+// service keeps). The fields are TenantMetrics', so a snapshot is a
+// conversion.
+type usage TenantMetrics
+
+// fits reports whether one more running job holding grant keeps the ledger
+// within maxRunning jobs and budget bytes; a zero limit does not bind.
+func (u *usage) fits(grant, maxRunning, budget int) bool {
+	return (maxRunning <= 0 || u.Running < maxRunning) && (budget <= 0 || u.GrantedBudget+grant <= budget)
 }
 
-// Scheduler runs submitted jobs on pooled engines under admission control.
-// See the package comment for the model.
+// admit moves one job from waiting to running with its grant.
+func (u *usage) admit(grant int) {
+	u.Queued--
+	u.Running++
+	u.GrantedBudget += grant
+	u.PeakRunning = max(u.PeakRunning, u.Running)
+	u.PeakGrantedBudget = max(u.PeakGrantedBudget, u.GrantedBudget)
+}
+
+// release returns a finished job's slot and grant.
+func (u *usage) release(grant int) {
+	u.Running--
+	u.GrantedBudget -= grant
+}
+
+// Scheduler runs submitted jobs under admission control, each on an engine
+// of its own. See the package comment for the model.
 type Scheduler struct {
 	cfg       Config
-	pool      chan *engine.Engine
 	planCache *PlanCache // nil when caching is disabled
 	// workers is the flowworker fleet (nil when Config.Workers is empty);
 	// netProfile is its startup calibration (zero when calibration failed
 	// — plans then rank with the unmeasured raw-bytes Net term).
 	workers    *workerPool
 	netProfile optimizer.NetProfile
-	// obs holds the scheduler-lifetime histograms and start time; pooled
-	// engines share its EngineHists across resets.
+	// obs holds the scheduler-lifetime histograms and start time; every
+	// job's engine records into its EngineHists.
 	obs *schedObs
 
 	mu         sync.Mutex
 	queue      []*Job
 	inFlight   map[*Job]struct{}
-	granted    int
-	running    int
+	total      usage   // every job; total.Queued == len(queue)
 	queuedCost float64 // summed cost estimates of queued jobs
-	tenants    map[string]*tenantState
+	tenants    map[string]*usage
 	nextID     int64
 	closed     bool
 	stopping   bool          // forced shutdown began; admit nothing more
@@ -544,29 +550,21 @@ func New(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
 		cfg:      cfg,
-		pool:     make(chan *engine.Engine, cfg.MaxConcurrent),
 		inFlight: map[*Job]struct{}{},
-		tenants:  map[string]*tenantState{},
+		tenants:  map[string]*usage{},
 		obs:      newSchedObs(),
 	}
 	if cfg.PlanCacheSize > 0 {
 		s.planCache = newPlanCache(cfg.PlanCacheSize)
 	}
 	if len(cfg.Workers) > 0 {
-		s.workers = newWorkerPool(cfg.Workers, cfg.WorkerHealthTTL, s.obs.pingRTT)
+		s.workers = newWorkerPool(cfg.Workers, s.obs.pingRTT)
 		// Best-effort startup calibration: an unreachable fleet leaves the
 		// zero profile (raw-bytes Net term) and the health checks keep jobs
 		// off the dead workers.
 		if profile, err := calibrateWorkers(cfg.Workers); err == nil {
 			s.netProfile = profile
 		}
-	}
-	for i := 0; i < cfg.MaxConcurrent; i++ {
-		eng := engine.New(cfg.DOP)
-		eng.FS = cfg.FS
-		// The histogram set outlives every job; engine resets keep it.
-		eng.Hists = s.obs.engine
-		s.pool <- eng
 	}
 	return s
 }
@@ -579,15 +577,23 @@ func (s *Scheduler) fs() faultfs.FS {
 	return faultfs.OS{}
 }
 
-// tenant returns (creating if needed) the accounting entry for a tenant.
-// Caller holds s.mu.
-func (s *Scheduler) tenant(name string) *tenantState {
+// tenant returns (creating if needed) the ledger of a tenant. Caller holds
+// s.mu.
+func (s *Scheduler) tenant(name string) *usage {
 	ts, ok := s.tenants[name]
 	if !ok {
-		ts = &tenantState{}
+		ts = &usage{}
 		s.tenants[name] = ts
 	}
 	return ts
+}
+
+// fitsLocked reports whether j could start running now as far as the whole
+// machine is concerned (global) and as far as its tenant's caps are. Caller
+// holds s.mu.
+func (s *Scheduler) fitsLocked(j *Job) (global, tenant bool) {
+	return s.total.fits(j.grant, s.cfg.MaxConcurrent, s.cfg.GlobalBudget),
+		j.tenant.fits(j.grant, s.cfg.TenantMaxRunning, s.tenantBudgetCap())
 }
 
 // tenantBudgetCap returns the per-tenant grant ceiling in bytes (0 = no
@@ -619,22 +625,35 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	if spec.Flow == nil {
 		return nil, errors.New("jobs: spec has no flow")
 	}
-	grant := spec.MemoryBudget
-	if grant <= 0 {
-		grant = s.cfg.DefaultGrant
+	j := &Job{
+		s:        s,
+		spec:     spec,
+		dop:      spec.DOP,
+		grant:    spec.MemoryBudget,
+		deadline: spec.Deadline,
+		done:     make(chan struct{}),
 	}
-	if s.cfg.GlobalBudget > 0 && grant > s.cfg.GlobalBudget {
-		grant = s.cfg.GlobalBudget
+	if j.dop <= 0 {
+		j.dop = s.cfg.DOP
 	}
-	dop := spec.DOP
-	if dop <= 0 {
-		dop = s.cfg.DOP
+	if j.grant <= 0 {
+		// An equal share of the global budget; unbudgeted without one.
+		j.grant = max(s.cfg.GlobalBudget, 0) / s.cfg.MaxConcurrent
+	}
+	// A grant above a ceiling could never be admitted under it, so it is
+	// clamped: the job then runs alone under that ceiling.
+	for _, ceiling := range [...]int{s.cfg.GlobalBudget, s.tenantBudgetCap()} {
+		if ceiling > 0 && j.grant > ceiling {
+			j.grant = ceiling
+		}
+	}
+	if j.deadline <= 0 {
+		j.deadline = s.cfg.JobTimeout
 	}
 	// Cost estimation can run the physical optimizer; keep it outside the
 	// lock.
-	var cost float64
 	if s.cfg.MaxQueuedCost > 0 {
-		cost = s.estimateCost(spec, grant, dop)
+		j.cost = s.estimateCost(j)
 	}
 
 	s.mu.Lock()
@@ -647,39 +666,28 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		s.m.Rejected++
 		return nil, ErrQueueFull
 	}
-	ts := s.tenant(spec.Tenant)
-	if s.cfg.TenantMaxQueued > 0 && ts.queued >= s.cfg.TenantMaxQueued {
+	j.tenant = s.tenant(spec.Tenant)
+	if s.cfg.TenantMaxQueued > 0 && j.tenant.Queued >= s.cfg.TenantMaxQueued {
 		s.m.Rejected++
 		s.m.QuotaRejected++
-		return nil, fmt.Errorf("%w: tenant %q has %d jobs queued", ErrTenantQuota, spec.Tenant, ts.queued)
+		return nil, fmt.Errorf("%w: tenant %q has %d jobs queued", ErrTenantQuota, spec.Tenant, j.tenant.Queued)
 	}
 	if s.cfg.MaxQueuedCost > 0 {
 		// Backpressure applies only to jobs that would actually wait: a
 		// job an idle scheduler admits immediately never joins the queue,
 		// so its cost cannot pile up behind anything.
-		willWait := len(s.queue) > 0 ||
-			s.running >= s.cfg.MaxConcurrent ||
-			(s.cfg.GlobalBudget > 0 && s.granted+grant > s.cfg.GlobalBudget) ||
-			(s.cfg.TenantMaxRunning > 0 && ts.running >= s.cfg.TenantMaxRunning) ||
-			(s.tenantBudgetCap() > 0 && ts.granted+grant > s.tenantBudgetCap())
-		if willWait && s.queuedCost+cost > s.cfg.MaxQueuedCost {
+		global, tenant := s.fitsLocked(j)
+		willWait := len(s.queue) > 0 || !global || !tenant
+		if willWait && s.queuedCost+j.cost > s.cfg.MaxQueuedCost {
 			s.m.Rejected++
 			s.m.BackpressureRejected++
 			return nil, fmt.Errorf("%w: queued cost %.3g + job cost %.3g > ceiling %.3g",
-				ErrBackpressure, s.queuedCost, cost, s.cfg.MaxQueuedCost)
+				ErrBackpressure, s.queuedCost, j.cost, s.cfg.MaxQueuedCost)
 		}
 	}
 	s.nextID++
-	j := &Job{
-		ID:        s.nextID,
-		s:         s,
-		spec:      spec,
-		grant:     grant,
-		cost:      cost,
-		done:      make(chan struct{}),
-		state:     StateQueued,
-		submitted: time.Now(),
-	}
+	j.ID = s.nextID
+	j.submitted = time.Now()
 	// The job's trace opens here and closes in finish: root span = the
 	// whole submission→terminal window. The document's compile time
 	// happened before submission (ParseScriptJob), so it folds in as a
@@ -689,93 +697,77 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		name = "job"
 	}
 	j.trace = obs.NewTrace(name)
-	if !spec.CompileStart.IsZero() {
-		detail := spec.CompileDetail
-		if spec.CompileCached {
-			detail = strings.TrimSpace("flow-cache hit " + detail)
-		}
-		j.trace.Import(0, obs.Span{
-			Name:   "compile",
-			Kind:   obs.KindPhase,
-			Start:  spec.CompileStart,
-			End:    spec.CompileEnd,
-			Detail: detail,
-		})
+	if !spec.Compile.Start.IsZero() {
+		j.trace.Import(0, spec.Compile)
 	}
 	j.queueSpan = j.trace.Begin(0, "queue", obs.KindPhase)
 	s.queue = append(s.queue, j)
-	ts.queued++
-	s.queuedCost += cost
+	s.total.Queued++
+	j.tenant.Queued++
+	s.queuedCost += j.cost
 	s.m.Submitted++
-	if len(s.queue) > s.m.PeakQueued {
-		s.m.PeakQueued = len(s.queue)
-	}
+	s.m.PeakQueued = max(s.m.PeakQueued, len(s.queue))
 	s.dispatchLocked()
 	return j, nil
 }
 
-// estimateCost returns the optimizer's cost estimate for the spec under
+// planKeyOf returns the plan-cache key of j's optimization — its document
+// digest at its budget tier and DOP — and whether the job is cacheable at
+// all.
+func (s *Scheduler) planKeyOf(j *Job) (planKey, bool) {
+	return planKey{hash: j.spec.PlanKey, tier: budgetTier(j.grant), dop: j.dop},
+		s.planCache != nil && j.spec.PlanKey != ""
+}
+
+// estimateCost returns the optimizer's cost estimate for the job under
 // its grant: the cached plan's exact ranked cost when the plan cache has
 // one, else a single physical optimization of the submitted operator
 // order — much cheaper than RankAllNet's full enumeration, and close
 // enough for admission arithmetic (execute still optimizes properly).
-func (s *Scheduler) estimateCost(spec Spec, grant, dop int) float64 {
-	if s.planCache != nil && spec.PlanKey != "" {
-		if cost, ok := s.planCache.peekCost(planKey{hash: spec.PlanKey, tier: budgetTier(grant), dop: dop}); ok {
+func (s *Scheduler) estimateCost(j *Job) float64 {
+	if key, ok := s.planKeyOf(j); ok {
+		if cost, ok := s.planCache.peekCost(key); ok {
 			return cost
 		}
 	}
-	tree, err := optimizer.FromFlow(spec.Flow)
+	tree, err := optimizer.FromFlow(j.spec.Flow)
 	if err != nil {
 		return 0 // execute will surface the real error
 	}
-	po := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(spec.Flow), dop)
-	po.MemoryBudget = float64(grant)
+	po := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(j.spec.Flow), j.dop)
+	po.MemoryBudget = float64(j.grant)
 	plan := po.Optimize(tree)
 	return plan.Cost.Total(po.Weights)
 }
 
-// dispatchLocked admits queued jobs while the next one fits: a free engine
-// slot and, under a global budget, enough unclaimed budget for its grant.
+// dispatchLocked admits queued jobs while the next one fits: fewer than
+// MaxConcurrent running and, under a global budget, enough unclaimed budget
+// for its grant.
 // Ordering is FIFO with one relaxation: a job held back only by its own
 // tenant's caps (running count or budget share) is skipped over so other
 // tenants' jobs behind it are not head-of-line blocked — a job held back
 // by a global constraint still blocks everything behind it, so large jobs
 // cannot be starved by small ones. No admission happens once a forced
 // shutdown has begun (s.stopping): Shutdown's queue eviction must not
-// admit jobs onto engines mid-teardown just to cancel them. Caller holds
-// s.mu.
+// admit jobs mid-teardown just to cancel them. Caller holds s.mu.
 func (s *Scheduler) dispatchLocked() {
 	if s.stopping {
 		return
 	}
 	for i := 0; i < len(s.queue); {
 		head := s.queue[i]
-		if s.running >= s.cfg.MaxConcurrent {
+		global, tenant := s.fitsLocked(head)
+		if !global {
 			return
 		}
-		if s.cfg.GlobalBudget > 0 && s.granted+head.grant > s.cfg.GlobalBudget {
-			return
-		}
-		ts := s.tenant(head.spec.Tenant)
-		if (s.cfg.TenantMaxRunning > 0 && ts.running >= s.cfg.TenantMaxRunning) ||
-			(s.tenantBudgetCap() > 0 && ts.granted+head.grant > s.tenantBudgetCap()) {
+		if !tenant {
 			i++ // only this tenant is at cap; try the job behind it
 			continue
 		}
 		s.queue = append(s.queue[:i], s.queue[i+1:]...)
-		ts.queued--
 		s.dropQueuedCostLocked(head.cost)
-		s.granted += head.grant
-		s.running++
-		ts.running++
-		ts.granted += head.grant
-		if ts.running > ts.peakRunning {
-			ts.peakRunning = ts.running
-		}
-		if ts.granted > ts.peakGranted {
-			ts.peakGranted = ts.granted
-		}
+		s.total.admit(head.grant)
+		head.tenant.admit(head.grant)
 		s.inFlight[head] = struct{}{}
 		head.state = StateRunning
 		head.started = time.Now()
@@ -786,40 +778,25 @@ func (s *Scheduler) dispatchLocked() {
 		head.cancel = cancel
 		s.m.Admitted++
 		s.m.TotalQueueWait += head.started.Sub(head.submitted)
-		if s.granted > s.m.PeakGrantedBudget {
-			s.m.PeakGrantedBudget = s.granted
-		}
-		if s.running > s.m.PeakRunning {
-			s.m.PeakRunning = s.running
-		}
 		go s.runJob(ctx, cancel, head)
 	}
 }
 
-// runJob executes one admitted job on a pooled engine and finalizes it.
+// runJob executes one admitted job and finalizes it.
 func (s *Scheduler) runJob(ctx context.Context, cancel context.CancelCauseFunc, j *Job) {
 	defer cancel(nil)
-	deadline := j.spec.Deadline
-	if deadline <= 0 {
-		deadline = s.cfg.JobTimeout
-	}
-	if deadline > 0 {
+	if j.deadline > 0 {
 		var stop context.CancelFunc
-		ctx, stop = context.WithTimeout(ctx, deadline)
+		ctx, stop = context.WithTimeout(ctx, j.deadline)
 		defer stop()
 	}
 	out, stats, err := s.execute(ctx, j)
 	s.finishJob(j, out, stats, err)
 }
 
-// execute optimizes the job's flow against its grant and runs it on a
-// pooled engine configured for this job only.
+// execute optimizes the job's flow against its grant and runs it on an
+// engine built for this job only.
 func (s *Scheduler) execute(ctx context.Context, j *Job) (record.DataSet, *engine.RunStats, error) {
-	dop := j.spec.DOP
-	if dop <= 0 {
-		dop = s.cfg.DOP
-	}
-
 	// Optimize under the granted budget: the spill-cost model sees exactly
 	// the memory the engine will enforce. With a plan cache, a repeat
 	// submission of the same document at the same budget tier and DOP
@@ -827,16 +804,14 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (record.DataSet, *engin
 	tr := j.trace
 	optSpan := tr.Begin(0, "optimize", obs.KindPhase)
 	var plan *optimizer.PhysPlan
-	var key planKey
-	cached := false
 	var detail string // what the optimize span says happened
-	if s.planCache != nil && j.spec.PlanKey != "" {
-		key = planKey{hash: j.spec.PlanKey, tier: budgetTier(j.grant), dop: dop}
+	key, cacheable := s.planKeyOf(j)
+	if cacheable {
 		if e, ok := s.planCache.plan(key); ok {
-			plan, cached, detail = e.plan, true, "plan-cache hit"
+			plan, detail = e.plan, "plan-cache hit"
 		}
 	}
-	if !cached {
+	if plan == nil {
 		tree, err := optimizer.FromFlow(j.spec.Flow)
 		if err != nil {
 			err = fmt.Errorf("jobs: optimize: %w", err)
@@ -845,7 +820,7 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (record.DataSet, *engin
 		}
 		// The measured transport profile (zero without workers) scales the
 		// ranking's Net term to the wire the job will actually cross.
-		ranked := optimizer.RankAllNet(tree, optimizer.NewEstimator(j.spec.Flow), dop, float64(j.grant), s.netProfile)
+		ranked := optimizer.RankAllNet(tree, optimizer.NewEstimator(j.spec.Flow), j.dop, float64(j.grant), s.netProfile)
 		if len(ranked) == 0 {
 			err := errors.New("jobs: optimizer produced no plan")
 			tr.Fail(optSpan, err)
@@ -854,7 +829,7 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (record.DataSet, *engin
 		plan = ranked[0].Phys
 		enum := ranked[0].Enum
 		detail = fmt.Sprintf("plans=%d subflows=%d exchanges=%d", len(ranked), enum.Subflows, enum.Exchanges)
-		if s.planCache != nil && j.spec.PlanKey != "" {
+		if cacheable {
 			s.planCache.storePlan(key, planEntry{plan: plan, cost: ranked[0].Cost})
 		}
 	}
@@ -872,29 +847,13 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (record.DataSet, *engin
 	spill := &jobSpillFS{FS: s.fs(), parent: s.cfg.SpillDir}
 	defer spill.remove()
 
-	// Check out an engine; configure it for this job alone, and return it
-	// reset so no sources, budget, spill, or transport state leaks to the
-	// next job.
-	eng := <-s.pool
-	defer func() {
-		eng.Sources = map[string]record.DataSet{}
-		eng.MemoryBudget = 0
-		eng.FS = s.cfg.FS
-		eng.DOP = s.cfg.DOP
-		eng.Transport = nil
-		// The trace is per-job; the next job must not record into it. The
-		// shared histogram set (eng.Hists) intentionally survives the reset.
-		eng.Trace = nil
-		eng.TraceParent = 0
-		s.pool <- eng
-	}()
-	eng.DOP = dop
+	// The job's engine: everything it holds is this job's, except the
+	// histogram set, which is the scheduler's. The sources are only read.
+	eng := engine.New(j.dop)
 	eng.MemoryBudget = j.grant
 	eng.FS = spill
-	eng.Sources = make(map[string]record.DataSet, len(j.spec.Sources))
-	for name, ds := range j.spec.Sources {
-		eng.Sources[name] = ds
-	}
+	eng.Sources = j.spec.Sources
+	eng.Hists = s.obs.engine
 
 	// Job-scoped distributed placement: the job's shuffles run over a TCP
 	// transport spanning the currently healthy workers, and the transport's
@@ -964,11 +923,8 @@ func (f *jobSpillFS) remove() {
 func (s *Scheduler) finishJob(j *Job, out record.DataSet, stats *engine.RunStats, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.granted -= j.grant
-	s.running--
-	ts := s.tenant(j.spec.Tenant)
-	ts.running--
-	ts.granted -= j.grant
+	s.total.release(j.grant)
+	j.tenant.release(j.grant)
 	delete(s.inFlight, j)
 	j.output, j.stats = out, stats
 	j.finish(err)
@@ -990,9 +946,8 @@ func (s *Scheduler) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.m
-	m.Queued = len(s.queue)
-	m.Running = s.running
-	m.GrantedBudget = s.granted
+	m.Queued, m.Running, m.GrantedBudget = s.total.Queued, s.total.Running, s.total.GrantedBudget
+	m.PeakRunning, m.PeakGrantedBudget = s.total.PeakRunning, s.total.PeakGrantedBudget
 	m.GlobalBudget = s.cfg.GlobalBudget
 	m.QueuedCost = s.queuedCost
 	m.UptimeSec = time.Since(s.obs.start).Seconds()
@@ -1014,35 +969,16 @@ func (s *Scheduler) Metrics() Metrics {
 	if len(s.tenants) > 0 {
 		m.Tenants = make(map[string]TenantMetrics, len(s.tenants))
 		for name, ts := range s.tenants {
-			m.Tenants[name] = TenantMetrics{
-				Running:           ts.running,
-				Queued:            ts.queued,
-				GrantedBudget:     ts.granted,
-				PeakRunning:       ts.peakRunning,
-				PeakGrantedBudget: ts.peakGranted,
-			}
+			m.Tenants[name] = TenantMetrics(*ts)
 		}
 	}
 	return m
 }
 
-// Jobs returns the scheduler's non-terminal jobs: running first (in ID
-// order), then the queue in FIFO order.
-func (s *Scheduler) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.inFlight)+len(s.queue))
-	for j := range s.inFlight {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return append(out, s.queue...)
-}
-
 // checkDrainedLocked wakes Shutdown waiters once the scheduler is closed
 // and idle. Caller holds s.mu.
 func (s *Scheduler) checkDrainedLocked() {
-	if s.closed && len(s.queue) == 0 && s.running == 0 && s.drained != nil {
+	if s.closed && len(s.queue) == 0 && s.total.Running == 0 && s.drained != nil {
 		close(s.drained)
 		s.drained = nil
 	}
@@ -1056,7 +992,7 @@ func (s *Scheduler) checkDrainedLocked() {
 func (s *Scheduler) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
-	if len(s.queue) == 0 && s.running == 0 {
+	if len(s.queue) == 0 && s.total.Running == 0 {
 		s.mu.Unlock()
 		return nil
 	}
@@ -1075,8 +1011,8 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 	// Deadline passed: evict the queue and cancel in-flight runs, then
 	// wait for the engines to stop (cooperative cancellation is prompt).
 	// stopping gates dispatchLocked so the Cancel calls below (and any
-	// finishing jobs racing with them) cannot admit queued jobs onto
-	// engines that are being torn down just to cancel them moments later.
+	// finishing jobs racing with them) cannot admit queued jobs just to
+	// cancel them moments later.
 	s.mu.Lock()
 	s.stopping = true
 	queued := append([]*Job(nil), s.queue...)

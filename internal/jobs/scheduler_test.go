@@ -380,8 +380,8 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 // TestConcurrentSubmissionsRace hammers the scheduler from many goroutines
-// — under `go test -race` this is the verification that per-job stats and
-// pooled-engine reuse share no mutable state.
+// — under `go test -race` this is the verification that concurrently
+// running jobs share no mutable state.
 func TestConcurrentSubmissionsRace(t *testing.T) {
 	s := New(Config{GlobalBudget: 256 << 10, MaxConcurrent: 4, MaxQueue: -1, DOP: 4, SpillDir: t.TempDir()})
 	const n = 24

@@ -152,12 +152,12 @@ func TestSourceCacheHitMissDisabledIdentical(t *testing.T) {
 			for _, budget := range []int{0, 256 << 10} {
 				cached := New(Config{MaxConcurrent: 1})
 				miss, spec := runDoc(t, cached, raw, dop, budget)
-				if !strings.Contains(spec.CompileDetail, "doc=miss sources=0/") {
-					t.Fatalf("first parse: %s", spec.CompileDetail)
+				if !strings.Contains(spec.Compile.Detail, "doc=miss sources=0/") {
+					t.Fatalf("first parse: %s", spec.Compile.Detail)
 				}
 				hit, spec := runDoc(t, cached, raw, dop, budget)
-				if !strings.Contains(spec.CompileDetail, "doc=hit") {
-					t.Fatalf("second parse: %s", spec.CompileDetail)
+				if !strings.Contains(spec.Compile.Detail, "doc=hit") {
+					t.Fatalf("second parse: %s", spec.Compile.Detail)
 				}
 				off, _ := runDoc(t, New(Config{MaxConcurrent: 1, PlanCacheSize: -1}), raw, dop, budget)
 				if !bytes.Equal(miss, hit) || !bytes.Equal(miss, off) {
@@ -249,8 +249,8 @@ func TestEvictedSourceOutlivesCache(t *testing.T) {
 	// The document memo now points at sources that are gone: the replay
 	// must fall through to a full parse, not hand out half a Spec.
 	again, spec := runDoc(t, s, raw, 0, 0)
-	if !bytes.Equal(again, want) || !strings.Contains(spec.CompileDetail, "doc=miss sources=0/3") {
-		t.Fatalf("parse after eviction: %s, same result %v", spec.CompileDetail, bytes.Equal(again, want))
+	if !bytes.Equal(again, want) || !strings.Contains(spec.Compile.Detail, "doc=miss sources=0/3") {
+		t.Fatalf("parse after eviction: %s, same result %v", spec.Compile.Detail, bytes.Equal(again, want))
 	}
 	if m := s.Metrics(); m.SourceCacheEvictions != 3 || m.SourceCacheEntries != 3 {
 		t.Errorf("evictions %d entries %d, want 3 and 3", m.SourceCacheEvictions, m.SourceCacheEntries)
@@ -271,8 +271,9 @@ func TestSourceCacheSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.PlanKey == b.PlanKey || b.CompileCached || b.CompileDetail != "doc=miss sources=6/6 decoded_bytes=0" {
-		t.Fatalf("second script over the same rows: cached=%v %s", b.CompileCached, b.CompileDetail)
+	// No "flow-cache hit " in front: the second script was compiled.
+	if a.PlanKey == b.PlanKey || b.Compile.Detail != "doc=miss sources=6/6 decoded_bytes=0" {
+		t.Fatalf("second script over the same rows: %s", b.Compile.Detail)
 	}
 	for name, ds := range a.Sources {
 		if &ds[0][0] != &b.Sources[name][0][0] {
@@ -399,9 +400,9 @@ func ExampleScheduler_ParseScriptJob_compileDetail() {
 	s := New(Config{MaxConcurrent: 1})
 	for i := 0; i < 2; i++ {
 		spec, _ := s.ParseScriptJob([]byte(wordcountDoc))
-		fmt.Println(spec.CompileDetail)
+		fmt.Println(spec.Compile.Detail)
 	}
 	// Output:
 	// doc=miss sources=0/1 decoded_bytes=78
-	// doc=hit sources=1/1 decoded_bytes=0
+	// flow-cache hit doc=hit sources=1/1 decoded_bytes=0
 }

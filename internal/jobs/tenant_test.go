@@ -168,7 +168,7 @@ func TestCostBackpressure(t *testing.T) {
 	// Measure the big job's cost estimate to size the ceiling: one fits
 	// the queue, two do not.
 	probe := New(Config{GlobalBudget: perJob, MaxConcurrent: 1, DOP: 4, MaxQueuedCost: 1})
-	cost := probe.estimateCost(big, perJob, 4)
+	cost := probe.estimateCost(&Job{spec: big, grant: perJob, dop: 4})
 	if cost <= 0 {
 		t.Fatalf("estimateCost = %g, want positive", cost)
 	}
@@ -284,5 +284,37 @@ func TestForcedShutdownAdmitsNothing(t *testing.T) {
 	}
 	if m := s.Metrics(); m.Admitted != 1 {
 		t.Errorf("Admitted = %d, want 1 (only the blocker)", m.Admitted)
+	}
+}
+
+// TestTenantBudgetClamp: a grant above the tenant's budget share could
+// never pass dispatch's per-tenant budget test, so Submit clamps it to the
+// share as it clamps to the global budget. With two running slots and a
+// quarter share, that is every default-grant job (half the global budget).
+func TestTenantBudgetClamp(t *testing.T) {
+	const global, share = 1 << 20, 1 << 18
+	s := New(Config{GlobalBudget: global, MaxConcurrent: 2, DOP: 4, TenantBudgetFrac: 0.25, SpillDir: t.TempDir()})
+	for label, spec := range map[string]Spec{
+		"default grant":       groupSpec(t, 1, 2000, 50),
+		"whole global budget": withBudget(groupSpec(t, 2, 2000, 50), global),
+	} {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if j.Grant() != share {
+			t.Errorf("%s: grant = %d, want the tenant share %d", label, j.Grant(), share)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: job still %v, never admitted", label, j.State())
+		}
+		if _, _, err := j.Result(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	if m := s.Metrics(); m.PeakGrantedBudget > share || m.Tenants[""].PeakGrantedBudget > share {
+		t.Errorf("peak granted %d (tenant %d) exceeds the tenant share %d", m.PeakGrantedBudget, m.Tenants[""].PeakGrantedBudget, share)
 	}
 }

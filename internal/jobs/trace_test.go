@@ -103,8 +103,8 @@ func TestJobTraceLifecycle(t *testing.T) {
 		t.Fatalf("second optimize span detail %q, want plan-cache hit", o.Detail)
 	}
 
-	// The traces are distinct objects: a pooled engine reset between the
-	// runs must not have let the second job record into the first's trace.
+	// The traces are distinct objects: the second job must not have
+	// recorded into the first's trace.
 	if tr == tr2 {
 		t.Fatal("jobs share a trace")
 	}
@@ -169,7 +169,8 @@ func TestSchedulerWorkerNetMetrics(t *testing.T) {
 	addrs, _ := startTestWorkers(t, 2)
 	// A short health TTL so the second job's dispatch sweep re-pings the
 	// fleet and collects the relay traffic the first job generated.
-	s := New(Config{MaxConcurrent: 1, DOP: 4, Workers: addrs, WorkerHealthTTL: time.Millisecond})
+	s := New(Config{MaxConcurrent: 1, DOP: 4, Workers: addrs})
+	s.workers.ttl = time.Millisecond
 	var j *Job
 	for i := 0; i < 2; i++ {
 		var err error

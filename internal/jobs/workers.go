@@ -31,19 +31,16 @@ type workerPool struct {
 	net map[string]transport.WorkerStats
 }
 
-// defaultWorkerHealthTTL is how long one health sweep's verdict is reused.
-const defaultWorkerHealthTTL = 5 * time.Second
+// workerHealthTTL is how long one health sweep's verdict is reused.
+const workerHealthTTL = 5 * time.Second
 
 // workerPingTimeout bounds one health-check ping.
 const workerPingTimeout = 2 * time.Second
 
-func newWorkerPool(addrs []string, ttl time.Duration, pingHist *obs.Histogram) *workerPool {
-	if ttl <= 0 {
-		ttl = defaultWorkerHealthTTL
-	}
+func newWorkerPool(addrs []string, pingHist *obs.Histogram) *workerPool {
 	return &workerPool{
 		addrs:    append([]string(nil), addrs...),
-		ttl:      ttl,
+		ttl:      workerHealthTTL,
 		pingHist: pingHist,
 		net:      map[string]transport.WorkerStats{},
 	}
@@ -128,8 +125,8 @@ func (p *workerPool) lastHealthy() int {
 }
 
 // calibrateWorkers measures the fleet's shuffle bandwidth and round-trip
-// latency once (transport.Calibrate's ping and echo rounds against every
-// worker) and maps the result into the optimizer's cost units. The
+// latency once (transport.TCP.Calibrate's ping and echo rounds against
+// every worker) and maps the result into the optimizer's cost units. The
 // scheduler runs this at construction and feeds the profile into every
 // job's plan ranking.
 func calibrateWorkers(addrs []string) (optimizer.NetProfile, error) {

@@ -91,8 +91,9 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // EngineHists is the set of shared histograms an Engine observes into.
-// They are owned by the scheduler (or a test) and live across engine
-// resets; a nil *EngineHists or nil member disables that observation.
+// They are owned by the scheduler (or a test) and outlive the engines that
+// record into them; a nil *EngineHists or nil member disables that
+// observation.
 type EngineHists struct {
 	// ShipSeconds observes each operator's input-shipping wall time, for
 	// operators that actually shipped bytes.

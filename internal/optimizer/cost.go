@@ -40,8 +40,7 @@ const ReferenceNetBytesPerSec = 125e6
 // NetProfile is the measured shape of the transport a plan will execute
 // on — a transport.Calibration mapped into cost-model units. The zero
 // profile means "unmeasured": the Net term stays raw shipped bytes,
-// exactly the pre-transport behavior (and what Engine.NetBandwidth
-// simulates on the channel transport).
+// exactly the pre-transport behavior.
 type NetProfile struct {
 	// BytesPerSec is the measured shuffle bandwidth; <= 0 leaves byte
 	// costs unscaled.

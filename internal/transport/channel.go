@@ -15,28 +15,22 @@ import (
 // The zero value is ready to use.
 type Channel struct{}
 
-// Kind returns "channel".
-func (Channel) Kind() string { return KindChannel }
-
 // Close is a no-op: the channel transport holds no resources.
 func (Channel) Close() error { return nil }
-
-// Calibrate returns a zero Calibration: in-process handoff has no
-// interconnect to price, which leaves the optimizer's cost model at its
-// defaults (see optimizer.NetProfile).
-func (Channel) Calibrate(context.Context) (Calibration, error) {
-	return Calibration{}, nil
-}
 
 // OpenShuffle starts an in-process session: Spec.Targets unbuffered
 // channels, closed after Spec.Senders SenderDone calls.
 func (Channel) OpenShuffle(_ context.Context, spec Spec) (Shuffle, error) {
+	return newChannelShuffle(spec), nil
+}
+
+func newChannelShuffle(spec Spec) *channelShuffle {
 	s := &channelShuffle{chans: make([]chan *record.Batch, spec.Targets)}
 	for i := range s.chans {
 		s.chans[i] = make(chan *record.Batch)
 	}
 	s.senders.Store(int64(spec.Senders))
-	return s, nil
+	return s
 }
 
 // channelShuffle is one in-process session. The unbuffered channels are

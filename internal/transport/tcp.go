@@ -76,9 +76,6 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	return &TCP{cfg: cfg, dialer: d, open: map[*tcpShuffle]struct{}{}}, nil
 }
 
-// Kind returns "tcp".
-func (t *TCP) Kind() string { return KindTCP }
-
 // placement returns the worker index hosting a target, or -1 for a local
 // placement slot.
 func (t *TCP) placement(target int) int {
@@ -122,19 +119,16 @@ func (t *TCP) OpenShuffle(ctx context.Context, spec Spec) (Shuffle, error) {
 	t.mu.Unlock()
 
 	s := &tcpShuffle{
-		owner:  t,
-		local:  make([]chan *record.Batch, spec.Targets),
-		remote: make([]*tcpWorkerConn, spec.Targets),
-		recv:   make([]chan *record.Batch, spec.Targets),
+		channelShuffle: newChannelShuffle(spec),
+		owner:          t,
+		remote:         make([]*tcpWorkerConn, spec.Targets),
 	}
-	s.senders.Store(int64(spec.Senders))
 
 	// Group targets by hosting worker; dial each worker once.
 	conns := map[int]*tcpWorkerConn{}
 	for target := 0; target < spec.Targets; target++ {
 		wi := t.placement(target)
 		if wi < 0 {
-			s.local[target] = make(chan *record.Batch)
 			continue
 		}
 		wc, ok := conns[wi]
@@ -155,7 +149,6 @@ func (t *TCP) OpenShuffle(ctx context.Context, spec Spec) (Shuffle, error) {
 		}
 		wc.targets = append(wc.targets, target)
 		s.remote[target] = wc
-		s.recv[target] = make(chan *record.Batch)
 	}
 	for _, wc := range s.conns {
 		go s.demux(wc)
@@ -371,14 +364,15 @@ func (wc *tcpWorkerConn) sendEOS() {
 	}
 }
 
-// tcpShuffle is one open TCP session.
+// tcpShuffle is one open TCP session: a channelShuffle — one receive
+// stream per target and the sender count — in which the stream of a target
+// placed on a worker is fed and closed by that worker's demux, not by the
+// senders. A local placement slot is the in-process handoff unchanged.
 type tcpShuffle struct {
-	owner   *TCP
-	local   []chan *record.Batch // per-target, nil unless placed locally
-	remote  []*tcpWorkerConn     // per-target, nil when placed locally
-	recv    []chan *record.Batch // per-target return stream, nil when local
-	conns   []*tcpWorkerConn
-	senders atomic.Int64
+	*channelShuffle
+	owner  *TCP
+	remote []*tcpWorkerConn // per-target, nil when placed locally
+	conns  []*tcpWorkerConn
 
 	mu      sync.Mutex
 	closed  bool
@@ -395,7 +389,7 @@ func (s *tcpShuffle) failTargets(wc *tcpWorkerConn, err error) {
 	}
 	s.mu.Unlock()
 	for _, t := range wc.targets {
-		close(s.recv[t])
+		close(s.chans[t])
 	}
 }
 
@@ -413,11 +407,11 @@ func (s *tcpShuffle) demux(wc *tcpWorkerConn) {
 		}
 		if f.op == frameEOS {
 			for _, t := range wc.targets {
-				close(s.recv[t])
+				close(s.chans[t])
 			}
 			return
 		}
-		if f.target < 0 || f.target >= len(s.recv) || s.recv[f.target] == nil {
+		if f.target < 0 || f.target >= len(s.remote) || s.remote[f.target] == nil {
 			s.failTargets(wc, fmt.Errorf("transport: worker %s returned frame for unknown target %d", wc.addr, f.target))
 			return
 		}
@@ -428,7 +422,7 @@ func (s *tcpShuffle) demux(wc *tcpWorkerConn) {
 		}
 		wc.framesIn.Add(1)
 		wc.bytesIn.Add(int64(dataFrameHeaderSize + len(f.payload)))
-		s.recv[f.target] <- b
+		s.chans[f.target] <- b
 	}
 }
 
@@ -436,17 +430,16 @@ func (s *tcpShuffle) Send(target int, b *record.Batch) error {
 	if wc := s.remote[target]; wc != nil {
 		return wc.sendBatch(target, b)
 	}
-	s.local[target] <- b
-	return nil
+	return s.channelShuffle.Send(target, b)
 }
 
 func (s *tcpShuffle) SenderDone() {
 	if s.senders.Add(-1) != 0 {
 		return
 	}
-	for _, c := range s.local {
-		if c != nil {
-			close(c)
+	for t, wc := range s.remote {
+		if wc == nil {
+			close(s.chans[t])
 		}
 	}
 	for _, wc := range s.conns {
@@ -474,25 +467,16 @@ func (s *tcpShuffle) WireStats() []WireStat {
 	return out
 }
 
+// Recv is the channel session's, except that a worker-hosted stream that
+// ended reports why, if a connection failure ended it.
 func (s *tcpShuffle) Recv(target int) (*record.Batch, error) {
-	if s.remote[target] == nil {
-		b, ok := <-s.local[target]
-		if !ok {
-			return nil, nil
-		}
+	b, _ := s.channelShuffle.Recv(target)
+	if b != nil || s.remote[target] == nil {
 		return b, nil
 	}
-	b, ok := <-s.recv[target]
-	if !ok {
-		s.mu.Lock()
-		err := s.recvErr
-		s.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	return b, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return nil, s.recvErr
 }
 
 // Close tears the session down: worker connections close, which unblocks

@@ -11,11 +11,16 @@
 // one collector goroutine per target partition calling Recv(target) until
 // end of stream. Partitioned and broadcast edges use the same session: a
 // sender hands a record to one target's batch or to every target's, and the
-// transport cannot tell which. Ownership of a batch passes to the transport on Send: the
-// channel transport hands the pointer through unchanged (zero copies), the
-// TCP transport encodes it, recycles it, and the receiving side decodes
-// fresh pooled batches — so byte accounting done by the engine before Send
-// (Batch.EncodedSize) is identical across transports.
+// transport cannot tell which. Ownership of a batch passes to the transport
+// on Send: the channel transport hands the pointer through unchanged (zero
+// copies), the TCP transport encodes it, recycles it, and the receiving
+// side decodes fresh pooled batches — so byte accounting done by the engine
+// before Send (Batch.EncodedSize) is identical across transports.
+//
+// The Transport interface is what its users call and no more: the engine
+// opens sessions, the transport's owner closes it. What only one
+// implementation can do — measuring a worker fleet's bandwidth and latency
+// for the optimizer — is a method of that implementation (TCP.Calibrate).
 package transport
 
 import (
@@ -23,12 +28,6 @@ import (
 	"time"
 
 	"blackboxflow/internal/record"
-)
-
-// Transport kinds, as reported by Kind().
-const (
-	KindChannel = "channel"
-	KindTCP     = "tcp"
 )
 
 // Spec describes one shuffle session: how many sender goroutines will push
@@ -72,22 +71,16 @@ type Shuffle interface {
 	Close() error
 }
 
-// Transport owns the byte movement of a flow's non-forward shipping.
-// Implementations must support concurrent shuffle sessions, though the
-// engine opens them one at a time.
+// Transport owns the byte movement of a flow's non-forward shipping: the
+// two methods are what the engine calls (OpenShuffle, once per shipped
+// edge) and what the transport's owner calls when the last run is over
+// (Close). Implementations must support concurrent shuffle sessions, though
+// the engine opens them one at a time.
 type Transport interface {
 	// OpenShuffle starts a shuffle session. The context covers session
 	// setup (dialing workers); cancellation afterwards is the caller's
 	// job via Shuffle.Close.
 	OpenShuffle(ctx context.Context, spec Spec) (Shuffle, error)
-
-	// Calibrate measures the transport's effective shuffle bandwidth and
-	// per-round-trip latency (see Calibration). In-process transports
-	// report a zero Calibration: no interconnect to price.
-	Calibrate(ctx context.Context) (Calibration, error)
-
-	// Kind names the transport ("channel", "tcp").
-	Kind() string
 
 	// Close releases transport-wide resources (worker connections).
 	Close() error
@@ -117,9 +110,9 @@ type WireStater interface {
 }
 
 // Calibration is a measured transport profile: what a shipped byte and a
-// shuffle round trip actually cost on this interconnect. The optimizer
-// feeds it into the cost model in place of the simulated NetBandwidth
-// term (optimizer.NetProfile). The zero value means "in-process, no
+// shuffle round trip actually cost on this interconnect, as TCP.Calibrate
+// measures it. The optimizer prices shipped bytes with it
+// (optimizer.NetProfile). The zero value means "in-process, no
 // interconnect" and leaves the cost model untouched.
 type Calibration struct {
 	// BytesPerSec is the effective shuffle bandwidth: payload bytes moved
@@ -129,9 +122,4 @@ type Calibration struct {
 	BytesPerSec float64
 	// RTT is the small-message round-trip time to a worker.
 	RTT time.Duration
-}
-
-// IsZero reports whether no calibration was measured.
-func (c Calibration) IsZero() bool {
-	return c.BytesPerSec <= 0 && c.RTT <= 0
 }
