@@ -111,6 +111,39 @@ func TestParseScriptJobJoinRemap(t *testing.T) {
 	}
 }
 
+// TestFloatModuloByFractionFailsJob: `% 0.5` truncates the divisor to zero.
+// That used to panic a worker goroutine and take the process down; it fails
+// the one job, attributed to its operator, and the scheduler runs the next.
+func TestFloatModuloByFractionFailsJob(t *testing.T) {
+	const doc = `{
+  "script": "map half(ir) { out := copy(ir) out[1] = ir[0] % 0.5 emit out }",
+  "flow": {
+    "sources": [{"name": "xs", "attrs": ["x", "y"]}],
+    "ops": [{"kind": "map", "name": "halve", "udf": "half", "inputs": ["xs"]}],
+    "sink": "halve"
+  },
+  "data": {"xs": [[3.5, null], [1.25, null]]}
+}`
+	s := New(Config{MaxConcurrent: 1, DOP: 2})
+	for _, tc := range []struct{ doc, wantErr string }{
+		{doc, "engine: halve: tac: half instr 2: float modulo by zero"},
+		{wordcountDoc, ""},
+	} {
+		spec, err := s.ParseScriptJob([]byte(tc.doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = j.Wait(context.Background())
+		if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || err.Error() != tc.wantErr) {
+			t.Fatalf("job error %v, want %q", err, tc.wantErr)
+		}
+	}
+}
+
 // TestParseScriptJobErrors: malformed documents (badDocs, ingest_test.go)
 // fail with diagnostics, not panics.
 func TestParseScriptJobErrors(t *testing.T) {

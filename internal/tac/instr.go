@@ -3,9 +3,10 @@
 // Sections 3 and 5 of the paper ("Opening the Black Boxes in Data Flow
 // Optimization", Hueske et al., VLDB 2012).
 //
-// UDFs authored in TAC serve double duty: they are *executed* by the
-// interpreter in this package when a data flow runs, and they are *analyzed*
-// by package sca to estimate read sets, write sets, and emit cardinalities.
+// UDFs authored in TAC serve double duty: Parse lowers each function once to
+// a slot-typed program that a Runner *executes* when a data flow runs, and
+// package sca *analyzes* the same instructions to estimate read sets, write
+// sets, and emit cardinalities.
 // Analyzing the very artifact that executes guarantees that the derived
 // properties are properties of the running code (the paper analyzes Java
 // bytecode via Soot; see DESIGN.md for the substitution argument).
@@ -199,12 +200,6 @@ type Instr struct {
 	Target string // jump target label
 
 	pos int // instruction index within the function (set by the parser)
-
-	// Variable slots resolved by the parser (indices into the
-	// interpreter's frame; -1 when unused). Purely an execution-speed
-	// optimization; the analyses in package sca work on variable names.
-	dstSlot, aSlot, bSlot, recSlot, rec2Slot, groupSlot int
-	target                                              int // resolved jump target position
 }
 
 // Pos returns the instruction's index within its function body.
@@ -346,11 +341,11 @@ type Func struct {
 	Body   []*Instr
 
 	labelIndex map[string]int // label -> instruction position
-	numSlots   int            // interpreter frame size (set by the parser)
+	numSlots   int            // distinct variables (set by the parser)
+	prog       *program       // the lowered form Runners execute (set by Parse)
 }
 
-// NumSlots returns the interpreter frame size (one slot per distinct
-// variable).
+// NumSlots returns the number of distinct variables.
 func (f *Func) NumSlots() int { return f.numSlots }
 
 // NumInputs returns the number of data inputs (1 or 2).

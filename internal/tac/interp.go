@@ -11,15 +11,6 @@ import (
 // may execute, guarding against non-terminating user code.
 const DefaultStepLimit = 10_000_000
 
-// rtKind tags a runtime value.
-type rtKind uint8
-
-const (
-	rtScalar rtKind = iota
-	rtRecord
-	rtGroup
-)
-
 // GroupSource is the interpreter's view of one key group. The group
 // operations need only three capabilities — the group's size, cell access
 // for aggregation, and row materialization for OpGroupGet — so a columnar
@@ -34,14 +25,6 @@ type GroupSource interface {
 	At(i int) record.Record
 	// Field returns field f of the i-th record without materializing it.
 	Field(i, f int) record.Value
-}
-
-// rtVal is a runtime value: a scalar, a (mutable) record, or a key group.
-type rtVal struct {
-	kind rtKind
-	s    record.Value
-	rec  record.Record
-	grp  GroupSource
 }
 
 // Interp executes TAC functions through Runners. The zero value is not
@@ -59,18 +42,6 @@ func NewInterp() *Interp { return &Interp{stepLimit: DefaultStepLimit} }
 // instruction budget.
 func (ip *Interp) WithStepLimit(n int) *Interp { return &Interp{stepLimit: n} }
 
-// frame is one invocation's variable store, indexed by the slots the
-// parser assigned. set[i] reports whether slot i holds a defined value.
-type frame struct {
-	vals []rtVal
-	set  []bool
-}
-
-func (fr *frame) def(slot int, v rtVal) {
-	fr.vals[slot] = v
-	fr.set[slot] = true
-}
-
 // Records adapts a materialized row group to GroupSource.
 type Records []record.Record
 
@@ -79,11 +50,12 @@ func (g Records) At(i int) record.Record      { return g[i] }
 func (g Records) Field(i, f int) record.Value { return g[i].Field(f) }
 
 // Runner is the one way to call a UDF: it binds an interpreter to one
-// function of one kind, owns the call frame — reused across calls, so a
-// steady-state call allocates nothing beyond the records the UDF itself
-// emits — and hands every output record (already cloned; the sink may
-// retain it) to the emit sink of the call. Map, Binary, Reduce and CoGroup
-// are the four argument shapes of that one call; the kind checked at
+// function of one kind and runs the program Parse lowered that function to
+// over the runner's own registers — reused across calls, so a steady-state
+// call allocates nothing beyond the records the UDF itself builds — handing
+// every output record to the emit sink of the call (the sink may retain it:
+// the UDF never writes a record after emitting it). Map, Binary, Reduce and
+// CoGroup are the four argument shapes of that one call; the kind checked at
 // NewRunner says which of them the runner's owner uses. An error returned by
 // emit aborts the call and is reported verbatim — distinguish it from a UDF
 // error with AsEmitError. A Runner is not safe for concurrent use: one per
@@ -91,7 +63,7 @@ func (g Records) Field(i, f int) record.Value { return g[i].Field(f) }
 type Runner struct {
 	ip *Interp
 	f  *Func
-	fr frame
+	rg regs
 }
 
 // NewRunner returns a reusable runner for f, which must be of the given
@@ -100,45 +72,61 @@ func (ip *Interp) NewRunner(f *Func, kind Kind) (*Runner, error) {
 	if f.Kind != kind {
 		return nil, fmt.Errorf("tac: %s is not a %s function", f.Name, kind)
 	}
-	if n := f.NumInputs(); len(f.Params) != n || f.NumSlots() < n {
+	// Two parameters sharing a name would share one typed slot, leaving the
+	// second argument nowhere to go.
+	if n := f.NumInputs(); len(f.Params) != n || f.NumSlots() < n || n == 2 && f.Params[0] == f.Params[1] {
 		return nil, fmt.Errorf("tac: %s function %s needs %d distinct parameters, has %v", kind, f.Name, n, f.Params)
 	}
-	n := f.NumSlots()
-	return &Runner{ip: ip, f: f, fr: frame{vals: make([]rtVal, n), set: make([]bool, n)}}, nil
-}
-
-// call runs the function on up to two arguments, clearing what the previous
-// call left in the frame first (record and group references included).
-func (r *Runner) call(emit func(record.Record) error, args ...rtVal) error {
-	clear(r.fr.vals)
-	clear(r.fr.set)
-	for slot, a := range args {
-		r.fr.def(slot, a)
-	}
-	return r.ip.runEmit(r.f, &r.fr, emit)
+	return &Runner{ip: ip, f: f, rg: f.prog.newRegs()}, nil
 }
 
 // Map calls a map-kind UDF on one input record.
 func (r *Runner) Map(in record.Record, emit func(record.Record) error) error {
-	return r.call(emit, rtVal{kind: rtRecord, rec: in})
+	r.rg.reset(emit)
+	r.rg.setRec(0, in, recShared)
+	return r.run()
 }
 
 // Binary calls a binary (Cross/Match) UDF on a pair of records.
 func (r *Runner) Binary(left, right record.Record, emit func(record.Record) error) error {
-	return r.call(emit, rtVal{kind: rtRecord, rec: left}, rtVal{kind: rtRecord, rec: right})
+	r.rg.reset(emit)
+	r.rg.setRec(0, left, recShared)
+	r.rg.setRec(1, right, recShared)
+	return r.run()
 }
 
 // Reduce calls a reduce-kind UDF on one key group. Aggregation opcodes read
 // cells through the source, so a columnar group (record.ColGroup)
 // aggregates without materializing its rows.
 func (r *Runner) Reduce(group GroupSource, emit func(record.Record) error) error {
-	return r.call(emit, rtVal{kind: rtGroup, grp: group})
+	r.rg.reset(emit)
+	r.rg.groups[0] = group
+	return r.run()
 }
 
 // CoGroup calls a cogroup-kind UDF on a pair of key groups (either may be
 // empty).
 func (r *Runner) CoGroup(left, right GroupSource, emit func(record.Record) error) error {
-	return r.call(emit, rtVal{kind: rtGroup, grp: left}, rtVal{kind: rtGroup, grp: right})
+	r.rg.reset(emit)
+	r.rg.groups[0], r.rg.groups[1] = left, right
+	return r.run()
+}
+
+// run executes the lowered program from its first instruction, one step per
+// executed instruction.
+func (r *Runner) run() error {
+	ops, limit := r.f.prog.ops, r.ip.stepLimit
+	var err error
+	for pc, steps := 0, 1; pc < len(ops); steps++ {
+		if steps > limit {
+			return fmt.Errorf("tac: %s exceeded step limit %d", r.f.Name, limit)
+		}
+		o := &ops[pc]
+		if pc, err = o.exec(r, o); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // emitError wraps an error returned by an emit sink so callers can tell sink
@@ -156,230 +144,6 @@ func AsEmitError(err error) (error, bool) {
 		return ee.err, true
 	}
 	return nil, false
-}
-
-// runEmit executes f, passing every emitted record (already cloned) to emit.
-func (ip *Interp) runEmit(f *Func, fr *frame, emit func(record.Record) error) error {
-	pc := 0
-	steps := 0
-	body := f.Body
-	for pc < len(body) {
-		steps++
-		if steps > ip.stepLimit {
-			return fmt.Errorf("tac: %s exceeded step limit %d", f.Name, ip.stepLimit)
-		}
-		in := body[pc]
-		switch in.Op {
-		case OpReturn:
-			return nil
-
-		case OpConst:
-			fr.def(in.dstSlot, rtVal{kind: rtScalar, s: in.A.Imm})
-
-		case OpAssign:
-			v, err := fr.scalar(in.A, in.aSlot, in)
-			if err != nil {
-				return err
-			}
-			fr.def(in.dstSlot, rtVal{kind: rtScalar, s: v})
-
-		case OpBin:
-			a, err := fr.scalar(in.A, in.aSlot, in)
-			if err != nil {
-				return err
-			}
-			b, err := fr.scalar(in.B, in.bSlot, in)
-			if err != nil {
-				return err
-			}
-			v, err := evalBin(in.Bin, a, b)
-			if err != nil {
-				return fmt.Errorf("tac: %s instr %d: %w", f.Name, in.pos, err)
-			}
-			fr.def(in.dstSlot, rtVal{kind: rtScalar, s: v})
-
-		case OpUn:
-			a, err := fr.scalar(in.A, in.aSlot, in)
-			if err != nil {
-				return err
-			}
-			v, err := evalUn(in.Un, a)
-			if err != nil {
-				return fmt.Errorf("tac: %s instr %d: %w", f.Name, in.pos, err)
-			}
-			fr.def(in.dstSlot, rtVal{kind: rtScalar, s: v})
-
-		case OpGetField:
-			r, err := fr.rec(in.recSlot, in.Rec, in)
-			if err != nil {
-				return err
-			}
-			idx := in.Field
-			if in.FieldVar {
-				iv, err := fr.scalar(in.A, in.aSlot, in)
-				if err != nil {
-					return err
-				}
-				idx = int(iv.AsInt())
-			}
-			fr.def(in.dstSlot, rtVal{kind: rtScalar, s: r.Field(idx)})
-
-		case OpSetField:
-			if !fr.set[in.recSlot] || fr.vals[in.recSlot].kind != rtRecord {
-				return fmt.Errorf("tac: %s instr %d: %s is not a record", f.Name, in.pos, in.Rec)
-			}
-			v, err := fr.scalar(in.A, in.aSlot, in)
-			if err != nil {
-				return err
-			}
-			rv := fr.vals[in.recSlot]
-			if in.Field >= len(rv.rec) {
-				rv.rec = rv.rec.WithField(in.Field, v)
-			} else {
-				rv.rec = rv.rec.Clone()
-				rv.rec.SetField(in.Field, v)
-			}
-			fr.vals[in.recSlot] = rv
-
-		case OpNewRec:
-			fr.def(in.dstSlot, rtVal{kind: rtRecord, rec: record.Record{}})
-
-		case OpCopyRec:
-			r, err := fr.rec(in.recSlot, in.Rec, in)
-			if err != nil {
-				return err
-			}
-			fr.def(in.dstSlot, rtVal{kind: rtRecord, rec: r.Clone()})
-
-		case OpConcatRec:
-			r1, err := fr.rec(in.recSlot, in.Rec, in)
-			if err != nil {
-				return err
-			}
-			r2, err := fr.rec(in.rec2Slot, in.Rec2, in)
-			if err != nil {
-				return err
-			}
-			fr.def(in.dstSlot, rtVal{kind: rtRecord, rec: r1.Merge(r2)})
-
-		case OpEmit:
-			r, err := fr.rec(in.recSlot, in.Rec, in)
-			if err != nil {
-				return err
-			}
-			if err := emit(r.Clone()); err != nil {
-				return emitError{err: err}
-			}
-
-		case OpGoto:
-			pc = in.target
-			continue
-
-		case OpIf:
-			take, err := fr.cond(in)
-			if err != nil {
-				return fmt.Errorf("tac: %s instr %d: %w", f.Name, in.pos, err)
-			}
-			if take {
-				pc = in.target
-				continue
-			}
-
-		case OpGroupSize:
-			g, err := fr.grp(in.groupSlot, in.Group, in)
-			if err != nil {
-				return err
-			}
-			fr.def(in.dstSlot, rtVal{kind: rtScalar, s: record.Int(int64(g.Len()))})
-
-		case OpGroupGet:
-			g, err := fr.grp(in.groupSlot, in.Group, in)
-			if err != nil {
-				return err
-			}
-			iv, err := fr.scalar(in.A, in.aSlot, in)
-			if err != nil {
-				return err
-			}
-			i := int(iv.AsInt())
-			if i < 0 || i >= g.Len() {
-				return fmt.Errorf("tac: %s instr %d: groupget index %d out of range [0,%d)", f.Name, in.pos, i, g.Len())
-			}
-			fr.def(in.dstSlot, rtVal{kind: rtRecord, rec: g.At(i)})
-
-		case OpAgg:
-			g, err := fr.grp(in.groupSlot, in.Group, in)
-			if err != nil {
-				return err
-			}
-			v, err := evalAgg(in.Agg, g, in.Field)
-			if err != nil {
-				return fmt.Errorf("tac: %s instr %d: %w", f.Name, in.pos, err)
-			}
-			fr.def(in.dstSlot, rtVal{kind: rtScalar, s: v})
-
-		default:
-			return fmt.Errorf("tac: %s instr %d: invalid opcode", f.Name, in.pos)
-		}
-		pc++
-	}
-	return nil
-}
-
-// scalar resolves an operand: an immediate, or a defined scalar slot.
-func (fr *frame) scalar(o Operand, slot int, in *Instr) (record.Value, error) {
-	if !o.IsVar() {
-		return o.Imm, nil
-	}
-	if slot < 0 || !fr.set[slot] {
-		return record.Null, fmt.Errorf("tac: instr %d: use of undefined variable %s", in.pos, o.Var)
-	}
-	v := fr.vals[slot]
-	if v.kind != rtScalar {
-		return record.Null, fmt.Errorf("tac: instr %d: %s is not a scalar", in.pos, o.Var)
-	}
-	return v.s, nil
-}
-
-func (fr *frame) rec(slot int, name string, in *Instr) (record.Record, error) {
-	if slot < 0 || !fr.set[slot] {
-		return nil, fmt.Errorf("tac: instr %d: use of undefined record %s", in.pos, name)
-	}
-	v := fr.vals[slot]
-	if v.kind != rtRecord {
-		return nil, fmt.Errorf("tac: instr %d: %s is not a record", in.pos, name)
-	}
-	return v.rec, nil
-}
-
-func (fr *frame) grp(slot int, name string, in *Instr) (GroupSource, error) {
-	if slot < 0 || !fr.set[slot] {
-		return nil, fmt.Errorf("tac: instr %d: use of undefined group %s", in.pos, name)
-	}
-	v := fr.vals[slot]
-	if v.kind != rtGroup {
-		return nil, fmt.Errorf("tac: instr %d: %s is not a group", in.pos, name)
-	}
-	return v.grp, nil
-}
-
-func (fr *frame) cond(in *Instr) (bool, error) {
-	a, err := fr.scalar(in.A, in.aSlot, in)
-	if err != nil {
-		return false, err
-	}
-	if in.Cmp == BinInvalid { // truthiness test: if $a goto L
-		return a.AsBool(), nil
-	}
-	b, err := fr.scalar(in.B, in.bSlot, in)
-	if err != nil {
-		return false, err
-	}
-	v, err := evalBin(in.Cmp, a, b)
-	if err != nil {
-		return false, err
-	}
-	return v.AsBool(), nil
 }
 
 func evalBin(op BinOp, a, b record.Value) (record.Value, error) {
@@ -447,7 +211,7 @@ func evalArith(op BinOp, a, b record.Value) (record.Value, error) {
 		}
 		return record.Float(x / y), nil
 	case BinMod:
-		if y == 0 {
+		if int64(y) == 0 { // a divisor in (-1, 1) truncates to zero too
 			return record.Null, fmt.Errorf("float modulo by zero")
 		}
 		return record.Float(float64(int64(x) % int64(y))), nil

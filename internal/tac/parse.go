@@ -105,9 +105,11 @@ func Parse(src string) (*Program, error) {
 		return nil, fmt.Errorf("no functions in program")
 	}
 	for _, name := range p.Order {
-		if err := Validate(p.Funcs[name]); err != nil {
+		f := p.Funcs[name]
+		if err := Validate(f); err != nil {
 			return nil, fmt.Errorf("func %s: %w", name, err)
 		}
+		f.prog = lower(f)
 	}
 	return p, nil
 }
@@ -465,7 +467,7 @@ func tokenize(line string) ([]string, error) {
 }
 
 // finishFunc assigns instruction positions, builds the label index, and
-// resolves every variable to an interpreter frame slot.
+// counts the variables.
 func finishFunc(f *Func) {
 	if n := len(f.Body); n == 0 || f.Body[n-1].Op != OpReturn {
 		f.Body = append(f.Body, &Instr{Op: OpReturn})
@@ -477,35 +479,28 @@ func finishFunc(f *Func) {
 			f.labelIndex[in.Label] = i
 		}
 	}
+	f.numSlots = len(varSlots(f))
+}
 
+// varSlots numbers f's variables, parameters first and the rest in order of
+// appearance: each variable's slot in a call's frame.
+func varSlots(f *Func) map[string]int {
 	slots := map[string]int{}
-	slotOf := func(v string) int {
-		if v == "" {
-			return -1
+	add := func(v string) {
+		if _, ok := slots[v]; v != "" && !ok {
+			slots[v] = len(slots)
 		}
-		if s, ok := slots[v]; ok {
-			return s
-		}
-		s := len(slots)
-		slots[v] = s
-		return s
 	}
 	for _, p := range f.Params {
-		slotOf(p)
+		add(p)
 	}
 	for _, in := range f.Body {
-		in.dstSlot = slotOf(in.Dst)
-		in.aSlot = slotOf(in.A.Var)
-		in.bSlot = slotOf(in.B.Var)
-		in.recSlot = slotOf(in.Rec)
-		in.rec2Slot = slotOf(in.Rec2)
-		in.groupSlot = slotOf(in.Group)
-		in.target = -1
-		if in.Target != "" {
-			if t, ok := f.labelIndex[in.Target]; ok {
-				in.target = t
-			}
-		}
+		add(in.Dst)
+		add(in.A.Var)
+		add(in.B.Var)
+		add(in.Rec)
+		add(in.Rec2)
+		add(in.Group)
 	}
-	f.numSlots = len(slots)
+	return slots
 }

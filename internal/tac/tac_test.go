@@ -339,6 +339,7 @@ func TestRuntimeErrors(t *testing.T) {
 	}{
 		{"div by zero", "func map f($ir) {\n $x := 1 / 0\n}", "division by zero"},
 		{"mod by zero", "func map f($ir) {\n $x := 1 % 0\n}", "modulo by zero"},
+		{"float mod by a fraction", "func map f($ir) {\n $x := 3.5 % 0.5\n}", "float modulo by zero"},
 		{"undefined var", "func map f($ir) {\n $x := $nope + 1\n}", "undefined variable"},
 	}
 	for _, c := range cases {
@@ -686,6 +687,14 @@ func cogroup c($g1, $g2) {
 }
 func binary same($x, $x) {
 	emit $x
+}
+func match samewide($a, $a) {
+	$x := 1
+	$o := newrec
+}
+func cogroup samegroups($g, $g) {
+	$x := 1
+	$o := newrec
 }`)
 	ip := NewInterp()
 	kinds := map[string]Kind{"m": KindMap, "b": KindBinary, "r": KindReduce, "c": KindCoGroup}
@@ -704,9 +713,12 @@ func binary same($x, $x) {
 		}
 	}
 	// Two parameters sharing one name share one frame slot: the second
-	// argument would have nowhere to go.
-	if _, err := ip.NewRunner(mustFunc(t, p, "same"), KindBinary); err == nil || !strings.Contains(err.Error(), "2 distinct parameters") {
-		t.Errorf("NewRunner(same): err = %v, want an arity error", err)
+	// argument would have nowhere to go, however many other variables the
+	// body has.
+	for name, kind := range map[string]Kind{"same": KindBinary, "samewide": KindBinary, "samegroups": KindCoGroup} {
+		if _, err := ip.NewRunner(mustFunc(t, p, name), kind); err == nil || !strings.Contains(err.Error(), "2 distinct parameters") {
+			t.Errorf("NewRunner(%s): err = %v, want an arity error", name, err)
+		}
 	}
 }
 
