@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"cmp"
+	"math"
 	"sort"
 
 	"blackboxflow/internal/record"
@@ -12,7 +14,7 @@ import (
 // vectors — a kind rank, a numeric value, and a dictionary rank for strings
 // — and compares those flat arrays. The decoration encodes exactly
 // record.Value.Compare's total order (Null < Bool < numeric < String;
-// booleans false < true; numerics through AsFloat with NaN comparing equal
+// booleans false < true; numerics by exact value with NaN comparing equal
 // to everything; strings lexicographic), and the stable sort sees the same
 // comparison outcome for every pair a record-comparator sort would, so both
 // produce the identical permutation — the property the differential suite
@@ -37,12 +39,15 @@ const (
 
 // sortCol is one key field's decoration: the kind rank of every row, the
 // numeric sort value for Bool (0/1, false < true) and numeric rows
-// (AsFloat, the unit Value.Compare compares in), and the dictionary rank
-// for String rows — distinct strings sorted lexicographically and numbered,
-// so an int32 compare reproduces strings.Compare.
+// (AsFloat, which rounds ints beyond ±2^53 but never reorders them), the
+// exact distance of an int from that rounding (dev, allocated once some int
+// is off it; at most 512 either way), and the dictionary rank for String
+// rows — distinct strings sorted lexicographically and numbered, so an
+// int32 compare reproduces strings.Compare.
 type sortCol struct {
 	rank []int8
 	num  []float64
+	dev  []int16
 	str  []int32
 }
 
@@ -61,9 +66,18 @@ func buildSortCol(recs []record.Record, f int) sortCol {
 			if v.AsBool() {
 				c.num[i] = 1
 			}
-		case record.KindInt, record.KindFloat:
+		case record.KindFloat:
 			c.rank[i] = sortRankNum
 			c.num[i] = v.AsFloat()
+		case record.KindInt:
+			c.rank[i] = sortRankNum
+			c.num[i] = v.AsFloat()
+			if d := intDev(v.AsInt(), c.num[i]); d != 0 {
+				if c.dev == nil {
+					c.dev = make([]int16, n)
+				}
+				c.dev[i] = d
+			}
 		case record.KindString:
 			c.rank[i] = sortRankString
 			if dict == nil {
@@ -91,10 +105,20 @@ func buildSortCol(recs []record.Record, f int) sortCol {
 	return c
 }
 
+// intDev is x minus f, its float64 rounding, computed without overflow when
+// f is 2^63.
+func intDev(x int64, f float64) int16 {
+	if f >= 0x1p63 {
+		return int16(x - math.MaxInt64 - 1)
+	}
+	return int16(x - int64(f))
+}
+
 // cmp compares the decorated field of rows i and j with Value.Compare
 // semantics. Bool and numeric rows share the num vector: a 0/1 float
-// compare is boolCompare, and float compares leave NaN equal to everything
-// (neither < nor > holds), exactly as Value.Compare does.
+// compare is boolCompare, float compares leave NaN equal to everything
+// (neither < nor > holds), exactly as Value.Compare does, and rows whose
+// roundings tie are ordered by their exact distance from it.
 func (c *sortCol) cmp(i, j int) int {
 	ri, rj := c.rank[i], c.rank[j]
 	if ri != rj {
@@ -122,6 +146,8 @@ func (c *sortCol) cmp(i, j int) int {
 			return -1
 		case a > b:
 			return 1
+		case a == b && c.dev != nil:
+			return cmp.Compare(c.dev[i], c.dev[j])
 		default:
 			return 0
 		}
@@ -152,6 +178,9 @@ func (s *colSorter) Swap(i, j int) {
 		c := &s.cols[k]
 		c.rank[i], c.rank[j] = c.rank[j], c.rank[i]
 		c.num[i], c.num[j] = c.num[j], c.num[i]
+		if c.dev != nil {
+			c.dev[i], c.dev[j] = c.dev[j], c.dev[i]
+		}
 		if c.str != nil {
 			c.str[i], c.str[j] = c.str[j], c.str[i]
 		}

@@ -19,12 +19,21 @@ func sortByKey(recs []record.Record, keys []int) {
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].CompareOn(recs[j], keys) < 0 })
 }
 
+// edgeNumbers are ints and integral floats around ±2^53 and ±2^63, where a
+// float64 comparison would round distinct ints into one key.
+var edgeNumbers = []record.Value{
+	record.Int(1 << 53), record.Int(1<<53 + 1), record.Float(1 << 53), record.Float(1<<53 + 2),
+	record.Int(-1<<53 - 1), record.Float(-1 << 53),
+	record.Int(math.MaxInt64), record.Int(math.MaxInt64 - 1), record.Float(0x1p63),
+	record.Int(math.MinInt64), record.Int(math.MinInt64 + 1), record.Float(-0x1p63),
+}
+
 // randSortValue draws from a distribution built to stress every branch of
 // the sort decoration: cross-kind comparisons, NaN (which Value.Compare
 // treats as equal to every numeric), ±Inf, -0.0 vs 0.0, int/float
-// collisions, and colliding strings.
+// collisions, ints a float64 cannot tell apart, and colliding strings.
 func randSortValue(rng *rand.Rand) record.Value {
-	switch rng.Intn(10) {
+	switch rng.Intn(11) {
 	case 0:
 		return record.Null
 	case 1:
@@ -41,6 +50,8 @@ func randSortValue(rng *rand.Rand) record.Value {
 		return record.Float(math.Copysign(0, -1))
 	case 7:
 		return record.String([]string{"", "a", "ab", "b", "ba", "κλειδί"}[rng.Intn(6)])
+	case 8:
+		return edgeNumbers[rng.Intn(len(edgeNumbers))]
 	default:
 		return record.Int(int64(rng.Intn(9) - 4))
 	}

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/optimizer"
@@ -54,14 +56,18 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge) (P
 		})
 
 	case dataflow.KindMatch, dataflow.KindCoGroup:
-		// A hash join hash-groups its resident sides (BuildSide only steers
-		// the cost model); a side that spilled merges its sorted runs, as
-		// the merge join and the co-group always do.
+		// A hash join indexes its BuildSide and probes it with the other
+		// side; where either side spilled, both are read as group streams —
+		// the spilled one merging its sorted runs, as the merge join and the
+		// co-group always do.
 		align, hashed := e.coGroupAligned, false
 		if op.Kind == dataflow.KindMatch {
 			align, hashed = e.matchAligned, p.Local == optimizer.LocalHashJoin
 		}
 		return fanOut(len(in[0].data), func(i int, emit func(record.Record) error) (int, error) {
+			if hashed && !in[0].spilled(i) && !in[1].spilled(i) {
+				return e.hashJoin(ctx, op, in, p.BuildSide, i, emit)
+			}
 			l, err := e.sideGroups(&in[0], i, hashed)
 			if err != nil {
 				return 0, err
@@ -117,7 +123,7 @@ type groupCursor interface {
 	next() ([]record.Record, error)
 }
 
-// memGroupCursor iterates pre-built groups (hashGroups output).
+// memGroupCursor iterates pre-built groups (a keyIndex's layout).
 type memGroupCursor struct {
 	groups [][]record.Record
 	pos    int
@@ -213,7 +219,7 @@ func (c *mergeGroupCursor) next() ([]record.Record, error) {
 // across consumers, forwarded inputs must be copied here again.
 func (e *Engine) sideGroups(ed *edge, i int, hashed bool) (groupCursor, error) {
 	part, keys := ed.data[i], ed.keys
-	spilled := ed.spills != nil && len(ed.spills[i].runs) > 0
+	spilled := ed.spilled(i)
 	if hashed && !spilled {
 		return &memGroupCursor{groups: hashGroups(part, keys)}, nil
 	}
@@ -234,39 +240,147 @@ func (e *Engine) sideGroups(ed *edge, i int, hashed bool) (groupCursor, error) {
 	return &mergeGroupCursor{m: m, keys: keys}, nil
 }
 
-// hashGroups groups a partition by key fields via a hash map: one hash pass
-// with collision safety (a bucket may hold several true key groups, told
-// apart by key comparison), then a sort of the groups — not the records —
-// by key, which yields the canonical order the sort-based paths produce by
-// construction. Key projections are computed once per record.
+// spilled reports whether partition i of the edge overflowed to sorted runs.
+func (ed *edge) spilled(i int) bool {
+	return ed.spills != nil && len(ed.spills[i].runs) > 0
+}
+
+// hashGroups groups a partition by key fields through a keyIndex and lays
+// the groups out in canonical order.
 func hashGroups(part []record.Record, keys []int) [][]record.Record {
-	type group struct {
-		key  record.Record
-		recs []record.Record
+	x := newKeyIndex(part, keys)
+	order := make([]int32, len(x.head))
+	for g := range order {
+		order[g] = int32(g)
 	}
-	var groups []group
-	buckets := map[uint64][]int{}
-	for _, r := range part {
-		key := r.Project(keys)
-		h := key.Hash(nil)
-		gi := -1
-		for _, idx := range buckets[h] {
-			if groups[idx].key.Compare(key) == 0 {
-				gi = idx
-				break
-			}
+	x.sortGroups(order)
+	return layout(part, x.ids, x.size, order)
+}
+
+// hashJoin runs partition i of a hash join whose sides are both resident:
+// it indexes the build side, streams the probe side through the index, and
+// hands the build groups that matched — in key order, each beside its
+// matched probe records in arrival order — to matchAligned. Probe records
+// that match nothing are neither laid out nor sorted.
+func (e *Engine) hashJoin(ctx context.Context, op *dataflow.Operator, in []edge, build, i int, emit func(record.Record) error) (int, error) {
+	x := newKeyIndex(in[build].data[i], in[build].keys)
+	recs, keys := in[1-build].data[i], in[1-build].keys
+	ids := make([]int32, len(recs))
+	sizes := make([]int32, len(x.head))
+	matched := make([]int32, 0, len(x.head))
+	for j, r := range recs {
+		g, _ := x.find(r.Hash(keys), r, keys)
+		ids[j] = g
+		if g < 0 {
+			continue
 		}
-		if gi < 0 {
-			gi = len(groups)
-			groups = append(groups, group{key: key})
-			buckets[h] = append(buckets[h], gi)
+		if sizes[g] == 0 {
+			matched = append(matched, g)
 		}
-		groups[gi].recs = append(groups[gi].recs, r)
+		sizes[g]++
 	}
-	sort.SliceStable(groups, func(i, j int) bool { return groups[i].key.Compare(groups[j].key) < 0 })
-	out := make([][]record.Record, len(groups))
-	for i, g := range groups {
-		out[i] = g.recs
+	x.sortGroups(matched)
+	var sides [2]groupCursor
+	sides[build] = &memGroupCursor{groups: layout(x.recs, x.ids, x.size, matched)}
+	sides[1-build] = &memGroupCursor{groups: layout(recs, ids, sizes, matched)}
+	return e.matchAligned(ctx, op, sides[0], sides[1], emit)
+}
+
+// keyIndex groups one side of a partition by its key fields: an
+// open-addressing table of group ids over Record.Hash, a hit confirmed by
+// comparing keys with the group's first record, and per-group and
+// per-record int32 arrays sized once — its allocations do not grow with
+// records or groups. Group ids number the groups in order of first arrival.
+type keyIndex struct {
+	recs  []record.Record
+	keys  []int
+	slots []int32  // group id + 1 per table slot; 0 is empty
+	shift uint     // 64 - log2(len(slots))
+	hash  []uint64 // per group: its key hash
+	head  []int32  // per group: its first record
+	size  []int32  // per group: its record count
+	ids   []int32  // per record: its group
+}
+
+func newKeyIndex(recs []record.Record, keys []int) *keyIndex {
+	n := len(recs)
+	lg := bits.Len(uint(2 * n)) // a table over twice n slots keeps probes short
+	x := &keyIndex{
+		recs: recs, keys: keys,
+		slots: make([]int32, 1<<lg), shift: uint(64 - lg),
+		hash: make([]uint64, 0, n), head: make([]int32, 0, n), size: make([]int32, 0, n),
+		ids: make([]int32, n),
+	}
+	for i, r := range recs {
+		h := r.Hash(keys)
+		g, s := x.find(h, r, keys)
+		if g < 0 {
+			g = int32(len(x.head))
+			x.slots[s] = g + 1
+			x.hash = append(x.hash, h)
+			x.head = append(x.head, int32(i))
+			x.size = append(x.size, 0)
+		}
+		x.ids[i] = g
+		x.size[g]++
+	}
+	return x
+}
+
+// start is h's home slot. Fibonacci hashing takes the top bits of a
+// product: within one partition Record.Hash is fixed modulo the DOP, so its
+// low bits are not spread.
+func (x *keyIndex) start(h uint64) int {
+	return int(h * 0x9e3779b97f4a7c15 >> x.shift)
+}
+
+// find returns the group whose key equals r's fields rKeys, or -1 and the
+// empty slot that ends h's probe sequence. Equal keys hash equally
+// (record.Value.Compare is exact), so only that sequence can hold the group.
+func (x *keyIndex) find(h uint64, r record.Record, rKeys []int) (int32, int) {
+	s := x.start(h)
+	for ; x.slots[s] != 0; s = (s + 1) & (len(x.slots) - 1) {
+		g := x.slots[s] - 1
+		if x.hash[g] == h && compareKeyPair(x.recs[x.head[g]], x.keys, r, rKeys) == 0 {
+			return g, s
+		}
+	}
+	return -1, s
+}
+
+// sortGroups orders group ids by key, ties by first arrival. Distinct keys
+// tie only where a NaN compares equal to every number; without NaN this is
+// the order a stable sort of the groups in arrival order gives.
+func (x *keyIndex) sortGroups(gs []int32) {
+	slices.SortFunc(gs, func(a, b int32) int {
+		if c := x.recs[x.head[a]].CompareOn(x.recs[x.head[b]], x.keys); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
+// layout copies the records of the groups in order into one flat slice,
+// group after group, each in arrival order, and returns one sub-slice per
+// group. Record j belongs to group ids[j] (none if negative), sizes counts
+// each group's records, and records of groups not in order are dropped.
+func layout(recs []record.Record, ids, sizes, order []int32) [][]record.Record {
+	next := make([]int32, len(sizes)) // per group in order: 1 + its next flat position
+	total := int32(0)
+	for _, g := range order {
+		next[g] = total + 1
+		total += sizes[g]
+	}
+	flat := make([]record.Record, total)
+	for j, r := range recs {
+		if g := ids[j]; g >= 0 && next[g] > 0 {
+			flat[next[g]-1] = r
+			next[g]++
+		}
+	}
+	out := make([][]record.Record, len(order))
+	for k, g := range order {
+		out[k], flat = flat[:sizes[g]], flat[sizes[g]:]
 	}
 	return out
 }

@@ -96,6 +96,7 @@ type matrixShape struct {
 	local  optimizer.Local
 	udf    string
 	binary bool
+	build  int // a hash join's BuildSide
 	// canonical: the operator emits the engine's canonical order whatever
 	// order its inputs arrived in.
 	canonical bool
@@ -107,9 +108,10 @@ var matrixShapes = []matrixShape{
 	{name: "reduce-hash", kind: dataflow.KindReduce, local: optimizer.LocalHashGroup, udf: "sum", canonical: true},
 	{name: "cogroup", kind: dataflow.KindCoGroup, local: optimizer.LocalSortCoGrp, udf: "cg", binary: true, canonical: true},
 	// Match strategies A and B hash-join (co-partitioned, or one side
-	// broadcast); C merge-joins. The shipping sweep below covers the
-	// placements of all three.
-	{name: "match-hash", kind: dataflow.KindMatch, local: optimizer.LocalHashJoin, udf: "jn", binary: true, canonical: true},
+	// broadcast) building either side; C merge-joins. The shipping sweep
+	// below covers the placements of all three.
+	{name: "match-hash-build0", kind: dataflow.KindMatch, local: optimizer.LocalHashJoin, udf: "jn", binary: true, canonical: true},
+	{name: "match-hash-build1", kind: dataflow.KindMatch, local: optimizer.LocalHashJoin, udf: "jn", binary: true, build: 1, canonical: true},
 	{name: "match-merge", kind: dataflow.KindMatch, local: optimizer.LocalMergeJoin, udf: "jn", binary: true, canonical: true},
 	{name: "cross", kind: dataflow.KindCross, local: optimizer.LocalNestedLoop, udf: "jn", binary: true},
 }
@@ -153,7 +155,7 @@ func matrixPlan(t *testing.T, sh matrixShape, ships []optimizer.Shipping, nMaps 
 	if combine {
 		op.Combiner = op.UDF
 	}
-	node := &optimizer.PhysPlan{Op: op, Inputs: inputs, Ship: ships, Local: sh.local, Combinable: combine}
+	node := &optimizer.PhysPlan{Op: op, Inputs: inputs, Ship: ships, Local: sh.local, BuildSide: sh.build, Combinable: combine}
 	return &optimizer.PhysPlan{
 		Op:     &dataflow.Operator{Name: "out", Kind: dataflow.KindSink},
 		Inputs: []*optimizer.PhysPlan{node},

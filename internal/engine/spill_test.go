@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -52,15 +53,15 @@ func wordcountData(n, keys int) record.DataSet {
 	return data
 }
 
-// requireByteIdentical fails unless the two data sets hold equal records in
-// the same order.
+// requireByteIdentical fails unless the two data sets hold the same records
+// in the same order, encoded byte for byte — Int(1) and Float(1) differ.
 func requireByteIdentical(t *testing.T, got, want record.DataSet, label string) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d records, want %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if !got[i].Equal(want[i]) {
+		if !bytes.Equal(got[i].AppendEncoded(nil), want[i].AppendEncoded(nil)) {
 			t.Fatalf("%s: record %d is %v, want %v", label, i, got[i], want[i])
 		}
 	}

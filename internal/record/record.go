@@ -18,6 +18,7 @@
 package record
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -165,7 +166,9 @@ func (v Value) String() string {
 }
 
 // Equal implements value equality (paper Section 2.2: v1i = v2i). Numeric
-// values compare across int/float kinds by numeric value.
+// values compare across int/float kinds by exact numeric value, so for
+// numerics Equal holds exactly when Compare reports 0 — but for NaN, which
+// Equal matches to nothing and Compare to every number.
 func (v Value) Equal(o Value) bool {
 	if v.kind == o.kind {
 		switch v.kind {
@@ -182,7 +185,9 @@ func (v Value) Equal(o Value) bool {
 		}
 	}
 	if v.isNumeric() && o.isNumeric() {
-		return v.AsFloat() == o.AsFloat()
+		// One int, one float: equal floats are necessary (and exclude NaN),
+		// the exact comparison decides.
+		return v.AsFloat() == o.AsFloat() && compareNumeric(v, o) == 0
 	}
 	return false
 }
@@ -190,7 +195,7 @@ func (v Value) Equal(o Value) bool {
 func (v Value) isNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
 // Compare orders two values: Null < Bool < numeric < String, with numeric
-// kinds compared by value. Returns -1, 0, or +1.
+// kinds compared by exact value (see compareNumeric). Returns -1, 0, or +1.
 func (v Value) Compare(o Value) int {
 	vr, or := v.rank(), o.rank()
 	if vr != or {
@@ -202,18 +207,48 @@ func (v Value) Compare(o Value) int {
 	case v.kind == KindBool:
 		return boolCompare(v.b, o.b)
 	case v.isNumeric():
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
+		return compareNumeric(v, o)
 	default:
 		return strings.Compare(v.s, o.s)
 	}
+}
+
+// compareNumeric orders two numeric values without rounding: ints as int64,
+// floats as float64, and an int against a float exactly, so values that
+// compare 0 are Equal and hash equally — 1<<53 and 1<<53+1 are two keys, not
+// one. A NaN compares equal to every number.
+func compareNumeric(v, o Value) int {
+	switch {
+	case v.kind == KindInt && o.kind == KindInt:
+		return cmp.Compare(v.i, o.i)
+	case v.kind == KindInt:
+		return compareIntFloat(v.i, o.f)
+	case o.kind == KindInt:
+		return -compareIntFloat(o.i, v.f)
+	case v.f < o.f:
+		return -1
+	case v.f > o.f:
+		return 1
+	}
+	return 0
+}
+
+// compareIntFloat orders i against f exactly: by f's integral part, which
+// is an int64 once f is inside the int64 range, then by its fraction.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 0
+	case f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f)
 }
 
 func (v Value) rank() int {
@@ -533,15 +568,19 @@ func (d DataSet) canonical() []string {
 }
 
 // canonicalRecord renders a record such that Equal values render equally
-// (e.g. Int(2) and Float(2.0)).
+// (e.g. Int(2) and Float(2.0)) and unequal ones differently: integral
+// numerics render as their exact int64.
 func canonicalRecord(r Record) string {
 	var b strings.Builder
 	for _, v := range r {
+		f := v.AsFloat()
 		switch {
 		case v.IsNull():
 			b.WriteString("~;")
+		case v.kind == KindInt || v.kind == KindFloat && f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63:
+			fmt.Fprintf(&b, "n%d;", v.AsInt())
 		case v.isNumeric():
-			fmt.Fprintf(&b, "n%g;", v.AsFloat())
+			fmt.Fprintf(&b, "n%g;", f)
 		case v.kind == KindString:
 			fmt.Fprintf(&b, "s%q;", v.s)
 		default:

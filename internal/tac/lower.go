@@ -567,17 +567,16 @@ func execInvalid(r *Runner, o *op) (int, error) {
 
 func isOrder(op BinOp) bool { return op == BinLt || op == BinLe || op == BinGt || op == BinGe }
 
-// orderInts is Value.Compare's verdict on two ints, which compares numeric
-// kinds as float64.
+// orderInts is Value.Compare's verdict on two ints, which compares them as
+// int64.
 func orderInts(cmp BinOp, x, y int64) bool {
-	a, b := float64(x), float64(y)
 	switch cmp {
 	case BinLt:
-		return a < b
+		return x < y
 	case BinLe:
-		return a <= b
+		return x <= y
 	case BinGt:
-		return a > b
+		return x > y
 	}
-	return a >= b
+	return x >= y
 }
