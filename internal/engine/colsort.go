@@ -14,8 +14,8 @@ import (
 // vectors — a kind rank, a numeric value, and a dictionary rank for strings
 // — and compares those flat arrays. The decoration encodes exactly
 // record.Value.Compare's total order (Null < Bool < numeric < String;
-// booleans false < true; numerics by exact value with NaN comparing equal
-// to everything; strings lexicographic), and the stable sort sees the same
+// booleans false < true; numerics by exact value with every NaN below every
+// number; strings lexicographic), and the stable sort sees the same
 // comparison outcome for every pair a record-comparator sort would, so both
 // produce the identical permutation — the property the differential suite
 // pins across the spill and merge-join paths.
@@ -29,12 +29,15 @@ func (e *Engine) sortRecs(recs []record.Record, keys []int) {
 	sortByKeyColumnar(recs, keys)
 }
 
-// Kind ranks, mirroring record.Value.Compare's cross-kind ordering.
+// Kind ranks, mirroring record.Value.Compare's cross-kind ordering. NaN
+// ranks on its own, just below the numbers: Compare orders it below every
+// number and equal to every NaN.
 const (
 	sortRankNull   int8 = 0
 	sortRankBool   int8 = 1
-	sortRankNum    int8 = 2
-	sortRankString int8 = 3
+	sortRankNaN    int8 = 2
+	sortRankNum    int8 = 3
+	sortRankString int8 = 4
 )
 
 // sortCol is one key field's decoration: the kind rank of every row, the
@@ -69,6 +72,9 @@ func buildSortCol(recs []record.Record, f int) sortCol {
 		case record.KindFloat:
 			c.rank[i] = sortRankNum
 			c.num[i] = v.AsFloat()
+			if c.num[i] != c.num[i] {
+				c.rank[i] = sortRankNaN
+			}
 		case record.KindInt:
 			c.rank[i] = sortRankNum
 			c.num[i] = v.AsFloat()
@@ -116,9 +122,8 @@ func intDev(x int64, f float64) int16 {
 
 // cmp compares the decorated field of rows i and j with Value.Compare
 // semantics. Bool and numeric rows share the num vector: a 0/1 float
-// compare is boolCompare, float compares leave NaN equal to everything
-// (neither < nor > holds), exactly as Value.Compare does, and rows whose
-// roundings tie are ordered by their exact distance from it.
+// compare orders booleans, NaN never reaches it (it has its own rank), and
+// rows whose roundings tie are ordered by their exact distance from it.
 func (c *sortCol) cmp(i, j int) int {
 	ri, rj := c.rank[i], c.rank[j]
 	if ri != rj {
@@ -137,7 +142,7 @@ func (c *sortCol) cmp(i, j int) int {
 			return 1
 		}
 		return 0
-	case sortRankNull:
+	case sortRankNull, sortRankNaN:
 		return 0
 	default:
 		a, b := c.num[i], c.num[j]

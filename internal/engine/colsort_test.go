@@ -29,9 +29,10 @@ var edgeNumbers = []record.Value{
 }
 
 // randSortValue draws from a distribution built to stress every branch of
-// the sort decoration: cross-kind comparisons, NaN (which Value.Compare
-// treats as equal to every numeric), ±Inf, -0.0 vs 0.0, int/float
-// collisions, ints a float64 cannot tell apart, and colliding strings.
+// the sort decoration: cross-kind comparisons, NaNs of different bits (which
+// Value.Compare orders below every number and equal to each other), ±Inf,
+// -0.0 vs 0.0, int/float collisions, ints a float64 cannot tell apart, and
+// colliding strings.
 func randSortValue(rng *rand.Rand) record.Value {
 	switch rng.Intn(11) {
 	case 0:
@@ -39,7 +40,7 @@ func randSortValue(rng *rand.Rand) record.Value {
 	case 1:
 		return record.Bool(rng.Intn(2) == 0)
 	case 2:
-		return record.Float(math.NaN())
+		return record.Float([]float64{math.NaN(), math.Float64frombits(0xfff8000000000000)}[rng.Intn(2)])
 	case 3:
 		return record.Float(math.Inf(1 - 2*rng.Intn(2)))
 	case 4:
@@ -59,9 +60,9 @@ func randSortValue(rng *rand.Rand) record.Value {
 
 // TestSortByKeyColumnarMatchesRowSort is the property pinning the columnar
 // spill-sort: on every input — ragged arities (out-of-range key fields read
-// as Null), mixed kinds in one field, NaN's non-transitive comparisons,
-// duplicate keys — sortByKeyColumnar must produce the exact permutation
-// sortByKey produces, position by position in encoded bytes.
+// as Null), mixed kinds in one field, NaNs, duplicate keys —
+// sortByKeyColumnar must produce the exact permutation sortByKey produces,
+// position by position in encoded bytes.
 func TestSortByKeyColumnarMatchesRowSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 500; trial++ {

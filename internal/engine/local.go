@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -106,9 +105,13 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge) (P
 	}
 }
 
-// scatter round-robins source data across partitions.
+// scatter round-robins source data across partitions, each allocated once
+// at the size it ends with.
 func (e *Engine) scatter(data record.DataSet) Partitioned {
 	out := make(Partitioned, e.DOP)
+	for t := range out {
+		out[t] = make([]record.Record, 0, (len(data)-t+e.DOP-1)/e.DOP)
+	}
 	for i, r := range data {
 		t := i % e.DOP
 		out[t] = append(out[t], r)
@@ -348,15 +351,12 @@ func (x *keyIndex) find(h uint64, r record.Record, rKeys []int) (int32, int) {
 	return -1, s
 }
 
-// sortGroups orders group ids by key, ties by first arrival. Distinct keys
-// tie only where a NaN compares equal to every number; without NaN this is
-// the order a stable sort of the groups in arrival order gives.
+// sortGroups orders group ids by key. Distinct groups never tie —
+// record.Value.Compare is 0 exactly where keys are Equal — so this is the
+// order a stable sort of the groups in arrival order gives.
 func (x *keyIndex) sortGroups(gs []int32) {
 	slices.SortFunc(gs, func(a, b int32) int {
-		if c := x.recs[x.head[a]].CompareOn(x.recs[x.head[b]], x.keys); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
+		return x.recs[x.head[a]].CompareOn(x.recs[x.head[b]], x.keys)
 	})
 }
 

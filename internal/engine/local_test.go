@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"blackboxflow/internal/dataflow"
@@ -35,13 +36,15 @@ func binary jn($l, $r) {
 	emit $o
 }`)
 
-// adversarialKeys mixes every kind, Int(1) beside Float(1), and the ints a
-// float64 comparison cannot tell apart. NaN stays out: it compares equal to
-// every number but hashes apart, so no strategy can group it consistently.
-var adversarialKeys = append([]record.Value{
+// adversarialKeys mixes every kind, Int(1) beside Float(1), the ints a
+// float64 comparison cannot tell apart, and — last, at indices 22 to 24 —
+// NaNs of three different bit patterns, which are one key.
+var adversarialKeys = append(append([]record.Value{
 	record.Null, record.Bool(false), record.Bool(true), record.String(""), record.String("a"),
 	record.Int(-1), record.Int(0), record.Int(1), record.Float(1), record.Float(1.5),
-}, edgeNumbers...)
+}, edgeNumbers...),
+	record.Float(math.NaN()), record.Float(math.Float64frombits(0xfff8000000000000)),
+	record.Float(math.Float64frombits(0x7ff0000000000bad)))
 
 // localStrategies are the in-memory strategies of Reduce (key field 0 of L)
 // and Match (L's field 0 against R's field 2).
@@ -130,7 +133,7 @@ func requireStrategiesAgree(t *testing.T, sources map[string]record.DataSet, dop
 
 // TestLocalStrategiesAdversarialKeys compares every local strategy with the
 // reference on keys found on one side only, many-to-many duplicates, mixed
-// kinds and ints beyond 2^53, at DOPs that leave partitions empty.
+// kinds, ints beyond 2^53 and NaNs, at DOPs that leave partitions empty.
 func TestLocalStrategiesAdversarialKeys(t *testing.T) {
 	var lKeys, rKeys []record.Value
 	for i, k := range adversarialKeys {

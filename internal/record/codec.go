@@ -3,7 +3,6 @@ package record
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // This file implements the engine's wire encoding of records — the byte
@@ -23,19 +22,13 @@ func (r Record) AppendEncoded(buf []byte) []byte {
 	for _, v := range r {
 		buf = append(buf, byte(v.kind))
 		switch v.kind {
-		case KindInt:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.i))
-		case KindFloat:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.f))
+		case KindInt, KindFloat:
+			buf = binary.LittleEndian.AppendUint64(buf, v.n)
 		case KindString:
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.s)))
-			buf = append(buf, v.s...)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v.n))
+			buf = append(buf, v.str()...)
 		case KindBool:
-			if v.b {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+			buf = append(buf, byte(v.n))
 		}
 	}
 	return buf
@@ -60,17 +53,11 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 		switch kind {
 		case KindNull:
 			// zero Value
-		case KindInt:
+		case KindInt, KindFloat:
 			if pos+8 > len(buf) {
-				return nil, 0, fmt.Errorf("record: truncated int field")
+				return nil, 0, fmt.Errorf("record: truncated %s field", kind)
 			}
-			r[i] = Int(int64(binary.LittleEndian.Uint64(buf[pos:])))
-			pos += 8
-		case KindFloat:
-			if pos+8 > len(buf) {
-				return nil, 0, fmt.Errorf("record: truncated float field")
-			}
-			r[i] = Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:])))
+			r[i] = Value{kind: kind, n: binary.LittleEndian.Uint64(buf[pos:])}
 			pos += 8
 		case KindString:
 			if pos+4 > len(buf) {

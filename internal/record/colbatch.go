@@ -1,6 +1,7 @@
 package record
 
 import (
+	"cmp"
 	"math"
 	"sync"
 )
@@ -174,18 +175,9 @@ func (cb *ColBatch) appendRow(r Record) {
 		var num uint64
 		if c < len(r) {
 			v := r[c]
-			tag = uint8(v.kind)
-			switch v.kind {
-			case KindInt:
-				num = uint64(v.i)
-			case KindFloat:
-				num = math.Float64bits(v.f)
-			case KindString:
-				num = cb.code(v.s)
-			case KindBool:
-				if v.b {
-					num = 1
-				}
+			tag, num = uint8(v.kind), v.n
+			if v.kind == KindString {
+				num = cb.code(v.str())
 			}
 		}
 		cv.tags = append(cv.tags, tag)
@@ -210,18 +202,11 @@ func (cb *ColBatch) Field(row, f int) Value {
 		return Null
 	}
 	cv := &cb.cols[f]
-	switch Kind(cv.tags[row]) {
-	case KindInt:
-		return Value{kind: KindInt, i: int64(cv.nums[row])}
-	case KindFloat:
-		return Value{kind: KindFloat, f: math.Float64frombits(cv.nums[row])}
-	case KindString:
-		return Value{kind: KindString, s: cb.dict[cv.nums[row]]}
-	case KindBool:
-		return Value{kind: KindBool, b: cv.nums[row] != 0}
-	default:
-		return Null
+	k := Kind(cv.tags[row])
+	if k == KindString {
+		return String(cb.dict[cv.nums[row]])
 	}
+	return Value{kind: k, n: cv.nums[row]} // a null cell's payload is 0
 }
 
 // Row materializes row i as a fresh Record of the row's original arity.
@@ -320,8 +305,9 @@ func (cb *ColBatch) equalCellsOn(i, j int, keys []int) bool {
 			case KindNull:
 				continue
 			case KindFloat:
-				// Compare as floats, not bits: NaN ≠ NaN, -0.0 == 0.0.
-				if math.Float64frombits(cv.nums[i]) != math.Float64frombits(cv.nums[j]) {
+				// Compare as floats, not bits: -0.0 == 0.0, and every NaN
+				// equals every NaN, as Value.Equal has it.
+				if cmp.Compare(math.Float64frombits(cv.nums[i]), math.Float64frombits(cv.nums[j])) != 0 {
 					return false
 				}
 			default:

@@ -23,6 +23,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the runtime types a field value can take.
@@ -56,28 +57,51 @@ func (k Kind) String() string {
 }
 
 // Value is a single field value. The zero Value is Null.
+//
+// A Value is 24 bytes: n holds the payload — an int's bits, a float's bits,
+// a bool as 0/1, or a string's length — and p, set for strings only, points
+// at the string's bytes. Compare Values with Equal or Compare, never with ==
+// or reflect.DeepEqual: == compares string pointers, not strings, and
+// DeepEqual follows p to a string's first byte only.
 type Value struct {
+	p    *byte
+	n    uint64
 	kind Kind
-	i    int64
-	f    float64
-	s    string
-	b    bool
 }
 
 // Null is the absent value.
 var Null = Value{}
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
-// String returns a string value.
-func String(v string) Value { return Value{kind: KindString, s: v} }
+// String returns a string value. It shares v's bytes: a string is immutable,
+// and p, an interior pointer into them, keeps them alive.
+func String(v string) Value {
+	return Value{kind: KindString, p: unsafe.StringData(v), n: uint64(len(v))}
+}
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
+
+// str is the string payload; "" for every other kind.
+func (v Value) str() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return unsafe.String(v.p, int(v.n))
+}
+
+// float is the payload read as a float's bits.
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
 
 // Kind reports the value's runtime kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -89,15 +113,10 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // Null and strings return 0.
 func (v Value) AsInt() int64 {
 	switch v.kind {
-	case KindInt:
-		return v.i
+	case KindInt, KindBool:
+		return int64(v.n)
 	case KindFloat:
-		return int64(v.f)
-	case KindBool:
-		if v.b {
-			return 1
-		}
-		return 0
+		return int64(v.float())
 	default:
 		return 0
 	}
@@ -107,14 +126,11 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindInt:
-		return float64(v.i)
+		return float64(int64(v.n))
 	case KindBool:
-		if v.b {
-			return 1
-		}
-		return 0
+		return float64(v.n)
 	default:
 		return 0
 	}
@@ -122,29 +138,19 @@ func (v Value) AsFloat() float64 {
 
 // AsString returns the string payload, or a rendering for other kinds.
 func (v Value) AsString() string {
-	switch v.kind {
-	case KindString:
-		return v.s
-	default:
-		return v.String()
+	if v.kind == KindString {
+		return v.str()
 	}
+	return v.String()
 }
 
 // AsBool returns the truthiness of the value: false for Null, zero numbers,
 // and the empty string.
 func (v Value) AsBool() bool {
-	switch v.kind {
-	case KindBool:
-		return v.b
-	case KindInt:
-		return v.i != 0
-	case KindFloat:
-		return v.f != 0
-	case KindString:
-		return v.s != ""
-	default:
-		return false
+	if v.kind == KindFloat {
+		return v.float() != 0
 	}
+	return v.n != 0 // bool 0/1, int bits, string length; Null is 0
 }
 
 // String renders the value for debugging.
@@ -153,43 +159,34 @@ func (v Value) String() string {
 	case KindNull:
 		return "⊥"
 	case KindInt:
-		return fmt.Sprintf("%d", v.i)
+		return fmt.Sprintf("%d", int64(v.n))
 	case KindFloat:
-		return fmt.Sprintf("%g", v.f)
+		return fmt.Sprintf("%g", v.float())
 	case KindString:
-		return fmt.Sprintf("%q", v.s)
+		return fmt.Sprintf("%q", v.str())
 	case KindBool:
-		return fmt.Sprintf("%t", v.b)
+		return fmt.Sprintf("%t", v.n != 0)
 	default:
 		return "?"
 	}
 }
 
-// Equal implements value equality (paper Section 2.2: v1i = v2i). Numeric
-// values compare across int/float kinds by exact numeric value, so for
-// numerics Equal holds exactly when Compare reports 0 — but for NaN, which
-// Equal matches to nothing and Compare to every number.
+// Equal implements value equality (paper Section 2.2: v1i = v2i). It holds
+// exactly when Compare reports 0: numeric values compare across int/float
+// kinds by exact numeric value, −0 equals 0, and a NaN equals every NaN and
+// nothing else.
 func (v Value) Equal(o Value) bool {
-	if v.kind == o.kind {
-		switch v.kind {
-		case KindNull:
-			return true
-		case KindInt:
-			return v.i == o.i
-		case KindFloat:
-			return v.f == o.f
-		case KindString:
-			return v.s == o.s
-		case KindBool:
-			return v.b == o.b
-		}
+	if v.kind != o.kind {
+		return v.isNumeric() && o.isNumeric() && compareNumeric(v, o) == 0
 	}
-	if v.isNumeric() && o.isNumeric() {
-		// One int, one float: equal floats are necessary (and exclude NaN),
-		// the exact comparison decides.
-		return v.AsFloat() == o.AsFloat() && compareNumeric(v, o) == 0
+	switch v.kind {
+	case KindString:
+		return v.str() == o.str()
+	case KindFloat:
+		return cmp.Compare(v.float(), o.float()) == 0
+	default:
+		return v.n == o.n // Null (both 0), int bits, bool 0/1
 	}
-	return false
 }
 
 func (v Value) isNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
@@ -201,36 +198,34 @@ func (v Value) Compare(o Value) int {
 	if vr != or {
 		return sign(vr - or)
 	}
-	switch {
-	case v.kind == KindNull:
+	switch v.kind {
+	case KindNull:
 		return 0
-	case v.kind == KindBool:
-		return boolCompare(v.b, o.b)
-	case v.isNumeric():
-		return compareNumeric(v, o)
+	case KindBool:
+		return cmp.Compare(v.n, o.n)
+	case KindString:
+		return strings.Compare(v.str(), o.str())
 	default:
-		return strings.Compare(v.s, o.s)
+		return compareNumeric(v, o)
 	}
 }
 
 // compareNumeric orders two numeric values without rounding: ints as int64,
 // floats as float64, and an int against a float exactly, so values that
 // compare 0 are Equal and hash equally — 1<<53 and 1<<53+1 are two keys, not
-// one. A NaN compares equal to every number.
+// one. NaN orders below every number and equal to every NaN, as cmp.Compare
+// orders floats, so the order is total.
 func compareNumeric(v, o Value) int {
 	switch {
 	case v.kind == KindInt && o.kind == KindInt:
-		return cmp.Compare(v.i, o.i)
+		return cmp.Compare(int64(v.n), int64(o.n))
 	case v.kind == KindInt:
-		return compareIntFloat(v.i, o.f)
+		return compareIntFloat(int64(v.n), o.float())
 	case o.kind == KindInt:
-		return -compareIntFloat(o.i, v.f)
-	case v.f < o.f:
-		return -1
-	case v.f > o.f:
-		return 1
+		return -compareIntFloat(int64(o.n), v.float())
+	default:
+		return cmp.Compare(v.float(), o.float())
 	}
-	return 0
 }
 
 // compareIntFloat orders i against f exactly: by f's integral part, which
@@ -238,7 +233,7 @@ func compareNumeric(v, o Value) int {
 func compareIntFloat(i int64, f float64) int {
 	switch {
 	case f != f:
-		return 0
+		return 1
 	case f >= 0x1p63:
 		return -1
 	case f < -0x1p63:
@@ -272,17 +267,6 @@ func sign(x int) int {
 		return 1
 	default:
 		return 0
-	}
-}
-
-func boolCompare(a, b bool) int {
-	switch {
-	case a == b:
-		return 0
-	case !a:
-		return -1
-	default:
-		return 1
 	}
 }
 
@@ -320,33 +304,38 @@ func hashMix8(h, x uint64) uint64 {
 	return h
 }
 
+// nanBits are the bits of math.NaN(), the one NaN every NaN hashes as.
+const nanBits = 0x7ff8000000000001
+
 // Hash folds the value into a 64-bit FNV-1a style hash, used by hash
 // partitioning and hash joins. The byte sequence hashed is exactly the kind
-// tag followed by the little-endian payload, matching the pre-columnar
-// implementation byte for byte (see TestValueHashMatchesReference).
+// tag followed by the little-endian payload (for a NaN, math.NaN()'s),
+// matching the pre-columnar implementation byte for byte (see
+// TestValueHashMatchesReference).
 func (v Value) Hash() uint64 {
 	switch v.kind {
 	case KindInt:
-		return hashMix8(hashTagSeed(KindInt), uint64(v.i))
+		return hashMix8(hashTagSeed(KindInt), v.n)
 	case KindFloat:
-		// Hash floats by numeric identity with ints when integral, so that
-		// Equal values hash equally.
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) {
-			return hashMix8(hashTagSeed(KindInt), uint64(int64(v.f)))
+		// Hash floats by numeric identity with ints when integral, and every
+		// NaN as one, so that Equal values hash equally.
+		f := v.float()
+		switch {
+		case f != f:
+			return hashMix8(hashTagSeed(KindFloat), nanBits)
+		case f == math.Trunc(f) && !math.IsInf(f, 0):
+			return hashMix8(hashTagSeed(KindInt), uint64(int64(f)))
 		}
-		return hashMix8(hashTagSeed(KindFloat), math.Float64bits(v.f))
+		return hashMix8(hashTagSeed(KindFloat), v.n)
 	case KindString:
 		h := hashTagSeed(KindString)
-		for i := 0; i < len(v.s); i++ {
-			h = (h ^ uint64(v.s[i])) * hashPrime
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * hashPrime
 		}
 		return h
 	case KindBool:
-		h := hashTagSeed(KindBool)
-		if v.b {
-			return (h ^ 1) * hashPrime
-		}
-		return h * hashPrime
+		return (hashTagSeed(KindBool) ^ v.n) * hashPrime
 	default:
 		return hashTagSeed(KindNull)
 	}
@@ -363,7 +352,7 @@ func (v Value) EncodedSize() int {
 	case KindBool:
 		return 2
 	case KindString:
-		return 1 + 4 + len(v.s)
+		return 1 + 4 + int(v.n)
 	default:
 		return 1
 	}
@@ -582,9 +571,9 @@ func canonicalRecord(r Record) string {
 		case v.isNumeric():
 			fmt.Fprintf(&b, "n%g;", f)
 		case v.kind == KindString:
-			fmt.Fprintf(&b, "s%q;", v.s)
+			fmt.Fprintf(&b, "s%q;", v.str())
 		default:
-			fmt.Fprintf(&b, "b%t;", v.b)
+			fmt.Fprintf(&b, "b%t;", v.n != 0)
 		}
 	}
 	return b.String()
