@@ -137,6 +137,7 @@ func main() {
 		"obs_overhead":                   shufTraced["ns/op"] / shufBatched["ns/op"],
 		"net_tcp_overhead":               netTCP["ns/op"] / netChan["ns/op"],
 		"net_tcp_shipped_B_op":           netTCP["shipped-B/op"],
+		"net_tcp_allocs_op":              netTCP["allocs/op"],
 		"combiner_shipped_reduction":     combOff["shipped-B/op"] / combOn["shipped-B/op"],
 		"spill_runtime_overhead":         spillOn["ns/op"] / spillOff["ns/op"],
 		"spill_spilled_bytes":            spillOn["spilled-B/op"],
@@ -205,6 +206,12 @@ func main() {
 	// an integer factor (extra copies, lost batching), not for jitter.
 	check("net tcp shuffle overhead", "BENCH_net.json", "tcp_overhead",
 		fresh["net_tcp_overhead"], true, 3)
+	// The same TCP shuffle gated on allocations per op: a count, identical
+	// on every machine, and what decoding a frame into one Value slab and
+	// one string arena bought (401,761 when every record and every string
+	// field was its own allocation). The optimizer gate's 10% headroom.
+	check("net tcp allocs/op", "BENCH_net.json", "tcp_allocs_per_op",
+		fresh["net_tcp_allocs_op"], true, 0.4)
 	check("spill runtime overhead", "BENCH_spill.json", "runtime_overhead",
 		fresh["spill_runtime_overhead"], true, 2)
 	// The joinspill baseline sits near 1.0 (the external join restructures
@@ -239,7 +246,7 @@ func main() {
 		fresh["svc_cache_speedup"], false, 2)
 	// Ingest of a Q7 SF 4 document whose bytes were never seen (every
 	// source digested, decoded and inserted) is gated on allocations per
-	// parse — a count, one slab chunk per ~1.5 MB of rows and not one
+	// parse — a count, one slab chunk per 768 KB of rows and not one
 	// object per row or value (385,326 before the single-pass decoder) —
 	// with the optimizer gate's 10% headroom. The replay of a known
 	// document against that miss is a ratio of two parses of the same bytes

@@ -3,6 +3,7 @@ package record
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -43,15 +44,12 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("record %v encoded to %d bytes, EncodedSize says %d", r, got, want)
 		}
 	}
-	pos := 0
+	decoded, err := DecodeRecords(nil, buf, len(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, want := range recs {
-		got, n, err := DecodeRecord(buf[pos:])
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if n != want.EncodedSize() {
-			t.Fatalf("record %d consumed %d bytes, want %d", i, n, want.EncodedSize())
-		}
+		got := decoded[i]
 		if len(got) != len(want) {
 			t.Fatalf("record %d: decoded arity %d, want %d", i, len(got), len(want))
 		}
@@ -61,10 +59,6 @@ func TestCodecRoundTrip(t *testing.T) {
 					i, f, got[f], got[f].Kind(), want[f], want[f].Kind())
 			}
 		}
-		pos += n
-	}
-	if pos != len(buf) {
-		t.Fatalf("decoded %d of %d bytes", pos, len(buf))
 	}
 }
 
@@ -75,11 +69,11 @@ func TestCodecSpecials(t *testing.T) {
 		Int(2), Float(2.0), Float(math.Inf(-1)), Float(math.NaN()),
 		String(""), Bool(false), Null,
 	}
-	buf := r.AppendEncoded(nil)
-	got, n, err := DecodeRecord(buf)
-	if err != nil || n != len(buf) {
-		t.Fatalf("decode: n=%d err=%v", n, err)
+	recs, err := DecodeRecords(nil, r.AppendEncoded(nil), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got := recs[0]
 	if got[0].Kind() != KindInt || got[1].Kind() != KindFloat {
 		t.Errorf("numeric kinds not preserved: %v, %v", got[0].Kind(), got[1].Kind())
 	}
@@ -97,13 +91,85 @@ func TestCodecSpecials(t *testing.T) {
 	}
 }
 
-// TestCodecTruncation: every prefix of a valid encoding fails cleanly.
+// TestCodecTruncation: every prefix of a valid encoding fails cleanly, and
+// so does the encoding with a byte left over.
 func TestCodecTruncation(t *testing.T) {
 	r := Record{Int(7), String("hello"), Bool(true)}
 	buf := r.AppendEncoded(nil)
 	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := DecodeRecord(buf[:cut]); err == nil {
+		if _, err := DecodeRecords(nil, buf[:cut], 1); err == nil {
 			t.Fatalf("truncation at %d of %d bytes decoded without error", cut, len(buf))
+		}
+	}
+	if _, err := DecodeRecords(nil, append(buf, 0), 1); err == nil {
+		t.Fatal("a trailing byte decoded without error")
+	}
+}
+
+// frameOf encodes n records of the given shape back to back.
+func frameOf(n int, rec func(i int) Record) []byte {
+	var buf []byte
+	for i := 0; i < n; i++ {
+		buf = rec(i).AppendEncoded(buf)
+	}
+	return buf
+}
+
+// TestDecodeRecordsOwnsStorage: decoded records share nothing with the
+// frame bytes, which the caller may overwrite at once, and each record's
+// capacity ends at its width, so appending to one cannot write into the
+// next record's window of the slab.
+func TestDecodeRecordsOwnsStorage(t *testing.T) {
+	want := []Record{
+		{Int(1), String("alpha"), Null},
+		{String("beta"), Bool(true)},
+		{},
+		{Float(0.5), String(""), String("gamma")},
+	}
+	buf := frameOf(len(want), func(i int) Record { return want[i] })
+	got, err := DecodeRecords(nil, buf, len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xAA
+	}
+	_ = append(got[0], Int(99))
+	for i := range want {
+		if !got[i].Equal(want[i]) || cap(got[i]) != len(want[i]) {
+			t.Fatalf("record %d is %v (cap %d), want %v", i, got[i], cap(got[i]), want[i])
+		}
+	}
+}
+
+// TestDecodeBatchAllocs pins what a frame costs: a 1,024-record frame with
+// string fields decodes in two allocations beyond the pooled batch — the
+// Value slab and the string arena — and one without strings in one.
+func TestDecodeBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race")
+	}
+	for _, c := range []struct {
+		name string
+		rec  func(i int) Record
+		max  float64
+	}{
+		{"strings", func(i int) Record { return Record{Int(int64(i)), String("word"), Null, String("w" + strconv.Itoa(i))} }, 2},
+		{"no-strings", func(i int) Record { return Record{Int(int64(i)), Float(0.5), Null, Bool(i%2 == 0)} }, 1},
+	} {
+		buf := frameOf(DefaultBatchCap, c.rec)
+		allocs := testing.AllocsPerRun(20, func() {
+			b, err := DecodeBatch(buf, DefaultBatchCap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.EncodedSize() != len(buf) {
+				t.Fatalf("batch prices %d bytes, frame is %d", b.EncodedSize(), len(buf))
+			}
+			PutBatch(b)
+		})
+		if allocs > c.max {
+			t.Errorf("%s: %.1f allocations per %d-record frame, want at most %.0f", c.name, allocs, DefaultBatchCap, c.max)
 		}
 	}
 }

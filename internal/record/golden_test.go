@@ -30,7 +30,7 @@ func goldenRecords() []Record {
 
 // TestGoldenWireCodec pins the record wire encoding to a committed byte
 // fixture: AppendEncoded (row and columnar) must reproduce it exactly, and
-// DecodeRecord must invert it — so a layout change cannot land silently.
+// DecodeRecords must invert it — so a layout change cannot land silently.
 func TestGoldenWireCodec(t *testing.T) {
 	recs := goldenRecords()
 	var got []byte
@@ -69,14 +69,12 @@ func TestGoldenWireCodec(t *testing.T) {
 	}
 
 	// Decode must invert the fixture exactly (re-encoding reproduces it).
+	decoded, err := DecodeRecords(nil, want, len(recs))
+	if err != nil {
+		t.Fatalf("decode fixture: %v", err)
+	}
 	var back []byte
-	rest := want
-	for i := 0; len(rest) > 0; i++ {
-		r, n, err := DecodeRecord(rest)
-		if err != nil {
-			t.Fatalf("decode record %d: %v", i, err)
-		}
-		rest = rest[n:]
+	for _, r := range decoded {
 		back = r.AppendEncoded(back)
 	}
 	if !bytes.Equal(back, want) {

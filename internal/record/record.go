@@ -12,9 +12,11 @@
 //
 // Besides the value/record model the package provides the engine's two
 // movement units: Batch, the fixed-capacity pooled container shuffles move
-// records in, and the wire codec (AppendEncoded / DecodeRecord, the byte
-// layout EncodedSize prices) that both the shuffle's byte accounting and
-// the spill package's on-disk run format are denominated in.
+// records in, and the wire codec (AppendEncoded, the byte layout
+// EncodedSize prices, and DecodeRecords / DecodeBatch, which decode a whole
+// frame of records into one Value slab and one string arena) that both the
+// shuffle's byte accounting and the spill package's on-disk run format are
+// denominated in.
 package record
 
 import (

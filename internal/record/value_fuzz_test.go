@@ -72,10 +72,11 @@ func FuzzValue(f *testing.F) {
 		if len(buf) != r.EncodedSize() {
 			t.Fatalf("%v encodes to %d bytes, EncodedSize says %d", r, len(buf), r.EncodedSize())
 		}
-		got, n, err := DecodeRecord(buf)
-		if err != nil || n != len(buf) || len(got) != len(r) {
-			t.Fatalf("decode of %v: %d fields, %d of %d bytes, %v", r, len(got), n, len(buf), err)
+		recs, err := DecodeRecords(nil, buf, 1)
+		if err != nil || len(recs[0]) != len(r) {
+			t.Fatalf("decode of %v: %v, %v", r, recs, err)
 		}
+		got := recs[0]
 		cb := NewColBatch(DefaultBatchCap)
 		cb.Append(r[len(r)/2:])
 		cb.Append(r)

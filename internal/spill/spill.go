@@ -4,7 +4,7 @@
 // cursors.
 //
 // The on-disk format reuses the record wire encoding (record.AppendEncoded /
-// record.DecodeRecord — the same layout EncodedSize prices for shuffle byte
+// record.DecodeRecords — the same layout EncodedSize prices for shuffle byte
 // accounting), framed into batches: every frame is an 8-byte header (4-byte
 // little-endian record count, 4-byte payload length) followed by the
 // concatenated record encodings. Frames hold at most record.DefaultBatchCap
@@ -125,49 +125,65 @@ func (s *File) WriteRun(recs []record.Record) (Run, error) {
 // OpenRun returns a streaming reader over one run. Multiple runs of the
 // same File may be read concurrently.
 func (s *File) OpenRun(r Run) *RunReader {
-	return &RunReader{file: s, off: r.Offset, end: r.Offset + r.Length}
+	return &RunReader{file: s, start: r.Offset, off: r.Offset, end: r.Offset + r.Length}
 }
 
-// RunReader iterates a run's records in order, keeping at most one frame
-// resident.
+// RunReader iterates a run's records in order, decoding one frame at a time:
+// at most one frame's bytes are resident, and each frame's records share one
+// Value slab and one string arena (record.DecodeRecords).
 type RunReader struct {
-	file    *File
-	off     int64  // next unread file offset
-	end     int64  // first offset past the run
-	frame   []byte // current frame payload (reused across frames)
-	pos     int    // read position inside frame
-	pending int    // records left in the current frame
+	file  *File
+	start int64           // offset of the run's first frame
+	off   int64           // next unread file offset
+	end   int64           // first offset past the run
+	buf   []byte          // frame header, then payload (reused across frames)
+	recs  []record.Record // the current frame's records (reused across frames)
+	next  int             // next record in recs
 }
 
 // Next returns the run's next record. The second result is false when the
 // run is exhausted.
 func (rr *RunReader) Next() (record.Record, bool, error) {
-	for rr.pending == 0 {
+	for rr.next == len(rr.recs) {
 		if rr.off >= rr.end {
 			return nil, false, nil
 		}
-		var hdr [frameHeaderSize]byte
-		if _, err := rr.file.f.ReadAt(hdr[:], rr.off); err != nil {
-			return nil, false, fmt.Errorf("spill: read frame header: %w", err)
+		if err := rr.readFrame(); err != nil {
+			return nil, false, fmt.Errorf("spill: frame at offset %d of the run at %d: %w", rr.off-rr.start, rr.start, err)
 		}
-		count := int(binary.LittleEndian.Uint32(hdr[:4]))
-		payload := int(binary.LittleEndian.Uint32(hdr[4:]))
-		if cap(rr.frame) < payload {
-			rr.frame = make([]byte, payload)
-		}
-		rr.frame = rr.frame[:payload]
-		if _, err := rr.file.f.ReadAt(rr.frame, rr.off+frameHeaderSize); err != nil {
-			return nil, false, fmt.Errorf("spill: read frame payload: %w", err)
-		}
-		rr.off += frameHeaderSize + int64(payload)
-		rr.pos = 0
-		rr.pending = count
 	}
-	rec, n, err := record.DecodeRecord(rr.frame[rr.pos:])
+	r := rr.recs[rr.next]
+	rr.next++
+	return r, true, nil
+}
+
+// readFrame reads and decodes the frame at rr.off. A frame whose records do
+// not consume exactly its payload is an error, as on the TCP path.
+func (rr *RunReader) readFrame() error {
+	if cap(rr.buf) < frameHeaderSize {
+		rr.buf = make([]byte, frameHeaderSize)
+	}
+	hdr := rr.buf[:frameHeaderSize]
+	if _, err := rr.file.f.ReadAt(hdr, rr.off); err != nil {
+		return fmt.Errorf("read header: %w", err)
+	}
+	count := int(binary.LittleEndian.Uint32(hdr[:4]))
+	payload := int64(binary.LittleEndian.Uint32(hdr[4:]))
+	if payload > rr.end-rr.off-frameHeaderSize {
+		return fmt.Errorf("payload of %d bytes runs past the run's end", payload)
+	}
+	if int64(cap(rr.buf)) < payload {
+		rr.buf = make([]byte, payload)
+	}
+	rr.buf = rr.buf[:payload]
+	if _, err := rr.file.f.ReadAt(rr.buf, rr.off+frameHeaderSize); err != nil {
+		return fmt.Errorf("read payload: %w", err)
+	}
+	recs, err := record.DecodeRecords(rr.recs[:0], rr.buf, count)
 	if err != nil {
-		return nil, false, fmt.Errorf("spill: %w", err)
+		return err
 	}
-	rr.pos += n
-	rr.pending--
-	return rec, true, nil
+	rr.recs, rr.next = recs, 0
+	rr.off += frameHeaderSize + payload
+	return nil
 }

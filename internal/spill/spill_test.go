@@ -1,11 +1,14 @@
 package spill
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -81,6 +84,69 @@ func TestRunRoundTrip(t *testing.T) {
 	}
 	if got := drain(t, f.OpenRun(run2)); len(got) != 10 {
 		t.Fatalf("second run read %d records, want 10", len(got))
+	}
+}
+
+// TestRunReaderRejectsMiscountedFrame: a frame whose record count does not
+// match its payload — the second frame of a file's second run, its count
+// rewritten on disk one low and one high — fails the read with an error
+// naming where the frame sits, instead of dropping or inventing records.
+func TestRunReaderRejectsMiscountedFrame(t *testing.T) {
+	for _, delta := range []int32{-1, 1} {
+		f, err := Create(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteRun(intRecs(1, 2, 3)); err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]int64, record.DefaultBatchCap+6)
+		for i := range vals {
+			vals[i] = int64(i)
+		}
+		recs := intRecs(vals...)
+		run, err := f.WriteRun(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := run.Offset + frameHeaderSize + int64(record.DefaultBatchCap*recs[0].EncodedSize())
+
+		disk, err := os.OpenFile(f.path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var count [4]byte
+		if _, err := disk.ReadAt(count[:], second); err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(count[:], uint32(int32(binary.LittleEndian.Uint32(count[:]))+delta))
+		if _, err := disk.WriteAt(count[:], second); err != nil {
+			t.Fatal(err)
+		}
+		if err := disk.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		rr := f.OpenRun(run)
+		read := 0
+		for {
+			_, ok, err := rr.Next()
+			if err != nil {
+				want := fmt.Sprintf("frame at offset %d of the run at %d", second-run.Offset, run.Offset)
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("count %+d: error %q does not name %q", delta, err, want)
+				}
+				break
+			}
+			if !ok {
+				t.Fatalf("count %+d: run read to its end without an error", delta)
+			}
+			read++
+		}
+		if read != record.DefaultBatchCap {
+			t.Fatalf("count %+d: %d records read before the bad frame, want %d", delta, read, record.DefaultBatchCap)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -55,20 +56,31 @@ type frame struct {
 // appendDataFrame appends the wire encoding of one batch addressed to
 // target and returns the extended buffer.
 func appendDataFrame(buf []byte, target int, b *record.Batch) []byte {
+	return b.AppendEncoded(appendDataHeader(buf, target, b.Len(), b.EncodedSize()))
+}
+
+// appendDataHeader appends a data frame's header: op, target, record count
+// and payload length.
+func appendDataHeader(buf []byte, target, count, length int) []byte {
 	buf = append(buf, frameData)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(target))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(b.Len()))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(b.EncodedSize()))
-	return b.AppendEncoded(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
+	return binary.LittleEndian.AppendUint32(buf, uint32(length))
 }
 
 // readFrame reads and validates one frame from r. Truncation anywhere —
 // mid-header or mid-payload — returns an error (io.EOF only when the
 // stream ends cleanly between frames), and claimed sizes are bounds-checked
-// before the payload is allocated.
-func readFrame(r io.Reader) (frame, error) {
-	var op [1]byte
-	if _, err := io.ReadFull(r, op[:]); err != nil {
+// before the payload is allocated. The frame is read into buf's storage
+// when it fits, so a reader that passes each data frame's payload back in
+// as the next call's buf reads a whole connection through one buffer; the
+// payload is then valid only until that next call.
+func readFrame(r io.Reader, buf []byte) (frame, error) {
+	if cap(buf) < dataFrameHeaderSize {
+		buf = make([]byte, dataFrameHeaderSize)
+	}
+	op := buf[:1]
+	if _, err := io.ReadFull(r, op); err != nil {
 		if err == io.EOF {
 			return frame{}, io.EOF
 		}
@@ -81,8 +93,8 @@ func readFrame(r io.Reader) (frame, error) {
 	default:
 		return frame{}, fmt.Errorf("transport: unknown frame op %d", op[0])
 	}
-	var hdr [dataFrameHeaderSize - 1]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := buf[:dataFrameHeaderSize-1]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return frame{}, fmt.Errorf("transport: truncated frame header: %w", err)
 	}
 	f := frame{
@@ -90,14 +102,17 @@ func readFrame(r io.Reader) (frame, error) {
 		target: int(binary.LittleEndian.Uint32(hdr[0:])),
 		count:  int(binary.LittleEndian.Uint32(hdr[4:])),
 	}
-	length := int64(binary.LittleEndian.Uint32(hdr[8:]))
+	length := int(binary.LittleEndian.Uint32(hdr[8:]))
 	if f.count <= 0 || f.count > maxFrameRecords {
 		return frame{}, fmt.Errorf("transport: frame claims %d records (max %d)", f.count, maxFrameRecords)
 	}
 	if length <= 0 || length > maxFramePayload {
 		return frame{}, fmt.Errorf("transport: frame claims %d payload bytes (max %d)", length, maxFramePayload)
 	}
-	f.payload = make([]byte, length)
+	if cap(buf) < length {
+		buf = make([]byte, length)
+	}
+	f.payload = buf[:length]
 	if _, err := io.ReadFull(r, f.payload); err != nil {
 		return frame{}, fmt.Errorf("transport: truncated frame payload (%d bytes claimed): %w", length, err)
 	}
@@ -106,18 +121,13 @@ func readFrame(r io.Reader) (frame, error) {
 
 // writeFrame writes a previously read frame back out verbatim — the
 // worker's relay step. The header is re-encoded from the parsed fields,
-// which round-trips exactly for any frame readFrame accepted.
-func writeFrame(w io.Writer, f frame) error {
+// which round-trips exactly for any frame readFrame accepted, into w's own
+// free space, so relaying a frame allocates nothing.
+func writeFrame(w *bufio.Writer, f frame) error {
 	if f.op == frameEOS {
-		_, err := w.Write([]byte{frameEOS})
-		return err
+		return w.WriteByte(frameEOS)
 	}
-	hdr := make([]byte, 0, dataFrameHeaderSize)
-	hdr = append(hdr, frameData)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(f.target))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(f.count))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(f.payload)))
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(appendDataHeader(w.AvailableBuffer(), f.target, f.count, len(f.payload))); err != nil {
 		return err
 	}
 	_, err := w.Write(f.payload)
@@ -126,23 +136,12 @@ func writeFrame(w io.Writer, f frame) error {
 
 // decodeBatch decodes a data frame's payload into a fresh pooled batch:
 // exactly f.count records consuming exactly the payload, anything else is
-// a malformed frame. Decoded records copy their string payloads, so the
-// batch does not alias the frame buffer.
+// a malformed frame. The batch shares no storage with the payload, so the
+// frame's buffer can take the next frame at once.
 func decodeBatch(f frame) (*record.Batch, error) {
-	b := record.GetBatch()
-	pos := 0
-	for i := 0; i < f.count; i++ {
-		r, n, err := record.DecodeRecord(f.payload[pos:])
-		if err != nil {
-			record.PutBatch(b)
-			return nil, fmt.Errorf("transport: frame record %d of %d: %w", i, f.count, err)
-		}
-		pos += n
-		b.Append(r)
-	}
-	if pos != len(f.payload) {
-		record.PutBatch(b)
-		return nil, fmt.Errorf("transport: frame payload has %d trailing bytes after %d records", len(f.payload)-pos, f.count)
+	b, err := record.DecodeBatch(f.payload, f.count)
+	if err != nil {
+		return nil, fmt.Errorf("transport: frame of %d records: %w", f.count, err)
 	}
 	return b, nil
 }

@@ -397,10 +397,13 @@ func (s *tcpShuffle) failTargets(wc *tcpWorkerConn, err error) {
 // their targets' receive channels, end of stream closing them, and any
 // connection failure — a mid-batch drop included — terminating the
 // targets' streams with an error instead of hanging their collectors.
+// Decoded batches own their records, so one payload buffer serves every
+// frame of the connection.
 func (s *tcpShuffle) demux(wc *tcpWorkerConn) {
 	br := bufio.NewReader(wc.conn)
+	var buf []byte
 	for {
-		f, err := readFrame(br)
+		f, err := readFrame(br, buf)
 		if err != nil {
 			s.failTargets(wc, fmt.Errorf("transport: read from worker %s: %w", wc.addr, err))
 			return
@@ -420,6 +423,7 @@ func (s *tcpShuffle) demux(wc *tcpWorkerConn) {
 			s.failTargets(wc, err)
 			return
 		}
+		buf = f.payload
 		wc.framesIn.Add(1)
 		wc.bytesIn.Add(int64(dataFrameHeaderSize + len(f.payload)))
 		s.chans[f.target] <- b

@@ -387,7 +387,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if len(buf) != dataFrameHeaderSize+size {
 		t.Fatalf("frame is %d bytes, want %d", len(buf), dataFrameHeaderSize+size)
 	}
-	f, err := readFrame(bytes.NewReader(buf))
+	f, err := readFrame(bytes.NewReader(buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,30 +409,51 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	// Truncations at every boundary fail instead of hanging or panicking.
 	for cut := 1; cut < len(buf); cut++ {
-		if _, err := readFrame(bytes.NewReader(buf[:cut])); err == nil {
+		if _, err := readFrame(bytes.NewReader(buf[:cut]), nil); err == nil {
 			t.Fatalf("frame truncated to %d bytes decoded successfully", cut)
 		}
 	}
 	// An oversized length prefix is rejected before allocation.
 	big := append([]byte(nil), buf...)
 	big[9], big[10], big[11], big[12] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := readFrame(bytes.NewReader(big)); err == nil {
+	if _, err := readFrame(bytes.NewReader(big), nil); err == nil {
 		t.Fatal("oversized length prefix accepted")
 	}
 }
 
 // FuzzReadFrame fuzzes the frame decoder end to end: arbitrary bytes must
 // never panic, never allocate past the frame caps, and any frame that
-// decodes must re-encode to the bytes consumed.
+// decodes must re-encode to the bytes consumed — even after the payload
+// buffer, which the read paths reuse for the next frame, is overwritten.
 func FuzzReadFrame(f *testing.F) {
-	b := record.GetBatch()
-	b.Append(record.Record{record.Int(1), record.String("seed")})
-	f.Add(appendDataFrame(nil, 0, b))
+	frameOf := func(recs ...record.Record) []byte {
+		b := record.GetBatch()
+		for _, r := range recs {
+			b.Append(r)
+		}
+		return appendDataFrame(nil, 1, b)
+	}
+	f.Add(frameOf(record.Record{record.Int(1), record.String("seed")}))
+	mixed := frameOf(
+		record.Record{record.Int(1), record.String("alpha"), record.Null, record.Bool(true)},
+		record.Record{record.Float(2.5), record.String(""), record.Bool(false), record.String("βeta")},
+		record.Record{},
+		record.Record{record.Null, record.Null},
+	)
+	f.Add(mixed)
+	f.Add(append(append([]byte(nil), mixed...), 0xff)) // a byte past the frame
+	trailing := append([]byte(nil), mixed...)
+	trailing[5]-- // one record fewer than the payload holds
+	f.Add(trailing)
+	huge := []byte{frameData, 0, 0, 0, 0, 1, 0, 0, 0, 13, 0, 0, 0}
+	huge = append(huge, 0, 0, 0, 1, byte(record.KindInt), 1, 2, 3, 4, 5, 6, 7, 8) // 2^24 fields claimed
+	f.Add(huge)
 	f.Add([]byte{frameEOS})
 	f.Add([]byte{frameData, 0, 0, 0, 0, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{})
+	buf := make([]byte, 0, 64)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := readFrame(bytes.NewReader(data))
+		fr, err := readFrame(bytes.NewReader(data), buf)
 		if err != nil {
 			return
 		}
@@ -442,6 +463,9 @@ func FuzzReadFrame(f *testing.F) {
 		batch, err := decodeBatch(fr)
 		if err != nil {
 			return
+		}
+		for i := range fr.payload {
+			fr.payload[i] = 0xA5
 		}
 		// A decodable frame must round-trip byte-for-byte.
 		out := appendDataFrame(nil, fr.target, batch)

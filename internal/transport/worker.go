@@ -199,11 +199,14 @@ func (w *Worker) serveControl(br *bufio.Reader, conn net.Conn) {
 // where the bytes of its hosted targets live between send and collect. The
 // relay ends at the EOS frame (echoed so the coordinator's demultiplexer
 // sees end of stream after the last data frame) or on any error, whose
-// connection teardown the coordinator surfaces as a job error.
+// connection teardown the coordinator surfaces as a job error. A frame is
+// written out before the next is read, so one payload buffer serves the
+// whole connection.
 func (w *Worker) serveShuffle(br *bufio.Reader, conn net.Conn) {
 	bw := bufio.NewWriter(conn)
+	var buf []byte
 	for {
-		f, err := readFrame(br)
+		f, err := readFrame(br, buf)
 		if err != nil {
 			return
 		}
@@ -214,6 +217,7 @@ func (w *Worker) serveShuffle(br *bufio.Reader, conn net.Conn) {
 			bw.Flush()
 			return
 		}
+		buf = f.payload
 		w.relayFrames.Add(1)
 		w.relayBytes.Add(int64(dataFrameHeaderSize + len(f.payload)))
 		if err := bw.Flush(); err != nil {
