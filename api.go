@@ -129,15 +129,12 @@ func MustParseUDFs(src string) *UDFProgram { return tac.MustParse(src) }
 // (if/else, while, expressions, record and group built-ins) — down to
 // three-address code. The compiled program is what both the engine executes
 // and the static analysis inspects, mirroring the paper's
-// Java-source-to-bytecode toolchain.
+// Java-source-to-bytecode toolchain; its String method renders it as the
+// textual three-address code ParseUDFs reads.
 func CompileUDFs(src string) (*UDFProgram, error) { return frontend.Compile(src) }
 
 // MustCompileUDFs is CompileUDFs, panicking on error.
 func MustCompileUDFs(src string) *UDFProgram { return frontend.MustCompile(src) }
-
-// CompileUDFsToTAC returns the textual three-address code the PactScript
-// compiler produces (what the optimizer's analysis sees).
-func CompileUDFsToTAC(src string) (string, error) { return frontend.CompileToTAC(src) }
 
 // AnalyzeUDF statically derives a UDF's effect (Section 5 of the paper):
 // read and write sets, condition reads, implicit copy/projection behaviour,

@@ -153,9 +153,9 @@ S: return
 	}
 }
 
-// TestFacadeCompileToTAC exposes the compiled form.
+// TestFacadeCompileToTAC exposes the compiled form as TAC text.
 func TestFacadeCompileToTAC(t *testing.T) {
-	text, err := blackboxflow.CompileUDFsToTAC(`
+	prog, err := blackboxflow.CompileUDFs(`
 map f(ir) {
 	emit ir
 }
@@ -163,6 +163,7 @@ map f(ir) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	text := prog.String()
 	if !strings.Contains(text, "emit $ir") {
 		t.Errorf("generated TAC = %q", text)
 	}

@@ -453,7 +453,7 @@ func reduce sum($g) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			f, _ := prog.Lookup(c.udf)
-			r, err := tac.NewInterp().NewRunner(f, c.kind)
+			r, err := tac.NewRunner(f, c.kind)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -50,18 +50,13 @@ reduce perDevice(g) {
 `
 
 func main() {
-	// Show what the static analysis will see.
-	tacText, err := blackboxflow.CompileUDFsToTAC(script)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("compiled three-address code:")
-	fmt.Println(tacText)
-
 	prog, err := blackboxflow.CompileUDFs(script)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Show what the static analysis will see.
+	fmt.Println("compiled three-address code:")
+	fmt.Println(prog)
 
 	flow := blackboxflow.NewFlow()
 	src := flow.Source("samples", []string{"device", "reading", "valid"},

@@ -122,7 +122,7 @@ func reduce sum($g) {
 		{"sum", tac.KindReduce, 3, func(r *tac.Runner) error { return r.Reduce(group, sink) }},
 	} {
 		fn, _ := prog.Lookup(c.name)
-		runner, err := tac.NewInterp().NewRunner(fn, c.kind)
+		runner, err := tac.NewRunner(fn, c.kind)
 		if err != nil {
 			t.Fatal(err)
 		}

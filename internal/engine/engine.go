@@ -42,7 +42,6 @@ import (
 	"blackboxflow/internal/obs"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
 	"blackboxflow/internal/transport"
 )
 
@@ -241,13 +240,6 @@ type Engine struct {
 	// into the same set); nil disables observation.
 	Hists *obs.EngineHists
 }
-
-// interp runs every engine's UDFs. It holds one word, the step limit, that
-// each interpreted instruction reads; an interpreter allocated per engine —
-// per job, under the scheduler — lands on a cache line beside that job's
-// Runner frames, which every instruction writes (textmine.udf
-// cpu_ms_per_job +8%, PR 22).
-var interp = tac.NewInterp()
 
 // New returns an engine with the given parallelism.
 func New(dop int) *Engine {

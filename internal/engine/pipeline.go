@@ -363,7 +363,7 @@ func (e *Engine) recvBudget(p *optimizer.PhysPlan) int {
 // runner binds the calling goroutine to op's UDF, which must be of the given
 // kind.
 func (e *Engine) runner(op *dataflow.Operator, kind tac.Kind) (*tac.Runner, error) {
-	r, err := interp.NewRunner(op.UDF, kind)
+	r, err := tac.NewRunner(op.UDF, kind)
 	if err != nil {
 		return nil, &opError{op.Name, err}
 	}

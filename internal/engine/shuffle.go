@@ -202,7 +202,7 @@ func (s *sender) run(ctx context.Context, part []record.Record, ed *edge) {
 	defer s.st.sh.SenderDone()
 	feed, err := s.e.chainFeed(ed.chain, s.chain, s.route)
 	if err == nil && s.combiner != nil {
-		if s.combine, err = interp.NewRunner(s.combiner.Combiner, tac.KindReduce); err != nil {
+		if s.combine, err = tac.NewRunner(s.combiner.Combiner, tac.KindReduce); err != nil {
 			err = s.combinerError(err)
 		}
 	}

@@ -1,5 +1,7 @@
 package frontend
 
+import "blackboxflow/internal/tac"
+
 // The PactScript abstract syntax tree.
 
 // File is a parsed source file: a list of UDFs.
@@ -9,7 +11,7 @@ type File struct {
 
 // FuncDecl is one UDF declaration.
 type FuncDecl struct {
-	Kind   string // "map", "binary", "reduce", "cogroup" ("cross"/"match" alias binary)
+	Kind   tac.Kind // "cross" and "match" declare binary functions
 	Name   string
 	Params []string
 	Body   []Stmt

@@ -1,33 +1,24 @@
 package frontend
 
 import (
+	"errors"
 	"fmt"
-	"strings"
+	"strconv"
+
+	"blackboxflow/internal/tac"
 )
 
-// codegen lowers one FuncDecl to textual three-address code, which is then
-// parsed (and validated) by package tac. It mirrors the TAC validator's
-// flow-insensitive variable-kind rules (scalar vs record vs group) so type
-// misuse is diagnosed here with source lines — anything that slips through
-// and fails tac's validation is by construction a compiler bug, which
-// Compile reports as an internal error.
+// codegen lowers one FuncDecl to a tac.Func. Every instruction carries the
+// line of the statement it came from, so tac.NewProgram — whose validation
+// owns the rules of a well-formed UDF: variable kinds, immutable inputs,
+// group receivers, parameter arity — reports them with source lines.
 type codegen struct {
-	lines   []string
+	body    []*tac.Instr
 	pending []string // labels waiting to attach to the next instruction
 	tmpN    int
 	labN    int
+	line    int // of the statement being lowered
 	params  map[string]bool
-	kinds   map[string]string // variable -> scalar | record | group
-}
-
-// setKind records a variable's kind, rejecting conflicting uses exactly
-// like tac.Validate's shallow kind check.
-func (g *codegen) setKind(name, kind string, line int) error {
-	if prev, ok := g.kinds[name]; ok && prev != kind {
-		return fmt.Errorf("line %d: variable %q used both as %s and %s", line, name, prev, kind)
-	}
-	g.kinds[name] = kind
-	return nil
 }
 
 func (g *codegen) tmp() string {
@@ -40,69 +31,38 @@ func (g *codegen) label(hint string) string {
 	return fmt.Sprintf("%s%d", hint, g.labN)
 }
 
-// emit writes one instruction, attaching pending labels. Extra pending
-// labels become goto-trampolines onto the first.
-func (g *codegen) emit(format string, args ...any) {
-	instr := fmt.Sprintf(format, args...)
+// emit appends one instruction, attaching pending labels. Extra pending
+// labels become goto-trampolines onto the last, which labels in.
+func (g *codegen) emit(in *tac.Instr) {
 	if len(g.pending) > 0 {
 		last := g.pending[len(g.pending)-1]
 		for _, l := range g.pending[:len(g.pending)-1] {
-			g.lines = append(g.lines, fmt.Sprintf("%s: goto %s", l, last))
+			g.body = append(g.body, &tac.Instr{Label: l, Op: tac.OpGoto, Target: last, Line: g.line})
 		}
-		instr = last + ": " + instr
+		in.Label = last
 		g.pending = g.pending[:0]
 	}
-	g.lines = append(g.lines, "\t"+instr)
+	in.Line = g.line
+	g.body = append(g.body, in)
 }
 
 // place marks a label position; it binds to the next emitted instruction.
 func (g *codegen) place(label string) { g.pending = append(g.pending, label) }
 
 // compileFunc lowers a single UDF.
-func compileFunc(fn *FuncDecl) (string, error) {
-	kind := fn.Kind
-	switch kind {
-	case "cross", "match":
-		kind = "binary"
-	}
-	wantParams := 1
-	if kind == "binary" || kind == "cogroup" {
-		wantParams = 2
-	}
-	if len(fn.Params) != wantParams {
-		return "", fmt.Errorf("line %d: %s function %s needs %d parameter(s), has %d",
-			fn.Line, fn.Kind, fn.Name, wantParams, len(fn.Params))
-	}
-
-	g := &codegen{params: map[string]bool{}, kinds: map[string]string{}}
-	paramKind := "record"
-	if kind == "reduce" || kind == "cogroup" {
-		paramKind = "group"
-	}
+func compileFunc(fn *FuncDecl) (*tac.Func, error) {
+	g := &codegen{params: map[string]bool{}, line: fn.Line}
+	f := &tac.Func{Name: fn.Name, Kind: fn.Kind}
 	for _, p := range fn.Params {
-		if g.params[p] {
-			return "", fmt.Errorf("line %d: duplicate parameter %q", fn.Line, p)
-		}
 		g.params[p] = true
-		g.kinds[p] = paramKind
+		f.Params = append(f.Params, "$"+p)
 	}
 	if err := g.stmts(fn.Body); err != nil {
-		return "", fmt.Errorf("func %s: %w", fn.Name, err)
+		return nil, fmt.Errorf("func %s: %w", fn.Name, err)
 	}
-	g.emit("return")
-
-	var b strings.Builder
-	dollars := make([]string, len(fn.Params))
-	for i, p := range fn.Params {
-		dollars[i] = "$" + p
-	}
-	fmt.Fprintf(&b, "func %s %s(%s) {\n", kind, fn.Name, strings.Join(dollars, ", "))
-	for _, l := range g.lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-	b.WriteString("}\n")
-	return b.String(), nil
+	g.emit(&tac.Instr{Op: tac.OpReturn})
+	f.Body = g.body
+	return f, nil
 }
 
 func (g *codegen) stmts(ss []Stmt) error {
@@ -117,34 +77,30 @@ func (g *codegen) stmts(ss []Stmt) error {
 func (g *codegen) stmt(s Stmt) error {
 	switch st := s.(type) {
 	case *AssignStmt:
+		g.line = st.Line
 		return g.assign(st)
 	case *SetFieldStmt:
-		if g.params[st.Rec] {
-			return fmt.Errorf("line %d: cannot modify input parameter %q (inputs are immutable; write into a copy)", st.Line, st.Rec)
+		g.line = st.Line
+		in := &tac.Instr{Op: tac.OpSetField, Rec: "$" + st.Rec, Field: st.Index} // A is null for rec[i] = null
+		if st.Expr != nil {
+			op, err := g.expr(st.Expr)
+			if err != nil {
+				return err
+			}
+			in.A = op
 		}
-		if err := g.setKind(st.Rec, "record", st.Line); err != nil {
-			return err
-		}
-		if st.Expr == nil {
-			g.emit("setfield $%s %d null", st.Rec, st.Index)
-			return nil
-		}
-		op, err := g.expr(st.Expr)
-		if err != nil {
-			return err
-		}
-		g.emit("setfield $%s %d %s", st.Rec, st.Index, op)
+		g.emit(in)
 		return nil
 	case *EmitStmt:
-		if err := g.setKind(st.Rec, "record", st.Line); err != nil {
-			return err
-		}
-		g.emit("emit $%s", st.Rec)
+		g.line = st.Line
+		g.emit(&tac.Instr{Op: tac.OpEmit, Rec: "$" + st.Rec})
 		return nil
 	case *ReturnStmt:
-		g.emit("return")
+		g.line = st.Line
+		g.emit(&tac.Instr{Op: tac.OpReturn})
 		return nil
 	case *IfStmt:
+		g.line = st.Line
 		lThen := g.label("T")
 		lElse := g.label("E")
 		lEnd := lElse
@@ -159,7 +115,7 @@ func (g *codegen) stmt(s Stmt) error {
 			return err
 		}
 		if len(st.Else) > 0 {
-			g.emit("goto %s", lEnd)
+			g.emit(&tac.Instr{Op: tac.OpGoto, Target: lEnd})
 			g.place(lElse)
 			if err := g.stmts(st.Else); err != nil {
 				return err
@@ -168,6 +124,7 @@ func (g *codegen) stmt(s Stmt) error {
 		g.place(lEnd)
 		return nil
 	case *WhileStmt:
+		g.line = st.Line
 		lCond := g.label("W")
 		lBody := g.label("B")
 		lEnd := g.label("X")
@@ -179,7 +136,7 @@ func (g *codegen) stmt(s Stmt) error {
 		if err := g.stmts(st.Body); err != nil {
 			return err
 		}
-		g.emit("goto %s", lCond)
+		g.emit(&tac.Instr{Op: tac.OpGoto, Target: lCond})
 		g.place(lEnd)
 		return nil
 	default:
@@ -200,84 +157,42 @@ func (g *codegen) assign(st *AssignStmt) error {
 			if len(call.Args) != 1 {
 				return fmt.Errorf("line %d: copy() takes one record", call.Line)
 			}
-			rec, err := g.recordArg(call.Args[0], call.Line)
+			rec, err := recordArg(call.Args[0], call.Line)
 			if err != nil {
 				return err
 			}
-			if err := g.setKind(st.Name, "record", st.Line); err != nil {
-				return err
-			}
-			g.emit("%s := copyrec %s", dst, rec)
+			g.emit(&tac.Instr{Op: tac.OpCopyRec, Dst: dst, Rec: rec})
 			return nil
 		case "concat":
 			if len(call.Args) != 2 {
 				return fmt.Errorf("line %d: concat() takes two records", call.Line)
 			}
-			a, err := g.recordArg(call.Args[0], call.Line)
+			a, err := recordArg(call.Args[0], call.Line)
 			if err != nil {
 				return err
 			}
-			b, err := g.recordArg(call.Args[1], call.Line)
+			b, err := recordArg(call.Args[1], call.Line)
 			if err != nil {
 				return err
 			}
-			if err := g.setKind(st.Name, "record", st.Line); err != nil {
-				return err
-			}
-			g.emit("%s := concat %s %s", dst, a, b)
+			g.emit(&tac.Instr{Op: tac.OpConcatRec, Dst: dst, Rec: a, Rec2: b})
 			return nil
 		case "new":
 			if len(call.Args) != 0 {
 				return fmt.Errorf("line %d: new() takes no arguments", call.Line)
 			}
-			if err := g.setKind(st.Name, "record", st.Line); err != nil {
-				return err
-			}
-			g.emit("%s := newrec", dst)
-			return nil
-		case "at":
-			if len(call.Args) != 1 {
-				return fmt.Errorf("line %d: at() takes one index", call.Line)
-			}
-			if err := g.groupRecv(call); err != nil {
-				return err
-			}
-			idx, err := g.expr(call.Args[0])
-			if err != nil {
-				return err
-			}
-			if err := g.setKind(st.Name, "record", st.Line); err != nil {
-				return err
-			}
-			g.emit("%s := groupget $%s %s", dst, call.Recv, idx)
+			g.emit(&tac.Instr{Op: tac.OpNewRec, Dst: dst})
 			return nil
 		}
-	}
-	// Scalar expression: lower directly into the destination.
-	if err := g.setKind(st.Name, "scalar", st.Line); err != nil {
-		return err
 	}
 	return g.exprInto(dst, st.Expr)
 }
 
-// groupRecv checks that a group method's receiver is a group-kind function
-// parameter (a reduce or cogroup input) — the only values of group type.
-// Anything else would lower to TAC the validator rejects.
-func (g *codegen) groupRecv(call *CallExpr) error {
-	if !g.params[call.Recv] || g.kinds[call.Recv] != "group" {
-		return fmt.Errorf("line %d: %s() receiver %q is not a group parameter", call.Line, call.Fn, call.Recv)
-	}
-	return nil
-}
-
 // recordArg resolves an expression that must denote a record variable.
-func (g *codegen) recordArg(e Expr, line int) (string, error) {
+func recordArg(e Expr, line int) (string, error) {
 	id, ok := e.(*Ident)
 	if !ok {
 		return "", fmt.Errorf("line %d: record argument must be a variable", line)
-	}
-	if err := g.setKind(id.Name, "record", line); err != nil {
-		return "", err
 	}
 	return "$" + id.Name, nil
 }
@@ -286,10 +201,14 @@ func (g *codegen) recordArg(e Expr, line int) (string, error) {
 func (g *codegen) exprInto(dst string, e Expr) error {
 	switch x := e.(type) {
 	case *Lit:
-		g.emit("%s := const %s", dst, x.Text)
+		imm, err := g.expr(x)
+		if err != nil {
+			return err
+		}
+		g.emit(&tac.Instr{Op: tac.OpConst, Dst: dst, A: imm})
 		return nil
 	case *Ident:
-		g.emit("%s := $%s", dst, x.Name)
+		g.emit(&tac.Instr{Op: tac.OpAssign, Dst: dst, A: tac.V("$" + x.Name)})
 		return nil
 	case *FieldExpr:
 		return g.getField(dst, x)
@@ -298,7 +217,9 @@ func (g *codegen) exprInto(dst string, e Expr) error {
 		if err != nil {
 			return err
 		}
-		g.emit("%s := %s %s", dst, map[string]string{"-": "neg", "!": "not"}[x.Op], op)
+		in, _ := tac.LookupOp(map[string]string{"-": "neg", "!": "not"}[x.Op])
+		in.Dst, in.A = dst, op
+		g.emit(&in)
 		return nil
 	case *BinExpr:
 		a, err := g.expr(x.L)
@@ -309,7 +230,9 @@ func (g *codegen) exprInto(dst string, e Expr) error {
 		if err != nil {
 			return err
 		}
-		g.emit("%s := %s %s %s", dst, a, x.Op, b)
+		in, _ := tac.LookupOp(x.Op)
+		in.Dst, in.A, in.B = dst, a, b
+		g.emit(&in)
 		return nil
 	case *CallExpr:
 		return g.callInto(dst, x)
@@ -318,57 +241,71 @@ func (g *codegen) exprInto(dst string, e Expr) error {
 	}
 }
 
-// expr lowers e to an operand: a literal text or a (possibly fresh)
+// expr lowers e to an operand: a literal's immediate or a (possibly fresh)
 // variable.
-func (g *codegen) expr(e Expr) (string, error) {
+func (g *codegen) expr(e Expr) (tac.Operand, error) {
 	switch x := e.(type) {
 	case *Lit:
-		return x.Text, nil
+		v, err := tac.ParseImm(x.Text)
+		if err != nil {
+			return tac.Operand{}, fmt.Errorf("line %d: %w", x.Line, err)
+		}
+		return tac.Operand{Imm: v}, nil
 	case *Ident:
-		return "$" + x.Name, nil
+		return tac.V("$" + x.Name), nil
 	default:
 		t := g.tmp()
 		if err := g.exprInto(t, e); err != nil {
-			return "", err
+			return tac.Operand{}, err
 		}
-		return t, nil
+		return tac.V(t), nil
 	}
+}
+
+// inVar returns op as a variable, loading an immediate into a fresh
+// temporary.
+func (g *codegen) inVar(op tac.Operand) tac.Operand {
+	if op.IsVar() {
+		return op
+	}
+	t := g.tmp()
+	g.emit(&tac.Instr{Op: tac.OpConst, Dst: t, A: op})
+	return tac.V(t)
+}
+
+// fieldIndex reads e as a literal field index: ok is false for anything
+// but an integer literal, and one past int's range is an error.
+func fieldIndex(e Expr, line int) (n int, ok bool, err error) {
+	lit, isLit := e.(*Lit)
+	if !isLit {
+		return 0, false, nil
+	}
+	n, err = strconv.Atoi(lit.Text)
+	if errors.Is(err, strconv.ErrRange) {
+		return 0, false, fmt.Errorf("line %d: field index %s out of range", line, lit.Text)
+	}
+	return n, err == nil, nil
 }
 
 // getField lowers rec[idx]: constant indices become static accesses,
 // anything else a dynamic access (which static analysis treats
 // conservatively — exactly the paper's compile-time-knowledge boundary).
 func (g *codegen) getField(dst string, x *FieldExpr) error {
-	if err := g.setKind(x.Rec, "record", x.Line); err != nil {
+	rec := "$" + x.Rec
+	n, static, err := fieldIndex(x.Index, x.Line)
+	if err != nil {
 		return err
 	}
-	if lit, ok := x.Index.(*Lit); ok && isIntLit(lit.Text) {
-		g.emit("%s := getfield $%s %s", dst, x.Rec, lit.Text)
+	if static {
+		g.emit(&tac.Instr{Op: tac.OpGetField, Dst: dst, Rec: rec, Field: n})
 		return nil
 	}
 	idx, err := g.expr(x.Index)
 	if err != nil {
 		return err
 	}
-	if !strings.HasPrefix(idx, "$") {
-		t := g.tmp()
-		g.emit("%s := const %s", t, idx)
-		idx = t
-	}
-	g.emit("%s := getfield $%s %s", dst, x.Rec, idx)
+	g.emit(&tac.Instr{Op: tac.OpGetField, Dst: dst, Rec: rec, FieldVar: true, A: g.inVar(idx)})
 	return nil
-}
-
-func isIntLit(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
 }
 
 // callInto lowers scalar built-in calls.
@@ -382,57 +319,49 @@ func (g *codegen) callInto(dst string, call *CallExpr) error {
 		if err != nil {
 			return err
 		}
-		g.emit("%s := %s %s", dst, call.Fn, op)
+		in, _ := tac.LookupOp(call.Fn)
+		in.Dst, in.A = dst, op
+		g.emit(&in)
 		return nil
 	case "contains":
 		if len(call.Args) != 2 {
 			return fmt.Errorf("line %d: contains() takes two arguments", call.Line)
 		}
-		a, err := g.expr(call.Args[0])
-		if err != nil {
-			return err
-		}
-		b, err := g.expr(call.Args[1])
-		if err != nil {
-			return err
-		}
-		g.emit("%s := %s contains %s", dst, a, b)
-		return nil
+		return g.exprInto(dst, &BinExpr{Op: "contains", L: call.Args[0], R: call.Args[1], Line: call.Line})
 	case "sum", "min", "max", "avg", "count":
 		if len(call.Args) != 2 {
 			return fmt.Errorf("line %d: %s(group, field) takes two arguments", call.Line, call.Fn)
 		}
 		grp, ok := call.Args[0].(*Ident)
-		if !ok || !g.params[grp.Name] || g.kinds[grp.Name] != "group" {
+		if !ok {
 			return fmt.Errorf("line %d: %s() group must be a group parameter", call.Line, call.Fn)
 		}
-		lit, ok := call.Args[1].(*Lit)
-		if !ok || !isIntLit(lit.Text) {
+		n, ok, err := fieldIndex(call.Args[1], call.Line)
+		if err != nil {
+			return err
+		}
+		if !ok {
 			return fmt.Errorf("line %d: %s() field index must be a constant integer", call.Line, call.Fn)
 		}
-		g.emit("%s := agg %s $%s %s", dst, call.Fn, grp.Name, lit.Text)
+		in, _ := tac.LookupOp(call.Fn)
+		in.Dst, in.Group, in.Field = dst, "$"+grp.Name, n
+		g.emit(&in)
 		return nil
 	case "size":
 		if len(call.Args) != 0 {
 			return fmt.Errorf("line %d: size() takes no arguments", call.Line)
 		}
-		if err := g.groupRecv(call); err != nil {
-			return err
-		}
-		g.emit("%s := groupsize $%s", dst, call.Recv)
+		g.emit(&tac.Instr{Op: tac.OpGroupSize, Dst: dst, Group: "$" + call.Recv})
 		return nil
 	case "at":
 		if len(call.Args) != 1 {
 			return fmt.Errorf("line %d: at() takes one index", call.Line)
 		}
-		if err := g.groupRecv(call); err != nil {
-			return err
-		}
 		idx, err := g.expr(call.Args[0])
 		if err != nil {
 			return err
 		}
-		g.emit("%s := groupget $%s %s", dst, call.Recv, idx)
+		g.emit(&tac.Instr{Op: tac.OpGroupGet, Dst: dst, Group: "$" + call.Recv, A: idx})
 		return nil
 	case "copy", "concat", "new":
 		return fmt.Errorf("line %d: %s() produces a record; bind it with := at statement level", call.Line, call.Fn)
@@ -470,8 +399,9 @@ func (g *codegen) cond(e Expr, lTrue, lFalse string) error {
 			if err != nil {
 				return err
 			}
-			g.emit("if %s %s %s goto %s", a, x.Op, b, lTrue)
-			g.emit("goto %s", lFalse)
+			cmp, _ := tac.LookupOp(x.Op)
+			g.emit(&tac.Instr{Op: tac.OpIf, A: a, Cmp: cmp.Bin, B: b, Target: lTrue})
+			g.emit(&tac.Instr{Op: tac.OpGoto, Target: lFalse})
 			return nil
 		}
 	case *UnExpr:
@@ -484,12 +414,7 @@ func (g *codegen) cond(e Expr, lTrue, lFalse string) error {
 	if err != nil {
 		return err
 	}
-	if !strings.HasPrefix(op, "$") {
-		t := g.tmp()
-		g.emit("%s := const %s", t, op)
-		op = t
-	}
-	g.emit("if %s goto %s", op, lTrue)
-	g.emit("goto %s", lFalse)
+	g.emit(&tac.Instr{Op: tac.OpIf, A: g.inVar(op), Target: lTrue})
+	g.emit(&tac.Instr{Op: tac.OpGoto, Target: lFalse})
 	return nil
 }

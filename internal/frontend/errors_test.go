@@ -43,6 +43,10 @@ func TestCompileErrorPaths(t *testing.T) {
 		{"agg arity", "reduce f(g) { x := sum(g) emit x }", "takes two arguments"},
 		{"agg group literal", "reduce f(g) { x := sum(1, 2) emit x }", "group must be a group parameter"},
 		{"record arg literal", "map f(ir) { x := copy(7) emit x }", "record argument must be a variable"},
+
+		// Literal field indices past int's range.
+		{"field index out of range", "map f(ir) { x := ir[99999999999999999999] emit ir }", "line 1: field index 99999999999999999999 out of range"},
+		{"agg field index out of range", "reduce f(g) {\n x := sum(g, 99999999999999999999) }", "line 2: field index 99999999999999999999 out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,6 +61,26 @@ func TestCompileErrorPaths(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestCompileRuleErrors pins, from PactScript, the rules of a well-formed
+// UDF that tac's validation owns: each error names where it occurred — the
+// line, or the function for a rule about its parameters.
+func TestCompileRuleErrors(t *testing.T) {
+	for _, tc := range []struct{ name, src, where, want string }{
+		{"kind conflict", "map f(ir) { x := 1\n x := copy(ir)\n emit x }", "line 2", "used both as"},
+		{"setfield on input", "map f(ir) {\n\tir[0] = 1\n\temit ir\n}", "line 2", "inputs are immutable"},
+		{"method on a non-group", "reduce f(g) {\n\tr := g.at(0)\n\ty := r.at(0)\n\temit y\n}", "line 3", "is not a group parameter"},
+		{"group method in map", "map f(ir) {\n\tn := ir.size()\n\temit ir\n}", "line 2", "group instruction in map function"},
+		{"duplicate parameter", "binary f(a, a) {\n\temit a\n}", "func f", "duplicate parameter"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Compile(tc.src)
+			if err == nil || !strings.Contains(err.Error(), tc.where) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want %q at %q", err, tc.want, tc.where)
 			}
 		})
 	}

@@ -2,25 +2,37 @@ package frontend
 
 import (
 	"fmt"
-	"strings"
 
 	"blackboxflow/internal/tac"
 )
 
 // Compile translates PactScript source into a validated three-address-code
-// program ready for execution and static analysis.
+// program ready for execution and static analysis. Program.String renders
+// what the analyses see.
 func Compile(src string) (*tac.Program, error) {
-	text, err := CompileToTAC(src)
+	prog, err := compile(src)
+	if err != nil {
+		return nil, fmt.Errorf("frontend: %w", err)
+	}
+	return prog, nil
+}
+
+func compile(src string) (*tac.Program, error) {
+	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := tac.Parse(text)
+	file, err := parseFile(toks)
 	if err != nil {
-		// A parse error on generated code is a compiler bug; surface the
-		// generated text to make it diagnosable.
-		return nil, fmt.Errorf("frontend: internal error: generated TAC does not parse: %w\n--- generated ---\n%s", err, text)
+		return nil, err
 	}
-	return prog, nil
+	funcs := make([]*tac.Func, len(file.Funcs))
+	for i, fn := range file.Funcs {
+		if funcs[i], err = compileFunc(fn); err != nil {
+			return nil, err
+		}
+	}
+	return tac.NewProgram(funcs)
 }
 
 // MustCompile is Compile, panicking on error (for static source text).
@@ -30,34 +42,4 @@ func MustCompile(src string) *tac.Program {
 		panic(err)
 	}
 	return p
-}
-
-// CompileToTAC translates PactScript source into textual three-address
-// code (useful for inspecting what the analyses will see).
-func CompileToTAC(src string) (string, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return "", fmt.Errorf("frontend: %w", err)
-	}
-	file, err := parseFile(toks)
-	if err != nil {
-		return "", fmt.Errorf("frontend: %w", err)
-	}
-	var b strings.Builder
-	seen := map[string]bool{}
-	for i, fn := range file.Funcs {
-		if seen[fn.Name] {
-			return "", fmt.Errorf("frontend: duplicate function %q", fn.Name)
-		}
-		seen[fn.Name] = true
-		text, err := compileFunc(fn)
-		if err != nil {
-			return "", fmt.Errorf("frontend: %w", err)
-		}
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		b.WriteString(text)
-	}
-	return b.String(), nil
 }

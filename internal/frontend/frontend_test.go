@@ -55,7 +55,7 @@ func compileFuncByName(t *testing.T, src, name string) *tac.Func {
 // collect makes one UDF call on a fresh tac.Runner and gathers what the UDF
 // emits.
 func collect(f *tac.Func, call func(r *tac.Runner, emit func(record.Record) error) error) ([]record.Record, error) {
-	r, err := tac.NewInterp().NewRunner(f, f.Kind)
+	r, err := tac.NewRunner(f, f.Kind)
 	if err != nil {
 		return nil, err
 	}
@@ -396,12 +396,14 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-// TestGeneratedTACIsParseable: the textual form is stable under reparsing.
+// TestGeneratedTACIsParseable: the compiled program renders as TAC text
+// that parses.
 func TestGeneratedTACIsParseable(t *testing.T) {
-	text, err := CompileToTAC(section3)
+	prog, err := Compile(section3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	text := prog.String()
 	if _, err := tac.Parse(text); err != nil {
 		t.Fatalf("generated TAC unparseable: %v\n%s", err, text)
 	}

@@ -1,8 +1,10 @@
 // Package frontend compiles PactScript, a small imperative surface
 // language for user-defined functions, into the three-address code of
-// package tac. It plays the role of the javac-to-bytecode step in the
-// paper's toolchain: UDF authors write structured code; the optimizer's
-// static analysis (package sca) runs on the compiled three-address form.
+// package tac: code generation builds tac instructions, each carrying its
+// source line, and tac.NewProgram validates and lowers them. It plays the
+// role of the javac-to-bytecode step in the paper's toolchain: UDF authors
+// write structured code; the optimizer's static analysis (package sca) runs
+// on the compiled three-address form.
 //
 // A PactScript UDF looks like:
 //
@@ -98,10 +100,8 @@ func lex(src string) ([]token, error) {
 			if j >= len(src) {
 				return nil, fmt.Errorf("line %d: unterminated string literal", line)
 			}
-			// String literals flow verbatim into the generated TAC, whose
-			// parser unquotes with Go syntax — so only Go-valid escapes may
-			// pass here, or the compiler would emit code it cannot stand
-			// behind.
+			// A string literal is Go-quoted, as tac.ParseImm reads it in
+			// code generation; a bad escape is a lexical error.
 			lit := src[i : j+1]
 			if _, err := strconv.Unquote(lit); err != nil {
 				return nil, fmt.Errorf("line %d: bad string literal %s: %v", line, lit, err)

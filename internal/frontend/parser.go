@@ -3,6 +3,8 @@ package frontend
 import (
 	"fmt"
 	"strconv"
+
+	"blackboxflow/internal/tac"
 )
 
 // parser is a recursive-descent parser over the token stream.
@@ -61,19 +63,20 @@ func parseFile(toks []token) (*File, error) {
 	return f, nil
 }
 
-var funcKinds = map[string]bool{
-	"map": true, "binary": true, "cross": true, "match": true,
-	"reduce": true, "cogroup": true,
+var funcKinds = map[string]tac.Kind{
+	"map": tac.KindMap, "binary": tac.KindBinary, "cross": tac.KindBinary, "match": tac.KindBinary,
+	"reduce": tac.KindReduce, "cogroup": tac.KindCoGroup,
 }
 
 func (p *parser) parseFunc() (*FuncDecl, error) {
 	line := p.cur().line
-	kind, err := p.ident()
+	word, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
-	if !funcKinds[kind] {
-		return nil, fmt.Errorf("line %d: unknown function kind %q", line, kind)
+	kind, ok := funcKinds[word]
+	if !ok {
+		return nil, fmt.Errorf("line %d: unknown function kind %q", line, word)
 	}
 	name, err := p.ident()
 	if err != nil {
@@ -191,8 +194,8 @@ func (p *parser) parseStmt() (Stmt, error) {
 		}
 		p.next()
 		idx, err := strconv.Atoi(idxTok.text)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: bad field index %q", line, idxTok.text)
+		if err != nil { // the token is all digits
+			return nil, fmt.Errorf("line %d: field index %s out of range", line, idxTok.text)
 		}
 		if err := p.expect("]"); err != nil {
 			return nil, err

@@ -108,8 +108,8 @@ S: return
 // set of probe records.
 // collectMap makes one Map call on a fresh tac.Runner and gathers what the
 // UDF emits.
-func collectMap(ip *tac.Interp, f *tac.Func, in record.Record) ([]record.Record, error) {
-	r, err := ip.NewRunner(f, tac.KindMap)
+func collectMap(f *tac.Func, in record.Record) ([]record.Record, error) {
+	r, err := tac.NewRunner(f, tac.KindMap)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +120,6 @@ func collectMap(ip *tac.Interp, f *tac.Func, in record.Record) ([]record.Record,
 
 func observedSets(t *testing.T, f *tac.Func, width int, rng *rand.Rand) (readSet, writeSet props.FieldSet) {
 	t.Helper()
-	ip := tac.NewInterp()
 	readSet, writeSet = props.FieldSet{}, props.FieldSet{}
 
 	probe := func() record.Record {
@@ -133,7 +132,7 @@ func observedSets(t *testing.T, f *tac.Func, width int, rng *rand.Rand) (readSet
 
 	for trial := 0; trial < 200; trial++ {
 		in := probe()
-		out, err := collectMap(ip, f, in)
+		out, err := collectMap(f, in)
 		if err != nil {
 			t.Fatalf("%v on %v", err, in)
 		}
@@ -157,7 +156,7 @@ func observedSets(t *testing.T, f *tac.Func, width int, rng *rand.Rand) (readSet
 		for n := 0; n < width; n++ {
 			mut := in.Clone()
 			mut.SetField(n, record.Int(in.Field(n).AsInt()+7))
-			mout, err := collectMap(ip, f, mut)
+			mout, err := collectMap(f, mut)
 			if err != nil {
 				t.Fatalf("%v on %v", err, mut)
 			}
@@ -216,13 +215,12 @@ func TestSCAConservatismRandomUDFs(t *testing.T) {
 		}
 
 		// Emit bounds must also be conservative.
-		ip := tac.NewInterp()
 		for probe := 0; probe < 50; probe++ {
 			in := make(record.Record, width)
 			for i := range in {
 				in[i] = record.Int(int64(rng.Intn(9) - 4))
 			}
-			out, err := collectMap(ip, f, in)
+			out, err := collectMap(f, in)
 			if err != nil {
 				t.Fatal(err)
 			}

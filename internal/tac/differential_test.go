@@ -144,14 +144,12 @@ type pair struct {
 	low, ref caller
 }
 
-// newPair returns nil for a function no Runner can be built for.
 func newPair(t testing.TB, f *tac.Func, limit int) *pair {
-	ip := tac.NewInterp().WithStepLimit(limit)
-	low, err := ip.NewRunner(f, f.Kind)
+	low, err := tac.NewRunnerLimit(f, f.Kind, limit)
 	if err != nil {
-		return nil
+		t.Fatalf("%s: %v", f.Name, err)
 	}
-	ref, err := ip.NewRefRunner(f, f.Kind)
+	ref, err := tac.NewRefRunner(f, f.Kind, limit)
 	if err != nil {
 		t.Fatalf("%s: %v", f.Name, err)
 	}
@@ -215,9 +213,6 @@ func compareFunc(t testing.TB, f *tac.Func, ins []input, deflt int) {
 	t.Helper()
 	for i, limit := range limits(deflt) {
 		p := newPair(t, f, limit)
-		if p == nil {
-			return
-		}
 		for _, in := range ins {
 			if p.check(t, in, 0) && i == 0 {
 				break
@@ -470,8 +465,8 @@ func q7Script(tb testing.TB) string {
 	return ""
 }
 
-// BenchmarkLowerQ7Script measures what Parse adds per cold Q7 document:
-// lowering the script's five functions.
+// BenchmarkLowerQ7Script measures what NewProgram adds to code generation
+// per cold Q7 document: validating and lowering the script's five functions.
 func BenchmarkLowerQ7Script(b *testing.B) {
 	prog := frontend.MustCompile(q7Script(b))
 	b.ReportAllocs()

@@ -3,10 +3,11 @@
 // Sections 3 and 5 of the paper ("Opening the Black Boxes in Data Flow
 // Optimization", Hueske et al., VLDB 2012).
 //
-// UDFs authored in TAC serve double duty: Parse lowers each function once to
-// a slot-typed program that a Runner *executes* when a data flow runs, and
-// package sca *analyzes* the same instructions to estimate read sets, write
-// sets, and emit cardinalities.
+// UDFs in TAC — parsed from text by Parse, or compiled from PactScript by
+// package frontend — serve double duty: NewProgram lowers each function once
+// to a slot-typed program that a Runner *executes* when a data flow runs,
+// and package sca *analyzes* the same instructions to estimate read sets,
+// write sets, and emit cardinalities.
 // Analyzing the very artifact that executes guarantees that the derived
 // properties are properties of the running code (the paper analyzes Java
 // bytecode via Soot; see DESIGN.md for the substitution argument).
@@ -14,6 +15,7 @@ package tac
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"blackboxflow/internal/record"
@@ -164,12 +166,33 @@ type Operand struct {
 // IsVar reports whether the operand is a variable reference.
 func (o Operand) IsVar() bool { return o.Var != "" }
 
-// String renders the operand.
+// String renders the operand as Parse reads it back.
 func (o Operand) String() string {
 	if o.IsVar() {
 		return o.Var
 	}
-	return o.Imm.String()
+	return immText(o.Imm)
+}
+
+// immText renders an immediate as ParseImm reads it back: null by name, a
+// float always with a fraction, exponent or name (so 3.0 stays a float) and
+// a string Go-quoted.
+func immText(v record.Value) string {
+	switch v.Kind() {
+	case record.KindInt:
+		return strconv.FormatInt(v.AsInt(), 10)
+	case record.KindFloat:
+		s := strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
+		if !strings.ContainsAny(s, ".eIN") { // not 1.5, 1e+21, ±Inf or NaN
+			s += ".0"
+		}
+		return s
+	case record.KindString:
+		return strconv.Quote(v.AsString())
+	case record.KindBool:
+		return strconv.FormatBool(v.AsBool())
+	}
+	return "null"
 }
 
 // V makes a variable operand.
@@ -199,7 +222,9 @@ type Instr struct {
 
 	Target string // jump target label
 
-	pos int // instruction index within the function (set by the parser)
+	Line int // source line: of the TAC text, or of the PactScript statement it was compiled from
+
+	pos int // instruction index within the function (set by NewProgram)
 }
 
 // Pos returns the instruction's index within its function body.
@@ -255,7 +280,8 @@ func (in *Instr) Uses() []string {
 	return u
 }
 
-// String renders the instruction in the textual TAC syntax accepted by Parse.
+// String renders the instruction in the textual TAC syntax; Parse reads it
+// back as the same instruction.
 func (in *Instr) String() string {
 	var b strings.Builder
 	if in.Label != "" {
@@ -263,7 +289,7 @@ func (in *Instr) String() string {
 	}
 	switch in.Op {
 	case OpConst:
-		fmt.Fprintf(&b, "%s := const %s", in.Dst, in.A.Imm)
+		fmt.Fprintf(&b, "%s := const %s", in.Dst, in.A)
 	case OpAssign:
 		fmt.Fprintf(&b, "%s := %s", in.Dst, in.A)
 	case OpBin:
@@ -289,7 +315,11 @@ func (in *Instr) String() string {
 	case OpGoto:
 		fmt.Fprintf(&b, "goto %s", in.Target)
 	case OpIf:
-		fmt.Fprintf(&b, "if %s %s %s goto %s", in.A, in.Cmp, in.B, in.Target)
+		if in.Cmp == BinInvalid { // truthiness test
+			fmt.Fprintf(&b, "if %s goto %s", in.A, in.Target)
+		} else {
+			fmt.Fprintf(&b, "if %s %s %s goto %s", in.A, in.Cmp, in.B, in.Target)
+		}
 	case OpReturn:
 		b.WriteString("return")
 	case OpGroupSize:
@@ -341,12 +371,8 @@ type Func struct {
 	Body   []*Instr
 
 	labelIndex map[string]int // label -> instruction position
-	numSlots   int            // distinct variables (set by the parser)
-	prog       *program       // the lowered form Runners execute (set by Parse)
+	prog       *program       // the lowered form Runners execute (set by NewProgram)
 }
-
-// NumSlots returns the number of distinct variables.
-func (f *Func) NumSlots() int { return f.numSlots }
 
 // NumInputs returns the number of data inputs (1 or 2).
 func (f *Func) NumInputs() int {
@@ -377,6 +403,41 @@ func (f *Func) String() string {
 type Program struct {
 	Funcs map[string]*Func
 	Order []string // declaration order
+}
+
+// NewProgram builds a program from functions in declaration order. It is the
+// one way a Program is made — Parse and frontend.Compile both end here — and
+// it rejects duplicate names, appends the implied trailing return, indexes
+// the labels, validates each function and lowers it for Runners, taking the
+// functions over.
+func NewProgram(funcs []*Func) (*Program, error) {
+	if len(funcs) == 0 {
+		return nil, fmt.Errorf("no functions in program")
+	}
+	p := &Program{Funcs: make(map[string]*Func, len(funcs))}
+	for _, f := range funcs {
+		if _, dup := p.Funcs[f.Name]; dup {
+			return nil, fmt.Errorf("duplicate function %q", f.Name)
+		}
+		if n := len(f.Body); n == 0 || f.Body[n-1].Op != OpReturn {
+			f.Body = append(f.Body, &Instr{Op: OpReturn})
+		}
+		f.labelIndex = make(map[string]int)
+		for i, in := range f.Body {
+			in.pos = i
+			if in.Label != "" {
+				f.labelIndex[in.Label] = i
+			}
+		}
+		kinds, err := validate(f)
+		if err != nil {
+			return nil, fmt.Errorf("func %s: %w", f.Name, err)
+		}
+		f.prog = lower(f, kinds)
+		p.Funcs[f.Name] = f
+		p.Order = append(p.Order, f.Name)
+	}
+	return p, nil
 }
 
 // Lookup returns the function with the given name.

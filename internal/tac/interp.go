@@ -27,21 +27,6 @@ type GroupSource interface {
 	Field(i, f int) record.Value
 }
 
-// Interp executes TAC functions through Runners. The zero value is not
-// usable; construct with NewInterp. An Interp holds only the step limit and
-// is safe for concurrent use by multiple goroutines; each goroutine calls
-// UDFs through its own Runner.
-type Interp struct {
-	stepLimit int
-}
-
-// NewInterp returns an interpreter with the default step limit.
-func NewInterp() *Interp { return &Interp{stepLimit: DefaultStepLimit} }
-
-// WithStepLimit returns a copy of the interpreter with the given per-call
-// instruction budget.
-func (ip *Interp) WithStepLimit(n int) *Interp { return &Interp{stepLimit: n} }
-
 // Records adapts a materialized row group to GroupSource.
 type Records []record.Record
 
@@ -49,35 +34,30 @@ func (g Records) Len() int                    { return len(g) }
 func (g Records) At(i int) record.Record      { return g[i] }
 func (g Records) Field(i, f int) record.Value { return g[i].Field(f) }
 
-// Runner is the one way to call a UDF: it binds an interpreter to one
-// function of one kind and runs the program Parse lowered that function to
-// over the runner's own registers — reused across calls, so a steady-state
-// call allocates nothing beyond the records the UDF itself builds — handing
-// every output record to the emit sink of the call (the sink may retain it:
-// the UDF never writes a record after emitting it). Map, Binary, Reduce and
-// CoGroup are the four argument shapes of that one call; the kind checked at
-// NewRunner says which of them the runner's owner uses. An error returned by
-// emit aborts the call and is reported verbatim — distinguish it from a UDF
-// error with AsEmitError. A Runner is not safe for concurrent use: one per
-// goroutine.
+// Runner is the one way to call a UDF: it binds one function of one kind
+// and runs the program NewProgram lowered that function to, at most
+// DefaultStepLimit instructions per call, over the runner's own registers
+// — reused across calls, so a steady-state call allocates nothing beyond
+// the records the UDF itself builds — handing every output record to the
+// emit sink of the call (the sink may retain it: the UDF never writes a
+// record after emitting it). Map, Binary, Reduce and CoGroup are the four
+// argument shapes of that one call; the kind checked at NewRunner says
+// which of them the runner's owner uses. An error returned by emit aborts
+// the call and is reported verbatim — distinguish it from a UDF error with
+// AsEmitError. A Runner is not safe for concurrent use: one per goroutine.
 type Runner struct {
-	ip *Interp
-	f  *Func
-	rg regs
+	f     *Func
+	limit int // instructions per call
+	rg    regs
 }
 
 // NewRunner returns a reusable runner for f, which must be of the given
-// kind and declare that kind's number of parameters.
-func (ip *Interp) NewRunner(f *Func, kind Kind) (*Runner, error) {
+// kind. NewProgram has already checked f's parameters against its kind.
+func NewRunner(f *Func, kind Kind) (*Runner, error) {
 	if f.Kind != kind {
 		return nil, fmt.Errorf("tac: %s is not a %s function", f.Name, kind)
 	}
-	// Two parameters sharing a name would share one typed slot, leaving the
-	// second argument nowhere to go.
-	if n := f.NumInputs(); len(f.Params) != n || f.NumSlots() < n || n == 2 && f.Params[0] == f.Params[1] {
-		return nil, fmt.Errorf("tac: %s function %s needs %d distinct parameters, has %v", kind, f.Name, n, f.Params)
-	}
-	return &Runner{ip: ip, f: f, rg: f.prog.newRegs()}, nil
+	return &Runner{f: f, limit: DefaultStepLimit, rg: f.prog.newRegs()}, nil
 }
 
 // Map calls a map-kind UDF on one input record.
@@ -115,7 +95,7 @@ func (r *Runner) CoGroup(left, right GroupSource, emit func(record.Record) error
 // run executes the lowered program from its first instruction, one step per
 // executed instruction.
 func (r *Runner) run() error {
-	ops, limit := r.f.prog.ops, r.ip.stepLimit
+	ops, limit := r.f.prog.ops, r.limit
 	var err error
 	for pc, steps := 0, 1; pc < len(ops); steps++ {
 		if steps > limit {

@@ -47,7 +47,7 @@ func (fr *frame) def(slot int, v rtVal) {
 // refRunner is the Runner of the reference interpreter: one function, one
 // reused frame, the same four call shapes.
 type refRunner struct {
-	ip    *Interp
+	limit int
 	f     *Func
 	fr    frame
 	slots []refSlots
@@ -77,12 +77,12 @@ func refSlotsOf(f *Func) []refSlots {
 	return sl
 }
 
-func (ip *Interp) newRefRunner(f *Func, kind Kind) (*refRunner, error) {
-	if _, err := ip.NewRunner(f, kind); err != nil {
+func newRefRunner(f *Func, kind Kind, limit int) (*refRunner, error) {
+	if _, err := NewRunner(f, kind); err != nil {
 		return nil, err
 	}
-	n := f.NumSlots()
-	return &refRunner{ip: ip, f: f, fr: frame{vals: make([]rtVal, n), set: make([]bool, n)}, slots: refSlotsOf(f)}, nil
+	n := len(varSlots(f))
+	return &refRunner{limit: limit, f: f, fr: frame{vals: make([]rtVal, n), set: make([]bool, n)}, slots: refSlotsOf(f)}, nil
 }
 
 // call runs the function on up to two arguments, clearing what the previous
@@ -93,7 +93,7 @@ func (r *refRunner) call(emit func(record.Record) error, args ...rtVal) error {
 	for slot, a := range args {
 		r.fr.def(slot, a)
 	}
-	return r.ip.runEmit(r.f, r.slots, &r.fr, emit)
+	return runEmit(r.f, r.limit, r.slots, &r.fr, emit)
 }
 
 func (r *refRunner) Map(in record.Record, emit func(record.Record) error) error {
@@ -113,14 +113,14 @@ func (r *refRunner) CoGroup(left, right GroupSource, emit func(record.Record) er
 }
 
 // runEmit executes f, passing every emitted record (already cloned) to emit.
-func (ip *Interp) runEmit(f *Func, sl []refSlots, fr *frame, emit func(record.Record) error) error {
+func runEmit(f *Func, limit int, sl []refSlots, fr *frame, emit func(record.Record) error) error {
 	pc := 0
 	steps := 0
 	body := f.Body
 	for pc < len(body) {
 		steps++
-		if steps > ip.stepLimit {
-			return fmt.Errorf("tac: %s exceeded step limit %d", f.Name, ip.stepLimit)
+		if steps > limit {
+			return fmt.Errorf("tac: %s exceeded step limit %d", f.Name, limit)
 		}
 		in, s := body[pc], sl[pc]
 		switch in.Op {

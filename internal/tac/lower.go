@@ -7,11 +7,11 @@ import (
 	"blackboxflow/internal/record"
 )
 
-// program is a Func lowered once, at the end of Parse: one op per
-// instruction, operands resolved to typed slots and jump targets to
-// indices. Validate fixes one kind per variable, so scalars, records and
-// groups live in separate slot arrays. A program is never written after
-// Parse returns; everything a call writes lives in the Runner's regs.
+// program is a Func lowered once, by NewProgram: one op per instruction,
+// operands resolved to typed slots and jump targets to indices. validate
+// fixes one kind per variable, so scalars, records and groups live in
+// separate slot arrays. A program is never written after NewProgram
+// returns; everything a call writes lives in the Runner's regs.
 type program struct {
 	ops                      []op
 	scalars, records, groups int // slot counts per kind
@@ -45,13 +45,6 @@ type recRef struct {
 	slot   int32
 	proven bool
 }
-
-// Variable kinds.
-const (
-	kindScalar uint8 = iota
-	kindRecord
-	kindGroup
-)
 
 // Record slot states. A record is owned when the call built it (newrec,
 // copyrec, concat, or the copy a setfield made) and nothing but its slot can
@@ -116,11 +109,12 @@ type lowering struct {
 	w    int
 }
 
-// lower compiles a validated function.
-func lower(f *Func) *program {
+// lower compiles a validated function, given the variable kinds validate
+// returned for it.
+func lower(f *Func, kinds map[string]uint8) *program {
 	l := &lowering{f: f, vars: varSlots(f)}
 	p := &program{ops: make([]op, len(f.Body))}
-	l.classify(p)
+	l.classify(p, kinds)
 	l.mustDefined()
 	for i, in := range f.Body {
 		o := &p.ops[i]
@@ -138,31 +132,14 @@ func lower(f *Func) *program {
 	return p
 }
 
-// classify gives every variable its kind — the parameters' by the function
-// kind, the rest by the instructions that define or read them as records
-// (Validate rejects any conflict) — and numbers the slots of each kind in
-// variable order, so parameters take slots 0 and 1 of theirs. A variable
-// only ever read as an operand is a scalar that is never defined.
-func (l *lowering) classify(p *program) {
+// classify takes every variable's kind from validate — a variable it did
+// not return is a scalar that is never defined — and numbers the slots of
+// each kind in variable order, so parameters take slots 0 and 1 of theirs.
+func (l *lowering) classify(p *program, kinds map[string]uint8) {
 	l.kind = make([]uint8, len(l.vars))
 	l.slot = make([]int32, len(l.vars))
-	param := kindRecord
-	if l.f.Kind == KindReduce || l.f.Kind == KindCoGroup {
-		param = kindGroup
-	}
-	for _, v := range l.f.Params {
-		l.kind[l.vars[v]] = param
-	}
-	for _, in := range l.f.Body {
-		switch in.Op {
-		case OpNewRec, OpCopyRec, OpConcatRec, OpGroupGet:
-			l.kind[l.vars[in.Dst]] = kindRecord
-		}
-		for _, v := range [...]string{in.Rec, in.Rec2} {
-			if v != "" {
-				l.kind[l.vars[v]] = kindRecord
-			}
-		}
+	for v, i := range l.vars {
+		l.kind[i] = kinds[v]
 	}
 	var n [3]int32
 	for v, k := range l.kind {

@@ -48,7 +48,7 @@ func map pass($ir) {
 		{"pass", func(r *Runner) error { return r.Map(in, sink) }},
 	} {
 		f := mustFunc(t, prog, c.udf)
-		r, err := NewInterp().NewRunner(f, f.Kind)
+		r, err := NewRunner(f, f.Kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func reduce f($g) {
 	emit $r
 }`), "f")
 	member := record.Record{record.Int(1), record.Int(2)}
-	out, err := collectReduce(NewInterp(), f, []record.Record{member})
+	out, err := collectReduce(f, []record.Record{member})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ END: return
 	} {
 		f := mustFunc(t, MustParse(c.src), "f")
 		in := record.Record{record.Int(0)}
-		_, err := collect(NewInterp(), f, f.Kind, func(r *Runner, emit sinkFn) error {
+		_, err := collect(f, f.Kind, func(r *Runner, emit sinkFn) error {
 			switch f.Kind {
 			case KindMap:
 				return r.Map(in, emit)
@@ -181,7 +181,7 @@ LT: emit $ir
 		{record.Int(1), record.Int(2)},
 		{record.Int(1), record.Float(1.5)},
 	} {
-		got, err := collectMap(NewInterp(), f, in)
+		got, err := collectMap(f, in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"blackboxflow/internal/record"
 )
@@ -22,18 +23,18 @@ import (
 //	    return
 //	}
 //
-// Commas are treated as whitespace. Labels may prefix an instruction or
-// stand on their own line. Comparison operators may be symbolic (>=) or
-// mnemonic (ge). A trailing `return` is implied if missing.
+// Commas outside string literals are treated as whitespace. Labels may
+// prefix an instruction or stand on their own line. Comparison operators may
+// be symbolic (>=) or mnemonic (ge). A trailing `return` is implied if
+// missing. Parse reads back what Program.String renders.
 func Parse(src string) (*Program, error) {
-	p := &Program{Funcs: map[string]*Func{}}
+	var funcs []*Func
 	var cur *Func
 	var pendingLabel string
 
 	lines := strings.Split(src, "\n")
 	for ln, raw := range lines {
-		line := stripComment(raw)
-		line = strings.TrimSpace(strings.ReplaceAll(line, ",", " "))
+		line := strings.TrimSpace(stripComment(raw))
 		if line == "" {
 			continue
 		}
@@ -48,9 +49,6 @@ func Parse(src string) (*Program, error) {
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %w", lineNo, err)
 			}
-			if _, dup := p.Funcs[f.Name]; dup {
-				return nil, fmt.Errorf("line %d: duplicate function %q", lineNo, f.Name)
-			}
 			cur = f
 			continue
 		case line == "}":
@@ -58,12 +56,10 @@ func Parse(src string) (*Program, error) {
 				return nil, fmt.Errorf("line %d: unmatched }", lineNo)
 			}
 			if pendingLabel != "" {
-				cur.Body = append(cur.Body, &Instr{Label: pendingLabel, Op: OpReturn})
+				cur.Body = append(cur.Body, &Instr{Label: pendingLabel, Op: OpReturn, Line: lineNo})
 				pendingLabel = ""
 			}
-			finishFunc(cur)
-			p.Funcs[cur.Name] = cur
-			p.Order = append(p.Order, cur.Name)
+			funcs = append(funcs, cur)
 			cur = nil
 			continue
 		}
@@ -95,23 +91,13 @@ func Parse(src string) (*Program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		in.Label = label
+		in.Label, in.Line = label, lineNo
 		cur.Body = append(cur.Body, in)
 	}
 	if cur != nil {
 		return nil, fmt.Errorf("unterminated func %q", cur.Name)
 	}
-	if len(p.Funcs) == 0 {
-		return nil, fmt.Errorf("no functions in program")
-	}
-	for _, name := range p.Order {
-		f := p.Funcs[name]
-		if err := Validate(f); err != nil {
-			return nil, fmt.Errorf("func %s: %w", name, err)
-		}
-		f.prog = lower(f)
-	}
-	return p, nil
+	return NewProgram(funcs)
 }
 
 // MustParse is Parse that panics on error; intended for static program text
@@ -130,6 +116,10 @@ func stripComment(s string) string {
 		switch s[i] {
 		case '"':
 			inStr = !inStr
+		case '\\':
+			if inStr {
+				i++ // an escaped quote does not end the string
+			}
 		case '#':
 			if !inStr {
 				return s[:i]
@@ -182,14 +172,7 @@ func parseFuncHeader(line string) (*Func, error) {
 	default:
 		return nil, fmt.Errorf("unknown func kind %q", head[0])
 	}
-	params := strings.Fields(rest[open+1 : close_])
-	want := 1
-	if kind == KindBinary || kind == KindCoGroup {
-		want = 2
-	}
-	if len(params) != want {
-		return nil, fmt.Errorf("%s func needs %d params, got %d", head[0], want, len(params))
-	}
+	params := strings.FieldsFunc(rest[open+1:close_], func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 	for _, pn := range params {
 		if !strings.HasPrefix(pn, "$") {
 			return nil, fmt.Errorf("parameter %q must start with $", pn)
@@ -205,12 +188,24 @@ var symbolicBin = map[string]BinOp{
 	".": BinConcat,
 }
 
-func lookupBin(tok string) (BinOp, bool) {
+// LookupOp resolves an operator as TAC spells it — a binary operator by
+// symbol or mnemonic ("<", "lt", "contains"), a unary operator or an
+// aggregate by mnemonic ("neg", "sum") — to the instruction shape that
+// applies it: Op and one of Bin, Un or Agg set.
+func LookupOp(tok string) (Instr, bool) {
 	if op, ok := symbolicBin[tok]; ok {
-		return op, true
+		return Instr{Op: OpBin, Bin: op}, true
 	}
-	op, ok := binOps[tok]
-	return op, ok
+	if op, ok := binOps[tok]; ok {
+		return Instr{Op: OpBin, Bin: op}, true
+	}
+	if op, ok := unOps[tok]; ok {
+		return Instr{Op: OpUn, Un: op}, true
+	}
+	if op, ok := aggOps[tok]; ok {
+		return Instr{Op: OpAgg, Agg: op}, true
+	}
+	return Instr{}, false
 }
 
 func parseInstr(line string) (*Instr, error) {
@@ -272,8 +267,9 @@ func parseIf(toks []string) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		cmp, ok := lookupBin(toks[2])
-		if !ok || !isComparison(cmp) && cmp != BinAnd && cmp != BinOr && cmp != BinContains {
+		op, _ := LookupOp(toks[2])
+		cmp := op.Bin // BinInvalid unless a binary operator
+		if !isComparison(cmp) && cmp != BinAnd && cmp != BinOr && cmp != BinContains {
 			return nil, fmt.Errorf("bad comparison %q", toks[2])
 		}
 		b, err := parseOperand(toks[3])
@@ -300,7 +296,7 @@ func parseAssign(dst string, rhs []string) (*Instr, error) {
 		if len(rhs) != 2 {
 			return nil, fmt.Errorf("const needs one immediate")
 		}
-		v, err := parseImm(rhs[1])
+		v, err := ParseImm(rhs[1])
 		if err != nil {
 			return nil, err
 		}
@@ -347,18 +343,19 @@ func parseAssign(dst string, rhs []string) (*Instr, error) {
 		if len(rhs) != 4 {
 			return nil, fmt.Errorf("agg needs: agg <fn> $g <field>")
 		}
-		fn, ok := aggOps[rhs[1]]
-		if !ok {
+		in, _ := LookupOp(rhs[1])
+		if in.Op != OpAgg {
 			return nil, fmt.Errorf("unknown aggregate %q", rhs[1])
 		}
 		n, err := strconv.Atoi(rhs[3])
 		if err != nil {
 			return nil, fmt.Errorf("agg field index %q must be a static integer", rhs[3])
 		}
-		return &Instr{Op: OpAgg, Dst: dst, Agg: fn, Group: rhs[2], Field: n}, nil
+		in.Dst, in.Group, in.Field = dst, rhs[2], n
+		return &in, nil
 	}
 
-	if op, ok := unOps[rhs[0]]; ok {
+	if in, _ := LookupOp(rhs[0]); in.Op == OpUn {
 		if len(rhs) != 2 {
 			return nil, fmt.Errorf("unary %s needs one operand", rhs[0])
 		}
@@ -366,12 +363,13 @@ func parseAssign(dst string, rhs []string) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Instr{Op: OpUn, Dst: dst, Un: op, A: a}, nil
+		in.Dst, in.A = dst, a
+		return &in, nil
 	}
 
 	// Infix binary: $d := <a> <op> <b>
 	if len(rhs) == 3 {
-		if op, ok := lookupBin(rhs[1]); ok {
+		if in, _ := LookupOp(rhs[1]); in.Op == OpBin {
 			a, err := parseOperand(rhs[0])
 			if err != nil {
 				return nil, err
@@ -380,7 +378,8 @@ func parseAssign(dst string, rhs []string) (*Instr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &Instr{Op: OpBin, Dst: dst, Bin: op, A: a, B: b}, nil
+			in.Dst, in.A, in.B = dst, a, b
+			return &in, nil
 		}
 	}
 
@@ -399,14 +398,17 @@ func parseOperand(tok string) (Operand, error) {
 	if strings.HasPrefix(tok, "$") {
 		return V(tok), nil
 	}
-	v, err := parseImm(tok)
+	v, err := ParseImm(tok)
 	if err != nil {
 		return Operand{}, err
 	}
 	return Operand{Imm: v}, nil
 }
 
-func parseImm(tok string) (record.Value, error) {
+// ParseImm reads an immediate: null, true, false, a Go-quoted string, an
+// int64, or else a float — so 3.0, and an integer past int64's range, are
+// floats.
+func ParseImm(tok string) (record.Value, error) {
 	switch tok {
 	case "null":
 		return record.Null, nil
@@ -431,15 +433,15 @@ func parseImm(tok string) (record.Value, error) {
 	return record.Null, fmt.Errorf("bad immediate %q", tok)
 }
 
-// tokenize splits an instruction line into tokens, keeping quoted strings
-// intact.
+// tokenize splits an instruction line into tokens at blanks and commas,
+// keeping quoted strings intact.
 func tokenize(line string) ([]string, error) {
 	var toks []string
 	i := 0
 	for i < len(line) {
 		c := line[i]
 		switch {
-		case c == ' ' || c == '\t':
+		case c == ' ' || c == '\t' || c == ',':
 			i++
 		case c == '"':
 			j := i + 1
@@ -456,7 +458,7 @@ func tokenize(line string) ([]string, error) {
 			i = j + 1
 		default:
 			j := i
-			for j < len(line) && line[j] != ' ' && line[j] != '\t' {
+			for j < len(line) && line[j] != ' ' && line[j] != '\t' && line[j] != ',' {
 				j++
 			}
 			toks = append(toks, line[i:j])
@@ -464,22 +466,6 @@ func tokenize(line string) ([]string, error) {
 		}
 	}
 	return toks, nil
-}
-
-// finishFunc assigns instruction positions, builds the label index, and
-// counts the variables.
-func finishFunc(f *Func) {
-	if n := len(f.Body); n == 0 || f.Body[n-1].Op != OpReturn {
-		f.Body = append(f.Body, &Instr{Op: OpReturn})
-	}
-	f.labelIndex = make(map[string]int)
-	for i, in := range f.Body {
-		in.pos = i
-		if in.Label != "" {
-			f.labelIndex[in.Label] = i
-		}
-	}
-	f.numSlots = len(varSlots(f))
 }
 
 // varSlots numbers f's variables, parameters first and the rest in order of

@@ -50,8 +50,8 @@ type sinkFn = func(record.Record) error
 
 // collect makes one call on a fresh Runner of the given kind and gathers
 // what the UDF emits.
-func collect(ip *Interp, f *Func, kind Kind, call func(*Runner, sinkFn) error) ([]record.Record, error) {
-	r, err := ip.NewRunner(f, kind)
+func collect(f *Func, kind Kind, call func(*Runner, sinkFn) error) ([]record.Record, error) {
+	r, err := NewRunner(f, kind)
 	if err != nil {
 		return nil, err
 	}
@@ -60,12 +60,12 @@ func collect(ip *Interp, f *Func, kind Kind, call func(*Runner, sinkFn) error) (
 	return out, err
 }
 
-func collectMap(ip *Interp, f *Func, in record.Record) ([]record.Record, error) {
-	return collect(ip, f, KindMap, func(r *Runner, emit sinkFn) error { return r.Map(in, emit) })
+func collectMap(f *Func, in record.Record) ([]record.Record, error) {
+	return collect(f, KindMap, func(r *Runner, emit sinkFn) error { return r.Map(in, emit) })
 }
 
-func collectReduce(ip *Interp, f *Func, g []record.Record) ([]record.Record, error) {
-	return collect(ip, f, KindReduce, func(r *Runner, emit sinkFn) error { return r.Reduce(Records(g), emit) })
+func collectReduce(f *Func, g []record.Record) ([]record.Record, error) {
+	return collect(f, KindReduce, func(r *Runner, emit sinkFn) error { return r.Reduce(Records(g), emit) })
 }
 
 func mustFunc(t *testing.T, p *Program, name string) *Func {
@@ -98,11 +98,10 @@ func TestParsePaperExample(t *testing.T) {
 // TestPaperTraces reproduces the record-level traces of Section 3.
 func TestPaperTraces(t *testing.T) {
 	p := MustParse(paperExample)
-	ip := NewInterp()
 	f1, f2, f3 := mustFunc(t, p, "f1"), mustFunc(t, p, "f2"), mustFunc(t, p, "f3")
 
 	run := func(f *Func, in record.Record) []record.Record {
-		out, err := collectMap(ip, f, in)
+		out, err := collectMap(f, in)
 		if err != nil {
 			t.Fatalf("%s(%v): %v", f.Name, in, err)
 		}
@@ -156,15 +155,50 @@ func TestPaperTraces(t *testing.T) {
 	}
 }
 
+// TestParseRoundTrip: Parse reads back what String renders as the same
+// instructions, immediates equal in kind and value — a null immediate, an
+// integral float and a truthiness test included, and a string holding a
+// comma, a '#' and an escaped quote.
 func TestParseRoundTrip(t *testing.T) {
-	p := MustParse(paperExample)
-	text := p.String()
-	p2, err := Parse(text)
-	if err != nil {
-		t.Fatalf("reparse failed: %v\n%s", err, text)
-	}
-	if p2.String() != text {
-		t.Errorf("round trip not stable:\n-- first --\n%s\n-- second --\n%s", text, p2.String())
+	shapes := `
+func map shapes($ir) {
+	$b := getfield $ir 0
+	$or := copyrec $ir
+	$q := 7 / 3.0
+	setfield $or 1 $q
+	setfield $or 2 null
+	$s := const "a,b #\"c\""
+	setfield $or 3 $s
+	if $b goto T
+	return
+T:	emit $or
+}`
+	for _, src := range []string{paperExample, shapes} {
+		p := MustParse(src)
+		text := p.String()
+		p2, err := Parse(text)
+		if err != nil {
+			t.Fatalf("reparse failed: %v\n%s", err, text)
+		}
+		for _, name := range p.Order {
+			f, f2 := p.Funcs[name], mustFunc(t, p2, name)
+			if len(f.Body) != len(f2.Body) {
+				t.Fatalf("%s: %d instructions, reparsed %d\n%s", name, len(f.Body), len(f2.Body), text)
+			}
+			for i, in := range f.Body {
+				a, b := *in, *f2.Body[i]
+				for _, o := range [][2]Operand{{a.A, b.A}, {a.B, b.B}} {
+					if o[0].Imm.Kind() != o[1].Imm.Kind() || o[0].Imm.String() != o[1].Imm.String() {
+						t.Errorf("%s instr %d: immediate %v (kind %d) reparsed as %v (kind %d)", name, i, o[0].Imm, o[0].Imm.Kind(), o[1].Imm, o[1].Imm.Kind())
+					}
+				}
+				a.A.Imm, a.B.Imm, a.Line = record.Null, record.Null, 0
+				b.A.Imm, b.B.Imm, b.Line = record.Null, record.Null, 0
+				if a != b {
+					t.Errorf("%s instr %d: %s reparsed as %s", name, i, in, f2.Body[i])
+				}
+			}
+		}
 	}
 }
 
@@ -176,7 +210,7 @@ func TestParseErrors(t *testing.T) {
 		{"nested func", "func map f($ir) {\nfunc map g($ir) {\n}\n}", "nested func"},
 		{"dup func", "func map f($ir) {\n}\nfunc map f($ir) {\n}", "duplicate function"},
 		{"bad kind", "func widget f($ir) {\n}", "unknown func kind"},
-		{"param count", "func map f($a, $b) {\n}", "needs 1 params"},
+		{"param count", "func map f($a, $b) {\n}", "needs 1 parameter"},
 		{"setfield on param", "func map f($ir) {\n setfield $ir 0 1 \n}", "inputs are immutable"},
 		{"group op in map", "func map f($ir) {\n $n := groupsize $ir \n}", "group instruction in map"},
 		{"kind confusion", "func map f($ir) {\n $x := getfield $ir 0\n emit $x \n}", "used both as"},
@@ -220,7 +254,7 @@ func reduce sumB($g) {
 		{record.Int(1), record.Int(10)},
 		{record.Int(1), record.Int(32)},
 	}
-	out, err := collectReduce(NewInterp(), f, g)
+	out, err := collectReduce(f, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +283,7 @@ DONE: return
 	p := MustParse(src)
 	f := mustFunc(t, p, "emitAll")
 	g := []record.Record{{record.Int(1)}, {record.Int(2)}, {record.Int(3)}}
-	out, err := collectReduce(NewInterp(), f, g)
+	out, err := collectReduce(f, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +303,7 @@ func binary join($l, $r) {
 	f := mustFunc(t, p, "join")
 	l := record.Record{record.Int(1), record.Null}
 	r := record.Record{record.Null, record.String("x")}
-	out, err := collect(NewInterp(), f, KindBinary, func(run *Runner, emit sinkFn) error { return run.Binary(l, r, emit) })
+	out, err := collect(f, KindBinary, func(run *Runner, emit sinkFn) error { return run.Binary(l, r, emit) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +332,7 @@ SKIP: return
 	g1 := []record.Record{{record.Int(1), record.Int(2)}}
 	g2 := []record.Record{{record.Int(9)}, {record.Int(8)}}
 	cg := func(l, r []record.Record) ([]record.Record, error) {
-		return collect(NewInterp(), f, KindCoGroup, func(run *Runner, emit sinkFn) error {
+		return collect(f, KindCoGroup, func(run *Runner, emit sinkFn) error {
 			return run.CoGroup(Records(l), Records(r), emit)
 		})
 	}
@@ -326,8 +360,11 @@ L: goto L
 }
 `
 	p := MustParse(src)
-	f := mustFunc(t, p, "spin")
-	_, err := collectMap(NewInterp().WithStepLimit(1000), f, record.Record{})
+	r, err := NewRunnerLimit(mustFunc(t, p, "spin"), KindMap, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = r.Map(record.Record{}, func(record.Record) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "step limit") {
 		t.Fatalf("err = %v, want step limit", err)
 	}
@@ -346,7 +383,7 @@ func TestRuntimeErrors(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p := MustParse(c.src)
 			f := mustFunc(t, p, "f")
-			_, err := collectMap(NewInterp(), f, record.Record{record.Int(1)})
+			_, err := collectMap(f, record.Record{record.Int(1)})
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("err = %v, want containing %q", err, c.wantErr)
 			}
@@ -357,7 +394,7 @@ func TestRuntimeErrors(t *testing.T) {
 func TestGroupGetOutOfRange(t *testing.T) {
 	p := MustParse("func reduce f($g) {\n $r := groupget $g 5\n emit $r\n}")
 	f := mustFunc(t, p, "f")
-	_, err := collectReduce(NewInterp(), f, []record.Record{{record.Int(1)}})
+	_, err := collectReduce(f, []record.Record{{record.Int(1)}})
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v, want out of range", err)
 	}
@@ -376,7 +413,7 @@ func map f($ir) {
 `
 	p := MustParse(src)
 	f := mustFunc(t, p, "f")
-	out, err := collectMap(NewInterp(), f, record.Record{record.Int(1)})
+	out, err := collectMap(f, record.Record{record.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +433,7 @@ func map f($ir) {
 	p := MustParse(src)
 	f := mustFunc(t, p, "f")
 	in := record.Record{record.Int(1)}
-	if _, err := collectMap(NewInterp(), f, in); err != nil {
+	if _, err := collectMap(f, in); err != nil {
 		t.Fatal(err)
 	}
 	if in.Field(0).AsInt() != 1 {
@@ -416,7 +453,7 @@ func map f($ir) {
 `
 	p := MustParse(src)
 	f := mustFunc(t, p, "f")
-	out, err := collectMap(NewInterp(), f, record.Record{record.Int(2), record.Int(7), record.Int(9)})
+	out, err := collectMap(f, record.Record{record.Int(2), record.Int(7), record.Int(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,9 +632,8 @@ func map f($ir) {
 }
 `)
 	f := mustFunc(t, p, "f")
-	ip := NewInterp()
 	prop := func(x int32) bool {
-		out, err := collectMap(ip, f, record.Record{record.Int(int64(x))})
+		out, err := collectMap(f, record.Record{record.Int(int64(x))})
 		if err != nil || len(out) != 1 {
 			return false
 		}
@@ -605,7 +641,7 @@ func map f($ir) {
 		if v < 0 {
 			return false
 		}
-		out2, err := collectMap(ip, f, out[0])
+		out2, err := collectMap(f, out[0])
 		return err == nil && out2[0].Field(0).AsInt() == v
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -646,12 +682,12 @@ USE:
 	emit $or
 }`), "f")
 	defines, skips := record.Record{record.Int(1)}, record.Record{record.Int(0)}
-	_, fresh := collectMap(NewInterp(), f, skips)
+	_, fresh := collectMap(f, skips)
 	const want = "tac: instr 3: use of undefined variable $local"
 	if fresh == nil || fresh.Error() != want {
 		t.Fatalf("fresh frame: err = %v, want %q", fresh, want)
 	}
-	r, err := NewInterp().NewRunner(f, KindMap)
+	r, err := NewRunner(f, KindMap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,7 +706,9 @@ USE:
 
 // TestNewRunnerRejectsKindAndArity pins that a Runner cannot be built for
 // the wrong call shape, so the four call methods never see a frame too
-// small for their arguments.
+// small for their arguments: NewRunner checks the kind, and a function
+// whose parameters do not fit its kind never gets that far — two sharing a
+// name would share one slot, leaving the second argument nowhere to go.
 func TestNewRunnerRejectsKindAndArity(t *testing.T) {
 	p := MustParse(`
 func map m($ir) {
@@ -684,23 +722,11 @@ func reduce r($g) {
 }
 func cogroup c($g1, $g2) {
 	return
-}
-func binary same($x, $x) {
-	emit $x
-}
-func match samewide($a, $a) {
-	$x := 1
-	$o := newrec
-}
-func cogroup samegroups($g, $g) {
-	$x := 1
-	$o := newrec
 }`)
-	ip := NewInterp()
 	kinds := map[string]Kind{"m": KindMap, "b": KindBinary, "r": KindReduce, "c": KindCoGroup}
 	for name, own := range kinds {
 		for _, kind := range []Kind{KindMap, KindBinary, KindReduce, KindCoGroup} {
-			_, err := ip.NewRunner(mustFunc(t, p, name), kind)
+			_, err := NewRunner(mustFunc(t, p, name), kind)
 			if kind == own {
 				if err != nil {
 					t.Errorf("NewRunner(%s, %s): %v", name, kind, err)
@@ -712,12 +738,15 @@ func cogroup samegroups($g, $g) {
 			}
 		}
 	}
-	// Two parameters sharing one name share one frame slot: the second
-	// argument would have nowhere to go, however many other variables the
-	// body has.
-	for name, kind := range map[string]Kind{"same": KindBinary, "samewide": KindBinary, "samegroups": KindCoGroup} {
-		if _, err := ip.NewRunner(mustFunc(t, p, name), kind); err == nil || !strings.Contains(err.Error(), "2 distinct parameters") {
-			t.Errorf("NewRunner(%s): err = %v, want an arity error", name, err)
+	for src, want := range map[string]string{
+		"func binary same($x, $x) {\n emit $x\n}":                       "duplicate parameter $x",
+		"func match samewide($a, $a) {\n $x := 1\n $o := newrec\n}":     "duplicate parameter $a",
+		"func cogroup samegroups($g, $g) {\n $x := 1\n $o := newrec\n}": "duplicate parameter $g",
+		"func binary one($l) {\n emit $l\n}":                            "needs 2 parameter(s), has 1",
+		"func reduce two($g1, $g2) {\n return\n}":                       "needs 1 parameter(s), has 2",
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q): err = %v, want %q", src, err, want)
 		}
 	}
 }
@@ -759,7 +788,7 @@ func map bad($ir) {
 	sinkFull := errors.New("sink full")
 	for name, call := range calls {
 		f := mustFunc(t, p, name)
-		r, err := NewInterp().NewRunner(f, f.Kind)
+		r, err := NewRunner(f, f.Kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -772,7 +801,7 @@ func map bad($ir) {
 			t.Errorf("%s: emit called %d times, want the call aborted after 1", name, emitted)
 		}
 	}
-	_, err := collectMap(NewInterp(), mustFunc(t, p, "bad"), rec)
+	_, err := collectMap(mustFunc(t, p, "bad"), rec)
 	if _, ok := AsEmitError(err); err == nil || ok {
 		t.Errorf("UDF failure %v must not look like a sink failure", err)
 	}
@@ -780,8 +809,11 @@ func map bad($ir) {
 
 // TestStepLimitMessage pins the step-limit error byte for byte.
 func TestStepLimitMessage(t *testing.T) {
-	f := mustFunc(t, MustParse("func map spin($ir) {\nL: goto L\n}"), "spin")
-	_, err := collectMap(NewInterp().WithStepLimit(1000), f, record.Record{})
+	r, err := NewRunnerLimit(mustFunc(t, MustParse("func map spin($ir) {\nL: goto L\n}"), "spin"), KindMap, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = r.Map(record.Record{}, func(record.Record) error { return nil })
 	if want := "tac: spin exceeded step limit 1000"; err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
 	}

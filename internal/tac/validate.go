@@ -1,45 +1,54 @@
 package tac
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Validate checks the structural well-formedness of a function:
+// Variable kinds. validate fixes one per variable, so the lowering keeps
+// scalars, records and groups in separate slot arrays.
+const (
+	kindScalar uint8 = iota
+	kindRecord
+	kindGroup
+)
+
+var kindNames = [...]string{kindScalar: "scalar", kindRecord: "record", kindGroup: "group"}
+
+// validate owns the rules of a well-formed UDF, for TAC text and compiled
+// PactScript alike:
 //
+//   - the function declares its kind's number of parameters, all distinct;
 //   - every jump target is a defined label;
 //   - group instructions appear only in key-at-a-time functions and
 //     reference group parameters;
 //   - input parameters are immutable (no setfield on a parameter) — the
 //     record API of the paper only mutates output records created by one of
 //     the constructors;
-//   - record/group variables are not used as scalars and vice versa (a
-//     shallow, flow-insensitive kind check).
-func Validate(f *Func) error {
-	isGroupParam := map[string]bool{}
-	isRecParam := map[string]bool{}
-	switch f.Kind {
-	case KindReduce, KindCoGroup:
-		for _, p := range f.Params {
-			isGroupParam[p] = true
-		}
-	default:
-		for _, p := range f.Params {
-			isRecParam[p] = true
-		}
+//   - each variable has one kind — scalar, record or group — a shallow,
+//     flow-insensitive check.
+//
+// An error names the line of the offending instruction. validate returns
+// the kind of every variable it met as a parameter, a definition or a
+// record operand; any other variable is a scalar that is only ever read.
+func validate(f *Func) (map[string]uint8, error) {
+	if n := f.NumInputs(); len(f.Params) != n {
+		return nil, fmt.Errorf("%s function needs %d parameter(s), has %d", f.Kind, n, len(f.Params))
 	}
-
-	// Flow-insensitive variable kinds: scalar, record, group.
-	kinds := map[string]string{}
-	for p := range isGroupParam {
-		kinds[p] = "group"
+	param := kindRecord
+	if f.Kind == KindReduce || f.Kind == KindCoGroup {
+		param = kindGroup
 	}
-	for p := range isRecParam {
-		kinds[p] = "record"
-	}
-	setKind := func(v, k string, pos int) error {
-		if v == "" {
-			return nil
+	kinds := map[string]uint8{}
+	for _, p := range f.Params {
+		if _, dup := kinds[p]; dup {
+			return nil, fmt.Errorf("duplicate parameter %s", p)
 		}
+		kinds[p] = param
+	}
+	setKind := func(in *Instr, v string, k uint8) error {
 		if prev, ok := kinds[v]; ok && prev != k {
-			return fmt.Errorf("instr %d: variable %s used both as %s and %s", pos, v, prev, k)
+			return fmt.Errorf("line %d: variable %s used both as %s and %s", in.Line, v, kindNames[prev], kindNames[k])
 		}
 		kinds[v] = k
 		return nil
@@ -49,55 +58,38 @@ func Validate(f *Func) error {
 		switch in.Op {
 		case OpGoto, OpIf:
 			if _, ok := f.labelIndex[in.Target]; !ok {
-				return fmt.Errorf("instr %d: undefined label %q", in.pos, in.Target)
+				return nil, fmt.Errorf("line %d: undefined label %q", in.Line, in.Target)
 			}
 		case OpSetField:
-			if isRecParam[in.Rec] || isGroupParam[in.Rec] {
-				return fmt.Errorf("instr %d: setfield on input parameter %s (inputs are immutable)", in.pos, in.Rec)
+			if slices.Contains(f.Params, in.Rec) {
+				return nil, fmt.Errorf("line %d: setfield on input parameter %s (inputs are immutable)", in.Line, in.Rec)
 			}
 		case OpGroupSize, OpGroupGet, OpAgg:
-			if f.Kind != KindReduce && f.Kind != KindCoGroup {
-				return fmt.Errorf("instr %d: group instruction in %s function", in.pos, f.Kind)
+			if param != kindGroup {
+				return nil, fmt.Errorf("line %d: group instruction in %s function", in.Line, f.Kind)
 			}
-			if !isGroupParam[in.Group] {
-				return fmt.Errorf("instr %d: %s is not a group parameter", in.pos, in.Group)
-			}
-		case OpGetField, OpCopyRec, OpEmit:
-			if isGroupParam[in.Rec] {
-				return fmt.Errorf("instr %d: group %s used as a record", in.pos, in.Rec)
-			}
-		case OpConcatRec:
-			if isGroupParam[in.Rec] || isGroupParam[in.Rec2] {
-				return fmt.Errorf("instr %d: group used as a record in concat", in.pos)
+			if !slices.Contains(f.Params, in.Group) {
+				return nil, fmt.Errorf("line %d: %s is not a group parameter", in.Line, in.Group)
 			}
 		}
 
-		// Kind propagation.
+		// Kind propagation: what an instruction defines, and the records it
+		// reads or writes. A group used as a record conflicts here.
 		var err error
 		switch in.Op {
-		case OpNewRec, OpCopyRec, OpConcatRec:
-			err = setKind(in.Dst, "record", in.pos)
-		case OpGroupGet:
-			err = setKind(in.Dst, "record", in.pos)
+		case OpNewRec, OpCopyRec, OpConcatRec, OpGroupGet:
+			err = setKind(in, in.Dst, kindRecord)
 		case OpConst, OpAssign, OpBin, OpUn, OpGetField, OpGroupSize, OpAgg:
-			err = setKind(in.Dst, "scalar", in.pos)
+			err = setKind(in, in.Dst, kindScalar)
+		}
+		for _, r := range [...]string{in.Rec, in.Rec2} {
+			if err == nil && r != "" {
+				err = setKind(in, r, kindRecord)
+			}
 		}
 		if err != nil {
-			return err
-		}
-		switch in.Op {
-		case OpGetField, OpSetField, OpCopyRec, OpEmit:
-			if err := setKind(in.Rec, "record", in.pos); err != nil {
-				return err
-			}
-		case OpConcatRec:
-			if err := setKind(in.Rec, "record", in.pos); err != nil {
-				return err
-			}
-			if err := setKind(in.Rec2, "record", in.pos); err != nil {
-				return err
-			}
+			return nil, err
 		}
 	}
-	return nil
+	return kinds, nil
 }

@@ -237,10 +237,10 @@ func TestTCPConnDropSurfacesError(t *testing.T) {
 	}
 
 	// A clean run has 38 to 41 ops, depending on how loopback reads split.
-	// The indices of a 38-op run are always swept, so the subtest names do
-	// not change from run to run; the computed ones still reach this run's
-	// last op.
-	ats := []int64{1, 2, 12, 19, 37, total / 3, total / 2, total - 1}
+	// The thirds and halves of every such run (12-13, 19-20) are always
+	// swept, so the subtest names do not change from run to run; total-1
+	// still reaches this run's last op.
+	ats := []int64{1, 2, 12, 13, 19, 20, 37, total - 1}
 	slices.Sort(ats)
 	for _, at := range slices.Compact(ats) {
 		t.Run(fmt.Sprintf("drop-at-%d", at), func(t *testing.T) {
