@@ -166,17 +166,6 @@ func (o *Operator) KeySet(i int) props.FieldSet {
 	return props.NewFieldSet(o.Keys[i]...)
 }
 
-// AllKeys returns the union of all inputs' key fields.
-func (o *Operator) AllKeys() props.FieldSet {
-	var s props.FieldSet
-	for _, k := range o.Keys {
-		for _, f := range k {
-			s.Add(f)
-		}
-	}
-	return s
-}
-
 // IsUDFOp reports whether the operator carries a user-defined function.
 func (o *Operator) IsUDFOp() bool {
 	switch o.Kind {

@@ -216,10 +216,6 @@ func TestKeySets(t *testing.T) {
 	if j.KeySet(5).Len() != 0 {
 		t.Error("out-of-range key set must be empty")
 	}
-	all := j.AllKeys()
-	if all.Len() != 2 {
-		t.Errorf("AllKeys = %v", all)
-	}
 }
 
 func TestSourceEffectSynthetic(t *testing.T) {

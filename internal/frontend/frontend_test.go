@@ -110,10 +110,10 @@ func TestSection3Properties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := e1.ResolveRead(in); !r.Equal(props.NewFieldSet(1)) {
+	if r := e1.ResolveRead(nil, in); !r.Equal(props.NewFieldSet(1)) {
 		t.Errorf("R_f1 = %v, want {1}", r)
 	}
-	if w := e1.ResolveWrite(in); !w.Equal(props.NewFieldSet(1)) {
+	if w := e1.ResolveWrite(nil, in); !w.Equal(props.NewFieldSet(1)) {
 		t.Errorf("W_f1 = %v, want {1}", w)
 	}
 
@@ -121,10 +121,10 @@ func TestSection3Properties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := e2.ResolveRead(in); !r.Equal(props.NewFieldSet(0)) {
+	if r := e2.ResolveRead(nil, in); !r.Equal(props.NewFieldSet(0)) {
 		t.Errorf("R_f2 = %v, want {0}", r)
 	}
-	if w := e2.ResolveWrite(in); w.Len() != 0 {
+	if w := e2.ResolveWrite(nil, in); w.Len() != 0 {
 		t.Errorf("W_f2 = %v, want empty", w)
 	}
 	if e2.EmitMin != 0 || e2.EmitMax != 1 {
@@ -135,7 +135,7 @@ func TestSection3Properties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := e3.ResolveWrite(in); !w.Equal(props.NewFieldSet(0)) {
+	if w := e3.ResolveWrite(nil, in); !w.Equal(props.NewFieldSet(0)) {
 		t.Errorf("W_f3 = %v, want {0}", w)
 	}
 }

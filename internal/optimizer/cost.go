@@ -81,11 +81,18 @@ func (c Cost) Total(w Weights) float64 {
 type Estimator struct {
 	attrWidth []float64 // by attribute index; 0 = no source hint
 
-	// Estimates are cached by node identity: within one enumeration every
-	// distinct sub-flow is one node (see subflows), so each is estimated
-	// once however many alternatives contain it.
-	recs  map[*Tree]float64
-	width map[*Tree]float64
+	// Estimates are cached by node id in the estimator's node table: every
+	// distinct sub-flow is one node there (a tree from elsewhere is interned
+	// on entry), so each is estimated once however many alternatives
+	// contain it.
+	tab *nodeTable
+	est []nodeEst
+}
+
+// nodeEst is one node's memoized estimates.
+type nodeEst struct {
+	recs, width float64 // width 0: not yet estimated (the header alone is 4)
+	hasRecs     bool
 }
 
 // defaultAttrWidth is assumed for attributes created by UDFs (no source
@@ -95,11 +102,7 @@ const defaultAttrWidth = 9
 // NewEstimator prepares an estimator for the given flow: per-attribute
 // widths are apportioned from the source width hints.
 func NewEstimator(f *dataflow.Flow) *Estimator {
-	e := &Estimator{
-		attrWidth: make([]float64, f.NumAttrs()),
-		recs:      map[*Tree]float64{},
-		width:     map[*Tree]float64{},
-	}
+	e := &Estimator{attrWidth: make([]float64, f.NumAttrs()), tab: newNodeTable()}
 	for _, op := range f.Operators() {
 		if op.Kind != dataflow.KindSource || op.SourceAttrs.Len() == 0 {
 			continue
@@ -117,14 +120,15 @@ func NewEstimator(f *dataflow.Flow) *Estimator {
 
 // Records estimates the output cardinality of a tree.
 func (e *Estimator) Records(t *Tree) float64 {
-	if v, ok := e.recs[t]; ok {
-		return v
+	t = e.tab.intern(t)
+	if e.est = grow(e.est, t.id); e.est[t.id].hasRecs {
+		return e.est[t.id].recs
 	}
 	v := e.computeRecords(t)
 	if v < 0 {
 		v = 0
 	}
-	e.recs[t] = v
+	e.est[t.id].recs, e.est[t.id].hasRecs = v, true
 	return v
 }
 
@@ -209,8 +213,9 @@ func defaultUDFSelectivity(op *dataflow.Operator) float64 {
 // order (floating-point sums depend on order; a fixed one keeps costs
 // bit-identical from run to run).
 func (e *Estimator) Width(t *Tree) float64 {
-	if v, ok := e.width[t]; ok {
-		return v
+	t = e.tab.intern(t)
+	if e.est = grow(e.est, t.id); e.est[t.id].width > 0 {
+		return e.est[t.id].width
 	}
 	var w float64 = 4 // record header
 	for a := range t.Attrs().All() {
@@ -220,7 +225,7 @@ func (e *Estimator) Width(t *Tree) float64 {
 			w += defaultAttrWidth
 		}
 	}
-	e.width[t] = w
+	e.est[t.id].width = w
 	return w
 }
 

@@ -348,6 +348,26 @@ func TestRankerMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzRankerDifferential runs RankAllNet against the frozen reference ranker
+// on random flows: the fuzzer picks the randomFlow seed, a DOP in 1–8, a
+// memory budget in bytes (0 = unlimited) and whether the transport is
+// measured. The reference costs every plan on trees that share no nodes,
+// each with a fresh estimator and an unshared memo, so any memo that leaks
+// between sub-flows shows as a cost or a rank-1 difference.
+func FuzzRankerDifferential(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed, uint8(seed), uint32(seed%2)*64<<10, seed%3 == 0)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, dop uint8, budget uint32, measured bool) {
+		net := NetProfile{}
+		if measured {
+			net = tcpLike
+		}
+		flow := randomFlow(rand.New(rand.NewSource(seed)))
+		checkRankerAgainstReference(t, fmt.Sprintf("seed %d", seed), flow, 1+int(dop%8), float64(budget), net)
+	})
+}
+
 // rankingFingerprint is the full observable outcome of a ranking: every
 // plan's key and the exact bits of its cost, in rank order.
 func rankingFingerprint(ranked []RankedPlan) string {

@@ -1,8 +1,10 @@
 package optimizer
 
 import (
+	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"blackboxflow/internal/dataflow"
 )
@@ -61,117 +63,167 @@ func NewEnumerator() *Enumerator {
 // a set: no two returned trees share a canonical key. The returned trees
 // share their common sub-flows.
 func (e *Enumerator) Enumerate(t *Tree) []*Tree {
+	return e.enumerate(newNodeTable(), t)
+}
+
+// enumerate is Enumerate over a given node table.
+func (e *Enumerator) enumerate(tab *nodeTable, t *Tree) []*Tree {
 	e.Stats = EnumStats{}
 	rules := e.Rules
 	if rules == nil {
 		rules = AllRules()
 	}
-	s := &subflows{
-		rules:     rules,
-		stats:     &e.Stats,
-		nodes:     map[nodeKey]*Tree{},
-		neighbors: map[*Tree][]*Tree{},
-	}
+	// A non-nil empty arena: even an empty neighbour list is then non-nil,
+	// which is how neighborsOf tells it from one not yet derived.
+	s := &subflows{nodeTable: tab, rules: rules, stats: &e.Stats, arena: []*Tree{}}
+	var seen []bool // by node id
 	root := s.intern(t)
-	seen := map[*Tree]struct{}{root: {}}
+	seen = grow(seen, root.id)
+	seen[root.id] = true
 	plans := []*Tree{root} // the worklist; every plan on it is a result
 	for i := 0; i < len(plans); i++ {
 		e.Stats.Expanded++
 		for _, n := range s.neighborsOf(plans[i]) {
-			if _, ok := seen[n]; ok {
+			if seen = grow(seen, n.id); seen[n.id] {
 				e.Stats.MemoHits++
 				continue
 			}
-			seen[n] = struct{}{}
+			seen[n.id] = true
 			plans = append(plans, n)
 		}
 	}
-	e.Stats.Subflows = len(s.nodes)
+	e.Stats.Subflows = len(tab.index)
 	slices.SortFunc(plans, func(a, b *Tree) int { return strings.Compare(a.Key(), b.Key()) })
 	return plans
 }
 
-// subflows is the hash-consing table of one enumeration and the memo of
-// single-exchange neighbours per sub-flow. It lives and dies inside one
-// Enumerate call; the trees it built outlive it but do not point back.
-type subflows struct {
-	rules     *RuleSet
-	stats     *EnumStats
-	nodes     map[nodeKey]*Tree
-	neighbors map[*Tree][]*Tree
+// nodeTable hash-conses sub-flows and numbers them densely: every distinct
+// sub-flow is one node, and its id indexes the per-node memos of everything
+// that walks the table's trees — the enumeration's neighbour lists, the
+// Estimator's estimates and the PhysicalOptimizer's candidate plans. An
+// Estimator owns one (RankAllNet enumerates into it); a standalone Enumerate
+// makes its own. Nodes carry the table's generation, never a pointer to it.
+type nodeTable struct {
+	gen   uint64
+	index map[uint64]*Tree // packed (operator ID, kid ids) → node
 }
 
-// nodeKey identifies a sub-flow by its root operator and its (already
-// interned) children; l and r are nil for absent inputs.
-type nodeKey struct {
-	op   *dataflow.Operator
-	l, r *Tree
+var tableGens atomic.Uint64
+
+func newNodeTable() *nodeTable {
+	return &nodeTable{gen: tableGens.Add(1), index: map[uint64]*Tree{}}
 }
 
-// node returns the unique tree for op over the interned children l and r.
-func (s *subflows) node(op *dataflow.Operator, l, r *Tree) *Tree {
-	k := nodeKey{op, l, r}
-	if t, ok := s.nodes[k]; ok {
+// maxOps is how many operators the node key has room for: FromFlow refuses
+// larger flows. The key packs the operator ID into 16 bits and each kid's
+// id+1 into 24, and 2^24 sub-flows would take gigabytes of plans.
+const maxOps = 1 << 16
+
+// node returns the unique tree for op over the interned children l and r
+// (nil when absent).
+func (tab *nodeTable) node(op *dataflow.Operator, l, r *Tree) *Tree {
+	k := uint64(op.ID)<<48 | packID(l)<<24 | packID(r)
+	if t, ok := tab.index[k]; ok {
 		return t
 	}
-	t := &Tree{Op: op, kidBuf: [2]*Tree{l, r}}
+	if uint(op.ID) >= maxOps || len(tab.index) >= 1<<24-1 {
+		panic(fmt.Sprintf("optimizer: sub-flow %d over operator ID %d outside the node key", len(tab.index), op.ID))
+	}
+	t := &Tree{Op: op, kidBuf: [2]*Tree{l, r}, gen: tab.gen, id: int32(len(tab.index))}
 	switch {
 	case r != nil:
 		t.Kids = t.kidBuf[:2]
 	case l != nil:
 		t.Kids = t.kidBuf[:1]
 	}
-	s.nodes[k] = t
+	tab.index[k] = t
 	return t
 }
 
-// intern rebuilds an arbitrary tree bottom-up out of table nodes.
-func (s *subflows) intern(t *Tree) *Tree {
+func packID(t *Tree) uint64 {
+	if t == nil {
+		return 0
+	}
+	return uint64(t.id) + 1
+}
+
+// intern returns the table's node for t: t itself when the table built it,
+// else t rebuilt bottom-up out of table nodes (t is never modified).
+func (tab *nodeTable) intern(t *Tree) *Tree {
+	if t.gen == tab.gen {
+		return t
+	}
 	var kids [2]*Tree
 	for i, k := range t.Kids {
-		kids[i] = s.intern(k)
+		kids[i] = tab.intern(k)
 	}
-	return s.node(t.Op, kids[0], kids[1])
+	return tab.node(t.Op, kids[0], kids[1])
 }
 
 // withKid returns t with child j replaced by k.
-func (s *subflows) withKid(t *Tree, j int, k *Tree) *Tree {
+func (tab *nodeTable) withKid(t *Tree, j int, k *Tree) *Tree {
 	kids := t.kidBuf
 	kids[j] = k
-	return s.node(t.Op, kids[0], kids[1])
+	return tab.node(t.Op, kids[0], kids[1])
+}
+
+// grow extends a memo indexed by node id to cover id.
+func grow[T any](s []T, id int32) []T {
+	if n := int(id) + 1 - len(s); n > 0 {
+		s = append(s, make([]T, n)...)
+	}
+	return s
+}
+
+// subflows is one enumeration's walk over a node table: the memo of
+// single-exchange neighbours per node. It dies with the Enumerate call.
+type subflows struct {
+	*nodeTable
+	rules     *RuleSet
+	stats     *EnumStats
+	neighbors [][]*Tree // by node id; nil until derived
+	arena     []*Tree   // the chunk the neighbour lists are carved from
+	start     int       // where in arena the list being derived starts
+}
+
+// push appends t to the neighbour list being derived. The arena grows by
+// chunks that double, and only the unfinished list moves to the next one:
+// finished lists never change.
+func (s *subflows) push(t *Tree) {
+	if len(s.arena) == cap(s.arena) {
+		s.arena = append(make([]*Tree, 0, 2*cap(s.arena)+1), s.arena[s.start:]...)
+		s.start = 0
+	}
+	s.arena = append(s.arena, t)
 }
 
 // neighborsOf returns every tree reachable from t by exactly one valid
 // exchange of a parent operator with the root of one of its child subtrees,
 // anywhere in the tree.
 func (s *subflows) neighborsOf(t *Tree) []*Tree {
-	if ns, ok := s.neighbors[t]; ok {
-		return ns
+	if s.neighbors = grow(s.neighbors, t.id); s.neighbors[t.id] != nil {
+		return s.neighbors[t.id]
 	}
-	// Neighbours of the children first: their count sizes the result.
 	var lifted [2][]*Tree
-	n := 0
 	for j, kid := range t.Kids {
 		lifted[j] = s.neighborsOf(kid)
-		n += len(lifted[j])
 	}
-	var out []*Tree
-	if n > 0 {
-		out = make([]*Tree, 0, n+2)
-	}
+	// The list is pushed in one piece: nothing below derives neighbours.
+	s.start = len(s.arena)
 	if t.Op.IsUDFOp() {
 		for j, kid := range t.Kids {
 			if kid.Op.IsUDFOp() {
-				out = s.exchange(t, j, out)
+				s.exchange(t, j)
 			}
 		}
 	}
 	// Exchanges within child subtrees, lifted to this node.
 	for j := range t.Kids {
 		for _, nk := range lifted[j] {
-			out = append(out, s.withKid(t, j, nk))
+			s.push(s.withKid(t, j, nk))
 		}
 	}
-	s.neighbors[t] = out
+	out := s.arena[s.start:len(s.arena):len(s.arena)]
+	s.neighbors[t.id] = out
 	return out
 }

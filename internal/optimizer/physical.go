@@ -3,7 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"blackboxflow/internal/dataflow"
@@ -113,6 +113,9 @@ type PhysPlan struct {
 
 	// Cost is cumulative over the subtree.
 	Cost Cost
+
+	inBuf   [2]*PhysPlan // back Inputs and Ship of optimizer-built plans
+	shipBuf [2]Shipping
 }
 
 // String renders the plan node.
@@ -192,7 +195,8 @@ type PhysicalOptimizer struct {
 	// single-process runs use.
 	Net NetProfile
 
-	memo map[*Tree][]*PhysPlan
+	memo [][]*PhysPlan // candidate plans by node id in Est's table; nil until built
+	kept []*PhysPlan   // backs the memo's lists
 }
 
 // NewPhysicalOptimizer returns a physical optimizer with default settings.
@@ -200,7 +204,6 @@ func NewPhysicalOptimizer(est *Estimator, dop int) *PhysicalOptimizer {
 	return &PhysicalOptimizer{
 		Est: est, DOP: dop, Weights: DefaultWeights,
 		UseInterestingProps: true, ShareSubplans: true,
-		memo: map[*Tree][]*PhysPlan{},
 	}
 }
 
@@ -239,11 +242,11 @@ func spillCost(vol, budget float64) float64 {
 
 // Optimize returns the cheapest physical plan for the operator tree.
 func (po *PhysicalOptimizer) Optimize(t *Tree) *PhysPlan {
-	memo := po.memo
-	if memo == nil || !po.ShareSubplans {
-		memo = map[*Tree][]*PhysPlan{}
+	if !po.ShareSubplans {
+		clear(po.memo)
+		po.kept = po.kept[:0]
 	}
-	cands := po.plans(t, memo)
+	cands := po.plans(po.Est.tab.intern(t))
 	var best *PhysPlan
 	for _, c := range cands {
 		if best == nil || c.Cost.Total(po.Weights) < best.Cost.Total(po.Weights) {
@@ -257,10 +260,11 @@ func (po *PhysicalOptimizer) Optimize(t *Tree) *PhysPlan {
 // per distinct output-partitioning property only the cheapest plan is kept
 // (the principle of optimality with interesting properties), in first-seen
 // order of the properties; with interesting properties disabled a single
-// global cheapest plan is kept. Ties keep the earlier candidate.
+// global cheapest plan is kept. Ties keep the earlier candidate. The kept
+// plans are po.kept[from:].
 type candidates struct {
 	po   *PhysicalOptimizer
-	kept []*PhysPlan
+	from int
 }
 
 // slot returns where to build a candidate with the given property and cost,
@@ -270,7 +274,7 @@ type candidates struct {
 // partitioning sets word by word beats any keyed table.
 func (c *candidates) slot(part props.FieldSet, cost Cost) *PhysPlan {
 	w := c.po.Weights
-	for _, cur := range c.kept {
+	for _, cur := range c.po.kept[c.from:] {
 		if !c.po.UseInterestingProps || cur.Partitioned.Equal(part) {
 			if cost.Total(w) < cur.Cost.Total(w) {
 				return cur
@@ -279,59 +283,77 @@ func (c *candidates) slot(part props.FieldSet, cost Cost) *PhysPlan {
 		}
 	}
 	p := new(PhysPlan)
-	c.kept = append(c.kept, p)
+	c.po.kept = append(c.po.kept, p)
 	return p
 }
 
-// plans returns the candidate plans for a subtree: the cheapest per
-// interesting partitioning property, memoized by node identity so that
-// alternatives sharing sub-flows share their plans.
-func (po *PhysicalOptimizer) plans(t *Tree, memo map[*Tree][]*PhysPlan) []*PhysPlan {
-	if ps, ok := memo[t]; ok {
-		return ps
+// offer keeps candidate p, whose inputs and shipping sit in inBuf and
+// shipBuf, unless a kept plan dominates it.
+func (c *candidates) offer(p *PhysPlan) {
+	if dst := c.slot(p.Partitioned, p.Cost); dst != nil {
+		*dst = *p
+		n := len(p.Tree.Kids)
+		dst.Inputs, dst.Ship = dst.inBuf[:n:n], dst.shipBuf[:n:n]
 	}
-	out := candidates{po: po}
+}
+
+// plans returns the candidate plans for a subtree: the cheapest per
+// interesting partitioning property, memoized by node id so that
+// alternatives sharing sub-flows share their plans. t is a node of Est's
+// table.
+func (po *PhysicalOptimizer) plans(t *Tree) []*PhysPlan {
+	if po.memo = grow(po.memo, t.id); po.memo[t.id] != nil {
+		return po.memo[t.id]
+	}
+	// The kids' lists first, so this node's is appended to the arena in one
+	// piece (a kid without plans rebuilds to none, appending nothing).
+	for _, k := range t.Kids {
+		po.plans(k)
+	}
+	out := candidates{po: po, from: len(po.kept)}
 	op := t.Op
-	// The node's own estimates, shared by all its candidates.
+	// The node's own estimates, shared by all its candidates, and the log2
+	// each input's sort cost takes of its records: every plan of a node
+	// carries the node's record estimate.
 	recs, bytes, udfCPU := po.Est.Records(t), po.Est.Bytes(t), po.Est.CPUCost(t)
+	var lg [2]float64
+	for i, k := range t.Kids {
+		lg[i] = math.Log2(math.Max(po.Est.Records(k), 2))
+	}
 	switch op.Kind {
 	case dataflow.KindSource:
-		*out.slot(nil, Cost{Disk: bytes}) = PhysPlan{
+		out.offer(&PhysPlan{
 			Op: op, Tree: t, Local: LocalScan,
 			OutRecords: recs, OutBytes: bytes,
 			Cost: Cost{Disk: bytes},
-		}
+		})
 
 	case dataflow.KindSink:
-		for _, in := range po.plans(t.Kids[0], memo) {
-			if p := out.slot(in.Partitioned, in.Cost); p != nil {
-				*p = PhysPlan{
-					Op: op, Tree: t, Inputs: []*PhysPlan{in},
-					Ship: []Shipping{ShipForward}, Local: LocalPipe,
-					Partitioned: in.Partitioned,
-					OutRecords:  in.OutRecords, OutBytes: in.OutBytes,
-					Cost: in.Cost,
-				}
-			}
+		for _, in := range po.plans(t.Kids[0]) {
+			out.offer(&PhysPlan{
+				Op: op, Tree: t, inBuf: [2]*PhysPlan{in},
+				shipBuf: [2]Shipping{ShipForward}, Local: LocalPipe,
+				Partitioned: in.Partitioned,
+				OutRecords:  in.OutRecords, OutBytes: in.OutBytes,
+				Cost: in.Cost,
+			})
 		}
 
 	case dataflow.KindMap:
-		for _, in := range po.plans(t.Kids[0], memo) {
+		for _, in := range po.plans(t.Kids[0]) {
 			// Partitioning survives a Map that does not write the keys.
 			var part props.FieldSet
 			if !in.Partitioned.Empty() && props.Disjoint(t.Writes(), in.Partitioned) {
 				part = in.Partitioned
 			}
 			cost := in.Cost.Plus(Cost{CPU: udfCPU + cpuPipeFactor*in.OutRecords})
-			if p := out.slot(part, cost); p != nil {
-				*p = PhysPlan{
-					Op: op, Tree: t, Inputs: []*PhysPlan{in},
-					Ship: []Shipping{ShipForward}, Local: LocalPipe, Chained: true,
-					Partitioned: part,
-					OutRecords:  recs, OutBytes: bytes,
-					Cost: cost,
-				}
-			}
+			out.offer(&PhysPlan{
+				Op: op, Tree: t, inBuf: [2]*PhysPlan{in},
+				shipBuf: [2]Shipping{ShipForward}, Local: LocalPipe, Chained: true,
+				Partitioned: part,
+				OutRecords:  recs, OutBytes: bytes,
+				Cost: cost,
+			})
 		}
 
 	case dataflow.KindReduce:
@@ -342,7 +364,7 @@ func (po *PhysicalOptimizer) plans(t *Tree, memo map[*Tree][]*PhysPlan) []*PhysP
 		// the rewrite, not the declaration alone).
 		combSafe := op.Combiner != nil &&
 			props.CombinerSafe(op.CombinerEffect, key, t.Kids[0].Attrs())
-		for _, in := range po.plans(t.Kids[0], memo) {
+		for _, in := range po.plans(t.Kids[0]) {
 			ship := ShipPartition
 			net := in.OutBytes
 			combinable := false
@@ -374,7 +396,7 @@ func (po *PhysicalOptimizer) plans(t *Tree, memo map[*Tree][]*PhysPlan) []*PhysP
 				n := in.OutRecords
 				var localCPU float64
 				if local == LocalSortGroup {
-					localCPU = cpuSortFactor * n * math.Log2(math.Max(n, 2))
+					localCPU = cpuSortFactor * n * lg[0]
 				} else {
 					localCPU = cpuHashFactor * n
 				}
@@ -384,24 +406,22 @@ func (po *PhysicalOptimizer) plans(t *Tree, memo map[*Tree][]*PhysPlan) []*PhysP
 					localCPU += cpuHashFactor * n
 				}
 				cost := in.Cost.Plus(Cost{Net: po.Net.cost(net, shuffles), Disk: spillDisk, CPU: udfCPU + localCPU})
-				if p := out.slot(key, cost); p != nil {
-					*p = PhysPlan{
-						Op: op, Tree: t, Inputs: []*PhysPlan{in},
-						Ship: []Shipping{ship}, Local: local, Combinable: combinable,
-						Partitioned: key,
-						OutRecords:  recs, OutBytes: bytes,
-						Cost: cost,
-					}
-				}
+				out.offer(&PhysPlan{
+					Op: op, Tree: t, inBuf: [2]*PhysPlan{in},
+					shipBuf: [2]Shipping{ship}, Local: local, Combinable: combinable,
+					Partitioned: key,
+					OutRecords:  recs, OutBytes: bytes,
+					Cost: cost,
+				})
 			}
 		}
 
 	case dataflow.KindMatch:
-		po.joinPlans(t, memo, &out, recs, bytes, udfCPU)
+		po.joinPlans(t, &out, recs, bytes, udfCPU, lg)
 
 	case dataflow.KindCross:
-		for _, l := range po.plans(t.Kids[0], memo) {
-			for _, r := range po.plans(t.Kids[1], memo) {
+		for _, l := range po.plans(t.Kids[0]) {
+			for _, r := range po.plans(t.Kids[1]) {
 				// Broadcast the smaller side, forward the larger.
 				small, big := l, r
 				ship := [2]Shipping{ShipBroadcast, ShipForward}
@@ -416,41 +436,36 @@ func (po *PhysicalOptimizer) plans(t *Tree, memo map[*Tree][]*PhysPlan) []*PhysP
 				cost := l.Cost.Plus(r.Cost).Plus(Cost{Net: po.Net.cost(net, 1),
 					Disk: po.broadcastSpillCost(small.OutBytes),
 					CPU:  udfCPU})
-				if p := out.slot(big.Partitioned, cost); p != nil {
-					*p = PhysPlan{
-						Op: op, Tree: t, Inputs: []*PhysPlan{l, r},
-						Ship: []Shipping{ship[0], ship[1]}, Local: LocalNestedLoop,
-						Partitioned: big.Partitioned,
-						OutRecords:  recs, OutBytes: bytes,
-						Cost: cost,
-					}
-				}
+				out.offer(&PhysPlan{
+					Op: op, Tree: t, inBuf: [2]*PhysPlan{l, r},
+					shipBuf: ship, Local: LocalNestedLoop,
+					Partitioned: big.Partitioned,
+					OutRecords:  recs, OutBytes: bytes,
+					Cost: cost,
+				})
 			}
 		}
 
 	case dataflow.KindCoGroup:
 		keys := [2]props.FieldSet{op.KeySet(0), op.KeySet(1)}
-		for _, l := range po.plans(t.Kids[0], memo) {
-			for _, r := range po.plans(t.Kids[1], memo) {
+		for _, l := range po.plans(t.Kids[0]) {
+			for _, r := range po.plans(t.Kids[1]) {
 				ship, shuffle := po.coPartition(l, r, keys)
-				sortCPU := cpuSortFactor * (l.OutRecords*math.Log2(math.Max(l.OutRecords, 2)) +
-					r.OutRecords*math.Log2(math.Max(r.OutRecords, 2)))
+				sortCPU := cpuSortFactor * (l.OutRecords*lg[0] + r.OutRecords*lg[1])
 				cost := l.Cost.Plus(r.Cost).Plus(Cost{Net: shuffle.Net, Disk: shuffle.Disk, CPU: udfCPU + sortCPU})
-				if p := out.slot(keys[0], cost); p != nil {
-					*p = PhysPlan{
-						Op: op, Tree: t, Inputs: []*PhysPlan{l, r},
-						Ship: []Shipping{ship[0], ship[1]}, Local: LocalSortCoGrp,
-						Partitioned: keys[0],
-						OutRecords:  recs, OutBytes: bytes,
-						Cost: cost,
-					}
-				}
+				out.offer(&PhysPlan{
+					Op: op, Tree: t, inBuf: [2]*PhysPlan{l, r},
+					shipBuf: ship, Local: LocalSortCoGrp,
+					Partitioned: keys[0],
+					OutRecords:  recs, OutBytes: bytes,
+					Cost: cost,
+				})
 			}
 		}
 	}
 
-	memo[t] = out.kept
-	return out.kept
+	po.memo[t.id] = po.kept[out.from:len(po.kept):len(po.kept)]
+	return po.memo[t.id]
 }
 
 // coPartition plans the shipping that co-partitions both inputs of a keyed
@@ -526,12 +541,12 @@ func (po *PhysicalOptimizer) shuffledSpillCost(vols []float64) float64 {
 // receivers — the shuffled sides for A/C (split like CoGroup), the
 // replicated build side for B — so tight budgets steer enumeration between
 // repartition and broadcast joins instead of pricing both as spill-free.
-func (po *PhysicalOptimizer) joinPlans(t *Tree, memo map[*Tree][]*PhysPlan, out *candidates, recs, bytes, udfCPU float64) {
+func (po *PhysicalOptimizer) joinPlans(t *Tree, out *candidates, recs, bytes, udfCPU float64, lg [2]float64) {
 	op := t.Op
 	keys := [2]props.FieldSet{op.KeySet(0), op.KeySet(1)}
 	bothKeys := props.Union(keys[0], keys[1])
-	for _, l := range po.plans(t.Kids[0], memo) {
-		for _, r := range po.plans(t.Kids[1], memo) {
+	for _, l := range po.plans(t.Kids[0]) {
+		for _, r := range po.plans(t.Kids[1]) {
 			ins := [2]*PhysPlan{l, r}
 			base := l.Cost.Plus(r.Cost)
 			coShip, shuffle := po.coPartition(l, r, keys)
@@ -543,15 +558,13 @@ func (po *PhysicalOptimizer) joinPlans(t *Tree, memo map[*Tree][]*PhysPlan, out 
 			}
 			cpu := cpuHashFactor*ins[build].OutRecords + cpuProbeFactor*ins[1-build].OutRecords
 			cost := base.Plus(Cost{Net: shuffle.Net, Disk: shuffle.Disk, CPU: udfCPU + cpu})
-			if p := out.slot(bothKeys, cost); p != nil {
-				*p = PhysPlan{
-					Op: op, Tree: t, Inputs: []*PhysPlan{l, r},
-					Ship: []Shipping{coShip[0], coShip[1]}, Local: LocalHashJoin, BuildSide: build,
-					Partitioned: bothKeys,
-					OutRecords:  recs, OutBytes: bytes,
-					Cost: cost,
-				}
-			}
+			out.offer(&PhysPlan{
+				Op: op, Tree: t, inBuf: ins,
+				shipBuf: coShip, Local: LocalHashJoin, BuildSide: build,
+				Partitioned: bothKeys,
+				OutRecords:  recs, OutBytes: bytes,
+				Cost: cost,
+			})
 
 			// Strategy B: broadcast one side (build it), forward the other.
 			for bc := 0; bc < 2; bc++ {
@@ -562,30 +575,25 @@ func (po *PhysicalOptimizer) joinPlans(t *Tree, memo map[*Tree][]*PhysPlan, out 
 				cost := base.Plus(Cost{Net: po.Net.cost(net, 1),
 					Disk: po.broadcastSpillCost(ins[bc].OutBytes),
 					CPU:  udfCPU + cpu})
-				if p := out.slot(ins[1-bc].Partitioned, cost); p != nil {
-					*p = PhysPlan{
-						Op: op, Tree: t, Inputs: []*PhysPlan{l, r},
-						Ship: []Shipping{ship[0], ship[1]}, Local: LocalHashJoin, BuildSide: bc,
-						Partitioned: ins[1-bc].Partitioned,
-						OutRecords:  recs, OutBytes: bytes,
-						Cost: cost,
-					}
-				}
+				out.offer(&PhysPlan{
+					Op: op, Tree: t, inBuf: ins,
+					shipBuf: ship, Local: LocalHashJoin, BuildSide: bc,
+					Partitioned: ins[1-bc].Partitioned,
+					OutRecords:  recs, OutBytes: bytes,
+					Cost: cost,
+				})
 			}
 
 			// Strategy C: co-partition + sort-merge join.
-			cpu = cpuSortFactor * (l.OutRecords*math.Log2(math.Max(l.OutRecords, 2)) +
-				r.OutRecords*math.Log2(math.Max(r.OutRecords, 2)))
+			cpu = cpuSortFactor * (l.OutRecords*lg[0] + r.OutRecords*lg[1])
 			cost = base.Plus(Cost{Net: shuffle.Net, Disk: shuffle.Disk, CPU: udfCPU + cpu})
-			if p := out.slot(bothKeys, cost); p != nil {
-				*p = PhysPlan{
-					Op: op, Tree: t, Inputs: []*PhysPlan{l, r},
-					Ship: []Shipping{coShip[0], coShip[1]}, Local: LocalMergeJoin,
-					Partitioned: bothKeys,
-					OutRecords:  recs, OutBytes: bytes,
-					Cost: cost,
-				}
-			}
+			out.offer(&PhysPlan{
+				Op: op, Tree: t, inBuf: ins,
+				shipBuf: coShip, Local: LocalMergeJoin,
+				Partitioned: bothKeys,
+				OutRecords:  recs, OutBytes: bytes,
+				Cost: cost,
+			})
 		}
 	}
 }
@@ -611,24 +619,38 @@ type RankedPlan struct {
 // latency, so rankings computed for a distributed deployment reflect the
 // wire the job will actually cross. The zero profile prices no network.
 func RankAllNet(t *Tree, est *Estimator, dop int, memoryBudget float64, net NetProfile) []RankedPlan {
-	enum := NewEnumerator()
-	alts := enum.Enumerate(t)
 	po := NewPhysicalOptimizer(est, dop)
 	po.MemoryBudget = memoryBudget
 	po.Net = net
-	ranked := make([]RankedPlan, 0, len(alts))
-	for _, a := range alts {
+	return po.rankAll(t)
+}
+
+// rankAll is RankAllNet's body: the enumeration interns into the
+// estimator's node table, so every memo below is keyed by its ids.
+func (po *PhysicalOptimizer) rankAll(t *Tree) []RankedPlan {
+	enum := NewEnumerator()
+	alts := enum.enumerate(po.Est.tab, t)
+	plans := make([]RankedPlan, len(alts))
+	order := make([]int32, len(alts)) // sorted instead of the plans: no pointers move
+	for i, a := range alts {
 		phys := po.Optimize(a)
-		ranked = append(ranked, RankedPlan{Tree: a, Phys: phys, Cost: phys.Cost.Total(po.Weights), Enum: &enum.Stats})
+		plans[i] = RankedPlan{Tree: a, Phys: phys, Cost: phys.Cost.Total(po.Weights), Enum: &enum.Stats}
+		order[i] = int32(i)
 	}
-	sort.SliceStable(ranked, func(i, j int) bool {
-		if ranked[i].Cost != ranked[j].Cost {
-			return ranked[i].Cost < ranked[j].Cost
+	slices.SortStableFunc(order, func(i, j int32) int {
+		a, b := &plans[i], &plans[j]
+		if a.Cost != b.Cost {
+			if a.Cost < b.Cost {
+				return -1
+			}
+			return 1
 		}
-		return ranked[i].Tree.Key() < ranked[j].Tree.Key()
+		return strings.Compare(a.Tree.Key(), b.Tree.Key())
 	})
-	for i := range ranked {
-		ranked[i].Rank = i + 1
+	ranked := make([]RankedPlan, len(order))
+	for r, i := range order {
+		ranked[r] = plans[i]
+		ranked[r].Rank = r + 1
 	}
 	return ranked
 }

@@ -28,14 +28,14 @@ func touches(n *Tree, attrs props.FieldSet) bool {
 	return !props.Disjoint(n.Reads(), attrs) || !props.Disjoint(n.Writes(), attrs)
 }
 
-// exchange appends to out every tree obtained by exchanging p's root r with
-// the root s of p.Kids[j] that Section 4 permits and the rule set enables.
-func (sf *subflows) exchange(p *Tree, j int, out []*Tree) []*Tree {
+// exchange pushes every tree obtained by exchanging p's root r with the
+// root s of p.Kids[j] that Section 4 permits and the rule set enables.
+func (sf *subflows) exchange(p *Tree, j int) {
 	c := p.Kids[j]
 	r, s := p.Op, c.Op
 	add := func(t *Tree) {
 		sf.stats.Exchanges++
-		out = append(out, t)
+		sf.push(t)
 	}
 	switch {
 	case !r.Kind.IsBinary() && !s.Kind.IsBinary():
@@ -92,7 +92,6 @@ func (sf *subflows) exchange(p *Tree, j int, out []*Tree) []*Tree {
 			}
 		}
 	}
-	return out
 }
 
 // unaryUnaryReorderable implements Theorems 1 and 2 and the Reduce-Reduce

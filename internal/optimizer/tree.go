@@ -26,22 +26,28 @@ import (
 
 // Tree is an operator tree: one alternative ordering of a data flow.
 // Trees are immutable. The alternatives an enumeration returns are
-// hash-consed (see subflows in enum.go): every distinct sub-flow is one
+// hash-consed (see nodeTable in enum.go): every distinct sub-flow is one
 // node shared by all alternatives containing it, so its resolved sets,
 // its estimates and its candidate physical plans are each computed once
-// and found again by node identity.
+// and found again by the node's dense id.
 type Tree struct {
 	Op   *dataflow.Operator
 	Kids []*Tree
 
 	kidBuf [2]*Tree // backs Kids of interned nodes (operators have ≤ 2 inputs)
-	key    string   // canonical key, computed lazily
+	// gen is the generation of the node table that interned the node (0 for
+	// none) and id its index there. A number, not a pointer: a plan kept
+	// after its ranking retains its own nodes, not the table or the memos.
+	gen uint64
+	id  int32
+	key string // canonical key, computed lazily
 
 	// Attribute, read and write sets at this position, resolved lazily.
 	// They are shared, never mutated: callers must not modify what Attrs,
 	// Reads and Writes return.
 	resolved            bool
 	attrs, reads, write props.FieldSet
+	setBuf              [3]uint64 // backs the three sets while each fits a word
 }
 
 // NewTree builds a tree node over the given children.
@@ -54,6 +60,9 @@ func NewTree(op *dataflow.Operator, kids ...*Tree) *Tree {
 func FromFlow(f *dataflow.Flow) (*Tree, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
+	}
+	if n := len(f.Operators()); n > maxOps {
+		return nil, fmt.Errorf("optimizer: %d operators, more than the %d a plan can hold", n, maxOps)
 	}
 	var build func(op *dataflow.Operator) *Tree
 	build = func(op *dataflow.Operator) *Tree {
@@ -113,10 +122,14 @@ func (t *Tree) resolve() {
 		for _, k := range t.Kids {
 			in = append(in, k.Attrs())
 		}
-		t.attrs = op.Effect.ResolveOutput(in)
-		t.reads = op.Effect.ResolveRead(in)
-		t.reads.UnionWith(op.AllKeys())
-		t.write = op.Effect.ResolveWrite(in)
+		t.attrs = op.Effect.ResolveOutput(t.setBuf[0:0:1], in)
+		t.reads = op.Effect.ResolveRead(t.setBuf[1:1:2], in)
+		for _, k := range op.Keys {
+			for _, f := range k {
+				t.reads.Add(f)
+			}
+		}
+		t.write = op.Effect.ResolveWrite(t.setBuf[2:2:3], in)
 	}
 }
 

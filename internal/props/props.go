@@ -279,9 +279,11 @@ func (e *Effect) Clone() *Effect {
 }
 
 // ResolveRead computes the concrete read set R_f given the attribute sets
-// flowing on the operator's input edges.
-func (e *Effect) ResolveRead(inputs []FieldSet) FieldSet {
-	r := e.Reads.Clone()
+// flowing on the operator's input edges. Like ResolveWrite and
+// ResolveOutput, it builds the set in dst's storage, growing it as needed
+// (a nil dst allocates).
+func (e *Effect) ResolveRead(dst FieldSet, inputs []FieldSet) FieldSet {
+	r := append(dst[:0], e.Reads...)
 	if e.DynamicRead {
 		for _, in := range inputs {
 			r.UnionWith(in)
@@ -294,8 +296,9 @@ func (e *Effect) ResolveRead(inputs []FieldSet) FieldSet {
 // attribute sets on the input edges: explicitly modified and added fields,
 // plus — for every input that is not implicitly copied — all of that
 // input's attributes except the explicitly copied ones.
-func (e *Effect) ResolveWrite(inputs []FieldSet) FieldSet {
-	w := Union(e.Sets, e.Projects)
+func (e *Effect) ResolveWrite(dst FieldSet, inputs []FieldSet) FieldSet {
+	w := append(dst[:0], e.Sets...)
+	w.UnionWith(e.Projects)
 	for p, in := range inputs {
 		// An implicitly copied input can still lose explicitly projected
 		// fields; those are already in w via Projects.
@@ -309,8 +312,8 @@ func (e *Effect) ResolveWrite(inputs []FieldSet) FieldSet {
 // ResolveOutput computes the attribute set on the operator's output edge:
 // copied inputs' attributes, explicitly copied fields, and explicitly set
 // fields, minus explicit projections.
-func (e *Effect) ResolveOutput(inputs []FieldSet) FieldSet {
-	var out FieldSet
+func (e *Effect) ResolveOutput(dst FieldSet, inputs []FieldSet) FieldSet {
+	out := dst[:0]
 	for p, in := range inputs {
 		if p < len(e.CopiesParam) && e.CopiesParam[p] {
 			out.UnionWith(in)
@@ -320,7 +323,10 @@ func (e *Effect) ResolveOutput(inputs []FieldSet) FieldSet {
 		}
 	}
 	out.UnionWith(e.Sets)
-	return Minus(out, e.Projects)
+	for i, w := range e.Projects[:min(len(e.Projects), len(out))] {
+		out[i] &^= w
+	}
+	return out
 }
 
 // EmitsExactlyOne reports whether every invocation emits exactly one record.
@@ -379,7 +385,7 @@ func CombinerSafe(e *Effect, key FieldSet, input FieldSet) bool {
 	if e == nil || !e.EmitsExactlyOne() {
 		return false
 	}
-	return Disjoint(e.ResolveWrite([]FieldSet{input}), key)
+	return Disjoint(e.ResolveWrite(nil, []FieldSet{input}), key)
 }
 
 // String summarizes the effect.

@@ -86,11 +86,11 @@ func TestEffectResolution(t *testing.T) {
 	e.Projects = NewFieldSet(3)
 	in := []FieldSet{NewFieldSet(0, 1, 2, 3)}
 
-	w := e.ResolveWrite(in)
+	w := e.ResolveWrite(nil, in)
 	if !w.Equal(NewFieldSet(2, 3, 7)) {
 		t.Errorf("write set = %v, want {2,3,7}", w)
 	}
-	out := e.ResolveOutput(in)
+	out := e.ResolveOutput(nil, in)
 	if !out.Equal(NewFieldSet(0, 1, 2, 7)) {
 		t.Errorf("output attrs = %v, want {0,1,2,7}", out)
 	}
@@ -103,11 +103,11 @@ func TestEffectImplicitProjection(t *testing.T) {
 	e.Copies = NewFieldSet(0)
 	e.Sets = NewFieldSet(5)
 	in := []FieldSet{NewFieldSet(0, 1, 2)}
-	w := e.ResolveWrite(in)
+	w := e.ResolveWrite(nil, in)
 	if !w.Equal(NewFieldSet(1, 2, 5)) {
 		t.Errorf("write set = %v, want {1,2,5}", w)
 	}
-	out := e.ResolveOutput(in)
+	out := e.ResolveOutput(nil, in)
 	if !out.Equal(NewFieldSet(0, 5)) {
 		t.Errorf("output = %v, want {0,5}", out)
 	}
@@ -119,16 +119,16 @@ func TestEffectBinaryResolution(t *testing.T) {
 	e.CopiesParam[0] = true
 	e.CopiesParam[1] = true
 	in := []FieldSet{NewFieldSet(0, 1), NewFieldSet(2, 3)}
-	if w := e.ResolveWrite(in); w.Len() != 0 {
+	if w := e.ResolveWrite(nil, in); w.Len() != 0 {
 		t.Errorf("pure concat writes nothing, got %v", w)
 	}
-	if out := e.ResolveOutput(in); !out.Equal(NewFieldSet(0, 1, 2, 3)) {
+	if out := e.ResolveOutput(nil, in); !out.Equal(NewFieldSet(0, 1, 2, 3)) {
 		t.Errorf("output = %v", out)
 	}
 	// Copying only the left side implicitly projects the right.
 	e2 := NewEffect(2)
 	e2.CopiesParam[0] = true
-	if w := e2.ResolveWrite(in); !w.Equal(NewFieldSet(2, 3)) {
+	if w := e2.ResolveWrite(nil, in); !w.Equal(NewFieldSet(2, 3)) {
 		t.Errorf("write = %v, want right side", w)
 	}
 }
@@ -138,7 +138,7 @@ func TestDynamicRead(t *testing.T) {
 	e.Reads = NewFieldSet(0)
 	e.DynamicRead = true
 	in := []FieldSet{NewFieldSet(0, 1, 2)}
-	if r := e.ResolveRead(in); !r.Equal(NewFieldSet(0, 1, 2)) {
+	if r := e.ResolveRead(nil, in); !r.Equal(NewFieldSet(0, 1, 2)) {
 		t.Errorf("dynamic read must cover the whole input, got %v", r)
 	}
 }

@@ -381,19 +381,6 @@ func (r Record) Field(n int) Value {
 	return r[n]
 }
 
-// WithField returns a copy of r with field n set to v, growing the record
-// if necessary.
-func (r Record) WithField(n int, v Value) Record {
-	width := len(r)
-	if n >= width {
-		width = n + 1
-	}
-	c := make(Record, width)
-	copy(c, r)
-	c[n] = v
-	return c
-}
-
 // SetField sets field n in place; the record must be wide enough.
 func (r Record) SetField(n int, v Value) {
 	r[n] = v

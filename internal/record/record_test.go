@@ -102,13 +102,6 @@ func TestRecordFieldAccess(t *testing.T) {
 	if !r.Field(-1).IsNull() {
 		t.Error("negative field must be Null")
 	}
-	r2 := r.WithField(3, Bool(true))
-	if len(r2) != 4 || !r2.Field(3).Equal(Bool(true)) {
-		t.Errorf("WithField grow failed: %v", r2)
-	}
-	if len(r) != 2 {
-		t.Error("WithField must not mutate the receiver")
-	}
 }
 
 func TestRecordEqualAndCompare(t *testing.T) {

@@ -203,8 +203,8 @@ func TestSCAConservatismRandomUDFs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}
-		estR := eff.ResolveRead(inputs)
-		estW := eff.ResolveWrite(inputs)
+		estR := eff.ResolveRead(nil, inputs)
+		estW := eff.ResolveWrite(nil, inputs)
 		obsR, obsW := observedSets(t, f, width, rng)
 
 		if !obsR.SubsetOf(estR) {

@@ -63,10 +63,10 @@ func TestPaperSection3Properties(t *testing.T) {
 	in := []props.FieldSet{props.NewFieldSet(0, 1)}
 
 	f1 := analyze(t, paperExample, "f1")
-	if r := f1.ResolveRead(in); !r.Equal(props.NewFieldSet(1)) {
+	if r := f1.ResolveRead(nil, in); !r.Equal(props.NewFieldSet(1)) {
 		t.Errorf("R_f1 = %v, want {1}", r)
 	}
-	if w := f1.ResolveWrite(in); !w.Equal(props.NewFieldSet(1)) {
+	if w := f1.ResolveWrite(nil, in); !w.Equal(props.NewFieldSet(1)) {
 		t.Errorf("W_f1 = %v, want {1}", w)
 	}
 	if !f1.EmitsExactlyOne() {
@@ -74,10 +74,10 @@ func TestPaperSection3Properties(t *testing.T) {
 	}
 
 	f2 := analyze(t, paperExample, "f2")
-	if r := f2.ResolveRead(in); !r.Equal(props.NewFieldSet(0)) {
+	if r := f2.ResolveRead(nil, in); !r.Equal(props.NewFieldSet(0)) {
 		t.Errorf("R_f2 = %v, want {0}", r)
 	}
-	if w := f2.ResolveWrite(in); w.Len() != 0 {
+	if w := f2.ResolveWrite(nil, in); w.Len() != 0 {
 		t.Errorf("W_f2 = %v, want empty", w)
 	}
 	if f2.EmitMin != 0 || f2.EmitMax != 1 {
@@ -92,16 +92,16 @@ func TestPaperSection3Properties(t *testing.T) {
 	}
 
 	f3 := analyze(t, paperExample, "f3")
-	if r := f3.ResolveRead(in); !r.Equal(props.NewFieldSet(0, 1)) {
+	if r := f3.ResolveRead(nil, in); !r.Equal(props.NewFieldSet(0, 1)) {
 		t.Errorf("R_f3 = %v, want {0,1}", r)
 	}
-	if w := f3.ResolveWrite(in); !w.Equal(props.NewFieldSet(0)) {
+	if w := f3.ResolveWrite(nil, in); !w.Equal(props.NewFieldSet(0)) {
 		t.Errorf("W_f3 = %v, want {0}", w)
 	}
 
 	// The ROC checks of Section 3: f1/f2 reorderable, f2/f3 and f1/f3 not.
 	roc := func(a, b *props.Effect) bool {
-		return props.ROC(a.ResolveRead(in), a.ResolveWrite(in), b.ResolveRead(in), b.ResolveWrite(in))
+		return props.ROC(a.ResolveRead(nil, in), a.ResolveWrite(nil, in), b.ResolveRead(nil, in), b.ResolveWrite(nil, in))
 	}
 	if !roc(f1, f2) {
 		t.Error("f1/f2 must satisfy ROC")
@@ -134,10 +134,10 @@ func map f($ir) {
 	}
 	// With implicit projection, everything except the copy is written.
 	in := []props.FieldSet{props.NewFieldSet(1, 2, 3)}
-	if w := e.ResolveWrite(in); !w.Equal(props.NewFieldSet(1, 3)) {
+	if w := e.ResolveWrite(nil, in); !w.Equal(props.NewFieldSet(1, 3)) {
 		t.Errorf("W = %v, want {1,3}", w)
 	}
-	if out := e.ResolveOutput(in); !out.Equal(props.NewFieldSet(2)) {
+	if out := e.ResolveOutput(nil, in); !out.Equal(props.NewFieldSet(2)) {
 		t.Errorf("out attrs = %v, want {2}", out)
 	}
 }
@@ -185,10 +185,10 @@ func map f($ir) {
 		t.Errorf("null setfield must be an explicit projection: %v", e.Projects)
 	}
 	in := []props.FieldSet{props.NewFieldSet(1, 3)}
-	if w := e.ResolveWrite(in); !w.Equal(props.NewFieldSet(3)) {
+	if w := e.ResolveWrite(nil, in); !w.Equal(props.NewFieldSet(3)) {
 		t.Errorf("W = %v, want {3}", w)
 	}
-	if out := e.ResolveOutput(in); !out.Equal(props.NewFieldSet(1)) {
+	if out := e.ResolveOutput(nil, in); !out.Equal(props.NewFieldSet(1)) {
 		t.Errorf("out = %v, want {1}", out)
 	}
 }
@@ -211,7 +211,7 @@ OUT: emit $or
 		t.Error("mixed constructors must resolve to implicit projection")
 	}
 	in := []props.FieldSet{props.NewFieldSet(0, 1)}
-	if w := e.ResolveWrite(in); !w.Equal(props.NewFieldSet(0, 1)) {
+	if w := e.ResolveWrite(nil, in); !w.Equal(props.NewFieldSet(0, 1)) {
 		t.Errorf("W = %v, want all input attrs", w)
 	}
 }
@@ -245,7 +245,7 @@ func map f($ir) {
 	if !e.CopiesParam[0] {
 		t.Error("emitting the input is an implicit copy")
 	}
-	if w := e.ResolveWrite([]props.FieldSet{props.NewFieldSet(0, 1)}); w.Len() != 0 {
+	if w := e.ResolveWrite(nil, []props.FieldSet{props.NewFieldSet(0, 1)}); w.Len() != 0 {
 		t.Errorf("identity map writes nothing, got %v", w)
 	}
 	if !e.EmitsExactlyOne() {
@@ -319,7 +319,7 @@ func reduce sumB($g) {
 		t.Errorf("emit bounds = [%d,%d]", e.EmitMin, e.EmitMax)
 	}
 	in := []props.FieldSet{props.NewFieldSet(0, 1)}
-	if w := e.ResolveWrite(in); !w.Equal(props.NewFieldSet(2)) {
+	if w := e.ResolveWrite(nil, in); !w.Equal(props.NewFieldSet(2)) {
 		t.Errorf("W = %v, want {2} (the appended aggregate)", w)
 	}
 }
@@ -368,7 +368,7 @@ func map f($ir) {
 	}
 	// Resolution covers the whole input.
 	in := []props.FieldSet{props.NewFieldSet(0, 1, 2, 3)}
-	if r := e.ResolveRead(in); !r.Equal(props.NewFieldSet(0, 1, 2, 3)) {
+	if r := e.ResolveRead(nil, in); !r.Equal(props.NewFieldSet(0, 1, 2, 3)) {
 		t.Errorf("R = %v, want all", r)
 	}
 	// The index-feeding field is read.
@@ -405,7 +405,7 @@ func binary leftOnly($l, $r) {
 		t.Errorf("CopiesParam = %v, want [true,false]", e.CopiesParam)
 	}
 	in := []props.FieldSet{props.NewFieldSet(0, 1), props.NewFieldSet(2, 3)}
-	if w := e.ResolveWrite(in); !w.Equal(props.NewFieldSet(2, 3)) {
+	if w := e.ResolveWrite(nil, in); !w.Equal(props.NewFieldSet(2, 3)) {
 		t.Errorf("W = %v, want the projected right side", w)
 	}
 }

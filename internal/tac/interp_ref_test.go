@@ -187,12 +187,10 @@ func runEmit(f *Func, limit int, sl []refSlots, fr *frame, emit func(record.Reco
 				return err
 			}
 			rv := fr.vals[s.rec]
-			if in.Field >= len(rv.rec) {
-				rv.rec = rv.rec.WithField(in.Field, v)
-			} else {
-				rv.rec = rv.rec.Clone()
-				rv.rec.SetField(in.Field, v)
-			}
+			rec := make(record.Record, max(len(rv.rec), in.Field+1))
+			copy(rec, rv.rec)
+			rec.SetField(in.Field, v)
+			rv.rec = rec
 			fr.vals[s.rec] = rv
 
 		case OpNewRec:

@@ -28,6 +28,7 @@ type op struct {
 	rec, rec2    recRef
 	dst, grp     int32 // typed slots of the defined variable and the group
 	next, target int32
+	width        int // fields a built record reserves room for (see reach)
 }
 
 // operand is a resolved scalar operand: the immediate (slot < 0) or a
@@ -48,9 +49,11 @@ type recRef struct {
 
 // Record slot states. A record is owned when the call built it (newrec,
 // copyrec, concat, or the copy a setfield made) and nothing but its slot can
-// see it: setfield within its width writes it in place, and emit hands it to
-// the sink without a copy and drops ownership. Every other record — a
-// parameter, a groupget result, one already emitted — is copied first.
+// see it: setfield within its capacity writes it in place, and emit hands it
+// to the sink without a copy, its capacity clipped, and drops ownership.
+// Every other record — a parameter, a groupget result, one already emitted —
+// is copied first. A record is built once, with room for the fields its
+// variable's static setfields reach, so widening it never copies again.
 const (
 	recUndef uint8 = iota
 	recShared
@@ -116,6 +119,12 @@ func lower(f *Func, kinds map[string]uint8) *program {
 	p := &program{ops: make([]op, len(f.Body))}
 	l.classify(p, kinds)
 	l.mustDefined()
+	reach := map[string]int{} // per record variable: the width its setfields reach
+	for _, in := range f.Body {
+		if in.Op == OpSetField {
+			reach[in.Rec] = max(reach[in.Rec], in.Field+1)
+		}
+	}
 	for i, in := range f.Body {
 		o := &p.ops[i]
 		*o = op{
@@ -126,6 +135,10 @@ func lower(f *Func, kinds map[string]uint8) *program {
 		}
 		if in.Target != "" {
 			o.target = int32(f.labelIndex[in.Target])
+		}
+		o.width = reach[in.Dst] // the record the op builds, or widens
+		if in.Op == OpSetField {
+			o.width = reach[in.Rec]
 		}
 		o.exec = handler(o)
 	}
@@ -418,21 +431,25 @@ func execSetField(r *Runner, o *op) (int, error) {
 		return 0, err
 	}
 	rec := rg.recs[s]
-	switch {
-	case field >= len(rec):
-		rec = rec.WithField(field, v)
-	case rg.state[s] != recOwned:
-		rec = rec.Clone()
-		rec[field] = v
-	default:
-		rec[field] = v
+	if rg.state[s] == recOwned && field < cap(rec) {
+		rec = rec[:max(len(rec), field+1)] // the reserved room is Null
+	} else {
+		rec = built(rec, max(len(rec), field+1), o.width)
 	}
+	rec[field] = v
 	rg.setRec(s, rec, recOwned)
 	return int(o.next), nil
 }
 
+// built copies rec into a new record of n fields with room for c.
+func built(rec record.Record, n, c int) record.Record {
+	b := make(record.Record, n, max(n, c))
+	copy(b, rec)
+	return b
+}
+
 func execNewRec(r *Runner, o *op) (int, error) {
-	r.rg.setRec(o.dst, record.Record{}, recOwned)
+	r.rg.setRec(o.dst, built(nil, 0, o.width), recOwned)
 	return int(o.next), nil
 }
 
@@ -441,7 +458,7 @@ func execCopyRec(r *Runner, o *op) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	r.rg.setRec(o.dst, rec.Clone(), recOwned)
+	r.rg.setRec(o.dst, built(rec, len(rec), o.width), recOwned)
 	return int(o.next), nil
 }
 
@@ -454,7 +471,14 @@ func execConcat(r *Runner, o *op) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	r.rg.setRec(o.dst, r1.Merge(r2), recOwned)
+	// Merge's overlay, into the built record.
+	rec := built(r1, max(len(r1), len(r2)), o.width)
+	for i, v := range r2 {
+		if !v.IsNull() {
+			rec[i] = v
+		}
+	}
+	r.rg.setRec(o.dst, rec, recOwned)
 	return int(o.next), nil
 }
 
@@ -465,6 +489,7 @@ func execEmit(r *Runner, o *op) (int, error) {
 	}
 	if r.rg.state[o.rec.slot] == recOwned {
 		r.rg.state[o.rec.slot] = recShared
+		rec = rec[:len(rec):len(rec)]
 	} else {
 		rec = rec.Clone()
 	}

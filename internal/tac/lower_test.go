@@ -10,6 +10,9 @@ import (
 // three shapes of BenchmarkInterpreterMapCall: a record the call built is
 // handed to the sink as it is, so each shape allocates once — the copyrec,
 // the concat, the copyrec again — and emitting a parameter still clones it.
+// A record that setfields widen past its first width is still allocated
+// once: newrec then setfields out of order (Q7's sumVolume), and copyrec
+// then a setfield past the input's width.
 func TestRunnerAllocsPerCall(t *testing.T) {
 	prog := MustParse(`
 func map f1($ir) {
@@ -33,6 +36,21 @@ func reduce sum($g) {
 }
 func map pass($ir) {
 	emit $ir
+}
+func map widen($ir) {
+	$a := getfield $ir 0
+	$or := newrec
+	setfield $or 12 $a
+	setfield $or 14 $a
+	setfield $or 8 $a
+	setfield $or 15 $a
+	emit $or
+}
+func map copywiden($ir) {
+	$or := copyrec $ir
+	$a := getfield $ir 0
+	setfield $or 5 $a
+	emit $or
 }`)
 	in := record.Record{record.Int(2), record.Int(-3)}
 	right := record.Record{record.Null, record.Null, record.Int(7)}
@@ -46,6 +64,8 @@ func map pass($ir) {
 		{"jn", func(r *Runner) error { return r.Binary(in, right, sink) }},
 		{"sum", func(r *Runner) error { return r.Reduce(group, sink) }},
 		{"pass", func(r *Runner) error { return r.Map(in, sink) }},
+		{"widen", func(r *Runner) error { return r.Map(in, sink) }},
+		{"copywiden", func(r *Runner) error { return r.Map(in, sink) }},
 	} {
 		f := mustFunc(t, prog, c.udf)
 		r, err := NewRunner(f, f.Kind)
