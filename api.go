@@ -7,8 +7,9 @@
 //
 // The package is a facade over the implementation packages:
 //
-//   - UDFs are written in a small three-address code (package internal/tac),
-//     the very format the paper's Section 3 uses, and are both executed and
+//   - UDFs are written in PactScript, a small structured language (package
+//     internal/frontend), and compiled to the three-address code of the
+//     paper's Section 3 (package internal/tac), which is both executed and
 //     statically analyzed from that single artifact;
 //   - data flows (PACT programs: Map, Reduce, Cross, Match, CoGroup over a
 //     record model) are assembled with a Flow builder;
@@ -34,12 +35,11 @@
 //
 // A minimal end-to-end use:
 //
-//	prog, _ := blackboxflow.ParseUDFs(`
-//	func map filter($ir) {
-//	    $a := getfield $ir 0
-//	    if $a < 0 goto SKIP
-//	    emit $ir
-//	SKIP: return
+//	prog, _ := blackboxflow.CompileUDFs(`
+//	map filter(ir) {
+//	    if ir[0] >= 0 {
+//	        emit ir
+//	    }
 //	}`)
 //	flow := blackboxflow.NewFlow()
 //	src := flow.Source("in", []string{"a", "b"}, blackboxflow.Hints{Records: 1e6, AvgWidthBytes: 18})
@@ -112,25 +112,18 @@ func NewFlow() *Flow { return dataflow.NewFlow() }
 
 // UDF re-exports.
 type (
-	// UDFProgram is a parsed collection of three-address-code UDFs.
+	// UDFProgram is a compiled collection of three-address-code UDFs.
 	UDFProgram = tac.Program
 	// UDF is a single three-address-code function.
 	UDF = tac.Func
 )
-
-// ParseUDFs parses user-defined functions written in the textual
-// three-address code of the paper's Section 3.
-func ParseUDFs(src string) (*UDFProgram, error) { return tac.Parse(src) }
-
-// MustParseUDFs is ParseUDFs, panicking on error (for static program text).
-func MustParseUDFs(src string) *UDFProgram { return tac.MustParse(src) }
 
 // CompileUDFs compiles PactScript — a small structured imperative language
 // (if/else, while, expressions, record and group built-ins) — down to
 // three-address code. The compiled program is what both the engine executes
 // and the static analysis inspects, mirroring the paper's
 // Java-source-to-bytecode toolchain; its String method renders it as the
-// textual three-address code ParseUDFs reads.
+// textual three-address code of the paper's Section 3.
 func CompileUDFs(src string) (*UDFProgram, error) { return frontend.Compile(src) }
 
 // MustCompileUDFs is CompileUDFs, panicking on error.

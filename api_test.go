@@ -105,12 +105,12 @@ reduce total(g) {
 
 // TestFacadeAnalyze checks the standalone analysis entry point.
 func TestFacadeAnalyze(t *testing.T) {
-	prog := blackboxflow.MustParseUDFs(`
-func map f($ir) {
-	$a := getfield $ir 2
-	if $a < 10 goto S
-	emit $ir
-S: return
+	prog := blackboxflow.MustCompileUDFs(`
+map f(ir) {
+	a := ir[2]
+	if a >= 10 {
+		emit ir
+	}
 }
 `)
 	e, err := blackboxflow.AnalyzeUDF(prog.Funcs["f"])
@@ -124,12 +124,12 @@ S: return
 
 // TestFacadeSampling derives hints by profiling and re-optimizes.
 func TestFacadeSampling(t *testing.T) {
-	prog := blackboxflow.MustParseUDFs(`
-func map rare($ir) {
-	$a := getfield $ir 0
-	if $a >= 10 goto S
-	emit $ir
-S: return
+	prog := blackboxflow.MustCompileUDFs(`
+map rare(ir) {
+	a := ir[0]
+	if a < 10 {
+		emit ir
+	}
 }
 `)
 	flow := blackboxflow.NewFlow()
@@ -166,9 +166,6 @@ map f(ir) {
 	text := prog.String()
 	if !strings.Contains(text, "emit $ir") {
 		t.Errorf("generated TAC = %q", text)
-	}
-	if _, err := blackboxflow.ParseUDFs(text); err != nil {
-		t.Errorf("generated TAC must reparse: %v", err)
 	}
 }
 

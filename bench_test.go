@@ -22,6 +22,7 @@ import (
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/engine"
 	"blackboxflow/internal/experiments"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/jobs"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
@@ -417,25 +418,25 @@ func BenchmarkAblationSCAOverhead(b *testing.B) {
 // the Section 3 f1 Map, a concatenating Match/Cross UDF and a summing Reduce
 // over a three-record group.
 func BenchmarkInterpreterMapCall(b *testing.B) {
-	prog := tac.MustParse(`
-func map f1($ir) {
-	$b := getfield $ir 1
-	$or := copyrec $ir
-	if $b >= 0 goto L
-	$b := neg $b
-	setfield $or 1 $b
-L: emit $or
+	prog := frontend.MustCompile(`
+map f1(ir) {
+	b := ir[1]
+	out := copy(ir)
+	if b < 0 {
+		b := -b
+		out[1] = b
+	}
+	emit out
 }
-func binary jn($l, $r) {
-	$o := concat $l $r
-	emit $o
+match jn(l, r) {
+	o := concat(l, r)
+	emit o
 }
-func reduce sum($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 1
-	setfield $or 1 $s
-	emit $or
+reduce sum(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[1] = sum(g, 1)
+	emit out
 }
 `)
 	in := record.Record{record.Int(2), record.Int(-3)}
@@ -470,14 +471,13 @@ func reduce sum($g) {
 
 // BenchmarkSCAAnalyze measures one static analysis of a UDF.
 func BenchmarkSCAAnalyze(b *testing.B) {
-	prog := tac.MustParse(`
-func map f3($ir) {
-	$a := getfield $ir 0
-	$b := getfield $ir 1
-	$sum := $a + $b
-	$or := copyrec $ir
-	setfield $or 0 $sum
-	emit $or
+	prog := frontend.MustCompile(`
+map f3(ir) {
+	a := ir[0]
+	b := ir[1]
+	out := copy(ir)
+	out[0] = a + b
+	emit out
 }
 `)
 	f, _ := prog.Lookup("f3")
@@ -568,13 +568,12 @@ func BenchmarkCombiner(b *testing.B) {
 		n     = 200000
 		words = 100
 	)
-	prog := tac.MustParse(`
-func reduce wcount($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 1
-	setfield $or 1 $s
-	emit $or
+	prog := frontend.MustCompile(`
+reduce wcount(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[1] = sum(g, 1)
+	emit out
 }
 `)
 	udf, _ := prog.Lookup("wcount")
@@ -662,13 +661,12 @@ func BenchmarkSpill(b *testing.B) {
 		n     = 200000
 		words = 20000
 	)
-	prog := tac.MustParse(`
-func reduce wcount($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 1
-	setfield $or 1 $s
-	emit $or
+	prog := frontend.MustCompile(`
+reduce wcount(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[1] = sum(g, 1)
+	emit out
 }
 `)
 	udf, _ := prog.Lookup("wcount")
@@ -751,10 +749,10 @@ func BenchmarkJoinSpill(b *testing.B) {
 		nR   = 50000
 		keys = 25000
 	)
-	prog := tac.MustParse(`
-func binary jn($l, $r) {
-	$o := concat $l $r
-	emit $o
+	prog := frontend.MustCompile(`
+match jn(l, r) {
+	o := concat(l, r)
+	emit o
 }
 `)
 	udf, _ := prog.Lookup("jn")
@@ -846,10 +844,10 @@ func binary jn($l, $r) {
 // grouping of 10k records (the dominant physical operator cost in the
 // relational workloads).
 func BenchmarkEngineShuffle(b *testing.B) {
-	prog := tac.MustParse(`
-func reduce first($g) {
-	$r := groupget $g 0
-	emit $r
+	prog := frontend.MustCompile(`
+reduce first(g) {
+	r := g.at(0)
+	emit r
 }
 `)
 	udf, _ := prog.Lookup("first")
@@ -898,18 +896,17 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 		n       = 30000
 		keyCard = 12000
 	)
-	prog := tac.MustParse(`
-func reduce jtally($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 1
-	setfield $or 1 $s
-	emit $or
+	prog := frontend.MustCompile(`
+reduce jtally(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[1] = sum(g, 1)
+	emit out
 }
 
-func binary jpair($l, $r) {
-	$out := concat $l $r
-	emit $out
+match jpair(l, r) {
+	out := concat(l, r)
+	emit out
 }`)
 	tally, _ := prog.Lookup("jtally")
 	pair, _ := prog.Lookup("jpair")

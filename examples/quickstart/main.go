@@ -6,10 +6,11 @@
 //	f2 filters records with A<0 (reads A, writes nothing)
 //	f3 replaces A with A+B      (reads A and B, writes A)
 //
-// Static code analysis discovers these read/write sets from the UDFs'
-// three-address code; the optimizer concludes that f1 and f2 commute while
-// f3 is pinned, enumerates both orders, and — because f2 discards half the
-// records — places the filter first.
+// The UDFs are written in PactScript; static code analysis discovers these
+// read/write sets from the three-address code they compile to. The optimizer
+// concludes that f1 and f2 commute while f3 is pinned, enumerates both
+// orders, and — because f2 discards half the records — places the filter
+// first.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -23,37 +24,37 @@ import (
 )
 
 const udfs = `
-# f1: B := |B|
-func map f1($ir) {
-	$b := getfield $ir 1
-	$or := copyrec $ir
-	if $b >= 0 goto DONE
-	$b := neg $b
-	setfield $or 1 $b
-DONE: emit $or
+// f1: B := |B|
+map f1(ir) {
+	b := ir[1]
+	out := copy(ir)
+	if b < 0 {
+		out[1] = -b
+	}
+	emit out
 }
 
-# f2: keep records with A >= 0
-func map f2($ir) {
-	$a := getfield $ir 0
-	if $a < 0 goto SKIP
-	emit $ir
-SKIP: return
+// f2: keep records with A >= 0
+map f2(ir) {
+	if ir[0] >= 0 {
+		emit ir
+	}
 }
 
-# f3: A := A + B
-func map f3($ir) {
-	$a := getfield $ir 0
-	$b := getfield $ir 1
-	$sum := $a + $b
-	$or := copyrec $ir
-	setfield $or 0 $sum
-	emit $or
+// f3: A := A + B
+map f3(ir) {
+	out := copy(ir)
+	out[0] = ir[0] + ir[1]
+	emit out
 }
 `
 
 func main() {
-	prog := blackboxflow.MustParseUDFs(udfs)
+	prog := blackboxflow.MustCompileUDFs(udfs)
+
+	// The three-address code the UDFs compile to: what the engine runs and
+	// what static code analysis reads (the notation of Section 3).
+	fmt.Printf("compiled UDFs:\n%s\n", prog)
 
 	// Assemble the flow I -> f1 -> f2 -> f3 -> O of Section 3.
 	flow := blackboxflow.NewFlow()

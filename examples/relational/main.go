@@ -20,49 +20,46 @@ import (
 )
 
 const udfs = `
-# Keep lineitems of one quarter.
-func map quarter($ir) {
-	$d := getfield $ir 3
-	if $d < 900 goto SKIP
-	if $d > 990 goto SKIP
-	emit $ir
-SKIP: return
+// Keep lineitems of one quarter.
+map quarter(ir) {
+	d := ir[3]
+	if d >= 900 && d <= 990 {
+		emit ir
+	}
 }
 
-# Concatenate the matching supplier and aggregate rows.
-func binary join($l, $r) {
-	$o := concat $l $r
-	emit $o
+// Concatenate the matching supplier and aggregate rows.
+match join(l, r) {
+	o := concat(l, r)
+	emit o
 }
 
-# Revenue per supplier: pass-through of group-constant fields, the
-# group-varying lineitem fields are projected, the sum is appended.
-func reduce revenue($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	setfield $or 3 null
-	setfield $or 4 null
-	$s := agg sum $g 4
-	setfield $or 5 $s
-	emit $or
+// Revenue per supplier: pass-through of group-constant fields, the
+// group-varying lineitem fields are projected, the sum is appended.
+reduce revenue(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[3] = null
+	out[4] = null
+	out[5] = sum(g, 4)
+	emit out
 }
 
-# Pre-shuffle partial aggregate for revenue: collapses any subset of a
-# supplier's rows into one row carrying the partial sum in the same field
-# the final aggregate reads (sum-of-sums = sum). Declared as the Reduce's
-# combiner below; the optimizer verifies from this code that it emits
-# exactly one record and never writes the grouping key.
-func reduce revenuePartial($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 4
-	setfield $or 4 $s
-	emit $or
+// Pre-shuffle partial aggregate for revenue: collapses any subset of a
+// supplier's rows into one row carrying the partial sum in the same field
+// the final aggregate reads (sum-of-sums = sum). Declared as the Reduce's
+// combiner below; the optimizer verifies from this code that it emits
+// exactly one record and never writes the grouping key.
+reduce revenuePartial(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[4] = sum(g, 4)
+	emit out
 }
 `
 
 func main() {
-	prog := blackboxflow.MustParseUDFs(udfs)
+	prog := blackboxflow.MustCompileUDFs(udfs)
 
 	flow := blackboxflow.NewFlow()
 	// Attribute indices: s_key=0, s_name=1, l_suppkey=2, l_shipdate=3,

@@ -22,33 +22,29 @@ import (
 // quickstartUDFs is the Section 3 program of examples/quickstart: f1 = |B|,
 // f2 = keep A>=0, f3 = A+B over global attributes A=0, B=1.
 const quickstartUDFs = `
-func map f1($ir) {
-	$b := getfield $ir 1
-	$or := copyrec $ir
-	if $b >= 0 goto DONE
-	$b := neg $b
-	setfield $or 1 $b
-DONE: emit $or
+map f1(ir) {
+	b := ir[1]
+	out := copy(ir)
+	if b < 0 {
+		out[1] = -b
+	}
+	emit out
 }
-func map f2($ir) {
-	$a := getfield $ir 0
-	if $a < 0 goto SKIP
-	emit $ir
-SKIP: return
+map f2(ir) {
+	if ir[0] >= 0 {
+		emit ir
+	}
 }
-func map f3($ir) {
-	$a := getfield $ir 0
-	$b := getfield $ir 1
-	$sum := $a + $b
-	$or := copyrec $ir
-	setfield $or 0 $sum
-	emit $or
+map f3(ir) {
+	out := copy(ir)
+	out[0] = ir[0] + ir[1]
+	emit out
 }
 `
 
 func buildQuickstartFlow(t *testing.T) *blackboxflow.Flow {
 	t.Helper()
-	prog, err := blackboxflow.ParseUDFs(quickstartUDFs)
+	prog, err := blackboxflow.CompileUDFs(quickstartUDFs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,32 +136,29 @@ func TestQuickstartExamplePipeline(t *testing.T) {
 
 // relationalUDFs is the TPC-H Q15-style program of examples/relational.
 const relationalUDFs = `
-func map quarter($ir) {
-	$d := getfield $ir 3
-	if $d < 900 goto SKIP
-	if $d > 990 goto SKIP
-	emit $ir
-SKIP: return
+map quarter(ir) {
+	d := ir[3]
+	if d >= 900 && d <= 990 {
+		emit ir
+	}
 }
-func binary join($l, $r) {
-	$o := concat $l $r
-	emit $o
+match join(l, r) {
+	o := concat(l, r)
+	emit o
 }
-func reduce revenue($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	setfield $or 3 null
-	setfield $or 4 null
-	$s := agg sum $g 4
-	setfield $or 5 $s
-	emit $or
+reduce revenue(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[3] = null
+	out[4] = null
+	out[5] = sum(g, 4)
+	emit out
 }
-func reduce revenuePartial($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 4
-	setfield $or 4 $s
-	emit $or
+reduce revenuePartial(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[4] = sum(g, 4)
+	emit out
 }
 `
 
@@ -177,7 +170,7 @@ func TestRelationalExamplePipeline(t *testing.T) {
 		suppliers = 100
 		lineitems = 20000
 	)
-	prog, err := blackboxflow.ParseUDFs(relationalUDFs)
+	prog, err := blackboxflow.CompileUDFs(relationalUDFs)
 	if err != nil {
 		t.Fatal(err)
 	}

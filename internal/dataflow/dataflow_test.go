@@ -4,28 +4,29 @@ import (
 	"strings"
 	"testing"
 
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/props"
 	"blackboxflow/internal/tac"
 )
 
-var testUDFs = tac.MustParse(`
-func map id($ir) {
-	emit $ir
+var testUDFs = frontend.MustCompile(`
+map id(ir) {
+	emit ir
 }
-func binary jn($l, $r) {
-	$o := concat $l $r
-	emit $o
+match jn(l, r) {
+	o := concat(l, r)
+	emit o
 }
-func reduce rd($g) {
-	$r := groupget $g 0
-	emit $r
+reduce rd(g) {
+	r := g.at(0)
+	emit r
 }
-func cogroup cg($g1, $g2) {
-	$n := groupsize $g1
-	if $n == 0 goto E
-	$r := groupget $g1 0
-	emit $r
-E: return
+cogroup cg(g1, g2) {
+	n := g1.size()
+	if n != 0 {
+		r := g1.at(0)
+		emit r
+	}
 }
 `)
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/tac"
 )
@@ -87,24 +88,22 @@ func TestRunnerAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race; allocation counts are not meaningful")
 	}
-	prog := tac.MustParse(`
-func map double($ir) {
-	$a := getfield $ir 0
-	$d := $a * 2
-	$or := copyrec $ir
-	setfield $or 0 $d
-	emit $or
+	prog := frontend.MustCompile(`
+map double(ir) {
+	a := ir[0]
+	out := copy(ir)
+	out[0] = a * 2
+	emit out
 }
-func binary jn($l, $r) {
-	$o := concat $l $r
-	emit $o
+match jn(l, r) {
+	o := concat(l, r)
+	emit o
 }
-func reduce sum($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 0
-	setfield $or 0 $s
-	emit $or
+reduce sum(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[0] = sum(g, 0)
+	emit out
 }`)
 	in := record.Record{record.Int(21), record.String("x")}
 	group := tac.GroupSource(tac.Records{in, in, in})

@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
 )
 
 // buildGroupingJob returns a Source→Reduce plan over n records with keyCard
@@ -19,13 +19,13 @@ import (
 // spill-cleanup tests.
 func buildGroupingJob(t *testing.T, n, keyCard int) (*optimizer.PhysPlan, record.DataSet) {
 	t.Helper()
-	prog := tac.MustParse(`
-func reduce tally($g) {
-	$r := groupget $g 0
-	$s := agg sum $g 1
-	$out := copyrec $r
-	setfield $out 1 $s
-	emit $out
+	prog := frontend.MustCompile(`
+reduce tally(g) {
+	r := g.at(0)
+	s := sum(g, 1)
+	out := copy(r)
+	out[1] = s
+	emit out
 }`)
 	f := dataflow.NewFlow()
 	src := f.Source("in", []string{"k", "v"}, dataflow.Hints{Records: float64(n), AvgWidthBytes: 20})
@@ -179,12 +179,12 @@ func TestCancelMidSpillRemovesFiles(t *testing.T) {
 // already spilled sorted runs must not leave files under SpillDir.
 func TestErrorMidSpillRemovesFiles(t *testing.T) {
 	dir := t.TempDir()
-	prog := tac.MustParse(`
-func reduce bad($g) {
-	$r := groupget $g 0
-	$x := agg sum $g 1
-	$y := $x / 0
-	emit $r
+	prog := frontend.MustCompile(`
+reduce bad(g) {
+	r := g.at(0)
+	x := sum(g, 1)
+	y := x / 0
+	emit r
 }`)
 	const n = 20000
 	f := dataflow.NewFlow()

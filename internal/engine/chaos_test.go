@@ -12,6 +12,7 @@ import (
 
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/faultfs"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/tac"
@@ -73,24 +74,22 @@ func chaosShapes(t *testing.T) []chaosShape {
 
 	// CoGroup: order-insensitive aggregate of both sides per key.
 	{
-		prog := tac.MustParse(`
-func cogroup cg($g1, $g2) {
-	$or := newrec
-	$n1 := groupsize $g1
-	if $n1 == 0 goto RIGHT
-	$r := groupget $g1 0
-	$k := getfield $r 0
-	goto SET
-RIGHT:
-	$r2 := groupget $g2 0
-	$k := getfield $r2 2
-SET:
-	setfield $or 0 $k
-	$s := agg sum $g1 1
-	setfield $or 1 $s
-	$n2 := groupsize $g2
-	setfield $or 3 $n2
-	emit $or
+		prog := frontend.MustCompile(`
+cogroup cg(g1, g2) {
+	out := new()
+	n1 := g1.size()
+	if n1 != 0 {
+		r := g1.at(0)
+		k := r[0]
+	} else {
+		r2 := g2.at(0)
+		k := r2[2]
+	}
+	out[0] = k
+	out[1] = sum(g1, 1)
+	n2 := g2.size()
+	out[3] = n2
+	emit out
 }`)
 		f := dataflow.NewFlow()
 		l := f.Source("L", []string{"lk", "lv"}, dataflow.Hints{Records: 3000, AvgWidthBytes: 18})
@@ -127,10 +126,10 @@ SET:
 	// canonical join order makes two runs byte-comparable (the repo's
 	// convention for byte-identity across scheduler interleavings).
 	{
-		prog := tac.MustParse(`
-func binary jn($l, $r) {
-	$o := concat $l $r
-	emit $o
+		prog := frontend.MustCompile(`
+match jn(l, r) {
+	o := concat(l, r)
+	emit o
 }`)
 		const nKeys = 900
 		f := dataflow.NewFlow()

@@ -5,42 +5,40 @@ import (
 	"testing"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
 )
 
 // combineProgram is a wordcount-style pipeline over fields word=0, n=1,
 // keep=2: a filter Map, an arithmetic Map, and a sum-per-word Reduce whose
 // UDF is fully algebraic — summing partial sums equals summing the raw
 // values — so the Reduce can serve as its own combiner.
-var combineProgram = tac.MustParse(`
-func map keepOnly($ir) {
-	$k := getfield $ir 2
-	if $k == 0 goto SKIP
-	emit $ir
-SKIP: return
+var combineProgram = frontend.MustCompile(`
+map keepOnly(ir) {
+	k := ir[2]
+	if k != 0 {
+		emit ir
+	}
 }
-func map double($ir) {
-	$n := getfield $ir 1
-	$d := $n + $n
-	$or := copyrec $ir
-	setfield $or 1 $d
-	emit $or
+map double(ir) {
+	n := ir[1]
+	out := copy(ir)
+	out[1] = n + n
+	emit out
 }
-func reduce sumN($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 1
-	setfield $or 1 $s
-	setfield $or 2 null
-	emit $or
+reduce sumN(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[1] = sum(g, 1)
+	out[2] = null
+	emit out
 }
-func reduce badKeyWriter($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	setfield $or 0 "rewritten"
-	emit $or
+reduce badKeyWriter(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[0] = "rewritten"
+	emit out
 }
 `)
 

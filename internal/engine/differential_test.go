@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
 )
 
 // This file is the differential harness: every stage-variant family —
@@ -95,7 +95,7 @@ func TestDifferentialMapChains(t *testing.T) {
 			names[i] = fmt.Sprintf("u%d", i)
 			src += genUDF(rng, names[i], width)
 		}
-		prog, err := tac.Parse(src)
+		prog, err := frontend.Compile(src)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}
@@ -169,10 +169,10 @@ func TestDifferentialCombinedReduce(t *testing.T) {
 // independent, the repo's convention for byte-comparable runs.
 func TestDifferentialJoins(t *testing.T) {
 	const nKeys = 140
-	prog := tac.MustParse(`
-func binary jn($l, $r) {
-	$o := concat $l $r
-	emit $o
+	prog := frontend.MustCompile(`
+match jn(l, r) {
+	o := concat(l, r)
+	emit o
 }`)
 	f := dataflow.NewFlow()
 	l := f.Source("L", []string{"a0", "a1"}, dataflow.Hints{Records: nKeys, AvgWidthBytes: 18})

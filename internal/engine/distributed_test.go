@@ -17,9 +17,9 @@ import (
 	"time"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
 	"blackboxflow/internal/transport"
 )
 
@@ -113,13 +113,12 @@ func distPipelines(t *testing.T) []distPipeline {
 
 	{
 		const n, words = 6000, 120
-		prog := tac.MustParse(`
-func reduce wcount($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 1
-	setfield $or 1 $s
-	emit $or
+		prog := frontend.MustCompile(`
+reduce wcount(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[1] = sum(g, 1)
+	emit out
 }`)
 		udf, _ := prog.Lookup("wcount")
 		f := dataflow.NewFlow()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/tac"
@@ -12,29 +13,29 @@ import (
 
 // paperProgram is the Section 3 example: f1 = |B|, f2 = filter A>=0,
 // f3 = A+B over fields A=0, B=1.
-var paperProgram = tac.MustParse(`
-func map f1($ir) {
-	$b := getfield $ir 1
-	$or := copyrec $ir
-	if $b >= 0 goto L
-	$b := neg $b
-	setfield $or 1 $b
-L: emit $or
+var paperProgram = frontend.MustCompile(`
+map f1(ir) {
+	b := ir[1]
+	out := copy(ir)
+	if b < 0 {
+		b := -b
+		out[1] = b
+	}
+	emit out
 }
-func map f2($ir) {
-	$a := getfield $ir 0
-	if $a < 0 goto L
-	$or := copyrec $ir
-	emit $or
-L: return
+map f2(ir) {
+	a := ir[0]
+	if a >= 0 {
+		out := copy(ir)
+		emit out
+	}
 }
-func map f3($ir) {
-	$a := getfield $ir 0
-	$b := getfield $ir 1
-	$sum := $a + $b
-	$or := copyrec $ir
-	setfield $or 0 $sum
-	emit $or
+map f3(ir) {
+	a := ir[0]
+	b := ir[1]
+	out := copy(ir)
+	out[0] = a + b
+	emit out
 }
 `)
 
@@ -121,10 +122,10 @@ func TestAllAlternativesEquivalent(t *testing.T) {
 // TestJoinExecutionStrategies: hash join and merge join produce identical
 // results, and broadcast vs partition shipping does not change the output.
 func TestJoinExecutionStrategies(t *testing.T) {
-	prog := tac.MustParse(`
-func binary join($l, $r) {
-	$o := concat $l $r
-	emit $o
+	prog := frontend.MustCompile(`
+match join(l, r) {
+	o := concat(l, r)
+	emit o
 }
 `)
 	f := dataflow.NewFlow()
@@ -199,13 +200,12 @@ func binary join($l, $r) {
 }
 
 func TestReduceExecution(t *testing.T) {
-	prog := tac.MustParse(`
-func reduce sum($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 1
-	setfield $or 2 $s
-	emit $or
+	prog := frontend.MustCompile(`
+reduce sum(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[2] = sum(g, 1)
+	emit out
 }
 `)
 	f := dataflow.NewFlow()
@@ -240,13 +240,12 @@ func reduce sum($g) {
 }
 
 func TestReduceHashVsSortGrouping(t *testing.T) {
-	prog := tac.MustParse(`
-func reduce count($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$n := agg count $g 0
-	setfield $or 2 $n
-	emit $or
+	prog := frontend.MustCompile(`
+reduce count(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[2] = count(g, 0)
+	emit out
 }
 `)
 	f := dataflow.NewFlow()
@@ -298,10 +297,10 @@ func reduce count($g) {
 }
 
 func TestCrossExecution(t *testing.T) {
-	prog := tac.MustParse(`
-func binary pair($l, $r) {
-	$o := concat $l $r
-	emit $o
+	prog := frontend.MustCompile(`
+cross pair(l, r) {
+	o := concat(l, r)
+	emit o
 }
 `)
 	f := dataflow.NewFlow()
@@ -331,16 +330,16 @@ func binary pair($l, $r) {
 }
 
 func TestCoGroupExecution(t *testing.T) {
-	prog := tac.MustParse(`
-func cogroup cg($g1, $g2) {
-	$n1 := groupsize $g1
-	if $n1 == 0 goto EMPTY
-	$r := groupget $g1 0
-	$or := copyrec $r
-	$n2 := groupsize $g2
-	setfield $or 3 $n2
-	emit $or
-EMPTY: return
+	prog := frontend.MustCompile(`
+cogroup cg(g1, g2) {
+	n1 := g1.size()
+	if n1 != 0 {
+		r := g1.at(0)
+		out := copy(r)
+		n2 := g2.size()
+		out[3] = n2
+		emit out
+	}
 }
 `)
 	f := dataflow.NewFlow()
@@ -425,10 +424,10 @@ func TestMissingSourceData(t *testing.T) {
 }
 
 func TestShuffleBytesAccounted(t *testing.T) {
-	prog := tac.MustParse(`
-func reduce first($g) {
-	$r := groupget $g 0
-	emit $r
+	prog := frontend.MustCompile(`
+reduce first(g) {
+	r := g.at(0)
+	emit r
 }
 `)
 	f := dataflow.NewFlow()

@@ -8,9 +8,9 @@ import (
 
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/faultfs"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
 )
 
 // This file implements a randomized end-to-end soundness check of the whole
@@ -29,50 +29,61 @@ func genUDF(rng *rand.Rand, name string, width int) string {
 	switch rng.Intn(5) {
 	case 0: // filter on f1
 		return fmt.Sprintf(`
-func map %s($ir) {
-	$a := getfield $ir %d
-	if $a < %d goto S
-	emit $ir
-S: return
+map %s(ir) {
+	a := ir[%d]
+	if a >= %d {
+		emit ir
+	}
 }`, name, f1, c)
 	case 1: // rewrite f1 from f1 and f2
 		return fmt.Sprintf(`
-func map %s($ir) {
-	$a := getfield $ir %d
-	$b := getfield $ir %d
-	$s := $a + $b
-	$or := copyrec $ir
-	setfield $or %d $s
-	emit $or
+map %s(ir) {
+	a := ir[%d]
+	b := ir[%d]
+	out := copy(ir)
+	out[%d] = a + b
+	emit out
 }`, name, f1, f2, f1)
 	case 2: // conditional rewrite (f1's sign decides)
 		return fmt.Sprintf(`
-func map %s($ir) {
-	$a := getfield $ir %d
-	$or := copyrec $ir
-	if $a >= 0 goto E
-	$n := neg $a
-	setfield $or %d $n
-E: emit $or
+map %s(ir) {
+	a := ir[%d]
+	out := copy(ir)
+	if a < 0 {
+		out[%d] = -a
+	}
+	emit out
 }`, name, f1, f1)
 	case 3: // move f2 into f1 (reads f2, writes f1)
 		return fmt.Sprintf(`
-func map %s($ir) {
-	$b := getfield $ir %d
-	$or := copyrec $ir
-	$d := $b * 2
-	setfield $or %d $d
-	emit $or
+map %s(ir) {
+	b := ir[%d]
+	out := copy(ir)
+	out[%d] = b * 2
+	emit out
 }`, name, f2, f1)
 	default: // duplicate rows with a marker in f1
 		return fmt.Sprintf(`
-func map %s($ir) {
-	emit $ir
-	$or := copyrec $ir
-	setfield $or %d %d
-	emit $or
+map %s(ir) {
+	emit ir
+	out := copy(ir)
+	out[%d] = %d
+	emit out
 }`, name, f1, c)
 	}
+}
+
+// aggUDF is the Reduce the random pipelines end in: it keeps the grouping
+// key and sums aggField into the attribute at index width.
+func aggUDF(keyField, aggField, width int) string {
+	return fmt.Sprintf(`
+reduce agg(g) {
+	first := g.at(0)
+	out := new()
+	out[%d] = first[%d]
+	out[%d] = sum(g, %d)
+	emit out
+}`, keyField, keyField, width, aggField)
 }
 
 // TestRandomPipelinesAllPlansEquivalent generates random flows and checks
@@ -94,7 +105,7 @@ func TestRandomPipelinesAllPlansEquivalent(t *testing.T) {
 			names[i] = fmt.Sprintf("u%d", i)
 			src += genUDF(rng, names[i], width)
 		}
-		prog, err := tac.Parse(src)
+		prog, err := frontend.Compile(src)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}
@@ -184,18 +195,9 @@ func genTinyBudgetTrial(t *testing.T, trial int) tinyBudgetTrial {
 	}
 	keyField := rng.Intn(width)
 	aggField := rng.Intn(width)
-	src += fmt.Sprintf(`
-func reduce agg($g) {
-	$first := groupget $g 0
-	$or := newrec
-	$k := getfield $first %d
-	setfield $or %d $k
-	$s := agg sum $g %d
-	setfield $or %d $s
-	emit $or
-}`, keyField, keyField, aggField, width)
+	src += aggUDF(keyField, aggField, width)
 
-	prog, err := tac.Parse(src)
+	prog, err := frontend.Compile(src)
 	if err != nil {
 		t.Fatalf("trial %d: %v\n%s", trial, err, src)
 	}
@@ -411,9 +413,9 @@ func TestRandomJoinPipelinesTinyBudgetEquivalent(t *testing.T) {
 		useCross := trial%3 == 2
 
 		src := `
-func binary jn($l, $r) {
-	$o := concat $l $r
-	emit $o
+match jn(l, r) {
+	o := concat(l, r)
+	emit o
 }`
 		names := make([]string, nMaps)
 		for i := range names {
@@ -424,18 +426,9 @@ func binary jn($l, $r) {
 		aggField := rng.Intn(width)
 		withReduce := !useCross && trial%2 == 0
 		if withReduce {
-			src += fmt.Sprintf(`
-func reduce agg($g) {
-	$first := groupget $g 0
-	$or := newrec
-	$k := getfield $first %d
-	setfield $or %d $k
-	$s := agg sum $g %d
-	setfield $or %d $s
-	emit $or
-}`, keyField, keyField, aggField, width)
+			src += aggUDF(keyField, aggField, width)
 		}
-		prog, err := tac.Parse(src)
+		prog, err := frontend.Compile(src)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}
@@ -583,18 +576,9 @@ func TestRandomReducePipelinesEquivalent(t *testing.T) {
 		}
 		keyField := rng.Intn(width)
 		aggField := rng.Intn(width)
-		src += fmt.Sprintf(`
-func reduce agg($g) {
-	$first := groupget $g 0
-	$or := newrec
-	$k := getfield $first %d
-	setfield $or %d $k
-	$s := agg sum $g %d
-	setfield $or %d $s
-	emit $or
-}`, keyField, keyField, aggField, width)
+		src += aggUDF(keyField, aggField, width)
 
-		prog, err := tac.Parse(src)
+		prog, err := frontend.Compile(src)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}

@@ -6,18 +6,18 @@ import (
 	"testing"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
 )
 
 // buildJoinFlow constructs L(lk,lv) ⋈ R(rk,rv) on lk=rk with a concat UDF.
 func buildJoinFlow(t *testing.T, lRecs, rRecs, keyCard float64) (*dataflow.Flow, *optimizer.Tree) {
 	t.Helper()
-	prog := tac.MustParse(`
-func binary jn($l, $r) {
-	$o := concat $l $r
-	emit $o
+	prog := frontend.MustCompile(`
+match jn(l, r) {
+	o := concat(l, r)
+	emit o
 }
 `)
 	udf, _ := prog.Lookup("jn")

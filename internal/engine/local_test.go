@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
 )
 
 // This file pins the local strategies against each other and against the
@@ -18,22 +18,21 @@ import (
 // where nothing scrambles arrival order, their outputs are byte-identical
 // even with many-to-many duplicates whose payloads all differ.
 
-var strategyProgram = tac.MustParse(`
-func reduce all($g) {
-	$n := groupsize $g
-	$i := 0
-L:	if $i >= $n goto E
-	$r := groupget $g $i
-	$o := copyrec $r
-	setfield $o 2 $n
-	emit $o
-	$i := $i + 1
-	goto L
-E:	return
+var strategyProgram = frontend.MustCompile(`
+reduce all(g) {
+	n := g.size()
+	i := 0
+	while i < n {
+		r := g.at(i)
+		o := copy(r)
+		o[2] = n
+		emit o
+		i := i + 1
+	}
 }
-func binary jn($l, $r) {
-	$o := concat $l $r
-	emit $o
+match jn(l, r) {
+	o := concat(l, r)
+	emit o
 }`)
 
 // adversarialKeys mixes every kind, Int(1) beside Float(1), the ints a

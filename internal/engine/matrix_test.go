@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
 	"blackboxflow/internal/transport"
 )
 
@@ -36,57 +36,53 @@ import (
 // identical copies.
 func matrixMaps(side string, k int) string {
 	return fmt.Sprintf(`
-func map keep%[1]s($ir) {
-	$k := getfield $ir %[2]d
-	$m := $k %% 3
-	if $m == 0 goto S
-	emit $ir
-S: return
+map keep%[1]s(ir) {
+	k := ir[%[2]d]
+	m := k %% 3
+	if m != 0 {
+		emit ir
+	}
 }
-func map bump%[1]s($ir) {
-	$k := getfield $ir %[2]d
-	$v := getfield $ir %[3]d
-	$s := $v + $k
-	$or := copyrec $ir
-	setfield $or %[3]d $s
-	emit $or
+map bump%[1]s(ir) {
+	k := ir[%[2]d]
+	v := ir[%[3]d]
+	out := copy(ir)
+	out[%[3]d] = v + k
+	emit out
 }
-func map twice%[1]s($ir) {
-	emit $ir
-	$or := copyrec $ir
-	emit $or
+map twice%[1]s(ir) {
+	emit ir
+	out := copy(ir)
+	emit out
 }`, side, k, k+1)
 }
 
-var matrixProgram = tac.MustParse(matrixMaps("L", 0) + matrixMaps("R", 2) + `
-func reduce sum($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 1
-	setfield $or 1 $s
-	emit $or
+var matrixProgram = frontend.MustCompile(matrixMaps("L", 0) + matrixMaps("R", 2) + `
+reduce sum(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[1] = sum(g, 1)
+	emit out
 }
-func binary jn($l, $r) {
-	$o := concat $l $r
-	emit $o
+match jn(l, r) {
+	o := concat(l, r)
+	emit o
 }
-func cogroup cg($g1, $g2) {
-	$or := newrec
-	$n1 := groupsize $g1
-	if $n1 == 0 goto RIGHT
-	$r := groupget $g1 0
-	$k := getfield $r 0
-	goto SET
-RIGHT:
-	$r2 := groupget $g2 0
-	$k := getfield $r2 2
-SET:
-	setfield $or 0 $k
-	$s := agg sum $g1 1
-	setfield $or 1 $s
-	$n2 := groupsize $g2
-	setfield $or 3 $n2
-	emit $or
+cogroup cg(g1, g2) {
+	out := new()
+	n1 := g1.size()
+	if n1 != 0 {
+		r := g1.at(0)
+		k := r[0]
+	} else {
+		r2 := g2.at(0)
+		k := r2[2]
+	}
+	out[0] = k
+	out[1] = sum(g1, 1)
+	n2 := g2.size()
+	out[3] = n2
+	emit out
 }`)
 
 // matrixShape is one operator under test: its kind, local strategy and UDF.

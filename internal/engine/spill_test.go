@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/tac"
@@ -15,13 +16,12 @@ import (
 // so the plan executes through the plain (or spill-capable) shuffle path.
 func buildWordcountFlow(t *testing.T, records, keyCard float64) (*dataflow.Flow, *optimizer.Tree) {
 	t.Helper()
-	prog := tac.MustParse(`
-func reduce sumPerWord($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 1
-	setfield $or 1 $s
-	emit $or
+	prog := frontend.MustCompile(`
+reduce sumPerWord(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[1] = sum(g, 1)
+	emit out
 }
 `)
 	udf, _ := prog.Lookup("sumPerWord")
@@ -176,24 +176,22 @@ func TestSpillCoGroupEquivalence(t *testing.T) {
 	// The UDF is deliberately order-insensitive within a group (sum + group
 	// sizes, key from either side): within-group arrival order is
 	// scheduler-dependent on any path, spilling or not.
-	prog := tac.MustParse(`
-func cogroup cg($g1, $g2) {
-	$or := newrec
-	$n1 := groupsize $g1
-	if $n1 == 0 goto RIGHT
-	$r := groupget $g1 0
-	$k := getfield $r 0
-	goto SET
-RIGHT:
-	$r2 := groupget $g2 0
-	$k := getfield $r2 2
-SET:
-	setfield $or 0 $k
-	$s := agg sum $g1 1
-	setfield $or 1 $s
-	$n2 := groupsize $g2
-	setfield $or 3 $n2
-	emit $or
+	prog := frontend.MustCompile(`
+cogroup cg(g1, g2) {
+	out := new()
+	n1 := g1.size()
+	if n1 != 0 {
+		r := g1.at(0)
+		k := r[0]
+	} else {
+		r2 := g2.at(0)
+		k := r2[2]
+	}
+	out[0] = k
+	out[1] = sum(g1, 1)
+	n2 := g2.size()
+	out[3] = n2
+	emit out
 }
 `)
 	f := dataflow.NewFlow()

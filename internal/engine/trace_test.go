@@ -8,10 +8,10 @@ import (
 	"testing"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/obs"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
 	"blackboxflow/internal/transport"
 )
 
@@ -286,18 +286,18 @@ func TestTracedShuffleAllocOverhead(t *testing.T) {
 // zero on records whose field 1 is zero.
 func failingChainPlan(t *testing.T, intoSender bool) *optimizer.PhysPlan {
 	t.Helper()
-	prog := tac.MustParse(`
-func map ok($ir) {
-	emit $ir
+	prog := frontend.MustCompile(`
+map ok(ir) {
+	emit ir
 }
-func map bad($ir) {
-	$v := getfield $ir 1
-	$x := 1 / $v
-	emit $ir
+map bad(ir) {
+	v := ir[1]
+	x := 1 / v
+	emit ir
 }
-func reduce tally($g) {
-	$r := groupget $g 0
-	emit $r
+reduce tally(g) {
+	r := g.at(0)
+	emit r
 }`)
 	node := &optimizer.PhysPlan{Op: &dataflow.Operator{Name: "in", Kind: dataflow.KindSource}}
 	for _, name := range []string{"ok", "bad"} {

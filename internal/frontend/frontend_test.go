@@ -396,24 +396,6 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-// TestGeneratedTACIsParseable: the compiled program renders as TAC text
-// that parses.
-func TestGeneratedTACIsParseable(t *testing.T) {
-	prog, err := Compile(section3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := prog.String()
-	if _, err := tac.Parse(text); err != nil {
-		t.Fatalf("generated TAC unparseable: %v\n%s", err, text)
-	}
-	for _, want := range []string{"func map f1($ir)", "copyrec", "getfield"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("generated TAC missing %q:\n%s", want, text)
-		}
-	}
-}
-
 // Property: for random inputs, the compiled f1∘f2∘f3 pipeline equals a
 // direct Go implementation of the paper's semantics.
 func TestQuickPipelineEquivalence(t *testing.T) {

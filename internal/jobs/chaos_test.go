@@ -12,9 +12,9 @@ import (
 
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/faultfs"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/obs"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
 )
 
 // This file is the scheduler half of the chaos equivalence suite: seeded
@@ -155,14 +155,14 @@ func TestFaultSchedulerReleasesOnDiskError(t *testing.T) {
 // failure happens inside a fused chain.
 func failingChainSpec(t *testing.T, seed int64) Spec {
 	t.Helper()
-	prog := tac.MustParse(`
-func map pass($ir) {
-	emit $ir
+	prog := frontend.MustCompile(`
+map pass(ir) {
+	emit ir
 }
-func map boom($ir) {
-	$v := getfield $ir 1
-	$x := $v / 0
-	emit $ir
+map boom(ir) {
+	v := ir[1]
+	x := v / 0
+	emit ir
 }`)
 	spec := groupSpec(t, seed, 2000, 50)
 	f := dataflow.NewFlow()

@@ -322,6 +322,7 @@ var badDocs = []struct {
 	{"dup name", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a"]},{"name":"s","attrs":["b"]}], "ops": [], "sink": "s"}}`, "duplicate"},
 	{"row width", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a","b"]}], "ops": [{"kind":"map","udf":"f","inputs":["s"]}], "sink": "f"}, "data": {"s": [[1]]}}`, "has 1 fields"},
 	{"bad number", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a","b"]}], "ops": [{"kind":"map","udf":"f","inputs":["s"]}], "sink": "f"}, "data": {"s": [[1, 2], [3, 1e400]]}}`, `row 1 field 1: bad number "1e400"`},
+	{"field index out of range", `{"script": "map f(ir) {\n\ta := ir[70000]\n\temit ir\n}", "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [{"kind":"map","udf":"f","inputs":["s"]}], "sink": "f"}}`, "(f): line 2: field index 70000 out of range"},
 	{"nested row value", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a","b"]}], "ops": [{"kind":"map","udf":"f","inputs":["s"]}], "sink": "f"}, "data": {"s": [[1, [2]]]}}`, "row 0 field 1: unsupported value type"},
 }
 

@@ -12,22 +12,22 @@ import (
 	"time"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
 )
 
-var testProg = tac.MustParse(`
-func reduce tally($g) {
-	$r := groupget $g 0
-	$s := agg sum $g 1
-	$out := copyrec $r
-	setfield $out 1 $s
-	emit $out
+var testProg = frontend.MustCompile(`
+reduce tally(g) {
+	r := g.at(0)
+	s := sum(g, 1)
+	out := copy(r)
+	out[1] = s
+	emit out
 }
 
-func binary pair($l, $r) {
-	$out := concat $l $r
-	emit $out
+match pair(l, r) {
+	out := concat(l, r)
+	emit out
 }`)
 
 // groupSpec builds a grouping job over n records with keyCard distinct

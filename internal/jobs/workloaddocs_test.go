@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/workloads/clickstream"
 	"blackboxflow/internal/workloads/textmine"
@@ -320,4 +321,67 @@ map relEx(ir) {
 			},
 		},
 	})
+}
+
+// TestFigureWorkloadsMatchDocuments pins the figure workloads
+// (internal/workloads, what Table 1 and Figures 5–7 measure) to the job
+// documents above (what the end-to-end benchmark submits): every operator
+// both flows have runs a UDF that renders identically and derives the
+// identical effect, so the two measure the same code.
+func TestFigureWorkloadsMatchDocuments(t *testing.T) {
+	q7, err := tpch.BuildQ7(tpch.ModeSCA, &tpch.GenParams{SF: 0.01, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clicks, err := clickstream.Build(clickstream.ModeSCA, &clickstream.GenParams{Sessions: 40, ClicksPerSess: 12, BuyRate: 0.10, LoginRate: 0.30, Users: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := textmine.Build(textmine.ModeSCA, textmine.DefaultGen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for _, c := range []struct {
+		name string
+		gen  *dataflow.Flow
+		doc  []byte
+	}{
+		{"q7", q7.Flow, q7Doc(t, 0.01, tpch.Q7DateHi, 0)},
+		{"clicks", clicks.Flow, clicksDoc(t, 40, 8)},
+		{"textmine", tm.Flow, textmineDoc(t, 12, 1)},
+	} {
+		doc, err := decodeDoc(c.doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := frontend.Compile(doc.Script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flow, err := BuildFlow(&doc.Flow, prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName := map[string]*dataflow.Operator{}
+		for _, op := range flow.Operators() {
+			byName[op.Name] = op
+		}
+		for _, g := range c.gen.Operators() {
+			d := byName[g.Name]
+			if !g.IsUDFOp() || d == nil {
+				continue
+			}
+			shared++
+			if gs, ds := g.UDF.String(), d.UDF.String(); gs != ds {
+				t.Errorf("%s %s: the generator's UDF\n%s\nthe document's\n%s", c.name, g.Name, gs, ds)
+			}
+			if ge, de := g.Effect.String(), d.Effect.String(); ge != de {
+				t.Errorf("%s %s: effect %s, the document's %s", c.name, g.Name, ge, de)
+			}
+		}
+	}
+	if shared != 18 {
+		t.Errorf("%d shared operators, want 18", shared)
+	}
 }

@@ -4,32 +4,31 @@ import (
 	"testing"
 
 	"blackboxflow/internal/dataflow"
-	"blackboxflow/internal/tac"
+	"blackboxflow/internal/frontend"
 )
 
 // combinerTestProgram: an algebraic sum Reduce (usable as its own
 // combiner), a filtering Reduce (emit 0-or-all, not exactly-one), and a
 // Reduce that rewrites the grouping key.
-var combinerTestProgram = tac.MustParse(`
-func reduce sumV($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 1
-	setfield $or 1 $s
-	emit $or
+var combinerTestProgram = frontend.MustCompile(`
+reduce sumV(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[1] = sum(g, 1)
+	emit out
 }
-func reduce keyWriter($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	setfield $or 0 0
-	emit $or
+reduce keyWriter(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[0] = 0
+	emit out
 }
-func reduce maybeEmit($g) {
-	$s := agg sum $g 1
-	if $s < 0 goto SKIP
-	$first := groupget $g 0
-	emit $first
-SKIP: return
+reduce maybeEmit(g) {
+	s := sum(g, 1)
+	if s >= 0 {
+		first := g.at(0)
+		emit first
+	}
 }
 `)
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/props"
 	"blackboxflow/internal/tac"
 )
@@ -55,24 +56,24 @@ func aggregateEffect(aggField, newField int) *props.Effect {
 
 // identityMapUDF is a trivially valid TAC body for operators whose behaviour
 // is supplied via manual annotations in these tests.
-var identityMapUDF = tac.MustParse(`
-func map id($ir) {
-	emit $ir
+var identityMapUDF = frontend.MustCompile(`
+map id(ir) {
+	emit ir
 }
-func binary idj($l, $r) {
-	$o := concat $l $r
-	emit $o
+match idj(l, r) {
+	o := concat(l, r)
+	emit o
 }
-func reduce idr($g) {
-	$r := groupget $g 0
-	emit $r
+reduce idr(g) {
+	r := g.at(0)
+	emit r
 }
-func cogroup idcg($g1, $g2) {
-	$n := groupsize $g1
-	if $n == 0 goto E
-	$r := groupget $g1 0
-	emit $r
-E: return
+cogroup idcg(g1, g2) {
+	n := g1.size()
+	if n != 0 {
+		r := g1.at(0)
+		emit r
+	}
 }
 `)
 
@@ -143,29 +144,29 @@ func TestSection6Example(t *testing.T) {
 // TestSection3ExampleViaSCA runs the full pipeline on the paper's Section 3
 // UDFs: SCA-derived effects must allow exactly the f1/f2 swap.
 func TestSection3ExampleViaSCA(t *testing.T) {
-	prog := tac.MustParse(`
-func map f1($ir) {
-	$b := getfield $ir 1
-	$or := copyrec $ir
-	if $b >= 0 goto L
-	$b := neg $b
-	setfield $or 1 $b
-L: emit $or
+	prog := frontend.MustCompile(`
+map f1(ir) {
+	b := ir[1]
+	out := copy(ir)
+	if b < 0 {
+		b := -b
+		out[1] = b
+	}
+	emit out
 }
-func map f2($ir) {
-	$a := getfield $ir 0
-	if $a < 0 goto L
-	$or := copyrec $ir
-	emit $or
-L: return
+map f2(ir) {
+	a := ir[0]
+	if a >= 0 {
+		out := copy(ir)
+		emit out
+	}
 }
-func map f3($ir) {
-	$a := getfield $ir 0
-	$b := getfield $ir 1
-	$sum := $a + $b
-	$or := copyrec $ir
-	setfield $or 0 $sum
-	emit $or
+map f3(ir) {
+	a := ir[0]
+	b := ir[1]
+	out := copy(ir)
+	out[0] = a + b
+	emit out
 }
 `)
 	get := func(n string) *tac.Func { f, _ := prog.Lookup(n); return f }

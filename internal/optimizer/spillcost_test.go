@@ -4,20 +4,19 @@ import (
 	"testing"
 
 	"blackboxflow/internal/dataflow"
-	"blackboxflow/internal/tac"
+	"blackboxflow/internal/frontend"
 )
 
 // buildSpillCostFlow returns a wordcount-style Reduce flow, optionally with
 // the Reduce declared as its own combiner.
 func buildSpillCostFlow(t *testing.T, combinable bool) (*dataflow.Flow, *Tree) {
 	t.Helper()
-	prog := tac.MustParse(`
-func reduce wc($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 1
-	setfield $or 1 $s
-	emit $or
+	prog := frontend.MustCompile(`
+reduce wc(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[1] = sum(g, 1)
+	emit out
 }
 `)
 	udf, _ := prog.Lookup("wc")
@@ -125,10 +124,10 @@ func TestSpillCostPrefersCombinable(t *testing.T) {
 // counts (two 10-byte attributes per side: ~24 estimated bytes/record).
 func buildJoinCostFlow(t *testing.T, lRecs, rRecs float64) (*dataflow.Flow, *Tree) {
 	t.Helper()
-	prog := tac.MustParse(`
-func binary jn($l, $r) {
-	$o := concat $l $r
-	emit $o
+	prog := frontend.MustCompile(`
+match jn(l, r) {
+	o := concat(l, r)
+	emit o
 }
 `)
 	udf, _ := prog.Lookup("jn")
@@ -226,10 +225,10 @@ func TestSpillCostSteersJoinStrategy(t *testing.T) {
 // charged the spill term on its replicated volume once it exceeds the
 // budget.
 func TestSpillCostCrossBroadcastTerm(t *testing.T) {
-	prog := tac.MustParse(`
-func binary pair($l, $r) {
-	$o := concat $l $r
-	emit $o
+	prog := frontend.MustCompile(`
+cross pair(l, r) {
+	o := concat(l, r)
+	emit o
 }
 `)
 	udf, _ := prog.Lookup("pair")

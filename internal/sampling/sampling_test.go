@@ -5,31 +5,32 @@ import (
 	"testing"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/tac"
 	"blackboxflow/internal/workloads/tpch"
 )
 
-var prog = tac.MustParse(`
-func map halve($ir) {
-	$a := getfield $ir 0
-	$m := $a % 2
-	if $m != 0 goto SKIP
-	emit $ir
-SKIP: return
+var prog = frontend.MustCompile(`
+map halve(ir) {
+	a := ir[0]
+	m := a % 2
+	if m == 0 {
+		emit ir
+	}
 }
-func reduce count($g) {
-	$r := groupget $g 0
-	$or := copyrec $r
-	$n := agg count $g 1
-	setfield $or 1 null
-	setfield $or 2 $n
-	emit $or
+reduce count(g) {
+	r := g.at(0)
+	out := copy(r)
+	n := count(g, 1)
+	out[1] = null
+	out[2] = n
+	emit out
 }
-func binary jn($l, $r) {
-	$o := concat $l $r
-	emit $o
+match jn(l, r) {
+	o := concat(l, r)
+	emit o
 }
 `)
 

@@ -28,7 +28,7 @@ func Analyze(f *tac.Func) (*props.Effect, error) {
 		switch in.Op {
 		case tac.OpGetField, tac.OpSetField, tac.OpAgg:
 			if !in.FieldVar && (in.Field < 0 || in.Field > props.MaxField) {
-				return nil, fmt.Errorf("instr %d: field index %d out of range [0, %d]", i, in.Field, props.MaxField)
+				return nil, fmt.Errorf("%s: field index %d out of range [0, %d]", where(f, i), in.Field, props.MaxField)
 			}
 		}
 	}
@@ -53,6 +53,16 @@ func Analyze(f *tac.Func) (*props.Effect, error) {
 	// CondReads are reads by construction; keep the invariant explicit.
 	e.CondReads = props.Intersect(e.CondReads, e.Reads)
 	return e, nil
+}
+
+// where names instruction i of f for an error: the source line it was
+// compiled from (the PactScript line the user wrote), or its index when it
+// carries none.
+func where(f *tac.Func, i int) string {
+	if line := f.Body[i].Line; line > 0 {
+		return fmt.Sprintf("line %d", line)
+	}
+	return fmt.Sprintf("instr %d", i)
 }
 
 // AnalyzeProgram analyzes every function of a program.
@@ -250,7 +260,7 @@ func (a *analysis) analyzeEmitsAndWrites() error {
 			return err
 		}
 		if len(origins.params) == 0 && !origins.fromNew {
-			return fmt.Errorf("emit at instr %d: cannot resolve record origin", i)
+			return fmt.Errorf("emit at %s: cannot resolve record origin", where(a.f, i))
 		}
 		for p := range copiedOnAll {
 			if origins.fromNew || !origins.paramsCopiedAlways[p] {
@@ -348,7 +358,7 @@ func (a *analysis) originsOf(v string, pos int, seen map[originKey]bool) (*origi
 		}
 		defs := a.rd.UseDef(at, rec)
 		if len(defs) == 0 {
-			return fmt.Errorf("record %s has no reaching definition at instr %d", rec, at)
+			return fmt.Errorf("record %s has no reaching definition at %s", rec, where(a.f, at))
 		}
 		for d := range defs {
 			if d == ParamDef {
@@ -383,7 +393,7 @@ func (a *analysis) originsOf(v string, pos int, seen map[originKey]bool) (*origi
 					out[p] = true
 				}
 			default:
-				return fmt.Errorf("record %s defined by non-constructor at instr %d", rec, d)
+				return fmt.Errorf("record %s defined by non-constructor at %s", rec, where(a.f, d))
 			}
 		}
 		return nil
@@ -396,7 +406,7 @@ func (a *analysis) originsOf(v string, pos int, seen map[originKey]bool) (*origi
 	} else {
 		defs := a.rd.UseDef(pos, v)
 		if len(defs) == 0 {
-			return nil, fmt.Errorf("record %s has no reaching definition at instr %d", v, pos)
+			return nil, fmt.Errorf("record %s has no reaching definition at %s", v, where(a.f, pos))
 		}
 		for d := range defs {
 			if d == ParamDef {
@@ -424,13 +434,13 @@ func (a *analysis) originsOf(v string, pos int, seen map[originKey]bool) (*origi
 					copied[p] = true
 				}
 			default:
-				return nil, fmt.Errorf("record %s defined by non-constructor at instr %d", v, d)
+				return nil, fmt.Errorf("record %s defined by non-constructor at %s", v, where(a.f, d))
 			}
 			accumulate(copied, isNew)
 		}
 	}
 	if !any {
-		return nil, fmt.Errorf("record %s has no resolvable origin at instr %d", v, pos)
+		return nil, fmt.Errorf("record %s has no resolvable origin at %s", v, where(a.f, pos))
 	}
 	return result, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/props"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/tac"
@@ -27,79 +28,77 @@ func randomUDF(rng *rand.Rand, width int) string {
 	switch rng.Intn(8) {
 	case 0:
 		return fmt.Sprintf(`
-func map f($ir) {
-	$a := getfield $ir %d
-	if $a < %d goto S
-	emit $ir
-S: return
+map f(ir) {
+	a := ir[%d]
+	if a >= %d {
+		emit ir
+	}
 }`, f1, c)
 	case 1:
 		return fmt.Sprintf(`
-func map f($ir) {
-	$a := getfield $ir %d
-	$b := getfield $ir %d
-	$s := $a * $b
-	$or := copyrec $ir
-	setfield $or %d $s
-	emit $or
+map f(ir) {
+	a := ir[%d]
+	b := ir[%d]
+	out := copy(ir)
+	out[%d] = a * b
+	emit out
 }`, f1, f2, f3)
 	case 2:
 		return fmt.Sprintf(`
-func map f($ir) {
-	$a := getfield $ir %d
-	$or := copyrec $ir
-	if $a >= 0 goto E
-	$n := neg $a
-	setfield $or %d $n
-E: emit $or
+map f(ir) {
+	a := ir[%d]
+	out := copy(ir)
+	if a < 0 {
+		out[%d] = -a
+	}
+	emit out
 }`, f1, f1)
-	case 3: // projection via newrec with explicit copies
+	case 3: // projection via new() with explicit copies
 		return fmt.Sprintf(`
-func map f($ir) {
-	$x := getfield $ir %d
-	$or := newrec
-	setfield $or %d $x
-	$y := getfield $ir %d
-	$s := $y + %d
-	setfield $or %d $s
-	emit $or
-}`, f1, f1, f2, c, f3)
+map f(ir) {
+	x := ir[%d]
+	out := new()
+	out[%d] = x
+	y := ir[%d]
+	out[%d] = y + %d
+	emit out
+}`, f1, f1, f2, f3, c)
 	case 4: // multi-emit
 		return fmt.Sprintf(`
-func map f($ir) {
-	emit $ir
-	$a := getfield $ir %d
-	if $a < %d goto S
-	$or := copyrec $ir
-	setfield $or %d %d
-	emit $or
-S: return
+map f(ir) {
+	emit ir
+	a := ir[%d]
+	if a >= %d {
+		out := copy(ir)
+		out[%d] = %d
+		emit out
+	}
 }`, f1, c, f2, c)
 	case 5: // explicit projection
 		return fmt.Sprintf(`
-func map f($ir) {
-	$or := copyrec $ir
-	setfield $or %d null
-	emit $or
+map f(ir) {
+	out := copy(ir)
+	out[%d] = null
+	emit out
 }`, f1)
 	case 6: // chained arithmetic into a different field
 		return fmt.Sprintf(`
-func map f($ir) {
-	$a := getfield $ir %d
-	$b := $a + 1
-	$cc := $b * 2
-	$or := copyrec $ir
-	setfield $or %d $cc
-	emit $or
+map f(ir) {
+	a := ir[%d]
+	b := a + 1
+	cc := b * 2
+	out := copy(ir)
+	out[%d] = cc
+	emit out
 }`, f1, f2)
 	default: // conditional on two fields
 		return fmt.Sprintf(`
-func map f($ir) {
-	$a := getfield $ir %d
-	$b := getfield $ir %d
-	if $a > $b goto S
-	emit $ir
-S: return
+map f(ir) {
+	a := ir[%d]
+	b := ir[%d]
+	if a <= b {
+		emit ir
+	}
 }`, f1, f2)
 	}
 }
@@ -194,7 +193,7 @@ func TestSCAConservatismRandomUDFs(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		rng := rand.New(rand.NewSource(int64(777 + trial)))
 		src := randomUDF(rng, width)
-		prog, err := tac.Parse(src)
+		prog, err := frontend.Compile(src)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}

@@ -4,44 +4,44 @@ import (
 	"strings"
 	"testing"
 
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/props"
 	"blackboxflow/internal/tac"
 )
 
-// The Section 3 example, fields A=0, B=1.
+// The Section 3 example, fields A=0, B=1. f1 redefines b, as the paper's
+// three-address code does.
 const paperExample = `
-func map f1($ir) {
-	$b := getfield $ir 1
-	$or := copyrec $ir
-	if $b >= 0 goto L16
-	$b := neg $b
-	setfield $or 1 $b
-L16: emit $or
-	return
+map f1(ir) {
+	b := ir[1]
+	out := copy(ir)
+	if b < 0 {
+		b := -b
+		out[1] = b
+	}
+	emit out
 }
 
-func map f2($ir) {
-	$a := getfield $ir 0
-	if $a < 0 goto L25
-	$or := copyrec $ir
-	emit $or
-L25: return
+map f2(ir) {
+	a := ir[0]
+	if a >= 0 {
+		out := copy(ir)
+		emit out
+	}
 }
 
-func map f3($ir) {
-	$a := getfield $ir 0
-	$b := getfield $ir 1
-	$sum := $a + $b
-	$or := copyrec $ir
-	setfield $or 0 $sum
-	emit $or
-	return
+map f3(ir) {
+	a := ir[0]
+	b := ir[1]
+	out := copy(ir)
+	out[0] = a + b
+	emit out
 }
 `
 
 func analyze(t *testing.T, src, name string) *props.Effect {
 	t.Helper()
-	p, err := tac.Parse(src)
+	p, err := frontend.Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestPureCopyNotARead(t *testing.T) {
 	// Copying a field to the same index of the output is not a read
 	// (Definition 3: it cannot influence another attribute).
 	src := `
-func map f($ir) {
-	$t := getfield $ir 2
-	$or := newrec
-	setfield $or 2 $t
-	emit $or
+map f(ir) {
+	t := ir[2]
+	out := new()
+	out[2] = t
+	emit out
 }
 `
 	e := analyze(t, src, "f")
@@ -144,11 +144,11 @@ func map f($ir) {
 
 func TestCopyToDifferentIndexIsReadAndWrite(t *testing.T) {
 	src := `
-func map f($ir) {
-	$t := getfield $ir 2
-	$or := copyrec $ir
-	setfield $or 4 $t
-	emit $or
+map f(ir) {
+	t := ir[2]
+	out := copy(ir)
+	out[4] = t
+	emit out
 }
 `
 	e := analyze(t, src, "f")
@@ -174,10 +174,10 @@ func TestConditionallyModifiedCopyIsWrite(t *testing.T) {
 
 func TestExplicitProjection(t *testing.T) {
 	src := `
-func map f($ir) {
-	$or := copyrec $ir
-	setfield $or 3 null
-	emit $or
+map f(ir) {
+	out := copy(ir)
+	out[3] = null
+	emit out
 }
 `
 	e := analyze(t, src, "f")
@@ -197,13 +197,14 @@ func TestBothConstructorsImplicitProjectionWins(t *testing.T) {
 	// Section 5: "If both constructors are used in different code paths,
 	// implicit projection is the safe choice."
 	src := `
-func map f($ir) {
-	$a := getfield $ir 0
-	if $a > 0 goto COPY
-	$or := newrec
-	goto OUT
-COPY: $or := copyrec $ir
-OUT: emit $or
+map f(ir) {
+	a := ir[0]
+	if a > 0 {
+		out := copy(ir)
+	} else {
+		out := new()
+	}
+	emit out
 }
 `
 	e := analyze(t, src, "f")
@@ -218,12 +219,12 @@ OUT: emit $or
 
 func TestTwoEmitsDifferentConstructors(t *testing.T) {
 	src := `
-func map f($ir) {
-	$c := copyrec $ir
-	emit $c
-	$n := newrec
-	setfield $n 9 1
-	emit $n
+map f(ir) {
+	c := copy(ir)
+	emit c
+	n := new()
+	n[9] = 1
+	emit n
 }
 `
 	e := analyze(t, src, "f")
@@ -237,8 +238,8 @@ func map f($ir) {
 
 func TestEmitParamDirectly(t *testing.T) {
 	src := `
-func map f($ir) {
-	emit $ir
+map f(ir) {
+	emit ir
 }
 `
 	e := analyze(t, src, "f")
@@ -256,13 +257,13 @@ func map f($ir) {
 func TestEmitBoundsBranching(t *testing.T) {
 	// One path emits twice, the other zero times.
 	src := `
-func map f($ir) {
-	$a := getfield $ir 0
-	if $a < 0 goto SKIP
-	$or := copyrec $ir
-	emit $or
-	emit $or
-SKIP: return
+map f(ir) {
+	a := ir[0]
+	if a >= 0 {
+		out := copy(ir)
+		emit out
+		emit out
+	}
 }
 `
 	e := analyze(t, src, "f")
@@ -273,16 +274,15 @@ SKIP: return
 
 func TestEmitBoundsLoopUnbounded(t *testing.T) {
 	src := `
-func reduce f($g) {
-	$n := groupsize $g
-	$i := const 0
-LOOP: if $i >= $n goto DONE
-	$r := groupget $g $i
-	$or := copyrec $r
-	emit $or
-	$i := $i + 1
-	goto LOOP
-DONE: return
+reduce f(g) {
+	n := g.size()
+	i := 0
+	while i < n {
+		r := g.at(i)
+		out := copy(r)
+		emit out
+		i := i + 1
+	}
 }
 `
 	e := analyze(t, src, "f")
@@ -297,12 +297,11 @@ DONE: return
 
 func TestReduceAggregateProperties(t *testing.T) {
 	src := `
-func reduce sumB($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$s := agg sum $g 1
-	setfield $or 2 $s
-	emit $or
+reduce sumB(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[2] = sum(g, 1)
+	emit out
 }
 `
 	e := analyze(t, src, "sumB")
@@ -326,10 +325,10 @@ func reduce sumB($g) {
 
 func TestUnusedAggregateNotRead(t *testing.T) {
 	src := `
-func reduce f($g) {
-	$s := agg sum $g 1
-	$r := groupget $g 0
-	emit $r
+reduce f(g) {
+	s := sum(g, 1)
+	r := g.at(0)
+	emit r
 }
 `
 	e := analyze(t, src, "f")
@@ -340,10 +339,10 @@ func reduce f($g) {
 
 func TestDeadGetFieldNotRead(t *testing.T) {
 	src := `
-func map f($ir) {
-	$t := getfield $ir 3
-	$or := copyrec $ir
-	emit $or
+map f(ir) {
+	t := ir[3]
+	out := copy(ir)
+	emit out
 }
 `
 	e := analyze(t, src, "f")
@@ -354,12 +353,12 @@ func map f($ir) {
 
 func TestDynamicFieldAccess(t *testing.T) {
 	src := `
-func map f($ir) {
-	$n := getfield $ir 0
-	$v := getfield $ir $n
-	$or := copyrec $ir
-	setfield $or 1 $v
-	emit $or
+map f(ir) {
+	n := ir[0]
+	v := ir[n]
+	out := copy(ir)
+	out[1] = v
+	emit out
 }
 `
 	e := analyze(t, src, "f")
@@ -379,9 +378,9 @@ func map f($ir) {
 
 func TestBinaryConcatEffect(t *testing.T) {
 	src := `
-func binary join($l, $r) {
-	$o := concat $l $r
-	emit $o
+match join(l, r) {
+	o := concat(l, r)
+	emit o
 }
 `
 	e := analyze(t, src, "join")
@@ -395,9 +394,9 @@ func binary join($l, $r) {
 
 func TestBinaryCopyOneSide(t *testing.T) {
 	src := `
-func binary leftOnly($l, $r) {
-	$o := copyrec $l
-	emit $o
+match leftOnly(l, r) {
+	o := copy(l)
+	emit o
 }
 `
 	e := analyze(t, src, "leftOnly")
@@ -412,14 +411,14 @@ func binary leftOnly($l, $r) {
 
 func TestCondReadsTransitive(t *testing.T) {
 	src := `
-func map f($ir) {
-	$a := getfield $ir 4
-	$b := $a * 2
-	$c := $b + 1
-	if $c > 10 goto SKIP
-	$or := copyrec $ir
-	emit $or
-SKIP: return
+map f(ir) {
+	a := ir[4]
+	b := a * 2
+	c := b + 1
+	if c <= 10 {
+		out := copy(ir)
+		emit out
+	}
 }
 `
 	e := analyze(t, src, "f")
@@ -433,9 +432,9 @@ SKIP: return
 
 func TestNoEmitFunction(t *testing.T) {
 	src := `
-func map sink($ir) {
-	$a := getfield $ir 0
-	$b := $a + 1
+map sink(ir) {
+	a := ir[0]
+	b := a + 1
 	return
 }
 `
@@ -450,14 +449,14 @@ func map sink($ir) {
 
 func TestUnreachableCodeIgnored(t *testing.T) {
 	src := `
-func map f($ir) {
-	$or := copyrec $ir
-	emit $or
+map f(ir) {
+	out := copy(ir)
+	emit out
 	return
-	$t := getfield $ir 5
-	$u := $t + 1
-	setfield $or 5 $u
-	emit $or
+	t := ir[5]
+	u := t + 1
+	out[5] = u
+	emit out
 }
 `
 	e := analyze(t, src, "f")
@@ -470,7 +469,7 @@ func map f($ir) {
 }
 
 func TestAnalyzeProgram(t *testing.T) {
-	p, err := tac.Parse(paperExample)
+	p, err := frontend.Compile(paperExample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +488,7 @@ func TestAnalyzeProgram(t *testing.T) {
 }
 
 func TestReachingDefsChains(t *testing.T) {
-	p, err := tac.Parse(paperExample)
+	p, err := frontend.Compile(paperExample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,15 +496,21 @@ func TestReachingDefsChains(t *testing.T) {
 	g := tac.BuildCFG(f1)
 	rd := ComputeReachingDefs(f1, g)
 
-	// At the setfield (instr 4), $b has two reaching defs: the getfield
+	// f1 compiles to: 0 $b := getfield $ir 1; 1 $out := copyrec $ir;
+	// 2 if $b lt 0 goto T1; 3 goto E2; 4 T1: $b := neg $b;
+	// 5 setfield $out 1 $b; 6 E2: emit $out; 7 return.
+	if f1.Body[4].Op != tac.OpUn || f1.Body[5].Op != tac.OpSetField {
+		t.Fatalf("f1 compiled to another shape:\n%s", f1)
+	}
+	// At the setfield (instr 5), $b has two reaching defs: the getfield
 	// (instr 0)? No: the setfield is only reached through the neg at
-	// instr 3, which kills the getfield def. USE-DEF must be exactly {3}.
-	defs := rd.UseDef(4, "$b")
+	// instr 4, which kills the getfield def. USE-DEF must be exactly {4}.
+	defs := rd.UseDef(5, "$b")
 	if len(defs) != 1 {
 		t.Fatalf("USE-DEF(setfield,$b) = %v, want exactly the neg def", defs)
 	}
-	if _, ok := defs[3]; !ok {
-		t.Fatalf("USE-DEF(setfield,$b) = %v, want {3}", defs)
+	if _, ok := defs[4]; !ok {
+		t.Fatalf("USE-DEF(setfield,$b) = %v, want {4}", defs)
 	}
 	// At the branch (instr 2), $b's def is the getfield (instr 0).
 	defs = rd.UseDef(2, "$b")
@@ -527,20 +532,20 @@ func TestKGPGroupUniformFilterViaSCA(t *testing.T) {
 	// The Map/Reduce interplay of Section 4.2.2: a Map that filters on the
 	// Reduce key satisfies KGP; one that filters on another field does not.
 	src := `
-func map keyFilter($ir) {
-	$k := getfield $ir 0
-	$m := $k % 2
-	if $m == 0 goto SKIP
-	emit $ir
-SKIP: return
+map keyFilter(ir) {
+	k := ir[0]
+	m := k % 2
+	if m != 0 {
+		emit ir
+	}
 }
 
-func map valueFilter($ir) {
-	$v := getfield $ir 1
-	$m := $v % 2
-	if $m == 0 goto SKIP
-	emit $ir
-SKIP: return
+map valueFilter(ir) {
+	v := ir[1]
+	m := v % 2
+	if m != 0 {
+		emit ir
+	}
 }
 `
 	kf := analyze(t, src, "keyFilter")
@@ -566,22 +571,35 @@ func TestEffectStringSmoke(t *testing.T) {
 
 // TestStaticFieldIndexRange: field sets are dense bitsets, so a static
 // index that no global record could have is an analysis error, not a set
-// member — a UDF must not be able to size (or underflow) one.
+// member — a UDF must not be able to size (or underflow) one. The error
+// names the PactScript line of the access.
 func TestStaticFieldIndexRange(t *testing.T) {
 	for _, body := range []string{
-		"$a := getfield $ir -1\n\temit $ir",
-		"$a := getfield $ir 70000\n\temit $ir",
-		"$or := copyrec $ir\n\tsetfield $or 1000000000 1\n\temit $or",
+		"a := ir[70000]\n\temit ir",
+		"out := copy(ir)\n\tout[1000000000] = 1\n\temit out",
 	} {
-		p, err := tac.Parse("func map f($ir) {\n\t" + body + "\n\treturn\n}\n")
+		p, err := frontend.Compile("map f(ir) {\n\t" + body + "\n}\n")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Analyze(p.Funcs["f"]); err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Errorf("%q: Analyze error = %v, want a field-index range error", body, err)
+		if _, err := Analyze(p.Funcs["f"]); err == nil || !strings.Contains(err.Error(), "out of range") || !strings.HasPrefix(err.Error(), "line ") {
+			t.Errorf("%q: Analyze error = %v, want a field-index range error at a line", body, err)
 		}
 	}
-	p, err := tac.Parse("func map f($ir) {\n\t$a := getfield $ir 65535\n\t$or := copyrec $ir\n\tsetfield $or 0 $a\n\temit $or\n\treturn\n}\n")
+	// PactScript compiles ir[-1] to a dynamic access, so a negative static
+	// index is built directly. It carries no line, so the error names the
+	// instruction.
+	p, err := tac.NewProgram([]*tac.Func{{Name: "f", Kind: tac.KindMap, Params: []string{"$ir"}, Body: []*tac.Instr{
+		{Op: tac.OpGetField, Dst: "$a", Rec: "$ir", Field: -1},
+		{Op: tac.OpEmit, Rec: "$ir"},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Analyze(p.Funcs["f"]); err == nil || !strings.Contains(err.Error(), "instr 0: field index -1 out of range") {
+		t.Errorf("getfield $ir -1: Analyze error = %v, want a field-index range error at instr 0", err)
+	}
+	p, err = frontend.Compile("map f(ir) {\n\ta := ir[65535]\n\tout := copy(ir)\n\tout[0] = a\n\temit out\n}\n")
 	if err != nil {
 		t.Fatal(err)
 	}

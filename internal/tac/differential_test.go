@@ -409,22 +409,31 @@ func stringLits(t testing.TB, path string) []string {
 	return lits
 }
 
-// FuzzRunnerDifferential compiles PactScript with frontend.Compile and
-// compares every function it yields on random inputs drawn from seed. The
-// seeds are the string literals of the frontend's FuzzCompile; its corpus
+// FuzzRunnerDifferential compiles PactScript with frontend.Compile, checks
+// that the program's rendering (Program.String) reads back as the same
+// instructions, and compares every function it yields on random inputs
+// drawn from seed. The seeds are the string literals of the frontend's
+// FuzzCompile, then the sources of TestCompileMatchesParent; its corpus
 // lives in testdata/fuzz. Step limits are 1…64 and 10,000 rather than the
 // default: a fuzzed infinite loop would spend ten million steps per call.
 // Programs with a static field index outside [0, 64] are skipped: a
 // negative setfield index panics in both implementations (the job path's
 // SCA rejects such programs first) and a huge one allocates the width.
 func FuzzRunnerDifferential(f *testing.F) {
-	for i, s := range stringLits(f, filepath.Join("..", "frontend", "fuzz_test.go")) {
+	seeds := stringLits(f, filepath.Join("..", "frontend", "fuzz_test.go"))
+	for _, g := range goldenPrograms(f) {
+		seeds = append(seeds, g.Src)
+	}
+	for i, s := range seeds {
 		f.Add(s, int64(i))
 	}
 	f.Fuzz(func(t *testing.T, src string, seed int64) {
 		prog, err := frontend.Compile(src)
 		if err != nil {
 			return
+		}
+		if d := renderDiff(prog); d != "" {
+			t.Fatal(d)
 		}
 		for _, fn := range prog.Funcs {
 			for _, in := range fn.Body {

@@ -3,8 +3,9 @@
 // Sections 3 and 5 of the paper ("Opening the Black Boxes in Data Flow
 // Optimization", Hueske et al., VLDB 2012).
 //
-// UDFs in TAC — parsed from text by Parse, or compiled from PactScript by
-// package frontend — serve double duty: NewProgram lowers each function once
+// UDFs enter as PactScript, which package frontend compiles to TAC
+// instructions; Program.String renders them in the paper's notation. The
+// compiled functions serve double duty: NewProgram lowers each function once
 // to a slot-typed program that a Runner *executes* when a data flow runs,
 // and package sca *analyzes* the same instructions to estimate read sets,
 // write sets, and emit cardinalities.
@@ -166,7 +167,7 @@ type Operand struct {
 // IsVar reports whether the operand is a variable reference.
 func (o Operand) IsVar() bool { return o.Var != "" }
 
-// String renders the operand as Parse reads it back.
+// String renders the operand in TAC text.
 func (o Operand) String() string {
 	if o.IsVar() {
 		return o.Var
@@ -222,7 +223,7 @@ type Instr struct {
 
 	Target string // jump target label
 
-	Line int // source line: of the TAC text, or of the PactScript statement it was compiled from
+	Line int // source line of the PactScript statement it was compiled from, or 0
 
 	pos int // instruction index within the function (set by NewProgram)
 }
@@ -280,8 +281,8 @@ func (in *Instr) Uses() []string {
 	return u
 }
 
-// String renders the instruction in the textual TAC syntax; Parse reads it
-// back as the same instruction.
+// String renders the instruction in the textual TAC syntax. The rendering is
+// faithful: this package's tests read it back as the same instruction.
 func (in *Instr) String() string {
 	var b strings.Builder
 	if in.Label != "" {
@@ -388,7 +389,7 @@ func (f *Func) LabelPos(label string) (int, bool) {
 	return p, ok
 }
 
-// String renders the function in parseable textual form.
+// String renders the function in the textual TAC syntax.
 func (f *Func) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "func %s %s(%s) {\n", f.Kind, f.Name, strings.Join(f.Params, ", "))
@@ -406,7 +407,7 @@ type Program struct {
 }
 
 // NewProgram builds a program from functions in declaration order. It is the
-// one way a Program is made — Parse and frontend.Compile both end here — and
+// one way a Program is made — frontend.Compile ends here — and
 // it rejects duplicate names, appends the implied trailing return, indexes
 // the labels, validates each function and lowers it for Runners, taking the
 // functions over.
@@ -456,4 +457,59 @@ func (p *Program) String() string {
 		b.WriteString(p.Funcs[name].String())
 	}
 	return b.String()
+}
+
+var symbolicBin = map[string]BinOp{
+	"+": BinAdd, "-": BinSub, "*": BinMul, "/": BinDiv, "%": BinMod,
+	"&&": BinAnd, "||": BinOr,
+	"==": BinEq, "!=": BinNe, "<": BinLt, "<=": BinLe, ">": BinGt, ">=": BinGe,
+	".": BinConcat,
+}
+
+// LookupOp resolves an operator as TAC spells it — a binary operator by
+// symbol or mnemonic ("<", "lt", "contains"), a unary operator or an
+// aggregate by mnemonic ("neg", "sum") — to the instruction shape that
+// applies it: Op and one of Bin, Un or Agg set.
+func LookupOp(tok string) (Instr, bool) {
+	if op, ok := symbolicBin[tok]; ok {
+		return Instr{Op: OpBin, Bin: op}, true
+	}
+	if op, ok := binOps[tok]; ok {
+		return Instr{Op: OpBin, Bin: op}, true
+	}
+	if op, ok := unOps[tok]; ok {
+		return Instr{Op: OpUn, Un: op}, true
+	}
+	if op, ok := aggOps[tok]; ok {
+		return Instr{Op: OpAgg, Agg: op}, true
+	}
+	return Instr{}, false
+}
+
+// ParseImm reads an immediate: null, true, false, a Go-quoted string, an
+// int64, or else a float — so 3.0, and an integer past int64's range, are
+// floats.
+func ParseImm(tok string) (record.Value, error) {
+	switch tok {
+	case "null":
+		return record.Null, nil
+	case "true":
+		return record.Bool(true), nil
+	case "false":
+		return record.Bool(false), nil
+	}
+	if strings.HasPrefix(tok, "\"") && strings.HasSuffix(tok, "\"") && len(tok) >= 2 {
+		s, err := strconv.Unquote(tok)
+		if err != nil {
+			return record.Null, fmt.Errorf("bad string literal %s: %w", tok, err)
+		}
+		return record.String(s), nil
+	}
+	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
+		return record.Int(i), nil
+	}
+	if f, err := strconv.ParseFloat(tok, 64); err == nil {
+		return record.Float(f), nil
+	}
+	return record.Null, fmt.Errorf("bad immediate %q", tok)
 }

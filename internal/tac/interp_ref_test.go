@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the reference interpreter: the instruction loop that ran
-// every UDF call before Parse lowered functions to typed programs, frozen
+// every UDF call before NewProgram lowered functions to typed programs, frozen
 // as it was. It walks f.Body through one untyped frame and checks every
 // operand at run time. The lowered-vs-reference differential
 // (differential_test.go) compares the Runner against it on every workload

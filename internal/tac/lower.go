@@ -582,3 +582,26 @@ func orderInts(cmp BinOp, x, y int64) bool {
 	}
 	return x >= y
 }
+
+// varSlots numbers f's variables, parameters first and the rest in order of
+// appearance: each variable's slot in a call's frame.
+func varSlots(f *Func) map[string]int {
+	slots := map[string]int{}
+	add := func(v string) {
+		if _, ok := slots[v]; v != "" && !ok {
+			slots[v] = len(slots)
+		}
+	}
+	for _, p := range f.Params {
+		add(p)
+	}
+	for _, in := range f.Body {
+		add(in.Dst)
+		add(in.A.Var)
+		add(in.B.Var)
+		add(in.Rec)
+		add(in.Rec2)
+		add(in.Group)
+	}
+	return slots
+}

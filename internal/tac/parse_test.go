@@ -5,9 +5,13 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
-
-	"blackboxflow/internal/record"
 )
+
+// The TAC text reader: a test fixture, not part of the product. UDFs enter
+// the system as PactScript (package frontend); Program.String renders what
+// they compile to, and this reader reads that rendering back, so this
+// package's tests can write programs in the paper's notation and pin the
+// rendering as faithful (TestParseRoundTrip, FuzzRunnerDifferential).
 
 // Parse parses a textual TAC program. The syntax mirrors the paper's
 // exposition format, e.g.:
@@ -100,8 +104,7 @@ func Parse(src string) (*Program, error) {
 	return NewProgram(funcs)
 }
 
-// MustParse is Parse that panics on error; intended for static program text
-// in workloads and tests.
+// MustParse is Parse that panics on error.
 func MustParse(src string) *Program {
 	p, err := Parse(src)
 	if err != nil {
@@ -179,33 +182,6 @@ func parseFuncHeader(line string) (*Func, error) {
 		}
 	}
 	return &Func{Name: head[1], Kind: kind, Params: params}, nil
-}
-
-var symbolicBin = map[string]BinOp{
-	"+": BinAdd, "-": BinSub, "*": BinMul, "/": BinDiv, "%": BinMod,
-	"&&": BinAnd, "||": BinOr,
-	"==": BinEq, "!=": BinNe, "<": BinLt, "<=": BinLe, ">": BinGt, ">=": BinGe,
-	".": BinConcat,
-}
-
-// LookupOp resolves an operator as TAC spells it — a binary operator by
-// symbol or mnemonic ("<", "lt", "contains"), a unary operator or an
-// aggregate by mnemonic ("neg", "sum") — to the instruction shape that
-// applies it: Op and one of Bin, Un or Agg set.
-func LookupOp(tok string) (Instr, bool) {
-	if op, ok := symbolicBin[tok]; ok {
-		return Instr{Op: OpBin, Bin: op}, true
-	}
-	if op, ok := binOps[tok]; ok {
-		return Instr{Op: OpBin, Bin: op}, true
-	}
-	if op, ok := unOps[tok]; ok {
-		return Instr{Op: OpUn, Un: op}, true
-	}
-	if op, ok := aggOps[tok]; ok {
-		return Instr{Op: OpAgg, Agg: op}, true
-	}
-	return Instr{}, false
 }
 
 func parseInstr(line string) (*Instr, error) {
@@ -405,34 +381,6 @@ func parseOperand(tok string) (Operand, error) {
 	return Operand{Imm: v}, nil
 }
 
-// ParseImm reads an immediate: null, true, false, a Go-quoted string, an
-// int64, or else a float — so 3.0, and an integer past int64's range, are
-// floats.
-func ParseImm(tok string) (record.Value, error) {
-	switch tok {
-	case "null":
-		return record.Null, nil
-	case "true":
-		return record.Bool(true), nil
-	case "false":
-		return record.Bool(false), nil
-	}
-	if strings.HasPrefix(tok, "\"") && strings.HasSuffix(tok, "\"") && len(tok) >= 2 {
-		s, err := strconv.Unquote(tok)
-		if err != nil {
-			return record.Null, fmt.Errorf("bad string literal %s: %w", tok, err)
-		}
-		return record.String(s), nil
-	}
-	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
-		return record.Int(i), nil
-	}
-	if f, err := strconv.ParseFloat(tok, 64); err == nil {
-		return record.Float(f), nil
-	}
-	return record.Null, fmt.Errorf("bad immediate %q", tok)
-}
-
 // tokenize splits an instruction line into tokens at blanks and commas,
 // keeping quoted strings intact.
 func tokenize(line string) ([]string, error) {
@@ -466,27 +414,4 @@ func tokenize(line string) ([]string, error) {
 		}
 	}
 	return toks, nil
-}
-
-// varSlots numbers f's variables, parameters first and the rest in order of
-// appearance: each variable's slot in a call's frame.
-func varSlots(f *Func) map[string]int {
-	slots := map[string]int{}
-	add := func(v string) {
-		if _, ok := slots[v]; v != "" && !ok {
-			slots[v] = len(slots)
-		}
-	}
-	for _, p := range f.Params {
-		add(p)
-	}
-	for _, in := range f.Body {
-		add(in.Dst)
-		add(in.A.Var)
-		add(in.B.Var)
-		add(in.Rec)
-		add(in.Rec2)
-		add(in.Group)
-	}
-	return slots
 }

@@ -1,14 +1,14 @@
-package frontend
+package tac_test
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 
-	"blackboxflow/internal/record"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/tac"
 )
 
@@ -38,14 +38,20 @@ func progDiff(got, want *tac.Program) string {
 	return ""
 }
 
-func sameOperand(a, b tac.Operand) bool {
-	if a.Var != b.Var || a.Imm.Kind() != b.Imm.Kind() {
-		return false
+func sameOperand(a, b tac.Operand) bool { return a.Var == b.Var && sameValue(a.Imm, b.Imm) }
+
+// renderDiff renders prog as TAC text, reads it back, and describes the
+// first instruction that did not survive, or returns "".
+func renderDiff(prog *tac.Program) string {
+	text := prog.String()
+	back, err := tac.Parse(text)
+	if err != nil {
+		return fmt.Sprintf("rendering does not parse: %v\n%s", err, text)
 	}
-	if a.Imm.Kind() == record.KindFloat {
-		return math.Float64bits(a.Imm.AsFloat()) == math.Float64bits(b.Imm.AsFloat())
+	if d := progDiff(back, prog); d != "" {
+		return "rendering parses to other instructions: " + d
 	}
-	return a.Imm.Equal(b.Imm)
+	return ""
 }
 
 // TestCompileMatchesParent holds code generation to the instructions the
@@ -57,28 +63,69 @@ func sameOperand(a, b tac.Operand) bool {
 // the scripts of the workload documents internal/jobs/workloaddocs_test.go
 // builds. Each entry holds the source and the TAC text generated from it.
 func TestCompileMatchesParent(t *testing.T) {
-	raw, err := os.ReadFile("testdata/compiled_tac.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden []struct{ Src, TAC string }
-	if err := json.Unmarshal(raw, &golden); err != nil {
-		t.Fatal(err)
-	}
-	if len(golden) != 34 {
-		t.Fatalf("%d golden programs, want the 34 generated", len(golden))
-	}
-	for _, g := range golden {
+	for _, g := range goldenPrograms(t) {
 		want, err := tac.Parse(g.TAC)
 		if err != nil {
 			t.Fatalf("golden TAC does not parse: %v\n%s", err, g.TAC)
 		}
-		got, err := Compile(g.Src)
+		got, err := frontend.Compile(g.Src)
 		if err != nil {
 			t.Fatalf("Compile: %v\n%s", err, g.Src)
 		}
 		if d := progDiff(got, want); d != "" {
 			t.Errorf("%s\nsource:\n%s", d, g.Src)
+		}
+	}
+}
+
+// goldenPrograms reads testdata/compiled_tac.json.
+func goldenPrograms(tb testing.TB) []struct{ Src, TAC string } {
+	tb.Helper()
+	raw, err := os.ReadFile("testdata/compiled_tac.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var golden []struct{ Src, TAC string }
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		tb.Fatal(err)
+	}
+	if len(golden) != 34 {
+		tb.Fatalf("%d golden programs, want the 34 generated", len(golden))
+	}
+	return golden
+}
+
+// TestGeneratedTACIsParseable: the paper's Section 3 program, compiled from
+// PactScript, renders as TAC text in the paper's notation that reads back as
+// the same instructions.
+func TestGeneratedTACIsParseable(t *testing.T) {
+	prog := frontend.MustCompile(`
+map f1(ir) {
+	b := ir[1]
+	out := copy(ir)
+	if b < 0 {
+		out[1] = -b
+	}
+	emit out
+}
+map f2(ir) {
+	a := ir[0]
+	if a >= 0 {
+		emit ir
+	}
+}
+map f3(ir) {
+	out := copy(ir)
+	out[0] = ir[0] + ir[1]
+	emit out
+}`)
+	if d := renderDiff(prog); d != "" {
+		t.Fatal(d)
+	}
+	text := prog.String()
+	for _, want := range []string{"func map f1($ir)", "copyrec", "getfield"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("generated TAC missing %q:\n%s", want, text)
 		}
 	}
 }

@@ -15,8 +15,8 @@ const (
 
 var kindNames = [...]string{kindScalar: "scalar", kindRecord: "record", kindGroup: "group"}
 
-// validate owns the rules of a well-formed UDF, for TAC text and compiled
-// PactScript alike:
+// validate owns the rules of a well-formed UDF, whoever built its
+// instructions — compiled PactScript or a direct tac.Instr literal:
 //
 //   - the function declares its kind's number of parameters, all distinct;
 //   - every jump target is a defined label;

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/props"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/tac"
@@ -140,66 +141,60 @@ func Build(mode Mode, g *GenParams) (*Task, error) {
 	return &Task{Flow: f}, nil
 }
 
-// program emits the four UDFs in TAC against the flow's global indices.
+// program compiles the four UDFs from PactScript against the flow's global
+// indices.
 func program(f *dataflow.Flow) (*tac.Program, error) {
 	src := fmt.Sprintf(`
-# Filter Buy Sessions (Figure 4): called with all click records of a
-# session; forwards all of them iff at least one click is a buy action.
-func reduce filterBuySessions($g) {
-	$hb := agg max $g %[3]d
-	if $hb < %[9]d goto SKIP
-	$n := groupsize $g
-	$i := const 0
-LOOP: if $i >= $n goto SKIP
-	$r := groupget $g $i
-	emit $r
-	$i := $i + 1
-	goto LOOP
-SKIP: return
+// Filter Buy Sessions (Figure 4): called with all click records of a
+// session; forwards all of them iff at least one click is a buy action.
+reduce filterBuySessions(g) {
+	if max(g, %[3]d) >= %[9]d {
+		n := g.size()
+		i := 0
+		while i < n {
+			r := g.at(i)
+			emit r
+			i := i + 1
+		}
+	}
 }
 
-# Condense Sessions: merges all clicks of a session into a single record
-# with click count, duration, and a buy flag; the per-click timestamp and
-# action fields are projected (they vary within the group).
-func reduce condenseSessions($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	$n := agg count $g %[2]d
-	$mn := agg min $g %[1]d
-	$mx := agg max $g %[1]d
-	$dur := $mx - $mn
-	$hb := agg max $g %[3]d
-	setfield $or %[4]d $n
-	setfield $or %[5]d $dur
-	setfield $or %[6]d $hb
-	setfield $or %[1]d null
-	setfield $or %[3]d null
-	emit $or
+// Condense Sessions: merges all clicks of a session into a single record
+// with click count, duration, and a buy flag; the per-click timestamp and
+// action fields are projected (they vary within the group).
+reduce condenseSessions(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[%[4]d] = count(g, %[2]d)
+	out[%[5]d] = max(g, %[1]d) - min(g, %[1]d)
+	out[%[6]d] = max(g, %[3]d)
+	out[%[1]d] = null
+	out[%[3]d] = null
+	emit out
 }
 
-# Filter Logged-In Sessions: equi-join on the session id; sessions without
-# a login record are dropped by the join itself.
-func binary filterLoggedIn($l, $r) {
-	$o := concat $l $r
-	emit $o
+// Filter Logged-In Sessions: equi-join on the session id; sessions without
+// a login record are dropped by the join itself.
+match filterLoggedIn(l, r) {
+	o := concat(l, r)
+	emit o
 }
 
-# Append User Info: joins on the user id and additionally materializes the
-# profile field the user prefers — the field index is read from the data
-# (u_pref), so static analysis cannot bound the access and must assume the
-# UDF may read any attribute of its input.
-func binary appendUserInfo($l, $r) {
-	$o := concat $l $r
-	$p := getfield $r %[7]d
-	$v := getfield $r $p
-	setfield $o %[8]d $v
-	emit $o
+// Append User Info: joins on the user id and additionally materializes the
+// profile field the user prefers — the field index is read from the data
+// (u_pref), so static analysis cannot bound the access and must assume the
+// UDF may read any attribute of its input.
+match appendUserInfo(l, r) {
+	o := concat(l, r)
+	p := r[%[7]d]
+	o[%[8]d] = r[p]
+	emit o
 }
 `,
 		f.Attr("c_ts"), f.Attr("c_session"), f.Attr("c_action"),
 		f.Attr("cs_count"), f.Attr("cs_duration"), f.Attr("cs_hasbuy"),
 		f.Attr("u_pref"), f.Attr("ui_pref_value"), ActionBuy)
-	return tac.Parse(src)
+	return frontend.Compile(src)
 }
 
 // manualFilterBuy: all-or-none per session group, deciding on the action

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/props"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/tac"
@@ -181,89 +182,83 @@ func manualStage(f *dataflow.Flow, deps, scans []string, out string, filters boo
 	return e
 }
 
-// burnLoop emits a TAC snippet that scans the text field n times,
-// simulating an expensive NLP component. Each scan is a real substring
-// search over the document text.
-func burnLoop(textAttr, n int, label string) string {
-	return fmt.Sprintf(`	$txt := getfield $ir %d
-	$i := const 0
-%[3]sB: if $i >= %[2]d goto %[3]sE
-	$w := $txt contains "zqzq"
-	$i := $i + 1
-	goto %[3]sB
-%[3]sE:`, textAttr, n, label)
+// scanLoop is the PactScript of a stage's compute: it scans the text field
+// n times, simulating an expensive NLP component. Each scan is a real
+// substring search over the document text.
+func scanLoop(textAttr, n int) string {
+	return fmt.Sprintf(`txt := ir[%d]
+	i := 0
+	while i < %d {
+		w := txt contains "zqzq"
+		i := i + 1
+	}`, textAttr, n)
 }
 
-// program emits the six stage UDFs in TAC.
+// program compiles the six stage UDFs from PactScript.
 func program(f *dataflow.Flow) (*tac.Program, error) {
-	text := f.Attr("d_text")
+	text, tokens := f.Attr("d_text"), f.Attr("t_tokens")
 	var b strings.Builder
 
-	// tokenize: token count annotation, no filtering.
+	// tokenize: token count annotation, no filtering; posTag: expensive,
+	// depends on tokens, no filtering.
 	fmt.Fprintf(&b, `
-func map tokenize($ir) {
-%s
-	$len := len $txt
-	$or := copyrec $ir
-	setfield $or %d $len
-	emit $or
+map tokenize(ir) {
+	%s
+	out := copy(ir)
+	out[%d] = len(txt)
+	emit out
 }
-`, burnLoop(text, CostTokenize, "T"), f.Attr("t_tokens"))
 
-	// posTag: expensive, depends on tokens, no filtering.
-	fmt.Fprintf(&b, `
-func map posTag($ir) {
-	$tk := getfield $ir %d
-%s
-	$p := $tk / 2
-	$or := copyrec $ir
-	setfield $or %d $p
-	emit $or
+map posTag(ir) {
+	tk := ir[%d]
+	%s
+	out := copy(ir)
+	out[%d] = tk / 2
+	emit out
 }
-`, f.Attr("t_tokens"), burnLoop(text, CostPOSTag, "P"), f.Attr("t_pos"))
+`, scanLoop(text, CostTokenize), tokens, tokens, scanLoop(text, CostPOSTag), f.Attr("t_pos"))
 
 	// Entity detectors: depend on tokens, scan for a marker, filter.
-	ner := func(name, marker string, cost, outAttr int) {
+	for _, ner := range []struct {
+		name, marker string
+		cost, out    int
+	}{
+		{"geneNER", MarkerGene, CostGeneNER, f.Attr("t_genes")},
+		{"drugNER", MarkerDrug, CostDrugNER, f.Attr("t_drugs")},
+		{"speciesTag", MarkerSpecies, CostSpecies, f.Attr("t_species")},
+	} {
 		fmt.Fprintf(&b, `
-func map %s($ir) {
-	$tk := getfield $ir %d
-%s
-	$hit := $txt contains %q
-	if $hit == false goto %sSKIP
-	$or := copyrec $ir
-	setfield $or %d $tk
-	emit $or
-%sSKIP: return
-}
-`, name, f.Attr("t_tokens"), burnLoop(text, cost, strings.ToUpper(name[:1])+name[1:3]), marker, name, outAttr, name)
+map %s(ir) {
+	tk := ir[%d]
+	%s
+	if txt contains %q {
+		out := copy(ir)
+		out[%d] = tk
+		emit out
 	}
-	ner("geneNER", MarkerGene, CostGeneNER, f.Attr("t_genes"))
-	ner("drugNER", MarkerDrug, CostDrugNER, f.Attr("t_drugs"))
-	ner("speciesTag", MarkerSpecies, CostSpecies, f.Attr("t_species"))
+}
+`, ner.name, tokens, scanLoop(text, ner.cost), ner.marker, ner.out)
+	}
 
 	// relEx: depends on all four annotations, filters on the relation
 	// marker.
 	fmt.Fprintf(&b, `
-func map relEx($ir) {
-	$p := getfield $ir %d
-	$ge := getfield $ir %d
-	$dr := getfield $ir %d
-	$sp := getfield $ir %d
-%s
-	$hit := $txt contains %q
-	if $hit == false goto RSKIP
-	$sig := $p + $ge
-	$sig2 := $dr + $sp
-	$sig3 := $sig + $sig2
-	$or := copyrec $ir
-	setfield $or %d $sig3
-	emit $or
-RSKIP: return
+map relEx(ir) {
+	p := ir[%d]
+	ge := ir[%d]
+	dr := ir[%d]
+	sp := ir[%d]
+	%s
+	if txt contains %q {
+		out := copy(ir)
+		out[%d] = p + ge + dr + sp
+		emit out
+	}
 }
 `, f.Attr("t_pos"), f.Attr("t_genes"), f.Attr("t_drugs"), f.Attr("t_species"),
-		burnLoop(text, CostRelEx, "R"), MarkerRelation, f.Attr("t_relations"))
+		scanLoop(text, CostRelEx), MarkerRelation, f.Attr("t_relations"))
 
-	return tac.Parse(b.String())
+	return frontend.Compile(b.String())
 }
 
 var fillerWords = []string{

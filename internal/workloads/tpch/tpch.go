@@ -1,14 +1,15 @@
 // Package tpch implements the relational OLAP workload of the paper's
 // evaluation (Section 7.2): scaled-down TPC-H data generation and the PACT
 // implementations of the modified queries 7 and 15 shown in Figures 2
-// and 3. All UDFs are written in three-address code, so the same artifact
-// is executed by the engine and analyzed by SCA.
+// and 3. The UDFs are written in PactScript and compiled to three-address
+// code, so the same artifact is executed by the engine and analyzed by SCA.
 package tpch
 
 import (
 	"fmt"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/props"
 	"blackboxflow/internal/tac"
 )
@@ -248,94 +249,84 @@ func manualPassThroughAggregate(reads, projects props.FieldSet, newAttr int) *pr
 	return e
 }
 
-// q7Program generates the Q7 UDFs in TAC against the flow's global
+// q7Program compiles the Q7 UDFs from PactScript against the flow's global
 // attribute indices.
 func q7Program(f *dataflow.Flow) (*tac.Program, error) {
 	src := fmt.Sprintf(`
-# Shipdate range predicate of Q7 (modified selectivity, Section 7.2).
-func map filterShipdate($ir) {
-	$d := getfield $ir %[1]d
-	if $d < %[2]d goto SKIP
-	if $d > %[3]d goto SKIP
-	emit $ir
-SKIP: return
+// Shipdate range predicate of Q7 (modified selectivity, Section 7.2).
+map filterShipdate(ir) {
+	d := ir[%[1]d]
+	if d >= %[2]d && d <= %[3]d {
+		emit ir
+	}
 }
 
-# All Q7 joins concatenate the matching pair.
-func binary concatJoin($l, $r) {
-	$o := concat $l $r
-	emit $o
+// All Q7 joins concatenate the matching pair.
+match concatJoin(l, r) {
+	o := concat(l, r)
+	emit o
 }
 
-# Disjunctive nation-pair predicate: (n1=x AND n2=y) OR (n1=y AND n2=x),
-# implemented as a filtering Map (Figure 2).
-func map filterNationPair($ir) {
-	$n1 := getfield $ir %[4]d
-	$n2 := getfield $ir %[5]d
-	if $n1 != %[6]q goto C2
-	if $n2 == %[7]q goto EMIT
-C2: if $n1 != %[7]q goto SKIP
-	if $n2 != %[6]q goto SKIP
-EMIT: emit $ir
-SKIP: return
+// Disjunctive nation-pair predicate: (n1=x AND n2=y) OR (n1=y AND n2=x),
+// implemented as a filtering Map (Figure 2).
+map filterNationPair(ir) {
+	n1 := ir[%[4]d]
+	n2 := ir[%[5]d]
+	if (n1 == %[6]q && n2 == %[7]q) || (n1 == %[7]q && n2 == %[6]q) {
+		emit ir
+	}
 }
 
-# Grouping with sum aggregation over the revenue volume. The output holds
-# exactly the grouping keys and the aggregate: the default constructor
-# projects everything else, so the UDF is a deterministic function of the
-# group as a bag (group-varying fields never leak into the output).
-func reduce sumVolume($g) {
-	$first := groupget $g 0
-	$or := newrec
-	$k1 := getfield $first %[4]d
-	setfield $or %[4]d $k1
-	$k2 := getfield $first %[5]d
-	setfield $or %[5]d $k2
-	$k3 := getfield $first %[10]d
-	setfield $or %[10]d $k3
-	$s := agg sum $g %[8]d
-	setfield $or %[9]d $s
-	emit $or
+// Grouping with sum aggregation over the revenue volume. The output holds
+// exactly the grouping keys and the aggregate: the default constructor
+// projects everything else, so the UDF is a deterministic function of the
+// group as a bag (group-varying fields never leak into the output).
+reduce sumVolume(g) {
+	first := g.at(0)
+	out := new()
+	out[%[4]d] = first[%[4]d]
+	out[%[5]d] = first[%[5]d]
+	out[%[9]d] = first[%[9]d]
+	out[%[10]d] = sum(g, %[8]d)
+	emit out
 }
 `,
 		f.Attr("l_shipdate"), Q7DateLo, Q7DateHi,
 		f.Attr("n1_name"), f.Attr("n2_name"), NationX, NationY,
-		f.Attr("l_revenue"), f.Attr("volume"), f.Attr("o_year"))
-	return tac.Parse(src)
+		f.Attr("l_revenue"), f.Attr("o_year"), f.Attr("volume"))
+	return frontend.Compile(src)
 }
 
-// q15Program generates the Q15 UDFs in TAC.
+// q15Program compiles the Q15 UDFs from PactScript.
 func q15Program(f *dataflow.Flow) (*tac.Program, error) {
 	src := fmt.Sprintf(`
-func map filterQuarter($ir) {
-	$d := getfield $ir %[1]d
-	if $d < %[2]d goto SKIP
-	if $d > %[3]d goto SKIP
-	emit $ir
-SKIP: return
+map filterQuarter(ir) {
+	d := ir[%[1]d]
+	if d >= %[2]d && d <= %[3]d {
+		emit ir
+	}
 }
 
-func binary concatJoin($l, $r) {
-	$o := concat $l $r
-	emit $o
+match concatJoin(l, r) {
+	o := concat(l, r)
+	emit o
 }
 
-# Per-supplier revenue. Built on the copy constructor so that pass-through
-# attributes (e.g. the supplier columns when the Reduce runs above the
-# Match, Theorem 4) survive; the group-varying lineitem fields are
-# explicitly projected so the output is deterministic over the group bag.
-func reduce sumRevenue($g) {
-	$first := groupget $g 0
-	$or := copyrec $first
-	setfield $or %[6]d null
-	setfield $or %[1]d null
-	setfield $or %[4]d null
-	$s := agg sum $g %[4]d
-	setfield $or %[5]d $s
-	emit $or
+// Per-supplier revenue. Built on the copy constructor so that pass-through
+// attributes (e.g. the supplier columns when the Reduce runs above the
+// Match, Theorem 4) survive; the group-varying lineitem fields are
+// explicitly projected so the output is deterministic over the group bag.
+reduce sumRevenue(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[%[6]d] = null
+	out[%[1]d] = null
+	out[%[4]d] = null
+	out[%[5]d] = sum(g, %[4]d)
+	emit out
 }
 `,
 		f.Attr("l_shipdate"), Q15Date, Q15Date2,
 		f.Attr("l_revenue"), f.Attr("total_revenue"), f.Attr("l_orderkey"))
-	return tac.Parse(src)
+	return frontend.Compile(src)
 }
