@@ -162,22 +162,12 @@ func Enumerate(f *Flow) ([]*Tree, error) {
 // RankPlans enumerates all reorderings, physically optimizes each for the
 // given degree of parallelism, and returns them sorted by estimated cost.
 func RankPlans(f *Flow, dop int) ([]RankedPlan, error) {
-	tree, err := optimizer.FromFlow(f)
-	if err != nil {
-		return nil, err
-	}
-	return optimizer.RankAllNet(tree, optimizer.NewEstimator(f), dop, 0, optimizer.NetProfile{}), nil
+	return optimizer.Plan(f, dop, 0, optimizer.NetProfile{})
 }
 
 // Optimize returns the cheapest physical plan over all valid reorderings of
 // the flow.
-func Optimize(f *Flow, dop int) (*PhysPlan, error) {
-	ranked, err := RankPlans(f, dop)
-	if err != nil {
-		return nil, err
-	}
-	return ranked[0].Phys, nil
-}
+func Optimize(f *Flow, dop int) (*PhysPlan, error) { return OptimizeBudget(f, dop, 0) }
 
 // OptimizeBudget is Optimize with a memory budget (bytes; zero =
 // unlimited): the cost model charges shuffled grouping and join operators
@@ -187,11 +177,10 @@ func Optimize(f *Flow, dop int) (*PhysPlan, error) {
 // forward-shipping, or broadcast plans exactly when memory is tight. Pair
 // it with an engine whose MemoryBudget is set to the same value.
 func OptimizeBudget(f *Flow, dop int, memoryBudget int) (*PhysPlan, error) {
-	tree, err := optimizer.FromFlow(f)
+	ranked, err := optimizer.Plan(f, dop, float64(memoryBudget), optimizer.NetProfile{})
 	if err != nil {
 		return nil, err
 	}
-	ranked := optimizer.RankAllNet(tree, optimizer.NewEstimator(f), dop, float64(memoryBudget), optimizer.NetProfile{})
 	return ranked[0].Phys, nil
 }
 
@@ -288,7 +277,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler { return jobs.New(cfg) }
 // same front door cmd/flowserve exposes over HTTP. Prefer the
 // Scheduler.ParseScriptJob method when submitting to a scheduler: it
 // serves repeated documents from the scheduler's plan cache, skipping
-// compilation and (at execution) plan enumeration.
+// compilation and (at Submit) plan enumeration.
 func ParseJobDocument(raw []byte) (JobSpec, error) { return jobs.ParseScriptJob(raw) }
 
 // SamplingOptions configure DeriveHintsBySampling.

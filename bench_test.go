@@ -58,11 +58,11 @@ func q7Plans(b *testing.B, g *tpch.GenParams) (*tpch.Query, []optimizer.RankedPl
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := optimizer.FromFlow(q.Flow)
+	ranked, err := optimizer.Plan(q.Flow, 4, 0, optimizer.NetProfile{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return q, optimizer.RankAllNet(tree, optimizer.NewEstimator(q.Flow), 4, 0, optimizer.NetProfile{})
+	return q, ranked
 }
 
 // BenchmarkFig5Q7BestPlan executes only the cost-optimal Q7 plan.
@@ -123,11 +123,11 @@ func textminePlans(b *testing.B) (map[string]record.DataSet, []optimizer.RankedP
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := optimizer.FromFlow(task.Flow)
+	ranked, err := optimizer.Plan(task.Flow, 4, 0, optimizer.NetProfile{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return g.Generate(task.Flow), optimizer.RankAllNet(tree, optimizer.NewEstimator(task.Flow), 4, 0, optimizer.NetProfile{})
+	return g.Generate(task.Flow), ranked
 }
 
 // BenchmarkFig6TextMiningBestPlan executes the cost-optimal stage order.
@@ -189,11 +189,10 @@ func BenchmarkFig7ClickstreamBestPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := optimizer.FromFlow(task.Flow)
+	ranked, err := optimizer.Plan(task.Flow, 4, 0, optimizer.NetProfile{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ranked := optimizer.RankAllNet(tree, optimizer.NewEstimator(task.Flow), 4, 0, optimizer.NetProfile{})
 	e := engine.New(4)
 	for name, ds := range g.Generate(task.Flow) {
 		e.AddSource(name, ds)
@@ -315,7 +314,7 @@ func BenchmarkAblationNoInterestingProps(b *testing.B) {
 		po := optimizer.NewPhysicalOptimizer(est, 8)
 		po.UseInterestingProps = false
 		plan := po.Optimize(tree)
-		b.ReportMetric(plan.Cost.Total(po.Weights), "cost")
+		b.ReportMetric(plan.Cost.Total(), "cost")
 	}
 }
 
@@ -372,9 +371,8 @@ func BenchmarkIntegratedOptimization(b *testing.B) {
 }
 
 // BenchmarkRankAllQ7 is the optimizer work of one plan-cache miss, exactly
-// as scheduler.execute performs it: FromFlow → NewEstimator → RankAllNet at
-// the server's DOP. BENCH_opt.json records it; benchguard gates its
-// allocs/op.
+// as Scheduler.Submit performs it: one optimizer.Plan at the server's DOP.
+// BENCH_opt.json records it; benchguard gates its allocs/op.
 func BenchmarkRankAllQ7(b *testing.B) {
 	q, err := tpch.BuildQ7(tpch.ModeSCA, tpch.DefaultGen())
 	if err != nil {
@@ -383,11 +381,10 @@ func BenchmarkRankAllQ7(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree, err := optimizer.FromFlow(q.Flow)
+		ranked, err := optimizer.Plan(q.Flow, 2, 0, optimizer.NetProfile{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ranked := optimizer.RankAllNet(tree, optimizer.NewEstimator(q.Flow), 2, 0, optimizer.NetProfile{})
 		if len(ranked) != 442 {
 			b.Fatalf("ranked %d plans, want 442", len(ranked))
 		}
@@ -1216,10 +1213,10 @@ func BenchmarkRepeatedScripts(b *testing.B) {
 
 	// submitOnce parses, submits, and runs one job on an otherwise idle
 	// scheduler. The returned latency is submit-to-start: from raw bytes
-	// to the moment the physical plan is in hand and execution begins
-	// (Job.Planned) — JSON decode, script compilation and plan
-	// enumeration (cold) or cache lookups (cached), hint resolution,
-	// hashing, and admission — but not the run itself.
+	// to Submit returning with the physical plan in hand and the job
+	// admitted — JSON decode, script compilation and plan enumeration
+	// (cold) or cache lookups (cached), hint resolution, hashing, and
+	// admission — but not the run itself.
 	submitOnce := func(b *testing.B, s *blackboxflow.Scheduler) time.Duration {
 		b.Helper()
 		t0 := time.Now()
@@ -1231,6 +1228,7 @@ func BenchmarkRepeatedScripts(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		submitted := time.Since(t0)
 		if j.Started().IsZero() {
 			b.Fatal("job queued on an idle scheduler")
 		}
@@ -1241,7 +1239,7 @@ func BenchmarkRepeatedScripts(b *testing.B) {
 		if len(out) == 0 {
 			b.Fatal("job produced no output")
 		}
-		return j.Planned().Sub(t0)
+		return submitted
 	}
 
 	// Cold: plan caching disabled; every submission recompiles the script

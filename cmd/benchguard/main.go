@@ -256,7 +256,7 @@ func main() {
 		fresh["svc_ingest_miss_allocs_op"], true, 0.4)
 	check("ingest doc-hit vs miss speedup", "BENCH_svc.json", "ingest_doc_hit_speedup",
 		fresh["svc_ingest_doc_hit_speedup"], false, 2)
-	// One cold Q7 ranking exactly as scheduler.execute performs it. Gated on
+	// One cold Q7 ranking exactly as Scheduler.Submit performs it. Gated on
 	// allocations per ranking, not time: the count is deterministic for a
 	// Go release and identical on every machine, and it is what the dense
 	// node table and its id-indexed memos bought (38,679 with pointer-keyed

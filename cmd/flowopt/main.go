@@ -66,57 +66,48 @@ func main() {
 			}
 		}
 
-	case "plans":
-		tree, err := optimizer.FromFlow(flow)
+	case "plans", "optimize", "run":
+		start := time.Now()
+		ranked, err := optimizer.Plan(flow, *dop, float64(*budget), optimizer.NetProfile{})
 		if err != nil {
 			fatal(err)
 		}
-		est := optimizer.NewEstimator(flow)
-		start := time.Now()
-		ranked := optimizer.RankAllNet(tree, est, *dop, float64(*budget), optimizer.NetProfile{})
-		fmt.Printf("%d plans enumerated and costed in %v\n", len(ranked), time.Since(start).Round(time.Millisecond))
-		show := ranked
-		if len(show) > 20 {
-			show = show[:20]
-		}
-		for _, rp := range show {
-			marker := " "
-			if rp.Tree.Key() == tree.Key() {
-				marker = "*" // the implemented flow
+		planned, best := time.Since(start), ranked[0]
+		switch action {
+		case "plans":
+			tree, err := optimizer.FromFlow(flow)
+			if err != nil {
+				fatal(err)
 			}
-			fmt.Printf("%s rank %4d  cost %12.0f  %s\n", marker, rp.Rank, rp.Cost, rp.Tree)
-		}
-		if len(ranked) > len(show) {
-			fmt.Printf("  ... %d more\n", len(ranked)-len(show))
-		}
+			fmt.Printf("%d plans enumerated and costed in %v\n", len(ranked), planned.Round(time.Millisecond))
+			show := ranked[:min(len(ranked), 20)]
+			for _, rp := range show {
+				marker := " "
+				if rp.Tree.Key() == tree.Key() {
+					marker = "*" // the implemented flow
+				}
+				fmt.Printf("%s rank %4d  cost %12.0f  %s\n", marker, rp.Rank, rp.Cost, rp.Tree)
+			}
+			if len(ranked) > len(show) {
+				fmt.Printf("  ... %d more\n", len(ranked)-len(show))
+			}
 
-	case "optimize":
-		tree, err := optimizer.FromFlow(flow)
-		if err != nil {
-			fatal(err)
-		}
-		est := optimizer.NewEstimator(flow)
-		ranked := optimizer.RankAllNet(tree, est, *dop, float64(*budget), optimizer.NetProfile{})
-		fmt.Printf("best of %d plans (cost %.0f):\n\n%s", len(ranked), ranked[0].Cost, ranked[0].Phys.Indent())
+		case "optimize":
+			fmt.Printf("best of %d plans (cost %.0f):\n\n%s", len(ranked), best.Cost, best.Phys.Indent())
 
-	case "run":
-		tree, err := optimizer.FromFlow(flow)
-		if err != nil {
-			fatal(err)
+		case "run":
+			e := engine.New(*dop).WithMemoryBudget(*budget)
+			for name, ds := range data {
+				e.AddSource(name, ds)
+			}
+			start := time.Now()
+			out, stats, err := e.Run(best.Phys)
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Printf("plan: %s\n%d output records in %v\n\n%s",
+				best.Tree, len(out), time.Since(start).Round(time.Millisecond), stats)
 		}
-		est := optimizer.NewEstimator(flow)
-		ranked := optimizer.RankAllNet(tree, est, *dop, float64(*budget), optimizer.NetProfile{})
-		e := engine.New(*dop).WithMemoryBudget(*budget)
-		for name, ds := range data {
-			e.AddSource(name, ds)
-		}
-		start := time.Now()
-		out, stats, err := e.Run(ranked[0].Phys)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("plan: %s\n%d output records in %v\n\n%s",
-			ranked[0].Tree, len(out), time.Since(start).Round(time.Millisecond), stats)
 
 	default:
 		fmt.Fprintf(os.Stderr, "unknown action %q\n", action)

@@ -35,11 +35,11 @@ reduce tally(g) {
 	if err := f.DeriveEffects(false); err != nil {
 		t.Fatal(err)
 	}
-	tree, err := optimizer.FromFlow(f)
+	ranked, err := optimizer.Plan(f, 4, 0, optimizer.NetProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := optimizer.RankAllNet(tree, optimizer.NewEstimator(f), 4, 0, optimizer.NetProfile{})[0].Phys
+	plan := ranked[0].Phys
 
 	data := make(record.DataSet, n)
 	for i := range data {
@@ -194,11 +194,11 @@ reduce bad(g) {
 	if err := f.DeriveEffects(false); err != nil {
 		t.Fatal(err)
 	}
-	tree, err := optimizer.FromFlow(f)
+	ranked, err := optimizer.Plan(f, 4, 0, optimizer.NetProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := optimizer.RankAllNet(tree, optimizer.NewEstimator(f), 4, 0, optimizer.NetProfile{})[0].Phys
+	plan := ranked[0].Phys
 
 	data := make(record.DataSet, n)
 	for i := range data {

@@ -89,17 +89,16 @@ func modelled(wall time.Duration, stats *engine.RunStats) time.Duration {
 // The original flow's rank is recorded, and its runtime compared to the
 // best plan's.
 func Sweep(name string, flow *dataflow.Flow, data map[string]record.DataSet, dop, nPick int) (*SweepResult, error) {
+	start := time.Now()
+	ranked, err := optimizer.Plan(flow, dop, 0, optimizer.NetProfile{})
+	if err != nil {
+		return nil, err
+	}
+	res := &SweepResult{Name: name, TotalPlans: len(ranked), EnumTime: time.Since(start)}
 	tree, err := optimizer.FromFlow(flow)
 	if err != nil {
 		return nil, err
 	}
-	est := optimizer.NewEstimator(flow)
-
-	start := time.Now()
-	ranked := optimizer.RankAllNet(tree, est, dop, 0, optimizer.NetProfile{})
-	enumTime := time.Since(start)
-
-	res := &SweepResult{Name: name, TotalPlans: len(ranked), EnumTime: enumTime}
 	origKey := tree.Key()
 	for _, rp := range ranked {
 		if rp.Tree.Key() == origKey {
@@ -395,25 +394,20 @@ func EnumTimes() ([]EnumTimeRow, error) {
 }
 
 // Q15Strategies reproduces the Section 7.3 physical-plan discussion for
-// Q15: for each of the two Reduce/Match orders, report the shipping and
-// local strategies the physical optimizer picks.
+// Q15: for each of the two Reduce/Match orders, cheapest first, report the
+// shipping and local strategies the physical optimizer picks.
 func Q15Strategies(g *tpch.GenParams, dop int) (string, error) {
 	q, err := tpch.BuildQ15(tpch.ModeSCA, g)
 	if err != nil {
 		return "", err
 	}
-	tree, err := optimizer.FromFlow(q.Flow)
+	ranked, err := optimizer.Plan(q.Flow, dop, 0, optimizer.NetProfile{})
 	if err != nil {
 		return "", err
 	}
-	est := optimizer.NewEstimator(q.Flow)
-	po := optimizer.NewPhysicalOptimizer(est, dop)
-	alts := optimizer.NewEnumerator().Enumerate(tree)
-
 	var b strings.Builder
-	for _, a := range alts {
-		phys := po.Optimize(a)
-		fmt.Fprintf(&b, "plan: %s\ncost: %.0f\n%s\n", a, phys.Cost.Total(po.Weights), phys.Indent())
+	for _, rp := range ranked {
+		fmt.Fprintf(&b, "plan: %s\ncost: %.0f\n%s\n", rp.Tree, rp.Cost, rp.Phys.Indent())
 	}
 	return b.String(), nil
 }

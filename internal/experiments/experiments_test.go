@@ -173,7 +173,7 @@ func TestModelledForwardOnlyPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := optimizer.FromFlow(task.Flow)
+	ranked, err := optimizer.Plan(task.Flow, 4, 0, optimizer.NetProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestModelledForwardOnlyPlan(t *testing.T) {
 	for name, ds := range g.Generate(task.Flow) {
 		e.AddSource(name, ds)
 	}
-	best := optimizer.RankAllNet(tree, optimizer.NewEstimator(task.Flow), 4, 0, optimizer.NetProfile{})[0]
+	best := ranked[0]
 	_, stats, err := e.Run(best.Phys)
 	if err != nil {
 		t.Fatal(err)

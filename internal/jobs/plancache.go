@@ -4,9 +4,9 @@ package jobs
 // at sustained multi-tenant traffic the service re-sees the same job
 // documents over and over, and without a cache every submission pays
 // PactScript compilation, static analysis, row decoding, and — far worse —
-// the full reordering enumeration of optimizer.RankAllNet. Four bounded
-// LRUs, three filled by ingest (ingest.go; DESIGN.md "Ingest" says what
-// each elides) and one by execute:
+// the full reordering enumeration of optimizer.Plan. Four bounded LRUs,
+// three filled by ingest (ingest.go; DESIGN.md "Ingest" says what each
+// elides) and one by Submit:
 //
 //   - *docs* maps the digest of a whole raw document to everything ingest
 //     derived from it (the flow digest, the envelope's scalars, the digest
@@ -21,9 +21,9 @@ package jobs
 //     besides the entry capacity it is bounded by maxSourceCacheBytes of
 //     resident data;
 //   - *plans* maps (flow digest, budget tier, DOP) to the optimized
-//     physical plan and its cost estimate, skipping RankAllNet in
-//     Scheduler.execute and giving Submit's cost-based backpressure a
-//     free estimate.
+//     physical plan and its ranked cost, skipping optimizer.Plan in
+//     Scheduler.Submit; a hit charges backpressure the same cost the miss
+//     that stored it did.
 //
 // Cached flows, plans and sources are shared read-only across concurrent
 // jobs: neither the engine nor the optimizer mutates operators, plan nodes
@@ -58,8 +58,7 @@ type planKey struct {
 	dop  int
 }
 
-// planEntry is a cached optimized plan and the cost RankAllNet
-// estimated for it (reused by cost-based backpressure).
+// planEntry is a cached optimized plan and its ranked cost.
 type planEntry struct {
 	plan *optimizer.PhysPlan
 	cost float64
@@ -290,18 +289,6 @@ func (c *PlanCache) plan(k planKey) (planEntry, bool) {
 	}
 	c.stats.planHits++
 	return v.(planEntry), true
-}
-
-// peekCost returns a cached plan's cost estimate without counting a hit
-// or miss — Submit's backpressure check peeks, execute's lookup counts.
-func (c *PlanCache) peekCost(k planKey) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.plans.get(k)
-	if !ok {
-		return 0, false
-	}
-	return v.(planEntry).cost, true
 }
 
 func (c *PlanCache) storePlan(k planKey, e planEntry) {

@@ -3,11 +3,13 @@ package jobs
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/optimizer"
 )
 
 func TestBudgetTier(t *testing.T) {
@@ -129,6 +131,43 @@ func TestPlanCacheHitsSkipRecompilation(t *testing.T) {
 	}
 	if m.PlanCacheHits != 1 || m.PlanCacheMisses != 1 {
 		t.Errorf("plan cache hits/misses = %d/%d, want 1/1", m.PlanCacheHits, m.PlanCacheMisses)
+	}
+}
+
+// TestOneDocumentOneCost: a job's cost estimate is its plan's ranked cost
+// whether Submit planned it (a plan-cache miss) or the cache served it (a
+// hit), so one document is charged one cost. The text-mining document's own
+// operator order ranks far from the best, so a charge that costed the
+// submitted order instead would show here. Backpressure is on, with a
+// ceiling nothing reaches.
+func TestOneDocumentOneCost(t *testing.T) {
+	s := New(Config{MaxConcurrent: 1, DOP: 4, MaxQueuedCost: math.MaxFloat64})
+	raw := textmineDoc(t, 12, 0)
+	var spec Spec
+	var costs []float64
+	for i := 0; i < 2; i++ {
+		var err error
+		if spec, err = s.ParseScriptJob(raw); err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		costs = append(costs, j.CostEstimate())
+	}
+	if m := s.Metrics(); m.PlanCacheMisses != 1 || m.PlanCacheHits != 1 {
+		t.Fatalf("plan cache hits/misses = %d/%d, want 1/1", m.PlanCacheHits, m.PlanCacheMisses)
+	}
+	ranked, err := optimizer.Plan(spec.Flow, 4, 0, optimizer.NetProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if costs[0] != costs[1] || costs[0] != ranked[0].Cost {
+		t.Fatalf("miss charged %g, hit %g; the best ranked plan costs %g", costs[0], costs[1], ranked[0].Cost)
 	}
 }
 
@@ -255,7 +294,6 @@ func TestPlanCacheConcurrentEvictionFault(t *testing.T) {
 					if e, ok := c.plan(pk); ok && e.cost != float64(k) {
 						t.Errorf("plan(%v) cost = %g, want %d", pk, e.cost, k)
 					}
-					c.peekCost(pk)
 				case 4:
 					c.storeDoc(dk, docEntry{spec: Spec{PlanKey: hash}, sources: []namedSource{{"s", sk}}})
 					// A replay is all or nothing: the flow and the source

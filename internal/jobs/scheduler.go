@@ -1,8 +1,8 @@
 // Package jobs is the concurrency layer above the single-plan engine: a
-// Scheduler accepts submitted flows, optimizes each against the memory
-// budget it was granted, and runs each on an engine of its own under
-// admission control — so many optimized dataflows share one machine without
-// oversubscribing its memory.
+// Scheduler accepts submitted flows, plans each once — at Submit, against
+// the memory budget it is granted — and runs each on an engine of its own
+// under admission control, so many optimized dataflows share one machine
+// without oversubscribing its memory.
 //
 // Admission control is a FIFO queue over a global memory budget
 // (Config.GlobalBudget): every job asks for a budget grant (its requested
@@ -10,8 +10,8 @@
 // queue head is admitted only when the outstanding grants plus its own fit
 // under the global budget and fewer than Config.MaxConcurrent jobs are
 // running. The grant is not just a gate — it flows into the optimizer's
-// spill-cost model (optimizer.RankAllNet picks plans knowing how much
-// memory the job will actually have) and into the engine's spill receivers
+// spill-cost model (optimizer.Plan picks plans knowing how much memory the
+// job will actually have) and into the engine's spill receivers
 // (Engine.MemoryBudget), so an admitted job both plans for and is held to
 // its share. Queueing is strictly FIFO: a large job at the head blocks
 // smaller jobs behind it rather than being starved by them.
@@ -107,8 +107,8 @@ type Config struct {
 	TenantBudgetFrac float64
 	// MaxQueuedCost is the ceiling on the summed optimizer cost
 	// estimates of queued jobs: a Submit that would have to wait behind
-	// queued work already at the ceiling returns ErrBackpressure. Cost
-	// is the optimizer's abstract total (the unit RankAllNet sorts
+	// queued work already at the ceiling returns ErrBackpressure. A job's
+	// cost is the ranked cost of its plan (the unit optimizer.Plan sorts
 	// by). Zero disables cost-based backpressure.
 	MaxQueuedCost float64
 	// FS is the filesystem seam under the per-job spill directories and
@@ -119,7 +119,7 @@ type Config struct {
 	// Workers are flowworker addresses (cmd/flowworker) hosting remote
 	// shuffle partitions. When set, the scheduler calibrates the fleet at
 	// construction (feeding measured bandwidth and latency into plan
-	// ranking — optimizer.RankAllNet), health-checks it with TTL-cached
+	// ranking — optimizer.Plan), health-checks it with TTL-cached
 	// pings, and runs each job over a job-scoped TCP transport across the
 	// workers that are currently healthy. Jobs fall back to the in-process
 	// channel transport when no worker answers (counted in
@@ -194,7 +194,7 @@ type State uint8
 const (
 	// StateQueued: accepted, waiting for admission.
 	StateQueued State = iota
-	// StateRunning: admitted; optimizing or executing.
+	// StateRunning: admitted and executing.
 	StateRunning
 	// StateSucceeded: finished with a result.
 	StateSucceeded
@@ -238,8 +238,10 @@ type Job struct {
 	grant    int
 	deadline time.Duration
 	tenant   *usage
-	// cost is the optimizer cost estimate used for queued-cost
-	// backpressure (zero when backpressure is off).
+	// plan is the physical plan Submit chose for that DOP and grant, and
+	// cost its ranked cost — what queued-cost backpressure charges. finish
+	// lets the plan go.
+	plan *optimizer.PhysPlan
 	cost float64
 
 	// done closes when the job reaches a terminal state.
@@ -251,15 +253,16 @@ type Job struct {
 	trace     *obs.Trace
 	queueSpan obs.SpanID
 
-	// Everything below is guarded by s.mu.
+	// Everything below is guarded by s.mu. Job latency runs from submitted
+	// (planning included), queue wait from enqueued.
 	state     State
 	cancel    context.CancelCauseFunc // set at admission
 	output    record.DataSet
 	stats     *engine.RunStats
 	err       error
 	submitted time.Time
+	enqueued  time.Time
 	started   time.Time
-	planned   time.Time
 	finished  time.Time
 }
 
@@ -277,8 +280,8 @@ func (j *Job) Tenant() string { return j.spec.Tenant }
 // Grant returns the job's admission budget grant in bytes.
 func (j *Job) Grant() int { return j.grant }
 
-// CostEstimate returns the optimizer cost estimate backpressure charged
-// for this job (zero when Config.MaxQueuedCost is unset).
+// CostEstimate returns the ranked cost of the job's plan, the estimate
+// queued-cost backpressure charges for it.
 func (j *Job) CostEstimate() float64 { return j.cost }
 
 // Started returns when the job was admitted (zero while still queued).
@@ -286,15 +289,6 @@ func (j *Job) Started() time.Time {
 	j.s.mu.Lock()
 	defer j.s.mu.Unlock()
 	return j.started
-}
-
-// Planned returns when the job's physical plan was in hand and execution
-// handoff began (zero before). Planned().Sub(Started()) is the per-job
-// optimizer latency — what the plan cache removes on a hit.
-func (j *Job) Planned() time.Time {
-	j.s.mu.Lock()
-	defer j.s.mu.Unlock()
-	return j.planned
 }
 
 // Finished returns when the job reached a terminal state (zero before).
@@ -367,12 +361,13 @@ func (j *Job) Cancel() {
 // finish moves the job to its terminal state and finalizes its trace: the
 // admission-wait span is closed if still open (queue evictions), and the
 // root span ends carrying the job's identity, output size, and — for failed
-// jobs — the attributed error. The job's inputs are let go: a terminal job
-// never reads them again, and the registry must not pin decoded rows that
-// only the bounded source cache should own. Caller holds s.mu.
+// jobs — the attributed error. The job's inputs and plan are let go: a
+// terminal job never reads them again, and the registry must not pin
+// decoded rows or plans that only the bounded caches should own. Caller
+// holds s.mu.
 func (j *Job) finish(err error) {
 	j.err = err
-	j.spec.Sources = nil
+	j.spec.Sources, j.plan = nil, nil
 	j.finished = time.Now()
 	switch {
 	case err == nil:
@@ -415,8 +410,7 @@ type Metrics struct {
 	QuotaRejected        int64 `json:"quota_rejected"`
 	BackpressureRejected int64 `json:"backpressure_rejected"`
 	// Plan-cache counters: flow-level (compiled flows, counted by
-	// ParseScriptJob) and plan-level (optimized plans, counted at
-	// execution).
+	// ParseScriptJob) and plan-level (optimized plans, counted by Submit).
 	FlowCacheHits   int64 `json:"flow_cache_hits"`
 	FlowCacheMisses int64 `json:"flow_cache_misses"`
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
@@ -448,7 +442,7 @@ type Metrics struct {
 	NetBytesPerSec float64 `json:"net_bytes_per_sec,omitempty"`
 	NetLatencySec  float64 `json:"net_latency_sec,omitempty"`
 	// QueuedCost is the summed optimizer cost estimate of the queued
-	// jobs (the quantity MaxQueuedCost caps; zero with backpressure off).
+	// jobs (the quantity MaxQueuedCost caps).
 	QueuedCost float64 `json:"queued_cost"`
 
 	// UptimeSec is the scheduler's age in seconds.
@@ -470,7 +464,7 @@ type Metrics struct {
 	PeakRunning       int `json:"peak_running"`
 	PeakQueued        int `json:"peak_queued"`
 
-	// TotalQueueWait sums admitted jobs' time from submission to
+	// TotalQueueWait sums admitted jobs' time from joining the queue to
 	// admission; divide by Admitted for the mean.
 	TotalQueueWait time.Duration `json:"total_queue_wait_ns"`
 
@@ -615,23 +609,25 @@ func (s *Scheduler) dropQueuedCostLocked(cost float64) {
 	}
 }
 
-// Submit queues a job and returns its handle. The call never blocks on
-// admission: the job runs when it reaches the queue head and its grant fits
-// under the global budget. Submit fails fast with ErrQueueFull, ErrClosed,
-// ErrTenantQuota (the tenant's queued cap is reached), or ErrBackpressure
-// (the job would wait behind queued work whose summed cost estimates are
-// already at Config.MaxQueuedCost).
+// Submit plans a job and queues it, returning its handle. The call never
+// blocks on admission: the job runs when it reaches the queue head and its
+// grant fits under the global budget. A flow the optimizer cannot plan is
+// refused with the planning error; otherwise Submit fails fast with
+// ErrQueueFull, ErrClosed, ErrTenantQuota (the tenant's queued cap is
+// reached), or ErrBackpressure (the job would wait behind queued work whose
+// summed cost estimates are already at Config.MaxQueuedCost).
 func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	if spec.Flow == nil {
 		return nil, errors.New("jobs: spec has no flow")
 	}
 	j := &Job{
-		s:        s,
-		spec:     spec,
-		dop:      spec.DOP,
-		grant:    spec.MemoryBudget,
-		deadline: spec.Deadline,
-		done:     make(chan struct{}),
+		s:         s,
+		spec:      spec,
+		dop:       spec.DOP,
+		grant:     spec.MemoryBudget,
+		deadline:  spec.Deadline,
+		done:      make(chan struct{}),
+		submitted: time.Now(),
 	}
 	if j.dop <= 0 {
 		j.dop = s.cfg.DOP
@@ -650,10 +646,21 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	if j.deadline <= 0 {
 		j.deadline = s.cfg.JobTimeout
 	}
-	// Cost estimation can run the physical optimizer; keep it outside the
-	// lock.
-	if s.cfg.MaxQueuedCost > 0 {
-		j.cost = s.estimateCost(j)
+	// The job's trace opens here and closes in finish: root span = the
+	// whole submission→terminal window. The document's compile time
+	// happened before submission (ParseScriptJob), so it folds in as a
+	// pre-timed span; planning follows, outside the lock, and then the
+	// admission wait, which dispatch closes.
+	name := spec.Name
+	if name == "" {
+		name = "job"
+	}
+	j.trace = obs.NewTrace(name)
+	if !spec.Compile.Start.IsZero() {
+		j.trace.Import(0, spec.Compile)
+	}
+	if err := s.plan(j); err != nil {
+		return nil, err
 	}
 
 	s.mu.Lock()
@@ -687,19 +694,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	}
 	s.nextID++
 	j.ID = s.nextID
-	j.submitted = time.Now()
-	// The job's trace opens here and closes in finish: root span = the
-	// whole submission→terminal window. The document's compile time
-	// happened before submission (ParseScriptJob), so it folds in as a
-	// pre-timed span; the admission wait opens now and dispatch closes it.
-	name := spec.Name
-	if name == "" {
-		name = "job"
-	}
-	j.trace = obs.NewTrace(name)
-	if !spec.Compile.Start.IsZero() {
-		j.trace.Import(0, spec.Compile)
-	}
+	j.enqueued = time.Now()
 	j.queueSpan = j.trace.Begin(0, "queue", obs.KindPhase)
 	s.queue = append(s.queue, j)
 	s.total.Queued++
@@ -711,33 +706,38 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	return j, nil
 }
 
-// planKeyOf returns the plan-cache key of j's optimization — its document
-// digest at its budget tier and DOP — and whether the job is cacheable at
-// all.
-func (s *Scheduler) planKeyOf(j *Job) (planKey, bool) {
-	return planKey{hash: j.spec.PlanKey, tier: budgetTier(j.grant), dop: j.dop},
-		s.planCache != nil && j.spec.PlanKey != ""
-}
-
-// estimateCost returns the optimizer's cost estimate for the job under
-// its grant: the cached plan's exact ranked cost when the plan cache has
-// one, else a single physical optimization of the submitted operator
-// order — much cheaper than RankAllNet's full enumeration, and close
-// enough for admission arithmetic (execute still optimizes properly).
-func (s *Scheduler) estimateCost(j *Job) float64 {
-	if key, ok := s.planKeyOf(j); ok {
-		if cost, ok := s.planCache.peekCost(key); ok {
-			return cost
+// plan gives j its physical plan and cost under its DOP and grant, inside
+// the trace's optimize span: the cached plan when a job of the same
+// document was planned at the same budget tier and DOP, else one
+// optimizer.Plan ranking, cached for the next. The grant is the one the
+// engine will enforce, so the spill-cost model sees exactly the memory the
+// job will have, and the measured transport profile (zero without workers)
+// scales the Net term to the wire the job will cross.
+func (s *Scheduler) plan(j *Job) error {
+	span := j.trace.Begin(0, "optimize", obs.KindPhase)
+	key := planKey{hash: j.spec.PlanKey, tier: budgetTier(j.grant), dop: j.dop}
+	cacheable := s.planCache != nil && key.hash != ""
+	var e planEntry
+	hit := false
+	if cacheable {
+		e, hit = s.planCache.plan(key)
+	}
+	detail := "plan-cache hit"
+	if !hit {
+		ranked, err := optimizer.Plan(j.spec.Flow, j.dop, float64(j.grant), s.netProfile)
+		if err != nil {
+			return fmt.Errorf("jobs: optimize: %w", err)
+		}
+		e = planEntry{plan: ranked[0].Phys, cost: ranked[0].Cost}
+		enum := ranked[0].Enum
+		detail = fmt.Sprintf("plans=%d subflows=%d exchanges=%d", len(ranked), enum.Subflows, enum.Exchanges)
+		if cacheable {
+			s.planCache.storePlan(key, e)
 		}
 	}
-	tree, err := optimizer.FromFlow(j.spec.Flow)
-	if err != nil {
-		return 0 // execute will surface the real error
-	}
-	po := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(j.spec.Flow), j.dop)
-	po.MemoryBudget = float64(j.grant)
-	plan := po.Optimize(tree)
-	return plan.Cost.Total(po.Weights)
+	j.plan, j.cost = e.plan, e.cost
+	j.trace.EndWith(span, func(sp *obs.Span) { sp.Detail = detail })
+	return nil
 }
 
 // dispatchLocked admits queued jobs while the next one fits: fewer than
@@ -773,11 +773,12 @@ func (s *Scheduler) dispatchLocked() {
 		head.started = time.Now()
 		head.trace.End(head.queueSpan)
 		head.queueSpan = 0
-		s.obs.queueWait.Observe(head.started.Sub(head.submitted).Seconds())
+		wait := head.started.Sub(head.enqueued)
+		s.obs.queueWait.Observe(wait.Seconds())
 		ctx, cancel := context.WithCancelCause(context.Background())
 		head.cancel = cancel
 		s.m.Admitted++
-		s.m.TotalQueueWait += head.started.Sub(head.submitted)
+		s.m.TotalQueueWait += wait
 		go s.runJob(ctx, cancel, head)
 	}
 }
@@ -794,50 +795,8 @@ func (s *Scheduler) runJob(ctx context.Context, cancel context.CancelCauseFunc, 
 	s.finishJob(j, out, stats, err)
 }
 
-// execute optimizes the job's flow against its grant and runs it on an
-// engine built for this job only.
+// execute runs the job's plan on an engine built for this job only.
 func (s *Scheduler) execute(ctx context.Context, j *Job) (record.DataSet, *engine.RunStats, error) {
-	// Optimize under the granted budget: the spill-cost model sees exactly
-	// the memory the engine will enforce. With a plan cache, a repeat
-	// submission of the same document at the same budget tier and DOP
-	// reuses the previously ranked plan and skips enumeration entirely.
-	tr := j.trace
-	optSpan := tr.Begin(0, "optimize", obs.KindPhase)
-	var plan *optimizer.PhysPlan
-	var detail string // what the optimize span says happened
-	key, cacheable := s.planKeyOf(j)
-	if cacheable {
-		if e, ok := s.planCache.plan(key); ok {
-			plan, detail = e.plan, "plan-cache hit"
-		}
-	}
-	if plan == nil {
-		tree, err := optimizer.FromFlow(j.spec.Flow)
-		if err != nil {
-			err = fmt.Errorf("jobs: optimize: %w", err)
-			tr.Fail(optSpan, err)
-			return nil, nil, err
-		}
-		// The measured transport profile (zero without workers) scales the
-		// ranking's Net term to the wire the job will actually cross.
-		ranked := optimizer.RankAllNet(tree, optimizer.NewEstimator(j.spec.Flow), j.dop, float64(j.grant), s.netProfile)
-		if len(ranked) == 0 {
-			err := errors.New("jobs: optimizer produced no plan")
-			tr.Fail(optSpan, err)
-			return nil, nil, err
-		}
-		plan = ranked[0].Phys
-		enum := ranked[0].Enum
-		detail = fmt.Sprintf("plans=%d subflows=%d exchanges=%d", len(ranked), enum.Subflows, enum.Exchanges)
-		if cacheable {
-			s.planCache.storePlan(key, planEntry{plan: plan, cost: ranked[0].Cost})
-		}
-	}
-	tr.EndWith(optSpan, func(sp *obs.Span) { sp.Detail = detail })
-	j.s.mu.Lock()
-	j.planned = time.Now()
-	j.s.mu.Unlock()
-
 	// A private spill directory per job: even a crash-interrupted engine
 	// cannot interleave its temp files with another job's, and removal on
 	// the way out guarantees a cancelled or failed job leaves nothing
@@ -878,10 +837,11 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (record.DataSet, *engin
 
 	// The run span parents every operator span the engine records; its
 	// extent is the engine's whole execution of this job's plan.
+	tr := j.trace
 	runSpan := tr.Begin(0, "run", obs.KindPhase)
 	eng.Trace = tr
 	eng.TraceParent = runSpan
-	out, stats, err := eng.RunContext(ctx, plan)
+	out, stats, err := eng.RunContext(ctx, j.plan)
 	if err != nil {
 		tr.Fail(runSpan, err)
 	} else {

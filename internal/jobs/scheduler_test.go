@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -270,6 +271,32 @@ func TestDeadline(t *testing.T) {
 	}
 	if m := s.Metrics(); m.Failed != 1 || m.GrantedBudget != 0 {
 		t.Errorf("metrics after deadline: %+v", m)
+	}
+}
+
+// TestSubmitRefusesUnplannableSpec: a flow the optimizer cannot plan — here
+// one without a sink — is refused by Submit with the planning error, and
+// leaves no job, queue slot or job ID behind.
+func TestSubmitRefusesUnplannableSpec(t *testing.T) {
+	s := New(Config{MaxConcurrent: 1, DOP: 2})
+	f := dataflow.NewFlow()
+	f.Source("in", []string{"k", "v"}, dataflow.Hints{Records: 10, AvgWidthBytes: 20})
+	j, err := s.Submit(Spec{Name: "sinkless", Flow: f})
+	if j != nil || err == nil || !strings.Contains(err.Error(), "jobs: optimize: dataflow: flow has no sink") {
+		t.Fatalf("Submit(sinkless flow): job returned %t, err %v; want no job and the planning error", j != nil, err)
+	}
+	if m := s.Metrics(); m.Submitted != 0 || m.Rejected != 0 || m.Queued != 0 || m.Running != 0 {
+		t.Fatalf("a refused spec left state behind: %+v", m)
+	}
+	next, err := s.Submit(groupSpec(t, 1, 10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID != 1 {
+		t.Errorf("next job ID = %d, want 1: the refused spec must not take one", next.ID)
+	}
+	if _, _, err := next.Wait(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -165,12 +165,17 @@ func TestCostBackpressure(t *testing.T) {
 	const perJob = 32 << 10
 	big := withBudget(groupSpec(t, 1, 400000, 200000), perJob)
 
-	// Measure the big job's cost estimate to size the ceiling: one fits
-	// the queue, two do not.
-	probe := New(Config{GlobalBudget: perJob, MaxConcurrent: 1, DOP: 4, MaxQueuedCost: 1})
-	cost := probe.estimateCost(&Job{spec: big, grant: perJob, dop: 4})
+	// Read the big job's cost estimate off a submission to size the
+	// ceiling: one fits the queue, two do not.
+	probe, err := New(Config{GlobalBudget: perJob, MaxConcurrent: 1, DOP: 4}).Submit(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Cancel()
+	probe.Wait(context.Background())
+	cost := probe.CostEstimate()
 	if cost <= 0 {
-		t.Fatalf("estimateCost = %g, want positive", cost)
+		t.Fatalf("CostEstimate = %g, want positive", cost)
 	}
 
 	s := New(Config{GlobalBudget: perJob, MaxConcurrent: 4, DOP: 4, MaxQueuedCost: 1.5 * cost})

@@ -19,18 +19,18 @@ func (c Cost) Plus(o Cost) Cost {
 	return Cost{c.Net + o.Net, c.Disk + o.Disk, c.CPU + o.CPU}
 }
 
-// Weights convert the cost components into a single scalar.
-type Weights struct {
-	Net, Disk, CPU float64
-}
+// The weights Total folds the cost components with: network transfer and
+// CPU work weigh comparably (one CPU work unit ≈ one byte shipped), storage
+// scans less — matching the 1 GbE cluster of the paper's evaluation, where
+// shuffles dominate relational plans and UDF CPU dominates the text-mining
+// plans.
+const (
+	netWeight  = 1.0
+	diskWeight = 0.3
+	cpuWeight  = 1.0
+)
 
-// DefaultWeights weight network transfer and CPU work comparably (one CPU
-// work unit ≈ one byte shipped), with storage scans cheaper — matching the
-// 1 GbE cluster of the paper's evaluation, where shuffles dominate
-// relational plans and UDF CPU dominates the text-mining plans.
-var DefaultWeights = Weights{Net: 1.0, Disk: 0.3, CPU: 1.0}
-
-// ReferenceNetBytesPerSec is the network the DefaultWeights are calibrated
+// ReferenceNetBytesPerSec is the network the cost weights are calibrated
 // against: the 1 GbE cluster of the paper's evaluation (~125 MB/s). A
 // measured transport's Net term is scaled relative to this reference, so a
 // slower network inflates shuffle costs and a faster one deflates them
@@ -69,9 +69,9 @@ func (p NetProfile) cost(bytes float64, shuffles int) float64 {
 	return cost + float64(shuffles)*p.LatencySec*ReferenceNetBytesPerSec
 }
 
-// Total folds a cost into a scalar with the given weights.
-func (c Cost) Total(w Weights) float64 {
-	return w.Net*c.Net + w.Disk*c.Disk + w.CPU*c.CPU
+// Total folds a cost into the scalar plans are pruned and ranked by.
+func (c Cost) Total() float64 {
+	return netWeight*c.Net + diskWeight*c.Disk + cpuWeight*c.CPU
 }
 
 // Estimator derives cardinality and byte-size estimates for operator trees

@@ -38,7 +38,7 @@ func TestRankAllNetZeroProfileMatchesBudget(t *testing.T) {
 	po.MemoryBudget = 64 << 10
 	base := map[string]float64{}
 	for _, a := range NewEnumerator().Enumerate(tree) {
-		base[a.Key()] = po.Optimize(a).Cost.Total(po.Weights)
+		base[a.Key()] = po.Optimize(a).Cost.Total()
 	}
 	net := RankAllNet(tree, NewEstimator(f), 8, 64<<10, NetProfile{})
 	if len(base) != len(net) {

@@ -802,8 +802,8 @@ func TestSharedSubplansConsistent(t *testing.T) {
 	for _, a := range alts {
 		naive := NewPhysicalOptimizer(est, 4)
 		naive.ShareSubplans = false
-		cs := shared.Optimize(a).Cost.Total(shared.Weights)
-		cn := naive.Optimize(a).Cost.Total(naive.Weights)
+		cs := shared.Optimize(a).Cost.Total()
+		cn := naive.Optimize(a).Cost.Total()
 		if cs != cn {
 			t.Errorf("plan %s: shared cost %g != naive cost %g", a, cs, cn)
 		}
@@ -828,8 +828,8 @@ func TestInterestingPropsAblation(t *testing.T) {
 	with := NewPhysicalOptimizer(est, 8)
 	without := NewPhysicalOptimizer(est, 8)
 	without.UseInterestingProps = false
-	cw := with.Optimize(tree).Cost.Total(with.Weights)
-	cwo := without.Optimize(tree).Cost.Total(without.Weights)
+	cw := with.Optimize(tree).Cost.Total()
+	cwo := without.Optimize(tree).Cost.Total()
 	if cw > cwo {
 		t.Errorf("interesting properties made the plan worse: %g > %g", cw, cwo)
 	}

@@ -168,8 +168,6 @@ type PhysicalOptimizer struct {
 	Est *Estimator
 	// DOP is the degree of parallelism (the paper's evaluation uses 32).
 	DOP int
-	// Weights fold the cost vector into a scalar for pruning and ranking.
-	Weights Weights
 	// UseInterestingProps keeps candidate plans per partitioning property;
 	// disabling it (for the ablation benchmark) keeps only the cheapest
 	// plan per sub-tree regardless of its output partitioning.
@@ -202,8 +200,7 @@ type PhysicalOptimizer struct {
 // NewPhysicalOptimizer returns a physical optimizer with default settings.
 func NewPhysicalOptimizer(est *Estimator, dop int) *PhysicalOptimizer {
 	return &PhysicalOptimizer{
-		Est: est, DOP: dop, Weights: DefaultWeights,
-		UseInterestingProps: true, ShareSubplans: true,
+		Est: est, DOP: dop, UseInterestingProps: true, ShareSubplans: true,
 	}
 }
 
@@ -249,7 +246,7 @@ func (po *PhysicalOptimizer) Optimize(t *Tree) *PhysPlan {
 	cands := po.plans(po.Est.tab.intern(t))
 	var best *PhysPlan
 	for _, c := range cands {
-		if best == nil || c.Cost.Total(po.Weights) < best.Cost.Total(po.Weights) {
+		if best == nil || c.Cost.Total() < best.Cost.Total() {
 			best = c
 		}
 	}
@@ -273,10 +270,9 @@ type candidates struct {
 // candidate beats; kept lists are a handful long, so a scan comparing
 // partitioning sets word by word beats any keyed table.
 func (c *candidates) slot(part props.FieldSet, cost Cost) *PhysPlan {
-	w := c.po.Weights
 	for _, cur := range c.po.kept[c.from:] {
 		if !c.po.UseInterestingProps || cur.Partitioned.Equal(part) {
-			if cost.Total(w) < cur.Cost.Total(w) {
+			if cost.Total() < cur.Cost.Total() {
 				return cur
 			}
 			return nil
@@ -609,15 +605,27 @@ type RankedPlan struct {
 	Enum *EnumStats
 }
 
+// Plan is the optimizer's one planning call: it validates the flow, then
+// ranks every valid reordering of it with RankAllNet under a fresh
+// Estimator. The ranking is never empty — it always holds the flow's own
+// order — so ranked[0] is the plan to run.
+func Plan(f *dataflow.Flow, dop int, memoryBudget float64, net NetProfile) ([]RankedPlan, error) {
+	tree, err := FromFlow(f)
+	if err != nil {
+		return nil, err
+	}
+	return RankAllNet(tree, NewEstimator(f), dop, memoryBudget, net), nil
+}
+
 // RankAllNet enumerates all reorderings of the flow tree, physically
 // optimizes each, and returns them sorted by ascending estimated cost — the
-// procedure behind the paper's Figures 5–7, and the optimizer's one ranked
-// entry point. memoryBudget (bytes; zero = unlimited) adds the spill-aware
-// disk term for shuffled grouping and join operators; net is a measured
-// transport profile: shuffle byte volumes are scaled against the reference
-// network and every shuffle barrier is charged the measured round-trip
-// latency, so rankings computed for a distributed deployment reflect the
-// wire the job will actually cross. The zero profile prices no network.
+// procedure behind the paper's Figures 5–7. memoryBudget (bytes; zero =
+// unlimited) adds the spill-aware disk term for shuffled grouping and join
+// operators; net is a measured transport profile: shuffle byte volumes are
+// scaled against the reference network and every shuffle barrier is charged
+// the measured round-trip latency, so rankings computed for a distributed
+// deployment reflect the wire the job will actually cross. The zero profile
+// prices no network.
 func RankAllNet(t *Tree, est *Estimator, dop int, memoryBudget float64, net NetProfile) []RankedPlan {
 	po := NewPhysicalOptimizer(est, dop)
 	po.MemoryBudget = memoryBudget
@@ -634,7 +642,7 @@ func (po *PhysicalOptimizer) rankAll(t *Tree) []RankedPlan {
 	order := make([]int32, len(alts)) // sorted instead of the plans: no pointers move
 	for i, a := range alts {
 		phys := po.Optimize(a)
-		plans[i] = RankedPlan{Tree: a, Phys: phys, Cost: phys.Cost.Total(po.Weights), Enum: &enum.Stats}
+		plans[i] = RankedPlan{Tree: a, Phys: phys, Cost: phys.Cost.Total(), Enum: &enum.Stats}
 		order[i] = int32(i)
 	}
 	slices.SortStableFunc(order, func(i, j int32) int {

@@ -223,7 +223,7 @@ func refRank(t *Tree, f *dataflow.Flow, dop int, budget float64, net NetProfile)
 		po.MemoryBudget = budget
 		po.Net = net
 		phys := po.Optimize(a)
-		ranked = append(ranked, RankedPlan{Tree: a, Phys: phys, Cost: phys.Cost.Total(po.Weights)})
+		ranked = append(ranked, RankedPlan{Tree: a, Phys: phys, Cost: phys.Cost.Total()})
 	}
 	sort.SliceStable(ranked, func(i, j int) bool {
 		if ranked[i].Cost != ranked[j].Cost {

@@ -44,7 +44,7 @@ func bestCost(t *testing.T, f *dataflow.Flow, tree *Tree, budget float64) (float
 	po := NewPhysicalOptimizer(NewEstimator(f), 8)
 	po.MemoryBudget = budget
 	plan := po.Optimize(tree)
-	return plan.Cost.Total(po.Weights), plan
+	return plan.Cost.Total(), plan
 }
 
 // TestSpillCostTerm: a budget below the shuffled volume adds a disk term; a

@@ -128,9 +128,10 @@ func TestResultSemantics(t *testing.T) {
 func TestCostOrderingPrefersFilterFirst(t *testing.T) {
 	g := DefaultGen()
 	task, _ := Build(ModeSCA, g)
-	tree, _ := optimizer.FromFlow(task.Flow)
-	est := optimizer.NewEstimator(task.Flow)
-	ranked := optimizer.RankAllNet(tree, est, 4, 0, optimizer.NetProfile{})
+	ranked, err := optimizer.Plan(task.Flow, 4, 0, optimizer.NetProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	best, worst := ranked[0], ranked[len(ranked)-1]
 	if worst.Cost < 3*best.Cost {
 		t.Errorf("cost spread too small: %.0f vs %.0f", best.Cost, worst.Cost)

@@ -222,9 +222,10 @@ func TestQ15ResultCorrect(t *testing.T) {
 func TestQ7BestPlanPushesFilterDown(t *testing.T) {
 	g := DefaultGen()
 	q, _ := BuildQ7(ModeSCA, g)
-	tree, _ := optimizer.FromFlow(q.Flow)
-	est := optimizer.NewEstimator(q.Flow)
-	ranked := optimizer.RankAllNet(tree, est, 8, 0, optimizer.NetProfile{})
+	ranked, err := optimizer.Plan(q.Flow, 8, 0, optimizer.NetProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	best := ranked[0].Tree
 
 	// Find the filter_shipdate node: its child must be the lineitem source.
