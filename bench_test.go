@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"net"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -1089,14 +1090,15 @@ const repeatedScriptsDoc = `{
 }`
 
 // q7IngestDoc is the end-to-end benchmark's q7.warm document (TPC-H Q7 at
-// SF 4 with inline rows, ≈0.58 MB; bench/workloads.go is a nested module,
-// so the wiring is repeated here) for the ingest sub-benchmarks. The
-// shipdate bound appears once, as q7IngestHiToken, so a caller can vary the script
-// without touching the data; pads are the offsets of padLen bytes of
-// whitespace at the head of each source's rows, which a caller rewrites to
-// get the same rows in bytes never seen before.
+// SF 4 with inline rows, ≈0.58 MB, made from the workload's one definition)
+// for the ingest sub-benchmarks. The shipdate bound appears once, as
+// q7IngestHiToken, so a caller can vary the script without touching the
+// data; pads are the offsets of padLen bytes of whitespace at the head of
+// each source's rows, which a caller rewrites to get the same rows in bytes
+// never seen before.
 func q7IngestDoc(b *testing.B) (doc []byte, pads []int) {
 	g := &tpch.GenParams{SF: 4, Seed: 1}
+	def := tpch.Q7(g)
 	q, err := tpch.BuildQ7(tpch.ModeManual, g)
 	if err != nil {
 		b.Fatal(err)
@@ -1104,78 +1106,33 @@ func q7IngestDoc(b *testing.B) (doc []byte, pads []int) {
 	f := q.Flow
 	data := g.Generate(f)
 	rows := map[string][]jobs.Row{}
-	var sources []jobs.SourceDef
-	var extra []string
-	inSource := map[int]bool{}
-	for _, op := range f.Operators() {
-		if op.Kind != dataflow.KindSource {
-			continue
+	for _, src := range def.Flow.Sources {
+		idx := make([]int, len(src.Attrs))
+		for i, a := range src.Attrs {
+			idx[i] = f.Attr(a)
 		}
-		src := jobs.SourceDef{Name: op.Name}
-		idx := op.SourceAttrs.Sorted()
-		for _, i := range idx {
-			src.Attrs = append(src.Attrs, f.AttrName(i))
-			inSource[i] = true
-		}
-		sources = append(sources, src)
-		for _, rec := range data[op.Name] {
-			rows[op.Name] = append(rows[op.Name], jobs.EncodeRow(rec.Project(idx)))
+		for _, rec := range data[src.Name] {
+			rows[src.Name] = append(rows[src.Name], jobs.EncodeRow(rec.Project(idx)))
 		}
 	}
-	for i := 0; i < f.NumAttrs(); i++ {
-		if !inSource[i] {
-			extra = append(extra, f.AttrName(i))
-		}
+	bound := fmt.Sprintf("d <= %d", tpch.Q7DateHi)
+	if strings.Count(def.Script, bound) != 1 {
+		b.Fatalf("the Q7 script does not hold %q exactly once", bound)
 	}
-	script := fmt.Sprintf(`
-map filterShipdate(ir) { d := ir[%[1]d] if d >= %[2]d && d <= %[3]d { emit ir } }
-match concatJoin(l, r) { o := concat(l, r) emit o }
-map filterNationPair(ir) {
-	n1 := ir[%[4]d]
-	n2 := ir[%[5]d]
-	if (n1 == %[6]q && n2 == %[7]q) || (n1 == %[7]q && n2 == %[6]q) { emit ir }
-}
-reduce partialVolume(g) { first := g.at(0) out := copy(first) out[%[8]d] = sum(g, %[8]d) emit out }
-reduce sumVolume(g) {
-	first := g.at(0)
-	out := new()
-	out[%[4]d] = first[%[4]d]
-	out[%[5]d] = first[%[5]d]
-	out[%[9]d] = first[%[9]d]
-	out[%[10]d] = sum(g, %[8]d)
-	emit out
-}`, f.Attr("l_shipdate"), tpch.Q7DateLo, q7IngestHiToken,
-		f.Attr("n1_name"), f.Attr("n2_name"), tpch.NationX, tpch.NationY,
-		f.Attr("l_revenue"), f.Attr("o_year"), f.Attr("volume"))
-	join := func(name, in, right, lk, rk string, card int) jobs.OpDef {
-		return jobs.OpDef{Kind: "match", Name: name, UDF: "concatJoin", Inputs: []string{in, right},
-			Keys: [][]string{{lk}, {rk}}, KeyCardinality: float64(card)}
-	}
-	doc, err = json.Marshal(&jobs.ScriptJob{
-		Name: "q7", Script: script, Data: rows,
-		Flow: jobs.FlowDef{
-			Attrs: extra, Sources: sources, Sink: "agg_volume",
-			Ops: []jobs.OpDef{
-				{Kind: "map", Name: "filter_shipdate", UDF: "filterShipdate", Inputs: []string{"lineitem"}, Selectivity: g.DateSelectivity()},
-				join("join_l_s", "filter_shipdate", "supplier", "l_suppkey", "s_key", g.Suppliers()),
-				join("join_l_o", "join_l_s", "orders", "l_orderkey", "o_key", g.Orders()),
-				join("join_o_c", "join_l_o", "customer", "o_custkey", "c_key", g.Customers()),
-				join("join_c_n1", "join_o_c", "nation1", "c_nationkey", "n1_key", tpch.NumNations),
-				join("join_s_n2", "join_c_n1", "nation2", "s_nationkey", "n2_key", tpch.NumNations),
-				{Kind: "map", Name: "filter_nation_pair", UDF: "filterNationPair", Inputs: []string{"join_s_n2"},
-					Selectivity: 2.0 / (tpch.NumNations * tpch.NumNations)},
-				{Kind: "reduce", Name: "agg_volume", UDF: "sumVolume", Combiner: "partialVolume", Inputs: []string{"filter_nation_pair"},
-					Keys: [][]string{{"n1_name", "n2_name", "o_year"}}, KeyCardinality: 14, Selectivity: 1},
-			},
-		},
-	})
+	def.Script = strings.Replace(def.Script, bound, fmt.Sprintf("d <= %d", q7IngestHiToken), 1)
+	// The benchmark's Q7 traffic declares a combiner on the final sum; the
+	// paper's Figure 2 flow has none.
+	def.Script += fmt.Sprintf(`
+reduce partialVolume(g) { first := g.at(0) out := copy(first) out[%[1]d] = sum(g, %[1]d) emit out }`, f.Attr("l_revenue"))
+	def.Flow.Ops[len(def.Flow.Ops)-1].Combiner = "partialVolume"
+	doc, err = json.Marshal(&jobs.ScriptJob{Name: "q7", Script: def.Script, Flow: def.Flow, Data: rows})
 	if err != nil {
 		b.Fatal(err)
 	}
 	if bytes.Count(doc, []byte(q7IngestHiPrefix+strconv.Itoa(q7IngestHiToken))) != 1 {
 		b.Fatal("the shipdate bound does not appear exactly once in the document")
 	}
-	for _, src := range sources {
+	for _, src := range def.Flow.Sources {
 		head := []byte(`"` + src.Name + `":[`)
 		at := bytes.Index(doc, head)
 		if at < 0 || bytes.Count(doc, head) != 1 {
@@ -1184,7 +1141,7 @@ reduce sumVolume(g) {
 		at += len(head)
 		doc = append(doc[:at], append(bytes.Repeat([]byte(" "), q7IngestPadLen), doc[at:]...)...)
 	}
-	for _, src := range sources {
+	for _, src := range def.Flow.Sources {
 		pads = append(pads, bytes.Index(doc, []byte(`"`+src.Name+`":[`))+len(src.Name)+4)
 	}
 	return doc, pads

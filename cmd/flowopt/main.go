@@ -25,6 +25,7 @@ import (
 	"blackboxflow/internal/engine"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
+	"blackboxflow/internal/workloads"
 	"blackboxflow/internal/workloads/clickstream"
 	"blackboxflow/internal/workloads/textmine"
 	"blackboxflow/internal/workloads/tpch"
@@ -42,8 +43,11 @@ func main() {
 		action = "plans"
 	}
 
-	manual := *mode == "manual"
-	flow, data, err := buildTask(*task, manual)
+	m := workloads.ModeSCA
+	if *mode == "manual" {
+		m = workloads.ModeManual
+	}
+	flow, data, err := buildTask(*task, m)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -120,13 +124,9 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func buildTask(task string, manual bool) (*dataflow.Flow, map[string]record.DataSet, error) {
+func buildTask(task string, m workloads.Mode) (*dataflow.Flow, map[string]record.DataSet, error) {
 	switch task {
 	case "q7":
-		m := tpch.ModeSCA
-		if manual {
-			m = tpch.ModeManual
-		}
 		g := tpch.DefaultGen()
 		q, err := tpch.BuildQ7(m, g)
 		if err != nil {
@@ -134,10 +134,6 @@ func buildTask(task string, manual bool) (*dataflow.Flow, map[string]record.Data
 		}
 		return q.Flow, g.Generate(q.Flow), nil
 	case "q15":
-		m := tpch.ModeSCA
-		if manual {
-			m = tpch.ModeManual
-		}
 		g := tpch.DefaultGen()
 		q, err := tpch.BuildQ15(m, g)
 		if err != nil {
@@ -145,10 +141,6 @@ func buildTask(task string, manual bool) (*dataflow.Flow, map[string]record.Data
 		}
 		return q.Flow, g.Generate(q.Flow), nil
 	case "clickstream":
-		m := clickstream.ModeSCA
-		if manual {
-			m = clickstream.ModeManual
-		}
 		g := clickstream.DefaultGen()
 		t, err := clickstream.Build(m, g)
 		if err != nil {
@@ -156,10 +148,6 @@ func buildTask(task string, manual bool) (*dataflow.Flow, map[string]record.Data
 		}
 		return t.Flow, g.Generate(t.Flow), nil
 	case "textmine", "textmining":
-		m := textmine.ModeSCA
-		if manual {
-			m = textmine.ModeManual
-		}
 		g := textmine.DefaultGen()
 		t, err := textmine.Build(m, g)
 		if err != nil {

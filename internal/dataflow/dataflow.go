@@ -266,47 +266,40 @@ func (f *Flow) Source(name string, attrNames []string, hints Hints) *Operator {
 	return op
 }
 
+// udfOp adds an operator of kind running udf over inputs, keyed on the
+// named attributes of each input in keys (none for Map and Cross).
+func (f *Flow) udfOp(name string, kind OpKind, udf *tac.Func, keys [][]string, hints Hints, inputs ...*Operator) *Operator {
+	op := f.newOp(name, kind, inputs...)
+	op.UDF, op.Hints = udf, hints
+	for _, k := range keys {
+		op.Keys = append(op.Keys, f.attrsToIdx(k))
+	}
+	return op
+}
+
 // Map adds a Map operator.
 func (f *Flow) Map(name string, udf *tac.Func, in *Operator, hints Hints) *Operator {
-	op := f.newOp(name, KindMap, in)
-	op.UDF = udf
-	op.Hints = hints
-	return op
+	return f.udfOp(name, KindMap, udf, nil, hints, in)
 }
 
 // Reduce adds a Reduce operator grouping on the named key attributes.
 func (f *Flow) Reduce(name string, udf *tac.Func, keyAttrs []string, in *Operator, hints Hints) *Operator {
-	op := f.newOp(name, KindReduce, in)
-	op.UDF = udf
-	op.Keys = [][]int{f.attrsToIdx(keyAttrs)}
-	op.Hints = hints
-	return op
+	return f.udfOp(name, KindReduce, udf, [][]string{keyAttrs}, hints, in)
 }
 
 // Match adds a Match (equi-join) operator with per-input key attributes.
 func (f *Flow) Match(name string, udf *tac.Func, leftKeys, rightKeys []string, left, right *Operator, hints Hints) *Operator {
-	op := f.newOp(name, KindMatch, left, right)
-	op.UDF = udf
-	op.Keys = [][]int{f.attrsToIdx(leftKeys), f.attrsToIdx(rightKeys)}
-	op.Hints = hints
-	return op
+	return f.udfOp(name, KindMatch, udf, [][]string{leftKeys, rightKeys}, hints, left, right)
 }
 
 // Cross adds a Cross (Cartesian product) operator.
 func (f *Flow) Cross(name string, udf *tac.Func, left, right *Operator, hints Hints) *Operator {
-	op := f.newOp(name, KindCross, left, right)
-	op.UDF = udf
-	op.Hints = hints
-	return op
+	return f.udfOp(name, KindCross, udf, nil, hints, left, right)
 }
 
 // CoGroup adds a CoGroup operator with per-input key attributes.
 func (f *Flow) CoGroup(name string, udf *tac.Func, leftKeys, rightKeys []string, left, right *Operator, hints Hints) *Operator {
-	op := f.newOp(name, KindCoGroup, left, right)
-	op.UDF = udf
-	op.Keys = [][]int{f.attrsToIdx(leftKeys), f.attrsToIdx(rightKeys)}
-	op.Hints = hints
-	return op
+	return f.udfOp(name, KindCoGroup, udf, [][]string{leftKeys, rightKeys}, hints, left, right)
 }
 
 // SetCombiner declares the Reduce decomposable, attaching the reduce-kind
@@ -349,7 +342,6 @@ func (f *Flow) Validate() error {
 		return fmt.Errorf("dataflow: flow has no sink")
 	}
 	consumers := map[int]int{}
-	var walk func(op *Operator) error
 	seen := map[int]bool{}
 	var rec func(op *Operator) error
 	rec = func(op *Operator) error {
@@ -357,10 +349,7 @@ func (f *Flow) Validate() error {
 			return fmt.Errorf("dataflow: %s has %d inputs, want %d", op, got, want)
 		}
 		if op.Kind.IsKeyed() {
-			n := 1
-			if op.Kind.IsBinary() {
-				n = 2
-			}
+			n := op.Kind.NumInputs()
 			if len(op.Keys) != n {
 				return fmt.Errorf("dataflow: %s needs %d key sets, has %d", op, n, len(op.Keys))
 			}
@@ -368,6 +357,9 @@ func (f *Flow) Validate() error {
 				if len(k) == 0 {
 					return fmt.Errorf("dataflow: %s input %d has empty key", op, i)
 				}
+			}
+			if n == 2 && len(op.Keys[0]) != len(op.Keys[1]) {
+				return fmt.Errorf("dataflow: %s keys %d attributes of input 0 against %d of input 1", op, len(op.Keys[0]), len(op.Keys[1]))
 			}
 		}
 		if op.IsUDFOp() {
@@ -404,8 +396,7 @@ func (f *Flow) Validate() error {
 		}
 		return nil
 	}
-	walk = rec
-	if err := walk(f.Sink); err != nil {
+	if err := rec(f.Sink); err != nil {
 		return err
 	}
 	for id, n := range consumers {

@@ -154,6 +154,16 @@ func TestValidateErrors(t *testing.T) {
 			t.Errorf("err = %v", err)
 		}
 	})
+	t.Run("unequal key arity", func(t *testing.T) {
+		f := NewFlow()
+		l := f.Source("L", []string{"lk", "lv"}, Hints{})
+		r := f.Source("R", []string{"rk"}, Hints{})
+		j := f.Match("J", u("jn"), []string{"lk", "lv"}, []string{"rk"}, l, r, Hints{})
+		f.SetSink("out", j)
+		if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "keys 2 attributes of input 0 against 1 of input 1") {
+			t.Errorf("err = %v", err)
+		}
+	})
 	t.Run("dag not tree", func(t *testing.T) {
 		f := NewFlow()
 		s := f.Source("S", []string{"a"}, Hints{})
@@ -312,4 +322,22 @@ func TestCombinerDeclaration(t *testing.T) {
 			t.Error("DeriveEffects(keepManual) overwrote the manual combiner effect")
 		}
 	})
+}
+
+// TestFlowDefLayout: sources' attributes in order, a shared attribute at
+// its first index, then the extra attributes; one source listing an
+// attribute twice is refused even when an earlier source declared it.
+func TestFlowDefLayout(t *testing.T) {
+	def := FlowDef{
+		Sources: []SourceDef{{Name: "L", Attrs: []string{"k", "lv"}}, {Name: "R", Attrs: []string{"rv", "k"}}},
+		Attrs:   []string{"out", "lv"},
+	}
+	got, err := def.Layout()
+	if want := "k lv rv out"; err != nil || strings.Join(got, " ") != want {
+		t.Fatalf("layout %v, %v; want %s", got, err, want)
+	}
+	def.Sources[1].Attrs = append(def.Sources[1].Attrs, "k")
+	if _, err := def.Layout(); err == nil || err.Error() != `dataflow: source "R" lists attribute "k" twice` {
+		t.Fatalf("err = %v", err)
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"blackboxflow/internal/engine"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
+	"blackboxflow/internal/workloads"
 	"blackboxflow/internal/workloads/clickstream"
 	"blackboxflow/internal/workloads/textmine"
 	"blackboxflow/internal/workloads/tpch"
@@ -242,99 +243,70 @@ func (t *Table1Result) String() string {
 	return b.String()
 }
 
+// paperFlow is one evaluation task, built.
+type paperFlow struct {
+	name string
+	flow *dataflow.Flow
+}
+
+// paperFlows builds the four evaluation tasks at their default sizes, in
+// Table 1's row order, with the effects mode asks for.
+func paperFlows(mode workloads.Mode) ([]paperFlow, error) {
+	cg, tg, xg := clickstream.DefaultGen(), tpch.DefaultGen(), textmine.DefaultGen()
+	c, err := clickstream.Build(mode, cg)
+	if err != nil {
+		return nil, err
+	}
+	q7, err := tpch.BuildQ7(mode, tg)
+	if err != nil {
+		return nil, err
+	}
+	q15, err := tpch.BuildQ15(mode, tg)
+	if err != nil {
+		return nil, err
+	}
+	x, err := textmine.Build(mode, xg)
+	if err != nil {
+		return nil, err
+	}
+	return []paperFlow{{"Clickstream", c.Flow}, {"TPC-H Q7", q7.Flow}, {"TPC-H Q15", q15.Flow}, {"Text Mining", x.Flow}}, nil
+}
+
+// enumerate times the enumeration of flow's valid orders.
+func enumerate(flow *dataflow.Flow) (int, time.Duration, error) {
+	tree, err := optimizer.FromFlow(flow)
+	if err != nil {
+		return 0, 0, err
+	}
+	start := time.Now()
+	alts := optimizer.NewEnumerator().Enumerate(tree)
+	return len(alts), time.Since(start), nil
+}
+
 // Table1 reproduces the paper's Table 1: the number of enumerated orders
 // with manually annotated vs. SCA-derived read and write sets, for all four
 // evaluation tasks.
 func Table1() (*Table1Result, error) {
+	manual, err := paperFlows(workloads.ModeManual)
+	if err != nil {
+		return nil, err
+	}
+	sca, err := paperFlows(workloads.ModeSCA)
+	if err != nil {
+		return nil, err
+	}
 	res := &Table1Result{}
-
-	count := func(flow *dataflow.Flow) (int, error) {
-		tree, err := optimizer.FromFlow(flow)
+	for i := range manual {
+		m, _, err := enumerate(manual[i].flow)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return len(optimizer.NewEnumerator().Enumerate(tree)), nil
+		s, _, err := enumerate(sca[i].flow)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, Table1Row{manual[i].name, m, s, 100 * float64(s) / float64(m)})
 	}
-
-	// Clickstream.
-	cg := clickstream.DefaultGen()
-	cm, err := clickstream.Build(clickstream.ModeManual, cg)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := clickstream.Build(clickstream.ModeSCA, cg)
-	if err != nil {
-		return nil, err
-	}
-	manual, err := count(cm.Flow)
-	if err != nil {
-		return nil, err
-	}
-	sca, err := count(cs.Flow)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, Table1Row{"Clickstream", manual, sca, 100 * float64(sca) / float64(manual)})
-
-	// TPC-H Q7.
-	tg := tpch.DefaultGen()
-	q7m, err := tpch.BuildQ7(tpch.ModeManual, tg)
-	if err != nil {
-		return nil, err
-	}
-	q7s, err := tpch.BuildQ7(tpch.ModeSCA, tg)
-	if err != nil {
-		return nil, err
-	}
-	manual, err = count(q7m.Flow)
-	if err != nil {
-		return nil, err
-	}
-	sca, err = count(q7s.Flow)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, Table1Row{"TPC-H Q7", manual, sca, 100 * float64(sca) / float64(manual)})
-
-	// TPC-H Q15.
-	q15m, err := tpch.BuildQ15(tpch.ModeManual, tg)
-	if err != nil {
-		return nil, err
-	}
-	q15s, err := tpch.BuildQ15(tpch.ModeSCA, tg)
-	if err != nil {
-		return nil, err
-	}
-	manual, err = count(q15m.Flow)
-	if err != nil {
-		return nil, err
-	}
-	sca, err = count(q15s.Flow)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, Table1Row{"TPC-H Q15", manual, sca, 100 * float64(sca) / float64(manual)})
-
-	// Text mining.
-	xg := textmine.DefaultGen()
-	xm, err := textmine.Build(textmine.ModeManual, xg)
-	if err != nil {
-		return nil, err
-	}
-	xs, err := textmine.Build(textmine.ModeSCA, xg)
-	if err != nil {
-		return nil, err
-	}
-	manual, err = count(xm.Flow)
-	if err != nil {
-		return nil, err
-	}
-	sca, err = count(xs.Flow)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, Table1Row{"Text Mining", manual, sca, 100 * float64(sca) / float64(manual)})
-
 	return res, nil
 }
 
@@ -346,49 +318,25 @@ type EnumTimeRow struct {
 }
 
 // EnumTimes measures plan enumeration time for every task (the paper
-// reports < 1654 ms for all tasks with its naive implementation).
+// reports < 1654 ms for all tasks with its naive implementation): the
+// analysed flows, except Clickstream's four manually annotated orders.
 func EnumTimes() ([]EnumTimeRow, error) {
+	flows, err := paperFlows(workloads.ModeSCA)
+	if err != nil {
+		return nil, err
+	}
+	clicks, err := clickstream.Build(workloads.ModeManual, clickstream.DefaultGen())
+	if err != nil {
+		return nil, err
+	}
+	flows[0].flow = clicks.Flow
 	var rows []EnumTimeRow
-	add := func(name string, flow *dataflow.Flow) error {
-		tree, err := optimizer.FromFlow(flow)
+	for _, pf := range flows {
+		n, d, err := enumerate(pf.flow)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		start := time.Now()
-		alts := optimizer.NewEnumerator().Enumerate(tree)
-		rows = append(rows, EnumTimeRow{name, len(alts), time.Since(start)})
-		return nil
-	}
-	cg := clickstream.DefaultGen()
-	c, err := clickstream.Build(clickstream.ModeManual, cg)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("Clickstream", c.Flow); err != nil {
-		return nil, err
-	}
-	tg := tpch.DefaultGen()
-	q7, err := tpch.BuildQ7(tpch.ModeSCA, tg)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("TPC-H Q7", q7.Flow); err != nil {
-		return nil, err
-	}
-	q15, err := tpch.BuildQ15(tpch.ModeSCA, tg)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("TPC-H Q15", q15.Flow); err != nil {
-		return nil, err
-	}
-	xg := textmine.DefaultGen()
-	x, err := textmine.Build(textmine.ModeSCA, xg)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("Text Mining", x.Flow); err != nil {
-		return nil, err
+		rows = append(rows, EnumTimeRow{pf.name, n, d})
 	}
 	return rows, nil
 }

@@ -133,18 +133,21 @@ func assemble(c *PlanCache, doc *ScriptJob, given map[string]func(sourceLayout) 
 		MemoryBudget: doc.MemoryBudgetBytes,
 		Deadline:     time.Duration(doc.DeadlineMillis) * time.Millisecond,
 	}
-	// dataflow.Flow hands out global attribute indices in declaration order
-	// (DeclareAttr), so where a source's fields land follows from the
-	// FlowDef alone and rows are placed before — or without — building a
+	// Where a source's fields land in the global record follows from the
+	// FlowDef alone, so rows are placed before — or without — building a
 	// flow.
-	global := map[string]int{}
+	layout, err := doc.Flow.Layout()
+	if err != nil {
+		return Spec{}, fmt.Errorf("jobs: %w", err)
+	}
+	global := make(map[string]int, len(layout))
+	for i, a := range layout {
+		global[a] = i
+	}
 	hints := make(map[string]dataflow.Hints, len(doc.Flow.Sources))
 	for _, sd := range doc.Flow.Sources {
 		lay := sourceLayout{def: sd, idx: make([]int, len(sd.Attrs))}
 		for i, a := range sd.Attrs {
-			if _, ok := global[a]; !ok {
-				global[a] = len(global)
-			}
 			lay.idx[i] = global[a]
 			lay.width = max(lay.width, global[a]+1)
 		}
@@ -170,7 +173,6 @@ func assemble(c *PlanCache, doc *ScriptJob, given map[string]func(sourceLayout) 
 		}
 		return buildFlow(&doc.Flow, prog, hints)
 	}
-	var err error
 	if c == nil {
 		spec.Flow, err = compile()
 		return spec, err

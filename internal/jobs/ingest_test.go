@@ -237,7 +237,7 @@ func ingestSeeds(tb testing.TB) [][]byte {
 		q7Doc(tb, 0.05, tpch.Q7DateHi, 256<<10), // q7.spill
 		q7Doc(tb, 0.02, tpch.Q7DateHi+3, 0),     // q7.coldplan, one variant
 		clicksDoc(tb, 40, 8),
-		textmineDoc(tb, 12, 0),
+		textmineDoc(tb, 12),
 		[]byte(wordcountDoc), []byte(joinDoc), nil, []byte(wordcountDoc[:len(wordcountDoc)/2]),
 	}
 	doc := func(attrs, rows string) []byte {
@@ -258,7 +258,7 @@ func ingestSeeds(tb testing.TB) [][]byte {
 		seeds = append(seeds, doc(`"a","b","c","d"`, rows))
 	}
 	seeds = append(seeds,
-		doc(`"a","a"`, `[[1, 2]]`), // one attribute twice: the later field wins
+		doc(`"a","a"`, `[[1, 2]]`), // one attribute twice: rejected
 		[]byte(`{"script": "map id(ir) { emit ir }", "data": {"s": [[1]]}, "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [{"kind":"map","udf":"id","inputs":["s"]}], "sink": "id"}}`), // data before flow
 		[]byte(strings.Replace(joinDoc, `"R": [[2, 200], [3, 300]]`, `"R": [[2, 200]], "R": [[3, 300]]`, 1)),                                                                                     // duplicate source
 		[]byte(strings.Replace(joinDoc, `"R": [[2, 200], [3, 300]]`, `"X": [[2, 200]]`, 1)),                                                                                                      // undeclared source
@@ -323,6 +323,12 @@ var badDocs = []struct {
 	{"row width", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a","b"]}], "ops": [{"kind":"map","udf":"f","inputs":["s"]}], "sink": "f"}, "data": {"s": [[1]]}}`, "has 1 fields"},
 	{"bad number", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a","b"]}], "ops": [{"kind":"map","udf":"f","inputs":["s"]}], "sink": "f"}, "data": {"s": [[1, 2], [3, 1e400]]}}`, `row 1 field 1: bad number "1e400"`},
 	{"field index out of range", `{"script": "map f(ir) {\n\ta := ir[70000]\n\temit ir\n}", "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [{"kind":"map","udf":"f","inputs":["s"]}], "sink": "f"}}`, "(f): line 2: field index 70000 out of range"},
+	{"unequal key arity", strings.Replace(joinDoc, `[["lk"], ["rk"]]`, `[["lk", "lv"], ["rk"]]`, 1), "keys 2 attributes of input 0 against 1 of input 1"},
+	{"keys on a map", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [{"kind":"map","udf":"f","inputs":["s"],"keys":[["a"]]}], "sink": "f"}}`, "(map) has 1 key lists, takes 0"},
+	{"keys on a cross", strings.Replace(joinDoc, `"match"`, `"cross"`, 1), "(cross) has 2 key lists, takes 0"},
+	{"key list beyond the inputs", `{"script": "reduce f(g) { out := g.at(0) emit out }", "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [{"kind":"reduce","udf":"f","inputs":["s"],"keys":[["a"],["a"]]}], "sink": "f"}}`, "(reduce) has 2 key lists, takes 1"},
+	{"fk off a match", `{"script": "reduce f(g) { out := g.at(0) emit out }", "flow": {"sources": [{"name":"s","attrs":["a"]}], "ops": [{"kind":"reduce","udf":"f","inputs":["s"],"keys":[["a"]],"fk":"left"}], "sink": "f"}}`, `(reduce) has fk "left"`},
+	{"fk value", strings.Replace(joinDoc, `"keys": [["lk"], ["rk"]]`, `"keys": [["lk"], ["rk"]], "fk": "both"`, 1), `(match) has fk "both"`},
 	{"nested row value", `{"script": "map f(ir) { emit ir }", "flow": {"sources": [{"name":"s","attrs":["a","b"]}], "ops": [{"kind":"map","udf":"f","inputs":["s"]}], "sink": "f"}, "data": {"s": [[1, [2]]]}}`, "row 0 field 1: unsupported value type"},
 }
 

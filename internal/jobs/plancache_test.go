@@ -142,7 +142,7 @@ func TestPlanCacheHitsSkipRecompilation(t *testing.T) {
 // ceiling nothing reaches.
 func TestOneDocumentOneCost(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1, DOP: 4, MaxQueuedCost: math.MaxFloat64})
-	raw := textmineDoc(t, 12, 0)
+	raw := textmineDoc(t, 12)
 	var spec Spec
 	var costs []float64
 	for i := 0; i < 2; i++ {

@@ -25,7 +25,7 @@ func workloadDocs(tb testing.TB) map[string][]byte {
 	return map[string][]byte{
 		"q7":       q7Doc(tb, 0.1, tpch.Q7DateHi, 0),
 		"clicks":   clicksDoc(tb, 200, 24), // its Matches run as merge joins, which sort in place
-		"textmine": textmineDoc(tb, 60, 0),
+		"textmine": textmineDoc(tb, 60),
 	}
 }
 

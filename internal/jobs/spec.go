@@ -46,52 +46,13 @@ type ScriptJob struct {
 	DeadlineMillis int `json:"deadline_ms,omitempty"`
 }
 
-// FlowDef describes a dataflow graph over compiled UDFs by name.
-type FlowDef struct {
-	// Attrs declares extra global record attributes beyond the sources'
-	// (e.g. fields written only by UDFs); optional.
-	Attrs []string `json:"attrs,omitempty"`
-	// Sources declare the inputs with their attribute names and hints.
-	Sources []SourceDef `json:"sources"`
-	// Ops are the operators in definition order; inputs refer to earlier
-	// ops or sources by name.
-	Ops []OpDef `json:"ops"`
-	// Sink names the operator whose output the job returns.
-	Sink string `json:"sink"`
-}
-
-// SourceDef declares one named source.
-type SourceDef struct {
-	Name  string   `json:"name"`
-	Attrs []string `json:"attrs"`
-	// Records and AvgWidthBytes are the optimizer's cardinality hints;
-	// zero lets ParseScriptJob fill them from the inline data.
-	Records      float64 `json:"records,omitempty"`
-	AvgWidthByte float64 `json:"avg_width_bytes,omitempty"`
-}
-
-// OpDef declares one operator.
-type OpDef struct {
-	// Kind is one of map, reduce, match, cross, cogroup.
-	Kind string `json:"kind"`
-	// Name labels the operator; defaults to the UDF name.
-	Name string `json:"name,omitempty"`
-	// UDF names a function from the job's script.
-	UDF string `json:"udf"`
-	// Inputs name the producing operators or sources (one for map/reduce,
-	// two for the binary kinds).
-	Inputs []string `json:"inputs"`
-	// Keys are the key attribute names — one list for reduce, one per
-	// input for match/cogroup.
-	Keys [][]string `json:"keys,omitempty"`
-	// Combiner optionally names a reduce-kind UDF for pre-shuffle partial
-	// aggregation (reduce only).
-	Combiner string `json:"combiner,omitempty"`
-	// Optimizer hints; all optional.
-	Selectivity    float64 `json:"selectivity,omitempty"`
-	CPUCostPerCall float64 `json:"cpu_cost_per_call,omitempty"`
-	KeyCardinality float64 `json:"key_cardinality,omitempty"`
-}
+// The flow description is dataflow's: a job document wires its UDFs the
+// way the paper's workloads are stated.
+type (
+	FlowDef   = dataflow.FlowDef
+	SourceDef = dataflow.SourceDef
+	OpDef     = dataflow.OpDef
+)
 
 // Row is one record as JSON scalars.
 type Row []any
@@ -145,132 +106,9 @@ func BuildFlow(def *FlowDef, prog *tac.Program, data map[string]record.DataSet) 
 
 // buildFlow is BuildFlow with the source hints already resolved.
 func buildFlow(def *FlowDef, prog *tac.Program, hints map[string]dataflow.Hints) (*dataflow.Flow, error) {
-	if len(def.Sources) == 0 {
-		return nil, fmt.Errorf("jobs: flow has no sources")
-	}
-	flow := dataflow.NewFlow()
-	byName := map[string]*dataflow.Operator{}
-
-	for _, src := range def.Sources {
-		if src.Name == "" || len(src.Attrs) == 0 {
-			return nil, fmt.Errorf("jobs: source needs a name and attrs")
-		}
-		if _, dup := byName[src.Name]; dup {
-			return nil, fmt.Errorf("jobs: duplicate operator name %q", src.Name)
-		}
-		byName[src.Name] = flow.Source(src.Name, src.Attrs, hints[src.Name])
-	}
-	for _, a := range def.Attrs {
-		flow.DeclareAttr(a)
-	}
-
-	udf := func(name string) (*tac.Func, error) {
-		f, ok := prog.Funcs[name]
-		if !ok {
-			return nil, fmt.Errorf("jobs: script defines no UDF %q", name)
-		}
-		return f, nil
-	}
-	keyAttrs := func(op OpDef, i int) ([]string, error) {
-		if i >= len(op.Keys) || len(op.Keys[i]) == 0 {
-			return nil, fmt.Errorf("jobs: op %q (%s) needs key attrs for input %d", op.Name, op.Kind, i)
-		}
-		for _, a := range op.Keys[i] {
-			if _, ok := flow.AttrIndex(a); !ok {
-				return nil, fmt.Errorf("jobs: op %q keys on undeclared attribute %q", op.Name, a)
-			}
-		}
-		return op.Keys[i], nil
-	}
-
-	for _, op := range def.Ops {
-		if op.Name == "" {
-			op.Name = op.UDF
-		}
-		if op.Name == "" {
-			return nil, fmt.Errorf("jobs: op of kind %q has neither name nor udf", op.Kind)
-		}
-		if _, dup := byName[op.Name]; dup {
-			return nil, fmt.Errorf("jobs: duplicate operator name %q", op.Name)
-		}
-		wantIn := 1
-		switch op.Kind {
-		case "match", "cross", "cogroup":
-			wantIn = 2
-		case "map", "reduce":
-		default:
-			return nil, fmt.Errorf("jobs: op %q has unknown kind %q", op.Name, op.Kind)
-		}
-		if len(op.Inputs) != wantIn {
-			return nil, fmt.Errorf("jobs: op %q (%s) needs %d input(s), has %d", op.Name, op.Kind, wantIn, len(op.Inputs))
-		}
-		ins := make([]*dataflow.Operator, wantIn)
-		for i, in := range op.Inputs {
-			prev, ok := byName[in]
-			if !ok {
-				return nil, fmt.Errorf("jobs: op %q reads undefined input %q", op.Name, in)
-			}
-			ins[i] = prev
-		}
-		fn, err := udf(op.UDF)
-		if err != nil {
-			return nil, err
-		}
-		hints := dataflow.Hints{
-			Selectivity:    op.Selectivity,
-			CPUCostPerCall: op.CPUCostPerCall,
-			KeyCardinality: op.KeyCardinality,
-		}
-		var built *dataflow.Operator
-		switch op.Kind {
-		case "map":
-			built = flow.Map(op.Name, fn, ins[0], hints)
-		case "reduce":
-			keys, err := keyAttrs(op, 0)
-			if err != nil {
-				return nil, err
-			}
-			built = flow.Reduce(op.Name, fn, keys, ins[0], hints)
-			if op.Combiner != "" {
-				cfn, err := udf(op.Combiner)
-				if err != nil {
-					return nil, err
-				}
-				built.SetCombiner(cfn)
-			}
-		case "match", "cogroup":
-			lk, err := keyAttrs(op, 0)
-			if err != nil {
-				return nil, err
-			}
-			rk, err := keyAttrs(op, 1)
-			if err != nil {
-				return nil, err
-			}
-			if op.Kind == "match" {
-				built = flow.Match(op.Name, fn, lk, rk, ins[0], ins[1], hints)
-			} else {
-				built = flow.CoGroup(op.Name, fn, lk, rk, ins[0], ins[1], hints)
-			}
-		case "cross":
-			built = flow.Cross(op.Name, fn, ins[0], ins[1], hints)
-		}
-		if op.Combiner != "" && op.Kind != "reduce" {
-			return nil, fmt.Errorf("jobs: op %q (%s) cannot have a combiner", op.Name, op.Kind)
-		}
-		byName[op.Name] = built
-	}
-
-	root, ok := byName[def.Sink]
-	if !ok || def.Sink == "" {
-		return nil, fmt.Errorf("jobs: sink %q is not a defined operator", def.Sink)
-	}
-	flow.SetSink("out", root)
-	if err := flow.Validate(); err != nil {
+	flow, err := def.Build(prog, hints)
+	if err != nil {
 		return nil, fmt.Errorf("jobs: %w", err)
-	}
-	if err := flow.DeriveEffects(false); err != nil {
-		return nil, fmt.Errorf("jobs: derive effects: %w", err)
 	}
 	return flow, nil
 }

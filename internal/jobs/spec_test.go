@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/record"
 )
 
@@ -111,6 +112,51 @@ func TestParseScriptJobJoinRemap(t *testing.T) {
 	}
 }
 
+// TestSourceListingAnAttributeTwice: such a source used to lose a column
+// without an error (its second field overwrote the first). Every way into
+// a flow refuses it, naming the source and the attribute.
+func TestSourceListingAnAttributeTwice(t *testing.T) {
+	raw := []byte(`{"script": "map id(ir) { emit ir }",
+	  "flow": {"sources": [{"name": "s", "attrs": ["a", "a"]}], "ops": [{"kind": "map", "udf": "id", "inputs": ["s"]}], "sink": "id"},
+	  "data": {"s": [[1, 10]]}}`)
+	const want = `jobs: dataflow: source "s" lists attribute "a" twice`
+	doc, err := decodeDoc(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := frontend.Compile(doc.Script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, parseErr := ParseScriptJob(raw)
+	_, compileErr := CompileScriptJob(doc)
+	_, buildErr := BuildFlow(&doc.Flow, prog, nil)
+	for label, err := range map[string]error{"ParseScriptJob": parseErr, "CompileScriptJob": compileErr, "BuildFlow": buildErr} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", label, err, want)
+		}
+	}
+}
+
+// TestUDFErrorCitesScriptLine: a UDF's run-time error names the function
+// and the PactScript line the failing statement is on.
+func TestUDFErrorCitesScriptLine(t *testing.T) {
+	spec, err := ParseScriptJob([]byte(`{"script": "reduce last(g) {\n\tn := g.size()\n\tr := g.at(n)\n\temit r\n}",
+	  "flow": {"sources": [{"name": "s", "attrs": ["k"]}], "ops": [{"kind": "reduce", "udf": "last", "inputs": ["s"], "keys": [["k"]]}], "sink": "last"},
+	  "data": {"s": [[1]]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := New(Config{MaxConcurrent: 1, DOP: 1}).Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "engine: last: tac: last line 3: groupget index 1 out of range [0,1)"
+	if _, _, err := j.Wait(context.Background()); err == nil || err.Error() != want {
+		t.Fatalf("job error %v, want %q", err, want)
+	}
+}
+
 // TestFloatModuloByFractionFailsJob: `% 0.5` truncates the divisor to zero.
 // That used to panic a worker goroutine and take the process down; it fails
 // the one job, attributed to its operator, and the scheduler runs the next.
@@ -126,7 +172,7 @@ func TestFloatModuloByFractionFailsJob(t *testing.T) {
 }`
 	s := New(Config{MaxConcurrent: 1, DOP: 2})
 	for _, tc := range []struct{ doc, wantErr string }{
-		{doc, "engine: halve: tac: half instr 2: float modulo by zero"},
+		{doc, "engine: halve: tac: half line 1: float modulo by zero"},
 		{wordcountDoc, ""},
 	} {
 		spec, err := s.ParseScriptJob([]byte(tc.doc))

@@ -231,6 +231,15 @@ type Instr struct {
 // Pos returns the instruction's index within its function body.
 func (in *Instr) Pos() int { return in.pos }
 
+// at attributes a run-time error to function fn and this instruction: the
+// source line it was compiled from when that is known, else its index.
+func (in *Instr) at(fn string) string {
+	if in.Line > 0 {
+		return fmt.Sprintf("tac: %s line %d", fn, in.Line)
+	}
+	return fmt.Sprintf("tac: %s instr %d", fn, in.pos)
+}
+
 // Defs returns the variable this instruction defines, or "".
 func (in *Instr) Defs() string {
 	switch in.Op {

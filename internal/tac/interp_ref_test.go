@@ -35,6 +35,7 @@ type rtVal struct {
 // frame is one invocation's variable store, indexed by the slots the
 // parser assigned. set[i] reports whether slot i holds a defined value.
 type frame struct {
+	fn   string // the function's name, for errors
 	vals []rtVal
 	set  []bool
 }
@@ -82,7 +83,7 @@ func newRefRunner(f *Func, kind Kind, limit int) (*refRunner, error) {
 		return nil, err
 	}
 	n := len(varSlots(f))
-	return &refRunner{limit: limit, f: f, fr: frame{vals: make([]rtVal, n), set: make([]bool, n)}, slots: refSlotsOf(f)}, nil
+	return &refRunner{limit: limit, f: f, fr: frame{fn: f.Name, vals: make([]rtVal, n), set: make([]bool, n)}, slots: refSlotsOf(f)}, nil
 }
 
 // call runs the function on up to two arguments, clearing what the previous
@@ -148,7 +149,7 @@ func runEmit(f *Func, limit int, sl []refSlots, fr *frame, emit func(record.Reco
 			}
 			v, err := evalBin(in.Bin, a, b)
 			if err != nil {
-				return fmt.Errorf("tac: %s instr %d: %w", f.Name, in.pos, err)
+				return fmt.Errorf("%s: %w", in.at(f.Name), err)
 			}
 			fr.def(s.dst, rtVal{kind: rtScalar, s: v})
 
@@ -159,7 +160,7 @@ func runEmit(f *Func, limit int, sl []refSlots, fr *frame, emit func(record.Reco
 			}
 			v, err := evalUn(in.Un, a)
 			if err != nil {
-				return fmt.Errorf("tac: %s instr %d: %w", f.Name, in.pos, err)
+				return fmt.Errorf("%s: %w", in.at(f.Name), err)
 			}
 			fr.def(s.dst, rtVal{kind: rtScalar, s: v})
 
@@ -180,7 +181,7 @@ func runEmit(f *Func, limit int, sl []refSlots, fr *frame, emit func(record.Reco
 
 		case OpSetField:
 			if !fr.set[s.rec] || fr.vals[s.rec].kind != rtRecord {
-				return fmt.Errorf("tac: %s instr %d: %s is not a record", f.Name, in.pos, in.Rec)
+				return fmt.Errorf("%s: %s is not a record", in.at(f.Name), in.Rec)
 			}
 			v, err := fr.scalar(in.A, s.a, in)
 			if err != nil {
@@ -230,7 +231,7 @@ func runEmit(f *Func, limit int, sl []refSlots, fr *frame, emit func(record.Reco
 		case OpIf:
 			take, err := fr.cond(in, s)
 			if err != nil {
-				return fmt.Errorf("tac: %s instr %d: %w", f.Name, in.pos, err)
+				return err
 			}
 			if take {
 				pc = s.target
@@ -255,7 +256,7 @@ func runEmit(f *Func, limit int, sl []refSlots, fr *frame, emit func(record.Reco
 			}
 			i := int(iv.AsInt())
 			if i < 0 || i >= g.Len() {
-				return fmt.Errorf("tac: %s instr %d: groupget index %d out of range [0,%d)", f.Name, in.pos, i, g.Len())
+				return fmt.Errorf("%s: groupget index %d out of range [0,%d)", in.at(f.Name), i, g.Len())
 			}
 			fr.def(s.dst, rtVal{kind: rtRecord, rec: g.At(i)})
 
@@ -266,12 +267,12 @@ func runEmit(f *Func, limit int, sl []refSlots, fr *frame, emit func(record.Reco
 			}
 			v, err := evalAgg(in.Agg, g, in.Field)
 			if err != nil {
-				return fmt.Errorf("tac: %s instr %d: %w", f.Name, in.pos, err)
+				return fmt.Errorf("%s: %w", in.at(f.Name), err)
 			}
 			fr.def(s.dst, rtVal{kind: rtScalar, s: v})
 
 		default:
-			return fmt.Errorf("tac: %s instr %d: invalid opcode", f.Name, in.pos)
+			return fmt.Errorf("%s: invalid opcode", in.at(f.Name))
 		}
 		pc++
 	}
@@ -284,33 +285,33 @@ func (fr *frame) scalar(o Operand, slot int, in *Instr) (record.Value, error) {
 		return o.Imm, nil
 	}
 	if slot < 0 || !fr.set[slot] {
-		return record.Null, fmt.Errorf("tac: instr %d: use of undefined variable %s", in.pos, o.Var)
+		return record.Null, fmt.Errorf("%s: use of undefined variable %s", in.at(fr.fn), o.Var)
 	}
 	v := fr.vals[slot]
 	if v.kind != rtScalar {
-		return record.Null, fmt.Errorf("tac: instr %d: %s is not a scalar", in.pos, o.Var)
+		return record.Null, fmt.Errorf("%s: %s is not a scalar", in.at(fr.fn), o.Var)
 	}
 	return v.s, nil
 }
 
 func (fr *frame) rec(slot int, name string, in *Instr) (record.Record, error) {
 	if slot < 0 || !fr.set[slot] {
-		return nil, fmt.Errorf("tac: instr %d: use of undefined record %s", in.pos, name)
+		return nil, fmt.Errorf("%s: use of undefined record %s", in.at(fr.fn), name)
 	}
 	v := fr.vals[slot]
 	if v.kind != rtRecord {
-		return nil, fmt.Errorf("tac: instr %d: %s is not a record", in.pos, name)
+		return nil, fmt.Errorf("%s: %s is not a record", in.at(fr.fn), name)
 	}
 	return v.rec, nil
 }
 
 func (fr *frame) grp(slot int, name string, in *Instr) (GroupSource, error) {
 	if slot < 0 || !fr.set[slot] {
-		return nil, fmt.Errorf("tac: instr %d: use of undefined group %s", in.pos, name)
+		return nil, fmt.Errorf("%s: use of undefined group %s", in.at(fr.fn), name)
 	}
 	v := fr.vals[slot]
 	if v.kind != rtGroup {
-		return nil, fmt.Errorf("tac: instr %d: %s is not a group", in.pos, name)
+		return nil, fmt.Errorf("%s: %s is not a group", in.at(fr.fn), name)
 	}
 	return v.grp, nil
 }
@@ -329,7 +330,7 @@ func (fr *frame) cond(in *Instr, s refSlots) (bool, error) {
 	}
 	v, err := evalBin(in.Cmp, a, b)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("%s: %w", in.at(fr.fn), err)
 	}
 	return v.AsBool(), nil
 }

@@ -304,9 +304,9 @@ func (o *op) scalar(r *Runner, x operand, src *Operand) (record.Value, error) {
 	case x.proven || x.kind == kindScalar && rg.defined[x.slot]:
 		return rg.scalars[x.slot], nil
 	case x.kind == kindScalar || x.kind == kindRecord && rg.state[x.slot] == recUndef:
-		return record.Null, fmt.Errorf("tac: instr %d: use of undefined variable %s", o.in.pos, src.Var)
+		return record.Null, fmt.Errorf("%s: use of undefined variable %s", o.in.at(r.f.Name), src.Var)
 	}
-	return record.Null, fmt.Errorf("tac: instr %d: %s is not a scalar", o.in.pos, src.Var)
+	return record.Null, fmt.Errorf("%s: %s is not a scalar", o.in.at(r.f.Name), src.Var)
 }
 
 func (o *op) valA(r *Runner) (record.Value, error) { return o.scalar(r, o.a, &o.in.A) }
@@ -322,14 +322,14 @@ func peek(r *Runner, x operand, src *Operand) *record.Value {
 
 func (o *op) record(r *Runner, x recRef, name string) (record.Record, error) {
 	if !x.proven && r.rg.state[x.slot] == recUndef {
-		return nil, fmt.Errorf("tac: instr %d: use of undefined record %s", o.in.pos, name)
+		return nil, fmt.Errorf("%s: use of undefined record %s", o.in.at(r.f.Name), name)
 	}
 	return r.rg.recs[x.slot], nil
 }
 
 // fail attributes a value-semantics error to the function and instruction.
 func (o *op) fail(r *Runner, err error) error {
-	return fmt.Errorf("tac: %s instr %d: %w", r.f.Name, o.in.pos, err)
+	return fmt.Errorf("%s: %w", o.in.at(r.f.Name), err)
 }
 
 func execJump(_ *Runner, o *op) (int, error) { return int(o.target), nil }
@@ -424,7 +424,7 @@ func execGetField(r *Runner, o *op) (int, error) {
 func execSetField(r *Runner, o *op) (int, error) {
 	rg, s, field := &r.rg, o.rec.slot, o.in.Field
 	if !o.rec.proven && rg.state[s] == recUndef {
-		return 0, fmt.Errorf("tac: %s instr %d: %s is not a record", r.f.Name, o.in.pos, o.in.Rec)
+		return 0, fmt.Errorf("%s: %s is not a record", o.in.at(r.f.Name), o.in.Rec)
 	}
 	v, err := o.valA(r)
 	if err != nil {
@@ -502,13 +502,13 @@ func execEmit(r *Runner, o *op) (int, error) {
 func execIf(r *Runner, o *op) (int, error) {
 	x, err := o.valA(r)
 	if err != nil {
-		return 0, o.fail(r, err)
+		return 0, err
 	}
 	take := x.AsBool() // truthiness test: if $a goto L
 	if o.in.Cmp != BinInvalid {
 		y, err := o.valB(r)
 		if err != nil {
-			return 0, o.fail(r, err)
+			return 0, err
 		}
 		v, err := evalBin(o.in.Cmp, x, y)
 		if err != nil {
@@ -548,7 +548,7 @@ func execGroupGet(r *Runner, o *op) (int, error) {
 	}
 	i := int(iv.AsInt())
 	if i < 0 || i >= g.Len() {
-		return 0, fmt.Errorf("tac: %s instr %d: groupget index %d out of range [0,%d)", r.f.Name, o.in.pos, i, g.Len())
+		return 0, fmt.Errorf("%s: groupget index %d out of range [0,%d)", o.in.at(r.f.Name), i, g.Len())
 	}
 	r.rg.setRec(o.dst, g.At(i), recShared)
 	return int(o.next), nil
@@ -564,7 +564,7 @@ func execAgg(r *Runner, o *op) (int, error) {
 }
 
 func execInvalid(r *Runner, o *op) (int, error) {
-	return 0, fmt.Errorf("tac: %s instr %d: invalid opcode", r.f.Name, o.in.pos)
+	return 0, fmt.Errorf("%s: invalid opcode", o.in.at(r.f.Name))
 }
 
 func isOrder(op BinOp) bool { return op == BinLt || op == BinLe || op == BinGt || op == BinGe }

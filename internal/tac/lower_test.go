@@ -123,9 +123,9 @@ func reduce f($g) {
 }
 
 // TestUndefinedAndMisusedVariables pins the run-time checks the lowering
-// keeps where mustDefined proves nothing, message for message: which carry
-// the function name and which do not. Input field 0 is 0, so every
-// conditional definition below is skipped.
+// keeps where mustDefined proves nothing, message for message: each names
+// the function and the source line (here, of the TAC text) once. Input
+// field 0 is 0, so every conditional definition below is skipped.
 func TestUndefinedAndMisusedVariables(t *testing.T) {
 	for _, c := range []struct{ src, want string }{
 		{`func map f($ir) {
@@ -133,39 +133,39 @@ func TestUndefinedAndMisusedVariables(t *testing.T) {
 	if $a == 0 goto USE
 	$or := copyrec $ir
 USE: emit $or
-}`, "tac: instr 3: use of undefined record $or"},
+}`, "tac: f line 5: use of undefined record $or"},
 		{`func map f($ir) {
 	$a := getfield $ir 0
 	if $a == 0 goto USE
 	$or := newrec
 USE: setfield $or 0 1
-}`, "tac: f instr 3: $or is not a record"},
+}`, "tac: f line 5: $or is not a record"},
 		{`func binary f($l, $r) {
 	$a := getfield $l 0
 	if $a == 0 goto USE
 	$o := copyrec $r
 USE: $c := concat $l $o
-}`, "tac: instr 3: use of undefined record $o"},
+}`, "tac: f line 5: use of undefined record $o"},
 		{`func map f($ir) {
 	$or := copyrec $ir
 	$x := $or + 1
-}`, "tac: instr 1: $or is not a scalar"},
+}`, "tac: f line 3: $or is not a scalar"},
 		{`func map f($ir) {
 	$a := getfield $ir 0
 	if $a == 0 goto USE
 	$or := copyrec $ir
 USE: $x := $or + 1
-}`, "tac: instr 3: use of undefined variable $or"},
+}`, "tac: f line 5: use of undefined variable $or"},
 		{`func map f($ir) {
 	$a := getfield $ir 0
 	if $a == 0 goto USE
 	$b := const 1
 USE: if $b goto END
 END: return
-}`, "tac: f instr 3: tac: instr 3: use of undefined variable $b"},
+}`, "tac: f line 5: use of undefined variable $b"},
 		{`func reduce f($g) {
 	$x := $g + 1
-}`, "tac: instr 0: $g is not a scalar"},
+}`, "tac: f line 2: $g is not a scalar"},
 	} {
 		f := mustFunc(t, MustParse(c.src), "f")
 		in := record.Record{record.Int(0)}
@@ -181,6 +181,24 @@ END: return
 		if err == nil || err.Error() != c.want {
 			t.Errorf("err = %v, want %q\n%s", err, c.want, f)
 		}
+	}
+}
+
+// TestRunErrorWithoutSourceLine: an instruction that records no source line
+// is cited by its index in the function instead.
+func TestRunErrorWithoutSourceLine(t *testing.T) {
+	f := mustFunc(t, MustParse(`
+func reduce f($g) {
+	$n := groupsize $g
+	$r := groupget $g $n
+	emit $r
+}`), "f")
+	for _, in := range f.Body {
+		in.Line = 0
+	}
+	const want = "tac: f instr 1: groupget index 1 out of range [0,1)"
+	if _, err := collectReduce(f, []record.Record{{record.Int(0)}}); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

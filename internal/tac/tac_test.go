@@ -683,7 +683,7 @@ USE:
 }`), "f")
 	defines, skips := record.Record{record.Int(1)}, record.Record{record.Int(0)}
 	_, fresh := collectMap(f, skips)
-	const want = "tac: instr 3: use of undefined variable $local"
+	const want = "tac: f line 7: use of undefined variable $local"
 	if fresh == nil || fresh.Error() != want {
 		t.Fatalf("fresh frame: err = %v, want %q", fresh, want)
 	}

@@ -16,19 +16,18 @@ import (
 	"math/rand"
 
 	"blackboxflow/internal/dataflow"
-	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/props"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
+	"blackboxflow/internal/workloads"
 )
 
 // Mode selects manual annotations or static code analysis (Table 1).
-type Mode int
+type Mode = workloads.Mode
 
 // Annotation modes.
 const (
-	ModeSCA Mode = iota
-	ModeManual
+	ModeSCA    = workloads.ModeSCA
+	ModeManual = workloads.ModeManual
 )
 
 // Actions encoded in the click records.
@@ -77,74 +76,38 @@ type Task struct {
 	Flow *dataflow.Flow
 }
 
-// Build constructs the data flow of Figure 4(a):
+// Def states the data flow of Figure 4(a) at g's sizes:
 //
 //	click → Reduce(filter buy sessions) → Reduce(condense sessions)
 //	      → Match(filter logged-in sessions, login) → Match(append user
 //	      info, user) → sink
-func Build(mode Mode, g *GenParams) (*Task, error) {
-	f := dataflow.NewFlow()
-
-	click := f.Source("click", []string{"c_ip", "c_ts", "c_session", "c_action"},
-		dataflow.Hints{Records: float64(g.Clicks()), AvgWidthBytes: 40})
-	login := f.Source("login", []string{"l_session", "l_user"},
-		dataflow.Hints{Records: float64(g.Logins()), AvgWidthBytes: 22})
-	user := f.Source("user", []string{"u_key", "u_name", "u_age", "u_pref"},
-		dataflow.Hints{Records: float64(g.Users), AvgWidthBytes: 48})
-
-	f.DeclareAttr("cs_count")
-	f.DeclareAttr("cs_duration")
-	f.DeclareAttr("cs_hasbuy")
-	f.DeclareAttr("ui_pref_value")
-
-	prog, err := program(f)
-	if err != nil {
-		return nil, err
+func Def(g *GenParams) *workloads.Def {
+	flow := dataflow.FlowDef{
+		Sources: []dataflow.SourceDef{
+			{Name: "click", Attrs: []string{"c_ip", "c_ts", "c_session", "c_action"}, Records: float64(g.Clicks()), AvgWidthByte: 40},
+			{Name: "login", Attrs: []string{"l_session", "l_user"}, Records: float64(g.Logins()), AvgWidthByte: 22},
+			{Name: "user", Attrs: []string{"u_key", "u_name", "u_age", "u_pref"}, Records: float64(g.Users), AvgWidthByte: 48},
+		},
+		Attrs: []string{"cs_count", "cs_duration", "cs_hasbuy", "ui_pref_value"},
+		Ops: []dataflow.OpDef{
+			{Kind: "reduce", Name: "filter_buy_sessions", UDF: "filterBuySessions", Inputs: []string{"click"},
+				Keys: [][]string{{"c_session"}}, Selectivity: float64(g.ClicksPerSess) * g.BuyRate, KeyCardinality: float64(g.Sessions)},
+			{Kind: "reduce", Name: "condense_sessions", UDF: "condenseSessions", Inputs: []string{"filter_buy_sessions"},
+				Keys: [][]string{{"c_session"}}, Selectivity: 1, KeyCardinality: float64(g.Sessions) * g.BuyRate},
+			// The join filters: only LoginRate of the click-side records
+			// find a login partner (the paper's "selecting only sessions
+			// with logged in users"). Click sessions reference at most one
+			// login.
+			{Kind: "match", Name: "filter_loggedin", UDF: "filterLoggedIn", Inputs: []string{"condense_sessions", "login"},
+				Keys: [][]string{{"c_session"}, {"l_session"}}, FK: "left", KeyCardinality: float64(g.Sessions), Selectivity: g.LoginRate},
+			// Each logged-in session references one user.
+			{Kind: "match", Name: "append_userinfo", UDF: "appendUserInfo", Inputs: []string{"filter_loggedin", "user"},
+				Keys: [][]string{{"l_user"}, {"u_key"}}, FK: "left", KeyCardinality: float64(g.Users)},
+		},
+		Sink: "append_userinfo",
 	}
-	udf := func(name string) *tac.Func {
-		fn, ok := prog.Lookup(name)
-		if !ok {
-			panic("clickstream: missing UDF " + name)
-		}
-		return fn
-	}
-
-	r1 := f.Reduce("filter_buy_sessions", udf("filterBuySessions"), []string{"c_session"}, click,
-		dataflow.Hints{Selectivity: float64(g.ClicksPerSess) * g.BuyRate, KeyCardinality: float64(g.Sessions)})
-
-	r2 := f.Reduce("condense_sessions", udf("condenseSessions"), []string{"c_session"}, r1,
-		dataflow.Hints{Selectivity: 1, KeyCardinality: float64(g.Sessions) * g.BuyRate})
-
-	// The join filters: only LoginRate of the click-side records find a
-	// login partner (the paper's "selecting only sessions with logged in
-	// users").
-	m1 := f.Match("filter_loggedin", udf("filterLoggedIn"), []string{"c_session"}, []string{"l_session"},
-		r2, login, dataflow.Hints{KeyCardinality: float64(g.Sessions), Selectivity: g.LoginRate})
-	m1.FKSide = dataflow.FKLeft // click sessions reference at most one login
-
-	m2 := f.Match("append_userinfo", udf("appendUserInfo"), []string{"l_user"}, []string{"u_key"},
-		m1, user, dataflow.Hints{KeyCardinality: float64(g.Users)})
-	m2.FKSide = dataflow.FKLeft // each logged-in session references one user
-
-	f.SetSink("out", m2)
-
-	if mode == ModeSCA {
-		if err := f.DeriveEffects(false); err != nil {
-			return nil, err
-		}
-	} else {
-		r1.SetEffect(manualFilterBuy(f))
-		r2.SetEffect(manualCondense(f))
-		m1.SetEffect(manualConcatJoin())
-		m2.SetEffect(manualAppendUser(f))
-	}
-	return &Task{Flow: f}, nil
-}
-
-// program compiles the four UDFs from PactScript against the flow's global
-// indices.
-func program(f *dataflow.Flow) (*tac.Program, error) {
-	src := fmt.Sprintf(`
+	at := workloads.Layout(&flow)
+	script := fmt.Sprintf(`
 // Filter Buy Sessions (Figure 4): called with all click records of a
 // session; forwards all of them iff at least one click is a buy action.
 reduce filterBuySessions(g) {
@@ -191,10 +154,26 @@ match appendUserInfo(l, r) {
 	emit o
 }
 `,
-		f.Attr("c_ts"), f.Attr("c_session"), f.Attr("c_action"),
-		f.Attr("cs_count"), f.Attr("cs_duration"), f.Attr("cs_hasbuy"),
-		f.Attr("u_pref"), f.Attr("ui_pref_value"), ActionBuy)
-	return frontend.Compile(src)
+		at["c_ts"], at["c_session"], at["c_action"],
+		at["cs_count"], at["cs_duration"], at["cs_hasbuy"],
+		at["u_pref"], at["ui_pref_value"], ActionBuy)
+	return &workloads.Def{Script: script, Flow: flow}
+}
+
+// Build builds the clickstream flow with the effects mode asks for.
+func Build(mode Mode, g *GenParams) (*Task, error) {
+	f, err := Def(g).Build(mode, func(f *dataflow.Flow) map[string]*props.Effect {
+		return map[string]*props.Effect{
+			"filter_buy_sessions": manualFilterBuy(f),
+			"condense_sessions":   manualCondense(f),
+			"filter_loggedin":     workloads.ConcatJoin(),
+			"append_userinfo":     manualAppendUser(f),
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Task{Flow: f}, nil
 }
 
 // manualFilterBuy: all-or-none per session group, deciding on the action
@@ -218,14 +197,6 @@ func manualCondense(f *dataflow.Flow) *props.Effect {
 	e.Sets = props.NewFieldSet(f.Attr("cs_count"), f.Attr("cs_duration"), f.Attr("cs_hasbuy"))
 	e.Projects = props.NewFieldSet(f.Attr("c_ts"), f.Attr("c_action"))
 	e.CopiesParam[0] = true
-	e.EmitMin, e.EmitMax = 1, 1
-	return e
-}
-
-func manualConcatJoin() *props.Effect {
-	e := props.NewEffect(2)
-	e.CopiesParam[0] = true
-	e.CopiesParam[1] = true
 	e.EmitMin, e.EmitMax = 1, 1
 	return e
 }

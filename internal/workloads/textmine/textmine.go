@@ -24,19 +24,18 @@ import (
 	"strings"
 
 	"blackboxflow/internal/dataflow"
-	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/props"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/tac"
+	"blackboxflow/internal/workloads"
 )
 
 // Mode selects manual annotations or static code analysis (Table 1).
-type Mode int
+type Mode = workloads.Mode
 
 // Annotation modes.
 const (
-	ModeSCA Mode = iota
-	ModeManual
+	ModeSCA    = workloads.ModeSCA
+	ModeManual = workloads.ModeManual
 )
 
 // Markers planted in the synthetic corpus; the NLP stage simulators detect
@@ -92,70 +91,51 @@ type Task struct {
 	Flow *dataflow.Flow
 }
 
-// Build constructs the text-mining pipeline:
+// Def states the text-mining pipeline at g's sizes:
 //
 //	doc → tokenize → postag | gene_ner | drug_ner | species_tag → rel_ex → sink
 //
 // (the four middle stages in their implemented order; the optimizer may
 // reorder them freely).
-func Build(mode Mode, g *GenParams) (*Task, error) {
-	f := dataflow.NewFlow()
-
+func Def(g *GenParams) *workloads.Def {
 	avgWords := float64(g.WordsLo+g.WordsHi) / 2
-	doc := f.Source("docs", []string{"d_id", "d_text"},
-		dataflow.Hints{Records: float64(g.Docs), AvgWidthBytes: avgWords * 6})
-
-	f.DeclareAttr("t_tokens")
-	f.DeclareAttr("t_pos")
-	f.DeclareAttr("t_genes")
-	f.DeclareAttr("t_drugs")
-	f.DeclareAttr("t_species")
-	f.DeclareAttr("t_relations")
-
-	prog, err := program(f)
-	if err != nil {
-		return nil, err
-	}
-	udf := func(name string) *tac.Func {
-		fn, ok := prog.Lookup(name)
-		if !ok {
-			panic("textmine: missing UDF " + name)
-		}
-		return fn
-	}
-
 	// A stage's per-call CPU cost is its scan count times the document
 	// width: each simulated NLP pass is a substring search over the text.
-	cpu := func(scans int) float64 { return float64(scans) * avgWords * 6 / 100 }
+	stage := func(name, udf, in string, scans int, sel float64) dataflow.OpDef {
+		return dataflow.OpDef{Kind: "map", Name: name, UDF: udf, Inputs: []string{in},
+			Selectivity: sel, CPUCostPerCall: float64(scans) * avgWords * 6 / 100}
+	}
+	flow := dataflow.FlowDef{
+		Sources: []dataflow.SourceDef{{Name: "docs", Attrs: []string{"d_id", "d_text"}, Records: float64(g.Docs), AvgWidthByte: avgWords * 6}},
+		Attrs:   []string{"t_tokens", "t_pos", "t_genes", "t_drugs", "t_species", "t_relations"},
+		Ops: []dataflow.OpDef{
+			stage("tokenize", "tokenize", "docs", CostTokenize, 1),
+			stage("pos_tag", "posTag", "tokenize", CostPOSTag, 1),
+			stage("gene_ner", "geneNER", "pos_tag", CostGeneNER, g.GeneRate),
+			stage("drug_ner", "drugNER", "gene_ner", CostDrugNER, g.DrugRate),
+			stage("species_tag", "speciesTag", "drug_ner", CostSpecies, g.HumanRate),
+			stage("rel_ex", "relEx", "species_tag", CostRelEx, g.RelRate),
+		},
+		Sink: "rel_ex",
+	}
+	return &workloads.Def{Script: script(workloads.Layout(&flow)), Flow: flow}
+}
 
-	tok := f.Map("tokenize", udf("tokenize"), doc,
-		dataflow.Hints{Selectivity: 1, CPUCostPerCall: cpu(CostTokenize)})
-	pos := f.Map("pos_tag", udf("posTag"), tok,
-		dataflow.Hints{Selectivity: 1, CPUCostPerCall: cpu(CostPOSTag)})
-	gene := f.Map("gene_ner", udf("geneNER"), pos,
-		dataflow.Hints{Selectivity: g.GeneRate, CPUCostPerCall: cpu(CostGeneNER)})
-	drug := f.Map("drug_ner", udf("drugNER"), gene,
-		dataflow.Hints{Selectivity: g.DrugRate, CPUCostPerCall: cpu(CostDrugNER)})
-	species := f.Map("species_tag", udf("speciesTag"), drug,
-		dataflow.Hints{Selectivity: g.HumanRate, CPUCostPerCall: cpu(CostSpecies)})
-	rel := f.Map("rel_ex", udf("relEx"), species,
-		dataflow.Hints{Selectivity: g.RelRate, CPUCostPerCall: cpu(CostRelEx)})
-
-	f.SetSink("out", rel)
-
-	if mode == ModeSCA {
-		if err := f.DeriveEffects(false); err != nil {
-			return nil, err
+// Build builds the text-mining flow with the effects mode asks for.
+func Build(mode Mode, g *GenParams) (*Task, error) {
+	f, err := Def(g).Build(mode, func(f *dataflow.Flow) map[string]*props.Effect {
+		deps, text := []string{"t_tokens"}, []string{"d_text"}
+		return map[string]*props.Effect{
+			"tokenize":    manualStage(f, nil, text, "t_tokens", false),
+			"pos_tag":     manualStage(f, deps, text, "t_pos", false),
+			"gene_ner":    manualStage(f, deps, text, "t_genes", true),
+			"drug_ner":    manualStage(f, deps, text, "t_drugs", true),
+			"species_tag": manualStage(f, deps, text, "t_species", true),
+			"rel_ex":      manualStage(f, []string{"t_pos", "t_genes", "t_drugs", "t_species"}, text, "t_relations", true),
 		}
-	} else {
-		tok.SetEffect(manualStage(f, nil, []string{"d_text"}, "t_tokens", false))
-		pos.SetEffect(manualStage(f, []string{"t_tokens"}, []string{"d_text"}, "t_pos", false))
-		gene.SetEffect(manualStage(f, []string{"t_tokens"}, []string{"d_text"}, "t_genes", true))
-		drug.SetEffect(manualStage(f, []string{"t_tokens"}, []string{"d_text"}, "t_drugs", true))
-		species.SetEffect(manualStage(f, []string{"t_tokens"}, []string{"d_text"}, "t_species", true))
-		rel.SetEffect(manualStage(f,
-			[]string{"t_pos", "t_genes", "t_drugs", "t_species"},
-			[]string{"d_text"}, "t_relations", true))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Task{Flow: f}, nil
 }
@@ -194,9 +174,9 @@ func scanLoop(textAttr, n int) string {
 	}`, textAttr, n)
 }
 
-// program compiles the six stage UDFs from PactScript.
-func program(f *dataflow.Flow) (*tac.Program, error) {
-	text, tokens := f.Attr("d_text"), f.Attr("t_tokens")
+// script is the PactScript of the six stages over the global layout at.
+func script(at map[string]int) string {
+	text, tokens := at["d_text"], at["t_tokens"]
 	var b strings.Builder
 
 	// tokenize: token count annotation, no filtering; posTag: expensive,
@@ -216,16 +196,16 @@ map posTag(ir) {
 	out[%d] = tk / 2
 	emit out
 }
-`, scanLoop(text, CostTokenize), tokens, tokens, scanLoop(text, CostPOSTag), f.Attr("t_pos"))
+`, scanLoop(text, CostTokenize), tokens, tokens, scanLoop(text, CostPOSTag), at["t_pos"])
 
 	// Entity detectors: depend on tokens, scan for a marker, filter.
 	for _, ner := range []struct {
 		name, marker string
 		cost, out    int
 	}{
-		{"geneNER", MarkerGene, CostGeneNER, f.Attr("t_genes")},
-		{"drugNER", MarkerDrug, CostDrugNER, f.Attr("t_drugs")},
-		{"speciesTag", MarkerSpecies, CostSpecies, f.Attr("t_species")},
+		{"geneNER", MarkerGene, CostGeneNER, at["t_genes"]},
+		{"drugNER", MarkerDrug, CostDrugNER, at["t_drugs"]},
+		{"speciesTag", MarkerSpecies, CostSpecies, at["t_species"]},
 	} {
 		fmt.Fprintf(&b, `
 map %s(ir) {
@@ -255,10 +235,9 @@ map relEx(ir) {
 		emit out
 	}
 }
-`, f.Attr("t_pos"), f.Attr("t_genes"), f.Attr("t_drugs"), f.Attr("t_species"),
-		scanLoop(text, CostRelEx), MarkerRelation, f.Attr("t_relations"))
-
-	return frontend.Compile(b.String())
+`, at["t_pos"], at["t_genes"], at["t_drugs"], at["t_species"],
+		scanLoop(text, CostRelEx), MarkerRelation, at["t_relations"])
+	return b.String()
 }
 
 var fillerWords = []string{

@@ -9,19 +9,17 @@ import (
 	"fmt"
 
 	"blackboxflow/internal/dataflow"
-	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/props"
-	"blackboxflow/internal/tac"
+	"blackboxflow/internal/workloads"
 )
 
-// Mode selects how operator properties are obtained, mirroring Table 1 of
-// the paper: manual annotations or static code analysis.
-type Mode int
+// Mode selects manual annotations or static code analysis (Table 1).
+type Mode = workloads.Mode
 
 // Annotation modes.
 const (
-	ModeSCA Mode = iota
-	ModeManual
+	ModeSCA    = workloads.ModeSCA
+	ModeManual = workloads.ModeManual
 )
 
 // Q7 date-filter bounds (l_shipdate is an integer day number).
@@ -43,216 +41,43 @@ type Query struct {
 	Flow *dataflow.Flow
 }
 
-// BuildQ7 constructs the PACT data flow of Figure 2(a): a filter on
+// Q7 states the PACT data flow of Figure 2(a) at g's sizes: a filter on
 // lineitem, five FK joins (lineitem⋈supplier, lineitem⋈orders,
 // orders⋈customer, customer⋈nation1, supplier⋈nation2), the disjunctive
 // nation-pair filter as a Map, and the final grouping/sum Reduce.
-func BuildQ7(mode Mode, g *GenParams) (*Query, error) {
-	f := dataflow.NewFlow()
-
-	li := f.Source("lineitem", []string{"l_orderkey", "l_suppkey", "l_shipdate", "l_revenue"},
-		dataflow.Hints{Records: float64(g.Lineitems()), AvgWidthBytes: 40})
-	sup := f.Source("supplier", []string{"s_key", "s_nationkey"},
-		dataflow.Hints{Records: float64(g.Suppliers()), AvgWidthBytes: 22})
-	ord := f.Source("orders", []string{"o_key", "o_custkey", "o_year"},
-		dataflow.Hints{Records: float64(g.Orders()), AvgWidthBytes: 31})
-	cust := f.Source("customer", []string{"c_key", "c_nationkey"},
-		dataflow.Hints{Records: float64(g.Customers()), AvgWidthBytes: 22})
-	n1 := f.Source("nation1", []string{"n1_key", "n1_name"},
-		dataflow.Hints{Records: float64(NumNations), AvgWidthBytes: 22})
-	n2 := f.Source("nation2", []string{"n2_key", "n2_name"},
-		dataflow.Hints{Records: float64(NumNations), AvgWidthBytes: 22})
-
-	volume := f.DeclareAttr("volume")
-
-	prog, err := q7Program(f)
-	if err != nil {
-		return nil, err
+func Q7(g *GenParams) *workloads.Def {
+	join := func(name, in, right, lk, rk string, card int) dataflow.OpDef {
+		return dataflow.OpDef{Kind: "match", Name: name, UDF: "concatJoin", Inputs: []string{in, right},
+			Keys: [][]string{{lk}, {rk}}, FK: "left", KeyCardinality: float64(card)}
 	}
-	udf := func(name string) *tac.Func {
-		fn, ok := prog.Lookup(name)
-		if !ok {
-			panic("tpch: missing UDF " + name)
-		}
-		return fn
+	flow := dataflow.FlowDef{
+		Sources: []dataflow.SourceDef{
+			{Name: "lineitem", Attrs: []string{"l_orderkey", "l_suppkey", "l_shipdate", "l_revenue"}, Records: float64(g.Lineitems()), AvgWidthByte: 40},
+			{Name: "supplier", Attrs: []string{"s_key", "s_nationkey"}, Records: float64(g.Suppliers()), AvgWidthByte: 22},
+			{Name: "orders", Attrs: []string{"o_key", "o_custkey", "o_year"}, Records: float64(g.Orders()), AvgWidthByte: 31},
+			{Name: "customer", Attrs: []string{"c_key", "c_nationkey"}, Records: float64(g.Customers()), AvgWidthByte: 22},
+			{Name: "nation1", Attrs: []string{"n1_key", "n1_name"}, Records: NumNations, AvgWidthByte: 22},
+			{Name: "nation2", Attrs: []string{"n2_key", "n2_name"}, Records: NumNations, AvgWidthByte: 22},
+		},
+		Attrs: []string{"volume"},
+		Ops: []dataflow.OpDef{
+			// The date filter keeps roughly one year of lineitems.
+			{Kind: "map", Name: "filter_shipdate", UDF: "filterShipdate", Inputs: []string{"lineitem"}, Selectivity: g.DateSelectivity()},
+			join("join_l_s", "filter_shipdate", "supplier", "l_suppkey", "s_key", g.Suppliers()),
+			join("join_l_o", "join_l_s", "orders", "l_orderkey", "o_key", g.Orders()),
+			join("join_o_c", "join_l_o", "customer", "o_custkey", "c_key", g.Customers()),
+			join("join_c_n1", "join_o_c", "nation1", "c_nationkey", "n1_key", NumNations),
+			join("join_s_n2", "join_c_n1", "nation2", "s_nationkey", "n2_key", NumNations),
+			// The disjunctive nation-pair predicate keeps 2 of the 25×25 pairs.
+			{Kind: "map", Name: "filter_nation_pair", UDF: "filterNationPair", Inputs: []string{"join_s_n2"},
+				Selectivity: 2.0 / (NumNations * NumNations)},
+			{Kind: "reduce", Name: "agg_volume", UDF: "sumVolume", Inputs: []string{"filter_nation_pair"},
+				Keys: [][]string{{"n1_name", "n2_name", "o_year"}}, KeyCardinality: 2 * 7, Selectivity: 1},
+		},
+		Sink: "agg_volume",
 	}
-
-	// The date filter keeps roughly one year of lineitems.
-	dateSel := g.DateSelectivity()
-	mShip := f.Map("filter_shipdate", udf("filterShipdate"), li,
-		dataflow.Hints{Selectivity: dateSel})
-
-	jls := f.Match("join_l_s", udf("concatJoin"), []string{"l_suppkey"}, []string{"s_key"},
-		mShip, sup, dataflow.Hints{KeyCardinality: float64(g.Suppliers())})
-	jls.FKSide = dataflow.FKLeft
-
-	jlo := f.Match("join_l_o", udf("concatJoin"), []string{"l_orderkey"}, []string{"o_key"},
-		jls, ord, dataflow.Hints{KeyCardinality: float64(g.Orders())})
-	jlo.FKSide = dataflow.FKLeft
-
-	joc := f.Match("join_o_c", udf("concatJoin"), []string{"o_custkey"}, []string{"c_key"},
-		jlo, cust, dataflow.Hints{KeyCardinality: float64(g.Customers())})
-	joc.FKSide = dataflow.FKLeft
-
-	jcn1 := f.Match("join_c_n1", udf("concatJoin"), []string{"c_nationkey"}, []string{"n1_key"},
-		joc, n1, dataflow.Hints{KeyCardinality: float64(NumNations)})
-	jcn1.FKSide = dataflow.FKLeft
-
-	jsn2 := f.Match("join_s_n2", udf("concatJoin"), []string{"s_nationkey"}, []string{"n2_key"},
-		jcn1, n2, dataflow.Hints{KeyCardinality: float64(NumNations)})
-	jsn2.FKSide = dataflow.FKLeft
-
-	// The disjunctive nation-pair predicate keeps 2 of the 25×25 pairs.
-	pairSel := 2.0 / float64(NumNations*NumNations)
-	mPair := f.Map("filter_nation_pair", udf("filterNationPair"), jsn2,
-		dataflow.Hints{Selectivity: pairSel})
-
-	red := f.Reduce("agg_volume", udf("sumVolume"),
-		[]string{"n1_name", "n2_name", "o_year"}, mPair,
-		dataflow.Hints{KeyCardinality: 2 * 7, Selectivity: 1})
-
-	f.SetSink("out", red)
-
-	if err := annotate(f, mode, map[string]*props.Effect{
-		"filter_shipdate":    manualFilter(f, "l_shipdate"),
-		"join_l_s":           manualConcatJoin(),
-		"join_l_o":           manualConcatJoin(),
-		"join_o_c":           manualConcatJoin(),
-		"join_c_n1":          manualConcatJoin(),
-		"join_s_n2":          manualConcatJoin(),
-		"filter_nation_pair": manualFilter(f, "n1_name", "n2_name"),
-		"agg_volume": manualKeyedAggregate(
-			props.NewFieldSet(f.Attr("l_revenue")),
-			props.NewFieldSet(f.Attr("n1_name"), f.Attr("n2_name"), f.Attr("o_year")),
-			volume),
-	}); err != nil {
-		return nil, err
-	}
-	return &Query{Flow: f}, nil
-}
-
-// BuildQ15 constructs the PACT data flow of Figure 3(a): the shipdate
-// filter on lineitem, the per-supplier revenue aggregation, and the PK-FK
-// join with supplier (with the Reduce below the Match, as implemented in
-// the paper).
-func BuildQ15(mode Mode, g *GenParams) (*Query, error) {
-	f := dataflow.NewFlow()
-
-	sup := f.Source("supplier", []string{"s_key", "s_nationkey"},
-		dataflow.Hints{Records: float64(g.Suppliers()), AvgWidthBytes: 22})
-	li := f.Source("lineitem", []string{"l_orderkey", "l_suppkey", "l_shipdate", "l_revenue"},
-		dataflow.Hints{Records: float64(g.Lineitems()), AvgWidthBytes: 40})
-
-	totalRevenue := f.DeclareAttr("total_revenue")
-
-	prog, err := q15Program(f)
-	if err != nil {
-		return nil, err
-	}
-	udf := func(name string) *tac.Func {
-		fn, ok := prog.Lookup(name)
-		if !ok {
-			panic("tpch: missing UDF " + name)
-		}
-		return fn
-	}
-
-	mShip := f.Map("filter_quarter", udf("filterQuarter"), li,
-		dataflow.Hints{Selectivity: g.QuarterSelectivity()})
-
-	red := f.Reduce("agg_revenue", udf("sumRevenue"), []string{"l_suppkey"}, mShip,
-		dataflow.Hints{KeyCardinality: float64(g.Suppliers()), Selectivity: 1})
-
-	j := f.Match("join_s_l", udf("concatJoin"), []string{"s_key"}, []string{"l_suppkey"},
-		sup, red, dataflow.Hints{KeyCardinality: float64(g.Suppliers())})
-	j.FKSide = dataflow.FKRight
-
-	f.SetSink("out", j)
-
-	if err := annotate(f, mode, map[string]*props.Effect{
-		"filter_quarter": manualFilter(f, "l_shipdate"),
-		"agg_revenue": manualPassThroughAggregate(
-			props.NewFieldSet(f.Attr("l_revenue")),
-			props.NewFieldSet(f.Attr("l_orderkey"), f.Attr("l_shipdate"), f.Attr("l_revenue")),
-			totalRevenue),
-		"join_s_l": manualConcatJoin(),
-	}); err != nil {
-		return nil, err
-	}
-	return &Query{Flow: f}, nil
-}
-
-// annotate applies either SCA or the supplied manual effects to every UDF
-// operator of the flow.
-func annotate(f *dataflow.Flow, mode Mode, manual map[string]*props.Effect) error {
-	if mode == ModeSCA {
-		return f.DeriveEffects(false)
-	}
-	for _, op := range f.Operators() {
-		if !op.IsUDFOp() {
-			continue
-		}
-		e, ok := manual[op.Name]
-		if !ok {
-			return fmt.Errorf("tpch: no manual annotation for %s", op.Name)
-		}
-		op.SetEffect(e)
-	}
-	return nil
-}
-
-// manualFilter annotates a 0-or-1 filter Map reading (and branching on) the
-// named attributes.
-func manualFilter(f *dataflow.Flow, attrs ...string) *props.Effect {
-	e := props.NewEffect(1)
-	for _, a := range attrs {
-		e.Reads.Add(f.Attr(a))
-		e.CondReads.Add(f.Attr(a))
-	}
-	e.CopiesParam[0] = true
-	e.EmitMin, e.EmitMax = 0, 1
-	return e
-}
-
-// manualConcatJoin annotates a Match UDF that concatenates both inputs and
-// emits exactly one record per pair.
-func manualConcatJoin() *props.Effect {
-	e := props.NewEffect(2)
-	e.CopiesParam[0] = true
-	e.CopiesParam[1] = true
-	e.EmitMin, e.EmitMax = 1, 1
-	return e
-}
-
-// manualKeyedAggregate annotates a Reduce UDF built on the default
-// constructor: it emits exactly the explicitly copied key fields plus the
-// aggregate at newAttr, implicitly projecting everything else.
-func manualKeyedAggregate(reads, keyCopies props.FieldSet, newAttr int) *props.Effect {
-	e := props.NewEffect(1)
-	e.Reads = reads.Clone()
-	e.Copies = keyCopies.Clone()
-	e.Sets = props.NewFieldSet(newAttr)
-	e.EmitMin, e.EmitMax = 1, 1
-	return e
-}
-
-// manualPassThroughAggregate annotates a Reduce UDF built on the copy
-// constructor: pass-through attributes survive, the group-varying fields in
-// projects are explicitly nulled, and the aggregate lands at newAttr.
-func manualPassThroughAggregate(reads, projects props.FieldSet, newAttr int) *props.Effect {
-	e := props.NewEffect(1)
-	e.Reads = reads.Clone()
-	e.Projects = projects.Clone()
-	e.Sets = props.NewFieldSet(newAttr)
-	e.CopiesParam[0] = true
-	e.EmitMin, e.EmitMax = 1, 1
-	return e
-}
-
-// q7Program compiles the Q7 UDFs from PactScript against the flow's global
-// attribute indices.
-func q7Program(f *dataflow.Flow) (*tac.Program, error) {
-	src := fmt.Sprintf(`
+	at := workloads.Layout(&flow)
+	script := fmt.Sprintf(`
 // Shipdate range predicate of Q7 (modified selectivity, Section 7.2).
 map filterShipdate(ir) {
 	d := ir[%[1]d]
@@ -291,15 +116,57 @@ reduce sumVolume(g) {
 	emit out
 }
 `,
-		f.Attr("l_shipdate"), Q7DateLo, Q7DateHi,
-		f.Attr("n1_name"), f.Attr("n2_name"), NationX, NationY,
-		f.Attr("l_revenue"), f.Attr("o_year"), f.Attr("volume"))
-	return frontend.Compile(src)
+		at["l_shipdate"], Q7DateLo, Q7DateHi,
+		at["n1_name"], at["n2_name"], NationX, NationY,
+		at["l_revenue"], at["o_year"], at["volume"])
+	return &workloads.Def{Script: script, Flow: flow}
 }
 
-// q15Program compiles the Q15 UDFs from PactScript.
-func q15Program(f *dataflow.Flow) (*tac.Program, error) {
-	src := fmt.Sprintf(`
+// BuildQ7 builds Q7 with the effects mode asks for.
+func BuildQ7(mode Mode, g *GenParams) (*Query, error) {
+	f, err := Q7(g).Build(mode, func(f *dataflow.Flow) map[string]*props.Effect {
+		return map[string]*props.Effect{
+			"filter_shipdate":    manualFilter(f, "l_shipdate"),
+			"join_l_s":           workloads.ConcatJoin(),
+			"join_l_o":           workloads.ConcatJoin(),
+			"join_o_c":           workloads.ConcatJoin(),
+			"join_c_n1":          workloads.ConcatJoin(),
+			"join_s_n2":          workloads.ConcatJoin(),
+			"filter_nation_pair": manualFilter(f, "n1_name", "n2_name"),
+			"agg_volume": manualKeyedAggregate(
+				props.NewFieldSet(f.Attr("l_revenue")),
+				props.NewFieldSet(f.Attr("n1_name"), f.Attr("n2_name"), f.Attr("o_year")),
+				f.Attr("volume")),
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Query{Flow: f}, nil
+}
+
+// Q15 states the PACT data flow of Figure 3(a) at g's sizes: the shipdate
+// filter on lineitem, the per-supplier revenue aggregation, and the PK-FK
+// join with supplier (with the Reduce below the Match, as implemented in
+// the paper).
+func Q15(g *GenParams) *workloads.Def {
+	flow := dataflow.FlowDef{
+		Sources: []dataflow.SourceDef{
+			{Name: "supplier", Attrs: []string{"s_key", "s_nationkey"}, Records: float64(g.Suppliers()), AvgWidthByte: 22},
+			{Name: "lineitem", Attrs: []string{"l_orderkey", "l_suppkey", "l_shipdate", "l_revenue"}, Records: float64(g.Lineitems()), AvgWidthByte: 40},
+		},
+		Attrs: []string{"total_revenue"},
+		Ops: []dataflow.OpDef{
+			{Kind: "map", Name: "filter_quarter", UDF: "filterQuarter", Inputs: []string{"lineitem"}, Selectivity: g.QuarterSelectivity()},
+			{Kind: "reduce", Name: "agg_revenue", UDF: "sumRevenue", Inputs: []string{"filter_quarter"},
+				Keys: [][]string{{"l_suppkey"}}, KeyCardinality: float64(g.Suppliers()), Selectivity: 1},
+			{Kind: "match", Name: "join_s_l", UDF: "concatJoin", Inputs: []string{"supplier", "agg_revenue"},
+				Keys: [][]string{{"s_key"}, {"l_suppkey"}}, FK: "right", KeyCardinality: float64(g.Suppliers())},
+		},
+		Sink: "join_s_l",
+	}
+	at := workloads.Layout(&flow)
+	script := fmt.Sprintf(`
 map filterQuarter(ir) {
 	d := ir[%[1]d]
 	if d >= %[2]d && d <= %[3]d {
@@ -326,7 +193,63 @@ reduce sumRevenue(g) {
 	emit out
 }
 `,
-		f.Attr("l_shipdate"), Q15Date, Q15Date2,
-		f.Attr("l_revenue"), f.Attr("total_revenue"), f.Attr("l_orderkey"))
-	return frontend.Compile(src)
+		at["l_shipdate"], Q15Date, Q15Date2,
+		at["l_revenue"], at["total_revenue"], at["l_orderkey"])
+	return &workloads.Def{Script: script, Flow: flow}
+}
+
+// BuildQ15 builds Q15 with the effects mode asks for.
+func BuildQ15(mode Mode, g *GenParams) (*Query, error) {
+	f, err := Q15(g).Build(mode, func(f *dataflow.Flow) map[string]*props.Effect {
+		return map[string]*props.Effect{
+			"filter_quarter": manualFilter(f, "l_shipdate"),
+			"agg_revenue": manualPassThroughAggregate(
+				props.NewFieldSet(f.Attr("l_revenue")),
+				props.NewFieldSet(f.Attr("l_orderkey"), f.Attr("l_shipdate"), f.Attr("l_revenue")),
+				f.Attr("total_revenue")),
+			"join_s_l": workloads.ConcatJoin(),
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Query{Flow: f}, nil
+}
+
+// manualFilter annotates a 0-or-1 filter Map reading (and branching on) the
+// named attributes.
+func manualFilter(f *dataflow.Flow, attrs ...string) *props.Effect {
+	e := props.NewEffect(1)
+	for _, a := range attrs {
+		e.Reads.Add(f.Attr(a))
+		e.CondReads.Add(f.Attr(a))
+	}
+	e.CopiesParam[0] = true
+	e.EmitMin, e.EmitMax = 0, 1
+	return e
+}
+
+// manualKeyedAggregate annotates a Reduce UDF built on the default
+// constructor: it emits exactly the explicitly copied key fields plus the
+// aggregate at newAttr, implicitly projecting everything else.
+func manualKeyedAggregate(reads, keyCopies props.FieldSet, newAttr int) *props.Effect {
+	e := props.NewEffect(1)
+	e.Reads = reads.Clone()
+	e.Copies = keyCopies.Clone()
+	e.Sets = props.NewFieldSet(newAttr)
+	e.EmitMin, e.EmitMax = 1, 1
+	return e
+}
+
+// manualPassThroughAggregate annotates a Reduce UDF built on the copy
+// constructor: pass-through attributes survive, the group-varying fields in
+// projects are explicitly nulled, and the aggregate lands at newAttr.
+func manualPassThroughAggregate(reads, projects props.FieldSet, newAttr int) *props.Effect {
+	e := props.NewEffect(1)
+	e.Reads = reads.Clone()
+	e.Projects = projects.Clone()
+	e.Sets = props.NewFieldSet(newAttr)
+	e.CopiesParam[0] = true
+	e.EmitMin, e.EmitMax = 1, 1
+	return e
 }
