@@ -439,7 +439,7 @@ reduce sum(g) {
 `)
 	in := record.Record{record.Int(2), record.Int(-3)}
 	right := record.Record{record.Null, record.Null, record.Int(7)}
-	group := tac.GroupSource(tac.Records{in, in, in})
+	group := []record.Record{in, in, in}
 	sink := func(record.Record) error { return nil }
 	for _, c := range []struct {
 		name, udf string

@@ -14,7 +14,7 @@ import (
 // This file is the differential harness: every stage-variant family —
 // fused Map chains, combining shuffles, budget-forced spill grouping, and
 // joins — runs twice, once through the operator pipeline (batched,
-// combining, spill-capable, columnar) and once on the reference executor of
+// combining, spill-capable) and once on the reference executor of
 // reference_test.go (record-at-a-time shipping, stage-at-a-time Maps, no
 // combining, no spilling), at DOP 1, 2, 8, and 17, and the outputs must be
 // byte-identical — the canonical group/join order makes both agree record
@@ -134,8 +134,8 @@ func TestDifferentialMapChains(t *testing.T) {
 	}
 }
 
-// TestDifferentialCombinedReduce pins the combining shuffle (columnar
-// ColBatch.CombineInto senders) and, under a tiny budget, the spill path's
+// TestDifferentialCombinedReduce pins the combining shuffle (senders that
+// group each batch through hashGroups before the combiner) and, under a tiny budget, the spill path's
 // external merge against the uncombined, unspilled reference executor: partial
 // aggregation and out-of-core grouping must be invisible in the output.
 func TestDifferentialCombinedReduce(t *testing.T) {
@@ -158,13 +158,13 @@ func TestDifferentialCombinedReduce(t *testing.T) {
 		}
 	}
 	if !sawSpill {
-		t.Fatal("no run ever spilled — the tiny budget is not exercising the columnar spill-sort")
+		t.Fatal("no run ever spilled — the tiny budget is not exercising the spill-sort")
 	}
 }
 
 // TestDifferentialJoins pins the join paths: in-memory Match (merge or hash
 // local strategy, per the optimizer) and the budget-forced external merge
-// join, whose run sorts go through the columnar sort. Per-side-unique keys
+// join, whose runs are sorted before they are written. Per-side-unique keys
 // with key-determined payloads keep the canonical join order scheduler-
 // independent, the repo's convention for byte-comparable runs.
 func TestDifferentialJoins(t *testing.T) {

@@ -226,7 +226,7 @@ func (e *Engine) sideGroups(ed *edge, i int, hashed bool) (groupCursor, error) {
 	if hashed && !spilled {
 		return &memGroupCursor{groups: hashGroups(part, keys)}, nil
 	}
-	e.sortRecs(part, keys)
+	sortRecs(part, keys)
 	if !spilled {
 		return &sortedGroupCursor{recs: part, keys: keys}, nil
 	}
@@ -246,6 +246,12 @@ func (e *Engine) sideGroups(ed *edge, i int, hashed bool) (groupCursor, error) {
 // spilled reports whether partition i of the edge overflowed to sorted runs.
 func (ed *edge) spilled(i int) bool {
 	return ed.spills != nil && len(ed.spills[i].runs) > 0
+}
+
+// sortRecs stably sorts records on the key fields: ascending key order,
+// arrival order within equal keys.
+func sortRecs(recs []record.Record, keys []int) {
+	slices.SortStableFunc(recs, func(a, b record.Record) int { return a.CompareOn(b, keys) })
 }
 
 // hashGroups groups a partition by key fields through a keyIndex and lays
@@ -404,7 +410,7 @@ func (e *Engine) reduceGroups(ctx context.Context, op *dataflow.Operator, groups
 		if g == nil {
 			return calls, nil
 		}
-		if err := udfError(op, udf.Reduce(tac.Records(g), emit)); err != nil {
+		if err := udfError(op, udf.Reduce(g, emit)); err != nil {
 			return 0, err
 		}
 		calls++
@@ -461,7 +467,7 @@ func (e *Engine) coGroupAligned(ctx context.Context, op *dataflow.Operator, l, r
 		if c >= 0 {
 			rside = rg
 		}
-		if err := udfError(op, udf.CoGroup(tac.Records(lside), tac.Records(rside), emit)); err != nil {
+		if err := udfError(op, udf.CoGroup(lside, rside, emit)); err != nil {
 			return 0, err
 		}
 		calls++

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"blackboxflow/internal/dataflow"
@@ -34,6 +35,15 @@ match jn(l, r) {
 	o := concat(l, r)
 	emit o
 }`)
+
+// edgeNumbers are ints and integral floats around ±2^53 and ±2^63, where a
+// float64 comparison would round distinct ints into one key.
+var edgeNumbers = []record.Value{
+	record.Int(1 << 53), record.Int(1<<53 + 1), record.Float(1 << 53), record.Float(1<<53 + 2),
+	record.Int(-1<<53 - 1), record.Float(-1 << 53),
+	record.Int(math.MaxInt64), record.Int(math.MaxInt64 - 1), record.Float(0x1p63),
+	record.Int(math.MinInt64), record.Int(math.MinInt64 + 1), record.Float(-0x1p63),
+}
 
 // adversarialKeys mixes every kind, Int(1) beside Float(1), the ints a
 // float64 comparison cannot tell apart, and — last, at indices 22 to 24 —
@@ -194,7 +204,9 @@ func TestExactNumericKeys(t *testing.T) {
 // each byte one record: its top bit the side, the rest a key from
 // adversarialKeys, its position the payload — and requires hash grouping,
 // sort grouping and the reference to agree, and the hash join with either
-// build side, the merge join and the reference to agree, byte for byte.
+// build side, the merge join and the reference to agree, byte for byte. A
+// sum-Reduce over both sides' keys must come out the same with and without
+// its combiner.
 func FuzzLocalStrategies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
@@ -204,8 +216,94 @@ func FuzzLocalStrategies(f *testing.F) {
 		for _, c := range data[1:] {
 			sides[c>>7] = append(sides[c>>7], adversarialKeys[int(c&0x7f)%len(adversarialKeys)])
 		}
-		requireStrategiesAgree(t, strategySides(sides[0], sides[1]), 1+int(data[0]%4), optimizer.ShipForward)
+		dop := 1 + int(data[0]%4)
+		requireStrategiesAgree(t, strategySides(sides[0], sides[1]), dop, optimizer.ShipForward)
+		requireCombinerInvisible(t, append(sides[0], sides[1]...), dop)
 	})
+}
+
+var combineLegProgram = frontend.MustCompile(`
+reduce partial(g) {
+	first := g.at(0)
+	out := copy(first)
+	out[1] = sum(g, 1)
+	emit out
+}
+reduce total(g) {
+	out := new()
+	out[0] = sum(g, 1)
+	emit out
+}`)
+
+// requireCombinerInvisible runs a sum-Reduce over records <key, i> behind a
+// partitioned edge at the given DOP, once plain and once combining with
+// partial, and requires byte-identical output, the same counters, the
+// reference executor's output, and — while no sender fills a batch — one
+// combiner call per distinct key of each source partition. The final UDF
+// emits only the sum: a key group may hold Int(1) beside Float(1), and
+// which of them arrives first behind a shuffle is not fixed.
+func requireCombinerInvisible(t *testing.T, keys []record.Value, dop int) {
+	t.Helper()
+	label := fmt.Sprintf("combining reduce over %d records dop=%d", len(keys), dop)
+	sources := strategySides(keys, nil)
+	plan := strategyPlan(t, dataflow.KindReduce, optimizer.LocalHashGroup, 0, optimizer.ShipPartition)
+	node := plan.Inputs[0]
+	node.Op.UDF, node.Op.Combiner = getUDF(t, combineLegProgram, "total"), getUDF(t, combineLegProgram, "partial")
+	e := New(dop)
+	e.AddSource("L", sources["L"])
+	plain, plainStats, err := e.Run(plan)
+	if err != nil {
+		t.Fatalf("%s (plain): %v", label, err)
+	}
+	node.Combinable = true
+	combined, stats, err := e.Run(plan)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	requireByteIdentical(t, combined, plain, label+" vs plain")
+	requireSameCounters(t, stats, plainStats, label)
+	ref, _ := mustRefRun(t, e, plan, label)
+	requireByteIdentical(t, combined, ref, label+" vs reference")
+
+	if len(keys) > record.DefaultBatchCap {
+		return // a sender flushes mid-stream: more than one call per key
+	}
+	parts := make([][]record.Record, dop)
+	for i, r := range sources["L"] {
+		parts[i%dop] = append(parts[i%dop], r)
+	}
+	want := 0
+	for _, part := range parts {
+		want += len(refGroupRecords(part, []int{0}, true))
+	}
+	if got := stats.TotalCombinerCalls(); got != want {
+		t.Fatalf("%s: %d combiner calls, want one per distinct key per source partition (%d)", label, got, want)
+	}
+}
+
+// TestCombineAdversarialKeys runs the combining sender over adversarialKeys
+// plus -0.0 beside 0: Int(1) and Float(1), -0.0 and 0, and the three NaNs
+// must each combine into one group, and 2^53 and 2^53+1 must not. The long
+// run fills batches, so senders flush and combine mid-stream.
+func TestCombineAdversarialKeys(t *testing.T) {
+	all := append(slices.Clone(adversarialKeys), record.Float(math.Copysign(0, -1)), record.Float(0))
+	var keys []record.Value
+	for i, k := range all {
+		for c := 0; c <= i%3; c++ {
+			keys = append(keys, k)
+		}
+	}
+	for i := len(all) - 1; i >= 0; i -= 2 {
+		keys = append(keys, all[i])
+	}
+	var long []record.Value
+	for len(long) <= 3*record.DefaultBatchCap {
+		long = append(long, keys...)
+	}
+	for dop := 1; dop <= 4; dop++ {
+		requireCombinerInvisible(t, keys, dop)
+		requireCombinerInvisible(t, long, dop)
+	}
 }
 
 // TestHashGroupsAllocs pins hashGroups to a fixed number of arrays per call,

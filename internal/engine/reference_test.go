@@ -20,7 +20,7 @@ import (
 // combines, ships over plain channels and records no spans. Every
 // differential test compares the pipeline's output bytes and exact counters
 // against it. It shares no execution code with production: its grouping,
-// sorting (the sortByKey oracle of colsort_test.go), alignment and fan-out
+// sorting (sortByKey), alignment and fan-out
 // are its own copies, so a bug in the pipeline cannot hide in both sides of
 // a comparison. Do not "simplify" it onto production helpers. The one thing
 // it has in common with the pipeline is the UDF entry point: it calls user
@@ -209,7 +209,7 @@ func (e *Engine) refLocal(p *optimizer.PhysPlan, inputs []Partitioned) (Partitio
 			}
 			calls := 0
 			for _, g := range refGroupRecords(part, keys, p.Local == optimizer.LocalSortGroup) {
-				if err := udf.done(udf.Reduce(tac.Records(g), udf.emit)); err != nil {
+				if err := udf.done(udf.Reduce(g, udf.emit)); err != nil {
 					return nil, 0, err
 				}
 				calls++
@@ -295,6 +295,12 @@ func refPerPartition2(l, r Partitioned, fn func(l, r []record.Record) ([]record.
 		total += calls[i]
 	}
 	return out, total, nil
+}
+
+// sortByKey is the reference's stable sort by the key fields: ascending key
+// order, arrival order preserved within equal keys.
+func sortByKey(recs []record.Record, keys []int) {
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].CompareOn(recs[j], keys) < 0 })
 }
 
 // refGroupRecords groups a partition by key fields, either by sorting (one
@@ -438,7 +444,7 @@ func (e *Engine) refCoGroupAligned(op *dataflow.Operator, l, r [][]record.Record
 		if c >= 0 {
 			rg, r = r[0], r[1:]
 		}
-		if err := udf.done(udf.CoGroup(tac.Records(lg), tac.Records(rg), udf.emit)); err != nil {
+		if err := udf.done(udf.CoGroup(lg, rg, udf.emit)); err != nil {
 			return nil, 0, err
 		}
 		calls++

@@ -89,7 +89,7 @@ func (e *Engine) shuffle(ctx context.Context, parent obs.SpanID, ed *edge, combi
 	for si, part := range in {
 		s := &senders[si]
 		*s = sender{e: e, st: st, keys: ed.keys, broadcast: ed.ship == optimizer.ShipBroadcast, combiner: combiner,
-			rows: make([]*record.Batch, dop), cols: make([]*record.ColBatch, dop), chain: make([]opCount, len(ed.chain))}
+			batches: make([]*record.Batch, dop), chain: make([]opCount, len(ed.chain))}
 		go s.run(ctx, part, ed)
 	}
 	// A plain resident shuffle of materialised records knows its volume:
@@ -164,13 +164,11 @@ type shuffleState struct {
 // partition through the edge's fused Map chain, routes what leaves the chain
 // into per-target accumulators — the target the key fields hash to, or every
 // target on a broadcast edge — and hands each full accumulator to the
-// transport session. The plain sender accumulates record.Batch units and
-// ships them as they are. The combining sender accumulates ColBatches —
-// typed column arrays with dictionary-coded strings, the routing hash
-// cached per row so the grouping pass never re-hashes — and applies the
-// combiner to each before flushing it into a fresh pooled record.Batch, so
-// it ships at most one record per (group key, target) per flush window and
-// the collectors cannot tell the two apart.
+// transport session. The plain sender ships each record.Batch as it is; the
+// combining sender groups it by key (hashGroups) and ships, in a fresh
+// pooled record.Batch, what the combiner makes of each group — at most one
+// record per (group key, target) per flush window, so the collectors
+// cannot tell the two apart.
 type sender struct {
 	e         *Engine
 	st        *shuffleState
@@ -179,10 +177,7 @@ type sender struct {
 	combiner  *dataflow.Operator // nil: plain
 	combine   *tac.Runner        // the combiner's Runner, one per sender
 
-	// One accumulator slot per target: rows fill on a plain sender, cols
-	// on a combining one.
-	rows []*record.Batch
-	cols []*record.ColBatch
+	batches []*record.Batch // one accumulator per target
 
 	chain         []opCount // the fused chain's per-level counts
 	routed        int       // records routed so far: what left the chain, the operator's logical input
@@ -211,8 +206,8 @@ func (s *sender) run(ctx context.Context, part []record.Record, ed *edge) {
 	}
 	// Flush the partial tail accumulators (always non-empty: one is only
 	// allocated on first append).
-	for t := 0; err == nil && t < len(s.rows); t++ {
-		if s.rows[t] != nil || s.cols[t] != nil {
+	for t := 0; err == nil && t < len(s.batches); t++ {
+		if s.batches[t] != nil {
 			err = s.flush(t)
 		}
 	}
@@ -220,9 +215,8 @@ func (s *sender) run(ctx context.Context, part []record.Record, ed *edge) {
 		return
 	}
 	s.err = err
-	for t := range s.rows {
-		record.PutBatch(s.rows[t])
-		record.PutColBatch(s.cols[t])
+	for _, b := range s.batches {
+		record.PutBatch(b)
 	}
 }
 
@@ -231,38 +225,26 @@ func (s *sender) run(ctx context.Context, part []record.Record, ed *edge) {
 func (s *sender) route(r record.Record) error {
 	s.routed++
 	if s.broadcast {
-		for t := range s.rows {
-			if err := s.add(t, r, 0); err != nil {
+		for t := range s.batches {
+			if err := s.add(t, r); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	h := r.Hash(s.keys)
-	return s.add(int(h%uint64(len(s.rows))), r, h)
+	return s.add(int(r.Hash(s.keys)%uint64(len(s.batches))), r)
 }
 
 // add appends one record to target t's accumulator and flushes the
-// accumulator when full; h is the record's key hash, for the combiner.
-func (s *sender) add(t int, r record.Record, h uint64) error {
-	if s.combiner == nil {
-		b := s.rows[t]
-		if b == nil {
-			b = record.GetBatch()
-			s.rows[t] = b
-		}
-		if !b.Append(r) {
-			return nil
-		}
-	} else {
-		cb := s.cols[t]
-		if cb == nil {
-			cb = record.GetColBatch()
-			s.cols[t] = cb
-		}
-		if !cb.AppendWithHash(r, s.keys, h) {
-			return nil
-		}
+// accumulator when full.
+func (s *sender) add(t int, r record.Record) error {
+	b := s.batches[t]
+	if b == nil {
+		b = record.GetBatch()
+		s.batches[t] = b
+	}
+	if !b.Append(r) {
+		return nil
 	}
 	return s.flush(t)
 }
@@ -270,25 +252,38 @@ func (s *sender) add(t int, r record.Record, h uint64) error {
 // flush hands target t's accumulator to the transport session, combined
 // first when the sender combines. Ownership of the batch passes on Send.
 func (s *sender) flush(t int) error {
-	var b *record.Batch
-	if s.combiner == nil {
-		b, s.rows[t] = s.rows[t], nil
-	} else {
-		cb := s.cols[t]
-		s.cols[t] = nil
-		b = record.GetBatch()
-		calls, err := cb.CombineInto(s.keys, b, func(g record.ColGroup, emit func(record.Record) error) error {
-			return s.combine.Reduce(g, emit)
-		})
-		record.PutColBatch(cb)
-		if err != nil {
-			record.PutBatch(b)
+	b := s.batches[t]
+	s.batches[t] = nil
+	if s.combiner != nil {
+		var err error
+		if b, err = s.combineBatch(b); err != nil {
 			return s.combinerError(err)
 		}
-		s.combinerCalls += calls
 	}
 	s.bytes += b.EncodedSize()
 	return s.st.sh.Send(t, b)
+}
+
+// combineBatch recycles in and returns a pooled batch holding the
+// combiner's output for each of in's key groups. Each key appears at most
+// once in what it returns, so the order of the groups cannot change the
+// arrival order within any key downstream.
+func (s *sender) combineBatch(in *record.Batch) (*record.Batch, error) {
+	defer record.PutBatch(in)
+	out := record.GetBatch()
+	emit := func(r record.Record) error {
+		out.Append(r)
+		return nil
+	}
+	groups := hashGroups(in.Records(), s.keys)
+	for _, g := range groups {
+		if err := s.combine.Reduce(g, emit); err != nil {
+			record.PutBatch(out)
+			return nil, err
+		}
+	}
+	s.combinerCalls += len(groups)
+	return out, nil
 }
 
 func (s *sender) combinerError(err error) error {
@@ -385,7 +380,7 @@ func (e *Engine) collect(ctx context.Context, st *shuffleState, out Partitioned,
 		if sp.writeStart.IsZero() {
 			sp.writeStart = writeAt
 		}
-		e.sortRecs(buf, keys)
+		sortRecs(buf, keys)
 		if sp.file == nil {
 			if sp.file, sp.err = spill.CreateIn(e.fs(), e.SpillDir); sp.err != nil {
 				continue

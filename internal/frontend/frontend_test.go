@@ -159,7 +159,7 @@ reduce emitAll(g) {
 	f, _ := prog.Lookup("emitAll")
 	group := []record.Record{{record.Int(1)}, {record.Int(2)}, {record.Int(3)}}
 	out, err := collect(f, func(r *tac.Runner, emit func(record.Record) error) error {
-		return r.Reduce(tac.Records(group), emit)
+		return r.Reduce(group, emit)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ reduce stats(g) {
 		{record.Int(7), record.Int(20)},
 	}
 	out, err := collect(f, func(r *tac.Runner, emit func(record.Record) error) error {
-		return r.Reduce(tac.Records(group), emit)
+		return r.Reduce(group, emit)
 	})
 	if err != nil {
 		t.Fatal(err)

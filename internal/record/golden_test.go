@@ -14,7 +14,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden fixtures")
 // goldenRecords is the fixed fixture pinning the wire codec: one record per
 // interesting shape — every kind, empty record, empty string, negative and
 // boundary integers, non-integral/negative-zero/NaN floats, a ragged arity
-// run, and repeated strings (dictionary collisions in the columnar layout).
+// run, and repeated strings.
 func goldenRecords() []Record {
 	return []Record{
 		{},
@@ -29,7 +29,7 @@ func goldenRecords() []Record {
 }
 
 // TestGoldenWireCodec pins the record wire encoding to a committed byte
-// fixture: AppendEncoded (row and columnar) must reproduce it exactly, and
+// fixture: AppendEncoded must reproduce it exactly, and
 // DecodeRecords must invert it — so a layout change cannot land silently.
 func TestGoldenWireCodec(t *testing.T) {
 	recs := goldenRecords()
@@ -57,15 +57,6 @@ func TestGoldenWireCodec(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("wire encoding diverges from committed fixture\n got %x\nwant %x", got, want)
-	}
-
-	// Columnar encoding of the same records must be the same bytes.
-	cb := NewColBatch(DefaultBatchCap)
-	for _, r := range recs {
-		cb.Append(r)
-	}
-	if colGot := cb.AppendEncoded(nil); !bytes.Equal(colGot, want) {
-		t.Fatalf("columnar encoding diverges from fixture\n got %x\nwant %x", colGot, want)
 	}
 
 	// Decode must invert the fixture exactly (re-encoding reproduces it).

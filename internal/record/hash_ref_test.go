@@ -11,7 +11,7 @@ import (
 // reference the unrolled implementation must match bit for bit: hash values
 // determine shuffle routing, and routing determines which partition — and
 // therefore which position in the flattened output — every record lands in,
-// so a silent hash change would break the row/columnar differential suite's
+// so a silent hash change would break the differential suite's
 // byte-identity guarantee against historical outputs. It reads the value
 // through the public accessors only, and its one change from the seed is
 // that every NaN hashes as math.NaN(), so that NaNs, which are Equal, hash

@@ -273,8 +273,7 @@ func sign(x int) int {
 }
 
 // hashOffset and hashPrime are the FNV-1a parameters every engine hash is
-// built from (value hashes, record hashes, and the hash caches ColBatch
-// carries for the combining senders).
+// built from (value hashes and record hashes).
 const (
 	hashOffset uint64 = 14695981039346656037
 	hashPrime  uint64 = 1099511628211
@@ -312,7 +311,7 @@ const nanBits = 0x7ff8000000000001
 // Hash folds the value into a 64-bit FNV-1a style hash, used by hash
 // partitioning and hash joins. The byte sequence hashed is exactly the kind
 // tag followed by the little-endian payload (for a NaN, math.NaN()'s),
-// matching the pre-columnar implementation byte for byte (see
+// matching the seed's byte-at-a-time implementation (see
 // TestValueHashMatchesReference).
 func (v Value) Hash() uint64 {
 	switch v.kind {

@@ -38,8 +38,7 @@ func goldenRunRecords() []record.Record {
 // TestGoldenSpillFrameFormat pins the on-disk run format to a committed
 // fixture: WriteRun must reproduce the exact file bytes, and RunReader must
 // stream back records whose re-encoding matches the records written — so
-// the columnar flip (or any future writer change) cannot silently alter the
-// spill format.
+// a writer change cannot silently alter the spill format.
 func TestGoldenSpillFrameFormat(t *testing.T) {
 	dir := t.TempDir()
 	f, err := Create(dir)

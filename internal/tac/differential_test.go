@@ -35,15 +35,15 @@ import (
 type caller interface {
 	Map(record.Record, func(record.Record) error) error
 	Binary(record.Record, record.Record, func(record.Record) error) error
-	Reduce(tac.GroupSource, func(record.Record) error) error
-	CoGroup(tac.GroupSource, tac.GroupSource, func(record.Record) error) error
+	Reduce([]record.Record, func(record.Record) error) error
+	CoGroup([]record.Record, []record.Record, func(record.Record) error) error
 }
 
 // input is one call's arguments: the records of a Map or Binary call, the
 // groups of a Reduce or CoGroup call.
 type input struct {
 	recs   [2]record.Record
-	groups [2]tac.Records
+	groups [2][]record.Record
 }
 
 func (in input) clone() input {
@@ -264,8 +264,8 @@ func (g gen) record(maxWidth int) record.Record {
 // inputs builds n calls of every kind from the record pool.
 func (g gen) inputs(pool []record.Record, n int) []input {
 	pick := func() record.Record { return pool[g.rng.Intn(len(pool))] }
-	group := func() tac.Records {
-		var grp tac.Records
+	group := func() []record.Record {
+		var grp []record.Record
 		for k := g.rng.Intn(4); k > 0; k-- {
 			grp = append(grp, pick())
 		}
@@ -273,7 +273,7 @@ func (g gen) inputs(pool []record.Record, n int) []input {
 	}
 	ins := make([]input, n)
 	for i := range ins {
-		ins[i] = input{recs: [2]record.Record{pick(), pick()}, groups: [2]tac.Records{group(), group()}}
+		ins[i] = input{recs: [2]record.Record{pick(), pick()}, groups: [2][]record.Record{group(), group()}}
 	}
 	return ins
 }

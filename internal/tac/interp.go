@@ -11,29 +11,6 @@ import (
 // may execute, guarding against non-terminating user code.
 const DefaultStepLimit = 10_000_000
 
-// GroupSource is the interpreter's view of one key group. The group
-// operations need only three capabilities — the group's size, cell access
-// for aggregation, and row materialization for OpGroupGet — so a columnar
-// execution layer can hand the interpreter a view over its column arrays
-// (record.ColGroup) and OpAgg walks the columns directly: no Record is
-// boxed per group member, only the rows the UDF explicitly asks for.
-// Materialized []record.Record groups adapt via Records.
-type GroupSource interface {
-	// Len returns the number of records in the group.
-	Len() int
-	// At materializes the i-th record (arrival order within the group).
-	At(i int) record.Record
-	// Field returns field f of the i-th record without materializing it.
-	Field(i, f int) record.Value
-}
-
-// Records adapts a materialized row group to GroupSource.
-type Records []record.Record
-
-func (g Records) Len() int                    { return len(g) }
-func (g Records) At(i int) record.Record      { return g[i] }
-func (g Records) Field(i, f int) record.Value { return g[i].Field(f) }
-
 // Runner is the one way to call a UDF: it binds one function of one kind
 // and runs the program NewProgram lowered that function to, at most
 // DefaultStepLimit instructions per call, over the runner's own registers
@@ -75,10 +52,8 @@ func (r *Runner) Binary(left, right record.Record, emit func(record.Record) erro
 	return r.run()
 }
 
-// Reduce calls a reduce-kind UDF on one key group. Aggregation opcodes read
-// cells through the source, so a columnar group (record.ColGroup)
-// aggregates without materializing its rows.
-func (r *Runner) Reduce(group GroupSource, emit func(record.Record) error) error {
+// Reduce calls a reduce-kind UDF on one key group.
+func (r *Runner) Reduce(group []record.Record, emit func(record.Record) error) error {
 	r.rg.reset(emit)
 	r.rg.groups[0] = group
 	return r.run()
@@ -86,7 +61,7 @@ func (r *Runner) Reduce(group GroupSource, emit func(record.Record) error) error
 
 // CoGroup calls a cogroup-kind UDF on a pair of key groups (either may be
 // empty).
-func (r *Runner) CoGroup(left, right GroupSource, emit func(record.Record) error) error {
+func (r *Runner) CoGroup(left, right []record.Record, emit func(record.Record) error) error {
 	r.rg.reset(emit)
 	r.rg.groups[0], r.rg.groups[1] = left, right
 	return r.run()
@@ -228,23 +203,20 @@ func evalUn(op UnOp, a record.Value) (record.Value, error) {
 	}
 }
 
-// evalAgg aggregates one field over a group. Cells are read through the
-// GroupSource, so a columnar group aggregates straight over its column
-// arrays — no row is materialized for any aggregate. The semantics are the
-// row path's, unchanged: an all-int sum stays integral, everything else
-// coerces through AsFloat, min/max use Value.Compare, and an empty group
-// yields Null for every aggregate but count.
-func evalAgg(op AggOp, g GroupSource, field int) (record.Value, error) {
-	n := g.Len()
+// evalAgg aggregates one field over a group: an all-int sum stays
+// integral, everything else coerces through AsFloat, min/max use
+// Value.Compare, and an empty group yields Null for every aggregate but
+// count.
+func evalAgg(op AggOp, g []record.Record, field int) (record.Value, error) {
 	if op == AggCount {
-		return record.Int(int64(n)), nil
+		return record.Int(int64(len(g))), nil
 	}
-	if n == 0 {
+	if len(g) == 0 {
 		return record.Null, nil
 	}
 	allInt := true
-	for i := 0; i < n; i++ {
-		if g.Field(i, field).Kind() != record.KindInt {
+	for _, r := range g {
+		if r.Field(field).Kind() != record.KindInt {
 			allInt = false
 			break
 		}
@@ -253,23 +225,23 @@ func evalAgg(op AggOp, g GroupSource, field int) (record.Value, error) {
 	case AggSum, AggAvg:
 		if allInt && op == AggSum {
 			var s int64
-			for i := 0; i < n; i++ {
-				s += g.Field(i, field).AsInt()
+			for _, r := range g {
+				s += r.Field(field).AsInt()
 			}
 			return record.Int(s), nil
 		}
 		var s float64
-		for i := 0; i < n; i++ {
-			s += g.Field(i, field).AsFloat()
+		for _, r := range g {
+			s += r.Field(field).AsFloat()
 		}
 		if op == AggAvg {
-			return record.Float(s / float64(n)), nil
+			return record.Float(s / float64(len(g))), nil
 		}
 		return record.Float(s), nil
 	case AggMin, AggMax:
-		best := g.Field(0, field)
-		for i := 1; i < n; i++ {
-			v := g.Field(i, field)
+		best := g[0].Field(field)
+		for _, r := range g[1:] {
+			v := r.Field(field)
 			if (op == AggMin && v.Compare(best) < 0) || (op == AggMax && v.Compare(best) > 0) {
 				best = v
 			}

@@ -29,7 +29,7 @@ type rtVal struct {
 	kind rtKind
 	s    record.Value
 	rec  record.Record
-	grp  GroupSource
+	grp  []record.Record
 }
 
 // frame is one invocation's variable store, indexed by the slots the
@@ -105,11 +105,11 @@ func (r *refRunner) Binary(left, right record.Record, emit func(record.Record) e
 	return r.call(emit, rtVal{kind: rtRecord, rec: left}, rtVal{kind: rtRecord, rec: right})
 }
 
-func (r *refRunner) Reduce(group GroupSource, emit func(record.Record) error) error {
+func (r *refRunner) Reduce(group []record.Record, emit func(record.Record) error) error {
 	return r.call(emit, rtVal{kind: rtGroup, grp: group})
 }
 
-func (r *refRunner) CoGroup(left, right GroupSource, emit func(record.Record) error) error {
+func (r *refRunner) CoGroup(left, right []record.Record, emit func(record.Record) error) error {
 	return r.call(emit, rtVal{kind: rtGroup, grp: left}, rtVal{kind: rtGroup, grp: right})
 }
 
@@ -243,7 +243,7 @@ func runEmit(f *Func, limit int, sl []refSlots, fr *frame, emit func(record.Reco
 			if err != nil {
 				return err
 			}
-			fr.def(s.dst, rtVal{kind: rtScalar, s: record.Int(int64(g.Len()))})
+			fr.def(s.dst, rtVal{kind: rtScalar, s: record.Int(int64(len(g)))})
 
 		case OpGroupGet:
 			g, err := fr.grp(s.group, in.Group, in)
@@ -255,10 +255,10 @@ func runEmit(f *Func, limit int, sl []refSlots, fr *frame, emit func(record.Reco
 				return err
 			}
 			i := int(iv.AsInt())
-			if i < 0 || i >= g.Len() {
-				return fmt.Errorf("%s: groupget index %d out of range [0,%d)", in.at(f.Name), i, g.Len())
+			if i < 0 || i >= len(g) {
+				return fmt.Errorf("%s: groupget index %d out of range [0,%d)", in.at(f.Name), i, len(g))
 			}
-			fr.def(s.dst, rtVal{kind: rtRecord, rec: g.At(i)})
+			fr.def(s.dst, rtVal{kind: rtRecord, rec: g[i]})
 
 		case OpAgg:
 			g, err := fr.grp(s.group, in.Group, in)
@@ -305,7 +305,7 @@ func (fr *frame) rec(slot int, name string, in *Instr) (record.Record, error) {
 	return v.rec, nil
 }
 
-func (fr *frame) grp(slot int, name string, in *Instr) (GroupSource, error) {
+func (fr *frame) grp(slot int, name string, in *Instr) ([]record.Record, error) {
 	if slot < 0 || !fr.set[slot] {
 		return nil, fmt.Errorf("%s: use of undefined group %s", in.at(fr.fn), name)
 	}

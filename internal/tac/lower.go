@@ -67,7 +67,7 @@ type regs struct {
 	defined []bool // per scalar slot
 	recs    []record.Record
 	state   []uint8 // per record slot
-	groups  []GroupSource
+	groups  [][]record.Record
 	emit    func(record.Record) error
 }
 
@@ -77,7 +77,7 @@ func (p *program) newRegs() regs {
 		defined: make([]bool, p.scalars),
 		recs:    make([]record.Record, p.records),
 		state:   make([]uint8, p.records),
-		groups:  make([]GroupSource, p.groups),
+		groups:  make([][]record.Record, p.groups),
 	}
 }
 
@@ -536,7 +536,7 @@ func execIfOrderInts(r *Runner, o *op) (int, error) {
 }
 
 func execGroupSize(r *Runner, o *op) (int, error) {
-	r.rg.setScalar(o.dst, record.Int(int64(r.rg.groups[o.grp].Len())))
+	r.rg.setScalar(o.dst, record.Int(int64(len(r.rg.groups[o.grp]))))
 	return int(o.next), nil
 }
 
@@ -547,10 +547,10 @@ func execGroupGet(r *Runner, o *op) (int, error) {
 		return 0, err
 	}
 	i := int(iv.AsInt())
-	if i < 0 || i >= g.Len() {
-		return 0, fmt.Errorf("%s: groupget index %d out of range [0,%d)", o.in.at(r.f.Name), i, g.Len())
+	if i < 0 || i >= len(g) {
+		return 0, fmt.Errorf("%s: groupget index %d out of range [0,%d)", o.in.at(r.f.Name), i, len(g))
 	}
-	r.rg.setRec(o.dst, g.At(i), recShared)
+	r.rg.setRec(o.dst, g[i], recShared)
 	return int(o.next), nil
 }
 

@@ -54,7 +54,7 @@ func map copywiden($ir) {
 }`)
 	in := record.Record{record.Int(2), record.Int(-3)}
 	right := record.Record{record.Null, record.Null, record.Int(7)}
-	group := GroupSource(Records{in, in, in})
+	group := []record.Record{in, in, in}
 	sink := func(record.Record) error { return nil }
 	for _, c := range []struct {
 		udf  string
@@ -176,7 +176,7 @@ END: return
 			case KindBinary:
 				return r.Binary(in, in, emit)
 			}
-			return r.Reduce(Records{in}, emit)
+			return r.Reduce([]record.Record{in}, emit)
 		})
 		if err == nil || err.Error() != c.want {
 			t.Errorf("err = %v, want %q\n%s", err, c.want, f)

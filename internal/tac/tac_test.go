@@ -65,7 +65,7 @@ func collectMap(f *Func, in record.Record) ([]record.Record, error) {
 }
 
 func collectReduce(f *Func, g []record.Record) ([]record.Record, error) {
-	return collect(f, KindReduce, func(r *Runner, emit sinkFn) error { return r.Reduce(Records(g), emit) })
+	return collect(f, KindReduce, func(r *Runner, emit sinkFn) error { return r.Reduce(g, emit) })
 }
 
 func mustFunc(t *testing.T, p *Program, name string) *Func {
@@ -333,7 +333,7 @@ SKIP: return
 	g2 := []record.Record{{record.Int(9)}, {record.Int(8)}}
 	cg := func(l, r []record.Record) ([]record.Record, error) {
 		return collect(f, KindCoGroup, func(run *Runner, emit sinkFn) error {
-			return run.CoGroup(Records(l), Records(r), emit)
+			return run.CoGroup(l, r, emit)
 		})
 	}
 	out, err := cg(g1, g2)
@@ -599,7 +599,7 @@ func TestEvalAggOps(t *testing.T) {
 	}
 	check := func(op AggOp, want record.Value) {
 		t.Helper()
-		got, err := evalAgg(op, Records(g), 1)
+		got, err := evalAgg(op, g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -612,10 +612,10 @@ func TestEvalAggOps(t *testing.T) {
 	check(AggMin, record.Int(3))
 	check(AggMax, record.Int(8))
 	check(AggAvg, record.Float(16.0/3.0))
-	if v, _ := evalAgg(AggSum, Records(nil), 0); !v.IsNull() {
+	if v, _ := evalAgg(AggSum, nil, 0); !v.IsNull() {
 		t.Error("sum of empty group should be Null")
 	}
-	if v, _ := evalAgg(AggCount, Records(nil), 0); v.AsInt() != 0 {
+	if v, _ := evalAgg(AggCount, nil, 0); v.AsInt() != 0 {
 		t.Error("count of empty group should be 0")
 	}
 }
@@ -778,7 +778,7 @@ func map bad($ir) {
 	$x := 1 / 0
 }`)
 	rec := record.Record{record.Int(1)}
-	grp := Records{rec}
+	grp := []record.Record{rec}
 	calls := map[string]func(*Runner, sinkFn) error{
 		"m": func(r *Runner, emit sinkFn) error { return r.Map(rec, emit) },
 		"b": func(r *Runner, emit sinkFn) error { return r.Binary(rec, rec, emit) },
