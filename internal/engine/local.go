@@ -257,13 +257,28 @@ func sortRecs(recs []record.Record, keys []int) {
 // hashGroups groups a partition by key fields through a keyIndex and lays
 // the groups out in canonical order.
 func hashGroups(part []record.Record, keys []int) [][]record.Record {
-	x := newKeyIndex(part, keys)
-	order := make([]int32, len(x.head))
-	for g := range order {
-		order[g] = int32(g)
+	var g grouper
+	return g.groups(part, keys)
+}
+
+// grouper is hashGroups with its arrays kept between calls: the keyIndex,
+// the group order and the layout are reset, not rebuilt, so a caller that
+// groups batch after batch — the combining sender — allocates only when a
+// batch outgrows the last. The groups it returns live until the next call.
+type grouper struct {
+	x     keyIndex
+	order []int32
+	lay   layoutBuf
+}
+
+func (g *grouper) groups(part []record.Record, keys []int) [][]record.Record {
+	g.x.index(part, keys)
+	g.order = sized(g.order, len(g.x.head))
+	for i := range g.order {
+		g.order[i] = int32(i)
 	}
-	x.sortGroups(order)
-	return layout(part, x.ids, x.size, order)
+	g.x.sortGroups(g.order)
+	return g.lay.layout(part, g.x.ids, g.x.size, g.order)
 }
 
 // hashJoin runs partition i of a hash join whose sides are both resident:
@@ -272,7 +287,8 @@ func hashGroups(part []record.Record, keys []int) [][]record.Record {
 // matched probe records in arrival order — to matchAligned. Probe records
 // that match nothing are neither laid out nor sorted.
 func (e *Engine) hashJoin(ctx context.Context, op *dataflow.Operator, in []edge, build, i int, emit func(record.Record) error) (int, error) {
-	x := newKeyIndex(in[build].data[i], in[build].keys)
+	var x keyIndex
+	x.index(in[build].data[i], in[build].keys)
 	recs, keys := in[1-build].data[i], in[1-build].keys
 	ids := make([]int32, len(recs))
 	sizes := make([]int32, len(x.head))
@@ -290,8 +306,9 @@ func (e *Engine) hashJoin(ctx context.Context, op *dataflow.Operator, in []edge,
 	}
 	x.sortGroups(matched)
 	var sides [2]groupCursor
-	sides[build] = &memGroupCursor{groups: layout(x.recs, x.ids, x.size, matched)}
-	sides[1-build] = &memGroupCursor{groups: layout(recs, ids, sizes, matched)}
+	var lays [2]layoutBuf
+	sides[build] = &memGroupCursor{groups: lays[0].layout(x.recs, x.ids, x.size, matched)}
+	sides[1-build] = &memGroupCursor{groups: lays[1].layout(recs, ids, sizes, matched)}
 	return e.matchAligned(ctx, op, sides[0], sides[1], emit)
 }
 
@@ -299,7 +316,8 @@ func (e *Engine) hashJoin(ctx context.Context, op *dataflow.Operator, in []edge,
 // open-addressing table of group ids over Record.Hash, a hit confirmed by
 // comparing keys with the group's first record, and per-group and
 // per-record int32 arrays sized once — its allocations do not grow with
-// records or groups. Group ids number the groups in order of first arrival.
+// records or groups, and re-indexing reuses them. Group ids number the
+// groups in order of first arrival.
 type keyIndex struct {
 	recs  []record.Record
 	keys  []int
@@ -311,15 +329,14 @@ type keyIndex struct {
 	ids   []int32  // per record: its group
 }
 
-func newKeyIndex(recs []record.Record, keys []int) *keyIndex {
+// index groups recs by keys, replacing what x indexed before.
+func (x *keyIndex) index(recs []record.Record, keys []int) {
 	n := len(recs)
 	lg := bits.Len(uint(2 * n)) // a table over twice n slots keeps probes short
-	x := &keyIndex{
-		recs: recs, keys: keys,
-		slots: make([]int32, 1<<lg), shift: uint(64 - lg),
-		hash: make([]uint64, 0, n), head: make([]int32, 0, n), size: make([]int32, 0, n),
-		ids: make([]int32, n),
-	}
+	x.recs, x.keys = recs, keys
+	x.slots, x.shift = sized(x.slots, 1<<lg), uint(64-lg)
+	x.hash, x.head, x.size = slices.Grow(x.hash[:0], n), slices.Grow(x.head[:0], n), slices.Grow(x.size[:0], n)
+	x.ids = sized(x.ids, n)
 	for i, r := range recs {
 		h := r.Hash(keys)
 		g, s := x.find(h, r, keys)
@@ -333,7 +350,17 @@ func newKeyIndex(recs []record.Record, keys []int) *keyIndex {
 		x.ids[i] = g
 		x.size[g]++
 	}
-	return x
+}
+
+// sized returns s resized to n zeros, in its own array when that is large
+// enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // start is h's home slot. Fibonacci hashing takes the top bits of a
@@ -366,29 +393,37 @@ func (x *keyIndex) sortGroups(gs []int32) {
 	})
 }
 
+// layoutBuf holds layout's arrays; its next layout reuses them.
+type layoutBuf struct {
+	next []int32 // per group in order: 1 + its next flat position
+	flat []record.Record
+	out  [][]record.Record
+}
+
 // layout copies the records of the groups in order into one flat slice,
 // group after group, each in arrival order, and returns one sub-slice per
 // group. Record j belongs to group ids[j] (none if negative), sizes counts
 // each group's records, and records of groups not in order are dropped.
-func layout(recs []record.Record, ids, sizes, order []int32) [][]record.Record {
-	next := make([]int32, len(sizes)) // per group in order: 1 + its next flat position
+func (b *layoutBuf) layout(recs []record.Record, ids, sizes, order []int32) [][]record.Record {
+	b.next = sized(b.next, len(sizes))
 	total := int32(0)
 	for _, g := range order {
-		next[g] = total + 1
+		b.next[g] = total + 1
 		total += sizes[g]
 	}
-	flat := make([]record.Record, total)
+	b.flat = sized(b.flat, int(total))
 	for j, r := range recs {
-		if g := ids[j]; g >= 0 && next[g] > 0 {
-			flat[next[g]-1] = r
-			next[g]++
+		if g := ids[j]; g >= 0 && b.next[g] > 0 {
+			b.flat[b.next[g]-1] = r
+			b.next[g]++
 		}
 	}
-	out := make([][]record.Record, len(order))
+	b.out = sized(b.out, len(order))
+	flat := b.flat
 	for k, g := range order {
-		out[k], flat = flat[:sizes[g]], flat[sizes[g]:]
+		b.out[k], flat = flat[:sizes[g]], flat[sizes[g]:]
 	}
-	return out
+	return b.out
 }
 
 // reduceGroups applies the Reduce UDF once per key group of the stream.

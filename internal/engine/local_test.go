@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -313,6 +314,9 @@ func TestHashGroupsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	// The first collection starts the collector's worker goroutines, whose
+	// allocations AllocsPerRun would count against the first input here.
+	runtime.GC()
 	const n = 10000
 	keys := []int{0}
 	var counts []float64
@@ -366,6 +370,50 @@ func TestHashJoinAllocsIgnoreUnmatchedProbes(t *testing.T) {
 		}
 		if counts[0] != counts[1] || counts[1] != counts[2] {
 			t.Errorf("build=%d: hash join allocations %v grow with unmatched probe records", build, counts)
+		}
+	}
+}
+
+// TestHashJoinAllocsPerMatchedPair pins the matched side of the resident
+// concat hash join: every joined pair builds one record, carved from the
+// Match Runner's chunk, so the join allocates about once per 64 pairs (a
+// chunk holds 64 of these 4-field records), not once per pair. Each probe
+// record matches exactly one build key, as a foreign key matches its
+// primary key.
+func TestHashJoinAllocsPerMatchedPair(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	op := &dataflow.Operator{Name: "J", Kind: dataflow.KindMatch, UDF: getUDF(t, strategyProgram, "jn"), Keys: [][]int{{0}, {2}}}
+	e := New(1)
+	discard := func(record.Record) error { return nil }
+	const keys = 1000
+	pairs := []int{1000, 10000, 100000}
+	for build := 0; build < 2; build++ {
+		var counts []float64
+		for _, n := range pairs {
+			lKeys := make([]record.Value, keys)
+			for i := range lKeys {
+				lKeys[i] = record.Int(int64(i))
+			}
+			rKeys := make([]record.Value, n)
+			for i := range rKeys {
+				rKeys[i] = record.Int(int64(i % keys))
+			}
+			src := strategySides(lKeys, rKeys)
+			in := []edge{{data: Partitioned{src["L"]}, keys: op.Keys[0]}, {data: Partitioned{src["R"]}, keys: op.Keys[1]}}
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := e.hashJoin(t.Context(), op, in, build, 0, discard); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("build=%d, %d matched pairs: %.0f allocations", build, n, allocs)
+			counts = append(counts, allocs)
+		}
+		for k := 1; k < len(pairs); k++ {
+			if grew := counts[k] - counts[0]; grew > float64(pairs[k]-pairs[0])/32 {
+				t.Errorf("build=%d: %d more matched pairs cost %.0f more allocations, want at most one per 32 pairs", build, pairs[k]-pairs[0], grew)
+			}
 		}
 	}
 }

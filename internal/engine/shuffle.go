@@ -165,7 +165,7 @@ type shuffleState struct {
 // into per-target accumulators — the target the key fields hash to, or every
 // target on a broadcast edge — and hands each full accumulator to the
 // transport session. The plain sender ships each record.Batch as it is; the
-// combining sender groups it by key (hashGroups) and ships, in a fresh
+// combining sender groups it by key (its grouper) and ships, in a fresh
 // pooled record.Batch, what the combiner makes of each group — at most one
 // record per (group key, target) per flush window, so the collectors
 // cannot tell the two apart.
@@ -176,6 +176,7 @@ type sender struct {
 	broadcast bool               // every record goes to every target
 	combiner  *dataflow.Operator // nil: plain
 	combine   *tac.Runner        // the combiner's Runner, one per sender
+	grouper   grouper            // groups each flushed batch, its arrays reused
 
 	batches []*record.Batch // one accumulator per target
 
@@ -275,7 +276,7 @@ func (s *sender) combineBatch(in *record.Batch) (*record.Batch, error) {
 		out.Append(r)
 		return nil
 	}
-	groups := hashGroups(in.Records(), s.keys)
+	groups := s.grouper.groups(in.Records(), s.keys)
 	for _, g := range groups {
 		if err := s.combine.Reduce(g, emit); err != nil {
 			record.PutBatch(out)

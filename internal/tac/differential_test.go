@@ -1,6 +1,7 @@
 package tac_test
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -14,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/frontend"
@@ -133,15 +135,30 @@ func sameInput(a, b input) bool {
 	return true
 }
 
-// shares reports whether two records are the same storage.
-func shares(a, b record.Record) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+// span is the storage a record can reach, [0, cap), as addresses.
+func span(r record.Record) (lo, hi uintptr) {
+	if cap(r) == 0 {
+		return 0, 0
+	}
+	lo = uintptr(unsafe.Pointer(unsafe.SliceData(r)))
+	return lo, lo + uintptr(cap(r))*unsafe.Sizeof(record.Value{})
+}
+
+// shares reports whether two records' storage overlaps.
+func shares(a, b record.Record) bool {
+	alo, ahi := span(a)
+	blo, bhi := span(b)
+	return alo < bhi && blo < ahi
+}
 
 // pair is one function under both implementations at one step limit, each
-// runner reused across calls the way the engine reuses them.
+// runner reused across calls the way the engine reuses them. It keeps every
+// record the Runner emitted, with its snapshot, for recheck.
 type pair struct {
-	f        *tac.Func
-	limit    int
-	low, ref caller
+	f         *tac.Func
+	limit     int
+	low, ref  caller
+	out, snap []record.Record
 }
 
 func newPair(t testing.TB, f *tac.Func, limit int) *pair {
@@ -182,18 +199,47 @@ func (p *pair) check(t testing.TB, in input, failAt int) bool {
 		if !sameRecord(got.out[i], got.snap[i]) {
 			t.Fatalf("%s: record %d changed after it was emitted: %v, emitted as %v", where(), i, got.out[i], got.snap[i])
 		}
-		for j := 0; j < i; j++ {
-			if shares(got.out[i], got.out[j]) {
-				t.Fatalf("%s: records %d and %d share storage", where(), j, i)
-			}
-		}
 		for _, r := range append(in.recs[:], append(in.groups[0], in.groups[1]...)...) {
 			if shares(got.out[i], r) {
 				t.Fatalf("%s: record %d shares storage with an input", where(), i)
 			}
 		}
 	}
+	p.out, p.snap = append(p.out, got.out...), append(p.snap, got.snap...)
 	return strings.Contains(got.err, "exceeded step limit")
+}
+
+// recheck runs after the pair's last call: every record the Runner emitted
+// in any call still holds what it was emitted with, and no two share
+// storage — the records of later calls are carved from the same chunks.
+func (p *pair) recheck(t testing.TB) {
+	t.Helper()
+	for i, r := range p.out {
+		if !sameRecord(r, p.snap[i]) {
+			t.Fatalf("%s (limit %d): emitted record %d changed by a later call: %v, emitted as %v\n%s", p.f.Name, p.limit, i, r, p.snap[i], p.f)
+		}
+	}
+	// In order of their first address, a record overlaps an earlier one
+	// exactly when it starts below the furthest end seen so far.
+	order := make([]int, len(p.out))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		alo, _ := span(p.out[a])
+		blo, _ := span(p.out[b])
+		return cmp.Compare(alo, blo)
+	})
+	far, end := -1, uintptr(0) // the record reaching furthest so far, and its end
+	for _, i := range order {
+		lo, hi := span(p.out[i])
+		if lo < end {
+			t.Fatalf("%s (limit %d): emitted records %d and %d share storage\n%s", p.f.Name, p.limit, far, i, p.f)
+		}
+		if hi > end {
+			far, end = i, hi
+		}
+	}
 }
 
 // limits are the step limits every function is compared at.
@@ -221,6 +267,7 @@ func compareFunc(t testing.TB, f *tac.Func, ins []input, deflt int) {
 				p.check(t, in, 1)
 			}
 		}
+		p.recheck(t)
 	}
 }
 

@@ -14,10 +14,12 @@ const DefaultStepLimit = 10_000_000
 // Runner is the one way to call a UDF: it binds one function of one kind
 // and runs the program NewProgram lowered that function to, at most
 // DefaultStepLimit instructions per call, over the runner's own registers
-// — reused across calls, so a steady-state call allocates nothing beyond
-// the records the UDF itself builds — handing every output record to the
-// emit sink of the call (the sink may retain it: the UDF never writes a
-// record after emitting it). Map, Binary, Reduce and CoGroup are the four
+// — reused across calls, so a steady-state call allocates nothing — handing
+// every output record to the emit sink of the call (the sink may retain it:
+// the UDF never writes a record after emitting it). The records a call
+// builds are carved from a chunk of Values the runner owns, one chunk
+// allocation serving many calls; a retained record keeps its chunk (at most
+// 6 KiB) alive. Map, Binary, Reduce and CoGroup are the four
 // argument shapes of that one call; the kind checked at NewRunner says
 // which of them the runner's owner uses. An error returned by emit aborts
 // the call and is reported verbatim — distinguish it from a UDF error with

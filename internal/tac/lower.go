@@ -54,6 +54,7 @@ type recRef struct {
 // Every other record — a parameter, a groupget result, one already emitted —
 // is copied first. A record is built once, with room for the fields its
 // variable's static setfields reach, so widening it never copies again.
+// Every record a call builds is carved from the runner's chunk (see carve).
 const (
 	recUndef uint8 = iota
 	recShared
@@ -61,7 +62,8 @@ const (
 )
 
 // regs is one Runner's call state: the typed slots, which of them are
-// defined, and the emit sink of the current call.
+// defined, the emit sink of the current call, and the chunk the records it
+// builds are carved from, which outlives the call.
 type regs struct {
 	scalars []record.Value
 	defined []bool // per scalar slot
@@ -69,7 +71,20 @@ type regs struct {
 	state   []uint8 // per record slot
 	groups  [][]record.Record
 	emit    func(record.Record) error
+	chunk   []record.Value // chunk[used:] is not carved yet, so all Null
+	used    int
 }
+
+// Chunk sizes in Values: a runner's first chunk holds chunkMin, each next
+// one twice the last, up to chunkMax. The records a runner builds are
+// transient — most die at the next operator — so a small cap bounds what a
+// surviving record pins (chunkMax Values, 6 KiB) while one allocation
+// still serves 16 of Q7's widest records. Ingest's row slabs grow far
+// larger because a source's rows stay cached together.
+const (
+	chunkMin = 64
+	chunkMax = 256
+)
 
 func (p *program) newRegs() regs {
 	return regs{
@@ -434,22 +449,38 @@ func execSetField(r *Runner, o *op) (int, error) {
 	if rg.state[s] == recOwned && field < cap(rec) {
 		rec = rec[:max(len(rec), field+1)] // the reserved room is Null
 	} else {
-		rec = built(rec, max(len(rec), field+1), o.width)
+		rec = rg.carve(rec, max(len(rec), field+1), o.width)
 	}
 	rec[field] = v
 	rg.setRec(s, rec, recOwned)
 	return int(o.next), nil
 }
 
-// built copies rec into a new record of n fields with room for c.
-func built(rec record.Record, n, c int) record.Record {
-	b := make(record.Record, n, max(n, c))
+// carve copies rec into a new record of n fields with room for c, cut from
+// the chunk: chunk[k : k+n : k+c]. A region is carved once and never
+// written after the call emits it, so records share a chunk but never
+// storage; a live record pins its chunk. A record wider than chunkMax gets
+// an array of its own.
+func (rg *regs) carve(rec record.Record, n, c int) record.Record {
+	c = max(n, c)
+	if rg.chunk == nil || rg.used+c > len(rg.chunk) {
+		size := min(max(2*len(rg.chunk), chunkMin), chunkMax)
+		if c > size {
+			b := make(record.Record, n, c)
+			copy(b, rec)
+			return b
+		}
+		rg.chunk, rg.used = make([]record.Value, size), 0
+	}
+	k := rg.used
+	b := rg.chunk[k : k+n : k+c]
+	rg.used += c
 	copy(b, rec)
 	return b
 }
 
 func execNewRec(r *Runner, o *op) (int, error) {
-	r.rg.setRec(o.dst, built(nil, 0, o.width), recOwned)
+	r.rg.setRec(o.dst, r.rg.carve(nil, 0, o.width), recOwned)
 	return int(o.next), nil
 }
 
@@ -458,7 +489,7 @@ func execCopyRec(r *Runner, o *op) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	r.rg.setRec(o.dst, built(rec, len(rec), o.width), recOwned)
+	r.rg.setRec(o.dst, r.rg.carve(rec, len(rec), o.width), recOwned)
 	return int(o.next), nil
 }
 
@@ -472,7 +503,7 @@ func execConcat(r *Runner, o *op) (int, error) {
 		return 0, err
 	}
 	// Merge's overlay, into the built record.
-	rec := built(r1, max(len(r1), len(r2)), o.width)
+	rec := r.rg.carve(r1, max(len(r1), len(r2)), o.width)
 	for i, v := range r2 {
 		if !v.IsNull() {
 			rec[i] = v
@@ -491,7 +522,7 @@ func execEmit(r *Runner, o *op) (int, error) {
 		r.rg.state[o.rec.slot] = recShared
 		rec = rec[:len(rec):len(rec)]
 	} else {
-		rec = rec.Clone()
+		rec = r.rg.carve(rec, len(rec), 0)
 	}
 	if err := r.rg.emit(rec); err != nil {
 		return 0, emitError{err: err}

@@ -6,13 +6,15 @@ import (
 	"blackboxflow/internal/record"
 )
 
-// TestRunnerAllocsPerCall pins the copies a call makes as counts, on the
-// three shapes of BenchmarkInterpreterMapCall: a record the call built is
-// handed to the sink as it is, so each shape allocates once — the copyrec,
-// the concat, the copyrec again — and emitting a parameter still clones it.
-// A record that setfields widen past its first width is still allocated
-// once: newrec then setfields out of order (Q7's sumVolume), and copyrec
-// then a setfield past the input's width.
+// TestRunnerAllocsPerCall pins what the records a call builds cost: each is
+// carved from the runner's chunk, so 1,000 calls allocate once per chunkMax
+// Values they carve (plus one for the chunk they start in), never once per
+// call. The shapes are BenchmarkInterpreterMapCall's three — a copyrec, a
+// concat, a copyrec again — plus emitting a parameter, which still copies
+// it, and two records that setfields widen past their first width, which
+// are built once at their reserved width: newrec then setfields out of
+// order (Q7's sumVolume, 16 Values a call), and copyrec then a setfield
+// past the input's width (6).
 func TestRunnerAllocsPerCall(t *testing.T) {
 	prog := MustParse(`
 func map f1($ir) {
@@ -56,28 +58,35 @@ func map copywiden($ir) {
 	right := record.Record{record.Null, record.Null, record.Int(7)}
 	group := []record.Record{in, in, in}
 	sink := func(record.Record) error { return nil }
+	const calls = 1000
 	for _, c := range []struct {
-		udf  string
-		call func(r *Runner) error
+		udf   string
+		width int // Values one call carves
+		call  func(r *Runner) error
 	}{
-		{"f1", func(r *Runner) error { return r.Map(in, sink) }},
-		{"jn", func(r *Runner) error { return r.Binary(in, right, sink) }},
-		{"sum", func(r *Runner) error { return r.Reduce(group, sink) }},
-		{"pass", func(r *Runner) error { return r.Map(in, sink) }},
-		{"widen", func(r *Runner) error { return r.Map(in, sink) }},
-		{"copywiden", func(r *Runner) error { return r.Map(in, sink) }},
+		{"f1", 2, func(r *Runner) error { return r.Map(in, sink) }},
+		{"jn", 3, func(r *Runner) error { return r.Binary(in, right, sink) }},
+		{"sum", 2, func(r *Runner) error { return r.Reduce(group, sink) }},
+		{"pass", 2, func(r *Runner) error { return r.Map(in, sink) }},
+		{"widen", 16, func(r *Runner) error { return r.Map(in, sink) }},
+		{"copywiden", 6, func(r *Runner) error { return r.Map(in, sink) }},
 	} {
 		f := mustFunc(t, prog, c.udf)
 		r, err := NewRunner(f, f.Kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(100, func() {
-			if err := c.call(r); err != nil {
-				t.Fatal(err)
+		// AllocsPerRun's warm-up run grows the chunk to chunkMax.
+		allocs := testing.AllocsPerRun(1, func() {
+			for range calls {
+				if err := c.call(r); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}); allocs != 1 {
-			t.Errorf("%s: %.1f allocations per call, want 1", c.udf, allocs)
+		})
+		t.Logf("%s: %d calls allocate %.0f times", c.udf, calls, allocs)
+		if want := float64((calls*c.width+chunkMax-1)/chunkMax + 1); allocs > want {
+			t.Errorf("%s: %d calls allocate %.0f times, want at most %.0f", c.udf, calls, allocs, want)
 		}
 	}
 }

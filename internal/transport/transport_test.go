@@ -237,10 +237,11 @@ func TestTCPConnDropSurfacesError(t *testing.T) {
 	}
 
 	// A clean run has 38 to 41 ops, depending on how loopback reads split.
-	// The thirds and halves of every such run (12-13, 19-20) are always
-	// swept, so the subtest names do not change from run to run; total-1
-	// still reaches this run's last op.
-	ats := []int64{1, 2, 12, 13, 19, 20, 37, total - 1}
+	// The thirds and halves of every such run (12-13, 19-20) and the last
+	// two ops of the shortest run (37-38) are always swept, so the subtest
+	// names do not change from run to run; total-1 still reaches this
+	// run's last op.
+	ats := []int64{1, 2, 12, 13, 19, 20, 37, 38, total - 1}
 	slices.Sort(ats)
 	for _, at := range slices.Compact(ats) {
 		t.Run(fmt.Sprintf("drop-at-%d", at), func(t *testing.T) {
