@@ -447,7 +447,7 @@ reduce sum(g) {
 		call      func(r *tac.Runner) error
 	}{
 		{"map", "f1", tac.KindMap, func(r *tac.Runner) error { return r.Map(in, sink) }},
-		{"binary", "jn", tac.KindBinary, func(r *tac.Runner) error { return r.Binary(in, right, sink) }},
+		{"binary", "jn", tac.KindBinary, func(r *tac.Runner) error { return r.Binary(in, right, 0, sink) }},
 		{"reduce", "sum", tac.KindReduce, func(r *tac.Runner) error { return r.Reduce(group, sink) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {

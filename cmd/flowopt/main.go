@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -32,13 +33,32 @@ import (
 )
 
 func main() {
-	task := flag.String("task", "q15", "task: q7, q15, clickstream, textmine")
-	mode := flag.String("mode", "sca", "annotation mode: sca or manual")
-	dop := flag.Int("dop", 4, "degree of parallelism")
-	budget := flag.Int("membudget", 0, "memory budget in bytes for grouping shuffle receivers (0 = unlimited); applied to both the cost model and the engine")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	action := flag.Arg(0)
+// run is flowopt on the given arguments: it returns the exit status — 0, 1
+// when the task cannot be built, planned or run, 2 for a usage error (a bad
+// flag, an unknown action, or any argument after the action).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flowopt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: flowopt -task q7|q15|clickstream|textmine [-mode sca|manual] [-dop N] [-membudget BYTES] udfs|effects|plans|optimize|run")
+		fs.PrintDefaults()
+	}
+	task := fs.String("task", "q15", "task: q7, q15, clickstream, textmine")
+	mode := fs.String("mode", "sca", "annotation mode: sca or manual")
+	dop := fs.Int("dop", 4, "degree of parallelism")
+	budget := fs.Int("membudget", 0, "memory budget in bytes for grouping shuffle receivers (0 = unlimited); applied to both the cost model and the engine")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 1 {
+		fmt.Fprintf(stderr, "flowopt: unexpected argument %q after the action; flags go before it\n", fs.Arg(1))
+		fs.Usage()
+		return 2
+	}
+	action := fs.Arg(0)
 	if action == "" {
 		action = "plans"
 	}
@@ -49,8 +69,8 @@ func main() {
 	}
 	flow, data, err := buildTask(*task, m)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	switch action {
@@ -59,14 +79,14 @@ func main() {
 		for _, op := range flow.Operators() {
 			if op.IsUDFOp() && !printed[op.UDF.Name] {
 				printed[op.UDF.Name] = true
-				fmt.Println(op.UDF)
+				fmt.Fprintln(stdout, op.UDF)
 			}
 		}
 
 	case "effects":
 		for _, op := range flow.Operators() {
 			if op.IsUDFOp() {
-				fmt.Printf("%-22s %s\n", op.Name, op.Effect)
+				fmt.Fprintf(stdout, "%-22s %s\n", op.Name, op.Effect)
 			}
 		}
 
@@ -74,30 +94,32 @@ func main() {
 		start := time.Now()
 		ranked, err := optimizer.Plan(flow, *dop, float64(*budget), optimizer.NetProfile{})
 		if err != nil {
-			fatal(err)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		planned, best := time.Since(start), ranked[0]
 		switch action {
 		case "plans":
 			tree, err := optimizer.FromFlow(flow)
 			if err != nil {
-				fatal(err)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
-			fmt.Printf("%d plans enumerated and costed in %v\n", len(ranked), planned.Round(time.Millisecond))
+			fmt.Fprintf(stdout, "%d plans enumerated and costed in %v\n", len(ranked), planned.Round(time.Millisecond))
 			show := ranked[:min(len(ranked), 20)]
 			for _, rp := range show {
 				marker := " "
 				if rp.Tree.Key() == tree.Key() {
 					marker = "*" // the implemented flow
 				}
-				fmt.Printf("%s rank %4d  cost %12.0f  %s\n", marker, rp.Rank, rp.Cost, rp.Tree)
+				fmt.Fprintf(stdout, "%s rank %4d  cost %12.0f  %s\n", marker, rp.Rank, rp.Cost, rp.Tree)
 			}
 			if len(ranked) > len(show) {
-				fmt.Printf("  ... %d more\n", len(ranked)-len(show))
+				fmt.Fprintf(stdout, "  ... %d more\n", len(ranked)-len(show))
 			}
 
 		case "optimize":
-			fmt.Printf("best of %d plans (cost %.0f):\n\n%s", len(ranked), best.Cost, best.Phys.Indent())
+			fmt.Fprintf(stdout, "best of %d plans (cost %.0f):\n\n%s", len(ranked), best.Cost, best.Phys.Indent())
 
 		case "run":
 			e := engine.New(*dop).WithMemoryBudget(*budget)
@@ -107,21 +129,18 @@ func main() {
 			start := time.Now()
 			out, stats, err := e.Run(best.Phys)
 			if err != nil {
-				fatal(err)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
-			fmt.Printf("plan: %s\n%d output records in %v\n\n%s",
+			fmt.Fprintf(stdout, "plan: %s\n%d output records in %v\n\n%s",
 				best.Tree, len(out), time.Since(start).Round(time.Millisecond), stats)
 		}
 
 	default:
-		fmt.Fprintf(os.Stderr, "unknown action %q\n", action)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown action %q\n", action)
+		return 2
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	return 0
 }
 
 func buildTask(task string, m workloads.Mode) (*dataflow.Flow, map[string]record.DataSet, error) {

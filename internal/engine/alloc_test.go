@@ -1,9 +1,14 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
+	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/frontend"
+	"blackboxflow/internal/optimizer"
+	"blackboxflow/internal/props"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/tac"
 )
@@ -91,7 +96,7 @@ reduce sum(g) {
 		call  func(r *tac.Runner) error
 	}{
 		{"double", tac.KindMap, 0, func(r *tac.Runner) error { return r.Map(in, sink) }},
-		{"jn", tac.KindBinary, 0, func(r *tac.Runner) error { return r.Binary(in, in, sink) }},
+		{"jn", tac.KindBinary, 0, func(r *tac.Runner) error { return r.Binary(in, in, 0, sink) }},
 		{"sum", tac.KindReduce, 0, func(r *tac.Runner) error { return r.Reduce(group, sink) }},
 	} {
 		fn, _ := prog.Lookup(c.name)
@@ -108,5 +113,108 @@ reduce sum(g) {
 		if allocs > c.floor {
 			t.Errorf("a %s call allocates %.1f times, want at most %.0f: the frame is reused and records come from the chunk", c.kind, allocs, c.floor)
 		}
+	}
+}
+
+// TestMatchChainReusesOwnedRecords pins the handover on the Q7 join path: k
+// foreign-key concat Matches on forward edges, each joining a broadcast
+// dimension into a probe record built by a chained Map, allocate about the
+// same bytes per probe record for k = 1 and k = 5. The Map carves each
+// probe record once with room for the plan's record width; every Match is
+// handed the record at its only pairing and widens it in place, so only the
+// per-operator record headers grow with k, not a copy of the record per
+// join. A probe record holds 64 fields; dimension j keys on field j and adds
+// field 64+j.
+func TestMatchChainReusesOwnedRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const (
+		n     = 4096 // probe records
+		keys  = 16   // per dimension
+		width = 64   // probe record fields
+	)
+	prog := frontend.MustCompile(`
+map pass(ir) {
+	emit ir
+}
+match concatJoin(l, r) {
+	o := concat(l, r)
+	emit o
+}`)
+	source := func(name string, attrs []int, recs record.DataSet) (*optimizer.PhysPlan, record.DataSet) {
+		return &optimizer.PhysPlan{
+			Op:    &dataflow.Operator{Name: name, Kind: dataflow.KindSource, SourceAttrs: props.NewFieldSet(attrs...)},
+			Local: optimizer.LocalScan,
+		}, recs
+	}
+	perRecord := func(k int) float64 {
+		probeAttrs := make([]int, width)
+		probe := make(record.DataSet, n)
+		for i := range probe {
+			r := make(record.Record, width)
+			for f := range r {
+				r[f] = record.Int(int64((i + f) % keys))
+			}
+			probe[i] = r
+		}
+		for f := range probeAttrs {
+			probeAttrs[f] = f
+		}
+		e := New(2)
+		node, data := source("P", probeAttrs, probe)
+		e.AddSource("P", data)
+		node = &optimizer.PhysPlan{
+			Op:     &dataflow.Operator{Name: "pass", Kind: dataflow.KindMap, UDF: getUDF(t, prog, "pass")},
+			Inputs: []*optimizer.PhysPlan{node}, Ship: []optimizer.Shipping{optimizer.ShipForward},
+			Local: optimizer.LocalPipe, Chained: true,
+		}
+		for j := 0; j < k; j++ {
+			dim := make(record.DataSet, keys)
+			for key := range dim {
+				r := make(record.Record, width+j+1)
+				r[j], r[width+j] = record.Int(int64(key)), record.Int(int64(key*10+j))
+				dim[key] = r
+			}
+			name := fmt.Sprintf("D%d", j)
+			d, data := source(name, []int{j, width + j}, dim)
+			e.AddSource(name, data)
+			node = &optimizer.PhysPlan{
+				Op: &dataflow.Operator{Name: fmt.Sprintf("J%d", j), Kind: dataflow.KindMatch,
+					UDF: getUDF(t, prog, "concatJoin"), Keys: [][]int{{j}, {j}}},
+				Inputs: []*optimizer.PhysPlan{node, d},
+				Ship:   []optimizer.Shipping{optimizer.ShipForward, optimizer.ShipBroadcast},
+				Local:  optimizer.LocalHashJoin, BuildSide: 1,
+			}
+		}
+		plan := &optimizer.PhysPlan{
+			Op:     &dataflow.Operator{Name: "out", Kind: dataflow.KindSink},
+			Inputs: []*optimizer.PhysPlan{node}, Ship: []optimizer.Shipping{optimizer.ShipForward},
+			Local: optimizer.LocalPipe,
+		}
+		run := func() {
+			out, _, err := e.Run(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != n || len(out[0]) != width+k {
+				t.Fatalf("k=%d: %d records of %d fields, want %d of %d", k, len(out), len(out[0]), n, width+k)
+			}
+		}
+		run()
+		runtime.GC()
+		var before, after runtime.MemStats
+		const runs = 5
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs / n
+	}
+	one, five := perRecord(1), perRecord(5)
+	t.Logf("bytes allocated per probe record: %.0f through 1 Match, %.0f through 5", one, five)
+	if five > 1.5*one {
+		t.Errorf("5 Matches allocate %.0f bytes per probe record, 1 Match %.0f: more than 1.5x, so the chain copies what it was handed", five, one)
 	}
 }

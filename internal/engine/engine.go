@@ -302,7 +302,7 @@ func (e *Engine) Run(plan *optimizer.PhysPlan) (record.DataSet, *RunStats, error
 // run; partial outputs are discarded.
 func (e *Engine) RunContext(ctx context.Context, plan *optimizer.PhysPlan) (record.DataSet, *RunStats, error) {
 	stats := &RunStats{}
-	out, err := e.exec(ctx, plan, stats)
+	out, err := e.exec(ctx, plan, stats, recordWidth(plan), 0)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -25,8 +25,9 @@ import (
 // some, or all partitions overflowed the memory budget. See DESIGN.md
 // ("Memory model & spilling").
 
-// local runs the operator's local strategy on every partition in parallel.
-func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge) (Partitioned, int, error) {
+// local runs the operator's local strategy on every partition in parallel,
+// the records its UDF builds reserving room fields.
+func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge, room int) (Partitioned, int, error) {
 	op := p.Op
 	switch op.Kind {
 	case dataflow.KindSource:
@@ -42,16 +43,20 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge) (P
 	case dataflow.KindMap:
 		// A Map that is an operator of its own is a chain of length one.
 		counts := make([]opCount, 1)
-		out, err := e.runChain(ctx, in[0].data, []*optimizer.PhysPlan{p}, counts)
+		out, err := e.runChain(ctx, in[0].data, []*optimizer.PhysPlan{p}, room, counts)
 		return out, counts[0].calls, err
 
 	case dataflow.KindReduce:
 		return fanOut(len(in[0].data), func(i int, emit func(record.Record) error) (int, error) {
+			udf, err := e.runner(op, tac.KindReduce, room)
+			if err != nil {
+				return 0, err
+			}
 			groups, err := e.sideGroups(&in[0], i, p.Local == optimizer.LocalHashGroup)
 			if err != nil {
 				return 0, err
 			}
-			return e.reduceGroups(ctx, op, groups, emit)
+			return reduceGroups(ctx, op, udf, groups, emit)
 		})
 
 	case dataflow.KindMatch, dataflow.KindCoGroup:
@@ -59,13 +64,17 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge) (P
 		// side; where either side spilled, both are read as group streams —
 		// the spilled one merging its sorted runs, as the merge join and the
 		// co-group always do.
-		align, hashed := e.coGroupAligned, false
+		kind, hashed := tac.KindCoGroup, false
 		if op.Kind == dataflow.KindMatch {
-			align, hashed = e.matchAligned, p.Local == optimizer.LocalHashJoin
+			kind, hashed = tac.KindBinary, p.Local == optimizer.LocalHashJoin
 		}
 		return fanOut(len(in[0].data), func(i int, emit func(record.Record) error) (int, error) {
+			udf, err := e.runner(op, kind, room)
+			if err != nil {
+				return 0, err
+			}
 			if hashed && !in[0].spilled(i) && !in[1].spilled(i) {
-				return e.hashJoin(ctx, op, in, p.BuildSide, i, emit)
+				return hashJoin(ctx, op, udf, in, p.BuildSide, i, emit)
 			}
 			l, err := e.sideGroups(&in[0], i, hashed)
 			if err != nil {
@@ -75,12 +84,15 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge) (P
 			if err != nil {
 				return 0, err
 			}
-			return align(ctx, op, l, r, emit)
+			if kind == tac.KindCoGroup {
+				return coGroupAligned(ctx, op, udf, l, r, emit)
+			}
+			return matchAligned(ctx, op, udf, l, r, handover(in), emit)
 		})
 
 	case dataflow.KindCross:
 		return fanOut(len(in[0].data), func(i int, emit func(record.Record) error) (int, error) {
-			udf, err := e.runner(op, tac.KindBinary)
+			udf, err := e.runner(op, tac.KindBinary, room)
 			if err != nil {
 				return 0, err
 			}
@@ -91,7 +103,7 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge) (P
 					if tick.due() && context.Cause(ctx) != nil {
 						return 0, context.Cause(ctx)
 					}
-					if err := udfError(op, udf.Binary(lr, rr, emit)); err != nil {
+					if err := udfError(op, udf.Binary(lr, rr, 0, emit)); err != nil {
 						return 0, err
 					}
 					calls++
@@ -286,7 +298,7 @@ func (g *grouper) groups(part []record.Record, keys []int) [][]record.Record {
 // hands the build groups that matched — in key order, each beside its
 // matched probe records in arrival order — to matchAligned. Probe records
 // that match nothing are neither laid out nor sorted.
-func (e *Engine) hashJoin(ctx context.Context, op *dataflow.Operator, in []edge, build, i int, emit func(record.Record) error) (int, error) {
+func hashJoin(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, in []edge, build, i int, emit func(record.Record) error) (int, error) {
 	var x keyIndex
 	x.index(in[build].data[i], in[build].keys)
 	recs, keys := in[1-build].data[i], in[1-build].keys
@@ -309,7 +321,7 @@ func (e *Engine) hashJoin(ctx context.Context, op *dataflow.Operator, in []edge,
 	var lays [2]layoutBuf
 	sides[build] = &memGroupCursor{groups: lays[0].layout(x.recs, x.ids, x.size, matched)}
 	sides[1-build] = &memGroupCursor{groups: lays[1].layout(recs, ids, sizes, matched)}
-	return e.matchAligned(ctx, op, sides[0], sides[1], emit)
+	return matchAligned(ctx, op, udf, sides[0], sides[1], handover(in), emit)
 }
 
 // keyIndex groups one side of a partition by its key fields: an
@@ -427,11 +439,7 @@ func (b *layoutBuf) layout(recs []record.Record, ids, sizes, order []int32) [][]
 }
 
 // reduceGroups applies the Reduce UDF once per key group of the stream.
-func (e *Engine) reduceGroups(ctx context.Context, op *dataflow.Operator, groups groupCursor, emit func(record.Record) error) (int, error) {
-	udf, err := e.runner(op, tac.KindReduce)
-	if err != nil {
-		return 0, err
-	}
+func reduceGroups(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, groups groupCursor, emit func(record.Record) error) (int, error) {
 	calls := 0
 	var tick ticker
 	for {
@@ -452,6 +460,18 @@ func (e *Engine) reduceGroups(ctx context.Context, op *dataflow.Operator, groups
 	}
 }
 
+// handover names the owned sides of a binary operator's inputs.
+func handover(in []edge) tac.Owned {
+	var own tac.Owned
+	if in[0].owned {
+		own |= tac.OwnLeft
+	}
+	if in[1].owned {
+		own |= tac.OwnRight
+	}
+	return own
+}
+
 // compareKeyPair orders a left-side record against a right-side record by
 // their respective key fields, position by position.
 func compareKeyPair(l record.Record, lKeys []int, r record.Record, rKeys []int) int {
@@ -465,11 +485,7 @@ func compareKeyPair(l record.Record, lKeys []int, r record.Record, rKeys []int) 
 
 // coGroupAligned merges two sorted group streams and calls the CoGroup UDF
 // once per key in the combined key domain, ascending.
-func (e *Engine) coGroupAligned(ctx context.Context, op *dataflow.Operator, l, r groupCursor, emit func(record.Record) error) (int, error) {
-	udf, err := e.runner(op, tac.KindCoGroup)
-	if err != nil {
-		return 0, err
-	}
+func coGroupAligned(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, l, r groupCursor, emit func(record.Record) error) (int, error) {
 	calls := 0
 	lg, err := l.next()
 	if err != nil {
@@ -526,11 +542,13 @@ func (e *Engine) coGroupAligned(ctx context.Context, op *dataflow.Operator, l, r
 // arrival order. Keys present on only one side are skipped without a UDF
 // call, which is what separates a Match from the CoGroup alignment. Key
 // equality is record.Value.Compare-based, the same semantics grouping has.
-func (e *Engine) matchAligned(ctx context.Context, op *dataflow.Operator, l, r groupCursor, emit func(record.Record) error) (int, error) {
-	udf, err := e.runner(op, tac.KindBinary)
-	if err != nil {
-		return 0, err
-	}
+//
+// A side own names is owned (see edge): each of its records is handed to
+// the UDF at its last use — a left record on its pairing with the group's
+// last right record, a right record on its pairing with the last left one —
+// after which nothing reads it: the group streams move on, and the
+// partition's records are the operator's alone.
+func matchAligned(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, l, r groupCursor, own tac.Owned, emit func(record.Record) error) (int, error) {
 	calls := 0
 	lg, err := l.next()
 	if err != nil {
@@ -555,12 +573,19 @@ func (e *Engine) matchAligned(ctx context.Context, op *dataflow.Operator, l, r g
 				return 0, err
 			}
 		default:
-			for _, lr := range lg {
-				for _, rr := range rg {
+			for li, lr := range lg {
+				for ri, rr := range rg {
 					if tick.due() && context.Cause(ctx) != nil {
 						return 0, context.Cause(ctx)
 					}
-					if err := udfError(op, udf.Binary(lr, rr, emit)); err != nil {
+					last := own
+					if ri < len(rg)-1 {
+						last &^= tac.OwnLeft
+					}
+					if li < len(lg)-1 {
+						last &^= tac.OwnRight
+					}
+					if err := udfError(op, udf.Binary(lr, rr, last, emit)); err != nil {
 						return 0, err
 					}
 					calls++

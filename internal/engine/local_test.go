@@ -11,6 +11,7 @@ import (
 	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
+	"blackboxflow/internal/tac"
 )
 
 // This file pins the local strategies against each other and against the
@@ -361,7 +362,11 @@ func TestHashJoinAllocsIgnoreUnmatchedProbes(t *testing.T) {
 			src := strategySides(keys[0], keys[1])
 			in := []edge{{data: Partitioned{src["L"]}, keys: op.Keys[0]}, {data: Partitioned{src["R"]}, keys: op.Keys[1]}}
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := e.hashJoin(t.Context(), op, in, build, 0, discard); err != nil {
+				udf, err := e.runner(op, tac.KindBinary, 0)
+				if err == nil {
+					_, err = hashJoin(t.Context(), op, udf, in, build, 0, discard)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -403,7 +408,11 @@ func TestHashJoinAllocsPerMatchedPair(t *testing.T) {
 			src := strategySides(lKeys, rKeys)
 			in := []edge{{data: Partitioned{src["L"]}, keys: op.Keys[0]}, {data: Partitioned{src["R"]}, keys: op.Keys[1]}}
 			allocs := testing.AllocsPerRun(3, func() {
-				if _, err := e.hashJoin(t.Context(), op, in, build, 0, discard); err != nil {
+				udf, err := e.runner(op, tac.KindBinary, 0)
+				if err == nil {
+					_, err = hashJoin(t.Context(), op, udf, in, build, 0, discard)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			})

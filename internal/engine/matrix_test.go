@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/frontend"
@@ -163,29 +167,136 @@ func matrixPlan(t *testing.T, sh matrixShape, ships []optimizer.Shipping, nMaps 
 // matrixSources builds the inputs: every record a function of its key, keys
 // repeated so groups have several (identical) members, the two sides' key
 // ranges overlapping in part. Cross gets small inputs; the rest enough
-// records that a one-batch budget overflows at DOP > 1.
+// records that a one-batch budget overflows at DOP > 1. Every record has
+// Null room, so a UDF wrongly handed a source row could widen it in place
+// and the source canary would see it.
 func matrixSources(cross bool) map[string]record.DataSet {
 	nL, nR, keysL, keysR, rLo := 360, 280, 45, 40, 20
 	if cross {
 		nL, nR, keysL, keysR, rLo = 14, 9, 7, 5, 3
 	}
+	roomy := func(vs ...record.Value) record.Record { return append(make(record.Record, 0, 8), vs...) }
 	l := make(record.DataSet, nL)
 	for i := range l {
 		k := int64(i % keysL)
-		l[i] = record.Record{record.Int(k), record.Int(k*3 + 1)}
+		l[i] = roomy(record.Int(k), record.Int(k*3+1))
 	}
 	r := make(record.DataSet, nR)
 	for i := range r {
 		k := int64(i%keysR + rLo)
-		r[i] = record.Record{record.Null, record.Null, record.Int(k), record.Int(k*5 + 2)}
+		r[i] = roomy(record.Null, record.Null, record.Int(k), record.Int(k*5+2))
 	}
 	return map[string]record.DataSet{"L": l, "R": r}
+}
+
+// sourceSnapshot is a deep copy of an engine's registered sources, each
+// record's room up to its capacity included.
+type sourceSnapshot map[string]record.DataSet
+
+func snapshotSources(e *Engine) sourceSnapshot {
+	s := sourceSnapshot{}
+	for name, ds := range e.Sources {
+		c := make(record.DataSet, len(ds))
+		for i, r := range ds {
+			c[i] = make(record.Record, len(r), cap(r))
+			copy(c[i][:cap(r)], r[:cap(r)])
+		}
+		s[name] = c
+	}
+	return s
+}
+
+// requireSourcesIntact is the source canary: no run may write a source row,
+// within its length or past it.
+func requireSourcesIntact(t *testing.T, e *Engine, want sourceSnapshot, label string) {
+	t.Helper()
+	for name, ds := range e.Sources {
+		for i, r := range ds {
+			if !intact(r, want[name][i]) {
+				t.Fatalf("%s: source %s record %d is %v, was %v", label, name, i, r[:cap(r)], want[name][i][:cap(want[name][i])])
+			}
+		}
+	}
+}
+
+// intact reports whether r still has was's length, capacity and Values.
+func intact(r, was record.Record) bool {
+	return len(r) == len(was) && cap(r) == cap(was) && slices.Equal(r[:cap(r)], was[:cap(was)])
+}
+
+// canaryTransport is the broadcast canary: it wraps a transport and keeps a
+// deep copy, room included, of every record a session sends, as of its
+// first send. A record sent to two targets is a broadcast input, which every
+// partition reads, so no run may write it; broken lists those that changed.
+type canaryTransport struct {
+	transport.Transport
+	mu   sync.Mutex
+	sent map[*record.Value]canaryRecord // by the record's storage
+}
+
+type canaryRecord struct {
+	rec, was record.Record
+	targets  map[int]bool
+}
+
+type canaryShuffle struct {
+	transport.Shuffle
+	c *canaryTransport
+}
+
+func (c *canaryTransport) OpenShuffle(ctx context.Context, spec transport.Spec) (transport.Shuffle, error) {
+	sh, err := c.Transport.OpenShuffle(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	return &canaryShuffle{sh, c}, nil
+}
+
+func (s *canaryShuffle) Send(target int, b *record.Batch) error {
+	c := s.c
+	c.mu.Lock()
+	for _, r := range b.Records() {
+		if cap(r) == 0 {
+			continue
+		}
+		sr, ok := c.sent[unsafe.SliceData(r)]
+		if !ok {
+			was := make(record.Record, len(r), cap(r))
+			copy(was[:cap(r)], r[:cap(r)])
+			sr = canaryRecord{rec: r, was: was, targets: map[int]bool{}}
+			c.sent[unsafe.SliceData(r)] = sr
+		}
+		sr.targets[target] = true
+	}
+	c.mu.Unlock()
+	return s.Shuffle.Send(target, b)
+}
+
+// start forgets the last run's records.
+func (c *canaryTransport) start() {
+	c.sent = map[*record.Value]canaryRecord{}
+}
+
+// broken returns the broadcast records the last run wrote, and how many it
+// checked.
+func (c *canaryTransport) broken() (bad []record.Record, checked int) {
+	for _, sr := range c.sent {
+		if len(sr.targets) < 2 {
+			continue
+		}
+		checked++
+		if !intact(sr.rec, sr.was) {
+			bad = append(bad, sr.was)
+		}
+	}
+	return bad, checked
 }
 
 // TestDifferentialStageMatrix runs every cell of the stage matrix through
 // the pipeline — on the channel transport and over TCP to two workers,
 // unlimited and under a one-byte budget — against one reference run per
-// plan and DOP.
+// plan and DOP, and checks after every run that the sources and the
+// broadcast inputs are intact.
 func TestDifferentialStageMatrix(t *testing.T) {
 	addrs := startWorkerAddrs(t, 2)
 	tcp, err := transport.NewTCP(transport.TCPConfig{Workers: addrs, LocalSlots: 0})
@@ -195,8 +306,9 @@ func TestDifferentialStageMatrix(t *testing.T) {
 	defer tcp.Close()
 	spillDir := t.TempDir()
 	chains := []int{0, 1, 3}
+	transports := []*canaryTransport{{Transport: transport.Channel{}}, {Transport: tcp}}
 
-	cells, spilled, combined := 0, 0, 0
+	cells, spilled, combined, broadcasts := 0, 0, 0, 0
 	for _, sh := range matrixShapes {
 		sources := matrixSources(sh.kind == dataflow.KindCross)
 		var shipSets [][]optimizer.Shipping
@@ -231,15 +343,23 @@ func TestDifferentialStageMatrix(t *testing.T) {
 						for name, ds := range sources {
 							e.AddSource(name, ds)
 						}
+						snap := snapshotSources(e)
 						ref, refStats := mustRefRun(t, e, plan, label)
-						for _, tp := range []transport.Transport{nil, tcp} {
+						for k, tp := range transports {
 							for _, budget := range []int{0, 1} {
 								e.Transport, e.MemoryBudget = tp, budget
-								cell := fmt.Sprintf("%s budget=%d tcp=%v", label, budget, tp != nil)
+								cell := fmt.Sprintf("%s budget=%d tcp=%v", label, budget, k == 1)
+								tp.start()
 								out, stats, err := e.Run(plan)
 								if err != nil {
 									t.Fatalf("%s: %v", cell, err)
 								}
+								requireSourcesIntact(t, e, snap, cell)
+								bad, checked := tp.broken()
+								if len(bad) > 0 {
+									t.Fatalf("%s: %d broadcast records written by the run, e.g. %v", cell, len(bad), bad[0])
+								}
+								broadcasts += checked
 								if ordered {
 									requireByteIdentical(t, out, ref, cell)
 								} else if !out.Equal(ref) {
@@ -266,8 +386,8 @@ func TestDifferentialStageMatrix(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d cells, %d spilled, %d combined", cells, spilled, combined)
-	if spilled == 0 || combined == 0 {
-		t.Fatalf("matrix never spilled (%d) or never combined (%d): the budget and combiner axes exercise nothing", spilled, combined)
+	t.Logf("%d cells, %d spilled, %d combined, %d broadcast records checked", cells, spilled, combined, broadcasts)
+	if spilled == 0 || combined == 0 || broadcasts == 0 {
+		t.Fatalf("matrix never spilled (%d), combined (%d) or broadcast (%d): an axis exercises nothing", spilled, combined, broadcasts)
 	}
 }

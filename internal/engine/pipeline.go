@@ -65,12 +65,24 @@ func attribute(ctx context.Context, op, phase string, err error) error {
 // edge is one input of an operator as the pipeline executes it: how it
 // ships, the Map chain fused onto it (the maximal run of Chained Maps
 // between the pipeline breaker that produces the records and the
-// operator), and what the stages did with it.
+// operator), whether the operator owns its records, and what the stages
+// did with it.
+//
+// An edge is owned when this run built every record on it — a UDF operator
+// or the fused chain emitted it — and each record reaches exactly one
+// partition: the edge is forward or partitioned. Source rows are never
+// owned (the source cache shares them across jobs), nor are broadcast
+// records, which every partition sees. A Match hands an owned record to its
+// UDF at the record's last pairing (matchAligned), so the UDF may build its
+// result in the record's storage; room is the width the records leaving
+// the edge's builder reserve for that, zero where nothing will widen them.
 type edge struct {
 	ship  optimizer.Shipping
 	keys  []int
 	chain []*optimizer.PhysPlan // producer first
 	slot  int                   // index of the chain's first OpStats in RunStats.PerOp
+	owned bool
+	room  int
 
 	// data is the producer's output until the edge's stage has run, then
 	// what the operator's partitions received; spills is the per-partition
@@ -130,8 +142,10 @@ func chainBelow(p *optimizer.PhysPlan) ([]*optimizer.PhysPlan, *optimizer.PhysPl
 // started gets a span, and one is failed exactly when the run failed before
 // that operator finished. The Maps fused onto an input edge report through
 // the same epilogue — exact record and call counts, and an even share of
-// the wall time of the fused loop they ran in (see run).
-func (e *Engine) exec(ctx context.Context, p *optimizer.PhysPlan, stats *RunStats) (Partitioned, error) {
+// the wall time of the fused loop they ran in (see run). The records the
+// operator's UDF builds reserve room fields; width is the plan's record
+// width (recordWidth), what an owned edge into a Match reserves.
+func (e *Engine) exec(ctx context.Context, p *optimizer.PhysPlan, stats *RunStats, width, room int) (Partitioned, error) {
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
@@ -147,8 +161,16 @@ func (e *Engine) exec(ctx context.Context, p *optimizer.PhysPlan, stats *RunStat
 		}
 		var producer *optimizer.PhysPlan
 		ed.chain, producer = chainBelow(in)
+		ed.owned = ed.ship != optimizer.ShipBroadcast && (len(ed.chain) > 0 || producer.Op.IsUDFOp())
+		if ed.owned && op.Kind == dataflow.KindMatch {
+			ed.room = width
+		}
+		producerRoom := ed.room
+		if len(ed.chain) > 0 {
+			producerRoom = 0 // the chain's last Map builds what the edge carries
+		}
 		var err error
-		if ed.data, err = e.exec(ctx, producer, stats); err != nil {
+		if ed.data, err = e.exec(ctx, producer, stats, width, producerRoom); err != nil {
 			return nil, err
 		}
 		// Reserve the chain's statistics slots now so PerOp stays in plan
@@ -169,7 +191,7 @@ func (e *Engine) exec(ctx context.Context, p *optimizer.PhysPlan, stats *RunStat
 	tr := e.Trace
 	st := OpStats{Name: op.Name}
 	opSpan := tr.Begin(e.TraceParent, op.Name, obs.KindOp)
-	out, err := e.run(ctx, p, edges, &st, opSpan)
+	out, err := e.run(ctx, p, edges, &st, opSpan, room)
 
 	for i := range edges {
 		ed := &edges[i]
@@ -227,7 +249,7 @@ func (e *Engine) exec(ctx context.Context, p *optimizer.PhysPlan, stats *RunStat
 // Time is attributed by one rule: a fused loop's wall time is split evenly
 // among the operators working in it — the chain's Maps (their LocalTime)
 // and, for the shipping window, the operator itself (its ShipTime).
-func (e *Engine) run(ctx context.Context, p *optimizer.PhysPlan, edges []edge, st *OpStats, opSpan obs.SpanID) (Partitioned, error) {
+func (e *Engine) run(ctx context.Context, p *optimizer.PhysPlan, edges []edge, st *OpStats, opSpan obs.SpanID, room int) (Partitioned, error) {
 	op, tr := p.Op, e.Trace
 	combining := p.Combinable && op.Kind == dataflow.KindReduce && op.Combiner != nil &&
 		len(edges) == 1 && edges[0].ship == optimizer.ShipPartition
@@ -244,7 +266,7 @@ func (e *Engine) run(ctx context.Context, p *optimizer.PhysPlan, edges []edge, s
 		if len(ed.chain) > 0 {
 			ed.start = time.Now()
 			var err error
-			ed.data, err = e.runChain(ctx, ed.data, ed.chain, ed.counts)
+			ed.data, err = e.runChain(ctx, ed.data, ed.chain, ed.room, ed.counts)
 			ed.share = time.Since(ed.start) / time.Duration(len(ed.chain))
 			if err != nil {
 				return nil, err
@@ -316,7 +338,7 @@ func (e *Engine) run(ctx context.Context, p *optimizer.PhysPlan, edges []edge, s
 
 	localSpan := tr.Begin(opSpan, "local", obs.KindLocal)
 	localStart := time.Now()
-	out, calls, err := e.local(ctx, p, edges)
+	out, calls, err := e.local(ctx, p, edges, room)
 	if err = attribute(ctx, op.Name, "local", err); err != nil {
 		tr.Fail(localSpan, err)
 		return nil, err
@@ -361,13 +383,34 @@ func (e *Engine) recvBudget(p *optimizer.PhysPlan) int {
 }
 
 // runner binds the calling goroutine to op's UDF, which must be of the given
-// kind.
-func (e *Engine) runner(op *dataflow.Operator, kind tac.Kind) (*tac.Runner, error) {
+// kind, its records reserving room fields.
+func (e *Engine) runner(op *dataflow.Operator, kind tac.Kind, room int) (*tac.Runner, error) {
 	r, err := tac.NewRunner(op.UDF, kind)
 	if err != nil {
 		return nil, &opError{op.Name, err}
 	}
+	r.Reserve(room)
 	return r, nil
+}
+
+// recordWidth is the plan's record width: one past the highest field index
+// its sources produce or its operators key on. A concat is no wider than
+// its operands, so the records an owned edge hands a Match chain widen
+// within it.
+func recordWidth(p *optimizer.PhysPlan) int {
+	w := 0
+	for f := range p.Op.SourceAttrs.All() {
+		w = max(w, f+1)
+	}
+	for _, keys := range p.Op.Keys {
+		for _, k := range keys {
+			w = max(w, k+1)
+		}
+	}
+	for _, in := range p.Inputs {
+		w = max(w, recordWidth(in))
+	}
+	return w
 }
 
 // udfError attributes a failed Runner call: what the emit sink returned
@@ -389,15 +432,17 @@ func udfError(op *dataflow.Operator, err error) error {
 // feed tallies exact per-level counts and cascades every record leaving the
 // chain into sink (a partition's output sink, or a shuffle sender's route).
 // An empty chain is the sink itself. UDF errors are attributed to their
-// operator; sink errors pass through unwrapped.
-func (e *Engine) chainFeed(chain []*optimizer.PhysPlan, c []opCount, sink func(record.Record) error) (func(record.Record) error, error) {
+// operator; sink errors pass through unwrapped. The records leaving the
+// chain reserve room fields; those passed between its Maps stay shared.
+func (e *Engine) chainFeed(chain []*optimizer.PhysPlan, room int, c []opCount, sink func(record.Record) error) (func(record.Record) error, error) {
 	feed := sink
 	for level := len(chain) - 1; level >= 0; level-- {
 		op := chain[level].Op
-		udf, err := e.runner(op, tac.KindMap)
+		udf, err := e.runner(op, tac.KindMap, room)
 		if err != nil {
 			return nil, err
 		}
+		room = 0
 		next := feed
 		cl := &c[level]
 		onEmit := func(r record.Record) error {
@@ -432,11 +477,11 @@ func drive(ctx context.Context, part []record.Record, feed func(record.Record) e
 // and materialises what leaves it: records flow through the whole chain one
 // at a time, so a chain of k Maps allocates no intermediate partitions. The
 // per-level counts are added into total even when the loop fails.
-func (e *Engine) runChain(ctx context.Context, in Partitioned, chain []*optimizer.PhysPlan, total []opCount) (Partitioned, error) {
+func (e *Engine) runChain(ctx context.Context, in Partitioned, chain []*optimizer.PhysPlan, room int, total []opCount) (Partitioned, error) {
 	counts := make([][]opCount, len(in))
 	out, _, err := fanOut(len(in), func(i int, emit func(record.Record) error) (int, error) {
 		counts[i] = make([]opCount, len(chain))
-		feed, err := e.chainFeed(chain, counts[i], emit)
+		feed, err := e.chainFeed(chain, room, counts[i], emit)
 		if err == nil {
 			err = drive(ctx, in[i], feed)
 		}

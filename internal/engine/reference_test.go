@@ -240,7 +240,7 @@ func (e *Engine) refLocal(p *optimizer.PhysPlan, inputs []Partitioned) (Partitio
 			calls := 0
 			for _, lr := range l {
 				for _, rr := range r {
-					if err := udf.done(udf.Binary(lr, rr, udf.emit)); err != nil {
+					if err := udf.done(udf.Binary(lr, rr, 0, udf.emit)); err != nil {
 						return nil, 0, err
 					}
 					calls++
@@ -407,7 +407,7 @@ func (e *Engine) refMatchAligned(op *dataflow.Operator, l, r [][]record.Record) 
 		default:
 			for _, lr := range l[0] {
 				for _, rr := range r[0] {
-					if err := udf.done(udf.Binary(lr, rr, udf.emit)); err != nil {
+					if err := udf.done(udf.Binary(lr, rr, 0, udf.emit)); err != nil {
 						return nil, 0, err
 					}
 					calls++

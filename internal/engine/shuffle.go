@@ -196,7 +196,7 @@ type sender struct {
 func (s *sender) run(ctx context.Context, part []record.Record, ed *edge) {
 	defer s.st.senders.Done()
 	defer s.st.sh.SenderDone()
-	feed, err := s.e.chainFeed(ed.chain, s.chain, s.route)
+	feed, err := s.e.chainFeed(ed.chain, ed.room, s.chain, s.route)
 	if err == nil && s.combiner != nil {
 		if s.combine, err = tac.NewRunner(s.combiner.Combiner, tac.KindReduce); err != nil {
 			err = s.combinerError(err)

@@ -228,7 +228,7 @@ binary tag(l, r) {
 	}
 	f, _ := prog.Lookup("tag")
 	out, err := collect(f, func(r *tac.Runner, emit func(record.Record) error) error {
-		return r.Binary(record.Record{record.String("ax")}, record.Record{record.Null, record.String("b")}, emit)
+		return r.Binary(record.Record{record.String("ax")}, record.Record{record.Null, record.String("b")}, 0, emit)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ binary tag(l, r) {
 		t.Fatalf("out = %v", out)
 	}
 	out, err = collect(f, func(r *tac.Runner, emit func(record.Record) error) error {
-		return r.Binary(record.Record{record.String("a")}, record.Record{record.Null, record.String("b")}, emit)
+		return r.Binary(record.Record{record.String("a")}, record.Record{record.Null, record.String("b")}, 0, emit)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,21 +31,33 @@ import (
 // (interp_ref_test.go) — the same records in the same order, the same
 // number emitted before an error, the same error text, the same sink-error
 // classification — at the default step limit and at every limit 1…64, so
-// the step-limit error fires at the same instruction.
+// the step-limit error fires at the same instruction. The Runner is handed
+// a random subset of each Binary call's parameters (tac.Owned), as fresh
+// copies with Null room: what it builds in their storage must still be what
+// the reference builds.
 
 // caller is the call surface a Runner and the reference share.
 type caller interface {
 	Map(record.Record, func(record.Record) error) error
-	Binary(record.Record, record.Record, func(record.Record) error) error
+	Binary(record.Record, record.Record, tac.Owned, func(record.Record) error) error
 	Reduce([]record.Record, func(record.Record) error) error
 	CoGroup([]record.Record, []record.Record, func(record.Record) error) error
 }
 
+// refCaller is the reference as a caller: it copies every record it
+// reads, so it needs no handover.
+type refCaller struct{ *tac.RefRunner }
+
+func (c refCaller) Binary(l, r record.Record, _ tac.Owned, emit func(record.Record) error) error {
+	return c.RefRunner.Binary(l, r, emit)
+}
+
 // input is one call's arguments: the records of a Map or Binary call, the
-// groups of a Reduce or CoGroup call.
+// groups of a Reduce or CoGroup call, and the Binary parameters handed over.
 type input struct {
 	recs   [2]record.Record
 	groups [2][]record.Record
+	own    tac.Owned
 }
 
 func (in input) clone() input {
@@ -87,7 +99,7 @@ func invoke(c caller, kind tac.Kind, in input, failAt int) outcome {
 	case tac.KindMap:
 		err = c.Map(in.recs[0], emit)
 	case tac.KindBinary:
-		err = c.Binary(in.recs[0], in.recs[1], emit)
+		err = c.Binary(in.recs[0], in.recs[1], in.own, emit)
 	case tac.KindReduce:
 		err = c.Reduce(in.groups[0], emit)
 	default:
@@ -151,6 +163,24 @@ func shares(a, b record.Record) bool {
 	return alo < bhi && blo < ahi
 }
 
+// nullRoom reports whether every Value past r's length, up to its capacity,
+// is Null: the room a Runner leaves in a record is there to be widened into.
+func nullRoom(r record.Record) bool {
+	for _, v := range r[len(r):cap(r)] {
+		if !v.IsNull() {
+			return false
+		}
+	}
+	return true
+}
+
+// handOver returns a fresh copy of r with extra Values of Null room.
+func handOver(r record.Record, extra int) record.Record {
+	c := make(record.Record, len(r), len(r)+extra)
+	copy(c, r)
+	return c
+}
+
 // pair is one function under both implementations at one step limit, each
 // runner reused across calls the way the engine reuses them. It keeps every
 // record the Runner emitted, with its snapshot, for recheck.
@@ -158,6 +188,7 @@ type pair struct {
 	f         *tac.Func
 	limit     int
 	low, ref  caller
+	rng       *rand.Rand // draws the parameters each Binary call hands over
 	out, snap []record.Record
 }
 
@@ -170,21 +201,32 @@ func newPair(t testing.TB, f *tac.Func, limit int) *pair {
 	if err != nil {
 		t.Fatalf("%s: %v", f.Name, err)
 	}
-	return &pair{f: f, limit: limit, low: low, ref: ref}
+	return &pair{f: f, limit: limit, low: low, ref: refCaller{ref}, rng: rand.New(rand.NewSource(int64(limit)))}
 }
 
 // check runs in through both, reports the first difference, and returns
-// whether the call ran out of steps.
+// whether the call ran out of steps. A Binary call hands the Runner a random
+// subset of its parameters, each a fresh copy with 0, 1, 4 or 16 Values of
+// room; the reference and the input checks see the originals.
 func (p *pair) check(t testing.TB, in input, failAt int) bool {
 	t.Helper()
 	before := in.clone()
-	got := invoke(p.low, p.f.Kind, in, failAt)
+	low := in
+	if p.f.Kind == tac.KindBinary {
+		low.own = tac.Owned(p.rng.Intn(4))
+		for i, bit := range []tac.Owned{tac.OwnLeft, tac.OwnRight} {
+			if low.own&bit != 0 {
+				low.recs[i] = handOver(in.recs[i], []int{0, 1, 4, 16}[p.rng.Intn(4)])
+			}
+		}
+	}
+	got := invoke(p.low, p.f.Kind, low, failAt)
 	if !sameInput(in, before) {
 		t.Fatalf("%s (limit %d): the Runner wrote its input\n%s", p.f.Name, p.limit, p.f)
 	}
 	want := invoke(p.ref, p.f.Kind, in, failAt)
 	where := func() string {
-		return fmt.Sprintf("%s (limit %d, sink fails at %d) on %v / %v\n%s", p.f.Name, p.limit, failAt, in.recs, in.groups, p.f)
+		return fmt.Sprintf("%s (limit %d, sink fails at %d, handed %b) on %v / %v\n%s", p.f.Name, p.limit, failAt, low.own, in.recs, in.groups, p.f)
 	}
 	if got.err != want.err || got.sinkErr != want.sinkErr {
 		t.Fatalf("%s: error %q (sink %v), reference %q (sink %v)", where(), got.err, got.sinkErr, want.err, want.sinkErr)
@@ -199,9 +241,14 @@ func (p *pair) check(t testing.TB, in input, failAt int) bool {
 		if !sameRecord(got.out[i], got.snap[i]) {
 			t.Fatalf("%s: record %d changed after it was emitted: %v, emitted as %v", where(), i, got.out[i], got.snap[i])
 		}
+		if !nullRoom(got.out[i]) {
+			t.Fatalf("%s: record %d has room that is not Null: %v", where(), i, got.out[i][:cap(got.out[i])])
+		}
+		// Only a handed-over parameter may become an output; a shared one
+		// is in in.recs, a handed-over one only in low.recs.
 		for _, r := range append(in.recs[:], append(in.groups[0], in.groups[1]...)...) {
 			if shares(got.out[i], r) {
-				t.Fatalf("%s: record %d shares storage with an input", where(), i)
+				t.Fatalf("%s: record %d shares storage with a shared input", where(), i)
 			}
 		}
 	}
@@ -215,8 +262,8 @@ func (p *pair) check(t testing.TB, in input, failAt int) bool {
 func (p *pair) recheck(t testing.TB) {
 	t.Helper()
 	for i, r := range p.out {
-		if !sameRecord(r, p.snap[i]) {
-			t.Fatalf("%s (limit %d): emitted record %d changed by a later call: %v, emitted as %v\n%s", p.f.Name, p.limit, i, r, p.snap[i], p.f)
+		if !sameRecord(r, p.snap[i]) || !nullRoom(r) {
+			t.Fatalf("%s (limit %d): emitted record %d changed by a later call: %v, emitted as %v\n%s", p.f.Name, p.limit, i, r[:cap(r)], p.snap[i], p.f)
 		}
 	}
 	// In order of their first address, a record overlaps an earlier one
@@ -456,11 +503,115 @@ func stringLits(t testing.TB, path string) []string {
 	return lits
 }
 
+// handoverScript holds the Match shapes that decide whether a handed-over
+// parameter's storage may hold a result: a parameter read after the concat,
+// one emitted before it, a concat in a loop, a copy and a concat each
+// redefining its operand, and a concat of a parameter with itself.
+const handoverScript = `
+match concatJoin(l, r) {
+	o := concat(l, r)
+	emit o
+}
+match readAfter(l, r) {
+	o := concat(l, r)
+	a := l[0]
+	o[0] = a
+	emit o
+}
+match emitFirst(l, r) {
+	emit l
+	o := concat(l, r)
+	emit o
+}
+match inLoop(l, r) {
+	i := 0
+	while i < 3 {
+		o := concat(l, r)
+		o[1] = i
+		emit o
+		i := i + 1
+	}
+}
+match redefine(l, r) {
+	o := copy(l)
+	o := concat(o, r)
+	emit o
+}
+match self(l, r) {
+	o := concat(l, l)
+	emit o
+	emit r
+}`
+
+// TestRunnerHandover compares handoverScript's functions with the reference
+// on random inputs, each call handed a random subset of its parameters, and
+// pins which handed-over parameter each output is built in when both are
+// handed over: l = <1, Null> with the given capacity, r = <Null, "x", 3, 4>
+// without room.
+func TestRunnerHandover(t *testing.T) {
+	prog := frontend.MustCompile(handoverScript)
+	g := gen{rand.New(rand.NewSource(3))}
+	var pool []record.Record
+	for k := 0; k < 32; k++ {
+		pool = append(pool, g.record(6))
+	}
+	ins := g.inputs(pool, 64)
+	for _, name := range prog.Order {
+		compareFunc(t, prog.Funcs[name], ins, tac.DefaultStepLimit)
+	}
+
+	for _, c := range []struct {
+		fn   string
+		lcap int
+		in   []string // per output: the parameter whose storage holds it, or ""
+	}{
+		{"concatJoin", 8, []string{"l"}},
+		{"concatJoin", 2, []string{"r"}}, // l has no room; r is the longer
+		{"readAfter", 8, []string{"r"}},  // l is read again; r is not
+		{"emitFirst", 8, []string{"l", "r"}},
+		{"inLoop", 8, []string{"", "", ""}},
+		{"redefine", 8, []string{"l"}},
+		{"self", 8, []string{"", "r"}},
+	} {
+		f, _ := prog.Lookup(c.fn)
+		l := append(make(record.Record, 0, c.lcap), record.Int(1), record.Null)
+		r := record.Record{record.Null, record.String("x"), record.Int(3), record.Int(4)}
+		ref, err := tac.NewRefRunner(f, f.Kind, tac.DefaultStepLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := invoke(refCaller{ref}, f.Kind, input{recs: [2]record.Record{l.Clone(), r.Clone()}}, 0)
+		run, err := tac.NewRunner(f, f.Kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := invoke(run, f.Kind, input{recs: [2]record.Record{l, r}, own: tac.OwnLeft | tac.OwnRight}, 0)
+		if got.err != "" || len(got.out) != len(want.out) || len(got.out) != len(c.in) {
+			t.Fatalf("%s: emitted %d records (err %q), reference %d, want %d", c.fn, len(got.out), got.err, len(want.out), len(c.in))
+		}
+		for i, out := range got.out {
+			if !sameRecord(out, want.out[i]) || !nullRoom(out) {
+				t.Errorf("%s (l cap %d): record %d = %v, reference %v", c.fn, c.lcap, i, out[:cap(out)], want.out[i])
+			}
+			in := ""
+			if shares(out, l) {
+				in = "l"
+			} else if shares(out, r) {
+				in = "r"
+			}
+			if in != c.in[i] {
+				t.Errorf("%s (l cap %d): record %d is built in %q, want %q", c.fn, c.lcap, i, in, c.in[i])
+			}
+		}
+	}
+}
+
 // FuzzRunnerDifferential compiles PactScript with frontend.Compile, checks
 // that the program's rendering (Program.String) reads back as the same
 // instructions, and compares every function it yields on random inputs
-// drawn from seed. The seeds are the string literals of the frontend's
-// FuzzCompile, then the sources of TestCompileMatchesParent; its corpus
+// drawn from seed, each Binary call handed a random subset of its parameters
+// (pair.check). The seeds are the string literals of the frontend's
+// FuzzCompile, the sources of TestCompileMatchesParent and handoverScript; its corpus
 // lives in testdata/fuzz. Step limits are 1…64 and 10,000 rather than the
 // default: a fuzzed infinite loop would spend ten million steps per call.
 // Programs with a static field index outside [0, 64] are skipped: a
@@ -471,6 +622,7 @@ func FuzzRunnerDifferential(f *testing.F) {
 	for _, g := range goldenPrograms(f) {
 		seeds = append(seeds, g.Src)
 	}
+	seeds = append(seeds, handoverScript)
 	for i, s := range seeds {
 		f.Add(s, int64(i))
 	}

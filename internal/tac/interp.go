@@ -24,11 +24,33 @@ const DefaultStepLimit = 10_000_000
 // which of them the runner's owner uses. An error returned by emit aborts
 // the call and is reported verbatim — distinguish it from a UDF error with
 // AsEmitError. A Runner is not safe for concurrent use: one per goroutine.
+//
+// A call never writes its inputs, with one exception: a Binary parameter
+// the caller hands over (see Owned) belongs to the call, which may emit it
+// uncopied or build a concat or copy result in its storage. Map, Reduce and
+// CoGroup inputs and group elements are always shared; the engine hands
+// over only a Match's records at their last use, never a Cross's, and
+// records passed between fused Maps stay shared. Between calls the runner
+// keeps the last call's record and group references (only what guards
+// every read is reset), so it pins at most one call's records until its
+// next call.
 type Runner struct {
 	f     *Func
 	limit int // instructions per call
 	rg    regs
 }
+
+// Owned says which parameters of a Binary call the caller hands over: no
+// one reads or writes such a record after the call, so the call may reuse
+// its storage, and any room it has past its length is Null. Zero hands
+// over nothing.
+type Owned uint8
+
+// The parameters a Binary call may be handed.
+const (
+	OwnLeft Owned = 1 << iota
+	OwnRight
+)
 
 // NewRunner returns a reusable runner for f, which must be of the given
 // kind. NewProgram has already checked f's parameters against its kind.
@@ -39,6 +61,12 @@ func NewRunner(f *Func, kind Kind) (*Runner, error) {
 	return &Runner{f: f, limit: DefaultStepLimit, rg: f.prog.newRegs()}, nil
 }
 
+// Reserve gives every record the runner builds room for at least width
+// fields, Null past its length, so that a later call handed the record can
+// widen it in place. The engine reserves the plan's record width for the
+// records it hands to a Match.
+func (r *Runner) Reserve(width int) { r.rg.room = width }
+
 // Map calls a map-kind UDF on one input record.
 func (r *Runner) Map(in record.Record, emit func(record.Record) error) error {
 	r.rg.reset(emit)
@@ -46,12 +74,21 @@ func (r *Runner) Map(in record.Record, emit func(record.Record) error) error {
 	return r.run()
 }
 
-// Binary calls a binary (Cross/Match) UDF on a pair of records.
-func (r *Runner) Binary(left, right record.Record, emit func(record.Record) error) error {
+// Binary calls a binary (Cross/Match) UDF on a pair of records, owning the
+// ones own hands over.
+func (r *Runner) Binary(left, right record.Record, own Owned, emit func(record.Record) error) error {
 	r.rg.reset(emit)
-	r.rg.setRec(0, left, recShared)
-	r.rg.setRec(1, right, recShared)
+	r.rg.setRec(0, left, own.state(OwnLeft))
+	r.rg.setRec(1, right, own.state(OwnRight))
 	return r.run()
+}
+
+// state is the slot state of the parameter p names.
+func (own Owned) state(p Owned) uint8 {
+	if own&p != 0 {
+		return recOwned
+	}
+	return recShared
 }
 
 // Reduce calls a reduce-kind UDF on one key group.

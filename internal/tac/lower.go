@@ -45,16 +45,22 @@ func (x operand) fast() bool { return x.slot < 0 || x.proven }
 type recRef struct {
 	slot   int32
 	proven bool
+	dead   bool // a concat or copyrec operand whose value is never read again
 }
 
 // Record slot states. A record is owned when the call built it (newrec,
-// copyrec, concat, or the copy a setfield made) and nothing but its slot can
-// see it: setfield within its capacity writes it in place, and emit hands it
-// to the sink without a copy, its capacity clipped, and drops ownership.
-// Every other record — a parameter, a groupget result, one already emitted —
-// is copied first. A record is built once, with room for the fields its
-// variable's static setfields reach, so widening it never copies again.
-// Every record a call builds is carved from the runner's chunk (see carve).
+// copyrec, concat, or the copy a setfield made) or the caller handed it over
+// (Owned), and nothing but its slot can see it: setfield within its
+// capacity writes it in place, emit hands it to the sink without a copy and
+// drops ownership, and a concat or copyrec whose operand it is, where
+// lowering proved that operand dead, builds its result in the record's
+// storage when it fits the capacity. Every other record — a shared
+// parameter, a groupget result, one already emitted — is copied first: the
+// engine still reads it, or hands it to another call. A record is built
+// once, with room for the fields its variable's static setfields reach and
+// at least the runner's reserved width (Reserve), so widening it never
+// copies again; room past a record's length is always Null. Every record a
+// call builds is carved from the runner's chunk (see carve).
 const (
 	recUndef uint8 = iota
 	recShared
@@ -73,6 +79,7 @@ type regs struct {
 	emit    func(record.Record) error
 	chunk   []record.Value // chunk[used:] is not carved yet, so all Null
 	used    int
+	room    int // fields every carved record has room for (Reserve)
 }
 
 // Chunk sizes in Values: a runner's first chunk holds chunkMin, each next
@@ -96,14 +103,14 @@ func (p *program) newRegs() regs {
 	}
 }
 
-// reset starts a call: nothing the previous call left (record and group
-// references included) survives.
+// reset starts a call: no slot the previous call defined reads as defined.
+// Every read of a scalar or record slot is guarded by mustDefined, defined
+// or state, and group slots are parameters the call sets, so the stale
+// values themselves stay: clearing them would cost write barriers and buy
+// nothing.
 func (rg *regs) reset(emit func(record.Record) error) {
-	clear(rg.scalars)
 	clear(rg.defined)
-	clear(rg.recs)
 	clear(rg.state)
-	clear(rg.groups)
 	rg.emit = emit
 }
 
@@ -124,6 +131,8 @@ type lowering struct {
 	kind []uint8        // per variable
 	slot []int32        // typed slot per variable
 	in   []uint64       // must-defined variables on entry, w words per instruction
+	out  []uint64       // live variables on exit, w words per instruction
+	def  []int          // variable each instruction defines, or -1
 	w    int
 }
 
@@ -133,7 +142,9 @@ func lower(f *Func, kinds map[string]uint8) *program {
 	l := &lowering{f: f, vars: varSlots(f)}
 	p := &program{ops: make([]op, len(f.Body))}
 	l.classify(p, kinds)
-	l.mustDefined()
+	g := BuildCFG(f)
+	l.mustDefined(g.Preds)
+	l.liveness(g.Succs)
 	reach := map[string]int{} // per record variable: the width its setfields reach
 	for _, in := range f.Body {
 		if in.Op == OpSetField {
@@ -150,6 +161,9 @@ func lower(f *Func, kinds map[string]uint8) *program {
 		}
 		if in.Target != "" {
 			o.target = int32(f.labelIndex[in.Target])
+		}
+		if (in.Op == OpConcatRec || in.Op == OpCopyRec) && in.Rec != in.Rec2 {
+			o.rec.dead, o.rec2.dead = l.dead(i, in.Rec), l.dead(i, in.Rec2)
 		}
 		o.width = reach[in.Dst] // the record the op builds, or widens
 		if in.Op == OpSetField {
@@ -181,8 +195,9 @@ func (l *lowering) classify(p *program, kinds map[string]uint8) {
 // every path from the entry to it (a forward must-analysis over BuildCFG:
 // the parameters at the entry, each instruction adding what it defines,
 // intersection at joins). A use in that set skips its runtime definedness
-// check. Unreachable instructions keep the full set; they never run.
-func (l *lowering) mustDefined() {
+// check. Unreachable instructions keep the full set; they never run. It
+// also fills l.def, which liveness reads.
+func (l *lowering) mustDefined(preds [][]int) {
 	f, w := l.f, (len(l.vars)+63)/64
 	n := len(f.Body)
 	l.w, l.in = w, make([]uint64, n*w)
@@ -201,7 +216,7 @@ func (l *lowering) mustDefined() {
 			def[i] = l.vars[d]
 		}
 	}
-	preds := BuildCFG(f).Preds
+	l.def = def
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < n; i++ {
@@ -224,6 +239,54 @@ func (l *lowering) mustDefined() {
 			}
 		}
 	}
+}
+
+// liveness computes, for every instruction, the variables some path from
+// its exit reads before redefining them (a backward may-analysis over
+// BuildCFG: an instruction's uses plus what is live after it, less what it
+// defines, union at forks). Only concat and copyrec consult it, through
+// dead.
+func (l *lowering) liveness(succs [][]int) {
+	f, w := l.f, l.w
+	n := len(f.Body)
+	use, live := make([]uint64, n*w), make([]uint64, n*w) // live: on entry
+	l.out = make([]uint64, n*w)
+	for i, in := range f.Body {
+		for _, u := range in.Uses() {
+			v := l.vars[u]
+			use[i*w+v/64] |= 1 << (v % 64)
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := n - 1; i >= 0; i-- {
+			for k := 0; k < w; k++ {
+				out := uint64(0)
+				for _, s := range succs[i] {
+					out |= live[s*w+k]
+				}
+				l.out[i*w+k] = out
+				if d := l.def[i]; d >= 0 && d/64 == k {
+					out &^= 1 << (d % 64)
+				}
+				if v := use[i*w+k] | out; live[i*w+k] != v {
+					live[i*w+k] = v
+					changed = true
+				}
+			}
+		}
+	}
+}
+
+// dead reports whether the value the named operand holds at instruction pos
+// is never read after it: pos redefines the variable, or no path reads it
+// before another definition does.
+func (l *lowering) dead(pos int, name string) bool {
+	if name == "" {
+		return false
+	}
+	v := l.vars[name]
+	return l.def[pos] == v || l.out[pos*l.w+v/64]&(1<<(v%64)) == 0
 }
 
 func (l *lowering) proven(pos int, name string) bool {
@@ -456,13 +519,13 @@ func execSetField(r *Runner, o *op) (int, error) {
 	return int(o.next), nil
 }
 
-// carve copies rec into a new record of n fields with room for c, cut from
-// the chunk: chunk[k : k+n : k+c]. A region is carved once and never
-// written after the call emits it, so records share a chunk but never
-// storage; a live record pins its chunk. A record wider than chunkMax gets
-// an array of its own.
+// carve copies rec into a new record of n fields with room for c (at least
+// the reserved room), cut from the chunk: chunk[k : k+n : k+c]. A region is
+// carved once and never written by this runner after the call emits it, so
+// records share a chunk but never storage; a live record pins its chunk. A
+// record wider than chunkMax gets an array of its own.
 func (rg *regs) carve(rec record.Record, n, c int) record.Record {
-	c = max(n, c)
+	c = max(n, c, rg.room)
 	if rg.chunk == nil || rg.used+c > len(rg.chunk) {
 		size := min(max(2*len(rg.chunk), chunkMin), chunkMax)
 		if c > size {
@@ -484,15 +547,29 @@ func execNewRec(r *Runner, o *op) (int, error) {
 	return int(o.next), nil
 }
 
+// reusable reports whether a result of n fields may be built in the storage
+// of operand x: the call owns it, nothing reads it again, and it has the
+// room.
+func (rg *regs) reusable(x recRef, n int) bool {
+	return x.dead && rg.state[x.slot] == recOwned && n <= cap(rg.recs[x.slot])
+}
+
 func execCopyRec(r *Runner, o *op) (int, error) {
 	rec, err := o.record(r, o.rec, o.in.Rec)
 	if err != nil {
 		return 0, err
 	}
-	r.rg.setRec(o.dst, r.rg.carve(rec, len(rec), o.width), recOwned)
+	if !r.rg.reusable(o.rec, len(rec)) {
+		rec = r.rg.carve(rec, len(rec), o.width)
+	}
+	r.rg.setRec(o.dst, rec, recOwned)
 	return int(o.next), nil
 }
 
+// execConcat builds Merge's overlay — r2's non-Null fields over r1 — in a
+// dead owned operand's storage where it fits, r1's first, else in a carved
+// record. Built in r2, the overlay fills r2's Null fields from r1; the room
+// past r2's length is Null, so that is the same record.
 func execConcat(r *Runner, o *op) (int, error) {
 	r1, err := o.record(r, o.rec, o.in.Rec)
 	if err != nil {
@@ -502,15 +579,33 @@ func execConcat(r *Runner, o *op) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Merge's overlay, into the built record.
-	rec := r.rg.carve(r1, max(len(r1), len(r2)), o.width)
-	for i, v := range r2 {
+	rg, n := &r.rg, max(len(r1), len(r2))
+	var rec record.Record
+	switch {
+	case rg.reusable(o.rec, n):
+		rec = overlay(r1[:n], r2)
+	case rg.reusable(o.rec2, n):
+		rec = r2[:n]
+		for i, v := range r1 {
+			if rec[i].IsNull() {
+				rec[i] = v
+			}
+		}
+	default:
+		rec = overlay(rg.carve(r1, n, o.width), r2)
+	}
+	rg.setRec(o.dst, rec, recOwned)
+	return int(o.next), nil
+}
+
+// overlay writes src's non-Null fields over dst.
+func overlay(dst, src record.Record) record.Record {
+	for i, v := range src {
 		if !v.IsNull() {
-			rec[i] = v
+			dst[i] = v
 		}
 	}
-	r.rg.setRec(o.dst, rec, recOwned)
-	return int(o.next), nil
+	return dst
 }
 
 func execEmit(r *Runner, o *op) (int, error) {
@@ -519,8 +614,7 @@ func execEmit(r *Runner, o *op) (int, error) {
 		return 0, err
 	}
 	if r.rg.state[o.rec.slot] == recOwned {
-		r.rg.state[o.rec.slot] = recShared
-		rec = rec[:len(rec):len(rec)]
+		r.rg.state[o.rec.slot] = recShared // its room stays: the record is Null past its length
 	} else {
 		rec = r.rg.carve(rec, len(rec), 0)
 	}

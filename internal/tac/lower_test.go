@@ -65,7 +65,7 @@ func map copywiden($ir) {
 		call  func(r *Runner) error
 	}{
 		{"f1", 2, func(r *Runner) error { return r.Map(in, sink) }},
-		{"jn", 3, func(r *Runner) error { return r.Binary(in, right, sink) }},
+		{"jn", 3, func(r *Runner) error { return r.Binary(in, right, 0, sink) }},
 		{"sum", 2, func(r *Runner) error { return r.Reduce(group, sink) }},
 		{"pass", 2, func(r *Runner) error { return r.Map(in, sink) }},
 		{"widen", 16, func(r *Runner) error { return r.Map(in, sink) }},
@@ -183,7 +183,7 @@ END: return
 			case KindMap:
 				return r.Map(in, emit)
 			case KindBinary:
-				return r.Binary(in, in, emit)
+				return r.Binary(in, in, 0, emit)
 			}
 			return r.Reduce([]record.Record{in}, emit)
 		})

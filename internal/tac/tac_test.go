@@ -303,7 +303,7 @@ func binary join($l, $r) {
 	f := mustFunc(t, p, "join")
 	l := record.Record{record.Int(1), record.Null}
 	r := record.Record{record.Null, record.String("x")}
-	out, err := collect(f, KindBinary, func(run *Runner, emit sinkFn) error { return run.Binary(l, r, emit) })
+	out, err := collect(f, KindBinary, func(run *Runner, emit sinkFn) error { return run.Binary(l, r, 0, emit) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -781,7 +781,7 @@ func map bad($ir) {
 	grp := []record.Record{rec}
 	calls := map[string]func(*Runner, sinkFn) error{
 		"m": func(r *Runner, emit sinkFn) error { return r.Map(rec, emit) },
-		"b": func(r *Runner, emit sinkFn) error { return r.Binary(rec, rec, emit) },
+		"b": func(r *Runner, emit sinkFn) error { return r.Binary(rec, rec, 0, emit) },
 		"r": func(r *Runner, emit sinkFn) error { return r.Reduce(grp, emit) },
 		"c": func(r *Runner, emit sinkFn) error { return r.CoGroup(grp, grp, emit) },
 	}
