@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"regexp"
@@ -85,10 +86,25 @@ func baselineRatio(path, key string) (float64, error) {
 }
 
 func main() {
-	benchtime := flag.String("benchtime", "300ms", "benchtime passed to go test")
-	threshold := flag.Float64("threshold", 0.25, "max allowed relative ratio regression")
-	outPath := flag.String("out", "BENCH_fresh.json", "where to write the freshly measured summary (empty to skip)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is benchguard on the given arguments: it returns the exit status — 0
+// when every ratio holds, 1 when one regressed or the benchmarks failed, 2
+// when an argument is not a flag: the flag package stops at the first one,
+// so a flag after it would be dropped silently.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchguard", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	benchtime := fs.String("benchtime", "300ms", "benchtime passed to go test")
+	threshold := fs.Float64("threshold", 0.25, "max allowed relative ratio regression")
+	outPath := fs.String("out", "BENCH_fresh.json", "where to write the freshly measured summary (empty to skip)")
+	fs.Parse(args) // a bad flag exits 2, -h exits 0
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "benchguard: unexpected argument %q; every option is a flag\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
 
 	// BenchmarkShuffle lives in internal/engine, beside the reference
 	// executor's per-record shuffle it measures against; the rest are the
@@ -98,16 +114,17 @@ func main() {
 		"-benchtime", *benchtime)
 	raw, err := cmd.CombinedOutput()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: go test failed: %v\n%s\n", err, raw)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "benchguard: go test failed: %v\n%s\n", err, raw)
+		return 1
 	}
 	bench := parseBench(string(raw))
 
+	missing := false
 	need := func(name string) metrics {
 		m, ok := bench[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchguard: %s missing from bench output:\n%s\n", name, raw)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "benchguard: %s missing from bench output\n", name)
+			missing = true
 		}
 		return m
 	}
@@ -131,6 +148,10 @@ func main() {
 	svcIngestMiss := need("BenchmarkRepeatedScripts/ingest/miss")
 	svcIngestDocHit := need("BenchmarkRepeatedScripts/ingest/doc-hit")
 	optRank := need("BenchmarkRankAllQ7")
+	if missing {
+		fmt.Fprintf(stderr, "%s\n", raw)
+		return 1
+	}
 
 	fresh := map[string]float64{
 		"shuffle_throughput":             shufLegacy["ns/op"] / shufBatched["ns/op"],
@@ -165,7 +186,7 @@ func main() {
 
 	failed := false
 	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "benchguard: FAIL: "+format+"\n", args...)
+		fmt.Fprintf(stderr, "benchguard: FAIL: "+format+"\n", args...)
 		failed = true
 	}
 	// slack widens the threshold for ratios whose two modes do different
@@ -191,7 +212,7 @@ func main() {
 				label, freshVal, base, base*(1-tol))
 			return
 		}
-		fmt.Printf("benchguard: ok: %-30s fresh %.3f, baseline %.3f\n", label, freshVal, base)
+		fmt.Fprintf(stdout, "benchguard: ok: %-30s fresh %.3f, baseline %.3f\n", label, freshVal, base)
 	}
 
 	check("shuffle throughput ratio", "BENCH_shuffle.json", "throughput",
@@ -275,7 +296,7 @@ func main() {
 	if r := fresh["obs_overhead"]; r > 1.05 {
 		fail("traced shuffle costs %.3fx the untraced run (max 1.05x); span recording has left the O(1)-per-phase path", r)
 	} else {
-		fmt.Printf("benchguard: ok: %-30s fresh %.3f (max 1.050)\n", "obs tracing overhead", r)
+		fmt.Fprintf(stdout, "benchguard: ok: %-30s fresh %.3f (max 1.050)\n", "obs tracing overhead", r)
 	}
 	// Deterministic sanity: both transports must account identical shipped
 	// bytes for the identical shuffle (the engine counts bytes before the
@@ -342,7 +363,8 @@ func main() {
 	}
 
 	if failed {
-		os.Exit(1)
+		return 1
 	}
-	fmt.Println("benchguard: all ratios within threshold")
+	fmt.Fprintln(stdout, "benchguard: all ratios within threshold")
+	return 0
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -21,83 +22,100 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig5, fig6, fig7, table1, enumtime, q15")
-	sf := flag.Float64("sf", 1.0, "TPC-H scale factor")
-	dop := flag.Int("dop", 4, "degree of parallelism")
-	picks := flag.Int("picks", 10, "plans executed per rank sweep")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
+// run is experiments on the given arguments: it returns the exit status —
+// 0, 1 when an experiment fails, 2 when an argument is not a flag: the flag
+// package stops at the first one, so a flag after it would be dropped
+// silently.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: all, fig5, fig6, fig7, table1, enumtime, q15")
+	sf := fs.Float64("sf", 1.0, "TPC-H scale factor")
+	dop := fs.Int("dop", 4, "degree of parallelism")
+	picks := fs.Int("picks", 10, "plans executed per rank sweep")
+	fs.Parse(args) // a bad flag exits 2, -h exits 0
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "experiments: unexpected argument %q; every option is a flag\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
+
+	status := 0
+	step := func(name string, fn func() error) {
+		if status != 0 || *exp != "all" && *exp != name {
 			return
 		}
 		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			status = 1
 		}
 	}
 
-	run("fig5", func() error {
+	step("fig5", func() error {
 		g := tpch.DefaultGen()
 		g.SF = *sf
 		res, err := experiments.Fig5Q7(g, *dop, *picks)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(stdout, res)
 		return nil
 	})
 
-	run("fig6", func() error {
+	step("fig6", func() error {
 		res, err := experiments.Fig6TextMining(textmine.DefaultGen(), *dop, *picks)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(stdout, res)
 		return nil
 	})
 
-	run("fig7", func() error {
+	step("fig7", func() error {
 		res, err := experiments.Fig7Clickstream(clickstream.DefaultGen(), *dop)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(stdout, res)
 		return nil
 	})
 
-	run("table1", func() error {
+	step("table1", func() error {
 		res, err := experiments.Table1()
 		if err != nil {
 			return err
 		}
-		fmt.Println("Table 1: enumerated orders, manual annotation vs. SCA")
-		fmt.Println(res)
+		fmt.Fprintln(stdout, "Table 1: enumerated orders, manual annotation vs. SCA")
+		fmt.Fprintln(stdout, res)
 		return nil
 	})
 
-	run("enumtime", func() error {
+	step("enumtime", func() error {
 		rows, err := experiments.EnumTimes()
 		if err != nil {
 			return err
 		}
-		fmt.Println("Enumeration time (paper: < 1654 ms for all tasks)")
+		fmt.Fprintln(stdout, "Enumeration time (paper: < 1654 ms for all tasks)")
 		for _, r := range rows {
-			fmt.Printf("%-14s  %6d plans  %12v\n", r.Task, r.Plans, r.Duration.Round(time.Microsecond))
+			fmt.Fprintf(stdout, "%-14s  %6d plans  %12v\n", r.Task, r.Plans, r.Duration.Round(time.Microsecond))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		return nil
 	})
 
-	run("q15", func() error {
+	step("q15", func() error {
 		g := tpch.DefaultGen()
 		g.SF = *sf
 		s, err := experiments.Q15Strategies(g, *dop)
 		if err != nil {
 			return err
 		}
-		fmt.Println("Q15 physical strategies per operator order (Section 7.3):")
-		fmt.Println(s)
+		fmt.Fprintln(stdout, "Q15 physical strategies per operator order (Section 7.3):")
+		fmt.Fprintln(stdout, s)
 		return nil
 	})
+	return status
 }

@@ -50,6 +50,8 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof" // registers on DefaultServeMux, served only via -pprof-addr
@@ -63,27 +65,43 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	globalBudget := flag.Int("global-budget", 64<<20, "shared memory budget in bytes for all running jobs (0 = ungoverned)")
-	maxConcurrent := flag.Int("max-concurrent", 4, "jobs running at once")
-	maxQueue := flag.Int("max-queue", 128, "pending-queue depth before submissions are rejected (negative = unbounded)")
-	dop := flag.Int("dop", 4, "default degree of parallelism per job")
-	spillDir := flag.String("spill-dir", "", "parent directory for per-job spill directories (default: OS temp)")
-	jobTimeout := flag.Duration("job-timeout", 0, "default per-job deadline, e.g. 30s (0 = none)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for accepted jobs before cancelling them")
-	planCache := flag.Int("plan-cache", 256, "plan-cache entries per level: compiled flows and optimized plans (negative = disabled)")
-	tenantMaxRunning := flag.Int("tenant-max-running", 0, "per-tenant cap on concurrently running jobs (0 = none)")
-	tenantMaxQueued := flag.Int("tenant-max-queued", 0, "per-tenant cap on queued jobs; 429 beyond it (0 = none)")
-	tenantBudgetFrac := flag.Float64("tenant-budget-frac", 0, "fraction of the global budget one tenant's running jobs may hold, e.g. 0.5 (0 = none)")
-	maxQueuedCost := flag.Float64("max-queued-cost", 0, "ceiling on summed optimizer cost estimates of queued jobs; 429 beyond it (0 = off)")
-	jobTTL := flag.Duration("job-ttl", defaultJobTTL, "how long finished jobs stay pollable before registry eviction (0 = forever)")
-	maxJobs := flag.Int("max-jobs", defaultMaxJobs, "registry size that evicts oldest finished jobs (0 = unbounded)")
-	workers := flag.String("workers", "", "comma-separated flowworker addresses for distributed shuffles (empty = single-process)")
-	localSlots := flag.Int("local-slots", 0, "shuffle placement slots kept in this process per rotation when -workers is set (0 = all partitions remote)")
-	pprofAddr := flag.String("pprof-addr", "", "separate listen address for net/http/pprof profiling endpoints (empty = disabled)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
+// run is flowserve on the given arguments: it returns the exit status — 0
+// after a graceful drain, 1 when the listener fails, 2 when an argument is
+// not a flag: the flag package stops at the first one, so a flag after it
+// would be dropped silently.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flowserve", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	globalBudget := fs.Int("global-budget", 64<<20, "shared memory budget in bytes for all running jobs (0 = ungoverned)")
+	maxConcurrent := fs.Int("max-concurrent", 4, "jobs running at once")
+	maxQueue := fs.Int("max-queue", 128, "pending-queue depth before submissions are rejected (negative = unbounded)")
+	dop := fs.Int("dop", 4, "default degree of parallelism per job")
+	spillDir := fs.String("spill-dir", "", "parent directory for per-job spill directories (default: OS temp)")
+	jobTimeout := fs.Duration("job-timeout", 0, "default per-job deadline, e.g. 30s (0 = none)")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for accepted jobs before cancelling them")
+	planCache := fs.Int("plan-cache", 256, "plan-cache entries per level: compiled flows and optimized plans (negative = disabled)")
+	tenantMaxRunning := fs.Int("tenant-max-running", 0, "per-tenant cap on concurrently running jobs (0 = none)")
+	tenantMaxQueued := fs.Int("tenant-max-queued", 0, "per-tenant cap on queued jobs; 429 beyond it (0 = none)")
+	tenantBudgetFrac := fs.Float64("tenant-budget-frac", 0, "fraction of the global budget one tenant's running jobs may hold, e.g. 0.5 (0 = none)")
+	maxQueuedCost := fs.Float64("max-queued-cost", 0, "ceiling on summed optimizer cost estimates of queued jobs; 429 beyond it (0 = off)")
+	jobTTL := fs.Duration("job-ttl", defaultJobTTL, "how long finished jobs stay pollable before registry eviction (0 = forever)")
+	maxJobs := fs.Int("max-jobs", defaultMaxJobs, "registry size that evicts oldest finished jobs (0 = unbounded)")
+	workers := fs.String("workers", "", "comma-separated flowworker addresses for distributed shuffles (empty = single-process)")
+	localSlots := fs.Int("local-slots", 0, "shuffle placement slots kept in this process per rotation when -workers is set (0 = all partitions remote)")
+	pprofAddr := fs.String("pprof-addr", "", "separate listen address for net/http/pprof profiling endpoints (empty = disabled)")
+
+	fs.Parse(args) // a bad flag exits 2, -h exits 0
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "flowserve: unexpected argument %q; every option is a flag\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
+
+	slog.SetDefault(slog.New(slog.NewTextHandler(stderr, nil)))
 
 	var workerAddrs []string
 	if *workers != "" {
@@ -149,11 +167,12 @@ func main() {
 		"slots", *maxConcurrent, "queue", *maxQueue, "dop", *dop)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		slog.Error("listener failed", "err", err)
-		os.Exit(1)
+		return 1
 	}
 	// ListenAndServe returns as soon as the listener closes; wait for
 	// httpSrv.Shutdown's in-flight-handler grace before exiting, or
 	// clients mid-response get their connections reset.
 	<-drained
 	slog.Info("drained, bye")
+	return 0
 }

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"os"
@@ -35,21 +36,36 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:0", "listen address (\":0\" picks an ephemeral port, printed on stdout)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
+// run is flowworker on the given arguments: it returns the exit status — 0
+// after a signal stops it, 1 when it cannot listen or serve, 2 when an
+// argument is not a flag: the flag package stops at the first one, so a
+// flag after it would be dropped silently.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flowworker", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	listen := fs.String("listen", "127.0.0.1:0", "listen address (\":0\" picks an ephemeral port, printed on stdout)")
+	fs.Parse(args) // a bad flag exits 2, -h exits 0
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "flowworker: unexpected argument %q; every option is a flag\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
+
+	slog.SetDefault(slog.New(slog.NewTextHandler(stderr, nil)))
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		slog.Error("listen failed", "addr", *listen, "err", err)
-		os.Exit(1)
+		return 1
 	}
 	w := transport.NewWorker(ln)
 
 	// The resolved address is the only stdout output: parseable by whatever
 	// launched us.
-	fmt.Println(w.Addr())
+	fmt.Fprintln(stdout, w.Addr())
 	slog.Info("serving shuffle transport", "addr", w.Addr())
 
 	sigs := make(chan os.Signal, 1)
@@ -62,8 +78,9 @@ func main() {
 
 	if err := w.Serve(); err != nil && !errors.Is(err, net.ErrClosed) {
 		slog.Error("serve failed", "err", err)
-		os.Exit(1)
+		return 1
 	}
 	frames, bytes := w.RelayStats()
 	slog.Info("bye", "relay_frames", frames, "relay_bytes", bytes)
+	return 0
 }

@@ -135,7 +135,7 @@ func TestDifferentialMapChains(t *testing.T) {
 }
 
 // TestDifferentialCombinedReduce pins the combining shuffle (senders that
-// group each batch through hashGroups before the combiner) and, under a tiny budget, the spill path's
+// group each batch through a grouper before the combiner) and, under a tiny budget, the spill path's
 // external merge against the uncombined, unspilled reference executor: partial
 // aggregation and out-of-core grouping must be invisible in the output.
 func TestDifferentialCombinedReduce(t *testing.T) {

@@ -75,9 +75,9 @@ func (p Partitioned) Records() int {
 	return n
 }
 
-// Flatten merges all partitions into a single data set.
+// Flatten merges all partitions into a single data set, allocated once.
 func (p Partitioned) Flatten() record.DataSet {
-	var out record.DataSet
+	out := make(record.DataSet, 0, p.Records())
 	for _, part := range p {
 		out = append(out, part...)
 	}

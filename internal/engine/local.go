@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/optimizer"
@@ -47,12 +48,15 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge, ro
 		return out, counts[0].calls, err
 
 	case dataflow.KindReduce:
-		return fanOut(len(in[0].data), func(i int, emit func(record.Record) error) (int, error) {
+		hashed := p.Local == optimizer.LocalHashGroup
+		return fanOut(len(in[0].data), e.outSize(p, edgeRecords(in)), func(i int, emit func(record.Record) error) (int, error) {
 			udf, err := e.runner(op, tac.KindReduce, room)
 			if err != nil {
 				return 0, err
 			}
-			groups, err := e.sideGroups(&in[0], i, p.Local == optimizer.LocalHashGroup)
+			sc := getScratch()
+			defer sc.put()
+			groups, err := e.sideGroups(&in[0], i, hashed, &sc[0])
 			if err != nil {
 				return 0, err
 			}
@@ -68,19 +72,21 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge, ro
 		if op.Kind == dataflow.KindMatch {
 			kind, hashed = tac.KindBinary, p.Local == optimizer.LocalHashJoin
 		}
-		return fanOut(len(in[0].data), func(i int, emit func(record.Record) error) (int, error) {
+		return fanOut(len(in[0].data), e.outSize(p, edgeRecords(in)), func(i int, emit func(record.Record) error) (int, error) {
 			udf, err := e.runner(op, kind, room)
 			if err != nil {
 				return 0, err
 			}
+			sc := getScratch()
+			defer sc.put()
 			if hashed && !in[0].spilled(i) && !in[1].spilled(i) {
-				return hashJoin(ctx, op, udf, in, p.BuildSide, i, emit)
+				return hashJoin(ctx, op, udf, in, p.BuildSide, i, sc, emit)
 			}
-			l, err := e.sideGroups(&in[0], i, hashed)
+			l, err := e.sideGroups(&in[0], i, hashed, &sc[0])
 			if err != nil {
 				return 0, err
 			}
-			r, err := e.sideGroups(&in[1], i, hashed)
+			r, err := e.sideGroups(&in[1], i, hashed, &sc[1])
 			if err != nil {
 				return 0, err
 			}
@@ -91,7 +97,7 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge, ro
 		})
 
 	case dataflow.KindCross:
-		return fanOut(len(in[0].data), func(i int, emit func(record.Record) error) (int, error) {
+		return fanOut(len(in[0].data), e.outSize(p, edgeRecords(in)), func(i int, emit func(record.Record) error) (int, error) {
 			udf, err := e.runner(op, tac.KindBinary, room)
 			if err != nil {
 				return 0, err
@@ -224,7 +230,8 @@ func (c *mergeGroupCursor) next() ([]record.Record, error) {
 // index tie-break reproduces arrival order within each key group, matching
 // what a fully resident stable grouping would have seen. With no runs the
 // merge degenerates to the resident records alone, stably sorted in place
-// or — when the plan asks for a hash strategy — hash-grouped.
+// or — when the plan asks for a hash strategy — hash-grouped through g,
+// whose arrays back the groups until g is next used.
 //
 // The in-place sort relies on the engine's partition-ownership rule: every
 // plan-node execution materializes fresh output partitions for its single
@@ -232,11 +239,11 @@ func (c *mergeGroupCursor) next() ([]record.Record, error) {
 // headers, and broadcast hands every partition its own slice), so no
 // defensive copy is needed. If subplan results are ever cached and shared
 // across consumers, forwarded inputs must be copied here again.
-func (e *Engine) sideGroups(ed *edge, i int, hashed bool) (groupCursor, error) {
+func (e *Engine) sideGroups(ed *edge, i int, hashed bool, g *grouper) (groupCursor, error) {
 	part, keys := ed.data[i], ed.keys
 	spilled := ed.spilled(i)
 	if hashed && !spilled {
-		return &memGroupCursor{groups: hashGroups(part, keys)}, nil
+		return &memGroupCursor{groups: g.groups(part, keys)}, nil
 	}
 	sortRecs(part, keys)
 	if !spilled {
@@ -260,23 +267,34 @@ func (ed *edge) spilled(i int) bool {
 	return ed.spills != nil && len(ed.spills[i].runs) > 0
 }
 
+// edgeRecords counts partition i's records over every input edge, spilled
+// runs included.
+func edgeRecords(in []edge) func(i int) int {
+	return func(i int) int {
+		n := 0
+		for j := range in {
+			n += len(in[j].data[i])
+			if in[j].spills != nil {
+				for _, run := range in[j].spills[i].runs {
+					n += run.Records
+				}
+			}
+		}
+		return n
+	}
+}
+
 // sortRecs stably sorts records on the key fields: ascending key order,
 // arrival order within equal keys.
 func sortRecs(recs []record.Record, keys []int) {
 	slices.SortStableFunc(recs, func(a, b record.Record) int { return a.CompareOn(b, keys) })
 }
 
-// hashGroups groups a partition by key fields through a keyIndex and lays
-// the groups out in canonical order.
-func hashGroups(part []record.Record, keys []int) [][]record.Record {
-	var g grouper
-	return g.groups(part, keys)
-}
-
-// grouper is hashGroups with its arrays kept between calls: the keyIndex,
-// the group order and the layout are reset, not rebuilt, so a caller that
-// groups batch after batch — the combining sender — allocates only when a
-// batch outgrows the last. The groups it returns live until the next call.
+// grouper groups one side of a partition by key fields through a keyIndex
+// and lays the groups out in canonical order. Its arrays are reset, not
+// rebuilt, so a caller that groups batch after batch — the combining
+// sender — allocates only when a batch outgrows the last. The groups it
+// returns live until the next call or release.
 type grouper struct {
 	x     keyIndex
 	order []int32
@@ -285,7 +303,7 @@ type grouper struct {
 
 func (g *grouper) groups(part []record.Record, keys []int) [][]record.Record {
 	g.x.index(part, keys)
-	g.order = sized(g.order, len(g.x.head))
+	g.order = sized(g.order, len(g.x.hash))
 	for i := range g.order {
 		g.order[i] = int32(i)
 	}
@@ -293,70 +311,103 @@ func (g *grouper) groups(part []record.Record, keys []int) [][]record.Record {
 	return g.lay.layout(part, g.x.ids, g.x.size, g.order)
 }
 
+// release clears every slot of g that can point into records — the dense
+// keys, the laid-out records and the group slices — keeping the arrays.
+// Each use writes only below the lengths it leaves, so clearing up to them
+// clears everything.
+func (g *grouper) release() {
+	clear(g.x.kv)
+	clear(g.lay.flat)
+	clear(g.lay.out)
+}
+
+// scratch is what one partition's local stage groups with: a grouper per
+// input side. It comes from scratchPool and goes back released, so the
+// arrays are sized once across the jobs of a process and a pooled grouper
+// pins no record.
+type scratch [2]grouper
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func (sc *scratch) put() {
+	for i := range sc {
+		sc[i].release()
+	}
+	scratchPool.Put(sc)
+}
+
 // hashJoin runs partition i of a hash join whose sides are both resident:
 // it indexes the build side, streams the probe side through the index, and
 // hands the build groups that matched — in key order, each beside its
 // matched probe records in arrival order — to matchAligned. Probe records
-// that match nothing are neither laid out nor sorted.
-func hashJoin(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, in []edge, build, i int, emit func(record.Record) error) (int, error) {
-	var x keyIndex
-	x.index(in[build].data[i], in[build].keys)
+// that match nothing are neither laid out nor sorted. sc[0] groups the
+// build side; sc[1] holds the probe side's group ids and sizes, in the
+// build side's numbering, and its layout.
+func hashJoin(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, in []edge, build, i int, sc *scratch, emit func(record.Record) error) (int, error) {
+	b, p := &sc[0], &sc[1]
+	bRecs := in[build].data[i]
+	b.x.index(bRecs, in[build].keys)
 	recs, keys := in[1-build].data[i], in[1-build].keys
-	ids := make([]int32, len(recs))
-	sizes := make([]int32, len(x.head))
-	matched := make([]int32, 0, len(x.head))
+	p.x.ids = sized(p.x.ids, len(recs))
+	p.x.size = sized(p.x.size, len(b.x.hash))
+	b.order = slices.Grow(b.order[:0], len(b.x.hash))
 	for j, r := range recs {
-		g, _ := x.find(r.Hash(keys), r, keys)
-		ids[j] = g
+		g, _ := b.x.find(r.Hash(keys), r, keys)
+		p.x.ids[j] = g
 		if g < 0 {
 			continue
 		}
-		if sizes[g] == 0 {
-			matched = append(matched, g)
+		if p.x.size[g] == 0 {
+			b.order = append(b.order, g)
 		}
-		sizes[g]++
+		p.x.size[g]++
 	}
-	x.sortGroups(matched)
+	b.x.sortGroups(b.order)
 	var sides [2]groupCursor
-	var lays [2]layoutBuf
-	sides[build] = &memGroupCursor{groups: lays[0].layout(x.recs, x.ids, x.size, matched)}
-	sides[1-build] = &memGroupCursor{groups: lays[1].layout(recs, ids, sizes, matched)}
+	sides[build] = &memGroupCursor{groups: b.lay.layout(bRecs, b.x.ids, b.x.size, b.order)}
+	sides[1-build] = &memGroupCursor{groups: p.lay.layout(recs, p.x.ids, p.x.size, b.order)}
 	return matchAligned(ctx, op, udf, sides[0], sides[1], handover(in), emit)
 }
 
 // keyIndex groups one side of a partition by its key fields: an
 // open-addressing table of group ids over Record.Hash, a hit confirmed by
-// comparing keys with the group's first record, and per-group and
-// per-record int32 arrays sized once — its allocations do not grow with
-// records or groups, and re-indexing reuses them. Group ids number the
-// groups in order of first arrival.
+// comparing keys with the group's key fields, which it holds densely —
+// len(keys) Values per group, beside the group's hash — so neither a probe
+// nor the key sort chases a record. Its per-group and per-record arrays
+// are sized once, for as many groups as records: its allocations do not
+// grow with records or groups, and re-indexing reuses them. Group ids
+// number the groups in order of first arrival.
 type keyIndex struct {
-	recs  []record.Record
 	keys  []int
-	slots []int32  // group id + 1 per table slot; 0 is empty
-	shift uint     // 64 - log2(len(slots))
-	hash  []uint64 // per group: its key hash
-	head  []int32  // per group: its first record
-	size  []int32  // per group: its record count
-	ids   []int32  // per record: its group
+	slots []int32        // group id + 1 per table slot; 0 is empty
+	shift uint           // 64 - log2(len(slots))
+	hash  []uint64       // per group: its key hash
+	kv    []record.Value // per group: its key fields, len(keys) of them
+	size  []int32        // per group: its record count
+	ids   []int32        // per record: its group
 }
 
 // index groups recs by keys, replacing what x indexed before.
 func (x *keyIndex) index(recs []record.Record, keys []int) {
 	n := len(recs)
 	lg := bits.Len(uint(2 * n)) // a table over twice n slots keeps probes short
-	x.recs, x.keys = recs, keys
+	x.keys = keys
 	x.slots, x.shift = sized(x.slots, 1<<lg), uint(64-lg)
-	x.hash, x.head, x.size = slices.Grow(x.hash[:0], n), slices.Grow(x.head[:0], n), slices.Grow(x.size[:0], n)
+	x.hash, x.size = slices.Grow(x.hash[:0], n), slices.Grow(x.size[:0], n)
+	x.kv = slices.Grow(x.kv[:0], n*len(keys))
 	x.ids = sized(x.ids, n)
 	for i, r := range recs {
 		h := r.Hash(keys)
 		g, s := x.find(h, r, keys)
 		if g < 0 {
-			g = int32(len(x.head))
+			g = int32(len(x.hash))
 			x.slots[s] = g + 1
 			x.hash = append(x.hash, h)
-			x.head = append(x.head, int32(i))
+			for _, f := range keys {
+				x.kv = append(x.kv, r.Field(f))
+			}
 			x.size = append(x.size, 0)
 		}
 		x.ids[i] = g
@@ -382,6 +433,12 @@ func (x *keyIndex) start(h uint64) int {
 	return int(h * 0x9e3779b97f4a7c15 >> x.shift)
 }
 
+// key returns group g's key fields.
+func (x *keyIndex) key(g int32) []record.Value {
+	k := len(x.keys)
+	return x.kv[int(g)*k : int(g+1)*k]
+}
+
 // find returns the group whose key equals r's fields rKeys, or -1 and the
 // empty slot that ends h's probe sequence. Equal keys hash equally
 // (record.Value.Compare is exact), so only that sequence can hold the group.
@@ -389,11 +446,22 @@ func (x *keyIndex) find(h uint64, r record.Record, rKeys []int) (int32, int) {
 	s := x.start(h)
 	for ; x.slots[s] != 0; s = (s + 1) & (len(x.slots) - 1) {
 		g := x.slots[s] - 1
-		if x.hash[g] == h && compareKeyPair(x.recs[x.head[g]], x.keys, r, rKeys) == 0 {
+		if x.hash[g] == h && keyEquals(x.key(g), r, rKeys) {
 			return g, s
 		}
 	}
 	return -1, s
+}
+
+// keyEquals reports whether r's fields rKeys equal key, position by
+// position.
+func keyEquals(key []record.Value, r record.Record, rKeys []int) bool {
+	for i, v := range key {
+		if v.Compare(r.Field(rKeys[i])) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // sortGroups orders group ids by key. Distinct groups never tie —
@@ -401,7 +469,7 @@ func (x *keyIndex) find(h uint64, r record.Record, rKeys []int) (int32, int) {
 // order a stable sort of the groups in arrival order gives.
 func (x *keyIndex) sortGroups(gs []int32) {
 	slices.SortFunc(gs, func(a, b int32) int {
-		return x.recs[x.head[a]].CompareOn(x.recs[x.head[b]], x.keys)
+		return slices.CompareFunc(x.key(a), x.key(b), record.Value.Compare)
 	})
 }
 

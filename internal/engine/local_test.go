@@ -5,7 +5,10 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"blackboxflow/internal/dataflow"
 	"blackboxflow/internal/frontend"
@@ -283,6 +286,71 @@ func requireCombinerInvisible(t *testing.T, keys []record.Value, dop int) {
 	}
 }
 
+// TestHashGroupingEdgeKeys pins the hash grouper's dense-key compare
+// against the sort path where key equality is subtle — int 2^53 beside
+// 2^53+1, float 2^53 beside int 2^53, -0.0 beside 0.0, NaNs of different
+// bits — each as the last field of a two-field key whose first field
+// repeats: hash grouping must form the groups a stable sort forms, in the
+// same order, and the hash join, with either build side, must pair what the
+// merge join pairs, in the same order.
+func TestHashGroupingEdgeKeys(t *testing.T) {
+	last := []record.Value{
+		record.Int(1 << 53), record.Int(1<<53 + 1), record.Float(1 << 53),
+		record.Float(math.Copysign(0, -1)), record.Float(0), record.Int(0),
+		record.Float(math.NaN()), record.Float(math.Float64frombits(0xfff8000000000000)),
+		record.Float(math.Float64frombits(0x7ff0000000000bad)),
+	}
+	var l, r record.DataSet
+	for i := range 4 * len(last) {
+		k0, k1 := record.Int(int64(i%2)), last[i*5%len(last)]
+		l = append(l, record.Record{k0, k1, record.Int(int64(i))})
+		r = append(r, record.Record{record.Null, k0, last[i*7%len(last)], record.Int(int64(i))})
+	}
+	sortGroups := func(recs record.DataSet, keys []int) groupCursor {
+		recs = slices.Clone(recs)
+		sortRecs(recs, keys)
+		return &sortedGroupCursor{recs: recs, keys: keys}
+	}
+	var want record.DataSet
+	c := sortGroups(l, []int{0, 1})
+	for g, _ := c.next(); g != nil; g, _ = c.next() {
+		want = append(append(want, g...), nil) // nil ends a group
+	}
+	var got record.DataSet
+	for _, g := range new(grouper).groups(l, []int{0, 1}) {
+		got = append(append(got, g...), nil)
+	}
+	requireByteIdentical(t, got, want, "hash groups vs sorted groups")
+
+	op := &dataflow.Operator{Name: "J", Kind: dataflow.KindMatch, UDF: getUDF(t, strategyProgram, "jn"), Keys: [][]int{{0, 1}, {1, 2}}}
+	join := func(label string, run func(udf *tac.Runner, emit func(record.Record) error) error) record.DataSet {
+		udf, err := New(1).runner(op, tac.KindBinary, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out record.DataSet
+		if err := run(udf, func(r record.Record) error { out = append(out, r); return nil }); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return out
+	}
+	merged := join("merge join", func(udf *tac.Runner, emit func(record.Record) error) error {
+		_, err := matchAligned(t.Context(), op, udf, sortGroups(l, op.Keys[0]), sortGroups(r, op.Keys[1]), 0, emit)
+		return err
+	})
+	if len(merged) == 0 {
+		t.Fatal("the merge join paired nothing")
+	}
+	for build := range 2 {
+		in := []edge{{data: Partitioned{l}, keys: op.Keys[0]}, {data: Partitioned{r}, keys: op.Keys[1]}}
+		hashed := join("hash join", func(udf *tac.Runner, emit func(record.Record) error) error {
+			_, err := hashJoin(t.Context(), op, udf, in, build, 0, new(scratch), emit)
+			return err
+		})
+		requireByteIdentical(t, hashed, merged, fmt.Sprintf("hash join build=%d vs merge join", build))
+	}
+}
+
 // TestCombineAdversarialKeys runs the combining sender over adversarialKeys
 // plus -0.0 beside 0: Int(1) and Float(1), -0.0 and 0, and the three NaNs
 // must each combine into one group, and 2^53 and 2^53+1 must not. The long
@@ -308,9 +376,10 @@ func TestCombineAdversarialKeys(t *testing.T) {
 	}
 }
 
-// TestHashGroupsAllocs pins hashGroups to a fixed number of arrays per call,
-// whatever the number of records or groups. The map-of-slices grouping it
-// replaced made 10,132 / 16,035 / 25,066 allocations on these inputs.
+// TestHashGroupsAllocs pins the hash grouping of a Reduce or CoGroup side to
+// a fixed number of arrays per call on a fresh grouper, whatever the number
+// of records or groups. The map-of-slices grouping it replaced made
+// 10,132 / 16,035 / 25,066 allocations on these inputs.
 func TestHashGroupsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -326,7 +395,7 @@ func TestHashGroupsAllocs(t *testing.T) {
 		for i := range part {
 			part[i] = record.Record{record.Int(int64(i % groups)), record.Int(int64(i))}
 		}
-		allocs := testing.AllocsPerRun(5, func() { hashGroups(part, keys) })
+		allocs := testing.AllocsPerRun(5, func() { new(grouper).groups(part, keys) })
 		t.Logf("hashGroups over %d records in %d groups: %.0f allocations", n, groups, allocs)
 		if allocs > 16 {
 			t.Errorf("hashGroups over %d records in %d groups allocates %.0f times, want at most 16", n, groups, allocs)
@@ -336,6 +405,53 @@ func TestHashGroupsAllocs(t *testing.T) {
 	if counts[0] != counts[1] || counts[1] != counts[2] {
 		t.Errorf("hashGroups allocations %v vary with the group count", counts)
 	}
+}
+
+// TestGroupingScratchPinsNoRecords pins the pooled grouping scratch: once a
+// hash-grouped Reduce and a hash join have run, the groupers back in the
+// pool hold no record and no key, so the records' storage and their string
+// keys' bytes are collected.
+func TestGroupingScratchPinsNoRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race: the pool keeps nothing to pin with")
+	}
+	slab, arena := runHashGrouping(t)
+	runtime.GC()
+	if slab.Value() != nil {
+		t.Error("the input records are still reachable after the run: a pooled grouper pins them")
+	}
+	if arena.Value() != nil {
+		t.Error("the input keys' bytes are still reachable after the run: a pooled grouper pins them")
+	}
+}
+
+// runHashGrouping runs a hash-grouped Reduce and a hash join, at DOP 2
+// behind partitioned edges, over records carved from one Value slab and
+// keyed on strings cut from one arena, and returns weak pointers to both.
+func runHashGrouping(t *testing.T) (weak.Pointer[record.Value], weak.Pointer[byte]) {
+	const n = 1024
+	arena := strings.Repeat("abcdefghij", 10)
+	slab := make([]record.Value, 6*n)
+	l, r := make(record.DataSet, n), make(record.DataSet, n)
+	for i := range n {
+		key := record.String(arena[i%89 : i%89+6])
+		l[i] = slab[6*i : 6*i+2 : 6*i+2]
+		l[i][0], l[i][1] = key, record.Int(int64(i))
+		r[i] = slab[6*i+2 : 6*i+6 : 6*i+6]
+		r[i][2], r[i][3] = key, record.Int(int64(i))
+	}
+	e := New(2)
+	e.AddSource("L", l)
+	e.AddSource("R", r)
+	for _, s := range []struct {
+		kind  dataflow.OpKind
+		local optimizer.Local
+	}{{dataflow.KindReduce, optimizer.LocalHashGroup}, {dataflow.KindMatch, optimizer.LocalHashJoin}} {
+		if _, _, err := e.Run(strategyPlan(t, s.kind, s.local, 0, optimizer.ShipPartition)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return weak.Make(&slab[0]), weak.Make(unsafe.StringData(arena))
 }
 
 // TestHashJoinAllocsIgnoreUnmatchedProbes pins the probe side of the hash
@@ -364,7 +480,7 @@ func TestHashJoinAllocsIgnoreUnmatchedProbes(t *testing.T) {
 			allocs := testing.AllocsPerRun(5, func() {
 				udf, err := e.runner(op, tac.KindBinary, 0)
 				if err == nil {
-					_, err = hashJoin(t.Context(), op, udf, in, build, 0, discard)
+					_, err = hashJoin(t.Context(), op, udf, in, build, 0, new(scratch), discard)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -410,7 +526,7 @@ func TestHashJoinAllocsPerMatchedPair(t *testing.T) {
 			allocs := testing.AllocsPerRun(3, func() {
 				udf, err := e.runner(op, tac.KindBinary, 0)
 				if err == nil {
-					_, err = hashJoin(t.Context(), op, udf, in, build, 0, discard)
+					_, err = hashJoin(t.Context(), op, udf, in, build, 0, new(scratch), discard)
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -76,6 +76,8 @@ func attribute(ctx context.Context, op, phase string, err error) error {
 // UDF at the record's last pairing (matchAligned), so the UDF may build its
 // result in the record's storage; room is the width the records leaving
 // the edge's builder reserve for that, zero where nothing will widen them.
+// width is the producer's estimated bytes per record, zero when the plan
+// has no estimate.
 type edge struct {
 	ship  optimizer.Shipping
 	keys  []int
@@ -83,6 +85,7 @@ type edge struct {
 	slot  int                   // index of the chain's first OpStats in RunStats.PerOp
 	owned bool
 	room  int
+	width float64
 
 	// data is the producer's output until the edge's stage has run, then
 	// what the operator's partitions received; spills is the per-partition
@@ -161,6 +164,9 @@ func (e *Engine) exec(ctx context.Context, p *optimizer.PhysPlan, stats *RunStat
 		}
 		var producer *optimizer.PhysPlan
 		ed.chain, producer = chainBelow(in)
+		if producer.OutRecords > 0 {
+			ed.width = producer.OutBytes / producer.OutRecords
+		}
 		ed.owned = ed.ship != optimizer.ShipBroadcast && (len(ed.chain) > 0 || producer.Op.IsUDFOp())
 		if ed.owned && op.Kind == dataflow.KindMatch {
 			ed.room = width
@@ -479,7 +485,8 @@ func drive(ctx context.Context, part []record.Record, feed func(record.Record) e
 // per-level counts are added into total even when the loop fails.
 func (e *Engine) runChain(ctx context.Context, in Partitioned, chain []*optimizer.PhysPlan, room int, total []opCount) (Partitioned, error) {
 	counts := make([][]opCount, len(in))
-	out, _, err := fanOut(len(in), func(i int, emit func(record.Record) error) (int, error) {
+	records := func(i int) int { return len(in[i]) }
+	out, _, err := fanOut(len(in), e.outSize(chain[len(chain)-1], records), func(i int, emit func(record.Record) error) (int, error) {
 		counts[i] = make([]opCount, len(chain))
 		feed, err := e.chainFeed(chain, room, counts[i], emit)
 		if err == nil {
@@ -495,11 +502,31 @@ func (e *Engine) runChain(ctx context.Context, in Partitioned, chain []*optimize
 	return out, err
 }
 
+// outSize returns the capacity each output partition of p starts at: the
+// plan's estimated share of p's output records plus an eighth and 16, so a
+// near-even spread fills it without regrowing, but never more than the
+// partition's input records (records(i)). That bound is exact where SCA
+// bounds the UDF at one emit per call and the operator calls it at most
+// once per input record — a Map chain, a Reduce (once per group), a
+// foreign-key Match — and elsewhere keeps an estimate, which a job
+// document's hints steer, from allocating ahead of the data. A wrong
+// estimate only brings back append growth.
+func (e *Engine) outSize(p *optimizer.PhysPlan, records func(i int) int) func(i int) int {
+	est := max(p.OutRecords, 0)/float64(e.DOP)*9/8 + 16
+	return func(i int) int {
+		if n := records(i); !(est < float64(n)) {
+			return n
+		}
+		return int(est)
+	}
+}
+
 // fanOut runs fn for every partition index concurrently — the engine's one
-// parallel-for — handing each the sink of its output partition, and gathers
-// the partitions and the UDF calls made. The sink is the one shape every UDF
-// call emits into (tac.Runner); it never fails.
-func fanOut(n int, fn func(i int, emit func(record.Record) error) (int, error)) (Partitioned, int, error) {
+// parallel-for — handing each the sink of its output partition, which
+// starts at size(i) records, and gathers the partitions and the UDF calls
+// made. The sink is the one shape every UDF call emits into (tac.Runner);
+// it never fails.
+func fanOut(n int, size func(i int) int, fn func(i int, emit func(record.Record) error) (int, error)) (Partitioned, int, error) {
 	out := make(Partitioned, n)
 	calls := make([]int, n)
 	errs := make([]error, n)
@@ -508,7 +535,7 @@ func fanOut(n int, fn func(i int, emit func(record.Record) error) (int, error)) 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var part []record.Record
+			part := make([]record.Record, 0, size(i))
 			calls[i], errs[i] = fn(i, func(r record.Record) error {
 				part = append(part, r)
 				return nil

@@ -92,16 +92,25 @@ func (e *Engine) shuffle(ctx context.Context, parent obs.SpanID, ed *edge, combi
 			batches: make([]*record.Batch, dop), chain: make([]opCount, len(ed.chain))}
 		go s.run(ctx, part, ed)
 	}
-	// A plain resident shuffle of materialised records knows its volume:
-	// pre-size each output partition — exactly on a broadcast edge, for a
+	// A plain shuffle of materialised records knows its volume: pre-size
+	// each output partition — exactly on a broadcast edge, for a
 	// near-uniform key distribution on a partitioned one (skewed keys fall
-	// back to append growth). What a chain, a combiner or a spilling
-	// collector leaves resident is unknowable here.
+	// back to append growth). Under a budget a receiver holds no more than
+	// its share's worth of records at the edge's estimated width before it
+	// spills and reuses the buffer; with no estimate it starts empty. What
+	// a chain or a combiner leaves is unknowable here.
 	hint := 0
-	if combiner == nil && budget == 0 && len(ed.chain) == 0 {
+	if combiner == nil && len(ed.chain) == 0 {
 		hint = in.Records()
 		if ed.ship != optimizer.ShipBroadcast {
 			hint = hint/dop + hint/(8*dop) + 16
+		}
+		if budget > 0 {
+			share := 0.0
+			if ed.width > 0 {
+				share = float64(budget) / ed.width
+			}
+			hint = int(min(float64(hint), share))
 		}
 	}
 	out := make(Partitioned, dop)
@@ -323,7 +332,8 @@ func closeSpills(spills []*partitionSpill) {
 // buffer's resident bytes (wire encoding, the unit MemoryBudget is
 // expressed in) and, when they exceed the budget, sorts the buffer by key
 // and writes it to the partition's spill file as one run; budget zero is
-// the resident case — the buffer only grows, pre-sized at hint.
+// the resident case — the buffer only grows. The buffer starts at hint
+// records.
 //
 // The budget is floored at one batch's worth (the largest batch buffered so
 // far): the integer division splitting MemoryBudget across DOP×inputs

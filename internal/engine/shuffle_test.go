@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
@@ -155,6 +157,56 @@ func TestShuffleAllocRegression(t *testing.T) {
 	// dozens (channel/goroutine setup), not scale with the record count.
 	if batched > float64(n)/100 {
 		t.Errorf("batched shuffle allocates %.0f times for %d records", batched, n)
+	}
+}
+
+// TestCollectSizesOnceUnderBudget pins the receivers of a budgeted
+// partitioned shuffle: under a budget they never reach, each starts its
+// partition at the pre-sized capacity and never regrows it, so the shuffle
+// allocates as often for 100k records as for 10k, and the partitions'
+// record headers stay within 1.25 × records × 24 bytes.
+func TestCollectSizesOnceUnderBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race; allocation counts are not meaningful")
+	}
+	// A collection mid-measurement would empty the batch pool and count
+	// its refill against the larger input.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const dop = 4
+	e := New(dop)
+	keys := []int{2} // unique per record: a near-even spread
+	var counts []float64
+	for _, n := range []int{10000, 100000} {
+		in := make(Partitioned, dop)
+		for i, r := range shuffleTestData(n) {
+			in[i%dop] = append(in[i%dop], r)
+		}
+		var ed edge
+		allocs := testing.AllocsPerRun(5, func() {
+			ed = edge{data: in, keys: keys, ship: optimizer.ShipPartition, width: 32}
+			if _, err := e.shuffle(t.Context(), 0, &ed, nil, 1<<30); err != nil {
+				t.Fatal(err)
+			}
+		})
+		closeSpills(ed.spills)
+		headers := 0
+		for i, part := range ed.data {
+			headers += cap(part) * int(unsafe.Sizeof(record.Record{}))
+			if ed.spilled(i) {
+				t.Fatalf("%d records: partition %d spilled under a budget it cannot reach", n, i)
+			}
+		}
+		t.Logf("budgeted shuffle of %d records at DOP %d: %.0f allocations, %d header bytes", n, dop, allocs, headers)
+		if ed.data.Records() != n {
+			t.Fatalf("shuffled %d of %d records", ed.data.Records(), n)
+		}
+		if limit := 1.25 * float64(n) * 24; float64(headers) > limit {
+			t.Errorf("%d records: partitions hold %d header bytes, want at most %.0f", n, headers, limit)
+		}
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("budgeted shuffle allocations %v grow with the record count: the receivers regrow", counts)
 	}
 }
 
