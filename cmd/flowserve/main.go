@@ -21,9 +21,16 @@
 //	                       wait, optimize, per-operator ship/spill/merge,
 //	                       per-worker transport); ?format=chrome emits
 //	                       Chrome trace_event JSON for Perfetto
-//	GET  /metrics          scheduler metrics: JSON by default,
-//	                       ?format=prom for Prometheus text exposition
+//	GET  /metrics          scheduler metrics and the collector's readings
+//	                       (GC CPU, cycles, GOGC, heap goal and live heap):
+//	                       JSON by default, ?format=prom for Prometheus
+//	                       text exposition
 //	GET  /healthz          liveness (503 while draining)
+//
+// The budget also paces the garbage collector: after each cycle the next
+// heap goal leaves one default grant (GlobalBudget/MaxConcurrent) of
+// growth above the live heap, until the live heap is that large; an
+// explicit GOGC or GOMEMLIMIT in the environment turns this off.
 //
 // With -pprof-addr, net/http/pprof is served on a separate listener (keep
 // it off public interfaces). Logs are structured (log/slog, text format).
@@ -127,6 +134,8 @@ func run(args []string, stderr io.Writer) int {
 		Workers:          workerAddrs,
 		LocalSlots:       *localSlots,
 	})
+	headroom, stopPacer := paceGC(sched.DefaultGrant(), os.LookupEnv)
+	defer stopPacer()
 	srv := newServer(sched)
 	srv.jobTTL = *jobTTL
 	srv.maxJobs = *maxJobs
@@ -163,8 +172,10 @@ func run(args []string, stderr io.Writer) int {
 		httpSrv.Shutdown(shutCtx)
 	}()
 
-	slog.Info("listening", "addr", *addr, "budget_bytes", *globalBudget,
-		"slots", *maxConcurrent, "queue", *maxQueue, "dop", *dop)
+	cfg := sched.Config()
+	slog.Info("listening", "addr", *addr, "budget_bytes", cfg.GlobalBudget,
+		"slots", cfg.MaxConcurrent, "queue", cfg.MaxQueue, "dop", cfg.DOP,
+		"gc_headroom_bytes", headroom)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		slog.Error("listener failed", "err", err)
 		return 1

@@ -2,18 +2,60 @@ package main
 
 import (
 	"io"
+	"runtime/metrics"
 	"sort"
 
 	"blackboxflow/internal/jobs"
 	"blackboxflow/internal/obs"
 )
 
+// gcMetrics are the Go runtime's collector readings. GCCPUSeconds over
+// CPUSeconds is the collector's share of the CPU time the process had
+// (GOMAXPROCS times its age); the runtime folds both in at the end of each
+// cycle, so they read zero before the first.
+type gcMetrics struct {
+	GCCPUSeconds  float64 `json:"gc_cpu_seconds"`
+	CPUSeconds    float64 `json:"cpu_seconds"`
+	GCCycles      uint64  `json:"gc_cycles"`
+	GCPercent     uint64  `json:"gc_percent"`
+	HeapGoalBytes uint64  `json:"heap_goal_bytes"`
+	HeapLiveBytes uint64  `json:"heap_live_bytes"`
+}
+
+// metricsView is the JSON /metrics document: the scheduler's snapshot and
+// the collector's readings, side by side at the top level.
+type metricsView struct {
+	jobs.Metrics
+	gcMetrics
+}
+
+// readGC samples the collector from runtime/metrics.
+func readGC() gcMetrics {
+	s := []metrics.Sample{
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/gc/gogc:percent"},
+		{Name: "/gc/heap/goal:bytes"},
+		{Name: "/gc/heap/live:bytes"},
+	}
+	metrics.Read(s)
+	return gcMetrics{
+		GCCPUSeconds:  s[0].Value.Float64(),
+		CPUSeconds:    s[1].Value.Float64(),
+		GCCycles:      s[2].Value.Uint64(),
+		GCPercent:     s[3].Value.Uint64(),
+		HeapGoalBytes: s[4].Value.Uint64(),
+		HeapLiveBytes: s[5].Value.Uint64(),
+	}
+}
+
 // writeProm renders a scheduler metrics snapshot in Prometheus text
-// exposition format (0.0.4): the admission counters and gauges, per-tenant
-// and per-worker breakdowns as labeled families, and every scheduler
-// histogram. Families are written in a fixed order and label sets sorted,
-// so scrapes diff cleanly.
-func writeProm(w io.Writer, m jobs.Metrics) error {
+// exposition format (0.0.4): the admission counters and gauges, the
+// collector's readings, per-tenant and per-worker breakdowns as labeled
+// families, and every scheduler histogram. Families are written in a
+// fixed order and label sets sorted, so scrapes diff cleanly.
+func writeProm(w io.Writer, m jobs.Metrics, gc gcMetrics) error {
 	p := obs.NewPromWriter(w)
 
 	p.Counter("flowserve_jobs_submitted_total", "Jobs accepted by Submit.", float64(m.Submitted))
@@ -39,6 +81,13 @@ func writeProm(w io.Writer, m jobs.Metrics) error {
 	p.Gauge("flowserve_source_cache_bytes", "Resident bytes of cached decoded sources.", float64(m.SourceCacheBytes))
 	p.Gauge("flowserve_source_cache_entries", "Decoded sources in the source cache.", float64(m.SourceCacheEntries))
 	p.Gauge("flowserve_queued_cost", "Summed optimizer cost estimates of queued jobs.", m.QueuedCost)
+
+	p.Counter("flowserve_gc_cpu_seconds_total", "Estimated CPU time spent in garbage collection.", gc.GCCPUSeconds)
+	p.Counter("flowserve_cpu_seconds_total", "Estimated CPU time available to the process (GOMAXPROCS times its age).", gc.CPUSeconds)
+	p.Counter("flowserve_gc_cycles_total", "Completed garbage-collection cycles.", float64(gc.GCCycles))
+	p.Gauge("flowserve_gc_percent", "GOGC in force.", float64(gc.GCPercent))
+	p.Gauge("flowserve_heap_goal_bytes", "Heap size the current collection cycle aims to end at.", float64(gc.HeapGoalBytes))
+	p.Gauge("flowserve_heap_live_bytes", "Heap bytes the previous collection marked live.", float64(gc.HeapLiveBytes))
 	if m.Workers > 0 {
 		p.Gauge("flowserve_workers", "Configured flowworker fleet size.", float64(m.Workers))
 		p.Gauge("flowserve_workers_healthy", "Workers that answered the last health sweep.", float64(m.HealthyWorkers))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -177,6 +178,12 @@ func TestMetricsProm(t *testing.T) {
 		"flowserve_source_cache_evictions_total 0",
 		"flowserve_source_cache_entries 1",
 		"flowserve_source_cache_bytes ",
+		"# TYPE flowserve_gc_cpu_seconds_total counter",
+		"# TYPE flowserve_cpu_seconds_total counter",
+		"# TYPE flowserve_gc_cycles_total counter",
+		"# TYPE flowserve_gc_percent gauge",
+		"# TYPE flowserve_heap_goal_bytes gauge",
+		"# TYPE flowserve_heap_live_bytes gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prom exposition misses %q", want)
@@ -205,6 +212,14 @@ func TestMetricsProm(t *testing.T) {
 	}
 	if got, _ := fields["source_cache_bytes"].(float64); got <= 0 || int64(got) != m.SourceCacheBytes {
 		t.Errorf("JSON metrics source_cache_bytes = %v", fields["source_cache_bytes"])
+	}
+	// The collector's readings sit beside the scheduler's. The runtime
+	// folds CPU time in at the end of a cycle, so one runs first.
+	runtime.GC()
+	var gc gcMetrics
+	getJSON(t, ts.URL+"/metrics", &gc)
+	if gc.GCCycles == 0 || gc.CPUSeconds <= 0 || gc.GCCPUSeconds > gc.CPUSeconds || gc.HeapGoalBytes == 0 {
+		t.Errorf("JSON metrics GC readings %+v", gc)
 	}
 
 	if status, _ := rawGet(t, ts.URL+"/metrics?format=xml"); status != http.StatusBadRequest {

@@ -471,13 +471,13 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.sched.Metrics()
+	m, gc := s.sched.Metrics(), readGC()
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		writeJSON(w, http.StatusOK, m)
+		writeJSON(w, http.StatusOK, metricsView{m, gc})
 	case "prom":
 		w.Header().Set("Content-Type", obs.PromContentType)
-		if err := writeProm(w, m); err != nil {
+		if err := writeProm(w, m, gc); err != nil {
 			slog.Warn("writing prometheus metrics", "err", err)
 		}
 	default:

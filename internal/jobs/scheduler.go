@@ -563,6 +563,16 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
+// DefaultGrant is the budget grant of a job that asks for none: an equal
+// share of the global budget, GlobalBudget/MaxConcurrent after defaults;
+// zero (unbudgeted) without a global budget.
+func (s *Scheduler) DefaultGrant() int {
+	return max(s.cfg.GlobalBudget, 0) / s.cfg.MaxConcurrent
+}
+
+// Config returns the scheduler's configuration with defaults applied.
+func (s *Scheduler) Config() Config { return s.cfg }
+
 // fs returns the scheduler's filesystem seam, defaulting to the real OS.
 func (s *Scheduler) fs() faultfs.FS {
 	if s.cfg.FS != nil {
@@ -633,8 +643,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		j.dop = s.cfg.DOP
 	}
 	if j.grant <= 0 {
-		// An equal share of the global budget; unbudgeted without one.
-		j.grant = max(s.cfg.GlobalBudget, 0) / s.cfg.MaxConcurrent
+		j.grant = s.DefaultGrant()
 	}
 	// A grant above a ceiling could never be admitted under it, so it is
 	// clamped: the job then runs alone under that ceiling.
