@@ -280,9 +280,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// One cold Q7 ranking exactly as Scheduler.Submit performs it. Gated on
 	// allocations per ranking, not time: the count is deterministic for a
 	// Go release and identical on every machine, and it is what the dense
-	// node table and its id-indexed memos bought (38,679 with pointer-keyed
-	// maps, 287,231 before the interned plan DAG). One extra allocation per
-	// kept candidate plan adds about 5,300 and trips it. 10% headroom for
+	// node table, its id-indexed memos and the flat candidate store bought
+	// (10,090 with a plan object per kept candidate, 38,679 with
+	// pointer-keyed maps, 287,231 before the interned plan DAG). One extra
+	// allocation per kept candidate plan adds about 5,300 and trips it. 10% headroom for
 	// toolchain drift; ns/op lands in BENCH_fresh.json for the record only.
 	check("optimizer rank-all allocs/op", "BENCH_opt.json", "rankall_q7_allocs_per_op",
 		fresh["opt_rankall_q7_allocs_op"], true, 0.4)

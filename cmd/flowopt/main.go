@@ -105,7 +105,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
-			fmt.Fprintf(stdout, "%d plans enumerated and costed in %v\n", len(ranked), planned.Round(time.Millisecond))
+			enum := best.Enum
+			fmt.Fprintf(stdout, "%d plans enumerated and costed in %v (%d sub-flows, %d exchanges, %d kept candidates)\n",
+				len(ranked), planned.Round(time.Millisecond), enum.Subflows, enum.Exchanges, enum.Kept)
 			show := ranked[:min(len(ranked), 20)]
 			for _, rp := range show {
 				marker := " "

@@ -130,6 +130,10 @@ type Operator struct {
 	// Keys[i] are the key fields (global indices) of input i. Reduce uses
 	// Keys[0]; Match and CoGroup use Keys[0] and Keys[1].
 	Keys [][]int
+	// keySets are Keys as FieldSets, built once with the operator (its
+	// Keys do not change after) and shared read-only by every optimizer
+	// run over the flow.
+	keySets []props.FieldSet
 
 	// Combiner declares a Reduce decomposable into partial + final
 	// aggregation: a reduce-kind UDF that collapses any subset of a key
@@ -158,12 +162,17 @@ type Operator struct {
 	Hints Hints
 }
 
-// KeySet returns the key fields of input i as a FieldSet.
+// KeySet returns the key fields of input i as a FieldSet. The set of an
+// operator built by a Flow is built with it and shared: callers must not
+// modify it.
 func (o *Operator) KeySet(i int) props.FieldSet {
-	if i >= len(o.Keys) {
-		return nil
+	switch {
+	case i < len(o.keySets):
+		return o.keySets[i]
+	case i < len(o.Keys):
+		return props.NewFieldSet(o.Keys[i]...)
 	}
-	return props.NewFieldSet(o.Keys[i]...)
+	return nil
 }
 
 // IsUDFOp reports whether the operator carries a user-defined function.
@@ -273,6 +282,7 @@ func (f *Flow) udfOp(name string, kind OpKind, udf *tac.Func, keys [][]string, h
 	op.UDF, op.Hints = udf, hints
 	for _, k := range keys {
 		op.Keys = append(op.Keys, f.attrsToIdx(k))
+		op.keySets = append(op.keySets, props.NewFieldSet(op.Keys[len(op.Keys)-1]...))
 	}
 	return op
 }

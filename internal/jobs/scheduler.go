@@ -739,7 +739,7 @@ func (s *Scheduler) plan(j *Job) error {
 		}
 		e = planEntry{plan: ranked[0].Phys, cost: ranked[0].Cost}
 		enum := ranked[0].Enum
-		detail = fmt.Sprintf("plans=%d subflows=%d exchanges=%d", len(ranked), enum.Subflows, enum.Exchanges)
+		detail = fmt.Sprintf("plans=%d subflows=%d exchanges=%d kept=%d", len(ranked), enum.Subflows, enum.Exchanges, enum.Kept)
 		if cacheable {
 			s.planCache.storePlan(key, e)
 		}

@@ -79,8 +79,8 @@ func TestJobTraceLifecycle(t *testing.T) {
 	}
 	// A plan-cache miss reports the enumeration it paid for: wordcount is
 	// source → reduce → sink, one plan over three sub-flows, nothing to
-	// exchange.
-	if opt := phaseSpan(t, tr, "optimize"); opt.Detail != "plans=1 subflows=3 exchanges=0" {
+	// exchange, and one candidate kept per sub-flow.
+	if opt := phaseSpan(t, tr, "optimize"); opt.Detail != "plans=1 subflows=3 exchanges=0 kept=3" {
 		t.Fatalf("first optimize span detail %q, want the enumeration stats", opt.Detail)
 	}
 	runSpan := phaseSpan(t, tr, "run")

@@ -121,7 +121,7 @@ func NewEstimator(f *dataflow.Flow) *Estimator {
 // Records estimates the output cardinality of a tree.
 func (e *Estimator) Records(t *Tree) float64 {
 	t = e.tab.intern(t)
-	if e.est = grow(e.est, t.id); e.est[t.id].hasRecs {
+	if grow(&e.est, t.id)[t.id].hasRecs {
 		return e.est[t.id].recs
 	}
 	v := e.computeRecords(t)
@@ -214,8 +214,8 @@ func defaultUDFSelectivity(op *dataflow.Operator) float64 {
 // bit-identical from run to run).
 func (e *Estimator) Width(t *Tree) float64 {
 	t = e.tab.intern(t)
-	if e.est = grow(e.est, t.id); e.est[t.id].width > 0 {
-		return e.est[t.id].width
+	if w := grow(&e.est, t.id)[t.id].width; w > 0 {
+		return w
 	}
 	var w float64 = 4 // record header
 	for a := range t.Attrs().All() {

@@ -1,9 +1,9 @@
 package optimizer
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
-	"strings"
 	"sync/atomic"
 
 	"blackboxflow/internal/dataflow"
@@ -51,6 +51,10 @@ type EnumStats struct {
 	// that many plans share counts once, not once per plan.
 	Exchanges int
 	Subflows  int // distinct sub-flows (hash-consed nodes) the enumeration built
+	// Kept counts the candidate physical plans a ranking kept over all
+	// sub-flows, one per distinct output partitioning (RankAllNet sets it;
+	// Enumerate leaves it 0).
+	Kept int
 }
 
 // NewEnumerator returns an enumerator with all rules enabled.
@@ -73,28 +77,50 @@ func (e *Enumerator) enumerate(tab *nodeTable, t *Tree) []*Tree {
 	if rules == nil {
 		rules = AllRules()
 	}
-	// A non-nil empty arena: even an empty neighbour list is then non-nil,
-	// which is how neighborsOf tells it from one not yet derived.
-	s := &subflows{nodeTable: tab, rules: rules, stats: &e.Stats, arena: []*Tree{}}
+	// arena[0] is never part of a list, so no derived list is the zero span.
+	s := &subflows{nodeTable: tab, rules: rules, stats: &e.Stats, arena: make([]int32, 1, 64)}
 	var seen []bool // by node id
 	root := s.intern(t)
-	seen = grow(seen, root.id)
-	seen[root.id] = true
+	grow(&seen, root.id)[root.id] = true
 	plans := []*Tree{root} // the worklist; every plan on it is a result
 	for i := 0; i < len(plans); i++ {
 		e.Stats.Expanded++
-		for _, n := range s.neighborsOf(plans[i]) {
-			if seen = grow(seen, n.id); seen[n.id] {
+		nb := s.neighborsOf(plans[i])
+		for _, id := range s.arena[nb.lo:nb.hi] {
+			if grow(&seen, id)[id] {
 				e.Stats.MemoHits++
 				continue
 			}
-			seen[n.id] = true
-			plans = append(plans, n)
+			seen[id] = true
+			plans = append(plans, tab.nodes[id])
 		}
 	}
-	e.Stats.Subflows = len(tab.index)
-	slices.SortFunc(plans, func(a, b *Tree) int { return strings.Compare(a.Key(), b.Key()) })
-	return plans
+	e.Stats.Subflows = len(tab.nodes)
+	return sortByKey(plans)
+}
+
+// sortByKey returns the trees sorted by canonical key. The keys are written
+// into one buffer that dies with the call, and an index vector is sorted, so
+// the sort caches no key on any tree and moves no pointer.
+func sortByKey(ts []*Tree) []*Tree {
+	var buf []byte
+	bounds := make([]int32, len(ts)+1) // key i is buf[bounds[i]:bounds[i+1]]
+	order := make([]int32, len(ts))
+	for i, t := range ts {
+		if buf = t.appendKey(buf); i == 0 {
+			// Reorderings hold the same operators, so their keys share a length.
+			buf = slices.Grow(buf, (len(ts)-1)*len(buf))
+		}
+		bounds[i+1], order[i] = int32(len(buf)), int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return bytes.Compare(buf[bounds[a]:bounds[a+1]], buf[bounds[b]:bounds[b+1]])
+	})
+	sorted := make([]*Tree, len(ts))
+	for i, o := range order {
+		sorted[i] = ts[o]
+	}
+	return sorted
 }
 
 // nodeTable hash-conses sub-flows and numbers them densely: every distinct
@@ -105,13 +131,15 @@ func (e *Enumerator) enumerate(tab *nodeTable, t *Tree) []*Tree {
 // makes its own. Nodes carry the table's generation, never a pointer to it.
 type nodeTable struct {
 	gen   uint64
-	index map[uint64]*Tree // packed (operator ID, kid ids) → node
+	nodes []*Tree  // by id
+	keys  []uint64 // by id: packed (operator ID, kid ids)
+	slots []int32  // open-addressed index over keys: node id+1, 0 when free
 }
 
 var tableGens atomic.Uint64
 
 func newNodeTable() *nodeTable {
-	return &nodeTable{gen: tableGens.Add(1), index: map[uint64]*Tree{}}
+	return &nodeTable{gen: tableGens.Add(1)}
 }
 
 // maxOps is how many operators the node key has room for: FromFlow refuses
@@ -123,21 +151,45 @@ const maxOps = 1 << 16
 // (nil when absent).
 func (tab *nodeTable) node(op *dataflow.Operator, l, r *Tree) *Tree {
 	k := uint64(op.ID)<<48 | packID(l)<<24 | packID(r)
-	if t, ok := tab.index[k]; ok {
-		return t
+	if 2*len(tab.nodes) >= len(tab.slots) {
+		tab.rehash()
 	}
-	if uint(op.ID) >= maxOps || len(tab.index) >= 1<<24-1 {
-		panic(fmt.Sprintf("optimizer: sub-flow %d over operator ID %d outside the node key", len(tab.index), op.ID))
+	i := tab.probe(k)
+	if id := tab.slots[i]; id != 0 {
+		return tab.nodes[id-1]
 	}
-	t := &Tree{Op: op, kidBuf: [2]*Tree{l, r}, gen: tab.gen, id: int32(len(tab.index))}
+	if uint(op.ID) >= maxOps || len(tab.nodes) >= 1<<24-1 {
+		panic(fmt.Sprintf("optimizer: sub-flow %d over operator ID %d outside the node key", len(tab.nodes), op.ID))
+	}
+	t := &Tree{Op: op, kidBuf: [2]*Tree{l, r}, gen: tab.gen, id: int32(len(tab.nodes))}
 	switch {
 	case r != nil:
 		t.Kids = t.kidBuf[:2]
 	case l != nil:
 		t.Kids = t.kidBuf[:1]
 	}
-	tab.index[k] = t
+	tab.slots[i] = t.id + 1
+	add(&tab.nodes, t)
+	add(&tab.keys, k)
 	return t
+}
+
+// probe returns the slot holding key k, or the free slot where it goes.
+func (tab *nodeTable) probe(k uint64) int {
+	mask := uint64(len(tab.slots) - 1)
+	for i := k * 0x9e3779b97f4a7c15 >> 32 & mask; ; i = (i + 1) & mask {
+		if id := tab.slots[i]; id == 0 || tab.keys[id-1] == k {
+			return int(i)
+		}
+	}
+}
+
+// rehash doubles the index, which stays at most half full.
+func (tab *nodeTable) rehash() {
+	tab.slots = make([]int32, max(64, 2*len(tab.slots)))
+	for id, k := range tab.keys {
+		tab.slots[tab.probe(k)] = int32(id) + 1
+	}
 }
 
 func packID(t *Tree) uint64 {
@@ -167,13 +219,36 @@ func (tab *nodeTable) withKid(t *Tree, j int, k *Tree) *Tree {
 	return tab.node(t.Op, kids[0], kids[1])
 }
 
-// grow extends a memo indexed by node id to cover id.
-func grow[T any](s []T, id int32) []T {
-	if n := int(id) + 1 - len(s); n > 0 {
-		s = append(s, make([]T, n)...)
+// grow extends the memo *s, indexed by node id, to cover id with zero
+// entries and returns it. Its capacity at least doubles, so a memo grown one
+// id at a time to n entries allocates under 2n in all (append's gentler
+// growth of large slices allocates about 5n). *s is written only when it
+// grows, so a memo that is already large enough costs its owner no write
+// barrier.
+func grow[T any](s *[]T, id int32) []T {
+	n := len(*s)
+	if int(id) < n {
+		return *s
 	}
-	return s
+	if int(id) >= cap(*s) {
+		*s = slices.Grow(*s, max(int(id)+1, 2*cap(*s))-n)
+	}
+	*s = (*s)[:id+1]
+	clear((*s)[n:])
+	return *s
 }
+
+// add appends v to *s, which doubles when full (see grow).
+func add[T any](s *[]T, v T) {
+	if len(*s) == cap(*s) {
+		*s = slices.Grow(*s, len(*s)+1)
+	}
+	*s = append(*s, v)
+}
+
+// span is a half-open index range [lo, hi) into a flat slice: a node's list
+// in a memo that stores all nodes' lists end to end.
+type span struct{ lo, hi int32 }
 
 // subflows is one enumeration's walk over a node table: the memo of
 // single-exchange neighbours per node. It dies with the Enumerate call.
@@ -181,35 +256,28 @@ type subflows struct {
 	*nodeTable
 	rules     *RuleSet
 	stats     *EnumStats
-	neighbors [][]*Tree // by node id; nil until derived
-	arena     []*Tree   // the chunk the neighbour lists are carved from
-	start     int       // where in arena the list being derived starts
+	neighbors []span  // by node id: the node's list in arena; zero until derived
+	arena     []int32 // node ids of every neighbour list, end to end
 }
 
-// push appends t to the neighbour list being derived. The arena grows by
-// chunks that double, and only the unfinished list moves to the next one:
-// finished lists never change.
+// push appends t to the neighbour list being derived.
 func (s *subflows) push(t *Tree) {
-	if len(s.arena) == cap(s.arena) {
-		s.arena = append(make([]*Tree, 0, 2*cap(s.arena)+1), s.arena[s.start:]...)
-		s.start = 0
-	}
-	s.arena = append(s.arena, t)
+	add(&s.arena, t.id)
 }
 
-// neighborsOf returns every tree reachable from t by exactly one valid
-// exchange of a parent operator with the root of one of its child subtrees,
-// anywhere in the tree.
-func (s *subflows) neighborsOf(t *Tree) []*Tree {
-	if s.neighbors = grow(s.neighbors, t.id); s.neighbors[t.id] != nil {
-		return s.neighbors[t.id]
+// neighborsOf returns where in s.arena the node ids of every tree reachable
+// from t lie, by exactly one valid exchange of a parent operator with the
+// root of one of its child subtrees, anywhere in the tree.
+func (s *subflows) neighborsOf(t *Tree) span {
+	if nb := grow(&s.neighbors, t.id)[t.id]; nb != (span{}) {
+		return nb
 	}
-	var lifted [2][]*Tree
+	var lifted [2]span
 	for j, kid := range t.Kids {
 		lifted[j] = s.neighborsOf(kid)
 	}
 	// The list is pushed in one piece: nothing below derives neighbours.
-	s.start = len(s.arena)
+	lo := int32(len(s.arena))
 	if t.Op.IsUDFOp() {
 		for j, kid := range t.Kids {
 			if kid.Op.IsUDFOp() {
@@ -218,12 +286,11 @@ func (s *subflows) neighborsOf(t *Tree) []*Tree {
 		}
 	}
 	// Exchanges within child subtrees, lifted to this node.
-	for j := range t.Kids {
-		for _, nk := range lifted[j] {
-			s.push(s.withKid(t, j, nk))
+	for j, l := range lifted[:len(t.Kids)] {
+		for i := l.lo; i < l.hi; i++ {
+			s.push(s.withKid(t, j, s.nodes[s.arena[i]]))
 		}
 	}
-	out := s.arena[s.start:len(s.arena):len(s.arena)]
-	s.neighbors[t.id] = out
-	return out
+	s.neighbors[t.id] = span{lo, int32(len(s.arena))}
+	return s.neighbors[t.id]
 }

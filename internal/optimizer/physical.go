@@ -193,14 +193,34 @@ type PhysicalOptimizer struct {
 	// single-process runs use.
 	Net NetProfile
 
-	memo [][]*PhysPlan // candidate plans by node id in Est's table; nil until built
-	kept []*PhysPlan   // backs the memo's lists
+	// The search state, which dies with the ranking: the kept candidates of
+	// every node are value records in one pointer-free slice, and a
+	// *PhysPlan is built only for a candidate some returned plan uses.
+	memo     []span           // by node id in Est's table: the node's list in kept; zero until built
+	kept     []cand           // every node's kept candidates, end to end; kept[0] is never in a list
+	parts    []props.FieldSet // interned output partitionings; parts[0] is the empty set
+	bothKeys []int32          // by operator ID: the interned union of a join's keys; 0 until interned
+	phys     []*PhysPlan      // by candidate: its plan, nil until built
+}
+
+// cand is one kept candidate plan of a node: its inputs are candidates of
+// the node's kids and its partitioning an index into parts. Its records and
+// bytes are the node's estimates, which every candidate of a node shares.
+type cand struct {
+	in                  [2]int32
+	part                int32
+	ship                [2]Shipping
+	local               Local
+	build               uint8 // BuildSide
+	chained, combinable bool
+	cost                Cost
 }
 
 // NewPhysicalOptimizer returns a physical optimizer with default settings.
 func NewPhysicalOptimizer(est *Estimator, dop int) *PhysicalOptimizer {
 	return &PhysicalOptimizer{
 		Est: est, DOP: dop, UseInterestingProps: true, ShareSubplans: true,
+		kept: make([]cand, 1), parts: make([]props.FieldSet, 1),
 	}
 }
 
@@ -241,133 +261,147 @@ func spillCost(vol, budget float64) float64 {
 func (po *PhysicalOptimizer) Optimize(t *Tree) *PhysPlan {
 	if !po.ShareSubplans {
 		clear(po.memo)
-		po.kept = po.kept[:0]
+		clear(po.phys)
+		po.kept = po.kept[:1]
 	}
-	cands := po.plans(po.Est.tab.intern(t))
-	var best *PhysPlan
-	for _, c := range cands {
-		if best == nil || c.Cost.Total() < best.Cost.Total() {
-			best = c
-		}
-	}
-	return best
+	t = po.Est.tab.intern(t)
+	return po.build(t, po.best(po.plans(t)))
 }
 
-// candidates collects the plans of one sub-flow, pruned as they are offered:
-// per distinct output-partitioning property only the cheapest plan is kept
-// (the principle of optimality with interesting properties), in first-seen
-// order of the properties; with interesting properties disabled a single
-// global cheapest plan is kept. Ties keep the earlier candidate. The kept
-// plans are po.kept[from:].
-type candidates struct {
-	po   *PhysicalOptimizer
-	from int
-}
-
-// slot returns where to build a candidate with the given property and cost,
-// or nil when a kept plan dominates it — so dominated candidates, the vast
-// majority, are never materialized. The slot is new or is the kept plan the
-// candidate beats; kept lists are a handful long, so a scan comparing
-// partitioning sets word by word beats any keyed table.
-func (c *candidates) slot(part props.FieldSet, cost Cost) *PhysPlan {
-	for _, cur := range c.po.kept[c.from:] {
-		if !c.po.UseInterestingProps || cur.Partitioned.Equal(part) {
-			if cost.Total() < cur.Cost.Total() {
-				return cur
-			}
-			return nil
+// best returns the cheapest candidate in s; ties keep the earlier one.
+func (po *PhysicalOptimizer) best(s span) int32 {
+	b := s.lo
+	for i := s.lo + 1; i < s.hi; i++ {
+		if po.kept[i].cost.Total() < po.kept[b].cost.Total() {
+			b = i
 		}
 	}
-	p := new(PhysPlan)
-	c.po.kept = append(c.po.kept, p)
+	return b
+}
+
+// build returns the plan of candidate i of node t, built once however many
+// plans share it: a plan points to its inputs' plans and its own node only.
+func (po *PhysicalOptimizer) build(t *Tree, i int32) *PhysPlan {
+	if p := grow(&po.phys, i)[i]; p != nil {
+		return p
+	}
+	c := &po.kept[i]
+	var in [2]*PhysPlan
+	for j, k := range t.Kids {
+		in[j] = po.build(k, c.in[j])
+	}
+	p := &PhysPlan{
+		Op: t.Op, Tree: t, Local: c.local, BuildSide: int(c.build),
+		Chained: c.chained, Combinable: c.combinable, Partitioned: po.parts[c.part],
+		OutRecords: po.Est.Records(t), OutBytes: po.Est.Bytes(t), Cost: c.cost,
+		inBuf: in, shipBuf: c.ship,
+	}
+	n := len(t.Kids)
+	p.Inputs, p.Ship = p.inBuf[:n:n], p.shipBuf[:n:n]
+	po.phys[i] = p
 	return p
 }
 
-// offer keeps candidate p, whose inputs and shipping sit in inBuf and
-// shipBuf, unless a kept plan dominates it.
-func (c *candidates) offer(p *PhysPlan) {
-	if dst := c.slot(p.Partitioned, p.Cost); dst != nil {
-		*dst = *p
-		n := len(p.Tree.Kids)
-		dst.Inputs, dst.Ship = dst.inBuf[:n:n], dst.shipBuf[:n:n]
+// offer keeps candidate c of the node whose list starts at from, pruning as
+// candidates are offered: per distinct output-partitioning property only the
+// cheapest plan is kept (the principle of optimality with interesting
+// properties), in first-seen order of the properties; with interesting
+// properties disabled a single global cheapest plan is kept. Ties keep the
+// earlier candidate. Kept lists are a handful long, so a scan comparing
+// interned partitioning ids beats any keyed table.
+func (po *PhysicalOptimizer) offer(from int32, c cand) {
+	for i := from; i < int32(len(po.kept)); i++ {
+		if cur := &po.kept[i]; !po.UseInterestingProps || cur.part == c.part {
+			if c.cost.Total() < cur.cost.Total() {
+				*cur = c
+			}
+			return
+		}
 	}
+	add(&po.kept, c)
 }
 
-// plans returns the candidate plans for a subtree: the cheapest per
-// interesting partitioning property, memoized by node id so that
-// alternatives sharing sub-flows share their plans. t is a node of Est's
-// table.
-func (po *PhysicalOptimizer) plans(t *Tree) []*PhysPlan {
-	if po.memo = grow(po.memo, t.id); po.memo[t.id] != nil {
-		return po.memo[t.id]
+// part interns an output partitioning: equal sets get one id, so kept
+// candidates compare partitionings as integers. The empty set is 0.
+func (po *PhysicalOptimizer) part(s props.FieldSet) int32 {
+	if s.Empty() {
+		return 0
 	}
-	// The kids' lists first, so this node's is appended to the arena in one
-	// piece (a kid without plans rebuilds to none, appending nothing).
-	for _, k := range t.Kids {
-		po.plans(k)
+	for i, p := range po.parts {
+		if p.Equal(s) {
+			return int32(i)
+		}
 	}
-	out := candidates{po: po, from: len(po.kept)}
-	op := t.Op
-	// The node's own estimates, shared by all its candidates, and the log2
-	// each input's sort cost takes of its records: every plan of a node
-	// carries the node's record estimate.
-	recs, bytes, udfCPU := po.Est.Records(t), po.Est.Bytes(t), po.Est.CPUCost(t)
-	var lg [2]float64
+	po.parts = append(po.parts, s)
+	return int32(len(po.parts) - 1)
+}
+
+// plans returns where in kept the candidate plans of a subtree lie: the
+// cheapest per interesting partitioning property, memoized by node id so
+// that alternatives sharing sub-flows share their plans. t is a node of
+// Est's table.
+func (po *PhysicalOptimizer) plans(t *Tree) span {
+	if s := grow(&po.memo, t.id)[t.id]; s != (span{}) {
+		return s
+	}
+	// The kids' lists first, so this node's is appended in one piece.
+	var ins [2]span
 	for i, k := range t.Kids {
-		lg[i] = math.Log2(math.Max(po.Est.Records(k), 2))
+		ins[i] = po.plans(k)
+	}
+	from := int32(len(po.kept))
+	op := t.Op
+	// The node's own estimates, shared by all its candidates, its inputs'
+	// (every plan of a node carries the node's estimates), and the log2
+	// each input's sort cost takes of its records.
+	bytes, udfCPU := po.Est.Bytes(t), po.Est.CPUCost(t)
+	var inRecs, inBytes, lg [2]float64
+	for i, k := range t.Kids {
+		inRecs[i], inBytes[i] = po.Est.Records(k), po.Est.Bytes(k)
+		lg[i] = math.Log2(math.Max(inRecs[i], 2))
 	}
 	switch op.Kind {
 	case dataflow.KindSource:
-		out.offer(&PhysPlan{
-			Op: op, Tree: t, Local: LocalScan,
-			OutRecords: recs, OutBytes: bytes,
-			Cost: Cost{Disk: bytes},
-		})
+		po.offer(from, cand{local: LocalScan, cost: Cost{Disk: bytes}})
 
 	case dataflow.KindSink:
-		for _, in := range po.plans(t.Kids[0]) {
-			out.offer(&PhysPlan{
-				Op: op, Tree: t, inBuf: [2]*PhysPlan{in},
-				shipBuf: [2]Shipping{ShipForward}, Local: LocalPipe,
-				Partitioned: in.Partitioned,
-				OutRecords:  in.OutRecords, OutBytes: in.OutBytes,
-				Cost: in.Cost,
-			})
+		for i := ins[0].lo; i < ins[0].hi; i++ {
+			in := po.kept[i]
+			po.offer(from, cand{in: [2]int32{i}, ship: [2]Shipping{ShipForward}, local: LocalPipe,
+				part: in.part, cost: in.cost})
 		}
 
 	case dataflow.KindMap:
-		for _, in := range po.plans(t.Kids[0]) {
+		for i := ins[0].lo; i < ins[0].hi; i++ {
+			in := po.kept[i]
 			// Partitioning survives a Map that does not write the keys.
-			var part props.FieldSet
-			if !in.Partitioned.Empty() && props.Disjoint(t.Writes(), in.Partitioned) {
-				part = in.Partitioned
+			var part int32
+			if in.part != 0 && props.Disjoint(t.Writes(), po.parts[in.part]) {
+				part = in.part
 			}
-			cost := in.Cost.Plus(Cost{CPU: udfCPU + cpuPipeFactor*in.OutRecords})
-			out.offer(&PhysPlan{
-				Op: op, Tree: t, inBuf: [2]*PhysPlan{in},
-				shipBuf: [2]Shipping{ShipForward}, Local: LocalPipe, Chained: true,
-				Partitioned: part,
-				OutRecords:  recs, OutBytes: bytes,
-				Cost: cost,
-			})
+			cost := in.cost.Plus(Cost{CPU: udfCPU + cpuPipeFactor*inRecs[0]})
+			po.offer(from, cand{in: [2]int32{i}, ship: [2]Shipping{ShipForward}, local: LocalPipe,
+				chained: true, part: part, cost: cost})
 		}
 
 	case dataflow.KindReduce:
 		key := op.KeySet(0)
+		keyPart := po.part(key)
 		// The combiner declaration is only honored when it survives the
 		// read/write-set safety check against the attributes actually
 		// present on the input edge (Section 5's derived properties gate
 		// the rewrite, not the declaration alone).
 		combSafe := op.Combiner != nil &&
 			props.CombinerSafe(op.CombinerEffect, key, t.Kids[0].Attrs())
-		for _, in := range po.plans(t.Kids[0]) {
+		for i := ins[0].lo; i < ins[0].hi; i++ {
+			in := po.kept[i]
 			ship := ShipPartition
-			net := in.OutBytes
+			net := inBytes[0]
 			combinable := false
 			// Interesting property: a compatible existing partitioning
 			// makes the shuffle unnecessary (records with equal reduce keys
 			// are already co-located).
-			if !in.Partitioned.Empty() && in.Partitioned.SubsetOf(key) {
+			if in.part != 0 && po.parts[in.part].SubsetOf(key) {
 				ship, net = ShipForward, 0
 			} else if combSafe {
 				// Pre-shuffle partial aggregation: each of DOP senders
@@ -375,7 +409,7 @@ func (po *PhysicalOptimizer) plans(t *Tree) []*PhysPlan {
 				// so the shuffle volume is bounded by key cardinality, not
 				// input cardinality.
 				combinable = true
-				net = po.combinedShuffleBytes(op, in)
+				net = po.combinedShuffleBytes(op, inRecs[0], inBytes[0])
 			}
 			// Under a memory budget, whatever volume lands on the shuffle
 			// receivers beyond the budget is sorted, spilled, and merged
@@ -389,7 +423,7 @@ func (po *PhysicalOptimizer) plans(t *Tree) []*PhysPlan {
 				shuffles = 1
 			}
 			for _, local := range [...]Local{LocalSortGroup, LocalHashGroup} {
-				n := in.OutRecords
+				n := inRecs[0]
 				var localCPU float64
 				if local == LocalSortGroup {
 					localCPU = cpuSortFactor * n * lg[0]
@@ -401,66 +435,54 @@ func (po *PhysicalOptimizer) plans(t *Tree) []*PhysPlan {
 					// work over the full input.
 					localCPU += cpuHashFactor * n
 				}
-				cost := in.Cost.Plus(Cost{Net: po.Net.cost(net, shuffles), Disk: spillDisk, CPU: udfCPU + localCPU})
-				out.offer(&PhysPlan{
-					Op: op, Tree: t, inBuf: [2]*PhysPlan{in},
-					shipBuf: [2]Shipping{ship}, Local: local, Combinable: combinable,
-					Partitioned: key,
-					OutRecords:  recs, OutBytes: bytes,
-					Cost: cost,
-				})
+				cost := in.cost.Plus(Cost{Net: po.Net.cost(net, shuffles), Disk: spillDisk, CPU: udfCPU + localCPU})
+				po.offer(from, cand{in: [2]int32{i}, ship: [2]Shipping{ship}, local: local,
+					combinable: combinable, part: keyPart, cost: cost})
 			}
 		}
 
 	case dataflow.KindMatch:
-		po.joinPlans(t, &out, recs, bytes, udfCPU, lg)
+		po.joinPlans(t, from, ins, inRecs, inBytes, udfCPU, lg)
 
 	case dataflow.KindCross:
-		for _, l := range po.plans(t.Kids[0]) {
-			for _, r := range po.plans(t.Kids[1]) {
-				// Broadcast the smaller side, forward the larger.
-				small, big := l, r
-				ship := [2]Shipping{ShipBroadcast, ShipForward}
-				if l.OutBytes > r.OutBytes {
-					small, big = r, l
-					ship = [2]Shipping{ShipForward, ShipBroadcast}
-				}
-				net := small.OutBytes * float64(po.DOP)
+		// Broadcast the smaller side, forward the larger.
+		small, big := 0, 1
+		ship := [2]Shipping{ShipBroadcast, ShipForward}
+		if inBytes[0] > inBytes[1] {
+			small, big = 1, 0
+			ship = [2]Shipping{ShipForward, ShipBroadcast}
+		}
+		net := inBytes[small] * float64(po.DOP)
+		for li := ins[0].lo; li < ins[0].hi; li++ {
+			for ri := ins[1].lo; ri < ins[1].hi; ri++ {
+				l, r := po.kept[li], po.kept[ri]
+				parts := [2]int32{l.part, r.part}
 				// The broadcast side is fully resident on every node; under a
 				// budget, its replicated volume is charged the spill term
 				// (see broadcastSpillCost).
-				cost := l.Cost.Plus(r.Cost).Plus(Cost{Net: po.Net.cost(net, 1),
-					Disk: po.broadcastSpillCost(small.OutBytes),
+				cost := l.cost.Plus(r.cost).Plus(Cost{Net: po.Net.cost(net, 1),
+					Disk: po.broadcastSpillCost(inBytes[small]),
 					CPU:  udfCPU})
-				out.offer(&PhysPlan{
-					Op: op, Tree: t, inBuf: [2]*PhysPlan{l, r},
-					shipBuf: ship, Local: LocalNestedLoop,
-					Partitioned: big.Partitioned,
-					OutRecords:  recs, OutBytes: bytes,
-					Cost: cost,
-				})
+				po.offer(from, cand{in: [2]int32{li, ri}, ship: ship, local: LocalNestedLoop,
+					part: parts[big], cost: cost})
 			}
 		}
 
 	case dataflow.KindCoGroup:
-		keys := [2]props.FieldSet{op.KeySet(0), op.KeySet(1)}
-		for _, l := range po.plans(t.Kids[0]) {
-			for _, r := range po.plans(t.Kids[1]) {
-				ship, shuffle := po.coPartition(l, r, keys)
-				sortCPU := cpuSortFactor * (l.OutRecords*lg[0] + r.OutRecords*lg[1])
-				cost := l.Cost.Plus(r.Cost).Plus(Cost{Net: shuffle.Net, Disk: shuffle.Disk, CPU: udfCPU + sortCPU})
-				out.offer(&PhysPlan{
-					Op: op, Tree: t, inBuf: [2]*PhysPlan{l, r},
-					shipBuf: ship, Local: LocalSortCoGrp,
-					Partitioned: keys[0],
-					OutRecords:  recs, OutBytes: bytes,
-					Cost: cost,
-				})
+		keys := [2]int32{po.part(op.KeySet(0)), po.part(op.KeySet(1))}
+		for li := ins[0].lo; li < ins[0].hi; li++ {
+			for ri := ins[1].lo; ri < ins[1].hi; ri++ {
+				l, r := po.kept[li], po.kept[ri]
+				ship, shuffle := po.coPartition([2]int32{l.part, r.part}, keys, inBytes)
+				sortCPU := cpuSortFactor * (inRecs[0]*lg[0] + inRecs[1]*lg[1])
+				cost := l.cost.Plus(r.cost).Plus(Cost{Net: shuffle.Net, Disk: shuffle.Disk, CPU: udfCPU + sortCPU})
+				po.offer(from, cand{in: [2]int32{li, ri}, ship: ship, local: LocalSortCoGrp,
+					part: keys[0], cost: cost})
 			}
 		}
 	}
 
-	po.memo[t.id] = po.kept[out.from:len(po.kept):len(po.kept)]
+	po.memo[t.id] = span{from, int32(len(po.kept))}
 	return po.memo[t.id]
 }
 
@@ -469,17 +491,17 @@ func (po *PhysicalOptimizer) plans(t *Tree) []*PhysPlan {
 // forwarded, any other is shuffled. It returns the strategies and the Net
 // and Disk cost of the shuffles; under a memory budget the budget is split
 // across the shuffled sides, mirroring the engine's per-input share.
-func (po *PhysicalOptimizer) coPartition(l, r *PhysPlan, keys [2]props.FieldSet) ([2]Shipping, Cost) {
+func (po *PhysicalOptimizer) coPartition(parts, keys [2]int32, inBytes [2]float64) ([2]Shipping, Cost) {
 	ship := [2]Shipping{ShipPartition, ShipPartition}
 	var vols [2]float64
 	n := 0
 	var net float64
-	for i, in := range [2]*PhysPlan{l, r} {
-		if !in.Partitioned.Empty() && in.Partitioned.Equal(keys[i]) {
+	for i, part := range parts {
+		if part != 0 && part == keys[i] {
 			ship[i] = ShipForward
 		} else {
-			net += in.OutBytes
-			vols[n] = in.OutBytes
+			net += inBytes[i]
+			vols[n] = inBytes[i]
 			n++
 		}
 	}
@@ -492,13 +514,13 @@ func (po *PhysicalOptimizer) coPartition(l, r *PhysPlan, keys [2]props.FieldSet)
 // width (and never exceed the uncombined volume). Flush-window re-emission
 // of hot keys is ignored — the estimate is a lower-bound-flavored hint in
 // the same spirit as the rest of the hint-driven model.
-func (po *PhysicalOptimizer) combinedShuffleBytes(op *dataflow.Operator, in *PhysPlan) float64 {
-	width := in.OutBytes / math.Max(in.OutRecords, 1)
+func (po *PhysicalOptimizer) combinedShuffleBytes(op *dataflow.Operator, inRecs, inBytes float64) float64 {
+	width := inBytes / math.Max(inRecs, 1)
 	kc := op.Hints.KeyCardinality
 	if kc <= 0 {
-		kc = in.OutRecords
+		kc = inRecs
 	}
-	recs := math.Min(in.OutRecords, kc*float64(po.DOP))
+	recs := math.Min(inRecs, kc*float64(po.DOP))
 	return recs * width
 }
 
@@ -537,59 +559,49 @@ func (po *PhysicalOptimizer) shuffledSpillCost(vols []float64) float64 {
 // receivers — the shuffled sides for A/C (split like CoGroup), the
 // replicated build side for B — so tight budgets steer enumeration between
 // repartition and broadcast joins instead of pricing both as spill-free.
-func (po *PhysicalOptimizer) joinPlans(t *Tree, out *candidates, recs, bytes, udfCPU float64, lg [2]float64) {
+func (po *PhysicalOptimizer) joinPlans(t *Tree, from int32, ins [2]span, inRecs, inBytes [2]float64, udfCPU float64, lg [2]float64) {
 	op := t.Op
-	keys := [2]props.FieldSet{op.KeySet(0), op.KeySet(1)}
-	bothKeys := props.Union(keys[0], keys[1])
-	for _, l := range po.plans(t.Kids[0]) {
-		for _, r := range po.plans(t.Kids[1]) {
-			ins := [2]*PhysPlan{l, r}
-			base := l.Cost.Plus(r.Cost)
-			coShip, shuffle := po.coPartition(l, r, keys)
+	keys := [2]int32{po.part(op.KeySet(0)), po.part(op.KeySet(1))}
+	if grow(&po.bothKeys, int32(op.ID))[op.ID] == 0 {
+		po.bothKeys[op.ID] = po.part(props.Union(op.KeySet(0), op.KeySet(1)))
+	}
+	bothKeys := po.bothKeys[op.ID]
+	// Strategy A builds the smaller side.
+	build := 0
+	if inBytes[1] < inBytes[0] {
+		build = 1
+	}
+	for li := ins[0].lo; li < ins[0].hi; li++ {
+		for ri := ins[1].lo; ri < ins[1].hi; ri++ {
+			l, r := po.kept[li], po.kept[ri]
+			in, parts := [2]int32{li, ri}, [2]int32{l.part, r.part}
+			base := l.cost.Plus(r.cost)
+			coShip, shuffle := po.coPartition(parts, keys, inBytes)
 
 			// Strategy A: co-partition + hash join (build the smaller side).
-			build := 0
-			if r.OutBytes < l.OutBytes {
-				build = 1
-			}
-			cpu := cpuHashFactor*ins[build].OutRecords + cpuProbeFactor*ins[1-build].OutRecords
+			cpu := cpuHashFactor*inRecs[build] + cpuProbeFactor*inRecs[1-build]
 			cost := base.Plus(Cost{Net: shuffle.Net, Disk: shuffle.Disk, CPU: udfCPU + cpu})
-			out.offer(&PhysPlan{
-				Op: op, Tree: t, inBuf: ins,
-				shipBuf: coShip, Local: LocalHashJoin, BuildSide: build,
-				Partitioned: bothKeys,
-				OutRecords:  recs, OutBytes: bytes,
-				Cost: cost,
-			})
+			po.offer(from, cand{in: in, ship: coShip, local: LocalHashJoin, build: uint8(build),
+				part: bothKeys, cost: cost})
 
 			// Strategy B: broadcast one side (build it), forward the other.
 			for bc := 0; bc < 2; bc++ {
 				ship := [2]Shipping{ShipForward, ShipForward}
 				ship[bc] = ShipBroadcast
-				net := ins[bc].OutBytes * float64(po.DOP)
-				cpu := cpuHashFactor*ins[bc].OutRecords*float64(po.DOP) + cpuProbeFactor*ins[1-bc].OutRecords
+				net := inBytes[bc] * float64(po.DOP)
+				cpu := cpuHashFactor*inRecs[bc]*float64(po.DOP) + cpuProbeFactor*inRecs[1-bc]
 				cost := base.Plus(Cost{Net: po.Net.cost(net, 1),
-					Disk: po.broadcastSpillCost(ins[bc].OutBytes),
+					Disk: po.broadcastSpillCost(inBytes[bc]),
 					CPU:  udfCPU + cpu})
-				out.offer(&PhysPlan{
-					Op: op, Tree: t, inBuf: ins,
-					shipBuf: ship, Local: LocalHashJoin, BuildSide: bc,
-					Partitioned: ins[1-bc].Partitioned,
-					OutRecords:  recs, OutBytes: bytes,
-					Cost: cost,
-				})
+				po.offer(from, cand{in: in, ship: ship, local: LocalHashJoin, build: uint8(bc),
+					part: parts[1-bc], cost: cost})
 			}
 
 			// Strategy C: co-partition + sort-merge join.
-			cpu = cpuSortFactor * (l.OutRecords*lg[0] + r.OutRecords*lg[1])
+			cpu = cpuSortFactor * (inRecs[0]*lg[0] + inRecs[1]*lg[1])
 			cost = base.Plus(Cost{Net: shuffle.Net, Disk: shuffle.Disk, CPU: udfCPU + cpu})
-			out.offer(&PhysPlan{
-				Op: op, Tree: t, inBuf: ins,
-				shipBuf: coShip, Local: LocalMergeJoin,
-				Partitioned: bothKeys,
-				OutRecords:  recs, OutBytes: bytes,
-				Cost: cost,
-			})
+			po.offer(from, cand{in: in, ship: coShip, local: LocalMergeJoin,
+				part: bothKeys, cost: cost})
 		}
 	}
 }
@@ -634,26 +646,41 @@ func RankAllNet(t *Tree, est *Estimator, dop int, memoryBudget float64, net NetP
 }
 
 // rankAll is RankAllNet's body: the enumeration interns into the
-// estimator's node table, so every memo below is keyed by its ids.
+// estimator's node table, so every memo below is keyed by its ids. Plans
+// are built after every alternative is costed, for the best candidates only.
 func (po *PhysicalOptimizer) rankAll(t *Tree) []RankedPlan {
 	enum := NewEnumerator()
 	alts := enum.enumerate(po.Est.tab, t)
+	// Costing visits only nodes the enumeration built: size the memos once.
+	n := len(po.Est.tab.nodes)
+	grow(&po.Est.est, int32(n-1))
+	grow(&po.memo, int32(n-1))
+	// A sub-flow keeps one candidate per output partitioning, seldom more
+	// than three; the store doubles past that.
+	po.kept = slices.Grow(po.kept, 3*n)
+	best := make([]int32, len(alts))
+	for i, a := range alts {
+		best[i] = po.best(po.plans(a))
+	}
+	enum.Stats.Kept = len(po.kept) - 1
+	grow(&po.phys, int32(len(po.kept)-1))
 	plans := make([]RankedPlan, len(alts))
 	order := make([]int32, len(alts)) // sorted instead of the plans: no pointers move
 	for i, a := range alts {
-		phys := po.Optimize(a)
+		phys := po.build(a, best[i])
 		plans[i] = RankedPlan{Tree: a, Phys: phys, Cost: phys.Cost.Total(), Enum: &enum.Stats}
 		order[i] = int32(i)
 	}
+	// Stable over alternatives in key order, so equal costs rank by key.
 	slices.SortStableFunc(order, func(i, j int32) int {
-		a, b := &plans[i], &plans[j]
-		if a.Cost != b.Cost {
-			if a.Cost < b.Cost {
-				return -1
-			}
-			return 1
+		a, b := plans[i].Cost, plans[j].Cost
+		switch {
+		case a == b:
+			return 0
+		case a < b:
+			return -1
 		}
-		return strings.Compare(a.Tree.Key(), b.Tree.Key())
+		return 1
 	})
 	ranked := make([]RankedPlan, len(order))
 	for r, i := range order {

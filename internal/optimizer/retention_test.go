@@ -13,9 +13,10 @@ import (
 // TestRankingRetainsOnlyItsPlan: the node table and every per-node memo
 // die with the ranking. A caller that keeps only the best physical plan (the
 // plan cache keeps 256) retains that plan's own nodes: not the table, not
-// the estimator's or the optimizer's memo storage, and not the other
-// alternatives. A table handle on a node that were a pointer would pin the
-// whole enumeration through the kept plan.
+// the estimator's or the optimizer's memo storage, not the candidate store
+// its plans were built from, and not the other alternatives. A table handle
+// on a node that were a pointer would pin the whole enumeration through the
+// kept plan.
 func TestRankingRetainsOnlyItsPlan(t *testing.T) {
 	q7, err := tpch.BuildQ7(tpch.ModeSCA, tpch.DefaultGen())
 	if err != nil {
@@ -27,11 +28,13 @@ func TestRankingRetainsOnlyItsPlan(t *testing.T) {
 	best := ranked[0].Phys
 	want := best.Indent()
 	held := map[string]func() bool{
-		"node table":          isLive(weak.Make(est.tab)),
-		"estimator memo":      isLive(weak.Make(&est.est[0])),
-		"optimizer memo":      isLive(weak.Make(&po.memo[0])),
-		"optimizer plan list": isLive(weak.Make(&po.kept[0])),
-		"worst alternative":   isLive(weak.Make(ranked[len(ranked)-1].Tree)),
+		"node table":         isLive(weak.Make(est.tab)),
+		"estimator memo":     isLive(weak.Make(&est.est[0])),
+		"optimizer memo":     isLive(weak.Make(&po.memo[0])),
+		"candidate store":    isLive(weak.Make(&po.kept[0])),
+		"partitioning table": isLive(weak.Make(&po.parts[0])),
+		"built-plan index":   isLive(weak.Make(&po.phys[0])),
+		"worst alternative":  isLive(weak.Make(ranked[len(ranked)-1].Tree)),
 	}
 	est, po, ranked = nil, nil, nil
 	runtime.GC()
@@ -59,6 +62,68 @@ func TestFromFlowRefusesFlowsPastTheNodeKey(t *testing.T) {
 	f.SetSink("Out", prev)
 	if _, err := FromFlow(f); err == nil || !strings.Contains(err.Error(), "operators") {
 		t.Fatalf("FromFlow over %d operators: %v, want an error", len(f.Operators()), err)
+	}
+}
+
+// TestRankAllQ7Allocs pins the allocations of one Q7 ranking at DOP 2, the
+// optimizer work of a plan-cache miss: one node per sub-flow and one plan
+// per sub-flow some alternative's best plan uses (1,859 each), and a few
+// dozen slices of search state. Building a plan per kept candidate, as the
+// ranker once did, made 10,090.
+func TestRankAllQ7Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	q7, err := tpch.BuildQ7(tpch.ModeSCA, tpch.DefaultGen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC() // start the collector's workers outside the count
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Plan(q7.Flow, 2, 0, NetProfile{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if max := 3845 * 1.1; allocs > max {
+		t.Errorf("one Q7 ranking made %.0f allocations, want at most %.0f", allocs, max)
+	}
+}
+
+// TestRankingLeavesKeySetsUnchanged: an operator's key sets are built once
+// with the flow and shared by every ranking over it, and by the plans
+// partitioned on them. A ranking reads them and leaves them as they were.
+func TestRankingLeavesKeySetsUnchanged(t *testing.T) {
+	q7, err := tpch.BuildQ7(tpch.ModeSCA, tpch.DefaultGen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type keySet struct {
+		op    *dataflow.Operator
+		i     int
+		words []uint64 // the shared storage
+		want  string
+	}
+	var sets []keySet
+	for _, op := range q7.Flow.Operators() {
+		for i := range op.Keys {
+			ks := op.KeySet(i)
+			if ks.Empty() || &ks[0] != &op.KeySet(i)[0] {
+				t.Fatalf("%s key set %d is %v, built anew on each call", op.Name, i, ks)
+			}
+			sets = append(sets, keySet{op, i, ks, ks.String()})
+		}
+	}
+	if len(sets) == 0 {
+		t.Fatal("Q7 has no keyed operators")
+	}
+	if _, err := Plan(q7.Flow, 2, 1<<20, NetProfile{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sets {
+		got := s.op.KeySet(s.i)
+		if got.String() != s.want || &got[0] != &s.words[0] {
+			t.Errorf("%s key set %d is %v after a ranking, was %s", s.op.Name, s.i, got, s.want)
+		}
 	}
 }
 

@@ -40,12 +40,14 @@ type Tree struct {
 	// after its ranking retains its own nodes, not the table or the memos.
 	gen uint64
 	id  int32
-	key string // canonical key, computed lazily
+	// resolved is set once attrs, reads and write are; it sits beside id so
+	// that a node fits a smaller allocation size class.
+	resolved bool
+	key      string // canonical key, computed lazily
 
 	// Attribute, read and write sets at this position, resolved lazily.
 	// They are shared, never mutated: callers must not modify what Attrs,
 	// Reads and Writes return.
-	resolved            bool
 	attrs, reads, write props.FieldSet
 	setBuf              [3]uint64 // backs the three sets while each fits a word
 }
