@@ -1355,7 +1355,9 @@ func BenchmarkRepeatedScripts(b *testing.B) {
 			b.Fatalf("source hits/misses %d/%d: not the source-hit path", m.SourceCacheHits, m.SourceCacheMisses)
 		}
 	})
-	// doc-hit: the same bytes again; one SHA-256 of the body and look-ups.
+	// doc-hit: the same bytes again; a fingerprint of the body's length and
+	// ends, one comparison of the body with the document memo's own copy,
+	// and look-ups.
 	ingest("doc-hit", func([]byte, []int, int) {}, func(b *testing.B, m blackboxflow.JobMetrics) {
 		if m.FlowCacheHits != int64(b.N) || m.SourceCacheMisses != 6 {
 			b.Fatalf("flow hits %d, source misses %d: not the replay path", m.FlowCacheHits, m.SourceCacheMisses)

@@ -272,7 +272,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// with the optimizer gate's 10% headroom. The replay of a known
 	// document against that miss is a ratio of two parses of the same bytes
 	// on the same host; the floor catches a replay that started parsing
-	// again, double slack because the replay is a third of a millisecond.
+	// again, double slack because the replay is tens of microseconds.
 	check("ingest miss allocs/op", "BENCH_svc.json", "ingest_miss_allocs_per_op",
 		fresh["svc_ingest_miss_allocs_op"], true, 0.4)
 	check("ingest doc-hit vs miss speedup", "BENCH_svc.json", "ingest_doc_hit_speedup",

@@ -269,10 +269,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, failureStatus(j), viewOf(j))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"id":   j.ID,
-			"rows": jobs.EncodeRows(out),
-		})
+		writeResult(w, j.ID, out, nil, false)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, viewOf(j))
@@ -328,9 +325,7 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	out, stats, err := j.Result()
 	// ?stats=1 appends the run's per-operator statistics to the result
-	// document (both the buffered and the streaming form; their bytes stay
-	// identical because "stats" sorts after "id" and "rows" in the buffered
-	// map encoding).
+	// document, buffered or streamed.
 	var perOp []engine.OpStats
 	if withStats && stats != nil {
 		perOp = stats.PerOp
@@ -340,17 +335,8 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, viewOf(j))
 	case err != nil:
 		writeJSON(w, failureStatus(j), viewOf(j))
-	case stream:
-		streamResult(w, j.ID, out, perOp)
 	default:
-		doc := map[string]any{
-			"id":   j.ID,
-			"rows": jobs.EncodeRows(out),
-		}
-		if perOp != nil {
-			doc["stats"] = perOp
-		}
-		writeJSON(w, http.StatusOK, doc)
+		writeResult(w, j.ID, out, perOp, stream)
 	}
 }
 
@@ -378,74 +364,36 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tr.Tree())
 }
 
-// streamResult writes the result document incrementally, row by row, with
-// periodic flushes — the client sees the first rows while later ones are
-// still being encoded, and the server never materializes the full
-// jobs.EncodeRows slice or its JSON encoding. The bytes produced are
-// identical to the buffered handler's output (pinned by
-// TestResultStreamingMatchesBuffered): rows sit at the same indentation
-// json.Encoder's SetIndent("", "  ") produces, via json.Indent with the
-// row's nesting prefix.
-func streamResult(w http.ResponseWriter, id int64, out record.DataSet, perOp []engine.OpStats) {
+// writeResult writes the result document of job id with the one encoder
+// (result.go), appending into one buffer. Buffered, the whole document goes
+// out in one write. Streamed, the buffer goes out, is flushed and is reused
+// every streamFlushEvery rows, so the client sees the first rows while later
+// ones are still being encoded, and the server never holds the whole
+// document; the bytes are the same (TestResultStreamingMatchesBuffered).
+func writeResult(w http.ResponseWriter, id int64, out record.DataSet, perOp []engine.OpStats, stream bool) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	var buf bytes.Buffer
-	fail := func(err error) { slog.Warn("streaming result", "job", id, "err", err) }
-	if _, err := fmt.Fprintf(w, "{\n  \"id\": %d,\n  \"rows\": [", id); err != nil {
-		fail(err)
-		return
-	}
+	fail := func(err error) { slog.Warn("writing result", "job", id, "err", err) }
+	b := appendResultHead(nil, id)
 	for i, rec := range out {
-		b, err := json.Marshal(jobs.EncodeRow(rec))
-		if err != nil {
-			fail(err)
-			return
-		}
-		buf.Reset()
-		sep := ",\n    "
-		if i == 0 {
-			sep = "\n    "
-		}
-		buf.WriteString(sep)
-		if err := json.Indent(&buf, b, "    ", "  "); err != nil {
-			fail(err)
-			return
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			fail(err)
-			return
-		}
-		if flusher != nil && (i+1)%streamFlushEvery == 0 {
-			flusher.Flush()
+		b = appendResultRow(b, i, rec)
+		if stream && (i+1)%streamFlushEvery == 0 {
+			if _, err := w.Write(b); err != nil {
+				fail(err)
+				return
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+			b = b[:0]
 		}
 	}
-	closeRows := "]"
-	if len(out) > 0 {
-		closeRows = "\n  ]"
+	b, err := appendResultTail(b, len(out), perOp)
+	if err == nil {
+		_, err = w.Write(b)
 	}
-	if _, err := io.WriteString(w, closeRows); err != nil {
-		fail(err)
-		return
-	}
-	if perOp != nil {
-		b, err := json.Marshal(perOp)
-		if err != nil {
-			fail(err)
-			return
-		}
-		buf.Reset()
-		buf.WriteString(",\n  \"stats\": ")
-		if err := json.Indent(&buf, b, "  ", "  "); err != nil {
-			fail(err)
-			return
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			fail(err)
-			return
-		}
-	}
-	if _, err := io.WriteString(w, "\n}\n"); err != nil {
+	if err != nil {
 		fail(err)
 	}
 }

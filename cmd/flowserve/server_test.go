@@ -377,19 +377,75 @@ func TestResultStreamingMatchesBuffered(t *testing.T) {
 				t.Fatalf("submit status = %d: %v", resp.StatusCode, body)
 			}
 			id := int64(body["id"].(float64))
-			bufStatus, buffered := rawGet(t, fmt.Sprintf("%s/jobs/%d/result", ts.URL, id))
-			strStatus, streamed := rawGet(t, fmt.Sprintf("%s/jobs/%d/result?stream=1", ts.URL, id))
-			if bufStatus != http.StatusOK || strStatus != http.StatusOK {
-				t.Fatalf("status buffered=%d streamed=%d, want 200/200", bufStatus, strStatus)
-			}
-			if !bytes.Equal(buffered, streamed) {
-				t.Errorf("streamed result differs from buffered:\nbuffered: %q\nstreamed: %q",
-					buffered, streamed)
+			for _, stats := range []string{"", "&stats=1"} {
+				bufStatus, buffered := rawGet(t, fmt.Sprintf("%s/jobs/%d/result?stream=0%s", ts.URL, id, stats))
+				strStatus, streamed := rawGet(t, fmt.Sprintf("%s/jobs/%d/result?stream=1%s", ts.URL, id, stats))
+				if bufStatus != http.StatusOK || strStatus != http.StatusOK {
+					t.Fatalf("status buffered=%d streamed=%d, want 200/200", bufStatus, strStatus)
+				}
+				if !bytes.Equal(buffered, streamed) {
+					t.Errorf("streamed result differs from buffered:\nbuffered: %q\nstreamed: %q",
+						buffered, streamed)
+				}
 			}
 		})
 	}
 	if status, _ := rawGet(t, ts.URL+"/jobs/1/result?stream=maybe"); status != http.StatusBadRequest {
 		t.Errorf("stream=maybe status = %d, want 400", status)
+	}
+}
+
+// TestResultNonFiniteFloats: a result holding floats encoding/json refuses
+// (here +Inf, from 1e308 * 10) is served whole on every route that returns
+// rows, each such float as null.
+func TestResultNonFiniteFloats(t *testing.T) {
+	doc := `{
+  "script": "map big(ir) { out := copy(ir) out[1] = ir[1] * 10.0 emit out }",
+  "flow": {
+    "sources": [{"name": "in", "attrs": ["k", "v"]}],
+    "ops": [{"kind": "map", "udf": "big", "inputs": ["in"]}],
+    "sink": "big"
+  },
+  "data": {"in": [["k", 1e308], ["j", 2.5]]}
+}`
+	_, ts := testServer(t, jobs.Config{MaxConcurrent: 1, DOP: 1})
+	resp, err := http.Post(ts.URL+"/jobs?wait=1", "application/json", strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	sub := struct{ ID int64 }{1} // the first job of a fresh server, if the body says nothing
+	json.Unmarshal(waited, &sub)
+	bodies := map[string][]byte{"?wait=1": waited}
+	for _, route := range []string{"/result", "/result?stream=1"} {
+		status, body := rawGet(t, fmt.Sprintf("%s/jobs/%d%s", ts.URL, sub.ID, route))
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d", route, status)
+		}
+		bodies[route] = body
+	}
+	for route, body := range bodies {
+		var got struct {
+			ID   int64
+			Rows [][]any
+		}
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Errorf("%s: body is not one JSON document (%v): %q", route, err, body)
+			continue
+		}
+		want := map[string]any{"k": nil, "j": 25.0}
+		if len(got.Rows) != 2 || got.ID != sub.ID {
+			t.Errorf("%s: id %d, rows %v", route, got.ID, got.Rows)
+		}
+		for _, row := range got.Rows {
+			if v, ok := want[row[0].(string)]; !ok || row[1] != v {
+				t.Errorf("%s: row %v, want %v", route, row, want)
+			}
+		}
 	}
 }
 

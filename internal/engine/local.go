@@ -291,10 +291,11 @@ func sortRecs(recs []record.Record, keys []int) {
 }
 
 // grouper groups one side of a partition by key fields through a keyIndex
-// and lays the groups out in canonical order. Its arrays are reset, not
-// rebuilt, so a caller that groups batch after batch — the combining
-// sender — allocates only when a batch outgrows the last. The groups it
-// returns live until the next call or release.
+// and lays the groups out, in canonical order (groups) or in order of first
+// arrival (arrivalGroups). Its arrays are reset, not rebuilt, so a caller
+// that groups batch after batch — the combining sender — allocates only
+// when a batch outgrows the last. The groups it returns live until the
+// next call or release.
 type grouper struct {
 	x     keyIndex
 	order []int32
@@ -302,13 +303,24 @@ type grouper struct {
 }
 
 func (g *grouper) groups(part []record.Record, keys []int) [][]record.Record {
+	g.index(part, keys)
+	g.x.sortGroups(g.order)
+	return g.lay.layout(part, g.x.ids, g.x.size, g.order)
+}
+
+func (g *grouper) arrivalGroups(part []record.Record, keys []int) [][]record.Record {
+	g.index(part, keys)
+	return g.lay.layout(part, g.x.ids, g.x.size, g.order)
+}
+
+// index indexes part by keys and sets order to the group ids in order of
+// first arrival.
+func (g *grouper) index(part []record.Record, keys []int) {
 	g.x.index(part, keys)
 	g.order = sized(g.order, len(g.x.hash))
 	for i := range g.order {
 		g.order[i] = int32(i)
 	}
-	g.x.sortGroups(g.order)
-	return g.lay.layout(part, g.x.ids, g.x.size, g.order)
 }
 
 // release clears every slot of g that can point into records — the dense

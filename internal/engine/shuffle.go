@@ -275,9 +275,10 @@ func (s *sender) flush(t int) error {
 }
 
 // combineBatch recycles in and returns a pooled batch holding the
-// combiner's output for each of in's key groups. Each key appears at most
-// once in what it returns, so the order of the groups cannot change the
-// arrival order within any key downstream.
+// combiner's output for each of in's key groups, in order of each key's
+// first arrival. Each key appears at most once in what it returns, so the
+// order of the groups cannot change the arrival order within any key
+// downstream, and the groups are not sorted.
 func (s *sender) combineBatch(in *record.Batch) (*record.Batch, error) {
 	defer record.PutBatch(in)
 	out := record.GetBatch()
@@ -285,7 +286,7 @@ func (s *sender) combineBatch(in *record.Batch) (*record.Batch, error) {
 		out.Append(r)
 		return nil
 	}
-	groups := s.grouper.groups(in.Records(), s.keys)
+	groups := s.grouper.arrivalGroups(in.Records(), s.keys)
 	for _, g := range groups {
 		if err := s.combine.Reduce(g, emit); err != nil {
 			record.PutBatch(out)

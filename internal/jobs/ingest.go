@@ -67,11 +67,16 @@ func ingest(c *PlanCache, raw []byte) (Spec, error) {
 }
 
 func parseDocument(c *PlanCache, raw []byte) (Spec, error) {
-	var key docKey
+	// memo is the document memo's entry for raw, if it has one: its replay
+	// fell short, and the parse below renews it.
+	var memo *docEntry
+	var fp uint64
 	if c != nil {
-		key = sha256.Sum256(raw)
-		if spec, ok := c.replay(key); ok {
-			return spec, nil
+		fp = c.fingerprint(raw)
+		if memo = c.lookupDoc(fp, raw); memo != nil {
+			if spec, ok := c.replay(memo); ok {
+				return spec, nil
+			}
 		}
 	}
 	envelope, ranges, err := outline(raw)
@@ -112,8 +117,13 @@ func parseDocument(c *PlanCache, raw []byte) (Spec, error) {
 		return Spec{}, err
 	}
 	spec.Compile.Detail += compileDetail("miss", hits, sources, decoded)
-	if c != nil {
-		c.storeDoc(key, docEntry{spec: spec, sources: keys})
+	if c != nil && memo == nil && len(raw) <= maxDocCacheBytes {
+		// The caller may reuse its buffer once this returns: the memo
+		// keeps a copy of its own.
+		memo = &docEntry{doc: bytes.Clone(raw), fp: fp}
+	}
+	if memo != nil {
+		c.storeDoc(memo, spec, keys)
 	}
 	return spec, nil
 }

@@ -8,10 +8,13 @@ package jobs
 // three filled by ingest (ingest.go; DESIGN.md "Ingest" says what each
 // elides) and one by Submit:
 //
-//   - *docs* maps the digest of a whole raw document to everything ingest
-//     derived from it (the flow digest, the envelope's scalars, the digest
-//     of each source), so a byte-identical replay costs one SHA-256 of the
-//     body plus look-ups;
+//   - *docs* holds a copy of each raw document it has seen beside
+//     everything ingest derived from it (the flow digest, the envelope's
+//     scalars, the digest of each source), found by a cheap fingerprint of
+//     the bytes and confirmed by comparing them with the copy, so a
+//     byte-identical replay costs one byte comparison plus look-ups;
+//     besides the entry capacity it is bounded by maxDocCacheBytes of
+//     document copies;
 //   - *flows* maps a flow digest (script text, flow wiring, and the
 //     resolved per-source cardinality hints) to a compiled dataflow.Flow
 //     with effects already derived, skipping frontend.Compile and sca
@@ -36,13 +39,17 @@ package jobs
 // quality within a tier.
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"blackboxflow/internal/dataflow"
@@ -134,17 +141,28 @@ func (l *lruMap) len() int { return l.ll.Len() }
 // used and never cached.
 const maxSourceCacheBytes = 256 << 20
 
-// docKey is the SHA-256 of a whole raw document, sourceKey of one source's
-// attribute layout and raw row bytes (sourceLayout.digest).
-type (
-	docKey    [sha256.Size]byte
-	sourceKey [sha256.Size]byte
-)
+// maxDocCacheBytes caps the document copies the document memo keeps. A
+// constant, not a knob: it is the largest document flowserve accepts, a
+// quarter of the source ceiling, and a document that alone exceeds it is
+// parsed and never remembered.
+const maxDocCacheBytes = 64 << 20
+
+// docSample is how many bytes from each end of a document its fingerprint
+// reads.
+const docSample = 4 << 10
+
+// sourceKey is the SHA-256 of one source's attribute layout and raw row
+// bytes (sourceLayout.digest).
+type sourceKey [sha256.Size]byte
 
 // docEntry is what ingest derived from one raw document; with the flow and
-// every source still cached, it rebuilds the document's Spec.
+// every source still cached, it rebuilds the document's Spec. doc and fp
+// never change once the entry is stored, so a look-up compares doc without
+// the cache lock; spec and sources are read and written under it.
 type docEntry struct {
-	spec    Spec // Flow and Sources are left out: the memo must not pin them
+	doc     []byte // a copy the cache owns: never the caller's slice
+	fp      uint64 // fingerprint(doc)
+	spec    Spec   // Flow and Sources are left out: the memo must not pin them
 	sources []namedSource
 }
 
@@ -158,12 +176,20 @@ type namedSource struct {
 // concurrent use.
 type PlanCache struct {
 	mu      sync.Mutex
-	docs    *lruMap // docKey → docEntry
+	docs    *lruMap // *docEntry → *docEntry
 	flows   *lruMap // hash → *dataflow.Flow
 	sources *lruMap // sourceKey → *source
 	plans   *lruMap // planKey → planEntry
 
-	// sourceBytes sums the resident bytes of the cached sources.
+	// seed keys the document fingerprints, so which documents share a
+	// fingerprint differs from process to process. byFP finds the
+	// memo's entries by fingerprint; documents whose fingerprints collide
+	// sit side by side.
+	seed maphash.Seed
+	byFP map[uint64][]*docEntry
+	// docBytes sums the memo's document copies, sourceBytes the resident
+	// bytes of the cached sources.
+	docBytes    int64
 	sourceBytes int64
 	stats       cacheStats
 }
@@ -182,6 +208,21 @@ func newPlanCache(capacity int) *PlanCache {
 		flows:   newLRUMap(capacity),
 		sources: newLRUMap(capacity),
 		plans:   newLRUMap(capacity),
+		seed:    maphash.MakeSeed(),
+		byFP:    map[uint64][]*docEntry{},
+	}
+	c.docs.evicted = func(val any) {
+		e := val.(*docEntry)
+		c.docBytes -= int64(len(e.doc))
+		same := c.byFP[e.fp]
+		if i := slices.Index(same, e); i >= 0 {
+			same = slices.Delete(same, i, i+1)
+		}
+		if len(same) == 0 {
+			delete(c.byFP, e.fp)
+		} else {
+			c.byFP[e.fp] = same
+		}
 	}
 	c.sources.evicted = func(val any) {
 		c.sourceBytes -= val.(*source).resident
@@ -190,18 +231,45 @@ func newPlanCache(capacity int) *PlanCache {
 	return c
 }
 
-// replay rebuilds the Spec of a document ingested before, provided its
+// fingerprint hashes what a look-up can afford to read of a document of
+// any size: its length and its first and last docSample bytes. Equal
+// fingerprints only nominate entries; a replay needs equal bytes.
+func (c *PlanCache) fingerprint(raw []byte) uint64 {
+	var h maphash.Hash
+	h.SetSeed(c.seed)
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(raw)))
+	h.Write(n[:])
+	h.Write(raw[:min(len(raw), docSample)])
+	h.Write(raw[max(len(raw)-docSample, 0):])
+	return h.Sum64()
+}
+
+// lookupDoc finds the memo's entry for the document raw, or nil. The
+// entries that share raw's fingerprint are taken under the lock and
+// compared with raw outside it, so comparing a large document does not
+// hold up other submissions.
+func (c *PlanCache) lookupDoc(fp uint64, raw []byte) *docEntry {
+	var buf [4]*docEntry
+	c.mu.Lock()
+	same := append(buf[:0], c.byFP[fp]...)
+	c.mu.Unlock()
+	for _, e := range same {
+		if bytes.Equal(e.doc, raw) {
+			return e
+		}
+	}
+	return nil
+}
+
+// replay rebuilds the Spec of the document e was stored for, provided its
 // flow and every one of its sources are still cached; it counts as one
 // flow-cache hit and one source-cache hit per source. Anything missing
 // leaves the counters alone and the document to parseDocument.
-func (c *PlanCache) replay(key docKey) (Spec, bool) {
+func (c *PlanCache) replay(e *docEntry) (Spec, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.docs.get(key)
-	if !ok {
-		return Spec{}, false
-	}
-	e := v.(docEntry)
+	c.docs.get(e)
 	spec := e.spec
 	flow, ok := c.flows.get(spec.PlanKey)
 	if !ok {
@@ -222,11 +290,24 @@ func (c *PlanCache) replay(key docKey) (Spec, bool) {
 	return spec, true
 }
 
-func (c *PlanCache) storeDoc(key docKey, e docEntry) {
-	e.spec.Flow, e.spec.Sources = nil, nil
+// storeDoc remembers what ingest derived from the document e holds: a new
+// entry, or one a look-up found whose replay fell short, which keeps its
+// copy of the document and takes the new derivation. It evicts the coldest
+// entries while the document copies exceed the ceiling.
+func (c *PlanCache) storeDoc(e *docEntry, spec Spec, sources []namedSource) {
+	spec.Flow, spec.Sources = nil, nil
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.docs.add(key, e)
+	e.spec, e.sources = spec, sources
+	if _, ok := c.docs.get(e); ok {
+		return
+	}
+	c.docs.add(e, e)
+	c.byFP[e.fp] = append(c.byFP[e.fp], e)
+	c.docBytes += int64(len(e.doc))
+	for c.docBytes > maxDocCacheBytes {
+		c.docs.evictOldest()
+	}
 }
 
 func (c *PlanCache) source(key sourceKey) *source {

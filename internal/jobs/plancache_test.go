@@ -1,9 +1,11 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -278,7 +280,7 @@ func TestPlanCacheConcurrentEvictionFault(t *testing.T) {
 				k := (g + i) % 8
 				hash := fmt.Sprintf("h%d", k)
 				pk := planKey{hash: hash, tier: k % 3, dop: 2}
-				dk, sk := docKey{byte(k)}, sourceKey{byte(k)}
+				doc, sk := []byte(fmt.Sprintf("doc %d", k)), sourceKey{byte(k)}
 				switch i % 6 {
 				case 0:
 					if got := c.storeFlow(hash, flows[k]); got != flows[k] {
@@ -295,11 +297,18 @@ func TestPlanCacheConcurrentEvictionFault(t *testing.T) {
 						t.Errorf("plan(%v) cost = %g, want %d", pk, e.cost, k)
 					}
 				case 4:
-					c.storeDoc(dk, docEntry{spec: Spec{PlanKey: hash}, sources: []namedSource{{"s", sk}}})
+					fp := c.fingerprint(doc)
+					e := c.lookupDoc(fp, doc)
+					if e == nil {
+						e = &docEntry{doc: doc, fp: fp}
+					}
+					c.storeDoc(e, Spec{PlanKey: hash}, []namedSource{{"s", sk}})
 					// A replay is all or nothing: the flow and the source
 					// it hands out are the ones stored under its keys.
-					if spec, ok := c.replay(dk); ok && (spec.Flow != flows[k] || spec.PlanKey != hash || len(spec.Sources) != 1) {
-						t.Errorf("replay(%d) = flow %p key %s sources %d", k, spec.Flow, spec.PlanKey, len(spec.Sources))
+					if e := c.lookupDoc(fp, doc); e != nil {
+						if spec, ok := c.replay(e); ok && (spec.Flow != flows[k] || spec.PlanKey != hash || len(spec.Sources) != 1) {
+							t.Errorf("replay(%d) = flow %p key %s sources %d", k, spec.Flow, spec.PlanKey, len(spec.Sources))
+						}
 					}
 				case 5:
 					if got := c.storeSource(sk, srcs[k]); got != srcs[k] {
@@ -330,6 +339,22 @@ func TestPlanCacheConcurrentEvictionFault(t *testing.T) {
 	}
 	if entries > 2 || resident != want {
 		t.Errorf("source cache holds %d entries (capacity 2) accounting %d bytes, resident %d", entries, resident, want)
+	}
+	// So must the document memo's, and its fingerprint index must name
+	// exactly the entries the memo holds.
+	var docBytes int64
+	indexed := 0
+	for _, same := range c.byFP {
+		for _, e := range same {
+			if _, ok := c.docs.m[e]; !ok {
+				t.Errorf("fingerprint index holds an evicted entry for %q", e.doc)
+			}
+			docBytes += int64(len(e.doc))
+			indexed++
+		}
+	}
+	if n := c.docs.len(); n > 2 || n != indexed || docBytes != c.docBytes {
+		t.Errorf("document memo holds %d entries (capacity 2, %d indexed) accounting %d bytes, resident %d", n, indexed, c.docBytes, docBytes)
 	}
 }
 
@@ -399,5 +424,138 @@ func TestPlanCacheEvictionUnderConcurrentSubmit(t *testing.T) {
 	// flows that churn around it: one entry, never evicted.
 	if m.SourceCacheEntries != 1 || m.SourceCacheEvictions != 0 || m.SourceCacheHits == 0 {
 		t.Errorf("source cache: %d entries, %d evictions, %d hits", m.SourceCacheEntries, m.SourceCacheEvictions, m.SourceCacheHits)
+	}
+}
+
+// wordsDoc is the wordcount document over the given words, one row each.
+func wordsDoc(words []string) []byte {
+	rows := make([]string, len(words))
+	for i, w := range words {
+		rows[i] = fmt.Sprintf("[%q, null]", w)
+	}
+	return []byte(strings.Replace(wordcountDoc,
+		`[["a", null], ["b", null], ["a", null], ["c", null], ["a", null], ["b", null]]`,
+		"["+strings.Join(rows, ", ")+"]", 1))
+}
+
+// parseWords parses doc on s and reports whether the document memo replayed
+// it, and the words its source holds.
+func parseWords(t *testing.T, s *Scheduler, doc []byte) (replayed bool, words []string) {
+	t.Helper()
+	spec, err := s.ParseScriptJob(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range spec.Sources["words"] {
+		words = append(words, rec[0].AsString())
+	}
+	return strings.Contains(spec.Compile.Detail, "doc=hit"), words
+}
+
+// TestDocMemoOwnsItsCopy: a caller that rewrites its buffer after a parse
+// gets the new bytes parsed, never the Spec of what the buffer held before,
+// and the first document still replays from the memo's own copy.
+func TestDocMemoOwnsItsCopy(t *testing.T) {
+	s := New(Config{MaxConcurrent: 1})
+	first := []string{"a", "b", "a", "c", "a", "b"}
+	buf := wordsDoc(first)
+	orig := bytes.Clone(buf)
+	parseWords(t, s, buf)
+	at := bytes.Index(buf, []byte(`["a", null]`))
+	buf[at+2] = 'z'
+	if replayed, words := parseWords(t, s, buf); replayed || words[0] != "z" {
+		t.Errorf("rewritten buffer: replayed %v, words %v", replayed, words)
+	}
+	if replayed, words := parseWords(t, s, orig); !replayed || !slices.Equal(words, first) {
+		t.Errorf("first document again: replayed %v, words %v", replayed, words)
+	}
+}
+
+// TestDocMemoFingerprintCollision: documents that differ only between the
+// bytes their fingerprint samples share a fingerprint; a one-byte change
+// there misses, and both documents then replay, each as itself.
+func TestDocMemoFingerprintCollision(t *testing.T) {
+	s := New(Config{MaxConcurrent: 1})
+	words := make([]string, 4*docSample/len(`["a", null], `))
+	for i := range words {
+		words[i] = "a"
+	}
+	a := wordsDoc(words)
+	words[len(words)/2] = "b"
+	b := wordsDoc(words)
+	c := s.planCache
+	if c.fingerprint(a) != c.fingerprint(b) {
+		t.Fatal("the documents do not share a fingerprint; the test needs one")
+	}
+	parseWords(t, s, a)
+	if replayed, got := parseWords(t, s, b); replayed || got[len(got)/2] != "b" {
+		t.Fatalf("one byte off the memo's document: replayed %v", replayed)
+	}
+	for _, tc := range []struct {
+		doc  []byte
+		want string
+	}{{a, "a"}, {b, "b"}, {a, "a"}, {b, "b"}} {
+		if replayed, got := parseWords(t, s, tc.doc); !replayed || got[len(got)/2] != tc.want {
+			t.Errorf("replayed %v, middle word %q, want %q", replayed, got[len(got)/2], tc.want)
+		}
+	}
+	if n := len(c.byFP[c.fingerprint(a)]); n != 2 {
+		t.Errorf("%d entries under the shared fingerprint, want 2", n)
+	}
+}
+
+// TestDocMemoOneByteMisses: a document one byte off a remembered one, at
+// its head, middle or tail, is parsed, not replayed.
+func TestDocMemoOneByteMisses(t *testing.T) {
+	words := make([]string, 4*docSample/len(`["a", null], `))
+	for i := range words {
+		words[i] = "a"
+	}
+	for _, at := range []int{0, len(words) / 2, len(words) - 1} {
+		s := New(Config{MaxConcurrent: 1})
+		parseWords(t, s, wordsDoc(words))
+		words[at] = "b"
+		if replayed, got := parseWords(t, s, wordsDoc(words)); replayed || got[at] != "b" {
+			t.Errorf("word %d changed: replayed %v, word %q", at, replayed, got[at])
+		}
+		words[at] = "a"
+	}
+}
+
+// TestDocMemoByteCeiling drives the memo's byte bound with made-up
+// entries: past the ceiling the coldest go, the byte gauge follows, and an
+// evicted document is no longer found.
+func TestDocMemoByteCeiling(t *testing.T) {
+	c := newPlanCache(16)
+	// Untouched zero pages: the documents cost address space, not memory.
+	big := make([]byte, maxDocCacheBytes)
+	const third = maxDocCacheBytes / 3
+	store := func(n int) []byte {
+		doc := big[:n]
+		fp := c.fingerprint(doc)
+		c.storeDoc(&docEntry{doc: doc, fp: fp}, Spec{}, nil)
+		return doc
+	}
+	found := func(doc []byte) bool { return c.lookupDoc(c.fingerprint(doc), doc) != nil }
+	a, b := store(third), store(third+1)
+	if e := c.lookupDoc(c.fingerprint(a), a); e == nil {
+		t.Fatal("a not remembered")
+	} else {
+		c.replay(e) // a is now warmer than b
+	}
+	d := store(third + 2) // one byte over the ceiling
+	if found(b) || !found(a) || !found(d) {
+		t.Errorf("after an insert past the ceiling: a %v, b %v, d %v; want only the coldest, b, gone", found(a), found(b), found(d))
+	}
+	if c.docBytes != 2*third+2 || c.docs.len() != 2 || len(c.byFP) != 2 {
+		t.Errorf("memo accounts %d bytes in %d entries (%d fingerprints), want %d in 2", c.docBytes, c.docs.len(), len(c.byFP), 2*third+2)
+	}
+	c.mu.Lock()
+	for c.docs.len() > 0 {
+		c.docs.evictOldest()
+	}
+	c.mu.Unlock()
+	if c.docBytes != 0 || len(c.byFP) != 0 {
+		t.Errorf("after evicting everything: %d bytes, %d fingerprints", c.docBytes, len(c.byFP))
 	}
 }

@@ -182,8 +182,7 @@ func decodeValue(v any) (record.Value, error) {
 }
 
 // EncodeRow renders one record as a JSON-marshalable row (the inverse of
-// DecodeRows up to number formatting). Streaming result writers call it
-// per record instead of materializing EncodeRows of the whole output.
+// DecodeRows up to number formatting).
 func EncodeRow(rec record.Record) Row {
 	row := make(Row, len(rec))
 	for c, v := range rec {
