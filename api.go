@@ -177,11 +177,11 @@ func Optimize(f *Flow, dop int) (*PhysPlan, error) { return OptimizeBudget(f, do
 // forward-shipping, or broadcast plans exactly when memory is tight. Pair
 // it with an engine whose MemoryBudget is set to the same value.
 func OptimizeBudget(f *Flow, dop int, memoryBudget int) (*PhysPlan, error) {
-	ranked, err := optimizer.Plan(f, dop, float64(memoryBudget), optimizer.NetProfile{})
+	best, err := optimizer.Best(f, dop, float64(memoryBudget), optimizer.NetProfile{})
 	if err != nil {
 		return nil, err
 	}
-	return ranked[0].Phys, nil
+	return best.Phys, nil
 }
 
 // Engine re-exports.

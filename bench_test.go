@@ -371,9 +371,10 @@ func BenchmarkIntegratedOptimization(b *testing.B) {
 	}
 }
 
-// BenchmarkRankAllQ7 is the optimizer work of one plan-cache miss, exactly
-// as Scheduler.Submit performs it: one optimizer.Plan at the server's DOP.
-// BENCH_opt.json records it; benchguard gates its allocs/op.
+// BenchmarkRankAllQ7 is one full Q7 ranking at the server's DOP: one
+// optimizer.Plan, which builds and sorts every alternative's best plan (what
+// flowopt plans and the experiments read). BENCH_opt.json records it;
+// benchguard gates its allocs/op.
 func BenchmarkRankAllQ7(b *testing.B) {
 	q, err := tpch.BuildQ7(tpch.ModeSCA, tpch.DefaultGen())
 	if err != nil {
@@ -388,6 +389,29 @@ func BenchmarkRankAllQ7(b *testing.B) {
 		}
 		if len(ranked) != 442 {
 			b.Fatalf("ranked %d plans, want 442", len(ranked))
+		}
+	}
+}
+
+// BenchmarkBestQ7 is the optimizer work of one plan-cache miss as
+// Scheduler.Submit performs it: one optimizer.Best at the server's DOP,
+// which costs the 442 alternatives BenchmarkRankAllQ7 ranks and builds the
+// winner's plan only. BENCH_opt.json records it; benchguard gates its
+// allocs/op.
+func BenchmarkBestQ7(b *testing.B) {
+	q, err := tpch.BuildQ7(tpch.ModeSCA, tpch.DefaultGen())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		best, err := optimizer.Best(q.Flow, 2, 0, optimizer.NetProfile{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if best.Enum.Expanded != 442 {
+			b.Fatalf("costed %d plans, want 442", best.Enum.Expanded)
 		}
 	}
 }

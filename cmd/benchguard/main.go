@@ -110,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// executor's per-record shuffle it measures against; the rest are the
 	// root package's.
 	cmd := exec.Command("go", "test", ".", "./internal/engine", "-run", "NONE",
-		"-bench", "BenchmarkShuffle/|BenchmarkNetShuffle/|BenchmarkCombiner/|BenchmarkSpill/|BenchmarkJoinSpill/|BenchmarkConcurrentJobs/|BenchmarkRepeatedScripts/|BenchmarkRankAllQ7$",
+		"-bench", "BenchmarkShuffle/|BenchmarkNetShuffle/|BenchmarkCombiner/|BenchmarkSpill/|BenchmarkJoinSpill/|BenchmarkConcurrentJobs/|BenchmarkRepeatedScripts/|BenchmarkRankAllQ7$|BenchmarkBestQ7$",
 		"-benchtime", *benchtime)
 	raw, err := cmd.CombinedOutput()
 	if err != nil {
@@ -148,6 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	svcIngestMiss := need("BenchmarkRepeatedScripts/ingest/miss")
 	svcIngestDocHit := need("BenchmarkRepeatedScripts/ingest/doc-hit")
 	optRank := need("BenchmarkRankAllQ7")
+	optBest := need("BenchmarkBestQ7")
 	if missing {
 		fmt.Fprintf(stderr, "%s\n", raw)
 		return 1
@@ -182,6 +183,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"svc_tenant_cap":                 svcMulti["tenant-cap"],
 		"opt_rankall_q7_allocs_op":       optRank["allocs/op"],
 		"opt_rankall_q7_ns_op":           optRank["ns/op"],
+		"opt_best_q7_allocs_op":          optBest["allocs/op"],
+		"opt_best_q7_ns_op":              optBest["ns/op"],
 	}
 
 	failed := false
@@ -277,16 +280,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fresh["svc_ingest_miss_allocs_op"], true, 0.4)
 	check("ingest doc-hit vs miss speedup", "BENCH_svc.json", "ingest_doc_hit_speedup",
 		fresh["svc_ingest_doc_hit_speedup"], false, 2)
-	// One cold Q7 ranking exactly as Scheduler.Submit performs it. Gated on
-	// allocations per ranking, not time: the count is deterministic for a
-	// Go release and identical on every machine, and it is what the dense
-	// node table, its id-indexed memos and the flat candidate store bought
-	// (10,090 with a plan object per kept candidate, 38,679 with
-	// pointer-keyed maps, 287,231 before the interned plan DAG). One extra
-	// allocation per kept candidate plan adds about 5,300 and trips it. 10% headroom for
-	// toolchain drift; ns/op lands in BENCH_fresh.json for the record only.
+	// One full Q7 ranking (optimizer.Plan) and one cold Q7 plan exactly as
+	// Scheduler.Submit makes it (optimizer.Best, the same search building
+	// the winner only). Gated on allocations, not time: the count is
+	// deterministic for a Go release and identical on every machine, and it
+	// is what the dense node table, its chunked nodes, its id-indexed memos
+	// and the flat candidate store bought (3,845 rank-all with a heap node
+	// per sub-flow, 10,090 with a plan object per kept candidate, 38,679
+	// with pointer-keyed maps, 287,231 before the interned plan DAG). One
+	// extra allocation per sub-flow adds about 1,900 and trips both. 10%
+	// headroom for toolchain drift; ns/op lands in BENCH_fresh.json for the
+	// record only.
 	check("optimizer rank-all allocs/op", "BENCH_opt.json", "rankall_q7_allocs_per_op",
 		fresh["opt_rankall_q7_allocs_op"], true, 0.4)
+	check("optimizer best allocs/op", "BENCH_opt.json", "best_q7_allocs_per_op",
+		fresh["opt_best_q7_allocs_op"], true, 0.4)
 
 	// Always-on tracing budget: the traced and untraced modes run the
 	// identical batched shuffle on the same host, so the ratio isolates the

@@ -90,53 +90,56 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 
-	case "plans", "optimize", "run":
+	case "plans":
 		start := time.Now()
 		ranked, err := optimizer.Plan(flow, *dop, float64(*budget), optimizer.NetProfile{})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		planned, best := time.Since(start), ranked[0]
-		switch action {
-		case "plans":
-			tree, err := optimizer.FromFlow(flow)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			enum := best.Enum
-			fmt.Fprintf(stdout, "%d plans enumerated and costed in %v (%d sub-flows, %d exchanges, %d kept candidates)\n",
-				len(ranked), planned.Round(time.Millisecond), enum.Subflows, enum.Exchanges, enum.Kept)
-			show := ranked[:min(len(ranked), 20)]
-			for _, rp := range show {
-				marker := " "
-				if rp.Tree.Key() == tree.Key() {
-					marker = "*" // the implemented flow
-				}
-				fmt.Fprintf(stdout, "%s rank %4d  cost %12.0f  %s\n", marker, rp.Rank, rp.Cost, rp.Tree)
-			}
-			if len(ranked) > len(show) {
-				fmt.Fprintf(stdout, "  ... %d more\n", len(ranked)-len(show))
-			}
-
-		case "optimize":
-			fmt.Fprintf(stdout, "best of %d plans (cost %.0f):\n\n%s", len(ranked), best.Cost, best.Phys.Indent())
-
-		case "run":
-			e := engine.New(*dop).WithMemoryBudget(*budget)
-			for name, ds := range data {
-				e.AddSource(name, ds)
-			}
-			start := time.Now()
-			out, stats, err := e.Run(best.Phys)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "plan: %s\n%d output records in %v\n\n%s",
-				best.Tree, len(out), time.Since(start).Round(time.Millisecond), stats)
+		planned := time.Since(start)
+		tree, err := optimizer.FromFlow(flow)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
+		enum := ranked[0].Enum
+		fmt.Fprintf(stdout, "%d plans enumerated and costed in %v (%d sub-flows, %d exchanges, %d kept candidates)\n",
+			len(ranked), planned.Round(time.Millisecond), enum.Subflows, enum.Exchanges, enum.Kept)
+		show := ranked[:min(len(ranked), 20)]
+		for _, rp := range show {
+			marker := " "
+			if rp.Tree.Key() == tree.Key() {
+				marker = "*" // the implemented flow
+			}
+			fmt.Fprintf(stdout, "%s rank %4d  cost %12.0f  %s\n", marker, rp.Rank, rp.Cost, rp.Tree)
+		}
+		if len(ranked) > len(show) {
+			fmt.Fprintf(stdout, "  ... %d more\n", len(ranked)-len(show))
+		}
+
+	case "optimize", "run":
+		best, err := optimizer.Best(flow, *dop, float64(*budget), optimizer.NetProfile{})
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		if action == "optimize" {
+			fmt.Fprintf(stdout, "best of %d plans (cost %.0f):\n\n%s", best.Enum.Expanded, best.Cost, best.Phys.Indent())
+			break
+		}
+		e := engine.New(*dop).WithMemoryBudget(*budget)
+		for name, ds := range data {
+			e.AddSource(name, ds)
+		}
+		start := time.Now()
+		out, stats, err := e.Run(best.Phys)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "plan: %s\n%d output records in %v\n\n%s",
+			best.Tree, len(out), time.Since(start).Round(time.Millisecond), stats)
 
 	default:
 		fmt.Fprintf(stderr, "unknown action %q\n", action)

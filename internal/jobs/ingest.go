@@ -117,7 +117,7 @@ func parseDocument(c *PlanCache, raw []byte) (Spec, error) {
 		return Spec{}, err
 	}
 	spec.Compile.Detail += compileDetail("miss", hits, sources, decoded)
-	if c != nil && memo == nil && len(raw) <= maxDocCacheBytes {
+	if c != nil && memo == nil && len(raw) <= maxDocCacheBytes && c.admitDoc(fp) {
 		// The caller may reuse its buffer once this returns: the memo
 		// keeps a copy of its own.
 		memo = &docEntry{doc: bytes.Clone(raw), fp: fp}

@@ -278,8 +278,9 @@ func ingestSeeds(tb testing.TB) [][]byte {
 
 // FuzzIngest is the differential: on any bytes the ingest path and the
 // reference either both fail or agree on sources, hints, PlanKey and
-// envelope — on a cold cache, on the replay of the same bytes, and with no
-// cache — except where ingest is deliberately stricter.
+// envelope — on a cold cache, on a warm one (the second sighting, which
+// takes the document memo's copy), on the replay of the same bytes, and
+// with no cache — except where ingest is deliberately stricter.
 func FuzzIngest(f *testing.F) {
 	for _, seed := range ingestSeeds(f) {
 		f.Add(seed)
@@ -291,8 +292,10 @@ func FuzzIngest(f *testing.F) {
 		checkAgainstReference(t, "cold cache", got, err, want, wantErr, true)
 		again, againErr := ingest(c, raw)
 		checkAgainstReference(t, "warm cache", again, againErr, want, wantErr, true)
-		if err == nil && (again.Flow != got.Flow || !strings.Contains(again.Compile.Detail, "doc=hit")) {
-			t.Fatalf("second ingest of the same bytes was not a replay: %s", again.Compile.Detail)
+		replay, replayErr := ingest(c, raw)
+		checkAgainstReference(t, "replay", replay, replayErr, want, wantErr, true)
+		if err == nil && (replay.Flow != got.Flow || !strings.Contains(replay.Compile.Detail, "doc=hit")) {
+			t.Fatalf("third ingest of the same bytes was not a replay: %s", replay.Compile.Detail)
 		}
 		got, err = ParseScriptJob(raw)
 		checkAgainstReference(t, "no cache", got, err, want, wantErr, false)

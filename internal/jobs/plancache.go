@@ -8,13 +8,15 @@ package jobs
 // three filled by ingest (ingest.go; DESIGN.md "Ingest" says what each
 // elides) and one by Submit:
 //
-//   - *docs* holds a copy of each raw document it has seen beside
+//   - *docs* holds a copy of each raw document it has seen twice beside
 //     everything ingest derived from it (the flow digest, the envelope's
 //     scalars, the digest of each source), found by a cheap fingerprint of
 //     the bytes and confirmed by comparing them with the copy, so a
-//     byte-identical replay costs one byte comparison plus look-ups;
-//     besides the entry capacity it is bounded by maxDocCacheBytes of
-//     document copies;
+//     byte-identical replay costs one byte comparison plus look-ups; a
+//     first sighting leaves only the fingerprint in a doorkeeper ring as
+//     long as the memo's entry capacity, so traffic that never comes back
+//     while the memo could still hold it is never copied; besides the
+//     entry capacity it is bounded by maxDocCacheBytes of document copies;
 //   - *flows* maps a flow digest (script text, flow wiring, and the
 //     resolved per-source cardinality hints) to a compiled dataflow.Flow
 //     with effects already derived, skipping frontend.Compile and sca
@@ -187,6 +189,15 @@ type PlanCache struct {
 	// sit side by side.
 	seed maphash.Seed
 	byFP map[uint64][]*docEntry
+	// seenOnce is the memo's doorkeeper: a ring of the fingerprints of the
+	// last documents parsed without being remembered, at most as many as
+	// the memo has entries. A document earns a copy in the memo when it
+	// comes back while its fingerprint is still here; one that does not
+	// come back within that many others would leave the memo before it
+	// replayed. seenNext is the slot the next fingerprint overwrites once
+	// the ring is full.
+	seenOnce []uint64
+	seenNext int
 	// docBytes sums the memo's document copies, sourceBytes the resident
 	// bytes of the cached sources.
 	docBytes    int64
@@ -288,6 +299,25 @@ func (c *PlanCache) replay(e *docEntry) (Spec, bool) {
 	c.stats.sourceHits += int64(len(e.sources))
 	spec.Compile.Detail = flowCacheHit + compileDetail("hit", len(e.sources), len(e.sources), 0)
 	return spec, true
+}
+
+// admitDoc reports whether a document the memo does not hold was parsed
+// recently, by its fingerprint fp, and so earns a copy in the memo. A first
+// sighting does not: its fingerprint goes into the doorkeeper ring, in
+// place of the oldest once the ring is full.
+func (c *PlanCache) admitDoc(fp uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if slices.Contains(c.seenOnce, fp) {
+		return true
+	}
+	if len(c.seenOnce) < c.docs.cap {
+		c.seenOnce = append(c.seenOnce, fp)
+	} else {
+		c.seenOnce[c.seenNext] = fp
+		c.seenNext = (c.seenNext + 1) % len(c.seenOnce)
+	}
+	return false
 }
 
 // storeDoc remembers what ingest derived from the document e holds: a new

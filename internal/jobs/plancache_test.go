@@ -452,6 +452,45 @@ func parseWords(t *testing.T, s *Scheduler, doc []byte) (replayed bool, words []
 	return strings.Contains(spec.Compile.Detail, "doc=hit"), words
 }
 
+// TestDocMemoCopiesOnSecondSighting: a document parsed once leaves only its
+// fingerprint in the doorkeeper; the second parse takes the memo's copy and
+// the third replays. Traffic that cycles through more documents than the
+// memo has entries, so that none comes back while the memo could hold it,
+// never leaves a copy.
+func TestDocMemoCopiesOnSecondSighting(t *testing.T) {
+	c := newPlanCache(4)
+	doc := wordsDoc([]string{"a", "b"})
+	for i, want := range []string{"doc=miss sources=0/1", "doc=miss sources=1/1", "doc=hit"} {
+		spec, err := ingest(c, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(spec.Compile.Detail, want) {
+			t.Errorf("parse %d: %q, want %q", i+1, spec.Compile.Detail, want)
+		}
+		if copies := c.docs.len(); copies != min(i, 1) {
+			t.Errorf("after parse %d the memo holds %d copies, want %d", i+1, copies, min(i, 1))
+		}
+	}
+
+	c = newPlanCache(4)
+	docs := make([][]byte, 8) // twice the memo's entries
+	for i := range docs {
+		docs[i] = wordsDoc([]string{fmt.Sprint(i)})
+	}
+	for round := 0; round < 3; round++ {
+		for _, doc := range docs {
+			if _, err := ingest(c, doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if c.docs.len() != 0 || c.docBytes != 0 || len(c.seenOnce) != 4 {
+		t.Errorf("cycling 8 documents through a 4-entry memo left %d copies (%d bytes) and %d fingerprints, want none and 4",
+			c.docs.len(), c.docBytes, len(c.seenOnce))
+	}
+}
+
 // TestDocMemoOwnsItsCopy: a caller that rewrites its buffer after a parse
 // gets the new bytes parsed, never the Spec of what the buffer held before,
 // and the first document still replays from the memo's own copy.
@@ -461,6 +500,7 @@ func TestDocMemoOwnsItsCopy(t *testing.T) {
 	buf := wordsDoc(first)
 	orig := bytes.Clone(buf)
 	parseWords(t, s, buf)
+	parseWords(t, s, buf) // the second sighting takes the memo's copy
 	at := bytes.Index(buf, []byte(`["a", null]`))
 	buf[at+2] = 'z'
 	if replayed, words := parseWords(t, s, buf); replayed || words[0] != "z" {
@@ -473,7 +513,9 @@ func TestDocMemoOwnsItsCopy(t *testing.T) {
 
 // TestDocMemoFingerprintCollision: documents that differ only between the
 // bytes their fingerprint samples share a fingerprint; a one-byte change
-// there misses, and both documents then replay, each as itself.
+// there misses, and both documents then replay, each as itself. The
+// doorkeeper knows fingerprints, not bytes, so the second document earns
+// its copy at its first sighting.
 func TestDocMemoFingerprintCollision(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1})
 	words := make([]string, 4*docSample/len(`["a", null], `))
@@ -487,6 +529,7 @@ func TestDocMemoFingerprintCollision(t *testing.T) {
 	if c.fingerprint(a) != c.fingerprint(b) {
 		t.Fatal("the documents do not share a fingerprint; the test needs one")
 	}
+	parseWords(t, s, a)
 	parseWords(t, s, a)
 	if replayed, got := parseWords(t, s, b); replayed || got[len(got)/2] != "b" {
 		t.Fatalf("one byte off the memo's document: replayed %v", replayed)

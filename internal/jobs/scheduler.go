@@ -10,7 +10,7 @@
 // queue head is admitted only when the outstanding grants plus its own fit
 // under the global budget and fewer than Config.MaxConcurrent jobs are
 // running. The grant is not just a gate — it flows into the optimizer's
-// spill-cost model (optimizer.Plan picks plans knowing how much memory the
+// spill-cost model (optimizer.Best picks plans knowing how much memory the
 // job will actually have) and into the engine's spill receivers
 // (Engine.MemoryBudget), so an admitted job both plans for and is held to
 // its share. Queueing is strictly FIFO: a large job at the head blocks
@@ -108,8 +108,8 @@ type Config struct {
 	// MaxQueuedCost is the ceiling on the summed optimizer cost
 	// estimates of queued jobs: a Submit that would have to wait behind
 	// queued work already at the ceiling returns ErrBackpressure. A job's
-	// cost is the ranked cost of its plan (the unit optimizer.Plan sorts
-	// by). Zero disables cost-based backpressure.
+	// cost is the ranked cost of its plan (the unit optimizer.Best
+	// minimizes). Zero disables cost-based backpressure.
 	MaxQueuedCost float64
 	// FS is the filesystem seam under the per-job spill directories and
 	// the engines' spill files; nil means the real OS filesystem.
@@ -119,7 +119,7 @@ type Config struct {
 	// Workers are flowworker addresses (cmd/flowworker) hosting remote
 	// shuffle partitions. When set, the scheduler calibrates the fleet at
 	// construction (feeding measured bandwidth and latency into plan
-	// ranking — optimizer.Plan), health-checks it with TTL-cached
+	// choice — optimizer.Best), health-checks it with TTL-cached
 	// pings, and runs each job over a job-scoped TCP transport across the
 	// workers that are currently healthy. Jobs fall back to the in-process
 	// channel transport when no worker answers (counted in
@@ -718,7 +718,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 // plan gives j its physical plan and cost under its DOP and grant, inside
 // the trace's optimize span: the cached plan when a job of the same
 // document was planned at the same budget tier and DOP, else one
-// optimizer.Plan ranking, cached for the next. The grant is the one the
+// optimizer.Best search, cached for the next. The grant is the one the
 // engine will enforce, so the spill-cost model sees exactly the memory the
 // job will have, and the measured transport profile (zero without workers)
 // scales the Net term to the wire the job will cross.
@@ -733,13 +733,13 @@ func (s *Scheduler) plan(j *Job) error {
 	}
 	detail := "plan-cache hit"
 	if !hit {
-		ranked, err := optimizer.Plan(j.spec.Flow, j.dop, float64(j.grant), s.netProfile)
+		best, err := optimizer.Best(j.spec.Flow, j.dop, float64(j.grant), s.netProfile)
 		if err != nil {
 			return fmt.Errorf("jobs: optimize: %w", err)
 		}
-		e = planEntry{plan: ranked[0].Phys, cost: ranked[0].Cost}
-		enum := ranked[0].Enum
-		detail = fmt.Sprintf("plans=%d subflows=%d exchanges=%d kept=%d", len(ranked), enum.Subflows, enum.Exchanges, enum.Kept)
+		e = planEntry{plan: best.Phys, cost: best.Cost}
+		enum := best.Enum
+		detail = fmt.Sprintf("plans=%d subflows=%d exchanges=%d kept=%d", enum.Expanded, enum.Subflows, enum.Exchanges, enum.Kept)
 		if cacheable {
 			s.planCache.storePlan(key, e)
 		}

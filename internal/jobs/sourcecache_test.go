@@ -155,6 +155,9 @@ func TestSourceCacheHitMissDisabledIdentical(t *testing.T) {
 				if !strings.Contains(spec.Compile.Detail, "doc=miss sources=0/") {
 					t.Fatalf("first parse: %s", spec.Compile.Detail)
 				}
+				if _, err := cached.ParseScriptJob(raw); err != nil { // the memo takes its copy
+					t.Fatal(err)
+				}
 				hit, spec := runDoc(t, cached, raw, dop, budget)
 				if !strings.Contains(spec.Compile.Detail, "doc=hit") {
 					t.Fatalf("second parse: %s", spec.Compile.Detail)
@@ -398,11 +401,12 @@ func TestFinishedJobsDoNotPinDecodedRows(t *testing.T) {
 
 func ExampleScheduler_ParseScriptJob_compileDetail() {
 	s := New(Config{MaxConcurrent: 1})
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		spec, _ := s.ParseScriptJob([]byte(wordcountDoc))
 		fmt.Println(spec.Compile.Detail)
 	}
 	// Output:
 	// doc=miss sources=0/1 decoded_bytes=78
+	// flow-cache hit doc=miss sources=1/1 decoded_bytes=0
 	// flow-cache hit doc=hit sources=1/1 decoded_bytes=0
 }

@@ -31,8 +31,9 @@ func phaseSpan(t *testing.T, tr *obs.Trace, name string) obs.Span {
 // span trees: the first run records compile, queue, optimize, and run
 // phases with operator spans below the run, the optimize span carrying the
 // enumeration's effort and the compile span what ingest had to decode; the
-// second surfaces the document replay and the flow-, source- and plan-cache
-// hits in the corresponding spans' details.
+// second surfaces the flow-, source- and plan-cache hits in the
+// corresponding spans' details, and the third the document replay (the
+// document memo copies a document at its second sighting).
 func TestJobTraceLifecycle(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1, DOP: 2})
 	run := func(label string) *Job {
@@ -96,11 +97,15 @@ func TestJobTraceLifecycle(t *testing.T) {
 
 	second := run("second")
 	tr2 := second.Trace()
-	if c := phaseSpan(t, tr2, "compile"); c.Detail != "flow-cache hit doc=hit sources=1/1 decoded_bytes=0" {
-		t.Fatalf("second compile span detail %q, want a replayed document", c.Detail)
+	if c := phaseSpan(t, tr2, "compile"); c.Detail != "flow-cache hit doc=miss sources=1/1 decoded_bytes=0" {
+		t.Fatalf("second compile span detail %q, want cached flow and source", c.Detail)
 	}
 	if o := phaseSpan(t, tr2, "optimize"); o.Detail != "plan-cache hit" {
 		t.Fatalf("second optimize span detail %q, want plan-cache hit", o.Detail)
+	}
+	third := run("third")
+	if c := phaseSpan(t, third.Trace(), "compile"); c.Detail != "flow-cache hit doc=hit sources=1/1 decoded_bytes=0" {
+		t.Fatalf("third compile span detail %q, want a replayed document", c.Detail)
 	}
 
 	// The traces are distinct objects: the second job must not have
@@ -118,14 +123,14 @@ func TestJobTraceLifecycle(t *testing.T) {
 			t.Fatalf("metrics missing histogram %q", name)
 		}
 	}
-	if got := m.Histograms["job_latency_seconds"].Count; got != 2 {
-		t.Fatalf("job latency histogram observed %d jobs, want 2", got)
+	if got := m.Histograms["job_latency_seconds"].Count; got != 3 {
+		t.Fatalf("job latency histogram observed %d jobs, want 3", got)
 	}
-	if got := m.Histograms["queue_wait_seconds"].Count; got != 2 {
-		t.Fatalf("queue wait histogram observed %d admissions, want 2", got)
+	if got := m.Histograms["queue_wait_seconds"].Count; got != 3 {
+		t.Fatalf("queue wait histogram observed %d admissions, want 3", got)
 	}
 	if got := m.Histograms["shuffle_ship_seconds"].Count; got == 0 {
-		t.Fatal("ship-time histogram empty after two shuffling jobs")
+		t.Fatal("ship-time histogram empty after three shuffling jobs")
 	}
 }
 

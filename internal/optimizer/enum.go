@@ -67,10 +67,22 @@ func NewEnumerator() *Enumerator {
 // a set: no two returned trees share a canonical key. The returned trees
 // share their common sub-flows.
 func (e *Enumerator) Enumerate(t *Tree) []*Tree {
-	return e.enumerate(newNodeTable(), t)
+	alts := e.enumerate(newNodeTable(), t)
+	keys := keysOf(alts)
+	order := make([]int32, len(alts))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, keys.compare)
+	sorted := make([]*Tree, len(alts))
+	for i, o := range order {
+		sorted[i] = alts[o]
+	}
+	return sorted
 }
 
-// enumerate is Enumerate over a given node table.
+// enumerate is Enumerate over a given node table, returning the
+// alternatives in the order the worklist found them.
 func (e *Enumerator) enumerate(tab *nodeTable, t *Tree) []*Tree {
 	e.Stats = EnumStats{}
 	rules := e.Rules
@@ -96,31 +108,32 @@ func (e *Enumerator) enumerate(tab *nodeTable, t *Tree) []*Tree {
 		}
 	}
 	e.Stats.Subflows = len(tab.nodes)
-	return sortByKey(plans)
+	return plans
 }
 
-// sortByKey returns the trees sorted by canonical key. The keys are written
-// into one buffer that dies with the call, and an index vector is sorted, so
-// the sort caches no key on any tree and moves no pointer.
-func sortByKey(ts []*Tree) []*Tree {
-	var buf []byte
-	bounds := make([]int32, len(ts)+1) // key i is buf[bounds[i]:bounds[i+1]]
-	order := make([]int32, len(ts))
+// keyList holds the canonical keys of a list of trees end to end in one
+// buffer that dies with its owner, so ordering trees by key caches no key
+// on any tree and moves no pointer.
+type keyList struct {
+	buf    []byte
+	bounds []int32 // key i is buf[bounds[i]:bounds[i+1]]
+}
+
+func keysOf(ts []*Tree) keyList {
+	k := keyList{bounds: make([]int32, len(ts)+1)}
 	for i, t := range ts {
-		if buf = t.appendKey(buf); i == 0 {
+		if k.buf = t.appendKey(k.buf); i == 0 {
 			// Reorderings hold the same operators, so their keys share a length.
-			buf = slices.Grow(buf, (len(ts)-1)*len(buf))
+			k.buf = slices.Grow(k.buf, (len(ts)-1)*len(k.buf))
 		}
-		bounds[i+1], order[i] = int32(len(buf)), int32(i)
+		k.bounds[i+1] = int32(len(k.buf))
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		return bytes.Compare(buf[bounds[a]:bounds[a+1]], buf[bounds[b]:bounds[b+1]])
-	})
-	sorted := make([]*Tree, len(ts))
-	for i, o := range order {
-		sorted[i] = ts[o]
-	}
-	return sorted
+	return k
+}
+
+// compare orders trees a and b by canonical key.
+func (k keyList) compare(a, b int32) int {
+	return bytes.Compare(k.buf[k.bounds[a]:k.bounds[a+1]], k.buf[k.bounds[b]:k.bounds[b+1]])
 }
 
 // nodeTable hash-conses sub-flows and numbers them densely: every distinct
@@ -128,13 +141,25 @@ func sortByKey(ts []*Tree) []*Tree {
 // that walks the table's trees — the enumeration's neighbour lists, the
 // Estimator's estimates and the PhysicalOptimizer's candidate plans. An
 // Estimator owns one (RankAllNet enumerates into it); a standalone Enumerate
-// makes its own. Nodes carry the table's generation, never a pointer to it.
+// makes its own. Nodes carry the table's generation, never a pointer to it,
+// and are carved from chunks the table fills in turn, so a Q7 enumeration's
+// 1,859 sub-flows are a handful of allocations, not one each.
 type nodeTable struct {
 	gen   uint64
 	nodes []*Tree  // by id
 	keys  []uint64 // by id: packed (operator ID, kid ids)
 	slots []int32  // open-addressed index over keys: node id+1, 0 when free
+	chunk []Tree   // the chunk new nodes are carved from
 }
+
+// firstChunk and maxChunk bound the node chunks: a table's first holds 16
+// nodes, and each next one twice its predecessor's, up to 256. A
+// paper-sized flow's few dozen sub-flows take two small chunks, and a large
+// enumeration adds one allocation per 256 nodes (45 KB).
+const (
+	firstChunk = 16
+	maxChunk   = 256
+)
 
 var tableGens atomic.Uint64
 
@@ -161,7 +186,11 @@ func (tab *nodeTable) node(op *dataflow.Operator, l, r *Tree) *Tree {
 	if uint(op.ID) >= maxOps || len(tab.nodes) >= 1<<24-1 {
 		panic(fmt.Sprintf("optimizer: sub-flow %d over operator ID %d outside the node key", len(tab.nodes), op.ID))
 	}
-	t := &Tree{Op: op, kidBuf: [2]*Tree{l, r}, gen: tab.gen, id: int32(len(tab.nodes))}
+	if len(tab.chunk) == cap(tab.chunk) {
+		tab.chunk = make([]Tree, 0, min(max(firstChunk, 2*cap(tab.chunk)), maxChunk))
+	}
+	tab.chunk = append(tab.chunk, Tree{Op: op, kidBuf: [2]*Tree{l, r}, gen: tab.gen, id: int32(len(tab.nodes))})
+	t := &tab.chunk[len(tab.chunk)-1]
 	switch {
 	case r != nil:
 		t.Kids = t.kidBuf[:2]

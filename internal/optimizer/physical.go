@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -285,20 +286,64 @@ func (po *PhysicalOptimizer) build(t *Tree, i int32) *PhysPlan {
 	if p := grow(&po.phys, i)[i]; p != nil {
 		return p
 	}
-	c := &po.kept[i]
 	var in [2]*PhysPlan
 	for j, k := range t.Kids {
-		in[j] = po.build(k, c.in[j])
+		in[j] = po.build(k, po.kept[i].in[j])
 	}
-	p := &PhysPlan{
-		Op: t.Op, Tree: t, Local: c.local, BuildSide: int(c.build),
+	p := new(PhysPlan)
+	po.fill(p, t, t, i, in)
+	po.phys[i] = p
+	return p
+}
+
+// fill makes *p the plan of candidate i of node t over the input plans in,
+// for the tree node own (t itself, or a copy of it).
+func (po *PhysicalOptimizer) fill(p *PhysPlan, t, own *Tree, i int32, in [2]*PhysPlan) {
+	c := &po.kept[i]
+	*p = PhysPlan{
+		Op: t.Op, Tree: own, Local: c.local, BuildSide: int(c.build),
 		Chained: c.chained, Combinable: c.combinable, Partitioned: po.parts[c.part],
 		OutRecords: po.Est.Records(t), OutBytes: po.Est.Bytes(t), Cost: c.cost,
 		inBuf: in, shipBuf: c.ship,
 	}
 	n := len(t.Kids)
 	p.Inputs, p.Ship = p.inBuf[:n:n], p.shipBuf[:n:n]
-	po.phys[i] = p
+}
+
+// own builds the plan of candidate i of node t into storage of its own:
+// its tree nodes are copied out of the table's chunks into one slice and
+// its plan nodes into another, so a kept plan pins neither a chunk nor any
+// other alternative's nodes. The copies leave their sets to resolve anew,
+// in their own setBuf.
+func (po *PhysicalOptimizer) own(t *Tree, i int32) *PhysPlan {
+	n := t.Size()
+	o := owned{po: po, trees: make([]Tree, 0, n), plans: make([]PhysPlan, 0, n)}
+	return o.copy(t, i)
+}
+
+// owned is one own call's storage, sized to the plan so that no append
+// moves a node a copy already points to.
+type owned struct {
+	po    *PhysicalOptimizer
+	trees []Tree
+	plans []PhysPlan
+}
+
+func (o *owned) copy(t *Tree, i int32) *PhysPlan {
+	var in [2]*PhysPlan
+	var kids [2]*Tree
+	for j, k := range t.Kids {
+		in[j] = o.copy(k, o.po.kept[i].in[j])
+		kids[j] = in[j].Tree
+	}
+	o.trees = append(o.trees, Tree{Op: t.Op, kidBuf: kids, key: t.key})
+	own := &o.trees[len(o.trees)-1]
+	if n := len(t.Kids); n > 0 {
+		own.Kids = own.kidBuf[:n:n]
+	}
+	o.plans = append(o.plans, PhysPlan{})
+	p := &o.plans[len(o.plans)-1]
+	o.po.fill(p, t, own, i, in)
 	return p
 }
 
@@ -617,16 +662,29 @@ type RankedPlan struct {
 	Enum *EnumStats
 }
 
-// Plan is the optimizer's one planning call: it validates the flow, then
-// ranks every valid reordering of it with RankAllNet under a fresh
-// Estimator. The ranking is never empty — it always holds the flow's own
-// order — so ranked[0] is the plan to run.
+// Plan ranks every valid reordering of the flow: it validates the flow,
+// then ranks with RankAllNet under a fresh Estimator. The ranking is never
+// empty — it always holds the flow's own order — and ranked[0] is the plan
+// Best returns. Callers that run a plan and drop the rest call Best.
 func Plan(f *dataflow.Flow, dop int, memoryBudget float64, net NetProfile) ([]RankedPlan, error) {
 	tree, err := FromFlow(f)
 	if err != nil {
 		return nil, err
 	}
 	return RankAllNet(tree, NewEstimator(f), dop, memoryBudget, net), nil
+}
+
+// Best is the plan to run: Plan's ranked[0] — the same tree, physical plan
+// and cost, with the same EnumStats — from the same search, which costs
+// every alternative but builds a plan for the winner only. Its Enum.Expanded
+// is the number of alternatives costed. The plan owns its nodes: keeping it
+// (the scheduler's plan cache keeps 256) pins nothing of the search.
+func Best(f *dataflow.Flow, dop int, memoryBudget float64, net NetProfile) (RankedPlan, error) {
+	tree, err := FromFlow(f)
+	if err != nil {
+		return RankedPlan{}, err
+	}
+	return newRanker(NewEstimator(f), dop, memoryBudget, net).winner(tree), nil
 }
 
 // RankAllNet enumerates all reorderings of the flow tree, physically
@@ -637,18 +695,26 @@ func Plan(f *dataflow.Flow, dop int, memoryBudget float64, net NetProfile) ([]Ra
 // scaled against the reference network and every shuffle barrier is charged
 // the measured round-trip latency, so rankings computed for a distributed
 // deployment reflect the wire the job will actually cross. The zero profile
-// prices no network.
+// prices no network. Equal costs rank by canonical key.
 func RankAllNet(t *Tree, est *Estimator, dop int, memoryBudget float64, net NetProfile) []RankedPlan {
+	return newRanker(est, dop, memoryBudget, net).rankAll(t)
+}
+
+// newRanker is the physical optimizer both views of the search run on.
+func newRanker(est *Estimator, dop int, memoryBudget float64, net NetProfile) *PhysicalOptimizer {
 	po := NewPhysicalOptimizer(est, dop)
 	po.MemoryBudget = memoryBudget
 	po.Net = net
-	return po.rankAll(t)
+	return po
 }
 
-// rankAll is RankAllNet's body: the enumeration interns into the
-// estimator's node table, so every memo below is keyed by its ids. Plans
-// are built after every alternative is costed, for the best candidates only.
-func (po *PhysicalOptimizer) rankAll(t *Tree) []RankedPlan {
+// search is the one search behind both views: it enumerates t's
+// reorderings into the estimator's node table, so every memo below is keyed
+// by its ids, and costs each. It returns the alternatives in the order the
+// enumeration found them and each one's cheapest candidate in kept. A
+// node's candidates depend only on the node, never on which alternative
+// reached it first, so neither the costs nor the stats depend on that order.
+func (po *PhysicalOptimizer) search(t *Tree) ([]*Tree, []int32, *EnumStats) {
 	enum := NewEnumerator()
 	alts := enum.enumerate(po.Est.tab, t)
 	// Costing visits only nodes the enumeration built: size the memos once.
@@ -663,29 +729,55 @@ func (po *PhysicalOptimizer) rankAll(t *Tree) []RankedPlan {
 		best[i] = po.best(po.plans(a))
 	}
 	enum.Stats.Kept = len(po.kept) - 1
-	grow(&po.phys, int32(len(po.kept)-1))
-	plans := make([]RankedPlan, len(alts))
+	return alts, best, &enum.Stats
+}
+
+// rankAll is RankAllNet's view of the search: it sorts every alternative
+// by (cost, canonical key) and builds each one's best plan, after every
+// alternative is costed and for the best candidates only.
+func (po *PhysicalOptimizer) rankAll(t *Tree) []RankedPlan {
+	alts, best, stats := po.search(t)
+	cost := func(i int32) float64 { return po.kept[best[i]].cost.Total() }
+	keys := keysOf(alts)
 	order := make([]int32, len(alts)) // sorted instead of the plans: no pointers move
-	for i, a := range alts {
-		phys := po.build(a, best[i])
-		plans[i] = RankedPlan{Tree: a, Phys: phys, Cost: phys.Cost.Total(), Enum: &enum.Stats}
+	for i := range order {
 		order[i] = int32(i)
 	}
-	// Stable over alternatives in key order, so equal costs rank by key.
-	slices.SortStableFunc(order, func(i, j int32) int {
-		a, b := plans[i].Cost, plans[j].Cost
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := cost(i), cost(j)
 		switch {
 		case a == b:
-			return 0
+			return keys.compare(i, j)
 		case a < b:
 			return -1
 		}
 		return 1
 	})
+	grow(&po.phys, int32(len(po.kept)-1))
 	ranked := make([]RankedPlan, len(order))
 	for r, i := range order {
-		ranked[r] = plans[i]
-		ranked[r].Rank = r + 1
+		phys := po.build(alts[i], best[i])
+		ranked[r] = RankedPlan{Tree: alts[i], Phys: phys, Cost: phys.Cost.Total(), Rank: r + 1, Enum: stats}
 	}
 	return ranked
+}
+
+// winner is Best's view of the search: the cheapest alternative, ties to the
+// smaller canonical key (rankAll's first), with its plan copied out of the
+// search. Keys are written only to break an exact tie.
+func (po *PhysicalOptimizer) winner(t *Tree) RankedPlan {
+	alts, best, stats := po.search(t)
+	w := 0
+	var kw, ki []byte
+	for i := 1; i < len(alts); i++ {
+		c, cw := po.kept[best[i]].cost.Total(), po.kept[best[w]].cost.Total()
+		if c == cw {
+			kw, ki = alts[w].appendKey(kw[:0]), alts[i].appendKey(ki[:0])
+		}
+		if c < cw || c == cw && bytes.Compare(ki, kw) < 0 {
+			w = i
+		}
+	}
+	phys := po.own(alts[w], best[w])
+	return RankedPlan{Tree: phys.Tree, Phys: phys, Cost: phys.Cost.Total(), Rank: 1, Enum: stats}
 }

@@ -10,42 +10,69 @@ import (
 	"blackboxflow/internal/workloads/tpch"
 )
 
-// TestRankingRetainsOnlyItsPlan: the node table and every per-node memo
-// die with the ranking. A caller that keeps only the best physical plan (the
-// plan cache keeps 256) retains that plan's own nodes: not the table, not
-// the estimator's or the optimizer's memo storage, not the candidate store
-// its plans were built from, and not the other alternatives. A table handle
-// on a node that were a pointer would pin the whole enumeration through the
-// kept plan.
+// TestRankingRetainsOnlyItsPlan: the node table, its node chunks and every
+// per-node memo die with the search. Plan's view builds its plans over the
+// table's nodes, so a caller keeping its best plan keeps the chunks those
+// nodes sit in, and nothing else of the search: not the table, not the
+// estimator's or the optimizer's memo storage, not the candidate store its
+// plans were built from. Best's view copies its plan out, so a caller
+// keeping it (the plan cache keeps 256) retains that plan's own nodes and
+// not one node of the enumeration: no chunk, no other alternative. A table
+// handle on a node that were a pointer would pin the whole enumeration
+// through the kept plan.
 func TestRankingRetainsOnlyItsPlan(t *testing.T) {
 	q7, err := tpch.BuildQ7(tpch.ModeSCA, tpch.DefaultGen())
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := NewEstimator(q7.Flow)
-	po := NewPhysicalOptimizer(est, 2) // what RankAllNet builds around rankAll
-	ranked := po.rankAll(mustTree(t, q7.Flow))
-	best := ranked[0].Phys
-	want := best.Indent()
-	held := map[string]func() bool{
-		"node table":         isLive(weak.Make(est.tab)),
-		"estimator memo":     isLive(weak.Make(&est.est[0])),
-		"optimizer memo":     isLive(weak.Make(&po.memo[0])),
-		"candidate store":    isLive(weak.Make(&po.kept[0])),
-		"partitioning table": isLive(weak.Make(&po.parts[0])),
-		"built-plan index":   isLive(weak.Make(&po.phys[0])),
-		"worst alternative":  isLive(weak.Make(ranked[len(ranked)-1].Tree)),
-	}
-	est, po, ranked = nil, nil, nil
-	runtime.GC()
-	runtime.GC()
-	for what, live := range held {
-		if live() {
-			t.Errorf("the %s outlives the ranking: the kept plan retains it", what)
-		}
-	}
-	if best.Indent() != want {
-		t.Error("the kept plan changed")
+	for _, view := range []string{"rank-all", "best"} {
+		t.Run(view, func(t *testing.T) {
+			est := NewEstimator(q7.Flow)
+			po := newRanker(est, 2, 0, NetProfile{}) // what RankAllNet and Best build
+			var best *PhysPlan
+			if view == "best" {
+				best = po.winner(mustTree(t, q7.Flow)).Phys
+			} else {
+				best = po.rankAll(mustTree(t, q7.Flow))[0].Phys
+			}
+			want := best.Indent()
+			held := map[string]func() bool{
+				"node table":         isLive(weak.Make(est.tab)),
+				"estimator memo":     isLive(weak.Make(&est.est[0])),
+				"optimizer memo":     isLive(weak.Make(&po.memo[0])),
+				"candidate store":    isLive(weak.Make(&po.kept[0])),
+				"partitioning table": isLive(weak.Make(&po.parts[0])),
+			}
+			if view == "best" {
+				// Every node of the enumeration, the alternatives' roots among
+				// them: a live one would pin its chunk.
+				nodes := make([]weak.Pointer[Tree], len(est.tab.nodes))
+				for i, n := range est.tab.nodes {
+					nodes[i] = weak.Make(n)
+				}
+				held["node chunk"] = func() bool {
+					for _, n := range nodes {
+						if n.Value() != nil {
+							return true
+						}
+					}
+					return false
+				}
+			} else {
+				held["built-plan index"] = isLive(weak.Make(&po.phys[0]))
+			}
+			est, po = nil, nil
+			runtime.GC()
+			runtime.GC()
+			for what, live := range held {
+				if live() {
+					t.Errorf("the %s outlives the search: the kept plan retains it", what)
+				}
+			}
+			if best.Indent() != want {
+				t.Error("the kept plan changed")
+			}
+		})
 	}
 }
 
@@ -65,11 +92,10 @@ func TestFromFlowRefusesFlowsPastTheNodeKey(t *testing.T) {
 	}
 }
 
-// TestRankAllQ7Allocs pins the allocations of one Q7 ranking at DOP 2, the
-// optimizer work of a plan-cache miss: one node per sub-flow and one plan
-// per sub-flow some alternative's best plan uses (1,859 each), and a few
-// dozen slices of search state. Building a plan per kept candidate, as the
-// ranker once did, made 10,090.
+// TestRankAllQ7Allocs pins the allocations of one Q7 ranking at DOP 2: one
+// plan per sub-flow some alternative's best plan uses (1,859), the node
+// table's chunks and a few dozen slices of search state. A heap node per
+// sub-flow made 3,845; building a plan per kept candidate as well, 10,090.
 func TestRankAllQ7Allocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -84,8 +110,32 @@ func TestRankAllQ7Allocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if max := 3845 * 1.1; allocs > max {
+	if max := 1996 * 1.1; allocs > max {
 		t.Errorf("one Q7 ranking made %.0f allocations, want at most %.0f", allocs, max)
+	}
+}
+
+// TestBestQ7Allocs pins the allocations of one Q7 best-only search at DOP 2,
+// the optimizer work of a plan-cache miss: the search's slices, the node
+// table's chunks, and one slice each of tree and plan nodes for the copied
+// winner. Building a plan per sub-flow and a heap node per sub-flow, as
+// the scheduler's ranking once did, made 3,845.
+func TestBestQ7Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	q7, err := tpch.BuildQ7(tpch.ModeSCA, tpch.DefaultGen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC() // start the collector's workers outside the count
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Best(q7.Flow, 2, 0, NetProfile{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if max := 138 * 1.1; allocs > max {
+		t.Errorf("one Q7 best-only search made %.0f allocations, want at most %.0f", allocs, max)
 	}
 }
 
