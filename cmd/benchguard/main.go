@@ -284,13 +284,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Scheduler.Submit makes it (optimizer.Best, the same search building
 	// the winner only). Gated on allocations, not time: the count is
 	// deterministic for a Go release and identical on every machine, and it
-	// is what the dense node table, its chunked nodes, its id-indexed memos
-	// and the flat candidate store bought (3,845 rank-all with a heap node
-	// per sub-flow, 10,090 with a plan object per kept candidate, 38,679
-	// with pointer-keyed maps, 287,231 before the interned plan DAG). One
-	// extra allocation per sub-flow adds about 1,900 and trips both. 10%
-	// headroom for toolchain drift; ns/op lands in BENCH_fresh.json for the
-	// record only.
+	// is what the dense node table, its id-indexed memos, the flat
+	// candidate store and Best's chunked nodes bought (rank-all: 10,090
+	// with a plan object per kept candidate, 38,679 with pointer-keyed
+	// maps, 287,231 before the interned plan DAG; best: 1,999 with a heap
+	// node per sub-flow). One extra allocation per sub-flow adds about
+	// 1,900 and trips both. 10% headroom for toolchain drift; ns/op lands
+	// in BENCH_fresh.json for the record only.
 	check("optimizer rank-all allocs/op", "BENCH_opt.json", "rankall_q7_allocs_per_op",
 		fresh["opt_rankall_q7_allocs_op"], true, 0.4)
 	check("optimizer best allocs/op", "BENCH_opt.json", "best_q7_allocs_per_op",

@@ -4,7 +4,7 @@ package jobs
 // at sustained multi-tenant traffic the service re-sees the same job
 // documents over and over, and without a cache every submission pays
 // PactScript compilation, static analysis, row decoding, and — far worse —
-// the full reordering enumeration of optimizer.Plan. Four bounded LRUs,
+// the full reordering search of optimizer.Best. Four bounded LRUs,
 // three filled by ingest (ingest.go; DESIGN.md "Ingest" says what each
 // elides) and one by Submit:
 //
@@ -26,7 +26,7 @@ package jobs
 //     besides the entry capacity it is bounded by maxSourceCacheBytes of
 //     resident data;
 //   - *plans* maps (flow digest, budget tier, DOP) to the optimized
-//     physical plan and its ranked cost, skipping optimizer.Plan in
+//     physical plan and its ranked cost, skipping optimizer.Best in
 //     Scheduler.Submit; a hit charges backpressure the same cost the miss
 //     that stored it did.
 //

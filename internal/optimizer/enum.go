@@ -68,7 +68,7 @@ func NewEnumerator() *Enumerator {
 // share their common sub-flows.
 func (e *Enumerator) Enumerate(t *Tree) []*Tree {
 	alts := e.enumerate(newNodeTable(), t)
-	keys := keysOf(alts)
+	keys := keyList{ts: alts}
 	order := make([]int32, len(alts))
 	for i := range order {
 		order[i] = int32(i)
@@ -111,29 +111,35 @@ func (e *Enumerator) enumerate(tab *nodeTable, t *Tree) []*Tree {
 	return plans
 }
 
-// keyList holds the canonical keys of a list of trees end to end in one
-// buffer that dies with its owner, so ordering trees by key caches no key
-// on any tree and moves no pointer.
+// keyList writes the canonical keys of a list of trees end to end into one
+// buffer that dies with its owner, each the first time an ordering asks for
+// it, so ordering trees by key caches no key on any tree and moves no
+// pointer.
 type keyList struct {
-	buf    []byte
-	bounds []int32 // key i is buf[bounds[i]:bounds[i+1]]
+	ts  []*Tree
+	buf []byte
+	at  [][2]int32 // key i is buf[at[i][0]:at[i][1]]; at[i][1] is 0 until it is written (no key is empty)
 }
 
-func keysOf(ts []*Tree) keyList {
-	k := keyList{bounds: make([]int32, len(ts)+1)}
-	for i, t := range ts {
-		if k.buf = t.appendKey(k.buf); i == 0 {
-			// Reorderings hold the same operators, so their keys share a length.
-			k.buf = slices.Grow(k.buf, (len(ts)-1)*len(k.buf))
-		}
-		k.bounds[i+1] = int32(len(k.buf))
+func (k *keyList) key(i int32) []byte {
+	if k.at == nil {
+		k.at = make([][2]int32, len(k.ts))
 	}
-	return k
+	at := &k.at[i]
+	if at[1] == 0 {
+		at[0] = int32(len(k.buf))
+		if k.buf = k.ts[i].appendKey(k.buf); at[0] == 0 {
+			// Reorderings hold the same operators, so their keys share a length.
+			k.buf = slices.Grow(k.buf, (len(k.ts)-1)*len(k.buf))
+		}
+		at[1] = int32(len(k.buf))
+	}
+	return k.buf[at[0]:at[1]]
 }
 
 // compare orders trees a and b by canonical key.
-func (k keyList) compare(a, b int32) int {
-	return bytes.Compare(k.buf[k.bounds[a]:k.bounds[a+1]], k.buf[k.bounds[b]:k.bounds[b+1]])
+func (k *keyList) compare(a, b int32) int {
+	return bytes.Compare(k.key(a), k.key(b))
 }
 
 // nodeTable hash-conses sub-flows and numbers them densely: every distinct
@@ -141,19 +147,23 @@ func (k keyList) compare(a, b int32) int {
 // that walks the table's trees — the enumeration's neighbour lists, the
 // Estimator's estimates and the PhysicalOptimizer's candidate plans. An
 // Estimator owns one (RankAllNet enumerates into it); a standalone Enumerate
-// makes its own. Nodes carry the table's generation, never a pointer to it,
-// and are carved from chunks the table fills in turn, so a Q7 enumeration's
-// 1,859 sub-flows are a handful of allocations, not one each.
+// makes its own. Nodes carry the table's generation, never a pointer to it.
 type nodeTable struct {
 	gen   uint64
 	nodes []*Tree  // by id
 	keys  []uint64 // by id: packed (operator ID, kid ids)
 	slots []int32  // open-addressed index over keys: node id+1, 0 when free
-	chunk []Tree   // the chunk new nodes are carved from
+	// carve makes new nodes from chunks the table fills in turn, so a Q7
+	// enumeration's 1,859 sub-flows are a handful of allocations, not one
+	// each. A node then keeps its whole chunk alive, so only a search whose
+	// nodes all die with it carves: Best's, which builds its plan over
+	// copies. Otherwise each chunk is one node.
+	carve bool
+	chunk []Tree // the chunk new nodes are made in
 }
 
-// firstChunk and maxChunk bound the node chunks: a table's first holds 16
-// nodes, and each next one twice its predecessor's, up to 256. A
+// firstChunk and maxChunk bound a carving table's chunks: its first holds
+// 16 nodes, and each next one twice its predecessor's, up to 256. A
 // paper-sized flow's few dozen sub-flows take two small chunks, and a large
 // enumeration adds one allocation per 256 nodes (45 KB).
 const (
@@ -187,7 +197,11 @@ func (tab *nodeTable) node(op *dataflow.Operator, l, r *Tree) *Tree {
 		panic(fmt.Sprintf("optimizer: sub-flow %d over operator ID %d outside the node key", len(tab.nodes), op.ID))
 	}
 	if len(tab.chunk) == cap(tab.chunk) {
-		tab.chunk = make([]Tree, 0, min(max(firstChunk, 2*cap(tab.chunk)), maxChunk))
+		n := 1
+		if tab.carve {
+			n = min(max(firstChunk, 2*cap(tab.chunk)), maxChunk)
+		}
+		tab.chunk = make([]Tree, 0, n)
 	}
 	tab.chunk = append(tab.chunk, Tree{Op: op, kidBuf: [2]*Tree{l, r}, gen: tab.gen, id: int32(len(tab.nodes))})
 	t := &tab.chunk[len(tab.chunk)-1]

@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -281,69 +280,44 @@ func (po *PhysicalOptimizer) best(s span) int32 {
 }
 
 // build returns the plan of candidate i of node t, built once however many
-// plans share it: a plan points to its inputs' plans and its own node only.
+// plans share it. The plan points to t, unless the table carved t from a
+// chunk of other nodes, which a kept plan pointing to t would pin: then the
+// plan is allocated together with a copy of t over its inputs' copies, and
+// points to that. A copy leaves its sets to resolve anew, in its own setBuf.
 func (po *PhysicalOptimizer) build(t *Tree, i int32) *PhysPlan {
 	if p := grow(&po.phys, i)[i]; p != nil {
 		return p
 	}
 	var in [2]*PhysPlan
+	var kids [2]*Tree
 	for j, k := range t.Kids {
 		in[j] = po.build(k, po.kept[i].in[j])
+		kids[j] = in[j].Tree
 	}
-	p := new(PhysPlan)
-	po.fill(p, t, t, i, in)
-	po.phys[i] = p
-	return p
-}
-
-// fill makes *p the plan of candidate i of node t over the input plans in,
-// for the tree node own (t itself, or a copy of it).
-func (po *PhysicalOptimizer) fill(p *PhysPlan, t, own *Tree, i int32, in [2]*PhysPlan) {
-	c := &po.kept[i]
+	var p *PhysPlan
+	own, c := t, &po.kept[i]
+	if po.Est.tab.carve {
+		n := new(struct {
+			p PhysPlan
+			t Tree
+		})
+		p, own = &n.p, &n.t
+		*own = Tree{Op: t.Op, kidBuf: kids, key: t.key}
+		if k := len(t.Kids); k > 0 {
+			own.Kids = own.kidBuf[:k:k]
+		}
+	} else {
+		p = new(PhysPlan)
+	}
 	*p = PhysPlan{
 		Op: t.Op, Tree: own, Local: c.local, BuildSide: int(c.build),
 		Chained: c.chained, Combinable: c.combinable, Partitioned: po.parts[c.part],
 		OutRecords: po.Est.Records(t), OutBytes: po.Est.Bytes(t), Cost: c.cost,
 		inBuf: in, shipBuf: c.ship,
 	}
-	n := len(t.Kids)
-	p.Inputs, p.Ship = p.inBuf[:n:n], p.shipBuf[:n:n]
-}
-
-// own builds the plan of candidate i of node t into storage of its own:
-// its tree nodes are copied out of the table's chunks into one slice and
-// its plan nodes into another, so a kept plan pins neither a chunk nor any
-// other alternative's nodes. The copies leave their sets to resolve anew,
-// in their own setBuf.
-func (po *PhysicalOptimizer) own(t *Tree, i int32) *PhysPlan {
-	n := t.Size()
-	o := owned{po: po, trees: make([]Tree, 0, n), plans: make([]PhysPlan, 0, n)}
-	return o.copy(t, i)
-}
-
-// owned is one own call's storage, sized to the plan so that no append
-// moves a node a copy already points to.
-type owned struct {
-	po    *PhysicalOptimizer
-	trees []Tree
-	plans []PhysPlan
-}
-
-func (o *owned) copy(t *Tree, i int32) *PhysPlan {
-	var in [2]*PhysPlan
-	var kids [2]*Tree
-	for j, k := range t.Kids {
-		in[j] = o.copy(k, o.po.kept[i].in[j])
-		kids[j] = in[j].Tree
-	}
-	o.trees = append(o.trees, Tree{Op: t.Op, kidBuf: kids, key: t.key})
-	own := &o.trees[len(o.trees)-1]
-	if n := len(t.Kids); n > 0 {
-		own.Kids = own.kidBuf[:n:n]
-	}
-	o.plans = append(o.plans, PhysPlan{})
-	p := &o.plans[len(o.plans)-1]
-	o.po.fill(p, t, own, i, in)
+	k := len(t.Kids)
+	p.Inputs, p.Ship = p.inBuf[:k:k], p.shipBuf[:k:k]
+	po.phys[i] = p
 	return p
 }
 
@@ -711,10 +685,10 @@ func newRanker(est *Estimator, dop int, memoryBudget float64, net NetProfile) *P
 // search is the one search behind both views: it enumerates t's
 // reorderings into the estimator's node table, so every memo below is keyed
 // by its ids, and costs each. It returns the alternatives in the order the
-// enumeration found them and each one's cheapest candidate in kept. A
-// node's candidates depend only on the node, never on which alternative
-// reached it first, so neither the costs nor the stats depend on that order.
-func (po *PhysicalOptimizer) search(t *Tree) ([]*Tree, []int32, *EnumStats) {
+// enumeration found them, each with its cheapest candidate. A node's
+// candidates depend only on the node, never on which alternative reached it
+// first, so neither the costs nor the stats depend on that order.
+func (po *PhysicalOptimizer) search(t *Tree) found {
 	enum := NewEnumerator()
 	alts := enum.enumerate(po.Est.tab, t)
 	// Costing visits only nodes the enumeration built: size the memos once.
@@ -729,55 +703,66 @@ func (po *PhysicalOptimizer) search(t *Tree) ([]*Tree, []int32, *EnumStats) {
 		best[i] = po.best(po.plans(a))
 	}
 	enum.Stats.Kept = len(po.kept) - 1
-	return alts, best, &enum.Stats
+	return found{po: po, alts: alts, best: best, stats: &enum.Stats, keys: keyList{ts: alts}}
+}
+
+// found is what a search found: its alternatives, in the order the
+// enumeration found them, and each one's cheapest candidate in po.kept.
+type found struct {
+	po    *PhysicalOptimizer
+	alts  []*Tree
+	best  []int32
+	stats *EnumStats
+	keys  keyList // over alts
+}
+
+// compare orders alternatives i and j as every ranking does: by cost, equal
+// costs by canonical key. A key is written only when two costs tie.
+func (f *found) compare(i, j int32) int {
+	a, b := f.po.kept[f.best[i]].cost.Total(), f.po.kept[f.best[j]].cost.Total()
+	switch {
+	case a == b:
+		return f.keys.compare(i, j)
+	case a < b:
+		return -1
+	}
+	return 1
+}
+
+// plan builds alternative i's best plan and ranks it r.
+func (f *found) plan(i int32, r int) RankedPlan {
+	phys := f.po.build(f.alts[i], f.best[i])
+	return RankedPlan{Tree: phys.Tree, Phys: phys, Cost: phys.Cost.Total(), Rank: r, Enum: f.stats}
 }
 
 // rankAll is RankAllNet's view of the search: it sorts every alternative
-// by (cost, canonical key) and builds each one's best plan, after every
-// alternative is costed and for the best candidates only.
+// and builds each one's best plan, after every alternative is costed and
+// for the best candidates only.
 func (po *PhysicalOptimizer) rankAll(t *Tree) []RankedPlan {
-	alts, best, stats := po.search(t)
-	cost := func(i int32) float64 { return po.kept[best[i]].cost.Total() }
-	keys := keysOf(alts)
-	order := make([]int32, len(alts)) // sorted instead of the plans: no pointers move
+	f := po.search(t)
+	order := make([]int32, len(f.alts)) // sorted instead of the plans: no pointers move
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(i, j int32) int {
-		a, b := cost(i), cost(j)
-		switch {
-		case a == b:
-			return keys.compare(i, j)
-		case a < b:
-			return -1
-		}
-		return 1
-	})
+	slices.SortFunc(order, f.compare)
 	grow(&po.phys, int32(len(po.kept)-1))
 	ranked := make([]RankedPlan, len(order))
 	for r, i := range order {
-		phys := po.build(alts[i], best[i])
-		ranked[r] = RankedPlan{Tree: alts[i], Phys: phys, Cost: phys.Cost.Total(), Rank: r + 1, Enum: stats}
+		ranked[r] = f.plan(i, r+1)
 	}
 	return ranked
 }
 
-// winner is Best's view of the search: the cheapest alternative, ties to the
-// smaller canonical key (rankAll's first), with its plan copied out of the
-// search. Keys are written only to break an exact tie.
+// winner is Best's view of the search: rankAll's first, found by one scan
+// with the same order, and the only plan built.
 func (po *PhysicalOptimizer) winner(t *Tree) RankedPlan {
-	alts, best, stats := po.search(t)
-	w := 0
-	var kw, ki []byte
-	for i := 1; i < len(alts); i++ {
-		c, cw := po.kept[best[i]].cost.Total(), po.kept[best[w]].cost.Total()
-		if c == cw {
-			kw, ki = alts[w].appendKey(kw[:0]), alts[i].appendKey(ki[:0])
-		}
-		if c < cw || c == cw && bytes.Compare(ki, kw) < 0 {
+	po.Est.tab.carve = true // no node outlives the search: the plan is built over copies
+	f := po.search(t)
+	var w int32
+	for i := int32(1); i < int32(len(f.alts)); i++ {
+		if f.compare(i, w) < 0 {
 			w = i
 		}
 	}
-	phys := po.own(alts[w], best[w])
-	return RankedPlan{Tree: phys.Tree, Phys: phys, Cost: phys.Cost.Total(), Rank: 1, Enum: stats}
+	return f.plan(w, 1)
 }

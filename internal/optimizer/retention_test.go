@@ -10,16 +10,15 @@ import (
 	"blackboxflow/internal/workloads/tpch"
 )
 
-// TestRankingRetainsOnlyItsPlan: the node table, its node chunks and every
-// per-node memo die with the search. Plan's view builds its plans over the
-// table's nodes, so a caller keeping its best plan keeps the chunks those
-// nodes sit in, and nothing else of the search: not the table, not the
-// estimator's or the optimizer's memo storage, not the candidate store its
-// plans were built from. Best's view copies its plan out, so a caller
-// keeping it (the plan cache keeps 256) retains that plan's own nodes and
-// not one node of the enumeration: no chunk, no other alternative. A table
-// handle on a node that were a pointer would pin the whole enumeration
-// through the kept plan.
+// TestRankingRetainsOnlyItsPlan: the node table and every per-node memo die
+// with the search. A caller that keeps only the best physical plan, from
+// either view of the search (the plan cache keeps 256 of Best's), retains
+// that plan's own nodes: not the table, not the estimator's or the
+// optimizer's memo storage, not the candidate store its plans were built
+// from, and not the other alternatives. A table handle on a node that were
+// a pointer would pin the whole enumeration through the kept plan. Best's
+// search carves its nodes from chunks, so its plan must hold none of them:
+// not one node of the table may outlive it.
 func TestRankingRetainsOnlyItsPlan(t *testing.T) {
 	q7, err := tpch.BuildQ7(tpch.ModeSCA, tpch.DefaultGen())
 	if err != nil {
@@ -29,21 +28,10 @@ func TestRankingRetainsOnlyItsPlan(t *testing.T) {
 		t.Run(view, func(t *testing.T) {
 			est := NewEstimator(q7.Flow)
 			po := newRanker(est, 2, 0, NetProfile{}) // what RankAllNet and Best build
+			held := map[string]func() bool{}
 			var best *PhysPlan
 			if view == "best" {
 				best = po.winner(mustTree(t, q7.Flow)).Phys
-			} else {
-				best = po.rankAll(mustTree(t, q7.Flow))[0].Phys
-			}
-			want := best.Indent()
-			held := map[string]func() bool{
-				"node table":         isLive(weak.Make(est.tab)),
-				"estimator memo":     isLive(weak.Make(&est.est[0])),
-				"optimizer memo":     isLive(weak.Make(&po.memo[0])),
-				"candidate store":    isLive(weak.Make(&po.kept[0])),
-				"partitioning table": isLive(weak.Make(&po.parts[0])),
-			}
-			if view == "best" {
 				// Every node of the enumeration, the alternatives' roots among
 				// them: a live one would pin its chunk.
 				nodes := make([]weak.Pointer[Tree], len(est.tab.nodes))
@@ -59,8 +47,32 @@ func TestRankingRetainsOnlyItsPlan(t *testing.T) {
 					return false
 				}
 			} else {
-				held["built-plan index"] = isLive(weak.Make(&po.phys[0]))
+				ranked := po.rankAll(mustTree(t, q7.Flow))
+				best = ranked[0].Phys
+				// The worst alternative's root, and every other but the
+				// best's: a carved table would place some of them beside
+				// the best plan's nodes.
+				held["worst alternative"] = isLive(weak.Make(ranked[len(ranked)-1].Tree))
+				others := make([]weak.Pointer[Tree], len(ranked)-1)
+				for i, rp := range ranked[1:] {
+					others[i] = weak.Make(rp.Tree)
+				}
+				held["rest of the ranking"] = func() bool {
+					for _, o := range others {
+						if o.Value() != nil {
+							return true
+						}
+					}
+					return false
+				}
 			}
+			want := best.Indent()
+			held["node table"] = isLive(weak.Make(est.tab))
+			held["estimator memo"] = isLive(weak.Make(&est.est[0]))
+			held["optimizer memo"] = isLive(weak.Make(&po.memo[0]))
+			held["candidate store"] = isLive(weak.Make(&po.kept[0]))
+			held["partitioning table"] = isLive(weak.Make(&po.parts[0]))
+			held["built-plan index"] = isLive(weak.Make(&po.phys[0]))
 			est, po = nil, nil
 			runtime.GC()
 			runtime.GC()
@@ -93,9 +105,9 @@ func TestFromFlowRefusesFlowsPastTheNodeKey(t *testing.T) {
 }
 
 // TestRankAllQ7Allocs pins the allocations of one Q7 ranking at DOP 2: one
-// plan per sub-flow some alternative's best plan uses (1,859), the node
-// table's chunks and a few dozen slices of search state. A heap node per
-// sub-flow made 3,845; building a plan per kept candidate as well, 10,090.
+// node per sub-flow and one plan per sub-flow some alternative's best plan
+// uses (1,859 each), and a few dozen slices of search state. Building a plan
+// per kept candidate, as the ranker once did, made 10,090.
 func TestRankAllQ7Allocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -110,16 +122,16 @@ func TestRankAllQ7Allocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if max := 1996 * 1.1; allocs > max {
+	if max := 3845 * 1.1; allocs > max {
 		t.Errorf("one Q7 ranking made %.0f allocations, want at most %.0f", allocs, max)
 	}
 }
 
 // TestBestQ7Allocs pins the allocations of one Q7 best-only search at DOP 2,
 // the optimizer work of a plan-cache miss: the search's slices, the node
-// table's chunks, and one slice each of tree and plan nodes for the copied
-// winner. Building a plan per sub-flow and a heap node per sub-flow, as
-// the scheduler's ranking once did, made 3,845.
+// table's chunks, and one allocation per node of the winner's plan, which
+// carries its copy of the tree node. With a heap node per sub-flow, as a
+// ranking's table makes them, the same search makes 1,999.
 func TestBestQ7Allocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -134,7 +146,7 @@ func TestBestQ7Allocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if max := 138 * 1.1; allocs > max {
+	if max := 150 * 1.1; allocs > max {
 		t.Errorf("one Q7 best-only search made %.0f allocations, want at most %.0f", allocs, max)
 	}
 }

@@ -29,8 +29,9 @@ import (
 // hash-consed (see nodeTable in enum.go): every distinct sub-flow is one
 // node shared by all alternatives containing it, so its resolved sets,
 // its estimates and its candidate physical plans are each computed once
-// and found again by the node's dense id. Such nodes are carved from the
-// table's chunks: one of them keeps its whole chunk alive.
+// and found again by the node's dense id. The table of a best-only search
+// carves such nodes from chunks, and one of them keeps its whole chunk
+// alive.
 type Tree struct {
 	Op   *dataflow.Operator
 	Kids []*Tree
@@ -42,7 +43,7 @@ type Tree struct {
 	gen uint64
 	id  int32
 	// resolved is set once attrs, reads and write are; it sits beside id so
-	// that a node packs into 176 bytes of its chunk.
+	// that a node fits a smaller allocation size class.
 	resolved bool
 	key      string // canonical key, computed lazily
 
