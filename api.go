@@ -23,9 +23,7 @@
 //     one local strategy — calling every UDF the same way (a tac.Runner
 //     emitting into a sink), with — for Reduce operators whose Combiner
 //     declaration passes the read/write-set safety check — pre-shuffle
-//     partial aggregation on the senders (see DESIGN.md);
-//   - the same engine, at DOP 1 over sampled sources, is the profiler
-//     behind DeriveHintsBySampling.
+//     partial aggregation on the senders (see DESIGN.md).
 //
 // A Reduce over a decomposable aggregate can declare a combiner with
 // Operator.SetCombiner (fully algebraic aggregates pass their own UDF);
@@ -60,7 +58,6 @@ import (
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/props"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/sampling"
 	"blackboxflow/internal/sca"
 	"blackboxflow/internal/tac"
 )
@@ -279,17 +276,3 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler { return jobs.New(cfg) }
 // serves repeated documents from the scheduler's plan cache, skipping
 // compilation and (at Submit) plan enumeration.
 func ParseJobDocument(raw []byte) (JobSpec, error) { return jobs.ParseScriptJob(raw) }
-
-// SamplingOptions configure DeriveHintsBySampling.
-type SamplingOptions = sampling.Options
-
-// DeriveHintsBySampling profiles every UDF over a sample of the data — one
-// single-partition engine run per operator, measured by the engine's own
-// per-operator statistics — and fills in the flow's cost hints
-// (selectivity, CPU cost per call, key cardinality): the empirical
-// alternative to hand-written hints that the paper lists as future work
-// (Section 9).
-func DeriveHintsBySampling(f *Flow, data map[string]DataSet, opts SamplingOptions) error {
-	_, err := sampling.DeriveHints(f, data, opts)
-	return err
-}

@@ -122,37 +122,6 @@ map f(ir) {
 	}
 }
 
-// TestFacadeSampling derives hints by profiling and re-optimizes.
-func TestFacadeSampling(t *testing.T) {
-	prog := blackboxflow.MustCompileUDFs(`
-map rare(ir) {
-	a := ir[0]
-	if a < 10 {
-		emit ir
-	}
-}
-`)
-	flow := blackboxflow.NewFlow()
-	src := flow.Source("in", []string{"a"}, blackboxflow.Hints{Records: 1000, AvgWidthBytes: 9})
-	m := flow.Map("rare", prog.Funcs["rare"], src, blackboxflow.Hints{})
-	flow.SetSink("out", m)
-	if err := flow.DeriveEffects(false); err != nil {
-		t.Fatal(err)
-	}
-	var data blackboxflow.DataSet
-	for i := 0; i < 1000; i++ {
-		data = append(data, blackboxflow.Record{blackboxflow.Int(int64(i % 100))})
-	}
-	if err := blackboxflow.DeriveHintsBySampling(flow, map[string]blackboxflow.DataSet{"in": data},
-		blackboxflow.SamplingOptions{SampleSize: 300}); err != nil {
-		t.Fatal(err)
-	}
-	// The filter keeps 10% of records; the profiled hint must be close.
-	if sel := m.Hints.Selectivity; sel < 0.03 || sel > 0.3 {
-		t.Errorf("sampled selectivity = %g, want ≈ 0.1", sel)
-	}
-}
-
 // TestFacadeCompileToTAC exposes the compiled form as TAC text.
 func TestFacadeCompileToTAC(t *testing.T) {
 	prog, err := blackboxflow.CompileUDFs(`

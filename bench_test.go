@@ -337,9 +337,7 @@ func BenchmarkAblationNoSubplanSharing(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, a := range alts {
-			po := optimizer.NewPhysicalOptimizer(est, 4)
-			po.ShareSubplans = false
-			po.Optimize(a)
+			optimizer.NewPhysicalOptimizer(est, 4).Optimize(a)
 		}
 	}
 }

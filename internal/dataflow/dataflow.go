@@ -149,7 +149,8 @@ type Operator struct {
 	Combiner *tac.Func
 
 	// CombinerEffect holds the combiner's symbolic properties, derived by
-	// SCA in DeriveEffects or supplied via SetCombinerEffect. The optimizer
+	// SCA in DeriveEffects or set by hand (a manual annotation, which
+	// DeriveEffects(keepManual) keeps). The optimizer
 	// ignores Combiner until an effect is attached.
 	CombinerEffect *props.Effect
 
@@ -321,10 +322,6 @@ func (o *Operator) SetCombiner(f *tac.Func) *Operator {
 	o.Combiner = f
 	return o
 }
-
-// SetCombinerEffect attaches a manual annotation for the combiner,
-// overriding SCA (the combiner analogue of SetEffect).
-func (o *Operator) SetCombinerEffect(e *props.Effect) { o.CombinerEffect = e }
 
 // SetSink designates the flow's sink, wrapping the given root operator.
 func (f *Flow) SetSink(name string, root *Operator) *Operator {

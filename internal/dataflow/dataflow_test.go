@@ -314,7 +314,7 @@ func TestCombinerDeclaration(t *testing.T) {
 		f.SetSink("out", r)
 		manual := props.NewEffect(1)
 		manual.EmitMin, manual.EmitMax = 1, 1
-		r.SetCombinerEffect(manual)
+		r.CombinerEffect = manual
 		if err := f.DeriveEffects(true); err != nil {
 			t.Fatal(err)
 		}

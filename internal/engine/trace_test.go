@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"strings"
@@ -19,6 +20,13 @@ import (
 // (combined, spilled, distributed) must yield a span tree whose phases and
 // counters reconcile with the run's OpStats, and attaching a trace must not
 // change per-shuffle allocation behavior beyond a small constant.
+
+// traceJSON renders tr as the JSON span tree GET /jobs/{id}/trace serves,
+// for failure messages.
+func traceJSON(tr *obs.Trace) string {
+	b, _ := json.MarshalIndent(tr.Tree(), "", "  ")
+	return string(b)
+}
 
 // tracedRun executes one distributed-suite pipeline with a fresh trace
 // attached and returns the trace and run statistics.
@@ -71,7 +79,7 @@ func TestTraceCombinedReduce(t *testing.T) {
 
 	op, ok := findSpan(tr, obs.KindOp, "wcount")
 	if !ok {
-		t.Fatalf("no operator span for wcount; spans:\n%s", tr.Table())
+		t.Fatalf("no operator span for wcount; spans:\n%s", traceJSON(tr))
 	}
 	var st *OpStats
 	for i := range stats.PerOp {
@@ -102,7 +110,7 @@ func TestTraceCombinedReduce(t *testing.T) {
 		}
 	}
 	if !foundLocal {
-		t.Fatalf("no local span under wcount; spans:\n%s", tr.Table())
+		t.Fatalf("no local span under wcount; spans:\n%s", traceJSON(tr))
 	}
 	// Every recorded span is closed and clean. The root stays open here —
 	// a bare engine run has no scheduler to finalize the job span.
@@ -142,7 +150,7 @@ func TestTraceSpilledJoin(t *testing.T) {
 	}
 	merges := spansOfKind(tr, obs.KindMerge)
 	if len(merges) == 0 {
-		t.Fatalf("no merge span on a spilling run; spans:\n%s", tr.Table())
+		t.Fatalf("no merge span on a spilling run; spans:\n%s", traceJSON(tr))
 	}
 	var mergeRuns int64
 	for _, m := range merges {
@@ -178,7 +186,7 @@ func TestDistributedTraceSpans(t *testing.T) {
 	}
 	spans := spansOfKind(tr, obs.KindTransport)
 	if len(spans) == 0 {
-		t.Fatalf("no transport spans on a distributed run; spans:\n%s", tr.Table())
+		t.Fatalf("no transport spans on a distributed run; spans:\n%s", traceJSON(tr))
 	}
 	seen := map[string]bool{}
 	for _, s := range spans {
@@ -216,7 +224,7 @@ func TestDistributedTraceBroadcast(t *testing.T) {
 
 	op, ok := findSpan(tr, obs.KindOp, "J")
 	if !ok {
-		t.Fatalf("no operator span for J; spans:\n%s", tr.Table())
+		t.Fatalf("no operator span for J; spans:\n%s", traceJSON(tr))
 	}
 	var st OpStats
 	for _, s := range stats.PerOp {
@@ -226,11 +234,11 @@ func TestDistributedTraceBroadcast(t *testing.T) {
 	}
 	ship, ok := findSpan(tr, obs.KindShip, "ship")
 	if !ok || ship.Parent != op.ID || ship.Bytes != int64(st.ShippedBytes) {
-		t.Fatalf("ship span %+v, want one under J (%d) with %d bytes; spans:\n%s", ship, op.ID, st.ShippedBytes, tr.Table())
+		t.Fatalf("ship span %+v, want one under J (%d) with %d bytes; spans:\n%s", ship, op.ID, st.ShippedBytes, traceJSON(tr))
 	}
 	bc, ok := findSpan(tr, obs.KindShip, "broadcast")
 	if !ok || bc.Parent != ship.ID {
-		t.Fatalf("broadcast span missing or not under J's ship span; spans:\n%s", tr.Table())
+		t.Fatalf("broadcast span missing or not under J's ship span; spans:\n%s", traceJSON(tr))
 	}
 	if left := len(pl.sources["L"]); bc.Bytes != int64(st.ShippedBytes) || bc.Bytes == 0 || bc.Records != int64(left) {
 		t.Fatalf("broadcast span carries %d bytes / %d records, want %d / %d", bc.Bytes, bc.Records, st.ShippedBytes, left)
@@ -246,7 +254,7 @@ func TestDistributedTraceBroadcast(t *testing.T) {
 		seen[s.Worker] = true
 	}
 	if len(seen) != len(addrs) {
-		t.Fatalf("transport spans cover %d workers, want %d; spans:\n%s", len(seen), len(addrs), tr.Table())
+		t.Fatalf("transport spans cover %d workers, want %d; spans:\n%s", len(seen), len(addrs), traceJSON(tr))
 	}
 }
 
@@ -387,12 +395,12 @@ func TestTraceFailedFusedChain(t *testing.T) {
 			}
 
 			if src, ok := findSpan(tr, obs.KindOp, "in"); !ok || src.Err != "" {
-				t.Fatalf("source span missing or failed (ok=%v err=%q); trace:\n%s", ok, src.Err, tr.Table())
+				t.Fatalf("source span missing or failed (ok=%v err=%q); trace:\n%s", ok, src.Err, traceJSON(tr))
 			}
 			for _, name := range []string{"ok", "bad", consumer} {
 				s, ok := findSpan(tr, obs.KindOp, name)
 				if !ok {
-					t.Fatalf("no span for operator %s; trace:\n%s", name, tr.Table())
+					t.Fatalf("no span for operator %s; trace:\n%s", name, traceJSON(tr))
 				}
 				if s.Err != err.Error() {
 					t.Fatalf("operator %s span error %q, want %q", name, s.Err, err.Error())

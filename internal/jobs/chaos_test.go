@@ -229,7 +229,7 @@ func TestFaultTraceAttribution(t *testing.T) {
 			}
 			for _, name := range tc.failedOps {
 				if !failedOps[name] {
-					t.Fatalf("operator %s has no failed span; trace:\n%s", name, tr.Table())
+					t.Fatalf("operator %s has no failed span; trace:\n%s", name, traceJSON(tr))
 				}
 			}
 			frozen := tr.Len()
@@ -260,7 +260,7 @@ func TestFaultTraceAttribution(t *testing.T) {
 				}
 			}
 			if ops == 0 {
-				t.Fatalf("rerun's trace has no operator spans; trace:\n%s", tr2.Table())
+				t.Fatalf("rerun's trace has no operator spans; trace:\n%s", traceJSON(tr2))
 			}
 		})
 	}

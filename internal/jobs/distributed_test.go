@@ -308,7 +308,7 @@ func TestChaosSchedulerWorkerStalledBroadcastTimeout(t *testing.T) {
 		}
 	}
 	if !broadcast {
-		t.Fatalf("no failed broadcast span — the plan did not broadcast, or the failure was not attributed to it:\n%s", tr.Table())
+		t.Fatalf("no failed broadcast span — the plan did not broadcast, or the failure was not attributed to it:\n%s", traceJSON(tr))
 	}
 	// The slot is free: shutdown drains at once.
 	if err := s.Shutdown(ctx); err != nil {

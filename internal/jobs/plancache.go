@@ -322,22 +322,31 @@ func (c *PlanCache) admitDoc(fp uint64) bool {
 
 // storeDoc remembers what ingest derived from the document e holds: a new
 // entry, or one a look-up found whose replay fell short, which keeps its
-// copy of the document and takes the new derivation. It evicts the coldest
-// entries while the document copies exceed the ceiling.
+// copy of the document and takes the new derivation. Before e is added, the
+// entries that share its fingerprint are compared with its bytes under the
+// lock, once per parse: when two first parses of one document race, the
+// second finds the first's entry, which takes its derivation, and e is
+// dropped, so the memo holds one copy. It evicts the coldest entries while
+// the document copies exceed the ceiling.
 func (c *PlanCache) storeDoc(e *docEntry, spec Spec, sources []namedSource) {
 	spec.Flow, spec.Sources = nil, nil
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if _, ok := c.docs.get(e); !ok {
+		same := c.byFP[e.fp]
+		if i := slices.IndexFunc(same, func(o *docEntry) bool { return bytes.Equal(o.doc, e.doc) }); i >= 0 {
+			e = same[i]
+			c.docs.get(e)
+		} else {
+			c.docs.add(e, e)
+			c.byFP[e.fp] = append(same, e)
+			c.docBytes += int64(len(e.doc))
+			for c.docBytes > maxDocCacheBytes {
+				c.docs.evictOldest()
+			}
+		}
+	}
 	e.spec, e.sources = spec, sources
-	if _, ok := c.docs.get(e); ok {
-		return
-	}
-	c.docs.add(e, e)
-	c.byFP[e.fp] = append(c.byFP[e.fp], e)
-	c.docBytes += int64(len(e.doc))
-	for c.docBytes > maxDocCacheBytes {
-		c.docs.evictOldest()
-	}
 }
 
 func (c *PlanCache) source(key sourceKey) *source {

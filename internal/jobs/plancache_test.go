@@ -511,6 +511,56 @@ func TestDocMemoOwnsItsCopy(t *testing.T) {
 	}
 }
 
+// TestDocMemoOneCopyPerDocument: two first parses of one document that both
+// miss store one entry, not two. The second store finds the first's entry by
+// its bytes and renews it with its derivation; the byte gauge counts one
+// copy and falls back to zero when the entry is evicted.
+func TestDocMemoOneCopyPerDocument(t *testing.T) {
+	doc := wordsDoc([]string{"a", "b"})
+	holdsOne := func(t *testing.T, c *PlanCache) {
+		t.Helper()
+		fp := c.fingerprint(doc)
+		if c.docs.len() != 1 || len(c.byFP[fp]) != 1 || c.docBytes != int64(len(doc)) {
+			t.Errorf("memo holds %d entries (%d under the fingerprint) and %d bytes, want 1 and %d",
+				c.docs.len(), len(c.byFP[fp]), c.docBytes, len(doc))
+		}
+	}
+	t.Run("two stores", func(t *testing.T) {
+		c := newPlanCache(4)
+		fp := c.fingerprint(doc)
+		c.storeDoc(&docEntry{doc: bytes.Clone(doc), fp: fp}, Spec{PlanKey: "first"}, nil)
+		c.storeDoc(&docEntry{doc: bytes.Clone(doc), fp: fp}, Spec{PlanKey: "second"}, nil)
+		holdsOne(t, c)
+		if e := c.lookupDoc(fp, doc); e == nil || e.spec.PlanKey != "second" {
+			t.Errorf("the entry does not hold the later derivation: %v", e)
+		}
+		c.mu.Lock()
+		c.docs.evictOldest()
+		c.mu.Unlock()
+		if c.docBytes != 0 || len(c.byFP) != 0 {
+			t.Errorf("after eviction: %d bytes, %d fingerprints", c.docBytes, len(c.byFP))
+		}
+	})
+	t.Run("concurrent ingests", func(t *testing.T) {
+		c := newPlanCache(4)
+		if _, err := ingest(c, doc); err != nil { // the prior sighting
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if spec, err := ingest(c, doc); err != nil || len(spec.Sources["words"]) != 2 {
+					t.Errorf("ingest: %v, %d rows", err, len(spec.Sources["words"]))
+				}
+			}()
+		}
+		wg.Wait()
+		holdsOne(t, c)
+	})
+}
+
 // TestDocMemoFingerprintCollision: documents that differ only between the
 // bytes their fingerprint samples share a fingerprint; a one-byte change
 // there misses, and both documents then replay, each as itself. The

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,13 @@ import (
 // hits are visible as span details, and the scheduler's histograms fill
 // from real jobs.
 
+// traceJSON renders tr as the JSON span tree GET /jobs/{id}/trace serves,
+// for failure messages.
+func traceJSON(tr *obs.Trace) string {
+	b, _ := json.MarshalIndent(tr.Tree(), "", "  ")
+	return string(b)
+}
+
 // phaseSpan returns the first phase span with the given name.
 func phaseSpan(t *testing.T, tr *obs.Trace, name string) obs.Span {
 	t.Helper()
@@ -23,7 +31,7 @@ func phaseSpan(t *testing.T, tr *obs.Trace, name string) obs.Span {
 			return s
 		}
 	}
-	t.Fatalf("no %q phase span; trace:\n%s", name, tr.Table())
+	t.Fatalf("no %q phase span; trace:\n%s", name, traceJSON(tr))
 	return obs.Span{}
 }
 
@@ -92,7 +100,7 @@ func TestJobTraceLifecycle(t *testing.T) {
 		}
 	}
 	if !opSeen {
-		t.Fatalf("no operator spans under the run phase; trace:\n%s", tr.Table())
+		t.Fatalf("no operator spans under the run phase; trace:\n%s", traceJSON(tr))
 	}
 
 	second := run("second")
@@ -213,7 +221,7 @@ func TestSchedulerWorkerNetMetrics(t *testing.T) {
 		}
 	}
 	if transport == 0 {
-		t.Fatalf("no transport spans in a distributed job's trace:\n%s", j.Trace().Table())
+		t.Fatalf("no transport spans in a distributed job's trace:\n%s", traceJSON(j.Trace()))
 	}
 }
 
@@ -241,13 +249,13 @@ func TestSchedulerWorkerBroadcastTraceSpans(t *testing.T) {
 		}
 	}
 	if bc.ID == 0 {
-		t.Fatalf("no broadcast span — the plan did not broadcast:\n%s", tr.Table())
+		t.Fatalf("no broadcast span — the plan did not broadcast:\n%s", traceJSON(tr))
 	}
 	ship := spans[bc.Parent]
 	op := spans[ship.Parent]
 	if ship.Kind != obs.KindShip || ship.Name != "ship" || op.Kind != obs.KindOp || op.Name != "pair" || op.Parent != phaseSpan(t, tr, "run").ID {
 		t.Fatalf("broadcast span hangs under %s %q under %s %q, want ship under operator pair under the run phase:\n%s",
-			ship.Kind, ship.Name, op.Kind, op.Name, tr.Table())
+			ship.Kind, ship.Name, op.Kind, op.Name, traceJSON(tr))
 	}
 	if bc.Records != lN || bc.Bytes == 0 || bc.Bytes != ship.Bytes {
 		t.Fatalf("broadcast span carries %d records / %d bytes under a ship span of %d bytes, want %d records and all of the bytes", bc.Records, bc.Bytes, ship.Bytes, lN)
@@ -259,6 +267,6 @@ func TestSchedulerWorkerBroadcastTraceSpans(t *testing.T) {
 		}
 	}
 	if len(workers) != len(addrs) {
-		t.Fatalf("transport spans under the broadcast cover %d workers, want %d:\n%s", len(workers), len(addrs), tr.Table())
+		t.Fatalf("transport spans under the broadcast cover %d workers, want %d:\n%s", len(workers), len(addrs), traceJSON(tr))
 	}
 }

@@ -149,23 +149,6 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 }
 
-func TestTableRendersTree(t *testing.T) {
-	tr := NewTrace("job 7")
-	op := tr.Begin(tr.Root(), "reduce", KindOp)
-	tr.Import(op, Span{Name: "p1", Kind: KindSpill, Start: time.Now(), End: time.Now(), Bytes: 9})
-	tr.Import(op, Span{Name: "p0", Kind: KindSpill, Start: time.Now(), End: time.Now(), Bytes: 5})
-	tr.End(op)
-	tr.End(tr.Root())
-	tab := tr.Table()
-	if !strings.Contains(tab, "job 7") || !strings.Contains(tab, "  reduce") {
-		t.Fatalf("table missing rows:\n%s", tab)
-	}
-	// Same-kind siblings sort by name for stable output.
-	if strings.Index(tab, "p0") > strings.Index(tab, "p1") {
-		t.Fatalf("spill spans not sorted:\n%s", tab)
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram([]float64{1, 10, 100})
 	for _, v := range []float64{0.5, 1, 5, 50, 500, 5000} {

@@ -2,10 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -306,54 +303,4 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(events)
-}
-
-// Table renders the span tree as an aligned, indented text table — the
-// human-readable form used in EXPERIMENTS.md and test logs.
-func (t *Trace) Table() string {
-	root := t.Tree()
-	if root == nil {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-42s %12s %14s %8s %s\n", "SPAN", "DUR", "BYTES", "FRAMES", "NOTE")
-	var walk func(n *Node, depth int)
-	walk = func(n *Node, depth int) {
-		name := strings.Repeat("  ", depth) + n.Name
-		note := n.Detail
-		if n.Worker != "" {
-			note = strings.TrimSpace(n.Worker + " " + note)
-		}
-		if n.Err != "" {
-			note = strings.TrimSpace(note + " ERR=" + n.Err)
-		}
-		bytes, frames := "", ""
-		if n.Bytes != 0 {
-			bytes = fmt.Sprintf("%d", n.Bytes)
-		}
-		if n.Frames != 0 {
-			frames = fmt.Sprintf("%d", n.Frames)
-		}
-		fmt.Fprintf(&b, "%-42s %12s %14s %8s %s\n",
-			name, n.Duration().Round(time.Microsecond), bytes, frames, note)
-		// Children in recording order, except same-kind siblings sorted by
-		// name for stable tables (per-partition and per-worker spans finish
-		// in nondeterministic order).
-		kids := append([]*Node(nil), n.Children...)
-		sort.SliceStable(kids, func(i, j int) bool {
-			if kids[i].Kind != kids[j].Kind {
-				return false
-			}
-			switch kids[i].Kind {
-			case KindSpill, KindTransport:
-				return kids[i].Name < kids[j].Name
-			}
-			return false
-		})
-		for _, c := range kids {
-			walk(c, depth+1)
-		}
-	}
-	walk(root, 0)
-	return b.String()
 }

@@ -352,7 +352,7 @@ func TestRankerMatchesReference(t *testing.T) {
 // on random flows: the fuzzer picks the randomFlow seed, a DOP in 1–8, a
 // memory budget in bytes (0 = unlimited) and whether the transport is
 // measured. The reference costs every plan on trees that share no nodes,
-// each with a fresh estimator and an unshared memo, so any memo that leaks
+// each with a fresh estimator and a fresh optimizer, so any memo that leaks
 // between sub-flows shows as a cost or a rank-1 difference.
 func FuzzRankerDifferential(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {

@@ -775,7 +775,7 @@ func TestRankAllOrdering(t *testing.T) {
 
 // TestSharedSubplansConsistent: memoizing sub-flow plans across
 // alternatives (the Section 6 integration) must not change any plan's cost
-// relative to naive per-alternative optimization.
+// relative to a fresh optimizer per alternative.
 func TestSharedSubplansConsistent(t *testing.T) {
 	f := dataflow.NewFlow()
 	r := f.Source("R", []string{"rk"}, dataflow.Hints{Records: 500, AvgWidthBytes: 9})
@@ -800,12 +800,10 @@ func TestSharedSubplansConsistent(t *testing.T) {
 	est := NewEstimator(f)
 	shared := NewPhysicalOptimizer(est, 4)
 	for _, a := range alts {
-		naive := NewPhysicalOptimizer(est, 4)
-		naive.ShareSubplans = false
 		cs := shared.Optimize(a).Cost.Total()
-		cn := naive.Optimize(a).Cost.Total()
-		if cs != cn {
-			t.Errorf("plan %s: shared cost %g != naive cost %g", a, cs, cn)
+		cf := NewPhysicalOptimizer(est, 4).Optimize(a).Cost.Total()
+		if cs != cf {
+			t.Errorf("plan %s: shared cost %g != fresh cost %g", a, cs, cf)
 		}
 	}
 }

@@ -172,10 +172,6 @@ type PhysicalOptimizer struct {
 	// disabling it (for the ablation benchmark) keeps only the cheapest
 	// plan per sub-tree regardless of its output partitioning.
 	UseInterestingProps bool
-	// ShareSubplans memoizes sub-flow plans across Optimize calls (on by
-	// default; disabling it restores the naive per-alternative
-	// optimization for the ablation benchmark).
-	ShareSubplans bool
 	// MemoryBudget mirrors the engine's Engine.MemoryBudget (bytes; zero =
 	// unlimited): when set, shuffled grouping and join operators whose
 	// receiver volume exceeds it are charged the disk traffic of sorting,
@@ -219,7 +215,7 @@ type cand struct {
 // NewPhysicalOptimizer returns a physical optimizer with default settings.
 func NewPhysicalOptimizer(est *Estimator, dop int) *PhysicalOptimizer {
 	return &PhysicalOptimizer{
-		Est: est, DOP: dop, UseInterestingProps: true, ShareSubplans: true,
+		Est: est, DOP: dop, UseInterestingProps: true,
 		kept: make([]cand, 1), parts: make([]props.FieldSet, 1),
 	}
 }
@@ -259,11 +255,6 @@ func spillCost(vol, budget float64) float64 {
 
 // Optimize returns the cheapest physical plan for the operator tree.
 func (po *PhysicalOptimizer) Optimize(t *Tree) *PhysPlan {
-	if !po.ShareSubplans {
-		clear(po.memo)
-		clear(po.phys)
-		po.kept = po.kept[:1]
-	}
 	t = po.Est.tab.intern(t)
 	return po.build(t, po.best(po.plans(t)))
 }

@@ -212,14 +212,13 @@ func refBuildCrossRotation(p *Tree, childIdx int) *Tree {
 
 // refRank is the reference for RankAllNet: every plan of the reference
 // enumeration — trees that share no nodes — is costed on its own, with a
-// fresh estimator and an unshared physical memo, then sorted like RankAllNet
+// fresh estimator and a fresh physical optimizer, then sorted like RankAllNet
 // sorts.
 func refRank(t *Tree, f *dataflow.Flow, dop int, budget float64, net NetProfile) []RankedPlan {
 	alts, _ := refEnumerate(t, AllRules())
 	ranked := make([]RankedPlan, 0, len(alts))
 	for _, a := range alts {
 		po := NewPhysicalOptimizer(NewEstimator(f), dop)
-		po.ShareSubplans = false
 		po.MemoryBudget = budget
 		po.Net = net
 		phys := po.Optimize(a)

@@ -173,15 +173,6 @@ func (t *Tree) Operators() []*dataflow.Operator {
 	return out
 }
 
-// Size returns the number of nodes.
-func (t *Tree) Size() int {
-	n := 1
-	for _, k := range t.Kids {
-		n += k.Size()
-	}
-	return n
-}
-
 // String renders the tree as a nested expression of operator names.
 func (t *Tree) String() string {
 	if len(t.Kids) == 0 {

@@ -399,17 +399,6 @@ func (r Record) Equal(o Record) bool {
 	return true
 }
 
-// EqualOn reports whether r and o agree on the given fields — the
-// allocation-free equivalent of comparing the two Project(fields) records.
-func (r Record) EqualOn(o Record, fields []int) bool {
-	for _, f := range fields {
-		if !r.Field(f).Equal(o.Field(f)) {
-			return false
-		}
-	}
-	return true
-}
-
 // CompareOn orders r and o by the given fields — the allocation-free
 // equivalent of comparing the two Project(fields) records.
 func (r Record) CompareOn(o Record, fields []int) int {

@@ -65,19 +65,6 @@ func where(f *tac.Func, i int) string {
 	return fmt.Sprintf("instr %d", i)
 }
 
-// AnalyzeProgram analyzes every function of a program.
-func AnalyzeProgram(p *tac.Program) (map[string]*props.Effect, error) {
-	out := make(map[string]*props.Effect, len(p.Funcs))
-	for _, name := range p.Order {
-		e, err := Analyze(p.Funcs[name])
-		if err != nil {
-			return nil, fmt.Errorf("sca: %s: %w", name, err)
-		}
-		out[name] = e
-	}
-	return out, nil
-}
-
 type analysis struct {
 	f          *tac.Func
 	g          *tac.CFG
@@ -467,18 +454,6 @@ func (a *analysis) analyzeEmitBounds() {
 	}
 	bounds := make([]bound, len(sccs))
 
-	isCyclic := func(scc []int) bool {
-		if len(scc) > 1 {
-			return true
-		}
-		v := scc[0]
-		for _, w := range a.g.Succs[v] {
-			if w == v {
-				return true
-			}
-		}
-		return false
-	}
 	emitsIn := func(scc []int) int {
 		n := 0
 		for _, v := range scc {
@@ -524,7 +499,7 @@ func (a *analysis) analyzeEmitBounds() {
 			}
 		}
 		k := emitsIn(scc)
-		if isCyclic(scc) {
+		if a.g.Cyclic(scc) {
 			// The loop may execute zero times (no contribution to min) or
 			// arbitrarily often (unbounded max if it emits).
 			if k > 0 {

@@ -468,25 +468,6 @@ map f(ir) {
 	}
 }
 
-func TestAnalyzeProgram(t *testing.T) {
-	p, err := frontend.Compile(paperExample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	effects, err := AnalyzeProgram(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(effects) != 3 {
-		t.Fatalf("analyzed %d funcs", len(effects))
-	}
-	for name, e := range effects {
-		if e == nil {
-			t.Errorf("%s: nil effect", name)
-		}
-	}
-}
-
 func TestReachingDefsChains(t *testing.T) {
 	p, err := frontend.Compile(paperExample)
 	if err != nil {

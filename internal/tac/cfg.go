@@ -139,18 +139,16 @@ func (g *CFG) SCCs() [][]int {
 	return sccs
 }
 
-// HasCycle reports whether the reachable CFG contains a cycle (a
-// multi-instruction SCC or a self-loop).
-func (g *CFG) HasCycle() bool {
-	for _, scc := range g.SCCs() {
-		if len(scc) > 1 {
+// Cyclic reports whether scc, one of SCCs' components, contains a cycle:
+// it has more than one instruction, or its one instruction jumps to itself.
+func (g *CFG) Cyclic(scc []int) bool {
+	if len(scc) > 1 {
+		return true
+	}
+	v := scc[0]
+	for _, w := range g.Succs[v] {
+		if w == v {
 			return true
-		}
-		v := scc[0]
-		for _, w := range g.Succs[v] {
-			if w == v {
-				return true
-			}
 		}
 	}
 	return false

@@ -199,9 +199,6 @@ func immText(v record.Value) string {
 // V makes a variable operand.
 func V(name string) Operand { return Operand{Var: name} }
 
-// ImmInt makes an integer immediate operand.
-func ImmInt(v int64) Operand { return Operand{Imm: record.Int(v)} }
-
 // Instr is a single three-address instruction.
 type Instr struct {
 	Label string // optional jump label, e.g. "L1" (or "14" in paper style)

@@ -474,13 +474,15 @@ func TestCFGStructure(t *testing.T) {
 	if len(g.Succs[1]) != 2 {
 		t.Fatalf("if should have 2 successors, got %v", g.Succs[1])
 	}
-	if g.HasCycle() {
-		t.Error("f2 has no cycle")
+	for _, scc := range g.SCCs() {
+		if g.Cyclic(scc) {
+			t.Errorf("f2 has no cycle, but SCC %v is cyclic", scc)
+		}
 	}
 	loop := MustParse("func map f($ir) {\nL: goto L\n}")
-	lf := mustFunc(t, loop, "f")
-	if !BuildCFG(lf).HasCycle() {
-		t.Error("self loop must be a cycle")
+	lg := BuildCFG(mustFunc(t, loop, "f"))
+	if sccs := lg.SCCs(); len(sccs) != 1 || !lg.Cyclic(sccs[0]) {
+		t.Errorf("self loop must be a cyclic SCC, got %v", sccs)
 	}
 }
 
@@ -498,17 +500,14 @@ DONE: return
 	p := MustParse(src)
 	f := mustFunc(t, p, "f")
 	g := BuildCFG(f)
-	if !g.HasCycle() {
-		t.Fatal("loop not detected")
-	}
-	var maxSCC int
+	var loop []int
 	for _, scc := range g.SCCs() {
-		if len(scc) > maxSCC {
-			maxSCC = len(scc)
+		if len(scc) > len(loop) {
+			loop = scc
 		}
 	}
-	if maxSCC < 3 {
-		t.Errorf("loop SCC size = %d, want >= 3", maxSCC)
+	if len(loop) < 3 || !g.Cyclic(loop) {
+		t.Errorf("loop SCC = %v, want a cyclic SCC of >= 3", loop)
 	}
 }
 

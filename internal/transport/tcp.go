@@ -233,15 +233,9 @@ type WorkerStats struct {
 	Bytes  int64
 }
 
-// Ping health-checks a worker over a fresh control connection; d nil dials
-// real TCP. It returns nil when the worker answers the ping.
-func Ping(ctx context.Context, addr string, d Dialer) error {
-	_, err := PingStats(ctx, addr, d)
-	return err
-}
-
-// PingStats health-checks a worker and returns its measured RTT plus the
-// worker's self-reported relay counters; d nil dials real TCP.
+// PingStats health-checks a worker over a fresh control connection and
+// returns its measured RTT plus the worker's self-reported relay counters;
+// d nil dials real TCP.
 func PingStats(ctx context.Context, addr string, d Dialer) (WorkerStats, error) {
 	if d == nil {
 		d = netDialer{}

@@ -197,11 +197,11 @@ func TestWorkerPingAndCalibrate(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, addr := range tp.cfg.Workers {
-		if err := Ping(ctx, addr, nil); err != nil {
+		if _, err := PingStats(ctx, addr, nil); err != nil {
 			t.Fatalf("ping %s: %v", addr, err)
 		}
 	}
-	if err := Ping(ctx, "127.0.0.1:1", nil); err == nil {
+	if _, err := PingStats(ctx, "127.0.0.1:1", nil); err == nil {
 		t.Fatal("ping of a dead address succeeded")
 	}
 	cal, err := tp.Calibrate(ctx)
