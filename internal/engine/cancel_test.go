@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"blackboxflow/internal/dataflow"
-	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
 )
@@ -19,33 +18,34 @@ import (
 // spill-cleanup tests.
 func buildGroupingJob(t *testing.T, n, keyCard int) (*optimizer.PhysPlan, record.DataSet) {
 	t.Helper()
-	prog := frontend.MustCompile(`
+	plan := groupingPlan(t, `
 reduce tally(g) {
 	r := g.at(0)
 	s := sum(g, 1)
 	out := copy(r)
 	out[1] = s
 	emit out
-}`)
-	f := dataflow.NewFlow()
-	src := f.Source("in", []string{"k", "v"}, dataflow.Hints{Records: float64(n), AvgWidthBytes: 20})
-	red := f.Reduce("tally", prog.Funcs["tally"], []string{"k"}, src,
-		dataflow.Hints{KeyCardinality: float64(keyCard)})
-	f.SetSink("out", red)
-	if err := f.DeriveEffects(false); err != nil {
-		t.Fatal(err)
-	}
-	ranked, err := optimizer.Plan(f, 4, 0, optimizer.NetProfile{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := ranked[0].Phys
-
+}`, "tally", n, keyCard)
 	data := make(record.DataSet, n)
 	for i := range data {
 		data[i] = record.Record{record.Int(int64(i % keyCard)), record.Int(int64(i))}
 	}
 	return plan, data
+}
+
+// groupingPlan is the optimizer's best plan at DOP 4 for in(k, v) → udf(k),
+// a Reduce of the script, over n records with keyCard keys.
+func groupingPlan(t *testing.T, script, udf string, n, keyCard int) *optimizer.PhysPlan {
+	f, _ := flowDef{script, dataflow.FlowDef{
+		Sources: sources(dataflow.SourceDef{Name: "in", Attrs: attrs("k v"), Records: float64(n), AvgWidthByte: 20}),
+		Ops:     ops(dataflow.OpDef{Kind: "reduce", UDF: udf, Inputs: attrs("in"), Keys: [][]string{{"k"}}, KeyCardinality: float64(keyCard)}),
+		Sink:    udf,
+	}}.build(t)
+	ranked, err := optimizer.Plan(f, 4, 0, optimizer.NetProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ranked[0].Phys
 }
 
 // TestRunContextCancelBeforeStart: a context cancelled before RunContext is
@@ -79,14 +79,7 @@ func TestRunContextCompletesEqualToRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("RunContext returned %d records, Run %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Compare(want[i]) != 0 {
-			t.Fatalf("record %d differs: %v vs %v", i, got[i], want[i])
-		}
-	}
+	requireByteIdentical(t, got, want, "RunContext vs Run")
 }
 
 // TestRunContextDeadline: a deadline that expires mid-run surfaces
@@ -179,27 +172,14 @@ func TestCancelMidSpillRemovesFiles(t *testing.T) {
 // already spilled sorted runs must not leave files under SpillDir.
 func TestErrorMidSpillRemovesFiles(t *testing.T) {
 	dir := t.TempDir()
-	prog := frontend.MustCompile(`
+	const n = 20000
+	plan := groupingPlan(t, `
 reduce bad(g) {
 	r := g.at(0)
 	x := sum(g, 1)
 	y := x / 0
 	emit r
-}`)
-	const n = 20000
-	f := dataflow.NewFlow()
-	src := f.Source("in", []string{"k", "v"}, dataflow.Hints{Records: n, AvgWidthBytes: 20})
-	red := f.Reduce("bad", prog.Funcs["bad"], []string{"k"}, src, dataflow.Hints{KeyCardinality: n})
-	f.SetSink("out", red)
-	if err := f.DeriveEffects(false); err != nil {
-		t.Fatal(err)
-	}
-	ranked, err := optimizer.Plan(f, 4, 0, optimizer.NetProfile{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := ranked[0].Phys
-
+}`, "bad", n, n)
 	data := make(record.DataSet, n)
 	for i := range data {
 		data[i] = record.Record{record.Int(int64(i)), record.Int(int64(i % 7))}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"os"
@@ -16,23 +15,17 @@ import (
 	"testing"
 	"time"
 
-	"blackboxflow/internal/dataflow"
-	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
-	"blackboxflow/internal/record"
 	"blackboxflow/internal/transport"
 )
 
-// This file is the distributed equivalence suite — the tentpole's
-// acceptance pin: a flow sharded across 2+ worker processes through the
-// TCP transport must produce output byte-identical to the single-process
-// channel-transport run, at DOP 1, 2, 8, and 17, with the engine's
-// combining and spilling machinery still engaged. By default the workers
-// are in-process transport.Worker instances on loopback listeners (the
-// wire, the framing, and the placement are fully real; only the process
-// boundary is elided). When FLOWWORKER_BIN names a built cmd/flowworker
-// binary — as the CI distributed job does — the workers are real separate
-// processes instead.
+// This file starts the shuffle workers the harness's TCP transports reach
+// (TestDistributedEquivalence and the other suites of rows_test.go). By
+// default the workers are in-process transport.Worker instances on
+// loopback listeners (the wire, the framing, and the placement are fully
+// real; only the process boundary is elided). When FLOWWORKER_BIN names a
+// built cmd/flowworker binary — as the CI distributed job does — the
+// workers are real separate processes instead.
 
 // startWorkerAddrs launches n shuffle workers and returns their addresses.
 func startWorkerAddrs(t *testing.T, n int) []string {
@@ -87,306 +80,6 @@ func startWorkerProcs(t *testing.T, bin string, n int) []string {
 		addrs[i] = strings.TrimSpace(line)
 	}
 	return addrs
-}
-
-// distPipeline is one flow the distributed suite runs on every transport
-// placement: a plan, its sources, an optional memory budget, and the
-// execution-path assertion that proves the run exercised what it claims
-// (combining, spilling) rather than degenerating to a trivial path.
-type distPipeline struct {
-	name    string
-	build   func(t *testing.T, dop int) *optimizer.PhysPlan
-	sources map[string]record.DataSet
-	budget  int
-	check   func(t *testing.T, label string, stats *RunStats)
-}
-
-// distPipelines builds the three acceptance pipelines: a combined Reduce
-// (wordcount with a combiner, so the combining senders run), a budgeted
-// repartition join (working set over budget, so both shuffled sides spill
-// and the Match executes as an external merge join) and a broadcast join
-// (the left side replicated to every partition through the same sender →
-// receiver stage, the right side forwarded).
-func distPipelines(t *testing.T) []distPipeline {
-	t.Helper()
-	var pipelines []distPipeline
-
-	{
-		const n, words = 6000, 120
-		prog := frontend.MustCompile(`
-reduce wcount(g) {
-	first := g.at(0)
-	out := copy(first)
-	out[1] = sum(g, 1)
-	emit out
-}`)
-		udf, _ := prog.Lookup("wcount")
-		f := dataflow.NewFlow()
-		src := f.Source("words", []string{"word", "n"}, dataflow.Hints{Records: n, AvgWidthBytes: 16})
-		red := f.Reduce("wcount", udf, []string{"word"}, src, dataflow.Hints{KeyCardinality: words})
-		red.SetCombiner(udf)
-		f.SetSink("out", red)
-		if err := f.DeriveEffects(false); err != nil {
-			t.Fatal(err)
-		}
-		tree, err := optimizer.FromFlow(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipelines = append(pipelines, distPipeline{
-			name: "combined-reduce",
-			build: func(t *testing.T, dop int) *optimizer.PhysPlan {
-				return optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(f), dop).Optimize(tree)
-			},
-			sources: map[string]record.DataSet{"words": wordcountData(n, words)},
-			check: func(t *testing.T, label string, stats *RunStats) {
-				if stats.TotalCombinerCalls() == 0 {
-					t.Fatalf("%s: no combiner calls — the combining path did not run", label)
-				}
-			},
-		})
-	}
-
-	{
-		// Key-determined payloads keep the canonical join order
-		// scheduler-independent; the scale and budget mirror
-		// TestSpillJoinEquivalence, which pins that both shuffled sides
-		// spill under 32 KB at every DOP in the sweep.
-		const lN, rN, keys = 6000, 3000, 300
-		lData, rData := joinTestData(lN, keys, rN, keys, 0)
-		f, tree := buildJoinFlow(t, lN, rN, keys)
-		pipelines = append(pipelines, distPipeline{
-			name: "budgeted-join",
-			build: func(t *testing.T, dop int) *optimizer.PhysPlan {
-				plan := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(f), dop).Optimize(tree)
-				// Pin the repartition merge join so the spill path is on the
-				// table at every DOP (broadcast would keep one side resident).
-				match := findMatchNode(plan)
-				if match == nil {
-					t.Fatal("no Match in plan")
-				}
-				match.Ship = []optimizer.Shipping{optimizer.ShipPartition, optimizer.ShipPartition}
-				match.Local = optimizer.LocalMergeJoin
-				return plan
-			},
-			sources: map[string]record.DataSet{"L": lData, "R": rData},
-			budget:  32 << 10,
-			check: func(t *testing.T, label string, stats *RunStats) {
-				if stats.TotalSpillRuns() == 0 {
-					t.Fatalf("%s: no spill runs — the budget is not exercising the out-of-core path", label)
-				}
-			},
-		})
-	}
-	{
-		const lN, rN, keys = 3000, 6000, 300
-		lData, rData := joinTestData(lN, keys, rN, keys, 0)
-		f, tree := buildJoinFlow(t, lN, rN, keys)
-		pipelines = append(pipelines, distPipeline{
-			name: "broadcast-join",
-			build: func(t *testing.T, dop int) *optimizer.PhysPlan {
-				plan := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(f), dop).Optimize(tree)
-				match := findMatchNode(plan)
-				if match == nil {
-					t.Fatal("no Match in plan")
-				}
-				match.Ship = []optimizer.Shipping{optimizer.ShipBroadcast, optimizer.ShipForward}
-				match.Local = optimizer.LocalHashJoin
-				return plan
-			},
-			sources: map[string]record.DataSet{"L": lData, "R": rData},
-			check: func(t *testing.T, label string, stats *RunStats) {
-				// The un-replicated count in, the left side's wire size once
-				// per target partition out.
-				for _, st := range stats.PerOp {
-					if size := lData.TotalSize(); st.Name == "J" && (st.InRecords != lN+rN || st.ShippedBytes < size || st.ShippedBytes%size != 0) {
-						t.Fatalf("%s: J took in %d records and shipped %d bytes, want %d records and a multiple of %d bytes", label, st.InRecords, st.ShippedBytes, lN+rN, size)
-					}
-				}
-			},
-		})
-	}
-	return pipelines
-}
-
-// runPipeline executes one pipeline on a fresh engine over the given
-// transport (nil = the default channel transport).
-func runPipeline(t *testing.T, pl distPipeline, plan *optimizer.PhysPlan, dop int, tp transport.Transport, spillDir string) (record.DataSet, *RunStats) {
-	t.Helper()
-	e := New(dop)
-	e.Transport = tp
-	e.MemoryBudget = pl.budget
-	e.SpillDir = spillDir
-	for name, ds := range pl.sources {
-		e.AddSource(name, ds)
-	}
-	out, stats, err := e.Run(plan)
-	if err != nil {
-		t.Fatalf("%s: %v", pl.name, err)
-	}
-	return out, stats
-}
-
-// TestDistributedEquivalence pins the tentpole acceptance: every pipeline,
-// at DOP {1, 2, 8, 17}, produces byte-identical output whether its
-// shuffles run in-process (channel transport) or across two workers over
-// TCP — with every partition remote, and with a mixed local/remote
-// placement — and the combining/spilling machinery engages identically.
-func TestDistributedEquivalence(t *testing.T) {
-	addrs := startWorkerAddrs(t, 2)
-	spillDir := t.TempDir()
-	for _, pl := range distPipelines(t) {
-		pl := pl
-		t.Run(pl.name, func(t *testing.T) {
-			for _, dop := range differentialDOPs {
-				t.Run(fmt.Sprintf("dop=%d", dop), func(t *testing.T) {
-					plan := pl.build(t, dop)
-					baseline, stats := runPipeline(t, pl, plan, dop, nil, spillDir)
-					pl.check(t, pl.name+" channel", stats)
-
-					for _, cfg := range []struct {
-						name  string
-						slots int
-					}{
-						{"all-remote", 0},
-						{"mixed", 2},
-					} {
-						tp, err := transport.NewTCP(transport.TCPConfig{Workers: addrs, LocalSlots: cfg.slots})
-						if err != nil {
-							t.Fatal(err)
-						}
-						out, tcpStats := runPipeline(t, pl, plan, dop, tp, spillDir)
-						tp.Close()
-						label := fmt.Sprintf("%s tcp/%s dop %d", pl.name, cfg.name, dop)
-						requireByteIdentical(t, out, baseline, label+" vs channel")
-						pl.check(t, label, tcpStats)
-						if got, want := tcpStats.TotalShippedBytes(), stats.TotalShippedBytes(); got != want {
-							t.Fatalf("%s: shipped %d bytes, channel shipped %d — byte accounting must not depend on the transport", label, got, want)
-						}
-					}
-				})
-			}
-		})
-	}
-}
-
-// TestChaosTCPConnFaults sweeps seeded single-fault connection schedules
-// across a distributed combined-reduce run and a distributed broadcast join: a connection dropped mid-batch
-// must surface as a job error (never a hang), a stalled connection must be
-// absorbed, nothing may leak, and the engine must run fault-free and
-// byte-identical immediately afterwards — the transport's entry in the
-// chaos equivalence suite, mirroring the faultfs disk sweep.
-func TestChaosTCPConnFaults(t *testing.T) {
-	addrs := startWorkerAddrs(t, 2)
-	pipelines := distPipelines(t)
-	// One plan per shipping strategy: the combined Reduce's partitioned
-	// edge and the broadcast join's broadcast edge. A dropped connection
-	// breaks the one shipped edge of the plan: the error names the operator
-	// it fed and the phase.
-	for _, c := range []struct {
-		pl        distPipeline
-		ship      optimizer.Shipping
-		op, phase string
-	}{
-		{pipelines[0], optimizer.ShipPartition, "wcount", "shuffle"},
-		{pipelines[2], optimizer.ShipBroadcast, "J", "broadcast"},
-	} {
-		t.Run(c.pl.name, func(t *testing.T) {
-			const dop = 8
-			plan := c.pl.build(t, dop)
-			if !planShips(plan, c.ship) {
-				t.Fatalf("plan has no %v edge:\n%s", c.ship, plan)
-			}
-			chaosTCPConnFaults(t, addrs, c.pl, plan, dop, fmt.Sprintf("engine: %s: %s: ", c.op, c.phase))
-		})
-	}
-}
-
-// planShips reports whether any edge of the plan ships by s.
-func planShips(p *optimizer.PhysPlan, s optimizer.Shipping) bool {
-	for i, in := range p.Inputs {
-		if (i < len(p.Ship) && p.Ship[i] == s) || planShips(in, s) {
-			return true
-		}
-	}
-	return false
-}
-
-func chaosTCPConnFaults(t *testing.T, addrs []string, pl distPipeline, plan *optimizer.PhysPlan, dop int, wantPrefix string) {
-	spillDir := t.TempDir()
-	baseline, _ := runPipeline(t, pl, plan, dop, nil, spillDir)
-	before := runtime.NumGoroutine()
-
-	// Count the fault surface: every connection Read/Write of one clean
-	// distributed run.
-	counter := &transport.FaultDialer{}
-	tp, err := transport.NewTCP(transport.TCPConfig{Workers: addrs, LocalSlots: 2, Dialer: counter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := runPipeline(t, pl, plan, dop, tp, spillDir)
-	tp.Close()
-	requireByteIdentical(t, out, baseline, "counting run vs channel baseline")
-	nOps := counter.Ops()
-	if nOps < 8 {
-		t.Fatalf("counting run observed only %d connection operations", nOps)
-	}
-
-	stride := nOps / 12
-	if stride < 1 {
-		stride = 1
-	}
-	faulted := 0
-	for _, kind := range []transport.ConnFault{transport.ConnDrop, transport.ConnStall} {
-		for at := 1 + chaosSeed(t)%stride; at <= nOps; at += stride {
-			label := fmt.Sprintf("kind=%v/at=%d", kind, at)
-			dialer := &transport.FaultDialer{At: at, Kind: kind, Delay: time.Millisecond}
-			ftp, err := transport.NewTCP(transport.TCPConfig{Workers: addrs, LocalSlots: 2, Dialer: dialer})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := New(dop).WithTransport(ftp)
-			e.MemoryBudget = pl.budget
-			e.SpillDir = spillDir
-			for name, ds := range pl.sources {
-				e.AddSource(name, ds)
-			}
-			out, _, err := runWithWatchdog(t, e, plan, label)
-			ftp.Close()
-			switch {
-			case err != nil:
-				if !dialer.Fired() {
-					t.Fatalf("%s: error %v without the fault firing", label, err)
-				}
-				if kind == transport.ConnStall {
-					t.Fatalf("%s: stall fault surfaced an error: %v", label, err)
-				}
-				var attributed *opError
-				if !errors.As(err, &attributed) || !strings.HasPrefix(err.Error(), wantPrefix) {
-					t.Fatalf("%s: error %v is not attributed as %q", label, err, wantPrefix)
-				}
-				faulted++
-			default:
-				// No error: the fault did not fire (index past this run's op
-				// count) or was a stall — output must be intact.
-				requireByteIdentical(t, out, baseline, label)
-			}
-		}
-	}
-	if faulted == 0 {
-		t.Fatal("no dropped connection in the sweep ever surfaced an error — the injector is not reaching the shuffle")
-	}
-
-	// The machinery is reusable after the sweep: a clean distributed run is
-	// byte-identical, and no goroutines leaked from the faulted sessions.
-	ctp, err := transport.NewTCP(transport.TCPConfig{Workers: addrs, LocalSlots: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ = runPipeline(t, pl, plan, dop, ctp, spillDir)
-	ctp.Close()
-	requireByteIdentical(t, out, baseline, "clean rerun after fault sweep")
-	waitGoroutines(t, before)
 }
 
 // trackingDialer dials real TCP with a small send buffer and counts the
@@ -456,12 +149,8 @@ func TestDistributedBroadcastCancelStalledWorker(t *testing.T) {
 	// ~1.3 MB of left-side records to every target: far more than the few
 	// KB the pinned socket buffers hold.
 	const lN, rN, keys, dop = 60000, 100, 100, 2
-	lData, rData := joinTestData(lN, keys, rN, keys, 0)
-	f, tree := buildJoinFlow(t, lN, rN, keys)
-	plan := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(f), dop).Optimize(tree)
-	match := findMatchNode(plan)
-	match.Ship = []optimizer.Shipping{optimizer.ShipBroadcast, optimizer.ShipForward}
-	match.Local = optimizer.LocalHashJoin
+	plan := keyJoinFlow(lN, rN, keys, 20).plan(t, dop)
+	pinJoin(optimizer.ShipBroadcast, optimizer.ShipForward, optimizer.LocalHashJoin, 0)(plan)
 
 	dialer := &trackingDialer{}
 	tp, err := transport.NewTCP(transport.TCPConfig{Workers: []string{ln.Addr().String()}, Dialer: dialer})
@@ -470,8 +159,9 @@ func TestDistributedBroadcastCancelStalledWorker(t *testing.T) {
 	}
 	defer tp.Close()
 	e := New(dop).WithTransport(tp)
-	e.AddSource("L", lData)
-	e.AddSource("R", rData)
+	for name, ds := range keyJoinData(lN, keys, rN, keys, 0) {
+		e.AddSource(name, ds)
+	}
 
 	before := runtime.NumGoroutine()
 	cause := errors.New("cancelled mid-broadcast by the test")

@@ -36,10 +36,7 @@ reduce all(g) {
 		i := i + 1
 	}
 }
-match jn(l, r) {
-	o := concat(l, r)
-	emit o
-}`)
+` + concatJoin + coGroupScript)
 
 // edgeNumbers are ints and integral floats around ±2^53 and ±2^63, where a
 // float64 comparison would round distinct ints into one key.
@@ -60,30 +57,16 @@ var adversarialKeys = append(append([]record.Value{
 	record.Float(math.NaN()), record.Float(math.Float64frombits(0xfff8000000000000)),
 	record.Float(math.Float64frombits(0x7ff0000000000bad)))
 
-// localStrategies are the in-memory strategies of Reduce (key field 0 of L)
-// and Match (L's field 0 against R's field 2).
-var localStrategies = []struct {
-	name  string
-	kind  dataflow.OpKind
-	local optimizer.Local
-	build int
-}{
-	{"reduce-sort", dataflow.KindReduce, optimizer.LocalSortGroup, 0},
-	{"reduce-hash", dataflow.KindReduce, optimizer.LocalHashGroup, 0},
-	{"match-merge", dataflow.KindMatch, optimizer.LocalMergeJoin, 0},
-	{"match-hash-build0", dataflow.KindMatch, optimizer.LocalHashJoin, 0},
-	{"match-hash-build1", dataflow.KindMatch, optimizer.LocalHashJoin, 1},
-}
-
-// strategyPlan builds L (and R) → op → sink with every input shipped by ship.
+// strategyPlan builds L (and, but for a Reduce, R) → op → sink with every
+// input shipped by ship.
 func strategyPlan(t *testing.T, kind dataflow.OpKind, local optimizer.Local, build int, ship optimizer.Shipping) *optimizer.PhysPlan {
 	source := func(name string) *optimizer.PhysPlan {
 		return &optimizer.PhysPlan{Op: &dataflow.Operator{Name: name, Kind: dataflow.KindSource}, Local: optimizer.LocalScan}
 	}
 	op := &dataflow.Operator{Name: "op", Kind: kind, UDF: getUDF(t, strategyProgram, "all"), Keys: [][]int{{0}}}
 	node := &optimizer.PhysPlan{Op: op, Inputs: []*optimizer.PhysPlan{source("L")}, Ship: []optimizer.Shipping{ship}, Local: local}
-	if kind == dataflow.KindMatch {
-		op.UDF, op.Keys = getUDF(t, strategyProgram, "jn"), [][]int{{0}, {2}}
+	if kind != dataflow.KindReduce {
+		op.UDF, op.Keys = getUDF(t, strategyProgram, map[dataflow.OpKind]string{dataflow.KindMatch: "jn", dataflow.KindCoGroup: "cg"}[kind]), [][]int{{0}, {2}}
 		node.Inputs = append(node.Inputs, source("R"))
 		node.Ship = append(node.Ship, ship)
 		node.BuildSide = build
@@ -107,51 +90,18 @@ func strategySides(lKeys, rKeys []record.Value) map[string]record.DataSet {
 	return map[string]record.DataSet{"L": l, "R": r}
 }
 
-// requireStrategiesAgree runs every local strategy over the sources and
-// requires each to match the reference executor — byte for byte where the
-// edges keep arrival order, as a bag otherwise — and, on ordered runs, the
-// first strategy of its operator kind.
-func requireStrategiesAgree(t *testing.T, sources map[string]record.DataSet, dop int, ship optimizer.Shipping) {
-	t.Helper()
-	ordered := ship == optimizer.ShipForward || dop == 1
-	outs := make([]record.DataSet, len(localStrategies))
-	first := map[dataflow.OpKind]int{}
-	for si, s := range localStrategies {
-		label := fmt.Sprintf("%s %v dop=%d", s.name, ship, dop)
-		plan := strategyPlan(t, s.kind, s.local, s.build, ship)
-		e := New(dop)
-		for name, ds := range sources {
-			e.AddSource(name, ds)
-		}
-		out, stats, err := e.Run(plan)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		ref, refStats := mustRefRun(t, e, plan, label)
-		requireSameCounters(t, stats, refStats, label)
-		if !ordered {
-			if !out.Equal(ref) {
-				t.Fatalf("%s: output bag differs from the reference executor's", label)
-			}
-			continue
-		}
-		requireByteIdentical(t, out, ref, label+" vs reference")
-		outs[si] = out
-		if f, ok := first[s.kind]; ok {
-			requireByteIdentical(t, out, outs[f], label+" vs "+localStrategies[f].name)
-		} else {
-			first[s.kind] = si
-		}
-	}
-}
-
 // TestLocalStrategiesAdversarialKeys compares every local strategy with the
 // reference on keys found on one side only, many-to-many duplicates, mixed
-// kinds, ints beyond 2^53 and NaNs, at DOPs that leave partitions empty.
-func TestLocalStrategiesAdversarialKeys(t *testing.T) {
+// kinds, ints beyond 2^53 and NaNs, at DOPs that leave partitions empty, on
+// forward and partitioned edges (a suite of rows_test.go).
+func TestLocalStrategiesAdversarialKeys(t *testing.T) { runSuite(t) }
+
+// adversarialSides puts adversarialKeys on both sides: key i appears i%3
+// times on the left and (i+1)%4 times on the right, then every other key
+// again, in reverse, so duplicates do not arrive adjacent.
+func adversarialSides() map[string]record.DataSet {
 	var lKeys, rKeys []record.Value
 	for i, k := range adversarialKeys {
-		// Key i appears i%3 times on the left and (i+1)%4 times on the right.
 		for c := 0; c < i%3; c++ {
 			lKeys = append(lKeys, k)
 		}
@@ -159,57 +109,19 @@ func TestLocalStrategiesAdversarialKeys(t *testing.T) {
 			rKeys = append(rKeys, k)
 		}
 	}
-	// Interleave a second copy in reverse so duplicates do not arrive
-	// adjacent.
 	for i := len(adversarialKeys) - 1; i >= 0; i -= 2 {
 		lKeys = append(lKeys, adversarialKeys[i])
 		rKeys = append(rKeys, adversarialKeys[len(adversarialKeys)-1-i])
 	}
-	sources := strategySides(lKeys, rKeys)
-	for _, dop := range differentialDOPs {
-		for _, ship := range []optimizer.Shipping{optimizer.ShipForward, optimizer.ShipPartition} {
-			requireStrategiesAgree(t, sources, dop, ship)
-		}
-	}
-}
-
-// TestExactNumericKeys pins exact numeric key equality: 2^53 and 2^53+1 are
-// one float64 but two keys. A Reduce yields two groups of two under either
-// grouping strategy, and a Match does not join the one to the other.
-func TestExactNumericKeys(t *testing.T) {
-	a, b := record.Int(1<<53), record.Int(1<<53+1)
-	sources := strategySides([]record.Value{a, b, a, b}, []record.Value{b})
-	for _, dop := range []int{1, 3} {
-		for _, s := range localStrategies {
-			label := fmt.Sprintf("%s dop=%d", s.name, dop)
-			e := New(dop)
-			for name, ds := range sources {
-				e.AddSource(name, ds)
-			}
-			out, _, err := e.Run(strategyPlan(t, s.kind, s.local, s.build, optimizer.ShipPartition))
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			for _, r := range out {
-				if s.kind == dataflow.KindReduce && r.Field(2).AsInt() != 2 {
-					t.Errorf("%s: %v is in a group of %d, want 2", label, r, r.Field(2).AsInt())
-				}
-				if s.kind == dataflow.KindMatch && !r.Field(0).Equal(b) {
-					t.Errorf("%s: joined %v to %v", label, r.Field(0), b)
-				}
-			}
-			if want := map[dataflow.OpKind]int{dataflow.KindReduce: 4, dataflow.KindMatch: 2}[s.kind]; len(out) != want {
-				t.Errorf("%s: %d records, want %d", label, len(out), want)
-			}
-		}
-	}
+	return strategySides(lKeys, rKeys)
 }
 
 // FuzzLocalStrategies decodes the bytes into a DOP and two record sides —
 // each byte one record: its top bit the side, the rest a key from
-// adversarialKeys, its position the payload — and requires hash grouping,
-// sort grouping and the reference to agree, and the hash join with either
-// build side, the merge join and the reference to agree, byte for byte. A
+// adversarialKeys, its position the payload — and runs them through the
+// harness's adversarial rows on forward edges: hash grouping, sort grouping
+// and the reference must agree, and the hash join with either build side,
+// the merge join and the reference must agree, byte for byte. A
 // sum-Reduce over both sides' keys must come out the same with and without
 // its combiner.
 func FuzzLocalStrategies(f *testing.F) {
@@ -222,7 +134,7 @@ func FuzzLocalStrategies(f *testing.F) {
 			sides[c>>7] = append(sides[c>>7], adversarialKeys[int(c&0x7f)%len(adversarialKeys)])
 		}
 		dop := 1 + int(data[0]%4)
-		requireStrategiesAgree(t, strategySides(sides[0], sides[1]), dop, optimizer.ShipForward)
+		newHarness(t, configs{dops: []int{dop}}, "").run(t, adversarialRows(t, strategySides(sides[0], sides[1]), optimizer.ShipForward))
 		requireCombinerInvisible(t, append(sides[0], sides[1]...), dop)
 	})
 }
@@ -454,6 +366,25 @@ func runHashGrouping(t *testing.T) (weak.Pointer[record.Value], weak.Pointer[byt
 	return weak.Make(&slab[0]), weak.Make(unsafe.StringData(arena))
 }
 
+// hashJoinAllocs measures the allocations of one resident concat hash join
+// of L records <lKeys[i], i> and R records <⊥, ⊥, rKeys[i], i> on a fresh
+// Runner and scratch, building the given side.
+func hashJoinAllocs(t *testing.T, runs int, lKeys, rKeys []record.Value, build int) float64 {
+	op := &dataflow.Operator{Name: "J", Kind: dataflow.KindMatch, UDF: getUDF(t, strategyProgram, "jn"), Keys: [][]int{{0}, {2}}}
+	src := strategySides(lKeys, rKeys)
+	in := []edge{{data: Partitioned{src["L"]}, keys: op.Keys[0]}, {data: Partitioned{src["R"]}, keys: op.Keys[1]}}
+	e := New(1)
+	return testing.AllocsPerRun(runs, func() {
+		udf, err := e.runner(op, tac.KindBinary, 0)
+		if err == nil {
+			_, err = hashJoin(t.Context(), op, udf, in, build, 0, new(scratch), func(record.Record) error { return nil })
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestHashJoinAllocsIgnoreUnmatchedProbes pins the probe side of the hash
 // join: records that match nothing are streamed through the index and
 // dropped, so adding them adds no allocation.
@@ -461,9 +392,6 @@ func TestHashJoinAllocsIgnoreUnmatchedProbes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	op := &dataflow.Operator{Name: "J", Kind: dataflow.KindMatch, UDF: getUDF(t, strategyProgram, "jn"), Keys: [][]int{{0}, {2}}}
-	e := New(1)
-	discard := func(record.Record) error { return nil }
 	for build := 0; build < 2; build++ {
 		var counts []float64
 		for _, unmatched := range []int{0, 1000, 10000} {
@@ -475,17 +403,7 @@ func TestHashJoinAllocsIgnoreUnmatchedProbes(t *testing.T) {
 			for i := 0; i < unmatched; i++ {
 				keys[1-build] = append(keys[1-build], record.Int(int64(1000+i)))
 			}
-			src := strategySides(keys[0], keys[1])
-			in := []edge{{data: Partitioned{src["L"]}, keys: op.Keys[0]}, {data: Partitioned{src["R"]}, keys: op.Keys[1]}}
-			allocs := testing.AllocsPerRun(5, func() {
-				udf, err := e.runner(op, tac.KindBinary, 0)
-				if err == nil {
-					_, err = hashJoin(t.Context(), op, udf, in, build, 0, new(scratch), discard)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
+			allocs := hashJoinAllocs(t, 5, keys[0], keys[1], build)
 			t.Logf("build=%d, %d unmatched probe records: %.0f allocations", build, unmatched, allocs)
 			counts = append(counts, allocs)
 		}
@@ -505,9 +423,6 @@ func TestHashJoinAllocsPerMatchedPair(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	op := &dataflow.Operator{Name: "J", Kind: dataflow.KindMatch, UDF: getUDF(t, strategyProgram, "jn"), Keys: [][]int{{0}, {2}}}
-	e := New(1)
-	discard := func(record.Record) error { return nil }
 	const keys = 1000
 	pairs := []int{1000, 10000, 100000}
 	for build := 0; build < 2; build++ {
@@ -521,17 +436,7 @@ func TestHashJoinAllocsPerMatchedPair(t *testing.T) {
 			for i := range rKeys {
 				rKeys[i] = record.Int(int64(i % keys))
 			}
-			src := strategySides(lKeys, rKeys)
-			in := []edge{{data: Partitioned{src["L"]}, keys: op.Keys[0]}, {data: Partitioned{src["R"]}, keys: op.Keys[1]}}
-			allocs := testing.AllocsPerRun(3, func() {
-				udf, err := e.runner(op, tac.KindBinary, 0)
-				if err == nil {
-					_, err = hashJoin(t.Context(), op, udf, in, build, 0, new(scratch), discard)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
+			allocs := hashJoinAllocs(t, 3, lKeys, rKeys, build)
 			t.Logf("build=%d, %d matched pairs: %.0f allocations", build, n, allocs)
 			counts = append(counts, allocs)
 		}

@@ -209,76 +209,3 @@ func TestCollectSizesOnceUnderBudget(t *testing.T) {
 		t.Errorf("budgeted shuffle allocations %v grow with the record count: the receivers regrow", counts)
 	}
 }
-
-// TestChainedExecutionMatchesUnchained strips the Chained annotation off an
-// optimizer-produced plan — every Map then runs as an operator of its own,
-// a chain of length one — and checks that the fused execution agrees with
-// it, and with the reference executor's stage-at-a-time Map loop, on
-// both the output bag and the per-operator statistics.
-func TestChainedExecutionMatchesUnchained(t *testing.T) {
-	f, tree := buildPaperFlow(t)
-	rng := rand.New(rand.NewSource(11))
-	data := make(record.DataSet, 500)
-	for i := range data {
-		data[i] = record.Record{record.Int(int64(rng.Intn(41) - 20)), record.Int(int64(rng.Intn(41) - 20))}
-	}
-	e := New(4)
-	e.AddSource("I", data)
-
-	est := optimizer.NewEstimator(f)
-	phys := optimizer.NewPhysicalOptimizer(est, 4).Optimize(tree)
-	chainedOut, chainedStats, err := e.Run(phys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refOut, refStats := mustRefRun(t, e, phys, "paper flow")
-	requireByteIdentical(t, chainedOut, refOut, "fused chain vs reference")
-	requireSameCounters(t, chainedStats, refStats, "fused chain vs reference")
-	hasChained := false
-	var strip func(p *optimizer.PhysPlan)
-	strip = func(p *optimizer.PhysPlan) {
-		if p.Chained {
-			hasChained = true
-		}
-		p.Chained = false
-		for _, in := range p.Inputs {
-			strip(in)
-		}
-	}
-	strip(phys)
-	if !hasChained {
-		t.Fatal("optimizer produced no Chained annotation for a Map pipeline")
-	}
-	plainOut, plainStats, err := e.Run(phys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !chainedOut.Equal(plainOut) {
-		t.Fatal("fused chain output differs from stage-at-a-time output")
-	}
-	if chainedStats.TotalUDFCalls() != plainStats.TotalUDFCalls() {
-		t.Errorf("UDF calls: chained %d, unchained %d",
-			chainedStats.TotalUDFCalls(), plainStats.TotalUDFCalls())
-	}
-	// Per-op record counts must survive fusion.
-	chained := statsByName(chainedStats)
-	for _, s := range plainStats.PerOp {
-		c, ok := chained[s.Name]
-		if !ok {
-			t.Errorf("operator %s missing from fused stats", s.Name)
-			continue
-		}
-		if c.InRecords != s.InRecords || c.OutRecords != s.OutRecords || c.UDFCalls != s.UDFCalls {
-			t.Errorf("%s: fused stats in=%d out=%d calls=%d, unchained in=%d out=%d calls=%d",
-				s.Name, c.InRecords, c.OutRecords, c.UDFCalls, s.InRecords, s.OutRecords, s.UDFCalls)
-		}
-	}
-}
-
-func statsByName(rs *RunStats) map[string]OpStats {
-	m := make(map[string]OpStats, len(rs.PerOp))
-	for _, s := range rs.PerOp {
-		m[s.Name] = s
-	}
-	return m
-}

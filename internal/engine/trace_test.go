@@ -28,25 +28,33 @@ func traceJSON(tr *obs.Trace) string {
 	return string(b)
 }
 
-// tracedRun executes one distributed-suite pipeline with a fresh trace
-// attached and returns the trace and run statistics.
-func tracedRun(t *testing.T, pl distPipeline, dop int, tp transport.Transport, spillDir string) (*obs.Trace, *RunStats) {
+// tracedRun executes the row's chosen plan at dop under budget with a fresh
+// trace attached and returns the trace and run statistics.
+func tracedRun(t *testing.T, r row, dop, budget int, tp transport.Transport, spillDir string) (*obs.Trace, *RunStats) {
 	t.Helper()
-	e := New(dop)
-	e.Transport = tp
-	e.MemoryBudget = pl.budget
+	e := New(dop).WithTransport(tp).WithMemoryBudget(budget)
 	e.SpillDir = spillDir
-	tr := obs.NewTrace(pl.name)
+	tr := obs.NewTrace(r.name)
 	e.Trace = tr
-	for name, ds := range pl.sources {
+	for name, ds := range r.sources {
 		e.AddSource(name, ds)
 	}
-	if _, stats, err := e.Run(pl.build(t, dop)); err != nil {
-		t.Fatalf("%s: %v", pl.name, err)
-	} else {
-		return tr, stats
+	_, stats, err := e.Run(r.chosen(dop))
+	if err != nil {
+		t.Fatalf("%s: %v", r.name, err)
 	}
-	return nil, nil
+	return tr, stats
+}
+
+// opStats returns the statistics of the operator named name.
+func opStats(t *testing.T, stats *RunStats, name string) OpStats {
+	for _, st := range stats.PerOp {
+		if st.Name == name {
+			return st
+		}
+	}
+	t.Fatalf("no OpStats for %s", name)
+	return OpStats{}
 }
 
 // spansOfKind filters a trace's flat span table by kind.
@@ -74,22 +82,13 @@ func findSpan(tr *obs.Trace, kind, name string) (obs.Span, bool) {
 // of its OpStats, the combine-ship and local phases nest under it, and
 // every span is closed.
 func TestTraceCombinedReduce(t *testing.T) {
-	pl := distPipelines(t)[0] // combined-reduce
-	tr, stats := tracedRun(t, pl, 4, nil, "")
+	tr, stats := tracedRun(t, combinedReduceRow(t), 4, 0, nil, "")
 
 	op, ok := findSpan(tr, obs.KindOp, "wcount")
 	if !ok {
 		t.Fatalf("no operator span for wcount; spans:\n%s", traceJSON(tr))
 	}
-	var st *OpStats
-	for i := range stats.PerOp {
-		if stats.PerOp[i].Name == "wcount" {
-			st = &stats.PerOp[i]
-		}
-	}
-	if st == nil {
-		t.Fatal("no OpStats for wcount")
-	}
+	st := opStats(t, stats, "wcount")
 	if op.Bytes != int64(st.ShippedBytes) {
 		t.Fatalf("op span bytes %d != OpStats shipped %d", op.Bytes, st.ShippedBytes)
 	}
@@ -128,8 +127,7 @@ func TestTraceCombinedReduce(t *testing.T) {
 // spill-write spans whose run totals reconcile with the stats, and a merge
 // span on the local phase that consumed the runs.
 func TestTraceSpilledJoin(t *testing.T) {
-	pl := distPipelines(t)[1] // budgeted-join
-	tr, stats := tracedRun(t, pl, 8, nil, t.TempDir())
+	tr, stats := tracedRun(t, budgetedJoinRow(t), 8, 32<<10, nil, t.TempDir())
 	if stats.TotalSpillRuns() == 0 {
 		t.Fatal("budgeted join did not spill; the trace has nothing to pin")
 	}
@@ -174,8 +172,7 @@ func TestDistributedTraceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	pl := distPipelines(t)[0] // combined-reduce
-	tr, stats := tracedRun(t, pl, 8, tp, "")
+	tr, stats := tracedRun(t, combinedReduceRow(t), 8, 0, tp, "")
 	if stats.TotalShippedBytes() == 0 {
 		t.Fatal("nothing shipped")
 	}
@@ -219,19 +216,14 @@ func TestDistributedTraceBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	pl := distPipelines(t)[2] // broadcast-join
-	tr, stats := tracedRun(t, pl, 4, tp, "")
+	pl := broadcastJoinRow(t)
+	tr, stats := tracedRun(t, pl, 4, 0, tp, "")
 
 	op, ok := findSpan(tr, obs.KindOp, "J")
 	if !ok {
 		t.Fatalf("no operator span for J; spans:\n%s", traceJSON(tr))
 	}
-	var st OpStats
-	for _, s := range stats.PerOp {
-		if s.Name == "J" {
-			st = s
-		}
-	}
+	st := opStats(t, stats, "J")
 	ship, ok := findSpan(tr, obs.KindShip, "ship")
 	if !ok || ship.Parent != op.ID || ship.Bytes != int64(st.ShippedBytes) {
 		t.Fatalf("ship span %+v, want one under J (%d) with %d bytes; spans:\n%s", ship, op.ID, st.ShippedBytes, traceJSON(tr))
