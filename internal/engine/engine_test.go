@@ -17,16 +17,6 @@ func getUDF(t *testing.T, p *tac.Program, name string) *tac.Func {
 	return f
 }
 
-// runPlan runs the physical optimizer's plan for fd on e.
-func runPlan(t *testing.T, e *Engine, fd flowDef) record.DataSet {
-	t.Helper()
-	out, _, err := e.Run(fd.plan(t, e.DOP))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // oneOp is a flow of one UDF operator over one or two sources, each given
 // as its name and attributes ("L lk lv"), plus one extra attribute.
 func oneOp(script string, op dataflow.OpDef, srcs ...string) flowDef {
@@ -37,19 +27,6 @@ func oneOp(script string, op dataflow.OpDef, srcs ...string) flowDef {
 		op.Inputs = append(op.Inputs, f[0])
 	}
 	return flowDef{script, dataflow.FlowDef{Attrs: attrs("extra"), Sources: ss, Ops: ops(op), Sink: op.UDF}}
-}
-
-func TestPaperPipelineExecution(t *testing.T) {
-	e := New(4)
-	e.AddSource("I", record.DataSet{
-		{record.Int(2), record.Int(-3)},
-		{record.Int(-2), record.Int(-3)},
-	})
-	out := runPlan(t, e, paperFlow)
-	want := record.DataSet{{record.Int(5), record.Int(3)}}
-	if !out.Equal(want) {
-		t.Fatalf("out = %v, want %v", out, want)
-	}
 }
 
 func TestMissingSourceData(t *testing.T) {
@@ -69,34 +46,5 @@ func TestPartitionedHelpers(t *testing.T) {
 	}
 	if len(p.Flatten()) != 3 {
 		t.Errorf("Flatten = %v", p.Flatten())
-	}
-}
-
-func TestDOPOne(t *testing.T) {
-	e := New(1)
-	e.AddSource("I", record.DataSet{{record.Int(1), record.Int(1)}})
-	out := runPlan(t, e, paperFlow)
-	want := record.DataSet{{record.Int(2), record.Int(1)}}
-	if !out.Equal(want) {
-		t.Fatalf("out = %v, want %v", out, want)
-	}
-}
-
-// TestCombinerSafetyRejection: a declared combiner that writes the grouping
-// key must not be annotated Combinable — partial records would hash to the
-// wrong partition — and the flow must still execute correctly through the
-// plain path.
-func TestCombinerSafetyRejection(t *testing.T) {
-	fd := combineFlow
-	fd.def.Sources = sources(dataflow.SourceDef{Name: "words", Attrs: attrs("word n keep"), Records: 1000, AvgWidthByte: 24})
-	fd.def.Ops = ops(dataflow.OpDef{Kind: "reduce", UDF: "sumN", Combiner: "badKeyWriter", Inputs: attrs("words"), Keys: [][]string{{"word"}}, KeyCardinality: 20})
-	phys := fd.plan(t, 4)
-	if node := findOp(phys, "sumN"); node == nil || node.Combinable {
-		t.Fatalf("optimizer annotated a key-writing combiner as Combinable:\n%s", phys.Indent())
-	}
-	e := New(4)
-	e.AddSource("words", combineTestData(1000)["words"])
-	if _, _, err := e.Run(phys); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -91,7 +91,19 @@ var suites = map[string]suite{
 		empty := flowRow(t, "empty", combineFlow, map[string]record.DataSet{"words": nil})
 		skewed := flowRow(t, "skew", combineFlow, map[string]record.DataSet{"words": skew})
 		empty.variants, skewed.variants = []variant{combinedVariant}, []variant{combinedVariant}
+		skewed.check = wantOut(record.DataSet{{record.String("only"), record.Int(2 * 5000), record.Null}})
 		return []row{empty, skewed}
+	}},
+	// The paper's example: <2,-3> and <-2,-3> become <5,3>.
+	"TestPaperPipelineExecution": {configs{dops: []int{4}}, func(t *testing.T) []row {
+		r := flowRow(t, "paper", paperFlow, map[string]record.DataSet{"I": {{record.Int(2), record.Int(-3)}, {record.Int(-2), record.Int(-3)}}})
+		r.check = wantOut(record.DataSet{{record.Int(5), record.Int(3)}})
+		return []row{r}
+	}},
+	"TestDOPOne": {configs{dops: []int{1}}, func(t *testing.T) []row {
+		r := flowRow(t, "paper", paperFlow, map[string]record.DataSet{"I": {{record.Int(1), record.Int(1)}}})
+		r.check = wantOut(record.DataSet{{record.Int(2), record.Int(1)}})
+		return []row{r}
 	}},
 	// A Cross: every pair, 5 × 7.
 	"TestCrossExecution": {configs{dops: []int{4}}, func(t *testing.T) []row {
@@ -223,6 +235,21 @@ cogroup cg(g1, g2) {
 		}
 		return rows
 	}},
+	// A declared combiner that writes the grouping key is not annotated
+	// Combinable — partial records would hash to the wrong partition — and
+	// the flow runs through the plain path.
+	"TestCombinerSafetyRejection": {configs{dops: []int{4}}, func(t *testing.T) []row {
+		fd := combineFlow
+		fd.def.Sources = sources(dataflow.SourceDef{Name: "words", Attrs: attrs("word n keep"), Records: 1000, AvgWidthByte: 24})
+		fd.def.Ops = ops(dataflow.OpDef{Kind: "reduce", UDF: "sumN", Combiner: "badKeyWriter", Inputs: attrs("words"), Keys: [][]string{{"word"}}, KeyCardinality: 20})
+		r := flowRow(t, "key-writing-combiner", fd, combineTestData(1000))
+		r.variants = []variant{{"plain", func(t *testing.T, p *optimizer.PhysPlan) {
+			if findOp(p, "sumN").Combinable {
+				t.Fatalf("optimizer annotated a key-writing combiner as Combinable:\n%s", p.Indent())
+			}
+		}}}
+		return []row{r}
+	}},
 	// The reference never spills: a budget does not reach it.
 	"TestSpillLegacyShuffleBypass": {configs{dops: []int{4}, budgets: tightOnly}, func(t *testing.T) []row {
 		return []row{spillRow(flowRow(t, "wordcount", wordcountFlow("sumPerWord", 2000, 40, 22, false), wordcountData(2000, 40)), 64)}
@@ -237,6 +264,10 @@ cogroup cg(g1, g2) {
 		for _, local := range []optimizer.Local{optimizer.LocalMergeJoin, optimizer.LocalHashJoin} {
 			r := flowRow(t, local.String(), keyJoinFlow(12000, 6000, 500, 20), keyJoinData(12000, 300, 6000, 400, 200))
 			r.pin = pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, local, 0)
+			// 100 overlapping keys, 40 left and 15 right records each.
+			r.check = func(t *testing.T, label string, out record.DataSet, _ *RunStats) {
+				requireLen(t, label, out, 100*40*15)
+			}
 			rows = append(rows, spillRow(r, 32<<10))
 		}
 		return rows
@@ -258,6 +289,8 @@ cogroup cg(g1, g2) {
 		mk := func(name string, pin func(*optimizer.PhysPlan)) row {
 			r := flowRow(t, name, keyJoinFlow(50, 50, 10, 18), map[string]record.DataSet{"L": lData, "R": rData})
 			r.pin, r.bag = pin, true
+			// 10 keys, 5 records per key and side.
+			r.check = func(t *testing.T, label string, out record.DataSet, _ *RunStats) { requireLen(t, label, out, 10*5*5) }
 			return r
 		}
 		return []row{
@@ -350,6 +383,9 @@ func TestSpillReduceEquivalence(t *testing.T)                   { runSuite(t) }
 func TestSpillLegacyShuffleBypass(t *testing.T)                 { runSuite(t) }
 func TestSpillEdgeCases(t *testing.T)                           { runSuite(t) }
 func TestCrossExecution(t *testing.T)                           { runSuite(t) }
+func TestCombinerSafetyRejection(t *testing.T)                  { runSuite(t) }
+func TestPaperPipelineExecution(t *testing.T)                   { runSuite(t) }
+func TestDOPOne(t *testing.T)                                   { runSuite(t) }
 func TestReduceExecution(t *testing.T)                          { runSuite(t) }
 func TestCoGroupExecution(t *testing.T)                         { runSuite(t) }
 func TestExactNumericKeys(t *testing.T)                         { runSuite(t) }
@@ -377,6 +413,15 @@ func TestChaosTCPConnFaults(t *testing.T)                       { runSuite(t) }
 func requireLen(t *testing.T, label string, out record.DataSet, n int) {
 	if len(out) != n {
 		t.Fatalf("%s: %d records out, want %d", label, len(out), n)
+	}
+}
+
+// wantOut is a check requiring the output bag want.
+func wantOut(want record.DataSet) func(*testing.T, string, record.DataSet, *RunStats) {
+	return func(t *testing.T, label string, out record.DataSet, _ *RunStats) {
+		if !out.Equal(want) {
+			t.Fatalf("%s: out = %v, want %v", label, out, want)
+		}
 	}
 }
 
