@@ -383,6 +383,7 @@ func planShips(p *optimizer.PhysPlan, s optimizer.Shipping) bool {
 	return false
 }
 
+// faultName names the set's fault axis in tuples and labels.
 func (h *harness) faultName() string {
 	switch {
 	case h.fault == "":
