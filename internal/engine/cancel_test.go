@@ -18,14 +18,7 @@ import (
 // spill-cleanup tests.
 func buildGroupingJob(t *testing.T, n, keyCard int) (*optimizer.PhysPlan, record.DataSet) {
 	t.Helper()
-	plan := groupingPlan(t, `
-reduce tally(g) {
-	r := g.at(0)
-	s := sum(g, 1)
-	out := copy(r)
-	out[1] = s
-	emit out
-}`, "tally", n, keyCard)
+	plan := groupingPlan(t, sumScript("tally"), "tally", n, keyCard)
 	data := make(record.DataSet, n)
 	for i := range data {
 		data[i] = record.Record{record.Int(int64(i % keyCard)), record.Int(int64(i))}

@@ -82,7 +82,6 @@ type row struct {
 	flow    *dataflow.Flow // with tree; nil when plan builds the row's plan by hand
 	tree    *optimizer.Tree
 	plan    func() *optimizer.PhysPlan
-	pin     func(p *optimizer.PhysPlan) // adjusts the chosen plan
 	sources map[string]record.DataSet
 	// variants run the chosen plan under each adjustment instead of as is;
 	// like alternatives, they must all produce the same bag.
@@ -185,7 +184,7 @@ func runSuite(t *testing.T) {
 	h := newHarness(t, s.set, t.Name())
 	rows := s.rows(t)
 	h.run(t, rows)
-	if h.nPlans > len(rows) {
+	if h.nPlans > len(rows)*len(h.dops) {
 		h.seen |= sawAlts
 	}
 	if missing := h.some &^ h.seen; missing != 0 {
@@ -292,16 +291,12 @@ func (h *harness) rowPlans(t *testing.T, r row, dop int) []namedPlan {
 }
 
 // chosen is the row's plan at dop: the physical optimizer's plan for the
-// flow as written, pinned, or the hand-built one.
+// flow as written, or the hand-built one.
 func (r row) chosen(dop int) *optimizer.PhysPlan {
 	if r.flow == nil {
 		return r.plan()
 	}
-	p := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(r.flow), dop).Optimize(r.tree)
-	if r.pin != nil {
-		r.pin(p)
-	}
-	return p
+	return optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(r.flow), dop).Optimize(r.tree)
 }
 
 // dop runs every plan of the row at dop under every budget and transport of
@@ -323,8 +318,14 @@ func (h *harness) dop(t *testing.T, r row, dop int, snap sourceSnapshot) {
 			c.e.AddSource(name, ds)
 		}
 		if !h.dry {
+			// The reference is fully resident: a budget does not reach it.
+			if r.tight != nil {
+				c.e.MemoryBudget = r.tight(dop)
+			}
 			c.ref, c.refStats = mustRefRun(t, c.e, p.phys, fmt.Sprintf("%s %s dop=%d", r.name, p.name, dop))
 			switch {
+			case c.refStats.TotalSpillRuns() != 0:
+				t.Fatalf("%s %s dop=%d: the reference executor spilled %d runs under a budget", r.name, p.name, dop, c.refStats.TotalSpillRuns())
 			case pi == 0:
 				firstRef = c.ref
 			case h.configs.plans == "" && h.fixedOrder(c):

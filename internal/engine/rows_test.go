@@ -60,12 +60,20 @@ var suites = map[string]suite{
 		return []row{r}
 	}},
 	"TestSpillReduceEquivalence": {configs{dops: differentialDOPs, budgets: both, dopSub: true}, func(t *testing.T) []row {
-		return []row{spillRow(flowRow(t, "wordcount", wordcountFlow("sumPerWord", 20000, 500, 22, false), wordcountData(20000, 500)), 32<<10)}
+		r := spillRow(flowRow(t, "wordcount", wordcountFlow("sumPerWord", 20000, 500, 22, false), wordcountData(20000, 500)), 32<<10)
+		r.check = wantLen(500)
+		return []row{r}
 	}},
-	// An empty source under a budget; a budget below one batch.
+	// An empty source under a budget spills nothing; a budget below one
+	// batch.
 	"TestSpillEdgeCases": {configs{dops: []int{4}, budgets: both}, func(t *testing.T) []row {
 		empty := flowRow(t, "empty", wordcountFlow("sumPerWord", 1000, 50, 22, false), map[string]record.DataSet{"words": nil})
 		empty.tight = fixed(1)
+		empty.check = func(t *testing.T, label string, out record.DataSet, stats *RunStats) {
+			if len(out) != 0 || stats.TotalSpillRuns() != 0 {
+				t.Fatalf("%s: empty input: %d records, %d spill runs", label, len(out), stats.TotalSpillRuns())
+			}
+		}
 		return []row{empty, spillRow(flowRow(t, "wordcount", wordcountFlow("sumPerWord", 1000, 50, 22, false), wordcountData(1000, 50)), 1)}
 	}},
 	// The budget share of MemoryBudget=1 truncates to zero; floored at one
@@ -119,7 +127,7 @@ cross pair(l, r) {
 	o := concat(l, r)
 	emit o
 }`, dataflow.OpDef{Kind: "cross", UDF: "pair"}, "L a", "R b"), map[string]record.DataSet{"L": l, "R": r})
-		x.check = func(t *testing.T, label string, out record.DataSet, stats *RunStats) { requireLen(t, label, out, 35) }
+		x.check = wantLen(35)
 		return []row{x}
 	}},
 	// The paper flow's counters: f1 and f2 see 3 records, f3 2 (f2 drops
@@ -152,60 +160,34 @@ reduce first(g) {
 		}
 		return []row{r}
 	}},
-	// A sum per key.
+	// A sum per key: key k sums k, k+5, …, k+95.
 	"TestReduceExecution": {configs{dops: []int{4}}, func(t *testing.T) []row {
-		var data record.DataSet
-		for i := 0; i < 100; i++ {
-			data = append(data, record.Record{record.Int(int64(i % 5)), record.Int(int64(i))})
+		data := make(record.DataSet, 100)
+		for i := range data {
+			data[i] = record.Record{record.Int(int64(i % 5)), record.Int(int64(i))}
 		}
-		r := flowRow(t, "sum", oneOp(`
-reduce sum(g) {
-	first := g.at(0)
-	k := first[0]
-	out := new()
-	out[0] = k
-	out[2] = sum(g, 1)
-	emit out
-}`, dataflow.OpDef{Kind: "reduce", UDF: "sum", Keys: [][]string{{"k"}}, KeyCardinality: 5}, "S k v"), map[string]record.DataSet{"S": data})
+		r := flowRow(t, "sum", wordcountFlow("sum", 100, 5, 18, false), map[string]record.DataSet{"words": data})
 		r.check = func(t *testing.T, label string, out record.DataSet, stats *RunStats) {
 			requireLen(t, label, out, 5)
 			for _, r := range out {
-				// Key k sums k, k+5, …, k+95.
-				if k, got := r.Field(0).AsInt(), r.Field(2).AsInt(); got != 20*k+950 {
+				if k, got := r.Field(0).AsInt(), r.Field(1).AsInt(); got != 20*k+950 {
 					t.Errorf("%s: sum(k=%d) = %d, want %d", label, k, got, 20*k+950)
 				}
 			}
 		}
 		return []row{r}
 	}},
-	// One record per left key group, carrying the right group's size: keys
-	// 0..2 appear 3 times each in R, keys 3 and 4 never.
+	// One record per key group, carrying the left group's sum and the right
+	// group's size: keys 0..4 appear 4 times each in L, keys 0..2 3 times
+	// each in R.
 	"TestCoGroupExecution": {configs{dops: []int{4}}, func(t *testing.T) []row {
-		var l, rr record.DataSet
-		for i := 0; i < 20; i++ {
-			l = append(l, record.Record{record.Int(int64(i % 5)), record.Int(int64(i))})
-		}
-		for i := 0; i < 9; i++ {
-			rr = append(rr, record.Record{record.Null, record.Null, record.Int(int64(i % 3))})
-		}
-		r := flowRow(t, "cogroup", oneOp(`
-cogroup cg(g1, g2) {
-	n1 := g1.size()
-	if n1 != 0 {
-		r := g1.at(0)
-		k := r[0]
-		out := new()
-		out[0] = k
-		n2 := g2.size()
-		out[3] = n2
-		emit out
-	}
-}`, dataflow.OpDef{Kind: "cogroup", UDF: "cg", Keys: [][]string{{"lk"}, {"rk"}}, KeyCardinality: 5}, "L lk lv", "R rk"), map[string]record.DataSet{"L": l, "R": rr})
+		r := coGroupRow(t, 20, 9, 5, 3, 0)
 		r.check = func(t *testing.T, label string, out record.DataSet, stats *RunStats) {
 			requireLen(t, label, out, 5)
 			for _, rec := range out {
-				if k, got := rec.Field(0).AsInt(), rec.Field(3).AsInt(); got != map[bool]int64{true: 3}[k < 3] {
-					t.Errorf("%s: key %d matches = %d", label, k, got)
+				// Key k sums k, k+5, k+10, k+15.
+				if k, sum, n := rec.Field(0).AsInt(), rec.Field(1).AsInt(), rec.Field(3).AsInt(); sum != 4*k+30 || n != map[bool]int64{true: 3}[k < 3] {
+					t.Errorf("%s: key %d sums %d and matches %d", label, k, sum, n)
 				}
 			}
 		}
@@ -217,14 +199,7 @@ cogroup cg(g1, g2) {
 	"TestExactNumericKeys": {configs{dops: []int{1, 3}}, func(t *testing.T) []row {
 		a, b := record.Int(1<<53), record.Int(1<<53+1)
 		rows := adversarialRows(t, strategySides([]record.Value{a, b, a, b}, []record.Value{b}), optimizer.ShipPartition)[:2]
-		rows[0].check = func(t *testing.T, label string, out record.DataSet, stats *RunStats) {
-			requireLen(t, label, out, 4)
-			for _, r := range out {
-				if r.Field(2).AsInt() != 2 {
-					t.Errorf("%s: %v is in a group of %d, want 2", label, r, r.Field(2).AsInt())
-				}
-			}
-		}
+		rows[0].check = groupsOf(4, 2)
 		rows[1].check = func(t *testing.T, label string, out record.DataSet, stats *RunStats) {
 			requireLen(t, label, out, 2)
 			for _, r := range out {
@@ -250,12 +225,16 @@ cogroup cg(g1, g2) {
 		}}}
 		return []row{r}
 	}},
-	// The reference never spills: a budget does not reach it.
+	// The reference never spills: a budget does not reach it (every row's
+	// reference run is under its tight budget).
 	"TestSpillLegacyShuffleBypass": {configs{dops: []int{4}, budgets: tightOnly}, func(t *testing.T) []row {
 		return []row{spillRow(flowRow(t, "wordcount", wordcountFlow("sumPerWord", 2000, 40, 22, false), wordcountData(2000, 40)), 64)}
 	}},
 	"TestSpillCoGroupEquivalence": {configs{dops: differentialDOPs, budgets: both, dopSub: true}, func(t *testing.T) []row {
-		return []row{spillRow(coGroupRow(t, 6000, 4000, 300, 250, 150), 16<<10)}
+		// 300 left keys and 100 right-only ones.
+		r := spillRow(coGroupRow(t, 6000, 4000, 300, 250, 150), 16<<10)
+		r.check = wantLen(400)
+		return []row{r}
 	}},
 	// Both join strategies over repartitioned sides: the hash join falls
 	// back to the external merge join when a side spills.
@@ -263,11 +242,9 @@ cogroup cg(g1, g2) {
 		var rows []row
 		for _, local := range []optimizer.Local{optimizer.LocalMergeJoin, optimizer.LocalHashJoin} {
 			r := flowRow(t, local.String(), keyJoinFlow(12000, 6000, 500, 20), keyJoinData(12000, 300, 6000, 400, 200))
-			r.pin = pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, local, 0)
+			r.variants = pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, local, 0)
 			// 100 overlapping keys, 40 left and 15 right records each.
-			r.check = func(t *testing.T, label string, out record.DataSet, _ *RunStats) {
-				requireLen(t, label, out, 100*40*15)
-			}
+			r.check = wantLen(100 * 40 * 15)
 			rows = append(rows, spillRow(r, 32<<10))
 		}
 		return rows
@@ -286,11 +263,10 @@ cogroup cg(g1, g2) {
 			lData = append(lData, record.Record{record.Int(int64(i % 10)), record.Int(int64(i))})
 			rData = append(rData, record.Record{record.Null, record.Null, record.Int(int64(i % 10)), record.Int(int64(100 + i))})
 		}
-		mk := func(name string, pin func(*optimizer.PhysPlan)) row {
+		mk := func(name string, pin []variant) row {
 			r := flowRow(t, name, keyJoinFlow(50, 50, 10, 18), map[string]record.DataSet{"L": lData, "R": rData})
-			r.pin, r.bag = pin, true
 			// 10 keys, 5 records per key and side.
-			r.check = func(t *testing.T, label string, out record.DataSet, _ *RunStats) { requireLen(t, label, out, 10*5*5) }
+			r.variants, r.bag, r.check = pin, true, wantLen(10*5*5)
 			return r
 		}
 		return []row{
@@ -302,7 +278,7 @@ cogroup cg(g1, g2) {
 			mk("broadcast-right+hash", pinJoin(optimizer.ShipForward, optimizer.ShipBroadcast, optimizer.LocalHashJoin, 1)),
 		}
 	}},
-	// Sort and hash grouping form the same groups.
+	// Sort and hash grouping form the same 6 groups of 10.
 	"TestReduceHashVsSortGrouping": {configs{dops: []int{3}}, func(t *testing.T) []row {
 		var data record.DataSet
 		for i := 0; i < 60; i++ {
@@ -318,6 +294,7 @@ reduce count(g) {
 	emit out
 }`, dataflow.OpDef{Kind: "reduce", UDF: "count", Keys: [][]string{{"k"}}, KeyCardinality: 6}, "S k v"), map[string]record.DataSet{"S": data})
 		r.variants = []variant{localVariant("sort-group", optimizer.LocalSortGroup, 0), localVariant("hash-group", optimizer.LocalHashGroup, 0)}
+		r.check = groupsOf(6, 10)
 		return []row{r}
 	}},
 	// A fused chain agrees with the same Maps run one operator at a time.
@@ -416,6 +393,24 @@ func requireLen(t *testing.T, label string, out record.DataSet, n int) {
 	}
 }
 
+// wantLen is a check requiring n output records.
+func wantLen(n int) func(*testing.T, string, record.DataSet, *RunStats) {
+	return func(t *testing.T, label string, out record.DataSet, _ *RunStats) { requireLen(t, label, out, n) }
+}
+
+// groupsOf is a check requiring n output records, each counting a group of
+// size in field 2.
+func groupsOf(n int, size int64) func(*testing.T, string, record.DataSet, *RunStats) {
+	return func(t *testing.T, label string, out record.DataSet, _ *RunStats) {
+		requireLen(t, label, out, n)
+		for _, r := range out {
+			if r.Field(2).AsInt() != size {
+				t.Errorf("%s: %v is in a group of %d, want %d", label, r, r.Field(2).AsInt(), size)
+			}
+		}
+	}
+}
+
 // wantOut is a check requiring the output bag want.
 func wantOut(want record.DataSet) func(*testing.T, string, record.DataSet, *RunStats) {
 	return func(t *testing.T, label string, out record.DataSet, _ *RunStats) {
@@ -441,12 +436,13 @@ func spillRow(r row, b int) row {
 	return r
 }
 
-// pinJoin pins the shipping and local strategy of the plan's Match.
-func pinJoin(l, r optimizer.Shipping, local optimizer.Local, build int) func(p *optimizer.PhysPlan) {
-	return func(p *optimizer.PhysPlan) {
+// pinJoin runs the chosen plan with the shipping and local strategy of its
+// Match pinned.
+func pinJoin(l, r optimizer.Shipping, local optimizer.Local, build int) []variant {
+	return []variant{{"chosen", func(t *testing.T, p *optimizer.PhysPlan) {
 		m := findOp(p, "J")
 		m.Ship, m.Local, m.BuildSide = []optimizer.Shipping{l, r}, local, build
-	}
+	}}}
 }
 
 // localVariant runs the operator under the plan's sink with a local
@@ -653,16 +649,24 @@ func paperRow(t *testing.T, seed int64, n, span int) row {
 	return flowRow(t, "paper", paperFlow, map[string]record.DataSet{"I": data})
 }
 
-// combinedReduceRow is a wordcount whose Reduce combines before shipping.
+// combinedReduceRow is a wordcount whose Reduce combines before shipping:
+// every run makes combiner calls and ships fewer bytes than the reference.
 func combinedReduceRow(t *testing.T) row {
-	return flowRow(t, "combined-reduce", wordcountFlow("wcount", 6000, 120, 16, true), wordcountData(6000, 120))
+	r := flowRow(t, "combined-reduce", wordcountFlow("wcount", 6000, 120, 16, true), wordcountData(6000, 120))
+	r.combine = true
+	r.check = func(t *testing.T, label string, _ record.DataSet, stats *RunStats) {
+		if stats.TotalCombinerCalls() == 0 {
+			t.Fatalf("%s: no combiner calls: the combining path did not run", label)
+		}
+	}
+	return r
 }
 
 // budgetedJoinRow is a repartition merge join whose shuffled sides both
 // spill under 32 KB at every DOP.
 func budgetedJoinRow(t *testing.T) row {
 	r := flowRow(t, "budgeted-join", keyJoinFlow(6000, 3000, 300, 20), keyJoinData(6000, 300, 3000, 300, 0))
-	r.pin = pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, optimizer.LocalMergeJoin, 0)
+	r.variants = pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, optimizer.LocalMergeJoin, 0)
 	r.budgets = tightOnly
 	return spillRow(r, 32<<10)
 }
@@ -672,7 +676,7 @@ func budgetedJoinRow(t *testing.T) row {
 func broadcastJoinRow(t *testing.T) row {
 	const lN, rN = 3000, 6000
 	r := flowRow(t, "broadcast-join", keyJoinFlow(lN, rN, 300, 20), keyJoinData(lN, 300, rN, 300, 0))
-	r.pin = pinJoin(optimizer.ShipBroadcast, optimizer.ShipForward, optimizer.LocalHashJoin, 0)
+	r.variants = pinJoin(optimizer.ShipBroadcast, optimizer.ShipForward, optimizer.LocalHashJoin, 0)
 	size := r.sources["L"].TotalSize()
 	r.check = func(t *testing.T, label string, out record.DataSet, stats *RunStats) {
 		// The un-replicated count in, the left side's wire size once per

@@ -28,8 +28,9 @@ func traceJSON(tr *obs.Trace) string {
 	return string(b)
 }
 
-// tracedRun executes the row's chosen plan at dop under budget with a fresh
-// trace attached and returns the trace and run statistics.
+// tracedRun executes the row's chosen plan, under its first variant, at dop
+// under budget with a fresh trace attached and returns the trace and run
+// statistics.
 func tracedRun(t *testing.T, r row, dop, budget int, tp transport.Transport, spillDir string) (*obs.Trace, *RunStats) {
 	t.Helper()
 	e := New(dop).WithTransport(tp).WithMemoryBudget(budget)
@@ -39,7 +40,11 @@ func tracedRun(t *testing.T, r row, dop, budget int, tp transport.Transport, spi
 	for name, ds := range r.sources {
 		e.AddSource(name, ds)
 	}
-	_, stats, err := e.Run(r.chosen(dop))
+	p := r.chosen(dop)
+	if r.variants != nil {
+		r.variants[0].apply(t, p)
+	}
+	_, stats, err := e.Run(p)
 	if err != nil {
 		t.Fatalf("%s: %v", r.name, err)
 	}
