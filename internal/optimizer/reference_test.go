@@ -11,8 +11,9 @@ import (
 // string, that rebuilds fresh tree nodes for every neighbour of every plan.
 // It is the differential reference for the production enumerator and, with
 // one naive physical optimization per plan, for RankAllNet. It shares only
-// the Section 4 predicates (unaryUnaryReorderable and friends) and the Tree
-// type with production code; do not "simplify" it toward enum.go.
+// the Section 4 predicates (unaryUnaryReorderable and friends), the ROC
+// checks and the Tree type with production code; do not "simplify" it
+// toward enum.go.
 
 type refStats struct{ Expanded, MemoHits int }
 
@@ -57,7 +58,7 @@ func refNeighbors(t *Tree, rules *RuleSet) []*Tree {
 				if !refRuleEnabled(rules, ex.id) {
 					continue
 				}
-				if nt := ex.build(t, j); nt != nil {
+				if nt := ex.build(t, j); nt != nil && rocOn(t, t.Kids[j]) && rocExchanged(t, nt) {
 					out = append(out, nt)
 				}
 			}

@@ -15,11 +15,26 @@ import (
 // All rules are direction-symmetric: the condition for moving r below s is
 // the condition for moving s above r, so the reachability relation over
 // plans is an equivalence and the enumeration's recursion is confluent.
+// ROC (Definition 4) is not part of the rules: exchange requires it of
+// every exchange, in both orders.
 
 // rocOn checks the read-only conflict condition (Definition 4) between two
 // positioned operators.
 func rocOn(a, b *Tree) bool {
 	return props.ROC(a.Reads(), a.Writes(), b.Reads(), b.Writes())
+}
+
+// rocExchanged reports whether ROC holds in q, the tree an exchange built
+// from p, between q's root and p's root r, now below it. The sets are
+// positional: an operator that projects its input writes what it drops, so
+// one moved above an operator that adds an attribute drops that attribute,
+// a conflict only the exchanged order shows.
+func rocExchanged(p, q *Tree) bool {
+	k := 0
+	if q.Kids[0].Op != p.Op {
+		k = 1
+	}
+	return rocOn(q, q.Kids[k])
 }
 
 // touches reports whether operator tree node n (its resolved reads or
@@ -30,12 +45,19 @@ func touches(n *Tree, attrs props.FieldSet) bool {
 
 // exchange pushes every tree obtained by exchanging p's root r with the
 // root s of p.Kids[j] that Section 4 permits and the rule set enables.
+// ROC in the written order is checked before any tree is built, ROC in
+// the exchanged order on the tree built.
 func (sf *subflows) exchange(p *Tree, j int) {
 	c := p.Kids[j]
+	if !rocOn(p, c) {
+		return
+	}
 	r, s := p.Op, c.Op
 	add := func(t *Tree) {
-		sf.stats.Exchanges++
-		sf.push(t)
+		if rocExchanged(p, t) {
+			sf.stats.Exchanges++
+			sf.push(t)
+		}
 	}
 	switch {
 	case !r.Kind.IsBinary() && !s.Kind.IsBinary():
@@ -98,13 +120,10 @@ func (sf *subflows) exchange(p *Tree, j int) {
 // rule: p is the parent tree (unary root r), c its child tree (unary root
 // s).
 func unaryUnaryReorderable(p, c *Tree) bool {
-	if !rocOn(p, c) {
-		return false
-	}
 	r, s := p.Op, c.Op
 	switch {
 	case r.Kind == dataflow.KindMap && s.Kind == dataflow.KindMap:
-		// Theorem 1: ROC suffices.
+		// Theorem 1: ROC, which exchange checks, suffices.
 		return true
 	case r.Kind == dataflow.KindMap && s.Kind == dataflow.KindReduce:
 		// Theorem 2: the Map must preserve the Reduce's key groups.
@@ -130,11 +149,8 @@ func unaryBinaryReorderable(p, c *Tree, side int) bool {
 	switch u.Kind {
 	case dataflow.KindMap:
 		// Theorem 3 (+ Theorem 1 applied to the Cartesian-product
-		// transformation): ROC between the UDFs and the Map must not touch
-		// the other side's attributes.
-		if !rocOn(p, c) {
-			return false
-		}
+		// transformation): besides ROC, the Map must not touch the other
+		// side's attributes.
 		if touches(p, other.Attrs()) {
 			return false
 		}
@@ -168,7 +184,7 @@ func unaryBinaryReorderable(p, c *Tree, side int) bool {
 //     determines the PK side and can be extended with the PK side's
 //     attributes, Theorem 4);
 //   - the Reduce key exists below the Match on that side;
-//   - ROC holds between the two UDFs;
+//   - ROC holds between the two UDFs (exchange checks it);
 //   - the Match UDF preserves the Reduce's key groups (KGP);
 //   - the Reduce touches no attribute of the PK side.
 func reduceMatchReorderable(p, c *Tree, side int) bool {
@@ -181,9 +197,6 @@ func reduceMatchReorderable(p, c *Tree, side int) bool {
 		return false
 	}
 	if !gKey.SubsetOf(c.Kids[side].Attrs()) {
-		return false
-	}
-	if !rocOn(p, c) {
 		return false
 	}
 	if m.Effect == nil || !m.Effect.KGP(gKey) {
@@ -219,7 +232,7 @@ func preservesUniqueness(t *Tree) bool {
 // rotationReorderable implements Lemma 1 (and its Cross analogues): the
 // binary root r of p and the binary root s of p.Kids[childIdx] may rotate.
 // For childIdx == 0: r(s(X,Y), Z) ⇄ s(X, r(Y,Z)) requires that s does not
-// touch Z, r does not touch X, and ROC holds between the two UDFs.
+// touch Z, r does not touch X, and ROC, which exchange checks.
 // For childIdx == 1: r(X, s(Y,Z)) ⇄ s(r(X,Y), Z) symmetrically.
 func rotationReorderable(p *Tree, childIdx int) bool {
 	c := p.Kids[childIdx]
@@ -232,9 +245,6 @@ func rotationReorderable(p *Tree, childIdx int) bool {
 		return k == dataflow.KindMatch || k == dataflow.KindCross
 	}
 	if !okKind(r.Kind) || !okKind(s.Kind) {
-		return false
-	}
-	if !rocOn(p, c) {
 		return false
 	}
 	var farAttrs, outerAttrs props.FieldSet
@@ -264,9 +274,6 @@ func crossRotationReorderable(p *Tree, childIdx int) bool {
 		return k == dataflow.KindMatch || k == dataflow.KindCross
 	}
 	if !okKind(r.Kind) || !okKind(s.Kind) {
-		return false
-	}
-	if !rocOn(p, c) {
 		return false
 	}
 	var innerFar, outerOther props.FieldSet
