@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -220,16 +221,11 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusRequestEntityTooLarge, "job document exceeds %d bytes", maxJobDocBytes)
 		return
 	}
-	// Parse ?wait as a boolean up front: wait=0 and wait=false mean
-	// asynchronous (the zero-value reading), and a malformed value fails
-	// before the job is submitted rather than after.
-	wait := false
-	if v := r.URL.Query().Get("wait"); v != "" {
-		var err error
-		if wait, err = strconv.ParseBool(v); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad wait value %q (want a boolean)", v)
-			return
-		}
+	// A malformed ?wait fails before the job is submitted rather than after.
+	wait, err := boolParam(r, "wait")
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	spec, err := s.sched.ParseScriptJob(raw)
 	if err != nil {
@@ -275,6 +271,17 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, viewOf(j))
 }
 
+// boolParam reads the boolean query parameter name: absent is false (so
+// are 0 and false), and a value strconv.ParseBool refuses is an error.
+func boolParam(r *http.Request, name string) (bool, error) {
+	v := r.URL.Query().Get(name)
+	b, err := strconv.ParseBool(cmp.Or(v, "false"))
+	if err != nil {
+		return false, fmt.Errorf("bad %s value %q (want a boolean)", name, v)
+	}
+	return b, nil
+}
+
 func (s *server) job(w http.ResponseWriter, r *http.Request) *jobs.Job {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
@@ -307,21 +314,11 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	stream := false
-	if v := r.URL.Query().Get("stream"); v != "" {
-		var err error
-		if stream, err = strconv.ParseBool(v); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad stream value %q (want a boolean)", v)
-			return
-		}
-	}
-	withStats := false
-	if v := r.URL.Query().Get("stats"); v != "" {
-		var err error
-		if withStats, err = strconv.ParseBool(v); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad stats value %q (want a boolean)", v)
-			return
-		}
+	stream, streamErr := boolParam(r, "stream")
+	withStats, statsErr := boolParam(r, "stats")
+	if err := cmp.Or(streamErr, statsErr); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	out, stats, err := j.Result()
 	// ?stats=1 appends the run's per-operator statistics to the result
@@ -340,10 +337,11 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleTrace serves the job's span tree: nested JSON by default,
-// Chrome trace_event format (openable in Perfetto or chrome://tracing)
-// with ?format=chrome. The trace is readable at any job state — live spans
-// of a running job simply have no end time yet.
+// handleTrace serves the job's span tree: nested JSON by default (or with
+// ?format=json), Chrome trace_event format (openable in Perfetto or
+// chrome://tracing) with ?format=chrome; any other format is a 400. The
+// trace is readable at any job state — live spans of a running job simply
+// have no end time yet.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j := s.job(w, r)
 	if j == nil {
@@ -354,14 +352,17 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "job %d has no trace", j.ID)
 		return
 	}
-	if r.URL.Query().Get("format") == "chrome" {
+	switch format := r.URL.Query().Get("format"); format {
+	case "", "json":
+		writeJSON(w, http.StatusOK, tr.Tree())
+	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
 		if err := tr.WriteChromeTrace(w); err != nil {
 			slog.Warn("writing chrome trace", "job", j.ID, "err", err)
 		}
-		return
+	default:
+		writeErr(w, http.StatusBadRequest, "bad format %q (want json or chrome)", format)
 	}
-	writeJSON(w, http.StatusOK, tr.Tree())
 }
 
 // writeResult writes the result document of job id with the one encoder

@@ -285,25 +285,28 @@ func FuzzIngest(f *testing.F) {
 	for _, seed := range ingestSeeds(f) {
 		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		want, wantErr := refParse(raw)
-		c := newPlanCache(16)
-		got, err := ingest(c, raw)
-		checkAgainstReference(t, "cold cache", got, err, want, wantErr, true)
-		again, againErr := ingest(c, raw)
-		checkAgainstReference(t, "warm cache", again, againErr, want, wantErr, true)
-		replay, replayErr := ingest(c, raw)
-		checkAgainstReference(t, "replay", replay, replayErr, want, wantErr, true)
-		if err == nil && (replay.Flow != got.Flow || !strings.Contains(replay.Compile.Detail, "doc=hit")) {
-			t.Fatalf("third ingest of the same bytes was not a replay: %s", replay.Compile.Detail)
-		}
-		got, err = ParseScriptJob(raw)
-		checkAgainstReference(t, "no cache", got, err, want, wantErr, false)
-		if doc, docErr := decodeDoc(raw); docErr == nil {
-			got, err = CompileScriptJob(doc)
-			checkAgainstReference(t, "CompileScriptJob", got, err, want, wantErr, false)
-		}
-	})
+	f.Fuzz(ingestMatchesReference)
+}
+
+// ingestMatchesReference is FuzzIngest's property on one input.
+func ingestMatchesReference(t *testing.T, raw []byte) {
+	want, wantErr := refParse(raw)
+	c := newPlanCache(16)
+	got, err := ingest(c, raw)
+	checkAgainstReference(t, "cold cache", got, err, want, wantErr, true)
+	again, againErr := ingest(c, raw)
+	checkAgainstReference(t, "warm cache", again, againErr, want, wantErr, true)
+	replay, replayErr := ingest(c, raw)
+	checkAgainstReference(t, "replay", replay, replayErr, want, wantErr, true)
+	if err == nil && (replay.Flow != got.Flow || !strings.Contains(replay.Compile.Detail, "doc=hit")) {
+		t.Fatalf("third ingest of the same bytes was not a replay: %s", replay.Compile.Detail)
+	}
+	got, err = ParseScriptJob(raw)
+	checkAgainstReference(t, "no cache", got, err, want, wantErr, false)
+	if doc, docErr := decodeDoc(raw); docErr == nil {
+		got, err = CompileScriptJob(doc)
+		checkAgainstReference(t, "CompileScriptJob", got, err, want, wantErr, false)
+	}
 }
 
 // badDocs are malformed documents and what their diagnostics must mention.
@@ -336,13 +339,14 @@ var badDocs = []struct {
 }
 
 // TestIngestErrorMessagesUnchanged: every diagnostic the replaced path
-// produced for the malformed documents above comes out of ingest verbatim.
+// produced for the malformed documents above comes out of ingest verbatim,
+// cached or not, and mentions what badDocs says it must.
 func TestIngestErrorMessagesUnchanged(t *testing.T) {
 	for _, tc := range badDocs {
 		t.Run(tc.name, func(t *testing.T) {
 			_, want := refParse([]byte(tc.doc))
-			if want == nil {
-				t.Fatal("the reference accepts the document")
+			if want == nil || !strings.Contains(want.Error(), tc.want) {
+				t.Fatalf("the reference says %v, which does not mention %q", want, tc.want)
 			}
 			for label, parse := range map[string]func([]byte) (Spec, error){
 				"no cache": ParseScriptJob,
@@ -356,21 +360,9 @@ func TestIngestErrorMessagesUnchanged(t *testing.T) {
 	}
 }
 
-// TestIngestSeedsMatchReference runs the fuzz property over the corpus on
-// every plain `go test`.
+// TestIngestSeedsMatchReference runs the fuzz property over the corpus.
 func TestIngestSeedsMatchReference(t *testing.T) {
 	for i, raw := range ingestSeeds(t) {
-		want, wantErr := refParse(raw)
-		c := newPlanCache(16)
-		for _, label := range []string{"cold cache", "warm cache"} {
-			got, err := ingest(c, raw)
-			checkAgainstReference(t, fmt.Sprintf("seed %d, %s", i, label), got, err, want, wantErr, true)
-		}
-		got, err := ParseScriptJob(raw)
-		checkAgainstReference(t, fmt.Sprintf("seed %d, no cache", i), got, err, want, wantErr, false)
-		if doc, docErr := decodeDoc(raw); docErr == nil {
-			got, err = CompileScriptJob(doc)
-			checkAgainstReference(t, fmt.Sprintf("seed %d, CompileScriptJob", i), got, err, want, wantErr, false)
-		}
+		t.Run(fmt.Sprint("seed", i), func(t *testing.T) { ingestMatchesReference(t, raw) })
 	}
 }

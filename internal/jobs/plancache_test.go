@@ -2,16 +2,13 @@ package jobs
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"blackboxflow/internal/dataflow"
-	"blackboxflow/internal/optimizer"
 )
 
 func TestBudgetTier(t *testing.T) {
@@ -60,200 +57,30 @@ func TestLRUMapEvictsColdest(t *testing.T) {
 func TestScriptJobHashSensitivity(t *testing.T) {
 	hashOf := func(doc string) string {
 		t.Helper()
-		s := New(Config{MaxConcurrent: 1})
-		spec, err := s.ParseScriptJob([]byte(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if spec.PlanKey == "" {
-			t.Fatal("ParseScriptJob returned no PlanKey")
+		spec, err := New(Config{MaxConcurrent: 1}).ParseScriptJob([]byte(doc))
+		if err != nil || spec.PlanKey == "" {
+			t.Fatalf("ParseScriptJob: plan key %q, %v", spec.PlanKey, err)
 		}
 		return spec.PlanKey
 	}
-
+	rows := `[["a", null], ["b", null], ["a", null], ["c", null], ["a", null], ["b", null]]`
 	base := hashOf(wordcountDoc)
-	if got := hashOf(wordcountDoc); got != base {
-		t.Error("same document hashed differently")
-	}
-	// Same row count with different payload values: same resolved hints,
-	// same plan space — must share the digest.
-	samePlan := strings.Replace(wordcountDoc,
-		`[["a", null], ["b", null], ["a", null], ["c", null], ["a", null], ["b", null]]`,
-		`[["x", null], ["y", null], ["x", null], ["z", null], ["x", null], ["y", null]]`, 1)
-	if got := hashOf(samePlan); got != base {
-		t.Error("payload-only change altered the digest")
-	}
-	// Fewer rows move the resolved Records hint: new digest.
-	fewerRows := strings.Replace(wordcountDoc,
-		`[["a", null], ["b", null], ["a", null], ["c", null], ["a", null], ["b", null]]`,
-		`[["a", null], ["b", null]]`, 1)
-	if got := hashOf(fewerRows); got == base {
-		t.Error("changed cardinality did not alter the digest")
-	}
-	// A different script compiles a different flow: new digest.
-	otherScript := strings.Replace(wordcountDoc, "count(g, 0)", "sum(g, 0)", 1)
-	if got := hashOf(otherScript); got == base {
-		t.Error("changed script did not alter the digest")
-	}
-	// Different wiring (key cardinality hint): new digest.
-	otherHint := strings.Replace(wordcountDoc, `"key_cardinality": 3`, `"key_cardinality": 4`, 1)
-	if got := hashOf(otherHint); got == base {
-		t.Error("changed flow hint did not alter the digest")
-	}
-}
-
-// TestPlanCacheHitsSkipRecompilation: the second parse of a document reuses
-// the compiled flow (same pointer), and the second execution reuses the
-// optimized plan — both visible in Metrics.
-func TestPlanCacheHitsSkipRecompilation(t *testing.T) {
-	s := New(Config{MaxConcurrent: 1, DOP: 2})
-	run := func() Spec {
-		t.Helper()
-		spec, err := s.ParseScriptJob([]byte(wordcountDoc))
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		what, doc string
+		same      bool
+	}{
+		{"the same document", wordcountDoc, true},
+		// Same row count, other payload values: same resolved hints, same
+		// plan space.
+		{"a payload-only change", strings.Replace(wordcountDoc, rows, `[["x", null], ["y", null], ["x", null], ["z", null], ["x", null], ["y", null]]`, 1), true},
+		// Fewer rows move the resolved Records hint.
+		{"a changed cardinality", strings.Replace(wordcountDoc, rows, `[["a", null], ["b", null]]`, 1), false},
+		{"a changed script", strings.Replace(wordcountDoc, "count(g, 0)", "sum(g, 0)", 1), false},
+		{"a changed flow hint", strings.Replace(wordcountDoc, `"key_cardinality": 3`, `"key_cardinality": 4`, 1), false},
+	} {
+		if got := hashOf(c.doc); (got == base) != c.same {
+			t.Errorf("%s: digest equal to the base's %v, want %v", c.what, got == base, c.same)
 		}
-		j, err := s.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := j.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return spec
-	}
-	first := run()
-	second := run()
-	if first.Flow != second.Flow {
-		t.Error("second parse did not reuse the cached compiled flow")
-	}
-	m := s.Metrics()
-	if m.FlowCacheHits != 1 || m.FlowCacheMisses != 1 {
-		t.Errorf("flow cache hits/misses = %d/%d, want 1/1", m.FlowCacheHits, m.FlowCacheMisses)
-	}
-	if m.PlanCacheHits != 1 || m.PlanCacheMisses != 1 {
-		t.Errorf("plan cache hits/misses = %d/%d, want 1/1", m.PlanCacheHits, m.PlanCacheMisses)
-	}
-}
-
-// TestOneDocumentOneCost: a job's cost estimate is its plan's ranked cost
-// whether Submit planned it (a plan-cache miss) or the cache served it (a
-// hit), so one document is charged one cost. The text-mining document's own
-// operator order ranks far from the best, so a charge that costed the
-// submitted order instead would show here. Backpressure is on, with a
-// ceiling nothing reaches.
-func TestOneDocumentOneCost(t *testing.T) {
-	s := New(Config{MaxConcurrent: 1, DOP: 4, MaxQueuedCost: math.MaxFloat64})
-	raw := textmineDoc(t, 12)
-	var spec Spec
-	var costs []float64
-	for i := 0; i < 2; i++ {
-		var err error
-		if spec, err = s.ParseScriptJob(raw); err != nil {
-			t.Fatal(err)
-		}
-		j, err := s.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := j.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		costs = append(costs, j.CostEstimate())
-	}
-	if m := s.Metrics(); m.PlanCacheMisses != 1 || m.PlanCacheHits != 1 {
-		t.Fatalf("plan cache hits/misses = %d/%d, want 1/1", m.PlanCacheHits, m.PlanCacheMisses)
-	}
-	ranked, err := optimizer.Plan(spec.Flow, 4, 0, optimizer.NetProfile{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if costs[0] != costs[1] || costs[0] != ranked[0].Cost {
-		t.Fatalf("miss charged %g, hit %g; the best ranked plan costs %g", costs[0], costs[1], ranked[0].Cost)
-	}
-}
-
-// TestPlanCacheDisabled: a negative PlanCacheSize turns the cache off and
-// ParseScriptJob degrades to the package-level path (no PlanKey).
-func TestPlanCacheDisabled(t *testing.T) {
-	s := New(Config{MaxConcurrent: 1, DOP: 2, PlanCacheSize: -1})
-	spec, err := s.ParseScriptJob([]byte(wordcountDoc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.PlanKey != "" {
-		t.Errorf("PlanKey = %q with caching disabled, want empty", spec.PlanKey)
-	}
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := j.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	m := s.Metrics()
-	if m.FlowCacheHits+m.FlowCacheMisses+m.PlanCacheHits+m.PlanCacheMisses != 0 {
-		t.Errorf("cache counters moved with caching disabled: %+v", m)
-	}
-}
-
-// TestPlanCacheConcurrentReuse pins the sharing-safety claim in
-// plancache.go's package comment: many goroutines parsing, submitting, and
-// running the same document — all sharing one compiled flow, one optimized
-// plan and one decoded source — produce identical results under -race.
-func TestPlanCacheConcurrentReuse(t *testing.T) {
-	s := New(Config{MaxConcurrent: 4, DOP: 2})
-	want := map[string]int64{"a": 3, "b": 2, "c": 1}
-	const goroutines, perG = 8, 5
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines*perG)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				spec, err := s.ParseScriptJob([]byte(wordcountDoc))
-				if err != nil {
-					errs <- err
-					return
-				}
-				j, err := s.Submit(spec)
-				if err != nil {
-					errs <- err
-					return
-				}
-				out, _, err := j.Wait(context.Background())
-				if err != nil {
-					errs <- err
-					return
-				}
-				for _, rec := range out {
-					if got := rec.Field(1).AsInt(); got != want[rec.Field(0).AsString()] {
-						errs <- fmt.Errorf("count[%q] = %d, want %d",
-							rec.Field(0).AsString(), got, want[rec.Field(0).AsString()])
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	m := s.Metrics()
-	if m.FlowCacheMisses+m.PlanCacheMisses < 1 {
-		t.Error("no cache misses recorded; the test did not exercise population")
-	}
-	if m.FlowCacheHits == 0 || m.PlanCacheHits == 0 || m.SourceCacheHits == 0 {
-		t.Errorf("no cache hits across %d identical submissions: %+v", goroutines*perG, m)
-	}
-	// Racing first submissions may each decode the source, but converge on
-	// one cached instance; every parse either hit or missed exactly once.
-	if m.SourceCacheEntries != 1 || m.SourceCacheHits+m.SourceCacheMisses != goroutines*perG {
-		t.Errorf("source cache: %d entries, %d hits + %d misses over %d parses",
-			m.SourceCacheEntries, m.SourceCacheHits, m.SourceCacheMisses, goroutines*perG)
 	}
 }
 
@@ -322,11 +149,8 @@ func TestPlanCacheConcurrentEvictionFault(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := c.flows.len(); n > 2 {
-		t.Errorf("flow cache holds %d entries, capacity 2", n)
-	}
-	if n := c.plans.len(); n > 2 {
-		t.Errorf("plan cache holds %d entries, capacity 2", n)
+	if c.flows.len() > 2 || c.plans.len() > 2 {
+		t.Errorf("flow and plan caches hold %d and %d entries, capacity 2", c.flows.len(), c.plans.len())
 	}
 	// The byte gauge must equal what is resident after any interleaving of
 	// inserts and evictions.
@@ -342,8 +166,7 @@ func TestPlanCacheConcurrentEvictionFault(t *testing.T) {
 	}
 	// So must the document memo's, and its fingerprint index must name
 	// exactly the entries the memo holds.
-	var docBytes int64
-	indexed := 0
+	docBytes, indexed := int64(0), 0
 	for _, same := range c.byFP {
 		for _, e := range same {
 			if _, ok := c.docs.m[e]; !ok {
@@ -358,88 +181,18 @@ func TestPlanCacheConcurrentEvictionFault(t *testing.T) {
 	}
 }
 
-// TestPlanCacheEvictionUnderConcurrentSubmit runs 8 goroutines submitting
-// five distinct documents through a scheduler whose plan cache holds only
-// two entries, so compilation, cache population, and eviction all race with
-// live submissions — and every job must still compute the right answer.
-func TestPlanCacheEvictionUnderConcurrentSubmit(t *testing.T) {
-	s := New(Config{MaxConcurrent: 4, DOP: 2, PlanCacheSize: 2})
-	defer s.Shutdown(context.Background())
-
-	doc := func(variant int) string {
-		return fmt.Sprintf(strings.Replace(wordcountDoc, `"key_cardinality": 3`,
-			`"key_cardinality": %d`, 1), variant+3)
-	}
-	want := map[string]int64{"a": 3, "b": 2, "c": 1}
-
-	const goroutines, perG = 8, 6
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines*perG)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				spec, err := s.ParseScriptJob([]byte(doc((g + i) % 5)))
-				if err != nil {
-					errs <- err
-					return
-				}
-				j, err := s.Submit(spec)
-				if err != nil {
-					errs <- err
-					return
-				}
-				out, _, err := j.Wait(context.Background())
-				if err != nil {
-					errs <- err
-					return
-				}
-				for _, rec := range out {
-					if got := rec.Field(1).AsInt(); got != want[rec.Field(0).AsString()] {
-						errs <- fmt.Errorf("count[%q] = %d, want %d",
-							rec.Field(0).AsString(), got, want[rec.Field(0).AsString()])
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	m := s.Metrics()
-	// Five distinct flow hashes through a two-entry cache: misses are
-	// guaranteed (evictions), and re-submissions of a still-resident
-	// variant should land some hits too.
-	if m.FlowCacheMisses <= 5 {
-		t.Errorf("flow cache misses = %d; want > 5 (evictions forcing recompiles)", m.FlowCacheMisses)
-	}
-	if m.FlowCacheHits == 0 {
-		t.Error("no flow cache hits at all across overlapping submissions")
-	}
-	// All five documents carry the same rows, so the source outlives the
-	// flows that churn around it: one entry, never evicted.
-	if m.SourceCacheEntries != 1 || m.SourceCacheEvictions != 0 || m.SourceCacheHits == 0 {
-		t.Errorf("source cache: %d entries, %d evictions, %d hits", m.SourceCacheEntries, m.SourceCacheEvictions, m.SourceCacheHits)
-	}
-}
-
-// wordsDoc is the wordcount document over the given words, one row each.
-func wordsDoc(words []string) []byte {
-	rows := make([]string, len(words))
-	for i, w := range words {
-		rows[i] = fmt.Sprintf("[%q, null]", w)
-	}
-	return []byte(strings.Replace(wordcountDoc,
-		`[["a", null], ["b", null], ["a", null], ["c", null], ["a", null], ["b", null]]`,
-		"["+strings.Join(rows, ", ")+"]", 1))
-}
-
 // parseWords parses doc on s and reports whether the document memo replayed
 // it, and the words its source holds.
+// evict evicts the n coldest entries of l, every entry if n < 0, under
+// c's lock.
+func evict(c *PlanCache, l *lruMap, n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for ; n != 0 && l.len() > 0; n-- {
+		l.evictOldest()
+	}
+}
+
 func parseWords(t *testing.T, s *Scheduler, doc []byte) (replayed bool, words []string) {
 	t.Helper()
 	spec, err := s.ParseScriptJob(doc)
@@ -534,9 +287,7 @@ func TestDocMemoOneCopyPerDocument(t *testing.T) {
 		if e := c.lookupDoc(fp, doc); e == nil || e.spec.PlanKey != "second" {
 			t.Errorf("the entry does not hold the later derivation: %v", e)
 		}
-		c.mu.Lock()
-		c.docs.evictOldest()
-		c.mu.Unlock()
+		evict(c, c.docs, 1)
 		if c.docBytes != 0 || len(c.byFP) != 0 {
 			t.Errorf("after eviction: %d bytes, %d fingerprints", c.docBytes, len(c.byFP))
 		}
@@ -568,10 +319,7 @@ func TestDocMemoOneCopyPerDocument(t *testing.T) {
 // its copy at its first sighting.
 func TestDocMemoFingerprintCollision(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1})
-	words := make([]string, 4*docSample/len(`["a", null], `))
-	for i := range words {
-		words[i] = "a"
-	}
+	words := slices.Repeat([]string{"a"}, 4*docSample/len(`["a", null], `))
 	a := wordsDoc(words)
 	words[len(words)/2] = "b"
 	b := wordsDoc(words)
@@ -600,10 +348,7 @@ func TestDocMemoFingerprintCollision(t *testing.T) {
 // TestDocMemoOneByteMisses: a document one byte off a remembered one, at
 // its head, middle or tail, is parsed, not replayed.
 func TestDocMemoOneByteMisses(t *testing.T) {
-	words := make([]string, 4*docSample/len(`["a", null], `))
-	for i := range words {
-		words[i] = "a"
-	}
+	words := slices.Repeat([]string{"a"}, 4*docSample/len(`["a", null], `))
 	for _, at := range []int{0, len(words) / 2, len(words) - 1} {
 		s := New(Config{MaxConcurrent: 1})
 		parseWords(t, s, wordsDoc(words))
@@ -643,11 +388,7 @@ func TestDocMemoByteCeiling(t *testing.T) {
 	if c.docBytes != 2*third+2 || c.docs.len() != 2 || len(c.byFP) != 2 {
 		t.Errorf("memo accounts %d bytes in %d entries (%d fingerprints), want %d in 2", c.docBytes, c.docs.len(), len(c.byFP), 2*third+2)
 	}
-	c.mu.Lock()
-	for c.docs.len() > 0 {
-		c.docs.evictOldest()
-	}
-	c.mu.Unlock()
+	evict(c, c.docs, -1)
 	if c.docBytes != 0 || len(c.byFP) != 0 {
 		t.Errorf("after evicting everything: %d bytes, %d fingerprints", c.docBytes, len(c.byFP))
 	}

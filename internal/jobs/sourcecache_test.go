@@ -2,16 +2,11 @@ package jobs
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 
-	"blackboxflow/internal/record"
 	"blackboxflow/internal/workloads/tpch"
 )
 
@@ -19,158 +14,6 @@ import (
 // between concurrent jobs and never written, a hit computes what a miss
 // computes, the cache is bounded in bytes, and a finished job lets go of
 // its inputs.
-
-// workloadDocs are the three benchmark workload shapes at toy size.
-func workloadDocs(tb testing.TB) map[string][]byte {
-	return map[string][]byte{
-		"q7":       q7Doc(tb, 0.1, tpch.Q7DateHi, 0),
-		"clicks":   clicksDoc(tb, 200, 24), // its Matches run as merge joins, which sort in place
-		"textmine": textmineDoc(tb, 60),
-	}
-}
-
-// sameBits reports whether two data sets hold the same values bit for bit
-// (floats by their bits, not by ==).
-func sameBits(a, b record.DataSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for f, v := range a[i] {
-			w := b[i][f]
-			if v.Kind() != w.Kind() || !v.Equal(w) ||
-				(v.Kind() == record.KindFloat && math.Float64bits(v.AsFloat()) != math.Float64bits(w.AsFloat())) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// canonical renders a result as its sorted wire encodings: bags compare
-// byte for byte whatever order the partitions finished in.
-func canonical(out record.DataSet) []byte {
-	rows := make([][]byte, len(out))
-	for i, rec := range out {
-		rows[i] = rec.AppendEncoded(nil)
-	}
-	sort.Slice(rows, func(a, b int) bool { return bytes.Compare(rows[a], rows[b]) < 0 })
-	return bytes.Join(rows, nil)
-}
-
-// runDoc parses raw on s, applies the per-run overrides, runs the job and
-// returns its canonical result and the spec it ran.
-func runDoc(t *testing.T, s *Scheduler, raw []byte, dop, budget int) ([]byte, Spec) {
-	t.Helper()
-	spec, err := s.ParseScriptJob(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.DOP, spec.MemoryBudget = dop, budget
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := waitTerminal(t, j, spec.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return canonical(out), spec
-}
-
-// TestSourceCacheCanary proves the read-only contract instead of assuming
-// it: each workload runs 50 times, eight at a time, over one cached
-// instance of its sources (merge joins sort, Reduces group, UDFs copy and
-// write), and afterwards the cached slabs still equal a fresh decode of
-// the same bytes bit for bit. Under -race a single write into a shared
-// record would also be reported as such.
-func TestSourceCacheCanary(t *testing.T) {
-	for name, raw := range workloadDocs(t) {
-		t.Run(name, func(t *testing.T) {
-			s := New(Config{MaxConcurrent: 4, DOP: 2})
-			want, first := runDoc(t, s, raw, 0, 0)
-			var wg sync.WaitGroup
-			runs := make(chan int, 50)
-			for i := 0; i < cap(runs); i++ {
-				runs <- i
-			}
-			close(runs)
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for range runs {
-						spec, err := s.ParseScriptJob(raw)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						for src, ds := range spec.Sources {
-							if len(ds) > 0 && &ds[0][0] != &first.Sources[src][0][0] {
-								t.Errorf("source %q was decoded again instead of shared", src)
-							}
-						}
-						j, err := s.Submit(spec)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						out, _, err := j.Wait(context.Background())
-						if err != nil || !bytes.Equal(canonical(out), want) {
-							t.Errorf("run over the shared sources: err %v, result differs: %v", err, err == nil)
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			fresh, err := ParseScriptJob(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for src, ds := range fresh.Sources {
-				if !sameBits(first.Sources[src], ds) {
-					t.Errorf("cached source %q no longer equals a fresh decode: a job wrote into shared rows", src)
-				}
-			}
-			if m := s.Metrics(); m.SourceCacheMisses != int64(len(fresh.Sources)) || m.SourceCacheHits != 50*int64(len(fresh.Sources)) {
-				t.Errorf("source cache hits/misses = %d/%d, want %d/%d", m.SourceCacheHits, m.SourceCacheMisses, 50*len(fresh.Sources), len(fresh.Sources))
-			}
-		})
-	}
-}
-
-// TestSourceCacheHitMissDisabledIdentical: a job over freshly decoded
-// sources, the same job over cached ones, and the job with caching off
-// return the same bytes, at every DOP and with and without a budget small
-// enough to spill.
-func TestSourceCacheHitMissDisabledIdentical(t *testing.T) {
-	for name, raw := range workloadDocs(t) {
-		for _, dop := range []int{1, 2, 8, 17} {
-			for _, budget := range []int{0, 256 << 10} {
-				cached := New(Config{MaxConcurrent: 1})
-				miss, spec := runDoc(t, cached, raw, dop, budget)
-				if !strings.Contains(spec.Compile.Detail, "doc=miss sources=0/") {
-					t.Fatalf("first parse: %s", spec.Compile.Detail)
-				}
-				if _, err := cached.ParseScriptJob(raw); err != nil { // the memo takes its copy
-					t.Fatal(err)
-				}
-				hit, spec := runDoc(t, cached, raw, dop, budget)
-				if !strings.Contains(spec.Compile.Detail, "doc=hit") {
-					t.Fatalf("second parse: %s", spec.Compile.Detail)
-				}
-				off, _ := runDoc(t, New(Config{MaxConcurrent: 1, PlanCacheSize: -1}), raw, dop, budget)
-				if !bytes.Equal(miss, hit) || !bytes.Equal(miss, off) {
-					t.Errorf("%s dop=%d budget=%d: results differ (miss %d bytes, hit %d, cache off %d)",
-						name, dop, budget, len(miss), len(hit), len(off))
-				}
-			}
-		}
-	}
-}
 
 // TestSourceCacheByteCeiling drives the byte bound with sources of made-up
 // sizes: past the ceiling the coldest go first, a source larger than the
@@ -214,49 +57,9 @@ func TestSourceCacheByteCeiling(t *testing.T) {
 		t.Errorf("a duplicate insert was charged: resident %d", resident)
 	}
 
-	c.mu.Lock()
-	for c.sources.len() > 0 {
-		c.sources.evictOldest()
-	}
-	c.mu.Unlock()
+	evict(c, c.sources, -1)
 	if st, resident, entries = c.counters(); resident != 0 || entries != 0 || st.sourceEvictions != 3 {
 		t.Errorf("after evicting everything: resident %d, entries %d, evictions %d", resident, entries, st.sourceEvictions)
-	}
-}
-
-// TestEvictedSourceOutlivesCache: a job holds its sources by reference, so
-// evicting them (or their document) from the cache mid-flight neither
-// breaks the job nor resurrects stale state; the next parse decodes again.
-func TestEvictedSourceOutlivesCache(t *testing.T) {
-	raw := workloadDocs(t)["clicks"]
-	s := New(Config{MaxConcurrent: 1, DOP: 2})
-	want, _ := runDoc(t, s, raw, 0, 0)
-	spec, err := s.ParseScriptJob(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := s.planCache
-	c.mu.Lock()
-	for c.sources.len() > 0 {
-		c.sources.evictOldest()
-	}
-	c.mu.Unlock()
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := waitTerminal(t, j, "job over evicted sources")
-	if err != nil || !bytes.Equal(canonical(out), want) {
-		t.Fatalf("job over evicted sources: err %v, same result %v", err, err == nil)
-	}
-	// The document memo now points at sources that are gone: the replay
-	// must fall through to a full parse, not hand out half a Spec.
-	again, spec := runDoc(t, s, raw, 0, 0)
-	if !bytes.Equal(again, want) || !strings.Contains(spec.Compile.Detail, "doc=miss sources=0/3") {
-		t.Fatalf("parse after eviction: %s, same result %v", spec.Compile.Detail, bytes.Equal(again, want))
-	}
-	if m := s.Metrics(); m.SourceCacheEvictions != 3 || m.SourceCacheEntries != 3 {
-		t.Errorf("evictions %d entries %d, want 3 and 3", m.SourceCacheEvictions, m.SourceCacheEntries)
 	}
 }
 
@@ -310,37 +113,6 @@ func TestSourceCacheSharing(t *testing.T) {
 	}
 }
 
-// TestFinishedJobHoldsNoInputs: whatever way a job ends, its Spec lets go of
-// the source data, and what the job is still asked for keeps working.
-func TestFinishedJobHoldsNoInputs(t *testing.T) {
-	s := New(Config{MaxConcurrent: 1, DOP: 2})
-	blocker, err := s.Submit(groupSpec(t, 7, 4000, 50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued, err := s.Submit(groupSpec(t, 8, 10, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued.Cancel()
-	failing, err := s.Submit(failingChainSpec(t, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for label, j := range map[string]*Job{"succeeded": blocker, "cancelled while queued": queued, "failed": failing} {
-		waitTerminal(t, j, label)
-		if !j.State().Terminal() || j.spec.Sources != nil {
-			t.Errorf("%s: state %v, still holds %d sources", label, j.State(), len(j.spec.Sources))
-		}
-		if j.Name() == "" && j.spec.Flow == nil {
-			t.Errorf("%s: finish dropped more than the sources", label)
-		}
-	}
-	if out, stats, err := blocker.Result(); err != nil || len(out) == 0 || stats == nil || blocker.Trace() == nil {
-		t.Errorf("result of a finished job: %d rows, stats %v, err %v", len(out), stats, err)
-	}
-}
-
 // TestFinishedJobsDoNotPinDecodedRows measures what the registry of a
 // server retains: 200 finished jobs of distinct documents (the Q7 SF 4 data
 // under 200 scripts; flowserve's default -max-jobs of 4096 would keep them
@@ -378,14 +150,14 @@ func TestFinishedJobsDoNotPinDecodedRows(t *testing.T) {
 		}
 		return j
 	}
-	waitTerminal(t, run(0), "warm-up") // the cache's own copy is not growth
+	waitTerminal(t, run(0)) // the cache's own copy is not growth
 	before := liveHeap()
 	retained := make([]*Job, 200)
 	for i := range retained {
 		retained[i] = run(i + 1)
 		if i%2 == 1 {
-			waitTerminal(t, retained[i-1], "job")
-			waitTerminal(t, retained[i], "job")
+			waitTerminal(t, retained[i-1])
+			waitTerminal(t, retained[i])
 		}
 	}
 	perJob := float64(liveHeap()-before) / float64(len(retained))

@@ -1,116 +1,16 @@
 package jobs
 
 import (
-	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"blackboxflow/internal/frontend"
+	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
+	"blackboxflow/internal/workloads/clickstream"
+	"blackboxflow/internal/workloads/tpch"
 )
-
-const wordcountDoc = `{
-  "name": "wordcount",
-  "script": "reduce count(g) { first := g.at(0) out := copy(first) out[1] = count(g, 0) emit out }",
-  "flow": {
-    "sources": [{"name": "words", "attrs": ["word", "n"]}],
-    "ops": [
-      {"kind": "reduce", "udf": "count", "inputs": ["words"], "keys": [["word"]], "key_cardinality": 3}
-    ],
-    "sink": "count"
-  },
-  "data": {
-    "words": [["a", null], ["b", null], ["a", null], ["c", null], ["a", null], ["b", null]]
-  }
-}`
-
-// TestParseScriptJobEndToEnd parses, submits, and runs a JSON job document.
-func TestParseScriptJobEndToEnd(t *testing.T) {
-	spec, err := ParseScriptJob([]byte(wordcountDoc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Name != "wordcount" {
-		t.Errorf("name = %q", spec.Name)
-	}
-	s := New(Config{MaxConcurrent: 1, DOP: 2})
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, stats, err := j.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.TotalUDFCalls() == 0 {
-		t.Error("no UDF calls recorded")
-	}
-	got := map[string]int64{}
-	for _, rec := range out {
-		got[rec.Field(0).AsString()] = rec.Field(1).AsInt()
-	}
-	want := map[string]int64{"a": 3, "b": 2, "c": 1}
-	for w, n := range want {
-		if got[w] != n {
-			t.Errorf("count[%q] = %d, want %d (full: %v)", w, got[w], n, got)
-		}
-	}
-}
-
-const joinDoc = `{
-  "script": "binary pair(l, r) { out := concat(l, r) emit out }",
-  "flow": {
-    "sources": [
-      {"name": "L", "attrs": ["lk", "lv"]},
-      {"name": "R", "attrs": ["rk", "rv"]}
-    ],
-    "ops": [
-      {"kind": "match", "udf": "pair", "inputs": ["L", "R"], "keys": [["lk"], ["rk"]], "key_cardinality": 2}
-    ],
-    "sink": "pair"
-  },
-  "data": {
-    "L": [[1, 10], [2, 20]],
-    "R": [[2, 200], [3, 300]]
-  }
-}`
-
-// TestParseScriptJobJoinRemap checks that per-source rows are remapped onto
-// the flow's global attribute space (R's fields land at indices 2,3 without
-// the submitter padding anything).
-func TestParseScriptJobJoinRemap(t *testing.T) {
-	spec, err := ParseScriptJob([]byte(joinDoc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rds := spec.Sources["R"]
-	if len(rds) != 2 {
-		t.Fatalf("R has %d records", len(rds))
-	}
-	if got := rds[0].Field(2).AsInt(); got != 2 {
-		t.Errorf("R row 0 global field 2 = %d, want 2", got)
-	}
-	if !rds[0].Field(0).IsNull() {
-		t.Error("R row 0 field 0 should be null padding")
-	}
-
-	s := New(Config{MaxConcurrent: 1, DOP: 2})
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := j.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 {
-		t.Fatalf("join emitted %d records, want 1: %v", len(out), out)
-	}
-	r := out[0]
-	if r.Field(0).AsInt() != 2 || r.Field(1).AsInt() != 20 || r.Field(2).AsInt() != 2 || r.Field(3).AsInt() != 200 {
-		t.Errorf("join output = %v", r)
-	}
-}
 
 // TestSourceListingAnAttributeTwice: such a source used to lose a column
 // without an error (its second field overwrote the first). Every way into
@@ -138,73 +38,9 @@ func TestSourceListingAnAttributeTwice(t *testing.T) {
 	}
 }
 
-// TestUDFErrorCitesScriptLine: a UDF's run-time error names the function
-// and the PactScript line the failing statement is on.
-func TestUDFErrorCitesScriptLine(t *testing.T) {
-	spec, err := ParseScriptJob([]byte(`{"script": "reduce last(g) {\n\tn := g.size()\n\tr := g.at(n)\n\temit r\n}",
-	  "flow": {"sources": [{"name": "s", "attrs": ["k"]}], "ops": [{"kind": "reduce", "udf": "last", "inputs": ["s"], "keys": [["k"]]}], "sink": "last"},
-	  "data": {"s": [[1]]}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := New(Config{MaxConcurrent: 1, DOP: 1}).Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = "engine: last: tac: last line 3: groupget index 1 out of range [0,1)"
-	if _, _, err := j.Wait(context.Background()); err == nil || err.Error() != want {
-		t.Fatalf("job error %v, want %q", err, want)
-	}
-}
-
-// TestFloatModuloByFractionFailsJob: `% 0.5` truncates the divisor to zero.
-// That used to panic a worker goroutine and take the process down; it fails
-// the one job, attributed to its operator, and the scheduler runs the next.
-func TestFloatModuloByFractionFailsJob(t *testing.T) {
-	const doc = `{
-  "script": "map half(ir) { out := copy(ir) out[1] = ir[0] % 0.5 emit out }",
-  "flow": {
-    "sources": [{"name": "xs", "attrs": ["x", "y"]}],
-    "ops": [{"kind": "map", "name": "halve", "udf": "half", "inputs": ["xs"]}],
-    "sink": "halve"
-  },
-  "data": {"xs": [[3.5, null], [1.25, null]]}
-}`
-	s := New(Config{MaxConcurrent: 1, DOP: 2})
-	for _, tc := range []struct{ doc, wantErr string }{
-		{doc, "engine: halve: tac: half line 1: float modulo by zero"},
-		{wordcountDoc, ""},
-	} {
-		spec, err := s.ParseScriptJob([]byte(tc.doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := s.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, err = j.Wait(context.Background())
-		if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || err.Error() != tc.wantErr) {
-			t.Fatalf("job error %v, want %q", err, tc.wantErr)
-		}
-	}
-}
-
 // TestParseScriptJobErrors: malformed documents (badDocs, ingest_test.go)
 // fail with diagnostics, not panics.
-func TestParseScriptJobErrors(t *testing.T) {
-	for _, tc := range badDocs {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseScriptJob([]byte(tc.doc))
-			if err == nil {
-				t.Fatalf("no error for %s", tc.name)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
-}
+func TestParseScriptJobErrors(t *testing.T) { TestIngestErrorMessagesUnchanged(t) }
 
 // TestParseScriptJobRejectsWhatUsedToSlipThrough pins three bugfixes of the
 // ingest path: bytes after the document (a second document, stray text)
@@ -267,5 +103,44 @@ func TestDecodeEncodeRows(t *testing.T) {
 	}
 	if rows[0][0] != int64(1) {
 		t.Errorf("encoded int = %#v", rows[0][0])
+	}
+}
+
+// TestDocumentFKMarks: a document's fk marks reach the optimizer. They
+// license the invariant-grouping rewrite, which is all of Q15's plan space
+// beyond the submitted order and all of the analysed clickstream's (Table
+// 1: 3 and 3 plans); without them each document has one plan.
+func TestDocumentFKMarks(t *testing.T) {
+	g := &tpch.GenParams{SF: 0.05, Seed: 1}
+	cg := &clickstream.GenParams{Sessions: 40, ClicksPerSess: 12, BuyRate: 0.10, LoginRate: 0.30, Users: 8, Seed: 1}
+	for _, c := range []struct {
+		name string
+		doc  *ScriptJob
+	}{
+		{"q15", workloadDoc(t, "q15", tpch.Q15(g), g.Generate)},
+		{"clickstream", workloadDoc(t, "clicks", clickstream.Def(cg), cg.Generate)},
+	} {
+		for _, marked := range []bool{true, false} {
+			doc := *c.doc
+			doc.Flow.Ops = slices.Clone(doc.Flow.Ops)
+			want := 3
+			if !marked {
+				for i := range doc.Flow.Ops {
+					doc.Flow.Ops[i].FK = ""
+				}
+				want = 1
+			}
+			spec, err := ParseScriptJob(marshal(&doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranked, err := optimizer.Plan(spec.Flow, 2, 0, optimizer.NetProfile{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ranked) != want {
+				t.Errorf("%s with fk marks %v: %d plans, want %d", c.name, marked, len(ranked), want)
+			}
+		}
 	}
 }

@@ -7,114 +7,52 @@ import (
 	"time"
 )
 
+// The tests of this file pin admission order under tenant caps, cost
+// backpressure and a forced shutdown. Each drives one scheduler with the
+// harness's rows, the spin row as the blocker, outside the suites table:
+// what they pin is which job is admitted when, not a path.
+
+// plain is a harness outside the suites table, over cfg.
+func plain(cfg Config) *harness { return &harness{suite: suite{cfg: cfg}, ran: map[string]bool{}} }
+
+// tenant submits a spec as the named tenant.
+func tenant(name string) func(*Spec) { return func(sp *Spec) { sp.Tenant = name } }
+
+var tight32 = at("budget=32768 dop=4")
+
 // TestTenantQueuedQuota: a tenant at its queued cap gets ErrTenantQuota
 // while other tenants keep submitting, and the slot frees once one of its
 // jobs leaves the queue.
 func TestTenantQueuedQuota(t *testing.T) {
-	const perJob = 32 << 10
-	// Budget admits one job; everything else queues.
-	s := New(Config{GlobalBudget: perJob, MaxConcurrent: 4, DOP: 4, TenantMaxQueued: 2})
-
-	blocker, err := s.Submit(withBudget(groupSpec(t, 1, 400000, 200000), perJob))
-	if err != nil {
-		t.Fatal(err)
+	h := plain(Config{GlobalBudget: 32 << 10, MaxConcurrent: 4, TenantMaxQueued: 2})
+	s := h.sched(t, tight32)
+	h.submit(t, s, "spin", tight32) // the budget admits one job: the rest queue
+	queued := h.submit(t, s, "group#10", tight32, tenant("acme"))
+	h.submit(t, s, "group#11", tight32, tenant("acme"))
+	h.refused(t, s, "group#20", tight32, ErrTenantQuota, tenant("acme"))
+	h.submit(t, s, "group#30", tight32, tenant("globex"))
+	if m := s.Metrics(); m.QuotaRejected != 1 || m.Tenants["acme"].Queued != 2 {
+		t.Errorf("QuotaRejected = %d, acme queued = %d, want 1 and 2", m.QuotaRejected, m.Tenants["acme"].Queued)
 	}
-	defer func() {
-		blocker.Cancel()
-		blocker.Wait(context.Background())
-	}()
-
-	submit := func(tenant string, seed int64) (*Job, error) {
-		spec := withBudget(groupSpec(t, seed, 100, 50), perJob)
-		spec.Tenant = tenant
-		return s.Submit(spec)
-	}
-
-	var queued []*Job
-	for i := 0; i < 2; i++ {
-		j, err := submit("acme", int64(10+i))
-		if err != nil {
-			t.Fatalf("queued submission %d: %v", i, err)
-		}
-		queued = append(queued, j)
-	}
-	if _, err := submit("acme", 20); !errors.Is(err, ErrTenantQuota) {
-		t.Fatalf("third acme submission err = %v, want ErrTenantQuota", err)
-	}
-	// Another tenant is unaffected by acme's cap.
-	if _, err := submit("globex", 30); err != nil {
-		t.Fatalf("globex submission: %v", err)
-	}
-
-	m := s.Metrics()
-	if m.QuotaRejected != 1 {
-		t.Errorf("QuotaRejected = %d, want 1", m.QuotaRejected)
-	}
-	if tm := m.Tenants["acme"]; tm.Queued != 2 {
-		t.Errorf("acme queued gauge = %d, want 2", tm.Queued)
-	}
-
-	// Cancelling a queued acme job frees a quota slot.
-	queued[0].Cancel()
-	if _, err := submit("acme", 40); err != nil {
-		t.Fatalf("submission after freeing a quota slot: %v", err)
-	}
+	queued.job.Cancel()
+	h.submit(t, s, "group#40", tight32, tenant("acme")) // the cancel freed a quota slot
 }
 
 // TestTenantRunningCapSkipsHead: a job held back only by its own tenant's
 // running cap must not head-of-line-block another tenant's job behind it —
 // but both must eventually run.
 func TestTenantRunningCapSkipsHead(t *testing.T) {
-	s := New(Config{MaxConcurrent: 2, DOP: 2, TenantMaxRunning: 1})
-
-	// acme occupies its single running slot.
-	first, err := func() (*Job, error) {
-		spec := groupSpec(t, 1, 400000, 200000)
-		spec.Tenant = "acme"
-		return s.Submit(spec)
-	}()
-	if err != nil {
-		t.Fatal(err)
+	h, p := plain(Config{MaxConcurrent: 2, TenantMaxRunning: 1}), at("")
+	s := h.sched(t, p)
+	first, second := h.submit(t, s, "spin", p, tenant("acme")), h.submit(t, s, "group#2", p, tenant("acme"))
+	if st := second.job.State(); st != StateQueued {
+		t.Fatalf("second acme job %v, want queued (tenant cap) with a slot free", st)
 	}
-
-	// A second acme job queues (its tenant is at the running cap) even
-	// though an engine slot is free.
-	second, err := func() (*Job, error) {
-		spec := groupSpec(t, 2, 100, 50)
-		spec.Tenant = "acme"
-		return s.Submit(spec)
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := second.State(); st != StateQueued {
-		t.Fatalf("second acme job state = %v, want queued (tenant cap)", st)
-	}
-
-	// globex's job, submitted behind it, is admitted immediately.
-	third, err := func() (*Job, error) {
-		spec := groupSpec(t, 3, 100, 50)
-		spec.Tenant = "globex"
-		return s.Submit(spec)
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := third.Wait(context.Background()); err != nil {
-		t.Fatalf("globex job skipped past the capped head but failed: %v", err)
-	}
-
-	first.Cancel()
-	if _, _, err := first.Wait(context.Background()); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("blocker: %v", err)
-	}
-	// With acme's slot free, the queued job runs.
-	if _, _, err := second.Wait(context.Background()); err != nil {
-		t.Fatalf("second acme job after cap freed: %v", err)
-	}
-
-	m := s.Metrics()
-	if tm := m.Tenants["acme"]; tm.PeakRunning > 1 {
+	h.finish(t, h.submit(t, s, "group#3", p, tenant("globex")))
+	first.job.Cancel()
+	h.finish(t, first)
+	h.finish(t, second)
+	if tm := s.Metrics().Tenants["acme"]; tm.PeakRunning > 1 {
 		t.Errorf("acme peak running = %d, exceeds its cap of 1", tm.PeakRunning)
 	}
 }
@@ -122,38 +60,18 @@ func TestTenantRunningCapSkipsHead(t *testing.T) {
 // TestTenantBudgetShare: TenantBudgetFrac caps one tenant's summed grants
 // below the global budget while leaving room for others.
 func TestTenantBudgetShare(t *testing.T) {
-	const perJob = 32 << 10
-	// Global budget fits two jobs; each tenant's share fits one.
-	s := New(Config{GlobalBudget: 2 * perJob, MaxConcurrent: 4, DOP: 4, TenantBudgetFrac: 0.5})
-
-	submit := func(tenant string, seed int64, n, card int) *Job {
-		t.Helper()
-		spec := withBudget(groupSpec(t, seed, n, card), perJob)
-		spec.Tenant = tenant
-		j, err := s.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
+	h := plain(Config{GlobalBudget: 2 * 32 << 10, MaxConcurrent: 4, TenantBudgetFrac: 0.5})
+	s := h.sched(t, tight32)
+	a1, a2 := h.submit(t, s, "spin", tight32, tenant("acme")), h.submit(t, s, "group#2", tight32, tenant("acme"))
+	if st := a2.job.State(); st != StateQueued {
+		t.Fatalf("acme's second job %v, want queued (budget share)", st)
 	}
-
-	a1 := submit("acme", 1, 400000, 200000)
-	a2 := submit("acme", 2, 100, 50)
-	if st := a2.State(); st != StateQueued {
-		t.Fatalf("acme's second job state = %v, want queued (budget share)", st)
-	}
-	b1 := submit("globex", 3, 100, 50)
-	if _, _, err := b1.Wait(context.Background()); err != nil {
-		t.Fatalf("globex job under its own share: %v", err)
-	}
-
-	a1.Cancel()
-	a1.Wait(context.Background())
-	if _, _, err := a2.Wait(context.Background()); err != nil {
-		t.Fatalf("acme's second job after share freed: %v", err)
-	}
-	if tm := s.Metrics().Tenants["acme"]; tm.PeakGrantedBudget > perJob {
-		t.Errorf("acme peak granted = %d, exceeds its %d share", tm.PeakGrantedBudget, perJob)
+	h.finish(t, h.submit(t, s, "group#3", tight32, tenant("globex")))
+	a1.job.Cancel()
+	h.finish(t, a1)
+	h.finish(t, a2)
+	if tm := s.Metrics().Tenants["acme"]; tm.PeakGrantedBudget > 32<<10 {
+		t.Errorf("acme peak granted = %d, exceeds its %d share", tm.PeakGrantedBudget, 32<<10)
 	}
 }
 
@@ -162,130 +80,68 @@ func TestTenantBudgetShare(t *testing.T) {
 // regardless of queue length — while a job that can start immediately is
 // admitted no matter its cost.
 func TestCostBackpressure(t *testing.T) {
-	const perJob = 32 << 10
-	big := withBudget(groupSpec(t, 1, 400000, 200000), perJob)
-
-	// Read the big job's cost estimate off a submission to size the
-	// ceiling: one fits the queue, two do not.
-	probe, err := New(Config{GlobalBudget: perJob, MaxConcurrent: 1, DOP: 4}).Submit(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe.Cancel()
-	probe.Wait(context.Background())
-	cost := probe.CostEstimate()
+	h := plain(Config{GlobalBudget: 32 << 10, MaxConcurrent: 4})
+	probe := h.submit(t, h.sched(t, tight32, func(c *Config) { c.MaxConcurrent = 1 }), "spin", tight32)
+	probe.job.Cancel()
+	h.finish(t, probe)
+	cost := probe.job.CostEstimate()
 	if cost <= 0 {
 		t.Fatalf("CostEstimate = %g, want positive", cost)
 	}
-
-	s := New(Config{GlobalBudget: perJob, MaxConcurrent: 4, DOP: 4, MaxQueuedCost: 1.5 * cost})
-
-	// An expensive job on an idle scheduler starts immediately: never
-	// rejected, whatever its cost.
-	blocker, err := s.Submit(big)
-	if err != nil {
-		t.Fatalf("idle-scheduler submission rejected: %v", err)
-	}
-	defer func() {
-		blocker.Cancel()
-		blocker.Wait(context.Background())
-	}()
-
-	// The first queued big job fits under the ceiling; the second does not.
-	q1, err := s.Submit(withBudget(groupSpec(t, 2, 400000, 200000), perJob))
-	if err != nil {
-		t.Fatalf("first queued submission: %v", err)
-	}
-	if st := q1.State(); st != StateQueued {
+	// One spin job fits the queue's cost ceiling, two do not.
+	s := h.sched(t, tight32, func(c *Config) { c.MaxQueuedCost = 1.5 * cost })
+	h.submit(t, s, "spin", tight32) // an idle scheduler admits it whatever its cost
+	q1 := h.submit(t, s, "spin", tight32)
+	if st := q1.job.State(); st != StateQueued {
 		t.Fatalf("q1 state = %v, want queued", st)
 	}
-	_, err = s.Submit(withBudget(groupSpec(t, 3, 400000, 200000), perJob))
-	if !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("over-ceiling submission err = %v, want ErrBackpressure", err)
+	h.refused(t, s, "spin", tight32, ErrBackpressure)
+	cheap := h.submit(t, s, "group#4", tight32) // under the remaining headroom
+	if m := s.Metrics(); m.BackpressureRejected != 1 || m.QueuedCost <= 0 {
+		t.Errorf("BackpressureRejected = %d, QueuedCost = %g, want 1 and positive", m.BackpressureRejected, m.QueuedCost)
 	}
-
-	// A cheap job still fits under the remaining cost headroom.
-	cheap, err := s.Submit(withBudget(groupSpec(t, 4, 50, 20), perJob))
-	if err != nil {
-		t.Fatalf("cheap submission under remaining headroom: %v", err)
+	for _, r := range []*run{q1, cheap} {
+		r.job.Cancel()
+		h.end(t, r, StateCancelled)
 	}
-
-	m := s.Metrics()
-	if m.BackpressureRejected != 1 {
-		t.Errorf("BackpressureRejected = %d, want 1", m.BackpressureRejected)
-	}
-	if m.QueuedCost <= 0 {
-		t.Errorf("QueuedCost gauge = %g, want positive while jobs queue", m.QueuedCost)
-	}
-
-	// Draining the queue returns the gauge to zero.
-	q1.Cancel()
-	cheap.Cancel()
-	q1.Wait(context.Background())
-	cheap.Wait(context.Background())
 	if got := s.Metrics().QueuedCost; got != 0 {
-		t.Errorf("QueuedCost = %g after queue drained, want 0", got)
+		t.Errorf("QueuedCost = %g after the queue drained, want 0", got)
 	}
 }
 
 // TestForcedShutdownAdmitsNothing is the regression test for the forced-
 // shutdown bug: once Shutdown's drain deadline passes, a finishing or
 // cancelled job's dispatchLocked could admit a still-queued job onto an
-// engine mid-teardown — starting work just to cancel it moments later.
-// The racy interleaving (a running job finishing while Shutdown is still
-// evicting the queue) is recreated deterministically: the deadline path's
-// state (closed + stopping) is set by hand, then the running blocker is
-// cancelled while jobs are still queued.
+// engine mid-teardown. The racy interleaving is recreated
+// deterministically: the deadline path's state (closed + stopping) is set
+// by hand, then the running blocker is cancelled while jobs still queue.
 func TestForcedShutdownAdmitsNothing(t *testing.T) {
-	const perJob = 32 << 10
-	s := New(Config{GlobalBudget: perJob, MaxConcurrent: 4, DOP: 4})
-
-	blocker, err := s.Submit(withBudget(groupSpec(t, 1, 400000, 200000), perJob))
-	if err != nil {
-		t.Fatal(err)
+	h := plain(Config{GlobalBudget: 32 << 10, MaxConcurrent: 4})
+	s := h.sched(t, tight32)
+	blocker := h.submit(t, s, "spin", tight32)
+	var queued []*run
+	for _, name := range []string{"group#10", "group#11", "group#12", "group#13"} {
+		queued = append(queued, h.submit(t, s, name, tight32))
 	}
-	var queued []*Job
-	for i := 0; i < 4; i++ {
-		j, err := s.Submit(withBudget(groupSpec(t, int64(10+i), 1000, 500), perJob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		queued = append(queued, j)
-	}
-
-	// What Shutdown's deadline path sets before it starts evicting.
 	s.mu.Lock()
-	s.closed = true
-	s.stopping = true
+	s.closed, s.stopping = true, true
 	s.mu.Unlock()
-
-	// The blocker winds down while four jobs are still queued: its
-	// finishJob frees the whole budget and runs dispatchLocked — which,
-	// without the stopping gate, admits the queue head here.
-	blocker.Cancel()
-	if _, _, err := blocker.Wait(context.Background()); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("blocker err = %v, want ErrCancelled", err)
-	}
-	for i, j := range queued {
-		if st := j.State(); st != StateQueued {
-			t.Errorf("queued job %d state = %v after forced-shutdown began, want queued", i, st)
-		}
-		if !j.Started().IsZero() {
-			t.Errorf("queued job %d was admitted during forced shutdown (started %v)",
-				i, j.Started())
+	// The blocker's finishJob frees the whole budget and runs
+	// dispatchLocked, which without the stopping gate admits the head.
+	blocker.job.Cancel()
+	h.finish(t, blocker)
+	for i, r := range queued {
+		if st := r.job.State(); st != StateQueued || !r.job.Started().IsZero() {
+			t.Errorf("queued job %d: state %v, started %v after forced shutdown began", i, st, r.job.Started())
 		}
 	}
-
-	// Shutdown (deadline long expired) now evicts the queue and returns.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown err = %v, want DeadlineExceeded", err)
 	}
-	for i, j := range queued {
-		if _, _, err := j.Wait(context.Background()); !errors.Is(err, ErrCancelled) {
-			t.Fatalf("queued job %d err = %v, want ErrCancelled", i, err)
-		}
+	for _, r := range queued {
+		h.end(t, r, StateCancelled)
 	}
 	if m := s.Metrics(); m.Admitted != 1 {
 		t.Errorf("Admitted = %d, want 1 (only the blocker)", m.Admitted)
@@ -298,26 +154,14 @@ func TestForcedShutdownAdmitsNothing(t *testing.T) {
 // quarter share, that is every default-grant job (half the global budget).
 func TestTenantBudgetClamp(t *testing.T) {
 	const global, share = 1 << 20, 1 << 18
-	s := New(Config{GlobalBudget: global, MaxConcurrent: 2, DOP: 4, TenantBudgetFrac: 0.25, SpillDir: t.TempDir()})
-	for label, spec := range map[string]Spec{
-		"default grant":       groupSpec(t, 1, 2000, 50),
-		"whole global budget": withBudget(groupSpec(t, 2, 2000, 50), global),
-	} {
-		j, err := s.Submit(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+	h := plain(Config{GlobalBudget: global, MaxConcurrent: 2, TenantBudgetFrac: 0.25})
+	s := h.sched(t, at(""))
+	for _, p := range []path{at("dop=4"), at("budget=1048576 dop=4")} {
+		r := h.submit(t, s, "group#"+p.budget, p)
+		if r.job.Grant() != share {
+			t.Errorf("budget %s: grant = %d, want the tenant share %d", p.budget, r.job.Grant(), share)
 		}
-		if j.Grant() != share {
-			t.Errorf("%s: grant = %d, want the tenant share %d", label, j.Grant(), share)
-		}
-		select {
-		case <-j.Done():
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: job still %v, never admitted", label, j.State())
-		}
-		if _, _, err := j.Result(); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
+		h.finish(t, r)
 	}
 	if m := s.Metrics(); m.PeakGrantedBudget > share || m.Tenants[""].PeakGrantedBudget > share {
 		t.Errorf("peak granted %d (tenant %d) exceeds the tenant share %d", m.PeakGrantedBudget, m.Tenants[""].PeakGrantedBudget, share)
