@@ -174,12 +174,14 @@ func (h *harness) server(t *testing.T, p path) (*server, string) {
 
 // cell runs row name on path p on a server of its own, primed to the
 // path's cache state: the job must leave the scheduler drained and the
-// spill directory empty, and one failed by an injected fault must leave
-// the server able to run the same document once the fault is spent.
-func (h *harness) cell(t *testing.T, name string, p path) *outcome {
+// spill directory empty, an answer that names no job must have submitted
+// none, and a job failed by an injected fault must leave the server able to
+// run the same document once the fault is spent.
+func (h *harness) cell(t *testing.T, name string, p path) {
 	t.Helper()
 	srv, url := h.server(t, p)
-	for i := range map[string]int{"plan": 1, "replay": 2}[p.cache] {
+	primes := map[string]int{"plan": 1, "replay": 2}[p.cache]
+	for i := range primes {
 		h.finish(t, h.submit(t, srv, url, name, path{"POST?wait=1", []string{"cold", "plan"}[i], "none"}, true))
 	}
 	r := h.submit(t, srv, url, name, p, false)
@@ -189,7 +191,7 @@ func (h *harness) cell(t *testing.T, name string, p path) *outcome {
 	h.finish(t, r)
 	var m jobs.Metrics
 	getJSON(t, url+"/metrics", &m)
-	if ents, _ := os.ReadDir(srv.sched.Config().SpillDir); m.GrantedBudget != 0 || m.Running != 0 || m.Submitted != srv.registered() || len(ents) != 0 {
+	if ents, _ := os.ReadDir(srv.sched.Config().SpillDir); m.GrantedBudget != 0 || m.Running != 0 || m.Submitted != srv.registered() || r.id == 0 && m.Submitted != int64(primes) || len(ents) != 0 {
 		t.Fatalf("%s %s: granted %d, running %d, submitted %d of %d registered, %d spill entries left", name, p, m.GrantedBudget, m.Running, m.Submitted, srv.registered(), len(ents))
 	}
 	if h.check != nil {
@@ -198,7 +200,6 @@ func (h *harness) cell(t *testing.T, name string, p path) *outcome {
 	if p.fault != "none" {
 		h.finish(t, h.submit(t, srv, url, name, path{"POST?wait=1", "plan", "none"}, true))
 	}
-	return r
 }
 
 // submit sends the document's POST /jobs on path p with the header's
@@ -256,7 +257,9 @@ func (h *harness) finish(t *testing.T, r *outcome) {
 		}
 		json.Unmarshal(r.body, &doc)
 		getJSON(t, fmt.Sprintf("%s/jobs/%d", r.url, r.id), &r.view)
-		if msg := r.row.answer(doc.Rows); msg != "" || doc.ID != r.id || r.view.State != "succeeded" || r.view.Records != len(doc.Rows) || r.view.Stats == nil || strings.HasSuffix(r.path.entry, "stats=1") == (len(doc.Stats) == 0) {
+		// Statistics, and a "stats" key, come exactly when ?stats=1 asks.
+		if msg, stats := r.row.answer(doc.Rows), len(doc.Stats) > 0; msg != "" || doc.ID != r.id || r.view.State != "succeeded" || r.view.Records != len(doc.Rows) || r.view.Stats == nil ||
+			strings.HasSuffix(r.path.entry, "stats=1") != stats || bytes.Contains(r.body, []byte(`"stats"`)) != stats {
 			t.Fatalf("%s: %s; job view %+v, %d operator statistics", label, msg, r.view, len(doc.Stats))
 		}
 	default:

@@ -98,11 +98,12 @@ var suites = map[string]suite{
 			}
 		}},
 	// A draining server refuses new submissions and its health check, and
-	// finishes the jobs it accepted.
-	"TestGracefulDrain": {cells: cells("wordcount", "entry=GET"), cfg: cfg2,
+	// finishes the jobs it accepted before Shutdown returns (the spilling row
+	// is still running when Shutdown is called).
+	"TestGracefulDrain": {cells: cells("wordcount-spill", "entry=GET"), cfg: cfg2,
 		body: func(t *testing.T, h *harness) {
 			srv, url := h.server(t, h.cells[0].path)
-			r := h.submit(t, srv, url, "wordcount", h.cells[0].path, false)
+			r := h.submit(t, srv, url, "wordcount-spill", h.cells[0].path, false)
 			srv.draining.Store(true)
 			for _, req := range [][2]string{{http.MethodPost, "/jobs"}, {http.MethodGet, "/healthz"}} {
 				if st, _ := request(t, req[0], url+req[1], wordcountDoc); st != http.StatusServiceUnavailable {
@@ -113,6 +114,9 @@ var suites = map[string]suite{
 			defer cancel()
 			if err := srv.sched.Shutdown(ctx); err != nil {
 				t.Fatalf("drain: %v", err)
+			}
+			if getJSON(t, fmt.Sprintf("%s/jobs/%d", url, r.id), &r.view); r.view.State != "succeeded" {
+				t.Fatalf("accepted job state after drain = %q, want succeeded", r.view.State)
 			}
 			h.finish(t, r)
 		}},

@@ -55,8 +55,10 @@ type path struct {
 	// third parse: the document memo), off (PlanCacheSize -1), or shared
 	// (concurrent parses of one document, checked by the suite's counts).
 	cache string
-	// place: local, remote (every partition on two workers), mixed (one
-	// local slot), or dead (a fleet that never answers: the fallback).
+	// place: local, remote (every partition on the suite's two-worker
+	// fleet), mixed (one local slot), dead (a fleet that never answers: the
+	// fallback), or closing and stalled (a fleet of in-process workers the
+	// suite closes one by one, or one that stops reading).
 	place string
 	// fault: none, enospc@N (ENOSPC at filesystem operation N), sweep (a
 	// seeded sweep of single faults), or stall (a worker that stops
@@ -134,10 +136,12 @@ func (s suite) tuples() map[string]bool {
 // harness runs one suite.
 type harness struct {
 	suite
-	mu     sync.Mutex
-	ran    map[string]bool
-	fleet  []string
-	local  []*transport.Worker // the fleet's in-process workers, if it is not processes
+	mu    sync.Mutex
+	ran   map[string]bool
+	fleet []string
+	local []*transport.Worker // the fleet's in-process workers, if it is not processes
+	// fleetG is the goroutines the fleet runs, which outlive the suite.
+	fleetG int
 	scheds []*Scheduler
 }
 
@@ -166,9 +170,6 @@ func runSuite(t *testing.T) {
 		t.Fatalf("no suite named %s", t.Name())
 	}
 	h := &harness{suite: s, ran: map[string]bool{}}
-	if slices.ContainsFunc(s.cells, func(c cell) bool { return c.path.place == "remote" || c.path.place == "mixed" }) {
-		h.fleet, h.local = startWorkers(t, 2, false)
-	}
 	before := runtime.NumGoroutine()
 	if s.body != nil {
 		s.body(t, h)
@@ -190,20 +191,29 @@ func runSuite(t *testing.T) {
 	for _, s := range h.scheds {
 		h.drained(t, s)
 	}
-	waitGoroutines(t, before)
+	waitGoroutines(t, before+h.fleetG)
 }
 
 // sched builds a scheduler for path p over the suite's config, each of
 // adjust applied last; it is shut down, its stragglers cancelled, when the
-// test ends.
+// test ends. The first remote or mixed path starts the suite's fleet.
 func (h *harness) sched(t *testing.T, p path, adjust ...func(*Config)) *Scheduler {
 	cfg := h.cfg
 	cfg.SpillDir = t.TempDir()
 	switch p.place {
 	case "remote", "mixed":
+		if h.fleet == nil {
+			n := runtime.NumGoroutine()
+			h.fleet, h.local = startWorkers(t, 2, false)
+			h.fleetG = runtime.NumGoroutine() - n
+		}
 		cfg.Workers, cfg.LocalSlots = h.fleet, map[string]int{"mixed": 1}[p.place]
 	case "dead":
-		cfg.Workers = deadWorkers(t, 2)
+		for range 2 { // addresses nothing listens on
+			ln := must(net.Listen("tcp", "127.0.0.1:0"))
+			cfg.Workers = append(cfg.Workers, ln.Addr().String())
+			ln.Close()
+		}
 	}
 	if p.cache == "off" {
 		cfg.PlanCacheSize = -1
@@ -230,7 +240,7 @@ func (h *harness) sched(t *testing.T, p path, adjust ...func(*Config)) *Schedule
 // that failed must leave it able to run the next job — the same row once
 // an injected fault is spent, else wordcount — while its own trace stays
 // as it was.
-func (h *harness) cell(t *testing.T, name string, p path) *run {
+func (h *harness) cell(t *testing.T, name string, p path) {
 	t.Helper()
 	s := h.sched(t, p)
 	for range map[string]int{"source": 1, "replay": 2}[p.cache] {
@@ -262,7 +272,6 @@ func (h *harness) cell(t *testing.T, name string, p path) *run {
 	if h.check != nil {
 		h.check(t, h, r)
 	}
-	return r
 }
 
 // start parses row name on s and submits it on path p, the spec adjusted
@@ -327,15 +336,15 @@ func (h *harness) refused(t *testing.T, s *Scheduler, name string, p path, want 
 
 // waitTerminal waits for the job with a watchdog; a job that never reaches
 // a terminal state is a hang.
-func waitTerminal(t *testing.T, j *Job) (record.DataSet, error) {
+func waitTerminal(t *testing.T, j *Job) (record.DataSet, *engine.RunStats, error) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	out, _, err := j.Wait(ctx)
+	out, stats, err := j.Wait(ctx)
 	if errors.Is(err, context.DeadlineExceeded) && !j.State().Terminal() {
 		t.Fatalf("job %s hung past the watchdog in state %v", j.Name(), j.State())
 	}
-	return out, err
+	return out, stats, err
 }
 
 // finish waits for r and checks its outcome: the oracle's bag, the row's
@@ -343,8 +352,7 @@ func waitTerminal(t *testing.T, j *Job) (record.DataSet, error) {
 // its span tree and its path.
 func (h *harness) finish(t *testing.T, r *run) {
 	t.Helper()
-	r.out, r.err = waitTerminal(t, r.job)
-	_, r.stats, _ = r.job.Result()
+	r.out, r.stats, r.err = waitTerminal(t, r.job)
 	label := r.row.name + " " + r.path.String()
 	switch st, msg := r.job.State(), ""; {
 	case r.path.fault == "sweep" && r.err != nil:
@@ -411,11 +419,12 @@ func (h *harness) checkTrace(t *testing.T, r *run, label string) {
 	if !strings.HasPrefix(compile, want) || r.cache == "plan" && !hit || hit && !strings.Contains("plan replay shared", r.cache) || r.cache == "off" && r.spec.PlanKey != "" {
 		t.Fatalf("%s: compile %q, optimize %q, plan key %q after a %s parse", label, compile, phases["optimize"].Detail, r.spec.PlanKey, r.cache)
 	}
-	// Under FLOWWORKER_BIN the fleet is flowworker processes.
-	m, procs := r.s.Metrics(), os.Getenv("FLOWWORKER_BIN") != "" && slices.Equal(r.s.cfg.Workers, h.fleet)
-	if remote := r.path.place == "remote" || r.path.place == "mixed"; remote && (m.WorkerFallbacks != 0 || r.err == nil && r.stats.TotalShippedBytes() > 0 && workers == 0 || procs && h.local[0] != nil) ||
+	// Under FLOWWORKER_BIN the suite's fleet is flowworker processes.
+	m, fleet := r.s.Metrics(), r.path.place == "remote" || r.path.place == "mixed"
+	inProc := fleet && os.Getenv("FLOWWORKER_BIN") != "" && h.local[0] != nil
+	if remote := fleet || r.path.place == "closing" || r.path.place == "stalled"; remote && (m.WorkerFallbacks != 0 || r.err == nil && r.stats.TotalShippedBytes() > 0 && workers == 0 || inProc) ||
 		!remote && workers != 0 || r.path.place == "dead" && m.WorkerFallbacks == 0 {
-		t.Fatalf("%s: %d fallbacks, %d transport spans on a worker, fleet in process under FLOWWORKER_BIN %v", label, m.WorkerFallbacks, workers, procs && h.local[0] != nil)
+		t.Fatalf("%s: %d fallbacks, %d transport spans on a worker, fleet in process under FLOWWORKER_BIN %v", label, m.WorkerFallbacks, workers, inProc)
 	}
 }
 
@@ -528,17 +537,6 @@ func startWorkers(t *testing.T, n int, inProcess bool) ([]string, []*transport.W
 		addrs[i], workers[i] = w.Addr(), w
 	}
 	return addrs, workers
-}
-
-// deadWorkers returns n addresses nothing listens on.
-func deadWorkers(t *testing.T, n int) []string {
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln := must(net.Listen("tcp", "127.0.0.1:0"))
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	return addrs
 }
 
 // chaosSeed returns the chaos suites' seed: FAULTFS_SEED when set, else 1.

@@ -181,8 +181,6 @@ func TestPlanCacheConcurrentEvictionFault(t *testing.T) {
 	}
 }
 
-// parseWords parses doc on s and reports whether the document memo replayed
-// it, and the words its source holds.
 // evict evicts the n coldest entries of l, every entry if n < 0, under
 // c's lock.
 func evict(c *PlanCache, l *lruMap, n int) {
@@ -193,6 +191,8 @@ func evict(c *PlanCache, l *lruMap, n int) {
 	}
 }
 
+// parseWords parses doc on s and reports whether the document memo replayed
+// it, and the words its source holds.
 func parseWords(t *testing.T, s *Scheduler, doc []byte) (replayed bool, words []string) {
 	t.Helper()
 	spec, err := s.ParseScriptJob(doc)

@@ -147,6 +147,11 @@ var suites = map[string]suite{
 			if err := s.Shutdown(context.Background()); err != nil {
 				t.Fatal(err)
 			}
+			for _, r := range runs { // Shutdown returns once they are done
+				if st := r.job.State(); st != StateSucceeded {
+					t.Fatalf("%s: state %v when Shutdown returned, want succeeded", r.row.name, st)
+				}
+			}
 			h.finishAll(t, runs)
 			h.refused(t, s, "group#99", h.cells[5].path, ErrClosed)
 		}},
@@ -161,6 +166,9 @@ var suites = map[string]suite{
 				t.Fatalf("Shutdown err = %v, want DeadlineExceeded", err)
 			}
 			for _, r := range runs {
+				if st := r.job.State(); st != StateCancelled {
+					t.Fatalf("%s: state %v when Shutdown returned, want cancelled", r.row.name, st)
+				}
 				h.end(t, r, StateCancelled)
 			}
 		}},
@@ -224,7 +232,7 @@ var suites = map[string]suite{
 		}},
 	// A dead worker drops out of placement after one TTL; with the whole
 	// fleet dead the job falls back to running in process, counted.
-	"TestSchedulerWorkerHealthPlacement": {cells: append(cells("group#21", "place=remote dop=4"), cells("group#21", "cache=plan place=remote,dead dop=4")...), cfg: Config{MaxConcurrent: 1},
+	"TestSchedulerWorkerHealthPlacement": {cells: append(cells("group#21", "place=closing dop=4"), cells("group#21", "cache=plan place=closing,dead dop=4")...), cfg: Config{MaxConcurrent: 1},
 		body: func(t *testing.T, h *harness) {
 			addrs, workers := startWorkers(t, 2, true)
 			s := h.sched(t, h.cells[0].path, func(c *Config) { c.Workers = addrs })
@@ -243,7 +251,7 @@ var suites = map[string]suite{
 	// A job whose plan broadcasts to a worker that stops reading is ended by
 	// JobTimeout: failed, its grant and slot returned, the error on its root
 	// span and on the broadcast.
-	"TestChaosSchedulerWorkerStalledBroadcastTimeout": {cells: cells("broadcast-wide", "place=remote fault=stall budget=tight"),
+	"TestChaosSchedulerWorkerStalledBroadcastTimeout": {cells: cells("broadcast-wide", "place=stalled fault=stall budget=tight"),
 		cfg: Config{MaxConcurrent: 1, GlobalBudget: 1 << 20, JobTimeout: 500 * time.Millisecond}, body: stalledBroadcast},
 	// One document three times: the trace shows each run's phases and what
 	// the caches served, and the histograms fill.
@@ -377,7 +385,7 @@ var suites = map[string]suite{
 	// of its sources; afterwards the cached rows still equal a fresh decode
 	// bit for bit (under -race, a write into a shared record is reported),
 	// and the racing second sightings left one copy of the document.
-	"TestSourceCacheCanary": {cells: canaryCells(), cfg: Config{MaxConcurrent: 4}, body: sourceCanary},
+	"TestSourceCacheCanary": {cells: cells("q7 clicks textmine", "cache=cold,shared"), cfg: Config{MaxConcurrent: 4}, body: sourceCanary},
 	// Every workload on every cache state, DOP and budget returns the answer.
 	"TestSourceCacheHitMissDisabledIdentical": {cells: cells("q7 clicks textmine", "cache=cold,source,plan,replay,off budget=doc,tight dop=1,2,8,17"), cfg: Config{MaxConcurrent: 1}},
 	// A job holds its sources by reference: evicting them mid-flight breaks
@@ -515,20 +523,21 @@ func chaosSweep(t *testing.T, h *harness) {
 			inj := faultfs.NewInjector(faultfs.OS{}, at, kind)
 			inj.Delay = time.Millisecond
 			s := h.sched(t, c.path, func(cfg *Config) { cfg.FS = inj })
-			// Op counts vary run to run, so the fault may arm during the first
-			// job and land on the next: that one obeys the same rules, and the
-			// one after it is clean.
+			// The next job runs clean. Op counts vary run to run, so the fault
+			// may arm during the first job and land on the next: that one obeys
+			// the same rules, and the one after it is clean.
 			for i, cache := range []string{"cold", "plan", "plan"} {
 				r := h.aux(t, s, c.row, c.path, cache)
 				h.finish(t, r)
 				h.drained(t, s)
-				if r.err == nil {
+				if r.err != nil {
+					if !inj.Fired() || kind == faultfs.Latency || i == 2 {
+						t.Fatalf("kind=%v at=%d run %d: %v (fired %v)", kind, at, i, r.err, inj.Fired())
+					}
+					failed++
+				} else if i > 0 {
 					break
 				}
-				if !inj.Fired() || kind == faultfs.Latency || i == 2 {
-					t.Fatalf("kind=%v at=%d run %d: %v (fired %v)", kind, at, i, r.err, inj.Fired())
-				}
-				failed++
 			}
 			if err := s.Shutdown(context.Background()); err != nil {
 				t.Fatal(err)
@@ -610,19 +619,12 @@ func startStallingWorker(t *testing.T) (addr string, stalled <-chan struct{}, st
 	return ln.Addr().String(), signal, stop
 }
 
-// canaryCells are each workload run cold, then by fifty racing parses.
-func canaryCells() []cell {
-	cs := cells("q7 clicks textmine", "cache=cold,shared")
-	for i := range cs {
-		cs[i].sub = cs[i].row
-	}
-	return cs
-}
-
+// sourceCanary runs each workload cold, then by fifty racing parses, in a
+// subtest of its own.
 func sourceCanary(t *testing.T, h *harness) {
 	for i := 0; i < len(h.cells); i += 2 {
 		cold, race := h.cells[i], h.cells[i+1]
-		t.Run(cold.sub, func(t *testing.T) {
+		t.Run(cold.row, func(t *testing.T) {
 			s := h.sched(t, cold.path)
 			first := h.submit(t, s, cold.row, cold.path)
 			h.finish(t, first)
