@@ -326,7 +326,7 @@ reduce count(g) {
 		return trials(18, func(i int) row { return joinTrialRow(t, i) })
 	}},
 	"TestAllAlternativesEquivalent": {configs{dops: []int{4}, plans: "alts", some: sawAlts}, func(t *testing.T) []row {
-		return []row{paperRow(t, 7, 200, 10)}
+		return []row{paperRow(t, 7, 200, 10), taintChainRow(t)}
 	}},
 	// One seeded disk fault per random pipeline.
 	"TestRandomPipelinesTinyBudgetFaultEquivalent": {configs{dops: []int{3}, budgets: tightOnly, plans: "first", fault: "disk", some: sawFault}, func(t *testing.T) []row {
@@ -647,6 +647,49 @@ func paperRow(t *testing.T, seed int64, n, span int) row {
 		data[i] = record.Record{record.Int(int64(rng.Intn(2*span+1) - span)), record.Int(int64(rng.Intn(2*span+1) - span))}
 	}
 	return flowRow(t, "paper", paperFlow, map[string]record.DataSet{"I": data})
+}
+
+// taintChainFlow is S(k, v, n) → lowV → tagSize(k): lowV keeps the
+// records whose v passes a test it reaches through two assignments, and
+// tagSize sets n to its key group's size. lowV splits the groups, so only
+// condition taint that follows the chain keeps the Reduce from being moved
+// below it.
+var taintChainFlow = flowDef{`
+map lowV(ir) {
+	a := ir[1]
+	b := a + 1
+	c := b * 2
+	if c < 12 {
+		emit ir
+	}
+}
+reduce tagSize(g) {
+	n := g.size()
+	i := 0
+	while i < n {
+		r := g.at(i)
+		out := copy(r)
+		out[2] = n
+		emit out
+		i := i + 1
+	}
+}`, dataflow.FlowDef{
+	Sources: sources(dataflow.SourceDef{Name: "S", Attrs: attrs("k v n"), Records: 60, AvgWidthByte: 27}),
+	Ops: ops(dataflow.OpDef{Kind: "map", UDF: "lowV", Inputs: attrs("S"), Selectivity: 0.5},
+		dataflow.OpDef{Kind: "reduce", UDF: "tagSize", Inputs: attrs("lowV"), Keys: [][]string{{"k"}}, KeyCardinality: 4}),
+	Sink: "tagSize",
+}}
+
+// taintChainRow runs taintChainFlow over 60 records: four keys, v = i%10,
+// so lowV keeps half of every group.
+func taintChainRow(t *testing.T) row {
+	data := make(record.DataSet, 60)
+	for i := range data {
+		data[i] = record.Record{record.Int(int64(i % 4)), record.Int(int64(i % 10)), record.Int(0)}
+	}
+	r := flowRow(t, "taint-chain", taintChainFlow, map[string]record.DataSet{"S": data})
+	r.bag, r.check = true, wantLen(30)
+	return r
 }
 
 // combinedReduceRow is a wordcount whose Reduce combines before shipping:

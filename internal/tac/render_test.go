@@ -1,7 +1,9 @@
 package tac_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"slices"
@@ -9,8 +11,11 @@ import (
 	"testing"
 
 	"blackboxflow/internal/frontend"
+	"blackboxflow/internal/sca"
 	"blackboxflow/internal/tac"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/analysis.golden")
 
 // progDiff describes the first difference between two programs, or returns
 // "" when they hold the same functions in the same order with the same
@@ -76,6 +81,75 @@ func TestCompileMatchesParent(t *testing.T) {
 			t.Errorf("%s\nsource:\n%s", d, g.Src)
 		}
 	}
+}
+
+// TestAnalysisMatchesParent pins what the static analyses derive for every
+// function of the programs in testdata/compiled_tac.json: sca.Analyze's
+// effect or error, and the proven and dead flags lowering gave each
+// operand. The corpus's functions define every variable before they use
+// it, so analysisEdges adds the other cases: uses a path leaves undefined,
+// code after a return, loops, and functions Analyze rejects. Regenerate
+// testdata/analysis.golden with
+// `go test ./internal/tac -run TestAnalysisMatchesParent -update` only when
+// an analysis is meant to change.
+func TestAnalysisMatchesParent(t *testing.T) {
+	var b bytes.Buffer
+	srcs := analysisEdges
+	for _, g := range goldenPrograms(t) {
+		srcs = append(srcs, g.Src)
+	}
+	for i, src := range srcs {
+		prog, err := frontend.Compile(src)
+		if err != nil {
+			t.Fatalf("Compile: %v\n%s", err, src)
+		}
+		for _, name := range prog.Order {
+			f := prog.Funcs[name]
+			fmt.Fprintf(&b, "program %d func %s\n", i, name)
+			if e, err := sca.Analyze(f); err != nil {
+				fmt.Fprintf(&b, "error: %v\n", err)
+			} else {
+				fmt.Fprintf(&b, "effect: %s\n", e)
+			}
+			b.WriteString(tac.LoweredFlags(f))
+		}
+	}
+	path := "testdata/analysis.golden"
+	if *update {
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if got := b.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("%s:%d: got\n\t%s\nwant\n\t%s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
+	}
+}
+
+var analysisEdges = []string{
+	"map f(ir) { a := ir[0] if a > 0 { x := 1 } y := x + 1 out := copy(ir) out[1] = y emit out }",
+	"map f(ir) { y := x + 1 emit ir }",
+	"map f(ir) { i := 0 while i < 3 { if i > 1 { z := i } i := i + 1 } out := copy(ir) out[0] = z emit out }",
+	"map f(ir) { a := ir[0] if a > 0 { o := new() } else { o := copy(ir) } o[2] = a emit o }",
+	"map f(ir) { a := ir[0] if a > 0 { o := new() o[1] = a } emit o }",
+	"map f(ir) { emit o }",
+	"map f(ir) { emit ir return b := ir[1] o := copy(ir) o[2] = b emit o }",
+	"map f(ir) { o := copy(ir) i := 0 while i < 2 { p := copy(o) o := copy(p) o[3] = i i := i + 1 } emit o }",
+	"map f(ir) { o := new() o[70000] = 1 emit o }",
+	"map f(ir) { k := ir[0] v := ir[k] o := new() o[1] = v emit o }",
+	"reduce g(grp) { n := grp.size() i := 0 while i < n { r := grp.at(i) if r[1] > 0 { emit r } i := i + 1 } }",
+	"cogroup cg(l, r) { a := l.at(0) b := r.at(0) o := concat(a, b) c := concat(o, b) emit c }",
+	"binary j(l, r) { a := l[1] b := a + 1 c := b * 2 if c > 4 { o := concat(l, r) emit o } else { emit r } }",
 }
 
 // goldenPrograms reads testdata/compiled_tac.json.
