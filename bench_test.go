@@ -489,23 +489,16 @@ reduce sum(g) {
 	}
 }
 
-// BenchmarkSCAAnalyze measures one static analysis of a UDF.
+// BenchmarkSCAAnalyze measures the static analysis of Q7's script: its four
+// functions analysed once each.
 func BenchmarkSCAAnalyze(b *testing.B) {
-	prog := frontend.MustCompile(`
-map f3(ir) {
-	a := ir[0]
-	b := ir[1]
-	out := copy(ir)
-	out[0] = a + b
-	emit out
-}
-`)
-	f, _ := prog.Lookup("f3")
+	prog := frontend.MustCompile(tpch.Q7(&tpch.GenParams{SF: 0.01, Seed: 7}).Script)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sca.Analyze(f); err != nil {
-			b.Fatal(err)
+	for b.Loop() {
+		for _, name := range prog.Order {
+			if _, err := sca.Analyze(prog.Funcs[name]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

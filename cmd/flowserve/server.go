@@ -21,7 +21,8 @@ import (
 	"blackboxflow/internal/record"
 )
 
-// maxJobDocBytes bounds a submitted job document (script + inline data).
+// maxJobDocBytes bounds a submitted job document (script + inline data);
+// newServer sets it as the server's limit.
 const maxJobDocBytes = 64 << 20
 
 // streamFlushEvery is how many rows the streaming result writer emits
@@ -45,8 +46,9 @@ type server struct {
 	sched    *jobs.Scheduler
 	draining atomic.Bool
 
-	jobTTL  time.Duration // how long terminal jobs stay pollable (0 = forever)
-	maxJobs int           // registry size that triggers eviction (0 = unbounded)
+	jobTTL     time.Duration // how long terminal jobs stay pollable (0 = forever)
+	maxJobs    int           // registry size that triggers eviction (0 = unbounded)
+	maxDocSize int64         // bytes a submitted document may hold
 
 	mu    sync.Mutex
 	byID  map[int64]*jobs.Job
@@ -63,6 +65,7 @@ func newServer(sched *jobs.Scheduler) *server {
 		byID:       map[int64]*jobs.Job{},
 		jobTTL:     defaultJobTTL,
 		maxJobs:    defaultMaxJobs,
+		maxDocSize: maxJobDocBytes,
 		oldestDone: time.Now(),
 	}
 }
@@ -191,19 +194,19 @@ func failureStatus(j *jobs.Job) int {
 	return http.StatusConflict
 }
 
-// readJobDoc reads a submitted document, or its first maxJobDocBytes+1 bytes
+// readJobDoc reads a submitted document, or its first maxDocSize+1 bytes
 // — enough for the caller to see it is over the limit. A Content-Length
 // within the limit sizes the buffer once, where growing by doubling copied a
 // multi-megabyte document several times over; the header is only a hint —
 // a body longer than it declared still grows the buffer, a shorter one
 // leaves part of it unused — and without one (chunked) the buffer grows as
 // it always did.
-func readJobDoc(r *http.Request) ([]byte, error) {
+func (s *server) readJobDoc(r *http.Request) ([]byte, error) {
 	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= maxJobDocBytes {
+	if n := r.ContentLength; n > 0 && n <= s.maxDocSize {
 		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare bytes to see EOF
 	}
-	_, err := buf.ReadFrom(io.LimitReader(r.Body, maxJobDocBytes+1))
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, s.maxDocSize+1))
 	return buf.Bytes(), err
 }
 
@@ -212,13 +215,13 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	raw, err := readJobDoc(r)
+	raw, err := s.readJobDoc(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	if len(raw) > maxJobDocBytes {
-		writeErr(w, http.StatusRequestEntityTooLarge, "job document exceeds %d bytes", maxJobDocBytes)
+	if int64(len(raw)) > s.maxDocSize {
+		writeErr(w, http.StatusRequestEntityTooLarge, "job document exceeds %d bytes", s.maxDocSize)
 		return
 	}
 	// A malformed ?wait fails before the job is submitted rather than after.

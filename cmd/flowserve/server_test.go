@@ -95,6 +95,7 @@ func (zeros) Read(p []byte) (int, error) { return copy(p, zeroBlock), nil }
 // costs nothing but memory it was entitled to anyway.
 func TestSubmitBodyReadOnce(t *testing.T) {
 	srv := newServer(jobs.New(jobs.Config{MaxConcurrent: 1, DOP: 2}))
+	srv.maxDocSize = 1 << 20 // the endless bodies below stop here
 	submit := func(body io.Reader, contentLength int64) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, "/jobs?wait=1", body)
 		req.ContentLength = contentLength
@@ -103,7 +104,7 @@ func TestSubmitBodyReadOnce(t *testing.T) {
 		return rec
 	}
 	for name, contentLength := range map[string]int64{
-		"exact": int64(len(wordcountDoc)), "chunked": -1, "understated": 10, "overstated": int64(len(wordcountDoc)) + 1<<20,
+		"exact": int64(len(wordcountDoc)), "chunked": -1, "understated": 10, "overstated": int64(len(wordcountDoc)) + 1<<19,
 	} {
 		if rec := submit(strings.NewReader(wordcountDoc), contentLength); rec.Code != http.StatusOK {
 			t.Errorf("%s Content-Length: status %d, body %s", name, rec.Code, rec.Body)
@@ -111,7 +112,7 @@ func TestSubmitBodyReadOnce(t *testing.T) {
 	}
 	// One byte over the limit is refused whatever the header says, and the
 	// handler stops reading there: the endless body would never end.
-	for _, contentLength := range []int64{maxJobDocBytes + 1, -1} {
+	for _, contentLength := range []int64{srv.maxDocSize + 1, -1} {
 		if rec := submit(zeros{}, contentLength); rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("endless body, Content-Length %d: status %d, want 413", contentLength, rec.Code)
 		}
@@ -119,11 +120,11 @@ func TestSubmitBodyReadOnce(t *testing.T) {
 	// The buffer is sized once: with a Content-Length the very first Read
 	// is offered room for the whole document, not the 512 bytes a buffer
 	// grown by doubling starts from.
-	doc := strings.Repeat(" ", 4<<20)
+	doc := strings.Repeat(" ", 512<<10)
 	body := &firstRead{r: strings.NewReader(doc)}
 	req := httptest.NewRequest(http.MethodPost, "/jobs", body)
 	req.ContentLength = int64(len(doc))
-	if raw, err := readJobDoc(req); err != nil || len(raw) != len(doc) || body.room < len(doc) {
+	if raw, err := srv.readJobDoc(req); err != nil || len(raw) != len(doc) || body.room < len(doc) {
 		t.Fatalf("read %d of %d bytes (%v), the first Read offered %d bytes of room", len(raw), len(doc), err, body.room)
 	}
 }

@@ -326,7 +326,7 @@ reduce count(g) {
 		return trials(18, func(i int) row { return joinTrialRow(t, i) })
 	}},
 	"TestAllAlternativesEquivalent": {configs{dops: []int{4}, plans: "alts", some: sawAlts}, func(t *testing.T) []row {
-		return []row{paperRow(t, 7, 200, 10), taintChainRow(t)}
+		return []row{paperRow(t, 7, 200, 10), taintChainRow(t), mixedEmitsRow(t)}
 	}},
 	// One seeded disk fault per random pipeline.
 	"TestRandomPipelinesTinyBudgetFaultEquivalent": {configs{dops: []int{3}, budgets: tightOnly, plans: "first", fault: "disk", some: sawFault}, func(t *testing.T) []row {
@@ -689,6 +689,44 @@ func taintChainRow(t *testing.T) row {
 	}
 	r := flowRow(t, "taint-chain", taintChainFlow, map[string]record.DataSet{"S": data})
 	r.bag, r.check = true, wantLen(30)
+	return r
+}
+
+// mixedEmitsFlow is S(a, b) → newOrKeep → tagC: newOrKeep emits a record
+// the default constructor built when a > 0 and its input otherwise, so it
+// copies its input on one emit only and projects c away on the other;
+// tagC sets c. Only a write set that counts that projection keeps tagC
+// from being moved below newOrKeep.
+var mixedEmitsFlow = flowDef{`
+map newOrKeep(ir) {
+	a := ir[0]
+	if a > 0 {
+		out := new()
+		out[0] = a
+		emit out
+	} else {
+		emit ir
+	}
+}
+map tagC(ir) {
+	out := copy(ir)
+	out[2] = 1
+	emit out
+}`, dataflow.FlowDef{
+	Attrs:   attrs("c"),
+	Sources: sources(dataflow.SourceDef{Name: "S", Attrs: attrs("a b"), Records: 40, AvgWidthByte: 18}),
+	Ops:     ops(dataflow.OpDef{Kind: "map", UDF: "newOrKeep", Inputs: attrs("S")}, dataflow.OpDef{Kind: "map", UDF: "tagC", Inputs: attrs("newOrKeep")}),
+	Sink:    "tagC",
+}}
+
+// mixedEmitsRow runs mixedEmitsFlow over 40 records with a in [-3, 3].
+func mixedEmitsRow(t *testing.T) row {
+	data := make(record.DataSet, 40)
+	for i := range data {
+		data[i] = record.Record{record.Int(int64(i%7 - 3)), record.Int(int64(i))}
+	}
+	r := flowRow(t, "mixed-emits", mixedEmitsFlow, map[string]record.DataSet{"S": data})
+	r.check = wantLen(40)
 	return r
 }
 

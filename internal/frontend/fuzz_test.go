@@ -1,10 +1,15 @@
 package frontend
 
-import "testing"
+import (
+	"testing"
+
+	"blackboxflow/internal/sca"
+)
 
 // FuzzCompile feeds arbitrary source through the whole PactScript pipeline
-// — lexer, parser, code generator, tac.NewProgram. The invariants: no panic
-// anywhere, and whatever compiles is a non-empty program. That the program's
+// — lexer, parser, code generator, tac.NewProgram — and every function that
+// compiles through sca.Analyze. The invariants: no panic anywhere (Analyze
+// may return an error), and whatever compiles is a non-empty program. That the program's
 // rendering reads back as the same instructions is fuzzed in package tac,
 // which holds the TAC text reader (FuzzRunnerDifferential).
 //
@@ -42,6 +47,9 @@ func FuzzCompile(f *testing.F) {
 		}
 		if prog == nil || len(prog.Funcs) == 0 {
 			t.Fatalf("Compile(%q) returned an empty program without error", src)
+		}
+		for _, f := range prog.Funcs {
+			_, _ = sca.Analyze(f) // an error is an answer, a panic is not
 		}
 	})
 }

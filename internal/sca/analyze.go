@@ -1,3 +1,14 @@
+// Package sca implements the static code analysis of Section 5 of the
+// paper: a data-flow analysis over a UDF's three-address code that derives
+// the properties (read set, write set, emit cardinality bounds) the
+// optimizer needs to reorder black-box operators. It reads the control flow
+// graph and the USE-DEF and DEF-USE chains tac.NewProgram derived for the
+// function (tac.CFG).
+//
+// Safety is guaranteed through conservatism (Section 5, "safety through
+// conservatism"): every property the analysis derives is a superset of the
+// true property for any execution over any input, so the reorderings it
+// licenses are a subset of the truly valid ones.
 package sca
 
 import (
@@ -32,10 +43,7 @@ func Analyze(f *tac.Func) (*props.Effect, error) {
 			}
 		}
 	}
-	g := tac.BuildCFG(f)
-	rd := ComputeReachingDefs(f, g)
-	reach := g.Reachable()
-
+	g := f.CFG()
 	e := props.NewEffect(f.NumInputs())
 
 	paramIndex := map[string]int{}
@@ -43,7 +51,7 @@ func Analyze(f *tac.Func) (*props.Effect, error) {
 		paramIndex[p] = i
 	}
 
-	a := &analysis{f: f, g: g, rd: rd, reach: reach, e: e, paramIndex: paramIndex}
+	a := &analysis{f: f, g: g, reach: g.Reachable(), e: e, paramIndex: paramIndex}
 	a.analyzeReads()
 	a.analyzeConditionTaint()
 	if err := a.analyzeEmitsAndWrites(); err != nil {
@@ -68,7 +76,6 @@ func where(f *tac.Func, i int) string {
 type analysis struct {
 	f          *tac.Func
 	g          *tac.CFG
-	rd         *ReachingDefs
 	reach      []bool
 	e          *props.Effect
 	paramIndex map[string]int
@@ -101,7 +108,7 @@ func (a *analysis) analyzeReads() {
 				a.e.Reads.Add(in.Field)
 			}
 		case tac.OpAgg:
-			if len(a.rd.DefUse(i, in.Dst)) > 0 {
+			if len(a.g.DefUse(i, in.Dst)) > 0 {
 				a.e.Reads.Add(in.Field)
 			}
 		case tac.OpGroupGet:
@@ -117,7 +124,7 @@ func (a *analysis) analyzeReads() {
 // part of the read set (Definition 3: a read must be able to influence a
 // *different* attribute or the cardinality).
 func (a *analysis) hasNonCopyUse(def int, v string, n int) bool {
-	for _, use := range a.rd.DefUse(def, v) {
+	for _, use := range a.g.DefUse(def, v) {
 		u := a.f.Body[use]
 		if u.Op == tac.OpSetField && u.Field == n && u.A.IsVar() && u.A.Var == v && a.isPureCopyAt(use, v, n) {
 			continue
@@ -131,12 +138,12 @@ func (a *analysis) hasNonCopyUse(def int, v string, n int) bool {
 // of v is a static getfield of exactly field n. Only then is storing v into
 // field n an explicit copy.
 func (a *analysis) isPureCopyAt(pos int, v string, n int) bool {
-	defs := a.rd.UseDef(pos, v)
+	defs := a.g.UseDef(pos, v)
 	if len(defs) == 0 {
 		return false
 	}
-	for d := range defs {
-		if d == ParamDef {
+	for _, d := range defs {
+		if d == tac.ParamDef {
 			return false
 		}
 		din := a.f.Body[d]
@@ -309,16 +316,14 @@ func (a *analysis) newOrigins() *origins {
 }
 
 // originsOf resolves the constructor origins of record variable v at
-// instruction pos, following reaching definitions through copyrec, concat,
-// and groupget. The seen set guards against cycles in looping code.
+// instruction pos, one origin per definition of v reaching it, following
+// reaching definitions through copyrec, concat, and groupget. The seen set
+// guards against cycles in looping code.
 func (a *analysis) originsOf(v string, pos int, seen map[originKey]bool) (*origins, error) {
 	result := a.newOrigins()
-	any := false
-
 	// accumulate a single origin: the params it copies (possibly several,
 	// via concat) or fromNew.
 	accumulate := func(copied map[int]bool, fromNew bool) {
-		any = true
 		if fromNew {
 			result.fromNew = true
 			for i := range result.paramsCopiedAlways {
@@ -335,101 +340,71 @@ func (a *analysis) originsOf(v string, pos int, seen map[originKey]bool) (*origi
 			}
 		}
 	}
-
-	// copiesOfRecordExpr resolves which params a record expression copies.
-	var copiesOfRecordExpr func(rec string, at int, out map[int]bool, isNew *bool) error
-	copiesOfRecordExpr = func(rec string, at int, out map[int]bool, isNew *bool) error {
-		if p, ok := a.paramIndex[rec]; ok {
-			out[p] = true
-			return nil
-		}
-		defs := a.rd.UseDef(at, rec)
-		if len(defs) == 0 {
-			return fmt.Errorf("record %s has no reaching definition at %s", rec, where(a.f, at))
-		}
-		for d := range defs {
-			if d == ParamDef {
-				if p, ok := a.paramIndex[rec]; ok {
-					out[p] = true
-					continue
-				}
-				return fmt.Errorf("unexpected parameter definition for %s", rec)
-			}
-			k := originKey{rec, d}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			din := a.f.Body[d]
-			switch din.Op {
-			case tac.OpNewRec:
-				*isNew = true
-			case tac.OpCopyRec:
-				if err := copiesOfRecordExpr(din.Rec, d, out, isNew); err != nil {
-					return err
-				}
-			case tac.OpConcatRec:
-				if err := copiesOfRecordExpr(din.Rec, d, out, isNew); err != nil {
-					return err
-				}
-				if err := copiesOfRecordExpr(din.Rec2, d, out, isNew); err != nil {
-					return err
-				}
-			case tac.OpGroupGet:
-				if p, ok := a.paramIndex[din.Group]; ok {
-					out[p] = true
-				}
-			default:
-				return fmt.Errorf("record %s defined by non-constructor at %s", rec, where(a.f, d))
-			}
-		}
-		return nil
-	}
-
-	// Resolve each reaching definition of v at pos as one origin.
 	if p, ok := a.paramIndex[v]; ok {
 		// Emitting an input parameter directly: an implicit copy of it.
 		accumulate(map[int]bool{p: true}, false)
-	} else {
-		defs := a.rd.UseDef(pos, v)
-		if len(defs) == 0 {
-			return nil, fmt.Errorf("record %s has no reaching definition at %s", v, where(a.f, pos))
-		}
-		for d := range defs {
-			if d == ParamDef {
-				continue
-			}
-			copied := map[int]bool{}
-			isNew := false
-			din := a.f.Body[d]
-			switch din.Op {
-			case tac.OpNewRec:
-				isNew = true
-			case tac.OpCopyRec:
-				if err := copiesOfRecordExpr(din.Rec, d, copied, &isNew); err != nil {
-					return nil, err
-				}
-			case tac.OpConcatRec:
-				if err := copiesOfRecordExpr(din.Rec, d, copied, &isNew); err != nil {
-					return nil, err
-				}
-				if err := copiesOfRecordExpr(din.Rec2, d, copied, &isNew); err != nil {
-					return nil, err
-				}
-			case tac.OpGroupGet:
-				if p, ok := a.paramIndex[din.Group]; ok {
-					copied[p] = true
-				}
-			default:
-				return nil, fmt.Errorf("record %s defined by non-constructor at %s", v, where(a.f, d))
-			}
-			accumulate(copied, isNew)
-		}
+		return result, nil
 	}
-	if !any {
-		return nil, fmt.Errorf("record %s has no resolvable origin at %s", v, where(a.f, pos))
+	defs := a.g.UseDef(pos, v)
+	if len(defs) == 0 {
+		return nil, fmt.Errorf("record %s has no reaching definition at %s", v, where(a.f, pos))
+	}
+	for _, d := range defs {
+		copied, isNew := map[int]bool{}, false
+		if err := a.construct(v, d, copied, &isNew, seen); err != nil {
+			return nil, err
+		}
+		accumulate(copied, isNew)
 	}
 	return result, nil
+}
+
+// construct adds what the constructor defining record rec at position d
+// copies to out, or sets isNew for the default constructor.
+func (a *analysis) construct(rec string, d int, out map[int]bool, isNew *bool, seen map[originKey]bool) error {
+	din := a.f.Body[d]
+	switch din.Op {
+	case tac.OpNewRec:
+		*isNew = true
+	case tac.OpCopyRec:
+		return a.copiesOf(din.Rec, d, out, isNew, seen)
+	case tac.OpConcatRec:
+		if err := a.copiesOf(din.Rec, d, out, isNew, seen); err != nil {
+			return err
+		}
+		return a.copiesOf(din.Rec2, d, out, isNew, seen)
+	case tac.OpGroupGet:
+		if p, ok := a.paramIndex[din.Group]; ok {
+			out[p] = true
+		}
+	default:
+		return fmt.Errorf("record %s defined by non-constructor at %s", rec, where(a.f, d))
+	}
+	return nil
+}
+
+// copiesOf resolves which params the record operand rec of the instruction
+// at position at copies, through every definition of rec reaching it.
+func (a *analysis) copiesOf(rec string, at int, out map[int]bool, isNew *bool, seen map[originKey]bool) error {
+	if p, ok := a.paramIndex[rec]; ok {
+		out[p] = true
+		return nil
+	}
+	defs := a.g.UseDef(at, rec)
+	if len(defs) == 0 {
+		return fmt.Errorf("record %s has no reaching definition at %s", rec, where(a.f, at))
+	}
+	for _, d := range defs {
+		k := originKey{rec, d}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		if err := a.construct(rec, d, out, isNew, seen); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // analyzeEmitBounds computes [EmitMin, EmitMax] per invocation by dynamic

@@ -195,8 +195,10 @@ map f(ir) {
 
 func TestBothConstructorsImplicitProjectionWins(t *testing.T) {
 	// Section 5: "If both constructors are used in different code paths,
-	// implicit projection is the safe choice."
-	src := `
+	// implicit projection is the safe choice." Both branch orders, and a
+	// join that is not the emit itself: the definition that reaches the
+	// join last must still reach the emit.
+	for _, src := range []string{`
 map f(ir) {
 	a := ir[0]
 	if a > 0 {
@@ -205,15 +207,25 @@ map f(ir) {
 		out := new()
 	}
 	emit out
-}
-`
-	e := analyze(t, src, "f")
-	if e.CopiesParam[0] {
-		t.Error("mixed constructors must resolve to implicit projection")
+}`, `
+map f(ir) {
+	a := ir[0]
+	if a > 0 {
+		out := new()
+	} else {
+		out := copy(ir)
 	}
-	in := []props.FieldSet{props.NewFieldSet(0, 1)}
-	if w := e.ResolveWrite(nil, in); !w.Equal(props.NewFieldSet(0, 1)) {
-		t.Errorf("W = %v, want all input attrs", w)
+	out[2] = a
+	emit out
+}`} {
+		e := analyze(t, src, "f")
+		if e.CopiesParam[0] {
+			t.Errorf("mixed constructors must resolve to implicit projection:%s", src)
+		}
+		in := []props.FieldSet{props.NewFieldSet(0, 1)}
+		if w := e.ResolveWrite(nil, in); !props.NewFieldSet(0, 1).SubsetOf(w) {
+			t.Errorf("W = %v, want all input attrs:%s", w, src)
+		}
 	}
 }
 
@@ -465,47 +477,6 @@ map f(ir) {
 	}
 	if !e.EmitsExactlyOne() {
 		t.Errorf("bounds = [%d,%d]", e.EmitMin, e.EmitMax)
-	}
-}
-
-func TestReachingDefsChains(t *testing.T) {
-	p, err := frontend.Compile(paperExample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, _ := p.Lookup("f1")
-	g := tac.BuildCFG(f1)
-	rd := ComputeReachingDefs(f1, g)
-
-	// f1 compiles to: 0 $b := getfield $ir 1; 1 $out := copyrec $ir;
-	// 2 if $b lt 0 goto T1; 3 goto E2; 4 T1: $b := neg $b;
-	// 5 setfield $out 1 $b; 6 E2: emit $out; 7 return.
-	if f1.Body[4].Op != tac.OpUn || f1.Body[5].Op != tac.OpSetField {
-		t.Fatalf("f1 compiled to another shape:\n%s", f1)
-	}
-	// At the setfield (instr 5), $b has two reaching defs: the getfield
-	// (instr 0)? No: the setfield is only reached through the neg at
-	// instr 4, which kills the getfield def. USE-DEF must be exactly {4}.
-	defs := rd.UseDef(5, "$b")
-	if len(defs) != 1 {
-		t.Fatalf("USE-DEF(setfield,$b) = %v, want exactly the neg def", defs)
-	}
-	if _, ok := defs[4]; !ok {
-		t.Fatalf("USE-DEF(setfield,$b) = %v, want {4}", defs)
-	}
-	// At the branch (instr 2), $b's def is the getfield (instr 0).
-	defs = rd.UseDef(2, "$b")
-	if _, ok := defs[0]; !ok || len(defs) != 1 {
-		t.Fatalf("USE-DEF(if,$b) = %v, want {0}", defs)
-	}
-	// DEF-USE of the getfield covers the branch and the neg.
-	uses := rd.DefUse(0, "$b")
-	if len(uses) != 2 {
-		t.Fatalf("DEF-USE(getfield,$b) = %v, want 2 uses", uses)
-	}
-	// Parameters reach their uses.
-	if _, ok := rd.UseDef(0, "$ir")[ParamDef]; !ok {
-		t.Error("parameter def must reach instruction 0")
 	}
 }
 

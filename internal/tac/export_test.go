@@ -26,10 +26,10 @@ func NewRunnerLimit(f *Func, kind Kind, limit int) (*Runner, error) {
 	return r, nil
 }
 
-// Lower validates and lowers f again, for BenchmarkLowerQ7Script.
+// Lower validates, analyses and lowers f again, for BenchmarkLowerQ7Script.
 func Lower(f *Func) {
 	kinds, _ := validate(f)
-	lower(f, kinds)
+	lower(f, kinds, buildCFG(f))
 }
 
 // LoweredFlags renders the flags lowering derived for f's operands, one

@@ -378,6 +378,7 @@ type Func struct {
 	Body   []*Instr
 
 	labelIndex map[string]int // label -> instruction position
+	cfg        *CFG           // the analysis lowering and SCA read (set by NewProgram)
 	prog       *program       // the lowered form Runners execute (set by NewProgram)
 }
 
@@ -389,11 +390,8 @@ func (f *Func) NumInputs() int {
 	return 1
 }
 
-// LabelPos returns the instruction index of a label.
-func (f *Func) LabelPos(label string) (int, bool) {
-	p, ok := f.labelIndex[label]
-	return p, ok
-}
+// CFG returns the control and data flow NewProgram derived for f.
+func (f *Func) CFG() *CFG { return f.cfg }
 
 // String renders the function in the textual TAC syntax.
 func (f *Func) String() string {
@@ -415,8 +413,8 @@ type Program struct {
 // NewProgram builds a program from functions in declaration order. It is the
 // one way a Program is made — frontend.Compile ends here — and
 // it rejects duplicate names, appends the implied trailing return, indexes
-// the labels, validates each function and lowers it for Runners, taking the
-// functions over.
+// the labels, validates each function, derives its CFG and lowers it for
+// Runners, taking the functions over.
 func NewProgram(funcs []*Func) (*Program, error) {
 	if len(funcs) == 0 {
 		return nil, fmt.Errorf("no functions in program")
@@ -440,7 +438,8 @@ func NewProgram(funcs []*Func) (*Program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("func %s: %w", f.Name, err)
 		}
-		f.prog = lower(f, kinds)
+		f.cfg = buildCFG(f)
+		f.prog = lower(f, kinds, f.cfg)
 		p.Funcs[f.Name] = f
 		p.Order = append(p.Order, f.Name)
 	}

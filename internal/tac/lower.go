@@ -36,7 +36,7 @@ type op struct {
 type operand struct {
 	slot   int32
 	kind   uint8
-	proven bool // a scalar variable mustDefined proves defined here
+	proven bool // a scalar variable the CFG proves defined here
 }
 
 // fast reports whether the operand can be read with peek: no check needed.
@@ -104,7 +104,7 @@ func (p *program) newRegs() regs {
 }
 
 // reset starts a call: no slot the previous call defined reads as defined.
-// Every read of a scalar or record slot is guarded by mustDefined, defined
+// Every read of a scalar or record slot is guarded by the must-defined proof, defined
 // or state, and group slots are parameters the call sets, so the stale
 // values themselves stay: clearing them would cost write barriers and buy
 // nothing.
@@ -126,25 +126,19 @@ func (rg *regs) setRec(s int32, r record.Record, state uint8) {
 
 // lowering holds what lower derives about f before it fills the ops.
 type lowering struct {
-	f    *Func
-	vars map[string]int // variable -> slot in variable order
-	kind []uint8        // per variable
-	slot []int32        // typed slot per variable
-	in   []uint64       // must-defined variables on entry, w words per instruction
-	out  []uint64       // live variables on exit, w words per instruction
-	def  []int          // variable each instruction defines, or -1
-	w    int
+	g    *CFG
+	kind []uint8  // per variable
+	slot []int32  // typed slot per variable
+	out  []uint64 // live variables on exit, g.w words per instruction
 }
 
 // lower compiles a validated function, given the variable kinds validate
-// returned for it.
-func lower(f *Func, kinds map[string]uint8) *program {
-	l := &lowering{f: f, vars: varSlots(f)}
+// returned for it and its CFG.
+func lower(f *Func, kinds map[string]uint8, g *CFG) *program {
+	l := &lowering{g: g}
 	p := &program{ops: make([]op, len(f.Body))}
 	l.classify(p, kinds)
-	g := BuildCFG(f)
-	l.mustDefined(g.Preds)
-	l.liveness(g.Succs)
+	l.liveness()
 	reach := map[string]int{} // per record variable: the width its setfields reach
 	for _, in := range f.Body {
 		if in.Op == OpSetField {
@@ -178,9 +172,9 @@ func lower(f *Func, kinds map[string]uint8) *program {
 // not return is a scalar that is never defined — and numbers the slots of
 // each kind in variable order, so parameters take slots 0 and 1 of theirs.
 func (l *lowering) classify(p *program, kinds map[string]uint8) {
-	l.kind = make([]uint8, len(l.vars))
-	l.slot = make([]int32, len(l.vars))
-	for v, i := range l.vars {
+	l.kind = make([]uint8, l.g.nv)
+	l.slot = make([]int32, l.g.nv)
+	for v, i := range l.g.vars {
 		l.kind[i] = kinds[v]
 	}
 	var n [3]int32
@@ -191,85 +185,30 @@ func (l *lowering) classify(p *program, kinds map[string]uint8) {
 	p.scalars, p.records, p.groups = int(n[kindScalar]), int(n[kindRecord]), int(n[kindGroup])
 }
 
-// mustDefined computes, for every instruction, the variables defined on
-// every path from the entry to it (a forward must-analysis over BuildCFG:
-// the parameters at the entry, each instruction adding what it defines,
-// intersection at joins). A use in that set skips its runtime definedness
-// check. Unreachable instructions keep the full set; they never run. It
-// also fills l.def, which liveness reads.
-func (l *lowering) mustDefined(preds [][]int) {
-	f, w := l.f, (len(l.vars)+63)/64
-	n := len(f.Body)
-	l.w, l.in = w, make([]uint64, n*w)
-	for i := w; i < len(l.in); i++ {
-		l.in[i] = ^uint64(0)
-	}
-	entry := make([]uint64, w)
-	for _, p := range f.Params {
-		v := l.vars[p]
-		entry[v/64] |= 1 << (v % 64)
-	}
-	def := make([]int, n) // variable each instruction defines, or -1
-	for i, in := range f.Body {
-		def[i] = -1
-		if d := in.Defs(); d != "" {
-			def[i] = l.vars[d]
-		}
-	}
-	l.def = def
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			for k := 0; k < w; k++ {
-				v := ^uint64(0)
-				if i == 0 {
-					v = entry[k]
-				}
-				for _, p := range preds[i] {
-					out := l.in[p*w+k]
-					if d := def[p]; d >= 0 && d/64 == k {
-						out |= 1 << (d % 64)
-					}
-					v &= out
-				}
-				if l.in[i*w+k] != v {
-					l.in[i*w+k] = v
-					changed = true
-				}
-			}
-		}
-	}
-}
-
 // liveness computes, for every instruction, the variables some path from
-// its exit reads before redefining them (a backward may-analysis over
-// BuildCFG: an instruction's uses plus what is live after it, less what it
+// its exit reads before redefining them (a backward may-analysis over the
+// CFG: an instruction's uses plus what is live after it, less what it
 // defines, union at forks). Only concat and copyrec consult it, through
 // dead.
-func (l *lowering) liveness(succs [][]int) {
-	f, w := l.f, l.w
-	n := len(f.Body)
-	use, live := make([]uint64, n*w), make([]uint64, n*w) // live: on entry
-	l.out = make([]uint64, n*w)
-	for i, in := range f.Body {
-		for _, u := range in.Uses() {
-			v := l.vars[u]
-			use[i*w+v/64] |= 1 << (v % 64)
-		}
-	}
+func (l *lowering) liveness() {
+	g := l.g
+	n, w := len(g.Succs), g.w
+	sets := make([]uint64, 2*n*w)
+	live := sets[:n*w] // on entry
+	l.out = sets[n*w:]
 	for changed := true; changed; {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
 			for k := 0; k < w; k++ {
 				out := uint64(0)
-				for _, s := range succs[i] {
+				for _, s := range g.Succs[i] {
 					out |= live[s*w+k]
 				}
 				l.out[i*w+k] = out
-				if d := l.def[i]; d >= 0 && d/64 == k {
+				if d := g.def[i]; d >= 0 && d/64 == k {
 					out &^= 1 << (d % 64)
 				}
-				if v := use[i*w+k] | out; live[i*w+k] != v {
+				if v := g.use[i*w+k] | out; live[i*w+k] != v {
 					live[i*w+k] = v
 					changed = true
 				}
@@ -285,20 +224,19 @@ func (l *lowering) dead(pos int, name string) bool {
 	if name == "" {
 		return false
 	}
-	v := l.vars[name]
-	return l.def[pos] == v || l.out[pos*l.w+v/64]&(1<<(v%64)) == 0
+	v := l.g.vars[name]
+	return l.g.def[pos] == v || !hasBit(l.out, pos*l.g.w, v)
 }
 
 func (l *lowering) proven(pos int, name string) bool {
-	v := l.vars[name]
-	return l.in[pos*l.w+v/64]&(1<<(v%64)) != 0
+	return l.g.defined(pos, l.g.vars[name])
 }
 
 func (l *lowering) operand(o Operand, pos int) operand {
 	if !o.IsVar() {
 		return operand{slot: -1}
 	}
-	k := l.kind[l.vars[o.Var]]
+	k := l.kind[l.g.vars[o.Var]]
 	return operand{slot: l.typed(o.Var), kind: k, proven: k == kindScalar && l.proven(pos, o.Var)}
 }
 
@@ -314,7 +252,7 @@ func (l *lowering) typed(name string) int32 {
 	if name == "" {
 		return -1
 	}
-	return l.slot[l.vars[name]]
+	return l.slot[l.g.vars[name]]
 }
 
 // handler picks the op's handler. Each performs exactly what the reference
@@ -706,27 +644,4 @@ func orderInts(cmp BinOp, x, y int64) bool {
 		return x > y
 	}
 	return x >= y
-}
-
-// varSlots numbers f's variables, parameters first and the rest in order of
-// appearance: each variable's slot in a call's frame.
-func varSlots(f *Func) map[string]int {
-	slots := map[string]int{}
-	add := func(v string) {
-		if _, ok := slots[v]; v != "" && !ok {
-			slots[v] = len(slots)
-		}
-	}
-	for _, p := range f.Params {
-		add(p)
-	}
-	for _, in := range f.Body {
-		add(in.Dst)
-		add(in.A.Var)
-		add(in.B.Var)
-		add(in.Rec)
-		add(in.Rec2)
-		add(in.Group)
-	}
-	return slots
 }

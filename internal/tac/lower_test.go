@@ -132,7 +132,7 @@ func reduce f($g) {
 }
 
 // TestUndefinedAndMisusedVariables pins the run-time checks the lowering
-// keeps where mustDefined proves nothing, message for message: each names
+// keeps where the must-defined proof fails, message for message: each names
 // the function and the source line (here, of the TAC text) once. Input
 // field 0 is 0, so every conditional definition below is skipped.
 func TestUndefinedAndMisusedVariables(t *testing.T) {

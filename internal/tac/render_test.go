@@ -136,6 +136,49 @@ func TestAnalysisMatchesParent(t *testing.T) {
 	}
 }
 
+func TestReachingDefsChains(t *testing.T) {
+	p, err := frontend.Compile(`
+map f1(ir) {
+	b := ir[1]
+	out := copy(ir)
+	if b < 0 {
+		b := -b
+		out[1] = b
+	}
+	emit out
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1, _ := p.Lookup("f1")
+	g := f1.CFG()
+
+	// f1 compiles to: 0 $b := getfield $ir 1; 1 $out := copyrec $ir;
+	// 2 if $b lt 0 goto T1; 3 goto E2; 4 T1: $b := neg $b;
+	// 5 setfield $out 1 $b; 6 E2: emit $out; 7 return.
+	if f1.Body[4].Op != tac.OpUn || f1.Body[5].Op != tac.OpSetField {
+		t.Fatalf("f1 compiled to another shape:\n%s", f1)
+	}
+	// At the setfield (instr 5), $b has two reaching defs: the getfield
+	// (instr 0)? No: the setfield is only reached through the neg at
+	// instr 4, which kills the getfield def. USE-DEF must be exactly {4}.
+	if defs := g.UseDef(5, "$b"); !slices.Equal(defs, []int{4}) {
+		t.Fatalf("USE-DEF(setfield,$b) = %v, want {4}", defs)
+	}
+	// At the branch (instr 2), $b's def is the getfield (instr 0).
+	if defs := g.UseDef(2, "$b"); !slices.Equal(defs, []int{0}) {
+		t.Fatalf("USE-DEF(if,$b) = %v, want {0}", defs)
+	}
+	// DEF-USE of the getfield covers the branch and the neg.
+	if uses := g.DefUse(0, "$b"); len(uses) != 2 {
+		t.Fatalf("DEF-USE(getfield,$b) = %v, want 2 uses", uses)
+	}
+	// Parameters reach their uses.
+	if !slices.Contains(g.UseDef(0, "$ir"), tac.ParamDef) {
+		t.Error("parameter def must reach instruction 0")
+	}
+}
+
 var analysisEdges = []string{
 	"map f(ir) { a := ir[0] if a > 0 { x := 1 } y := x + 1 out := copy(ir) out[1] = y emit out }",
 	"map f(ir) { y := x + 1 emit ir }",

@@ -90,7 +90,7 @@ func TestParsePaperExample(t *testing.T) {
 		t.Errorf("f1 header wrong: %+v", f1)
 	}
 	// Label resolution.
-	if pos, ok := f1.LabelPos("L16"); !ok || f1.Body[pos].Op != OpEmit {
+	if pos, ok := f1.labelIndex["L16"]; !ok || f1.Body[pos].Op != OpEmit {
 		t.Errorf("label L16 must point at emit")
 	}
 }
@@ -469,7 +469,7 @@ func map f($ir) {
 func TestCFGStructure(t *testing.T) {
 	p := MustParse(paperExample)
 	f2 := mustFunc(t, p, "f2")
-	g := BuildCFG(f2)
+	g := f2.CFG()
 	// instr 0: getfield; 1: if -> {L25, 2}; 2: copyrec; 3: emit; 4: return(L25)
 	if len(g.Succs[1]) != 2 {
 		t.Fatalf("if should have 2 successors, got %v", g.Succs[1])
@@ -480,7 +480,7 @@ func TestCFGStructure(t *testing.T) {
 		}
 	}
 	loop := MustParse("func map f($ir) {\nL: goto L\n}")
-	lg := BuildCFG(mustFunc(t, loop, "f"))
+	lg := mustFunc(t, loop, "f").CFG()
 	if sccs := lg.SCCs(); len(sccs) != 1 || !lg.Cyclic(sccs[0]) {
 		t.Errorf("self loop must be a cyclic SCC, got %v", sccs)
 	}
@@ -499,7 +499,7 @@ DONE: return
 `
 	p := MustParse(src)
 	f := mustFunc(t, p, "f")
-	g := BuildCFG(f)
+	g := f.CFG()
 	var loop []int
 	for _, scc := range g.SCCs() {
 		if len(scc) > len(loop) {
