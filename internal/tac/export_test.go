@@ -29,7 +29,7 @@ func NewRunnerLimit(f *Func, kind Kind, limit int) (*Runner, error) {
 // Lower validates, analyses and lowers f again, for BenchmarkLowerQ7Script.
 func Lower(f *Func) {
 	kinds, _ := validate(f)
-	lower(f, kinds, buildCFG(f))
+	lower(buildCFG(f), kinds)
 }
 
 // LoweredFlags renders the flags lowering derived for f's operands, one

@@ -439,7 +439,7 @@ func NewProgram(funcs []*Func) (*Program, error) {
 			return nil, fmt.Errorf("func %s: %w", f.Name, err)
 		}
 		f.cfg = buildCFG(f)
-		f.prog = lower(f, kinds, f.cfg)
+		f.prog = lower(f.cfg, kinds)
 		p.Funcs[f.Name] = f
 		p.Order = append(p.Order, f.Name)
 	}

@@ -104,10 +104,10 @@ func (p *program) newRegs() regs {
 }
 
 // reset starts a call: no slot the previous call defined reads as defined.
-// Every read of a scalar or record slot is guarded by the must-defined proof, defined
-// or state, and group slots are parameters the call sets, so the stale
-// values themselves stay: clearing them would cost write barriers and buy
-// nothing.
+// Every read of a scalar or record slot is guarded by the must-defined
+// proof, defined or state, and group slots are parameters the call sets, so
+// the stale values themselves stay: clearing them would cost write barriers
+// and buy nothing.
 func (rg *regs) reset(emit func(record.Record) error) {
 	clear(rg.defined)
 	clear(rg.state)
@@ -132,10 +132,10 @@ type lowering struct {
 	out  []uint64 // live variables on exit, g.w words per instruction
 }
 
-// lower compiles a validated function, given the variable kinds validate
-// returned for it and its CFG.
-func lower(f *Func, kinds map[string]uint8, g *CFG) *program {
-	l := &lowering{g: g}
+// lower compiles the validated function of g, given the variable kinds
+// validate returned for it.
+func lower(g *CFG, kinds map[string]uint8) *program {
+	f, l := g.F, &lowering{g: g}
 	p := &program{ops: make([]op, len(f.Body))}
 	l.classify(p, kinds)
 	l.liveness()
@@ -258,7 +258,7 @@ func (l *lowering) typed(name string) int32 {
 // handler picks the op's handler. Each performs exactly what the reference
 // interpreter's case does, checks and errors in the same order. The fast
 // paths, one per instruction shape the workloads execute in their hot
-// loops, skip only the checks mustDefined proved and, when both operands
+// loops, skip only the checks the CFG proved and, when both operands
 // are ints, the generic value dispatch; otherwise they fall back to the
 // generic handler.
 func handler(o *op) func(*Runner, *op) (int, error) {
