@@ -128,7 +128,8 @@ func MustCompileUDFs(src string) *UDFProgram { return frontend.MustCompile(src) 
 
 // AnalyzeUDF statically derives a UDF's effect (Section 5 of the paper):
 // read and write sets, condition reads, implicit copy/projection behaviour,
-// and emit cardinality bounds.
+// and emit cardinality bounds. f must come from CompileUDFs or
+// tac.NewProgram; a hand-built UDF is an error.
 func AnalyzeUDF(f *UDF) (*Effect, error) { return sca.Analyze(f) }
 
 // Optimizer re-exports.

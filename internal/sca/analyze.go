@@ -32,7 +32,14 @@ import (
 //   - emit cardinality bounds are computed on the control flow graph;
 //   - the condition-read set (fields that may influence control flow) is a
 //     flow-insensitive taint closure, used by the KGP test.
+//
+// f must come from tac.NewProgram (frontend.Compile ends there), which
+// derives the CFG Analyze reads; any other Func is an error.
 func Analyze(f *tac.Func) (*props.Effect, error) {
+	g := f.CFG()
+	if g == nil {
+		return nil, fmt.Errorf("func %s was not built by tac.NewProgram", f.Name)
+	}
 	// Field sets are dense bitsets: a static index outside their range is
 	// rejected here, before it can size one.
 	for i, in := range f.Body {
@@ -43,7 +50,6 @@ func Analyze(f *tac.Func) (*props.Effect, error) {
 			}
 		}
 	}
-	g := f.CFG()
 	e := props.NewEffect(f.NumInputs())
 
 	paramIndex := map[string]int{}

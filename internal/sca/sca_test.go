@@ -198,7 +198,10 @@ func TestBothConstructorsImplicitProjectionWins(t *testing.T) {
 	// implicit projection is the safe choice." Both branch orders, and a
 	// join that is not the emit itself: the definition that reaches the
 	// join last must still reach the emit.
-	for _, src := range []string{`
+	for _, c := range []struct {
+		src  string
+		want props.FieldSet // W: every input attr, plus the one set after the join
+	}{{`
 map f(ir) {
 	a := ir[0]
 	if a > 0 {
@@ -207,7 +210,7 @@ map f(ir) {
 		out := new()
 	}
 	emit out
-}`, `
+}`, props.NewFieldSet(0, 1)}, {`
 map f(ir) {
 	a := ir[0]
 	if a > 0 {
@@ -217,14 +220,14 @@ map f(ir) {
 	}
 	out[2] = a
 	emit out
-}`} {
-		e := analyze(t, src, "f")
+}`, props.NewFieldSet(0, 1, 2)}} {
+		e := analyze(t, c.src, "f")
 		if e.CopiesParam[0] {
-			t.Errorf("mixed constructors must resolve to implicit projection:%s", src)
+			t.Errorf("mixed constructors must resolve to implicit projection:%s", c.src)
 		}
 		in := []props.FieldSet{props.NewFieldSet(0, 1)}
-		if w := e.ResolveWrite(nil, in); !props.NewFieldSet(0, 1).SubsetOf(w) {
-			t.Errorf("W = %v, want all input attrs:%s", w, src)
+		if w := e.ResolveWrite(nil, in); !w.Equal(c.want) {
+			t.Errorf("W = %v, want %v:%s", w, c.want, c.src)
 		}
 	}
 }
@@ -558,5 +561,16 @@ func TestStaticFieldIndexRange(t *testing.T) {
 	e, err := Analyze(p.Funcs["f"])
 	if err != nil || !e.Reads.Has(props.MaxField) {
 		t.Errorf("MaxField itself must analyze: %v, reads %v", err, e)
+	}
+}
+
+// TestHandBuiltFuncIsAnError: Analyze reads the CFG tac.NewProgram derives,
+// so a Func that did not go through it is an error, not a panic.
+func TestHandBuiltFuncIsAnError(t *testing.T) {
+	f := &tac.Func{Name: "f", Kind: tac.KindMap, Params: []string{"$ir"}, Body: []*tac.Instr{
+		{Op: tac.OpEmit, Rec: "$ir"}, {Op: tac.OpReturn},
+	}}
+	if _, err := Analyze(f); err == nil || err.Error() != "func f was not built by tac.NewProgram" {
+		t.Errorf("Analyze error = %v, want the NewProgram error", err)
 	}
 }

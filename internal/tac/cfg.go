@@ -19,29 +19,30 @@ type CFG struct {
 	reach []bool         // reachable from the entry
 	vars  map[string]int // variable -> slot (varSlots)
 	def   []int          // slot of the variable each instruction defines, or -1
-	// Bitsets of w words per row over definition sites: bit v is variable
-	// v's definition at the entry (a parameter's ParamDef; for any other
-	// variable it means "undefined"), bit nv+i is instruction i's. Sets of
-	// variables use the first nv bits.
-	in    []uint64 // per instruction, the sites reaching it
-	kill  []uint64 // per variable, the sites defining it
-	use   []uint64 // per instruction, the variables it uses
-	nv, w int
+	// Per instruction, the definition sites reaching it: a bitset of w
+	// words, where bit v is variable v's definition at the entry (a
+	// parameter's ParamDef; for any other variable it means "undefined")
+	// and bit nv+i is instruction i's.
+	in []uint64
+	// Per instruction, the variables it uses: a bitset of vw words.
+	use       []uint64
+	nv, w, vw int
 }
 
 // buildCFG derives the CFG of f, whose labels validate has checked.
 func buildCFG(f *Func) *CFG {
 	n := len(f.Body)
 	vars := varSlots(f)
-	nv, w := len(vars), (len(vars)+n+63)/64
-	sets := make([]uint64, (2*n+nv)*w)
+	nv, w, vw := len(vars), (len(vars)+n+63)/64, (len(vars)+63)/64
+	sets := make([]uint64, n*w+n*vw)
 	g := &CFG{F: f, Succs: make([][]int, n), Preds: make([][]int, n), reach: make([]bool, n), vars: vars, def: make([]int, n),
-		in: sets[:n*w], use: sets[n*w : 2*n*w], kill: sets[2*n*w:], nv: nv, w: w}
+		in: sets[:n*w], use: sets[n*w:], nv: nv, w: w, vw: vw}
+	kill := make([]uint64, nv*w) // per variable, the sites defining it; only the fixpoint reads it
 	// An instruction has at most two successors, so the successor lists
 	// share one array, and the predecessor lists another.
 	ends, deg := make([]int, 0, 2*n), make([]int, n)
 	for v := range nv {
-		setBit(g.kill, v*w, v)
+		setBit(kill, v*w, v)
 	}
 	for i, in := range f.Body {
 		from := len(ends)
@@ -65,10 +66,10 @@ func buildCFG(f *Func) *CFG {
 		g.def[i] = -1
 		if d := in.Defs(); d != "" {
 			g.def[i] = vars[d]
-			setBit(g.kill, vars[d]*w, nv+i)
+			setBit(kill, vars[d]*w, nv+i)
 		}
 		for _, u := range in.Uses() {
-			setBit(g.use, i*w, vars[u])
+			setBit(g.use, i*vw, vars[u])
 		}
 	}
 	preds := make([]int, len(ends))
@@ -81,7 +82,7 @@ func buildCFG(f *Func) *CFG {
 		}
 	}
 	if n > 0 {
-		g.reachingDefs()
+		g.reachingDefs(kill)
 	}
 	return g
 }
@@ -96,7 +97,7 @@ func hasBit(b []uint64, row, i int) bool { return b[row+i/64]&(1<<(i%64)) != 0 }
 // sites, and joins take the union. The same passes mark what the entry
 // reaches; an unreachable instruction neither receives sites nor passes its
 // own on.
-func (g *CFG) reachingDefs() {
+func (g *CFG) reachingDefs(kill []uint64) {
 	w := g.w
 	g.reach[0] = true
 	for changed := true; changed; {
@@ -121,7 +122,7 @@ func (g *CFG) reachingDefs() {
 					}
 					out := g.in[p*w+k]
 					if d := g.def[p]; d >= 0 {
-						out &^= g.kill[d*w+k]
+						out &^= kill[d*w+k]
 						if s := g.nv + p; s/64 == k {
 							out |= 1 << (s % 64)
 						}
@@ -155,11 +156,13 @@ func (g *CFG) UseDef(pos int, v string) []int {
 	}
 	var defs []int
 	for k := range g.w {
-		for b := g.in[pos*g.w+k] & g.kill[s*g.w+k]; b != 0; b &= b - 1 {
+		for b := g.in[pos*g.w+k]; b != 0; b &= b - 1 {
 			switch site := k*64 + bits.TrailingZeros64(b); {
 			case site >= g.nv:
-				defs = append(defs, site-g.nv)
-			case site < len(g.F.Params):
+				if g.def[site-g.nv] == s {
+					defs = append(defs, site-g.nv)
+				}
+			case site == s && s < len(g.F.Params):
 				defs = append(defs, ParamDef)
 			}
 		}
@@ -180,7 +183,7 @@ func (g *CFG) DefUse(def int, v string) []int {
 	}
 	var uses []int
 	for i := range g.Succs {
-		if hasBit(g.use, i*g.w, s) && hasBit(g.in, i*g.w, site) {
+		if hasBit(g.use, i*g.vw, s) && hasBit(g.in, i*g.w, site) {
 			uses = append(uses, i)
 		}
 	}

@@ -129,7 +129,7 @@ type lowering struct {
 	g    *CFG
 	kind []uint8  // per variable
 	slot []int32  // typed slot per variable
-	out  []uint64 // live variables on exit, g.w words per instruction
+	out  []uint64 // live variables on exit, g.vw words per instruction
 }
 
 // lower compiles the validated function of g, given the variable kinds
@@ -192,7 +192,7 @@ func (l *lowering) classify(p *program, kinds map[string]uint8) {
 // dead.
 func (l *lowering) liveness() {
 	g := l.g
-	n, w := len(g.Succs), g.w
+	n, w := len(g.Succs), g.vw
 	sets := make([]uint64, 2*n*w)
 	live := sets[:n*w] // on entry
 	l.out = sets[n*w:]
@@ -225,7 +225,7 @@ func (l *lowering) dead(pos int, name string) bool {
 		return false
 	}
 	v := l.g.vars[name]
-	return l.g.def[pos] == v || !hasBit(l.out, pos*l.g.w, v)
+	return l.g.def[pos] == v || !hasBit(l.out, pos*l.g.vw, v)
 }
 
 func (l *lowering) proven(pos int, name string) bool {
