@@ -43,7 +43,7 @@
 //	src := flow.Source("in", []string{"a", "b"}, blackboxflow.Hints{Records: 1e6, AvgWidthBytes: 18})
 //	m := flow.Map("filter", prog.Funcs["filter"], src, blackboxflow.Hints{Selectivity: 0.5})
 //	flow.SetSink("out", m)
-//	_ = flow.DeriveEffects(false) // static code analysis
+//	_ = flow.DeriveEffects() // static code analysis
 //	plan, _ := blackboxflow.Optimize(flow, 8)
 //	eng := blackboxflow.NewEngine(8)
 //	eng.AddSource("in", data)

@@ -44,7 +44,7 @@ reduce total(g) {
 	r := flow.Reduce("total", prog.Funcs["total"], []string{"k"}, k, blackboxflow.Hints{KeyCardinality: 10})
 	flow.SetSink("out", r)
 
-	if err := flow.DeriveEffects(false); err != nil {
+	if err := flow.DeriveEffects(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,7 +192,7 @@ reduce total(g) {
 	src := flow.Source("in", []string{"k", "v"}, blackboxflow.Hints{Records: 100, AvgWidthBytes: 18})
 	red := flow.Reduce("total", prog.Funcs["total"], []string{"k"}, src, blackboxflow.Hints{KeyCardinality: 10})
 	flow.SetSink("out", red)
-	if err := flow.DeriveEffects(false); err != nil {
+	if err := flow.DeriveEffects(); err != nil {
 		t.Fatal(err)
 	}
 	data := make(blackboxflow.DataSet, 100)

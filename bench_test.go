@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's evaluation artifacts (one benchmark
 // per table/figure), plus ablation and engine micro benchmarks.
-// EXPERIMENTS.md maps every benchmark to its paper artifact and records the
-// measured numbers (including the BENCH_*.json engine baselines); DESIGN.md
-// describes the runtime substitutions the measurements rely on.
+// EXPERIMENTS.md maps each paper benchmark to its figure or table, and its
+// "Current baselines" section quotes the BENCH_*.json numbers; DESIGN.md
+// "Network cost" describes how the figure sweeps model the paper's network.
 //
 // Run with: go test -bench=. -benchmem
 package blackboxflow_test
@@ -425,7 +425,7 @@ func BenchmarkAblationSCAOverhead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := q.Flow.DeriveEffects(false); err != nil {
+		if err := q.Flow.DeriveEffects(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -597,7 +597,7 @@ reduce wcount(g) {
 		dataflow.Hints{KeyCardinality: words})
 	red.SetCombiner(udf)
 	f.SetSink("out", red)
-	if err := f.DeriveEffects(false); err != nil {
+	if err := f.DeriveEffects(); err != nil {
 		b.Fatal(err)
 	}
 	tree, err := optimizer.FromFlow(f)
@@ -689,7 +689,7 @@ reduce wcount(g) {
 	red := f.Reduce("wcount", udf, []string{"word"}, src,
 		dataflow.Hints{KeyCardinality: words})
 	f.SetSink("out", red)
-	if err := f.DeriveEffects(false); err != nil {
+	if err := f.DeriveEffects(); err != nil {
 		b.Fatal(err)
 	}
 	tree, err := optimizer.FromFlow(f)
@@ -775,7 +775,7 @@ match jn(l, r) {
 	jn := f.Match("J", udf, []string{"lk"}, []string{"rk"}, l, r,
 		dataflow.Hints{KeyCardinality: keys})
 	f.SetSink("out", jn)
-	if err := f.DeriveEffects(false); err != nil {
+	if err := f.DeriveEffects(); err != nil {
 		b.Fatal(err)
 	}
 	tree, err := optimizer.FromFlow(f)
@@ -868,7 +868,7 @@ reduce first(g) {
 	src := f.Source("S", []string{"k", "v"}, dataflow.Hints{Records: 10000, AvgWidthBytes: 18})
 	red := f.Reduce("R", udf, []string{"k"}, src, dataflow.Hints{KeyCardinality: 64})
 	f.SetSink("out", red)
-	if err := f.DeriveEffects(false); err != nil {
+	if err := f.DeriveEffects(); err != nil {
 		b.Fatal(err)
 	}
 	tree, err := optimizer.FromFlow(f)
@@ -929,7 +929,7 @@ match jpair(l, r) {
 		src := f.Source("in", []string{"k", "v"}, dataflow.Hints{Records: n, AvgWidthBytes: 20})
 		red := f.Reduce("jtally", tally, []string{"k"}, src, dataflow.Hints{KeyCardinality: keyCard})
 		f.SetSink("out", red)
-		if err := f.DeriveEffects(false); err != nil {
+		if err := f.DeriveEffects(); err != nil {
 			b.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -949,7 +949,7 @@ match jpair(l, r) {
 		m := f.Match("jpair", pair, []string{"lk"}, []string{"rk"}, l, r,
 			dataflow.Hints{KeyCardinality: keyCard / 2})
 		f.SetSink("out", m)
-		if err := f.DeriveEffects(false); err != nil {
+		if err := f.DeriveEffects(); err != nil {
 			b.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed))

@@ -68,7 +68,7 @@ func main() {
 		blackboxflow.Hints{KeyCardinality: 100})
 	flow.SetSink("out", agg)
 
-	if err := flow.DeriveEffects(false); err != nil {
+	if err := flow.DeriveEffects(); err != nil {
 		log.Fatal(err)
 	}
 	alts, err := blackboxflow.Enumerate(flow)

@@ -67,7 +67,7 @@ func main() {
 
 	// Open the black boxes: derive each UDF's properties by static code
 	// analysis.
-	if err := flow.DeriveEffects(false); err != nil {
+	if err := flow.DeriveEffects(); err != nil {
 		log.Fatal(err)
 	}
 	for _, op := range flow.Operators() {

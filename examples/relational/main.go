@@ -83,7 +83,7 @@ func main() {
 	join.FKSide = blackboxflow.FKRight // lineitem references supplier
 	flow.SetSink("out", join)
 
-	if err := flow.DeriveEffects(false); err != nil {
+	if err := flow.DeriveEffects(); err != nil {
 		log.Fatal(err)
 	}
 

@@ -55,7 +55,7 @@ func buildQuickstartFlow(t *testing.T) *blackboxflow.Flow {
 	o2 := flow.Map("f2", prog.Funcs["f2"], o1, blackboxflow.Hints{Selectivity: 0.5})
 	o3 := flow.Map("f3", prog.Funcs["f3"], o2, blackboxflow.Hints{})
 	flow.SetSink("O", o3)
-	if err := flow.DeriveEffects(false); err != nil {
+	if err := flow.DeriveEffects(); err != nil {
 		t.Fatal(err)
 	}
 	return flow
@@ -194,7 +194,7 @@ func TestRelationalExamplePipeline(t *testing.T) {
 		sup, agg, blackboxflow.Hints{KeyCardinality: suppliers})
 	join.FKSide = blackboxflow.FKRight
 	flow.SetSink("out", join)
-	if err := flow.DeriveEffects(false); err != nil {
+	if err := flow.DeriveEffects(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -505,7 +505,7 @@ func TestPactscriptExamplePipeline(t *testing.T) {
 	agg := flow.Reduce("perDevice", prog.Funcs["perDevice"], []string{"device"}, val,
 		blackboxflow.Hints{KeyCardinality: 100})
 	flow.SetSink("out", agg)
-	if err := flow.DeriveEffects(false); err != nil {
+	if err := flow.DeriveEffects(); err != nil {
 		t.Fatal(err)
 	}
 

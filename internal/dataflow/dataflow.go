@@ -149,9 +149,8 @@ type Operator struct {
 	Combiner *tac.Func
 
 	// CombinerEffect holds the combiner's symbolic properties, derived by
-	// SCA in DeriveEffects or set by hand (a manual annotation, which
-	// DeriveEffects(keepManual) keeps). The optimizer
-	// ignores Combiner until an effect is attached.
+	// SCA in DeriveEffects or set by hand (a manual annotation). The
+	// optimizer ignores Combiner until an effect is attached.
 	CombinerEffect *props.Effect
 
 	// SourceAttrs are the attributes a source produces.
@@ -414,32 +413,28 @@ func (f *Flow) Validate() error {
 	return nil
 }
 
-// DeriveEffects runs static code analysis over every UDF in the flow and
-// attaches the derived effects, skipping operators that already have a
-// manual annotation if keepManual is true.
-func (f *Flow) DeriveEffects(keepManual bool) error {
-	for _, op := range f.ops {
-		if !op.IsUDFOp() {
-			continue
+// DeriveEffects runs static code analysis once per distinct UDF in the
+// flow, combiners included, and attaches the derived effects, replacing any
+// set before. Operators that share a function share its effect, which
+// nothing writes in place.
+func (f *Flow) DeriveEffects() error {
+	effects := map[*tac.Func]*props.Effect{}
+	derive := func(fn *tac.Func, dst **props.Effect) (err error) {
+		if fn != nil {
+			if effects[fn] == nil {
+				effects[fn], err = sca.Analyze(fn)
+			}
+			*dst = effects[fn]
 		}
-		if keepManual && op.Effect != nil {
-			continue
-		}
-		e, err := sca.Analyze(op.UDF)
-		if err != nil {
-			return fmt.Errorf("dataflow: SCA of %s (%s): %w", op, op.UDF.Name, err)
-		}
-		op.Effect = e
+		return err
 	}
 	for _, op := range f.ops {
-		if op.Combiner == nil || (keepManual && op.CombinerEffect != nil) {
-			continue
+		if err := derive(op.UDF, &op.Effect); err != nil {
+			return fmt.Errorf("dataflow: SCA of %s (%s): %w", op, op.UDF.Name, err)
 		}
-		e, err := sca.Analyze(op.Combiner)
-		if err != nil {
+		if err := derive(op.Combiner, &op.CombinerEffect); err != nil {
 			return fmt.Errorf("dataflow: SCA of %s combiner (%s): %w", op, op.Combiner.Name, err)
 		}
-		op.CombinerEffect = e
 	}
 	return nil
 }

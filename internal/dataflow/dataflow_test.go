@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"blackboxflow/internal/frontend"
-	"blackboxflow/internal/props"
 	"blackboxflow/internal/tac"
 )
 
@@ -176,9 +175,12 @@ func TestValidateErrors(t *testing.T) {
 	})
 }
 
+// TestDeriveEffects: every UDF operator gets an effect, a Reduce and its
+// combiner sharing one function share one analysis, and so do two Maps
+// sharing one.
 func TestDeriveEffects(t *testing.T) {
 	f := buildValid()
-	if err := f.DeriveEffects(false); err != nil {
+	if err := f.DeriveEffects(); err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range f.Operators() {
@@ -186,30 +188,31 @@ func TestDeriveEffects(t *testing.T) {
 			t.Errorf("%s has no effect after DeriveEffects", op)
 		}
 	}
-}
 
-func TestDeriveEffectsKeepManual(t *testing.T) {
-	f := buildValid()
-	var m *Operator
-	for _, op := range f.Operators() {
-		if op.Name == "M" {
-			m = op
-		}
-	}
-	custom := props.NewEffect(1)
-	custom.Reads.Add(42)
-	m.SetEffect(custom)
-	if err := f.DeriveEffects(true); err != nil {
+	f = NewFlow()
+	s := f.Source("S", []string{"a"}, Hints{})
+	id, rd := u("id"), u("rd")
+	m1 := f.Map("M1", id, s, Hints{})
+	m2 := f.Map("M2", id, m1, Hints{})
+	r := f.Reduce("R", rd, []string{"a"}, m2, Hints{})
+	r.SetCombiner(rd)
+	f.SetSink("out", r)
+	if err := f.DeriveEffects(); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Effect.Reads.Has(42) {
-		t.Error("keepManual must preserve the manual annotation")
+	if m1.Effect == nil || m1.Effect != m2.Effect {
+		t.Errorf("Maps sharing a UDF hold effects %p and %p, want one", m1.Effect, m2.Effect)
 	}
-	if err := f.DeriveEffects(false); err != nil {
-		t.Fatal(err)
+	if r.Effect == nil || r.CombinerEffect != r.Effect {
+		t.Errorf("Reduce and combiner sharing a UDF hold effects %p and %p, want one", r.Effect, r.CombinerEffect)
 	}
-	if m.Effect.Reads.Has(42) {
-		t.Error("keepManual=false must overwrite the manual annotation")
+
+	f = NewFlow()
+	s = f.Source("S", []string{"a"}, Hints{})
+	far := frontend.MustCompile("map far(ir) {\n\tx := ir[70000]\n\tif x > 0 {\n\t\temit ir\n\t}\n}")
+	f.SetSink("out", f.Map("M", far.Funcs["far"], s, Hints{}))
+	if err := f.DeriveEffects(); err == nil || !strings.Contains(err.Error(), "dataflow: SCA of M[Map] (far): line 2") {
+		t.Errorf("SCA error = %v, want it attributed to M", err)
 	}
 }
 
@@ -252,7 +255,7 @@ func TestCoGroupConstruction(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.DeriveEffects(false); err != nil {
+	if err := f.DeriveEffects(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -279,7 +282,7 @@ func TestCombinerDeclaration(t *testing.T) {
 		if err := f.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.DeriveEffects(false); err != nil {
+		if err := f.DeriveEffects(); err != nil {
 			t.Fatal(err)
 		}
 		if r.CombinerEffect == nil {
@@ -304,22 +307,6 @@ func TestCombinerDeclaration(t *testing.T) {
 		f.SetSink("out", r)
 		if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "kind") {
 			t.Errorf("err = %v", err)
-		}
-	})
-	t.Run("manual combiner effect kept", func(t *testing.T) {
-		f := NewFlow()
-		s := f.Source("S", []string{"a"}, Hints{})
-		r := f.Reduce("R", u("rd"), []string{"a"}, s, Hints{})
-		r.SetCombiner(u("rd"))
-		f.SetSink("out", r)
-		manual := props.NewEffect(1)
-		manual.EmitMin, manual.EmitMax = 1, 1
-		r.CombinerEffect = manual
-		if err := f.DeriveEffects(true); err != nil {
-			t.Fatal(err)
-		}
-		if r.CombinerEffect != manual {
-			t.Error("DeriveEffects(keepManual) overwrote the manual combiner effect")
 		}
 	})
 }

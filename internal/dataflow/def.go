@@ -207,7 +207,7 @@ func (d *FlowDef) Build(prog *tac.Program, hints map[string]Hints) (*Flow, error
 	if err := flow.Validate(); err != nil {
 		return nil, err
 	}
-	if err := flow.DeriveEffects(false); err != nil {
+	if err := flow.DeriveEffects(); err != nil {
 		return nil, err
 	}
 	return flow, nil

@@ -326,7 +326,7 @@ reduce count(g) {
 		return trials(18, func(i int) row { return joinTrialRow(t, i) })
 	}},
 	"TestAllAlternativesEquivalent": {configs{dops: []int{4}, plans: "alts", some: sawAlts}, func(t *testing.T) []row {
-		return []row{paperRow(t, 7, 200, 10), taintChainRow(t), mixedEmitsRow(t)}
+		return []row{paperRow(t, 7, 200, 10), taintChainRow(t), mixedEmitsRow(t), countThenFilterRow(t), dynamicFilterRow(t), twoPerCallRow(t)}
 	}},
 	// One seeded disk fault per random pipeline.
 	"TestRandomPipelinesTinyBudgetFaultEquivalent": {configs{dops: []int{3}, budgets: tightOnly, plans: "first", fault: "disk", some: sawFault}, func(t *testing.T) []row {
@@ -662,7 +662,23 @@ map lowV(ir) {
 	if c < 12 {
 		emit ir
 	}
+}` + tagSizeUDF, dataflow.FlowDef{
+	Sources: sources(dataflow.SourceDef{Name: "S", Attrs: attrs("k v n"), Records: 60, AvgWidthByte: 27}),
+	Ops: ops(dataflow.OpDef{Kind: "map", UDF: "lowV", Inputs: attrs("S"), Selectivity: 0.5},
+		dataflow.OpDef{Kind: "reduce", UDF: "tagSize", Inputs: attrs("lowV"), Keys: [][]string{{"k"}}, KeyCardinality: 4}),
+	Sink: "tagSize",
+}}
+
+// taintChainRow runs taintChainFlow over 60 records: four keys, v = i%10,
+// so lowV keeps half of every group.
+func taintChainRow(t *testing.T) row {
+	r := flowRow(t, "taint-chain", taintChainFlow, kvnData())
+	r.bag, r.check = true, wantLen(30)
+	return r
 }
+
+// tagSizeUDF sets field 2 of every record to its key group's size.
+const tagSizeUDF = `
 reduce tagSize(g) {
 	n := g.size()
 	i := 0
@@ -673,22 +689,105 @@ reduce tagSize(g) {
 		emit out
 		i := i + 1
 	}
-}`, dataflow.FlowDef{
-	Sources: sources(dataflow.SourceDef{Name: "S", Attrs: attrs("k v n"), Records: 60, AvgWidthByte: 27}),
-	Ops: ops(dataflow.OpDef{Kind: "map", UDF: "lowV", Inputs: attrs("S"), Selectivity: 0.5},
-		dataflow.OpDef{Kind: "reduce", UDF: "tagSize", Inputs: attrs("lowV"), Keys: [][]string{{"k"}}, KeyCardinality: 4}),
-	Sink: "tagSize",
-}}
+}`
 
-// taintChainRow runs taintChainFlow over 60 records: four keys, v = i%10,
-// so lowV keeps half of every group.
-func taintChainRow(t *testing.T) row {
+// kvnData is 60 records (k, v, n): four keys, v = i%10, n = 0. A test on v
+// splits every key group, and unevenly.
+func kvnData() map[string]record.DataSet {
 	data := make(record.DataSet, 60)
 	for i := range data {
 		data[i] = record.Record{record.Int(int64(i % 4)), record.Int(int64(i % 10)), record.Int(0)}
 	}
-	r := flowRow(t, "taint-chain", taintChainFlow, map[string]record.DataSet{"S": data})
-	r.bag, r.check = true, wantLen(30)
+	return map[string]record.DataSet{"S": data}
+}
+
+// countThenFilterFlow is S(k, v, n) → tagSize(k) → highV: highV tests v,
+// outside tagSize's key, so only Theorem 2's key-group condition keeps it
+// from being moved below tagSize, where the groups it splits would be
+// counted split.
+var countThenFilterFlow = flowDef{tagSizeUDF + `
+map highV(ir) {
+	if ir[1] >= 5 {
+		emit ir
+	}
+}`, dataflow.FlowDef{
+	Sources: sources(dataflow.SourceDef{Name: "S", Attrs: attrs("k v n"), Records: 60, AvgWidthByte: 27}),
+	Ops: ops(dataflow.OpDef{Kind: "reduce", UDF: "tagSize", Inputs: attrs("S"), Keys: [][]string{{"k"}}, KeyCardinality: 4},
+		dataflow.OpDef{Kind: "map", UDF: "highV", Inputs: attrs("tagSize"), Selectivity: 0.5}),
+	Sink: "highV",
+}}
+
+// countThenFilterRow runs countThenFilterFlow over kvnData: 30 records
+// survive, each counted in its whole group of 15.
+func countThenFilterRow(t *testing.T) row {
+	r := flowRow(t, "count-then-filter", countThenFilterFlow, kvnData())
+	r.bag, r.check = true, groupsOf(30, 15)
+	return r
+}
+
+// dynamicFilterFlow is S(k, v, w) → lowAt → keepBig(k): lowAt tests the
+// field that k indexes, v or w, so its condition taint is only k but its
+// decision splits key groups; keepBig passes on the groups of ten or more
+// records. Only KGP refusing a dynamic read keeps keepBig from being moved
+// below lowAt.
+var dynamicFilterFlow = flowDef{`
+map lowAt(ir) {
+	f := ir[0]
+	x := ir[f]
+	if x < 5 {
+		emit ir
+	}
+}
+reduce keepBig(g) {
+	n := g.size()
+	if n >= 10 {
+		i := 0
+		while i < n {
+			r := g.at(i)
+			emit r
+			i := i + 1
+		}
+	}
+}`, dataflow.FlowDef{
+	Sources: sources(dataflow.SourceDef{Name: "S", Attrs: attrs("k v w"), Records: 40, AvgWidthByte: 27}),
+	Ops: ops(dataflow.OpDef{Kind: "map", UDF: "lowAt", Inputs: attrs("S"), Selectivity: 0.5},
+		dataflow.OpDef{Kind: "reduce", UDF: "keepBig", Inputs: attrs("lowAt"), Keys: [][]string{{"k"}}, KeyCardinality: 2}),
+	Sink: "keepBig",
+}}
+
+// dynamicFilterRow runs dynamicFilterFlow over 40 records in two groups of
+// 20: k = 1 tests v = i%10 and keeps 12, k = 2 tests w = 3i%10 and keeps 8,
+// so only the first group reaches ten.
+func dynamicFilterRow(t *testing.T) row {
+	data := make(record.DataSet, 40)
+	for i := range data {
+		data[i] = record.Record{record.Int(int64(1 + i%2)), record.Int(int64(i % 10)), record.Int(int64(3 * i % 10))}
+	}
+	r := flowRow(t, "dynamic-filter", dynamicFilterFlow, map[string]record.DataSet{"S": data})
+	r.bag, r.check = true, wantLen(12)
+	return r
+}
+
+// twoPerCallFlow is S(k, v, n) → twice → tagSize(k): twice emits every
+// record two times, so it doubles the groups tagSize counts. It has no
+// condition, so only KGP refusing emitters of more than one record keeps
+// tagSize from being moved below it.
+var twoPerCallFlow = flowDef{`
+map twice(ir) {
+	emit ir
+	emit ir
+}` + tagSizeUDF, dataflow.FlowDef{
+	Sources: sources(dataflow.SourceDef{Name: "S", Attrs: attrs("k v n"), Records: 60, AvgWidthByte: 27}),
+	Ops: ops(dataflow.OpDef{Kind: "map", UDF: "twice", Inputs: attrs("S")},
+		dataflow.OpDef{Kind: "reduce", UDF: "tagSize", Inputs: attrs("twice"), Keys: [][]string{{"k"}}, KeyCardinality: 4}),
+	Sink: "tagSize",
+}}
+
+// twoPerCallRow runs twoPerCallFlow over kvnData: 120 records, each
+// counted in a group of 30.
+func twoPerCallRow(t *testing.T) row {
+	r := flowRow(t, "two-per-call", twoPerCallFlow, kvnData())
+	r.bag, r.check = true, groupsOf(120, 30)
 	return r
 }
 

@@ -720,7 +720,7 @@ func joinCostRow(lRecs, rRecs float64, at config, check func(*testing.T, *cell))
 
 // derive derives the flow's effects by static code analysis.
 func derive(t testing.TB, f *dataflow.Flow) {
-	if err := f.DeriveEffects(false); err != nil {
+	if err := f.DeriveEffects(); err != nil {
 		t.Fatal(err)
 	}
 }
