@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"blackboxflow/internal/dataflow"
@@ -11,6 +12,7 @@ import (
 	"blackboxflow/internal/props"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/tac"
+	"blackboxflow/internal/transport"
 )
 
 // TestCombineFlushAllocs pins the combining sender's flush: grouping a
@@ -216,5 +218,47 @@ match concatJoin(l, r) {
 	t.Logf("bytes allocated per probe record: %.0f through 1 Match, %.0f through 5", one, five)
 	if five > 1.5*one {
 		t.Errorf("5 Matches allocate %.0f bytes per probe record, 1 Match %.0f: more than 1.5x, so the chain copies what it was handed", five, one)
+	}
+}
+
+// TestTCPReduceTakesSlabsFromPool pins the receive side's slab recycling: a
+// Reduce fed over TCP decodes every frame into a pooled slab and gives the
+// slabs back when its local stage ends, so a second run of the same plan
+// allocates no slab. One P keeps every released slab within reach of the
+// next Get (sync.Pool keeps one private object per P), two collections
+// empty the pools first, and no collection runs in between.
+func TestTCPReduceTakesSlabsFromPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tp, err := transport.NewTCP(transport.TCPConfig{Workers: startWorkerAddrs(t, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	fd := wordcountFlow("sumPerWord", 6000, 300, 22, false)
+	plan := fd.plan(t, 4)
+	e := New(4).WithTransport(tp)
+	for name, ds := range wordcountData(6000, 300) {
+		e.AddSource(name, ds)
+	}
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var made [2]int64
+	for i := range made {
+		before := record.SlabsMade()
+		out, stats, err := e.Run(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 300 || stats.TotalShippedBytes() == 0 {
+			t.Fatalf("run %d: %d groups and %d shipped bytes, want 300 groups and a shuffle", i+1, len(out), stats.TotalShippedBytes())
+		}
+		made[i] = record.SlabsMade() - before
+	}
+	if made[0] == 0 || made[1] != 0 {
+		t.Errorf("slabs allocated by the first and second runs: %v, want some and then none", made)
 	}
 }

@@ -333,7 +333,10 @@ func (h *harness) dop(t *testing.T, r row, dop int, snap sourceSnapshot) {
 				// strategy emits the canonical order.
 				requireByteIdentical(t, c.ref, firstRef, fmt.Sprintf("%s dop=%d: plan %s vs plan %s", r.name, dop, p.name, plans[0].name))
 			case !sameBag(c.ref, firstRef):
-				t.Fatalf("%s dop=%d: plan %s computes a different bag than plan %s", r.name, dop, p.name, plans[0].name)
+				// Errorf, not Fatalf: every row and plan a broken rewrite
+				// or key comparison breaks is named in one run.
+				t.Errorf("%s dop=%d: plan %s computes a different bag than plan %s", r.name, dop, p.name, plans[0].name)
+				continue
 			}
 		}
 		shipped := map[string]int{}

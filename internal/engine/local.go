@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 
 	"blackboxflow/internal/dataflow"
@@ -178,10 +182,13 @@ func (c *sortedGroupCursor) next() ([]record.Record, error) {
 	return c.recs[start:c.pos], nil
 }
 
-// mergeGroupCursor accumulates equal-key groups from a sorted record merge.
+// mergeGroupCursor accumulates equal-key groups from a sorted record merge
+// in one buffer, reused from group to group: a group is valid until the
+// cursor's next call, and no local strategy holds one longer.
 type mergeGroupCursor struct {
 	m       *spill.Merger
 	keys    []int
+	group   []record.Record
 	peek    record.Record
 	hasPeek bool
 	done    bool
@@ -203,7 +210,7 @@ func (c *mergeGroupCursor) next() ([]record.Record, error) {
 		c.peek = rec
 		c.hasPeek = true
 	}
-	group := []record.Record{c.peek}
+	c.group = append(c.group[:0], c.peek)
 	c.hasPeek = false
 	for {
 		rec, ok, err := c.m.Next()
@@ -212,14 +219,14 @@ func (c *mergeGroupCursor) next() ([]record.Record, error) {
 		}
 		if !ok {
 			c.done = true
-			return group, nil
+			return c.group, nil
 		}
-		if group[0].CompareOn(rec, c.keys) != 0 {
+		if c.group[0].CompareOn(rec, c.keys) != 0 {
 			c.peek = rec
 			c.hasPeek = true
-			return group, nil
+			return c.group, nil
 		}
-		group = append(group, rec)
+		c.group = append(c.group, rec)
 	}
 }
 
@@ -366,7 +373,7 @@ func hashJoin(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, in []
 	p.x.size = sized(p.x.size, len(b.x.hash))
 	b.order = slices.Grow(b.order[:0], len(b.x.hash))
 	for j, r := range recs {
-		g, _ := b.x.find(r.Hash(keys), r, keys)
+		g, _ := b.x.find(keyHash(r, keys), r, keys)
 		p.x.ids[j] = g
 		if g < 0 {
 			continue
@@ -384,15 +391,18 @@ func hashJoin(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, in []
 }
 
 // keyIndex groups one side of a partition by its key fields: an
-// open-addressing table of group ids over Record.Hash, a hit confirmed by
+// open-addressing table of group ids over keyHash, a hit confirmed by
 // comparing keys with the group's key fields, which it holds densely —
 // len(keys) Values per group, beside the group's hash — so neither a probe
-// nor the key sort chases a record. Its per-group and per-record arrays
-// are sized once, for as many groups as records: its allocations do not
-// grow with records or groups, and re-indexing reuses them. Group ids
-// number the groups in order of first arrival.
+// nor the key sort chases a record. It notes, per key field, the kind every
+// group has there, so that int and string keys compare and sort without
+// record.Value.Compare. Its per-group and per-record arrays are sized once,
+// for as many groups as records: its allocations do not grow with records
+// or groups, and re-indexing reuses them. Group ids number the groups in
+// order of first arrival.
 type keyIndex struct {
 	keys  []int
+	kinds []record.Kind  // per key field: the kind of every group's, or mixedKinds
 	slots []int32        // group id + 1 per table slot; 0 is empty
 	shift uint           // 64 - log2(len(slots))
 	hash  []uint64       // per group: its key hash
@@ -401,30 +411,78 @@ type keyIndex struct {
 	ids   []int32        // per record: its group
 }
 
+// mixedKinds marks a key field whose groups differ in kind.
+const mixedKinds record.Kind = 255
+
 // index groups recs by keys, replacing what x indexed before.
 func (x *keyIndex) index(recs []record.Record, keys []int) {
 	n := len(recs)
 	lg := bits.Len(uint(2 * n)) // a table over twice n slots keeps probes short
 	x.keys = keys
+	x.kinds = sized(x.kinds, len(keys))
 	x.slots, x.shift = sized(x.slots, 1<<lg), uint(64-lg)
 	x.hash, x.size = slices.Grow(x.hash[:0], n), slices.Grow(x.size[:0], n)
 	x.kv = slices.Grow(x.kv[:0], n*len(keys))
 	x.ids = sized(x.ids, n)
 	for i, r := range recs {
-		h := r.Hash(keys)
+		h := keyHash(r, keys)
 		g, s := x.find(h, r, keys)
 		if g < 0 {
 			g = int32(len(x.hash))
 			x.slots[s] = g + 1
 			x.hash = append(x.hash, h)
-			for _, f := range keys {
-				x.kv = append(x.kv, r.Field(f))
+			for j, f := range keys {
+				v := r.Field(f)
+				if g == 0 {
+					x.kinds[j] = v.Kind()
+				} else if x.kinds[j] != v.Kind() {
+					x.kinds[j] = mixedKinds
+				}
+				x.kv = append(x.kv, v)
 			}
 			x.size = append(x.size, 0)
 		}
 		x.ids[i] = g
 		x.size[g]++
 	}
+}
+
+// indexSeed seeds keyHash's string hash.
+var indexSeed = maphash.MakeSeed()
+
+// keyHash is the key index's hash of r's fields keys. Only the index uses
+// it — shuffle routing keeps record.Record.Hash, so no record changes
+// partition — and it need only hash Equal keys equally: ints and integral
+// floats by a multiply–xorshift of the int, strings by hash/maphash, and
+// every other value by record.Value.Hash, which no int or string equals.
+func keyHash(r record.Record, keys []int) uint64 {
+	var h uint64
+	for _, f := range keys {
+		h = h*0x9e3779b97f4a7c15 ^ valueHash(r.Field(f))
+	}
+	return h
+}
+
+// valueHash is keyHash's hash of one field.
+func valueHash(v record.Value) uint64 {
+	var i int64
+	switch v.Kind() {
+	case record.KindInt:
+		i = v.AsInt()
+	case record.KindString:
+		return maphash.String(indexSeed, v.AsString())
+	case record.KindFloat:
+		f := v.AsFloat()
+		if f != math.Trunc(f) || math.IsInf(f, 0) {
+			return v.Hash() // NaN included
+		}
+		i = int64(f)
+	default:
+		return v.Hash()
+	}
+	u := uint64(i)
+	u = (u ^ u>>33) * 0xff51afd7ed558ccd
+	return u ^ u>>33
 }
 
 // sized returns s resized to n zeros, in its own array when that is large
@@ -438,9 +496,7 @@ func sized[T any](s []T, n int) []T {
 	return s
 }
 
-// start is h's home slot. Fibonacci hashing takes the top bits of a
-// product: within one partition Record.Hash is fixed modulo the DOP, so its
-// low bits are not spread.
+// start is h's home slot: the top bits of a Fibonacci-hashing product.
 func (x *keyIndex) start(h uint64) int {
 	return int(h * 0x9e3779b97f4a7c15 >> x.shift)
 }
@@ -452,8 +508,8 @@ func (x *keyIndex) key(g int32) []record.Value {
 }
 
 // find returns the group whose key equals r's fields rKeys, or -1 and the
-// empty slot that ends h's probe sequence. Equal keys hash equally
-// (record.Value.Compare is exact), so only that sequence can hold the group.
+// empty slot that ends h's probe sequence. Equal keys hash equally, so only
+// that sequence can hold the group.
 func (x *keyIndex) find(h uint64, r record.Record, rKeys []int) (int32, int) {
 	s := x.start(h)
 	for ; x.slots[s] != 0; s = (s + 1) & (len(x.slots) - 1) {
@@ -466,22 +522,64 @@ func (x *keyIndex) find(h uint64, r record.Record, rKeys []int) (int32, int) {
 }
 
 // keyEquals reports whether r's fields rKeys equal key, position by
-// position.
+// position: two ints or two strings directly, any other pair by
+// record.Value.Equal, which holds exactly where Compare reports 0.
 func keyEquals(key []record.Value, r record.Record, rKeys []int) bool {
 	for i, v := range key {
-		if v.Compare(r.Field(rKeys[i])) != 0 {
+		w := r.Field(rKeys[i])
+		switch k := v.Kind(); {
+		case k != w.Kind():
+			if !v.Equal(w) {
+				return false
+			}
+		case k == record.KindInt:
+			if v.AsInt() != w.AsInt() {
+				return false
+			}
+		case k == record.KindString:
+			if v.AsString() != w.AsString() {
+				return false
+			}
+		case !v.Equal(w):
 			return false
 		}
 	}
 	return true
 }
 
-// sortGroups orders group ids by key. Distinct groups never tie —
-// record.Value.Compare is 0 exactly where keys are Equal — so this is the
-// order a stable sort of the groups in arrival order gives.
+// sortGroups orders group ids by key: a field all groups hold as ints or
+// all as strings by that kind's order, which is Value.Compare's within the
+// kind, any other field by Value.Compare. Distinct groups never tie —
+// Compare is 0 exactly where keys are Equal — so this is the order a stable
+// sort of the groups in arrival order gives.
 func (x *keyIndex) sortGroups(gs []int32) {
+	if len(x.kinds) == 1 { // one key field, x.kv holds one Value per group
+		switch x.kinds[0] {
+		case record.KindInt:
+			slices.SortFunc(gs, func(a, b int32) int { return cmp.Compare(x.kv[a].AsInt(), x.kv[b].AsInt()) })
+			return
+		case record.KindString:
+			slices.SortFunc(gs, func(a, b int32) int { return strings.Compare(x.kv[a].AsString(), x.kv[b].AsString()) })
+			return
+		}
+	}
 	slices.SortFunc(gs, func(a, b int32) int {
-		return slices.CompareFunc(x.key(a), x.key(b), record.Value.Compare)
+		ka, kb := x.key(a), x.key(b)
+		for i, k := range x.kinds {
+			var c int
+			switch k {
+			case record.KindInt:
+				c = cmp.Compare(ka[i].AsInt(), kb[i].AsInt())
+			case record.KindString:
+				c = strings.Compare(ka[i].AsString(), kb[i].AsString())
+			default:
+				c = ka[i].Compare(kb[i])
+			}
+			if c != 0 {
+				return c
+			}
+		}
+		return 0
 	})
 }
 

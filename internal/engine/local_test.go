@@ -14,6 +14,7 @@ import (
 	"blackboxflow/internal/frontend"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
+	"blackboxflow/internal/spill"
 	"blackboxflow/internal/tac"
 )
 
@@ -263,6 +264,41 @@ func TestHashGroupingEdgeKeys(t *testing.T) {
 	}
 }
 
+// TestKeyIndexKindPaths: where every key of a field is an int, or every key
+// a string, the key index compares and sorts them by that kind alone; one
+// float among the ints, or one int among the strings, puts the field back
+// on record.Value.Compare. Both must form the groups a stable sort forms,
+// in the same order, with one key field and with two.
+func TestKeyIndexKindPaths(t *testing.T) {
+	ints := []record.Value{record.Int(math.MaxInt64), record.Int(1<<53 + 1), record.Int(-1), record.Int(math.MinInt64),
+		record.Int(1 << 53), record.Int(0), record.Int(math.MinInt64 + 1), record.Int(math.MaxInt64 - 1)}
+	strs := []record.Value{record.String("b"), record.String(""), record.String("ab"), record.String("a"),
+		record.String("\xff"), record.String("a\x00"), record.String("B")}
+	for _, c := range []struct {
+		name string
+		keys []record.Value
+	}{
+		{"ints", ints},
+		{"ints+float", append(slices.Clone(ints), record.Float(1<<53))},
+		{"strings", strs},
+		{"strings+int", append(slices.Clone(strs), record.Int(0))},
+	} {
+		var recs record.DataSet
+		for i := range 5 * len(c.keys) {
+			recs = append(recs, record.Record{c.keys[i*3%len(c.keys)], c.keys[i*5%len(c.keys)], record.Int(int64(i))})
+		}
+		for _, keys := range [][]int{{0}, {1, 0}} {
+			want := slices.Clone(recs)
+			sortRecs(want, keys)
+			var got record.DataSet
+			for _, g := range new(grouper).groups(recs, keys) {
+				got = append(got, g...)
+			}
+			requireByteIdentical(t, got, want, fmt.Sprintf("%s keys=%v: hash groups vs stable sort", c.name, keys))
+		}
+	}
+}
+
 // TestCombineAdversarialKeys runs the combining sender over adversarialKeys
 // plus -0.0 beside 0: Int(1) and Float(1), -0.0 and 0, and the three NaNs
 // must each combine into one group, and 2^53 and 2^53+1 must not. The long
@@ -285,6 +321,51 @@ func TestCombineAdversarialKeys(t *testing.T) {
 	for dop := 1; dop <= 4; dop++ {
 		requireCombinerInvisible(t, keys, dop)
 		requireCombinerInvisible(t, long, dop)
+	}
+}
+
+// TestMergeGroupsAllocs pins the spilling path's group stream: draining a
+// merge of sorted runs into key groups reuses one group buffer, so it costs
+// the same few allocations — the cursors, the merger and the buffer's
+// growth to the largest group — for 100 keys as for 10,000.
+func TestMergeGroupsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	keys := []int{0}
+	var counts []float64
+	for _, n := range []int{100, 10000} {
+		runs := make([][]record.Record, 3)
+		for i := range runs {
+			for k := range n {
+				runs[i] = append(runs[i], record.Record{record.Int(int64(k)), record.Int(int64(i))})
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			cursors := make([]spill.Cursor, len(runs))
+			for i, run := range runs {
+				cursors[i] = spill.NewSliceCursor(run)
+			}
+			m, err := spill.NewMerger(cursors, func(a, b record.Record) int { return a.CompareOn(b, keys) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &mergeGroupCursor{m: m, keys: keys}
+			groups := 0
+			for g, err := c.next(); g != nil || err != nil; g, err = c.next() {
+				if err != nil || len(g) != len(runs) {
+					t.Fatalf("group %d: %d records, err %v; want %d records", groups, len(g), err, len(runs))
+				}
+				groups++
+			}
+			if groups != n {
+				t.Fatalf("%d groups, want %d", groups, n)
+			}
+		})
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] || counts[1] > 16 {
+		t.Errorf("merging 100 and 10,000 keys into groups allocates %v times, want the same and at most 16", counts)
 	}
 }
 

@@ -345,6 +345,7 @@ func (e *Engine) run(ctx context.Context, p *optimizer.PhysPlan, edges []edge, s
 	localSpan := tr.Begin(opSpan, "local", obs.KindLocal)
 	localStart := time.Now()
 	out, calls, err := e.local(ctx, p, edges, room)
+	releaseInputs(op, edges)
 	if err = attribute(ctx, op.Name, "local", err); err != nil {
 		tr.Fail(localSpan, err)
 		return nil, err
@@ -355,6 +356,26 @@ func (e *Engine) run(ctx context.Context, p *optimizer.PhysPlan, edges []edge, s
 	e.mergeSpan(localSpan, localStart, st)
 	tr.EndWith(localSpan, func(s *obs.Span) { s.Calls = int64(calls) })
 	return out, nil
+}
+
+// releaseInputs gives back the slabs of the frames the operator's shuffled
+// inputs were decoded from, once its local stage is done with their records
+// — except where its output may be its input storage: the sink returns its
+// input, and a Match may emit a handed-over record (edge.owned) or build its
+// result in it. Every other operator emits copies (tac.Runner), and copies
+// share only string bytes, which live in the frame's arena, not its slab.
+func releaseInputs(op *dataflow.Operator, edges []edge) {
+	if op.Kind == dataflow.KindSink {
+		return
+	}
+	for i := range edges {
+		if op.Kind == dataflow.KindMatch && edges[i].owned {
+			continue
+		}
+		for _, sp := range edges[i].spills {
+			sp.releaseSlabs()
+		}
+	}
 }
 
 // recvBudget returns the resident-byte budget of each of p's shuffle

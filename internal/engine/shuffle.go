@@ -301,14 +301,16 @@ func (s *sender) combinerError(err error) error {
 	return &opError{s.combiner.Name, fmt.Errorf("combiner: %w", err)}
 }
 
-// partitionSpill is one target partition's overflow state: the spill file
-// (created lazily on first overflow), the sorted runs written so far, and
-// the disk bytes they occupy (run framing included).
+// partitionSpill is one target partition's receive state: the spill file
+// (created lazily on first overflow), the sorted runs written so far, the
+// disk bytes they occupy (run framing included), and the slabs of the
+// decoded frames its resident records are windows of (see releaseSlabs).
 type partitionSpill struct {
 	file  *spill.File
 	runs  []spill.Run
 	bytes int
 	err   error
+	slabs []record.Slab
 
 	// Write-phase locals for the trace: when the first run is written and
 	// how much wall time the sort+write passes took in total. Accumulated
@@ -317,6 +319,16 @@ type partitionSpill struct {
 	// (Engine.foldSpillSpans) — the hot loop never touches the trace.
 	writeStart time.Time
 	writeDur   time.Duration
+}
+
+// releaseSlabs gives back the slabs of the frames whose records the
+// partition held.
+func (sp *partitionSpill) releaseSlabs() {
+	for _, s := range sp.slabs {
+		s.Release()
+	}
+	clear(sp.slabs)
+	sp.slabs = sp.slabs[:0]
 }
 
 // closeSpills releases the spill files of one shuffle's partitions.
@@ -329,7 +341,10 @@ func closeSpills(spills []*partitionSpill) {
 }
 
 // collect drains one target partition's stream from the transport session
-// into out[i], recycling the batches. Under a positive budget it tracks the
+// into out[i], recycling the batches. A batch decoded from a frame carries
+// its slab: the collector keeps it beside the partition's records and gives
+// it back at once if it discards the batch, and once the batch's records are
+// in a written run. Under a positive budget it tracks the
 // buffer's resident bytes (wire encoding, the unit MemoryBudget is
 // expressed in) and, when they exceed the budget, sorts the buffer by key
 // and writes it to the partition's spill file as one run; budget zero is
@@ -375,9 +390,17 @@ func (e *Engine) collect(ctx context.Context, st *shuffleState, out Partitioned,
 		if sp.err == nil {
 			sp.err = context.Cause(ctx)
 		}
+		slab, decoded := b.TakeSlab()
 		if sp.err != nil {
+			slab.Release()
 			record.PutBatch(b)
 			continue
+		}
+		if decoded {
+			if sp.slabs == nil {
+				sp.slabs = make([]record.Slab, 0, 32) // a shuffle's few dozen frames per target, in one allocation
+			}
+			sp.slabs = append(sp.slabs, slab)
 		}
 		buf = append(buf, b.Records()...)
 		resident += b.EncodedSize()
@@ -405,6 +428,7 @@ func (e *Engine) collect(ctx context.Context, st *shuffleState, out Partitioned,
 		}
 		sp.runs = append(sp.runs, run)
 		sp.bytes += int(run.Length)
+		sp.releaseSlabs()
 		sp.writeDur += time.Since(writeAt)
 		if e.Hists != nil {
 			e.Hists.SpillRunBytes.Observe(float64(run.Length))

@@ -18,6 +18,7 @@ const DefaultBatchCap = 1024
 type Batch struct {
 	recs  []Record
 	bytes int
+	slab  Slab // what DecodeBatch decoded recs into, until TakeSlab
 }
 
 // NewBatch returns an empty batch with the given capacity.
@@ -72,12 +73,24 @@ func (b *Batch) Records() []Record { return b.recs }
 // batch never re-walks its records.
 func (b *Batch) EncodedSize() int { return b.bytes }
 
+// TakeSlab hands the caller the slab a DecodeBatch batch's records are
+// windows of, and false for any other batch. The caller then owns it and
+// releases it once no record points into it (Slab.Release); a slab not
+// taken goes with its batch to the garbage collector, never to the pool.
+func (b *Batch) TakeSlab() (Slab, bool) {
+	s := b.slab
+	b.slab = Slab{}
+	return s, s.vals != nil
+}
+
 // Reset empties the batch, keeping its capacity. Record references are
-// cleared so pooled batches do not pin field storage across executions.
+// cleared, and an untaken slab dropped, so pooled batches do not pin field
+// storage across executions.
 func (b *Batch) Reset() {
 	for i := range b.recs {
 		b.recs[i] = nil
 	}
 	b.recs = b.recs[:0]
 	b.bytes = 0
+	b.slab = Slab{}
 }

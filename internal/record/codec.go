@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // This file implements the engine's wire encoding of records — the byte
@@ -55,9 +54,15 @@ func DecodeRecords(dst []Record, buf []byte, count int) ([]Record, error) {
 	if err != nil {
 		return dst, err
 	}
-	slab := make([]Value, fields)
-	var arena strings.Builder
-	arena.Grow(strBytes)
+	return decodeFrame(dst, buf, count, make([]Value, fields), strBytes), nil
+}
+
+// decodeFrame decodes a frame scanFrame has validated into slab, which
+// holds exactly its fields, and a fresh arena of its strBytes string bytes.
+// The arena is written here and never again, so a string Value may point
+// into it as String points into a string's bytes.
+func decodeFrame(dst []Record, buf []byte, count int, slab []Value, strBytes int) []Record {
+	arena := make([]byte, 0, strBytes)
 	dst = slices.Grow(dst, count)
 	pos, next := 0, 0
 	for i := 0; i < count; i++ {
@@ -75,27 +80,23 @@ func DecodeRecords(dst []Record, buf []byte, count int) ([]Record, error) {
 			case KindString:
 				l := int(binary.LittleEndian.Uint32(buf[pos:]))
 				pos += 4
-				arena.Write(buf[pos : pos+l])
-				r[f] = Value{kind: KindString, n: uint64(l)} // p is set below, once the arena is final
+				var p *byte
+				if l > 0 {
+					arena = append(arena, buf[pos:pos+l]...) // within cap: strBytes sums every l
+					p = &arena[len(arena)-l]
+				}
+				r[f] = Value{kind: KindString, p: p, n: uint64(l)}
 				pos += l
 			case KindBool:
 				r[f] = Value{kind: KindBool, n: uint64(buf[pos])}
 				pos++
+			default: // Null, written too: the decoder writes every Value of the slab
+				r[f] = Value{}
 			}
 		}
 		dst = append(dst, r)
 	}
-	if strBytes > 0 {
-		s := arena.String()
-		for i := range slab {
-			if slab[i].kind == KindString {
-				l := int(slab[i].n)
-				slab[i] = String(s[:l])
-				s = s[l:]
-			}
-		}
-	}
-	return dst, nil
+	return dst
 }
 
 // scanFrame validates a frame of count records and returns its total field
@@ -150,15 +151,18 @@ func scanFrame(buf []byte, count int) (fields, strBytes int, err error) {
 
 // DecodeBatch decodes a frame of count records (see DecodeRecords) into a
 // pooled batch. The batch's byte total is the frame's length, which the
-// records consume exactly.
+// records consume exactly. Its records are windows of a slab from the size
+// class pool (slab.go), which the batch carries until Batch.TakeSlab; the
+// string arena is the frame's own, as with DecodeRecords.
 func DecodeBatch(buf []byte, count int) (*Batch, error) {
-	b := GetBatch()
-	recs, err := DecodeRecords(b.recs, buf, count)
+	fields, strBytes, err := scanFrame(buf, count)
 	if err != nil {
-		PutBatch(b)
 		return nil, err
 	}
-	b.recs, b.bytes = recs, len(buf)
+	b := GetBatch()
+	slab := getSlab(fields)
+	b.recs = decodeFrame(b.recs, buf, count, slab, strBytes)
+	b.bytes, b.slab = len(buf), Slab{slab}
 	return b, nil
 }
 

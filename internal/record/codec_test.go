@@ -142,9 +142,10 @@ func TestDecodeRecordsOwnsStorage(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchAllocs pins what a frame costs: a 1,024-record frame with
-// string fields decodes in two allocations beyond the pooled batch — the
-// Value slab and the string arena — and one without strings in one.
+// TestDecodeBatchAllocs pins what a frame costs once the slab pool is warm:
+// a 1,024-record frame whose slab goes back after each decode takes its
+// Values from the pool, so it costs one allocation — the string arena — when
+// it holds strings, and none when it does not.
 func TestDecodeBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race")
@@ -154,10 +155,11 @@ func TestDecodeBatchAllocs(t *testing.T) {
 		rec  func(i int) Record
 		max  float64
 	}{
-		{"strings", func(i int) Record { return Record{Int(int64(i)), String("word"), Null, String("w" + strconv.Itoa(i))} }, 2},
-		{"no-strings", func(i int) Record { return Record{Int(int64(i)), Float(0.5), Null, Bool(i%2 == 0)} }, 1},
+		{"strings", func(i int) Record { return Record{Int(int64(i)), String("word"), Null, String("w" + strconv.Itoa(i))} }, 1},
+		{"no-strings", func(i int) Record { return Record{Int(int64(i)), Float(0.5), Null, Bool(i%2 == 0)} }, 0},
 	} {
 		buf := frameOf(DefaultBatchCap, c.rec)
+		made := SlabsMade()
 		allocs := testing.AllocsPerRun(20, func() {
 			b, err := DecodeBatch(buf, DefaultBatchCap)
 			if err != nil {
@@ -166,11 +168,73 @@ func TestDecodeBatchAllocs(t *testing.T) {
 			if b.EncodedSize() != len(buf) {
 				t.Fatalf("batch prices %d bytes, frame is %d", b.EncodedSize(), len(buf))
 			}
+			s, ok := b.TakeSlab()
+			if !ok {
+				t.Fatal("a decoded batch carries no slab")
+			}
+			s.Release()
 			PutBatch(b)
 		})
 		if allocs > c.max {
 			t.Errorf("%s: %.1f allocations per %d-record frame, want at most %.0f", c.name, allocs, DefaultBatchCap, c.max)
 		}
+		if n := SlabsMade() - made; n > 1 {
+			t.Errorf("%s: %d slabs allocated over 21 decodes, want the first only", c.name, n)
+		}
+	}
+}
+
+// TestDecodeBatchOverwritesReleasedSlab: a released slab is poisoned (with
+// poisoning on) or cleared, and a frame decoded into it afterwards reads
+// back exactly, Nulls included, whatever the slab held.
+func TestDecodeBatchOverwritesReleasedSlab(t *testing.T) {
+	PoisonReleasedSlabs(true)
+	defer PoisonReleasedSlabs(false)
+	rec := func(i int) Record { return Record{Null, Int(int64(i)), String("s" + strconv.Itoa(i)), Null} }
+	buf := frameOf(100, rec)
+	for round := 0; round < 3; round++ {
+		b, err := DecodeBatch(buf, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range b.Records() {
+			if !r.Equal(rec(i)) {
+				t.Fatalf("round %d: record %d is %v, want %v", round, i, r, rec(i))
+			}
+		}
+		s, _ := b.TakeSlab()
+		first := b.Records()[0]
+		s.Release()
+		if !first[0].Equal(poisoned) {
+			t.Fatalf("round %d: a released slab reads %v, want the poison", round, first[0])
+		}
+		PutBatch(b)
+	}
+	if _, ok := NewBatch(4).TakeSlab(); ok {
+		t.Fatal("a batch DecodeBatch did not fill carries a slab")
+	}
+}
+
+// TestSlabClasses: every slab size up to the largest class rounds up to a
+// class at most a quarter longer (or 64 Values), one class per size, and a
+// slab of a class's size maps back to that class, as Release needs.
+func TestSlabClasses(t *testing.T) {
+	classOf := map[int]int{}
+	for n := 1; n <= 1<<maxSlabBits; n++ {
+		c, size := slabClass(n)
+		if size < n || size > max(64, n+n/4) || c < 0 || c >= len(slabPools) {
+			t.Fatalf("slabClass(%d) = class %d, size %d", n, c, size)
+		}
+		if c2, size2 := slabClass(size); c2 != c || size2 != size {
+			t.Fatalf("slabClass(%d) = %d, %d, but slabClass(%d) = %d, %d", n, c, size, size, c2, size2)
+		}
+		if prev, ok := classOf[c]; ok && prev != size {
+			t.Fatalf("class %d holds sizes %d and %d", c, prev, size)
+		}
+		classOf[c] = size
+	}
+	if _, size := slabClass(1<<maxSlabBits + 1); size != 0 {
+		t.Fatalf("a slab of %d Values is pooled at size %d", 1<<maxSlabBits+1, size)
 	}
 }
 

@@ -134,7 +134,7 @@ func writeFrame(w *bufio.Writer, f frame) error {
 	return err
 }
 
-// decodeBatch decodes a data frame's payload into a fresh pooled batch:
+// decodeBatch decodes a data frame's payload into a pooled batch and slab:
 // exactly f.count records consuming exactly the payload, anything else is
 // a malformed frame. The batch shares no storage with the payload, so the
 // frame's buffer can take the next frame at once.

@@ -391,8 +391,10 @@ func (s *tcpShuffle) failTargets(wc *tcpWorkerConn, err error) {
 // their targets' receive channels, end of stream closing them, and any
 // connection failure — a mid-batch drop included — terminating the
 // targets' streams with an error instead of hanging their collectors.
-// Decoded batches own their records, so one payload buffer serves every
-// frame of the connection.
+// Decoded batches share no storage with the payload, so one payload buffer
+// serves every frame of the connection; each carries the pooled slab its
+// records were decoded into, which the collector takes (record.Batch.TakeSlab)
+// and gives back once the records are dead.
 func (s *tcpShuffle) demux(wc *tcpWorkerConn) {
 	br := bufio.NewReader(wc.conn)
 	var buf []byte

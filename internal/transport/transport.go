@@ -14,8 +14,9 @@
 // transport cannot tell which. Ownership of a batch passes to the transport
 // on Send: the channel transport hands the pointer through unchanged (zero
 // copies), the TCP transport encodes it, recycles it, and the receiving
-// side decodes fresh pooled batches — so byte accounting done by the engine
-// before Send (Batch.EncodedSize) is identical across transports.
+// side decodes pooled batches whose records are windows of a pooled slab
+// (record.DecodeBatch) — so byte accounting done by the engine before Send
+// (Batch.EncodedSize) is identical across transports.
 //
 // The Transport interface is what its users call and no more: the engine
 // opens sessions, the transport's owner closes it. What only one
@@ -58,7 +59,8 @@ type Shuffle interface {
 
 	// Recv returns the next batch for a target; (nil, nil) signals end of
 	// stream. The caller owns the returned batch (record.PutBatch when
-	// drained). A non-nil error is terminal for the target's stream: no
+	// drained) and the slab of a decoded one (record.Batch.TakeSlab). A
+	// non-nil error is terminal for the target's stream: no
 	// more batches will arrive and the collector must stop — senders are
 	// unblocked by the same failure, never by the collector giving up.
 	Recv(target int) (*record.Batch, error)
