@@ -553,16 +553,6 @@ func keyEquals(key []record.Value, r record.Record, rKeys []int) bool {
 // Compare is 0 exactly where keys are Equal — so this is the order a stable
 // sort of the groups in arrival order gives.
 func (x *keyIndex) sortGroups(gs []int32) {
-	if len(x.kinds) == 1 { // one key field, x.kv holds one Value per group
-		switch x.kinds[0] {
-		case record.KindInt:
-			slices.SortFunc(gs, func(a, b int32) int { return cmp.Compare(x.kv[a].AsInt(), x.kv[b].AsInt()) })
-			return
-		case record.KindString:
-			slices.SortFunc(gs, func(a, b int32) int { return strings.Compare(x.kv[a].AsString(), x.kv[b].AsString()) })
-			return
-		}
-	}
 	slices.SortFunc(gs, func(a, b int32) int {
 		ka, kb := x.key(a), x.key(b)
 		for i, k := range x.kinds {
@@ -648,6 +638,23 @@ func handover(in []edge) tac.Owned {
 		own |= tac.OwnRight
 	}
 	return own
+}
+
+// keepsInput reports whether the output of op's local stage may hold the
+// storage of its input i, so that the slabs of the frames that input was
+// decoded from must outlive the stage: the sink returns its input, and a
+// Match hands the records of the sides handover names to its UDF, which may
+// emit them or build its result in them. Every other operator emits copies
+// (tac.Runner), and copies share only string bytes, which live in a frame's
+// arena, not its slab.
+func keepsInput(op *dataflow.Operator, in []edge, i int) bool {
+	switch op.Kind {
+	case dataflow.KindSink:
+		return true
+	case dataflow.KindMatch:
+		return handover(in)&(tac.OwnLeft<<i) != 0 // OwnRight is OwnLeft<<1
+	}
+	return false
 }
 
 // compareKeyPair orders a left-side record against a right-side record by

@@ -360,16 +360,10 @@ func (e *Engine) run(ctx context.Context, p *optimizer.PhysPlan, edges []edge, s
 
 // releaseInputs gives back the slabs of the frames the operator's shuffled
 // inputs were decoded from, once its local stage is done with their records
-// — except where its output may be its input storage: the sink returns its
-// input, and a Match may emit a handed-over record (edge.owned) or build its
-// result in it. Every other operator emits copies (tac.Runner), and copies
-// share only string bytes, which live in the frame's arena, not its slab.
+// — except for an input its output may keep (keepsInput).
 func releaseInputs(op *dataflow.Operator, edges []edge) {
-	if op.Kind == dataflow.KindSink {
-		return
-	}
 	for i := range edges {
-		if op.Kind == dataflow.KindMatch && edges[i].owned {
+		if keepsInput(op, edges, i) {
 			continue
 		}
 		for _, sp := range edges[i].spills {

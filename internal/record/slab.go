@@ -19,24 +19,21 @@ const (
 	maxSlabBits = 17 // the largest 131,072 (3 MiB); larger frames are not pooled
 )
 
-// slabPools[c] holds the arrays of class c, each by a pointer to its first
-// element, which an interface holds without allocating. A pooled array is
-// all Null (or, under poisoning, poisoned).
-var slabPools [4 * (maxSlabBits + 1)]sync.Pool
+// slabPools[c] holds the arrays of class c, 1<<(c+minSlabBits) Values
+// long, each by a pointer to its first element, which an interface holds
+// without allocating. A pooled array is all Null (or, under poisoning,
+// poisoned).
+var slabPools [maxSlabBits - minSlabBits + 1]sync.Pool
 
 // slabClass returns the size class of a slab of at least n Values and the
-// class's size: n rounded up to an eighth of the power of two above it, so
-// that a slab is at most a quarter longer than its frame needs (or 64
-// Values long). It returns size 0 for n too large to pool.
+// class's size: n rounded up to a power of two, and to no less than 64. It
+// returns size 0 for n too large to pool.
 func slabClass(n int) (class, size int) {
-	n = max(n, 1<<minSlabBits)
-	e := bits.Len(uint(n - 1)) // 1<<(e-1) < n <= 1<<e
+	e := bits.Len(uint(max(n, 1<<minSlabBits) - 1)) // 1<<(e-1) < n <= 1<<e
 	if e > maxSlabBits {
 		return 0, 0
 	}
-	step := 1 << (e - 3)
-	size = (n + step - 1) &^ (step - 1)
-	return 4*e + size/step - 5, size
+	return e - minSlabBits, 1 << e
 }
 
 // slabsMade counts the slabs getSlab allocated because the pool had none.
