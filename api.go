@@ -15,8 +15,8 @@
 //     record model) are assembled with a Flow builder;
 //   - the optimizer enumerates every valid reordering (Section 6), costs
 //     each alternative with a hint-driven model, picks shipping (forward /
-//     partition / broadcast) and local (hash/sort) strategies, and returns
-//     the cheapest physical plan;
+//     partition / broadcast) strategies and hash-join build sides, and
+//     returns the cheapest physical plan;
 //   - a multi-goroutine shared-nothing engine executes physical plans
 //     through one operator pipeline — fused Map chains, one batched
 //     sender → receiver stage for partitioned and broadcast edges alike,
@@ -136,7 +136,8 @@ func AnalyzeUDF(f *UDF) (*Effect, error) { return sca.Analyze(f) }
 type (
 	// Tree is one operator ordering of a flow.
 	Tree = optimizer.Tree
-	// PhysPlan is a physical execution plan (shipping + local strategies).
+	// PhysPlan is a physical execution plan (shipping strategies and build
+	// sides; each operator kind has one local strategy).
 	PhysPlan = optimizer.PhysPlan
 	// RankedPlan pairs an alternative ordering with its optimized physical
 	// plan and cost.

@@ -750,12 +750,13 @@ reduce wcount(g) {
 // BenchmarkJoinSpill measures the out-of-core join path on a
 // constrained-budget repartition join at DOP 8: 150k × 50k records over 25k
 // join keys (~5 MB combined working set on the shuffle receivers).
-// "in-memory" runs with no MemoryBudget; "spill" runs the identical plan
-// under a 256 KiB budget, forcing both shuffled sides to spill sorted runs
-// and the Match to execute as an external merge join over the merged runs
-// plus each side's resident remainder (engine/join_spill.go). The overhead
-// ratio and spilled volume are recorded in BENCH_joinspill.json; output
-// equivalence is pinned by TestSpillJoinEquivalence.
+// "in-memory" runs with no MemoryBudget, so every partition hash-joins;
+// "spill" runs the identical plan under a 256 KiB budget, forcing both
+// shuffled sides to spill sorted runs and the Match to execute as an
+// external merge join over the merged runs plus each side's resident
+// remainder (engine/local.go). The overhead ratio and spilled volume are
+// recorded in BENCH_joinspill.json; output equivalence is pinned by
+// TestSpillJoinEquivalence.
 func BenchmarkJoinSpill(b *testing.B) {
 	const (
 		nL   = 150000
@@ -797,10 +798,9 @@ match jn(l, r) {
 	if match == nil {
 		b.Fatal("no Match in plan")
 	}
-	// Pin the repartition merge join: broadcasting would keep one side fully
+	// Pin the repartition join: broadcasting would keep one side fully
 	// resident and never touch the spill path this benchmark measures.
 	match.Ship = []optimizer.Shipping{optimizer.ShipPartition, optimizer.ShipPartition}
-	match.Local = optimizer.LocalMergeJoin
 
 	rng := rand.New(rand.NewSource(42))
 	lData := make(record.DataSet, nL)
@@ -853,7 +853,7 @@ match jn(l, r) {
 	}
 }
 
-// BenchmarkEngineShuffle measures a 4-way hash repartition plus sort-based
+// BenchmarkEngineShuffle measures a 4-way hash repartition plus hash
 // grouping of 10k records (the dominant physical operator cost in the
 // relational workloads).
 func BenchmarkEngineShuffle(b *testing.B) {

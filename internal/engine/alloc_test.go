@@ -146,8 +146,7 @@ match concatJoin(l, r) {
 }`)
 	source := func(name string, attrs []int, recs record.DataSet) (*optimizer.PhysPlan, record.DataSet) {
 		return &optimizer.PhysPlan{
-			Op:    &dataflow.Operator{Name: name, Kind: dataflow.KindSource, SourceAttrs: props.NewFieldSet(attrs...)},
-			Local: optimizer.LocalScan,
+			Op: &dataflow.Operator{Name: name, Kind: dataflow.KindSource, SourceAttrs: props.NewFieldSet(attrs...)},
 		}, recs
 	}
 	perRecord := func(k int) float64 {
@@ -169,7 +168,7 @@ match concatJoin(l, r) {
 		node = &optimizer.PhysPlan{
 			Op:     &dataflow.Operator{Name: "pass", Kind: dataflow.KindMap, UDF: getUDF(t, prog, "pass")},
 			Inputs: []*optimizer.PhysPlan{node}, Ship: []optimizer.Shipping{optimizer.ShipForward},
-			Local: optimizer.LocalPipe, Chained: true,
+			Chained: true,
 		}
 		for j := 0; j < k; j++ {
 			dim := make(record.DataSet, keys)
@@ -184,15 +183,14 @@ match concatJoin(l, r) {
 			node = &optimizer.PhysPlan{
 				Op: &dataflow.Operator{Name: fmt.Sprintf("J%d", j), Kind: dataflow.KindMatch,
 					UDF: getUDF(t, prog, "concatJoin"), Keys: [][]int{{j}, {j}}},
-				Inputs: []*optimizer.PhysPlan{node, d},
-				Ship:   []optimizer.Shipping{optimizer.ShipForward, optimizer.ShipBroadcast},
-				Local:  optimizer.LocalHashJoin, BuildSide: 1,
+				Inputs:    []*optimizer.PhysPlan{node, d},
+				Ship:      []optimizer.Shipping{optimizer.ShipForward, optimizer.ShipBroadcast},
+				BuildSide: 1,
 			}
 		}
 		plan := &optimizer.PhysPlan{
 			Op:     &dataflow.Operator{Name: "out", Kind: dataflow.KindSink},
 			Inputs: []*optimizer.PhysPlan{node}, Ship: []optimizer.Shipping{optimizer.ShipForward},
-			Local: optimizer.LocalPipe,
 		}
 		run := func() {
 			out, _, err := e.Run(plan)

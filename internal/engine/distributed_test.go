@@ -150,7 +150,7 @@ func TestDistributedBroadcastCancelStalledWorker(t *testing.T) {
 	// KB the pinned socket buffers hold.
 	const lN, rN, keys, dop = 60000, 100, 100, 2
 	plan := keyJoinFlow(lN, rN, keys, 20).plan(t, dop)
-	pinJoin(optimizer.ShipBroadcast, optimizer.ShipForward, optimizer.LocalHashJoin, 0)[0].apply(t, plan)
+	pinJoin(optimizer.ShipBroadcast, optimizer.ShipForward, 0)[0].apply(t, plan)
 
 	dialer := &trackingDialer{}
 	tp, err := transport.NewTCP(transport.TCPConfig{Workers: []string{ln.Addr().String()}, Dialer: dialer})

@@ -22,11 +22,11 @@
 // track resident bytes per partition and, on overflow, sort the buffered
 // records by the operator's key and spill them to disk as a sorted run
 // (internal/spill); the local strategy reads each side as a stream of key
-// groups — from the sorted resident records alone, or merged with the
-// side's runs — so working sets larger than memory complete with bounded
-// resident bytes and byte-identical output. Combiners keep running on the
-// senders pre-spill, so spilled runs are already partially aggregated. See
-// DESIGN.md ("Memory model & spilling").
+// groups — hash-grouped from the resident records alone, or merged from the
+// side's runs and its sorted remainder — so working sets larger than memory
+// complete with bounded resident bytes and byte-identical output. Combiners
+// keep running on the senders pre-spill, so spilled runs are already
+// partially aggregated. See DESIGN.md ("Memory model & spilling").
 //
 // A second, fully resident, stage-at-a-time executor lives in
 // reference_test.go; it is frozen test code that every differential test

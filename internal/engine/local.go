@@ -19,16 +19,16 @@ import (
 	"blackboxflow/internal/tac"
 )
 
-// This file is the local stage of the pipeline. Grouping and join
-// operators read every input side as a stream of key groups in ascending
-// key order with records in arrival order inside a group — the engine's
-// canonical order. sideGroups builds that stream from a side's resident
-// records plus its spilled runs; with no runs the external merge
-// degenerates to walking the sorted (or hash-grouped) resident records.
-// Because every variant emits the same order, a plan produces
-// byte-identical output whichever local strategy runs it and whether zero,
-// some, or all partitions overflowed the memory budget. See DESIGN.md
-// ("Memory model & spilling").
+// This file is the local stage of the pipeline. Each operator kind has one
+// local strategy, and grouping and join operators read every input side as
+// a stream of key groups in ascending key order with records in arrival
+// order inside a group — the engine's canonical order. sideGroups builds
+// that stream: a resident side through the key index, a spilled one by
+// merging its sorted runs with its sorted resident remainder. A Match whose
+// sides are both resident hash-joins them instead, in the same order.
+// Because both paths emit that order, a plan produces byte-identical output
+// whether zero, some, or all partitions overflowed the memory budget. See
+// DESIGN.md ("Memory model & spilling").
 
 // local runs the operator's local strategy on every partition in parallel,
 // the records its UDF builds reserving room fields.
@@ -52,7 +52,6 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge, ro
 		return out, counts[0].calls, err
 
 	case dataflow.KindReduce:
-		hashed := p.Local == optimizer.LocalHashGroup
 		return fanOut(len(in[0].data), e.outSize(p, edgeRecords(in)), func(i int, emit func(record.Record) error) (int, error) {
 			udf, err := e.runner(op, tac.KindReduce, room)
 			if err != nil {
@@ -60,7 +59,7 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge, ro
 			}
 			sc := getScratch()
 			defer sc.put()
-			groups, err := e.sideGroups(&in[0], i, hashed, &sc[0])
+			groups, err := sideGroups(&in[0], i, &sc[0])
 			if err != nil {
 				return 0, err
 			}
@@ -68,13 +67,12 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge, ro
 		})
 
 	case dataflow.KindMatch, dataflow.KindCoGroup:
-		// A hash join indexes its BuildSide and probes it with the other
-		// side; where either side spilled, both are read as group streams —
-		// the spilled one merging its sorted runs, as the merge join and the
-		// co-group always do.
-		kind, hashed := tac.KindCoGroup, false
+		// A Match over two resident sides indexes its BuildSide and probes
+		// it with the other side; where either side spilled, and always for
+		// a CoGroup, both sides are read as group streams and aligned.
+		kind := tac.KindCoGroup
 		if op.Kind == dataflow.KindMatch {
-			kind, hashed = tac.KindBinary, p.Local == optimizer.LocalHashJoin
+			kind = tac.KindBinary
 		}
 		return fanOut(len(in[0].data), e.outSize(p, edgeRecords(in)), func(i int, emit func(record.Record) error) (int, error) {
 			udf, err := e.runner(op, kind, room)
@@ -83,14 +81,14 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge, ro
 			}
 			sc := getScratch()
 			defer sc.put()
-			if hashed && !in[0].spilled(i) && !in[1].spilled(i) {
+			if kind == tac.KindBinary && !in[0].spilled(i) && !in[1].spilled(i) {
 				return hashJoin(ctx, op, udf, in, p.BuildSide, i, sc, emit)
 			}
-			l, err := e.sideGroups(&in[0], i, hashed, &sc[0])
+			l, err := sideGroups(&in[0], i, &sc[0])
 			if err != nil {
 				return 0, err
 			}
-			r, err := e.sideGroups(&in[1], i, hashed, &sc[1])
+			r, err := sideGroups(&in[1], i, &sc[1])
 			if err != nil {
 				return 0, err
 			}
@@ -163,25 +161,6 @@ func (c *memGroupCursor) next() ([]record.Record, error) {
 	return g, nil
 }
 
-// sortedGroupCursor yields equal-key groups from an already key-sorted
-// slice without re-bucketing.
-type sortedGroupCursor struct {
-	recs []record.Record
-	keys []int
-	pos  int
-}
-
-func (c *sortedGroupCursor) next() ([]record.Record, error) {
-	if c.pos >= len(c.recs) {
-		return nil, nil
-	}
-	start := c.pos
-	for c.pos < len(c.recs) && c.recs[start].CompareOn(c.recs[c.pos], c.keys) == 0 {
-		c.pos++
-	}
-	return c.recs[start:c.pos], nil
-}
-
 // mergeGroupCursor accumulates equal-key groups from a sorted record merge
 // in one buffer, reused from group to group: a group is valid until the
 // cursor's next call, and no local strategy holds one longer.
@@ -230,15 +209,13 @@ func (c *mergeGroupCursor) next() ([]record.Record, error) {
 	}
 }
 
-// sideGroups builds the group stream of partition i of one input side from
-// its resident records and its spilled runs. A side that spilled runs is
-// the k-way merge of the runs and the sorted resident remainder: cursor
-// order — oldest run first, remainder last — together with the merger's
-// index tie-break reproduces arrival order within each key group, matching
-// what a fully resident stable grouping would have seen. With no runs the
-// merge degenerates to the resident records alone, stably sorted in place
-// or — when the plan asks for a hash strategy — hash-grouped through g,
-// whose arrays back the groups until g is next used.
+// sideGroups builds the group stream of partition i of one input side. A
+// resident side is grouped through g, whose arrays back the groups until g
+// is next used. A side that spilled runs is the k-way merge of the runs and
+// its resident remainder, stably sorted in place: cursor order — oldest run
+// first, remainder last — together with the merger's index tie-break
+// reproduces arrival order within each key group, the order the key index
+// gives a resident side.
 //
 // The in-place sort relies on the engine's partition-ownership rule: every
 // plan-node execution materializes fresh output partitions for its single
@@ -246,16 +223,12 @@ func (c *mergeGroupCursor) next() ([]record.Record, error) {
 // headers, and broadcast hands every partition its own slice), so no
 // defensive copy is needed. If subplan results are ever cached and shared
 // across consumers, forwarded inputs must be copied here again.
-func (e *Engine) sideGroups(ed *edge, i int, hashed bool, g *grouper) (groupCursor, error) {
+func sideGroups(ed *edge, i int, g *grouper) (groupCursor, error) {
 	part, keys := ed.data[i], ed.keys
-	spilled := ed.spilled(i)
-	if hashed && !spilled {
+	if !ed.spilled(i) {
 		return &memGroupCursor{groups: g.groups(part, keys)}, nil
 	}
 	sortRecs(part, keys)
-	if !spilled {
-		return &sortedGroupCursor{recs: part, keys: keys}, nil
-	}
 	sp := ed.spills[i]
 	cursors := make([]spill.Cursor, 0, len(sp.runs)+1)
 	for _, run := range sp.runs {

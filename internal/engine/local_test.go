@@ -18,12 +18,13 @@ import (
 	"blackboxflow/internal/tac"
 )
 
-// This file pins the local strategies against each other and against the
-// reference executor on adversarial keys: hash grouping against sort
-// grouping, and the hash join — with either build side — against the merge
-// join. Every strategy must emit the canonical order, so on forward edges,
-// where nothing scrambles arrival order, their outputs are byte-identical
-// even with many-to-many duplicates whose payloads all differ.
+// This file pins the local stage against the reference executor on
+// adversarial keys: key-index grouping against the reference's sort-based
+// grouping, and the hash join — with either build side — against aligning
+// sorted groups, as a spilled side is joined. Every path must emit the
+// canonical order, so on forward edges, where nothing scrambles arrival
+// order, their outputs are byte-identical even with many-to-many duplicates
+// whose payloads all differ.
 
 var strategyProgram = frontend.MustCompile(`
 reduce all(g) {
@@ -60,21 +61,20 @@ var adversarialKeys = append(append([]record.Value{
 
 // strategyPlan builds L (and, but for a Reduce, R) → op → sink with every
 // input shipped by ship.
-func strategyPlan(t *testing.T, kind dataflow.OpKind, local optimizer.Local, build int, ship optimizer.Shipping) *optimizer.PhysPlan {
+func strategyPlan(t *testing.T, kind dataflow.OpKind, ship optimizer.Shipping) *optimizer.PhysPlan {
 	source := func(name string) *optimizer.PhysPlan {
-		return &optimizer.PhysPlan{Op: &dataflow.Operator{Name: name, Kind: dataflow.KindSource}, Local: optimizer.LocalScan}
+		return &optimizer.PhysPlan{Op: &dataflow.Operator{Name: name, Kind: dataflow.KindSource}}
 	}
 	op := &dataflow.Operator{Name: "op", Kind: kind, UDF: getUDF(t, strategyProgram, "all"), Keys: [][]int{{0}}}
-	node := &optimizer.PhysPlan{Op: op, Inputs: []*optimizer.PhysPlan{source("L")}, Ship: []optimizer.Shipping{ship}, Local: local}
+	node := &optimizer.PhysPlan{Op: op, Inputs: []*optimizer.PhysPlan{source("L")}, Ship: []optimizer.Shipping{ship}}
 	if kind != dataflow.KindReduce {
 		op.UDF, op.Keys = getUDF(t, strategyProgram, map[dataflow.OpKind]string{dataflow.KindMatch: "jn", dataflow.KindCoGroup: "cg"}[kind]), [][]int{{0}, {2}}
 		node.Inputs = append(node.Inputs, source("R"))
 		node.Ship = append(node.Ship, ship)
-		node.BuildSide = build
 	}
 	return &optimizer.PhysPlan{
 		Op:     &dataflow.Operator{Name: "out", Kind: dataflow.KindSink},
-		Inputs: []*optimizer.PhysPlan{node}, Ship: []optimizer.Shipping{optimizer.ShipForward}, Local: optimizer.LocalPipe,
+		Inputs: []*optimizer.PhysPlan{node}, Ship: []optimizer.Shipping{optimizer.ShipForward},
 	}
 }
 
@@ -91,10 +91,11 @@ func strategySides(lKeys, rKeys []record.Value) map[string]record.DataSet {
 	return map[string]record.DataSet{"L": l, "R": r}
 }
 
-// TestLocalStrategiesAdversarialKeys compares every local strategy with the
-// reference on keys found on one side only, many-to-many duplicates, mixed
-// kinds, ints beyond 2^53 and NaNs, at DOPs that leave partitions empty, on
-// forward and partitioned edges (a suite of rows_test.go).
+// TestLocalStrategiesAdversarialKeys compares a Reduce, a Match building
+// either side and a CoGroup with the reference on keys found on one side
+// only, many-to-many duplicates, mixed kinds, ints beyond 2^53 and NaNs, at
+// DOPs that leave partitions empty, on forward and partitioned edges (a
+// suite of rows_test.go).
 func TestLocalStrategiesAdversarialKeys(t *testing.T) { runSuite(t) }
 
 // adversarialSides puts adversarialKeys on both sides: key i appears i%3
@@ -120,11 +121,10 @@ func adversarialSides() map[string]record.DataSet {
 // FuzzLocalStrategies decodes the bytes into a DOP and two record sides —
 // each byte one record: its top bit the side, the rest a key from
 // adversarialKeys, its position the payload — and runs them through the
-// harness's adversarial rows on forward edges: hash grouping, sort grouping
-// and the reference must agree, and the hash join with either build side,
-// the merge join and the reference must agree, byte for byte. A
-// sum-Reduce over both sides' keys must come out the same with and without
-// its combiner.
+// harness's adversarial rows on forward edges: the grouping of a Reduce and
+// a CoGroup, and the hash join with either build side, must each agree with
+// the reference byte for byte. A sum-Reduce over both sides' keys must come
+// out the same with and without its combiner.
 func FuzzLocalStrategies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
@@ -164,7 +164,7 @@ func requireCombinerInvisible(t *testing.T, keys []record.Value, dop int) {
 	t.Helper()
 	label := fmt.Sprintf("combining reduce over %d records dop=%d", len(keys), dop)
 	sources := strategySides(keys, nil)
-	plan := strategyPlan(t, dataflow.KindReduce, optimizer.LocalHashGroup, 0, optimizer.ShipPartition)
+	plan := strategyPlan(t, dataflow.KindReduce, optimizer.ShipPartition)
 	node := plan.Inputs[0]
 	node.Op.UDF, node.Op.Combiner = getUDF(t, combineLegProgram, "total"), getUDF(t, combineLegProgram, "partial")
 	e := New(dop)
@@ -192,7 +192,7 @@ func requireCombinerInvisible(t *testing.T, keys []record.Value, dop int) {
 	}
 	want := 0
 	for _, part := range parts {
-		want += len(refGroupRecords(part, []int{0}, true))
+		want += len(refGroupRecords(part, []int{0}))
 	}
 	if got := stats.TotalCombinerCalls(); got != want {
 		t.Fatalf("%s: %d combiner calls, want one per distinct key per source partition (%d)", label, got, want)
@@ -200,12 +200,12 @@ func requireCombinerInvisible(t *testing.T, keys []record.Value, dop int) {
 }
 
 // TestHashGroupingEdgeKeys pins the hash grouper's dense-key compare
-// against the sort path where key equality is subtle — int 2^53 beside
-// 2^53+1, float 2^53 beside int 2^53, -0.0 beside 0.0, NaNs of different
-// bits — each as the last field of a two-field key whose first field
-// repeats: hash grouping must form the groups a stable sort forms, in the
-// same order, and the hash join, with either build side, must pair what the
-// merge join pairs, in the same order.
+// against the spill path's sort and merge where key equality is subtle —
+// int 2^53 beside 2^53+1, float 2^53 beside int 2^53, -0.0 beside 0.0, NaNs
+// of different bits — each as the last field of a two-field key whose first
+// field repeats: hash grouping must form the groups a stable sort forms, in
+// the same order, and the hash join, with either build side, must pair what
+// aligning the sorted groups pairs, in the same order.
 func TestHashGroupingEdgeKeys(t *testing.T) {
 	last := []record.Value{
 		record.Int(1 << 53), record.Int(1<<53 + 1), record.Float(1 << 53),
@@ -219,10 +219,16 @@ func TestHashGroupingEdgeKeys(t *testing.T) {
 		l = append(l, record.Record{k0, k1, record.Int(int64(i))})
 		r = append(r, record.Record{record.Null, k0, last[i*7%len(last)], record.Int(int64(i))})
 	}
+	// sortGroups reads recs as a spilled side is read: stably sorted, then
+	// merged (here one run) into groups.
 	sortGroups := func(recs record.DataSet, keys []int) groupCursor {
 		recs = slices.Clone(recs)
 		sortRecs(recs, keys)
-		return &sortedGroupCursor{recs: recs, keys: keys}
+		m, err := spill.NewMerger([]spill.Cursor{spill.NewSliceCursor(recs)}, func(a, b record.Record) int { return a.CompareOn(b, keys) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &mergeGroupCursor{m: m, keys: keys}
 	}
 	var want record.DataSet
 	c := sortGroups(l, []int{0, 1})
@@ -247,12 +253,12 @@ func TestHashGroupingEdgeKeys(t *testing.T) {
 		}
 		return out
 	}
-	merged := join("merge join", func(udf *tac.Runner, emit func(record.Record) error) error {
+	merged := join("sorted groups", func(udf *tac.Runner, emit func(record.Record) error) error {
 		_, err := matchAligned(t.Context(), op, udf, sortGroups(l, op.Keys[0]), sortGroups(r, op.Keys[1]), 0, emit)
 		return err
 	})
 	if len(merged) == 0 {
-		t.Fatal("the merge join paired nothing")
+		t.Fatal("aligning the sorted groups paired nothing")
 	}
 	for build := range 2 {
 		in := []edge{{data: Partitioned{l}, keys: op.Keys[0]}, {data: Partitioned{r}, keys: op.Keys[1]}}
@@ -260,7 +266,7 @@ func TestHashGroupingEdgeKeys(t *testing.T) {
 			_, err := hashJoin(t.Context(), op, udf, in, build, 0, new(scratch), emit)
 			return err
 		})
-		requireByteIdentical(t, hashed, merged, fmt.Sprintf("hash join build=%d vs merge join", build))
+		requireByteIdentical(t, hashed, merged, fmt.Sprintf("hash join build=%d vs sorted groups", build))
 	}
 }
 
@@ -401,9 +407,9 @@ func TestHashGroupsAllocs(t *testing.T) {
 }
 
 // TestGroupingScratchPinsNoRecords pins the pooled grouping scratch: once a
-// hash-grouped Reduce and a hash join have run, the groupers back in the
-// pool hold no record and no key, so the records' storage and their string
-// keys' bytes are collected.
+// Reduce, a hash join and a CoGroup have run, the groupers back in the pool
+// hold no record and no key, so the records' storage and their string keys'
+// bytes are collected.
 func TestGroupingScratchPinsNoRecords(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race: the pool keeps nothing to pin with")
@@ -418,9 +424,9 @@ func TestGroupingScratchPinsNoRecords(t *testing.T) {
 	}
 }
 
-// runHashGrouping runs a hash-grouped Reduce and a hash join, at DOP 2
-// behind partitioned edges, over records carved from one Value slab and
-// keyed on strings cut from one arena, and returns weak pointers to both.
+// runHashGrouping runs a Reduce, a hash join and a CoGroup, at DOP 2 behind
+// partitioned edges, over records carved from one Value slab and keyed on
+// strings cut from one arena, and returns weak pointers to both.
 func runHashGrouping(t *testing.T) (weak.Pointer[record.Value], weak.Pointer[byte]) {
 	const n = 1024
 	arena := strings.Repeat("abcdefghij", 10)
@@ -436,11 +442,8 @@ func runHashGrouping(t *testing.T) (weak.Pointer[record.Value], weak.Pointer[byt
 	e := New(2)
 	e.AddSource("L", l)
 	e.AddSource("R", r)
-	for _, s := range []struct {
-		kind  dataflow.OpKind
-		local optimizer.Local
-	}{{dataflow.KindReduce, optimizer.LocalHashGroup}, {dataflow.KindMatch, optimizer.LocalHashJoin}} {
-		if _, _, err := e.Run(strategyPlan(t, s.kind, s.local, 0, optimizer.ShipPartition)); err != nil {
+	for _, kind := range []dataflow.OpKind{dataflow.KindReduce, dataflow.KindMatch, dataflow.KindCoGroup} {
+		if _, _, err := e.Run(strategyPlan(t, kind, optimizer.ShipPartition)); err != nil {
 			t.Fatal(err)
 		}
 	}

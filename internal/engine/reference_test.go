@@ -19,10 +19,10 @@ import (
 // stage-at-a-time (every Map materialises its output, no fusion), never
 // combines, ships over plain channels and records no spans. Every
 // differential test compares the pipeline's output bytes and exact counters
-// against it. It shares no execution code with production: its grouping,
-// sorting (sortByKey), alignment and fan-out
-// are its own copies, so a bug in the pipeline cannot hide in both sides of
-// a comparison. Do not "simplify" it onto production helpers. The one thing
+// against it. It shares no execution code with production: its grouping
+// (one stable sort, refGroupRecords), alignment and fan-out are its own
+// copies, so a bug in the pipeline cannot hide in both sides of a
+// comparison. Do not "simplify" it onto production helpers. The one thing
 // it has in common with the pipeline is the UDF entry point: it calls user
 // code through tac.Runner (refUDF), materialising what each call emits.
 
@@ -208,7 +208,7 @@ func (e *Engine) refLocal(p *optimizer.PhysPlan, inputs []Partitioned) (Partitio
 				return nil, 0, err
 			}
 			calls := 0
-			for _, g := range refGroupRecords(part, keys, p.Local == optimizer.LocalSortGroup) {
+			for _, g := range refGroupRecords(part, keys) {
 				if err := udf.done(udf.Reduce(g, udf.emit)); err != nil {
 					return nil, 0, err
 				}
@@ -220,15 +220,7 @@ func (e *Engine) refLocal(p *optimizer.PhysPlan, inputs []Partitioned) (Partitio
 	case dataflow.KindMatch:
 		lKeys, rKeys := op.Keys[0], op.Keys[1]
 		return refPerPartition2(inputs[0], inputs[1], func(l, r []record.Record) ([]record.Record, int, error) {
-			var lg, rg [][]record.Record
-			if p.Local == optimizer.LocalMergeJoin {
-				sortByKey(l, lKeys)
-				sortByKey(r, rKeys)
-				lg, rg = refSortedRuns(l, lKeys), refSortedRuns(r, rKeys)
-			} else {
-				lg, rg = refGroupRecords(l, lKeys, false), refGroupRecords(r, rKeys, false)
-			}
-			return e.refMatchAligned(op, lg, rg)
+			return e.refMatchAligned(op, refGroupRecords(l, lKeys), refGroupRecords(r, rKeys))
 		})
 
 	case dataflow.KindCross:
@@ -252,7 +244,7 @@ func (e *Engine) refLocal(p *optimizer.PhysPlan, inputs []Partitioned) (Partitio
 	case dataflow.KindCoGroup:
 		lKeys, rKeys := op.Keys[0], op.Keys[1]
 		return refPerPartition2(inputs[0], inputs[1], func(l, r []record.Record) ([]record.Record, int, error) {
-			return e.refCoGroupAligned(op, refGroupRecords(l, lKeys, true), refGroupRecords(r, rKeys, true))
+			return e.refCoGroupAligned(op, refGroupRecords(l, lKeys), refGroupRecords(r, rKeys))
 		})
 
 	default:
@@ -297,17 +289,10 @@ func refPerPartition2(l, r Partitioned, fn func(l, r []record.Record) ([]record.
 	return out, total, nil
 }
 
-// sortByKey is the reference's stable sort by the key fields: ascending key
-// order, arrival order preserved within equal keys.
-func sortByKey(recs []record.Record, keys []int) {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].CompareOn(recs[j], keys) < 0 })
-}
-
-// refGroupRecords groups a partition by key fields, either by sorting (one
-// stable sort of the whole partition) or via a hash map (one hash pass plus
-// a sort of the group heads). Both emit groups in ascending key order with
-// records in arrival order within a group — the canonical group order.
-func refGroupRecords(part []record.Record, keys []int, sortBased bool) [][]record.Record {
+// refGroupRecords groups a partition by key fields with one stable sort of
+// the whole partition: groups in ascending key order with records in
+// arrival order within a group — the canonical group order.
+func refGroupRecords(part []record.Record, keys []int) [][]record.Record {
 	if len(part) == 0 {
 		return nil
 	}
@@ -319,62 +304,18 @@ func refGroupRecords(part []record.Record, keys []int, sortBased bool) [][]recor
 	for i, r := range part {
 		ks[i] = keyed{key: r.Project(keys), rec: r}
 	}
-	if sortBased {
-		sort.SliceStable(ks, func(i, j int) bool { return ks[i].key.Compare(ks[j].key) < 0 })
-		var groups [][]record.Record
-		start := 0
-		for i := 1; i <= len(ks); i++ {
-			if i == len(ks) || ks[i].key.Compare(ks[start].key) != 0 {
-				g := make([]record.Record, 0, i-start)
-				for _, k := range ks[start:i] {
-					g = append(g, k.rec)
-				}
-				groups = append(groups, g)
-				start = i
-			}
-		}
-		return groups
-	}
-	type group struct {
-		key  record.Record
-		recs []record.Record
-	}
-	var groups []group
-	buckets := map[uint64][]int{}
-	for _, k := range ks {
-		h := k.key.Hash(nil)
-		gi := -1
-		for _, idx := range buckets[h] {
-			if groups[idx].key.Compare(k.key) == 0 {
-				gi = idx
-				break
-			}
-		}
-		if gi < 0 {
-			gi = len(groups)
-			groups = append(groups, group{key: k.key})
-			buckets[h] = append(buckets[h], gi)
-		}
-		groups[gi].recs = append(groups[gi].recs, k.rec)
-	}
-	sort.SliceStable(groups, func(i, j int) bool { return groups[i].key.Compare(groups[j].key) < 0 })
-	out := make([][]record.Record, len(groups))
-	for i, g := range groups {
-		out[i] = g.recs
-	}
-	return out
-}
-
-// refSortedRuns cuts an already key-sorted slice into its equal-key runs.
-func refSortedRuns(recs []record.Record, keys []int) [][]record.Record {
+	sort.SliceStable(ks, func(i, j int) bool { return ks[i].key.Compare(ks[j].key) < 0 })
 	var groups [][]record.Record
-	for start := 0; start < len(recs); {
-		end := start
-		for end < len(recs) && recs[start].CompareOn(recs[end], keys) == 0 {
-			end++
+	start := 0
+	for i := 1; i <= len(ks); i++ {
+		if i == len(ks) || ks[i].key.Compare(ks[start].key) != 0 {
+			g := make([]record.Record, 0, i-start)
+			for _, k := range ks[start:i] {
+				g = append(g, k.rec)
+			}
+			groups = append(groups, g)
+			start = i
 		}
-		groups = append(groups, recs[start:end])
-		start = end
 	}
 	return groups
 }

@@ -39,8 +39,8 @@ var suites = map[string]suite{
 	// Every combination of stage variants on hand-built plans.
 	"TestDifferentialStageMatrix": {configs{dops: differentialDOPs, budgets: both, transports: []string{"channel", "tcp"},
 		some: sawSpill | sawCombine | sawBroadcast}, matrixRows},
-	// Adversarial keys through every local strategy of Reduce, Match and
-	// CoGroup: the strategies of one operator must agree.
+	// Adversarial keys through Reduce, Match (building either side) and
+	// CoGroup, resident and spilled.
 	"TestDifferentialAdversarialKeys": {configs{dops: differentialDOPs, budgets: both, some: sawSpill}, func(t *testing.T) []row {
 		return adversarialRows(t, adversarialSides(), optimizer.ShipPartition)
 	}},
@@ -194,20 +194,28 @@ reduce first(g) {
 		return []row{r}
 	}},
 	// 2^53 and 2^53+1 are one float64 but two keys: a Reduce yields two
-	// groups of two under either grouping strategy, and a Match does not
-	// join the one to the other.
-	"TestExactNumericKeys": {configs{dops: []int{1, 3}}, func(t *testing.T) []row {
+	// groups, and a Match does not join the one to the other, whether the
+	// key index groups the left side or, under the tight budget, it spills
+	// to sorted runs that are merged (more than two batches of it reach a
+	// receiver at either DOP).
+	"TestExactNumericKeys": {configs{dops: []int{1, 3}, budgets: both}, func(t *testing.T) []row {
 		a, b := record.Int(1<<53), record.Int(1<<53+1)
-		rows := adversarialRows(t, strategySides([]record.Value{a, b, a, b}, []record.Value{b}), optimizer.ShipPartition)[:2]
-		rows[0].check = groupsOf(4, 2)
+		const n = 1100 // records of each key
+		var lKeys []record.Value
+		for range n {
+			lKeys = append(lKeys, a, b)
+		}
+		rows := adversarialRows(t, strategySides(lKeys, []record.Value{b}), optimizer.ShipPartition)[:2]
+		rows[0].check = groupsOf(2*n, n)
 		rows[1].check = func(t *testing.T, label string, out record.DataSet, stats *RunStats) {
-			requireLen(t, label, out, 2)
+			requireLen(t, label, out, n)
 			for _, r := range out {
 				if !r.Field(0).Equal(b) {
 					t.Errorf("%s: joined %v to %v", label, r.Field(0), b)
 				}
 			}
 		}
+		rows[0].spill, rows[1].spill = true, true
 		return rows
 	}},
 	// A declared combiner that writes the grouping key is not annotated
@@ -236,26 +244,22 @@ reduce first(g) {
 		r.check = wantLen(400)
 		return []row{r}
 	}},
-	// Both join strategies over repartitioned sides: the hash join falls
-	// back to the external merge join when a side spills.
+	// A hash join over repartitioned sides falls back to the external merge
+	// join when a side spills.
 	"TestSpillJoinEquivalence": {configs{dops: differentialDOPs, budgets: both, rowSub: true, dopSub: true}, func(t *testing.T) []row {
-		var rows []row
-		for _, local := range []optimizer.Local{optimizer.LocalMergeJoin, optimizer.LocalHashJoin} {
-			r := flowRow(t, local.String(), keyJoinFlow(12000, 6000, 500, 20), keyJoinData(12000, 300, 6000, 400, 200))
-			r.variants = pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, local, 0)
-			// 100 overlapping keys, 40 left and 15 right records each.
-			r.check = wantLen(100 * 40 * 15)
-			rows = append(rows, spillRow(r, 32<<10))
-		}
-		return rows
+		r := flowRow(t, "hash-join", keyJoinFlow(12000, 6000, 500, 20), keyJoinData(12000, 300, 6000, 400, 200))
+		r.variants = pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, 0)
+		// 100 overlapping keys, 40 left and 15 right records each.
+		r.check = wantLen(100 * 40 * 15)
+		return []row{spillRow(r, 32<<10)}
 	}},
-	// The canonical join order holds across local strategies.
+	// The canonical join order holds whichever side the hash join builds.
 	"TestJoinStrategiesByteIdentical": {configs{dops: []int{4}}, func(t *testing.T) []row {
 		r := flowRow(t, "join", keyJoinFlow(2000, 1500, 80, 20), keyJoinData(2000, 50, 1500, 60, 20))
-		r.variants = []variant{localVariant("merge-join", optimizer.LocalMergeJoin, 0), localVariant("hash-build0", optimizer.LocalHashJoin, 0), localVariant("hash-build1", optimizer.LocalHashJoin, 1)}
+		r.variants = []variant{buildVariant("hash-build0", 0), buildVariant("hash-build1", 1)}
 		return []row{r}
 	}},
-	// Every Match strategy and shipping computes the join's bag, the
+	// Every Match shipping and build side computes the join's bag, the
 	// optimizer's choice among them.
 	"TestJoinExecutionStrategies": {configs{dops: []int{4}, rowSub: true}, func(t *testing.T) []row {
 		var lData, rData record.DataSet
@@ -271,31 +275,11 @@ reduce first(g) {
 		}
 		return []row{
 			mk("chosen", nil),
-			mk("partition+hash", pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, optimizer.LocalHashJoin, 0)),
-			mk("partition+hash-build-right", pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, optimizer.LocalHashJoin, 1)),
-			mk("partition+merge", pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, optimizer.LocalMergeJoin, 0)),
-			mk("broadcast-left+hash", pinJoin(optimizer.ShipBroadcast, optimizer.ShipForward, optimizer.LocalHashJoin, 0)),
-			mk("broadcast-right+hash", pinJoin(optimizer.ShipForward, optimizer.ShipBroadcast, optimizer.LocalHashJoin, 1)),
+			mk("partition+hash", pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, 0)),
+			mk("partition+hash-build-right", pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, 1)),
+			mk("broadcast-left+hash", pinJoin(optimizer.ShipBroadcast, optimizer.ShipForward, 0)),
+			mk("broadcast-right+hash", pinJoin(optimizer.ShipForward, optimizer.ShipBroadcast, 1)),
 		}
-	}},
-	// Sort and hash grouping form the same 6 groups of 10.
-	"TestReduceHashVsSortGrouping": {configs{dops: []int{3}}, func(t *testing.T) []row {
-		var data record.DataSet
-		for i := 0; i < 60; i++ {
-			data = append(data, record.Record{record.Int(int64(i % 6)), record.Int(int64(i))})
-		}
-		r := flowRow(t, "count", oneOp(`
-reduce count(g) {
-	first := g.at(0)
-	k := first[0]
-	out := new()
-	out[0] = k
-	out[2] = count(g, 0)
-	emit out
-}`, dataflow.OpDef{Kind: "reduce", UDF: "count", Keys: [][]string{{"k"}}, KeyCardinality: 6}, "S k v"), map[string]record.DataSet{"S": data})
-		r.variants = []variant{localVariant("sort-group", optimizer.LocalSortGroup, 0), localVariant("hash-group", optimizer.LocalHashGroup, 0)}
-		r.check = groupsOf(6, 10)
-		return []row{r}
 	}},
 	// A fused chain agrees with the same Maps run one operator at a time.
 	"TestChainedExecutionMatchesUnchained": {configs{dops: []int{4}}, func(t *testing.T) []row {
@@ -375,7 +359,6 @@ func TestSpillJoinEquivalence(t *testing.T)                     { runSuite(t) }
 func TestJoinStrategiesByteIdentical(t *testing.T)              { runSuite(t) }
 func TestChainedExecutionMatchesUnchained(t *testing.T)         { runSuite(t) }
 func TestJoinExecutionStrategies(t *testing.T)                  { runSuite(t) }
-func TestReduceHashVsSortGrouping(t *testing.T)                 { runSuite(t) }
 func TestDistributedEquivalence(t *testing.T)                   { runSuite(t) }
 func TestRandomPipelinesAllPlansEquivalent(t *testing.T)        { runSuite(t) }
 func TestRandomReducePipelinesEquivalent(t *testing.T)          { runSuite(t) }
@@ -436,21 +419,19 @@ func spillRow(r row, b int) row {
 	return r
 }
 
-// pinJoin runs the chosen plan with the shipping and local strategy of its
+// pinJoin runs the chosen plan with the shipping and build side of its
 // Match pinned.
-func pinJoin(l, r optimizer.Shipping, local optimizer.Local, build int) []variant {
+func pinJoin(l, r optimizer.Shipping, build int) []variant {
 	return []variant{{"chosen", func(t *testing.T, p *optimizer.PhysPlan) {
 		m := findOp(p, "J")
-		m.Ship, m.Local, m.BuildSide = []optimizer.Shipping{l, r}, local, build
+		m.Ship, m.BuildSide = []optimizer.Shipping{l, r}, build
 	}}}
 }
 
-// localVariant runs the operator under the plan's sink with a local
-// strategy.
-func localVariant(name string, local optimizer.Local, build int) variant {
-	return variant{name, func(t *testing.T, p *optimizer.PhysPlan) {
-		p.Inputs[0].Local, p.Inputs[0].BuildSide = local, build
-	}}
+// buildVariant runs the plan with the join under its sink building side
+// build.
+func buildVariant(name string, build int) variant {
+	return variant{name, func(t *testing.T, p *optimizer.PhysPlan) { p.Inputs[0].BuildSide = build }}
 }
 
 // combinedVariant requires the optimizer to have annotated the shuffled
@@ -842,11 +823,11 @@ func combinedReduceRow(t *testing.T) row {
 	return r
 }
 
-// budgetedJoinRow is a repartition merge join whose shuffled sides both
-// spill under 32 KB at every DOP.
+// budgetedJoinRow is a repartition join whose shuffled sides both spill
+// under 32 KB at every DOP, so it merges their sorted runs.
 func budgetedJoinRow(t *testing.T) row {
 	r := flowRow(t, "budgeted-join", keyJoinFlow(6000, 3000, 300, 20), keyJoinData(6000, 300, 3000, 300, 0))
-	r.variants = pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, optimizer.LocalMergeJoin, 0)
+	r.variants = pinJoin(optimizer.ShipPartition, optimizer.ShipPartition, 0)
 	r.budgets = tightOnly
 	return spillRow(r, 32<<10)
 }
@@ -856,7 +837,7 @@ func budgetedJoinRow(t *testing.T) row {
 func broadcastJoinRow(t *testing.T) row {
 	const lN, rN = 3000, 6000
 	r := flowRow(t, "broadcast-join", keyJoinFlow(lN, rN, 300, 20), keyJoinData(lN, 300, rN, 300, 0))
-	r.variants = pinJoin(optimizer.ShipBroadcast, optimizer.ShipForward, optimizer.LocalHashJoin, 0)
+	r.variants = pinJoin(optimizer.ShipBroadcast, optimizer.ShipForward, 0)
 	size := r.sources["L"].TotalSize()
 	r.check = func(t *testing.T, label string, out record.DataSet, stats *RunStats) {
 		// The un-replicated count in, the left side's wire size once per
@@ -1065,19 +1046,18 @@ reduce badKeyWriter(g) {
 
 var combineProgram = frontend.MustCompile(combineScript)
 
-// adversarialRows run sources (strategySides) through every local strategy
-// of Reduce, Match and CoGroup, every input shipped by ship. Payloads differ
-// within a key, so shuffled outputs compare as bags.
+// adversarialRows run sources (strategySides) through a Reduce, a Match
+// building either side and a CoGroup, every input shipped by ship.
+// Payloads differ within a key, so shuffled outputs compare as bags.
 func adversarialRows(t *testing.T, sources map[string]record.DataSet, ship optimizer.Shipping) []row {
 	mk := func(kind dataflow.OpKind, variants ...variant) row {
-		return row{name: fmt.Sprintf("%v/%v", kind, ship), plan: func() *optimizer.PhysPlan { return strategyPlan(t, kind, 0, 0, ship) },
+		return row{name: fmt.Sprintf("%v/%v", kind, ship), plan: func() *optimizer.PhysPlan { return strategyPlan(t, kind, ship) },
 			sources: sources, variants: variants, tight: fixed(1), bag: true}
 	}
 	return []row{
-		mk(dataflow.KindReduce, localVariant("sort-group", optimizer.LocalSortGroup, 0), localVariant("hash-group", optimizer.LocalHashGroup, 0)),
-		mk(dataflow.KindMatch, localVariant("merge-join", optimizer.LocalMergeJoin, 0),
-			localVariant("hash-build0", optimizer.LocalHashJoin, 0), localVariant("hash-build1", optimizer.LocalHashJoin, 1)),
-		mk(dataflow.KindCoGroup, localVariant("sort-cogroup", optimizer.LocalSortCoGrp, 0)),
+		mk(dataflow.KindReduce),
+		mk(dataflow.KindMatch, buildVariant("hash-build0", 0), buildVariant("hash-build1", 1)),
+		mk(dataflow.KindCoGroup),
 	}
 }
 
@@ -1118,28 +1098,24 @@ map twice%[1]s(ir) {
 
 var matrixProgram = frontend.MustCompile(matrixMaps("L", 0) + matrixMaps("R", 2) + concatJoin + coGroupScript + sumScript("sum"))
 
-// matrixShape is one operator under test: its kind, local strategy and UDF.
+// matrixShape is one operator under test: its kind, UDF and build side.
 type matrixShape struct {
 	name   string
 	kind   dataflow.OpKind
-	local  optimizer.Local
 	udf    string
 	binary bool
 	build  int // a hash join's BuildSide
 }
 
 var matrixShapes = []matrixShape{
-	{name: "sink", kind: dataflow.KindSink, local: optimizer.LocalPipe},
-	{name: "reduce-sort", kind: dataflow.KindReduce, local: optimizer.LocalSortGroup, udf: "sum"},
-	{name: "reduce-hash", kind: dataflow.KindReduce, local: optimizer.LocalHashGroup, udf: "sum"},
-	{name: "cogroup", kind: dataflow.KindCoGroup, local: optimizer.LocalSortCoGrp, udf: "cg", binary: true},
-	// Match strategies A and B hash-join (co-partitioned, or one side
-	// broadcast) building either side; C merge-joins. The shipping sweep
-	// covers the placements of all three.
-	{name: "match-hash-build0", kind: dataflow.KindMatch, local: optimizer.LocalHashJoin, udf: "jn", binary: true},
-	{name: "match-hash-build1", kind: dataflow.KindMatch, local: optimizer.LocalHashJoin, udf: "jn", binary: true, build: 1},
-	{name: "match-merge", kind: dataflow.KindMatch, local: optimizer.LocalMergeJoin, udf: "jn", binary: true},
-	{name: "cross", kind: dataflow.KindCross, local: optimizer.LocalNestedLoop, udf: "jn", binary: true},
+	{name: "sink", kind: dataflow.KindSink},
+	{name: "reduce-hash", kind: dataflow.KindReduce, udf: "sum"},
+	{name: "cogroup", kind: dataflow.KindCoGroup, udf: "cg", binary: true},
+	// A Match hash-joins, co-partitioned or with one side broadcast,
+	// building either side; the shipping sweep covers every placement.
+	{name: "match-hash-build0", kind: dataflow.KindMatch, udf: "jn", binary: true},
+	{name: "match-hash-build1", kind: dataflow.KindMatch, udf: "jn", binary: true, build: 1},
+	{name: "cross", kind: dataflow.KindCross, udf: "jn", binary: true},
 }
 
 var matrixShips = []optimizer.Shipping{optimizer.ShipForward, optimizer.ShipPartition, optimizer.ShipBroadcast}
@@ -1180,16 +1156,12 @@ func matrixRows(t *testing.T) []row {
 // matrixEdge builds one input of the operator: a source with nMaps chained
 // Maps on top.
 func matrixEdge(t *testing.T, side string, nMaps int) *optimizer.PhysPlan {
-	node := &optimizer.PhysPlan{
-		Op:    &dataflow.Operator{Name: side, Kind: dataflow.KindSource},
-		Local: optimizer.LocalScan,
-	}
+	node := &optimizer.PhysPlan{Op: &dataflow.Operator{Name: side, Kind: dataflow.KindSource}}
 	for _, name := range []string{"keep", "bump", "twice"}[:nMaps] {
 		node = &optimizer.PhysPlan{
 			Op:      &dataflow.Operator{Name: name + side, Kind: dataflow.KindMap, UDF: getUDF(t, matrixProgram, name+side)},
 			Inputs:  []*optimizer.PhysPlan{node},
 			Ship:    []optimizer.Shipping{optimizer.ShipForward},
-			Local:   optimizer.LocalPipe,
 			Chained: true,
 		}
 	}
@@ -1207,19 +1179,18 @@ func matrixPlan(t *testing.T, sh matrixShape, ships []optimizer.Shipping, nMaps 
 	if sh.kind == dataflow.KindSink {
 		return &optimizer.PhysPlan{
 			Op:     &dataflow.Operator{Name: "out", Kind: dataflow.KindSink},
-			Inputs: inputs, Ship: ships, Local: sh.local,
+			Inputs: inputs, Ship: ships,
 		}
 	}
 	op := &dataflow.Operator{Name: "op", Kind: sh.kind, UDF: getUDF(t, matrixProgram, sh.udf), Keys: keys}
 	if combine {
 		op.Combiner = op.UDF
 	}
-	node := &optimizer.PhysPlan{Op: op, Inputs: inputs, Ship: ships, Local: sh.local, BuildSide: sh.build, Combinable: combine}
+	node := &optimizer.PhysPlan{Op: op, Inputs: inputs, Ship: ships, BuildSide: sh.build, Combinable: combine}
 	return &optimizer.PhysPlan{
 		Op:     &dataflow.Operator{Name: "out", Kind: dataflow.KindSink},
 		Inputs: []*optimizer.PhysPlan{node},
 		Ship:   []optimizer.Shipping{optimizer.ShipForward},
-		Local:  optimizer.LocalPipe,
 	}
 }
 

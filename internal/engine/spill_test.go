@@ -10,8 +10,8 @@ import (
 
 // TestBroadcastShipNoAliasing is the mutation canary for the broadcast
 // shipping fix: each partition must own its slice of record headers, so a
-// local strategy that reorders one partition in place (as the merge join's
-// in-place sort does) cannot be observed by its siblings.
+// local strategy that reorders one partition in place (as sorting a spilled
+// partition does) cannot be observed by its siblings.
 func TestBroadcastShipNoAliasing(t *testing.T) {
 	e := New(3)
 	var in Partitioned = Partitioned{{
@@ -31,7 +31,7 @@ func TestBroadcastShipNoAliasing(t *testing.T) {
 	}
 	// Reorder partition 0 in place; every other partition (and the input)
 	// must keep the original order.
-	sortByKey(out[0], []int{0})
+	sortRecs(out[0], []int{0})
 	wantOrig := []int64{3, 1, 2}
 	for p := 1; p < 3; p++ {
 		for i, want := range wantOrig {

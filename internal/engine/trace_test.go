@@ -318,7 +318,6 @@ reduce tally(g) {
 			Op:     &dataflow.Operator{Name: "tally", Kind: dataflow.KindReduce, UDF: getUDF(t, prog, "tally"), Keys: [][]int{{0}}},
 			Inputs: []*optimizer.PhysPlan{node},
 			Ship:   []optimizer.Shipping{optimizer.ShipPartition},
-			Local:  optimizer.LocalSortGroup,
 		}
 	}
 	return &optimizer.PhysPlan{

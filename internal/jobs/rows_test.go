@@ -948,8 +948,7 @@ func q7Doc(tb testing.TB, sf float64, dateHi int64, budget int) []byte {
 	return marshal(doc)
 }
 
-// clicksDoc is the clickstream task: two session Reduces and two Matches
-// (the optimizer picks merge joins, which sort their inputs in place).
+// clicksDoc is the clickstream task: two session Reduces and two Matches.
 func clicksDoc(tb testing.TB, sessions, users int) []byte {
 	g := &clickstream.GenParams{Sessions: sessions, ClicksPerSess: 12, BuyRate: 0.10, LoginRate: 0.30, Users: users, Seed: 1}
 	return marshal(workloadDoc(tb, "clicks", clickstream.Def(g), g.Generate))

@@ -34,54 +34,33 @@ func (s Shipping) String() string {
 	}
 }
 
-// Local is a local execution strategy for an operator.
-type Local uint8
-
-// Local strategies.
-const (
-	LocalPipe       Local = iota // record-at-a-time pipeline (Map, sinks)
-	LocalScan                    // source scan
-	LocalSortGroup               // sort-based grouping (Reduce)
-	LocalHashGroup               // hash-based grouping (Reduce)
-	LocalHashJoin                // hash join, build side chosen separately
-	LocalMergeJoin               // sort-merge join
-	LocalNestedLoop              // block nested loops (Cross)
-	LocalSortCoGrp               // sort-based co-grouping (CoGroup)
-)
-
-// String returns the strategy's name.
-func (l Local) String() string {
-	switch l {
-	case LocalPipe:
-		return "pipe"
-	case LocalScan:
+// localName names the local strategy of an operator kind: each kind has
+// exactly one, so a plan records none.
+func localName(k dataflow.OpKind) string {
+	switch k {
+	case dataflow.KindSource:
 		return "scan"
-	case LocalSortGroup:
-		return "sort-group"
-	case LocalHashGroup:
+	case dataflow.KindReduce:
 		return "hash-group"
-	case LocalHashJoin:
+	case dataflow.KindMatch:
 		return "hash-join"
-	case LocalMergeJoin:
-		return "merge-join"
-	case LocalNestedLoop:
+	case dataflow.KindCross:
 		return "nested-loop"
-	case LocalSortCoGrp:
-		return "sort-cogroup"
-	default:
-		return fmt.Sprintf("local(%d)", uint8(l))
+	case dataflow.KindCoGroup:
+		return "cogroup"
 	}
+	return "pipe"
 }
 
 // PhysPlan is a physical execution plan: the operator tree annotated with
-// shipping and local strategies, estimates, and cumulative cost.
+// shipping strategies, estimates, and cumulative cost. Its local strategy
+// follows from its operator's kind (localName).
 type PhysPlan struct {
 	Op     *dataflow.Operator
 	Tree   *Tree
 	Inputs []*PhysPlan
 
-	Ship  []Shipping // per input
-	Local Local
+	Ship []Shipping // per input
 	// BuildSide selects the hash-join build input (0 or 1).
 	BuildSide int
 
@@ -131,7 +110,7 @@ func (p *PhysPlan) String() string {
 	if p.Combinable {
 		suffix += ";combine"
 	}
-	return fmt.Sprintf("%s{%s;%s%s}", p.Op.Name, strings.Join(ships, ","), p.Local, suffix)
+	return fmt.Sprintf("%s{%s;%s%s}", p.Op.Name, strings.Join(ships, ","), localName(p.Op.Kind), suffix)
 }
 
 // Indent renders the physical plan as an indented listing with strategies
@@ -154,9 +133,10 @@ func (p *PhysPlan) Indent() string {
 	return b.String()
 }
 
-// PhysicalOptimizer chooses shipping and local strategies for an operator
-// tree, exploiting interesting properties (partitioning reuse) as sketched
-// at the end of Section 6 and demonstrated with TPC-H Q15 in Section 7.3.
+// PhysicalOptimizer chooses shipping strategies and hash-join build sides
+// for an operator tree, exploiting interesting properties (partitioning
+// reuse) as sketched at the end of Section 6 and demonstrated with TPC-H
+// Q15 in Section 7.3.
 //
 // The optimizer memoizes candidate plans per sub-flow node, so when it is
 // reused across the alternatives of an enumeration — whose trees share one
@@ -206,7 +186,6 @@ type cand struct {
 	in                  [2]int32
 	part                int32
 	ship                [2]Shipping
-	local               Local
 	build               uint8 // BuildSide
 	chained, combinable bool
 	cost                Cost
@@ -301,7 +280,7 @@ func (po *PhysicalOptimizer) build(t *Tree, i int32) *PhysPlan {
 		p = new(PhysPlan)
 	}
 	*p = PhysPlan{
-		Op: t.Op, Tree: own, Local: c.local, BuildSide: int(c.build),
+		Op: t.Op, Tree: own, BuildSide: int(c.build),
 		Chained: c.chained, Combinable: c.combinable, Partitioned: po.parts[c.part],
 		OutRecords: po.Est.Records(t), OutBytes: po.Est.Bytes(t), Cost: c.cost,
 		inBuf: in, shipBuf: c.ship,
@@ -361,24 +340,21 @@ func (po *PhysicalOptimizer) plans(t *Tree) span {
 	}
 	from := int32(len(po.kept))
 	op := t.Op
-	// The node's own estimates, shared by all its candidates, its inputs'
-	// (every plan of a node carries the node's estimates), and the log2
-	// each input's sort cost takes of its records.
+	// The node's own estimates, shared by all its candidates, and its
+	// inputs' (every plan of a node carries the node's estimates).
 	bytes, udfCPU := po.Est.Bytes(t), po.Est.CPUCost(t)
-	var inRecs, inBytes, lg [2]float64
+	var inRecs, inBytes [2]float64
 	for i, k := range t.Kids {
 		inRecs[i], inBytes[i] = po.Est.Records(k), po.Est.Bytes(k)
-		lg[i] = math.Log2(math.Max(inRecs[i], 2))
 	}
 	switch op.Kind {
 	case dataflow.KindSource:
-		po.offer(from, cand{local: LocalScan, cost: Cost{Disk: bytes}})
+		po.offer(from, cand{cost: Cost{Disk: bytes}})
 
 	case dataflow.KindSink:
 		for i := ins[0].lo; i < ins[0].hi; i++ {
 			in := po.kept[i]
-			po.offer(from, cand{in: [2]int32{i}, ship: [2]Shipping{ShipForward}, local: LocalPipe,
-				part: in.part, cost: in.cost})
+			po.offer(from, cand{in: [2]int32{i}, ship: [2]Shipping{ShipForward}, part: in.part, cost: in.cost})
 		}
 
 	case dataflow.KindMap:
@@ -390,7 +366,7 @@ func (po *PhysicalOptimizer) plans(t *Tree) span {
 				part = in.part
 			}
 			cost := in.cost.Plus(Cost{CPU: udfCPU + cpuPipeFactor*inRecs[0]})
-			po.offer(from, cand{in: [2]int32{i}, ship: [2]Shipping{ShipForward}, local: LocalPipe,
+			po.offer(from, cand{in: [2]int32{i}, ship: [2]Shipping{ShipForward},
 				chained: true, part: part, cost: cost})
 		}
 
@@ -432,27 +408,19 @@ func (po *PhysicalOptimizer) plans(t *Tree) span {
 				spillDisk = spillCost(net, po.MemoryBudget)
 				shuffles = 1
 			}
-			for _, local := range [...]Local{LocalSortGroup, LocalHashGroup} {
-				n := inRecs[0]
-				var localCPU float64
-				if local == LocalSortGroup {
-					localCPU = cpuSortFactor * n * lg[0]
-				} else {
-					localCPU = cpuHashFactor * n
-				}
-				if combinable {
-					// Sender-side grouping and combiner calls are hash
-					// work over the full input.
-					localCPU += cpuHashFactor * n
-				}
-				cost := in.cost.Plus(Cost{Net: po.Net.cost(net, shuffles), Disk: spillDisk, CPU: udfCPU + localCPU})
-				po.offer(from, cand{in: [2]int32{i}, ship: [2]Shipping{ship}, local: local,
-					combinable: combinable, part: keyPart, cost: cost})
+			localCPU := cpuHashFactor * inRecs[0]
+			if combinable {
+				// Sender-side grouping and combiner calls are hash work
+				// over the full input.
+				localCPU += cpuHashFactor * inRecs[0]
 			}
+			cost := in.cost.Plus(Cost{Net: po.Net.cost(net, shuffles), Disk: spillDisk, CPU: udfCPU + localCPU})
+			po.offer(from, cand{in: [2]int32{i}, ship: [2]Shipping{ship},
+				combinable: combinable, part: keyPart, cost: cost})
 		}
 
 	case dataflow.KindMatch:
-		po.joinPlans(t, from, ins, inRecs, inBytes, udfCPU, lg)
+		po.joinPlans(t, from, ins, inRecs, inBytes, udfCPU)
 
 	case dataflow.KindCross:
 		// Broadcast the smaller side, forward the larger.
@@ -473,21 +441,22 @@ func (po *PhysicalOptimizer) plans(t *Tree) span {
 				cost := l.cost.Plus(r.cost).Plus(Cost{Net: po.Net.cost(net, 1),
 					Disk: po.broadcastSpillCost(inBytes[small]),
 					CPU:  udfCPU})
-				po.offer(from, cand{in: [2]int32{li, ri}, ship: ship, local: LocalNestedLoop,
-					part: parts[big], cost: cost})
+				po.offer(from, cand{in: [2]int32{li, ri}, ship: ship, part: parts[big], cost: cost})
 			}
 		}
 
 	case dataflow.KindCoGroup:
 		keys := [2]int32{po.part(op.KeySet(0)), po.part(op.KeySet(1))}
+		// The engine hash-groups resident sides, but this term still prices
+		// sorting both (DESIGN.md, "Optimizer").
+		nlg := func(n float64) float64 { return n * math.Log2(math.Max(n, 2)) }
+		sortCPU := cpuSortFactor * (nlg(inRecs[0]) + nlg(inRecs[1]))
 		for li := ins[0].lo; li < ins[0].hi; li++ {
 			for ri := ins[1].lo; ri < ins[1].hi; ri++ {
 				l, r := po.kept[li], po.kept[ri]
 				ship, shuffle := po.coPartition([2]int32{l.part, r.part}, keys, inBytes)
-				sortCPU := cpuSortFactor * (inRecs[0]*lg[0] + inRecs[1]*lg[1])
 				cost := l.cost.Plus(r.cost).Plus(Cost{Net: shuffle.Net, Disk: shuffle.Disk, CPU: udfCPU + sortCPU})
-				po.offer(from, cand{in: [2]int32{li, ri}, ship: ship, local: LocalSortCoGrp,
-					part: keys[0], cost: cost})
+				po.offer(from, cand{in: [2]int32{li, ri}, ship: ship, part: keys[0], cost: cost})
 			}
 		}
 	}
@@ -562,14 +531,14 @@ func (po *PhysicalOptimizer) shuffledSpillCost(vols []float64) float64 {
 }
 
 // joinPlans offers the Match strategies of the paper's Section 7.3
-// discussion: repartition both sides and hash-join (reusing existing
-// partitionings), or broadcast the smaller side and keep the larger local,
-// or repartition and sort-merge. Under a memory budget every strategy is
-// charged the spill disk term on the volume it materializes on the
-// receivers — the shuffled sides for A/C (split like CoGroup), the
-// replicated build side for B — so tight budgets steer enumeration between
-// repartition and broadcast joins instead of pricing both as spill-free.
-func (po *PhysicalOptimizer) joinPlans(t *Tree, from int32, ins [2]span, inRecs, inBytes [2]float64, udfCPU float64, lg [2]float64) {
+// discussion, each a hash join: repartition both sides (reusing existing
+// partitionings) and build the smaller, or broadcast one side, build it and
+// keep the other local. Under a memory budget each is charged the spill
+// disk term on the volume it materializes on the receivers — the shuffled
+// sides for A (split like CoGroup), the replicated build side for B — so
+// tight budgets steer enumeration between repartition and broadcast joins
+// instead of pricing both as spill-free.
+func (po *PhysicalOptimizer) joinPlans(t *Tree, from int32, ins [2]span, inRecs, inBytes [2]float64, udfCPU float64) {
 	op := t.Op
 	keys := [2]int32{po.part(op.KeySet(0)), po.part(op.KeySet(1))}
 	if grow(&po.bothKeys, int32(op.ID))[op.ID] == 0 {
@@ -591,8 +560,7 @@ func (po *PhysicalOptimizer) joinPlans(t *Tree, from int32, ins [2]span, inRecs,
 			// Strategy A: co-partition + hash join (build the smaller side).
 			cpu := cpuHashFactor*inRecs[build] + cpuProbeFactor*inRecs[1-build]
 			cost := base.Plus(Cost{Net: shuffle.Net, Disk: shuffle.Disk, CPU: udfCPU + cpu})
-			po.offer(from, cand{in: in, ship: coShip, local: LocalHashJoin, build: uint8(build),
-				part: bothKeys, cost: cost})
+			po.offer(from, cand{in: in, ship: coShip, build: uint8(build), part: bothKeys, cost: cost})
 
 			// Strategy B: broadcast one side (build it), forward the other.
 			for bc := 0; bc < 2; bc++ {
@@ -603,15 +571,8 @@ func (po *PhysicalOptimizer) joinPlans(t *Tree, from int32, ins [2]span, inRecs,
 				cost := base.Plus(Cost{Net: po.Net.cost(net, 1),
 					Disk: po.broadcastSpillCost(inBytes[bc]),
 					CPU:  udfCPU + cpu})
-				po.offer(from, cand{in: in, ship: ship, local: LocalHashJoin, build: uint8(bc),
-					part: parts[1-bc], cost: cost})
+				po.offer(from, cand{in: in, ship: ship, build: uint8(bc), part: parts[1-bc], cost: cost})
 			}
-
-			// Strategy C: co-partition + sort-merge join.
-			cpu = cpuSortFactor * (inRecs[0]*lg[0] + inRecs[1]*lg[1])
-			cost = base.Plus(Cost{Net: shuffle.Net, Disk: shuffle.Disk, CPU: udfCPU + cpu})
-			po.offer(from, cand{in: in, ship: coShip, local: LocalMergeJoin,
-				part: bothKeys, cost: cost})
 		}
 	}
 }

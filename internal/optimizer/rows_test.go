@@ -325,7 +325,7 @@ map f3(ir) {
 		if red.Ship[0] != ShipPartition || !red.Combinable {
 			t.Fatalf("reduce ships %s, combinable %v; want partition, combinable", red.Ship[0], red.Combinable)
 		}
-		if got := red.String(); got != "R{partition;"+red.Local.String()+";combine}" {
+		if got := red.String(); got != "R{partition;hash-group;combine}" {
 			t.Errorf("plan rendering %q lacks the ;combine suffix", got)
 		}
 	}),
