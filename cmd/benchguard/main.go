@@ -164,6 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"spill_runtime_overhead":         spillOn["ns/op"] / spillOff["ns/op"],
 		"spill_spilled_bytes":            spillOn["spilled-B/op"],
 		"spill_runs":                     spillOn["spill-runs/op"],
+		"spill_allocs_op":                spillOn["allocs/op"],
 		"joinspill_runtime_overhead":     joinOn["ns/op"] / joinOff["ns/op"],
 		"joinspill_spilled_bytes":        joinOn["spilled-B/op"],
 		"joinspill_runs":                 joinOn["spill-runs/op"],
@@ -238,6 +239,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fresh["net_tcp_allocs_op"], true, 0.4)
 	check("spill runtime overhead", "BENCH_spill.json", "runtime_overhead",
 		fresh["spill_runtime_overhead"], true, 2)
+	// The spilling wordcount gated on allocations per op, like the TCP
+	// shuffle: a count, identical on every machine, and what the merge's one
+	// reused group buffer per cursor and the collectors' pooled run layouts
+	// keep it at (about 95,000 when the merge allocated a slice per group).
+	// The optimizer gate's 10% headroom.
+	check("spill allocs/op", "BENCH_spill.json", "spill_allocs_per_op",
+		fresh["spill_allocs_op"], true, 0.4)
 	// The joinspill ratio sets the external merge join, which sorts both
 	// spilled sides into runs and merges them back, against the in-memory
 	// hash join, which sorts nothing, so like the spill ratio it includes

@@ -19,11 +19,11 @@
 //
 // The engine is memory-budgeted: when Engine.MemoryBudget is set, shuffle
 // receivers feeding a grouping or join operator (Reduce, CoGroup, Match)
-// track resident bytes per partition and, on overflow, sort the buffered
-// records by the operator's key and spill them to disk as a sorted run
+// track resident bytes per partition and, on overflow, lay the buffered
+// records out by the operator's key and spill them to disk as a sorted run
 // (internal/spill); the local strategy reads each side as a stream of key
 // groups — hash-grouped from the resident records alone, or merged from the
-// side's runs and its sorted remainder — so working sets larger than memory
+// side's runs and its remainder — so working sets larger than memory
 // complete with bounded resident bytes and byte-identical output. Combiners
 // keep running on the senders pre-spill, so spilled runs are already
 // partially aggregated. See DESIGN.md ("Memory model & spilling").
@@ -201,11 +201,10 @@ type Engine struct {
 	// operator's partitions; each of the DOP partitions gets an equal share
 	// (split again across both inputs when two sides shuffle), floored at
 	// one batch's worth so a tiny budget cannot degenerate into one run per
-	// arriving batch. On overflow a partition sorts its buffer by the
+	// arriving batch. On overflow a partition lays its buffer out by the
 	// operator's key and spills it to disk as a sorted run, and the local
-	// strategy switches to external sort-merge execution over the merged
-	// runs. Zero (the default) disables spilling: everything stays in
-	// memory.
+	// strategy merges the runs with the remainder. Zero (the default)
+	// disables spilling: everything stays in memory.
 	MemoryBudget int
 
 	// SpillDir is where spill files are created; empty means the OS temp

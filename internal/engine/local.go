@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"strings"
 	"sync"
 
 	"blackboxflow/internal/dataflow"
@@ -24,8 +22,9 @@ import (
 // a stream of key groups in ascending key order with records in arrival
 // order inside a group — the engine's canonical order. sideGroups builds
 // that stream: a resident side through the key index, a spilled one by
-// merging its sorted runs with its sorted resident remainder. A Match whose
-// sides are both resident hash-joins them instead, in the same order.
+// merging its runs with its resident remainder, each laid out by the key
+// index (grouper.ordered), the engine's one way to order records. A Match
+// whose sides are both resident hash-joins them instead, in the same order.
 // Because both paths emit that order, a plan produces byte-identical output
 // whether zero, some, or all partitions overflowed the memory budget. See
 // DESIGN.md ("Memory model & spilling").
@@ -209,32 +208,24 @@ func (c *mergeGroupCursor) next() ([]record.Record, error) {
 	}
 }
 
-// sideGroups builds the group stream of partition i of one input side. A
-// resident side is grouped through g, whose arrays back the groups until g
-// is next used. A side that spilled runs is the k-way merge of the runs and
-// its resident remainder, stably sorted in place: cursor order — oldest run
-// first, remainder last — together with the merger's index tie-break
-// reproduces arrival order within each key group, the order the key index
-// gives a resident side.
-//
-// The in-place sort relies on the engine's partition-ownership rule: every
-// plan-node execution materializes fresh output partitions for its single
-// consumer (exec re-executes shared subplans, scatter copies source
-// headers, and broadcast hands every partition its own slice), so no
-// defensive copy is needed. If subplan results are ever cached and shared
-// across consumers, forwarded inputs must be copied here again.
+// sideGroups builds the group stream of partition i of one input side,
+// through g, whose arrays back the groups until g is next used. A resident
+// side is grouped by the key index. A side that spilled runs is the k-way
+// merge of the runs and its resident remainder, which g lays out in key
+// order: cursor order — oldest run first, remainder last — together with
+// the merger's index tie-break reproduces arrival order within each key
+// group, the order the key index gives a resident side.
 func sideGroups(ed *edge, i int, g *grouper) (groupCursor, error) {
 	part, keys := ed.data[i], ed.keys
 	if !ed.spilled(i) {
 		return &memGroupCursor{groups: g.groups(part, keys)}, nil
 	}
-	sortRecs(part, keys)
 	sp := ed.spills[i]
 	cursors := make([]spill.Cursor, 0, len(sp.runs)+1)
 	for _, run := range sp.runs {
 		cursors = append(cursors, sp.file.OpenRun(run))
 	}
-	cursors = append(cursors, spill.NewSliceCursor(part))
+	cursors = append(cursors, spill.NewSliceCursor(g.ordered(part, keys)))
 	m, err := spill.NewMerger(cursors, func(a, b record.Record) int { return a.CompareOn(b, keys) })
 	if err != nil {
 		return nil, err
@@ -264,18 +255,14 @@ func edgeRecords(in []edge) func(i int) int {
 	}
 }
 
-// sortRecs stably sorts records on the key fields: ascending key order,
-// arrival order within equal keys.
-func sortRecs(recs []record.Record, keys []int) {
-	slices.SortStableFunc(recs, func(a, b record.Record) int { return a.CompareOn(b, keys) })
-}
-
 // grouper groups one side of a partition by key fields through a keyIndex
-// and lays the groups out, in canonical order (groups) or in order of first
-// arrival (arrivalGroups). Its arrays are reset, not rebuilt, so a caller
-// that groups batch after batch — the combining sender — allocates only
-// when a batch outgrows the last. The groups it returns live until the
-// next call or release.
+// and lays the records out group after group, in canonical order — groups
+// by ascending key, records in arrival order within a group — (groups, and
+// ordered for a spill run or a spilled side's remainder) or with the groups
+// in order of first arrival (arrivalGroups). Its arrays are reset, not
+// rebuilt, so a caller that groups batch after batch — the combining
+// sender, the spilling collector — allocates only when a batch outgrows the
+// last. What it returns lives until the next call or release.
 type grouper struct {
 	x     keyIndex
 	order []int32
@@ -286,6 +273,13 @@ func (g *grouper) groups(part []record.Record, keys []int) [][]record.Record {
 	g.index(part, keys)
 	g.x.sortGroups(g.order)
 	return g.lay.layout(part, g.x.ids, g.x.size, g.order)
+}
+
+// ordered is groups' layout as one flat slice.
+func (g *grouper) ordered(part []record.Record, keys []int) []record.Record {
+	g.index(part, keys)
+	g.x.sortGroups(g.order)
+	return g.lay.place(part, g.x.ids, g.x.size, g.order)
 }
 
 func (g *grouper) arrivalGroups(part []record.Record, keys []int) [][]record.Record {
@@ -365,17 +359,16 @@ func hashJoin(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, in []
 
 // keyIndex groups one side of a partition by its key fields: an
 // open-addressing table of group ids over keyHash, a hit confirmed by
-// comparing keys with the group's key fields, which it holds densely —
+// record.Value.Equal on the group's key fields, which it holds densely —
 // len(keys) Values per group, beside the group's hash — so neither a probe
-// nor the key sort chases a record. It notes, per key field, the kind every
-// group has there, so that int and string keys compare and sort without
-// record.Value.Compare. Its per-group and per-record arrays are sized once,
-// for as many groups as records: its allocations do not grow with records
-// or groups, and re-indexing reuses them. Group ids number the groups in
-// order of first arrival.
+// nor the key sort chases a record. Groups are ordered by
+// record.Value.Compare, the order every other path of the engine uses. Its
+// per-group and per-record arrays are sized once, for as many groups as
+// records: its allocations do not grow with records or groups, and
+// re-indexing reuses them. Group ids number the groups in order of first
+// arrival.
 type keyIndex struct {
 	keys  []int
-	kinds []record.Kind  // per key field: the kind of every group's, or mixedKinds
 	slots []int32        // group id + 1 per table slot; 0 is empty
 	shift uint           // 64 - log2(len(slots))
 	hash  []uint64       // per group: its key hash
@@ -384,15 +377,11 @@ type keyIndex struct {
 	ids   []int32        // per record: its group
 }
 
-// mixedKinds marks a key field whose groups differ in kind.
-const mixedKinds record.Kind = 255
-
 // index groups recs by keys, replacing what x indexed before.
 func (x *keyIndex) index(recs []record.Record, keys []int) {
 	n := len(recs)
 	lg := bits.Len(uint(2 * n)) // a table over twice n slots keeps probes short
 	x.keys = keys
-	x.kinds = sized(x.kinds, len(keys))
 	x.slots, x.shift = sized(x.slots, 1<<lg), uint(64-lg)
 	x.hash, x.size = slices.Grow(x.hash[:0], n), slices.Grow(x.size[:0], n)
 	x.kv = slices.Grow(x.kv[:0], n*len(keys))
@@ -404,14 +393,8 @@ func (x *keyIndex) index(recs []record.Record, keys []int) {
 			g = int32(len(x.hash))
 			x.slots[s] = g + 1
 			x.hash = append(x.hash, h)
-			for j, f := range keys {
-				v := r.Field(f)
-				if g == 0 {
-					x.kinds[j] = v.Kind()
-				} else if x.kinds[j] != v.Kind() {
-					x.kinds[j] = mixedKinds
-				}
-				x.kv = append(x.kv, v)
+			for _, f := range keys {
+				x.kv = append(x.kv, r.Field(f))
 			}
 			x.size = append(x.size, 0)
 		}
@@ -495,50 +478,24 @@ func (x *keyIndex) find(h uint64, r record.Record, rKeys []int) (int32, int) {
 }
 
 // keyEquals reports whether r's fields rKeys equal key, position by
-// position: two ints or two strings directly, any other pair by
-// record.Value.Equal, which holds exactly where Compare reports 0.
+// position.
 func keyEquals(key []record.Value, r record.Record, rKeys []int) bool {
 	for i, v := range key {
-		w := r.Field(rKeys[i])
-		switch k := v.Kind(); {
-		case k != w.Kind():
-			if !v.Equal(w) {
-				return false
-			}
-		case k == record.KindInt:
-			if v.AsInt() != w.AsInt() {
-				return false
-			}
-		case k == record.KindString:
-			if v.AsString() != w.AsString() {
-				return false
-			}
-		case !v.Equal(w):
+		if !v.Equal(r.Field(rKeys[i])) {
 			return false
 		}
 	}
 	return true
 }
 
-// sortGroups orders group ids by key: a field all groups hold as ints or
-// all as strings by that kind's order, which is Value.Compare's within the
-// kind, any other field by Value.Compare. Distinct groups never tie —
-// Compare is 0 exactly where keys are Equal — so this is the order a stable
-// sort of the groups in arrival order gives.
+// sortGroups orders group ids by key. Distinct groups never tie — Compare
+// is 0 exactly where keys are Equal — so this is the order a stable sort of
+// the groups, or of their records, in arrival order gives.
 func (x *keyIndex) sortGroups(gs []int32) {
 	slices.SortFunc(gs, func(a, b int32) int {
-		ka, kb := x.key(a), x.key(b)
-		for i, k := range x.kinds {
-			var c int
-			switch k {
-			case record.KindInt:
-				c = cmp.Compare(ka[i].AsInt(), kb[i].AsInt())
-			case record.KindString:
-				c = strings.Compare(ka[i].AsString(), kb[i].AsString())
-			default:
-				c = ka[i].Compare(kb[i])
-			}
-			if c != 0 {
+		kb := x.key(b)
+		for i, v := range x.key(a) {
+			if c := v.Compare(kb[i]); c != 0 {
 				return c
 			}
 		}
@@ -553,11 +510,11 @@ type layoutBuf struct {
 	out  [][]record.Record
 }
 
-// layout copies the records of the groups in order into one flat slice,
-// group after group, each in arrival order, and returns one sub-slice per
-// group. Record j belongs to group ids[j] (none if negative), sizes counts
-// each group's records, and records of groups not in order are dropped.
-func (b *layoutBuf) layout(recs []record.Record, ids, sizes, order []int32) [][]record.Record {
+// place copies the records of the groups in order into one flat slice,
+// group after group, each in arrival order, and returns it. Record j
+// belongs to group ids[j] (none if negative), sizes counts each group's
+// records, and records of groups not in order are dropped.
+func (b *layoutBuf) place(recs []record.Record, ids, sizes, order []int32) []record.Record {
 	b.next = sized(b.next, len(sizes))
 	total := int32(0)
 	for _, g := range order {
@@ -571,8 +528,13 @@ func (b *layoutBuf) layout(recs []record.Record, ids, sizes, order []int32) [][]
 			b.next[g]++
 		}
 	}
+	return b.flat
+}
+
+// layout is place's slice cut into one sub-slice per group.
+func (b *layoutBuf) layout(recs []record.Record, ids, sizes, order []int32) [][]record.Record {
+	flat := b.place(recs, ids, sizes, order)
 	b.out = sized(b.out, len(order))
-	flat := b.flat
 	for k, g := range order {
 		b.out[k], flat = flat[:sizes[g]], flat[sizes[g]:]
 	}

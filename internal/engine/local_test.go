@@ -121,10 +121,12 @@ func adversarialSides() map[string]record.DataSet {
 // FuzzLocalStrategies decodes the bytes into a DOP and two record sides —
 // each byte one record: its top bit the side, the rest a key from
 // adversarialKeys, its position the payload — and runs them through the
-// harness's adversarial rows on forward edges: the grouping of a Reduce and
-// a CoGroup, and the hash join with either build side, must each agree with
-// the reference byte for byte. A sum-Reduce over both sides' keys must come
-// out the same with and without its combiner.
+// harness's adversarial rows on forward edges and, with and without a
+// one-byte budget, on partitioned ones: the grouping of a Reduce and a
+// CoGroup, the hash join with either build side, and — where a collector
+// overflows — the key-ordered runs it writes and the merge that reads them
+// back must each agree with the reference byte for byte. A sum-Reduce over
+// both sides' keys must come out the same with and without its combiner.
 func FuzzLocalStrategies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
@@ -135,7 +137,9 @@ func FuzzLocalStrategies(f *testing.F) {
 			sides[c>>7] = append(sides[c>>7], adversarialKeys[int(c&0x7f)%len(adversarialKeys)])
 		}
 		dop := 1 + int(data[0]%4)
-		newHarness(t, configs{dops: []int{dop}}, "").run(t, adversarialRows(t, strategySides(sides[0], sides[1]), optimizer.ShipForward))
+		sources := strategySides(sides[0], sides[1])
+		newHarness(t, configs{dops: []int{dop}}, "").run(t, adversarialRows(t, sources, optimizer.ShipForward))
+		newHarness(t, configs{dops: []int{dop}, budgets: both}, "").run(t, adversarialRows(t, sources, optimizer.ShipPartition))
 		requireCombinerInvisible(t, append(sides[0], sides[1]...), dop)
 	})
 }
@@ -200,12 +204,12 @@ func requireCombinerInvisible(t *testing.T, keys []record.Value, dop int) {
 }
 
 // TestHashGroupingEdgeKeys pins the hash grouper's dense-key compare
-// against the spill path's sort and merge where key equality is subtle —
-// int 2^53 beside 2^53+1, float 2^53 beside int 2^53, -0.0 beside 0.0, NaNs
-// of different bits — each as the last field of a two-field key whose first
-// field repeats: hash grouping must form the groups a stable sort forms, in
-// the same order, and the hash join, with either build side, must pair what
-// aligning the sorted groups pairs, in the same order.
+// against a stable sort and the spill path's merge where key equality is
+// subtle — int 2^53 beside 2^53+1, float 2^53 beside int 2^53, -0.0 beside
+// 0.0, NaNs of different bits — each as the last field of a two-field key
+// whose first field repeats: hash grouping must form the groups a stable
+// sort forms, in the same order, and the hash join, with either build side,
+// must pair what aligning the sorted groups pairs, in the same order.
 func TestHashGroupingEdgeKeys(t *testing.T) {
 	last := []record.Value{
 		record.Int(1 << 53), record.Int(1<<53 + 1), record.Float(1 << 53),
@@ -219,12 +223,10 @@ func TestHashGroupingEdgeKeys(t *testing.T) {
 		l = append(l, record.Record{k0, k1, record.Int(int64(i))})
 		r = append(r, record.Record{record.Null, k0, last[i*7%len(last)], record.Int(int64(i))})
 	}
-	// sortGroups reads recs as a spilled side is read: stably sorted, then
-	// merged (here one run) into groups.
+	// sortGroups stably sorts recs into one run and reads it back as the
+	// merge reads a spilled side: into groups.
 	sortGroups := func(recs record.DataSet, keys []int) groupCursor {
-		recs = slices.Clone(recs)
-		sortRecs(recs, keys)
-		m, err := spill.NewMerger([]spill.Cursor{spill.NewSliceCursor(recs)}, func(a, b record.Record) int { return a.CompareOn(b, keys) })
+		m, err := spill.NewMerger([]spill.Cursor{spill.NewSliceCursor(sortedOn(recs, keys))}, func(a, b record.Record) int { return a.CompareOn(b, keys) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,10 +273,11 @@ func TestHashGroupingEdgeKeys(t *testing.T) {
 }
 
 // TestKeyIndexKindPaths: where every key of a field is an int, or every key
-// a string, the key index compares and sorts them by that kind alone; one
-// float among the ints, or one int among the strings, puts the field back
-// on record.Value.Compare. Both must form the groups a stable sort forms,
-// in the same order, with one key field and with two.
+// a string, the key index compares and sorts them through
+// record.Value.Compare's same-kind fast path; one float among the ints, or
+// one int among the strings, takes a pair through its rank order. Both must
+// form the groups a stable sort forms, in the same order, with one key
+// field and with two.
 func TestKeyIndexKindPaths(t *testing.T) {
 	ints := []record.Value{record.Int(math.MaxInt64), record.Int(1<<53 + 1), record.Int(-1), record.Int(math.MinInt64),
 		record.Int(1 << 53), record.Int(0), record.Int(math.MinInt64 + 1), record.Int(math.MaxInt64 - 1)}
@@ -294,8 +297,7 @@ func TestKeyIndexKindPaths(t *testing.T) {
 			recs = append(recs, record.Record{c.keys[i*3%len(c.keys)], c.keys[i*5%len(c.keys)], record.Int(int64(i))})
 		}
 		for _, keys := range [][]int{{0}, {1, 0}} {
-			want := slices.Clone(recs)
-			sortRecs(want, keys)
+			want := sortedOn(recs, keys)
 			var got record.DataSet
 			for _, g := range new(grouper).groups(recs, keys) {
 				got = append(got, g...)
@@ -303,6 +305,14 @@ func TestKeyIndexKindPaths(t *testing.T) {
 			requireByteIdentical(t, got, want, fmt.Sprintf("%s keys=%v: hash groups vs stable sort", c.name, keys))
 		}
 	}
+}
+
+// sortedOn returns recs stably sorted by the key fields: ascending key,
+// arrival order within a key — the order the key index lays records out in.
+func sortedOn(recs []record.Record, keys []int) []record.Record {
+	recs = slices.Clone(recs)
+	slices.SortStableFunc(recs, func(a, b record.Record) int { return a.CompareOn(b, keys) })
+	return recs
 }
 
 // TestCombineAdversarialKeys runs the combining sender over adversarialKeys
@@ -407,9 +417,11 @@ func TestHashGroupsAllocs(t *testing.T) {
 }
 
 // TestGroupingScratchPinsNoRecords pins the pooled grouping scratch: once a
-// Reduce, a hash join and a CoGroup have run, the groupers back in the pool
-// hold no record and no key, so the records' storage and their string keys'
-// bytes are collected.
+// Reduce, a hash join and a CoGroup have run, resident and with every
+// collector spilling, the groupers back in the pool hold no record and no
+// key, so the records' storage and their string keys' bytes are collected.
+// A collector's grouper goes back as its last run left it, so a run whose
+// records it still held after the write would fail this.
 func TestGroupingScratchPinsNoRecords(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race: the pool keeps nothing to pin with")
@@ -425,8 +437,9 @@ func TestGroupingScratchPinsNoRecords(t *testing.T) {
 }
 
 // runHashGrouping runs a Reduce, a hash join and a CoGroup, at DOP 2 behind
-// partitioned edges, over records carved from one Value slab and keyed on
-// strings cut from one arena, and returns weak pointers to both.
+// partitioned edges, with no budget and with a one-byte one, over records
+// carved from one Value slab and keyed on strings cut from one arena, and
+// returns weak pointers to both.
 func runHashGrouping(t *testing.T) (weak.Pointer[record.Value], weak.Pointer[byte]) {
 	const n = 1024
 	arena := strings.Repeat("abcdefghij", 10)
@@ -442,9 +455,15 @@ func runHashGrouping(t *testing.T) (weak.Pointer[record.Value], weak.Pointer[byt
 	e := New(2)
 	e.AddSource("L", l)
 	e.AddSource("R", r)
-	for _, kind := range []dataflow.OpKind{dataflow.KindReduce, dataflow.KindMatch, dataflow.KindCoGroup} {
-		if _, _, err := e.Run(strategyPlan(t, kind, optimizer.ShipPartition)); err != nil {
-			t.Fatal(err)
+	for _, e.MemoryBudget = range []int{0, 1} {
+		for _, kind := range []dataflow.OpKind{dataflow.KindReduce, dataflow.KindMatch, dataflow.KindCoGroup} {
+			_, stats, err := e.Run(strategyPlan(t, kind, optimizer.ShipPartition))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spilled := stats.TotalSpillRuns() > 0; spilled != (e.MemoryBudget > 0) {
+				t.Fatalf("%v budget=%d: spilled=%v", kind, e.MemoryBudget, spilled)
+			}
 		}
 	}
 	return weak.Make(&slab[0]), weak.Make(unsafe.StringData(arena))

@@ -49,13 +49,12 @@ func (e *Engine) Shuffle(in Partitioned, keys []int) (Partitioned, int, error) {
 // second pass over the records — and happens engine-side before Send, so
 // ShippedBytes is identical whichever transport carries the batch (and, on a
 // broadcast edge, the input's wire size once per target). Every target's
-// collector builds its own slice of record headers — the records themselves
-// are immutable by engine convention — so a local strategy that sorts in
-// place cannot race its siblings. A non-nil combiner (the Combinable Reduce
-// being fed) switches the senders to partial aggregation; a positive budget
-// bounds the collectors. The two compose: senders shrink the stream first,
-// receivers spill only what still overflows, and every spilled run holds
-// already combined records.
+// collector builds its own slice of record headers; the records themselves
+// are immutable by engine convention. A non-nil combiner (the Combinable
+// Reduce being fed) switches the senders to partial aggregation; a positive
+// budget bounds the collectors. The two compose: senders shrink the stream
+// first, receivers spill only what still overflows, and every spilled run
+// holds already combined records.
 //
 // The session's span nests under parent — "shuffle" or "broadcast", or
 // "combine-ship" for combining senders — with the per-worker transport spans
@@ -313,7 +312,7 @@ type partitionSpill struct {
 	slabs []record.Slab
 
 	// Write-phase locals for the trace: when the first run is written and
-	// how much wall time the sort+write passes took in total. Accumulated
+	// how much wall time the layout+write passes took in total. Accumulated
 	// collector-locally (each collector owns its partitionSpill) and folded
 	// into one pre-timed spill-write span per partition at operator end
 	// (Engine.foldSpillSpans) — the hot loop never touches the trace.
@@ -344,12 +343,12 @@ func closeSpills(spills []*partitionSpill) {
 // into out[i], recycling the batches. A batch decoded from a frame carries
 // its slab: the collector keeps it beside the partition's records and gives
 // it back at once if it discards the batch, and once the batch's records are
-// in a written run. Under a positive budget it tracks the
-// buffer's resident bytes (wire encoding, the unit MemoryBudget is
-// expressed in) and, when they exceed the budget, sorts the buffer by key
-// and writes it to the partition's spill file as one run; budget zero is
-// the resident case — the buffer only grows. The buffer starts at hint
-// records.
+// in a written run. Under a positive budget it tracks the buffer's resident
+// bytes (wire encoding, the unit MemoryBudget is expressed in) and, when
+// they exceed the budget, lays the buffer out by key through a pooled
+// grouper and writes that layout to the partition's spill file as one run;
+// budget zero is the resident case — the buffer only grows. The buffer
+// starts at hint records.
 //
 // The budget is floored at one batch's worth (the largest batch buffered so
 // far): the integer division splitting MemoryBudget across DOP×inputs
@@ -358,9 +357,10 @@ func closeSpills(spills []*partitionSpill) {
 // the batch count and a merge cursor per run, instead of the intended
 // handful of budget-sized runs. With the floor, a run always covers more
 // than one arriving batch, so the worst-case residency is about two
-// batches' worth. The buffer's backing array is reused across runs (cleared
-// first, so the truncated tail does not pin the spilled records against GC
-// — the resident-bytes bound must count live records only).
+// batches' worth. The buffer's backing array is reused across runs, and it
+// and the grouper are cleared after each run, so neither pins the spilled
+// records against GC — the resident-bytes bound must count live records
+// only.
 //
 // On a disk error the collector keeps draining (senders must never block)
 // but discards the drained records — the run is doomed and buffering its
@@ -374,6 +374,14 @@ func closeSpills(spills []*partitionSpill) {
 // this collector), so the collector records it and exits.
 func (e *Engine) collect(ctx context.Context, st *shuffleState, out Partitioned, sp *partitionSpill, i int, keys []int, budget, hint int) {
 	defer st.collectors.Done()
+	// sc[0] lays each run out and is released after the run's write, so it
+	// goes back to the pool as the last write left it: holding no record.
+	var sc *scratch
+	defer func() {
+		if sc != nil {
+			scratchPool.Put(sc)
+		}
+	}()
 	buf := make([]record.Record, 0, hint)
 	resident := 0
 	maxBatch := 0
@@ -415,13 +423,16 @@ func (e *Engine) collect(ctx context.Context, st *shuffleState, out Partitioned,
 		if sp.writeStart.IsZero() {
 			sp.writeStart = writeAt
 		}
-		sortRecs(buf, keys)
 		if sp.file == nil {
 			if sp.file, sp.err = spill.CreateIn(e.fs(), e.SpillDir); sp.err != nil {
 				continue
 			}
 		}
-		run, err := sp.file.WriteRun(buf)
+		if sc == nil {
+			sc = getScratch()
+		}
+		run, err := sp.file.WriteRun(sc[0].ordered(buf, keys))
+		sc[0].release()
 		if err != nil {
 			sp.err = err
 			continue

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"blackboxflow/internal/optimizer"
@@ -10,8 +11,8 @@ import (
 
 // TestBroadcastShipNoAliasing is the mutation canary for the broadcast
 // shipping fix: each partition must own its slice of record headers, so a
-// local strategy that reorders one partition in place (as sorting a spilled
-// partition does) cannot be observed by its siblings.
+// consumer that reorders one partition in place cannot be observed by its
+// siblings.
 func TestBroadcastShipNoAliasing(t *testing.T) {
 	e := New(3)
 	var in Partitioned = Partitioned{{
@@ -31,18 +32,18 @@ func TestBroadcastShipNoAliasing(t *testing.T) {
 	}
 	// Reorder partition 0 in place; every other partition (and the input)
 	// must keep the original order.
-	sortRecs(out[0], []int{0})
+	slices.Reverse(out[0])
 	wantOrig := []int64{3, 1, 2}
 	for p := 1; p < 3; p++ {
 		for i, want := range wantOrig {
 			if got := out[p][i].Field(0).AsInt(); got != want {
-				t.Fatalf("partition %d record %d = %d after sibling sort, want %d (aliased slices)", p, i, got, want)
+				t.Fatalf("partition %d record %d = %d after sibling reorder, want %d (aliased slices)", p, i, got, want)
 			}
 		}
 	}
 	for i, want := range wantOrig {
 		if got := in[0][i].Field(0).AsInt(); got != want {
-			t.Fatalf("input record %d = %d after sibling sort, want %d (aliased slices)", i, got, want)
+			t.Fatalf("input record %d = %d after sibling reorder, want %d (aliased slices)", i, got, want)
 		}
 	}
 }

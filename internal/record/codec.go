@@ -3,14 +3,15 @@ package record
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"slices"
 )
 
 // This file implements the engine's wire encoding of records — the byte
 // layout that EncodedSize has always priced. One encoding serves both byte
 // accounting (network cost simulation) and actual serialization (the spill
-// package's on-disk run format), so a spilled byte and a shipped byte are
-// the same unit.
+// package's on-disk runs and the TCP transport's frames), so a spilled byte
+// and a shipped byte are the same unit.
 //
 // Layout: a record is a 4-byte little-endian field count followed by the
 // fields; a field is a 1-byte kind tag followed by its payload (int/float:
@@ -166,13 +167,65 @@ func DecodeBatch(buf []byte, count int) (*Batch, error) {
 	return b, nil
 }
 
-// AppendEncoded appends the wire encoding of every record in the batch to
-// buf and returns the extended slice; the bytes appended equal
-// b.EncodedSize(). It is the serialization half the spill package frames
-// into its on-disk run format.
-func (b *Batch) AppendEncoded(buf []byte) []byte {
-	for _, r := range b.recs {
+// A frame is the unit records are stored and shipped in: an 8-byte header —
+// the record count and the payload length, both 4-byte little-endian — and
+// then the payload, the records' encodings back to back. A spill run is a
+// sequence of frames, and a TCP data frame is one behind its op and target
+// (internal/transport), so a spilled byte and a shipped byte are framed
+// alike.
+
+// FrameHeaderSize is the bytes of a frame before its payload.
+const FrameHeaderSize = 8
+
+// AppendFrame appends the frame of recs to buf and returns the extended
+// slice: the header, then exactly the payload's length of encodings.
+func AppendFrame(buf []byte, recs []Record) []byte {
+	start := len(buf)
+	buf = AppendFrameHeader(buf, len(recs), 0) // the length is patched below
+	for _, r := range recs {
 		buf = r.AppendEncoded(buf)
 	}
+	binary.LittleEndian.PutUint32(buf[start+4:], uint32(len(buf)-start-FrameHeaderSize))
 	return buf
+}
+
+// AppendFrameHeader appends the header of a frame of count records in
+// length payload bytes.
+func AppendFrameHeader(buf []byte, count, length int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
+	return binary.LittleEndian.AppendUint32(buf, uint32(length))
+}
+
+// ReadFrame reads one frame from r: its header, then its payload, with one
+// io.ReadFull each. A header that claims no records or more than maxRecords,
+// or an empty payload or one past maxPayload bytes, is an error before the
+// payload is read or allocated, and so is a header or payload cut short. The
+// frame is read into buf's storage when it fits, so a reader that passes
+// each payload back in as the next call's buf reads every frame through one
+// buffer; the payload is then valid only until that next call. The payload
+// is not decoded (DecodeRecords, DecodeBatch).
+func ReadFrame(r io.Reader, buf []byte, maxRecords, maxPayload int) (count int, payload []byte, err error) {
+	if cap(buf) < FrameHeaderSize {
+		buf = make([]byte, FrameHeaderSize)
+	}
+	hdr := buf[:FrameHeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, nil, fmt.Errorf("record: truncated frame header: %w", err)
+	}
+	count = int(binary.LittleEndian.Uint32(hdr))
+	length := int(binary.LittleEndian.Uint32(hdr[4:]))
+	if count <= 0 || count > maxRecords {
+		return 0, nil, fmt.Errorf("record: frame claims %d records (max %d)", count, maxRecords)
+	}
+	if length <= 0 || length > maxPayload {
+		return 0, nil, fmt.Errorf("record: frame claims %d payload bytes (max %d)", length, maxPayload)
+	}
+	if cap(buf) < length {
+		buf = make([]byte, length)
+	}
+	payload = buf[:length]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return 0, nil, fmt.Errorf("record: truncated frame payload (%d bytes claimed): %w", length, err)
+	}
+	return count, payload, nil
 }

@@ -1,6 +1,8 @@
 package record
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"strconv"
@@ -242,6 +244,51 @@ func TestCompareOn(t *testing.T) {
 		want := a.Project(fields).Compare(b.Project(fields))
 		if got := a.CompareOn(b, fields); got != want {
 			t.Fatalf("CompareOn(%v, %v, %v) = %d, projections compare %d", a, b, fields, got, want)
+		}
+	}
+}
+
+// countingReader counts the Read calls made on it.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestFrameRoundTrip pins the record frame: AppendFrame writes the count,
+// the payload length and the encodings; ReadFrame reads the header and then
+// the payload with one read each, and reads no payload whose claim breaks a
+// limit; a frame cut short anywhere fails.
+func TestFrameRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	recs := make([]Record, 40)
+	var payload []byte
+	for i := range recs {
+		recs[i] = randomRecord(rng)
+		payload = recs[i].AppendEncoded(payload)
+	}
+	buf := AppendFrame([]byte("prefix"), recs)[len("prefix"):]
+	if want := AppendFrameHeader(nil, len(recs), len(payload)); !bytes.Equal(buf[:FrameHeaderSize], want) || !bytes.Equal(buf[FrameHeaderSize:], payload) {
+		t.Fatalf("frame is %x, want header %x and the records' encodings", buf, want)
+	}
+	cr := &countingReader{r: bytes.NewReader(buf)}
+	count, got, err := ReadFrame(cr, nil, len(recs), len(payload))
+	if err != nil || count != len(recs) || !bytes.Equal(got, payload) || cr.reads != 2 {
+		t.Fatalf("ReadFrame = %d, %x, %v after %d reads; want %d records, the payload, 2 reads", count, got, err, cr.reads, len(recs))
+	}
+	for _, limits := range [][2]int{{len(recs) - 1, len(payload)}, {len(recs), len(payload) - 1}} {
+		cr := &countingReader{r: bytes.NewReader(buf)}
+		if _, _, err := ReadFrame(cr, nil, limits[0], limits[1]); err == nil || cr.reads != 1 {
+			t.Fatalf("limits %v: err %v after %d reads, want an error after the header alone", limits, err, cr.reads)
+		}
+	}
+	for cut := range len(buf) {
+		if _, _, err := ReadFrame(bytes.NewReader(buf[:cut]), nil, len(recs), len(payload)); err == nil {
+			t.Fatalf("a frame cut to %d bytes was read", cut)
 		}
 	}
 }

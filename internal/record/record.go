@@ -13,10 +13,11 @@
 // Besides the value/record model the package provides the engine's two
 // movement units: Batch, the fixed-capacity pooled container shuffles move
 // records in, and the wire codec (AppendEncoded, the byte layout
-// EncodedSize prices, and DecodeRecords / DecodeBatch, which decode a whole
-// frame of records into one Value slab and one string arena) that both the
-// shuffle's byte accounting and the spill package's on-disk run format are
-// denominated in.
+// EncodedSize prices; AppendFrame and ReadFrame, which frame records for a
+// spill run and a TCP data frame alike; and DecodeRecords / DecodeBatch,
+// which decode a whole frame of records into one Value slab and one string
+// arena) that both the shuffle's byte accounting and the spill package's
+// on-disk run format are denominated in.
 package record
 
 import (
@@ -176,8 +177,15 @@ func (v Value) String() string {
 // Equal implements value equality (paper Section 2.2: v1i = v2i). It holds
 // exactly when Compare reports 0: numeric values compare across int/float
 // kinds by exact numeric value, −0 equals 0, and a NaN equals every NaN and
-// nothing else.
+// nothing else. Two ints compare inline; every other pair goes to equal.
 func (v Value) Equal(o Value) bool {
+	if v.kind == KindInt && o.kind == KindInt {
+		return v.n == o.n
+	}
+	return v.equal(o)
+}
+
+func (v Value) equal(o Value) bool {
 	if v.kind != o.kind {
 		return v.isNumeric() && o.isNumeric() && compareNumeric(v, o) == 0
 	}
@@ -187,7 +195,7 @@ func (v Value) Equal(o Value) bool {
 	case KindFloat:
 		return cmp.Compare(v.float(), o.float()) == 0
 	default:
-		return v.n == o.n // Null (both 0), int bits, bool 0/1
+		return v.n == o.n // Null (both 0), bool 0/1
 	}
 }
 
@@ -195,7 +203,16 @@ func (v Value) isNumeric() bool { return v.kind == KindInt || v.kind == KindFloa
 
 // Compare orders two values: Null < Bool < numeric < String, with numeric
 // kinds compared by exact value (see compareNumeric). Returns -1, 0, or +1.
+// Two ints or two strings, the usual keys, compare before any rank.
 func (v Value) Compare(o Value) int {
+	if v.kind == o.kind {
+		switch v.kind {
+		case KindInt:
+			return cmp.Compare(int64(v.n), int64(o.n))
+		case KindString:
+			return strings.Compare(v.str(), o.str())
+		}
+	}
 	vr, or := v.rank(), o.rank()
 	if vr != or {
 		return sign(vr - or)
@@ -205,22 +222,18 @@ func (v Value) Compare(o Value) int {
 		return 0
 	case KindBool:
 		return cmp.Compare(v.n, o.n)
-	case KindString:
-		return strings.Compare(v.str(), o.str())
 	default:
 		return compareNumeric(v, o)
 	}
 }
 
-// compareNumeric orders two numeric values without rounding: ints as int64,
-// floats as float64, and an int against a float exactly, so values that
-// compare 0 are Equal and hash equally — 1<<53 and 1<<53+1 are two keys, not
-// one. NaN orders below every number and equal to every NaN, as cmp.Compare
-// orders floats, so the order is total.
+// compareNumeric orders two numeric values, not both ints, without
+// rounding: floats as float64, and an int against a float exactly, so
+// values that compare 0 are Equal and hash equally — 1<<53 and 1<<53+1 are
+// two keys, not one. NaN orders below every number and equal to every NaN,
+// as cmp.Compare orders floats, so the order is total.
 func compareNumeric(v, o Value) int {
 	switch {
-	case v.kind == KindInt && o.kind == KindInt:
-		return cmp.Compare(int64(v.n), int64(o.n))
 	case v.kind == KindInt:
 		return compareIntFloat(int64(v.n), o.float())
 	case o.kind == KindInt:

@@ -23,8 +23,9 @@ func identical(a, b Value) bool {
 // bits, a string and a bool it builds values with every constructor —
 // strings also as sub-slices of one another, so they share bytes — and
 // checks that each accessor returns what its constructor was given, that
-// Compare is a total order that agrees with Equal and Hash, and that the
-// wire codec hands every value back unchanged.
+// Compare and Equal agree with their frozen references (compare_ref_test.go)
+// on every pair, that Compare is a total order that agrees with Equal and
+// Hash, and that the wire codec hands every value back unchanged.
 func FuzzValue(f *testing.F) {
 	if size := unsafe.Sizeof(Value{}); size != 24 {
 		f.Fatalf("Value is %d bytes, want 24", size)
@@ -37,6 +38,10 @@ func FuzzValue(f *testing.F) {
 	f.Add(int64(0), math.Float64bits(math.Copysign(0, -1)), "a", true)
 	f.Add(int64(math.MaxInt64), math.Float64bits(math.Inf(1)), "tok tok", false)
 	f.Add(int64(2), math.Float64bits(2.5), "alpha", true)
+	f.Add(int64(1<<53), math.Float64bits(0x1p53), "ab", false)
+	f.Add(int64(math.MaxInt64), math.Float64bits(0x1p63), "", true)
+	f.Add(int64(math.MinInt64), math.Float64bits(math.Copysign(0, -1)), "b", false)
+	f.Add(int64(math.MinInt64+1), uint64(0x7ff0000000000bad), "a", true) // a signalling NaN
 	f.Fuzz(func(t *testing.T, i int64, bits uint64, s string, b bool) {
 		fl := math.Float64frombits(bits)
 		if Int(i).AsInt() != i || math.Float64bits(Float(fl).AsFloat()) != bits ||
@@ -50,6 +55,12 @@ func FuzzValue(f *testing.F) {
 		for _, x := range vs {
 			for _, y := range vs {
 				c := x.Compare(y)
+				if want := refCompare(x, y); c != want {
+					t.Fatalf("Compare(%v %v, %v %v) = %d, the reference says %d", x.Kind(), x, y.Kind(), y, c, want)
+				}
+				if got, want := x.Equal(y), refEqual(x, y); got != want {
+					t.Fatalf("Equal(%v %v, %v %v) = %v, the reference says %v", x.Kind(), x, y.Kind(), y, got, want)
+				}
 				if c != -y.Compare(x) {
 					t.Fatalf("Compare(%v, %v) = %d but Compare(%v, %v) = %d", x, y, c, y, x, y.Compare(x))
 				}

@@ -1,15 +1,12 @@
 // Package spill implements the engine's out-of-core building blocks: sorted
-// runs of records written to temporary files in a length-prefixed batch
-// format, streaming run readers, and a k-way merge over sorted record
-// cursors.
+// runs of records written to temporary files, streaming run readers, and a
+// k-way merge over sorted record cursors.
 //
-// The on-disk format reuses the record wire encoding (record.AppendEncoded /
-// record.DecodeRecords — the same layout EncodedSize prices for shuffle byte
-// accounting), framed into batches: every frame is an 8-byte header (4-byte
-// little-endian record count, 4-byte payload length) followed by the
-// concatenated record encodings. Frames hold at most record.DefaultBatchCap
-// records, so a reader's resident footprint is one batch regardless of run
-// size.
+// A run is a sequence of record frames (record.AppendFrame: a record count
+// and payload length, then the records' wire encodings — the layout
+// EncodedSize prices for shuffle byte accounting and a TCP data frame
+// carries). Frames hold at most record.DefaultBatchCap records, so a
+// reader's resident footprint is one frame regardless of run size.
 //
 // A File holds consecutive runs of one spill producer (the engine gives each
 // partition collector its own File, so writers never contend). Runs are read
@@ -18,16 +15,12 @@
 package spill
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
 	"blackboxflow/internal/faultfs"
 	"blackboxflow/internal/record"
 )
-
-// frameHeaderSize is the per-frame overhead: record count + payload length.
-const frameHeaderSize = 8
 
 // Run locates one sorted run inside a File.
 type Run struct {
@@ -97,17 +90,7 @@ func (s *File) WriteRun(recs []record.Record) (Run, error) {
 	}
 	run := Run{Offset: s.off, Records: len(recs)}
 	for start := 0; start < len(recs); start += record.DefaultBatchCap {
-		end := start + record.DefaultBatchCap
-		if end > len(recs) {
-			end = len(recs)
-		}
-		s.buf = s.buf[:0]
-		s.buf = binary.LittleEndian.AppendUint32(s.buf, uint32(end-start))
-		s.buf = binary.LittleEndian.AppendUint32(s.buf, 0) // payload length, patched below
-		for _, r := range recs[start:end] {
-			s.buf = r.AppendEncoded(s.buf)
-		}
-		binary.LittleEndian.PutUint32(s.buf[4:], uint32(len(s.buf)-frameHeaderSize))
+		s.buf = record.AppendFrame(s.buf[:0], recs[start:min(start+record.DefaultBatchCap, len(recs))])
 		n, err := s.f.Write(s.buf)
 		if err == nil && n < len(s.buf) {
 			err = io.ErrShortWrite
@@ -125,65 +108,43 @@ func (s *File) WriteRun(recs []record.Record) (Run, error) {
 // OpenRun returns a streaming reader over one run. Multiple runs of the
 // same File may be read concurrently.
 func (s *File) OpenRun(r Run) *RunReader {
-	return &RunReader{file: s, start: r.Offset, off: r.Offset, end: r.Offset + r.Length}
+	return &RunReader{sec: *io.NewSectionReader(s.f, r.Offset, r.Length)}
 }
 
 // RunReader iterates a run's records in order, decoding one frame at a time:
 // at most one frame's bytes are resident, and each frame's records share one
 // Value slab and one string arena (record.DecodeRecords).
 type RunReader struct {
-	file  *File
-	start int64           // offset of the run's first frame
-	off   int64           // next unread file offset
-	end   int64           // first offset past the run
-	buf   []byte          // frame header, then payload (reused across frames)
-	recs  []record.Record // the current frame's records (reused across frames)
-	next  int             // next record in recs
+	sec  io.SectionReader // the run's bytes; its offset is the next unread frame's
+	buf  []byte           // the current frame's header, then payload (reused across frames)
+	recs []record.Record  // the current frame's records (reused across frames)
+	next int              // next record in recs
 }
 
 // Next returns the run's next record. The second result is false when the
-// run is exhausted.
+// run is exhausted. A frame is read with one ReadAt for its header and one
+// for its payload, which may not claim more than the run has left, so no
+// read passes the run's end; a frame whose records do not consume exactly
+// its payload is an error, as on the TCP path.
 func (rr *RunReader) Next() (record.Record, bool, error) {
 	for rr.next == len(rr.recs) {
-		if rr.off >= rr.end {
+		off, _ := rr.sec.Seek(0, io.SeekCurrent)
+		if off >= rr.sec.Size() {
 			return nil, false, nil
 		}
-		if err := rr.readFrame(); err != nil {
-			return nil, false, fmt.Errorf("spill: frame at offset %d of the run at %d: %w", rr.off-rr.start, rr.start, err)
+		rest := int(rr.sec.Size() - off - record.FrameHeaderSize)
+		count, payload, err := record.ReadFrame(&rr.sec, rr.buf, record.DefaultBatchCap, rest)
+		var recs []record.Record
+		if err == nil {
+			recs, err = record.DecodeRecords(rr.recs[:0], payload, count)
 		}
+		if err != nil {
+			_, base, _ := rr.sec.Outer()
+			return nil, false, fmt.Errorf("spill: frame at offset %d of the run at %d: %w", off, base, err)
+		}
+		rr.buf, rr.recs, rr.next = payload, recs, 0
 	}
 	r := rr.recs[rr.next]
 	rr.next++
 	return r, true, nil
-}
-
-// readFrame reads and decodes the frame at rr.off. A frame whose records do
-// not consume exactly its payload is an error, as on the TCP path.
-func (rr *RunReader) readFrame() error {
-	if cap(rr.buf) < frameHeaderSize {
-		rr.buf = make([]byte, frameHeaderSize)
-	}
-	hdr := rr.buf[:frameHeaderSize]
-	if _, err := rr.file.f.ReadAt(hdr, rr.off); err != nil {
-		return fmt.Errorf("read header: %w", err)
-	}
-	count := int(binary.LittleEndian.Uint32(hdr[:4]))
-	payload := int64(binary.LittleEndian.Uint32(hdr[4:]))
-	if payload > rr.end-rr.off-frameHeaderSize {
-		return fmt.Errorf("payload of %d bytes runs past the run's end", payload)
-	}
-	if int64(cap(rr.buf)) < payload {
-		rr.buf = make([]byte, payload)
-	}
-	rr.buf = rr.buf[:payload]
-	if _, err := rr.file.f.ReadAt(rr.buf, rr.off+frameHeaderSize); err != nil {
-		return fmt.Errorf("read payload: %w", err)
-	}
-	recs, err := record.DecodeRecords(rr.recs[:0], rr.buf, count)
-	if err != nil {
-		return err
-	}
-	rr.recs, rr.next = recs, 0
-	rr.off += frameHeaderSize + payload
-	return nil
 }

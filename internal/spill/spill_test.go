@@ -110,7 +110,7 @@ func TestRunReaderRejectsMiscountedFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		second := run.Offset + frameHeaderSize + int64(record.DefaultBatchCap*recs[0].EncodedSize())
+		second := run.Offset + record.FrameHeaderSize + int64(record.DefaultBatchCap*recs[0].EncodedSize())
 
 		disk, err := os.OpenFile(f.path, os.O_RDWR, 0)
 		if err != nil {

@@ -13,13 +13,13 @@ import (
 // each direction; a frame is either one record.Batch addressed to a target
 // partition or the end-of-stream marker:
 //
-//	data frame: [op=0][u32 target][u32 count][u32 payloadLen][payload]
+//	data frame: [op=0][u32 target][record frame]
 //	eos frame:  [op=1]
 //
-// The payload is the batch's record wire encoding (record.AppendEncoded),
-// the same length-prefixed-by-header layout the spill run format frames on
-// disk — a shipped byte and a spilled byte stay the same unit. All integers
-// are little-endian, matching the record codec.
+// The record frame — [u32 count][u32 payloadLen][payload], the payload the
+// batch's record wire encodings — is record.AppendFrame's, the frame a
+// spill run is a sequence of: a shipped byte and a spilled byte stay the
+// same unit. All integers are little-endian, matching the record codec.
 //
 // Frames are validated before any allocation sized by them: a length
 // prefix beyond maxFramePayload or a record count beyond maxFrameRecords
@@ -31,8 +31,8 @@ const (
 	frameEOS  byte = 1
 
 	// dataFrameHeaderSize is the bytes of a data frame before the payload:
-	// op + target + count + payloadLen.
-	dataFrameHeaderSize = 1 + 4 + 4 + 4
+	// op + target + the record frame's header.
+	dataFrameHeaderSize = 1 + 4 + record.FrameHeaderSize
 
 	// maxFrameRecords caps the record count a frame may claim. The engine
 	// flushes batches at record.DefaultBatchCap records, so anything past
@@ -56,28 +56,25 @@ type frame struct {
 // appendDataFrame appends the wire encoding of one batch addressed to
 // target and returns the extended buffer.
 func appendDataFrame(buf []byte, target int, b *record.Batch) []byte {
-	return b.AppendEncoded(appendDataHeader(buf, target, b.Len(), b.EncodedSize()))
+	return record.AppendFrame(appendDataPrefix(buf, target), b.Records())
 }
 
-// appendDataHeader appends a data frame's header: op, target, record count
-// and payload length.
-func appendDataHeader(buf []byte, target, count, length int) []byte {
-	buf = append(buf, frameData)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(target))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
-	return binary.LittleEndian.AppendUint32(buf, uint32(length))
+// appendDataPrefix appends what a data frame holds before its record
+// frame: op and target.
+func appendDataPrefix(buf []byte, target int) []byte {
+	return binary.LittleEndian.AppendUint32(append(buf, frameData), uint32(target))
 }
 
 // readFrame reads and validates one frame from r. Truncation anywhere —
 // mid-header or mid-payload — returns an error (io.EOF only when the
 // stream ends cleanly between frames), and claimed sizes are bounds-checked
-// before the payload is allocated. The frame is read into buf's storage
-// when it fits, so a reader that passes each data frame's payload back in
-// as the next call's buf reads a whole connection through one buffer; the
-// payload is then valid only until that next call.
+// before the payload is allocated (record.ReadFrame). The frame is read
+// into buf's storage when it fits, so a reader that passes each data
+// frame's payload back in as the next call's buf reads a whole connection
+// through one buffer; the payload is then valid only until that next call.
 func readFrame(r io.Reader, buf []byte) (frame, error) {
-	if cap(buf) < dataFrameHeaderSize {
-		buf = make([]byte, dataFrameHeaderSize)
+	if cap(buf) < record.FrameHeaderSize {
+		buf = make([]byte, record.FrameHeaderSize)
 	}
 	op := buf[:1]
 	if _, err := io.ReadFull(r, op); err != nil {
@@ -93,28 +90,14 @@ func readFrame(r io.Reader, buf []byte) (frame, error) {
 	default:
 		return frame{}, fmt.Errorf("transport: unknown frame op %d", op[0])
 	}
-	hdr := buf[:dataFrameHeaderSize-1]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return frame{}, fmt.Errorf("transport: truncated frame header: %w", err)
+	target := buf[:4]
+	if _, err := io.ReadFull(r, target); err != nil {
+		return frame{}, fmt.Errorf("transport: truncated frame target: %w", err)
 	}
-	f := frame{
-		op:     frameData,
-		target: int(binary.LittleEndian.Uint32(hdr[0:])),
-		count:  int(binary.LittleEndian.Uint32(hdr[4:])),
-	}
-	length := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if f.count <= 0 || f.count > maxFrameRecords {
-		return frame{}, fmt.Errorf("transport: frame claims %d records (max %d)", f.count, maxFrameRecords)
-	}
-	if length <= 0 || length > maxFramePayload {
-		return frame{}, fmt.Errorf("transport: frame claims %d payload bytes (max %d)", length, maxFramePayload)
-	}
-	if cap(buf) < length {
-		buf = make([]byte, length)
-	}
-	f.payload = buf[:length]
-	if _, err := io.ReadFull(r, f.payload); err != nil {
-		return frame{}, fmt.Errorf("transport: truncated frame payload (%d bytes claimed): %w", length, err)
+	f := frame{op: frameData, target: int(binary.LittleEndian.Uint32(target))}
+	var err error
+	if f.count, f.payload, err = record.ReadFrame(r, buf, maxFrameRecords, maxFramePayload); err != nil {
+		return frame{}, fmt.Errorf("transport: %w", err)
 	}
 	return f, nil
 }
@@ -127,7 +110,8 @@ func writeFrame(w *bufio.Writer, f frame) error {
 	if f.op == frameEOS {
 		return w.WriteByte(frameEOS)
 	}
-	if _, err := w.Write(appendDataHeader(w.AvailableBuffer(), f.target, f.count, len(f.payload))); err != nil {
+	hdr := record.AppendFrameHeader(appendDataPrefix(w.AvailableBuffer(), f.target), f.count, len(f.payload))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(f.payload)
