@@ -240,9 +240,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	check("spill runtime overhead", "BENCH_spill.json", "runtime_overhead",
 		fresh["spill_runtime_overhead"], true, 2)
 	// The spilling wordcount gated on allocations per op, like the TCP
-	// shuffle: a count, identical on every machine, and what the merge's one
-	// reused group buffer per cursor and the collectors' pooled run layouts
-	// keep it at (about 95,000 when the merge allocated a slice per group).
+	// shuffle: a count, identical on every machine, and what the group
+	// merge's one reused buffer per side and the collectors' pooled run
+	// layouts keep it at (about 95,000 when the merge allocated a slice per
+	// group).
 	// The optimizer gate's 10% headroom.
 	check("spill allocs/op", "BENCH_spill.json", "spill_allocs_per_op",
 		fresh["spill_allocs_op"], true, 0.4)

@@ -21,13 +21,13 @@ import (
 // local strategy, and grouping and join operators read every input side as
 // a stream of key groups in ascending key order with records in arrival
 // order inside a group — the engine's canonical order. sideGroups builds
-// that stream: a resident side through the key index, a spilled one by
-// merging its runs with its resident remainder, each laid out by the key
-// index (grouper.ordered), the engine's one way to order records. A Match
-// whose sides are both resident hash-joins them instead, in the same order.
-// Because both paths emit that order, a plan produces byte-identical output
-// whether zero, some, or all partitions overflowed the memory budget. See
-// DESIGN.md ("Memory model & spilling").
+// that stream: a resident side through the key index, a spilled one as one
+// group merge (spill.Groups) of its runs and its resident remainder, each
+// laid out by the key index (grouper.ordered), the engine's one way to
+// order records. A Match whose sides are both resident hash-joins them
+// instead, in the same order. Because both paths emit that order, a plan
+// produces byte-identical output whether zero, some, or all partitions
+// overflowed the memory budget. See DESIGN.md ("Memory model & spilling").
 
 // local runs the operator's local strategy on every partition in parallel,
 // the records its UDF builds reserving room fields.
@@ -58,11 +58,7 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge, ro
 			}
 			sc := getScratch()
 			defer sc.put()
-			groups, err := sideGroups(&in[0], i, &sc[0])
-			if err != nil {
-				return 0, err
-			}
-			return reduceGroups(ctx, op, udf, groups, emit)
+			return reduceGroups(ctx, op, udf, sideGroups(&in[0], i, &sc[0]), emit)
 		})
 
 	case dataflow.KindMatch, dataflow.KindCoGroup:
@@ -83,14 +79,7 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, in []edge, ro
 			if kind == tac.KindBinary && !in[0].spilled(i) && !in[1].spilled(i) {
 				return hashJoin(ctx, op, udf, in, p.BuildSide, i, sc, emit)
 			}
-			l, err := sideGroups(&in[0], i, &sc[0])
-			if err != nil {
-				return 0, err
-			}
-			r, err := sideGroups(&in[1], i, &sc[1])
-			if err != nil {
-				return 0, err
-			}
+			l, r := sideGroups(&in[0], i, &sc[0]), sideGroups(&in[1], i, &sc[1])
 			if kind == tac.KindCoGroup {
 				return coGroupAligned(ctx, op, udf, l, r, emit)
 			}
@@ -138,11 +127,12 @@ func (e *Engine) scatter(data record.DataSet) Partitioned {
 	return out
 }
 
-// groupCursor yields key groups in ascending key order; next returns nil at
+// groupCursor yields key groups in ascending key order; Next returns nil at
 // end of stream. It is the unit the local strategies consume, letting an
-// in-memory side and a spilled side pair up transparently.
+// in-memory side (memGroupCursor) and a spilled side (*spill.Groups) pair up
+// transparently.
 type groupCursor interface {
-	next() ([]record.Record, error)
+	Next() ([]record.Record, error)
 }
 
 // memGroupCursor iterates pre-built groups (a keyIndex's layout).
@@ -151,7 +141,7 @@ type memGroupCursor struct {
 	pos    int
 }
 
-func (c *memGroupCursor) next() ([]record.Record, error) {
+func (c *memGroupCursor) Next() ([]record.Record, error) {
 	if c.pos >= len(c.groups) {
 		return nil, nil
 	}
@@ -160,77 +150,24 @@ func (c *memGroupCursor) next() ([]record.Record, error) {
 	return g, nil
 }
 
-// mergeGroupCursor accumulates equal-key groups from a sorted record merge
-// in one buffer, reused from group to group: a group is valid until the
-// cursor's next call, and no local strategy holds one longer.
-type mergeGroupCursor struct {
-	m       *spill.Merger
-	keys    []int
-	group   []record.Record
-	peek    record.Record
-	hasPeek bool
-	done    bool
-}
-
-func (c *mergeGroupCursor) next() ([]record.Record, error) {
-	if c.done {
-		return nil, nil
-	}
-	if !c.hasPeek {
-		rec, ok, err := c.m.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			c.done = true
-			return nil, nil
-		}
-		c.peek = rec
-		c.hasPeek = true
-	}
-	c.group = append(c.group[:0], c.peek)
-	c.hasPeek = false
-	for {
-		rec, ok, err := c.m.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			c.done = true
-			return c.group, nil
-		}
-		if c.group[0].CompareOn(rec, c.keys) != 0 {
-			c.peek = rec
-			c.hasPeek = true
-			return c.group, nil
-		}
-		c.group = append(c.group, rec)
-	}
-}
-
 // sideGroups builds the group stream of partition i of one input side,
 // through g, whose arrays back the groups until g is next used. A resident
-// side is grouped by the key index. A side that spilled runs is the k-way
-// merge of the runs and its resident remainder, which g lays out in key
-// order: cursor order — oldest run first, remainder last — together with
-// the merger's index tie-break reproduces arrival order within each key
-// group, the order the key index gives a resident side.
-func sideGroups(ed *edge, i int, g *grouper) (groupCursor, error) {
+// side is grouped by the key index. A side that spilled runs is one group
+// merge (spill.Groups) of the runs, oldest first, and its resident
+// remainder, which g lays out in key order, last: that cursor order keeps
+// arrival order within each key group, the order the key index gives a
+// resident side.
+func sideGroups(ed *edge, i int, g *grouper) groupCursor {
 	part, keys := ed.data[i], ed.keys
 	if !ed.spilled(i) {
-		return &memGroupCursor{groups: g.groups(part, keys)}, nil
+		return &memGroupCursor{groups: g.groups(part, keys)}
 	}
 	sp := ed.spills[i]
 	cursors := make([]spill.Cursor, 0, len(sp.runs)+1)
 	for _, run := range sp.runs {
 		cursors = append(cursors, sp.file.OpenRun(run))
 	}
-	cursors = append(cursors, spill.NewSliceCursor(g.ordered(part, keys)))
-	m, err := spill.NewMerger(cursors, func(a, b record.Record) int { return a.CompareOn(b, keys) })
-	if err != nil {
-		return nil, err
-	}
-	return &mergeGroupCursor{m: m, keys: keys}, nil
+	return spill.NewGroups(append(cursors, spill.NewSliceCursor(g.ordered(part, keys))), keys)
 }
 
 // spilled reports whether partition i of the edge overflowed to sorted runs.
@@ -549,7 +486,7 @@ func reduceGroups(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, g
 		if tick.due() && context.Cause(ctx) != nil {
 			return 0, context.Cause(ctx)
 		}
-		g, err := groups.next()
+		g, err := groups.Next()
 		if err != nil {
 			return 0, err
 		}
@@ -607,11 +544,11 @@ func compareKeyPair(l record.Record, lKeys []int, r record.Record, rKeys []int) 
 // once per key in the combined key domain, ascending.
 func coGroupAligned(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, l, r groupCursor, emit func(record.Record) error) (int, error) {
 	calls := 0
-	lg, err := l.next()
+	lg, err := l.Next()
 	if err != nil {
 		return 0, err
 	}
-	rg, err := r.next()
+	rg, err := r.Next()
 	if err != nil {
 		return 0, err
 	}
@@ -643,12 +580,12 @@ func coGroupAligned(ctx context.Context, op *dataflow.Operator, udf *tac.Runner,
 		}
 		calls++
 		if c <= 0 {
-			if lg, err = l.next(); err != nil {
+			if lg, err = l.Next(); err != nil {
 				return 0, err
 			}
 		}
 		if c >= 0 {
-			if rg, err = r.next(); err != nil {
+			if rg, err = r.Next(); err != nil {
 				return 0, err
 			}
 		}
@@ -670,11 +607,11 @@ func coGroupAligned(ctx context.Context, op *dataflow.Operator, udf *tac.Runner,
 // partition's records are the operator's alone.
 func matchAligned(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, l, r groupCursor, own tac.Owned, emit func(record.Record) error) (int, error) {
 	calls := 0
-	lg, err := l.next()
+	lg, err := l.Next()
 	if err != nil {
 		return 0, err
 	}
-	rg, err := r.next()
+	rg, err := r.Next()
 	if err != nil {
 		return 0, err
 	}
@@ -685,11 +622,11 @@ func matchAligned(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, l
 		}
 		switch c := compareKeyPair(lg[0], op.Keys[0], rg[0], op.Keys[1]); {
 		case c < 0:
-			if lg, err = l.next(); err != nil {
+			if lg, err = l.Next(); err != nil {
 				return 0, err
 			}
 		case c > 0:
-			if rg, err = r.next(); err != nil {
+			if rg, err = r.Next(); err != nil {
 				return 0, err
 			}
 		default:
@@ -711,10 +648,10 @@ func matchAligned(ctx context.Context, op *dataflow.Operator, udf *tac.Runner, l
 					calls++
 				}
 			}
-			if lg, err = l.next(); err != nil {
+			if lg, err = l.Next(); err != nil {
 				return 0, err
 			}
-			if rg, err = r.next(); err != nil {
+			if rg, err = r.Next(); err != nil {
 				return 0, err
 			}
 		}

@@ -226,15 +226,11 @@ func TestHashGroupingEdgeKeys(t *testing.T) {
 	// sortGroups stably sorts recs into one run and reads it back as the
 	// merge reads a spilled side: into groups.
 	sortGroups := func(recs record.DataSet, keys []int) groupCursor {
-		m, err := spill.NewMerger([]spill.Cursor{spill.NewSliceCursor(sortedOn(recs, keys))}, func(a, b record.Record) int { return a.CompareOn(b, keys) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &mergeGroupCursor{m: m, keys: keys}
+		return spill.NewGroups([]spill.Cursor{spill.NewSliceCursor(sortedOn(recs, keys))}, keys)
 	}
 	var want record.DataSet
 	c := sortGroups(l, []int{0, 1})
-	for g, _ := c.next(); g != nil; g, _ = c.next() {
+	for g, _ := c.Next(); g != nil; g, _ = c.Next() {
 		want = append(append(want, g...), nil) // nil ends a group
 	}
 	var got record.DataSet
@@ -341,9 +337,9 @@ func TestCombineAdversarialKeys(t *testing.T) {
 }
 
 // TestMergeGroupsAllocs pins the spilling path's group stream: draining a
-// merge of sorted runs into key groups reuses one group buffer, so it costs
-// the same few allocations — the cursors, the merger and the buffer's
-// growth to the largest group — for 100 keys as for 10,000.
+// group merge (spill.Groups) of sorted runs reuses one group buffer, so it
+// costs the same few allocations — the cursors, the merge and its heads, and
+// the buffer's growth to the largest group — for 100 keys as for 10,000.
 func TestMergeGroupsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -362,13 +358,9 @@ func TestMergeGroupsAllocs(t *testing.T) {
 			for i, run := range runs {
 				cursors[i] = spill.NewSliceCursor(run)
 			}
-			m, err := spill.NewMerger(cursors, func(a, b record.Record) int { return a.CompareOn(b, keys) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := &mergeGroupCursor{m: m, keys: keys}
+			c := spill.NewGroups(cursors, keys)
 			groups := 0
-			for g, err := c.next(); g != nil || err != nil; g, err = c.next() {
+			for g, err := c.Next(); g != nil || err != nil; g, err = c.Next() {
 				if err != nil || len(g) != len(runs) {
 					t.Fatalf("group %d: %d records, err %v; want %d records", groups, len(g), err, len(runs))
 				}

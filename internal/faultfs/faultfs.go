@@ -44,7 +44,7 @@ type FS interface {
 }
 
 // File is the slice of *os.File the spill format uses: sequential writes,
-// concurrent positioned reads (a k-way merge opens many readers over one
+// concurrent positioned reads (a group merge opens many readers over one
 // file), close, and the path for unlinking.
 type File interface {
 	Name() string

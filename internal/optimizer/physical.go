@@ -208,7 +208,7 @@ const (
 )
 
 // mergeFanIn is the modeled merge fan-in of the external grouping path: the
-// number of sorted runs one merge pass combines. The engine's k-way merge
+// number of sorted runs one merge pass combines. The engine's group merge
 // is actually single-pass (unbounded fan-in), so for realistic run counts
 // the model charges exactly one pass; the notional multi-pass penalty only
 // kicks in at extreme run counts, where a real system would have to cascade

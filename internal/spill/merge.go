@@ -1,7 +1,7 @@
 package spill
 
 import (
-	"container/heap"
+	"slices"
 
 	"blackboxflow/internal/record"
 )
@@ -33,76 +33,73 @@ func (c *sliceCursor) Next() (record.Record, bool, error) {
 	return r, true, nil
 }
 
-// Merger is a k-way merge over sorted cursors. Ties are broken by cursor
-// index, so when cursors are passed in spill order (oldest run first,
-// resident remainder last) the merged stream preserves arrival order within
-// equal keys — the same stability a single stable sort would give.
-type Merger struct {
-	cmp  func(a, b record.Record) int
-	h    mergeHeap
-	errs error
+// Groups merges cursors sorted on the same key fields into key groups:
+// ascending key, and within a group each cursor's records in the order the
+// cursors were given, then in the cursor's own order. Given in spill order —
+// oldest run first, resident remainder last — that is arrival order within
+// each key, the order one stable sort of every record gives.
+type Groups struct {
+	srcs  []Cursor        // the cursors not yet exhausted, in the order given
+	heads []record.Record // heads[i] is srcs[i]'s next record; nil until the first Next
+	keys  []int
+	group []record.Record // the last group, its array reused by the next
 }
 
-type mergeItem struct {
-	rec record.Record
-	src Cursor
-	idx int // cursor index, the tie-breaker
+// NewGroups merges cursors, which it takes over, on the key fields keys.
+// Nothing is read until the first Next.
+func NewGroups(cursors []Cursor, keys []int) *Groups {
+	return &Groups{srcs: cursors, keys: keys}
 }
 
-type mergeHeap struct {
-	items []mergeItem
-	cmp   func(a, b record.Record) int
-}
-
-func (h *mergeHeap) Len() int { return len(h.items) }
-func (h *mergeHeap) Less(i, j int) bool {
-	if c := h.cmp(h.items[i].rec, h.items[j].rec); c != 0 {
-		return c < 0
+// Next returns the next key group, or nil when every cursor is exhausted.
+// The group is valid until the next call. It finds the smallest head key by
+// a scan of the heads, then takes that key's records cursor by cursor from
+// the first cursor that holds it; the cursors before that one hold larger
+// keys.
+func (g *Groups) Next() ([]record.Record, error) {
+	if g.heads == nil {
+		g.heads = make([]record.Record, len(g.srcs))
+		for i := len(g.srcs) - 1; i >= 0; i-- {
+			if err := g.advance(i); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return h.items[i].idx < h.items[j].idx
-}
-func (h *mergeHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x any)    { h.items = append(h.items, x.(mergeItem)) }
-func (h *mergeHeap) Pop() (popped any) {
-	n := len(h.items)
-	popped = h.items[n-1]
-	h.items = h.items[:n-1]
-	return
-}
-
-// NewMerger primes a k-way merge over the cursors with the given record
-// comparison (typically record.Record.CompareOn over the grouping key).
-func NewMerger(cursors []Cursor, cmp func(a, b record.Record) int) (*Merger, error) {
-	m := &Merger{cmp: cmp, h: mergeHeap{cmp: cmp}}
-	for i, c := range cursors {
-		rec, ok, err := c.Next()
-		if err != nil {
+	if len(g.heads) == 0 {
+		return nil, nil
+	}
+	first := 0
+	for i := 1; i < len(g.heads); i++ {
+		if g.heads[i].CompareOn(g.heads[first], g.keys) < 0 {
+			first = i
+		}
+	}
+	key := g.heads[first]
+	g.group = g.group[:0]
+	for i := first; i < len(g.heads); {
+		if g.heads[i].CompareOn(key, g.keys) != 0 {
+			i++
+			continue
+		}
+		g.group = append(g.group, g.heads[i])
+		if err := g.advance(i); err != nil {
 			return nil, err
 		}
-		if ok {
-			m.h.items = append(m.h.items, mergeItem{rec: rec, src: c, idx: i})
-		}
 	}
-	heap.Init(&m.h)
-	return m, nil
+	return g.group, nil
 }
 
-// Next returns the smallest remaining record across all cursors. The second
-// result is false when every cursor is exhausted.
-func (m *Merger) Next() (record.Record, bool, error) {
-	if len(m.h.items) == 0 {
-		return nil, false, nil
-	}
-	top := m.h.items[0]
-	rec, ok, err := top.src.Next()
+// advance reads cursor i's next record into heads[i], or drops the cursor
+// at its end, so that i names the cursor after it.
+func (g *Groups) advance(i int) error {
+	rec, ok, err := g.srcs[i].Next()
 	if err != nil {
-		return nil, false, err
+		return err
 	}
 	if ok {
-		m.h.items[0] = mergeItem{rec: rec, src: top.src, idx: top.idx}
-		heap.Fix(&m.h, 0)
+		g.heads[i] = rec
 	} else {
-		heap.Pop(&m.h)
+		g.srcs, g.heads = slices.Delete(g.srcs, i, i+1), slices.Delete(g.heads, i, i+1)
 	}
-	return top.rec, true, nil
+	return nil
 }

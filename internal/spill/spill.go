@@ -1,6 +1,6 @@
 // Package spill implements the engine's out-of-core building blocks: sorted
 // runs of records written to temporary files, streaming run readers, and a
-// k-way merge over sorted record cursors.
+// merge of sorted record cursors into key groups (Groups).
 //
 // A run is a sequence of record frames (record.AppendFrame: a record count
 // and payload length, then the records' wire encodings — the layout
@@ -10,8 +10,8 @@
 //
 // A File holds consecutive runs of one spill producer (the engine gives each
 // partition collector its own File, so writers never contend). Runs are read
-// back through ReadAt, which is safe for the concurrent readers a k-way
-// merge creates. Files are unlinked on Close; Close is idempotent.
+// back through ReadAt, which is safe for the concurrent readers a merge
+// creates. Files are unlinked on Close; Close is idempotent.
 package spill
 
 import (

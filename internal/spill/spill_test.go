@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -169,9 +170,26 @@ func TestEmptyRun(t *testing.T) {
 	}
 }
 
-// TestMergeOrderAndStability: a k-way merge of sorted runs yields globally
-// sorted output, with equal keys emitted in cursor order (run 0 before run 1
-// before the in-memory remainder).
+// drainGroups reads every group of g, copying each: the next call reuses
+// its array.
+func drainGroups(t *testing.T, g *Groups) [][]record.Record {
+	t.Helper()
+	var out [][]record.Record
+	for {
+		grp, err := g.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grp == nil {
+			return out
+		}
+		out = append(out, slices.Clone(grp))
+	}
+}
+
+// TestMergeOrderAndStability: a group merge of sorted runs yields one group
+// per key, ascending, with a key's records in cursor order (run 0 before
+// run 1 before the in-memory remainder).
 func TestMergeOrderAndStability(t *testing.T) {
 	f, err := Create(t.TempDir())
 	if err != nil {
@@ -197,29 +215,25 @@ func TestMergeOrderAndStability(t *testing.T) {
 	}
 	resident := mk(2, 3, 4, 9)
 
-	cmp := func(a, b record.Record) int { return a.CompareOn(b, []int{0}) }
-	m, err := NewMerger([]Cursor{f.OpenRun(runA), f.OpenRun(runB), NewSliceCursor(resident)}, cmp)
-	if err != nil {
-		t.Fatal(err)
+	got := drainGroups(t, NewGroups([]Cursor{f.OpenRun(runA), f.OpenRun(runB), NewSliceCursor(resident)}, []int{0}))
+	want := [][]record.Record{
+		append(mk(0, 1), mk(1, 1)...),
+		mk(1, 2),
+		append(append(mk(0, 3, 3), mk(1, 3)...), mk(2, 3)...),
+		mk(2, 4),
+		mk(0, 5),
+		append(append(mk(0, 9), mk(1, 9, 9)...), mk(2, 9)...),
 	}
-	got := drain(t, m)
-	if len(got) != 13 {
-		t.Fatalf("merged %d records, want 13", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		c := cmp(got[i-1], got[i])
-		if c > 0 {
-			t.Fatalf("merge out of order at %d: %v after %v", i, got[i], got[i-1])
-		}
-		if c == 0 && got[i-1].Field(1).AsInt() > got[i].Field(1).AsInt() {
-			t.Fatalf("tie at %d broken out of cursor order: tag %d after %d",
-				i, got[i].Field(1).AsInt(), got[i-1].Field(1).AsInt())
-		}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("groups %v, want %v", got, want)
 	}
 }
 
-// TestMergeRandomAgainstSort: merging random sorted shards equals one global
-// stable sort.
+// TestMergeRandomAgainstSort: merging random sorted shards into groups —
+// short runs, an empty one, runs longer than a frame whose hot keys make a
+// group span frames and runs, and a resident remainder last — gives one key
+// per group, keys ascending, and, concatenated, one global stable sort of
+// the shards in cursor order.
 func TestMergeRandomAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	f, err := Create(t.TempDir())
@@ -228,34 +242,77 @@ func TestMergeRandomAgainstSort(t *testing.T) {
 	}
 	defer f.Close()
 
-	var all []int64
-	var cursors []Cursor
-	for s := 0; s < 7; s++ {
-		vals := make([]int64, rng.Intn(400))
-		for i := range vals {
-			vals[i] = int64(rng.Intn(50))
+	// Field 0 is the key, field 1 the shard, field 2 the record's position in
+	// it, so a tie out of cursor order shows.
+	shard := func(s, n int, hot bool) []record.Record {
+		recs := make([]record.Record, n)
+		for i := range recs {
+			k := int64(rng.Intn(50))
+			if hot && rng.Intn(2) == 0 {
+				k = int64(7 + 16*rng.Intn(2))
+			}
+			recs[i] = record.Record{record.Int(k), record.Int(int64(s))}
 		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		all = append(all, vals...)
-		run, err := f.WriteRun(intRecs(vals...))
+		slices.SortStableFunc(recs, func(a, b record.Record) int { return a.CompareOn(b, []int{0}) })
+		for i, r := range recs {
+			recs[i] = append(r, record.Int(int64(i)))
+		}
+		return recs
+	}
+	var all []record.Record
+	var cursors []Cursor
+	for s := range 11 {
+		var recs []record.Record
+		switch {
+		case s == 3:
+		case s < 7:
+			recs = shard(s, rng.Intn(400), false)
+		default:
+			recs = shard(s, record.DefaultBatchCap+1+rng.Intn(2*record.DefaultBatchCap), true)
+		}
+		all = append(all, recs...)
+		if s == 10 {
+			cursors = append(cursors, NewSliceCursor(recs))
+			continue
+		}
+		run, err := f.WriteRun(recs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cursors = append(cursors, f.OpenRun(run))
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	sort.SliceStable(all, func(i, j int) bool { return all[i].CompareOn(all[j], []int{0}) < 0 })
 
-	m, err := NewMerger(cursors, func(a, b record.Record) int { return a.CompareOn(b, []int{0}) })
-	if err != nil {
-		t.Fatal(err)
+	var got []record.Record
+	spans := false
+	for i, g := range drainGroups(t, NewGroups(cursors, []int{0})) {
+		for _, r := range g {
+			if r.CompareOn(g[0], []int{0}) != 0 {
+				t.Fatalf("group %d holds keys %v and %v", i, g[0][0], r[0])
+			}
+		}
+		if len(got) > 0 && got[len(got)-1].CompareOn(g[0], []int{0}) >= 0 {
+			t.Fatalf("group %d (key %v) does not follow key %v", i, g[0][0], got[len(got)-1][0])
+		}
+		// A group spans runs where its first and last records come from
+		// different shards, and frames where two records of one run (shard
+		// 10 is the remainder) sit either side of a frame boundary.
+		for j := 1; j < len(g) && g[0][1].AsInt() != g[len(g)-1][1].AsInt(); j++ {
+			a, b := g[j-1], g[j]
+			spans = spans || a[1].AsInt() == b[1].AsInt() && a[1].AsInt() < 10 &&
+				a[2].AsInt() < record.DefaultBatchCap && b[2].AsInt() >= record.DefaultBatchCap
+		}
+		got = append(got, g...)
 	}
-	got := drain(t, m)
+	if !spans {
+		t.Fatal("no group spans frames and runs")
+	}
 	if len(got) != len(all) {
 		t.Fatalf("merged %d records, want %d", len(got), len(all))
 	}
 	for i, r := range got {
-		if r.Field(0).AsInt() != all[i] {
-			t.Fatalf("position %d: got %d, want %d", i, r.Field(0).AsInt(), all[i])
+		if !r.Equal(all[i]) {
+			t.Fatalf("position %d: got %v, want %v", i, r, all[i])
 		}
 	}
 }
